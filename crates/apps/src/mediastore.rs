@@ -68,9 +68,9 @@ impl ServiceBehavior for FileStorage {
     fn handle(&mut self, ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
         match cmd.name() {
             "push" => {
-                let stream = cmd.get_text("stream").expect("validated").to_string();
-                let seq = cmd.get_int("seq").expect("validated");
-                let Some(data) = hex_decode(cmd.get_text("data").expect("validated")) else {
+                let stream = req_text!(cmd, "stream").to_string();
+                let seq = req_int!(cmd, "seq");
+                let Some(data) = hex_decode(req_text!(cmd, "data")) else {
                     return Reply::err(ErrorCode::Semantics, "data is not valid hex");
                 };
                 let key = Self::frame_key(&stream, seq);
@@ -87,7 +87,7 @@ impl ServiceBehavior for FileStorage {
                 }
             }
             "mediaList" => {
-                let stream = cmd.get_text("stream").expect("validated");
+                let stream = req_text!(cmd, "stream");
                 match self.store(ctx).list("media") {
                     Ok(keys) => {
                         let prefix = format!("{stream}/");
@@ -105,8 +105,8 @@ impl ServiceBehavior for FileStorage {
                 }
             }
             "mediaGet" => {
-                let stream = cmd.get_text("stream").expect("validated");
-                let seq = cmd.get_int("seq").expect("validated");
+                let stream = req_text!(cmd, "stream");
+                let seq = req_int!(cmd, "seq");
                 let key = Self::frame_key(stream, seq);
                 match self.store(ctx).get("media", &key) {
                     Ok(data) => Reply::ok_with(|c| c.arg("data", hex_encode(&data))),

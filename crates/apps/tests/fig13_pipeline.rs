@@ -120,3 +120,57 @@ fn capture_convert_store_retrieve() {
     }
     fw.shutdown();
 }
+
+/// `FileStorage`'s client-facing verbs speak text: a frame goes in as a hex
+/// word and comes back as the hex word of the same bytes, whatever form the
+/// hop to the store cluster gives it.
+#[test]
+fn media_verbs_take_and_return_hex_words() {
+    let net = SimNet::new();
+    for h in ["core", "s1", "s2", "s3"] {
+        net.add_host(h);
+    }
+    let fw = bootstrap(&net, "core", Duration::from_secs(10)).unwrap();
+    let cluster =
+        spawn_store_cluster(&net, &fw, &["s1", "s2", "s3"], Duration::from_millis(100)).unwrap();
+    let storage = Daemon::spawn(
+        &net,
+        fw.service_config(
+            "filestorage",
+            "Service.FileStorage",
+            "machineroom",
+            "core",
+            6000,
+        ),
+        Box::new(FileStorage::new(cluster.addrs.clone())),
+    )
+    .unwrap();
+    let me = KeyPair::generate(&mut rand::thread_rng());
+    let mut st = ServiceClient::connect(&net, &"core".into(), storage.addr().clone(), &me).unwrap();
+
+    let frame: Vec<u8> = (0..=255u8).chain(*b"\0;\"@").collect();
+    let word = ace_core::protocol::hex_encode(&frame);
+    let push = CmdLine::parse(&format!("push stream=cam seq=1 data={word};")).unwrap();
+    assert_eq!(st.call(&push).unwrap().get_bool("stored"), Some(true));
+    let got = st
+        .call(&CmdLine::parse("mediaGet stream=cam seq=1;").unwrap())
+        .unwrap();
+    assert_eq!(got.get_text("data"), Some(word.as_str()));
+    // The store holds the bytes themselves, not their hex.
+    let key = ("media".to_string(), "cam/00000001".to_string());
+    assert_eq!(cluster.replicas[0].1.get(&key).unwrap().data, frame);
+
+    // Arguments validation lets through still cannot take the daemon down.
+    for bad in [
+        "push stream=cam seq=2 data=xabc;",
+        "push stream=cam seq=2 data=nothex;",
+    ] {
+        let err = st.call(&CmdLine::parse(bad).unwrap()).unwrap_err();
+        assert_eq!(err.code(), Some(ErrorCode::Semantics), "{bad}");
+    }
+    assert!(st.call(&CmdLine::new("storageStats")).is_ok());
+
+    storage.shutdown();
+    cluster.shutdown();
+    fw.shutdown();
+}

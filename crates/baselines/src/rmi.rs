@@ -233,6 +233,9 @@ impl RmiCall {
                         .map(|row| RmiValue::List(row.iter().map(convert_scalar).collect()))
                         .collect(),
                 ),
+                // RMI would marshal a `byte[]`; the codec here has no such
+                // type, and E3's commands carry none.
+                Value::Blob(_) => RmiValue::Str(value.to_wire()),
             }
         }
         fn convert_scalar(s: &Scalar) -> RmiValue {

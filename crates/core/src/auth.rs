@@ -278,6 +278,7 @@ pub fn action_env_for(service: &str, class: &str, room: &str, cmd: &CmdLine) -> 
             Value::Str(s) => s.clone(),
             Value::Vector(v) => format!("vector:{}", v.len()),
             Value::Array(a) => format!("array:{}", a.len()),
+            Value::Blob(b) => format!("blob:{}", b.len()),
         };
         env.insert(key, text);
     }

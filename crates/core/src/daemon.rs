@@ -322,10 +322,11 @@ impl Daemon {
         // retries must not amplify an overload.
         let retry_budget = Arc::new(RetryBudget::new(5, 0.1));
 
-        // Step 3: register with the ASD.  Registration rides out brief ASD
-        // unavailability (e.g. an ASD restart mid-recovery) with a short
-        // bounded backoff before the spawn is declared failed.
-        if let Some(asd) = &config.asd {
+        // Steps 3 and 5 ride out brief unavailability of the plane they talk
+        // to (an ASD restart mid-recovery, a Network Logger shedding under
+        // load) with a short bounded backoff before the spawn is declared
+        // failed.
+        let register = |step: &'static str, addr: &Addr, cmd: &CmdLine| {
             retry_budget.note_call();
             let mut retry = RetryPolicy::new(Duration::from_millis(20))
                 .with_max_attempts(3)
@@ -333,45 +334,38 @@ impl Daemon {
                 .with_retry_budget(Arc::clone(&retry_budget))
                 .start();
             loop {
-                let result = ServiceClient::connect(net, &config.host, asd.clone(), &identity)
-                    .and_then(|mut client| client.call_ok(&register_cmd(&config)));
+                let result = ServiceClient::connect(net, &config.host, addr.clone(), &identity)
+                    .and_then(|mut client| client.call_ok(cmd));
                 match result {
-                    Ok(()) => break,
-                    Err(error) => {
-                        if !retry.backoff() {
-                            return Err(SpawnError::Register { step: "asd", error });
-                        }
+                    Ok(()) => return Ok(()),
+                    Err(error) if !retry.backoff() => {
+                        return Err(SpawnError::Register { step, error })
                     }
+                    Err(_) => {}
                 }
             }
+        };
+
+        // Step 3: register with the ASD.
+        if let Some(asd) = &config.asd {
+            register("asd", asd, &register_cmd(&config))?;
         }
 
         // Step 5: record the start with the Network Logger.  (Step 4 —
         // notifications on the registration — happens inside the ASD.)
         if let Some(logger) = &config.logger {
-            let mut client = ServiceClient::connect(net, &config.host, logger.clone(), &identity)
-                .map_err(|error| SpawnError::Register {
-                step: "logger",
-                error,
-            })?;
-            client
-                .call_ok(
-                    &CmdLine::new("log")
-                        .arg("level", "info")
-                        .arg(
-                            "msg",
-                            Value::Str(format!(
-                                "service {} started on host {}",
-                                config.name, config.host
-                            )),
-                        )
-                        .arg("service", config.name.as_str())
-                        .arg("host", config.host.as_str()),
+            let started = CmdLine::new("log")
+                .arg("level", "info")
+                .arg(
+                    "msg",
+                    Value::Str(format!(
+                        "service {} started on host {}",
+                        config.name, config.host
+                    )),
                 )
-                .map_err(|error| SpawnError::Register {
-                    step: "logger",
-                    error,
-                })?;
+                .arg("service", config.name.as_str())
+                .arg("host", config.host.as_str());
+            register("logger", logger, &started)?;
         }
 
         // Full vocabulary: service commands inheriting the built-ins.

@@ -47,7 +47,9 @@ pub enum LinkError {
     Net(NetError),
     /// Frame failed to decrypt/authenticate.
     Seal(ace_security::cipher::SealError),
-    /// A frame was not valid UTF-8 or not a parseable command.
+    /// A frame was not a parseable command: text that is not UTF-8 or not
+    /// in the language, or an attachment section that does not hold exactly
+    /// the blobs the text declares.
     Malformed(String),
     /// Handshake violated the protocol.
     Handshake(String),
@@ -621,11 +623,12 @@ impl SecureLink {
         self.opened_bytes = Some(opened);
     }
 
-    /// Seal and send one command.  One allocation end-to-end: the wire
-    /// rendering is encrypted in place and handed to the connection by
-    /// ownership (frames move through channels, they are never re-copied).
+    /// Seal and send one command.  One allocation end-to-end: the frame
+    /// (the command's text, then its blobs raw — [`CmdLine::to_frame`]) is
+    /// encrypted in place and handed to the connection by ownership (frames
+    /// move through channels, they are never re-copied).
     pub fn send_cmd(&mut self, cmd: &CmdLine) -> Result<(), LinkError> {
-        let mut frame = cmd.to_wire().into_bytes();
+        let mut frame = cmd.to_frame();
         self.tx.seal_in_place(&mut frame);
         if let Some(c) = &self.sealed_bytes {
             c.add(frame.len() as u64);
@@ -655,9 +658,7 @@ impl SecureLink {
             c.add(frame.len() as u64);
         }
         self.rx.open_in_place(&mut frame).map_err(LinkError::Seal)?;
-        let text = std::str::from_utf8(&frame)
-            .map_err(|_| LinkError::Malformed("frame not UTF-8".into()))?;
-        CmdLine::parse(text).map_err(|e| LinkError::Malformed(e.to_string()))
+        CmdLine::parse_frame(&frame).map_err(|e| LinkError::Malformed(e.to_string()))
     }
 
     /// Register the waker notified when the peer queues a frame or closes
@@ -715,6 +716,7 @@ fn parse_hello(cmd: &CmdLine) -> Result<u64, LinkError> {
 mod tests {
     use super::*;
     use ace_net::{Addr, SimNet};
+    use proptest::prelude::*;
 
     fn setup() -> (SimNet, ace_net::Listener) {
         let net = SimNet::new();
@@ -1053,5 +1055,110 @@ mod tests {
         let third = connect_and_ping(&net, &client_id, &tickets);
         assert!(third.resumed());
         server.join().unwrap();
+    }
+
+    // -- the command frame --------------------------------------------------
+
+    /// An established (client, server) pair of links.
+    fn link_pair() -> (SecureLink, SecureLink) {
+        let (net, listener) = setup();
+        let server_id = keypair();
+        let server = std::thread::spawn(move || {
+            SecureLink::accept(listener.accept().unwrap(), &server_id).unwrap()
+        });
+        let conn = net
+            .connect(&"client".into(), Addr::new("server", 100))
+            .unwrap();
+        let client = SecureLink::connect(conn, &keypair()).unwrap();
+        (client, server.join().unwrap())
+    }
+
+    #[test]
+    fn blobs_cost_their_length_and_blobless_frames_are_unchanged() {
+        let (mut client, mut server) = link_pair();
+        let (sealed, opened) = (Arc::new(Counter::default()), Arc::new(Counter::default()));
+        client.attach_metrics(Arc::clone(&sealed), opened);
+        let seal_overhead = {
+            let plain = CmdLine::new("ping");
+            client.send_cmd(&plain).unwrap();
+            assert_eq!(server.recv_cmd(Duration::from_secs(5)).unwrap(), plain);
+            sealed.get() as usize - plain.to_wire().len()
+        };
+        // No blob: the frame is the wire string, as before blobs existed.
+        let text = CmdLine::new("psGet").arg("ns", "app").arg("digest", true);
+        let before = sealed.get() as usize;
+        client.send_cmd(&text).unwrap();
+        assert_eq!(
+            sealed.get() as usize - before,
+            text.to_wire().len() + seal_overhead
+        );
+        assert_eq!(server.recv_cmd(Duration::from_secs(5)).unwrap(), text);
+        // A 1 KiB blob costs 1 KiB plus a few bytes of text, not 2 KiB.
+        let value: Vec<u8> = (0..1024).map(|i| (i % 251) as u8).collect();
+        let put = CmdLine::new("psPut").arg("key", "k").arg("data", value);
+        let before = sealed.get() as usize;
+        client.send_cmd(&put).unwrap();
+        let cost = sealed.get() as usize - before - seal_overhead;
+        assert!(cost <= 1024 + 32, "1 KiB blob cost {cost} B on the wire");
+        assert_eq!(server.recv_cmd(Duration::from_secs(5)).unwrap(), put);
+    }
+
+    #[test]
+    fn malformed_frames_are_refused_and_the_link_lives_on() {
+        let (mut client, mut server) = link_pair();
+        let frames: [&[u8]; 7] = [
+            b"psPut data=@4;\0abc",                    // section shorter than declared
+            b"psPut data=@2;\0abc",                    // section longer than declared
+            b"psPut data=@3;",                         // reference, no section
+            b"ping;\0abc",                             // section, no reference
+            b"psPut data=@99999999999999999999;\0abc", // length overflows
+            b"psPut key=\"\xff\xfe\";",                // text part not UTF-8
+            b"psPut data=@1 ;\0ab;",                   // bytes after the declared blob
+        ];
+        for plain in frames {
+            let mut frame = plain.to_vec();
+            client.tx.seal_in_place(&mut frame);
+            client.conn.send(frame).unwrap();
+            let got = server.recv_cmd(Duration::from_secs(5));
+            assert!(
+                matches!(got, Err(LinkError::Malformed(_))),
+                "{:?} gave {got:?}",
+                String::from_utf8_lossy(plain)
+            );
+        }
+        // The cipher stream is intact: the next well-formed frame opens.
+        let put = CmdLine::new("psPut").arg("data", &b"\0;\"@"[..]);
+        client.send_cmd(&put).unwrap();
+        assert_eq!(server.recv_cmd(Duration::from_secs(5)).unwrap(), put);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// seal → open → parse is the identity for commands carrying 0..4
+        /// blobs of arbitrary bytes, in both directions of one link.
+        #[test]
+        fn blobs_roundtrip_through_a_link(
+            blobs in prop::collection::vec(
+                prop_oneof![
+                    prop::collection::vec(any::<u8>(), 0..64),
+                    Just(b"\0;\"@\0".to_vec()),
+                    Just(vec![0xA5u8; 256 * 1024]),
+                ],
+                0..5,
+            )
+        ) {
+            let (mut client, mut server) = link_pair();
+            let mut cmd = CmdLine::new("psPutBatch").arg("ns", "app");
+            for (i, blob) in blobs.into_iter().enumerate() {
+                cmd.push_arg(format!("d{i}"), blob);
+                cmd.push_arg(format!("n{i}"), i as i64);
+            }
+            client.send_cmd(&cmd).unwrap();
+            let got = server.recv_cmd(Duration::from_secs(5)).unwrap();
+            prop_assert_eq!(&got, &cmd);
+            server.send_cmd(&got).unwrap();
+            prop_assert_eq!(client.recv_cmd(Duration::from_secs(5)).unwrap(), cmd);
+        }
     }
 }

@@ -265,43 +265,11 @@ pub fn store_scaleout_semantics() -> Semantics {
         ))
 }
 
-/// Hex-encode arbitrary bytes as a `<WORD>` so blobs (multi-line KeyNote
-/// credential text, binary payloads) can travel inside commands — the
-/// grammar's quoted strings cannot carry newlines or quotes.
-pub fn hex_encode(data: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    // The `x` prefix keeps the token a <WORD> even when every digit is
-    // decimal (which would re-lex as an integer).  Nibble lookups into one
-    // byte buffer: this sits under every stored blob and every read-repair
-    // push, where the formatting machinery of `write!` is pure overhead.
-    let mut out = Vec::with_capacity(data.len() * 2 + 1);
-    out.push(b'x');
-    for &b in data {
-        out.push(DIGITS[(b >> 4) as usize]);
-        out.push(DIGITS[(b & 0x0f) as usize]);
-    }
-    String::from_utf8(out).expect("hex digits are ASCII")
-}
-
-/// Decode a [`hex_encode`]d word (uppercase digits accepted).
-pub fn hex_decode(hex: &str) -> Option<Vec<u8>> {
-    fn nibble(b: u8) -> Option<u8> {
-        match b {
-            b'0'..=b'9' => Some(b - b'0'),
-            b'a'..=b'f' => Some(b - b'a' + 10),
-            b'A'..=b'F' => Some(b - b'A' + 10),
-            _ => None,
-        }
-    }
-    let hex = hex.strip_prefix('x').unwrap_or(hex);
-    if !hex.len().is_multiple_of(2) {
-        return None;
-    }
-    hex.as_bytes()
-        .chunks_exact(2)
-        .map(|pair| Some(nibble(pair[0])? << 4 | nibble(pair[1])?))
-        .collect()
-}
+/// The hex word — the text form of binary data (multi-line KeyNote
+/// credential text, sealed snapshots, binary payloads) inside a command.
+/// The codec lives with the language, next to the blob value it is the
+/// text form of.
+pub use ace_lang::{hex_decode, hex_encode};
 
 /// Checksum used to seal state snapshots (FNV-1a, 64 bit).
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -619,24 +587,5 @@ mod snapshot_tests {
                 "accepted a snapshot with byte {i} flipped"
             );
         }
-    }
-}
-
-#[cfg(test)]
-mod hex_tests {
-    use super::*;
-
-    #[test]
-    fn hex_roundtrip() {
-        for data in [&b""[..], b"a", b"hello\nworld \"quoted\"", &[0u8, 255, 128]] {
-            assert_eq!(hex_decode(&hex_encode(data)).unwrap(), data);
-        }
-    }
-
-    #[test]
-    fn hex_rejects_garbage() {
-        assert_eq!(hex_decode("abc"), None); // odd length
-        assert_eq!(hex_decode("zz"), None);
-        assert!(hex_decode("").unwrap().is_empty());
     }
 }

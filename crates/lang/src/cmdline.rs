@@ -6,9 +6,26 @@
 //! receiving side."  [`CmdLine::to_wire`] is that conversion;
 //! [`CmdLine::parse`] (in `parser.rs`) reconstructs an exact copy on the
 //! receiving side.
+//!
+//! # The command frame
+//!
+//! A link carries a command as a *frame* ([`CmdLine::to_frame`] /
+//! [`CmdLine::parse_frame`]): the same printable text, except that each
+//! [`Value::Blob`] argument is written `name=@<len>` and its bytes follow
+//! raw, in argument order, after a single `0x00` that ends the text:
+//!
+//! ```text
+//! psPut ns=app key="k" data=@3 version=1;\0<3 bytes>
+//! ```
+//!
+//! A command without a blob has no attachment section, so its frame is its
+//! wire string byte for byte.  The declared lengths must add up to exactly
+//! the bytes after the `0x00`.
 
 use crate::error::ParseError;
 use crate::value::{Scalar, Value};
+use std::borrow::Cow;
+use std::fmt::Write;
 
 /// A parsed or under-construction ACE command: a command name plus an ordered
 /// list of `name=value` arguments.
@@ -114,6 +131,12 @@ impl CmdLine {
         self.get(name).and_then(Value::as_array)
     }
 
+    /// Binary argument accessor: a blob's bytes, or those its text form
+    /// (a hex word) decodes to.
+    pub fn get_blob(&self, name: &str) -> Option<Cow<'_, [u8]>> {
+        self.get(name).and_then(Value::as_blob)
+    }
+
     /// Boolean accessor: the words `true`/`false` (as produced by
     /// `Value::from(bool)`).
     pub fn get_bool(&self, name: &str) -> Option<bool> {
@@ -126,7 +149,38 @@ impl CmdLine {
 
     /// Convert to the wire string, terminated with `;` per the grammar:
     /// `<CMND> := <CMNDNAME><space>[<ARGLIST>];`
+    ///
+    /// Entirely printable: a blob renders as its hex word, which parses
+    /// back to a `<WORD>` that [`CmdLine::get_blob`] reads as the same
+    /// bytes.
     pub fn to_wire(&self) -> String {
+        self.render(crate::hex::write_hex)
+    }
+
+    /// Convert to a link frame (see the module docs): the text with every
+    /// blob as `@<len>`, then `0x00` and the blobs' bytes if there are any.
+    pub fn to_frame(&self) -> Vec<u8> {
+        // `Some` once any blob is seen: even an empty blob opens the section.
+        let mut attached: Option<usize> = None;
+        let text = self.render(|blob, out| {
+            *attached.get_or_insert(0) += blob.len();
+            let _ = write!(out, "@{}", blob.len());
+        });
+        let mut frame = text.into_bytes();
+        if let Some(total) = attached {
+            frame.reserve_exact(1 + total);
+            frame.push(0);
+            for (_, value) in &self.args {
+                if let Value::Blob(b) = value {
+                    frame.extend_from_slice(b);
+                }
+            }
+        }
+        frame
+    }
+
+    /// The text of the command, blobs written by `write_blob`.
+    fn render(&self, mut write_blob: impl FnMut(&[u8], &mut String)) -> String {
         // Preallocate roughly: name + per-arg "name=value " with small values.
         let mut out = String::with_capacity(self.name.len() + 16 * self.args.len() + 2);
         out.push_str(&self.name);
@@ -134,7 +188,10 @@ impl CmdLine {
             out.push(' ');
             out.push_str(name);
             out.push('=');
-            value.write_wire(&mut out);
+            match value {
+                Value::Blob(b) => write_blob(b, &mut out),
+                other => other.write_wire(&mut out),
+            }
         }
         out.push(';');
         out
@@ -144,6 +201,12 @@ impl CmdLine {
     /// [`crate::parser::parse`].
     pub fn parse(src: &str) -> Result<CmdLine, ParseError> {
         crate::parser::parse(src)
+    }
+
+    /// Parse a link frame.  Convenience alias for
+    /// [`crate::parser::parse_frame`].
+    pub fn parse_frame(frame: &[u8]) -> Result<CmdLine, ParseError> {
+        crate::parser::parse_frame(frame)
     }
 }
 
@@ -197,6 +260,31 @@ mod tests {
         assert_eq!(cmd.get_int("x"), Some(2));
         assert_eq!(cmd.get_int("y"), Some(3));
         assert_eq!(cmd.arg_count(), 2);
+    }
+
+    #[test]
+    fn frame_without_blob_is_the_wire_string() {
+        let cmd = CmdLine::new("say").arg("text", "a; b").arg("n", 3);
+        assert_eq!(cmd.to_frame(), cmd.to_wire().into_bytes());
+    }
+
+    #[test]
+    fn frame_carries_blobs_raw_and_in_order() {
+        let cmd = CmdLine::new("psPut")
+            .arg("a", &b"\x00;"[..])
+            .arg("n", 7)
+            .arg("b", Vec::new())
+            .arg("c", &b"\"@"[..]);
+        assert_eq!(cmd.to_frame(), b"psPut a=@2 n=7 b=@0 c=@2;\0\x00;\"@");
+        assert_eq!(cmd.to_wire(), "psPut a=x003b n=7 b=x c=x2240;");
+        let back = CmdLine::parse_frame(&cmd.to_frame()).unwrap();
+        assert_eq!(back, cmd);
+        // The text form reads as the same bytes through the one accessor.
+        let text = CmdLine::parse(&cmd.to_wire()).unwrap();
+        for name in ["a", "b", "c"] {
+            assert_eq!(text.get_blob(name), cmd.get_blob(name), "{name}");
+        }
+        assert_eq!(text.get_blob("n"), None);
     }
 
     #[test]

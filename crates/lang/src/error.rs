@@ -29,6 +29,11 @@ pub enum ParseErrorKind {
     TrailingInput,
     /// The command string was empty.
     Empty,
+    /// The text part of a frame is not UTF-8.
+    NotText,
+    /// An `@<len>` reference and the frame's attachment section disagree:
+    /// no section, fewer bytes than declared, or bytes nothing declared.
+    Attachment(&'static str),
 }
 
 /// A lexical or syntactic error with the byte offset where it occurred.
@@ -70,6 +75,8 @@ impl fmt::Display for ParseError {
                 write!(f, "trailing input after `;` at byte {}", self.pos)
             }
             ParseErrorKind::Empty => write!(f, "empty command string"),
+            ParseErrorKind::NotText => write!(f, "command text is not UTF-8"),
+            ParseErrorKind::Attachment(what) => write!(f, "{what} at byte {}", self.pos),
         }
     }
 }

@@ -4,7 +4,8 @@
 //! bare atoms (words and numbers), quoted strings, and the punctuation
 //! `=` `,` `{` `}` `;`.  Classification of bare atoms into
 //! `<INTEGER>`/`<FLOAT>`/`<WORD>` happens here so the parser only deals with
-//! typed tokens.
+//! typed tokens.  One token exists only in link frames: `@<len>`, a
+//! reference to the next `len` bytes of the frame's attachment section.
 
 use crate::error::{ParseError, ParseErrorKind};
 
@@ -20,6 +21,8 @@ pub enum Token<'a> {
     Word(&'a str),
     /// Quoted string, quotes stripped.
     Str(&'a str),
+    /// `@<len>`: a blob of `len` bytes in the frame's attachment section.
+    Attachment(usize),
     Equals,
     Comma,
     OpenBrace,
@@ -35,6 +38,7 @@ impl Token<'_> {
             Token::Float(_) => "float",
             Token::Word(_) => "word",
             Token::Str(_) => "string",
+            Token::Attachment(_) => "attachment reference",
             Token::Equals => "'='",
             Token::Comma => "','",
             Token::OpenBrace => "'{'",
@@ -122,6 +126,18 @@ pub fn lex(src: &str) -> Result<Vec<(Token<'_>, usize)>, ParseError> {
                 let content = &src[content_start..i];
                 out.push((Token::Str(content), start));
                 i += 1;
+            }
+            '@' if bytes.get(i + 1).is_some_and(u8::is_ascii_digit) => {
+                let start = i;
+                i += 1;
+                while i < bytes.len() && bytes[i].is_ascii_digit() {
+                    i += 1;
+                }
+                // A length too large for `usize` is no length at all.
+                let len = src[start + 1..i].parse().map_err(|_| {
+                    ParseError::new(ParseErrorKind::BadAtom(src[start..i].to_string()), start)
+                })?;
+                out.push((Token::Attachment(len), start));
             }
             c if is_atom_char(c) => {
                 let start = i;
@@ -217,6 +233,21 @@ mod tests {
     fn lex_unexpected_char() {
         let err = lex("cmd @x;").unwrap_err();
         assert!(matches!(err.kind, ParseErrorKind::UnexpectedChar('@')));
+    }
+
+    #[test]
+    fn lex_attachment_reference() {
+        assert_eq!(
+            toks("d=@12;"),
+            vec![
+                Token::Word("d"),
+                Token::Equals,
+                Token::Attachment(12),
+                Token::Semicolon
+            ]
+        );
+        let err = lex("d=@99999999999999999999999;").unwrap_err();
+        assert!(matches!(err.kind, ParseErrorKind::BadAtom(_)));
     }
 
     #[test]

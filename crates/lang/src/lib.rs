@@ -7,6 +7,9 @@
 //! * [`Value`]/[`Scalar`] — the typed argument values,
 //! * [`CmdLine`] — the `ACECmdLine` object built by clients and daemons,
 //! * [`parser::parse`]/[`parser::parse_all`] — the ACE Command Parser,
+//! * [`CmdLine::to_frame`]/[`parser::parse_frame`] — the link frame: the
+//!   same text with [`Value::Blob`] arguments attached raw instead of
+//!   written as hex words ([`hex`]),
 //! * [`Semantics`]/[`CmdSpec`] — per-service command semantic definitions,
 //!   with the inheritance mechanism that backs the service hierarchy (Fig. 6),
 //! * [`Reply`]/[`ErrorCode`] — the return-command conventions.
@@ -34,6 +37,7 @@
 
 pub mod cmdline;
 pub mod error;
+pub mod hex;
 pub mod lexer;
 pub mod parser;
 pub mod reply;
@@ -42,7 +46,8 @@ pub mod value;
 
 pub use cmdline::CmdLine;
 pub use error::{LangError, ParseError, ParseErrorKind, SemanticError};
-pub use parser::{parse, parse_all};
+pub use hex::{hex_decode, hex_encode};
+pub use parser::{parse, parse_all, parse_frame};
 pub use reply::{ErrorCode, Reply};
 pub use semantics::{ArgSpec, ArgType, CmdSpec, Semantics, DEADLINE_ARG};
 pub use value::{Scalar, ScalarType, Value, ValueType};

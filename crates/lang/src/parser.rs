@@ -15,7 +15,9 @@
 //!
 //! Arguments may be separated by spaces or commas.  Commands terminate with
 //! `;`; [`parse_all`] accepts several commands in one string (the framing
-//! used on ACE sockets).
+//! used on ACE sockets).  [`parse_frame`] reads a link frame: one command
+//! whose `@<len>` values are blobs taken from the bytes after the text (the
+//! layout is described in [`crate::cmdline`]).
 
 use crate::cmdline::CmdLine;
 use crate::error::{ParseError, ParseErrorKind};
@@ -26,6 +28,9 @@ struct Cursor<'a> {
     toks: Vec<(Token<'a>, usize)>,
     i: usize,
     end: usize,
+    /// The attachment bytes no `@<len>` has claimed yet; `None` when the
+    /// source is plain text, where such a reference has nothing to point at.
+    attachments: Option<&'a [u8]>,
 }
 
 impl<'a> Cursor<'a> {
@@ -46,18 +51,63 @@ impl<'a> Cursor<'a> {
     fn expect_end_or(&self) -> bool {
         self.i >= self.toks.len()
     }
+    /// Claim the next `len` attachment bytes.  The length is checked against
+    /// what the frame really holds before anything is sized by it.
+    fn take_attachment(&mut self, len: usize, pos: usize) -> Result<Vec<u8>, ParseError> {
+        let err = |what| ParseError::new(ParseErrorKind::Attachment(what), pos);
+        let rest = self
+            .attachments
+            .ok_or_else(|| err("attachment reference without an attachment section"))?;
+        if len > rest.len() {
+            return Err(err("attachment longer than the bytes that follow"));
+        }
+        let (blob, rest) = rest.split_at(len);
+        self.attachments = Some(rest);
+        Ok(blob.to_vec())
+    }
 }
 
 /// Parse exactly one command; trailing input after its `;` is an error.
 pub fn parse(src: &str) -> Result<CmdLine, ParseError> {
+    parse_single(src, None)
+}
+
+/// Parse a link frame: the text of exactly one command, then — only if the
+/// command has blobs — `0x00` and their bytes.  Every attachment byte must
+/// be claimed by an `@<len>` value and every `@<len>` satisfied.
+pub fn parse_frame(frame: &[u8]) -> Result<CmdLine, ParseError> {
+    // The text ends at the first 0x00 outside a quoted string (inside one
+    // the lexer has always let any byte but `"` and a line break through).
+    let mut quoted = false;
+    let text_end = frame.iter().position(|&b| {
+        quoted ^= b == b'"';
+        b == 0 && !quoted
+    });
+    let (text, attachments) = match text_end {
+        Some(end) => (&frame[..end], Some(&frame[end + 1..])),
+        None => (frame, None),
+    };
+    let text =
+        std::str::from_utf8(text).map_err(|_| ParseError::new(ParseErrorKind::NotText, 0))?;
+    parse_single(text, attachments)
+}
+
+fn parse_single<'a>(src: &'a str, attachments: Option<&'a [u8]>) -> Result<CmdLine, ParseError> {
     let mut cur = Cursor {
         toks: lex(src)?,
         i: 0,
         end: src.len(),
+        attachments,
     };
     let cmd = parse_one(&mut cur)?;
     if !cur.expect_end_or() {
         return Err(ParseError::new(ParseErrorKind::TrailingInput, cur.pos()));
+    }
+    if cur.attachments.is_some_and(|rest| !rest.is_empty()) {
+        return Err(ParseError::new(
+            ParseErrorKind::Attachment("attachment bytes no argument declared"),
+            src.len(),
+        ));
     }
     Ok(cmd)
 }
@@ -69,6 +119,7 @@ pub fn parse_all(src: &str) -> Result<Vec<CmdLine>, ParseError> {
         toks: lex(src)?,
         i: 0,
         end: src.len(),
+        attachments: None,
     };
     let mut cmds = Vec::new();
     while !cur.expect_end_or() {
@@ -151,6 +202,7 @@ fn parse_value(cur: &mut Cursor<'_>) -> Result<Value, ParseError> {
         Some(Token::Float(f)) => Ok(Value::Float(f)),
         Some(Token::Word(w)) => Ok(Value::Word(w.to_string())),
         Some(Token::Str(s)) => Ok(Value::Str(s.to_string())),
+        Some(Token::Attachment(len)) => cur.take_attachment(len, pos).map(Value::Blob),
         Some(Token::OpenBrace) => parse_braced(cur, pos),
         Some(other) => Err(ParseError::new(
             ParseErrorKind::Unexpected {
@@ -465,6 +517,48 @@ mod tests {
             let re = parse(&cmd.to_wire()).unwrap();
             assert_eq!(cmd, re);
         }
+    }
+
+    #[test]
+    fn malformed_frames_are_errors() {
+        use ParseErrorKind::*;
+        type Expect = fn(&ParseErrorKind) -> bool;
+        let attachment: Expect = |k| matches!(k, Attachment(_));
+        let cases: [(&[u8], Expect); 10] = [
+            // Attachment section shorter, then longer, than declared.
+            (b"c d=@4;\0abc", attachment),
+            (b"c d=@2;\0abc", attachment),
+            (b"c a=@1 b=@3;\0abc", attachment),
+            // A section nothing refers to, and a reference with no section.
+            (b"c n=1;\0abc", attachment),
+            (b"c d=@3;", attachment),
+            // A length no frame could hold must not size anything.
+            (b"c d=@18446744073709551615;\0abc", attachment),
+            (b"c d=@99999999999999999999;\0abc", |k| {
+                matches!(k, BadAtom(_))
+            }),
+            // Blobs are top-level values only.
+            (b"c v={@1};\0a", |k| matches!(k, Unexpected { .. })),
+            (b"c d=\"\xff\";", |k| matches!(k, NotText)),
+            (b"c d=@1; e=2;\0a", |k| matches!(k, TrailingInput)),
+        ];
+        for (frame, expected) in cases {
+            let err = parse_frame(frame).unwrap_err();
+            assert!(expected(&err.kind), "{frame:?} gave {err:?}");
+        }
+        // The text form has no attachment section to refer to.
+        assert!(attachment(&parse("c d=@0;").unwrap_err().kind));
+    }
+
+    #[test]
+    fn frame_text_ends_at_the_first_unquoted_nul() {
+        // 0x00 inside a quoted string stays text, as it always has.
+        let cmd = parse_frame(b"c s=\"a\0b\" d=@2;\0\0\"").unwrap();
+        assert_eq!(cmd.get_text("s"), Some("a\0b"));
+        assert_eq!(cmd.get_blob("d").unwrap(), &b"\0\""[..]);
+        // An empty section is what a command whose blobs are all empty has.
+        let cmd = parse_frame(b"c d=@0;\0").unwrap();
+        assert_eq!(cmd.get_blob("d").unwrap(), &b""[..]);
     }
 
     #[test]

@@ -39,6 +39,10 @@ pub enum ArgType {
     Vector(ScalarType),
     /// An array whose elements are all of the given scalar type.
     Array(ScalarType),
+    /// Binary data: a [`Value::Blob`], or its text form — a hex word
+    /// (`x<hex>`, see [`crate::hex`]) — which is what a text-only client
+    /// writes.  Handlers read either through [`CmdLine::get_blob`].
+    Blob,
     /// Any value.
     Any,
 }
@@ -52,6 +56,8 @@ impl ArgType {
             (ArgType::Float, Value::Int(_) | Value::Float(_)) => true,
             (ArgType::Word, Value::Word(_)) => true,
             (ArgType::Str, Value::Str(_) | Value::Word(_)) => true,
+            (ArgType::Blob, Value::Blob(_)) => true,
+            (ArgType::Blob, Value::Word(w)) => crate::hex::is_hex_word(w),
             (ArgType::Vector(t), Value::Vector(v)) => {
                 v.iter().all(|s| scalar_accepts(*t, s.scalar_type()))
             }
@@ -71,6 +77,7 @@ impl ArgType {
             ArgType::Str => "string".into(),
             ArgType::Vector(t) => format!("vector of {t:?}"),
             ArgType::Array(t) => format!("array of {t:?}"),
+            ArgType::Blob => "blob (or its hex word)".into(),
             ArgType::Any => "any value".into(),
         }
     }
@@ -410,6 +417,22 @@ mod tests {
             sem.validate(&empty).is_ok(),
             "empty vector satisfies any element type"
         );
+    }
+
+    #[test]
+    fn blob_typing_accepts_the_text_form() {
+        let sem = Semantics::new().with(CmdSpec::new("c", "").required("d", ArgType::Blob, ""));
+        assert!(sem.validate(&CmdLine::new("c").arg("d", vec![0u8])).is_ok());
+        assert!(sem.validate(&CmdLine::parse("c d=x00ff;").unwrap()).is_ok());
+        for bad in ["c d=x00f;", "c d=notHex;", "c d=\"x00\";", "c d=7;"] {
+            let err = sem.validate(&CmdLine::parse(bad).unwrap()).unwrap_err();
+            assert!(matches!(err, SemanticError::TypeMismatch { .. }), "{bad}");
+        }
+        // A blob does not pass for text.
+        let text = Semantics::new().with(CmdSpec::new("c", "").required("d", ArgType::Word, ""));
+        assert!(text
+            .validate(&CmdLine::new("c").arg("d", vec![0u8]))
+            .is_err());
     }
 
     #[test]

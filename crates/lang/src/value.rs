@@ -12,7 +12,12 @@
 //! brace-enclosed list of vectors.  This module is the typed, in-memory form
 //! of those productions; the wire form is produced by [`Value::write_wire`]
 //! and consumed by the parser in [`crate::parser`].
+//!
+//! One value goes beyond the paper's productions: [`Value::Blob`], raw
+//! bytes.  Its text form is a hex `<WORD>` (see [`crate::hex`]), so the
+//! printable language is unchanged; only a link frame carries it raw.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A scalar value: the leaf types of the command language.
@@ -126,6 +131,11 @@ pub enum Value {
     /// equal length (the grammar places no such constraint) but every element
     /// across the whole array shares one scalar type.
     Array(Vec<Vec<Scalar>>),
+    /// Raw bytes.  Written as the hex word `x<hex>` in text
+    /// ([`Value::write_wire`]) and as an `@<len>` reference into the
+    /// attachment section of a link frame ([`crate::CmdLine::to_frame`]);
+    /// read back through [`Value::as_blob`] either way.
+    Blob(Vec<u8>),
 }
 
 /// The type tag of a [`Value`]; vectors and arrays carry their element type
@@ -138,6 +148,7 @@ pub enum ValueType {
     Str,
     Vector(Option<ScalarType>),
     Array(Option<ScalarType>),
+    Blob,
 }
 
 impl fmt::Display for ValueType {
@@ -151,6 +162,7 @@ impl fmt::Display for ValueType {
             ValueType::Vector(None) => write!(f, "vector<>"),
             ValueType::Array(Some(t)) => write!(f, "array<{t:?}>"),
             ValueType::Array(None) => write!(f, "array<>"),
+            ValueType::Blob => write!(f, "blob"),
         }
     }
 }
@@ -170,6 +182,7 @@ impl Value {
                     .map(Scalar::scalar_type)
                     .next(),
             ),
+            Value::Blob(_) => ValueType::Blob,
         }
     }
 
@@ -216,6 +229,17 @@ impl Value {
         }
     }
 
+    /// Binary view: a blob exposes its bytes, and a hex word — the text
+    /// form a blob takes through [`Value::write_wire`] and the parser —
+    /// decodes to them.  The one place that text form is decoded.
+    pub fn as_blob(&self) -> Option<Cow<'_, [u8]>> {
+        match self {
+            Value::Blob(b) => Some(Cow::Borrowed(b)),
+            Value::Word(w) => crate::hex::hex_decode(w).map(Cow::Owned),
+            _ => None,
+        }
+    }
+
     /// Append the wire representation of this value to `out`.
     pub fn write_wire(&self, out: &mut String) {
         match self {
@@ -254,6 +278,7 @@ impl Value {
                 }
                 out.push('}');
             }
+            Value::Blob(b) => crate::hex::write_hex(b, out),
         }
     }
 
@@ -311,6 +336,17 @@ impl From<f64> for Value {
 impl From<bool> for Value {
     fn from(v: bool) -> Self {
         Value::Word(if v { "true".into() } else { "false".into() })
+    }
+}
+
+impl From<Vec<u8>> for Value {
+    fn from(v: Vec<u8>) -> Self {
+        Value::Blob(v)
+    }
+}
+impl From<&[u8]> for Value {
+    fn from(v: &[u8]) -> Self {
+        Value::Blob(v.to_vec())
     }
 }
 
@@ -413,6 +449,19 @@ mod tests {
         assert_eq!(Value::Str("x y".into()).as_text(), Some("x y"));
         assert!(Value::Vector(vec![]).as_vector().is_some());
         assert!(Value::Int(1).as_vector().is_none());
+    }
+
+    #[test]
+    fn blob_text_form_is_a_hex_word() {
+        let blob = Value::from(&b"\x00;\"@"[..]);
+        assert_eq!(blob.to_wire(), "x003b2240");
+        assert_eq!(blob.value_type(), ValueType::Blob);
+        assert_eq!(blob.as_blob().unwrap(), &b"\x00;\"@"[..]);
+        // The word the text form parses back to reads as the same bytes.
+        let word = Value::Word(blob.to_wire());
+        assert_eq!(word.as_blob().unwrap(), blob.as_blob().unwrap());
+        assert_eq!(Value::Word("xabc".into()).as_blob(), None);
+        assert_eq!(Value::Str("x00".into()).as_blob(), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! round-trip exactly (§2.2: the parser constructs "an exact copy of the
 //! ACECmdLine object"), and the parser must never panic on arbitrary input.
 
-use ace_lang::{parse, parse_all, CmdLine, Scalar, Value};
+use ace_lang::{parse, parse_all, parse_frame, CmdLine, Scalar, Value};
 use proptest::prelude::*;
 
 /// `<WORD>` generator: contiguous alphanumerics and underscores.
@@ -64,6 +64,82 @@ fn cmdline() -> impl Strategy<Value = CmdLine> {
         }
         cmd
     })
+}
+
+/// Blob contents: short arbitrary bytes, the bytes the frame and the text
+/// form give a meaning to (`0x00` ends the text, `;` a command, `"` a
+/// string, `@` starts a reference), nothing at all, and 256 KiB.
+fn blob() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        prop::collection::vec(any::<u8>(), 0..48),
+        prop::collection::vec(
+            prop_oneof![Just(0u8), Just(b';'), Just(b'"'), Just(b'@')],
+            1..8
+        ),
+        Just(Vec::new()),
+        any::<u8>().prop_map(|b| vec![b; 256 * 1024]),
+    ]
+}
+
+/// A command with 0..4 blob arguments scattered among its other arguments.
+fn blob_cmdline() -> impl Strategy<Value = CmdLine> {
+    (cmdline(), prop::collection::vec((blob(), 0usize..9), 0..5)).prop_map(|(base, blobs)| {
+        let mut args: Vec<(String, Value)> = base.args().to_vec();
+        for (i, (bytes, at)) in blobs.into_iter().enumerate() {
+            // `cmdline()` names never start with a digit, so these are fresh.
+            args.insert(at.min(args.len()), (format!("0blob{i}"), bytes.into()));
+        }
+        args.into_iter()
+            .fold(CmdLine::new(base.name()), |c, (n, v)| c.arg(n, v))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Frame→parse is the identity, blobs included; and the text form of
+    /// the same command reads as the same bytes through `get_blob`.
+    #[test]
+    fn frame_and_text_roundtrip_with_blobs(cmd in blob_cmdline()) {
+        let back = parse_frame(&cmd.to_frame()).expect("generated frame must parse");
+        prop_assert_eq!(&back, &cmd);
+        let text = parse(&cmd.to_wire()).expect("generated text form must parse");
+        prop_assert_eq!(text.arg_count(), cmd.arg_count());
+        for ((name, value), (text_name, text_value)) in cmd.args().iter().zip(text.args()) {
+            prop_assert_eq!(name, text_name);
+            match value {
+                Value::Blob(bytes) => {
+                    let read = text.get_blob(name);
+                    prop_assert_eq!(read.as_deref(), Some(bytes.as_slice()));
+                }
+                other => prop_assert_eq!(other, text_value),
+            }
+        }
+    }
+
+    /// A frame cut short or run long anywhere in its attachment section is
+    /// refused, never mis-split.
+    #[test]
+    fn resized_frames_are_refused(cmd in blob_cmdline(), cut in 1usize..64, grow in any::<bool>()) {
+        let mut frame = cmd.to_frame();
+        let Some(section) = frame.iter().position(|&b| b == 0) else {
+            return Ok(()); // no blob, no section
+        };
+        if grow {
+            frame.push(cut as u8);
+        } else {
+            let attached = frame.len() - section - 1;
+            prop_assume!(attached > 0);
+            frame.truncate(frame.len() - cut.min(attached));
+        }
+        prop_assert!(parse_frame(&frame).is_err());
+    }
+
+    /// The frame parser is total on arbitrary bytes.
+    #[test]
+    fn frame_parser_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..96)) {
+        let _ = parse_frame(&bytes);
+    }
 }
 
 proptest! {

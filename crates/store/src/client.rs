@@ -7,7 +7,6 @@
 
 use crate::version::Versioned;
 use ace_core::prelude::*;
-use ace_core::protocol::hex_encode;
 use ace_security::keys::KeyPair;
 use std::collections::HashMap;
 use std::fmt;
@@ -352,7 +351,7 @@ impl StoreClient {
             CmdLine::new("psPut")
                 .arg("ns", ns)
                 .arg("key", Value::Str(key.into()))
-                .arg("data", hex_encode(&best.data))
+                .arg("data", best.data.clone())
                 .arg("version", best.version as i64)
                 .arg("writer", Value::Str(best.writer.clone()))
         };
@@ -395,7 +394,7 @@ impl StoreClient {
             .arg("version", version as i64)
             .arg("writer", Value::Str(self.writer_id.clone()));
         if cmd_name == "psPut" {
-            cmd.push_arg("data", hex_encode(data));
+            cmd.push_arg("data", data);
         }
         let mut round = QuorumRound::new(self.replicas.len(), self.quorum);
         let mut acks = vec![false; self.replicas.len()];
@@ -465,8 +464,8 @@ impl StoreClient {
     /// One `psPutBatch` command per replica carries every record, and the
     /// replica commits the run through one WAL batch — the fsync is paid
     /// once per replica, not once per record.  Versions are still
-    /// read-max-plus-one, with the read half amortised into one digest
-    /// scan per replica.  Returns the assigned versions (index-aligned
+    /// read-max-plus-one, with the read half amortised into one digest of
+    /// the batch's own keys per replica.  Returns the assigned versions (index-aligned
     /// with `items`, which should not repeat keys); `Err` means *no*
     /// record may be treated as stored.
     pub fn put_many(
@@ -478,7 +477,13 @@ impl StoreClient {
             return Ok(Vec::new());
         }
         let mut newest: HashMap<&str, u64> = items.iter().map(|(k, _)| (k.as_str(), 0)).collect();
-        let digest = CmdLine::new("psDigest");
+        // Key-scoped digest: each replica reports the versions of this
+        // batch's keys only, so the read half costs O(batch), not
+        // O(keyspace), however much the replica holds.
+        let keys: Vec<Scalar> = items.iter().map(|(k, _)| Scalar::Str(k.clone())).collect();
+        let digest = CmdLine::new("psDigest")
+            .arg("ns", ns)
+            .arg("keys", Value::Vector(keys));
         for idx in 0..self.replicas.len() {
             let Some(reply) = self.call_replica(idx, &digest) else {
                 continue;
@@ -496,21 +501,20 @@ impl StoreClient {
             }
         }
         let versions: Vec<u64> = items.iter().map(|(k, _)| newest[k.as_str()] + 1).collect();
-        let rows: Vec<Vec<Scalar>> = items
-            .iter()
-            .zip(&versions)
-            .map(|((key, data), version)| {
-                vec![
+        let (rows, data) = crate::replica::pack_values(items.iter().zip(&versions).map(
+            |((key, data), version)| {
+                let row = vec![
                     Scalar::Str(key.clone()),
-                    Scalar::Str(hex_encode(data)),
                     Scalar::Str(version.to_string()),
                     Scalar::Str(self.writer_id.clone()),
-                ]
-            })
-            .collect();
+                ];
+                (row, data.as_slice())
+            },
+        ));
         let cmd = CmdLine::new("psPutBatch")
             .arg("ns", ns)
-            .arg("items", Value::Array(rows));
+            .arg("items", Value::Array(rows))
+            .arg("data", data);
         let mut round = QuorumRound::new(self.replicas.len(), self.quorum);
         let mut acks = vec![false; self.replicas.len()];
         for (idx, ack) in acks.iter_mut().enumerate() {

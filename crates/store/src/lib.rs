@@ -31,7 +31,6 @@ pub use version::{StoreKey, Versioned};
 pub use wal::{MemStorage, RecoveryReport, StorageHandle, Wal, WalConfig, WalStats};
 
 use ace_core::prelude::*;
-use ace_core::protocol::hex_decode;
 use ace_core::SpawnError;
 use ace_directory::Framework;
 use ace_security::keys::KeyPair;
@@ -421,8 +420,7 @@ fn ship_snapshot(
             let total = reply.get_int("total").unwrap_or(0).max(0) as usize;
             cut_seq = reply.get_int("seq").unwrap_or(0).max(0) as u64;
             let chunk = reply
-                .get_text("data")
-                .and_then(hex_decode)
+                .get_blob("data")
                 .ok_or_else(|| malformed("psSnapFetch"))?;
             chunks += 1;
             bytes.extend_from_slice(&chunk);
@@ -503,24 +501,23 @@ fn tail_rows(reply: &CmdLine) -> Option<Vec<(u64, StoreKey, Versioned)>> {
         Some(v) if v.as_vector().is_some_and(|s| s.is_empty()) => return Some(Vec::new()),
         Some(v) => v.as_array()?,
     };
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        if row.len() != 7 {
-            return None;
-        }
-        let cell = |i: usize| row[i].as_text();
-        out.push((
-            cell(0)?.parse().ok()?,
-            (cell(1)?.to_string(), cell(2)?.to_string()),
-            Versioned {
-                data: hex_decode(cell(3)?)?,
-                version: cell(4)?.parse().ok()?,
-                writer: cell(5)?.to_string(),
-                deleted: cell(6)? == "1",
-            },
-        ));
-    }
-    Some(out)
+    let data = reply.get_blob("data")?;
+    crate::replica::unpack_values(rows, &data, 6)?
+        .into_iter()
+        .map(|(row, value)| {
+            let cell = |i: usize| row[i].as_text();
+            Some((
+                cell(0)?.parse().ok()?,
+                (cell(1)?.to_string(), cell(2)?.to_string()),
+                Versioned {
+                    data: value.to_vec(),
+                    version: cell(3)?.parse().ok()?,
+                    writer: cell(4)?.to_string(),
+                    deleted: cell(5)? == "1",
+                },
+            ))
+        })
+        .collect()
 }
 
 /// Respawn a crashed replica on the same host with the same disk image

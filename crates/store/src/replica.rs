@@ -17,7 +17,7 @@ use crate::placement::StorePlacement;
 use crate::version::{StoreKey, Versioned};
 use crate::wal::{RecoveryReport, StorageHandle, Wal, WalConfig, WalStats};
 use ace_core::prelude::*;
-use ace_core::protocol::{hex_decode, hex_encode};
+use ace_lang::ScalarType;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -236,6 +236,24 @@ impl DiskImage {
             .collect();
         out.sort();
         out
+    }
+
+    /// The [`DiskImage::digest`] rows of just `keys` in `ns` (absent keys
+    /// have no row): what a batch writer needs to version its own keys,
+    /// at a cost in the batch's size rather than the keyspace's.
+    pub fn digest_of<'k>(
+        &self,
+        ns: &str,
+        keys: impl IntoIterator<Item = &'k str>,
+    ) -> Vec<(String, String, u64, String)> {
+        let map = self.map.lock();
+        keys.into_iter()
+            .filter_map(|key| {
+                let id = (ns.to_string(), key.to_string());
+                let v = map.get(&id)?;
+                Some((id.0, id.1, v.version, v.writer.clone()))
+            })
+            .collect()
     }
 
     /// Number of entries (including tombstones).
@@ -527,11 +545,51 @@ fn sync_round(
 /// or malformed (callers treat that as a corrupt reply, never as defaults).
 pub(crate) fn versioned_from_reply(reply: &CmdLine) -> Option<Versioned> {
     Some(Versioned {
-        data: hex_decode(reply.get_text("data")?)?,
+        data: reply.get_blob("data")?.into_owned(),
         version: reply.get_int("version")? as u64,
         writer: reply.get_text("writer")?.to_string(),
         deleted: reply.get_bool("deleted")?,
     })
+}
+
+/// The one representation of values in batch rows (`psPutBatch` items,
+/// `psWalTail` entries): every row ends in a cell holding its value's
+/// length, and the values travel concatenated, in row order, as a single
+/// blob argument beside the array.  Returns `(rows, blob)`.
+pub(crate) fn pack_values<'a>(
+    rows: impl Iterator<Item = (Vec<Scalar>, &'a [u8])>,
+) -> (Vec<Vec<Scalar>>, Vec<u8>) {
+    let mut blob = Vec::new();
+    let rows = rows
+        .map(|(mut row, value)| {
+            row.push(Scalar::Str(value.len().to_string()));
+            blob.extend_from_slice(value);
+            row
+        })
+        .collect();
+    (rows, blob)
+}
+
+/// Undo [`pack_values`]: each row (its length cell still last) with its
+/// value.  `None` unless every row has `cells` cells plus a length and the
+/// lengths use up the blob exactly.
+pub(crate) fn unpack_values<'a>(
+    rows: &'a [Vec<Scalar>],
+    mut blob: &'a [u8],
+    cells: usize,
+) -> Option<Vec<(&'a [Scalar], &'a [u8])>> {
+    let mut out = Vec::with_capacity(rows.len());
+    for row in rows {
+        let (len, row) = row.split_last()?;
+        let len: usize = len.as_text()?.parse().ok()?;
+        if row.len() != cells || len > blob.len() {
+            return None;
+        }
+        let (value, rest) = blob.split_at(len);
+        blob = rest;
+        out.push((row, value));
+    }
+    blob.is_empty().then_some(out)
 }
 
 pub(crate) fn digest_from_reply(reply: &CmdLine) -> Option<Vec<(String, String, u64, String)>> {
@@ -563,7 +621,7 @@ impl ServiceBehavior for StoreReplica {
                 CmdSpec::new("psPut", "store a versioned value")
                     .required("ns", ArgType::Word, "namespace")
                     .required("key", ArgType::Str, "key within the namespace")
-                    .required("data", ArgType::Word, "hex value bytes")
+                    .required("data", ArgType::Blob, "value bytes")
                     .required("version", ArgType::Int, "client-assigned version")
                     .required("writer", ArgType::Str, "writer id (tie-break)"),
             )
@@ -572,9 +630,10 @@ impl ServiceBehavior for StoreReplica {
                     .required("ns", ArgType::Word, "namespace")
                     .required(
                         "items",
-                        ArgType::Array(ace_lang::ScalarType::Str),
-                        "rows of {key, data-hex, version, writer}",
-                    ),
+                        ArgType::Array(ScalarType::Str),
+                        "rows of {key, version, writer, value length}",
+                    )
+                    .required("data", ArgType::Blob, "the rows' values, concatenated"),
             )
             .with(
                 CmdSpec::new("psGet", "read a key")
@@ -598,10 +657,18 @@ impl ServiceBehavior for StoreReplica {
                 ArgType::Word,
                 "namespace",
             ))
-            .with(CmdSpec::new(
-                "psDigest",
-                "full (ns,key,version,writer) digest",
-            ))
+            .with(
+                CmdSpec::new(
+                    "psDigest",
+                    "(ns,key,version,writer) digest: everything held, or just `keys` of `ns`",
+                )
+                .optional("ns", ArgType::Word, "namespace of `keys`")
+                .optional(
+                    "keys",
+                    ArgType::Vector(ScalarType::Str),
+                    "keys to report",
+                ),
+            )
             .with(CmdSpec::new("psSync", "nudge the sync worker to run now"))
             .with(CmdSpec::new("psStats", "replica counters"))
     }
@@ -703,11 +770,11 @@ impl ServiceBehavior for StoreReplica {
                     return Reply::err(ErrorCode::Semantics, "malformed put/delete arguments");
                 };
                 let Some(data) = (if cmd.name() == "psPut" {
-                    cmd.get_text("data").and_then(hex_decode)
+                    cmd.get_blob("data").map(|d| d.into_owned())
                 } else {
                     Some(Vec::new())
                 }) else {
-                    return Reply::err(ErrorCode::Semantics, "data is not valid hex");
+                    return Reply::err(ErrorCode::Semantics, "data is not a blob");
                 };
                 let value = Versioned {
                     data,
@@ -723,43 +790,38 @@ impl ServiceBehavior for StoreReplica {
                 }
             }
             "psPutBatch" => {
-                let (Some(ns), Some(rows)) = (
-                    cmd.get_text("ns").map(str::to_string),
+                let (Some(ns), Some(rows), Some(data)) = (
+                    cmd.get_text("ns"),
                     cmd.get("items").and_then(Value::as_array),
+                    cmd.get_blob("data"),
                 ) else {
                     return Reply::err(ErrorCode::Semantics, "malformed batch arguments");
                 };
-                let mut entries = Vec::with_capacity(rows.len());
-                for row in rows {
-                    // Homogeneous-array wire format: every cell is a Str,
-                    // version travels as its decimal rendering (psDigest
-                    // does the same).
-                    let parsed = (|| {
-                        if row.len() != 4 {
-                            return None;
-                        }
-                        let key = row[0].as_text()?;
-                        let data = hex_decode(row[1].as_text()?)?;
-                        let version: u64 = row[2].as_text()?.parse().ok()?;
-                        let writer = row[3].as_text()?;
-                        Some((
-                            (ns.clone(), key.to_string()),
-                            Versioned {
-                                data,
-                                version,
-                                writer: writer.to_string(),
-                                deleted: false,
-                            },
-                        ))
-                    })();
-                    let Some(entry) = parsed else {
-                        return Reply::err(
-                            ErrorCode::Semantics,
-                            "batch rows must be {key, data-hex, version, writer}",
-                        );
-                    };
-                    entries.push(entry);
-                }
+                // Homogeneous-array wire format: every cell is a Str,
+                // version travels as its decimal rendering (psDigest does
+                // the same).
+                let entries: Option<Vec<(StoreKey, Versioned)>> = unpack_values(rows, &data, 3)
+                    .and_then(|rows| {
+                        rows.into_iter()
+                            .map(|(row, value)| {
+                                Some((
+                                    (ns.to_string(), row[0].as_text()?.to_string()),
+                                    Versioned {
+                                        data: value.to_vec(),
+                                        version: row[1].as_text()?.parse().ok()?,
+                                        writer: row[2].as_text()?.to_string(),
+                                        deleted: false,
+                                    },
+                                ))
+                            })
+                            .collect()
+                    });
+                let Some(entries) = entries else {
+                    return Reply::err(
+                        ErrorCode::Semantics,
+                        "batch rows must be {key, version, writer, length}, lengths adding up to data",
+                    );
+                };
                 match self.disk.apply_batch(entries) {
                     Ok(applied) => Reply::ok_with(|c| c.arg("applied", applied as i64)),
                     Err(e) => Reply::err(ErrorCode::Internal, format!("batch not durable: {e}")),
@@ -781,7 +843,7 @@ impl ServiceBehavior for StoreReplica {
                             .arg("deleted", v.deleted)
                     }),
                     Some(v) => Reply::ok_with(|c| {
-                        c.arg("data", hex_encode(&v.data))
+                        c.arg("data", v.data)
                             .arg("version", v.version as i64)
                             .arg("writer", Value::Str(v.writer.clone()))
                             .arg("deleted", v.deleted)
@@ -809,7 +871,7 @@ impl ServiceBehavior for StoreReplica {
                 let key = (ns.to_string(), k.to_string());
                 match self.disk.get(&key) {
                     Some(v) => Reply::ok_with(|c| {
-                        c.arg("data", hex_encode(&v.data))
+                        c.arg("data", v.data)
                             .arg("version", v.version as i64)
                             .arg("writer", Value::Str(v.writer.clone()))
                             .arg("deleted", v.deleted)
@@ -895,7 +957,7 @@ impl ServiceBehavior for StoreReplica {
                     c.arg("total", total)
                         .arg("seq", seq as i64)
                         .arg("offset", offset as i64)
-                        .arg("data", hex_encode(&bytes[offset..end]))
+                        .arg("data", &bytes[offset..end])
                 })
             }
             "psWalTail" => {
@@ -911,25 +973,24 @@ impl ServiceBehavior for StoreReplica {
                         c.arg("gap", true).arg("latest", 0i64).arg("count", 0i64)
                     }),
                     Some((entries, latest)) => {
-                        let rows: Vec<Vec<Scalar>> = entries
-                            .into_iter()
-                            .map(|(seq, (ns, key), v)| {
-                                vec![
+                        let (rows, data) =
+                            pack_values(entries.iter().map(|(seq, (ns, key), v)| {
+                                let row = vec![
                                     Scalar::Str(seq.to_string()),
-                                    Scalar::Str(ns),
-                                    Scalar::Str(key),
-                                    Scalar::Str(hex_encode(&v.data)),
+                                    Scalar::Str(ns.clone()),
+                                    Scalar::Str(key.clone()),
                                     Scalar::Str(v.version.to_string()),
-                                    Scalar::Str(v.writer),
+                                    Scalar::Str(v.writer.clone()),
                                     Scalar::Str(if v.deleted { "1" } else { "0" }.into()),
-                                ]
-                            })
-                            .collect();
+                                ];
+                                (row, v.data.as_slice())
+                            }));
                         Reply::ok_with(|c| {
                             c.arg("gap", false)
                                 .arg("latest", latest as i64)
                                 .arg("count", rows.len() as i64)
                                 .arg("entries", Value::Array(rows))
+                                .arg("data", data)
                         })
                     }
                 }
@@ -949,9 +1010,14 @@ impl ServiceBehavior for StoreReplica {
                 })
             }
             "psDigest" => {
-                let rows: Vec<Vec<Scalar>> = self
-                    .disk
-                    .digest()
+                let digest = match (cmd.get_text("ns"), cmd.get_vector("keys")) {
+                    (Some(ns), Some(keys)) => self
+                        .disk
+                        .digest_of(ns, keys.iter().filter_map(Scalar::as_text)),
+                    (None, None) => self.disk.digest(),
+                    _ => return Reply::err(ErrorCode::Semantics, "`ns` and `keys` go together"),
+                };
+                let rows: Vec<Vec<Scalar>> = digest
                     .into_iter()
                     .map(|(ns, k, version, writer)| {
                         vec![

@@ -23,6 +23,7 @@ fn valid_value(ty: &ArgType) -> Value {
         ArgType::Str => Value::Str("text".into()),
         ArgType::Vector(t) => Value::Vector(vec![valid_scalar(*t)]),
         ArgType::Array(t) => Value::Array(vec![vec![valid_scalar(*t)]]),
+        ArgType::Blob => Value::Blob(b"\0;\"@".to_vec()),
         ArgType::Any => Value::Int(1),
     }
 }
@@ -43,23 +44,27 @@ fn wrong_value(ty: &ArgType) -> Option<Value> {
         ArgType::Float => Some(Value::Word("notafloat".into())),
         // A multi-word string cannot narrow to a word.
         ArgType::Word => Some(Value::Str("two words".into())),
-        ArgType::Str | ArgType::Vector(_) | ArgType::Array(_) => Some(Value::Int(7)),
+        ArgType::Str | ArgType::Vector(_) | ArgType::Array(_) | ArgType::Blob => {
+            Some(Value::Int(7))
+        }
         ArgType::Any => None,
     }
 }
 
+/// All required args of `spec`, valid values, optionally skipping one.
+fn required_args(spec: &CmdSpec, skip: Option<&str>) -> CmdLine {
+    let mut c = CmdLine::new(spec.name.as_str());
+    for a in spec.args.iter().filter(|a| a.required) {
+        if Some(a.name.as_str()) != skip {
+            c.push_arg(a.name.as_str(), valid_value(&a.ty));
+        }
+    }
+    c
+}
+
 /// Every fuzz variant for one command spec.
 fn variants(spec: &CmdSpec) -> Vec<CmdLine> {
-    // All required args, valid values, optionally skipping one.
-    let base = |skip: Option<&str>| {
-        let mut c = CmdLine::new(spec.name.as_str());
-        for a in spec.args.iter().filter(|a| a.required) {
-            if Some(a.name.as_str()) != skip {
-                c.push_arg(a.name.as_str(), valid_value(&a.ty));
-            }
-        }
-        c
-    };
+    let base = |skip| required_args(spec, skip);
     let mut out = vec![CmdLine::new(spec.name.as_str()), base(None)];
     // Everything including optionals.
     let mut all = CmdLine::new(spec.name.as_str());
@@ -82,6 +87,15 @@ fn variants(spec: &CmdSpec) -> Vec<CmdLine> {
             let mut c = base(Some(a.name.as_str()));
             c.push_arg(a.name.as_str(), Value::Str(String::new()));
             out.push(c);
+        }
+        if matches!(a.ty, ArgType::Blob) {
+            // The text form (a hex word) and an empty blob both pass
+            // validation and reach the handler.
+            for value in [Value::Word("x003b2240".into()), Value::Blob(Vec::new())] {
+                let mut c = base(Some(a.name.as_str()));
+                c.push_arg(a.name.as_str(), value);
+                out.push(c);
+            }
         }
     }
     out
@@ -219,6 +233,23 @@ fn every_daemon_survives_malformed_commands() {
                         }
                     }
                     Err(e) => panic!("{name}: `{}` killed the link: {e}", cmd.to_wire()),
+                }
+            }
+            // A word that is not hex is not the text form of a blob, and
+            // validation says so before the handler runs.
+            for a in spec.args.iter().filter(|a| a.ty == ArgType::Blob) {
+                for word in ["x003", "xnothex"] {
+                    let mut cmd = required_args(spec, Some(a.name.as_str()));
+                    cmd.push_arg(a.name.as_str(), Value::Word(word.into()));
+                    match client.call(&cmd) {
+                        Err(ClientError::Service { code, .. }) => assert_eq!(
+                            code,
+                            ErrorCode::Semantics,
+                            "{name}: `{}` must fail semantic validation",
+                            cmd.to_wire()
+                        ),
+                        other => panic!("{name}: `{}` gave {other:?}", cmd.to_wire()),
+                    }
                 }
             }
             // Missing required arguments must be rejected, not absorbed —
