@@ -1,27 +1,29 @@
-//! Daemon-density benchmark for the shared cooperative runtime, and the
-//! `BENCH_pr8.json` artifact.
+//! Daemon-density benchmark for the shared cooperative runtime.
 //!
 //! ```sh
-//! cargo run --release -p ace-bench --bin runtime_scale -- -o BENCH_pr8.json
-//! cargo run --release -p ace-bench --bin runtime_scale -- --threads   # ablation
+//! cargo run --release -p ace-bench --bin runtime_scale -- -o runtime_scale.json
+//! cargo run --release -p ace-bench --bin runtime_scale -- --dedicated   # isolated arm only
 //! cargo run --release -p ace-bench --bin runtime_scale -- --sizes 1000,2000
 //! ```
 //!
 //! Each arm spawns N Echo daemons (full Fig. 9 startup: Room DB + ASD +
 //! Net Logger registration) and records what one process pays for them:
 //!
-//! * **os_threads_delta** — OS threads created for the N daemons.  The
-//!   threaded shell pays 4 per daemon plus a notifier worker; the shared
-//!   runtime pays one fixed worker pool for all of them.
+//! * **os_threads_delta** — OS threads created for the N daemons.  A
+//!   dedicated pool pays a worker, a timer and a watchdog per daemon; the
+//!   shared pool pays one fixed set for all of them.
 //! * **bytes_per_daemon** — RSS growth across the spawns, per daemon.
 //! * **spawn p50/p99** — per-daemon spawn latency, registration included.
 //! * **ping p50/p99** — command round-trip against a sample of the fleet,
 //!   measured while all N daemons are live.
 //!
-//! The `--threads` flag runs only the threaded-shell ablation (capped at
-//! 1,000 daemons — 4,000+ threads is exactly the ceiling the runtime
-//! removes).  The default run takes a 500-daemon threaded baseline plus
-//! shared-runtime arms at 1k/5k/10k and derives the density ratios.
+//! The default run takes a 500-daemon **dedicated** baseline — every
+//! daemon isolated on its own `Runtime::new(1)` — plus shared-pool arms at
+//! 1k/5k/10k and derives the density ratios.  `--dedicated` runs only the
+//! isolated arm (capped at 500 daemons: thread exhaustion is exactly the
+//! ceiling sharing removes).  The committed `BENCH_pr8.json` is the
+//! historical record of this comparison against the paper's four-thread
+//! shell, which no longer exists; this bin does not rewrite it.
 
 use ace_core::prelude::*;
 use ace_security::keys::KeyPair;
@@ -83,23 +85,29 @@ struct Row {
 const PING_SAMPLE: usize = 500;
 const HOSTS: usize = 64;
 
-fn run_arm(mode: RuntimeMode, daemons: usize) -> Row {
+/// Isolated-arm cap: three threads per daemon.
+const DEDICATED_MAX: usize = 500;
+
+fn run_arm(dedicated: bool, daemons: usize) -> Row {
     let net = SimNet::new();
     net.add_host("core");
     for i in 0..HOSTS {
         net.add_host(format!("b{i}"));
     }
     let fw = ace_directory::bootstrap(&net, "core", Duration::from_secs(300)).unwrap();
-    // The shared arms get their own pool (sized like the global default:
-    // available parallelism) so each arm starts from a clean worker set.
-    let pool = match mode {
-        RuntimeMode::Shared => Some(ace_core::Runtime::new(
+    // The shared arms get one pool of their own (sized like the global
+    // default: available parallelism), created before the measurement
+    // window so each arm starts from a clean worker set; the dedicated arm
+    // creates one single-worker pool per daemon *inside* the window — those
+    // threads are what isolation costs.
+    let mut pools: Vec<ace_core::Runtime> = Vec::new();
+    if !dedicated {
+        pools.push(ace_core::Runtime::new(
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-        )),
-        RuntimeMode::Threads => None,
-    };
+        ));
+    }
 
     let threads_before = proc_status("Threads");
     let rss_before_kb = proc_status("VmRSS");
@@ -107,7 +115,10 @@ fn run_arm(mode: RuntimeMode, daemons: usize) -> Row {
     let spawn_started = Instant::now();
     let handles: Vec<DaemonHandle> = (0..daemons)
         .map(|i| {
-            let mut config = fw
+            if dedicated {
+                pools.push(ace_core::Runtime::new(1));
+            }
+            let config = fw
                 .service_config(
                     &format!("rt{i}"),
                     "Service.Echo",
@@ -120,10 +131,7 @@ fn run_arm(mode: RuntimeMode, daemons: usize) -> Row {
                 .with_lease_renew(Duration::from_secs(60))
                 .with_tick(Duration::from_secs(5))
                 .with_stats_interval(Duration::ZERO)
-                .with_runtime(mode);
-            if let Some(pool) = &pool {
-                config = config.with_runtime_pool(pool.clone());
-            }
+                .with_runtime_pool(pools.last().expect("a pool").clone());
             let t = Instant::now();
             let handle = Daemon::spawn(&net, config, Box::new(Echo)).unwrap();
             spawn_us.push(t.elapsed().as_secs_f64() * 1e6);
@@ -153,10 +161,7 @@ fn run_arm(mode: RuntimeMode, daemons: usize) -> Row {
     spawn_us.sort_by(|a, b| a.total_cmp(b));
     ping_us.sort_by(|a, b| a.total_cmp(b));
     let row = Row {
-        mode: match mode {
-            RuntimeMode::Threads => "threads",
-            RuntimeMode::Shared => "shared",
-        },
+        mode: if dedicated { "dedicated" } else { "shared" },
         daemons,
         os_threads_delta,
         daemons_per_os_thread: daemons as f64 / os_threads_delta.max(1) as f64,
@@ -171,14 +176,14 @@ fn run_arm(mode: RuntimeMode, daemons: usize) -> Row {
 
     // Teardown, in dependency order: daemons first (their tasks must
     // complete while the pool still runs — a handle dropped against a
-    // stopped pool waits out its full join timeout), then the pool, then
-    // the framework.  This also keeps the threaded arm's thousands of
-    // threads out of the next arm's thread accounting.
+    // stopped pool waits out its full join timeout), then the pools, then
+    // the framework.  This also keeps the dedicated arm's threads out of
+    // the next arm's thread accounting.
     for h in &handles {
         h.shutdown();
     }
     drop(handles);
-    if let Some(pool) = &pool {
+    for pool in &pools {
         pool.shutdown();
     }
     fw.shutdown();
@@ -186,14 +191,14 @@ fn run_arm(mode: RuntimeMode, daemons: usize) -> Row {
 }
 
 fn main() {
-    let mut out_path = String::from("BENCH_pr8.json");
-    let mut threads_only = false;
+    let mut out_path = String::from("runtime_scale.json");
+    let mut dedicated_only = false;
     let mut sizes: Vec<usize> = vec![1000, 5000, 10000];
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "-o" => out_path = args.next().expect("-o needs a path"),
-            "--threads" => threads_only = true,
+            "--dedicated" => dedicated_only = true,
             "--sizes" => {
                 sizes = args
                     .next()
@@ -210,20 +215,18 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     let mut rows: Vec<Row> = Vec::new();
-    if threads_only {
+    if dedicated_only {
         for &n in &sizes {
-            // 4 threads per daemon: past ~1k daemons the ablation stops
-            // measuring the shell and starts measuring thread exhaustion.
-            let n = n.min(1000);
-            eprintln!("arm: threads × {n} daemons");
-            rows.push(run_arm(RuntimeMode::Threads, n));
+            let n = n.min(DEDICATED_MAX);
+            eprintln!("arm: dedicated × {n} daemons");
+            rows.push(run_arm(true, n));
         }
     } else {
-        eprintln!("arm: threads × 500 daemons (baseline)");
-        rows.push(run_arm(RuntimeMode::Threads, 500));
+        eprintln!("arm: dedicated × {DEDICATED_MAX} daemons (baseline)");
+        rows.push(run_arm(true, DEDICATED_MAX));
         for &n in &sizes {
             eprintln!("arm: shared × {n} daemons");
-            rows.push(run_arm(RuntimeMode::Shared, n));
+            rows.push(run_arm(false, n));
         }
     }
 
@@ -256,7 +259,7 @@ fn main() {
     }
     json.push_str("    ]");
 
-    let baseline = rows.iter().find(|r| r.mode == "threads");
+    let baseline = rows.iter().find(|r| r.mode == "dedicated");
     let best_shared = rows
         .iter()
         .filter(|r| r.mode == "shared")
@@ -265,17 +268,17 @@ fn main() {
         json.push_str(",\n    \"summary\": {\n");
         let _ = writeln!(
             json,
-            "      \"threads_baseline_daemons\": {},",
+            "      \"dedicated_baseline_daemons\": {},",
             base.daemons
         );
         let _ = writeln!(
             json,
-            "      \"threads_baseline_bytes_per_daemon\": {:.0},",
+            "      \"dedicated_baseline_bytes_per_daemon\": {:.0},",
             base.bytes_per_daemon
         );
         let _ = writeln!(
             json,
-            "      \"threads_baseline_daemons_per_os_thread\": {:.2},",
+            "      \"dedicated_baseline_daemons_per_os_thread\": {:.2},",
             base.daemons_per_os_thread
         );
         let _ = writeln!(json, "      \"shared_max_daemons\": {},", shared.daemons);

@@ -22,8 +22,8 @@
 use crate::metrics::{Counter, Gauge, MetricsRegistry};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Default priority-lane capacity: control traffic is small and cheap, so
 /// a short lane is plenty — it exists to be *separate*, not deep.
@@ -100,17 +100,13 @@ struct LaneState<T> {
 struct QueueState<T> {
     priority: LaneState<T>,
     bulk: LaneState<T>,
-    /// Live [`AdmissionQueue`] handles; disconnection mirrors channel
-    /// semantics so the control loop can exit when every producer is gone.
-    senders: usize,
     closed: bool,
 }
 
 struct Shared<T> {
     state: Mutex<QueueState<T>>,
-    not_empty: Condvar,
-    /// Cooperative-runtime consumer, woken alongside `not_empty` (the
-    /// shared-runtime daemon task polls `try_recv` instead of blocking).
+    /// The consumer's waker: the daemon task polls `try_recv` and parks
+    /// between admissions.
     wake: ace_net::WakeCell,
     /// EWMA of recent bulk queue waits, µs.  Written by the consumer,
     /// read at admission for the CoDel-style test.
@@ -133,7 +129,8 @@ impl<T> Shared<T> {
 }
 
 /// Create one daemon's admission queue: a cloneable producer handle for
-/// the command/data threads and the single consumer for the control loop.
+/// the intake stages (and the handle's `Stop`) and the single consumer for
+/// the control role.
 pub fn admission_queue<T>(
     config: &AdmissionConfig,
     metrics: &MetricsRegistry,
@@ -148,10 +145,8 @@ pub fn admission_queue<T>(
                 queue: VecDeque::new(),
                 capacity: config.bulk_capacity.max(1),
             },
-            senders: 1,
             closed: false,
         }),
-        not_empty: Condvar::new(),
         wake: ace_net::WakeCell::new(),
         wait_ewma_us: AtomicU64::new(0),
         target_us: config.queue_target.map(|t| t.as_micros() as u64),
@@ -214,7 +209,6 @@ impl<T> AdmissionQueue<T> {
         }
         self.shared.set_depth(&state);
         drop(state);
-        self.shared.not_empty.notify_one();
         self.shared.wake.wake();
         Ok(())
     }
@@ -230,7 +224,6 @@ impl<T> AdmissionQueue<T> {
         state.priority.queue.push_front(msg);
         self.shared.set_depth(&state);
         drop(state);
-        self.shared.not_empty.notify_one();
         self.shared.wake.wake();
     }
 
@@ -248,38 +241,13 @@ impl<T> AdmissionQueue<T> {
 
 impl<T> Clone for AdmissionQueue<T> {
     fn clone(&self) -> AdmissionQueue<T> {
-        self.shared
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .senders += 1;
         AdmissionQueue {
             shared: Arc::clone(&self.shared),
         }
     }
 }
 
-impl<T> Drop for AdmissionQueue<T> {
-    fn drop(&mut self) {
-        let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.senders -= 1;
-        let last = state.senders == 0;
-        drop(state);
-        if last {
-            self.shared.not_empty.notify_all();
-            self.shared.wake.wake();
-        }
-    }
-}
-
-/// Receive failures, mirroring channel semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionRecvError {
-    Timeout,
-    Disconnected,
-}
-
-/// Consumer handle, owned by the control thread.  Dropping it closes the
+/// Consumer handle, owned by the control role.  Dropping it closes the
 /// queue: subsequent offers fail with [`AdmitError::Closed`].
 pub struct AdmissionReceiver<T> {
     shared: Arc<Shared<T>>,
@@ -294,42 +262,13 @@ impl<T> AdmissionReceiver<T> {
             .or_else(|| state.bulk.queue.pop_front())
     }
 
-    /// Dequeue, priority lane first, waiting up to `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, AdmissionRecvError> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(msg) = Self::pop(&mut state) {
-                if state.bulk.queue.is_empty() && state.priority.queue.is_empty() {
-                    // Standing queue gone: leave CoDel's shed state.
-                    self.shared.wait_ewma_us.store(0, Ordering::Relaxed);
-                }
-                self.shared.set_depth(&state);
-                return Ok(msg);
-            }
-            if state.senders == 0 {
-                return Err(AdmissionRecvError::Disconnected);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(AdmissionRecvError::Timeout);
-            }
-            let (guard, _) = self
-                .shared
-                .not_empty
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            state = guard;
-        }
-    }
-
-    /// Register the waker notified on every admission (and on producer
-    /// disconnect).  Register before polling [`Self::try_recv`].
+    /// Register the waker notified on every admission.  Register before
+    /// polling [`Self::try_recv`].
     pub fn register_waker(&self, waker: &std::task::Waker) {
         self.shared.wake.register(waker);
     }
 
-    /// Non-blocking dequeue (used by the upgrade quiesce drain).
+    /// Non-blocking dequeue, priority lane first.
     pub fn try_recv(&self) -> Option<T> {
         let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
         let msg = Self::pop(&mut state);
@@ -366,22 +305,13 @@ impl<T> AdmissionReceiver<T> {
 
 impl<T> Drop for AdmissionReceiver<T> {
     fn drop(&mut self) {
-        let orphaned: Vec<T> = {
-            let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.closed = true;
-            let mut orphaned: Vec<T> = state.priority.queue.drain(..).collect();
-            orphaned.extend(state.bulk.queue.drain(..));
-            self.shared.set_depth(&state);
-            orphaned
-        };
-        // Dropped outside the lock: releasing a queued message drops its
-        // reply channel, which unblocks the session thread waiting on it.
-        // Without this drain, messages stranded by a dead control loop pin
-        // their sessions open until the 30 s reply timeout — remote health
-        // probes then hang out their own call timeout instead of seeing the
-        // session close, and a crashed service takes tens of seconds to
-        // convict instead of milliseconds.
-        drop(orphaned);
+        let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.closed = true;
+        // Nobody will dequeue again: release what is still queued now
+        // rather than when the last producer handle goes.
+        state.priority.queue.clear();
+        state.bulk.queue.clear();
+        self.shared.set_depth(&state);
     }
 }
 
@@ -400,9 +330,9 @@ mod tests {
         tx.offer(Lane::Bulk, 1).unwrap();
         tx.offer(Lane::Bulk, 2).unwrap();
         tx.offer(Lane::Priority, 3).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(3));
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(1));
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(2));
+        assert_eq!(rx.try_recv(), Some(3));
+        assert_eq!(rx.try_recv(), Some(1));
+        assert_eq!(rx.try_recv(), Some(2));
     }
 
     #[test]
@@ -415,8 +345,8 @@ mod tests {
         tx.offer(Lane::Bulk, 2).unwrap();
         assert_eq!(tx.offer(Lane::Bulk, 3), Err(AdmitError::Busy));
         // The earlier arrivals are still served in order.
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(1));
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(2));
+        assert_eq!(rx.try_recv(), Some(1));
+        assert_eq!(rx.try_recv(), Some(2));
     }
 
     #[test]
@@ -428,7 +358,7 @@ mod tests {
         tx.offer(Lane::Bulk, 1).unwrap();
         assert_eq!(tx.offer(Lane::Bulk, 2), Err(AdmitError::Busy));
         tx.offer(Lane::Priority, 9).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(9));
+        assert_eq!(rx.try_recv(), Some(9));
     }
 
     #[test]
@@ -437,7 +367,7 @@ mod tests {
             queue_target: Some(Duration::from_millis(5)),
             ..AdmissionConfig::default()
         });
-        // Simulate the control thread observing long waits.
+        // Simulate the control role observing long waits.
         for _ in 0..8 {
             rx.note_wait(Duration::from_millis(100));
         }
@@ -447,10 +377,10 @@ mod tests {
         // ...but priority still flows.
         tx.offer(Lane::Priority, 3).unwrap();
         // Draining the queue exits the shed state.
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(3));
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(1));
+        assert_eq!(rx.try_recv(), Some(3));
+        assert_eq!(rx.try_recv(), Some(1));
         tx.offer(Lane::Bulk, 4).unwrap();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(4));
+        assert_eq!(rx.try_recv(), Some(4));
     }
 
     #[test]
@@ -475,17 +405,14 @@ mod tests {
     }
 
     #[test]
-    fn dropping_all_senders_disconnects() {
+    fn messages_outlive_their_senders() {
         let (tx, rx) = queue(AdmissionConfig::default());
         let tx2 = tx.clone();
         drop(tx);
         tx2.offer(Lane::Bulk, 7).unwrap();
         drop(tx2);
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(7));
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(10)),
-            Err(AdmissionRecvError::Disconnected)
-        );
+        assert_eq!(rx.try_recv(), Some(7));
+        assert_eq!(rx.try_recv(), None);
     }
 
     #[test]
@@ -497,7 +424,7 @@ mod tests {
         tx.offer(Lane::Priority, 1).unwrap();
         assert_eq!(tx.offer(Lane::Priority, 2), Err(AdmitError::Busy));
         tx.force_priority(99);
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(99));
+        assert_eq!(rx.try_recv(), Some(99));
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub struct ClientInfo {
 }
 
 /// What a specific ACE service does.  One instance runs per daemon, driven
-/// exclusively by the daemon's control thread — so `&mut self` methods need
+/// exclusively by the daemon's control role — so `&mut self` methods need
 /// no internal locking.
 pub trait ServiceBehavior: Send + 'static {
     /// The service's command vocabulary.  The framework automatically adds
@@ -59,7 +59,7 @@ pub trait ServiceBehavior: Send + 'static {
     fn on_stats(&mut self, _ctx: &mut ServiceCtx) {}
 
     /// Serialize this behavior's state for a live upgrade.  Called on the
-    /// control thread after the daemon has quiesced (no command is in
+    /// control role after the daemon has quiesced (no command is in
     /// flight, new work is being refused with `E_UPGRADING`).  Stateless
     /// services return `None` (the default): the replacement incarnation
     /// starts fresh.  Stateful services seal their state with
@@ -95,18 +95,17 @@ pub struct ServiceCtx {
     metrics: Arc<MetricsRegistry>,
     clients: HashMap<Addr, ServiceClient>,
     /// Events fired by the behavior during this dispatch, drained by the
-    /// control thread into the notification registry.
+    /// control role into the notification registry.
     pub(crate) pending_events: Vec<CmdLine>,
     /// Set by the behavior to request daemon shutdown.
     pub(crate) stop_requested: bool,
     /// Absolute expiry of the command currently being dispatched, derived
-    /// from its `deadline=` header; set by the control thread around each
+    /// from its `deadline=` header; set by the control role around each
     /// dispatch.
     deadline: Option<Instant>,
-    /// The shared runtime this daemon runs on, when in
-    /// [`crate::runtime::RuntimeMode::Shared`] — lets stats paths publish
+    /// The runtime this daemon runs on — lets stats paths publish
     /// `runtime.*` gauges into this daemon's registry.
-    pub(crate) runtime: Option<crate::runtime::Runtime>,
+    pub(crate) runtime: crate::runtime::Runtime,
 }
 
 impl ServiceCtx {
@@ -123,6 +122,7 @@ impl ServiceCtx {
         logger: Option<Addr>,
         notifier: Notifier,
         metrics: Arc<MetricsRegistry>,
+        runtime: crate::runtime::Runtime,
     ) -> ServiceCtx {
         ServiceCtx {
             net,
@@ -140,7 +140,7 @@ impl ServiceCtx {
             pending_events: Vec::new(),
             stop_requested: false,
             deadline: None,
-            runtime: None,
+            runtime,
         }
     }
 
@@ -319,7 +319,7 @@ impl ServiceCtx {
 
     /// Push the current metrics snapshot to the Net Logger as a structured
     /// `stats` event (asynchronous, best-effort).  Called periodically by
-    /// the control thread; `on_stats` has already run.
+    /// the control role; `on_stats` has already run.
     pub(crate) fn push_stats_event(&self) {
         if let Some(logger) = &self.logger {
             let payload = self.metrics.snapshot().to_event_payload();

@@ -1,27 +1,32 @@
-//! The ACE service daemon runtime (§2.1).
+//! The ACE service daemon shell (§2.1).
 //!
 //! "Each daemon consists of four threads … the main thread, the command
 //! thread, the data thread, and the control thread.  The command thread is
 //! the only one created on a per connection basis. … All communications
 //! between these threads are carried out over message queues."
 //!
-//! The mapping here:
+//! Here a daemon is **one cooperative task** ([`DaemonTask`]) on the shared
+//! [`Runtime`] — a deliberate deviation from the paper's threads (four OS
+//! threads per service cap a process at a few hundred daemons; see
+//! `BENCH_pr8.json`).  The four *roles* and the message queue between them
+//! survive as the stages of one poll:
 //!
-//! * **main thread** — performs the Fig. 9 startup sequence (Room DB → ASD
-//!   → Net Logger) synchronously in [`Daemon::spawn`], then lives on as the
-//!   lease-renewal thread and performs deregistration on graceful shutdown;
-//! * **accept + command threads** — an accept loop spawns one command
-//!   thread per connection; each runs the secure handshake, then parses and
-//!   semantically validates incoming commands and queues them for control;
-//! * **control thread** — owns the [`ServiceBehavior`] and the notification
-//!   registry; executes commands (after the KeyNote check), sends return
-//!   commands, fires notifications, and drives `on_tick`/`on_data`;
-//! * **data thread** — receives datagrams on the daemon's UDP channel and
-//!   forwards them to control.
+//! * **main** — the Fig. 9 startup sequence (Room DB → ASD → Net Logger)
+//!   runs synchronously in [`Daemon::spawn`]; lease renewal and the
+//!   graceful-stop deregistration are [`LeaseState`], ticked by the poll;
+//! * **accept + command** — the intake stages: accept connections, run the
+//!   secure handshake once the client's hello is in hand, then parse,
+//!   semantically validate, gate and *admit* incoming commands into the
+//!   bounded admission queue (refusals are answered inline);
+//! * **data** — datagrams on the daemon's UDP channel enter the same queue;
+//! * **control** — [`Control`] owns the [`ServiceBehavior`], the
+//!   notification registry and the queue's consumer end: it executes
+//!   commands (after the KeyNote check), fires notifications, and drives
+//!   `on_tick`/`on_data`.  Each reply goes straight back onto the session
+//!   that sent the command.
 
 use crate::admission::{
-    admission_queue, AdmissionConfig, AdmissionQueue, AdmissionReceiver, AdmissionRecvError,
-    AdmitError, Lane,
+    admission_queue, AdmissionConfig, AdmissionQueue, AdmissionReceiver, AdmitError, Lane,
 };
 use crate::auth::{action_env_for, AuthMode};
 use crate::behavior::{ClientInfo, ServiceBehavior, ServiceCtx};
@@ -31,11 +36,11 @@ use crate::metrics::{Counter, Histogram, MetricsRegistry};
 use crate::notify::{NotificationRegistry, Notifier, Registration};
 use crate::protocol;
 use crate::retry::{RetryBudget, RetryPolicy};
-use crate::runtime::{Runtime, RuntimeMode, RuntimeTask, TaskContext, TaskHandle, TaskPoll};
+use crate::runtime::{Runtime, RuntimeTask, TaskContext, TaskHandle, TaskPoll};
 use ace_lang::{CmdLine, ErrorCode, Reply, Scalar, Semantics, Value};
 use ace_net::{Addr, Datagram, HostId, NetError, SimNet, WakeCell};
+use ace_security::hash::fnv64;
 use ace_security::keys::KeyPair;
-use crossbeam_channel::{Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -92,12 +97,9 @@ pub struct DaemonConfig {
     pub notifications: Vec<(String, Registration)>,
     /// Admission-control sizing and shedding policy of the command plane.
     pub admission: AdmissionConfig,
-    /// Which runtime hosts this daemon: `None` resolves from the
-    /// `ACE_RUNTIME` environment variable ([`RuntimeMode::from_env`]).
-    pub runtime: Option<RuntimeMode>,
-    /// Explicit runtime pool for [`RuntimeMode::Shared`]; defaults to the
-    /// process-wide [`Runtime::global`].  Tests and benches pass a private
-    /// pool for isolation and worker-count ablation.
+    /// Runtime pool to run on; defaults to the process-wide
+    /// [`Runtime::global`].  Tests and benches pass a private pool for
+    /// isolation and worker-count ablation.
     pub runtime_pool: Option<Runtime>,
 }
 
@@ -129,7 +131,6 @@ impl DaemonConfig {
             ticket_vault: None,
             notifications: Vec::new(),
             admission: AdmissionConfig::default(),
-            runtime: None,
             runtime_pool: None,
         }
     }
@@ -209,20 +210,9 @@ impl DaemonConfig {
         self
     }
 
-    /// Pin this daemon to a runtime mode instead of resolving from
-    /// `ACE_RUNTIME`.
-    pub fn with_runtime(mut self, mode: RuntimeMode) -> Self {
-        self.runtime = Some(mode);
-        self
-    }
-
-    /// Run on this specific shared-runtime pool (implies
-    /// [`RuntimeMode::Shared`] unless overridden).
+    /// Run on this specific runtime pool instead of [`Runtime::global`].
     pub fn with_runtime_pool(mut self, pool: Runtime) -> Self {
         self.runtime_pool = Some(pool);
-        if self.runtime.is_none() {
-            self.runtime = Some(RuntimeMode::Shared);
-        }
         self
     }
 }
@@ -254,15 +244,17 @@ impl std::fmt::Display for SpawnError {
 }
 impl std::error::Error for SpawnError {}
 
+/// What travels the admission queue from the intake stages to [`Control`].
 enum ControlMsg {
     Execute {
         cmd: CmdLine,
         from: ClientInfo,
-        reply: Sender<CmdLine>,
-        /// When the command thread queued this — measures control-queue wait.
+        /// The session that sent the command; its reply goes back there.
+        session: u64,
+        /// When intake queued this — measures control-queue wait.
         enqueued: Instant,
         /// Absolute expiry derived from the command's `deadline=` header;
-        /// the control thread sheds expired work before executing it.
+        /// expired work is shed before executing it.
         deadline: Option<Instant>,
     },
     Data(Datagram),
@@ -273,7 +265,7 @@ enum ControlMsg {
 pub struct Daemon;
 
 impl Daemon {
-    /// Run the Fig. 9 startup sequence and launch the daemon threads.
+    /// Run the Fig. 9 startup sequence and launch the daemon task.
     pub fn spawn(
         net: &SimNet,
         config: DaemonConfig,
@@ -373,7 +365,7 @@ impl Daemon {
 
         let stop = Arc::new(AtomicBool::new(false));
         let crashed = Arc::new(AtomicBool::new(false));
-        // Quiesce gate: while set, command threads refuse every verb except
+        // Quiesce gate: while set, intake refuses every verb except
         // liveness probes with a retryable `E_UPGRADING` error.
         let upgrading = Arc::new(AtomicBool::new(false));
         // Graceful stops deregister by default; `retire()` clears this so a
@@ -396,245 +388,100 @@ impl Daemon {
             .clone()
             .unwrap_or_else(|| Arc::new(TicketVault::with_default_ttl()));
 
-        let mode = config.runtime.unwrap_or_else(RuntimeMode::from_env);
-        let (backing, notifier) = match mode {
-            RuntimeMode::Threads => {
-                let (notifier, notifier_worker) = Notifier::spawn(
-                    net.clone(),
-                    config.host.clone(),
-                    Arc::clone(&identity),
-                    Arc::clone(&metrics),
-                );
-                let mut threads = Vec::with_capacity(4);
-
-                // Control thread.
-                {
-                    let ctx = ServiceCtx::new(
-                        net.clone(),
-                        config.name.clone(),
-                        config.class.clone(),
-                        config.room.clone(),
-                        config.host.clone(),
-                        config.port,
-                        Arc::clone(&identity),
-                        config.asd.clone(),
-                        config.logger.clone(),
-                        notifier.clone(),
-                        Arc::clone(&metrics),
-                    );
-                    let stop = Arc::clone(&stop);
-                    let crashed = Arc::clone(&crashed);
-                    let upgrading = Arc::clone(&upgrading);
-                    let auth = config.auth.clone();
-                    let name = config.name.clone();
-                    let class = config.class.clone();
-                    let room = config.room.clone();
-                    let semantics = Arc::clone(&semantics);
-                    let tick = config.tick;
-                    let stats_interval = config.stats_interval;
-                    let incarnation = config.incarnation;
-                    let notifications = config.notifications.clone();
-                    threads.push(
-                        std::thread::Builder::new()
-                            .name(format!("{name}-control"))
-                            .spawn(move || {
-                                control_loop(ControlParams {
-                                    rx: control_rx,
-                                    behavior,
-                                    ctx,
-                                    stop,
-                                    crashed,
-                                    upgrading,
-                                    auth,
-                                    name,
-                                    class,
-                                    room,
-                                    semantics,
-                                    tick,
-                                    stats_interval,
-                                    incarnation,
-                                    notifications,
-                                })
-                            })
-                            .expect("spawn control thread"),
-                    );
-                }
-
-                // Accept thread (spawns command threads).
-                {
-                    let stop = Arc::clone(&stop);
-                    let crashed = Arc::clone(&crashed);
-                    let upgrading = Arc::clone(&upgrading);
-                    let control_tx = control_tx.clone();
-                    let identity = Arc::clone(&identity);
-                    let semantics = Arc::clone(&semantics);
-                    let name = config.name.clone();
-                    let metrics = Arc::clone(&metrics);
-                    let vault = Arc::clone(&vault);
-                    threads.push(
-                        std::thread::Builder::new()
-                            .name(format!("{name}-accept"))
-                            .spawn(move || {
-                                accept_loop(
-                                    listener, stop, crashed, upgrading, control_tx, identity,
-                                    semantics, name, metrics, vault,
-                                )
-                            })
-                            .expect("spawn accept thread"),
-                    );
-                }
-
-                // Data thread.
-                {
-                    let stop = Arc::clone(&stop);
-                    let crashed = Arc::clone(&crashed);
-                    let control_tx = control_tx.clone();
-                    let name = config.name.clone();
-                    threads.push(
-                        std::thread::Builder::new()
-                            .name(format!("{name}-data"))
-                            .spawn(move || data_loop(dsocket, stop, crashed, control_tx))
-                            .expect("spawn data thread"),
-                    );
-                }
-
-                // Main/lease thread.
-                {
-                    let stop = Arc::clone(&stop);
-                    let crashed = Arc::clone(&crashed);
-                    let deregister = Arc::clone(&deregister);
-                    let net = net.clone();
-                    let identity = Arc::clone(&identity);
-                    let config2 = config.clone();
-                    let metrics = Arc::clone(&metrics);
-                    let retry_budget = Arc::clone(&retry_budget);
-                    threads.push(
-                        std::thread::Builder::new()
-                            .name(format!("{}-main", config.name))
-                            .spawn(move || {
-                                lease_loop(
-                                    net,
-                                    config2,
-                                    identity,
-                                    stop,
-                                    crashed,
-                                    deregister,
-                                    metrics,
-                                    retry_budget,
-                                )
-                            })
-                            .expect("spawn main thread"),
-                    );
-                }
-
-                (
-                    Backing::Threads {
-                        threads,
-                        worker: Some(notifier_worker),
-                    },
-                    notifier,
-                )
-            }
-            RuntimeMode::Shared => {
-                // One cooperative task carries all four roles; the notifier
-                // becomes a second, smaller task on the same pool.
-                let runtime = config
-                    .runtime_pool
-                    .clone()
-                    .unwrap_or_else(|| Runtime::global().clone());
-                let (notifier, notifier_task) = Notifier::cooperative(
-                    net.clone(),
-                    config.host.clone(),
-                    Arc::clone(&identity),
-                    Arc::clone(&metrics),
-                );
-                let mut ctx = ServiceCtx::new(
-                    net.clone(),
-                    config.name.clone(),
-                    config.class.clone(),
-                    config.room.clone(),
-                    config.host.clone(),
-                    config.port,
-                    Arc::clone(&identity),
-                    config.asd.clone(),
-                    config.logger.clone(),
-                    notifier.clone(),
-                    Arc::clone(&metrics),
-                );
-                ctx.runtime = Some(runtime.clone());
-                let mut registry = NotificationRegistry::new();
-                for (watched, registration) in config.notifications.clone() {
-                    registry.add(&watched, registration);
-                }
-                // Eagerly created so `aceStats` always reports them, even
-                // at zero (same contract as the threaded control loop).
-                let stats = DispatchStats {
-                    panics: metrics.counter("control.panics"),
-                    errors: metrics.counter("cmd.errors"),
-                    verb_hists: HashMap::new(),
-                };
-                let lease = LeaseState::new(
-                    net.clone(),
-                    config.clone(),
-                    Arc::clone(&identity),
-                    &metrics,
-                    Arc::clone(&retry_budget),
-                );
-                let now = Instant::now();
-                let task = DaemonTask {
-                    listener,
-                    listener_dead: false,
-                    dsocket,
-                    dsocket_dead: false,
-                    identity: Arc::clone(&identity),
-                    vault: Arc::clone(&vault),
-                    semantics: Arc::clone(&semantics),
-                    auth: config.auth.clone(),
-                    name: config.name.clone(),
-                    class: config.class.clone(),
-                    room: config.room.clone(),
-                    incarnation: config.incarnation,
-                    tick: config.tick,
-                    stats_interval: config.stats_interval,
-                    stop: Arc::clone(&stop),
-                    crashed: Arc::clone(&crashed),
-                    upgrading: Arc::clone(&upgrading),
-                    deregister: Arc::clone(&deregister),
-                    control_tx: control_tx.clone(),
-                    control_rx,
-                    behavior,
-                    ctx,
-                    registry,
-                    stats,
-                    queue_wait: metrics.histogram("control.queueWait"),
-                    shed_deadline: metrics.counter("shed.deadline"),
-                    accepted: metrics.counter("link.accepted"),
-                    resume_hits: metrics.counter("link.resume_hits"),
-                    full_handshakes: metrics.counter("link.full_handshakes"),
-                    rejected: metrics.counter("cmd.rejected"),
-                    upgrade_rejected: metrics.counter("upgrade.rejected"),
-                    sealed_bytes: metrics.counter("link.sealedBytes"),
-                    opened_bytes: metrics.counter("link.openedBytes"),
-                    sessions: HashMap::new(),
-                    next_session: 0,
-                    ready: Arc::new(Mutex::new(Vec::new())),
-                    wake_cell: Arc::new(WakeCell::new()),
-                    lease,
-                    started: false,
-                    last_tick: now,
-                    last_stats: now,
-                };
-                let main = runtime.spawn(Box::new(task));
-                let notifier_handle = runtime.spawn(Box::new(notifier_task));
-                (
-                    Backing::Task {
-                        main,
-                        notifier: notifier_handle,
-                    },
-                    notifier,
-                )
-            }
+        // One cooperative task carries all four roles; the notifier is a
+        // second, smaller task on the same pool.
+        let runtime = config
+            .runtime_pool
+            .clone()
+            .unwrap_or_else(|| Runtime::global().clone());
+        let (notifier, notifier_task) = Notifier::cooperative(
+            net.clone(),
+            config.host.clone(),
+            Arc::clone(&identity),
+            Arc::clone(&metrics),
+        );
+        let ctx = ServiceCtx::new(
+            net.clone(),
+            config.name.clone(),
+            config.class.clone(),
+            config.room.clone(),
+            config.host.clone(),
+            config.port,
+            Arc::clone(&identity),
+            config.asd.clone(),
+            config.logger.clone(),
+            notifier,
+            Arc::clone(&metrics),
+            runtime.clone(),
+        );
+        // Listeners carried over from the previous incarnation (live
+        // upgrade) are live before the first command executes.
+        let mut registry = NotificationRegistry::new();
+        for (watched, registration) in config.notifications.clone() {
+            registry.add(&watched, registration);
+        }
+        let shed_deadline = metrics.counter("shed.deadline");
+        let control = Control {
+            rx: control_rx,
+            behavior,
+            ctx,
+            registry,
+            auth: config.auth.clone(),
+            semantics: Arc::clone(&semantics),
+            incarnation: config.incarnation,
+            stop: Arc::clone(&stop),
+            upgrading: Arc::clone(&upgrading),
+            queue_wait: metrics.histogram("control.queueWait"),
+            shed_deadline: Arc::clone(&shed_deadline),
+            // Eagerly created so `aceStats` always reports them, even at
+            // zero.
+            panics: metrics.counter("control.panics"),
+            errors: metrics.counter("cmd.errors"),
+            verb_hists: HashMap::new(),
         };
+        let lease = LeaseState::new(
+            net.clone(),
+            config.clone(),
+            Arc::clone(&identity),
+            &metrics,
+            retry_budget,
+        );
+        let now = Instant::now();
+        let task = DaemonTask {
+            listener,
+            listener_dead: false,
+            dsocket,
+            dsocket_dead: false,
+            identity: Arc::clone(&identity),
+            vault: Arc::clone(&vault),
+            semantics,
+            tick: config.tick,
+            stats_interval: config.stats_interval,
+            stop: Arc::clone(&stop),
+            crashed: Arc::clone(&crashed),
+            upgrading: Arc::clone(&upgrading),
+            deregister: Arc::clone(&deregister),
+            control_tx: control_tx.clone(),
+            control,
+            shed_deadline,
+            accepted: metrics.counter("link.accepted"),
+            resume_hits: metrics.counter("link.resume_hits"),
+            full_handshakes: metrics.counter("link.full_handshakes"),
+            rejected: metrics.counter("cmd.rejected"),
+            upgrade_rejected: metrics.counter("upgrade.rejected"),
+            sealed_bytes: metrics.counter("link.sealedBytes"),
+            opened_bytes: metrics.counter("link.openedBytes"),
+            sessions: HashMap::new(),
+            next_session: 0,
+            ready: Arc::new(Mutex::new(Vec::new())),
+            wake_cell: Arc::new(WakeCell::new()),
+            lease,
+            started: false,
+            last_tick: now,
+            last_stats: now,
+        };
+        let main = runtime.spawn(Box::new(task));
+        let notifier = runtime.spawn(Box::new(notifier_task));
 
         Ok(DaemonHandle {
             name: config.name.clone(),
@@ -650,25 +497,10 @@ impl Daemon {
             ticket_vault: vault,
             metrics,
             control_tx,
-            backing: Mutex::new(backing),
-            notifier: Mutex::new(Some(notifier)),
+            main,
+            notifier,
         })
     }
-}
-
-/// What actually runs this daemon: the paper's four OS threads, or one
-/// cooperative task (plus its notifier task) on the shared runtime.
-enum Backing {
-    Threads {
-        threads: Vec<std::thread::JoinHandle<()>>,
-        worker: Option<crate::notify::NotifierWorker>,
-    },
-    Task {
-        main: TaskHandle,
-        notifier: TaskHandle,
-    },
-    /// Already joined/waited; nothing left to tear down.
-    Finished,
 }
 
 /// Handle to a running daemon.
@@ -686,8 +518,8 @@ pub struct DaemonHandle {
     ticket_vault: Arc<TicketVault>,
     metrics: Arc<MetricsRegistry>,
     control_tx: AdmissionQueue<ControlMsg>,
-    backing: Mutex<Backing>,
-    notifier: Mutex<Option<Notifier>>,
+    main: TaskHandle,
+    notifier: TaskHandle,
 }
 
 impl DaemonHandle {
@@ -746,13 +578,13 @@ impl DaemonHandle {
     }
 
     /// Graceful shutdown: deregisters from the ASD/Room DB, logs the stop,
-    /// then joins all threads.
+    /// then waits for the daemon task to finish.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
         // Shutdown bypasses admission: it must land even when both lanes
         // are saturated.
         self.control_tx.force_priority(ControlMsg::Stop);
-        self.join_threads();
+        self.join();
     }
 
     /// Graceful stop *without* deregistration: `on_stop` runs (workers
@@ -767,44 +599,26 @@ impl DaemonHandle {
         self.shutdown();
     }
 
-    /// Abrupt crash: threads stop immediately and *no* deregistration
+    /// Abrupt crash: the task stops immediately and *no* deregistration
     /// happens — exactly the failure the ASD's lease mechanism exists to
     /// clean up (§2.4).
     pub fn crash(&self) {
         self.crashed.store(true, Ordering::SeqCst);
         self.stop.store(true, Ordering::SeqCst);
         self.control_tx.force_priority(ControlMsg::Stop);
-        self.join_threads();
+        self.join();
     }
 
-    fn join_threads(&self) {
-        let backing = std::mem::replace(&mut *self.backing.lock(), Backing::Finished);
-        match backing {
-            Backing::Threads { threads, worker } => {
-                for t in threads {
-                    let _ = t.join();
-                }
-                // Dropping the last notifier lets its worker drain and exit.
-                drop(self.notifier.lock().take());
-                if let Some(worker) = worker {
-                    worker.join();
-                }
-            }
-            Backing::Task { main, notifier } => {
-                // The task observes the stop flag on its next poll; waiting
-                // on the handle guarantees the task object (listener bind,
-                // datagram socket) is dropped before we return — the
-                // live-upgrade respawn path rebinds the same address.
-                main.wake();
-                main.wait(Duration::from_secs(60));
-                drop(self.notifier.lock().take());
-                notifier.wake();
-                notifier.wait(Duration::from_secs(60));
-            }
-            Backing::Finished => {
-                drop(self.notifier.lock().take());
-            }
-        }
+    fn join(&self) {
+        // The task observes the stop flag on its next poll; waiting on the
+        // handle guarantees the task object (listener bind, datagram
+        // socket) is dropped before we return — the live-upgrade respawn
+        // path rebinds the same address.  Dropping it also drops the last
+        // `Notifier`, which lets the delivery task drain and complete.
+        self.main.wake();
+        self.main.wait(Duration::from_secs(60));
+        self.notifier.wake();
+        self.notifier.wait(Duration::from_secs(60));
     }
 }
 
@@ -813,7 +627,7 @@ impl Drop for DaemonHandle {
         if !self.stop.load(Ordering::SeqCst) {
             self.shutdown();
         } else {
-            self.join_threads();
+            self.join();
         }
     }
 }
@@ -825,209 +639,7 @@ impl std::fmt::Debug for DaemonHandle {
 }
 
 // ---------------------------------------------------------------------------
-// Thread bodies
-// ---------------------------------------------------------------------------
-
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
-const COMMAND_POLL: Duration = Duration::from_millis(50);
-const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
-
-#[allow(clippy::too_many_arguments)]
-fn accept_loop(
-    listener: ace_net::Listener,
-    stop: Arc<AtomicBool>,
-    crashed: Arc<AtomicBool>,
-    upgrading: Arc<AtomicBool>,
-    control_tx: AdmissionQueue<ControlMsg>,
-    identity: Arc<KeyPair>,
-    semantics: Arc<Semantics>,
-    name: String,
-    metrics: Arc<MetricsRegistry>,
-    vault: Arc<TicketVault>,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept_timeout(ACCEPT_POLL) {
-            Ok(conn) => {
-                metrics.counter("link.accepted").incr();
-                let stop = Arc::clone(&stop);
-                let upgrading = Arc::clone(&upgrading);
-                let control_tx = control_tx.clone();
-                let identity = Arc::clone(&identity);
-                let semantics = Arc::clone(&semantics);
-                let metrics = Arc::clone(&metrics);
-                let vault = Arc::clone(&vault);
-                // Command threads detach; they exit promptly on `stop` or
-                // when the peer hangs up.
-                let _ = std::thread::Builder::new()
-                    .name(format!("{name}-command"))
-                    .spawn(move || {
-                        command_loop(
-                            conn, stop, upgrading, control_tx, identity, semantics, metrics, vault,
-                        )
-                    });
-            }
-            Err(NetError::Timeout) => continue,
-            Err(_) => {
-                // Listener gone (host killed).  The bind never comes back —
-                // only a respawn can re-listen — so take the whole daemon
-                // down as crashed instead of leaving a zombie that renews
-                // its lease and answers probes over surviving sessions
-                // while refusing every new connection (see the cooperative
-                // task's accept path for the full rationale).
-                crashed.store(true, Ordering::SeqCst);
-                stop.store(true, Ordering::SeqCst);
-                break;
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn command_loop(
-    conn: ace_net::Connection,
-    stop: Arc<AtomicBool>,
-    upgrading: Arc<AtomicBool>,
-    control_tx: AdmissionQueue<ControlMsg>,
-    identity: Arc<KeyPair>,
-    semantics: Arc<Semantics>,
-    metrics: Arc<MetricsRegistry>,
-    vault: Arc<TicketVault>,
-) {
-    let Ok(mut link) = SecureLink::accept_with_tickets(conn, &identity, &vault) else {
-        return; // failed handshake: drop the connection
-    };
-    if link.resumed() {
-        metrics.counter("link.resume_hits").incr();
-    } else {
-        metrics.counter("link.full_handshakes").incr();
-    }
-    link.attach_metrics(
-        metrics.counter("link.sealedBytes"),
-        metrics.counter("link.openedBytes"),
-    );
-    // Fetched once per connection so the per-message path never takes the
-    // registry lock.
-    let rejected = metrics.counter("cmd.rejected");
-    let upgrade_rejected = metrics.counter("upgrade.rejected");
-    let shed_deadline = metrics.counter("shed.deadline");
-    let from = ClientInfo {
-        principal: link.peer_principal().to_string(),
-        addr: link.peer_addr().clone(),
-    };
-    while !stop.load(Ordering::SeqCst) {
-        let cmd = match link.recv_cmd(COMMAND_POLL) {
-            Ok(cmd) => cmd,
-            Err(LinkError::Net(NetError::Timeout)) => continue,
-            Err(LinkError::Malformed(msg)) => {
-                let _ = link.send_cmd(&Reply::err(ErrorCode::Parse, msg).to_cmdline());
-                continue;
-            }
-            // Closed peer, dead host, or a tampered frame: end the session.
-            Err(_) => break,
-        };
-        // Semantic validation happens here, on the command thread, exactly
-        // as §2.2 describes the receiving side's parser doing.
-        if let Err(e) = semantics.validate(&cmd) {
-            rejected.incr();
-            let _ = link.send_cmd(&Reply::err(ErrorCode::Semantics, e.to_string()).to_cmdline());
-            continue;
-        }
-        // Quiesce gate: once an upgrade begins, refuse new work here on
-        // the command thread — fast, and it never reaches the draining
-        // control queue.  Probes and the upgrade plane itself stay open.
-        if upgrading.load(Ordering::SeqCst)
-            && !matches!(cmd.name(), "ping" | "describe" | "aceUpgrade")
-        {
-            upgrade_rejected.incr();
-            let _ = link.send_cmd(
-                &Reply::err(ErrorCode::Upgrading, "service is upgrading; retry").to_cmdline(),
-            );
-            continue;
-        }
-        // Overload control happens here, on the command thread, before the
-        // control queue: expired deadlines and saturated lanes are refused
-        // with retryable errors instead of buffered.
-        let now = Instant::now();
-        let deadline = cmd
-            .deadline_ms()
-            .map(|ms| now + Duration::from_millis(ms.max(0) as u64));
-        if control_tx.enforce_deadlines() {
-            if let Some(ms) = cmd.deadline_ms() {
-                if ms <= 0 {
-                    shed_deadline.incr();
-                    let _ = link.send_cmd(
-                        &Reply::err(ErrorCode::Deadline, "deadline already expired").to_cmdline(),
-                    );
-                    continue;
-                }
-            }
-        }
-        let lane = if protocol::is_priority_verb(cmd.name()) {
-            Lane::Priority
-        } else {
-            Lane::Bulk
-        };
-        let (reply_tx, reply_rx) = crossbeam_channel::bounded(1);
-        match control_tx.offer(
-            lane,
-            ControlMsg::Execute {
-                cmd,
-                from: from.clone(),
-                reply: reply_tx,
-                enqueued: now,
-                deadline,
-            },
-        ) {
-            Ok(()) => {}
-            Err(AdmitError::Busy) => {
-                let _ = link.send_cmd(
-                    &Reply::err(ErrorCode::Busy, "admission queue saturated; retry later")
-                        .to_cmdline(),
-                );
-                continue;
-            }
-            Err(AdmitError::Closed) => break, // control thread gone
-        }
-        let reply = reply_rx.recv_timeout(REPLY_TIMEOUT).unwrap_or_else(|_| {
-            Reply::err(ErrorCode::Internal, "control thread did not reply").to_cmdline()
-        });
-        if link.send_cmd(&reply).is_err() {
-            break;
-        }
-    }
-}
-
-fn data_loop(
-    dsocket: ace_net::DatagramSocket,
-    stop: Arc<AtomicBool>,
-    crashed: Arc<AtomicBool>,
-    control_tx: AdmissionQueue<ControlMsg>,
-) {
-    while !stop.load(Ordering::SeqCst) {
-        match dsocket.recv_timeout(COMMAND_POLL) {
-            Ok(datagram) => {
-                // Datagrams are lossy by contract: a saturated bulk lane
-                // drops them (counted by the admission shed counters)
-                // rather than buffering without bound.
-                match control_tx.offer(Lane::Bulk, ControlMsg::Data(datagram)) {
-                    Ok(()) | Err(AdmitError::Busy) => {}
-                    Err(AdmitError::Closed) => break,
-                }
-            }
-            Err(NetError::Timeout) => continue,
-            Err(_) => {
-                // Dead socket = killed host: crash the daemon (see
-                // accept_loop).
-                crashed.store(true, Ordering::SeqCst);
-                stop.store(true, Ordering::SeqCst);
-                break;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cooperative daemon task (RuntimeMode::Shared)
+// The daemon task
 // ---------------------------------------------------------------------------
 
 // Per-poll work caps — fairness bounds so one busy daemon yields the worker
@@ -1081,14 +693,15 @@ enum Session {
         conn: Option<ace_net::Connection>,
         since: Instant,
     },
-    /// Secure link up.  At most one command is in flight per session —
-    /// exactly the ordering the threaded shell's per-connection command
-    /// thread enforced.
+    /// Secure link up.
     Established {
         link: SecureLink,
         from: ClientInfo,
-        /// Reply channel (and offer time) of the in-flight command.
-        pending: Option<(Receiver<CmdLine>, Instant)>,
+        /// A command of this session is admitted and not yet answered.
+        /// At most one is in flight per session — the ordering the
+        /// paper's per-connection command thread enforced — so the
+        /// session is not read again until [`send_reply`] clears this.
+        busy: bool,
     },
 }
 
@@ -1097,10 +710,35 @@ struct SessionSlot {
     signal: Arc<SessionSignal>,
 }
 
+type Sessions = HashMap<u64, SessionSlot>;
+
+/// The quiesce gate's refusal: the verb did not run, retry (elsewhere).
+fn upgrading_refusal() -> Reply {
+    Reply::err(ErrorCode::Upgrading, "service is upgrading; retry")
+}
+
+/// Answer the command `id` has in flight, then mark the session ready:
+/// more frames may be buffered behind the one just answered.  A session
+/// that died while its command was queued has its reply discarded (the
+/// command was admitted, so it still ran).
+fn send_reply(sessions: &mut Sessions, id: u64, reply: &Reply) {
+    let Some(slot) = sessions.get_mut(&id) else {
+        return;
+    };
+    let Session::Established { link, busy, .. } = &mut slot.session else {
+        return;
+    };
+    *busy = false;
+    if link.send_cmd(&reply.to_cmdline()).is_ok() {
+        slot.signal.mark();
+    } else {
+        sessions.remove(&id);
+    }
+}
+
 /// A whole daemon as one cooperative task: accept, handshake, command
 /// parsing/gating, admission, dispatch, replies, datagrams, ticks, stats,
-/// and lease renewal — everything the four threads did, multiplexed onto
-/// the shared runtime's worker pool.
+/// and lease renewal, multiplexed onto the runtime's worker pool.
 struct DaemonTask {
     listener: ace_net::Listener,
     listener_dead: bool,
@@ -1109,11 +747,6 @@ struct DaemonTask {
     identity: Arc<KeyPair>,
     vault: Arc<TicketVault>,
     semantics: Arc<Semantics>,
-    auth: AuthMode,
-    name: String,
-    class: String,
-    room: String,
-    incarnation: u64,
     tick: Duration,
     stats_interval: Duration,
     stop: Arc<AtomicBool>,
@@ -1121,12 +754,7 @@ struct DaemonTask {
     upgrading: Arc<AtomicBool>,
     deregister: Arc<AtomicBool>,
     control_tx: AdmissionQueue<ControlMsg>,
-    control_rx: AdmissionReceiver<ControlMsg>,
-    behavior: Box<dyn ServiceBehavior>,
-    ctx: ServiceCtx,
-    registry: NotificationRegistry,
-    stats: DispatchStats,
-    queue_wait: Arc<Histogram>,
+    control: Control,
     shed_deadline: Arc<Counter>,
     accepted: Arc<Counter>,
     resume_hits: Arc<Counter>,
@@ -1135,7 +763,7 @@ struct DaemonTask {
     upgrade_rejected: Arc<Counter>,
     sealed_bytes: Arc<Counter>,
     opened_bytes: Arc<Counter>,
-    sessions: HashMap<u64, SessionSlot>,
+    sessions: Sessions,
     next_session: u64,
     ready: Arc<Mutex<Vec<u64>>>,
     wake_cell: Arc<WakeCell>,
@@ -1157,18 +785,15 @@ impl RuntimeTask for DaemonTask {
         if !self.dsocket_dead {
             self.dsocket.register_waker(cx.waker());
         }
-        self.control_rx.register_waker(cx.waker());
+        self.control.rx.register_waker(cx.waker());
 
         if !self.started {
             self.started = true;
-            self.behavior.on_start(&mut self.ctx);
-            drain_events(&mut self.ctx, &self.registry, &self.name);
+            self.control.with_behavior(|b, ctx| b.on_start(ctx));
         }
 
         // An external stop (shutdown/crash/retire) skips new intake
-        // entirely, mirroring the threaded control loop's top-of-loop
-        // check; buffered frames and already-computed replies still go out
-        // first.
+        // entirely; frames already buffered are still answered first.
         if self.stop.load(Ordering::SeqCst) {
             return self.stop_poll();
         }
@@ -1176,12 +801,11 @@ impl RuntimeTask for DaemonTask {
         let mut more = false;
         self.poll_accepts(&mut more);
         self.poll_datagrams(&mut more);
-        self.poll_sessions(&mut more);
-        self.drain_control(&mut more);
-        // Replies flush AFTER dispatch and BEFORE the stop check below, so
-        // the client that sent `shutdown` receives its acknowledgement
-        // before the daemon tears down.
-        self.flush_replies(&mut more);
+        self.poll_sessions();
+        // Dispatch answers each command on its session as it returns, so
+        // the client that sent `shutdown` has its acknowledgement before
+        // the stop check below tears the daemon down.
+        self.control.drain(&mut self.sessions, &mut more);
 
         if self.stop.load(Ordering::SeqCst) {
             return self.stop_poll();
@@ -1190,11 +814,7 @@ impl RuntimeTask for DaemonTask {
         let now = Instant::now();
         if now.duration_since(self.last_tick) >= self.tick {
             self.last_tick = now;
-            self.behavior.on_tick(&mut self.ctx);
-            drain_events(&mut self.ctx, &self.registry, &self.name);
-            if self.ctx.stop_requested {
-                self.stop.store(true, Ordering::SeqCst);
-            }
+            self.control.with_behavior(|b, ctx| b.on_tick(ctx));
             self.sweep_stale_handshakes(now);
         }
         if self.stop.load(Ordering::SeqCst) {
@@ -1202,23 +822,20 @@ impl RuntimeTask for DaemonTask {
         }
         if !self.stats_interval.is_zero() && self.last_stats.elapsed() >= self.stats_interval {
             self.last_stats = Instant::now();
-            // Shared-runtime gauges ride the same periodic stats event as
-            // the daemon's own counters.
-            if let Some(rt) = &self.ctx.runtime {
-                rt.publish_into(self.ctx.metrics());
-            }
-            self.behavior.on_stats(&mut self.ctx);
-            self.ctx.push_stats_event();
+            // Runtime gauges ride the same periodic stats event as the
+            // daemon's own counters.
+            self.control.refresh_stats();
+            self.control.ctx.push_stats_event();
         }
         self.lease.tick();
 
-        if more {
+        // A session still marked ready (just answered, or cut off at the
+        // frame cap) may have input buffered: go round again.
+        if more || !self.ready.lock().is_empty() {
             return TaskPoll::Again;
         }
         // Park until an endpoint wakes us or the earliest periodic
-        // deadline (tick, stats, lease renewal) arrives.  The tick timer
-        // also bounds how long an in-flight reply waits for its timeout
-        // check.
+        // deadline (tick, stats, lease renewal) arrives.
         let mut at = self.last_tick + self.tick;
         if !self.stats_interval.is_zero() {
             at = at.min(self.last_stats + self.stats_interval);
@@ -1232,22 +849,42 @@ impl RuntimeTask for DaemonTask {
 }
 
 impl DaemonTask {
-    /// The task's last act.  The threaded command threads kept reading
-    /// frames right up to the stop flag and blocked for in-flight replies,
-    /// so a client whose frame raced the teardown still got an answer
-    /// (E_UPGRADING during a quiesce, E_INTERNAL for work the dying
-    /// control queue abandoned) before its link closed.  Reproduce that
-    /// here, and run `finish` (on_stop + the goodbye sequence — slow,
-    /// networked) *before* the sweep so the unread-frame window between
-    /// the sweep and the link drop is microseconds, not the whole
-    /// teardown.
+    /// The task's last act.  A client whose frame raced the teardown still
+    /// gets an answer (E_UPGRADING during a quiesce, E_INTERNAL for work
+    /// the dying queue abandons) before its link closes.  `finish`
+    /// (on_stop + the goodbye sequence — slow, networked) runs *before*
+    /// the sweep so the unread-frame window between the sweep and the link
+    /// drop is microseconds, not the whole teardown.
     fn stop_poll(&mut self) -> TaskPoll {
         self.finish();
-        let mut ignored = false;
-        self.poll_sessions(&mut ignored);
-        while self.control_rx.try_recv().is_some() {}
-        self.flush_replies(&mut ignored);
+        self.poll_sessions();
+        let abandoned = Reply::err(ErrorCode::Internal, "control plane did not reply");
+        while let Some(msg) = self.control.rx.try_recv() {
+            if let ControlMsg::Execute { session, .. } = msg {
+                send_reply(&mut self.sessions, session, &abandoned);
+            }
+        }
+        if self.upgrading.load(Ordering::SeqCst) && !self.crashed.load(Ordering::SeqCst) {
+            self.answer_in_advance();
+        }
         TaskPoll::Complete
+    }
+
+    /// Close the window the sweep leaves, for the case that promises zero
+    /// drops: a quiesced daemon retiring for its replacement leaves one
+    /// `E_UPGRADING` on every session before the links drop.  A frame that
+    /// arrives after the sweep is never read, so it never runs — and its
+    /// sender reads this as the reply (retry, against the replacement)
+    /// instead of a closed link that cannot say whether the verb ran.  A
+    /// peer that sends nothing finds the frame queued at its next health
+    /// check and discards the link.
+    fn answer_in_advance(&mut self) {
+        let moved = upgrading_refusal().to_cmdline();
+        for slot in self.sessions.values_mut() {
+            if let Session::Established { link, .. } = &mut slot.session {
+                let _ = link.send_cmd(&moved);
+            }
+        }
     }
 
     fn poll_accepts(&mut self, more: &mut bool) {
@@ -1341,13 +978,12 @@ impl DaemonTask {
         *more = true;
     }
 
-    fn poll_sessions(&mut self, more: &mut bool) {
+    fn poll_sessions(&mut self) {
         let ready: Vec<u64> = std::mem::take(&mut *self.ready.lock());
         for id in ready {
-            if !self.progress_handshake(id) {
-                continue;
+            if self.progress_handshake(id) {
+                self.read_session_frames(id);
             }
-            self.read_session_frames(id, more);
         }
     }
 
@@ -1389,7 +1025,7 @@ impl DaemonTask {
                 slot.session = Session::Established {
                     link,
                     from,
-                    pending: None,
+                    busy: false,
                 };
                 true
             }
@@ -1402,282 +1038,106 @@ impl DaemonTask {
     }
 
     /// Parse, validate, gate, and admit frames from one established
-    /// session — the command thread's per-message pipeline, minus the
-    /// blocking reply wait (see `flush_replies`).
-    fn read_session_frames(&mut self, id: u64, more: &mut bool) {
+    /// session — the command role's per-message pipeline.  Every refusal
+    /// is answered inline and never enters the queue; the first admitted
+    /// command ends the read until [`send_reply`] has answered it.
+    fn read_session_frames(&mut self, id: u64) {
+        let Some(slot) = self.sessions.get_mut(&id) else {
+            return;
+        };
+        let Session::Established { link, from, busy } = &mut slot.session else {
+            return;
+        };
+        if *busy {
+            return; // one in flight; `send_reply` re-marks the session
+        }
         let mut dead = false;
-        {
-            let Some(slot) = self.sessions.get_mut(&id) else {
-                return;
-            };
-            let Session::Established {
-                link,
-                from,
-                pending,
-            } = &mut slot.session
-            else {
-                return;
-            };
-            if pending.is_some() {
-                return; // one in flight; flush_replies re-marks the session
-            }
-            let mut frames = 0;
-            while frames < FRAMES_PER_SESSION {
-                let cmd = match link.try_recv_cmd() {
-                    Ok(Some(cmd)) => cmd,
-                    Ok(None) => break,
-                    Err(LinkError::Malformed(msg)) => {
-                        frames += 1;
-                        if link
-                            .send_cmd(&Reply::err(ErrorCode::Parse, msg).to_cmdline())
-                            .is_err()
-                        {
-                            dead = true;
-                            break;
-                        }
-                        continue;
-                    }
-                    // Closed peer, dead host, or a tampered frame: end the
-                    // session.
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                };
-                frames += 1;
-                // Semantic validation happens before admission, exactly as
-                // §2.2 describes the receiving side's parser doing.
-                if let Err(e) = self.semantics.validate(&cmd) {
-                    self.rejected.incr();
-                    if link
-                        .send_cmd(&Reply::err(ErrorCode::Semantics, e.to_string()).to_cmdline())
-                        .is_err()
-                    {
-                        dead = true;
-                        break;
-                    }
-                    continue;
+        let mut frames = 0;
+        while frames < FRAMES_PER_SESSION {
+            let received = match link.try_recv_cmd() {
+                Ok(Some(cmd)) => Ok(cmd),
+                Ok(None) => break,
+                Err(LinkError::Malformed(msg)) => Err(Reply::err(ErrorCode::Parse, msg)),
+                // Closed peer, dead host, or a tampered frame: end the
+                // session.
+                Err(_) => {
+                    dead = true;
+                    break;
                 }
-                // Quiesce gate: once an upgrade begins, refuse new work
-                // before it reaches the draining control queue.  Probes and
-                // the upgrade plane itself stay open.
-                if self.upgrading.load(Ordering::SeqCst)
-                    && !matches!(cmd.name(), "ping" | "describe" | "aceUpgrade")
-                {
-                    self.upgrade_rejected.incr();
-                    if link
-                        .send_cmd(
-                            &Reply::err(ErrorCode::Upgrading, "service is upgrading; retry")
-                                .to_cmdline(),
-                        )
-                        .is_err()
+            };
+            frames += 1;
+            let refusal = match received {
+                Err(unparsed) => unparsed,
+                Ok(cmd) => {
+                    if let Err(e) = self.semantics.validate(&cmd) {
+                        // Semantic validation happens before admission,
+                        // exactly as §2.2 describes the receiving side's
+                        // parser doing.
+                        self.rejected.incr();
+                        Reply::err(ErrorCode::Semantics, e.to_string())
+                    } else if self.upgrading.load(Ordering::SeqCst)
+                        && !matches!(cmd.name(), "ping" | "describe" | "aceUpgrade")
                     {
-                        dead = true;
-                        break;
-                    }
-                    continue;
-                }
-                // Overload control before the control queue: expired
-                // deadlines and saturated lanes are refused with retryable
-                // errors instead of buffered.
-                let now = Instant::now();
-                let deadline = cmd
-                    .deadline_ms()
-                    .map(|ms| now + Duration::from_millis(ms.max(0) as u64));
-                if self.control_tx.enforce_deadlines() {
-                    if let Some(ms) = cmd.deadline_ms() {
-                        if ms <= 0 {
-                            self.shed_deadline.incr();
-                            if link
-                                .send_cmd(
-                                    &Reply::err(ErrorCode::Deadline, "deadline already expired")
-                                        .to_cmdline(),
-                                )
-                                .is_err()
-                            {
+                        // Quiesce gate: once an upgrade begins, refuse new
+                        // work before it reaches the draining control
+                        // queue.  Probes and the upgrade plane itself stay
+                        // open.
+                        self.upgrade_rejected.incr();
+                        upgrading_refusal()
+                    } else if self.control_tx.enforce_deadlines()
+                        && matches!(cmd.deadline_ms(), Some(ms) if ms <= 0)
+                    {
+                        // Overload control before the control queue:
+                        // expired deadlines and saturated lanes are refused
+                        // with retryable errors instead of buffered.
+                        self.shed_deadline.incr();
+                        Reply::err(ErrorCode::Deadline, "deadline already expired")
+                    } else {
+                        let now = Instant::now();
+                        let deadline = cmd
+                            .deadline_ms()
+                            .map(|ms| now + Duration::from_millis(ms.max(0) as u64));
+                        let lane = if protocol::is_priority_verb(cmd.name()) {
+                            Lane::Priority
+                        } else {
+                            Lane::Bulk
+                        };
+                        let msg = ControlMsg::Execute {
+                            cmd,
+                            from: from.clone(),
+                            session: id,
+                            enqueued: now,
+                            deadline,
+                        };
+                        match self.control_tx.offer(lane, msg) {
+                            Ok(()) => {
+                                *busy = true;
+                                break;
+                            }
+                            Err(AdmitError::Busy) => Reply::err(
+                                ErrorCode::Busy,
+                                "admission queue saturated; retry later",
+                            ),
+                            Err(AdmitError::Closed) => {
                                 dead = true;
                                 break;
                             }
-                            continue;
                         }
                     }
                 }
-                let lane = if protocol::is_priority_verb(cmd.name()) {
-                    Lane::Priority
-                } else {
-                    Lane::Bulk
-                };
-                let (reply_tx, reply_rx) = crossbeam_channel::bounded(1);
-                match self.control_tx.offer(
-                    lane,
-                    ControlMsg::Execute {
-                        cmd,
-                        from: from.clone(),
-                        reply: reply_tx,
-                        enqueued: now,
-                        deadline,
-                    },
-                ) {
-                    Ok(()) => {
-                        *pending = Some((reply_rx, now));
-                        break; // one in flight per session
-                    }
-                    Err(AdmitError::Busy) => {
-                        if link
-                            .send_cmd(
-                                &Reply::err(
-                                    ErrorCode::Busy,
-                                    "admission queue saturated; retry later",
-                                )
-                                .to_cmdline(),
-                            )
-                            .is_err()
-                        {
-                            dead = true;
-                            break;
-                        }
-                        continue;
-                    }
-                    Err(AdmitError::Closed) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if frames >= FRAMES_PER_SESSION && !dead {
-                // Cap hit with input possibly still buffered: re-queue the
-                // session and yield instead of starving siblings.
-                slot.signal.mark();
-                *more = true;
+            };
+            if link.send_cmd(&refusal.to_cmdline()).is_err() {
+                dead = true;
+                break;
             }
         }
         if dead {
             self.sessions.remove(&id);
-        }
-    }
-
-    /// The control thread's dequeue half: CoDel accounting, queue-lapsed
-    /// deadline shedding, upgrade plane, dispatch.
-    fn drain_control(&mut self, more: &mut bool) {
-        let mut n = 0;
-        while n < CONTROL_PER_POLL {
-            match self.control_rx.try_recv() {
-                Some(ControlMsg::Execute {
-                    cmd,
-                    from,
-                    reply,
-                    enqueued,
-                    deadline,
-                }) => {
-                    n += 1;
-                    let waited = enqueued.elapsed();
-                    self.control_rx.note_wait(waited);
-                    self.queue_wait.record(waited);
-                    // Shed work whose client-side budget lapsed in queue.
-                    if self.control_rx.enforce_deadlines() {
-                        if let Some(d) = deadline {
-                            if Instant::now() >= d {
-                                self.shed_deadline.incr();
-                                let _ = reply.send(
-                                    Reply::err(
-                                        ErrorCode::Deadline,
-                                        "deadline expired in queue; shed before execution",
-                                    )
-                                    .to_cmdline(),
-                                );
-                                continue;
-                            }
-                        }
-                    }
-                    if cmd.name() == "aceUpgrade" {
-                        let response = handle_upgrade(
-                            &self.control_rx,
-                            &mut self.behavior,
-                            &mut self.ctx,
-                            &mut self.registry,
-                            &mut self.stats,
-                            &self.upgrading,
-                            &self.auth,
-                            &self.name,
-                            &self.class,
-                            &self.room,
-                            &self.semantics,
-                            self.incarnation,
-                            &cmd,
-                            &from,
-                            &self.stop,
-                        );
-                        let _ = reply.send(response.to_cmdline());
-                        continue;
-                    }
-                    dispatch_execute(
-                        &mut self.behavior,
-                        &mut self.ctx,
-                        &mut self.registry,
-                        &mut self.stats,
-                        &self.auth,
-                        &self.name,
-                        &self.class,
-                        &self.room,
-                        &self.semantics,
-                        self.incarnation,
-                        cmd,
-                        from,
-                        reply,
-                        deadline,
-                        &self.stop,
-                    );
-                }
-                Some(ControlMsg::Data(datagram)) => {
-                    n += 1;
-                    self.behavior.on_data(&mut self.ctx, datagram);
-                    drain_events(&mut self.ctx, &self.registry, &self.name);
-                }
-                Some(ControlMsg::Stop) => {
-                    self.stop.store(true, Ordering::SeqCst);
-                    return;
-                }
-                None => return,
-            }
-        }
-        *more = true;
-    }
-
-    /// Deliver finished replies back onto their sessions — the command
-    /// thread's `reply_rx.recv_timeout` made non-blocking.
-    fn flush_replies(&mut self, more: &mut bool) {
-        let mut dead: Vec<u64> = Vec::new();
-        for (&id, slot) in self.sessions.iter_mut() {
-            let Session::Established { link, pending, .. } = &mut slot.session else {
-                continue;
-            };
-            let Some((reply_rx, offered)) = pending else {
-                continue;
-            };
-            let reply = match reply_rx.try_recv() {
-                Ok(reply) => reply,
-                Err(TryRecvError::Empty) => {
-                    if offered.elapsed() < REPLY_TIMEOUT {
-                        continue;
-                    }
-                    Reply::err(ErrorCode::Internal, "control plane did not reply").to_cmdline()
-                }
-                Err(TryRecvError::Disconnected) => {
-                    Reply::err(ErrorCode::Internal, "control plane did not reply").to_cmdline()
-                }
-            };
-            *pending = None;
-            if link.send_cmd(&reply).is_err() {
-                dead.push(id);
-            } else {
-                // More frames may be buffered behind the one just
-                // answered.
-                slot.signal.mark();
-                *more = true;
-            }
-        }
-        for id in dead {
-            self.sessions.remove(&id);
+        } else if frames >= FRAMES_PER_SESSION {
+            // Cap hit with input possibly still buffered: re-queue the
+            // session so the poll goes round again instead of starving
+            // siblings.
+            slot.signal.mark();
         }
     }
 
@@ -1694,36 +1154,34 @@ impl DaemonTask {
     fn finish(&mut self) {
         let crashed = self.crashed.load(Ordering::SeqCst);
         if !crashed {
-            self.behavior.on_stop(&mut self.ctx);
+            self.control.behavior.on_stop(&mut self.control.ctx);
         }
         self.lease
             .goodbye(crashed, self.deregister.load(Ordering::SeqCst));
     }
 }
 
-/// Everything the control thread owns, bundled so the spawn site stays
-/// readable as the daemon grows capabilities.
-struct ControlParams {
+// ---------------------------------------------------------------------------
+// The control role
+// ---------------------------------------------------------------------------
+
+/// Everything the control role owns: the behavior with its context and
+/// notification registry, what the KeyNote check needs, and the consumer
+/// end of the admission queue.  One owner, so dispatch, the upgrade plane
+/// and the built-in verbs are methods instead of functions threading a
+/// dozen borrowed fields.
+struct Control {
     rx: AdmissionReceiver<ControlMsg>,
     behavior: Box<dyn ServiceBehavior>,
     ctx: ServiceCtx,
-    stop: Arc<AtomicBool>,
-    crashed: Arc<AtomicBool>,
-    upgrading: Arc<AtomicBool>,
+    registry: NotificationRegistry,
     auth: AuthMode,
-    name: String,
-    class: String,
-    room: String,
     semantics: Arc<Semantics>,
-    tick: Duration,
-    stats_interval: Duration,
     incarnation: u64,
-    notifications: Vec<(String, Registration)>,
-}
-
-/// Per-dispatch bookkeeping shared between the main loop and the upgrade
-/// drain (which executes queued verbs through the same path).
-struct DispatchStats {
+    stop: Arc<AtomicBool>,
+    upgrading: Arc<AtomicBool>,
+    queue_wait: Arc<Histogram>,
+    shed_deadline: Arc<Counter>,
     panics: Arc<Counter>,
     errors: Arc<Counter>,
     /// Per-verb service-time histograms, cached so the hot path never takes
@@ -1731,378 +1189,128 @@ struct DispatchStats {
     verb_hists: HashMap<String, Arc<Histogram>>,
 }
 
-fn control_loop(params: ControlParams) {
-    let ControlParams {
-        rx,
-        mut behavior,
-        mut ctx,
-        stop,
-        crashed,
-        upgrading,
-        auth,
-        name,
-        class,
-        room,
-        semantics,
-        tick,
-        stats_interval,
-        incarnation,
-        notifications,
-    } = params;
-    let mut registry = NotificationRegistry::new();
-    // Listeners carried over from the previous incarnation (live upgrade)
-    // are live before the first command executes.
-    for (watched, registration) in notifications {
-        registry.add(&watched, registration);
-    }
-    // Eagerly created so `aceStats` always reports them, even at zero.
-    let mut stats = DispatchStats {
-        panics: ctx.metrics().counter("control.panics"),
-        errors: ctx.metrics().counter("cmd.errors"),
-        verb_hists: HashMap::new(),
-    };
-    let queue_wait = ctx.metrics().histogram("control.queueWait");
-    let shed_deadline = ctx.metrics().counter("shed.deadline");
-    let mut last_stats = Instant::now();
-    behavior.on_start(&mut ctx);
-    drain_events(&mut ctx, &registry, &name);
-
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match rx.recv_timeout(tick) {
-            Ok(ControlMsg::Execute {
-                cmd,
-                from,
-                reply,
-                enqueued,
-                deadline,
-            }) => {
-                // Feed the CoDel estimator (the queue-depth gauge is kept
-                // current by the admission queue itself, on enqueue *and*
-                // dequeue).
-                let waited = enqueued.elapsed();
-                rx.note_wait(waited);
-                queue_wait.record(waited);
-                // Shed work whose client-side budget lapsed in queue: the
-                // caller is gone, executing would burn capacity for nobody.
-                if rx.enforce_deadlines() {
-                    if let Some(d) = deadline {
-                        if Instant::now() >= d {
-                            shed_deadline.incr();
-                            let _ = reply.send(
-                                Reply::err(
-                                    ErrorCode::Deadline,
-                                    "deadline expired in queue; shed before execution",
-                                )
-                                .to_cmdline(),
-                            );
-                            continue;
-                        }
-                    }
-                }
-                if cmd.name() == "aceUpgrade" {
-                    let response = handle_upgrade(
-                        &rx,
-                        &mut behavior,
-                        &mut ctx,
-                        &mut registry,
-                        &mut stats,
-                        &upgrading,
-                        &auth,
-                        &name,
-                        &class,
-                        &room,
-                        &semantics,
-                        incarnation,
-                        &cmd,
-                        &from,
-                        &stop,
-                    );
-                    let _ = reply.send(response.to_cmdline());
-                    continue;
-                }
-                dispatch_execute(
-                    &mut behavior,
-                    &mut ctx,
-                    &mut registry,
-                    &mut stats,
-                    &auth,
-                    &name,
-                    &class,
-                    &room,
-                    &semantics,
-                    incarnation,
+impl Control {
+    /// The dequeue half: CoDel accounting, queue-lapsed deadline shedding,
+    /// upgrade plane, dispatch — and the reply, sent on the session that
+    /// asked as soon as dispatch returns.
+    fn drain(&mut self, sessions: &mut Sessions, more: &mut bool) {
+        let mut n = 0;
+        while n < CONTROL_PER_POLL {
+            match self.rx.try_recv() {
+                Some(ControlMsg::Execute {
                     cmd,
                     from,
-                    reply,
+                    session,
+                    enqueued,
                     deadline,
-                    &stop,
-                );
-            }
-            Ok(ControlMsg::Data(datagram)) => {
-                behavior.on_data(&mut ctx, datagram);
-                drain_events(&mut ctx, &registry, &name);
-            }
-            Ok(ControlMsg::Stop) => break,
-            Err(AdmissionRecvError::Timeout) => {
-                behavior.on_tick(&mut ctx);
-                drain_events(&mut ctx, &registry, &name);
-                if ctx.stop_requested {
-                    stop.store(true, Ordering::SeqCst);
+                }) => {
+                    n += 1;
+                    // Feed the CoDel estimator (the queue-depth gauge is
+                    // kept current by the admission queue itself, on
+                    // enqueue *and* dequeue).
+                    let waited = enqueued.elapsed();
+                    self.rx.note_wait(waited);
+                    self.queue_wait.record(waited);
+                    let lapsed = self.rx.enforce_deadlines()
+                        && matches!(deadline, Some(d) if Instant::now() >= d);
+                    let reply = if lapsed {
+                        // Shed work whose client-side budget lapsed in
+                        // queue: the caller is gone, executing would burn
+                        // capacity for nobody.
+                        self.shed_deadline.incr();
+                        Reply::err(
+                            ErrorCode::Deadline,
+                            "deadline expired in queue; shed before execution",
+                        )
+                    } else if cmd.name() == "aceUpgrade" {
+                        self.upgrade(sessions, &cmd, &from)
+                    } else {
+                        self.dispatch(&cmd, &from, deadline)
+                    };
+                    send_reply(sessions, session, &reply);
                 }
+                Some(ControlMsg::Data(datagram)) => {
+                    n += 1;
+                    self.with_behavior(|b, ctx| b.on_data(ctx, datagram));
+                }
+                Some(ControlMsg::Stop) => {
+                    self.stop.store(true, Ordering::SeqCst);
+                    return;
+                }
+                None => return,
             }
-            Err(AdmissionRecvError::Disconnected) => break,
         }
-        if !stats_interval.is_zero() && last_stats.elapsed() >= stats_interval {
-            last_stats = Instant::now();
-            behavior.on_stats(&mut ctx);
-            ctx.push_stats_event();
+        *more = true;
+    }
+
+    /// Run one behavior callback, then [`Self::settle`].
+    fn with_behavior(&mut self, call: impl FnOnce(&mut dyn ServiceBehavior, &mut ServiceCtx)) {
+        call(&mut *self.behavior, &mut self.ctx);
+        self.settle();
+    }
+
+    /// After the behavior ran: notify the listeners of every event it
+    /// emitted, and pass on a stop it requested.
+    fn settle(&mut self) {
+        for event in std::mem::take(&mut self.ctx.pending_events) {
+            self.fire_notifications(&event);
+        }
+        if self.ctx.stop_requested {
+            self.stop.store(true, Ordering::SeqCst);
         }
     }
-    if !crashed.load(Ordering::SeqCst) {
-        behavior.on_stop(&mut ctx);
-    }
-}
 
-/// Execute one queued command end-to-end: authorize + run (panic-proofed),
-/// record service time, send the reply, fire notifications, drain events.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_execute(
-    behavior: &mut Box<dyn ServiceBehavior>,
-    ctx: &mut ServiceCtx,
-    registry: &mut NotificationRegistry,
-    stats: &mut DispatchStats,
-    auth: &AuthMode,
-    name: &str,
-    class: &str,
-    room: &str,
-    semantics: &Semantics,
-    incarnation: u64,
-    cmd: CmdLine,
-    from: ClientInfo,
-    reply: Sender<CmdLine>,
-    deadline: Option<Instant>,
-    stop: &AtomicBool,
-) {
-    let started = Instant::now();
-    // Handlers (and any downstream call they make) see the remaining
-    // client budget through `ctx.time_remaining()`.
-    ctx.set_deadline(deadline);
-    // A panicking handler must not take down the control thread — the
-    // caller gets an Internal error and the daemon keeps serving everyone
-    // else.
-    let response = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        execute(
-            behavior,
-            ctx,
-            registry,
-            auth,
-            name,
-            class,
-            room,
-            semantics,
-            incarnation,
-            &cmd,
-            &from,
-        )
-    }))
-    .unwrap_or_else(|_| {
-        stats.panics.incr();
-        ctx.log("error", format!("handler for `{}` panicked", cmd.name()));
-        Reply::err(
-            ErrorCode::Internal,
-            format!("handler for `{}` panicked", cmd.name()),
-        )
-    });
-    ctx.set_deadline(None);
-    stats
-        .verb_hists
-        .entry(cmd.name().to_string())
-        .or_insert_with(|| ctx.metrics().histogram(&format!("cmd.{}", cmd.name())))
-        .record(started.elapsed());
-    let succeeded = response.is_ok();
-    if !succeeded {
-        stats.errors.incr();
+    /// Bring this daemon's registry up to date before it is read: the
+    /// runtime's gauges (tasks live, worker count, long polls), then
+    /// whatever internal state the service exports (e.g. WAL batch
+    /// counters from the store).
+    fn refresh_stats(&mut self) {
+        self.ctx.runtime.publish_into(self.ctx.metrics());
+        self.behavior.on_stats(&mut self.ctx);
     }
-    let _ = reply.send(response.to_cmdline());
-    // §2.5: notifications fire after the command has executed.
-    if succeeded {
-        fire_notifications(ctx, registry, name, &cmd);
-    }
-    drain_events(ctx, registry, name);
-    if ctx.stop_requested {
-        stop.store(true, Ordering::SeqCst);
-    }
-}
 
-/// The short grace period after the quiesce gate closes: a command thread
-/// that checked the gate just before it closed may still enqueue one verb,
-/// so the drain takes one extra look after going empty.
-const QUIESCE_GRACE: Duration = Duration::from_millis(5);
-
-/// The `aceUpgrade` control plane, run on the control thread so the drain
-/// and snapshot observe a fully quiesced behavior.
-#[allow(clippy::too_many_arguments)]
-fn handle_upgrade(
-    rx: &AdmissionReceiver<ControlMsg>,
-    behavior: &mut Box<dyn ServiceBehavior>,
-    ctx: &mut ServiceCtx,
-    registry: &mut NotificationRegistry,
-    stats: &mut DispatchStats,
-    upgrading: &AtomicBool,
-    auth: &AuthMode,
-    name: &str,
-    class: &str,
-    room: &str,
-    semantics: &Semantics,
-    incarnation: u64,
-    cmd: &CmdLine,
-    from: &ClientInfo,
-    stop: &AtomicBool,
-) -> Reply {
-    // The upgrade plane is never authorization-exempt: quiescing a daemon
-    // is as invasive as `shutdown`.
-    let env = action_env_for(name, class, room, cmd);
-    if !auth.check(&from.principal, &env) {
-        ctx.log(
-            "security",
-            format!(
-                "denied `aceUpgrade` from {} at {}",
-                from.principal, from.addr
-            ),
-        );
-        return Reply::err(ErrorCode::Denied, "no credentials permit `aceUpgrade`");
-    }
-    match cmd.get_text("phase") {
-        Some("status") => Reply::ok_with(|c| {
-            c.arg("upgrading", upgrading.load(Ordering::SeqCst))
-                .arg("incarnation", incarnation)
-        }),
-        Some("abort") => {
-            upgrading.store(false, Ordering::SeqCst);
-            ctx.log("info", "upgrade aborted; re-admitting traffic");
-            Reply::ok_with(|c| c.arg("incarnation", incarnation))
+    /// Execute one queued command end-to-end: authorize + run
+    /// (panic-proofed), record service time, fire notifications, drain
+    /// events.  The caller sends the returned reply.
+    fn dispatch(&mut self, cmd: &CmdLine, from: &ClientInfo, deadline: Option<Instant>) -> Reply {
+        let started = Instant::now();
+        // Handlers (and any downstream call they make) see the remaining
+        // client budget through `ctx.time_remaining()`.
+        self.ctx.set_deadline(deadline);
+        // A panicking handler must not take down the daemon task — the
+        // caller gets an Internal error and the daemon keeps serving
+        // everyone else.
+        let response = std::panic::catch_unwind(AssertUnwindSafe(|| self.execute(cmd, from)))
+            .unwrap_or_else(|_| {
+                self.panics.incr();
+                self.ctx
+                    .log("error", format!("handler for `{}` panicked", cmd.name()));
+                Reply::err(
+                    ErrorCode::Internal,
+                    format!("handler for `{}` panicked", cmd.name()),
+                )
+            });
+        self.ctx.set_deadline(None);
+        self.verb_hists
+            .entry(cmd.name().to_string())
+            .or_insert_with(|| self.ctx.metrics().histogram(&format!("cmd.{}", cmd.name())))
+            .record(started.elapsed());
+        // §2.5: notifications fire after the command has executed.
+        if response.is_ok() {
+            self.fire_notifications(cmd);
+        } else {
+            self.errors.incr();
         }
-        Some("quiesce") => {
-            let started = Instant::now();
-            upgrading.store(true, Ordering::SeqCst);
-            // Drain in-flight verbs: everything already queued (plus any
-            // straggler that passed the gate as it closed) executes and
-            // replies normally before the state is frozen.
-            let mut drained: u64 = 0;
-            let mut graced = false;
-            loop {
-                match rx.try_recv() {
-                    Some(ControlMsg::Execute {
-                        cmd,
-                        from,
-                        reply,
-                        deadline,
-                        ..
-                    }) => {
-                        graced = false;
-                        if cmd.name() == "aceUpgrade" {
-                            // A second driver racing us observes the quiesce
-                            // already in progress instead of recursing.
-                            let _ = reply.send(
-                                Reply::ok_with(|c| {
-                                    c.arg("upgrading", true).arg("incarnation", incarnation)
-                                })
-                                .to_cmdline(),
-                            );
-                            continue;
-                        }
-                        drained += 1;
-                        dispatch_execute(
-                            behavior,
-                            ctx,
-                            registry,
-                            stats,
-                            auth,
-                            name,
-                            class,
-                            room,
-                            semantics,
-                            incarnation,
-                            cmd,
-                            from,
-                            reply,
-                            deadline,
-                            stop,
-                        );
-                    }
-                    Some(ControlMsg::Data(datagram)) => {
-                        behavior.on_data(ctx, datagram);
-                        drain_events(ctx, registry, name);
-                    }
-                    Some(ControlMsg::Stop) => {
-                        stop.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                    None => {
-                        if graced {
-                            break;
-                        }
-                        std::thread::sleep(QUIESCE_GRACE);
-                        graced = true;
-                    }
-                }
-            }
-            let metrics = Arc::clone(ctx.metrics());
-            metrics.counter("upgrade.drainedVerbs").add(drained);
-            metrics
-                .histogram("upgrade.quiesceTime")
-                .record(started.elapsed());
-            let snapshot = behavior.snapshot_state();
-            let notifications = registry.export();
-            ctx.log(
-                "info",
-                format!("quiesced for upgrade ({drained} verbs drained)"),
-            );
-            Reply::ok_with(|c| {
-                let mut c = c.arg("incarnation", incarnation).arg("drained", drained);
-                if let Some(bytes) = &snapshot {
-                    c = c.arg("snapshot", Value::Word(protocol::hex_encode(bytes)));
-                }
-                if !notifications.is_empty() {
-                    c = c.arg(
-                        "notifications",
-                        protocol::registrations_to_value(&notifications),
-                    );
-                }
-                c
-            })
-        }
-        _ => Reply::err(
-            ErrorCode::Semantics,
-            "phase must be quiesce | abort | status",
-        ),
+        self.settle();
+        response
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn execute(
-    behavior: &mut Box<dyn ServiceBehavior>,
-    ctx: &mut ServiceCtx,
-    registry: &mut NotificationRegistry,
-    auth: &AuthMode,
-    name: &str,
-    class: &str,
-    room: &str,
-    semantics: &Semantics,
-    incarnation: u64,
-    cmd: &CmdLine,
-    from: &ClientInfo,
-) -> Reply {
-    // Liveness probes are exempt from authorization — the framework itself
-    // pings services whose principals it cannot know in advance.
-    let exempt = matches!(cmd.name(), "ping" | "describe");
-    if !exempt {
-        let env = action_env_for(name, class, room, cmd);
-        if !auth.check(&from.principal, &env) {
-            ctx.log(
+    /// Does `from` hold credentials for `cmd`?  A refusal is logged.
+    fn authorized(&self, cmd: &CmdLine, from: &ClientInfo) -> bool {
+        let env = action_env_for(self.ctx.name(), self.ctx.class(), self.ctx.room(), cmd);
+        let permitted = self.auth.check(&from.principal, &env);
+        if !permitted {
+            self.ctx.log(
                 "security",
                 format!(
                     "denied `{}` from {} at {}",
@@ -2111,100 +1319,190 @@ fn execute(
                     from.addr
                 ),
             );
+        }
+        permitted
+    }
+
+    /// The `aceUpgrade` control plane, run between dispatches so the drain
+    /// and snapshot observe a fully quiesced behavior.
+    fn upgrade(&mut self, sessions: &mut Sessions, cmd: &CmdLine, from: &ClientInfo) -> Reply {
+        // The upgrade plane is never authorization-exempt: quiescing a
+        // daemon is as invasive as `shutdown`.
+        if !self.authorized(cmd, from) {
+            return Reply::err(ErrorCode::Denied, "no credentials permit `aceUpgrade`");
+        }
+        let incarnation = self.incarnation;
+        match cmd.get_text("phase") {
+            Some("status") => Reply::ok_with(|c| {
+                c.arg("upgrading", self.upgrading.load(Ordering::SeqCst))
+                    .arg("incarnation", incarnation)
+            }),
+            Some("abort") => {
+                self.upgrading.store(false, Ordering::SeqCst);
+                self.ctx
+                    .log("info", "upgrade aborted; re-admitting traffic");
+                Reply::ok_with(|c| c.arg("incarnation", incarnation))
+            }
+            Some("quiesce") => {
+                let started = Instant::now();
+                self.upgrading.store(true, Ordering::SeqCst);
+                // Drain in-flight verbs: everything already admitted
+                // executes and replies normally before the state is frozen.
+                // Intake and this drain are stages of the same poll, so
+                // nothing but `Stop` can be enqueued while it runs; a frame
+                // still unread in a link buffer meets the closed gate on
+                // the next poll.
+                let mut drained: u64 = 0;
+                while let Some(msg) = self.rx.try_recv() {
+                    match msg {
+                        ControlMsg::Execute {
+                            cmd,
+                            from,
+                            session,
+                            deadline,
+                            ..
+                        } => {
+                            let reply = if cmd.name() == "aceUpgrade" {
+                                // A second driver racing us observes the
+                                // quiesce already in progress instead of
+                                // recursing.
+                                Reply::ok_with(|c| {
+                                    c.arg("upgrading", true).arg("incarnation", incarnation)
+                                })
+                            } else {
+                                drained += 1;
+                                self.dispatch(&cmd, &from, deadline)
+                            };
+                            send_reply(sessions, session, &reply);
+                        }
+                        ControlMsg::Data(datagram) => {
+                            self.with_behavior(|b, ctx| b.on_data(ctx, datagram));
+                        }
+                        ControlMsg::Stop => {
+                            self.stop.store(true, Ordering::SeqCst);
+                            break;
+                        }
+                    }
+                }
+                let metrics = Arc::clone(self.ctx.metrics());
+                metrics.counter("upgrade.drainedVerbs").add(drained);
+                metrics
+                    .histogram("upgrade.quiesceTime")
+                    .record(started.elapsed());
+                let snapshot = self.behavior.snapshot_state();
+                let notifications = self.registry.export();
+                self.ctx.log(
+                    "info",
+                    format!("quiesced for upgrade ({drained} verbs drained)"),
+                );
+                Reply::ok_with(|c| {
+                    let mut c = c.arg("incarnation", incarnation).arg("drained", drained);
+                    if let Some(bytes) = &snapshot {
+                        c = c.arg("snapshot", Value::Word(protocol::hex_encode(bytes)));
+                    }
+                    if !notifications.is_empty() {
+                        c = c.arg(
+                            "notifications",
+                            protocol::registrations_to_value(&notifications),
+                        );
+                    }
+                    c
+                })
+            }
+            _ => Reply::err(
+                ErrorCode::Semantics,
+                "phase must be quiesce | abort | status",
+            ),
+        }
+    }
+
+    /// The KeyNote check, then the built-in verbs or the behavior's own.
+    fn execute(&mut self, cmd: &CmdLine, from: &ClientInfo) -> Reply {
+        // Liveness probes are exempt from authorization — the framework itself
+        // pings services whose principals it cannot know in advance.
+        let exempt = matches!(cmd.name(), "ping" | "describe");
+        if !exempt && !self.authorized(cmd, from) {
             return Reply::err(
                 ErrorCode::Denied,
                 format!("no credentials permit `{}`", cmd.name()),
             );
         }
-    }
 
-    match cmd.name() {
-        "ping" => Reply::ok_with(|c| c.arg("service", name).arg("incarnation", incarnation)),
-        "describe" => {
-            let mut names: Vec<Scalar> = semantics
-                .specs()
-                .map(|s| Scalar::Word(s.name.clone()))
-                .collect();
-            names.sort_by(|a, b| match (a, b) {
-                (Scalar::Word(x), Scalar::Word(y)) => x.cmp(y),
-                _ => std::cmp::Ordering::Equal,
-            });
-            Reply::ok_with(|c| c.arg("cmds", Value::Vector(names)).arg("class", class))
-        }
-        "shutdown" => {
-            ctx.request_stop();
-            Reply::ok()
-        }
-        "aceStats" => {
-            // Shared-runtime gauges (tasks live, worker count, long polls)
-            // refresh on demand, so `aceStats` sees current values even
-            // between periodic stats events.
-            if let Some(rt) = &ctx.runtime {
-                rt.publish_into(ctx.metrics());
+        match cmd.name() {
+            "ping" => Reply::ok_with(|c| {
+                c.arg("service", self.ctx.name())
+                    .arg("incarnation", self.incarnation)
+            }),
+            "describe" => {
+                let mut names: Vec<Scalar> = self
+                    .semantics
+                    .specs()
+                    .map(|s| Scalar::Word(s.name.clone()))
+                    .collect();
+                names.sort_by(|a, b| match (a, b) {
+                    (Scalar::Word(x), Scalar::Word(y)) => x.cmp(y),
+                    _ => std::cmp::Ordering::Equal,
+                });
+                Reply::ok_with(|c| {
+                    c.arg("cmds", Value::Vector(names))
+                        .arg("class", self.ctx.class())
+                })
             }
-            // Let the service export its internal state first (e.g. WAL
-            // batch counters from the store), then freeze the registry.
-            behavior.on_stats(ctx);
-            let mut snap = ctx.metrics().snapshot();
-            if let Some(prefix) = cmd.get_text("prefix") {
-                snap.retain_prefix(prefix);
-            }
-            snap.to_reply()
-        }
-        "addNotification" => {
-            // Validation against `base_semantics` should guarantee these,
-            // but a graceful reply beats trusting that forever.
-            let (Some(watched), Some(service), Some(host), Some(port), Some(notify_cmd)) = (
-                cmd.get_text("cmd"),
-                cmd.get_text("service"),
-                cmd.get_text("host"),
-                cmd.get_int("port"),
-                cmd.get_text("notifyCmd"),
-            ) else {
-                return Reply::err(ErrorCode::Semantics, "missing or mistyped argument");
-            };
-            let registration = Registration {
-                service: service.to_string(),
-                addr: Addr::new(host, port as u16),
-                notify_cmd: notify_cmd.to_string(),
-            };
-            registry.add(watched, registration);
-            Reply::ok()
-        }
-        "removeNotification" => {
-            let (Some(watched), Some(service)) = (cmd.get_text("cmd"), cmd.get_text("service"))
-            else {
-                return Reply::err(ErrorCode::Semantics, "missing or mistyped argument");
-            };
-            if registry.remove(watched, service) {
+            "shutdown" => {
+                self.ctx.request_stop();
                 Reply::ok()
-            } else {
-                Reply::err(ErrorCode::NotFound, "no such notification")
             }
+            "aceStats" => {
+                // Refreshed on demand, so `aceStats` sees current values
+                // even between periodic stats events; then freeze the
+                // registry.
+                self.refresh_stats();
+                let mut snap = self.ctx.metrics().snapshot();
+                if let Some(prefix) = cmd.get_text("prefix") {
+                    snap.retain_prefix(prefix);
+                }
+                snap.to_reply()
+            }
+            "addNotification" => {
+                // Validation against `base_semantics` should guarantee these,
+                // but a graceful reply beats trusting that forever.
+                let (Some(watched), Some(service), Some(host), Some(port), Some(notify_cmd)) = (
+                    cmd.get_text("cmd"),
+                    cmd.get_text("service"),
+                    cmd.get_text("host"),
+                    cmd.get_int("port"),
+                    cmd.get_text("notifyCmd"),
+                ) else {
+                    return Reply::err(ErrorCode::Semantics, "missing or mistyped argument");
+                };
+                let registration = Registration {
+                    service: service.to_string(),
+                    addr: Addr::new(host, port as u16),
+                    notify_cmd: notify_cmd.to_string(),
+                };
+                self.registry.add(watched, registration);
+                Reply::ok()
+            }
+            "removeNotification" => {
+                let (Some(watched), Some(service)) = (cmd.get_text("cmd"), cmd.get_text("service"))
+                else {
+                    return Reply::err(ErrorCode::Semantics, "missing or mistyped argument");
+                };
+                if self.registry.remove(watched, service) {
+                    Reply::ok()
+                } else {
+                    Reply::err(ErrorCode::NotFound, "no such notification")
+                }
+            }
+            _ => self.behavior.handle(&mut self.ctx, cmd, from),
         }
-        _ => behavior.handle(ctx, cmd, from),
     }
-}
 
-fn fire_notifications(
-    ctx: &ServiceCtx,
-    registry: &NotificationRegistry,
-    name: &str,
-    executed: &CmdLine,
-) {
-    for registration in registry.listeners(executed.name()) {
-        let n = NotificationRegistry::notification_cmd(registration, name, executed);
-        ctx.send_async(registration.addr.clone(), n);
-    }
-}
-
-fn drain_events(ctx: &mut ServiceCtx, registry: &NotificationRegistry, name: &str) {
-    if ctx.pending_events.is_empty() {
-        return;
-    }
-    let events = std::mem::take(&mut ctx.pending_events);
-    for event in events {
-        fire_notifications(ctx, registry, name, &event);
+    fn fire_notifications(&self, executed: &CmdLine) {
+        for registration in self.registry.listeners(executed.name()) {
+            let n = NotificationRegistry::notification_cmd(registration, self.ctx.name(), executed);
+            self.ctx.send_async(registration.addr.clone(), n);
+        }
     }
 }
 
@@ -2220,8 +1518,8 @@ fn register_cmd(config: &DaemonConfig) -> CmdLine {
 }
 
 /// The ASD lease client (§2.4): periodic renewal, lapsed-lease
-/// re-registration, and the graceful-stop deregistration sequence.  Shared
-/// by the thread-per-daemon `lease_loop` and the cooperative `DaemonTask`.
+/// re-registration, and the graceful-stop deregistration sequence — the
+/// main role's afterlife, ticked by [`DaemonTask::poll`].
 struct LeaseState {
     net: SimNet,
     config: DaemonConfig,
@@ -2250,9 +1548,7 @@ impl LeaseState {
     ) -> LeaseState {
         let reconnect = RetryPolicy::new(config.lease_renew / 4)
             .with_cap(config.lease_renew)
-            .with_seed(config.name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-            }));
+            .with_seed(fnv64(config.name.as_bytes()));
         LeaseState {
             renewals: metrics.counter("lease.renewals"),
             failures: metrics.counter("lease.failures"),
@@ -2386,34 +1682,4 @@ impl LeaseState {
             }
         }
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn lease_loop(
-    net: SimNet,
-    config: DaemonConfig,
-    identity: Arc<KeyPair>,
-    stop: Arc<AtomicBool>,
-    crashed: Arc<AtomicBool>,
-    deregister: Arc<AtomicBool>,
-    metrics: Arc<MetricsRegistry>,
-    retry_budget: Arc<RetryBudget>,
-) {
-    let mut lease = LeaseState::new(net, config, identity, &metrics, retry_budget);
-    if lease.config.asd.is_none() {
-        // Nothing to renew and nothing to say goodbye to; just wait for
-        // shutdown.
-        while !stop.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        return;
-    }
-    while !stop.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(10));
-        lease.tick();
-    }
-    lease.goodbye(
-        crashed.load(Ordering::SeqCst),
-        deregister.load(Ordering::SeqCst),
-    );
 }

@@ -251,6 +251,14 @@ impl Conn {
         }
     }
 
+    /// Route up, peer still there, nothing queued inbound?
+    fn is_healthy_idle(&self) -> bool {
+        match self {
+            Conn::Direct(c) => c.is_healthy_idle(),
+            Conn::Pooled(p) => p.is_healthy_idle(),
+        }
+    }
+
     /// Could a command already have executed on this link before the
     /// current call?  True for links held over from a previous call and
     /// for pool checkouts that reused an idle link.
@@ -619,6 +627,18 @@ impl FailoverClient {
             } else {
                 cmd
             };
+            // The peer may have closed a held-over link since the last
+            // call (its daemon retired for a replacement, or died).  Find
+            // out before sending: nothing of this call has left yet, so
+            // letting go of the link — and of everything cached about that
+            // instance — is unambiguous, where a failure after the send
+            // would not be.  A link that fails the probe only because the
+            // route is down is kept: that call fails fast, as it always has.
+            if self.current.as_ref().is_some_and(|c| {
+                !c.is_healthy_idle() && self.net.reachable(&self.from_host, &c.target().host)
+            }) {
+                self.note_upgrading();
+            }
             let held_over = self.current.is_some();
             match self.connect_current() {
                 Ok(conn) => {

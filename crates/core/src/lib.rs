@@ -5,12 +5,13 @@
 //! control, databases, media processing, user identification — is a small
 //! *service daemon* with a common shell:
 //!
-//! * **four-thread runtime** ([`daemon`]) — main, per-connection command,
-//!   control, and data threads joined by message queues (§2.1.1);
+//! * **daemon shell** ([`daemon`]) — the paper's main, per-connection
+//!   command, control, and data roles joined by a message queue (§2.1.1),
+//!   run as one cooperative task on the shared [`runtime`];
 //! * **secure links** ([`link`]) — encrypted sockets with proven principal
 //!   identity (§3.1);
 //! * **command language plumbing** — parsing and semantic validation on the
-//!   command thread (§2.2, via `ace-lang`);
+//!   intake side of every session (§2.2, via `ace-lang`);
 //! * **authorization** ([`auth`]) — the Fig. 10 KeyNote check on every
 //!   command (§3.2);
 //! * **notifications** ([`notify`]) — the Fig. 8 listen/notify registry
@@ -87,7 +88,7 @@ pub use pool::{LinkPool, PooledLink};
 pub use protocol::{ServiceEntry, ASD_PORT, LOGGER_PORT, ROOMDB_PORT};
 pub use quorum::{majority, QuorumRound};
 pub use retry::{Retry, RetryBudget, RetryPolicy};
-pub use runtime::{Runtime, RuntimeMode, RuntimeTask, TaskContext, TaskHandle, TaskPoll};
+pub use runtime::{Runtime, RuntimeTask, TaskContext, TaskHandle, TaskPoll};
 pub use supervise::{
     live_upgrade, Respawn, RespawnFn, RestartPolicy, SuperviseError, SupervisedSpec, Supervisor,
     SupervisorReport, UpgradeError, UpgradeFn, UpgradeStats,
@@ -110,7 +111,7 @@ pub mod prelude {
     pub use crate::protocol::ServiceEntry;
     pub use crate::quorum::{majority, QuorumRound};
     pub use crate::retry::{Retry, RetryBudget, RetryPolicy};
-    pub use crate::runtime::{Runtime, RuntimeMode};
+    pub use crate::runtime::Runtime;
     pub use crate::supervise::{
         live_upgrade, Respawn, RestartPolicy, SupervisedSpec, Supervisor, UpgradeError,
         UpgradeStats,

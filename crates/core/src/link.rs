@@ -107,7 +107,7 @@ struct VaultEntry {
 
 /// The server side of session resumption: every ticket this daemon has
 /// issued and not yet expired, with its single-use nonce history.  Shared
-/// (behind `Arc`) across all command threads of a daemon; a restarted
+/// (behind `Arc`) across all sessions of a daemon; a restarted
 /// daemon starts with an empty vault, which is exactly why clients fall
 /// back transparently.
 pub struct TicketVault {

@@ -12,7 +12,7 @@
 //! * the standard `aceStats` verb answers with a [`RegistrySnapshot`]
 //!   rendered as homogeneous string arrays (`counters`, `gauges`,
 //!   `histograms`), parseable back via [`StatsReport::from_cmdline`];
-//! * the control thread periodically pushes the same snapshot to the Net
+//! * the control role periodically pushes the same snapshot to the Net
 //!   Logger as a structured `event` record (kind `stats`).
 //!
 //! Handles are `Arc`s over atomics: the registry lock is touched only on

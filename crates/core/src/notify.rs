@@ -7,7 +7,7 @@
 //!
 //! [`NotificationRegistry`] is that running list; [`Notifier`] is the
 //! delivery worker that invokes the registered command interface on the
-//! notified services without blocking the daemon's control thread.
+//! notified services without blocking the daemon's control role.
 
 use crate::client::ServiceClient;
 use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-call reply timeout for notification delivery.  Deliberately far
-/// below the command plane's 30s reply timeout: a slow listener delays the
+/// below a client's 5 s default call timeout: a slow listener delays the
 /// rest of the queue by at most this much.
 const NOTIFY_CALL_TIMEOUT: Duration = Duration::from_secs(1);
 
@@ -140,56 +140,25 @@ pub struct Outbound {
     pub cmd: CmdLine,
 }
 
-/// Asynchronous outbound delivery: a worker (its own thread in the
-/// thread-per-daemon runtime, a cooperative task on the shared runtime)
-/// with a connection cache.
+/// Asynchronous outbound delivery: a worker (a cooperative task on the
+/// daemon's runtime, [`NotifierTask`]) with a connection cache.
 ///
 /// Used for notifications and fire-and-forget logging so the control plane
 /// never blocks on a slow or dead listener.
 pub struct Notifier {
     /// `Option` so `Drop` can release the sender *before* waking the
-    /// cooperative delivery task — otherwise the task would observe a
-    /// still-connected channel and miss the disconnect.
+    /// delivery task — otherwise the task would observe a still-connected
+    /// channel and miss the disconnect.
     tx: Option<Sender<Outbound>>,
     shed: Arc<Counter>,
-    wake: Option<Arc<WakeCell>>,
-}
-
-/// Handle used to join the worker on shutdown.
-pub struct NotifierWorker {
-    join: std::thread::JoinHandle<()>,
+    wake: Arc<WakeCell>,
 }
 
 impl Notifier {
-    /// Spawn the delivery worker on its own thread.  Delivery outcomes are
+    /// Build the delivery worker: the returned [`NotifierTask`] must be
+    /// spawned on a [`crate::runtime::Runtime`].  Delivery outcomes are
     /// recorded in `metrics` (`notify.delivered`, `notify.drops`,
     /// `notify.shed`, `notify.latency`, `notify.queueDepth`).
-    pub fn spawn(
-        net: SimNet,
-        from_host: HostId,
-        identity: Arc<KeyPair>,
-        metrics: Arc<MetricsRegistry>,
-    ) -> (Notifier, NotifierWorker) {
-        let (tx, rx) = crossbeam_channel::bounded::<Outbound>(NOTIFY_QUEUE_CAPACITY);
-        let shed = metrics.counter("notify.shed");
-        let join = std::thread::Builder::new()
-            .name(format!("notifier-{from_host}"))
-            .spawn(move || deliver_loop(rx, net, from_host, identity, metrics))
-            .expect("spawn notifier thread");
-        (
-            Notifier {
-                tx: Some(tx),
-                shed,
-                wake: None,
-            },
-            NotifierWorker { join },
-        )
-    }
-
-    /// Build a cooperative delivery worker for the shared runtime: same
-    /// queue bound, shed accounting, and dead-listener cache as
-    /// [`Notifier::spawn`], but the returned [`NotifierTask`] must be
-    /// spawned on a [`crate::runtime::Runtime`] instead of a thread.
     pub fn cooperative(
         net: SimNet,
         from_host: HostId,
@@ -211,7 +180,7 @@ impl Notifier {
             Notifier {
                 tx: Some(tx),
                 shed,
-                wake: Some(wake),
+                wake,
             },
             task,
         )
@@ -219,14 +188,12 @@ impl Notifier {
 
     /// Queue one message for delivery.  Returns `false` if the worker has
     /// stopped or the queue is full (the message is shed, never blocking
-    /// the caller — typically the daemon's control thread).
+    /// the caller — typically the daemon's control role).
     pub fn send(&self, addr: Addr, cmd: CmdLine) -> bool {
         let Some(tx) = &self.tx else { return false };
         match tx.try_send(Outbound { addr, cmd }) {
             Ok(()) => {
-                if let Some(wake) = &self.wake {
-                    wake.wake();
-                }
+                self.wake.wake();
                 true
             }
             Err(TrySendError::Full(_)) => {
@@ -243,7 +210,7 @@ impl Clone for Notifier {
         Notifier {
             tx: self.tx.clone(),
             shed: Arc::clone(&self.shed),
-            wake: self.wake.clone(),
+            wake: Arc::clone(&self.wake),
         }
     }
 }
@@ -251,31 +218,20 @@ impl Clone for Notifier {
 impl Drop for Notifier {
     fn drop(&mut self) {
         // Release our sender first, then wake: when this was the last
-        // clone, the cooperative task's next poll observes the disconnect
-        // and completes.
+        // clone, the delivery task's next poll observes the disconnect and
+        // completes.
         self.tx.take();
-        if let Some(wake) = &self.wake {
-            wake.wake();
-        }
+        self.wake.wake();
     }
 }
 
-impl NotifierWorker {
-    /// Wait for the worker to drain and stop (all `Notifier` clones must be
-    /// dropped first).
-    pub fn join(self) {
-        let _ = self.join.join();
-    }
-}
-
-/// Per-poll delivery cap for the cooperative worker: after this many
-/// messages the task yields (`TaskPoll::Again`) so one storming daemon's
-/// notifications cannot monopolize a shared-runtime worker.
+/// Per-poll delivery cap: after this many messages the task yields
+/// (`TaskPoll::Again`) so one storming daemon's notifications cannot
+/// monopolize a runtime worker.
 const NOTIFY_BATCH: usize = 64;
 
-/// The delivery machinery shared by the threaded `deliver_loop` and the
-/// cooperative [`NotifierTask`]: connection cache, dead-listener negative
-/// cache, and delivery metrics.
+/// The delivery machinery of [`NotifierTask`]: connection cache,
+/// dead-listener negative cache, and delivery metrics.
 struct DeliveryState {
     delivered: Arc<Counter>,
     drops: Arc<Counter>,
@@ -322,8 +278,7 @@ impl DeliveryState {
     }
 }
 
-/// Cooperative delivery worker for the shared runtime; see
-/// [`Notifier::cooperative`].
+/// The delivery worker; see [`Notifier::cooperative`].
 pub struct NotifierTask {
     rx: Receiver<Outbound>,
     wake: Arc<WakeCell>,
@@ -354,20 +309,6 @@ impl RuntimeTask for NotifierTask {
                 Err(TryRecvError::Disconnected) => return TaskPoll::Complete,
             }
         }
-    }
-}
-
-fn deliver_loop(
-    rx: Receiver<Outbound>,
-    net: SimNet,
-    from_host: HostId,
-    identity: Arc<KeyPair>,
-    metrics: Arc<MetricsRegistry>,
-) {
-    let mut state = DeliveryState::new(&metrics);
-    while let Ok(out) = rx.recv() {
-        state.depth.set(rx.len() as i64);
-        state.handle(out, &net, &from_host, &identity);
     }
 }
 

@@ -221,6 +221,14 @@ impl PooledLink {
         self.reused
     }
 
+    /// Is the checked-out link still fit to send on (the same probe
+    /// checkout ran; see [`ServiceClient::is_healthy_idle`])?
+    pub fn is_healthy_idle(&self) -> bool {
+        self.client
+            .as_ref()
+            .is_some_and(ServiceClient::is_healthy_idle)
+    }
+
     /// The target this link talks to.
     pub fn target(&self) -> &Addr {
         self.client

@@ -11,6 +11,7 @@
 //! §2.5).
 
 use ace_lang::{ArgType, CmdLine, CmdSpec, Semantics};
+use ace_security::hash::fnv64;
 
 /// Well-known port of the ACE Service Directory ("the location of which is
 /// known to all ACE daemons", §2.4).
@@ -271,16 +272,6 @@ pub fn store_scaleout_semantics() -> Semantics {
 /// text form of.
 pub use ace_lang::{hex_decode, hex_encode};
 
-/// Checksum used to seal state snapshots (FNV-1a, 64 bit).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Seal a behavior state snapshot for transport and storage.
 ///
 /// The payload is a command line (the same vocabulary state travels in on
@@ -290,7 +281,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// with corrupt state.
 pub fn seal_snapshot(kind: &str, state: CmdLine) -> Vec<u8> {
     let inner = state.to_wire().into_bytes();
-    let crc = fnv1a64(&inner);
+    let crc = fnv64(&inner);
     CmdLine::new("snapshot")
         .arg("kind", ace_lang::Value::Word(kind.to_string()))
         .arg("crc", ace_lang::Value::Word(format!("x{crc:016x}")))
@@ -320,7 +311,7 @@ pub fn open_snapshot(kind: &str, bytes: &[u8]) -> Result<CmdLine, String> {
         .get_text("data")
         .and_then(hex_decode)
         .ok_or_else(|| "snapshot payload is not valid hex".to_string())?;
-    if fnv1a64(&inner) != crc {
+    if fnv64(&inner) != crc {
         return Err("snapshot checksum mismatch (torn or corrupted)".to_string());
     }
     let inner_text =

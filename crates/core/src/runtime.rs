@@ -1,12 +1,13 @@
-//! Shared cooperative daemon runtime (ROADMAP item 2).
+//! Shared cooperative daemon runtime.
 //!
 //! The paper's §2.1 shell gives every daemon four OS threads (main, accept,
 //! control, data).  That caps a process at tens of daemons — far short of a
 //! building's worth of ambient services.  This module multiplexes *all*
-//! daemons over one small fixed worker pool: each daemon becomes a single
-//! cooperatively scheduled [`RuntimeTask`] that is polled only when one of
-//! its endpoints signals readiness (see `ace_net::wake::WakeCell`) or a
-//! timer it armed fires.
+//! daemons over one small fixed worker pool: each daemon is a single
+//! cooperatively scheduled [`RuntimeTask`] (`daemon::DaemonTask`, whose
+//! poll stages are the four roles) that is polled only when one of its
+//! endpoints signals readiness (see `ace_net::wake::WakeCell`) or a timer
+//! it armed fires.
 //!
 //! ## Task model
 //!
@@ -36,7 +37,7 @@
 //!
 //! ## Blocking tolerance (the starvation watchdog)
 //!
-//! Ported daemon code still contains *bounded* blocking sections —
+//! Daemon code still contains *bounded* blocking sections —
 //! `ServiceCtx::call` to a peer daemon, handshake receives, WAL
 //! group-commit waits.  Rather than rewrite every client call site in
 //! continuation style, the runtime tolerates them: a watchdog thread
@@ -47,8 +48,9 @@
 //! [`MAX_WORKERS`]) so blocked call chains between co-scheduled daemons
 //! cannot deadlock the pool.  Injected workers retire after ~1s idle.
 //!
-//! The previous thread-per-daemon runtime is retained behind the
-//! [`RuntimeMode`] knob (`ACE_RUNTIME=threads`) as the ablation baseline.
+//! A daemon that must not share workers gets a pool of its own
+//! (`DaemonConfig::with_runtime_pool(Runtime::new(1))`); the measurement
+//! that retired the paper's thread-per-daemon shell is `BENCH_pr8.json`.
 
 use crate::metrics::MetricsRegistry;
 use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
@@ -68,29 +70,6 @@ pub const MAX_WORKERS: usize = 512;
 const PARK_TIMEOUT: Duration = Duration::from_millis(50);
 /// Injected workers retire after this many consecutive idle parks.
 const INJECTED_IDLE_STRIKES: u32 = 20;
-
-/// Which daemon runtime `Daemon::spawn` uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuntimeMode {
-    /// The paper's §2.1 layout: four OS threads per daemon (ablation
-    /// baseline, `ACE_RUNTIME=threads`).
-    Threads,
-    /// One cooperative task per daemon on the shared pool (default).
-    Shared,
-}
-
-impl RuntimeMode {
-    /// Resolve from `ACE_RUNTIME` (`"threads"` → [`RuntimeMode::Threads`],
-    /// anything else or unset → [`RuntimeMode::Shared`]).
-    pub fn from_env() -> RuntimeMode {
-        match std::env::var("ACE_RUNTIME") {
-            Ok(v) if v.eq_ignore_ascii_case("threads") || v.eq_ignore_ascii_case("thread") => {
-                RuntimeMode::Threads
-            }
-            _ => RuntimeMode::Shared,
-        }
-    }
-}
 
 /// Result of one cooperative poll.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -582,7 +561,7 @@ impl Runtime {
         Runtime { inner }
     }
 
-    /// The process-wide runtime every `Daemon::spawn` in shared mode uses.
+    /// The process-wide runtime every `Daemon::spawn` uses by default.
     /// Sized by `ACE_RUNTIME_WORKERS`, defaulting to the machine's
     /// available parallelism.
     pub fn global() -> &'static Runtime {
@@ -641,7 +620,7 @@ impl Runtime {
     }
 
     /// Publish the `runtime.*` gauge family into `registry` (surfaced by
-    /// every shared-mode daemon's `aceStats`).
+    /// every daemon's `aceStats`).
     pub fn publish_into(&self, registry: &MetricsRegistry) {
         let s = &self.inner.stats;
         registry

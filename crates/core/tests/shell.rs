@@ -1,0 +1,310 @@
+//! The daemon shell's reply contract, driven over raw [`SecureLink`]s so
+//! the test — not a client library — decides what is on the wire and when
+//! it is read.
+//!
+//! Interleavings are decided by a latch, never by a sleep: the `block` verb
+//! parks the daemon task inside its handler until the test releases it, so
+//! whatever the test sends meanwhile is provably buffered behind it.  Every
+//! session is established *before* the latch is held (a handshake needs the
+//! task to poll).
+
+use ace_core::prelude::*;
+use ace_core::SecureLink;
+use ace_security::keys::KeyPair;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::time::{Duration, Instant};
+
+const REPLY: Duration = Duration::from_secs(5);
+
+/// `echo text=…` answers with its text; `block` holds the handler until the
+/// test releases the latch (bounded, so a failing test cannot wedge).
+struct Probe {
+    entered: Sender<()>,
+    release: Receiver<()>,
+}
+
+impl ServiceBehavior for Probe {
+    fn semantics(&self) -> Semantics {
+        Semantics::new()
+            .with(CmdSpec::new("echo", "echo back").required("text", ArgType::Str, "payload"))
+            .with(CmdSpec::new("block", "hold the handler until released"))
+    }
+
+    fn handle(&mut self, _ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
+        match cmd.name() {
+            "echo" => {
+                let text = cmd.get_text("text").unwrap_or("").to_string();
+                Reply::ok_with(|c| c.arg("text", text))
+            }
+            _ => {
+                let _ = self.entered.send(());
+                let _ = self.release.recv_timeout(Duration::from_secs(10));
+                Reply::ok()
+            }
+        }
+    }
+}
+
+/// One daemon on a private two-worker pool.
+struct Rig {
+    net: SimNet,
+    pool: Runtime,
+    daemon: DaemonHandle,
+    entered: Receiver<()>,
+    release: Sender<()>,
+    me: KeyPair,
+}
+
+fn rig() -> Rig {
+    let net = SimNet::new();
+    net.add_host("srv");
+    net.add_host("cli");
+    let pool = Runtime::new(2);
+    let (entered_tx, entered) = channel();
+    let (release, release_rx) = channel();
+    let daemon = Daemon::spawn(
+        &net,
+        DaemonConfig::new("probe", "Service.Probe", "lab", "srv", 7100)
+            .with_runtime_pool(pool.clone()),
+        Box::new(Probe {
+            entered: entered_tx,
+            release: release_rx,
+        }),
+    )
+    .unwrap();
+    Rig {
+        net,
+        pool,
+        daemon,
+        entered,
+        release,
+        me: KeyPair::generate(&mut rand::thread_rng()),
+    }
+}
+
+impl Rig {
+    /// An established session (handshake done, one round trip proven).
+    fn session(&self) -> SecureLink {
+        let conn = self
+            .net
+            .connect(&"cli".into(), self.daemon.addr().clone())
+            .unwrap();
+        let mut link = SecureLink::connect(conn, &self.me).unwrap();
+        link.send_cmd(&CmdLine::new("ping")).unwrap();
+        answer(&mut link).expect("ping");
+        link
+    }
+
+    /// Park the daemon task inside `block`, sent on `link`.
+    fn hold(&self, link: &mut SecureLink) {
+        link.send_cmd(&CmdLine::new("block")).unwrap();
+        self.entered
+            .recv_timeout(REPLY)
+            .expect("block verb never ran");
+    }
+
+    fn release(&self) {
+        self.release.send(()).unwrap();
+    }
+
+    fn finish(self) {
+        drop(self.daemon);
+        self.pool.shutdown();
+    }
+}
+
+fn ace_upgrade(phase: &str) -> CmdLine {
+    CmdLine::new("aceUpgrade").arg("phase", Value::Word(phase.into()))
+}
+
+fn echo(text: &str) -> CmdLine {
+    CmdLine::new("echo").arg("text", Value::Str(text.to_string()))
+}
+
+/// The next reply on `link`: its result command, or its error code.
+fn answer(link: &mut SecureLink) -> Result<CmdLine, ErrorCode> {
+    let reply = link.recv_cmd(REPLY).expect("a reply");
+    Reply::from_cmdline(&reply)
+        .into_result()
+        .map_err(|(code, _)| code)
+}
+
+fn text_of(reply: Result<CmdLine, ErrorCode>) -> String {
+    reply
+        .expect("an ok reply")
+        .get_text("text")
+        .expect("echoed text")
+        .to_string()
+}
+
+#[test]
+fn back_to_back_frames_are_answered_once_each_in_order() {
+    let rig = rig();
+    let mut link = rig.session();
+    const N: usize = 100;
+    for i in 0..N {
+        link.send_cmd(&echo(&format!("m{i}"))).unwrap();
+    }
+    for i in 0..N {
+        assert_eq!(text_of(answer(&mut link)), format!("m{i}"));
+    }
+    assert!(
+        link.recv_cmd(Duration::from_millis(100)).is_err(),
+        "more replies than frames"
+    );
+    rig.finish();
+}
+
+#[test]
+fn refusals_are_answered_inline_in_order_and_the_session_lives_on() {
+    let rig = rig();
+    let mut link = rig.session();
+
+    // A word holding a space renders to text the parser must refuse.
+    let malformed = CmdLine::new("echo").arg("text", Value::Word("not a word".into()));
+    assert!(CmdLine::parse_frame(&malformed.to_frame()).is_err());
+    let invalid = CmdLine::new("echo"); // required `text` missing
+    let mut expired = echo("late");
+    expired.set_deadline_ms(0);
+
+    for cmd in [
+        echo("a"),
+        malformed,
+        echo("b"),
+        invalid.clone(),
+        echo("c"),
+        expired,
+        echo("d"),
+    ] {
+        link.send_cmd(&cmd).unwrap();
+    }
+    assert_eq!(text_of(answer(&mut link)), "a");
+    assert_eq!(answer(&mut link).unwrap_err(), ErrorCode::Parse);
+    assert_eq!(text_of(answer(&mut link)), "b");
+    assert_eq!(answer(&mut link).unwrap_err(), ErrorCode::Semantics);
+    assert_eq!(text_of(answer(&mut link)), "c");
+    assert_eq!(answer(&mut link).unwrap_err(), ErrorCode::Deadline);
+    assert_eq!(text_of(answer(&mut link)), "d");
+
+    // More inline refusals than one session's per-poll frame cap: the
+    // session is re-queued, nothing is dropped or reordered.
+    const REFUSED: usize = 40;
+    for _ in 0..REFUSED {
+        link.send_cmd(&invalid).unwrap();
+    }
+    link.send_cmd(&echo("after")).unwrap();
+    for _ in 0..REFUSED {
+        assert_eq!(answer(&mut link).unwrap_err(), ErrorCode::Semantics);
+    }
+    assert_eq!(text_of(answer(&mut link)), "after");
+
+    link.send_cmd(&CmdLine::new("ping")).unwrap();
+    answer(&mut link).expect("session still serves");
+    rig.finish();
+}
+
+#[test]
+fn quiesce_drains_admitted_work_then_gates_until_abort() {
+    let rig = rig();
+    let (mut a, mut b, mut c) = (rig.session(), rig.session(), rig.session());
+
+    rig.hold(&mut a);
+    b.send_cmd(&echo("admitted before the gate")).unwrap();
+    c.send_cmd(&ace_upgrade("quiesce")).unwrap();
+    rig.release();
+
+    answer(&mut a).expect("the held verb completes");
+    // The upgrade verb rides the priority lane past B's bulk verb, and its
+    // drain executes that verb before the state freezes.
+    assert_eq!(text_of(answer(&mut b)), "admitted before the gate");
+    let quiesced = answer(&mut c).expect("quiesce");
+    assert_eq!(quiesced.get_int("drained"), Some(1));
+    assert!(rig.daemon.is_upgrading());
+
+    b.send_cmd(&echo("too late")).unwrap();
+    assert_eq!(answer(&mut b).unwrap_err(), ErrorCode::Upgrading);
+    b.send_cmd(&CmdLine::new("ping")).unwrap();
+    answer(&mut b).expect("probes stay open while quiesced");
+
+    c.send_cmd(&ace_upgrade("abort")).unwrap();
+    answer(&mut c).expect("abort");
+    b.send_cmd(&echo("re-admitted")).unwrap();
+    assert_eq!(text_of(answer(&mut b)), "re-admitted");
+    rig.finish();
+}
+
+#[test]
+fn shutdown_verb_is_acknowledged_and_queued_work_gets_exactly_one_reply() {
+    let rig = rig();
+    let (mut a, mut s, mut q) = (rig.session(), rig.session(), rig.session());
+
+    rig.hold(&mut a);
+    s.send_cmd(&CmdLine::new("shutdown")).unwrap();
+    q.send_cmd(&echo("behind the shutdown")).unwrap();
+    rig.release();
+
+    answer(&mut a).expect("the held verb completes");
+    answer(&mut s).expect("the sender of `shutdown` gets its ok before teardown");
+    match answer(&mut q) {
+        Ok(reply) => assert_eq!(reply.get_text("text"), Some("behind the shutdown")),
+        Err(code) => assert_eq!(code, ErrorCode::Internal),
+    }
+
+    let addr = rig.daemon.addr().clone();
+    rig.daemon.shutdown();
+    assert!(
+        q.recv_cmd(Duration::from_millis(100)).is_err(),
+        "a second reply for one frame"
+    );
+    rig.net
+        .listen(addr)
+        .expect("address is free once shutdown() returns");
+    rig.finish();
+}
+
+#[test]
+fn a_quiesced_daemon_retiring_answers_racing_frames_in_advance() {
+    let rig = rig();
+    let (mut idle, mut driver) = (rig.session(), rig.session());
+    driver.send_cmd(&ace_upgrade("quiesce")).unwrap();
+    answer(&mut driver).expect("quiesce");
+
+    rig.daemon.retire();
+    // Whatever `idle` sends now is never read.  Its reply is already
+    // waiting: the verb did not run, retry against the replacement.
+    let _ = idle.send_cmd(&echo("raced the teardown"));
+    assert_eq!(answer(&mut idle).unwrap_err(), ErrorCode::Upgrading);
+    assert!(idle.recv_cmd(REPLY).is_err(), "then the link is closed");
+    rig.finish();
+}
+
+#[test]
+fn crash_answers_or_closes_but_never_hangs_a_client() {
+    let rig = rig();
+    let (mut a, mut q) = (rig.session(), rig.session());
+
+    rig.hold(&mut a);
+    q.send_cmd(&echo("read during teardown")).unwrap();
+    std::thread::scope(|scope| {
+        let crashing = scope.spawn(|| rig.daemon.crash());
+        // The verb in flight bounds its client by the client's own timeout.
+        let waited = Instant::now();
+        assert!(a.recv_cmd(Duration::from_millis(200)).is_err());
+        assert!(waited.elapsed() < Duration::from_secs(2));
+        rig.release();
+        crashing.join().unwrap();
+    });
+
+    // The held verb finished, so its reply went out before the stop was
+    // seen; the frame behind it was read by the final sweep and abandoned.
+    answer(&mut a).expect("the held verb completes");
+    assert_eq!(answer(&mut q).unwrap_err(), ErrorCode::Internal);
+    // Both links are closed now: a further read fails at once instead of
+    // waiting out its timeout.
+    let waited = Instant::now();
+    assert!(a.recv_cmd(REPLY).is_err());
+    assert!(q.recv_cmd(REPLY).is_err());
+    assert!(waited.elapsed() < Duration::from_secs(2));
+    assert!(!rig.daemon.is_running());
+    rig.finish();
+}

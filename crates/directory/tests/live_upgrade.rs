@@ -325,6 +325,47 @@ fn upgrading_rejection_evicts_fast_path_and_retries() {
     r.fw.shutdown();
 }
 
+/// A client that never met the quiesce gate — it was between calls for the
+/// whole swap — still holds a link to the retired instance.  Its next call
+/// must find that out *before* sending, let the link go, and execute
+/// exactly once on the replacement; a send into the closed link would
+/// surface as an ambiguous "may have executed" failure.
+#[test]
+fn held_over_link_across_a_swap_is_not_a_dropped_call() {
+    let r = rig(Duration::from_secs(5));
+    let old = r.spawn_counter();
+    let pool = Arc::new(LinkPool::new(&r.net, "ctrl", r.me));
+    let mut failover = FailoverClient::bind(
+        r.net.clone(),
+        "ctrl",
+        r.me,
+        r.fw.asd_addr.clone(),
+        "counter1",
+    )
+    .with_retry_window(Duration::from_secs(5))
+    .with_pool(pool)
+    .with_resolution_cache(Arc::new(ResolutionCache::new()));
+    failover.call(&CmdLine::new("bump")).unwrap();
+
+    let (fresh, _) = live_upgrade(
+        &r.net,
+        &"ctrl".into(),
+        &r.me,
+        &old,
+        old.config().clone(),
+        Counter::fresh(&r.exec),
+        None,
+    )
+    .unwrap();
+
+    let reply = failover.call(&CmdLine::new("bump")).unwrap();
+    assert_eq!(reply.get_int("count"), Some(2), "state rode the snapshot");
+    assert_eq!(r.exec.load(Ordering::SeqCst), 2, "executed exactly once");
+
+    fresh.shutdown();
+    r.fw.shutdown();
+}
+
 /// Satellite 1 (lease-race regression): the replacement registers under
 /// the bumped incarnation before the old lease lapses, and stragglers of
 /// the superseded generation are fenced out with `E_BADSTATE` — they can

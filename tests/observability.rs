@@ -103,8 +103,8 @@ fn ace_stats_roundtrip_asd() {
     daemon.shutdown();
 }
 
-/// A daemon on the shared runtime surfaces the `runtime.*` gauge family
-/// through `aceStats`; a daemon pinned to the threaded shell does not.
+/// A daemon surfaces the `runtime.*` gauge family of the pool it runs on
+/// through `aceStats`.
 #[test]
 fn ace_stats_roundtrip_runtime_gauges() {
     let net = SimNet::new();
@@ -117,13 +117,6 @@ fn ace_stats_roundtrip_runtime_gauges() {
         Box::new(ace_directory::Asd::new(Duration::from_secs(60))),
     )
     .unwrap();
-    let threaded = Daemon::spawn(
-        &net,
-        DaemonConfig::new("threaded", "Service.Directory.ASD", "machine", "core", 4311)
-            .with_runtime(RuntimeMode::Threads),
-        Box::new(ace_directory::Asd::new(Duration::from_secs(60))),
-    )
-    .unwrap();
     let me = keypair();
 
     let mut client =
@@ -132,11 +125,10 @@ fn ace_stats_roundtrip_runtime_gauges() {
         client.call(&CmdLine::new("ping")).unwrap();
     }
     let report = ace_stats(&mut client, Some("runtime."));
-    // The shared daemon contributes two tasks: its main task plus its
-    // cooperative notifier.
+    // The daemon contributes two tasks: its main task plus its notifier.
     assert!(
         report.gauges.get("runtime.tasksLive").copied().unwrap_or(0) >= 2,
-        "shared daemon must report live runtime tasks: {:?}",
+        "daemon must report live runtime tasks: {:?}",
         report.gauges
     );
     assert!(
@@ -163,18 +155,7 @@ fn ace_stats_roundtrip_runtime_gauges() {
         );
     }
 
-    let mut old_school =
-        ServiceClient::connect(&net, &"core".into(), threaded.addr().clone(), &me).unwrap();
-    old_school.call(&CmdLine::new("ping")).unwrap();
-    let report = ace_stats(&mut old_school, Some("runtime."));
-    assert!(
-        report.gauges.is_empty(),
-        "threaded daemon must not report shared-runtime gauges: {:?}",
-        report.gauges
-    );
-
     shared.shutdown();
-    threaded.shutdown();
     pool.shutdown();
 }
 
