@@ -102,7 +102,7 @@ mod tests {
                     std::thread::sleep(Duration::from_micros(200));
                     // Worker 0 fails every 3rd op so the error path is
                     // exercised too.
-                    !(idx == 0 && i % 3 == 0)
+                    !(idx == 0 && i.is_multiple_of(3))
                 }
             },
             |_| {

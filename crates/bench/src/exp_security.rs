@@ -1,11 +1,15 @@
-//! E8 — per-command authorization cost (Fig. 10): delegation-chain length
-//! and the verification-cache ablation.
+//! E8 — per-command authorization cost (Fig. 10): delegation-chain length,
+//! the decision-cache ablation, and the cache under free-argument traffic
+//! against a live Authorization Database.
 
 use crate::util::*;
+use ace_core::prelude::*;
 use ace_core::{action_env_for, Authorizer};
-use ace_lang::CmdLine;
+use ace_identity::{AuthDb, AuthDbClient, RemoteCredentials};
 use ace_security::keynote::{Assertion, KeyNoteEngine, Licensees, POLICY};
 use ace_security::keys::KeyPair;
+use rand::{rngs::SmallRng, Rng};
+use std::sync::Arc;
 
 fn keypair() -> KeyPair {
     KeyPair::generate(&mut rand::thread_rng())
@@ -116,5 +120,111 @@ pub fn e08() {
     row(
         "denial (no path, chain 4)",
         &[fmt_dur(deny), String::new(), String::new()],
+    );
+
+    free_argument_roam();
+}
+
+/// The traffic `acebench` was steered around (benchmark/README.md finding
+/// 13): users who pan, tilt and zoom freely, so that no two commands carry
+/// the same arguments.  200 principals, 12 guarded devices each fetching
+/// from one live AuthDB, a `room == "…"` credential per (principal, room),
+/// 50,000 checks with uniformly random principal, device, x, y and zoom.
+fn free_argument_roam() {
+    const USERS: usize = 200;
+    const DEVICES: usize = 12;
+    const CHECKS: usize = 50_000;
+
+    let net = SimNet::new();
+    net.add_host("core");
+    net.add_host("bar");
+    let authdb = Daemon::spawn(
+        &net,
+        DaemonConfig::new(
+            "authdb",
+            "Service.Database.Authorization",
+            "machineroom",
+            "core",
+            5400,
+        ),
+        Box::new(AuthDb::new()),
+    )
+    .expect("authdb spawns");
+    let admin = keypair();
+    let users: Vec<String> = (0..USERS).map(|_| keypair().principal()).collect();
+    let room = |d: usize| format!("r{d:02}");
+    let mut db = AuthDbClient::connect(&net, &"core".into(), authdb.addr().clone(), &admin)
+        .expect("authdb answers");
+    for (u, user) in users.iter().enumerate() {
+        for d in 0..DEVICES {
+            let conditions = format!("room == \"{}\"", room(d));
+            let credential = Assertion::new(
+                admin.principal(),
+                Licensees::Principal(user.clone()),
+                &conditions,
+            )
+            .and_then(|a| a.sign(&admin))
+            .expect("credential signs");
+            db.store(&format!("c{u}_{d}"), &credential)
+                .expect("credential stored");
+        }
+    }
+    let devices: Vec<Authorizer> = (0..DEVICES)
+        .map(|_| {
+            let mut engine = KeyNoteEngine::new();
+            let root = Assertion::new(POLICY, Licensees::Principal(admin.principal()), "true");
+            engine
+                .add_policy(root.expect("constant policy parses"))
+                .expect("a policy");
+            let source =
+                RemoteCredentials::new(net.clone(), "bar".into(), authdb.addr().clone(), keypair());
+            Authorizer::with_source(engine, Arc::new(source))
+        })
+        .collect();
+
+    let mut rng = SmallRng::seed_from_u64(8);
+    let elapsed = time_once(|| {
+        for _ in 0..CHECKS {
+            let (u, d) = (rng.gen_range(0..USERS), rng.gen_range(0..DEVICES));
+            let cmd = CmdLine::new("ptzMove")
+                .arg("x", rng.gen_range(-170.0..170.0))
+                .arg("y", rng.gen_range(-30.0..90.0))
+                .arg("zoom", rng.gen_range(1.0..16.0));
+            let env = action_env_for("camera", "Service.Device.PTZCamera.VCC4", &room(d), &cmd);
+            assert!(
+                devices[d].check(&users[u], &env),
+                "credentialed user denied"
+            );
+        }
+    });
+
+    let (hits, misses) = devices.iter().fold((0, 0), |(h, m), device| {
+        let (dh, dm) = device.cache_stats();
+        (h + dh, m + dm)
+    });
+    let fetches = authdb
+        .metrics()
+        .histogram("cmd.fetchCredentials")
+        .snapshot()
+        .count;
+    authdb.shutdown();
+    // Every (principal, device) pair must be evaluated once; what the cache
+    // can be judged on is the checks after that first visit.
+    let repeats = CHECKS - USERS * DEVICES;
+    row(
+        "free pan/tilt/zoom, 200 × 12",
+        &[
+            format!("hit {:.3}", hits as f64 / (hits + misses) as f64),
+            format!("{fetches} fetches"),
+            format!("{}/check", fmt_dur(elapsed / CHECKS as u32)),
+        ],
+    );
+    row(
+        "  of the repeat visits",
+        &[
+            format!("hit {:.3}", hits as f64 / repeats as f64),
+            String::new(),
+            String::new(),
+        ],
     );
 }

@@ -6,11 +6,12 @@
 //! commands.  These assertions are passed onto KeyNote."
 //!
 //! Credentials are stored (and indexed by every licensee principal they
-//! mention) as their canonical text, hex-encoded on the wire because the
-//! command grammar cannot carry multi-line strings.
+//! mention) as their canonical text, and cross the wire as blobs: one
+//! `text=` per `storeCredential`, and per `fetchCredentials` reply one
+//! `credentials=` holding the texts end to end beside `sizes={…}`, their
+//! lengths in order.  (A text client writes the blob as its hex word.)
 
 use ace_core::prelude::*;
-use ace_core::protocol::{hex_decode, hex_encode};
 use ace_core::CredentialSource;
 use ace_security::keynote::{ActionEnv, Assertion};
 use parking_lot::Mutex;
@@ -29,6 +30,54 @@ impl AuthDb {
     pub fn new() -> AuthDb {
         AuthDb::default()
     }
+
+    /// Keep `text` — the verified `assertion`, as stored — under a new `id`.
+    fn insert(&mut self, id: String, text: String, assertion: &Assertion) {
+        for principal in assertion.licensees.principals() {
+            self.by_licensee
+                .entry(principal.to_string())
+                .or_default()
+                .push(id.clone());
+        }
+        self.credentials.insert(id, text);
+    }
+
+    /// The `fetchCredentials` reply for `licensee`.
+    fn fetch(&self, licensee: &str) -> Reply {
+        let ids = self
+            .by_licensee
+            .get(licensee)
+            .map_or(&[][..], Vec::as_slice);
+        let mut sizes = Vec::with_capacity(ids.len());
+        let mut texts = Vec::new();
+        for text in ids.iter().filter_map(|id| self.credentials.get(id)) {
+            sizes.push(Scalar::Int(text.len() as i64));
+            texts.extend_from_slice(text.as_bytes());
+        }
+        Reply::ok_with(|c| {
+            c.arg("count", sizes.len() as i64)
+                .arg("sizes", Value::Vector(sizes))
+                .arg("credentials", texts)
+        })
+    }
+
+    /// `removeCredential`: forget `id` and its index entries, which are
+    /// under the licensees of the stored text and nowhere else.
+    fn remove(&mut self, id: &str) -> Reply {
+        let Some(text) = self.credentials.remove(id) else {
+            return Reply::err(ErrorCode::NotFound, format!("no credential {id}"));
+        };
+        let assertion = Assertion::parse(&text).expect("stored texts parsed when stored");
+        for principal in assertion.licensees.principals() {
+            if let Some(ids) = self.by_licensee.get_mut(principal) {
+                ids.retain(|i| i != id);
+                if ids.is_empty() {
+                    self.by_licensee.remove(principal);
+                }
+            }
+        }
+        Reply::ok()
+    }
 }
 
 impl ServiceBehavior for AuthDb {
@@ -37,7 +86,7 @@ impl ServiceBehavior for AuthDb {
             .with(
                 CmdSpec::new("storeCredential", "store a signed KeyNote credential")
                     .required("id", ArgType::Word, "unique credential id")
-                    .required("text", ArgType::Word, "hex-encoded credential text"),
+                    .required("text", ArgType::Blob, "credential text"),
             )
             .with(
                 CmdSpec::new("fetchCredentials", "credentials naming a licensee").required(
@@ -60,10 +109,10 @@ impl ServiceBehavior for AuthDb {
         match cmd.name() {
             "storeCredential" => {
                 let id = req_text!(cmd, "id").to_string();
-                let Some(bytes) = hex_decode(req_text!(cmd, "text")) else {
-                    return Reply::err(ErrorCode::Semantics, "text is not valid hex");
+                let Some(bytes) = cmd.get_blob("text") else {
+                    return Reply::err(ErrorCode::Semantics, "text is not a blob");
                 };
-                let Ok(text) = String::from_utf8(bytes) else {
+                let Ok(text) = String::from_utf8(bytes.into_owned()) else {
                     return Reply::err(ErrorCode::Semantics, "credential is not UTF-8");
                 };
                 // Validate structure *and* signature at the door: the DB
@@ -79,39 +128,11 @@ impl ServiceBehavior for AuthDb {
                 if self.credentials.contains_key(&id) {
                     return Reply::err(ErrorCode::BadState, format!("id {id} already stored"));
                 }
-                for principal in assertion.licensees.principals() {
-                    self.by_licensee
-                        .entry(principal.to_string())
-                        .or_default()
-                        .push(id.clone());
-                }
-                self.credentials.insert(id, text);
+                self.insert(id, text, &assertion);
                 Reply::ok()
             }
-            "fetchCredentials" => {
-                let licensee = req_text!(cmd, "licensee");
-                let ids = self.by_licensee.get(licensee).cloned().unwrap_or_default();
-                let texts: Vec<Scalar> = ids
-                    .iter()
-                    .filter_map(|id| self.credentials.get(id))
-                    .map(|text| Scalar::Word(hex_encode(text.as_bytes())))
-                    .collect();
-                Reply::ok_with(|c| {
-                    c.arg("count", texts.len() as i64)
-                        .arg("credentials", Value::Vector(texts))
-                })
-            }
-            "removeCredential" => {
-                let id = req_text!(cmd, "id");
-                if self.credentials.remove(id).is_some() {
-                    for ids in self.by_licensee.values_mut() {
-                        ids.retain(|i| i != id);
-                    }
-                    Reply::ok()
-                } else {
-                    Reply::err(ErrorCode::NotFound, format!("no credential {id}"))
-                }
-            }
+            "fetchCredentials" => self.fetch(req_text!(cmd, "licensee")),
+            "removeCredential" => self.remove(req_text!(cmd, "id")),
             "listCredentials" => {
                 let mut ids: Vec<Scalar> = self
                     .credentials
@@ -151,7 +172,7 @@ impl AuthDbClient {
         self.client.call_ok(
             &CmdLine::new("storeCredential")
                 .arg("id", id)
-                .arg("text", hex_encode(credential.to_text().as_bytes())),
+                .arg("text", credential.to_text().into_bytes()),
         )
     }
 
@@ -160,24 +181,9 @@ impl AuthDbClient {
         let reply = self
             .client
             .call(&CmdLine::new("fetchCredentials").arg("licensee", Value::Str(licensee.into())))?;
-        let mut out = Vec::new();
-        if let Some(texts) = reply.get_vector("credentials") {
-            for scalar in texts {
-                let Some(hex) = scalar.as_text() else {
-                    continue;
-                };
-                let Some(bytes) = hex_decode(hex) else {
-                    continue;
-                };
-                let Ok(text) = String::from_utf8(bytes) else {
-                    continue;
-                };
-                if let Ok(a) = Assertion::parse(&text) {
-                    out.push(a);
-                }
-            }
-        }
-        Ok(out)
+        // A reply that does not add up carries no credentials: no authority
+        // is ever read out of a frame that cannot be taken apart exactly.
+        Ok(credentials_from_reply(&reply).unwrap_or_default())
     }
 
     /// Delete a credential.
@@ -198,6 +204,27 @@ impl AuthDbClient {
             })
             .unwrap_or_default())
     }
+}
+
+/// Take a `fetchCredentials` reply apart: `credentials` cut at `sizes`.
+/// `None` unless the sizes use up the blob exactly; a text that does not
+/// parse as an assertion is skipped.
+fn credentials_from_reply(reply: &CmdLine) -> Option<Vec<Assertion>> {
+    let texts = reply.get_blob("credentials")?;
+    let mut rest: &[u8] = &texts;
+    let mut out = Vec::new();
+    for size in reply.get_vector("sizes")? {
+        let Scalar::Int(size) = size else { return None };
+        let (text, tail) = rest.split_at_checked(usize::try_from(*size).ok()?)?;
+        rest = tail;
+        if let Some(a) = std::str::from_utf8(text)
+            .ok()
+            .and_then(|t| Assertion::parse(t).ok())
+        {
+            out.push(a);
+        }
+    }
+    rest.is_empty().then_some(out)
 }
 
 /// A [`CredentialSource`] backed by a remote Authorization Database — the
@@ -250,5 +277,98 @@ impl CredentialSource for RemoteCredentials {
             }
         }
         Vec::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ace_security::keynote::Licensees;
+    use ace_security::keys::KeyPair;
+
+    /// A database of `n` credentials `c<i>`, each licensing `user<i>` alone.
+    fn database(n: usize) -> AuthDb {
+        let admin = KeyPair::generate(&mut rand::thread_rng());
+        let mut db = AuthDb::new();
+        for i in 0..n {
+            let to = Licensees::Principal(format!("user{i}"));
+            let credential = Assertion::new(admin.principal(), to, "room == \"hawk\"")
+                .and_then(|a| a.sign(&admin))
+                .unwrap();
+            db.insert(format!("c{i}"), credential.to_text(), &credential);
+        }
+        db
+    }
+
+    #[test]
+    fn removal_touches_only_the_credentials_own_licensees() {
+        let mut db = database(1000);
+        let mut expected = db.by_licensee.clone();
+        assert_eq!(expected.remove("user500"), Some(vec!["c500".to_string()]));
+
+        assert!(db.remove("c500").is_ok());
+        assert_eq!(
+            db.by_licensee, expected,
+            "no other list moved, no empty one left"
+        );
+        let reply = db.fetch("user500");
+        assert_eq!(reply.result().unwrap().get_int("count"), Some(0));
+        // An empty answer is still a well-formed one, in either form.
+        let empty = reply.result().unwrap();
+        assert_eq!(credentials_from_reply(empty), Some(vec![]));
+        let as_text = CmdLine::parse(&empty.to_wire()).unwrap();
+        assert_eq!(credentials_from_reply(&as_text), Some(vec![]));
+        assert!(!db.remove("c500").is_ok(), "already gone");
+    }
+
+    #[test]
+    fn a_credential_shared_by_two_licensees_leaves_both_lists() {
+        let admin = KeyPair::generate(&mut rand::thread_rng());
+        let mut db = database(2);
+        let both = Licensees::Or(vec![
+            Licensees::Principal("user0".into()),
+            Licensees::Principal("guest".into()),
+        ]);
+        let shared = Assertion::new(admin.principal(), both, "true")
+            .and_then(|a| a.sign(&admin))
+            .unwrap();
+        db.insert("shared".into(), shared.to_text(), &shared);
+        assert_eq!(db.by_licensee["user0"], ["c0", "shared"]);
+
+        assert!(db.remove("shared").is_ok());
+        assert_eq!(db.by_licensee["user0"], ["c0"]);
+        assert!(!db.by_licensee.contains_key("guest"));
+    }
+
+    #[test]
+    fn fetch_reply_is_cut_at_its_sizes_or_not_at_all() {
+        let admin = KeyPair::generate(&mut rand::thread_rng());
+        let mut db = database(1);
+        let second = Assertion::new(
+            admin.principal(),
+            Licensees::Principal("user0".into()),
+            "true",
+        )
+        .and_then(|a| a.sign(&admin))
+        .unwrap();
+        db.insert("again".into(), second.to_text(), &second);
+
+        let reply = db.fetch("user0").into_result().unwrap();
+        let fetched = credentials_from_reply(&reply).unwrap();
+        assert_eq!(fetched.len(), 2);
+        assert_eq!(fetched[1], second);
+        // The text form of the same reply reads the same.
+        let text = CmdLine::parse(&reply.to_wire()).unwrap();
+        assert_eq!(credentials_from_reply(&text), Some(fetched));
+
+        // Sizes that fall short of, or run past, the blob: no credentials.
+        let texts = reply.get_blob("credentials").unwrap().into_owned();
+        for sizes in [vec![1], vec![texts.len() as i64, 1], vec![-1]] {
+            let sizes = sizes.into_iter().map(Scalar::Int).collect();
+            let bad = CmdLine::new("ok")
+                .arg("sizes", Value::Vector(sizes))
+                .arg("credentials", texts.clone());
+            assert_eq!(credentials_from_reply(&bad), None);
+        }
     }
 }

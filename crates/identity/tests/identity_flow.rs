@@ -420,3 +420,208 @@ fn authdb_rejects_forged_credentials() {
     w.aud.shutdown();
     w.fw.shutdown();
 }
+
+/// A stand-alone Authorization Database and, on another host, a camera-like
+/// daemon guarded by it (policy root: `admin`).  No framework beside them,
+/// so every frame on the net belongs to the test.
+struct Guarded {
+    net: SimNet,
+    admin: KeyPair,
+    authdb: DaemonHandle,
+    camera: DaemonHandle,
+    db: AuthDbClient,
+}
+
+impl Guarded {
+    fn new() -> Guarded {
+        struct Camera;
+        impl ServiceBehavior for Camera {
+            fn semantics(&self) -> Semantics {
+                Semantics::new().with(
+                    CmdSpec::new("ptzMove", "guarded command")
+                        .required("x", ArgType::Int, "pan")
+                        .required("y", ArgType::Int, "tilt")
+                        .required("zoom", ArgType::Int, "zoom"),
+                )
+            }
+            fn handle(&mut self, _: &mut ServiceCtx, _: &CmdLine, _: &ClientInfo) -> Reply {
+                Reply::ok()
+            }
+        }
+
+        let net = SimNet::new();
+        net.add_host("core");
+        net.add_host("bar");
+        let admin = keypair();
+        let authdb = Daemon::spawn(
+            &net,
+            DaemonConfig::new(
+                "authdb",
+                "Service.Database.Authorization",
+                "machineroom",
+                "core",
+                5400,
+            ),
+            Box::new(AuthDb::new()),
+        )
+        .unwrap();
+        let mut engine = KeyNoteEngine::new();
+        engine
+            .add_policy(
+                Assertion::new(POLICY, Licensees::Principal(admin.principal()), "true").unwrap(),
+            )
+            .unwrap();
+        let source =
+            RemoteCredentials::new(net.clone(), "bar".into(), authdb.addr().clone(), keypair());
+        let auth = AuthMode::Local(Arc::new(Authorizer::with_source(engine, Arc::new(source))));
+        let camera = Daemon::spawn(
+            &net,
+            DaemonConfig::new("camera", "Service.Device.PTZCamera", "hawk", "bar", 5401)
+                .with_auth(auth),
+            Box::new(Camera),
+        )
+        .unwrap();
+        let db =
+            AuthDbClient::connect(&net, &"core".into(), authdb.addr().clone(), &admin).unwrap();
+        Guarded {
+            net,
+            admin,
+            authdb,
+            camera,
+            db,
+        }
+    }
+
+    /// Store a credential from the admin to `user` under `id`.
+    fn grant(&mut self, id: &str, user: &KeyPair, conditions: &str) -> Assertion {
+        let credential = Assertion::new(
+            self.admin.principal(),
+            Licensees::Principal(user.principal()),
+            conditions,
+        )
+        .unwrap()
+        .sign(&self.admin)
+        .unwrap();
+        self.db.store(id, &credential).unwrap();
+        credential
+    }
+
+    fn client(&self, user: &KeyPair) -> ServiceClient {
+        ServiceClient::connect(&self.net, &"bar".into(), self.camera.addr().clone(), user).unwrap()
+    }
+
+    /// `fetchCredentials` commands the AuthDB has served so far.
+    fn fetches(&self) -> u64 {
+        let served = self.authdb.metrics().histogram("cmd.fetchCredentials");
+        served.snapshot().count
+    }
+
+    fn shutdown(self) {
+        self.camera.shutdown();
+        self.authdb.shutdown();
+    }
+}
+
+fn ptz_move(x: i64, y: i64, zoom: i64) -> CmdLine {
+    CmdLine::new("ptzMove")
+        .arg("x", x)
+        .arg("y", y)
+        .arg("zoom", zoom)
+}
+
+/// The authorization fast path end to end: the guarded daemon asks the
+/// AuthDB once per (user, what the user's credentials read), not once per
+/// argument tuple — and still every time for a user it has to deny.
+#[test]
+fn argument_tuples_share_one_credential_fetch() {
+    let mut g = Guarded::new();
+    let (roamer, zoomer, stranger) = (keypair(), keypair(), keypair());
+    g.grant("roamer_hawk", &roamer, "room == \"hawk\"");
+    g.grant("zoomer_near", &zoomer, "arg_zoom <= 10");
+
+    // 50 distinct (x, y, zoom): one fetch, one KeyNote evaluation.
+    let mut as_roamer = g.client(&roamer);
+    for i in 0..50 {
+        as_roamer.call_ok(&ptz_move(i, 100 - i, 1 + i % 7)).unwrap();
+    }
+    assert_eq!(g.fetches(), 1);
+    let decisions = g.camera.metrics();
+    assert_eq!(decisions.counter("auth.cache_hits").get(), 49);
+    assert_eq!(decisions.counter("auth.cache_misses").get(), 1);
+
+    // An argument a credential does read still decides, and still keys.
+    let mut as_zoomer = g.client(&zoomer);
+    as_zoomer.call_ok(&ptz_move(0, 0, 5)).unwrap();
+    let err = as_zoomer.call(&ptz_move(0, 0, 50)).unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::Denied));
+    let before = (g.fetches(), decisions.counter("auth.cache_hits").get());
+    for i in 1..=10 {
+        as_zoomer.call_ok(&ptz_move(i, -i, 5)).unwrap();
+    }
+    let after = (g.fetches(), decisions.counter("auth.cache_hits").get());
+    assert_eq!(
+        after,
+        (before.0, before.1 + 10),
+        "x and y vary, zoom=5 hits"
+    );
+    let err = as_zoomer.call(&ptz_move(3, 3, 50)).unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::Denied));
+
+    // No credential: denied every time, and asked about every time — a
+    // denial is never remembered against a credential stored later.
+    let mut as_stranger = g.client(&stranger);
+    let before = g.fetches();
+    for i in 0..5 {
+        let err = as_stranger.call(&ptz_move(i, i, 1)).unwrap_err();
+        assert_eq!(err.code(), Some(ErrorCode::Denied));
+    }
+    assert_eq!(g.fetches(), before + 5);
+    g.grant("stranger_hawk", &stranger, "room == \"hawk\"");
+    as_stranger.call_ok(&ptz_move(0, 0, 1)).unwrap();
+
+    g.shutdown();
+}
+
+/// Credentials cross the wire once, as blobs: six 164-byte credentials are
+/// fetched in under 1,250 bytes of frames (2,106 when they travelled as hex
+/// words), and a text client's hex word is still a `storeCredential text=`.
+#[test]
+fn credentials_travel_as_blobs() {
+    let mut g = Guarded::new();
+    let user = keypair();
+    let mut stored = Vec::new();
+    for room in ["r00", "r01", "r02", "r03", "r04"] {
+        stored.push(g.grant(&format!("c_{room}"), &user, &format!("room == \"{room}\"")));
+    }
+    // The sixth the way a text-only client writes it.
+    let by_hand = Assertion::new(
+        g.admin.principal(),
+        Licensees::Principal(user.principal()),
+        "room == \"r05\"",
+    )
+    .unwrap()
+    .sign(&g.admin)
+    .unwrap();
+    let hex_word = ace_core::protocol::hex_encode(by_hand.to_text().as_bytes());
+    let line = format!("storeCredential id=c_r05 text={hex_word};");
+    let mut text_client =
+        ServiceClient::connect(&g.net, &"core".into(), g.authdb.addr().clone(), &g.admin).unwrap();
+    text_client
+        .call_ok(&CmdLine::parse(&line).unwrap())
+        .unwrap();
+    stored.push(by_hand);
+
+    let before = g.net.metrics().snapshot();
+    let fetched = g.db.fetch_for(&user.principal()).unwrap();
+    let moved = g.net.metrics().snapshot().since(&before);
+    assert_eq!(fetched, stored);
+    assert_eq!(moved.frames, 2, "one command, one reply");
+    let text_bytes: usize = stored.iter().map(|c| c.to_text().len()).sum();
+    assert!(
+        (text_bytes as u64..=1250).contains(&moved.frame_bytes),
+        "{} B of frames for {text_bytes} B of credentials",
+        moved.frame_bytes
+    );
+
+    g.shutdown();
+}

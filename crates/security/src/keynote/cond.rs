@@ -16,13 +16,12 @@
 //! the action set evaluates as the empty string.  Ordering comparisons are
 //! numeric when both operands parse as numbers and lexicographic otherwise.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// The action attribute set: what the requester is trying to do.
 ///
-/// `BTreeMap` keeps iteration deterministic so cached compliance lookups can
-/// hash the environment stably.
+/// `BTreeMap` keeps iteration deterministic.
 pub type ActionEnv = BTreeMap<String, String>;
 
 /// Build an [`ActionEnv`] from pairs.
@@ -83,6 +82,35 @@ impl Cond {
                 let l = lhs.resolve(env);
                 let r = rhs.resolve(env);
                 compare(&l, *op, &r)
+            }
+        }
+    }
+
+    /// The *read set*: every attribute name [`Cond::eval`] can look up.
+    ///
+    /// The language has bare-word references and nothing that computes a
+    /// name, so the set is exact: two action sets that agree on these
+    /// names (an absent one reading as `""`) evaluate alike.
+    pub fn attributes(&self) -> BTreeSet<&str> {
+        let mut out = BTreeSet::new();
+        self.collect_attributes(&mut out);
+        out
+    }
+
+    fn collect_attributes<'a>(&'a self, out: &mut BTreeSet<&'a str>) {
+        match self {
+            Cond::True | Cond::False => {}
+            Cond::Not(c) => c.collect_attributes(out),
+            Cond::And(a, b) | Cond::Or(a, b) => {
+                a.collect_attributes(out);
+                b.collect_attributes(out);
+            }
+            Cond::Cmp { lhs, rhs, .. } => {
+                for side in [lhs, rhs] {
+                    if let Operand::Attr(name) = side {
+                        out.insert(name);
+                    }
+                }
             }
         }
     }
@@ -435,6 +463,28 @@ mod tests {
         assert!(parse_cond("a == 1 extra").is_err());
         assert!(parse_cond("\"unterminated").is_err());
         assert!(parse_cond("a @ 1").is_err());
+    }
+
+    #[test]
+    fn attributes_are_the_names_eval_reads() {
+        let names = |src: &str| -> Vec<String> {
+            let cond = parse_cond(src).unwrap();
+            cond.attributes().into_iter().map(str::to_owned).collect()
+        };
+        assert_eq!(
+            names("a == \"x\" && (!(b < 3) || c >= d) && a != \"y\""),
+            ["a", "b", "c", "d"],
+            "nested connectives, both comparison sides, each name once"
+        );
+        assert_eq!(names("5 <= zoom"), ["zoom"], "right-hand side");
+        assert!(names("true || false").is_empty());
+        assert!(
+            names("\"room\" == \"room\" && 1 < 2").is_empty(),
+            "literals"
+        );
+        // A comparison against `true` is a reference to an attribute of that
+        // name (see `attr_named_true_still_comparable`), so it is read.
+        assert_eq!(names("true == \"yes\""), ["true"]);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! * [`KeyNoteEngine::query`] — the compliance checker: does POLICY
 //!   delegate authority for this action to the requesting principals,
 //!   through any chain of valid credentials?
-//! * [`CachingEngine`] — a verification cache, the E8 ablation.
+//! * [`KeyNoteEngine::attributes`] — the attribute names that answer can
+//!   depend on, which is what `ace_core::auth::Authorizer` keys its
+//!   decision cache by (the E8 ablation is `Authorizer::without_cache`).
 
 pub mod cond;
 pub mod licensee;
@@ -22,7 +24,7 @@ pub use cond::{action_env, parse_cond, ActionEnv, Cond};
 pub use licensee::{parse_licensees, Licensees};
 
 use crate::keys::{KeyPair, PublicKey, Signature};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// The distinguished principal whose authority is the root of every query.
@@ -277,6 +279,19 @@ impl KeyNoteEngine {
         self.assertion_count == 0
     }
 
+    /// The read set of the installed assertions: the union of their
+    /// conditions' [`Cond::attributes`].  [`KeyNoteEngine::query`] reads the
+    /// action set through conditions only (licensee expressions name
+    /// principals), so two action sets that agree on these names get the
+    /// same answer for the same requesters.
+    pub fn attributes(&self) -> BTreeSet<&str> {
+        let mut out = BTreeSet::new();
+        for assertion in self.by_authorizer.values().flatten() {
+            out.append(&mut assertion.conditions.attributes());
+        }
+        out
+    }
+
     /// The compliance query: does `POLICY` authorize `requesters` for the
     /// action described by `env`?
     ///
@@ -330,85 +345,6 @@ impl KeyNoteEngine {
         memo.insert(principal, Some(result));
         result
     }
-}
-
-/// A [`KeyNoteEngine`] with a query cache keyed on `(action env, requesters)`.
-///
-/// The paper flags authorization flexibility/cost as future work (§9); E8
-/// measures what this cache buys.  The cache is invalidated whenever an
-/// assertion is added.
-#[derive(Debug, Default)]
-pub struct CachingEngine {
-    engine: KeyNoteEngine,
-    cache: std::sync::Mutex<HashMap<u64, bool>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-}
-
-impl CachingEngine {
-    pub fn new(engine: KeyNoteEngine) -> CachingEngine {
-        CachingEngine {
-            engine,
-            ..CachingEngine::default()
-        }
-    }
-
-    /// The wrapped engine.
-    pub fn engine(&self) -> &KeyNoteEngine {
-        &self.engine
-    }
-
-    /// Add a policy and invalidate the cache.
-    pub fn add_policy(&mut self, a: Assertion) -> Result<(), KeyNoteError> {
-        self.cache.lock().expect("cache lock").clear();
-        self.engine.add_policy(a)
-    }
-
-    /// Add a credential and invalidate the cache.
-    pub fn add_credential(&mut self, a: Assertion) -> Result<(), KeyNoteError> {
-        self.cache.lock().expect("cache lock").clear();
-        self.engine.add_credential(a)
-    }
-
-    /// Cached compliance query.
-    pub fn query(&self, env: &ActionEnv, requesters: &[&str]) -> bool {
-        use std::sync::atomic::Ordering;
-        let key = cache_key(env, requesters);
-        if let Some(&v) = self.cache.lock().expect("cache lock").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return v;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let v = self.engine.query(env, requesters);
-        self.cache.lock().expect("cache lock").insert(key, v);
-        v
-    }
-
-    /// `(hits, misses)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        use std::sync::atomic::Ordering;
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-}
-
-fn cache_key(env: &ActionEnv, requesters: &[&str]) -> u64 {
-    let mut material = Vec::with_capacity(128);
-    for (k, v) in env {
-        material.extend_from_slice(k.as_bytes());
-        material.push(1);
-        material.extend_from_slice(v.as_bytes());
-        material.push(2);
-    }
-    let mut sorted: Vec<&str> = requesters.to_vec();
-    sorted.sort_unstable();
-    for r in sorted {
-        material.extend_from_slice(r.as_bytes());
-        material.push(3);
-    }
-    crate::hash::fnv64(&material)
 }
 
 #[cfg(test)]
@@ -628,43 +564,5 @@ mod tests {
             engine.add_policy(a),
             Err(KeyNoteError::NotPolicy(_))
         ));
-    }
-
-    #[test]
-    fn cache_hits_and_invalidates() {
-        let user = keypair();
-        let mut caching = CachingEngine::new(KeyNoteEngine::new());
-        caching
-            .add_policy(policy_for(&user.principal(), "true"))
-            .unwrap();
-        let env = action_env([("cmd", "lookup")]);
-        let p = user.principal();
-        assert!(caching.query(&env, &[&p]));
-        assert!(caching.query(&env, &[&p]));
-        assert!(caching.query(&env, &[&p]));
-        let (hits, misses) = caching.stats();
-        assert_eq!((hits, misses), (2, 1));
-
-        // Adding an assertion invalidates.
-        let other = keypair();
-        caching
-            .add_policy(policy_for(&other.principal(), "true"))
-            .unwrap();
-        assert!(caching.query(&env, &[&p]));
-        let (_, misses2) = caching.stats();
-        assert_eq!(misses2, 2);
-    }
-
-    #[test]
-    fn cache_distinguishes_envs_and_requesters() {
-        let user = keypair();
-        let mut caching = CachingEngine::new(KeyNoteEngine::new());
-        caching
-            .add_policy(policy_for(&user.principal(), "cmd == \"a\""))
-            .unwrap();
-        let p = user.principal();
-        assert!(caching.query(&action_env([("cmd", "a")]), &[&p]));
-        assert!(!caching.query(&action_env([("cmd", "b")]), &[&p]));
-        assert!(!caching.query(&action_env([("cmd", "a")]), &["other"]));
     }
 }

@@ -49,8 +49,7 @@ pub mod ticket;
 
 pub use cipher::{DhLocal, SealError, SecureChannel, SessionKey};
 pub use keynote::{
-    action_env, ActionEnv, Assertion, CachingEngine, Cond, KeyNoteEngine, KeyNoteError, Licensees,
-    POLICY,
+    action_env, ActionEnv, Assertion, Cond, KeyNoteEngine, KeyNoteError, Licensees, POLICY,
 };
 pub use keys::{KeyPair, PublicKey, Signature};
 pub use ticket::{resume_proof, ResumptionTicket};
