@@ -11,16 +11,11 @@
 //!   RMI-framed register/lookup carrying serialized proxies (E5);
 //! * [`central`] — a WebSphere-style centralized device server with
 //!   single-dispatcher HTTP-shaped request handling (E20).
-//!
-//! [`load`] is the shared lookup-storm harness that applies the same load
-//! shape to every system under comparison.
 
 pub mod central;
 pub mod jini;
-pub mod load;
 pub mod rmi;
 
 pub use central::{CentralClient, CentralServer};
 pub use jini::{discover, JiniClient, JiniLookup, JiniProxy, DISCOVERY_PORT};
-pub use load::{lookup_storm, LoadReport};
 pub use rmi::{RmiCall, RmiValue};

@@ -13,9 +13,6 @@
 //!   ASD resolve + service dial + ping (the honest pre-PR client path)
 //! * `cold_client_fastpath`  — fresh `FailoverClient` sharing the pool and
 //!   resolution cache: the whole storm rides warm state
-//!
-//! `fastpath_snapshot` turns these rows into `BENCH_pr5.json` with the
-//! resumed-vs-full and fastpath-vs-full speedup ratios.
 
 use ace_core::prelude::*;
 use ace_directory::bootstrap;

@@ -1,6 +1,6 @@
 //! Criterion bench for the end-to-end daemon command path (E4/E18): one
-//! command through the secure link, command thread, control thread, and
-//! back.
+//! command through the secure link, the daemon task's intake, admission
+//! queue and control stages, and back.
 
 use ace_core::prelude::*;
 use ace_directory::bootstrap;

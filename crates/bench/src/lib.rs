@@ -3,13 +3,16 @@
 //! One module per group of experiments from DESIGN.md's index; the
 //! `experiments` binary runs them all and prints the tables recorded in
 //! EXPERIMENTS.md.  Criterion micro-benchmarks for the stable kernels live
-//! in `benches/`.
+//! in `benches/`.  Numbers from the whole building under load come from
+//! `acebench` (`benchmark/`), not from here.
 
 pub mod exp_directory;
 pub mod exp_framework;
 pub mod exp_lang;
 pub mod exp_media;
+pub mod exp_overload;
 pub mod exp_resources;
+pub mod exp_runtime;
 pub mod exp_scenarios;
 pub mod exp_security;
 pub mod exp_store;
@@ -39,5 +42,17 @@ pub fn all_experiments() -> Vec<(&'static str, fn())> {
         ("e18", exp_framework::e18),
         ("e19", exp_store::e19),
         ("e20", exp_directory::e20),
+        ("e21", exp_overload::e21),
+        ("e22", exp_runtime::e22),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn experiment_ids_are_unique_and_contiguous() {
+        let ids: Vec<&str> = super::all_experiments().iter().map(|(id, _)| *id).collect();
+        let expected: Vec<String> = (1..=22).map(|n| format!("e{n:02}")).collect();
+        assert_eq!(ids, expected);
+    }
 }

@@ -65,6 +65,20 @@ pub fn mean_std(values: &[f64]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
+/// Exact nearest-rank percentile (`q` in `[0, 1]`): the smallest sample
+/// with at least `q` of the samples at or below it, so the result is always
+/// a value that was measured.  Same definition as `acebench`'s
+/// (`benchmark/src/stats.rs`).  `None` on an empty set.
+pub fn percentile(samples: &[f64], q: f64) -> Option<f64> {
+    if samples.is_empty() {
+        return None;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
+    Some(sorted[rank.clamp(1, sorted.len()) - 1])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,6 +89,23 @@ mod tests {
         assert!((m - 5.0).abs() < 1e-9);
         assert!((s - 2.0).abs() < 1e-9);
         assert_eq!(mean_std(&[]), (0.0, 0.0));
+    }
+
+    #[test]
+    fn nearest_rank_percentile_is_order_free() {
+        let s: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(percentile(&s, 0.0), Some(1.0));
+        assert_eq!(percentile(&s, 0.5), Some(5.0));
+        assert_eq!(percentile(&s, 0.9), Some(9.0));
+        assert_eq!(percentile(&s, 0.91), Some(10.0));
+        assert_eq!(percentile(&s, 1.0), Some(10.0));
+        // Always a measured sample, never an interpolation between two.
+        assert_eq!(percentile(&[30.0, 10.0, 20.0, 40.0], 0.5), Some(20.0));
+        assert_eq!(percentile(&[40.0, 20.0, 10.0, 30.0], 0.75), Some(30.0));
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(percentile(&[7.0], q), Some(7.0));
+        }
+        assert_eq!(percentile(&[], 0.5), None);
     }
 
     #[test]

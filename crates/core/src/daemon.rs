@@ -8,8 +8,8 @@
 //! Here a daemon is **one cooperative task** ([`DaemonTask`]) on the shared
 //! [`Runtime`] — a deliberate deviation from the paper's threads (four OS
 //! threads per service cap a process at a few hundred daemons; see
-//! `BENCH_pr8.json`).  The four *roles* and the message queue between them
-//! survive as the stages of one poll:
+//! EXPERIMENTS.md § "Daemon runtime (PR 8)").  The four *roles* and the
+//! message queue between them survive as the stages of one poll:
 //!
 //! * **main** — the Fig. 9 startup sequence (Room DB → ASD → Net Logger)
 //!   runs synchronously in [`Daemon::spawn`]; lease renewal and the
@@ -394,7 +394,7 @@ impl Daemon {
             .runtime_pool
             .clone()
             .unwrap_or_else(|| Runtime::global().clone());
-        let (notifier, notifier_task) = Notifier::cooperative(
+        let (notifier, notifier_task) = Notifier::new(
             net.clone(),
             config.host.clone(),
             Arc::clone(&identity),
@@ -1517,6 +1517,18 @@ fn register_cmd(config: &DaemonConfig) -> CmdLine {
         .arg("incarnation", config.incarnation)
 }
 
+/// How long after spawn a daemon first renews its lease: somewhere in
+/// `[period/2, period)`, fixed by `seed` (the daemon's name hash).  Daemons
+/// spawned in the same millisecond would otherwise all renew in the same
+/// millisecond, every period, for as long as they live; later renewals stay
+/// a full period apart, so the offset persists.  Earlier than a full period
+/// only — a lease is never left unrenewed longer than before.
+fn first_renewal_delay(seed: u64, period: Duration) -> Duration {
+    let half = period / 2;
+    let window = u64::try_from(half.as_nanos()).unwrap_or(u64::MAX).max(1);
+    half + Duration::from_nanos(seed % window)
+}
+
 /// The ASD lease client (§2.4): periodic renewal, lapsed-lease
 /// re-registration, and the graceful-stop deregistration sequence — the
 /// main role's afterlife, ticked by [`DaemonTask::poll`].
@@ -1546,15 +1558,16 @@ impl LeaseState {
         metrics: &MetricsRegistry,
         retry_budget: Arc<RetryBudget>,
     ) -> LeaseState {
+        let seed = fnv64(config.name.as_bytes());
         let reconnect = RetryPolicy::new(config.lease_renew / 4)
             .with_cap(config.lease_renew)
-            .with_seed(fnv64(config.name.as_bytes()));
+            .with_seed(seed);
         LeaseState {
             renewals: metrics.counter("lease.renewals"),
             failures: metrics.counter("lease.failures"),
             reregisters: metrics.counter("lease.reregisters"),
             budget_denied: metrics.counter("retry.budgetDenied"),
-            next_renew: Instant::now() + config.lease_renew,
+            next_renew: Instant::now() + first_renewal_delay(seed, config.lease_renew),
             reconnect,
             link_failures: 0,
             client: None,
@@ -1681,5 +1694,27 @@ impl LeaseState {
                 );
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn first_renewal_is_spread_per_daemon_inside_the_second_half_period() {
+        let period = Duration::from_secs(5);
+        let delay = |name: &str| first_renewal_delay(fnv64(name.as_bytes()), period);
+        let (a, b) = (delay("camera_hawk"), delay("projector_hawk"));
+        assert_ne!(a, b, "two daemons spawned together renew apart");
+        assert_eq!(
+            a,
+            delay("camera_hawk"),
+            "the same daemon always lands in the same place"
+        );
+        for d in [a, b, delay(""), first_renewal_delay(u64::MAX, period)] {
+            assert!(d >= period / 2 && d < period, "{d:?} outside the window");
+        }
+        assert_eq!(first_renewal_delay(7, Duration::ZERO), Duration::ZERO);
     }
 }

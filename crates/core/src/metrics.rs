@@ -386,56 +386,6 @@ impl RegistrySnapshot {
     pub fn to_event_payload(&self) -> CmdLine {
         self.encode_into(CmdLine::new("stats"))
     }
-
-    /// Hand-rolled JSON for bench artifacts (`BENCH_pr4.json`); no external
-    /// serializer available in this tree.
-    pub fn to_json(&self, indent: &str) -> String {
-        let pad = |s: &str| format!("{indent}{s}");
-        let mut out = String::from("{\n");
-        out.push_str(&pad("  \"counters\": {\n"));
-        let mut first = true;
-        for (k, v) in &self.counters {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&pad(&format!("    \"{k}\": {v}")));
-        }
-        out.push('\n');
-        out.push_str(&pad("  },\n"));
-        out.push_str(&pad("  \"gauges\": {\n"));
-        first = true;
-        for (k, v) in &self.gauges {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&pad(&format!("    \"{k}\": {v}")));
-        }
-        out.push('\n');
-        out.push_str(&pad("  },\n"));
-        out.push_str(&pad("  \"histograms\": {\n"));
-        first = true;
-        for (k, h) in &self.histograms {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str(&pad(&format!(
-                "    \"{k}\": {{\"count\": {}, \"p50_us\": {:.1}, \"p90_us\": {:.1}, \"p99_us\": {:.1}, \"max_us\": {}, \"mean_us\": {:.1}}}",
-                h.count,
-                h.quantile(0.50),
-                h.quantile(0.90),
-                h.quantile(0.99),
-                h.max_us,
-                h.mean_us()
-            )));
-        }
-        out.push('\n');
-        out.push_str(&pad("  }\n"));
-        out.push_str(&pad("}"));
-        out
-    }
 }
 
 /// Per-histogram quantiles as decoded from an `aceStats` reply.
@@ -608,16 +558,5 @@ mod tests {
         assert_eq!(snap.counters.len(), 1);
         assert!(snap.gauges.is_empty());
         assert_eq!(snap.histograms.len(), 1);
-    }
-
-    #[test]
-    fn json_is_structurally_sound() {
-        let reg = MetricsRegistry::new();
-        reg.counter("c").incr();
-        reg.histogram("h").record_us(42);
-        let json = reg.snapshot().to_json("");
-        assert!(json.contains("\"c\": 1"));
-        assert!(json.contains("\"count\": 1"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

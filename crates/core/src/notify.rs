@@ -159,7 +159,7 @@ impl Notifier {
     /// spawned on a [`crate::runtime::Runtime`].  Delivery outcomes are
     /// recorded in `metrics` (`notify.delivered`, `notify.drops`,
     /// `notify.shed`, `notify.latency`, `notify.queueDepth`).
-    pub fn cooperative(
+    pub fn new(
         net: SimNet,
         from_host: HostId,
         identity: Arc<KeyPair>,
@@ -278,7 +278,7 @@ impl DeliveryState {
     }
 }
 
-/// The delivery worker; see [`Notifier::cooperative`].
+/// The delivery worker; see [`Notifier::new`].
 pub struct NotifierTask {
     rx: Receiver<Outbound>,
     wake: Arc<WakeCell>,

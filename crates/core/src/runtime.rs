@@ -50,7 +50,8 @@
 //!
 //! A daemon that must not share workers gets a pool of its own
 //! (`DaemonConfig::with_runtime_pool(Runtime::new(1))`); the measurement
-//! that retired the paper's thread-per-daemon shell is `BENCH_pr8.json`.
+//! that retired the paper's thread-per-daemon shell is EXPERIMENTS.md
+//! § "Daemon runtime (PR 8)", re-run against a pool per daemon as E22.
 
 use crate::metrics::MetricsRegistry;
 use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};

@@ -7,8 +7,8 @@
 //! Each replica daemon owns a [`DiskImage`] — shared state standing in for
 //! the machine's disk, so a crashed replica that restarts on the same host
 //! finds its data again.  Anti-entropy runs on a dedicated *sync worker
-//! thread*, not the daemon's control thread: replicas synchronously query
-//! each other (digest pulls), and two control threads calling each other
+//! thread*, not inside the daemon's task: replicas synchronously query each
+//! other (digest pulls), and two daemon tasks blocked calling each other
 //! would deadlock — the worker keeps command service and synchronization
 //! independent, mirroring the paper's separation of command and data paths.
 

@@ -50,11 +50,19 @@ fn scenario1_new_user_and_workspace() {
     );
 
     // The VNC server process was accounted on some host through the SAL.
+    // The SRM answers from its last poll of the HRMs (every 200 ms), and a
+    // poll that lands between its own `bestHost` charge and the HAL's
+    // `addLoad` shows zero until the next one — so look again, not once.
     let mut srm = ace.client("srm").unwrap();
-    let reply = srm.call(&CmdLine::new("systemResources")).unwrap();
-    let rows = ace_resources::system_rows_from_value(reply.get("hosts").unwrap()).unwrap();
-    let total_apps: i64 = rows.iter().map(|r| r.5).sum();
-    assert!(total_apps >= 1, "vncserver accounted: {rows:?}");
+    let mut rows = Vec::new();
+    assert!(
+        wait_until(Duration::from_secs(2), || {
+            let reply = srm.call(&CmdLine::new("systemResources")).unwrap();
+            rows = ace_resources::system_rows_from_value(reply.get("hosts").unwrap()).unwrap();
+            rows.iter().map(|r| r.5).sum::<i64>() >= 1
+        }),
+        "vncserver accounted: {rows:?}"
+    );
 
     ace.shutdown();
 }
