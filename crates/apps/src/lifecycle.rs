@@ -147,14 +147,12 @@ pub fn wire_watcher(
     identity: &ace_security::keys::KeyPair,
 ) -> Result<(), ClientError> {
     let mut client = ServiceClient::connect(net, &watcher.addr().host, asd.clone(), identity)?;
-    client.call_ok(
-        &CmdLine::new("addNotification")
-            .arg("cmd", "serviceExpired")
-            .arg("service", watcher.name())
-            .arg("host", watcher.addr().host.as_str())
-            .arg("port", watcher.addr().port)
-            .arg("notifyCmd", "onServiceExpired"),
-    )
+    client.call_ok(&ace_core::protocol::subscribe_cmd(
+        "serviceExpired",
+        watcher.name(),
+        watcher.addr(),
+        "onServiceExpired",
+    ))
 }
 
 #[cfg(test)]

@@ -31,12 +31,15 @@ impl FileStorage {
 
     fn store(&mut self, ctx: &ServiceCtx) -> &mut StoreClient {
         if self.store.is_none() {
-            self.store = Some(StoreClient::new(
-                ctx.net().clone(),
-                ctx.host().clone(),
-                *ctx.identity(),
-                self.replicas.clone(),
-            ));
+            self.store = Some(
+                StoreClient::new(
+                    ctx.net().clone(),
+                    ctx.host().clone(),
+                    *ctx.identity(),
+                    self.replicas.clone(),
+                )
+                .with_pool(ctx.pool()),
+            );
         }
         self.store.as_mut().expect("just created")
     }

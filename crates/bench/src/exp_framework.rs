@@ -214,14 +214,12 @@ pub fn e06() {
             )
             .unwrap();
             to_emitter
-                .call_ok(
-                    &CmdLine::new("addNotification")
-                        .arg("cmd", "touch")
-                        .arg("service", format!("sink{i}").as_str())
-                        .arg("host", "core")
-                        .arg("port", 6100 + i as i64)
-                        .arg("notifyCmd", "onEvent"),
-                )
+                .call_ok(&ace_core::protocol::subscribe_cmd(
+                    "touch",
+                    sink.name(),
+                    sink.addr(),
+                    "onEvent",
+                ))
                 .unwrap();
             sinks.push(sink);
         }

@@ -6,15 +6,22 @@
 //! service *does* is a [`ServiceBehavior`].  Implementing a new ACE service
 //! is exactly what §2.3 promises: define the command semantics, implement
 //! `handle`, and the framework does the rest.
+//!
+//! What a behavior *sends* goes through its [`ServiceCtx`]: `call`,
+//! `lookup`, `log`, `send_async` and fired events all leave through the
+//! daemon's one [`LinkPool`] — probed before the send, resumed on redial.
+//! [`ServiceCtx::call`] states the retry contract; [`ServiceCtx::pool`]
+//! lends the pool to clients and workers the behavior owns.
 
-use crate::client::{ClientError, ServiceClient};
+use crate::client::{ClientError, DEFAULT_CALL_TIMEOUT};
 use crate::metrics::MetricsRegistry;
 use crate::notify::Notifier;
+use crate::pool::LinkPool;
 use crate::protocol::{self, ServiceEntry};
-use ace_lang::{CmdLine, Reply, Semantics};
+use crate::retry::{RetryBudget, RetryPolicy};
+use ace_lang::{CmdLine, ErrorCode, Reply, Semantics};
 use ace_net::{Addr, Datagram, HostId, SimNet};
 use ace_security::keys::KeyPair;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -82,18 +89,20 @@ pub trait ServiceBehavior: Send + 'static {
 /// The daemon-provided capabilities a behavior can use while executing:
 /// identity, outbound calls, ASD lookup, event emission, logging.
 pub struct ServiceCtx {
-    net: SimNet,
+    /// The daemon's one outbound path; also where its host, identity and
+    /// network handle live.
+    pool: Arc<LinkPool>,
     name: String,
     class: String,
     room: String,
-    host: HostId,
     port: u16,
-    identity: Arc<KeyPair>,
     asd: Option<Addr>,
     logger: Option<Addr>,
     notifier: Notifier,
     metrics: Arc<MetricsRegistry>,
-    clients: HashMap<Addr, ServiceClient>,
+    /// The daemon's storm-prevention budget, shared with its lease client:
+    /// [`ServiceCtx::call`] pays for each retry out of it.
+    retry_budget: Arc<RetryBudget>,
     /// Events fired by the behavior during this dispatch, drained by the
     /// control role into the notification registry.
     pub(crate) pending_events: Vec<CmdLine>,
@@ -111,32 +120,29 @@ pub struct ServiceCtx {
 impl ServiceCtx {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        net: SimNet,
+        pool: Arc<LinkPool>,
         name: String,
         class: String,
         room: String,
-        host: HostId,
         port: u16,
-        identity: Arc<KeyPair>,
         asd: Option<Addr>,
         logger: Option<Addr>,
         notifier: Notifier,
         metrics: Arc<MetricsRegistry>,
+        retry_budget: Arc<RetryBudget>,
         runtime: crate::runtime::Runtime,
     ) -> ServiceCtx {
         ServiceCtx {
-            net,
+            pool,
             name,
             class,
             room,
-            host,
             port,
-            identity,
             asd,
             logger,
             notifier,
             metrics,
-            clients: HashMap::new(),
+            retry_budget,
             pending_events: Vec::new(),
             stop_requested: false,
             deadline: None,
@@ -180,27 +186,27 @@ impl ServiceCtx {
 
     /// The host this daemon runs on.
     pub fn host(&self) -> &HostId {
-        &self.host
+        self.pool.host()
     }
 
     /// This daemon's service address.
     pub fn addr(&self) -> Addr {
-        Addr::new(self.host.clone(), self.port)
+        Addr::new(self.host().clone(), self.port)
     }
 
     /// This daemon's principal.
     pub fn principal(&self) -> String {
-        self.identity.principal()
+        self.identity().principal()
     }
 
     /// This daemon's key pair (for signing credentials it issues).
     pub fn identity(&self) -> &KeyPair {
-        &self.identity
+        self.pool.identity()
     }
 
     /// The shared network handle.
     pub fn net(&self) -> &SimNet {
-        &self.net
+        self.pool.net()
     }
 
     /// The ASD address, if this daemon was configured with one.
@@ -208,43 +214,61 @@ impl ServiceCtx {
         self.asd.as_ref()
     }
 
-    /// Call another ACE service, reusing a cached connection.  On a link
-    /// failure the connection is discarded and retried once (services may
-    /// have restarted on the same address).
+    /// This daemon's link pool — the one path everything it sends takes.
+    /// Behaviors hand it to the composite clients and workers they own
+    /// (a store client, an anti-entropy thread) so those share the
+    /// daemon's links and tickets instead of dialing their own.
+    pub fn pool(&self) -> Arc<LinkPool> {
+        Arc::clone(&self.pool)
+    }
+
+    /// Call another ACE service over this daemon's [`LinkPool`].
+    ///
+    /// * The link passed the pool's health probe before the command left;
+    ///   a link failure *under* the command is answered with one fresh
+    ///   dial and one re-send ([`LinkPool::call`]), then surfaces.
+    /// * A retryable service error (`E_BUSY`, `E_DEADLINE`, `E_UPGRADING` —
+    ///   by contract the verb did not run) is retried at most twice, after
+    ///   5 ms and then 10 ms, never past [`ServiceCtx::time_remaining`],
+    ///   each retry paid for out of the daemon's retry budget.  On
+    ///   `E_UPGRADING` the pool's links to `addr` are evicted first, so
+    ///   the retry dials the replacement.
+    /// * Every other service error returns at once.
     ///
     /// When the command being dispatched carried a `deadline=`, the
-    /// remaining budget is stamped onto the outbound command so downstream
+    /// remaining budget is stamped onto each outbound attempt so downstream
     /// hops inherit (and decrement) the caller's deadline.
     pub fn call(&mut self, addr: &Addr, cmd: &CmdLine) -> Result<CmdLine, ClientError> {
-        let stamped;
-        let cmd = match self.time_remaining() {
-            Some(remaining) if cmd.deadline_ms().is_none() => {
-                let mut c = cmd.clone();
-                c.set_deadline_ms(remaining.as_millis() as i64);
-                stamped = c;
-                &stamped
-            }
-            _ => cmd,
-        };
-        for attempt in 0..2 {
-            if !self.clients.contains_key(addr) {
-                let client =
-                    ServiceClient::connect(&self.net, &self.host, addr.clone(), &self.identity)?;
-                self.clients.insert(addr.clone(), client);
-            }
-            let client = self.clients.get_mut(addr).expect("just inserted");
-            match client.call(cmd) {
-                Ok(reply) => return Ok(reply),
-                err @ Err(ClientError::Service { .. }) => return err,
-                Err(link_err @ ClientError::Link(_)) => {
-                    self.clients.remove(addr);
-                    if attempt == 1 {
-                        return Err(link_err);
+        self.retry_budget.note_call();
+        let mut policy = RetryPolicy::new(Duration::from_millis(5))
+            .with_jitter(0.0)
+            .with_max_attempts(2)
+            .with_retry_budget(Arc::clone(&self.retry_budget));
+        if let Some(remaining) = self.time_remaining() {
+            policy = policy.with_budget(remaining);
+        }
+        let mut retry = policy.start();
+        loop {
+            let outcome = match self.time_remaining() {
+                Some(remaining) if cmd.deadline_ms().is_none() => {
+                    let mut stamped = cmd.clone();
+                    stamped.set_deadline_ms(remaining.as_millis() as i64);
+                    self.pool.call(addr, &stamped, DEFAULT_CALL_TIMEOUT)
+                }
+                _ => self.pool.call(addr, cmd, DEFAULT_CALL_TIMEOUT),
+            };
+            match outcome {
+                Err(ClientError::Service { code, msg }) if code.is_retryable() => {
+                    if code == ErrorCode::Upgrading {
+                        self.pool.evict(addr);
+                    }
+                    if !retry.backoff() {
+                        return Err(ClientError::Service { code, msg });
                     }
                 }
+                outcome => return outcome,
             }
         }
-        unreachable!("loop returns on second attempt")
     }
 
     /// Look up services in the ASD (Fig. 7).  Any combination of filters.
@@ -255,28 +279,11 @@ impl ServiceCtx {
         room: Option<&str>,
     ) -> Result<Vec<ServiceEntry>, ClientError> {
         let asd = self.asd.clone().ok_or(ClientError::Service {
-            code: ace_lang::ErrorCode::Unavailable,
+            code: ErrorCode::Unavailable,
             msg: "daemon configured without an ASD".into(),
         })?;
-        let mut cmd = CmdLine::new("lookup");
-        if let Some(n) = name {
-            cmd.push_arg("name", n);
-        }
-        if let Some(c) = class {
-            cmd.push_arg("class", c);
-        }
-        if let Some(r) = room {
-            cmd.push_arg("room", r);
-        }
-        let reply = self.call(&asd, &cmd)?;
-        let entries = reply
-            .get("services")
-            .and_then(protocol::entries_from_value)
-            .ok_or(ClientError::Service {
-                code: ace_lang::ErrorCode::Internal,
-                msg: "malformed lookup reply".into(),
-            })?;
-        Ok(entries)
+        let reply = self.call(&asd, &protocol::lookup_cmd(name, class, room))?;
+        protocol::entries_from_reply(&reply)
     }
 
     /// Find exactly one service by name; `None` if absent.
@@ -302,12 +309,9 @@ impl ServiceCtx {
     /// and best-effort.
     pub fn log(&self, level: &str, msg: impl Into<String>) {
         if let Some(logger) = &self.logger {
-            let cmd = CmdLine::new("log")
-                .arg("level", level)
-                .arg("msg", ace_lang::Value::Str(msg.into()))
-                .arg("service", self.name.as_str())
-                .arg("host", self.host.as_str());
-            self.notifier.send(logger.clone(), cmd);
+            let origin = Some((self.name.as_str(), self.host().as_str()));
+            self.notifier
+                .send(logger.clone(), protocol::log_cmd(level, msg, origin));
         }
     }
 
@@ -326,7 +330,7 @@ impl ServiceCtx {
             let cmd = CmdLine::new("event")
                 .arg("service", self.name.as_str())
                 .arg("kind", "stats")
-                .arg("host", self.host.as_str())
+                .arg("host", self.host().as_str())
                 .arg(
                     "data",
                     ace_lang::Value::Word(protocol::hex_encode(payload.to_wire().as_bytes())),
@@ -348,6 +352,12 @@ impl ServiceCtx {
 
 impl std::fmt::Debug for ServiceCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ServiceCtx({} @ {}:{})", self.name, self.host, self.port)
+        write!(
+            f,
+            "ServiceCtx({} @ {}:{})",
+            self.name,
+            self.host(),
+            self.port
+        )
     }
 }

@@ -1,9 +1,11 @@
 //! The client side of an ACE service conversation.
 //!
-//! Anything that issues commands to a daemon — a user GUI, another daemon,
-//! a scenario driver — holds a [`ServiceClient`]: a secure link plus the
-//! call/reply discipline ("return commands are used to reply on the status
-//! of the attempted command", §2.2).
+//! An actor that wants an explicit session with one daemon — a user GUI, a
+//! typed client, a scenario driver — holds a [`ServiceClient`]: a secure
+//! link plus the call/reply discipline ("return commands are used to reply
+//! on the status of the attempted command", §2.2).  Daemons and the
+//! composite clients do not hold these themselves: they check them out of
+//! a [`crate::pool::LinkPool`].
 
 use crate::link::{LinkError, SecureLink, TicketCache};
 use ace_lang::{CmdLine, ErrorCode, Reply};

@@ -13,7 +13,9 @@
 //!
 //! * **main** — the Fig. 9 startup sequence (Room DB → ASD → Net Logger)
 //!   runs synchronously in [`Daemon::spawn`]; lease renewal and the
-//!   graceful-stop deregistration are [`LeaseState`], ticked by the poll;
+//!   graceful-stop deregistration are [`LeaseState`], ticked by the poll.
+//!   Both send over the daemon's one [`LinkPool`], created in `spawn` and
+//!   shared with the behavior's context and the notifier;
 //! * **accept + command** — the intake stages: accept connections, run the
 //!   secure handshake once the client's hello is in hand, then parse,
 //!   semantically validate, gate and *admit* incoming commands into the
@@ -30,11 +32,12 @@ use crate::admission::{
 };
 use crate::auth::{action_env_for, AuthMode};
 use crate::behavior::{ClientInfo, ServiceBehavior, ServiceCtx};
-use crate::client::{ClientError, ServiceClient};
+use crate::client::ClientError;
 use crate::link::{LinkError, SecureLink, TicketVault};
 use crate::metrics::{Counter, Histogram, MetricsRegistry};
 use crate::notify::{NotificationRegistry, Notifier, Registration};
-use crate::protocol;
+use crate::pool::LinkPool;
+use crate::protocol::{self, ServiceEntry};
 use crate::retry::{RetryBudget, RetryPolicy};
 use crate::runtime::{Runtime, RuntimeTask, TaskContext, TaskHandle, TaskPoll};
 use ace_lang::{CmdLine, ErrorCode, Reply, Scalar, Semantics, Value};
@@ -288,30 +291,34 @@ impl Daemon {
         let listener = net.listen(addr.clone()).map_err(SpawnError::Bind)?;
         let dsocket = net.bind_datagram(addr.clone()).map_err(SpawnError::Bind)?;
 
+        // Everything this daemon ever sends — the three registrations below,
+        // lease renewals, the behavior's calls, notifications — leaves
+        // through this one pool.
+        let pool = Arc::new(LinkPool::new(net, config.host.clone(), *identity));
+
         // Step 2: establish location with the Room Database.
         if let Some(roomdb) = &config.roomdb {
-            let mut client = ServiceClient::connect(net, &config.host, roomdb.clone(), &identity)
-                .map_err(|error| SpawnError::Register {
+            let failed = |error| SpawnError::Register {
                 step: "roomdb",
                 error,
-            })?;
-            client
-                .call_ok(
-                    &CmdLine::new("roomRegister")
-                        .arg("service", config.name.as_str())
-                        .arg("host", config.host.as_str())
-                        .arg("port", config.port)
-                        .arg("room", config.room.as_str()),
-                )
-                .map_err(|error| SpawnError::Register {
-                    step: "roomdb",
-                    error,
-                })?;
+            };
+            let mut link = pool.checkout(roomdb).map_err(failed)?;
+            link.call_ok(
+                &CmdLine::new("roomRegister")
+                    .arg("service", config.name.as_str())
+                    .arg("host", config.host.as_str())
+                    .arg("port", config.port)
+                    .arg("room", config.room.as_str()),
+            )
+            .map_err(failed)?;
+            // The Room DB hears from a daemon here and at goodbye only: not
+            // worth a standing session.
+            link.discard();
         }
 
         // Shared storm-prevention budget for this daemon's own retry loops
-        // (ASD registration below + lease renewal): even framework-plane
-        // retries must not amplify an overload.
+        // (ASD registration below, lease renewal, `ServiceCtx::call`): even
+        // framework-plane retries must not amplify an overload.
         let retry_budget = Arc::new(RetryBudget::new(5, 0.1));
 
         // Steps 3 and 5 ride out brief unavailability of the plane they talk
@@ -326,8 +333,7 @@ impl Daemon {
                 .with_retry_budget(Arc::clone(&retry_budget))
                 .start();
             loop {
-                let result = ServiceClient::connect(net, &config.host, addr.clone(), &identity)
-                    .and_then(|mut client| client.call_ok(cmd));
+                let result = pool.checkout(addr).and_then(|mut link| link.call_ok(cmd));
                 match result {
                     Ok(()) => return Ok(()),
                     Err(error) if !retry.backoff() => {
@@ -346,18 +352,8 @@ impl Daemon {
         // Step 5: record the start with the Network Logger.  (Step 4 —
         // notifications on the registration — happens inside the ASD.)
         if let Some(logger) = &config.logger {
-            let started = CmdLine::new("log")
-                .arg("level", "info")
-                .arg(
-                    "msg",
-                    Value::Str(format!(
-                        "service {} started on host {}",
-                        config.name, config.host
-                    )),
-                )
-                .arg("service", config.name.as_str())
-                .arg("host", config.host.as_str());
-            register("logger", logger, &started)?;
+            let started = format!("service {} started on host {}", config.name, config.host);
+            register("logger", logger, &log_cmd(&config, started))?;
         }
 
         // Full vocabulary: service commands inheriting the built-ins.
@@ -394,24 +390,18 @@ impl Daemon {
             .runtime_pool
             .clone()
             .unwrap_or_else(|| Runtime::global().clone());
-        let (notifier, notifier_task) = Notifier::new(
-            net.clone(),
-            config.host.clone(),
-            Arc::clone(&identity),
-            Arc::clone(&metrics),
-        );
+        let (notifier, notifier_task) = Notifier::new(Arc::clone(&pool), &metrics);
         let ctx = ServiceCtx::new(
-            net.clone(),
+            Arc::clone(&pool),
             config.name.clone(),
             config.class.clone(),
             config.room.clone(),
-            config.host.clone(),
             config.port,
-            Arc::clone(&identity),
             config.asd.clone(),
             config.logger.clone(),
             notifier,
             Arc::clone(&metrics),
+            Arc::clone(&retry_budget),
             runtime.clone(),
         );
         // Listeners carried over from the previous incarnation (live
@@ -439,13 +429,7 @@ impl Daemon {
             errors: metrics.counter("cmd.errors"),
             verb_hists: HashMap::new(),
         };
-        let lease = LeaseState::new(
-            net.clone(),
-            config.clone(),
-            Arc::clone(&identity),
-            &metrics,
-            retry_budget,
-        );
+        let lease = LeaseState::new(pool, config.clone(), &metrics, retry_budget);
         let now = Instant::now();
         let task = DaemonTask {
             listener,
@@ -1508,13 +1492,19 @@ impl Control {
 
 /// The Fig. 9 step-3 registration command for `config`.
 fn register_cmd(config: &DaemonConfig) -> CmdLine {
-    CmdLine::new("register")
-        .arg("name", config.name.as_str())
-        .arg("host", config.host.as_str())
-        .arg("port", config.port)
-        .arg("room", config.room.as_str())
-        .arg("class", config.class.as_str())
-        .arg("incarnation", config.incarnation)
+    let entry = ServiceEntry {
+        name: config.name.clone(),
+        addr: Addr::new(config.host.clone(), config.port),
+        class: config.class.clone(),
+        room: config.room.clone(),
+    };
+    protocol::register_cmd(&entry, Some(config.incarnation))
+}
+
+/// A lifecycle record ("started", "stopped") signed with `config`'s origin.
+fn log_cmd(config: &DaemonConfig, msg: String) -> CmdLine {
+    let origin = (config.name.as_str(), config.host.as_str());
+    protocol::log_cmd("info", msg, Some(origin))
 }
 
 /// How long after spawn a daemon first renews its lease: somewhere in
@@ -1533,9 +1523,8 @@ fn first_renewal_delay(seed: u64, period: Duration) -> Duration {
 /// re-registration, and the graceful-stop deregistration sequence — the
 /// main role's afterlife, ticked by [`DaemonTask::poll`].
 struct LeaseState {
-    net: SimNet,
+    pool: Arc<LinkPool>,
     config: DaemonConfig,
-    identity: Arc<KeyPair>,
     renewals: Arc<Counter>,
     failures: Arc<Counter>,
     reregisters: Arc<Counter>,
@@ -1546,15 +1535,13 @@ struct LeaseState {
     /// services doesn't reconnect to the ASD in lockstep.
     reconnect: RetryPolicy,
     link_failures: u32,
-    client: Option<ServiceClient>,
     next_renew: Instant,
 }
 
 impl LeaseState {
     fn new(
-        net: SimNet,
+        pool: Arc<LinkPool>,
         config: DaemonConfig,
-        identity: Arc<KeyPair>,
         metrics: &MetricsRegistry,
         retry_budget: Arc<RetryBudget>,
     ) -> LeaseState {
@@ -1570,10 +1557,8 @@ impl LeaseState {
             next_renew: Instant::now() + first_renewal_delay(seed, config.lease_renew),
             reconnect,
             link_failures: 0,
-            client: None,
-            net,
+            pool,
             config,
-            identity,
             retry_budget,
         }
     }
@@ -1583,10 +1568,10 @@ impl LeaseState {
         self.config.asd.as_ref().map(|_| self.next_renew)
     }
 
-    /// Renew the lease if due.  Bounded work: at most one connect and one
-    /// call per invocation.
+    /// Renew the lease if due.  Bounded work: at most one dial and one
+    /// call per invocation (two when a lapsed lease is re-registered).
     fn tick(&mut self) {
-        let Some(asd) = self.config.asd.clone() else {
+        let Some(asd) = &self.config.asd else {
             return;
         };
         if Instant::now() < self.next_renew {
@@ -1596,37 +1581,29 @@ impl LeaseState {
         // Each renewal period is fresh (non-retry) work: it earns back a
         // slice of the shared retry budget.
         self.retry_budget.note_call();
-        if self.client.is_none() {
-            self.client =
-                ServiceClient::connect(&self.net, &self.config.host, asd, &self.identity).ok();
-        }
-        match self.client.as_mut() {
-            Some(c) => {
-                let renew = CmdLine::new("renewLease")
-                    .arg("name", self.config.name.as_str())
-                    .arg("incarnation", self.config.incarnation);
-                match c.call_ok(&renew) {
-                    Ok(()) => {
-                        self.renewals.incr();
-                        self.link_failures = 0;
-                    }
-                    Err(ClientError::Service {
-                        code: ErrorCode::NotFound,
-                        ..
-                    }) => {
-                        // Lease lapsed (e.g. an ASD restart): re-register.
-                        self.reregisters.incr();
-                        let _ = c.call_ok(&register_cmd(&self.config));
-                    }
-                    Err(_) => {
-                        self.failures.incr();
-                        self.client = None;
-                        self.schedule_retry();
-                    }
-                }
+        let Ok(mut link) = self.pool.checkout(asd) else {
+            // The dial itself failed (ASD down or unreachable).
+            self.failures.incr();
+            self.schedule_retry();
+            return;
+        };
+        let renew = CmdLine::new("renewLease")
+            .arg("name", self.config.name.as_str())
+            .arg("incarnation", self.config.incarnation);
+        match link.call_ok(&renew) {
+            Ok(()) => {
+                self.renewals.incr();
+                self.link_failures = 0;
             }
-            None => {
-                // Connect itself failed (ASD down or unreachable).
+            Err(ClientError::Service {
+                code: ErrorCode::NotFound,
+                ..
+            }) => {
+                // Lease lapsed (e.g. an ASD restart): re-register.
+                self.reregisters.incr();
+                let _ = link.call_ok(&register_cmd(&self.config));
+            }
+            Err(_) => {
                 self.failures.incr();
                 self.schedule_retry();
             }
@@ -1652,46 +1629,28 @@ impl LeaseState {
     /// deregistration: its live-upgrade replacement owns the registrations
     /// now, and a late `removeService` here would clobber them.
     fn goodbye(&mut self, crashed: bool, deregister: bool) {
-        let Some(asd) = self.config.asd.clone() else {
+        let Some(asd) = &self.config.asd else {
             return;
         };
         if crashed {
             return;
         }
+        // Best effort, one attempt each: the lease cleans up what is missed.
+        let name = self.config.name.as_str();
         if deregister {
-            if let Ok(mut c) =
-                ServiceClient::connect(&self.net, &self.config.host, asd, &self.identity)
-            {
-                let _ = c
-                    .call_ok(&CmdLine::new("removeService").arg("name", self.config.name.as_str()));
+            if let Ok(mut asd) = self.pool.checkout(asd) {
+                let _ = asd.call_ok(&CmdLine::new("removeService").arg("name", name));
             }
             if let Some(roomdb) = &self.config.roomdb {
-                if let Ok(mut c) = ServiceClient::connect(
-                    &self.net,
-                    &self.config.host,
-                    roomdb.clone(),
-                    &self.identity,
-                ) {
-                    let _ = c.call_ok(
-                        &CmdLine::new("roomRemove").arg("service", self.config.name.as_str()),
-                    );
+                if let Ok(mut roomdb) = self.pool.checkout(roomdb) {
+                    let _ = roomdb.call_ok(&CmdLine::new("roomRemove").arg("service", name));
                 }
             }
         }
         if let Some(logger) = &self.config.logger {
-            if let Ok(mut c) =
-                ServiceClient::connect(&self.net, &self.config.host, logger.clone(), &self.identity)
-            {
-                let _ = c.call_ok(
-                    &CmdLine::new("log")
-                        .arg("level", "info")
-                        .arg(
-                            "msg",
-                            Value::Str(format!("service {} stopped", self.config.name)),
-                        )
-                        .arg("service", self.config.name.as_str())
-                        .arg("host", self.config.host.as_str()),
-                );
+            if let Ok(mut logger) = self.pool.checkout(logger) {
+                let stopped = format!("service {name} stopped");
+                let _ = logger.call_ok(&log_cmd(&self.config, stopped));
             }
         }
     }

@@ -13,25 +13,25 @@
 //! *executed* but whose reply was lost is not silently executed twice
 //! unless the caller opts in with [`FailoverClient::call_idempotent`].
 //!
-//! # The connection fast path
+//! # Links and resolutions
 //!
-//! Out of the box every call re-resolves through the ASD and dials a fresh
-//! full-handshake link — correct, but expensive under churn.  Two opt-in
-//! layers remove that cost without weakening the semantics:
+//! Every link — to the service and to the directory — is a checkout from a
+//! [`LinkPool`]: a private one built at [`FailoverClient::bind`], or a
+//! shared one injected with [`FailoverClient::with_pool`] so many clients
+//! reuse each other's links and resumption tickets.  Either way a redial
+//! resumes instead of re-handshaking, and a link is probed before a command
+//! leaves on it.  The link to the service is held between calls; the
+//! directory link is returned to the pool after each resolution.
 //!
-//! * [`FailoverClient::with_pool`] checks links out of a shared
-//!   [`LinkPool`] instead of dialing per resolution (and pool misses ride
-//!   session resumption);
-//! * [`FailoverClient::with_resolution_cache`] remembers resolved
-//!   addresses in a [`ResolutionCache`] for a TTL derived from the ASD
-//!   lease, so the ASD round trip disappears from the steady state.
+//! [`FailoverClient::with_resolution_cache`] remembers resolved addresses
+//! in a [`ResolutionCache`] for a TTL derived from the ASD lease, so the
+//! ASD round trip disappears from the steady state.
 //!
 //! Both layers invalidate eagerly: *any* link failure drops the cached
 //! resolution for the service (the address may be stale) and discards the
-//! pooled link (it may have a reply in flight).  A cache can additionally
-//! be wired to the ASD's `serviceExpired` event via
-//! [`ResolutionInvalidator`], so lease expiry invalidates even idle
-//! clients.
+//! link (it may have a reply in flight).  A cache can additionally be wired
+//! to the ASD's `serviceExpired` event via [`ResolutionInvalidator`], so
+//! lease expiry invalidates even idle clients.
 
 use crate::behavior::{ClientInfo, ServiceBehavior, ServiceCtx};
 use crate::breaker::{BreakerRegistry, BreakerVerdict};
@@ -222,61 +222,17 @@ pub fn subscribe_expiry_invalidation(
     listener_name: &str,
     listener_addr: &Addr,
 ) -> Result<(), ClientError> {
-    asd_client.call_ok(
-        &CmdLine::new("addNotification")
-            .arg("cmd", "serviceExpired")
-            .arg("service", listener_name)
-            .arg("host", listener_addr.host.as_str())
-            .arg("port", listener_addr.port)
-            .arg("notifyCmd", "onServiceExpired"),
-    )
+    asd_client.call_ok(&protocol::subscribe_cmd(
+        "serviceExpired",
+        listener_name,
+        listener_addr,
+        "onServiceExpired",
+    ))
 }
 
 // ---------------------------------------------------------------------------
 // The failover client
 // ---------------------------------------------------------------------------
-
-/// The established connection a [`FailoverClient`] holds between calls:
-/// either its own dedicated link or a checkout from a shared pool.
-enum Conn {
-    Direct(ServiceClient),
-    Pooled(PooledLink),
-}
-
-impl Conn {
-    fn call(&mut self, cmd: &CmdLine) -> Result<CmdLine, ClientError> {
-        match self {
-            Conn::Direct(c) => c.call(cmd),
-            Conn::Pooled(p) => p.call(cmd),
-        }
-    }
-
-    /// Route up, peer still there, nothing queued inbound?
-    fn is_healthy_idle(&self) -> bool {
-        match self {
-            Conn::Direct(c) => c.is_healthy_idle(),
-            Conn::Pooled(p) => p.is_healthy_idle(),
-        }
-    }
-
-    /// Could a command already have executed on this link before the
-    /// current call?  True for links held over from a previous call and
-    /// for pool checkouts that reused an idle link.
-    fn is_established(&self, held_over: bool) -> bool {
-        held_over
-            || match self {
-                Conn::Direct(_) => false,
-                Conn::Pooled(p) => p.was_reused(),
-            }
-    }
-
-    fn target(&self) -> Addr {
-        match self {
-            Conn::Direct(c) => c.target().clone(),
-            Conn::Pooled(p) => p.target().clone(),
-        }
-    }
-}
 
 /// A client bound to a service name, resolved through the ASD.
 ///
@@ -292,9 +248,6 @@ impl Conn {
 ///   the command can execute more than once.  Only use it for commands
 ///   that are safe to repeat (reads, absolute writes, registrations).
 pub struct FailoverClient {
-    net: SimNet,
-    from_host: HostId,
-    identity: KeyPair,
     /// Directory replicas to resolve through, tried in order.  A single
     /// ASD is the one-element case; the sharded directory plane passes
     /// the replica set of the shard owning `service_name`.
@@ -305,8 +258,9 @@ pub struct FailoverClient {
     /// Backoff between re-resolutions (lets leases expire / restarts
     /// finish).
     policy: RetryPolicy,
-    current: Option<Conn>,
-    pool: Option<Arc<LinkPool>>,
+    /// The link to the service, held over from the previous call.
+    current: Option<PooledLink>,
+    pool: Arc<LinkPool>,
     cache: Option<Arc<ResolutionCache>>,
     breaker: Option<Arc<BreakerRegistry>>,
     retry_budget: Option<Arc<RetryBudget>>,
@@ -326,16 +280,13 @@ impl FailoverClient {
         service_name: impl Into<String>,
     ) -> FailoverClient {
         FailoverClient {
-            net,
-            from_host: from_host.into(),
-            identity,
+            pool: Arc::new(LinkPool::new(&net, from_host, identity)),
             directory: vec![asd],
             service_name: service_name.into(),
             retry_window: Duration::from_secs(10),
             policy: RetryPolicy::new(Duration::from_millis(50))
                 .with_cap(Duration::from_millis(400)),
             current: None,
-            pool: None,
             cache: None,
             breaker: None,
             retry_budget: None,
@@ -362,12 +313,6 @@ impl FailoverClient {
         self
     }
 
-    /// Use a flat retry interval (legacy fixed-sleep behavior).
-    pub fn with_retry_interval(mut self, interval: Duration) -> FailoverClient {
-        self.policy = RetryPolicy::fixed(interval);
-        self
-    }
-
     /// Use a custom backoff policy between re-resolutions.  Any wall-clock
     /// budget on the policy is ignored; the retry window set by
     /// [`FailoverClient::with_retry_window`] governs how long a call hunts.
@@ -376,10 +321,10 @@ impl FailoverClient {
         self
     }
 
-    /// Check service links (and ASD lookup links) out of `pool` instead of
-    /// dialing a dedicated connection per resolution.
+    /// Check service links (and ASD lookup links) out of this shared `pool`
+    /// instead of the client's private one.
     pub fn with_pool(mut self, pool: Arc<LinkPool>) -> FailoverClient {
-        self.pool = Some(pool);
+        self.pool = pool;
         self
     }
 
@@ -419,34 +364,6 @@ impl FailoverClient {
         self.breaker_fast_fails
     }
 
-    fn lookup_via(&self, asd_client: &mut ServiceClient) -> Result<CmdLine, ClientError> {
-        asd_client.call(&CmdLine::new("lookup").arg("name", self.service_name.as_str()))
-    }
-
-    fn lookup_pooled(&self, pool: &Arc<LinkPool>, asd: &Addr) -> Result<CmdLine, ClientError> {
-        let mut link = pool.checkout(asd)?;
-        link.call(&CmdLine::new("lookup").arg("name", self.service_name.as_str()))
-    }
-
-    /// One lookup round trip against a specific directory replica.
-    fn lookup_replica(&self, asd: &Addr) -> Result<CmdLine, ClientError> {
-        match &self.pool {
-            Some(pool) => {
-                let pool = Arc::clone(pool);
-                self.lookup_pooled(&pool, asd)
-            }
-            None => {
-                let mut asd_client = ServiceClient::connect(
-                    &self.net,
-                    &self.from_host,
-                    asd.clone(),
-                    &self.identity,
-                )?;
-                self.lookup_via(&mut asd_client)
-            }
-        }
-    }
-
     fn resolve(&mut self) -> Result<Addr, ClientError> {
         if let Some(cache) = &self.cache {
             if let Some(addr) = cache.get(&self.service_name) {
@@ -455,10 +372,15 @@ impl FailoverClient {
         }
         // Hunt across the directory replica set: any live replica can
         // answer, so only fail when every replica is unreachable.
+        let lookup = protocol::lookup_cmd(Some(&self.service_name), None, None);
         let mut reply = None;
         let mut last_err: Option<ClientError> = None;
-        for asd in self.directory.clone() {
-            match self.lookup_replica(&asd) {
+        for asd in &self.directory {
+            match self
+                .pool
+                .checkout(asd)
+                .and_then(|mut link| link.call(&lookup))
+            {
                 Ok(r) => {
                     reply = Some(r);
                     break;
@@ -495,7 +417,7 @@ impl FailoverClient {
         }
     }
 
-    fn connect_current(&mut self) -> Result<&mut Conn, ClientError> {
+    fn connect_current(&mut self) -> Result<&mut PooledLink, ClientError> {
         if self.current.is_none() {
             let addr = self.resolve()?;
             if let Some(breaker) = &self.breaker {
@@ -507,15 +429,8 @@ impl FailoverClient {
                     });
                 }
             }
-            let dialed = match &self.pool {
-                Some(pool) => pool.checkout(&addr).map(Conn::Pooled),
-                None => {
-                    ServiceClient::connect(&self.net, &self.from_host, addr.clone(), &self.identity)
-                        .map(Conn::Direct)
-                }
-            };
-            match dialed {
-                Ok(conn) => self.current = Some(conn),
+            match self.pool.checkout(&addr) {
+                Ok(link) => self.current = Some(link),
                 Err(err) => {
                     // A breaker `Admit` (possibly a half-open probe slot)
                     // must see exactly one outcome report.
@@ -558,9 +473,7 @@ impl FailoverClient {
     fn note_target_failure(&mut self, target: &Addr) {
         if let Some(breaker) = &self.breaker {
             if breaker.record_failure(target) {
-                if let Some(pool) = &self.pool {
-                    pool.evict(target);
-                }
+                self.pool.evict(target);
                 if let Some(cache) = &self.cache {
                     cache.invalidate(&self.service_name);
                 }
@@ -581,16 +494,10 @@ impl FailoverClient {
     /// address, and drop the cached resolution so the retry resolves the
     /// replacement.
     fn note_upgrading(&mut self) {
-        match self.current.take() {
-            Some(Conn::Pooled(link)) => {
-                let target = link.target().clone();
-                link.discard();
-                if let Some(pool) = &self.pool {
-                    pool.evict(&target);
-                }
-            }
-            Some(Conn::Direct(client)) => client.close(),
-            None => {}
+        if let Some(link) = self.current.take() {
+            let target = link.target().clone();
+            link.discard();
+            self.pool.evict(&target);
         }
         if let Some(cache) = &self.cache {
             cache.invalidate(&self.service_name);
@@ -635,16 +542,23 @@ impl FailoverClient {
             // would not be.  A link that fails the probe only because the
             // route is down is kept: that call fails fast, as it always has.
             if self.current.as_ref().is_some_and(|c| {
-                !c.is_healthy_idle() && self.net.reachable(&self.from_host, &c.target().host)
+                !c.is_healthy_idle()
+                    && self
+                        .pool
+                        .net()
+                        .reachable(self.pool.host(), &c.target().host)
             }) {
                 self.note_upgrading();
             }
             let held_over = self.current.is_some();
             match self.connect_current() {
-                Ok(conn) => {
-                    let established = conn.is_established(held_over);
-                    let target = conn.target();
-                    match conn.call(cmd) {
+                Ok(link) => {
+                    // Could a command already have executed on this link?
+                    // True for one held over from a previous call and for a
+                    // checkout that reused an idle link.
+                    let established = held_over || link.was_reused();
+                    let target = link.target().clone();
+                    match link.call(cmd) {
                         Ok(reply) => {
                             self.note_target_success(&target);
                             return Ok(reply);

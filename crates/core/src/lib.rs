@@ -19,7 +19,9 @@
 //! * **startup sequence** — the Fig. 9 Room DB → ASD → Net Logger
 //!   registration, plus lease renewal and graceful deregistration (§2.4,
 //!   §2.6);
-//! * **client API** ([`client`]) — the call/return-command discipline.
+//! * **client API** ([`client`]) — the call/return-command discipline;
+//! * **outbound path** ([`pool`]) — the one way a daemon or a composite
+//!   client reaches a peer: probed, pooled, resumable links.
 //!
 //! A complete service is a [`ServiceBehavior`] implementation plus a
 //! [`DaemonConfig`]:

@@ -7,14 +7,17 @@
 //!
 //! [`NotificationRegistry`] is that running list; [`Notifier`] is the
 //! delivery worker that invokes the registered command interface on the
-//! notified services without blocking the daemon's control role.
+//! notified services without blocking the daemon's control role.  It sends
+//! through the daemon's [`LinkPool`] like everything else the daemon sends;
+//! what is its own is the 1 s call timeout, the bounded queue and the
+//! dead-listener negative cache.
 
-use crate::client::ServiceClient;
+use crate::client::ClientError;
 use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+use crate::pool::LinkPool;
 use crate::runtime::{RuntimeTask, TaskContext, TaskPoll};
 use ace_lang::{CmdLine, DEADLINE_ARG};
-use ace_net::{Addr, HostId, SimNet, WakeCell};
-use ace_security::keys::KeyPair;
+use ace_net::{Addr, WakeCell};
 use crossbeam_channel::{Receiver, Sender, TryRecvError, TrySendError};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -141,7 +144,7 @@ pub struct Outbound {
 }
 
 /// Asynchronous outbound delivery: a worker (a cooperative task on the
-/// daemon's runtime, [`NotifierTask`]) with a connection cache.
+/// daemon's runtime, [`NotifierTask`]) sending over the daemon's pool.
 ///
 /// Used for notifications and fire-and-forget logging so the control plane
 /// never blocks on a slow or dead listener.
@@ -156,25 +159,18 @@ pub struct Notifier {
 
 impl Notifier {
     /// Build the delivery worker: the returned [`NotifierTask`] must be
-    /// spawned on a [`crate::runtime::Runtime`].  Delivery outcomes are
-    /// recorded in `metrics` (`notify.delivered`, `notify.drops`,
-    /// `notify.shed`, `notify.latency`, `notify.queueDepth`).
-    pub fn new(
-        net: SimNet,
-        from_host: HostId,
-        identity: Arc<KeyPair>,
-        metrics: Arc<MetricsRegistry>,
-    ) -> (Notifier, NotifierTask) {
+    /// spawned on a [`crate::runtime::Runtime`] and sends over `pool`.
+    /// Delivery outcomes are recorded in `metrics` (`notify.delivered`,
+    /// `notify.drops`, `notify.shed`, `notify.latency`,
+    /// `notify.queueDepth`).
+    pub fn new(pool: Arc<LinkPool>, metrics: &MetricsRegistry) -> (Notifier, NotifierTask) {
         let (tx, rx) = crossbeam_channel::bounded::<Outbound>(NOTIFY_QUEUE_CAPACITY);
         let shed = metrics.counter("notify.shed");
         let wake = Arc::new(WakeCell::new());
         let task = NotifierTask {
             rx,
             wake: Arc::clone(&wake),
-            state: DeliveryState::new(&metrics),
-            net,
-            from_host,
-            identity,
+            state: DeliveryState::new(pool, metrics),
         };
         (
             Notifier {
@@ -230,14 +226,14 @@ impl Drop for Notifier {
 /// monopolize a runtime worker.
 const NOTIFY_BATCH: usize = 64;
 
-/// The delivery machinery of [`NotifierTask`]: connection cache,
-/// dead-listener negative cache, and delivery metrics.
+/// The delivery machinery of [`NotifierTask`]: the daemon's pool, the
+/// dead-listener negative cache and delivery metrics.
 struct DeliveryState {
+    pool: Arc<LinkPool>,
     delivered: Arc<Counter>,
     drops: Arc<Counter>,
     latency: Arc<Histogram>,
     depth: Arc<Gauge>,
-    clients: HashMap<Addr, ServiceClient>,
     // Negative cache of recently unreachable listeners.  Without it, a dead
     // subscriber makes every queued message behind it re-pay the failed
     // connect (and under partitions, the full call timeout) — head-of-line
@@ -246,18 +242,18 @@ struct DeliveryState {
 }
 
 impl DeliveryState {
-    fn new(metrics: &MetricsRegistry) -> Self {
+    fn new(pool: Arc<LinkPool>, metrics: &MetricsRegistry) -> Self {
         DeliveryState {
+            pool,
             delivered: metrics.counter("notify.delivered"),
             drops: metrics.counter("notify.drops"),
             latency: metrics.histogram("notify.latency"),
             depth: metrics.gauge("notify.queueDepth"),
-            clients: HashMap::new(),
             dead: HashMap::new(),
         }
     }
 
-    fn handle(&mut self, out: Outbound, net: &SimNet, from_host: &HostId, identity: &KeyPair) {
+    fn handle(&mut self, out: Outbound) {
         if let Some(since) = self.dead.get(&out.addr) {
             if since.elapsed() < DEAD_BACKOFF {
                 self.drops.incr();
@@ -266,14 +262,22 @@ impl DeliveryState {
             self.dead.remove(&out.addr);
         }
         let started = Instant::now();
-        if deliver_one(&mut self.clients, net, from_host, identity, &out) {
-            self.delivered.incr();
-            self.latency.record(started.elapsed());
-        } else {
-            // The drop is counted, never silent: `aceStats` and the periodic
-            // stats events expose `notify.drops` on the originating daemon.
-            self.drops.incr();
-            self.dead.insert(out.addr.clone(), Instant::now());
+        // Delivery is best-effort: a dead listener loses its notification
+        // (the paper's registry similarly cannot promise delivery to
+        // crashed services).  A listener that answers with an error was
+        // reached: delivered, and declined.
+        match self.pool.call(&out.addr, &out.cmd, NOTIFY_CALL_TIMEOUT) {
+            Ok(_) | Err(ClientError::Service { .. }) => {
+                self.delivered.incr();
+                self.latency.record(started.elapsed());
+            }
+            Err(ClientError::Link(_)) => {
+                // The drop is counted, never silent: `aceStats` and the
+                // periodic stats events expose `notify.drops` on the
+                // originating daemon.
+                self.drops.incr();
+                self.dead.insert(out.addr, Instant::now());
+            }
         }
     }
 }
@@ -283,9 +287,6 @@ pub struct NotifierTask {
     rx: Receiver<Outbound>,
     wake: Arc<WakeCell>,
     state: DeliveryState,
-    net: SimNet,
-    from_host: HostId,
-    identity: Arc<KeyPair>,
 }
 
 impl RuntimeTask for NotifierTask {
@@ -298,8 +299,7 @@ impl RuntimeTask for NotifierTask {
             match self.rx.try_recv() {
                 Ok(out) => {
                     self.state.depth.set(self.rx.len() as i64);
-                    self.state
-                        .handle(out, &self.net, &self.from_host, &self.identity);
+                    self.state.handle(out);
                     handled += 1;
                     if handled >= NOTIFY_BATCH {
                         return TaskPoll::Again;
@@ -310,41 +310,6 @@ impl RuntimeTask for NotifierTask {
             }
         }
     }
-}
-
-fn deliver_one(
-    clients: &mut HashMap<Addr, ServiceClient>,
-    net: &SimNet,
-    from_host: &HostId,
-    identity: &KeyPair,
-    out: &Outbound,
-) -> bool {
-    // Try a cached connection first; on failure reconnect once.  Delivery is
-    // best-effort: a dead listener loses its notification (the paper's
-    // registry similarly cannot promise delivery to crashed services).
-    for attempt in 0..2 {
-        if !clients.contains_key(&out.addr) {
-            match ServiceClient::connect(net, from_host, out.addr.clone(), identity) {
-                Ok(mut c) => {
-                    c.set_timeout(NOTIFY_CALL_TIMEOUT);
-                    clients.insert(out.addr.clone(), c);
-                }
-                Err(_) => return false,
-            }
-        }
-        let client = clients.get_mut(&out.addr).expect("just inserted");
-        match client.call(&out.cmd) {
-            Ok(_) => return true,
-            Err(crate::client::ClientError::Service { .. }) => return true, // delivered, listener declined
-            Err(crate::client::ClientError::Link(_)) => {
-                clients.remove(&out.addr);
-                if attempt == 1 {
-                    return false;
-                }
-            }
-        }
-    }
-    false
 }
 
 #[cfg(test)]

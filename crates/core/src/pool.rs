@@ -1,25 +1,33 @@
-//! Pooled secure links: reuse established (and resumable) connections
-//! instead of paying a handshake per client object.
+//! The one outbound path: every daemon and every composite client reaches
+//! its peers through a [`LinkPool`].
 //!
-//! The PR-1 failover work made every re-resolution open a brand-new
-//! [`ServiceClient`] — correct, but each one costs a TCP-equivalent dial
-//! plus a full DH + signature handshake.  A [`LinkPool`] amortises that:
-//! clients *check out* a connected link for the duration of one
-//! conversation and return it on drop.  Checkout health-checks the idle
-//! link first (see [`ace_net::Connection::is_healthy_idle`]): a pooled link
-//! to a daemon that has since restarted or partitioned fails fast and is
-//! discarded, so pooling can never surface a stale reply — the staleness
-//! rule is *discard, never repair*.
+//! Who owns one: [`crate::daemon::Daemon::spawn`] creates one per daemon
+//! (its host, its identity) and everything that daemon sends — the Fig. 9
+//! start-up calls, lease renewals, [`crate::ServiceCtx::call`], the
+//! notifier's deliveries — goes through it; [`crate::FailoverClient`] and
+//! the store client build a private one unless handed a shared one.
 //!
-//! When the pool must dial, it goes through the shared [`TicketCache`], so
-//! pool misses still ride the session-resumption fast path whenever the
-//! target granted a ticket.
+//! What [`LinkPool::checkout`] guarantees: the link it returns passed a
+//! local health probe (see [`ace_net::Connection::is_healthy_idle`]) just
+//! now, or was dialed just now.  A parked link to a daemon that has since
+//! restarted, been replaced or partitioned away fails the probe and is
+//! discarded *before* a command leaves, so pooling can never surface a
+//! stale reply — the staleness rule is *discard, never repair*.  A dial
+//! goes through the pool's [`TicketCache`], so every redial resumes the
+//! session instead of paying the DH + signature handshake whenever the
+//! target granted a ticket.  A link returns to the pool when its checkout
+//! drops, with the default call timeout restored.
 //!
-//! Counters (bindable to a daemon's registry for `aceStats`):
+//! [`LinkPool::call`] is checkout + send, plus one fresh dial and one
+//! re-send if the link fails under the command.
+//!
+//! Counters (bindable to a registry with [`LinkPool::with_metrics`]):
 //! `pool.checkouts`, `pool.reused`, `pool.stale`, `pool.dials`,
-//! `link.resume_hits`, `link.full_handshakes`.
+//! `link.resume_hits`, `link.full_handshakes`.  A daemon's own pool keeps
+//! them private: in a daemon's registry `link.resume_hits` and
+//! `link.full_handshakes` count *accepted* links.
 
-use crate::client::{ClientError, ServiceClient};
+use crate::client::{ClientError, ServiceClient, DEFAULT_CALL_TIMEOUT};
 use crate::link::TicketCache;
 use crate::metrics::{Counter, MetricsRegistry};
 use ace_lang::CmdLine;
@@ -29,6 +37,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Default cap on idle links retained per target address.
 const DEFAULT_MAX_IDLE_PER_TARGET: usize = 8;
@@ -96,6 +105,14 @@ impl LinkPool {
         &self.identity
     }
 
+    pub(crate) fn net(&self) -> &SimNet {
+        &self.net
+    }
+
+    pub(crate) fn host(&self) -> &HostId {
+        &self.from_host
+    }
+
     /// Idle links currently parked for `target`.
     pub fn idle_count(&self, target: &Addr) -> usize {
         self.idle.lock().get(target).map_or(0, Vec::len)
@@ -143,9 +160,27 @@ impl LinkPool {
         })
     }
 
-    /// Drop every idle link (e.g. when tearing a scenario down).
-    pub fn drain(&self) {
-        self.idle.lock().clear();
+    /// One command to `target` with a per-call `timeout`.  A link that
+    /// passed checkout's probe and still fails under the command (the peer
+    /// went away mid-call) is discarded and the command sent once more on
+    /// a fresh dial; a failed dial and a service-level error return at
+    /// once.  The re-send makes this at-least-once: a peer whose reply was
+    /// lost sees the command twice.
+    pub fn call(
+        self: &Arc<Self>,
+        target: &Addr,
+        cmd: &CmdLine,
+        timeout: Duration,
+    ) -> Result<CmdLine, ClientError> {
+        for attempt in 0..2 {
+            let mut link = self.checkout(target)?;
+            link.set_timeout(timeout);
+            match link.call(cmd) {
+                Err(ClientError::Link(_)) if attempt == 0 => {}
+                outcome => return outcome,
+            }
+        }
+        unreachable!("the second attempt returns its outcome")
     }
 
     /// Close and forget every idle link parked for `target`.  Used when a
@@ -160,7 +195,9 @@ impl LinkPool {
         }
     }
 
-    fn park(&self, client: ServiceClient) {
+    fn park(&self, mut client: ServiceClient) {
+        // A timeout belongs to the checkout that set it, not to the link.
+        client.set_timeout(DEFAULT_CALL_TIMEOUT);
         let mut idle = self.idle.lock();
         let slot = idle.entry(client.target().clone()).or_default();
         if slot.len() < self.max_idle_per_target {
@@ -246,7 +283,7 @@ impl PooledLink {
     }
 
     /// Adjust the per-call deadline for this checkout.
-    pub fn set_timeout(&mut self, timeout: std::time::Duration) {
+    pub fn set_timeout(&mut self, timeout: Duration) {
         if let Some(c) = self.client.as_mut() {
             c.set_timeout(timeout);
         }
@@ -291,9 +328,14 @@ mod tests {
     struct Echo;
     impl ServiceBehavior for Echo {
         fn semantics(&self) -> Semantics {
-            Semantics::new().with(CmdSpec::new("echo", "echo back"))
+            Semantics::new()
+                .with(CmdSpec::new("echo", "echo back"))
+                .with(CmdSpec::new("nap", "answer after 200 ms"))
         }
-        fn handle(&mut self, _ctx: &mut ServiceCtx, _cmd: &CmdLine, _from: &ClientInfo) -> Reply {
+        fn handle(&mut self, _ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
+            if cmd.name() == "nap" {
+                std::thread::sleep(Duration::from_millis(200));
+            }
             Reply::ok()
         }
     }
@@ -380,7 +422,7 @@ mod tests {
         let target = Addr::new("svc", 700);
 
         let mut a = pool.checkout(&target).unwrap();
-        a.set_timeout(std::time::Duration::from_millis(50));
+        a.set_timeout(Duration::from_millis(50));
         net.kill_host(&"svc".into());
         assert!(a.call(&CmdLine::new("echo")).is_err());
         drop(a);
@@ -389,6 +431,22 @@ mod tests {
             0,
             "a link that failed mid-call must not be parked"
         );
+    }
+
+    #[test]
+    fn a_timeout_set_on_one_checkout_does_not_leak_into_the_next() {
+        let net = SimNet::new();
+        let _daemon = spawn_echo(&net, "svc", 700);
+        let pool = pool_on(&net, "cli");
+        let target = Addr::new("svc", 700);
+
+        let mut a = pool.checkout(&target).unwrap();
+        a.set_timeout(Duration::from_millis(50));
+        drop(a); // parks
+        let mut b = pool.checkout(&target).unwrap();
+        assert!(b.was_reused(), "the same link came back");
+        b.call_ok(&CmdLine::new("nap"))
+            .expect("the next checkout waits the default timeout");
     }
 
     #[test]

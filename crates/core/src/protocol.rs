@@ -10,7 +10,8 @@
 //! (`ping`, `describe`, `shutdown`, `addNotification`, `removeNotification`,
 //! §2.5).
 
-use ace_lang::{ArgType, CmdLine, CmdSpec, Semantics};
+use crate::client::ClientError;
+use ace_lang::{ArgType, CmdLine, CmdSpec, ErrorCode, Semantics};
 use ace_security::hash::fnv64;
 
 /// Well-known port of the ACE Service Directory ("the location of which is
@@ -375,6 +376,72 @@ pub fn entries_from_value(value: &ace_lang::Value) -> Option<Vec<ServiceEntry>> 
         });
     }
     Some(out)
+}
+
+/// The ASD `lookup` command (Fig. 7): any combination of filters.
+pub fn lookup_cmd(name: Option<&str>, class: Option<&str>, room: Option<&str>) -> CmdLine {
+    let mut cmd = CmdLine::new("lookup");
+    for (arg, filter) in [("name", name), ("class", class), ("room", room)] {
+        if let Some(f) = filter {
+            cmd.push_arg(arg, f);
+        }
+    }
+    cmd
+}
+
+/// The entries a `lookup` reply carries.
+pub fn entries_from_reply(reply: &CmdLine) -> Result<Vec<ServiceEntry>, ClientError> {
+    reply
+        .get("services")
+        .and_then(entries_from_value)
+        .ok_or(ClientError::Service {
+            code: ErrorCode::Internal,
+            msg: "malformed lookup reply".into(),
+        })
+}
+
+/// The ASD `register` command (Fig. 9 step 3).  Daemons and the sharded
+/// directory client stamp their spawn generation; plain actors have none.
+pub fn register_cmd(entry: &ServiceEntry, incarnation: Option<u64>) -> CmdLine {
+    let mut cmd = CmdLine::new("register")
+        .arg("name", entry.name.as_str())
+        .arg("host", entry.addr.host.as_str())
+        .arg("port", entry.addr.port)
+        .arg("room", entry.room.as_str())
+        .arg("class", entry.class.as_str());
+    if let Some(incarnation) = incarnation {
+        cmd.push_arg("incarnation", incarnation);
+    }
+    cmd
+}
+
+/// One Network Logger `log` record; `origin` is the `(service, host)` a
+/// daemon signs its records with.
+pub fn log_cmd(level: &str, msg: impl Into<String>, origin: Option<(&str, &str)>) -> CmdLine {
+    let mut cmd = CmdLine::new("log")
+        .arg("level", level)
+        .arg("msg", ace_lang::Value::Str(msg.into()));
+    if let Some((service, host)) = origin {
+        cmd.push_arg("service", service);
+        cmd.push_arg("host", host);
+    }
+    cmd
+}
+
+/// The `addNotification` subscription (§2.5): when `event` executes on the
+/// receiving daemon, invoke `notify_cmd` on `listener` at `addr`.
+pub fn subscribe_cmd(
+    event: &str,
+    listener: &str,
+    addr: &ace_net::Addr,
+    notify_cmd: &str,
+) -> CmdLine {
+    CmdLine::new("addNotification")
+        .arg("cmd", event)
+        .arg("service", listener)
+        .arg("host", addr.host.as_str())
+        .arg("port", addr.port)
+        .arg("notifyCmd", notify_cmd)
 }
 
 /// Encode notification registrations as a

@@ -768,14 +768,12 @@ pub fn wire_supervisor(
         crate::client::ServiceClient::connect(net, &supervisor.addr().host, asd.clone(), identity)
             .map_err(SuperviseError::Subscribe)?;
     client
-        .call_ok(
-            &CmdLine::new("addNotification")
-                .arg("cmd", "serviceExpired")
-                .arg("service", supervisor.name())
-                .arg("host", supervisor.addr().host.as_str())
-                .arg("port", supervisor.addr().port)
-                .arg("notifyCmd", "onServiceExpired"),
-        )
+        .call_ok(&crate::protocol::subscribe_cmd(
+            "serviceExpired",
+            supervisor.name(),
+            supervisor.addr(),
+            "onServiceExpired",
+        ))
         .map_err(SuperviseError::Subscribe)
 }
 

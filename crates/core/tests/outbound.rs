@@ -1,0 +1,352 @@
+//! The daemon's outbound path: everything a daemon sends — start-up
+//! registrations, lease renewals, `ctx.call`, `ctx.lookup`, `ctx.log`,
+//! notifications — leaves through its one [`LinkPool`].
+//!
+//! Raw daemons only (this crate cannot see the directory crate): the ASD,
+//! the Net Logger and every peer are stand-in behaviors that report each
+//! verb they serve on a channel, so the test waits for *events* — the third
+//! renewal, the fourth log record — never for time to pass.  What is
+//! asserted is read from the peers' own registries (`link.accepted`,
+//! `link.resume_hits`) and execution counters.
+
+use ace_core::prelude::*;
+use ace_core::protocol;
+use ace_security::keys::KeyPair;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
+use std::time::Duration;
+
+const WAIT: Duration = Duration::from_secs(10);
+
+/// A stand-in peer.  Reports the name of every verb it serves on `served`;
+/// `work` first answers with the error codes left in `script`, one per call
+/// and without counting an execution, then executes.
+struct Peer {
+    semantics: Semantics,
+    served: Sender<String>,
+    script: VecDeque<ErrorCode>,
+    executions: Arc<AtomicU64>,
+}
+
+impl ServiceBehavior for Peer {
+    fn semantics(&self) -> Semantics {
+        self.semantics
+            .clone()
+            .with(CmdSpec::new("work", "count one execution"))
+            .with(notification("onTouch"))
+            .with(notification("onFlush"))
+    }
+
+    fn handle(&mut self, _ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
+        let _ = self.served.send(cmd.name().to_string());
+        match cmd.name() {
+            "work" => match self.script.pop_front() {
+                Some(code) => Reply::err(code, "scripted"),
+                None => {
+                    self.executions.fetch_add(1, Ordering::SeqCst);
+                    Reply::ok()
+                }
+            },
+            "lookup" => Reply::ok_with(|c| c.arg("services", protocol::entries_to_value(&[]))),
+            _ => Reply::ok(),
+        }
+    }
+}
+
+fn notification(name: &str) -> CmdSpec {
+    CmdSpec::new(name, "a notification")
+        .optional("service", ArgType::Str, "origin service")
+        .optional("cmd", ArgType::Str, "origin command")
+}
+
+struct PeerHandle {
+    daemon: DaemonHandle,
+    served: Receiver<String>,
+    executions: Arc<AtomicU64>,
+}
+
+impl PeerHandle {
+    /// Block until this peer has served `n` more `verb`s.
+    fn await_served(&self, verb: &str, n: usize) {
+        let mut seen = 0;
+        while seen < n {
+            let name = self
+                .served
+                .recv_timeout(WAIT)
+                .unwrap_or_else(|_| panic!("peer served {seen} of {n} `{verb}`"));
+            if name == verb {
+                seen += 1;
+            }
+        }
+    }
+
+    fn counter(&self, name: &str) -> u64 {
+        self.daemon.metrics().counter(name).get()
+    }
+
+    fn executions(&self) -> u64 {
+        self.executions.load(Ordering::SeqCst)
+    }
+}
+
+fn peer_behavior(
+    semantics: Semantics,
+    script: &[ErrorCode],
+) -> (Box<Peer>, Receiver<String>, Arc<AtomicU64>) {
+    let (served_tx, served) = channel();
+    let executions = Arc::new(AtomicU64::new(0));
+    let behavior = Box::new(Peer {
+        semantics,
+        served: served_tx,
+        script: script.iter().copied().collect(),
+        executions: Arc::clone(&executions),
+    });
+    (behavior, served, executions)
+}
+
+fn spawn_peer(
+    net: &SimNet,
+    name: &str,
+    port: u16,
+    semantics: Semantics,
+    script: &[ErrorCode],
+) -> PeerHandle {
+    let (behavior, served, executions) = peer_behavior(semantics, script);
+    let daemon = Daemon::spawn(
+        net,
+        DaemonConfig::new(name, "Service.Peer", "lab", "srv", port),
+        behavior,
+    )
+    .unwrap();
+    PeerHandle {
+        daemon,
+        served,
+        executions,
+    }
+}
+
+/// The daemon under test: each verb makes one kind of outbound send.
+struct Relay {
+    peer: Addr,
+}
+
+impl ServiceBehavior for Relay {
+    fn semantics(&self) -> Semantics {
+        Semantics::new()
+            .with(CmdSpec::new("relay", "ctx.call `work` on the peer"))
+            .with(CmdSpec::new(
+                "relayLate",
+                "the same, once this command's deadline has lapsed",
+            ))
+            .with(CmdSpec::new("find", "ctx.lookup"))
+            .with(CmdSpec::new("say", "ctx.log"))
+            .with(CmdSpec::new("touch", "an event others subscribe to"))
+            .with(CmdSpec::new("flush", "another, sent last"))
+    }
+
+    fn handle(&mut self, ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
+        match cmd.name() {
+            "relay" | "relayLate" => {
+                while cmd.name() == "relayLate" && !ctx.deadline_expired() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                match ctx.call(&self.peer.clone(), &CmdLine::new("work")) {
+                    Ok(_) => Reply::ok(),
+                    Err(ClientError::Service { code, msg }) => Reply::err(code, msg),
+                    Err(e) => Reply::err(ErrorCode::Unavailable, e.to_string()),
+                }
+            }
+            "find" => match ctx.lookup(Some("nobody"), None, None) {
+                Ok(found) => Reply::ok_with(|c| c.arg("found", found.len() as i64)),
+                Err(e) => Reply::err(ErrorCode::Unavailable, e.to_string()),
+            },
+            "say" => {
+                ctx.log("info", "said");
+                Reply::ok()
+            }
+            _ => Reply::ok(),
+        }
+    }
+}
+
+fn net() -> SimNet {
+    let net = SimNet::new();
+    net.add_host("srv");
+    net.add_host("cli");
+    net
+}
+
+fn spawn_relay(net: &SimNet, config: DaemonConfig, peer: &Addr) -> DaemonHandle {
+    Daemon::spawn(net, config, Box::new(Relay { peer: peer.clone() })).unwrap()
+}
+
+fn relay_config() -> DaemonConfig {
+    DaemonConfig::new("relay", "Service.Relay", "lab", "srv", 7200)
+}
+
+fn client(net: &SimNet, daemon: &DaemonHandle) -> ServiceClient {
+    let me = KeyPair::generate(&mut rand::thread_rng());
+    ServiceClient::connect(net, &"cli".into(), daemon.addr().clone(), &me).unwrap()
+}
+
+#[test]
+fn renewals_lookups_and_logs_share_one_link_per_framework_service() {
+    let net = net();
+    let asd = spawn_peer(&net, "asd", 7201, protocol::asd_semantics(), &[]);
+    let logger = spawn_peer(&net, "logger", 7202, protocol::logger_semantics(), &[]);
+    let relay = spawn_relay(
+        &net,
+        relay_config()
+            .with_asd(asd.daemon.addr().clone())
+            .with_logger(logger.daemon.addr().clone())
+            .with_lease_renew(Duration::from_millis(20)),
+        asd.daemon.addr(),
+    );
+    let mut to_relay = client(&net, &relay);
+
+    asd.await_served("register", 1);
+    asd.await_served("renewLease", 3);
+    for _ in 0..3 {
+        let reply = to_relay.call(&CmdLine::new("find")).unwrap();
+        assert_eq!(reply.get_int("found"), Some(0));
+        to_relay.call_ok(&CmdLine::new("say")).unwrap();
+    }
+    logger.await_served("log", 1 + 3); // "started" + three records
+
+    assert_eq!(
+        asd.counter("link.accepted"),
+        1,
+        "registration, renewals and lookups ride one session"
+    );
+    assert_eq!(
+        logger.counter("link.accepted"),
+        1,
+        "the start-up record and the notifier ride one session"
+    );
+}
+
+#[test]
+fn a_peer_swapped_between_two_calls_is_found_before_the_send_and_resumed() {
+    let net = net();
+    let (behavior, _served, executions) = peer_behavior(Semantics::new(), &[]);
+    let config = DaemonConfig::new("peer", "Service.Peer", "lab", "srv", 7201);
+    let old = Daemon::spawn(&net, config.clone(), behavior).unwrap();
+    let relay = spawn_relay(&net, relay_config(), old.addr());
+    let mut to_relay = client(&net, &relay);
+
+    to_relay.call_ok(&CmdLine::new("relay")).unwrap();
+
+    let driver = KeyPair::generate(&mut rand::thread_rng());
+    let replacement = Box::new(Peer {
+        semantics: Semantics::new(),
+        served: channel().0,
+        script: VecDeque::new(),
+        executions: Arc::clone(&executions),
+    });
+    let (new, _stats) = ace_core::live_upgrade(
+        &net,
+        &"cli".into(),
+        &driver,
+        &old,
+        config,
+        replacement,
+        None,
+    )
+    .unwrap();
+
+    to_relay
+        .call_ok(&CmdLine::new("relay"))
+        .expect("the call after the swap succeeds");
+    assert_eq!(
+        executions.load(Ordering::SeqCst),
+        2,
+        "one execution per call"
+    );
+    assert!(
+        new.metrics().counter("link.resume_hits").get() >= 1,
+        "the redial rode the ticket of the first dial"
+    );
+}
+
+#[test]
+fn a_restarted_listener_receives_the_next_notification_once() {
+    let net = net();
+    let relay = spawn_relay(&net, relay_config(), &Addr::new("srv", 1));
+    let mut to_relay = client(&net, &relay);
+    let listener = spawn_peer(&net, "listener", 7201, Semantics::new(), &[]);
+    for (event, notify_cmd) in [("touch", "onTouch"), ("flush", "onFlush")] {
+        let to = listener.daemon.addr();
+        to_relay
+            .call_ok(&protocol::subscribe_cmd(event, "listener", to, notify_cmd))
+            .unwrap();
+    }
+    to_relay.call_ok(&CmdLine::new("touch")).unwrap();
+    listener.await_served("onTouch", 1);
+
+    listener.daemon.shutdown();
+    drop(listener);
+    let listener = spawn_peer(&net, "listener", 7201, Semantics::new(), &[]);
+    to_relay.call_ok(&CmdLine::new("touch")).unwrap();
+    // The notifier delivers in order: once `onFlush` has arrived, every
+    // copy of the `onTouch` before it has.
+    to_relay.call_ok(&CmdLine::new("flush")).unwrap();
+    listener.await_served("onFlush", 1);
+    assert_eq!(
+        listener.daemon.metrics().histogram("cmd.onTouch").count(),
+        1,
+        "the notification after the restart arrived exactly once"
+    );
+    assert_eq!(relay.metrics().counter("notify.drops").get(), 0);
+}
+
+#[test]
+fn ctx_call_retries_a_shed_command_and_nothing_else() {
+    let net = net();
+
+    // Shed twice (the second time because it is being replaced), then run.
+    let peer = spawn_peer(
+        &net,
+        "peer",
+        7201,
+        Semantics::new(),
+        &[ErrorCode::Busy, ErrorCode::Upgrading],
+    );
+    let relay = spawn_relay(&net, relay_config(), peer.daemon.addr());
+    let mut to_relay = client(&net, &relay);
+    to_relay
+        .call_ok(&CmdLine::new("relay"))
+        .expect("two sheds are ridden out");
+    peer.await_served("work", 3);
+    assert_eq!(peer.executions(), 1, "executed once");
+    assert_eq!(
+        peer.counter("link.accepted"),
+        2,
+        "E_UPGRADING evicted the link before the retry"
+    );
+    drop(relay);
+    drop(peer);
+
+    // A real answer — even an error — is returned at once.
+    let peer = spawn_peer(&net, "peer", 7201, Semantics::new(), &[ErrorCode::NotFound]);
+    let relay = spawn_relay(&net, relay_config(), peer.daemon.addr());
+    let mut to_relay = client(&net, &relay);
+    let err = to_relay.call(&CmdLine::new("relay")).unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::NotFound));
+    peer.await_served("work", 1);
+    assert_eq!(peer.executions(), 0);
+
+    // A deadline already spent buys no retry: the peer refuses the one
+    // attempt at its door and never hears of the command again.
+    let mut late = CmdLine::new("relayLate");
+    late.set_deadline_ms(100);
+    let err = to_relay.call(&late).unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::Deadline));
+    assert_eq!(peer.counter("shed.deadline"), 1);
+    assert_eq!(peer.executions(), 0);
+    assert!(
+        peer.served.try_recv().is_err(),
+        "nothing reached the handler"
+    );
+}

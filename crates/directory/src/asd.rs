@@ -455,23 +455,13 @@ impl ServiceBehavior for Asd {
     }
 }
 
-/// How an [`AsdClient`] reaches the directory: a dedicated link, or
-/// checkouts from a shared [`LinkPool`] (one per call, returned after).
-enum AsdConn {
-    Direct(Box<ServiceClient>),
-    Pooled {
-        pool: std::sync::Arc<LinkPool>,
-        asd: Addr,
-    },
-}
-
-/// Typed client for the ASD.
+/// Typed client for the ASD: one session its actor holds.
 pub struct AsdClient {
-    conn: AsdConn,
+    client: ServiceClient,
 }
 
 impl AsdClient {
-    /// Connect to the ASD at `asd` over a dedicated link.
+    /// Connect to the ASD at `asd`.
     pub fn connect(
         net: &SimNet,
         from_host: &HostId,
@@ -479,25 +469,8 @@ impl AsdClient {
         identity: &ace_security::keys::KeyPair,
     ) -> Result<AsdClient, ClientError> {
         Ok(AsdClient {
-            conn: AsdConn::Direct(Box::new(ServiceClient::connect(
-                net, from_host, asd, identity,
-            )?)),
+            client: ServiceClient::connect(net, from_host, asd, identity)?,
         })
-    }
-
-    /// Talk to the ASD through a shared link pool: each call checks a link
-    /// out (riding session resumption on pool misses) and returns it after.
-    pub fn connect_pooled(pool: std::sync::Arc<LinkPool>, asd: Addr) -> AsdClient {
-        AsdClient {
-            conn: AsdConn::Pooled { pool, asd },
-        }
-    }
-
-    fn call(&mut self, cmd: &CmdLine) -> Result<CmdLine, ClientError> {
-        match &mut self.conn {
-            AsdConn::Direct(client) => client.call(cmd),
-            AsdConn::Pooled { pool, asd } => pool.checkout(asd)?.call(cmd),
-        }
     }
 
     /// Look up services by any combination of name/class/room.
@@ -507,24 +480,8 @@ impl AsdClient {
         class: Option<&str>,
         room: Option<&str>,
     ) -> Result<Vec<ServiceEntry>, ClientError> {
-        let mut cmd = CmdLine::new("lookup");
-        if let Some(n) = name {
-            cmd.push_arg("name", n);
-        }
-        if let Some(c) = class {
-            cmd.push_arg("class", c);
-        }
-        if let Some(r) = room {
-            cmd.push_arg("room", r);
-        }
-        let reply = self.call(&cmd)?;
-        reply
-            .get("services")
-            .and_then(protocol::entries_from_value)
-            .ok_or(ClientError::Service {
-                code: ErrorCode::Internal,
-                msg: "malformed lookup reply".into(),
-            })
+        let reply = self.client.call(&protocol::lookup_cmd(name, class, room))?;
+        protocol::entries_from_reply(&reply)
     }
 
     /// Find one service by exact name.
@@ -534,7 +491,7 @@ impl AsdClient {
 
     /// All registered service names.
     pub fn list(&mut self) -> Result<Vec<String>, ClientError> {
-        let reply = self.call(&CmdLine::new("listServices"))?;
+        let reply = self.client.call(&CmdLine::new("listServices"))?;
         let names = reply
             .get_vector("names")
             .map(|v| {
@@ -549,14 +506,7 @@ impl AsdClient {
     /// Register a service (used by tests and non-daemon actors; daemons
     /// register automatically at spawn).
     pub fn register(&mut self, entry: &ServiceEntry) -> Result<Duration, ClientError> {
-        let reply = self.call(
-            &CmdLine::new("register")
-                .arg("name", entry.name.as_str())
-                .arg("host", entry.addr.host.as_str())
-                .arg("port", entry.addr.port)
-                .arg("room", entry.room.as_str())
-                .arg("class", entry.class.as_str()),
-        )?;
+        let reply = self.client.call(&protocol::register_cmd(entry, None))?;
         Ok(Duration::from_millis(
             reply.get_int("lease").unwrap_or(0) as u64
         ))
@@ -564,24 +514,19 @@ impl AsdClient {
 
     /// Renew a lease.
     pub fn renew(&mut self, name: &str) -> Result<(), ClientError> {
-        self.call(&CmdLine::new("renewLease").arg("name", name))
-            .map(|_| ())
+        self.client
+            .call_ok(&CmdLine::new("renewLease").arg("name", name))
     }
 
     /// Deregister a service.
     pub fn remove(&mut self, name: &str) -> Result<(), ClientError> {
-        self.call(&CmdLine::new("removeService").arg("name", name))
-            .map(|_| ())
+        self.client
+            .call_ok(&CmdLine::new("removeService").arg("name", name))
     }
 
-    /// Access the raw dedicated client (for `addNotification` etc.).
-    /// `None` when this client talks through a pool — pooled checkouts are
-    /// per-call and cannot be borrowed out.
-    pub fn raw(&mut self) -> Option<&mut ServiceClient> {
-        match &mut self.conn {
-            AsdConn::Direct(client) => Some(client),
-            AsdConn::Pooled { .. } => None,
-        }
+    /// Access the raw client (for `addNotification` etc.).
+    pub fn raw(&mut self) -> &mut ServiceClient {
+        &mut self.client
     }
 }
 

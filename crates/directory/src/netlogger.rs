@@ -344,11 +344,7 @@ impl LoggerClient {
 
     /// Append one record.
     pub fn log(&mut self, level: &str, msg: &str) -> Result<(), ClientError> {
-        self.client.call_ok(
-            &CmdLine::new("log")
-                .arg("level", level)
-                .arg("msg", Value::Str(msg.to_string())),
-        )
+        self.client.call_ok(&protocol::log_cmd(level, msg, None))
     }
 
     /// The most recent records, oldest first.

@@ -273,16 +273,6 @@ impl ShardedAsdClient {
         }
     }
 
-    fn register_cmd(entry: &ServiceEntry, incarnation: u64) -> CmdLine {
-        CmdLine::new("register")
-            .arg("name", entry.name.as_str())
-            .arg("host", entry.addr.host.as_str())
-            .arg("port", entry.addr.port)
-            .arg("room", entry.room.as_str())
-            .arg("class", entry.class.as_str())
-            .arg("incarnation", incarnation as i64)
-    }
-
     /// Register `entry` on its owning shard with a majority quorum.
     /// `E_BADSTATE` from any replica (a newer incarnation is registered)
     /// outranks the quorum count: a fenced writer must stop, not win by
@@ -296,7 +286,7 @@ impl ShardedAsdClient {
             return Err(Self::no_shards());
         }
         let shard = self.map.shard_for(&entry.name);
-        let cmd = Self::register_cmd(entry, incarnation);
+        let cmd = protocol::register_cmd(entry, Some(incarnation));
         let mut round = QuorumRound::new(self.map.replicas(shard).len(), self.map.quorum(shard));
         let mut lease_ms = 0i64;
         let mut fenced: Option<ClientError> = None;
@@ -357,7 +347,7 @@ impl ShardedAsdClient {
                 Err(err) if err.code() == Some(ErrorCode::NotFound) => {
                     // The replica restarted without this lease: repair it
                     // with a full re-register (renewal-driven anti-entropy).
-                    let reg = Self::register_cmd(&entry, incarnation);
+                    let reg = protocol::register_cmd(&entry, Some(incarnation));
                     if self.call_replica(&addr, &reg).is_ok() {
                         self.repairs += 1;
                         round.ack();
@@ -412,30 +402,6 @@ impl ShardedAsdClient {
         }
     }
 
-    fn lookup_cmd(name: Option<&str>, class: Option<&str>, room: Option<&str>) -> CmdLine {
-        let mut cmd = CmdLine::new("lookup");
-        if let Some(n) = name {
-            cmd.push_arg("name", n);
-        }
-        if let Some(c) = class {
-            cmd.push_arg("class", c);
-        }
-        if let Some(r) = room {
-            cmd.push_arg("room", r);
-        }
-        cmd
-    }
-
-    fn entries_from_reply(reply: &CmdLine) -> Result<Vec<ServiceEntry>, ClientError> {
-        reply
-            .get("services")
-            .and_then(protocol::entries_from_value)
-            .ok_or(ClientError::Service {
-                code: ErrorCode::Internal,
-                msg: "malformed lookup reply".into(),
-            })
-    }
-
     /// One shard's answer, trying replicas round-robin from a rotating
     /// start so read load spreads over the whole replica set.  When
     /// `retry_empty` is set (name lookups), an empty answer falls through
@@ -456,7 +422,7 @@ impl ShardedAsdClient {
             let addr = &replicas[(start + i) % replicas.len()];
             match self.call_replica(addr, cmd) {
                 Ok(reply) => {
-                    let entries = Self::entries_from_reply(&reply)?;
+                    let entries = protocol::entries_from_reply(&reply)?;
                     if entries.is_empty() && retry_empty {
                         first_empty.get_or_insert(entries);
                         continue;
@@ -488,7 +454,7 @@ impl ShardedAsdClient {
             return Err(Self::no_shards());
         }
         let started = Instant::now();
-        let cmd = Self::lookup_cmd(name, class, room);
+        let cmd = protocol::lookup_cmd(name, class, room);
         let result = match name {
             Some(n) => {
                 let shard = self.map.shard_for(n);

@@ -50,14 +50,12 @@ impl IdMonitor {
                 ("userIdentified", "onIdentified"),
                 ("identificationFailed", "onIdentFailed"),
             ] {
-                client.call_ok(
-                    &CmdLine::new("addNotification")
-                        .arg("cmd", event)
-                        .arg("service", monitor.name())
-                        .arg("host", monitor.addr().host.as_str())
-                        .arg("port", monitor.addr().port)
-                        .arg("notifyCmd", notify_cmd),
-                )?;
+                client.call_ok(&ace_core::protocol::subscribe_cmd(
+                    event,
+                    monitor.name(),
+                    monitor.addr(),
+                    notify_cmd,
+                ))?;
             }
         }
         Ok(())

@@ -117,14 +117,12 @@ pub fn wire_voice_control(
     identity: &ace_security::keys::KeyPair,
 ) -> Result<(), ClientError> {
     let mut client = ServiceClient::connect(net, &voice.addr().host, stc.addr().clone(), identity)?;
-    client.call_ok(
-        &CmdLine::new("addNotification")
-            .arg("cmd", "voiceCommand")
-            .arg("service", voice.name())
-            .arg("host", voice.addr().host.as_str())
-            .arg("port", voice.addr().port)
-            .arg("notifyCmd", "onVoiceCommand"),
-    )
+    client.call_ok(&ace_core::protocol::subscribe_cmd(
+        "voiceCommand",
+        voice.name(),
+        voice.addr(),
+        "onVoiceCommand",
+    ))
 }
 
 #[cfg(test)]

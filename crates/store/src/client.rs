@@ -80,19 +80,14 @@ pub struct WalBatchReport {
 
 /// A connected store client.
 pub struct StoreClient {
-    net: SimNet,
-    from_host: HostId,
-    identity: KeyPair,
     replicas: Vec<Addr>,
     quorum: usize,
     writer_id: String,
-    connections: Vec<Option<ServiceClient>>,
-    /// Shared link pool; when set, each replica call checks a link out
-    /// instead of holding one dedicated connection per replica.
-    pool: Option<Arc<LinkPool>>,
-    /// Pooled-mode liveness memory (mirrors what `connections[i].is_some()`
-    /// means in dedicated mode): did the last pooled call reach replica i?
-    pooled_reachable: Vec<bool>,
+    /// Every replica (and logger) call checks a link out of this pool: a
+    /// private one, or the shared one [`StoreClient::with_pool`] injects.
+    pool: Arc<LinkPool>,
+    /// Liveness memory: did the last call reach replica i?
+    reachable: Vec<bool>,
     /// Per-replica reconnect schedule for one command.
     retry: RetryPolicy,
     /// Which replicas acked the most recent quorum write (index-aligned
@@ -100,9 +95,8 @@ pub struct StoreClient {
     /// the leaseholder saw the write it will serve reads over.
     last_acks: Vec<bool>,
     stats: ClientStats,
-    /// Network Logger address for degraded-write warnings (lazy connect).
-    logger_addr: Option<Addr>,
-    logger: Option<ace_directory::LoggerClient>,
+    /// Network Logger address for degraded-write warnings.
+    logger: Option<Addr>,
 }
 
 impl StoreClient {
@@ -113,36 +107,26 @@ impl StoreClient {
         identity: KeyPair,
         replicas: Vec<Addr>,
     ) -> StoreClient {
-        let quorum = ace_core::quorum::majority(replicas.len());
-        let writer_id = identity.principal();
-        let connections = replicas.iter().map(|_| None).collect();
-        let pooled_reachable = vec![false; replicas.len()];
         StoreClient {
-            net,
-            from_host: from_host.into(),
-            identity,
+            quorum: ace_core::quorum::majority(replicas.len()),
+            writer_id: identity.principal(),
+            pool: Arc::new(LinkPool::new(&net, from_host, identity)),
+            reachable: vec![false; replicas.len()],
             replicas,
-            quorum,
-            writer_id,
-            connections,
-            pool: None,
-            pooled_reachable,
             // One immediate reconnect per replica per command — enough to
             // ride out a dropped connection without stalling a quorum scan
             // on a genuinely dead replica.
             retry: RetryPolicy::fixed(Duration::ZERO).with_max_attempts(1),
             last_acks: Vec::new(),
             stats: ClientStats::default(),
-            logger_addr: None,
             logger: None,
         }
     }
 
-    /// Report degraded quorum writes to the Network Logger at `addr`.
-    /// The connection is made lazily and rebuilt if it drops; a logger
-    /// outage never affects store operations.
+    /// Report degraded quorum writes to the Network Logger at `addr`.  A
+    /// logger outage never affects store operations.
     pub fn with_logger(mut self, addr: Addr) -> StoreClient {
-        self.logger_addr = Some(addr);
+        self.logger = Some(addr);
         self
     }
 
@@ -176,79 +160,33 @@ impl StoreClient {
         &self.last_acks
     }
 
-    /// Route replica calls through a shared [`LinkPool`] instead of
-    /// per-replica dedicated connections.  Checkouts ride session
-    /// resumption on pool misses, and a link broken mid-call is discarded
-    /// rather than parked, so a restarted replica never serves stale links.
+    /// Route replica calls through this shared [`LinkPool`] instead of the
+    /// client's private one, so many clients reuse each other's links and
+    /// resumption tickets.
     pub fn with_pool(mut self, pool: Arc<LinkPool>) -> StoreClient {
-        self.pool = Some(pool);
+        self.pool = pool;
         self
     }
 
     fn call_replica(&mut self, idx: usize, cmd: &CmdLine) -> Option<CmdLine> {
-        if let Some(pool) = self.pool.clone() {
-            return self.call_replica_pooled(&pool, idx, cmd);
-        }
         let mut retry = self.retry.start();
         loop {
-            if self.connections[idx].is_none() {
-                self.connections[idx] = ServiceClient::connect(
-                    &self.net,
-                    &self.from_host,
-                    self.replicas[idx].clone(),
-                    &self.identity,
-                )
-                .ok();
-            }
-            // A `None` connection here means connect failed; back off and retry.
-            if let Some(client) = self.connections[idx].as_mut() {
-                match client.call(cmd) {
-                    Ok(reply) => return Some(reply),
-                    // Retryable rejections (E_BUSY, E_DEADLINE, E_UPGRADING)
-                    // guarantee the command did not execute: back off and
-                    // try the replica again within the retry schedule.
-                    Err(ClientError::Service { code, .. }) if code.is_retryable() => {}
-                    Err(ClientError::Service { .. }) => return None, // e.g. NotFound
-                    Err(_) => self.connections[idx] = None,
-                }
-            }
-            if !retry.backoff() {
-                return None;
-            }
-        }
-    }
-
-    fn call_replica_pooled(
-        &mut self,
-        pool: &Arc<LinkPool>,
-        idx: usize,
-        cmd: &CmdLine,
-    ) -> Option<CmdLine> {
-        let mut retry = self.retry.start();
-        loop {
-            match pool.checkout(&self.replicas[idx]) {
-                Ok(mut link) => match link.call(cmd) {
-                    Ok(reply) => {
-                        self.pooled_reachable[idx] = true;
-                        return Some(reply);
-                    }
-                    // The replica shed the command before executing it
-                    // (E_BUSY / E_DEADLINE / E_UPGRADING): it is alive but
-                    // refusing — back off and retry within the schedule.
-                    Err(ClientError::Service { code, .. }) if code.is_retryable() => {
-                        self.pooled_reachable[idx] = true;
-                    }
-                    // The replica answered (e.g. NotFound): it is alive.
-                    Err(ClientError::Service { .. }) => {
-                        self.pooled_reachable[idx] = true;
-                        return None;
-                    }
-                    // Link failure: `PooledLink` already marked itself
-                    // broken so it will not be parked; back off and retry
-                    // with a fresh checkout.
-                    Err(_) => self.pooled_reachable[idx] = false,
-                },
-                Err(_) => self.pooled_reachable[idx] = false,
+            let outcome = self
+                .pool
+                .checkout(&self.replicas[idx])
+                .and_then(|mut link| link.call(cmd));
+            // Any answer, even an error, came from a live replica.  After a
+            // link failure the broken link is already discarded; the retry
+            // checks out a fresh one.
+            self.reachable[idx] = !matches!(outcome, Err(ClientError::Link(_)));
+            match outcome {
+                Ok(reply) => return Some(reply),
+                // A real answer, e.g. NotFound.
+                Err(ClientError::Service { code, .. }) if !code.is_retryable() => return None,
+                // A link failure, or the replica shed the command before
+                // executing it (E_BUSY / E_DEADLINE / E_UPGRADING): back
+                // off and retry within the schedule.
+                Err(_) => {}
             }
             if !retry.backoff() {
                 return None;
@@ -295,11 +233,9 @@ impl StoreClient {
             .cloned()
         else {
             // Nothing answered anywhere: every replica was unreachable or
-            // lacks the key.  Distinguish by probing liveness with the
-            // connection state we just built.
-            let any_connected = self.connections.iter().any(Option::is_some)
-                || self.pooled_reachable.iter().any(|&up| up);
-            return Err(if any_connected {
+            // lacks the key.  Distinguish by the liveness the scan just
+            // recorded.
+            return Err(if self.reachable.contains(&true) {
                 StoreError::NotFound
             } else {
                 StoreError::AllReplicasDown
@@ -422,35 +358,22 @@ impl StoreClient {
     }
 
     /// Warn the Network Logger that a write committed with reduced
-    /// redundancy.  Best-effort by design: the warning rides on a lazily
-    /// (re)built connection and is dropped if the logger is down.
+    /// redundancy.
     fn warn_degraded(&mut self, cmd: &str, ns: &str, key: &str, acked: usize) {
         let msg = format!(
             "degraded {cmd} {ns}/{key}: {acked}/{} replicas acked (quorum {})",
             self.replicas.len(),
             self.quorum
         );
-        self.log_best_effort("warn", &msg);
+        self.log_best_effort("warn", msg);
     }
 
-    /// Ship one line to the Network Logger over a lazily (re)built
-    /// connection; dropped silently if the logger is down.
-    fn log_best_effort(&mut self, level: &str, msg: &str) {
-        let Some(addr) = self.logger_addr.clone() else {
-            return;
-        };
-        if self.logger.is_none() {
-            self.logger = ace_directory::LoggerClient::connect(
-                &self.net,
-                &self.from_host,
-                addr,
-                &self.identity,
-            )
-            .ok();
-        }
-        if let Some(logger) = self.logger.as_mut() {
-            if logger.log(level, msg).is_err() {
-                self.logger = None;
+    /// Ship one line to the Network Logger; dropped silently if the logger
+    /// is down.
+    fn log_best_effort(&mut self, level: &str, msg: String) {
+        if let Some(logger) = &self.logger {
+            if let Ok(mut link) = self.pool.checkout(logger) {
+                let _ = link.call(&ace_core::protocol::log_cmd(level, msg, None));
             }
         }
     }
@@ -562,7 +485,7 @@ impl StoreClient {
             "wal batching: {} appends in {} batches, {} fsyncs saved",
             report.appends, report.batches, report.fsyncs_saved
         );
-        self.log_best_effort("info", &msg);
+        self.log_best_effort("info", msg);
         report
     }
 

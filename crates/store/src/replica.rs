@@ -433,44 +433,18 @@ impl StoreReplica {
 
 /// One anti-entropy round from the worker thread: pull newer versions
 /// from every peer replica — either the fixed shard-group list, or every
-/// `PersistentStore` found in the ASD.
-#[allow(clippy::too_many_arguments)]
+/// `PersistentStore` found in the ASD.  Sends over the daemon's pool.
 fn sync_round(
-    net: &SimNet,
-    host: &HostId,
-    identity: &ace_security::keys::KeyPair,
+    pool: &Arc<LinkPool>,
     asd: Option<&Addr>,
     fixed_peers: Option<&[Addr]>,
     own_name: &str,
     disk: &DiskImage,
     stats: &SyncStats,
-    clients: &mut HashMap<Addr, ServiceClient>,
 ) {
-    let call = |clients: &mut HashMap<Addr, ServiceClient>,
-                addr: &Addr,
-                cmd: &CmdLine|
-     -> Option<CmdLine> {
-        for attempt in 0..2 {
-            if !clients.contains_key(addr) {
-                match ServiceClient::connect(net, host, addr.clone(), identity) {
-                    Ok(c) => {
-                        clients.insert(addr.clone(), c);
-                    }
-                    Err(_) => return None,
-                }
-            }
-            match clients.get_mut(addr).expect("present").call(cmd) {
-                Ok(r) => return Some(r),
-                Err(ClientError::Service { .. }) => return None,
-                Err(ClientError::Link(_)) => {
-                    clients.remove(addr);
-                    if attempt == 1 {
-                        return None;
-                    }
-                }
-            }
-        }
-        None
+    let call = |addr: &Addr, cmd: &CmdLine| {
+        pool.call(addr, cmd, ace_core::client::DEFAULT_CALL_TIMEOUT)
+            .ok()
     };
 
     let peer_addrs: Vec<Addr> = match fixed_peers {
@@ -480,17 +454,11 @@ fn sync_round(
         Some(list) => list.to_vec(),
         None => {
             let Some(asd) = asd else { return };
-            let Some(reply) = call(
-                clients,
-                asd,
-                &CmdLine::new("lookup").arg("class", Value::Str("PersistentStore".into())),
-            ) else {
+            let lookup = ace_core::protocol::lookup_cmd(None, Some("PersistentStore"), None);
+            let Some(reply) = call(asd, &lookup) else {
                 return;
             };
-            let Some(peers) = reply
-                .get("services")
-                .and_then(ace_core::protocol::entries_from_value)
-            else {
+            let Ok(peers) = ace_core::protocol::entries_from_reply(&reply) else {
                 return;
             };
             peers
@@ -501,7 +469,7 @@ fn sync_round(
         }
     };
     for peer_addr in peer_addrs {
-        let Some(reply) = call(clients, &peer_addr, &CmdLine::new("psDigest")) else {
+        let Some(reply) = call(&peer_addr, &CmdLine::new("psDigest")) else {
             continue; // peer down: catch up later
         };
         let Some(rows) = digest_from_reply(&reply) else {
@@ -517,7 +485,6 @@ fn sync_round(
                 continue;
             }
             let Some(got) = call(
-                clients,
                 &peer_addr,
                 &CmdLine::new("psGet")
                     .arg("ns", ns.as_str())
@@ -682,9 +649,7 @@ impl ServiceBehavior for StoreReplica {
         }
         let (nudge_tx, nudge_rx) = crossbeam_channel::unbounded::<()>();
         self.nudge = Some(nudge_tx);
-        let net = ctx.net().clone();
-        let host = ctx.host().clone();
-        let identity = *ctx.identity();
+        let pool = ctx.pool();
         let own_name = ctx.name().to_string();
         let disk = self.disk.clone();
         let stats = Arc::clone(&self.stats);
@@ -694,7 +659,6 @@ impl ServiceBehavior for StoreReplica {
             std::thread::Builder::new()
                 .name(format!("{own_name}-sync"))
                 .spawn(move || {
-                    let mut clients = HashMap::new();
                     while !stop.load(Ordering::SeqCst) {
                         // Wait one interval or until nudged.
                         let _ = nudge_rx.recv_timeout(interval);
@@ -702,15 +666,12 @@ impl ServiceBehavior for StoreReplica {
                             break;
                         }
                         sync_round(
-                            &net,
-                            &host,
-                            &identity,
+                            &pool,
                             asd.as_ref(),
                             fixed_peers.as_deref(),
                             &own_name,
                             &disk,
                             &stats,
-                            &mut clients,
                         );
                     }
                 })

@@ -343,25 +343,21 @@ pub fn wire_wss(
     identity: &ace_security::keys::KeyPair,
 ) -> Result<(), ClientError> {
     let mut to_aud = ServiceClient::connect(net, &wss.addr().host, aud.addr().clone(), identity)?;
-    to_aud.call_ok(
-        &CmdLine::new("addNotification")
-            .arg("cmd", "userAdded")
-            .arg("service", wss.name())
-            .arg("host", wss.addr().host.as_str())
-            .arg("port", wss.addr().port)
-            .arg("notifyCmd", "onUserAdded"),
-    )?;
+    to_aud.call_ok(&ace_core::protocol::subscribe_cmd(
+        "userAdded",
+        wss.name(),
+        wss.addr(),
+        "onUserAdded",
+    ))?;
     if let Some(monitor) = id_monitor {
         let mut to_monitor =
             ServiceClient::connect(net, &wss.addr().host, monitor.addr().clone(), identity)?;
-        to_monitor.call_ok(
-            &CmdLine::new("addNotification")
-                .arg("cmd", "userAt")
-                .arg("service", wss.name())
-                .arg("host", wss.addr().host.as_str())
-                .arg("port", wss.addr().port)
-                .arg("notifyCmd", "onUserAt"),
-        )?;
+        to_monitor.call_ok(&ace_core::protocol::subscribe_cmd(
+            "userAt",
+            wss.name(),
+            wss.addr(),
+            "onUserAt",
+        ))?;
     }
     Ok(())
 }
