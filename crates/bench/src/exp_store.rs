@@ -1,6 +1,7 @@
-//! E15 + E19 — the persistent store (Fig. 17): latency by replica health,
-//! recovery/resync time, replication-factor ablation, and robust-service
-//! MTTR.
+//! E15 + E19 + E23 — the persistent store (Fig. 17): latency by replica
+//! health, recovery/resync time, replication-factor ablation, robust-service
+//! MTTR, and what "constant data synchronization" costs at the keyspace and
+//! interval `acebench` is steered away from.
 
 use crate::util::*;
 use ace_apps::{wire_watcher, AppClass, RobustCounter, WatchSpec, Watcher};
@@ -8,9 +9,10 @@ use ace_core::prelude::*;
 use ace_directory::bootstrap;
 use ace_security::keys::KeyPair;
 use ace_store::{
-    respawn_replica, spawn_store_cluster, DiskImage, MemStorage, StorageHandle, StoreClient,
-    WalConfig,
+    respawn_replica, spawn_sharded_store, spawn_store_cluster, DiskImage, MemStorage,
+    StorageHandle, StoreClient, StoreKey, Versioned, WalConfig,
 };
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn keypair() -> KeyPair {
@@ -311,4 +313,215 @@ pub fn e19() {
         cluster.shutdown();
         fw.shutdown();
     }
+}
+
+/// CPU time (user + system) this process has used, from `/proc/self/stat`
+/// in USER_HZ = 100 ticks.  Zero off Linux.
+fn process_cpu() -> Duration {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+    let after_comm = stat.rsplit(')').next().unwrap_or("");
+    let ticks: u64 = after_comm
+        .split_whitespace()
+        .skip(11)
+        .take(2)
+        .filter_map(|v| v.parse::<u64>().ok())
+        .sum();
+    Duration::from_millis(ticks * 10)
+}
+
+/// What the store plane did over one E23 phase.
+struct SyncPhase {
+    wire_bytes_per_s: f64,
+    cpu_cores: f64,
+    /// Peer-rounds: one replica asking one peer, once.
+    peer_rounds: u64,
+    bytes_per_peer_round: f64,
+    /// `syncEqual`, `syncBuckets`, `syncRows`, summed over the replicas.
+    tree: [i64; 3],
+}
+
+/// `syncs`, `syncEqual`, `syncBuckets`, `syncRows` of `psStats`, summed
+/// over every replica (a counter a replica does not report counts as 0).
+fn sync_counters(links: &mut [ServiceClient]) -> [i64; 4] {
+    let mut sums = [0; 4];
+    for link in links {
+        let stats = link.call(&CmdLine::new("psStats")).unwrap();
+        for (sum, field) in sums
+            .iter_mut()
+            .zip(["syncs", "syncEqual", "syncBuckets", "syncRows"])
+        {
+            *sum += stats.get_int(field).unwrap_or(0);
+        }
+    }
+    sums
+}
+
+/// Run `work` for about `length` and report what the whole network and the
+/// whole process spent meanwhile.  The counters are read over the wire, so
+/// they are read outside the measured window.
+fn sync_phase(
+    net: &SimNet,
+    links: &mut [ServiceClient],
+    peers: u64,
+    length: Duration,
+    work: impl FnOnce(Instant),
+) -> SyncPhase {
+    let before = sync_counters(links);
+    let (wire_before, cpu_before, started) =
+        (net.metrics().snapshot(), process_cpu(), Instant::now());
+    work(started + length);
+    std::thread::sleep((started + length).saturating_duration_since(Instant::now()));
+    let wall = started.elapsed().as_secs_f64();
+    let cpu = (process_cpu() - cpu_before).as_secs_f64();
+    let wire = net.metrics().snapshot().since(&wire_before).frame_bytes;
+    let after = sync_counters(links);
+    let peer_rounds = (after[0] - before[0]) as u64 * peers;
+    SyncPhase {
+        wire_bytes_per_s: wire as f64 / wall,
+        cpu_cores: cpu / wall,
+        peer_rounds,
+        bytes_per_peer_round: wire as f64 / peer_rounds.max(1) as f64,
+        tree: [1, 2, 3].map(|i| after[i] - before[i]),
+    }
+}
+
+/// E23: the store's anti-entropy at the constants `acebench` had to move —
+/// 20,000 keys on the 4×3 sharded plane, every replica syncing with both
+/// group peers every 200 ms — first idle, then under 500 puts/s.  On an
+/// idle, converged group a peer-round is one root out and `same=true` back;
+/// the run **fails** if it moves more than 256 B, which is what keeps an
+/// O(keyspace) round from growing back unnoticed.
+pub fn e23() {
+    const KEYS: usize = 20_000;
+    const SYNC: Duration = Duration::from_millis(200);
+    const PHASE: Duration = Duration::from_secs(5);
+    const PUTS_PER_S: u64 = 500;
+    const GROUPS: usize = 4;
+    const REPLICATION: usize = 3;
+    const IDLE_PEER_ROUND_BOUND: f64 = 256.0;
+
+    header(
+        "E23",
+        "§6 / Fig. 17",
+        "anti-entropy at 20,000 keys / 200 ms (un-steered constants)",
+    );
+    let net = SimNet::new();
+    net.add_host("core");
+    let hosts: Vec<HostId> = (0..GROUPS * REPLICATION)
+        .map(|i| {
+            let h = format!("sh{i}");
+            net.add_host(h.as_str());
+            HostId::from(h.as_str())
+        })
+        .collect();
+    let cluster = spawn_sharded_store(
+        &net,
+        &hosts,
+        GROUPS,
+        REPLICATION,
+        SYNC,
+        WalConfig::default(),
+    )
+    .unwrap();
+
+    // Preload straight into the disk images, identically on every replica
+    // of the owning group (the way `acebench` does: loading 20,000 keys
+    // over the wire is not what is being measured).
+    let key = |k: usize| format!("key{k:05}");
+    let mut per_group: Vec<Vec<(StoreKey, Versioned)>> = vec![Vec::new(); GROUPS];
+    for k in 0..KEYS {
+        let g = cluster.placement.group_for("bench", &key(k));
+        per_group[g].push((
+            ("bench".into(), key(k)),
+            Versioned {
+                data: vec![k as u8; 256],
+                version: 1,
+                writer: "preload".into(),
+                deleted: false,
+            },
+        ));
+    }
+    for (g, entries) in per_group.iter().enumerate() {
+        for (_, disk) in &cluster.groups[g] {
+            for chunk in entries.chunks(256) {
+                disk.apply_batch(chunk.to_vec()).unwrap();
+            }
+        }
+    }
+
+    let identity = keypair();
+    let mut links: Vec<ServiceClient> = cluster
+        .placement
+        .all_replicas()
+        .map(|addr| ServiceClient::connect(&net, &"core".into(), addr.clone(), &identity).unwrap())
+        .collect();
+    let pool = Arc::new(LinkPool::new(&net, "core", identity));
+    let mut client = cluster.client(&net, "core", identity, pool);
+    // Let every replica open its links to its peers before measuring.
+    std::thread::sleep(2 * SYNC);
+
+    let peers = REPLICATION as u64 - 1;
+    let idle = sync_phase(&net, &mut links, peers, PHASE, |_| {});
+    let mut puts = 0u64;
+    let loaded = sync_phase(&net, &mut links, peers, PHASE, |until| {
+        // Open loop, sleep-paced: put `n` is due at `n / PUTS_PER_S`.
+        let started = Instant::now();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        while Instant::now() < until {
+            let due = started + Duration::from_micros(puts * 1_000_000 / PUTS_PER_S);
+            std::thread::sleep(due.saturating_duration_since(Instant::now()));
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let k = (state % KEYS as u64) as usize;
+            client.put("bench", &key(k), &[puts as u8; 256]).unwrap();
+            puts += 1;
+        }
+    });
+
+    row(
+        &format!("{KEYS} keys, {GROUPS}x{REPLICATION}, sync every {SYNC:?}"),
+        &["idle 5 s".into(), format!("{PUTS_PER_S} puts/s 5 s")],
+    );
+    let cells = |p: &SyncPhase| {
+        [
+            format!("{:.0}", p.wire_bytes_per_s),
+            format!("{:.2}", p.cpu_cores),
+            p.peer_rounds.to_string(),
+            p.tree[0].to_string(),
+            p.tree[1].to_string(),
+            p.tree[2].to_string(),
+        ]
+    };
+    let labels = [
+        "wire bytes/s (whole network)",
+        "process CPU (cores busy)",
+        "peer-rounds run",
+        "syncEqual",
+        "syncBuckets",
+        "syncRows",
+    ];
+    for ((label, idle), loaded) in labels.iter().zip(cells(&idle)).zip(cells(&loaded)) {
+        row(label, &[idle, loaded]);
+    }
+    row(
+        "wire bytes per peer-round",
+        &[
+            format!("{:.0}", idle.bytes_per_peer_round),
+            "(puts included)".into(),
+        ],
+    );
+    row("puts completed", &["-".into(), puts.to_string()]);
+
+    cluster.shutdown();
+    assert!(
+        idle.peer_rounds > 0,
+        "no anti-entropy round ran in the idle phase"
+    );
+    assert!(
+        idle.bytes_per_peer_round <= IDLE_PEER_ROUND_BOUND,
+        "an idle peer-round moved {:.0} B (bound {IDLE_PEER_ROUND_BOUND} B): \
+         anti-entropy costs what is stored again, not what diverged",
+        idle.bytes_per_peer_round
+    );
 }

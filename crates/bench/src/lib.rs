@@ -44,6 +44,7 @@ pub fn all_experiments() -> Vec<(&'static str, fn())> {
         ("e20", exp_directory::e20),
         ("e21", exp_overload::e21),
         ("e22", exp_runtime::e22),
+        ("e23", exp_store::e23),
     ]
 }
 
@@ -52,7 +53,7 @@ mod tests {
     #[test]
     fn experiment_ids_are_unique_and_contiguous() {
         let ids: Vec<&str> = super::all_experiments().iter().map(|(id, _)| *id).collect();
-        let expected: Vec<String> = (1..=22).map(|n| format!("e{n:02}")).collect();
+        let expected: Vec<String> = (1..=23).map(|n| format!("e{n:02}")).collect();
         assert_eq!(ids, expected);
     }
 }

@@ -26,7 +26,7 @@ pub mod wal;
 
 pub use client::{ClientStats, StoreClient, StoreError, WalBatchReport};
 pub use placement::{ShardedStats, ShardedStoreClient, StorePlacement};
-pub use replica::{DiskImage, StoreReplica};
+pub use replica::{sync_tree, DiskImage, StoreReplica, SyncTree, SYNC_BUCKETS};
 pub use version::{StoreKey, Versioned};
 pub use wal::{MemStorage, RecoveryReport, StorageHandle, Wal, WalConfig, WalStats};
 

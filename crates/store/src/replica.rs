@@ -11,6 +11,19 @@
 //! other (digest pulls), and two daemon tasks blocked calling each other
 //! would deadlock — the worker keeps command service and synchronization
 //! independent, mirroring the paper's separation of command and data paths.
+//!
+//! A round costs what has *diverged*, not what is stored.  Every image
+//! keeps, under the lock of its map, a hash tree over its digest rows
+//! `(ns, key, version, writer)`: [`SYNC_BUCKETS`] leaves, each the XOR of
+//! the hashes of the rows whose key falls in that bucket, and a root over
+//! the leaves.  Per peer the worker sends its root (`psDigest root=…`); a
+//! peer holding the same rows answers `same=true` — about 100 B both ways —
+//! and otherwise returns its 64 leaves, of which the worker fetches the rows
+//! of the differing buckets only (`psDigest buckets={…}`) and pulls what is
+//! newer, key by key, as it always did.  Nothing survives a round: no
+//! per-peer cursor to invalidate when a replica is rebuilt, reopened or has
+//! a snapshot installed under it.  DESIGN.md § "Anti-entropy by hash tree"
+//! has the argument.
 
 use crate::client::StoreError;
 use crate::placement::StorePlacement;
@@ -18,6 +31,7 @@ use crate::version::{StoreKey, Versioned};
 use crate::wal::{RecoveryReport, StorageHandle, Wal, WalConfig, WalStats};
 use ace_core::prelude::*;
 use ace_lang::ScalarType;
+use ace_security::hash::Fnv64Stream;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -49,6 +63,111 @@ impl TailRing {
     }
 }
 
+/// Buckets in the anti-entropy hash tree.  A constant, not an option: every
+/// replica of a group must cut the keyspace the same way, and 64 keeps the
+/// whole tree one ~1.2 KB reply while a differing bucket names 1/64th of
+/// the keyspace.
+pub const SYNC_BUCKETS: usize = 64;
+
+/// The hash tree's leaves: per bucket, the XOR of the hashes of the digest
+/// rows whose key falls in it (so a row is added and removed by the same
+/// operation, in any order).
+pub type SyncTree = [u64; SYNC_BUCKETS];
+
+/// Hash state after absorbing `ns\0key`: finished, it picks the key's
+/// bucket; continued over version and writer, it is the row's hash.
+fn key_hash(ns: &str, key: &str) -> Fnv64Stream {
+    let mut h = Fnv64Stream::keyed(0);
+    h.update(ns.as_bytes());
+    h.update(&[0]);
+    h.update(key.as_bytes());
+    h
+}
+
+fn bucket_of(key: Fnv64Stream) -> usize {
+    (key.finish() % SYNC_BUCKETS as u64) as usize
+}
+
+/// Hash of exactly one digest row — what `psDigest` would say about the
+/// key whose [`key_hash`] is `key`.
+fn row_hash(key: Fnv64Stream, version: u64, writer: &str) -> u64 {
+    let mut h = key;
+    h.update(&[0]);
+    h.update(&version.to_le_bytes());
+    h.update(writer.as_bytes());
+    h.finish()
+}
+
+/// The tree of a set of digest rows, from scratch: what recovery builds
+/// once from the recovered map, and what the incremental tree of a
+/// [`DiskImage`] must always equal for its [`DiskImage::digest`].
+pub fn sync_tree<'r>(rows: impl IntoIterator<Item = (&'r str, &'r str, u64, &'r str)>) -> SyncTree {
+    let mut tree = [0; SYNC_BUCKETS];
+    for (ns, key, version, writer) in rows {
+        let key = key_hash(ns, key);
+        tree[bucket_of(key)] ^= row_hash(key, version, writer);
+    }
+    tree
+}
+
+/// The tree's root: equal roots mean equal digests (up to a 2⁻⁶⁴ collision).
+fn tree_root(tree: &SyncTree) -> u64 {
+    let mut h = Fnv64Stream::keyed(0);
+    for bucket in tree {
+        h.update(&bucket.to_le_bytes());
+    }
+    h.finish()
+}
+
+/// How a tree hash travels in a command: a word, `x` + 16 hex digits.
+fn hash_word(hash: u64) -> String {
+    format!("x{hash:016x}")
+}
+
+fn parse_hash_word(word: &str) -> Option<u64> {
+    u64::from_str_radix(word.strip_prefix('x')?, 16).ok()
+}
+
+/// What an image holds and the hash tree summarising it, behind one lock so
+/// nobody reads one without the other.
+#[derive(Debug)]
+struct Held {
+    map: HashMap<StoreKey, Versioned>,
+    tree: SyncTree,
+}
+
+impl Held {
+    /// Recovery: the tree is not persisted, it is rebuilt once from the map.
+    fn recovered(map: HashMap<StoreKey, Versioned>) -> Held {
+        let tree = sync_tree(
+            map.iter()
+                .map(|((ns, key), v)| (ns.as_str(), key.as_str(), v.version, v.writer.as_str())),
+        );
+        Held { map, tree }
+    }
+
+    /// The one place a key's content changes: store `value` if it beats
+    /// what is held, XORing the old digest row out of the tree and the new
+    /// one in.  `true` if it won.
+    fn publish(&mut self, key: StoreKey, value: Versioned) -> bool {
+        let hashed = key_hash(&key.0, &key.1);
+        let old = match self.map.get(&key) {
+            Some(existing) if !value.beats(existing) => return false,
+            Some(existing) => row_hash(hashed, existing.version, &existing.writer),
+            None => 0,
+        };
+        self.tree[bucket_of(hashed)] ^= old ^ row_hash(hashed, value.version, &value.writer);
+        self.map.insert(key, value);
+        true
+    }
+}
+
+impl Default for Held {
+    fn default() -> Held {
+        Held::recovered(HashMap::new())
+    }
+}
+
 /// The disk of one replica: survives daemon crash/restart.  A volatile
 /// image ([`DiskImage::new`]) survives by being handed to the respawned
 /// daemon; a durable one ([`DiskImage::open`]) additionally recovers from
@@ -61,16 +180,16 @@ impl TailRing {
 /// writers share fsyncs instead of serialising on the image.
 #[derive(Debug, Clone, Default)]
 pub struct DiskImage {
-    map: Arc<Mutex<HashMap<StoreKey, Versioned>>>,
+    held: Arc<Mutex<Held>>,
     /// `None` for a volatile image (unit tests, benchmarks); durable
     /// images log every applied write here *before* it becomes visible.
     wal: Option<Arc<Wal>>,
-    /// Writes durably in the log but not yet published to `map`.
+    /// Writes durably in the log but not yet published to `held`.
     /// Compaction snapshots the map and truncates the log, so it must
     /// not run while this is non-zero (see [`Wal::maybe_compact_when`]).
     in_flight: Arc<AtomicU64>,
     /// Recently applied writes by sequence number (snapshot shipping's
-    /// catch-up source).  Lock order: `map` before `tail` — never the
+    /// catch-up source).  Lock order: `held` before `tail` — never the
     /// reverse — so snapshot cuts see a (state, seq) pair no applied
     /// write can slip between.
     tail: Arc<Mutex<TailRing>>,
@@ -93,7 +212,7 @@ impl DiskImage {
         let (wal, map, report) = Wal::open(handle, config)?;
         Ok((
             DiskImage {
-                map: Arc::new(Mutex::new(map)),
+                held: Arc::new(Mutex::new(Held::recovered(map))),
                 wal: Some(Arc::new(wal)),
                 in_flight: Arc::new(AtomicU64::new(0)),
                 tail: Arc::new(Mutex::new(TailRing::default())),
@@ -130,8 +249,8 @@ impl DiskImage {
         // newer write is fine — the authoritative check repeats under
         // the map lock after logging.
         {
-            let map = self.map.lock();
-            if let Some(existing) = map.get(&key) {
+            let held = self.held.lock();
+            if let Some(existing) = held.map.get(&key) {
                 if !value.beats(existing) {
                     return Ok(false);
                 }
@@ -147,18 +266,14 @@ impl DiskImage {
                 return Err(e);
             }
         }
-        let mut map = self.map.lock();
-        let applied = match map.get(&key) {
-            Some(existing) if !value.beats(existing) => false,
-            _ => {
-                self.tail.lock().push(key.clone(), value.clone());
-                map.insert(key, value);
-                true
-            }
-        };
+        let mut held = self.held.lock();
+        let applied = held.publish(key.clone(), value.clone());
+        if applied {
+            self.tail.lock().push(key, value);
+        }
         if let Some(wal) = &self.wal {
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            wal.maybe_compact_when(&map, || self.in_flight.load(Ordering::SeqCst) == 0);
+            wal.maybe_compact_when(&held.map, || self.in_flight.load(Ordering::SeqCst) == 0);
         }
         Ok(applied)
     }
@@ -170,10 +285,10 @@ impl DiskImage {
     /// *none* of the writes may be acknowledged.
     pub fn apply_batch(&self, entries: Vec<(StoreKey, Versioned)>) -> Result<usize, StoreError> {
         let fresh: Vec<(StoreKey, Versioned)> = {
-            let map = self.map.lock();
+            let held = self.held.lock();
             entries
                 .into_iter()
-                .filter(|(key, value)| match map.get(key) {
+                .filter(|(key, value)| match held.map.get(key) {
                     Some(existing) => value.beats(existing),
                     None => true,
                 })
@@ -189,35 +304,32 @@ impl DiskImage {
                 return Err(e);
             }
         }
-        let mut map = self.map.lock();
+        let mut held = self.held.lock();
         let mut applied = 0;
         for (key, value) in fresh {
-            match map.get(&key) {
-                Some(existing) if !value.beats(existing) => {}
-                _ => {
-                    self.tail.lock().push(key.clone(), value.clone());
-                    map.insert(key, value);
-                    applied += 1;
-                }
+            if held.publish(key.clone(), value.clone()) {
+                self.tail.lock().push(key, value);
+                applied += 1;
             }
         }
         if let Some(wal) = &self.wal {
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            wal.maybe_compact_when(&map, || self.in_flight.load(Ordering::SeqCst) == 0);
+            wal.maybe_compact_when(&held.map, || self.in_flight.load(Ordering::SeqCst) == 0);
         }
         Ok(applied)
     }
 
     /// Read a key (tombstones included).
     pub fn get(&self, key: &StoreKey) -> Option<Versioned> {
-        self.map.lock().get(key).cloned()
+        self.held.lock().map.get(key).cloned()
     }
 
     /// Live (non-tombstone) keys in a namespace, sorted.
     pub fn list(&self, ns: &str) -> Vec<String> {
         let mut keys: Vec<String> = self
-            .map
+            .held
             .lock()
+            .map
             .iter()
             .filter(|((n, _), v)| n == ns && !v.deleted)
             .map(|((_, k), _)| k.clone())
@@ -228,14 +340,46 @@ impl DiskImage {
 
     /// Digest of everything held: `(ns, key, version, writer)`.
     pub fn digest(&self) -> Vec<(String, String, u64, String)> {
+        self.digest_where(|_, _| true)
+    }
+
+    /// The [`DiskImage::digest`] rows of the keys in the given hash-tree
+    /// buckets.  A filtered scan: it runs only when a peer's tree differs,
+    /// so it needs no per-bucket index.
+    pub fn digest_buckets(&self, buckets: &[usize]) -> Vec<(String, String, u64, String)> {
+        self.digest_where(|ns, key| buckets.contains(&bucket_of(key_hash(ns, key))))
+    }
+
+    fn digest_where(
+        &self,
+        keep: impl Fn(&str, &str) -> bool,
+    ) -> Vec<(String, String, u64, String)> {
         let mut out: Vec<_> = self
-            .map
+            .held
             .lock()
+            .map
             .iter()
+            .filter(|((ns, k), _)| keep(ns, k))
             .map(|((ns, k), v)| (ns.clone(), k.clone(), v.version, v.writer.clone()))
             .collect();
         out.sort();
         out
+    }
+
+    /// The hash tree over [`DiskImage::digest`], kept current by every
+    /// write: two images hold the same rows exactly when their trees are
+    /// equal.
+    pub fn tree(&self) -> SyncTree {
+        self.held.lock().tree
+    }
+
+    /// The buckets in which this image's tree — read now — differs from a
+    /// peer's: where anti-entropy has to look.
+    pub fn differing_buckets(&self, remote: &SyncTree) -> Vec<usize> {
+        let local = self.tree();
+        (0..SYNC_BUCKETS)
+            .filter(|&b| local[b] != remote[b])
+            .collect()
     }
 
     /// The [`DiskImage::digest`] rows of just `keys` in `ns` (absent keys
@@ -246,11 +390,11 @@ impl DiskImage {
         ns: &str,
         keys: impl IntoIterator<Item = &'k str>,
     ) -> Vec<(String, String, u64, String)> {
-        let map = self.map.lock();
+        let held = self.held.lock();
         keys.into_iter()
             .filter_map(|key| {
                 let id = (ns.to_string(), key.to_string());
-                let v = map.get(&id)?;
+                let v = held.map.get(&id)?;
                 Some((id.0, id.1, v.version, v.writer.clone()))
             })
             .collect()
@@ -258,12 +402,12 @@ impl DiskImage {
 
     /// Number of entries (including tombstones).
     pub fn len(&self) -> usize {
-        self.map.lock().len()
+        self.held.lock().map.len()
     }
 
     /// `true` when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.map.lock().is_empty()
+        self.held.lock().map.is_empty()
     }
 
     /// WAL counters (`None` for a volatile image).
@@ -276,9 +420,9 @@ impl DiskImage {
     /// snapshot's generation field carries that sequence cut, so the
     /// fetcher reads it straight out of the validated bytes.
     pub fn snapshot_cut(&self) -> (u64, Vec<u8>) {
-        let map = self.map.lock();
+        let held = self.held.lock();
         let seq = self.tail.lock().next_seq;
-        (seq, crate::wal::encode_snapshot(seq, &map))
+        (seq, crate::wal::encode_snapshot(seq, &held.map))
     }
 
     /// Applied writes with sequence number `>= since`, capped at `max`,
@@ -315,37 +459,24 @@ impl DiskImage {
         &self,
         entries: Vec<(StoreKey, Versioned)>,
     ) -> Result<usize, StoreError> {
-        let mut map = self.map.lock();
+        let mut held = self.held.lock();
         let mut applied = 0;
         for (key, value) in entries {
-            match map.get(&key) {
-                Some(existing) if !value.beats(existing) => {}
-                _ => {
-                    map.insert(key, value);
-                    applied += 1;
-                }
+            if held.publish(key, value) {
+                applied += 1;
             }
         }
         if let Some(wal) = &self.wal {
-            wal.install_snapshot(&map)?;
+            wal.install_snapshot(&held.map)?;
         }
         Ok(applied)
     }
 
-    /// Checksum over the full digest — equal checksums mean replicas have
-    /// converged.
+    /// The hash tree's root — equal checksums mean the replicas hold the
+    /// same digest rows, i.e. have converged.  O([`SYNC_BUCKETS`]), not
+    /// O(keyspace).
     pub fn checksum(&self) -> u64 {
-        let mut material = Vec::new();
-        for (ns, k, version, writer) in self.digest() {
-            material.extend_from_slice(ns.as_bytes());
-            material.push(0);
-            material.extend_from_slice(k.as_bytes());
-            material.push(0);
-            material.extend_from_slice(&version.to_le_bytes());
-            material.extend_from_slice(writer.as_bytes());
-            material.push(0);
-        }
-        ace_security::hash::fnv64(&material)
+        tree_root(&self.held.lock().tree)
     }
 }
 
@@ -353,6 +484,12 @@ impl DiskImage {
 #[derive(Debug, Default)]
 struct SyncStats {
     syncs: AtomicU64,
+    /// Peer-rounds the peer answered `same=true`: nothing else was sent.
+    sync_equal: AtomicU64,
+    /// Differing buckets whose rows were fetched.
+    sync_buckets: AtomicU64,
+    /// Digest rows those buckets held, each compared with the local entry.
+    sync_rows: AtomicU64,
     pulled: AtomicU64,
     /// Pulled values the local disk refused (WAL append failed): the
     /// entry stays missing locally and a later round retries it.
@@ -434,6 +571,13 @@ impl StoreReplica {
 /// One anti-entropy round from the worker thread: pull newer versions
 /// from every peer replica — either the fixed shard-group list, or every
 /// `PersistentStore` found in the ASD.  Sends over the daemon's pool.
+///
+/// Per peer the round costs what has diverged, not what is stored: it
+/// sends the root of its own hash tree, and a peer holding the same rows
+/// answers `same=true` and is done.  Otherwise the peer's 64 bucket hashes
+/// come back, and only the rows of the buckets that differ from the local
+/// tree — read afresh, nothing is kept between rounds — are fetched and
+/// run through the newer-wins pull.
 fn sync_round(
     pool: &Arc<LinkPool>,
     asd: Option<&Addr>,
@@ -469,12 +613,32 @@ fn sync_round(
         }
     };
     for peer_addr in peer_addrs {
-        let Some(reply) = call(&peer_addr, &CmdLine::new("psDigest")) else {
+        let ask = CmdLine::new("psDigest").arg("root", hash_word(disk.checksum()));
+        let Some(reply) = call(&peer_addr, &ask) else {
             continue; // peer down: catch up later
         };
-        let Some(rows) = digest_from_reply(&reply) else {
+        if reply.get_bool("same") == Some(true) {
+            stats.sync_equal.fetch_add(1, Ordering::Relaxed);
+            continue;
+        }
+        let Some(remote) = tree_from_reply(&reply) else {
             continue;
         };
+        let differing = disk.differing_buckets(&remote);
+        if differing.is_empty() {
+            continue; // caught up between the two reads
+        }
+        stats
+            .sync_buckets
+            .fetch_add(differing.len() as u64, Ordering::Relaxed);
+        let buckets = differing.iter().map(|&b| Scalar::Int(b as i64)).collect();
+        let ask = CmdLine::new("psDigest").arg("buckets", Value::Vector(buckets));
+        let Some(rows) = call(&peer_addr, &ask).and_then(|r| digest_from_reply(&r)) else {
+            continue;
+        };
+        stats
+            .sync_rows
+            .fetch_add(rows.len() as u64, Ordering::Relaxed);
         for (ns, key, version, writer) in rows {
             let key_pair = (ns.clone(), key.clone());
             let newer_remote = match disk.get(&key_pair) {
@@ -506,6 +670,20 @@ fn sync_round(
         }
     }
     stats.syncs.fetch_add(1, Ordering::Relaxed);
+}
+
+/// The 64 bucket hashes of a `psDigest root=…` reply that said
+/// `same=false`; `None` when the reply is anything else.
+fn tree_from_reply(reply: &CmdLine) -> Option<SyncTree> {
+    let words = reply.get_vector("hashes")?;
+    if words.len() != SYNC_BUCKETS {
+        return None;
+    }
+    let mut tree = [0; SYNC_BUCKETS];
+    for (bucket, word) in tree.iter_mut().zip(words) {
+        *bucket = parse_hash_word(word.as_text()?)?;
+    }
+    Some(tree)
 }
 
 /// Strictly parse a `psGet`-style reply; `None` when any field is missing
@@ -627,13 +805,21 @@ impl ServiceBehavior for StoreReplica {
             .with(
                 CmdSpec::new(
                     "psDigest",
-                    "(ns,key,version,writer) digest: everything held, or just `keys` of `ns`",
+                    "(ns,key,version,writer) digest: everything held, just `keys` of `ns`, \
+                     just the hash-tree `buckets`, or — given `root` — whether the trees match",
                 )
                 .optional("ns", ArgType::Word, "namespace of `keys`")
+                .optional("keys", ArgType::Vector(ScalarType::Str), "keys to report")
                 .optional(
-                    "keys",
-                    ArgType::Vector(ScalarType::Str),
-                    "keys to report",
+                    "root",
+                    ArgType::Word,
+                    "the asker's tree root: answers `same=true`, or `same=false` and the \
+                     64 bucket `hashes`",
+                )
+                .optional(
+                    "buckets",
+                    ArgType::Vector(ScalarType::Int),
+                    "hash-tree buckets to report the rows of",
                 ),
             )
             .with(CmdSpec::new("psSync", "nudge the sync worker to run now"))
@@ -971,12 +1157,47 @@ impl ServiceBehavior for StoreReplica {
                 })
             }
             "psDigest" => {
-                let digest = match (cmd.get_text("ns"), cmd.get_vector("keys")) {
-                    (Some(ns), Some(keys)) => self
+                let digest = match (
+                    cmd.get_text("ns"),
+                    cmd.get_vector("keys"),
+                    cmd.get_text("root"),
+                    cmd.get_vector("buckets"),
+                ) {
+                    (None, None, Some(root), None) => {
+                        let tree = self.disk.tree();
+                        if parse_hash_word(root) == Some(tree_root(&tree)) {
+                            return Reply::ok_with(|c| c.arg("same", true));
+                        }
+                        let hashes = tree.iter().map(|&h| Scalar::Word(hash_word(h))).collect();
+                        return Reply::ok_with(|c| {
+                            c.arg("same", false).arg("hashes", Value::Vector(hashes))
+                        });
+                    }
+                    (None, None, None, Some(buckets)) => {
+                        let wanted: Option<Vec<usize>> = buckets
+                            .iter()
+                            .map(|b| match b {
+                                Scalar::Int(b) => {
+                                    usize::try_from(*b).ok().filter(|&b| b < SYNC_BUCKETS)
+                                }
+                                _ => None,
+                            })
+                            .collect();
+                        let Some(wanted) = wanted else {
+                            return Reply::err(ErrorCode::Semantics, "no such hash-tree bucket");
+                        };
+                        self.disk.digest_buckets(&wanted)
+                    }
+                    (Some(ns), Some(keys), None, None) => self
                         .disk
                         .digest_of(ns, keys.iter().filter_map(Scalar::as_text)),
-                    (None, None) => self.disk.digest(),
-                    _ => return Reply::err(ErrorCode::Semantics, "`ns` and `keys` go together"),
+                    (None, None, None, None) => self.disk.digest(),
+                    _ => {
+                        return Reply::err(
+                            ErrorCode::Semantics,
+                            "`ns` and `keys` go together; `root` and `buckets` each go alone",
+                        )
+                    }
                 };
                 let rows: Vec<Vec<Scalar>> = digest
                     .into_iter()
@@ -1005,6 +1226,18 @@ impl ServiceBehavior for StoreReplica {
                 Reply::ok_with(|c| {
                     c.arg("entries", self.disk.len() as i64)
                         .arg("syncs", self.stats.syncs.load(Ordering::Relaxed) as i64)
+                        .arg(
+                            "syncEqual",
+                            self.stats.sync_equal.load(Ordering::Relaxed) as i64,
+                        )
+                        .arg(
+                            "syncBuckets",
+                            self.stats.sync_buckets.load(Ordering::Relaxed) as i64,
+                        )
+                        .arg(
+                            "syncRows",
+                            self.stats.sync_rows.load(Ordering::Relaxed) as i64,
+                        )
                         .arg("pulled", self.stats.pulled.load(Ordering::Relaxed) as i64)
                         .arg(
                             "pullErrors",
@@ -1019,10 +1252,7 @@ impl ServiceBehavior for StoreReplica {
                         .arg("walMaxBatch", wal.max_batch_records as i64)
                         .arg("leasedGets", self.leased_gets as i64)
                         .arg("leasedRefusals", self.leased_refusals as i64)
-                        .arg(
-                            "checksum",
-                            Value::Word(format!("x{:016x}", self.disk.checksum())),
-                        )
+                        .arg("checksum", Value::Word(hash_word(self.disk.checksum())))
                 })
             }
             other => Reply::err(ErrorCode::Internal, format!("unrouted command `{other}`")),
@@ -1141,6 +1371,25 @@ mod tests {
         assert_ne!(a.checksum(), b.checksum());
         b.apply(("n".into(), "k".into()), value).unwrap();
         assert_eq!(a.checksum(), b.checksum());
+    }
+
+    #[test]
+    fn a_malformed_tree_reply_is_refused_not_guessed_at() {
+        let words = |n: usize| Value::Vector(vec![Scalar::Word(hash_word(7)); n]);
+        let reply = |hashes: Value| CmdLine::new("ok").arg("same", false).arg("hashes", hashes);
+        assert_eq!(
+            tree_from_reply(&reply(words(SYNC_BUCKETS))),
+            Some([7; SYNC_BUCKETS])
+        );
+        assert_eq!(tree_from_reply(&reply(words(SYNC_BUCKETS - 1))), None);
+        let mut bad = vec![Scalar::Word(hash_word(7)); SYNC_BUCKETS];
+        bad[9] = Scalar::Word("x12g4".into());
+        assert_eq!(tree_from_reply(&reply(Value::Vector(bad))), None);
+        assert_eq!(
+            tree_from_reply(&CmdLine::new("ok").arg("same", false)),
+            None
+        );
+        assert_eq!(parse_hash_word(&hash_word(u64::MAX)), Some(u64::MAX));
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! the same contents, and the winner of each key is the globally maximal
 //! `(version, writer)` pair.
 
-use ace_store::{DiskImage, Versioned};
+use ace_store::{
+    sync_tree, DiskImage, MemStorage, StorageHandle, StoreKey, SyncTree, Versioned, WalConfig,
+};
 use proptest::prelude::*;
 
 /// One generated write.
@@ -29,14 +31,64 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
-/// Pull-based pairwise sync: `a` pulls everything newer from `b` (the same
-/// rule the replica daemon's sync worker applies).
+impl Op {
+    fn entry(&self) -> (StoreKey, Versioned) {
+        (
+            ("ns".into(), format!("k{}", self.key)),
+            Versioned {
+                data: format!("v{}w{}", self.version, self.writer).into_bytes(),
+                version: self.version,
+                writer: format!("w{}", self.writer),
+                deleted: self.delete,
+            },
+        )
+    }
+}
+
+/// Pull-based pairwise sync, `a` from `b`, by the sync worker's three steps
+/// on bare images: compare roots (`psDigest root=`), find the buckets where
+/// `b`'s tree differs from `a`'s (`same=false hashes=`), and pull what is
+/// newer among those buckets' rows (`psDigest buckets=`).
 fn pull(a: &DiskImage, b: &DiskImage) {
+    if a.checksum() == b.checksum() {
+        return;
+    }
+    for (ns, key, _, _) in b.digest_buckets(&a.differing_buckets(&b.tree())) {
+        let k = (ns, key);
+        let remote = b.get(&k).expect("digested");
+        a.apply(k, remote).unwrap();
+    }
+}
+
+/// The reference the tree replaced: `a` pulls from `b`'s full digest.
+fn pull_full_digest(a: &DiskImage, b: &DiskImage) {
     for (ns, key, _, _) in b.digest() {
         let k = (ns, key);
         let remote = b.get(&k).expect("digested");
         a.apply(k, remote).unwrap();
     }
+}
+
+/// Everything an image holds, values included, in digest order.
+fn contents(disk: &DiskImage) -> Vec<(StoreKey, Versioned)> {
+    disk.digest()
+        .into_iter()
+        .map(|(ns, key, _, _)| {
+            let k = (ns, key);
+            let v = disk.get(&k).expect("digested");
+            (k, v)
+        })
+        .collect()
+}
+
+/// The tree of what the image holds now, from scratch.
+fn recomputed_tree(disk: &DiskImage) -> SyncTree {
+    let rows = disk.digest();
+    sync_tree(
+        rows.iter().map(|(ns, key, version, writer)| {
+            (ns.as_str(), key.as_str(), *version, writer.as_str())
+        }),
+    )
 }
 
 proptest! {
@@ -48,15 +100,8 @@ proptest! {
     fn anti_entropy_converges(ops in prop::collection::vec(op_strategy(), 1..64)) {
         let disks = [DiskImage::new(), DiskImage::new(), DiskImage::new()];
         for op in &ops {
-            disks[op.replica].apply(
-                ("ns".into(), format!("k{}", op.key)),
-                Versioned {
-                    data: format!("v{}w{}", op.version, op.writer).into_bytes(),
-                    version: op.version,
-                    writer: format!("w{}", op.writer),
-                    deleted: op.delete,
-                },
-            ).unwrap();
+            let (key, value) = op.entry();
+            disks[op.replica].apply(key, value).unwrap();
         }
         // Two full rounds of pairwise pulls guarantee propagation through
         // any 3-node topology.
@@ -88,6 +133,77 @@ proptest! {
                 }
                 (e, s) => prop_assert!(false, "mismatch: {e:?} vs {s:?}"),
             }
+        }
+    }
+
+    /// Invariant: pulling through the hash tree leaves every image in
+    /// exactly the state pulling from the full digest leaves it — after
+    /// each single pull, not just at convergence — including when most of
+    /// what the differing buckets hold is the same on both sides.
+    #[test]
+    fn tree_pull_equals_full_digest_pull(ops in prop::collection::vec(op_strategy(), 1..64)) {
+        let build = || {
+            let disks = [DiskImage::new(), DiskImage::new(), DiskImage::new()];
+            for disk in &disks {
+                for i in 0..96u64 {
+                    let shared = Op { replica: 0, key: 0, version: 1 + i % 3, writer: 0, delete: false };
+                    disk.apply(("base".into(), format!("b{i}")), shared.entry().1).unwrap();
+                }
+            }
+            for op in &ops {
+                let (key, value) = op.entry();
+                disks[op.replica].apply(key, value).unwrap();
+            }
+            disks
+        };
+        let (by_tree, by_digest) = (build(), build());
+        for i in 0..3 {
+            for j in 0..3 {
+                if i != j {
+                    pull(&by_tree[i], &by_tree[j]);
+                    pull_full_digest(&by_digest[i], &by_digest[j]);
+                    prop_assert_eq!(contents(&by_tree[i]), contents(&by_digest[i]));
+                }
+            }
+        }
+    }
+
+    /// Invariant: the tree an image maintains incrementally is the tree of
+    /// its digest, whatever mix of single writes, batches, snapshot
+    /// installs, compactions and crash-reopens produced it.
+    #[test]
+    fn tree_tracks_the_digest_through_every_mutation(
+        steps in prop::collection::vec(
+            (0u8..4, prop::collection::vec(op_strategy(), 0..6)),
+            1..24,
+        ),
+    ) {
+        let handle = StorageHandle::Memory(MemStorage::new());
+        // A threshold small enough that some runs compact, so reopening
+        // recovers from a snapshot plus a log tail, not the log alone.
+        let config = WalConfig { compact_threshold: 512, ..WalConfig::default() };
+        let (mut disk, _) = DiskImage::open(&handle, config.clone()).unwrap();
+        for (kind, ops) in &steps {
+            let entries: Vec<(StoreKey, Versioned)> = ops.iter().map(Op::entry).collect();
+            match kind {
+                0 => {
+                    for (key, value) in entries {
+                        disk.apply(key, value).unwrap();
+                    }
+                }
+                1 => {
+                    disk.apply_batch(entries).unwrap();
+                }
+                2 => {
+                    disk.install_snapshot(entries).unwrap();
+                }
+                _ => {
+                    let before = disk.tree();
+                    disk = DiskImage::open(&handle, config.clone()).unwrap().0;
+                    prop_assert_eq!(disk.tree(), before, "recovery rebuilt a different tree");
+                }
+            }
+            prop_assert_eq!(disk.tree(), recomputed_tree(&disk));
         }
     }
 

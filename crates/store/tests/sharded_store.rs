@@ -5,8 +5,8 @@
 use ace_core::prelude::*;
 use ace_security::keys::KeyPair;
 use ace_store::{
-    spawn_sharded_store, ShardedStoreClient, ShardedStoreCluster, StorePlacement, Versioned,
-    WalConfig,
+    spawn_sharded_store, DiskImage, ShardedStoreClient, ShardedStoreCluster, StorePlacement,
+    StoreReplica, Versioned, WalConfig, SYNC_BUCKETS,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -407,4 +407,221 @@ fn a_batch_write_costs_its_keys_not_the_keyspace() {
         assert_eq!(&c.get("app", key).unwrap(), data);
     }
     w.cluster.shutdown();
+}
+
+// -- anti-entropy on the wire -------------------------------------------------
+
+/// One link from `core` to each replica of group 0.
+fn group0_links(w: &World) -> Vec<ServiceClient> {
+    let identity = keypair();
+    w.cluster
+        .placement
+        .replicas(0)
+        .iter()
+        .map(|addr| ServiceClient::connect(&w.net, &"core".into(), addr.clone(), &identity))
+        .collect::<Result<_, _>>()
+        .unwrap()
+}
+
+fn stat(link: &mut ServiceClient, field: &str) -> i64 {
+    let stats = link.call(&CmdLine::new("psStats")).unwrap();
+    stats.get_int(field).unwrap()
+}
+
+/// Nudge the replicas behind `links` (members of a group of three) with
+/// `psSync` and wait until each has run that one round.  Returns the frame
+/// bytes the nudges and the rounds moved; the network is quiet again when
+/// this returns.
+fn sync_now(w: &World, links: &mut [ServiceClient]) -> u64 {
+    let rounds_before: Vec<i64> = links.iter_mut().map(|l| stat(l, "syncs")).collect();
+    let before = w.net.metrics().snapshot();
+    for link in links.iter_mut() {
+        link.call(&CmdLine::new("psSync")).unwrap();
+    }
+    // A round is at least a request and a reply per peer; wait for those
+    // frames and then for the wire to fall silent, without touching it.
+    let least = before.frames + links.len() as u64 * (2 + 2 * 2);
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let mut last = w.net.metrics().snapshot();
+    loop {
+        std::thread::sleep(Duration::from_millis(150));
+        let now = w.net.metrics().snapshot();
+        if now.frames >= least && now.frames == last.frames {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "sync round never finished"
+        );
+        last = now;
+    }
+    let moved = last.since(&before).frame_bytes;
+    for (link, before) in links.iter_mut().zip(rounds_before) {
+        assert_eq!(stat(link, "syncs"), before + 1, "one round per nudge");
+    }
+    moved
+}
+
+#[test]
+fn a_sync_round_costs_what_diverged_not_what_is_stored() {
+    let w = world_syncing(1, 3, QUIET);
+    let mut c = client(&w);
+    let preload: Vec<(String, Vec<u8>)> = (0..2000)
+        .map(|i| (format!("held{i:04}"), vec![i as u8; 64]))
+        .collect();
+    for chunk in preload.chunks(250) {
+        c.put_many("app", chunk).unwrap();
+    }
+    let mut links = group0_links(&w);
+    // The first round opens the replicas' links to each other; handshakes
+    // are not what is measured.
+    sync_now(&w, &mut links);
+
+    // Three replicas holding the same 2,000 keys: six peer-rounds, each one
+    // root out and `same=true` back.  Six full digests were ~300 KB.
+    let idle = sync_now(&w, &mut links);
+    assert!(
+        idle < 2048,
+        "an idle round moved {idle} B over 2,000 held keys"
+    );
+    for link in links.iter_mut() {
+        assert_eq!(stat(link, "syncEqual"), 4, "two rounds, two peers each");
+        assert_eq!(stat(link, "syncBuckets"), 0);
+        assert_eq!(stat(link, "syncRows"), 0);
+    }
+
+    // One key on one disk only, then one round on each replica lacking it.
+    // A peer-round that finds a difference costs the 64 hashes plus the rows
+    // of the one bucket the key falls in — 1/64th of the keyspace.
+    let full = wire_bytes(&w, || {
+        let digest = links[1].call(&CmdLine::new("psDigest")).unwrap();
+        assert_eq!(digest.get_int("count"), Some(2000));
+    });
+    let lonely = ("app".to_string(), "lonely".to_string());
+    let value = Versioned {
+        data: b"only here".to_vec(),
+        version: 1,
+        writer: "someone".into(),
+        deleted: false,
+    };
+    assert!(w.cluster.groups[0][0]
+        .1
+        .apply(lonely.clone(), value.clone())
+        .unwrap());
+    let moved = sync_now(&w, &mut links[1..2]) + sync_now(&w, &mut links[2..3]);
+    for (_, disk) in &w.cluster.groups[0] {
+        assert_eq!(disk.get(&lonely).as_ref(), Some(&value));
+        assert_eq!(disk.checksum(), w.cluster.groups[0][0].1.checksum());
+    }
+    assert!(
+        moved < full / 8,
+        "spreading one key moved {moved} B; one full digest is {full} B"
+    );
+    let pulled: i64 = links.iter_mut().map(|l| stat(l, "pulled")).sum();
+    assert_eq!(pulled, 2, "each of the two replicas without it pulled it");
+    w.cluster.shutdown();
+}
+
+/// A standalone replica (no ASD, no peers: it serves commands only) over a
+/// fixed five-row image, and a link to it.
+fn fixed_replica() -> (DaemonHandle, DiskImage, ServiceClient) {
+    let net = SimNet::new();
+    net.add_host("core");
+    let disk = DiskImage::new();
+    let rows: [(&str, &str, u64, &str, bool); 5] = [
+        ("app", "alpha", 3, "rsa:00ff:10001", false),
+        ("app", "beta key", 1, "w1", false),
+        ("app", "gone", 7, "w2", true),
+        ("media", "alpha", 12, "w1", false),
+        ("media", "frame/0001", 2, "w3", false),
+    ];
+    for (ns, key, version, writer, deleted) in rows {
+        let value = Versioned {
+            data: if deleted { vec![] } else { b"v".to_vec() },
+            version,
+            writer: writer.into(),
+            deleted,
+        };
+        disk.apply((ns.into(), key.into()), value).unwrap();
+    }
+    let replica = Daemon::spawn(
+        &net,
+        DaemonConfig::new("fixed", "Service.Test", "machineroom", "core", 6100),
+        Box::new(StoreReplica::new(disk.clone(), QUIET)),
+    )
+    .unwrap();
+    let link =
+        ServiceClient::connect(&net, &"core".into(), replica.addr().clone(), &keypair()).unwrap();
+    (replica, disk, link)
+}
+
+/// The two `psDigest` forms that existed before the hash tree answer exactly
+/// what they always did — `put_many` and operators' tooling read them.  The
+/// expected strings were produced by the commit before the tree.
+#[test]
+fn the_old_digest_forms_answer_byte_for_byte_as_before() {
+    let (replica, _, mut link) = fixed_replica();
+    let whole = link.call(&CmdLine::new("psDigest")).unwrap();
+    assert_eq!(whole.to_wire(), GOLDEN_WHOLE);
+    let keys = ["gone", "alpha", "absent"].map(|k| Scalar::Str(k.into()));
+    let scoped = CmdLine::new("psDigest")
+        .arg("ns", "app")
+        .arg("keys", Value::Vector(keys.to_vec()));
+    assert_eq!(link.call(&scoped).unwrap().to_wire(), GOLDEN_SCOPED);
+    let lopsided = CmdLine::new("psDigest").arg("ns", "app");
+    assert_eq!(
+        link.call(&lopsided).unwrap_err().code(),
+        Some(ErrorCode::Semantics)
+    );
+    replica.shutdown();
+}
+
+const GOLDEN_WHOLE: &str = r#"ok count=5 entries={{"app","alpha","3","rsa:00ff:10001"},{"app","beta key","1","w1"},{"app","gone","7","w2"},{"media","alpha","12","w1"},{"media","frame/0001","2","w3"}};"#;
+const GOLDEN_SCOPED: &str =
+    r#"ok count=2 entries={{"app","gone","7","w2"},{"app","alpha","3","rsa:00ff:10001"}};"#;
+
+/// The two forms the sync worker speaks: `root=` says whether the trees
+/// match and, if not, ships the 64 hashes; `buckets=` lists the rows of
+/// those buckets only.  Between them they reproduce the whole digest.
+#[test]
+fn the_tree_forms_name_exactly_the_rows_that_differ() {
+    let (replica, disk, mut link) = fixed_replica();
+    let root = |sum: u64| CmdLine::new("psDigest").arg("root", format!("x{sum:016x}"));
+    let same = link.call(&root(disk.checksum())).unwrap();
+    assert_eq!(same.to_wire(), "ok same=true;");
+
+    let differs = link.call(&root(DiskImage::new().checksum())).unwrap();
+    assert_eq!(differs.get_bool("same"), Some(false));
+    let hashes: Vec<u64> = differs
+        .get_vector("hashes")
+        .unwrap()
+        .iter()
+        .map(|w| u64::from_str_radix(w.as_text().unwrap().strip_prefix('x').unwrap(), 16).unwrap())
+        .collect();
+    assert_eq!(hashes, disk.tree());
+
+    // An empty image differs in exactly the buckets that hold something,
+    // and those buckets' rows are everything held.
+    let occupied = DiskImage::new().differing_buckets(&disk.tree());
+    assert!(!occupied.is_empty() && occupied.len() <= 5);
+    let ask = |buckets: &[usize]| {
+        let buckets = buckets.iter().map(|&b| Scalar::Int(b as i64)).collect();
+        CmdLine::new("psDigest").arg("buckets", Value::Vector(buckets))
+    };
+    assert_eq!(link.call(&ask(&occupied)).unwrap().to_wire(), GOLDEN_WHOLE);
+    let one = link.call(&ask(&occupied[..1])).unwrap();
+    assert!((1..5).contains(&one.get_int("count").unwrap()));
+
+    for refused in [
+        ask(&[SYNC_BUCKETS]),
+        ask(&[0]).arg("root", "x0"),
+        root(0).arg("ns", "app"),
+    ] {
+        assert_eq!(
+            link.call(&refused).unwrap_err().code(),
+            Some(ErrorCode::Semantics),
+            "{refused}"
+        );
+    }
+    replica.shutdown();
 }

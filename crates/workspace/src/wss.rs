@@ -302,7 +302,12 @@ impl ServiceBehavior for Wss {
                         ctx.log("warn", format!("{user} identified but has no workspace"));
                         Reply::ok()
                     }
-                    1 => self.show_workspace(ctx, &list[0], &access_host),
+                    1 => {
+                        // The attach coordinates travel in `workspaceReady`;
+                        // the notifier that delivered this asked for nothing.
+                        self.show_workspace(ctx, &list[0], &access_host);
+                        Reply::ok()
+                    }
                     _ => {
                         // Several workspaces: raise the selector (Fig. 19's
                         // "Workspace Selector"); the user confirms via

@@ -554,3 +554,65 @@ fn wss_remove_closes_session() {
     w.extra.push(wss);
     w.teardown();
 }
+
+/// `onUserAt` is a notification: the ID Monitor's notifier asked for
+/// nothing, so the reply must not hand it the attach coordinates and VNC
+/// password that `workspaceReady` (and an explicit `wssShow`) carry.
+#[test]
+fn user_at_notification_reply_carries_no_password() {
+    let mut w = world(&["bar", "podium"]);
+    let me = keypair();
+    let vnc = Daemon::spawn(
+        &w.net,
+        w.fw.service_config("vnc_bar", "Service.VNCHost", "machineroom", "bar", 5500),
+        Box::new(VncHost::new()),
+    )
+    .unwrap();
+    let wss = Daemon::spawn(
+        &w.net,
+        w.fw.service_config(
+            "wss",
+            "Service.WorkspaceServer",
+            "machineroom",
+            "core",
+            5600,
+        ),
+        Box::new(Wss::new()),
+    )
+    .unwrap();
+    let mut client =
+        ServiceClient::connect(&w.net, &"core".into(), wss.addr().clone(), &me).unwrap();
+    client
+        .call(&CmdLine::new("wssCreate").arg("user", "jdoe"))
+        .unwrap();
+
+    let notified = client
+        .call(
+            &CmdLine::new("onUserAt")
+                .arg("username", "jdoe")
+                .arg("accessHost", "podium"),
+        )
+        .unwrap();
+    for secret in ["password", "session", "vncHost", "vncPort"] {
+        assert!(
+            notified.get(secret).is_none(),
+            "onUserAt reply leaks `{secret}`: {notified}"
+        );
+    }
+    let stats = client.call(&CmdLine::new("wssStats")).unwrap();
+    assert_eq!(stats.get_int("shows"), Some(1), "the show still happened");
+
+    let shown = client
+        .call(
+            &CmdLine::new("wssShow")
+                .arg("user", "jdoe")
+                .arg("accessHost", "podium"),
+        )
+        .unwrap();
+    assert!(shown.get_text("password").is_some_and(|p| !p.is_empty()));
+    assert!(shown.get_text("session").is_some());
+
+    w.extra.push(vnc);
+    w.extra.push(wss);
+    w.teardown();
+}
