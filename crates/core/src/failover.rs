@@ -297,9 +297,10 @@ impl FailoverClient {
 
     /// Resolve through a replicated directory: `replicas` are tried in
     /// order until one answers, so a crashed directory replica costs one
-    /// extra round trip instead of a failed resolution.  Replaces the
-    /// single address given to [`FailoverClient::bind`]; an empty vector
-    /// is ignored.
+    /// extra round trip instead of a failed resolution, and one that came
+    /// back empty and is not repaired yet does not unregister the name.
+    /// Replaces the single address given to [`FailoverClient::bind`]; an
+    /// empty vector is ignored.
     pub fn with_directory_replicas(mut self, replicas: Vec<Addr>) -> FailoverClient {
         if !replicas.is_empty() {
             self.directory = replicas;
@@ -370,43 +371,20 @@ impl FailoverClient {
                 return Ok(addr);
             }
         }
-        // Hunt across the directory replica set: any live replica can
-        // answer, so only fail when every replica is unreachable.
+        // Hunt across the directory replica set in map order, under the
+        // any-replica read rule `protocol::lookup_any_replica` states.
         let lookup = protocol::lookup_cmd(Some(&self.service_name), None, None);
-        let mut reply = None;
-        let mut last_err: Option<ClientError> = None;
-        for asd in &self.directory {
-            match self
-                .pool
-                .checkout(asd)
-                .and_then(|mut link| link.call(&lookup))
-            {
-                Ok(r) => {
-                    reply = Some(r);
-                    break;
-                }
-                Err(err) => last_err = Some(err),
-            }
-        }
-        let reply = match reply {
-            Some(r) => r,
-            None => {
-                return Err(last_err.unwrap_or(ClientError::Service {
-                    code: ErrorCode::Unavailable,
-                    msg: "no directory replica configured".into(),
-                }))
-            }
-        };
+        let (entries, lease_ms) =
+            protocol::lookup_any_replica(&self.pool, &self.directory, 0, &lookup)?;
         self.resolutions += 1;
-        let entries = reply
-            .get("services")
-            .and_then(protocol::entries_from_value)
-            .unwrap_or_default();
         match entries.into_iter().next() {
             Some(entry) => {
                 if let Some(cache) = &self.cache {
-                    let ttl = resolution_ttl(reply.get_int("lease"));
-                    cache.store(&self.service_name, entry.addr.clone(), ttl);
+                    cache.store(
+                        &self.service_name,
+                        entry.addr.clone(),
+                        resolution_ttl(lease_ms),
+                    );
                 }
                 Ok(entry.addr)
             }

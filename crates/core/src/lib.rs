@@ -67,6 +67,7 @@ pub mod failover;
 pub mod link;
 pub mod metrics;
 pub mod notify;
+pub mod placement;
 pub mod pool;
 pub mod protocol;
 pub mod quorum;
@@ -86,6 +87,7 @@ pub use failover::{
 pub use link::{LinkError, SecureLink, TicketCache, TicketVault};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, RegistrySnapshot, StatsReport};
 pub use notify::{NotificationRegistry, Notifier, NotifierTask, Registration};
+pub use placement::GroupMap;
 pub use pool::{LinkPool, PooledLink};
 pub use protocol::{ServiceEntry, ASD_PORT, LOGGER_PORT, ROOMDB_PORT};
 pub use quorum::{majority, QuorumRound};
@@ -109,6 +111,7 @@ pub mod prelude {
     };
     pub use crate::link::{TicketCache, TicketVault};
     pub use crate::metrics::{MetricsRegistry, StatsReport};
+    pub use crate::placement::GroupMap;
     pub use crate::pool::{LinkPool, PooledLink};
     pub use crate::protocol::ServiceEntry;
     pub use crate::quorum::{majority, QuorumRound};

@@ -76,12 +76,6 @@ impl RetryBudget {
         }
     }
 
-    /// The conventional client budget: retries may add at most ~10% load
-    /// on top of fresh requests, with a 10-token reserve for cold starts.
-    pub fn default_for_client() -> RetryBudget {
-        RetryBudget::new(10, 0.1)
-    }
-
     /// Record one logical (non-retry) request, depositing its fraction of
     /// a retry token.
     pub fn note_call(&self) {
@@ -174,13 +168,6 @@ impl RetryPolicy {
             seed: 0,
             counter: None,
         }
-    }
-
-    /// Growth factor between consecutive delays (≥ 1.0).
-    pub fn with_multiplier(mut self, multiplier: f64) -> RetryPolicy {
-        assert!(multiplier >= 1.0, "backoff must not shrink");
-        self.multiplier = multiplier;
-        self
     }
 
     /// Upper bound on any single delay.

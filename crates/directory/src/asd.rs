@@ -82,11 +82,6 @@ impl Asd {
         }
     }
 
-    /// The default production lease (30 s).  Tests use much shorter ones.
-    pub fn with_default_lease() -> Asd {
-        Asd::new(Duration::from_secs(30))
-    }
-
     /// Serve `map` from the `shardMap` verb: every replica of every shard
     /// carries the full map, so clients can bootstrap from any of them.
     pub fn with_shard_map(mut self, map: crate::shardmap::ShardMap) -> Asd {

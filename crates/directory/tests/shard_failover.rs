@@ -381,3 +381,88 @@ fn fanout_queries_survive_a_dead_replica() {
     net.revive_host(&dir.replica_host(1, 0));
     dir.shutdown();
 }
+
+/// Invariant: a name is unregistered only when every reachable replica of
+/// its shard says so.  A replica that crashed and came back empty is not
+/// repaired until the next renewal; until then its empty answer must fall
+/// through to the rest of the group — for a [`FailoverClient`] hunting the
+/// replica set in map order exactly as for the sharded client's own
+/// lookups (both go through `protocol::lookup_any_replica`).  Before the
+/// rule was shared, the failover client took the first replica that
+/// *answered* and spent its whole retry window on `NotFound: echo not
+/// registered` while two of three replicas held the lease.
+#[test]
+fn an_unrepaired_replica_does_not_unregister_a_name() {
+    struct Echo;
+    impl ServiceBehavior for Echo {
+        fn semantics(&self) -> Semantics {
+            Semantics::new().with(CmdSpec::new("echo", "answer ok"))
+        }
+        fn handle(&mut self, _ctx: &mut ServiceCtx, _cmd: &CmdLine, _from: &ClientInfo) -> Reply {
+            Reply::ok()
+        }
+    }
+
+    let net = SimNet::new();
+    net.add_host("client");
+    let hosts: Vec<HostId> = (0..3)
+        .map(|i| {
+            let h = format!("d{i}");
+            net.add_host(h.as_str());
+            HostId::from(h.as_str())
+        })
+        .collect();
+    let mut dir = spawn_sharded_asd(&net, &hosts, 1, 3, Duration::from_secs(30), 5900).unwrap();
+    let me = KeyPair::generate(&mut rand::thread_rng());
+    let pool = Arc::new(LinkPool::new(&net, "client", me));
+
+    let echo = Daemon::spawn(
+        &net,
+        DaemonConfig::new("echo", "Service.Echo", "hawk", "client", 4100),
+        Box::new(Echo),
+    )
+    .unwrap();
+    let mut registrar = dir.client(Arc::clone(&pool));
+    let entry = ServiceEntry {
+        name: "echo".into(),
+        addr: echo.addr().clone(),
+        class: "Service.Echo".into(),
+        room: "hawk".into(),
+    };
+    registrar.register(&entry, 1).unwrap();
+
+    // Replica 0 — the first a map-order hunt meets — loses everything.
+    dir.handles[0][0].crash();
+    dir.respawn_replica(&net, 0, 0).unwrap();
+
+    let mut bound = FailoverClient::bind(
+        net.clone(),
+        "client",
+        me,
+        dir.map.replicas(0)[0].clone(),
+        "echo",
+    )
+    .with_directory_replicas(dir.map.replicas_for("echo").to_vec())
+    .with_pool(Arc::clone(&pool))
+    .with_retry_window(Duration::from_millis(500));
+    bound
+        .call(&CmdLine::new("echo"))
+        .expect("two of three replicas still hold the lease");
+    assert_eq!(bound.resolutions(), 1, "resolved on the first attempt");
+
+    // A name no replica holds is still reported as such.
+    let mut unbound = FailoverClient::bind(
+        net.clone(),
+        "client",
+        me,
+        dir.map.replicas(0)[0].clone(),
+        "nobody",
+    )
+    .with_directory_replicas(dir.map.replicas_for("nobody").to_vec())
+    .with_retry_window(Duration::from_millis(100));
+    let err = unbound.call(&CmdLine::new("echo")).unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::NotFound), "got {err:?}");
+
+    echo.shutdown();
+    dir.shutdown();
+}

@@ -356,6 +356,15 @@ impl AceEnvironment {
         fiu.call(&CmdLine::new("press").arg("template", Value::Str(template.into())))
     }
 
+    /// The hosts both sharded planes spread their replicas over.
+    fn compute_hosts(&self) -> Vec<HostId> {
+        self.config
+            .compute_hosts
+            .iter()
+            .map(|h| HostId::from(h.as_str()))
+            .collect()
+    }
+
     /// Bring up a sharded, replicated directory plane on the environment's
     /// compute hosts (ports 5900+), for workloads whose registration or
     /// lookup volume outgrows the single bootstrap ASD.  The plane uses
@@ -367,15 +376,9 @@ impl AceEnvironment {
         shards: usize,
         replication: usize,
     ) -> Result<ace_directory::ShardedDirectory, SpawnError> {
-        let hosts: Vec<HostId> = self
-            .config
-            .compute_hosts
-            .iter()
-            .map(|h| HostId::from(h.as_str()))
-            .collect();
         ace_directory::spawn_sharded_asd(
             &self.net,
-            &hosts,
+            &self.compute_hosts(),
             shards,
             replication,
             self.config.lease,
@@ -387,41 +390,20 @@ impl AceEnvironment {
     /// (ports 6100+), for workloads whose write volume outgrows a single
     /// quorum group.  Keys place by rendezvous hash of `namespace/key`;
     /// callers route through [`ace_store::ShardedStoreClient`] (see
-    /// [`AceEnvironment::sharded_store_client`]).  The unsharded cluster
+    /// [`ace_store::ShardedStoreCluster::client`]).  The unsharded cluster
     /// keeps serving framework state.
     pub fn spawn_sharded_store(
         &self,
         shards: usize,
         replication: usize,
     ) -> Result<ace_store::ShardedStoreCluster, SpawnError> {
-        let hosts: Vec<HostId> = self
-            .config
-            .compute_hosts
-            .iter()
-            .map(|h| HostId::from(h.as_str()))
-            .collect();
         ace_store::spawn_sharded_store(
             &self.net,
-            &hosts,
+            &self.compute_hosts(),
             shards,
             replication,
             self.config.store_sync,
             ace_store::WalConfig::default(),
-        )
-    }
-
-    /// A routing client over a sharded store plane spawned with
-    /// [`AceEnvironment::spawn_sharded_store`].
-    pub fn sharded_store_client(
-        &self,
-        cluster: &ace_store::ShardedStoreCluster,
-        identity: KeyPair,
-    ) -> ace_store::ShardedStoreClient {
-        cluster.client(
-            &self.net,
-            "core",
-            identity,
-            std::sync::Arc::new(LinkPool::new(&self.net, "core", identity)),
         )
     }
 

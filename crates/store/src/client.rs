@@ -66,18 +66,6 @@ pub struct ClientStats {
     pub batched_records: u64,
 }
 
-/// Replica-side group-commit effectiveness, aggregated over the replica
-/// set by [`StoreClient::wal_batching`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalBatchReport {
-    /// Records appended across all replicas.
-    pub appends: u64,
-    /// Group-commit batches those records travelled in.
-    pub batches: u64,
-    /// Fsyncs avoided by grouping.
-    pub fsyncs_saved: u64,
-}
-
 /// A connected store client.
 pub struct StoreClient {
     replicas: Vec<Addr>,
@@ -88,8 +76,6 @@ pub struct StoreClient {
     pool: Arc<LinkPool>,
     /// Liveness memory: did the last call reach replica i?
     reachable: Vec<bool>,
-    /// Per-replica reconnect schedule for one command.
-    retry: RetryPolicy,
     /// Which replicas acked the most recent quorum write (index-aligned
     /// with `replicas`).  The sharded client reads this to tell whether
     /// the leaseholder saw the write it will serve reads over.
@@ -113,10 +99,6 @@ impl StoreClient {
             pool: Arc::new(LinkPool::new(&net, from_host, identity)),
             reachable: vec![false; replicas.len()],
             replicas,
-            // One immediate reconnect per replica per command — enough to
-            // ride out a dropped connection without stalling a quorum scan
-            // on a genuinely dead replica.
-            retry: RetryPolicy::fixed(Duration::ZERO).with_max_attempts(1),
             last_acks: Vec::new(),
             stats: ClientStats::default(),
             logger: None,
@@ -141,13 +123,6 @@ impl StoreClient {
         self
     }
 
-    /// Override the per-replica reconnect schedule used within a single
-    /// command (chaos runs give replicas longer to come back).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> StoreClient {
-        self.retry = retry;
-        self
-    }
-
     /// The configured replica addresses.
     pub fn replicas(&self) -> &[Addr] {
         &self.replicas
@@ -169,7 +144,12 @@ impl StoreClient {
     }
 
     fn call_replica(&mut self, idx: usize, cmd: &CmdLine) -> Option<CmdLine> {
-        let mut retry = self.retry.start();
+        // One immediate reconnect per replica per command — enough to
+        // ride out a dropped connection without stalling a quorum scan
+        // on a genuinely dead replica.
+        let mut retry = RetryPolicy::fixed(Duration::ZERO)
+            .with_max_attempts(1)
+            .start();
         loop {
             let outcome = self
                 .pool
@@ -332,40 +312,44 @@ impl StoreClient {
         if cmd_name == "psPut" {
             cmd.push_arg("data", data);
         }
+        self.commit(&cmd, ns, key)?;
+        Ok(version)
+    }
+
+    /// The quorum round every write ends in: `cmd` to every replica, the
+    /// acks remembered for the sharded client's lease check, the counters,
+    /// and a warning to the Network Logger when the write committed with
+    /// reduced redundancy.  `what` names the written key(s) in that warning.
+    fn commit(&mut self, cmd: &CmdLine, ns: &str, what: &str) -> Result<(), StoreError> {
         let mut round = QuorumRound::new(self.replicas.len(), self.quorum);
         let mut acks = vec![false; self.replicas.len()];
         for (idx, ack) in acks.iter_mut().enumerate() {
-            if self.call_replica(idx, &cmd).is_some() {
+            if self.call_replica(idx, cmd).is_some() {
                 round.ack();
                 *ack = true;
             }
         }
         self.last_acks = acks;
-        if round.reached() {
-            self.stats.writes += 1;
-            if round.degraded() {
-                self.stats.degraded_writes += 1;
-                self.warn_degraded(cmd_name, ns, key, round.acked());
-            }
-            Ok(version)
-        } else {
+        if !round.reached() {
             self.stats.quorum_failures += 1;
-            Err(StoreError::QuorumFailed {
+            return Err(StoreError::QuorumFailed {
                 acked: round.acked(),
                 quorum: self.quorum,
-            })
+            });
         }
-    }
-
-    /// Warn the Network Logger that a write committed with reduced
-    /// redundancy.
-    fn warn_degraded(&mut self, cmd: &str, ns: &str, key: &str, acked: usize) {
-        let msg = format!(
-            "degraded {cmd} {ns}/{key}: {acked}/{} replicas acked (quorum {})",
-            self.replicas.len(),
-            self.quorum
-        );
-        self.log_best_effort("warn", msg);
+        self.stats.writes += 1;
+        if round.degraded() {
+            self.stats.degraded_writes += 1;
+            let msg = format!(
+                "degraded {} {ns}/{what}: {}/{} replicas acked (quorum {})",
+                cmd.name(),
+                round.acked(),
+                self.replicas.len(),
+                self.quorum
+            );
+            self.log_best_effort("warn", msg);
+        }
+        Ok(())
     }
 
     /// Ship one line to the Network Logger; dropped silently if the logger
@@ -438,55 +422,10 @@ impl StoreClient {
             .arg("ns", ns)
             .arg("items", Value::Array(rows))
             .arg("data", data);
-        let mut round = QuorumRound::new(self.replicas.len(), self.quorum);
-        let mut acks = vec![false; self.replicas.len()];
-        for (idx, ack) in acks.iter_mut().enumerate() {
-            if self.call_replica(idx, &cmd).is_some() {
-                round.ack();
-                *ack = true;
-            }
-        }
-        self.last_acks = acks;
-        if round.reached() {
-            self.stats.writes += 1;
-            self.stats.batch_writes += 1;
-            self.stats.batched_records += items.len() as u64;
-            if round.degraded() {
-                self.stats.degraded_writes += 1;
-                let what = format!("batch[{} records]", items.len());
-                self.warn_degraded("psPutBatch", ns, &what, round.acked());
-            }
-            Ok(versions)
-        } else {
-            self.stats.quorum_failures += 1;
-            Err(StoreError::QuorumFailed {
-                acked: round.acked(),
-                quorum: self.quorum,
-            })
-        }
-    }
-
-    /// Aggregate group-commit counters across the replica set (one
-    /// `psStats` per reachable replica) and report the result to the
-    /// Network Logger — operational visibility into how much fsync
-    /// amortisation the cluster actually achieves.
-    pub fn wal_batching(&mut self) -> WalBatchReport {
-        let cmd = CmdLine::new("psStats");
-        let mut report = WalBatchReport::default();
-        for idx in 0..self.replicas.len() {
-            let Some(reply) = self.call_replica(idx, &cmd) else {
-                continue;
-            };
-            report.appends += reply.get_int("walAppends").unwrap_or(0).max(0) as u64;
-            report.batches += reply.get_int("walBatches").unwrap_or(0).max(0) as u64;
-            report.fsyncs_saved += reply.get_int("walFsyncsSaved").unwrap_or(0).max(0) as u64;
-        }
-        let msg = format!(
-            "wal batching: {} appends in {} batches, {} fsyncs saved",
-            report.appends, report.batches, report.fsyncs_saved
-        );
-        self.log_best_effort("info", msg);
-        report
+        self.commit(&cmd, ns, &format!("batch[{} records]", items.len()))?;
+        self.stats.batch_writes += 1;
+        self.stats.batched_records += items.len() as u64;
+        Ok(versions)
     }
 
     /// Delete a key (tombstone write, majority quorum).

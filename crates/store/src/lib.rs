@@ -24,7 +24,7 @@ pub mod replica;
 pub mod version;
 pub mod wal;
 
-pub use client::{ClientStats, StoreClient, StoreError, WalBatchReport};
+pub use client::{ClientStats, StoreClient, StoreError};
 pub use placement::{ShardedStats, ShardedStoreClient, StorePlacement};
 pub use replica::{sync_tree, DiskImage, StoreReplica, SyncTree, SYNC_BUCKETS};
 pub use version::{StoreKey, Versioned};
@@ -100,17 +100,7 @@ pub fn spawn_store_cluster_with(
             MemStorage::new().with_faults(net.storage_faults(), (*host).into()),
         );
         let (disk, _) = DiskImage::open(&storage, config.clone()).map_err(storage_spawn_err)?;
-        let handle = Daemon::spawn(
-            net,
-            fw.service_config(
-                &format!("store_{}", i + 1),
-                "Service.Database.PersistentStore",
-                "machineroom",
-                *host,
-                STORE_PORT,
-            ),
-            Box::new(StoreReplica::new(disk.clone(), sync_interval)),
-        )?;
+        let handle = respawn_replica(net, fw, i, host, disk.clone(), sync_interval)?;
         addrs.push(handle.addr().clone());
         replicas.push((handle, disk));
         storages.push(storage);
@@ -133,35 +123,6 @@ pub fn storage_spawn_err(e: StoreError) -> SpawnError {
             msg: e.to_string(),
         },
     }
-}
-
-/// Recover a crashed replica from its write-ahead log + snapshot and
-/// respawn it on the same host — the supervised recovery path.  Detected
-/// corruption resets the storage (see [`DiskImage::open_or_reset`]); the
-/// respawned replica then rebuilds via anti-entropy.  Reopening also
-/// *fences* any backend still held by the crashed daemon.
-pub fn recover_replica(
-    net: &SimNet,
-    fw: &Framework,
-    index: usize,
-    host: &str,
-    storage: &StorageHandle,
-    sync_interval: Duration,
-) -> Result<(DaemonHandle, DiskImage, RecoveryReport), SpawnError> {
-    let (disk, report) =
-        DiskImage::open_or_reset(storage, WalConfig::default()).map_err(storage_spawn_err)?;
-    let handle = Daemon::spawn(
-        net,
-        fw.service_config(
-            &format!("store_{}", index + 1),
-            "Service.Database.PersistentStore",
-            "machineroom",
-            host,
-            STORE_PORT,
-        ),
-        Box::new(StoreReplica::new(disk.clone(), sync_interval)),
-    )?;
-    Ok((handle, disk, report))
 }
 
 // ---------------------------------------------------------------------------
@@ -209,82 +170,26 @@ pub fn spawn_sharded_store(
     sync_interval: Duration,
     config: WalConfig,
 ) -> Result<ShardedStoreCluster, SpawnError> {
-    assert!(groups > 0 && replication > 0, "empty plane");
-    assert!(!hosts.is_empty(), "no hosts to place replicas on");
-    let layout: Vec<Vec<Addr>> = (0..groups)
-        .map(|g| {
-            (0..replication)
-                .map(|r| {
-                    let idx = g * replication + r;
-                    Addr::new(
-                        hosts[idx % hosts.len()].clone(),
-                        SHARDED_STORE_PORT + idx as u16,
-                    )
-                })
-                .collect()
-        })
-        .collect();
-    let placement = StorePlacement::new(1, layout);
-    let mut group_handles = Vec::with_capacity(groups);
-    let mut group_storages = Vec::with_capacity(groups);
+    let map = GroupMap::spread(hosts, groups, replication, SHARDED_STORE_PORT);
+    let mut cluster = ShardedStoreCluster {
+        placement: StorePlacement(map),
+        groups: Vec::with_capacity(groups),
+        storages: Vec::with_capacity(groups),
+        sync_interval,
+        config,
+    };
     for g in 0..groups {
         let mut handles = Vec::with_capacity(replication);
         let mut storages = Vec::with_capacity(replication);
-        for (r, addr) in placement.replicas(g).to_vec().iter().enumerate() {
-            let storage = StorageHandle::Memory(
-                MemStorage::new().with_faults(net.storage_faults(), addr.host.clone()),
-            );
-            let (disk, _) = DiskImage::open(&storage, config.clone()).map_err(storage_spawn_err)?;
-            let handle = Daemon::spawn(
-                net,
-                DaemonConfig::new(
-                    format!("store-s{g}r{r}"),
-                    SHARD_CLASS,
-                    "machineroom",
-                    addr.host.clone(),
-                    addr.port,
-                ),
-                Box::new(shard_replica(
-                    &placement,
-                    g,
-                    addr,
-                    disk.clone(),
-                    sync_interval,
-                )),
-            )?;
-            handles.push((handle, disk));
+        for r in 0..replication {
+            let (storage, disk) = cluster.fresh_disk(net, g, r)?;
+            handles.push((cluster.spawn_replica(net, g, r, disk.clone(), 0)?, disk));
             storages.push(storage);
         }
-        group_handles.push(handles);
-        group_storages.push(storages);
+        cluster.groups.push(handles);
+        cluster.storages.push(storages);
     }
-    Ok(ShardedStoreCluster {
-        placement,
-        groups: group_handles,
-        storages: group_storages,
-        sync_interval,
-        config,
-    })
-}
-
-/// One shard replica behavior: fixed peers (its own group minus itself)
-/// and the full placement map.
-fn shard_replica(
-    placement: &StorePlacement,
-    g: usize,
-    addr: &Addr,
-    disk: DiskImage,
-    sync_interval: Duration,
-) -> StoreReplica {
-    let peers: Vec<Addr> = placement
-        .replicas(g)
-        .iter()
-        .filter(|a| *a != addr)
-        .cloned()
-        .collect();
-    StoreReplica::new(disk, sync_interval)
-        .with_peers(peers)
-        .with_placement(placement.clone())
+    Ok(cluster)
 }
 
 impl ShardedStoreCluster {
@@ -302,6 +207,52 @@ impl ShardedStoreCluster {
             identity,
             pool,
             self.placement.clone(),
+        )
+    }
+
+    /// A fresh, empty disk for replica `r` of group `g`, wired into the
+    /// network's storage-fault hub under the replica's host.
+    fn fresh_disk(
+        &self,
+        net: &SimNet,
+        g: usize,
+        r: usize,
+    ) -> Result<(StorageHandle, DiskImage), SpawnError> {
+        let host = self.placement.replicas(g)[r].host.clone();
+        let storage =
+            StorageHandle::Memory(MemStorage::new().with_faults(net.storage_faults(), host));
+        let (disk, _) =
+            DiskImage::open(&storage, self.config.clone()).map_err(storage_spawn_err)?;
+        Ok((storage, disk))
+    }
+
+    /// Spawn replica `r` of group `g` over `disk` as generation
+    /// `incarnation`: fixed peers (its own group minus itself) and the
+    /// full placement map.
+    fn spawn_replica(
+        &self,
+        net: &SimNet,
+        g: usize,
+        r: usize,
+        disk: DiskImage,
+        incarnation: u64,
+    ) -> Result<DaemonHandle, SpawnError> {
+        let addr = &self.placement.replicas(g)[r];
+        Daemon::spawn(
+            net,
+            DaemonConfig::new(
+                format!("store-s{g}r{r}"),
+                SHARD_CLASS,
+                "machineroom",
+                addr.host.clone(),
+                addr.port,
+            )
+            .with_incarnation(incarnation),
+            Box::new(
+                StoreReplica::new(disk, self.sync_interval)
+                    .with_peers(self.placement.peers_of(g, addr))
+                    .with_placement(self.placement.clone()),
+            ),
         )
     }
 
@@ -325,25 +276,14 @@ impl ShardedStoreCluster {
         r: usize,
     ) -> Result<RebuildReport, SpawnError> {
         let addr = self.placement.replicas(g)[r].clone();
-        let storage = StorageHandle::Memory(
-            MemStorage::new().with_faults(net.storage_faults(), addr.host.clone()),
-        );
-        let (disk, _) =
-            DiskImage::open(&storage, self.config.clone()).map_err(storage_spawn_err)?;
+        let (storage, disk) = self.fresh_disk(net, g, r)?;
         let identity = KeyPair::generate(&mut rand::thread_rng());
-        let peers: Vec<Addr> = self
-            .placement
-            .replicas(g)
-            .iter()
-            .filter(|a| **a != addr)
-            .cloned()
-            .collect();
         let mut report = None;
         let mut last_err = ClientError::Service {
             code: ErrorCode::Internal,
             msg: "no live group peer to ship a snapshot from".into(),
         };
-        for peer in &peers {
+        for peer in &self.placement.peers_of(g, &addr) {
             match ship_snapshot(net, &addr.host, &identity, peer, &disk) {
                 Ok(shipped) => {
                     report = Some(shipped);
@@ -358,24 +298,8 @@ impl ShardedStoreCluster {
                 error: last_err,
             });
         };
-        let handle = Daemon::spawn(
-            net,
-            DaemonConfig::new(
-                format!("store-s{g}r{r}"),
-                SHARD_CLASS,
-                "machineroom",
-                addr.host.clone(),
-                addr.port,
-            )
-            .with_incarnation(self.groups[g][r].0.incarnation() + 1),
-            Box::new(shard_replica(
-                &self.placement,
-                g,
-                &addr,
-                disk.clone(),
-                self.sync_interval,
-            )),
-        )?;
+        let incarnation = self.groups[g][r].0.incarnation() + 1;
+        let handle = self.spawn_replica(net, g, r, disk.clone(), incarnation)?;
         self.groups[g][r] = (handle, disk);
         self.storages[g][r] = storage;
         Ok(report)
@@ -520,8 +444,9 @@ fn tail_rows(reply: &CmdLine) -> Option<Vec<(u64, StoreKey, Versioned)>> {
         .collect()
 }
 
-/// Respawn a crashed replica on the same host with the same disk image
-/// (the recovery path of experiment E15).
+/// Spawn replica `index` of the unsharded cluster on `host` over `disk`:
+/// the first spawn, and the respawn of a crashed replica with the disk
+/// image it left behind (the recovery path of experiment E15).
 pub fn respawn_replica(
     net: &SimNet,
     fw: &Framework,

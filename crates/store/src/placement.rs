@@ -5,23 +5,17 @@
 //! keyspace across independent replica groups, the store analog of the
 //! directory's sharded plane (PR 9):
 //!
-//! * [`StorePlacement`] — the cluster layout (replica addresses per shard
-//!   group) with rendezvous-hash placement of `namespace/key`.  Every
-//!   replica carries the full map and serves it via `psPlacement`, so
-//!   clients bootstrap from any well-known replica.
+//! * [`StorePlacement`] — the plane's [`GroupMap`] (layout, rendezvous
+//!   hash, row codec and fetch all live in [`ace_core::placement`]), keyed
+//!   by `namespace/key` and served by every replica under `psPlacement`.
 //! * [`ShardedStoreClient`] — routes `put`/`get`/`delete` to the owning
 //!   group, splits `put_many` batches per shard and commits them in
 //!   **parallel** quorum rounds, and serves healthy-shard reads through a
 //!   **read lease** (one replica round-trip) with quorum-scan fallback.
 //!
-//! # Placement
-//!
-//! Keys are placed by rendezvous (HRW) hash of `ns ++ 0 ++ key`: every
-//! group scores the key, the highest score owns it.  Growing the plane by
-//! one group moves only the ~1/n of keys the new group wins — no
-//! mass migration on reshard.  `list` remains a fan-out (namespaces span
-//! groups by design: placement by full key keeps single-key operations,
-//! the hot path, on exactly one group).
+//! Keys place by the full `ns ++ 0 ++ key`, so single-key operations — the
+//! hot path — touch exactly one group; `list` is the fan-out that pays for
+//! it (namespaces span groups by design).
 //!
 //! # Read leases
 //!
@@ -38,7 +32,6 @@
 
 use crate::client::{StoreClient, StoreError};
 use ace_core::prelude::*;
-use ace_security::hash::fnv64;
 use ace_security::keys::KeyPair;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -54,145 +47,44 @@ type GroupBatchResult = (Vec<usize>, Result<Vec<u64>, StoreError>);
 // The placement map
 // ---------------------------------------------------------------------------
 
-/// The store plane layout: replica addresses per shard group, plus an
-/// epoch so clients can tell a newer layout from an older one.
+/// The store plane layout: a [`GroupMap`] keyed by `namespace/key` and
+/// served under the `psPlacement` verb.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StorePlacement {
-    epoch: u64,
-    /// `groups[g]` is the replica set of shard group `g`, in spawn order.
-    groups: Vec<Vec<Addr>>,
+pub struct StorePlacement(pub(crate) GroupMap);
+
+impl std::ops::Deref for StorePlacement {
+    type Target = GroupMap;
+    fn deref(&self) -> &GroupMap {
+        &self.0
+    }
 }
 
 impl StorePlacement {
     /// A placement over the given replica groups.
     pub fn new(epoch: u64, groups: Vec<Vec<Addr>>) -> StorePlacement {
-        StorePlacement { epoch, groups }
-    }
-
-    /// The placement epoch (bumped whenever the layout changes).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+        StorePlacement(GroupMap::new(epoch, groups))
     }
 
     /// Number of shard groups.
     pub fn group_count(&self) -> usize {
-        self.groups.len()
+        self.count()
     }
 
-    /// The replica set of group `g`.
-    pub fn replicas(&self, g: usize) -> &[Addr] {
-        &self.groups[g]
-    }
-
-    /// Majority quorum of group `g`'s replica set.
-    pub fn quorum(&self, g: usize) -> usize {
-        ace_core::quorum::majority(self.groups[g].len())
-    }
-
-    /// Every replica address of every group.
-    pub fn all_replicas(&self) -> impl Iterator<Item = &Addr> {
-        self.groups.iter().flatten()
-    }
-
-    /// Rendezvous (highest-random-weight) placement of `ns/key`: every
-    /// group scores the key, the highest score owns it.  Unlike
-    /// `hash % n`, adding a group only moves the ~1/n of keys the new
-    /// group now wins.
+    /// The group owning `ns/key`: [`GroupMap::owner`] of `ns ++ 0 ++ key`,
+    /// so the same key under two namespaces is free to land on two groups.
     pub fn group_for(&self, ns: &str, key: &str) -> usize {
-        let mut best = 0usize;
-        let mut best_score = 0u64;
-        for g in 0..self.groups.len() {
-            let mut material = Vec::with_capacity(ns.len() + key.len() + 10);
-            material.extend_from_slice(ns.as_bytes());
-            material.push(0);
-            material.extend_from_slice(key.as_bytes());
-            material.push(0);
-            material.extend_from_slice(&(g as u64).to_le_bytes());
-            let score = fnv64(&material);
-            if g == 0 || score > best_score {
-                best = g;
-                best_score = score;
-            }
-        }
-        best
+        self.owner(&[ns.as_bytes(), &[0], key.as_bytes()].concat())
     }
 
-    /// Wire encoding: `{{group,host,port},…}` rows.
-    pub fn to_value(&self) -> Value {
-        Value::Array(
-            self.groups
-                .iter()
-                .enumerate()
-                .flat_map(|(g, replicas)| {
-                    replicas.iter().map(move |addr| {
-                        vec![
-                            Scalar::Str(g.to_string()),
-                            Scalar::Str(addr.host.to_string()),
-                            Scalar::Str(addr.port.to_string()),
-                        ]
-                    })
-                })
-                .collect(),
-        )
-    }
-
-    /// Decode the `groups=` rows.  Malformed rows or a non-contiguous
-    /// group numbering reject the whole map — routing on a half-decoded
-    /// layout would misplace keys silently.
-    pub fn from_value(epoch: u64, value: &Value) -> Option<StorePlacement> {
-        let rows = match value {
-            v if v.as_vector().is_some_and(|s| s.is_empty()) => {
-                return Some(StorePlacement::new(epoch, Vec::new()))
-            }
-            v => v.as_array()?,
-        };
-        let mut groups: Vec<Vec<Addr>> = Vec::new();
-        for row in rows {
-            if row.len() != 3 {
-                return None;
-            }
-            let g: usize = row[0].as_text()?.parse().ok()?;
-            let port: u16 = row[2].as_text()?.parse().ok()?;
-            if g > groups.len() {
-                return None; // group indexes must arrive contiguously
-            }
-            if g == groups.len() {
-                groups.push(Vec::new());
-            }
-            groups[g].push(Addr::new(row[1].as_text()?, port));
-        }
-        if groups.iter().any(Vec::is_empty) {
-            return None;
-        }
-        Some(StorePlacement::new(epoch, groups))
-    }
-
-    /// The `psPlacement` verb reply.
+    /// The `psPlacement` verb reply (rows under `groups=`).
     pub fn to_reply(&self) -> Reply {
-        let epoch = self.epoch as i64;
-        let count = self.group_count() as i64;
-        let value = self.to_value();
-        Reply::ok_with(|c| {
-            c.arg("epoch", epoch)
-                .arg("count", count)
-                .arg("groups", value)
-        })
-    }
-
-    /// Decode a `psPlacement` reply.
-    pub fn from_reply(reply: &CmdLine) -> Option<StorePlacement> {
-        let epoch = reply.get_int("epoch")?.max(0) as u64;
-        Self::from_value(epoch, reply.get("groups")?)
+        self.0.to_reply("groups")
     }
 
     /// Fetch the placement from any replica (clients bootstrap by asking a
     /// well-known replica address).
     pub fn fetch(pool: &Arc<LinkPool>, replica: &Addr) -> Result<StorePlacement, ClientError> {
-        let reply = pool.checkout(replica)?.call(&CmdLine::new("psPlacement"))?;
-        StorePlacement::from_reply(&reply).ok_or(ClientError::Service {
-            code: ErrorCode::Internal,
-            msg: "malformed psPlacement reply".into(),
-        })
+        GroupMap::fetch(pool, replica, "psPlacement", "groups").map(StorePlacement)
     }
 }
 
@@ -216,6 +108,9 @@ pub struct ShardedStats {
     pub split_batches: u64,
 }
 
+/// How long a granted read lease lasts at its holder.
+const LEASE_TTL: Duration = Duration::from_secs(2);
+
 /// The read lease a client holds over one group.
 #[derive(Debug, Clone)]
 struct GroupLease {
@@ -223,7 +118,6 @@ struct GroupLease {
     holder: usize,
     epoch: u64,
     granted_at: Instant,
-    ttl: Duration,
 }
 
 impl GroupLease {
@@ -231,7 +125,7 @@ impl GroupLease {
     /// holder did, so it stops using the lease at 3/4 of the TTL while
     /// the holder keeps honouring it until the full TTL.
     fn fresh(&self) -> bool {
-        self.granted_at.elapsed() < self.ttl * 3 / 4
+        self.granted_at.elapsed() < LEASE_TTL * 3 / 4
     }
 }
 
@@ -252,7 +146,6 @@ pub struct ShardedStoreClient {
     pool: Arc<LinkPool>,
     groups: Vec<StoreClient>,
     leases: Vec<Option<GroupLease>>,
-    lease_ttl: Duration,
     /// Monotone grant epoch shared across groups (simpler than per-group
     /// counters, and replicas only compare epochs within one group).
     lease_epoch: u64,
@@ -288,17 +181,10 @@ impl ShardedStoreClient {
             pool,
             groups,
             leases,
-            lease_ttl: Duration::from_secs(2),
             lease_epoch: 0,
             holder_rr: 0,
             stats: ShardedStats::default(),
         }
-    }
-
-    /// Override the lease TTL (tests shrink it to exercise expiry).
-    pub fn with_lease_ttl(mut self, ttl: Duration) -> ShardedStoreClient {
-        self.lease_ttl = ttl;
-        self
     }
 
     /// The placement this client routes with.
@@ -500,7 +386,7 @@ impl ShardedStoreClient {
                 Value::Str(format!("{}:{}", holder_addr.host, holder_addr.port)),
             )
             .arg("epoch", self.lease_epoch as i64)
-            .arg("ttlMs", self.lease_ttl.as_millis() as i64);
+            .arg("ttlMs", LEASE_TTL.as_millis() as i64);
         let mut round = QuorumRound::new(replicas.len(), self.placement.quorum(g));
         let mut holder_acked = false;
         for (idx, addr) in replicas.iter().enumerate() {
@@ -532,7 +418,6 @@ impl ShardedStoreClient {
                 holder,
                 epoch: self.lease_epoch,
                 granted_at,
-                ttl: self.lease_ttl,
             });
             Some(holder)
         } else {
@@ -614,88 +499,47 @@ fn trailing_epoch(err: &ClientError) -> Option<u64> {
 mod tests {
     use super::*;
 
-    fn placement(groups: usize, replication: usize) -> StorePlacement {
-        StorePlacement::new(
-            1,
-            (0..groups)
-                .map(|g| {
-                    (0..replication)
-                        .map(|r| Addr::new(format!("s{}", g * replication + r), 6100 + r as u16))
-                        .collect()
-                })
-                .collect(),
-        )
+    fn placement(groups: usize) -> StorePlacement {
+        let layout = |g: usize| {
+            (0..2)
+                .map(|r| Addr::new(format!("h{}", g * 2 + r), 6100 + (g * 2 + r) as u16))
+                .collect()
+        };
+        StorePlacement::new(7, (0..groups).map(layout).collect())
     }
 
+    /// What `StorePlacement` adds to [`GroupMap`]: `ns ++ 0 ++ key` is the
+    /// key, and the map travels as the `psPlacement` reply with its rows
+    /// under `groups=` — byte for byte what the verb answered before the
+    /// map moved into `ace_core::placement`.
     #[test]
-    fn rendezvous_placement_is_stable_and_balanced() {
-        let p = placement(4, 3);
-        for i in 0..50 {
-            let key = format!("key{i}");
-            assert_eq!(p.group_for("app", &key), p.group_for("app", &key));
+    fn placement_keys_by_ns_and_key_and_serves_groups_rows() {
+        let p = placement(2);
+        for (ns, key) in [
+            ("app", "key0"),
+            ("app", "key1"),
+            ("workspace", "alice"),
+            ("", ""),
+        ] {
+            let bytes = format!("{ns}\0{key}");
+            assert_eq!(p.group_for(ns, key), p.owner(bytes.as_bytes()));
         }
-        let mut counts = [0usize; 4];
-        for i in 0..4000 {
-            counts[p.group_for("app", &format!("key{i}"))] += 1;
-        }
-        for (g, &c) in counts.iter().enumerate() {
-            assert!(
-                (500..=1800).contains(&c),
-                "group {g} owns {c} of 4000 keys — badly unbalanced"
-            );
-        }
+        assert_eq!(p.group_count(), 2);
+        assert_eq!(
+            p.to_reply().to_wire(),
+            "ok epoch=7 count=2 groups={{\"0\",\"h0\",\"6100\"},{\"0\",\"h1\",\"6101\"},\
+             {\"1\",\"h2\",\"6102\"},{\"1\",\"h3\",\"6103\"}};"
+        );
     }
 
     #[test]
     fn namespace_and_key_both_place() {
-        let p = placement(4, 1);
+        let p = placement(4);
         // The same key under different namespaces must be free to land on
         // different groups (the hash covers ns ++ 0 ++ key).
         let spread: BTreeSet<usize> = (0..64)
             .map(|i| p.group_for(&format!("ns{i}"), "shared-key"))
             .collect();
         assert!(spread.len() > 1, "namespace is not part of placement");
-    }
-
-    #[test]
-    fn growing_the_plane_only_moves_the_new_groups_share() {
-        let before = placement(4, 1);
-        let layout: Vec<Vec<Addr>> = (0..5)
-            .map(|g| vec![Addr::new(format!("s{g}"), 6100)])
-            .collect();
-        let after = StorePlacement::new(2, layout);
-        let total = 4000;
-        let moved = (0..total)
-            .filter(|i| {
-                let key = format!("key{i}");
-                before.group_for("app", &key) != after.group_for("app", &key)
-            })
-            .count();
-        assert!(
-            moved < total * 2 / 5,
-            "{moved}/{total} keys moved — placement is not rendezvous-stable"
-        );
-    }
-
-    #[test]
-    fn placement_roundtrips_over_the_wire() {
-        let p = placement(3, 2);
-        let reply = p.to_reply();
-        let Reply::Ok(cmd) = reply else {
-            panic!("placement reply must be ok")
-        };
-        let decoded = StorePlacement::from_reply(&cmd).expect("decode");
-        assert_eq!(decoded, p);
-
-        let empty = StorePlacement::from_value(0, &Value::Vector(Vec::new())).expect("empty");
-        assert_eq!(empty.group_count(), 0);
-
-        // Non-contiguous group numbering is rejected wholesale.
-        let bad = Value::Array(vec![vec![
-            Scalar::Str("1".into()),
-            Scalar::Str("h".into()),
-            Scalar::Str("6100".into()),
-        ]]);
-        assert!(StorePlacement::from_value(1, &bad).is_none());
     }
 }

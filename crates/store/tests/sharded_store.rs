@@ -53,9 +53,7 @@ fn world_syncing(groups: usize, replication: usize, sync: Duration) -> World {
 fn client(w: &World) -> ShardedStoreClient {
     let identity = keypair();
     let pool = Arc::new(LinkPool::new(&w.net, "core", identity));
-    w.cluster
-        .client(&w.net, "core", identity, pool)
-        .with_lease_ttl(Duration::from_secs(2))
+    w.cluster.client(&w.net, "core", identity, pool)
 }
 
 #[test]
