@@ -12,8 +12,17 @@
 //! daemon's one [`LinkPool`] — probed before the send, resumed on redial.
 //! [`ServiceCtx::call`] states the retry contract; [`ServiceCtx::pool`]
 //! lends the pool to clients and workers the behavior owns.
+//!
+//! What a behavior *asks the directory* is remembered: [`ServiceCtx::lookup`]
+//! answers from the daemon's lease-bounded [`ResolutionCache`], so a held
+//! answer is at most one lease old — no staler than the ASD's own listing of
+//! a dead daemon (§2.4) — and an empty one is never held.  A behavior keeps
+//! no peer address of its own: it asks each time, and a call that fails at
+//! the link forgets every answer naming that address, so a peer that moved
+//! is found again by the next question.
 
 use crate::client::{ClientError, DEFAULT_CALL_TIMEOUT};
+use crate::failover::{resolution_ttl, ResolutionCache};
 use crate::metrics::MetricsRegistry;
 use crate::notify::Notifier;
 use crate::pool::LinkPool;
@@ -97,6 +106,11 @@ pub struct ServiceCtx {
     room: String,
     port: u16,
     asd: Option<Addr>,
+    /// What the ASD told this daemon, each answer held for at most one
+    /// lease.  Made by the first [`ServiceCtx::lookup`], counters and all:
+    /// a daemon that never asks pays one pointer (E22 packs 10,000 of
+    /// those into a process) and reports no `resolve.*` row.
+    resolutions: Option<Box<ResolutionCache>>,
     logger: Option<Addr>,
     notifier: Notifier,
     metrics: Arc<MetricsRegistry>,
@@ -139,6 +153,7 @@ impl ServiceCtx {
             room,
             port,
             asd,
+            resolutions: None,
             logger,
             notifier,
             metrics,
@@ -234,6 +249,9 @@ impl ServiceCtx {
     ///   `E_UPGRADING` the pool's links to `addr` are evicted first, so
     ///   the retry dials the replacement.
     /// * Every other service error returns at once.
+    /// * A link failure that surfaces forgets every directory answer held
+    ///   for [`ServiceCtx::lookup`] that names `addr`: whatever lived there
+    ///   may have moved, and the next lookup asks the ASD where to.
     ///
     /// When the command being dispatched carried a `deadline=`, the
     /// remaining budget is stamped onto each outbound attempt so downstream
@@ -266,12 +284,24 @@ impl ServiceCtx {
                         return Err(ClientError::Service { code, msg });
                     }
                 }
-                outcome => return outcome,
+                outcome => {
+                    if let (Err(ClientError::Link(_)), Some(held)) = (&outcome, &self.resolutions) {
+                        held.forget_addr(addr);
+                    }
+                    return outcome;
+                }
             }
         }
     }
 
     /// Look up services in the ASD (Fig. 7).  Any combination of filters.
+    ///
+    /// A non-empty answer is held for the `lease=` its reply carried and
+    /// served from this daemon's [`ResolutionCache`] until then, so it can
+    /// list a daemon that died up to one lease ago (as the ASD itself can)
+    /// and miss one that registered since; an empty answer is never held.
+    /// A [`ServiceCtx::call`] that fails at the link drops the answers
+    /// naming that address, so a dead entry is used at most once.
     pub fn lookup(
         &mut self,
         name: Option<&str>,
@@ -282,8 +312,20 @@ impl ServiceCtx {
             code: ErrorCode::Unavailable,
             msg: "daemon configured without an ASD".into(),
         })?;
+        let metrics = &self.metrics;
+        let held = self
+            .resolutions
+            .get_or_insert_with(|| Box::new(ResolutionCache::with_metrics(metrics)));
+        if let Some(entries) = held.get(name, class, room) {
+            return Ok(entries);
+        }
         let reply = self.call(&asd, &protocol::lookup_cmd(name, class, room))?;
-        protocol::entries_from_reply(&reply)
+        let entries = protocol::entries_from_reply(&reply)?;
+        if let Some(held) = &self.resolutions {
+            let ttl = resolution_ttl(reply.get_int("lease"));
+            held.store(name, class, room, entries.clone(), ttl);
+        }
+        Ok(entries)
     }
 
     /// Find exactly one service by name; `None` if absent.

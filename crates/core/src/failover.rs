@@ -25,7 +25,9 @@
 //!
 //! [`FailoverClient::with_resolution_cache`] remembers resolved addresses
 //! in a [`ResolutionCache`] for a TTL derived from the ASD lease, so the
-//! ASD round trip disappears from the steady state.
+//! ASD round trip disappears from the steady state.  The same cache, keyed
+//! by the whole `lookup` query, sits under every daemon's
+//! [`ServiceCtx::lookup`]; this client's resolution is its `name=` case.
 //!
 //! Both layers invalidate eagerly: *any* link failure drops the cached
 //! resolution for the service (the address may be stale) and discards the
@@ -38,7 +40,7 @@ use crate::breaker::{BreakerRegistry, BreakerVerdict};
 use crate::client::{ClientError, ServiceClient};
 use crate::metrics::{Counter, MetricsRegistry};
 use crate::pool::{LinkPool, PooledLink};
-use crate::protocol;
+use crate::protocol::{self, ServiceEntry};
 use crate::retry::{RetryBudget, RetryPolicy};
 use ace_lang::{ArgType, CmdLine, CmdSpec, ErrorCode, Reply, Semantics};
 use ace_net::{Addr, HostId, SimNet};
@@ -63,7 +65,7 @@ const MAX_RESOLUTION_TTL: Duration = Duration::from_secs(3600);
 /// [`DEFAULT_RESOLUTION_TTL`] (a zero TTL would turn every steady-state
 /// resolve into a cache miss); oversized leases are clamped to
 /// [`MAX_RESOLUTION_TTL`].
-fn resolution_ttl(lease_ms: Option<i64>) -> Duration {
+pub(crate) fn resolution_ttl(lease_ms: Option<i64>) -> Duration {
     match lease_ms {
         Some(ms) if ms > 0 => Duration::from_millis(ms as u64).min(MAX_RESOLUTION_TTL),
         _ => DEFAULT_RESOLUTION_TTL,
@@ -74,22 +76,50 @@ fn resolution_ttl(lease_ms: Option<i64>) -> Duration {
 // Resolution cache
 // ---------------------------------------------------------------------------
 
-/// A shared name → address cache with per-entry TTL, fed by ASD lookups and
-/// invalidated on link failures and `serviceExpired` events.
+/// What the directory answered, held for at most one lease: a `lookup`
+/// query (any combination of the `name`, `class` and `room` filters) →
+/// the entries it matched.  A [`FailoverClient`] holds the answer to its
+/// one `name=` query here; a daemon holds every answer
+/// [`ServiceCtx::lookup`] was given.
 ///
-/// The TTL is derived from the ASD's lease duration (the `lease` argument
-/// of the lookup reply): an entry can only outlive the registration that
-/// produced it by at most one lease, and the eager invalidation paths
-/// usually clear it much sooner.
+/// Four ways out, none of them a setting:
+///
+/// * **the lease** — the TTL is the `lease` argument of the lookup reply,
+///   so a held answer outlives the registrations it lists by at most one
+///   lease, which is how stale the directory itself may be (§2.4);
+/// * **an empty answer is never held** — a name that is not registered
+///   yet is asked for again;
+/// * [`ResolutionCache::forget_addr`] — a link-level failure towards an
+///   address drops every answer naming it;
+/// * [`ResolutionCache::invalidate`] — `serviceExpired`, a link failure
+///   or `E_UPGRADING` for a name drops every answer listing it.
 pub struct ResolutionCache {
-    inner: Mutex<HashMap<String, CachedResolution>>,
+    inner: Mutex<HashMap<Query, Held>>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     invalidations: Arc<Counter>,
 }
 
-struct CachedResolution {
-    addr: Addr,
+/// The three `lookup` filters an answer was given to.
+#[derive(PartialEq, Eq, Hash)]
+struct Query {
+    name: Option<String>,
+    class: Option<String>,
+    room: Option<String>,
+}
+
+impl Query {
+    fn new(name: Option<&str>, class: Option<&str>, room: Option<&str>) -> Query {
+        Query {
+            name: name.map(str::to_string),
+            class: class.map(str::to_string),
+            room: room.map(str::to_string),
+        }
+    }
+}
+
+struct Held {
+    entries: Vec<ServiceEntry>,
     expires: Instant,
 }
 
@@ -110,16 +140,25 @@ impl ResolutionCache {
         }
     }
 
-    /// The unexpired address for `name`, if cached.
-    pub fn get(&self, name: &str) -> Option<Addr> {
+    /// The unexpired answer to this query, if one is held.
+    pub fn get(
+        &self,
+        name: Option<&str>,
+        class: Option<&str>,
+        room: Option<&str>,
+    ) -> Option<Vec<ServiceEntry>> {
+        self.get_at(Query::new(name, class, room), Instant::now())
+    }
+
+    fn get_at(&self, query: Query, now: Instant) -> Option<Vec<ServiceEntry>> {
         let mut inner = self.inner.lock();
-        match inner.get(name) {
-            Some(c) if c.expires > Instant::now() => {
+        match inner.get(&query) {
+            Some(held) if held.expires > now => {
                 self.hits.incr();
-                Some(c.addr.clone())
+                Some(held.entries.clone())
             }
             Some(_) => {
-                inner.remove(name);
+                inner.remove(&query);
                 self.misses.incr();
                 None
             }
@@ -130,25 +169,48 @@ impl ResolutionCache {
         }
     }
 
-    /// Record a resolution with the given TTL.
-    pub fn store(&self, name: &str, addr: Addr, ttl: Duration) {
-        self.inner.lock().insert(
-            name.to_string(),
-            CachedResolution {
-                addr,
-                expires: Instant::now() + ttl,
-            },
-        );
+    /// Hold the directory's answer to this query for `ttl`.  An empty
+    /// answer is not held, and takes the place of one that was.
+    pub fn store(
+        &self,
+        name: Option<&str>,
+        class: Option<&str>,
+        room: Option<&str>,
+        entries: Vec<ServiceEntry>,
+        ttl: Duration,
+    ) {
+        self.store_at(Query::new(name, class, room), entries, Instant::now() + ttl);
     }
 
-    /// Drop the entry for `name` (link failure, `serviceExpired`).
-    pub fn invalidate(&self, name: &str) {
-        if self.inner.lock().remove(name).is_some() {
-            self.invalidations.incr();
+    fn store_at(&self, query: Query, entries: Vec<ServiceEntry>, expires: Instant) {
+        let mut inner = self.inner.lock();
+        if entries.is_empty() {
+            inner.remove(&query);
+        } else {
+            inner.insert(query, Held { entries, expires });
         }
     }
 
-    /// Cached (possibly expired) entries.
+    /// Drop every held answer that lists the service `name` (link failure,
+    /// `E_UPGRADING`, `serviceExpired`).
+    pub fn invalidate(&self, name: &str) {
+        self.drop_listing(|entry| entry.name == name);
+    }
+
+    /// Drop every held answer that names `addr`: a call to it failed at
+    /// the link, so whatever lived there may have moved or died.
+    pub fn forget_addr(&self, addr: &Addr) {
+        self.drop_listing(|entry| entry.addr == *addr);
+    }
+
+    fn drop_listing(&self, suspect: impl Fn(&ServiceEntry) -> bool) {
+        let mut inner = self.inner.lock();
+        let before = inner.len();
+        inner.retain(|_, held| !held.entries.iter().any(&suspect));
+        self.invalidations.add((before - inner.len()) as u64);
+    }
+
+    /// Held (possibly expired) answers.
     pub fn len(&self) -> usize {
         self.inner.lock().len()
     }
@@ -366,33 +428,25 @@ impl FailoverClient {
     }
 
     fn resolve(&mut self) -> Result<Addr, ClientError> {
-        if let Some(cache) = &self.cache {
-            if let Some(addr) = cache.get(&self.service_name) {
-                return Ok(addr);
-            }
+        let name = Some(self.service_name.as_str());
+        let held = self.cache.as_ref().and_then(|c| c.get(name, None, None));
+        if let Some(entry) = held.and_then(|entries| entries.into_iter().next()) {
+            return Ok(entry.addr);
         }
         // Hunt across the directory replica set in map order, under the
         // any-replica read rule `protocol::lookup_any_replica` states.
-        let lookup = protocol::lookup_cmd(Some(&self.service_name), None, None);
+        let lookup = protocol::lookup_cmd(name, None, None);
         let (entries, lease_ms) =
             protocol::lookup_any_replica(&self.pool, &self.directory, 0, &lookup)?;
         self.resolutions += 1;
-        match entries.into_iter().next() {
-            Some(entry) => {
-                if let Some(cache) = &self.cache {
-                    cache.store(
-                        &self.service_name,
-                        entry.addr.clone(),
-                        resolution_ttl(lease_ms),
-                    );
-                }
-                Ok(entry.addr)
-            }
-            None => Err(ClientError::Service {
-                code: ErrorCode::NotFound,
-                msg: format!("{} not registered", self.service_name),
-            }),
+        let addr = entries.first().map(|entry| entry.addr.clone());
+        if let Some(cache) = &self.cache {
+            cache.store(name, None, None, entries, resolution_ttl(lease_ms));
         }
+        addr.ok_or_else(|| ClientError::Service {
+            code: ErrorCode::NotFound,
+            msg: format!("{} not registered", self.service_name),
+        })
     }
 
     fn connect_current(&mut self) -> Result<&mut PooledLink, ClientError> {
@@ -609,18 +663,37 @@ impl std::fmt::Debug for FailoverClient {
 mod tests {
     use super::*;
 
+    fn entry(name: &str, host: &str, port: u16) -> ServiceEntry {
+        ServiceEntry {
+            name: name.into(),
+            addr: Addr::new(host, port),
+            class: "Service.Echo".into(),
+            room: "lab".into(),
+        }
+    }
+
     #[test]
     fn cache_respects_ttl_and_invalidation() {
         let cache = ResolutionCache::new();
-        let addr = Addr::new("svc", 700);
-        cache.store("echo", addr.clone(), Duration::from_secs(5));
-        assert_eq!(cache.get("echo"), Some(addr.clone()));
+        let echo = vec![entry("echo", "svc", 700)];
+        cache.store(
+            Some("echo"),
+            None,
+            None,
+            echo.clone(),
+            Duration::from_secs(5),
+        );
+        assert_eq!(cache.get(Some("echo"), None, None), Some(echo.clone()));
         cache.invalidate("echo");
-        assert_eq!(cache.get("echo"), None);
+        assert_eq!(cache.get(Some("echo"), None, None), None);
 
-        cache.store("echo", addr, Duration::from_millis(10));
+        cache.store(Some("echo"), None, None, echo, Duration::from_millis(10));
         std::thread::sleep(Duration::from_millis(25));
-        assert_eq!(cache.get("echo"), None, "expired entry must not serve");
+        assert_eq!(
+            cache.get(Some("echo"), None, None),
+            None,
+            "expired entry must not serve"
+        );
         let (hits, misses) = cache.stats();
         assert_eq!(hits, 1);
         assert_eq!(misses, 2);
@@ -644,8 +717,142 @@ mod tests {
         // Before the clamp, Instant::now() + Duration::from_millis(i64::MAX
         // as u64) panicked inside ResolutionCache::store.
         let cache = ResolutionCache::new();
-        let addr = Addr::new("svc", 700);
-        cache.store("echo", addr.clone(), resolution_ttl(Some(i64::MAX)));
-        assert_eq!(cache.get("echo"), Some(addr));
+        let echo = vec![entry("echo", "svc", 700)];
+        let ttl = resolution_ttl(Some(i64::MAX));
+        cache.store(Some("echo"), None, None, echo.clone(), ttl);
+        assert_eq!(cache.get(Some("echo"), None, None), Some(echo));
+    }
+
+    /// The cache against a reference model that holds the rules and
+    /// nothing else.  Mutation-checked: with `forget_addr` dropping only
+    /// `name=` answers, and with `store_at` inserting empty answers, the
+    /// property fails on its first cases.
+    mod against_model {
+        use super::*;
+        use proptest::prelude::*;
+
+        type Filters = (
+            Option<&'static str>,
+            Option<&'static str>,
+            Option<&'static str>,
+        );
+
+        const QUERIES: [Filters; 6] = [
+            (Some("a"), None, None),
+            (Some("b"), None, None),
+            (None, Some("Service.Echo"), None),
+            (None, None, Some("lab")),
+            (None, Some("Service.Echo"), Some("lab")),
+            (None, None, None),
+        ];
+
+        /// Four services on three addresses: `c` and `d` share one, as a
+        /// daemon registered under two names does.
+        fn fleet() -> Vec<ServiceEntry> {
+            vec![
+                entry("a", "h1", 700),
+                entry("b", "h2", 700),
+                entry("c", "h3", 700),
+                entry("d", "h3", 700),
+            ]
+        }
+
+        /// Newest answer per query; an empty one is the absence of one.
+        #[derive(Default)]
+        struct Model(Vec<(Filters, Vec<ServiceEntry>, Instant)>);
+
+        impl Model {
+            fn store(&mut self, query: Filters, entries: Vec<ServiceEntry>, expires: Instant) {
+                self.0.retain(|(held, ..)| *held != query);
+                if !entries.is_empty() {
+                    self.0.push((query, entries, expires));
+                }
+            }
+            fn get(&self, query: Filters, now: Instant) -> Option<Vec<ServiceEntry>> {
+                let fresh =
+                    |(held, _, expires): &&(Filters, _, Instant)| *held == query && *expires > now;
+                self.0
+                    .iter()
+                    .find(fresh)
+                    .map(|(_, entries, _)| entries.clone())
+            }
+            fn drop_listing(&mut self, suspect: impl Fn(&ServiceEntry) -> bool) {
+                self.0
+                    .retain(|(_, entries, _)| !entries.iter().any(&suspect));
+            }
+        }
+
+        #[derive(Debug, Clone)]
+        enum Step {
+            /// The directory answered `query` with this subset of the fleet.
+            Fill(usize, u8, u64),
+            Lookup(usize),
+            /// The clock moves on.
+            Wait(u64),
+            Invalidate(usize),
+            Forget(usize),
+        }
+
+        /// One step in three is a lookup; TTLs and waits are of one scale.
+        fn step() -> impl Strategy<Value = Step> {
+            (0..6usize, 0..QUERIES.len(), 0..16u8, 1..40u64, 0..4usize).prop_map(
+                |(kind, query, subset, ms, service)| match kind {
+                    0 => Step::Fill(query, subset, ms),
+                    1 => Step::Wait(ms),
+                    2 => Step::Invalidate(service),
+                    3 => Step::Forget(service),
+                    _ => Step::Lookup(query),
+                },
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Under any interleaving of fills, lookups, time, `invalidate`
+            /// and `forget_addr`, a lookup is served exactly what the model
+            /// serves: nothing past its TTL, nothing empty, nothing listing
+            /// an invalidated name or a forgotten address.
+            #[test]
+            fn a_held_answer_obeys_the_four_rules(
+                steps in prop::collection::vec(step(), 1..80),
+            ) {
+                let fleet = fleet();
+                let query = |q: usize| {
+                    let (name, class, room) = QUERIES[q];
+                    Query::new(name, class, room)
+                };
+                let cache = ResolutionCache::new();
+                let mut model = Model::default();
+                let mut now = Instant::now();
+                for step in &steps {
+                    match *step {
+                        Step::Fill(q, subset, ttl_ms) => {
+                            let answer: Vec<ServiceEntry> = (0..fleet.len())
+                                .filter(|i| subset & (1 << i) != 0)
+                                .map(|i| fleet[i].clone())
+                                .collect();
+                            let expires = now + Duration::from_millis(ttl_ms);
+                            cache.store_at(query(q), answer.clone(), expires);
+                            model.store(QUERIES[q], answer, expires);
+                        }
+                        Step::Lookup(q) => {
+                            let served = cache.get_at(query(q), now);
+                            prop_assert!(served.as_ref().is_none_or(|held| !held.is_empty()));
+                            prop_assert_eq!(served, model.get(QUERIES[q], now), "{:?}", QUERIES[q]);
+                        }
+                        Step::Wait(ms) => now += Duration::from_millis(ms),
+                        Step::Invalidate(i) => {
+                            cache.invalidate(&fleet[i].name);
+                            model.drop_listing(|entry| entry.name == fleet[i].name);
+                        }
+                        Step::Forget(i) => {
+                            cache.forget_addr(&fleet[i].addr);
+                            model.drop_listing(|entry| entry.addr == fleet[i].addr);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -22,9 +22,9 @@
 //! class).
 
 use crate::behavior::{ClientInfo, ServiceBehavior, ServiceCtx};
-use crate::client::ServiceClient;
+use crate::client::{ClientError, ServiceClient};
 use crate::daemon::{Daemon, DaemonConfig, DaemonHandle, SpawnError};
-use crate::protocol;
+use crate::protocol::{self, ServiceEntry};
 use crate::retry::RetryPolicy;
 use ace_lang::{ArgType, CmdLine, CmdSpec, ErrorCode, Reply, Scalar, Semantics, Value};
 use ace_net::{HostId, SimNet};
@@ -377,7 +377,7 @@ impl Supervisor {
         let ServiceState::Watching { failures } = s.state else {
             return;
         };
-        let alive = match ctx.lookup_one(name) {
+        let alive = match registered_now(ctx, name) {
             // ASD unreachable: no verdict either way — don't count it.
             Err(_) => return,
             Ok(None) => false,
@@ -473,6 +473,20 @@ impl Supervisor {
     }
 }
 
+/// What the directory says about `name` *now*.  The Supervisor asks "is it
+/// still registered", not "where do I send this", so it reads through the
+/// answers [`ServiceCtx::lookup`] holds: a held "registered" would keep a
+/// lapsed daemon down until `probe_failures` pings had failed, when the
+/// ASD had already said so.
+fn registered_now(ctx: &mut ServiceCtx, name: &str) -> Result<Option<ServiceEntry>, ClientError> {
+    let asd = ctx.asd_addr().cloned().ok_or(ClientError::Service {
+        code: ErrorCode::Unavailable,
+        msg: "daemon configured without an ASD".into(),
+    })?;
+    let reply = ctx.call(&asd, &protocol::lookup_cmd(Some(name), None, None))?;
+    Ok(protocol::entries_from_reply(&reply)?.into_iter().next())
+}
+
 impl ServiceBehavior for Supervisor {
     fn semantics(&self) -> Semantics {
         Semantics::new()
@@ -506,7 +520,7 @@ impl ServiceBehavior for Supervisor {
                 }
                 // A lapse notification can trail our own probe-triggered
                 // restart; only act if the service is genuinely absent.
-                let still_registered = matches!(ctx.lookup_one(&name), Ok(Some(_)));
+                let still_registered = matches!(registered_now(ctx, &name), Ok(Some(_)));
                 if still_registered {
                     return Reply::ok_with(|c| c.arg("restarted", false));
                 }

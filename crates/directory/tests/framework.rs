@@ -146,6 +146,55 @@ fn lookup_by_class_and_room() {
     fw.shutdown();
 }
 
+/// A daemon that asks the directory on a client's behalf.
+struct Asker;
+
+impl ServiceBehavior for Asker {
+    fn semantics(&self) -> Semantics {
+        Semantics::new().with(CmdSpec::new("whereIs", "ctx.lookup_one").required(
+            "name",
+            ArgType::Word,
+            "a service",
+        ))
+    }
+
+    fn handle(&mut self, ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
+        match ctx.lookup_one(cmd.get_text("name").expect("validated")) {
+            Ok(found) => Reply::ok_with(|c| c.arg("found", found.is_some())),
+            Err(e) => Reply::err(ErrorCode::Unavailable, e.to_string()),
+        }
+    }
+}
+
+/// A daemon holds what the directory told it for a lease, but never an
+/// empty answer: a service that registers after it was first asked for is
+/// found by the very next question, with no lease to wait out.
+#[test]
+fn a_name_that_is_not_registered_yet_is_asked_for_again() {
+    let net = net_with(&["core", "bar"]);
+    let fw = bootstrap(&net, "core", Duration::from_secs(60)).unwrap();
+    let asker = Daemon::spawn(
+        &net,
+        fw.service_config("asker", "Service.Asker", "hawk", "bar", 4000),
+        Box::new(Asker),
+    )
+    .unwrap();
+    let mut client =
+        ServiceClient::connect(&net, &"bar".into(), asker.addr().clone(), &keypair()).unwrap();
+    let mut found = || {
+        let reply = client.call(&CmdLine::new("whereIs").arg("name", "late"));
+        reply.unwrap().get_bool("found")
+    };
+
+    assert_eq!(found(), Some(false));
+    let late = start_counter(&net, &fw, "late", "bar", 4001);
+    assert_eq!(found(), Some(true), "the empty answer was held");
+
+    late.shutdown();
+    asker.shutdown();
+    fw.shutdown();
+}
+
 #[test]
 fn graceful_shutdown_deregisters() {
     let net = net_with(&["core", "bar"]);

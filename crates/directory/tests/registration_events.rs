@@ -8,6 +8,7 @@
 //! about every lease death.
 
 use ace_core::prelude::*;
+use ace_core::supervise::{wire_supervisor, Respawn, RestartPolicy, SupervisedSpec, Supervisor};
 use ace_directory::{bootstrap, AsdClient};
 use ace_security::keys::KeyPair;
 use std::sync::{Arc, Mutex};
@@ -216,5 +217,90 @@ fn lease_expiry_fires_once_per_service_and_purges_entry() {
     }
 
     rec.shutdown();
+    fw.shutdown();
+}
+
+/// Poll `probe` every 10 ms until it holds.
+fn await_true(what: &str, mut probe: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !probe() {
+        assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// The Supervisor acts on what the directory says *now*, not on what it
+/// was told a moment ago: a daemon it has just probed healthy crashes, the
+/// lease lapses, and the ASD's `serviceExpired` alone — the next probe is
+/// a minute away — brings the replacement up.  Were `onServiceExpired` to
+/// double-check through the answers `ctx.lookup` holds for a lease, the
+/// healthy probe's "registered" would still be held when the notification
+/// arrives, it would answer `restarted=false`, and the daemon would stay
+/// down until probing noticed.
+#[test]
+fn a_lapsed_lease_restarts_a_daemon_the_supervisor_last_saw_healthy() {
+    const LEASE: Duration = Duration::from_secs(1);
+    let net = SimNet::new();
+    for h in ["core", "bar"] {
+        net.add_host(h);
+    }
+    let fw = bootstrap(&net, "core", LEASE).unwrap();
+    let me = KeyPair::generate(&mut rand::thread_rng());
+    let connect = |addr: &Addr| ServiceClient::connect(&net, &"core".into(), addr.clone(), &me);
+
+    // The victim registers and never renews, so its lease lapses one LEASE
+    // after its spawn; the probe below is younger than that registration
+    // by longer than the expiry notification takes to arrive.
+    let config = fw.service_config("victim", "Service.Echo", "hawk", "bar", 6000);
+    let victim = Daemon::spawn(
+        &net,
+        config.clone().with_lease_renew(Duration::from_secs(60)),
+        Box::new(Echo),
+    )
+    .unwrap();
+    std::thread::sleep(LEASE / 4);
+
+    let spec = SupervisedSpec::new(
+        "victim",
+        Box::new(move |net: &SimNet| {
+            let config = config.clone().with_incarnation(1);
+            Daemon::spawn(net, config, Box::new(Echo)).map(Respawn::from)
+        }),
+    );
+    let watchdog =
+        Supervisor::new(vec![spec], RestartPolicy::default()).with_probe_interval(LEASE * 60);
+    let supervisor = Daemon::spawn(
+        &net,
+        fw.service_config(
+            "supervisor",
+            "Service.Supervisor",
+            "machineroom",
+            "core",
+            6100,
+        ),
+        Box::new(watchdog),
+    )
+    .unwrap();
+    wire_supervisor(&net, &supervisor, &fw.asd_addr, &me).unwrap();
+
+    let mut to_victim = connect(victim.addr()).unwrap();
+    await_true("the start-up probe to ping the victim", || {
+        let stats = to_victim.call(&CmdLine::new("aceStats").arg("prefix", "cmd.ping"));
+        StatsReport::from_cmdline(&stats.unwrap())
+            .histograms
+            .contains_key("cmd.ping")
+    });
+    victim.crash();
+
+    let mut to_supervisor = connect(supervisor.addr()).unwrap();
+    await_true("serviceExpired to restart the victim", || {
+        let stats = to_supervisor.call(&CmdLine::new("superviseStats")).unwrap();
+        stats.get_int("restarts") == Some(1)
+    });
+    let mut replacement = connect(victim.addr()).unwrap();
+    let pong = replacement.call(&CmdLine::new("ping")).unwrap();
+    assert_eq!(pong.get_int("incarnation"), Some(1));
+
+    supervisor.shutdown();
     fw.shutdown();
 }

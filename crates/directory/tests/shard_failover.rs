@@ -105,7 +105,8 @@ fn run_shard_failover(seed: u64) {
     for i in 0..SERVICES {
         let lease = client.register(&entry(i), 1).unwrap();
         assert!(lease > Duration::ZERO, "svc{i}: lease must be granted");
-        cache.store(&entry(i).name, entry(i).addr, Duration::from_secs(3600));
+        let ttl = Duration::from_secs(3600);
+        cache.store(Some(&entry(i).name), None, None, vec![entry(i)], ttl);
     }
     assert_eq!(cache.len(), SERVICES);
 
@@ -256,13 +257,15 @@ fn run_shard_failover(seed: u64) {
         // Let the victim shard's leases lapse.
         phase.store(PHASE_DROP_VICTIM_SHARD, Ordering::SeqCst);
         await_true("victim shard's cache entries to be evicted", || {
-            victim_names.iter().all(|n| cache.get(n).is_none())
+            victim_names
+                .iter()
+                .all(|n| cache.get(Some(n), None, None).is_none())
         });
         for i in 0..SERVICES {
             let name = entry(i).name;
             if !victim_names.contains(&name) {
                 assert!(
-                    cache.get(&name).is_some(),
+                    cache.get(Some(&name), None, None).is_some(),
                     "seed {seed}: {name} evicted but its shard never expired anything"
                 );
             }

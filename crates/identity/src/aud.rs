@@ -27,6 +27,14 @@ pub struct UserRecord {
     pub location: Option<(String, String)>,
 }
 
+/// Where the AUD is, as the identification daemons (FIU, iButton reader,
+/// ID Monitor) ask before each use: `ctx` holds the answer for a lease and
+/// forgets it when a call to that address fails, so an AUD that moved is
+/// found again.
+pub(crate) fn aud_addr(ctx: &mut ServiceCtx) -> Option<Addr> {
+    ctx.lookup_one("aud").ok().flatten().map(|entry| entry.addr)
+}
+
 /// Hash a password with the username as salt.
 pub fn password_hash(username: &str, password: &str) -> u64 {
     fnv64(format!("aud:{username}:{password}").as_bytes())

@@ -13,6 +13,7 @@
 //! successful identification fires the `userIdentified` event that the ID
 //! Monitor listens for (Scenario 2).
 
+use crate::aud::aud_addr;
 use ace_core::prelude::*;
 use std::collections::HashMap;
 
@@ -104,20 +105,11 @@ impl ScannerDevice {
 /// The FIU service behavior.
 pub struct Fiu {
     device: ScannerDevice,
-    /// Cached AUD address (looked up via the ASD on first use).
-    aud: Option<Addr>,
 }
 
 impl Fiu {
     pub fn new(device: ScannerDevice) -> Fiu {
-        Fiu { device, aud: None }
-    }
-
-    fn aud_addr(&mut self, ctx: &mut ServiceCtx) -> Option<Addr> {
-        if self.aud.is_none() {
-            self.aud = ctx.lookup_one("aud").ok().flatten().map(|entry| entry.addr);
-        }
-        self.aud.clone()
+        Fiu { device }
     }
 }
 
@@ -181,7 +173,7 @@ impl ServiceBehavior for Fiu {
                 match self.device.scan(&template, quality) {
                     ScanOutcome::Match { template, score } => {
                         // Resolve the template to a user via the AUD.
-                        let user = self.aud_addr(ctx).and_then(|aud| {
+                        let user = aud_addr(ctx).and_then(|aud| {
                             ctx.call(
                                 &aud,
                                 &CmdLine::new("findByFingerprint")

@@ -10,25 +10,18 @@
 //! registered user or it does not.  A physical touch arrives as the `touch`
 //! command.
 
+use crate::aud::aud_addr;
 use ace_core::prelude::*;
 
 /// The iButton reader service behavior.
 #[derive(Default)]
 pub struct IButtonReader {
-    aud: Option<Addr>,
     touches: u64,
 }
 
 impl IButtonReader {
     pub fn new() -> IButtonReader {
         IButtonReader::default()
-    }
-
-    fn aud_addr(&mut self, ctx: &mut ServiceCtx) -> Option<Addr> {
-        if self.aud.is_none() {
-            self.aud = ctx.lookup_one("aud").ok().flatten().map(|entry| entry.addr);
-        }
-        self.aud.clone()
     }
 }
 
@@ -50,7 +43,7 @@ impl ServiceBehavior for IButtonReader {
             "touch" => {
                 self.touches += 1;
                 let serial = req_text!(cmd, "serial").to_string();
-                let user = self.aud_addr(ctx).and_then(|aud| {
+                let user = aud_addr(ctx).and_then(|aud| {
                     ctx.call(
                         &aud,
                         &CmdLine::new("findByIButton").arg("serial", Value::Str(serial.clone())),

@@ -11,13 +11,13 @@
 //! log entry — repeated failures are the Network Logger's intrusion trail
 //! (§4.14).
 
+use crate::aud::aud_addr;
 use ace_core::prelude::*;
 use std::collections::HashMap;
 
 /// The ID Monitor behavior.
 #[derive(Default)]
 pub struct IdMonitor {
-    aud: Option<Addr>,
     /// username → (room, host) as last seen by this monitor.
     last_seen: HashMap<String, (String, String)>,
     failures: u64,
@@ -26,13 +26,6 @@ pub struct IdMonitor {
 impl IdMonitor {
     pub fn new() -> IdMonitor {
         IdMonitor::default()
-    }
-
-    fn aud_addr(&mut self, ctx: &mut ServiceCtx) -> Option<Addr> {
-        if self.aud.is_none() {
-            self.aud = ctx.lookup_one("aud").ok().flatten().map(|entry| entry.addr);
-        }
-        self.aud.clone()
     }
 
     /// Subscribe this monitor to every identification device currently in
@@ -102,7 +95,7 @@ impl ServiceBehavior for IdMonitor {
                 let host = cmd.get_text("accessHost").unwrap_or("unknown").to_string();
                 // Scenario 2: "the ID Monitor service then updates John's
                 // current location with the AUD."
-                if let Some(aud) = self.aud_addr(ctx) {
+                if let Some(aud) = aud_addr(ctx) {
                     let _ = ctx.call(
                         &aud,
                         &CmdLine::new("setLocation")

@@ -173,6 +173,66 @@ fn scenario2_fingerprint_identification_updates_location() {
     w.fw.shutdown();
 }
 
+/// An AUD that crashes and comes back on another host (incarnation + 1, as
+/// a Supervisor on a second machine would bring it back) costs its callers
+/// at most one call: the FIU's press after the move fails at the link,
+/// which forgets the held answer, and the next press asks the ASD where
+/// the AUD is now.  While the FIU kept the address it was first told for
+/// the life of the process, every press after the move read
+/// `identified=false`.
+#[test]
+fn a_moved_aud_is_found_again() {
+    let w = world();
+    let me = keypair();
+    let mut device = ScannerDevice::default();
+    device.enroll("fp_jdoe", 0.95);
+    let fiu = Daemon::spawn(
+        &w.net,
+        w.fw.service_config("fiu_hawk", "Service.Device.FIU", "hawk", "bar", 5300),
+        Box::new(Fiu::new(device)),
+    )
+    .unwrap();
+    let enroll = |aud: &DaemonHandle| {
+        UserDbClient::connect(&w.net, &"bar".into(), aud.addr().clone(), &me)
+            .unwrap()
+            .add_user("jdoe", "John Doe", "pw", "key", Some("fp_jdoe"), None)
+            .unwrap();
+    };
+    enroll(&w.aud);
+
+    let mut scanner =
+        ServiceClient::connect(&w.net, &"bar".into(), fiu.addr().clone(), &me).unwrap();
+    let mut press = || {
+        scanner
+            .call(&CmdLine::new("press").arg("template", Value::Str("fp_jdoe".into())))
+            .unwrap()
+            .get_bool("identified")
+    };
+    assert_eq!(press(), Some(true), "the FIU now holds the AUD's address");
+
+    w.aud.crash();
+    let config =
+        w.fw.service_config("aud", "Service.Database.User", "machineroom", "tube", 5201);
+    let moved = Daemon::spawn(
+        &w.net,
+        config.with_incarnation(w.aud.incarnation() + 1),
+        Box::new(UserDb::new()),
+    )
+    .unwrap();
+    enroll(&moved);
+
+    let after: Vec<Option<bool>> = (0..3).map(|_| press()).collect();
+    assert_eq!(
+        after[1..],
+        [Some(true), Some(true)],
+        "only the first press after the move may miss: {after:?}"
+    );
+
+    fiu.shutdown();
+    moved.shutdown();
+    w.fw.shutdown();
+}
+
 #[test]
 fn failed_identification_reaches_security_log() {
     let w = world();

@@ -30,8 +30,6 @@ pub struct RunningApp {
 pub struct Hal {
     apps: HashMap<i64, RunningApp>,
     next_id: i64,
-    /// Cached address of this host's HRM.
-    hrm: Option<Addr>,
     launched_total: u64,
 }
 
@@ -40,7 +38,6 @@ impl Hal {
         Hal {
             apps: HashMap::new(),
             next_id: 1,
-            hrm: None,
             launched_total: 0,
         }
     }
@@ -50,18 +47,11 @@ impl Hal {
         format!("hrm_{host}")
     }
 
-    fn hrm_addr(&mut self, ctx: &mut ServiceCtx) -> Option<Addr> {
-        if self.hrm.is_none() {
-            let name = Self::hrm_name(ctx.host().as_str());
-            self.hrm = ctx.lookup_one(&name).ok().flatten().map(|e| e.addr);
-        }
-        self.hrm.clone()
-    }
-
     fn report_load(&mut self, ctx: &mut ServiceCtx, cmd_name: &str, load: f64, mem: i64) {
-        if let Some(hrm) = self.hrm_addr(ctx) {
+        let name = Self::hrm_name(ctx.host().as_str());
+        if let Ok(Some(hrm)) = ctx.lookup_one(&name) {
             let _ = ctx.call(
-                &hrm,
+                &hrm.addr,
                 &CmdLine::new(cmd_name).arg("load", load).arg("mem", mem),
             );
         }

@@ -33,20 +33,12 @@ impl Policy {
 /// The SAL behavior.
 #[derive(Default)]
 pub struct Sal {
-    srm: Option<Addr>,
     launches: u64,
 }
 
 impl Sal {
     pub fn new() -> Sal {
         Sal::default()
-    }
-
-    fn srm_addr(&mut self, ctx: &mut ServiceCtx) -> Option<Addr> {
-        if self.srm.is_none() {
-            self.srm = ctx.lookup_one("srm").ok().flatten().map(|e| e.addr);
-        }
-        self.srm.clone()
     }
 }
 
@@ -99,9 +91,10 @@ impl ServiceBehavior for Sal {
                     match policy {
                         Policy::Random => hals.choose(&mut rand::thread_rng()).cloned(),
                         Policy::Resource => {
-                            let best = self.srm_addr(ctx).and_then(|srm| {
+                            let srm = ctx.lookup_one("srm").ok().flatten();
+                            let best = srm.and_then(|srm| {
                                 ctx.call(
-                                    &srm,
+                                    &srm.addr,
                                     &CmdLine::new("bestHost")
                                         .arg("expectedLoad", load)
                                         .arg("expectedMem", mem),

@@ -207,6 +207,42 @@ fn sal_pinned_host_and_unknown_policy() {
     w.teardown();
 }
 
+/// Where the HALs are is asked of the directory once a lease, not once a
+/// launch.  After one launch per host — the SAL then holds the
+/// `class=HAL` answer and each HAL its HRM's address — fifty more move the
+/// ASD's `lookup` count by at most the two answers whose lease may lapse
+/// meanwhile (the SAL's, and the SRM's `class=HRM` it polls with); asking
+/// per launch moves it by fifty.
+#[test]
+fn a_second_launch_asks_the_directory_nothing() {
+    let hosts = ["bar", "tube"];
+    let w = world(&hosts);
+    let me = keypair();
+    let connect = |addr: &Addr| ServiceClient::connect(&w.net, &"core".into(), addr.clone(), &me);
+    let mut asd = connect(&w.fw.asd_addr).unwrap();
+    let mut lookups_served = || {
+        let stats = asd.call(&CmdLine::new("aceStats").arg("prefix", "cmd.lookup"));
+        StatsReport::from_cmdline(&stats.unwrap()).histograms["cmd.lookup"].count
+    };
+    let mut sal = connect(w.sal.addr()).unwrap();
+    let launch = CmdLine::new("launch").arg("app", Value::Str("job".into()));
+    for host in hosts {
+        sal.call(&launch.clone().arg("host", host)).unwrap();
+    }
+
+    let before = lookups_served();
+    for _ in 0..50 {
+        let placed = sal.call(&launch.clone().arg("policy", "random")).unwrap();
+        let host = placed.get_text("host").unwrap();
+        assert!(hosts.contains(&host), "launched on {host}");
+        assert_eq!(placed.get_text("hal"), Some(format!("hal_{host}").as_str()));
+    }
+    let asked = lookups_served() - before;
+    assert!(asked <= 2, "50 launches asked the ASD {asked} times");
+
+    w.teardown();
+}
+
 #[test]
 fn sal_survives_dead_hal_host() {
     let w = world(&["bar", "tube"]);

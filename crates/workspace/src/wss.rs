@@ -35,7 +35,6 @@ pub struct WorkspaceRecord {
 pub struct Wss {
     /// user → workspaces.
     workspaces: HashMap<String, Vec<WorkspaceRecord>>,
-    sal: Option<Addr>,
     shows: u64,
 }
 
@@ -44,11 +43,8 @@ impl Wss {
         Wss::default()
     }
 
-    fn sal_addr(&mut self, ctx: &mut ServiceCtx) -> Option<Addr> {
-        if self.sal.is_none() {
-            self.sal = ctx.lookup_one("sal").ok().flatten().map(|e| e.addr);
-        }
-        self.sal.clone()
+    fn sal_addr(ctx: &mut ServiceCtx) -> Option<Addr> {
+        ctx.lookup_one("sal").ok().flatten().map(|e| e.addr)
     }
 
     fn generate_password() -> String {
@@ -86,8 +82,7 @@ impl Wss {
 
         // Ask the SAL (→SRM→HRM) where the VNC server process should run;
         // fall back to the first VNC host when the launcher tier is absent.
-        let chosen = self
-            .sal_addr(ctx)
+        let chosen = Self::sal_addr(ctx)
             .and_then(|sal| {
                 ctx.call(
                     &sal,
@@ -142,7 +137,7 @@ impl Wss {
         record: &WorkspaceRecord,
         access_host: &str,
     ) -> Reply {
-        if let Some(sal) = self.sal_addr(ctx) {
+        if let Some(sal) = Self::sal_addr(ctx) {
             let _ = ctx.call(
                 &sal,
                 &CmdLine::new("launch")

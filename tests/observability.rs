@@ -499,3 +499,62 @@ fn stats_events_flow_to_logger() {
     cam.shutdown();
     logger.shutdown();
 }
+
+/// Asks the directory where it is itself, as often as told.
+struct Asker;
+impl ServiceBehavior for Asker {
+    fn semantics(&self) -> Semantics {
+        Semantics::new().with(CmdSpec::new("ask", "ctx.lookup_one").required(
+            "times",
+            ArgType::Int,
+            "identical lookups to make",
+        ))
+    }
+    fn handle(&mut self, ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
+        let me = ctx.name().to_string();
+        for _ in 0..cmd.get_int("times").expect("validated") {
+            if !matches!(ctx.lookup_one(&me), Ok(Some(_))) {
+                return Reply::err(ErrorCode::NotFound, "the ASD does not list this daemon");
+            }
+        }
+        Reply::ok()
+    }
+}
+
+/// `aceStats prefix=resolve.` answers "is this daemon asking the
+/// directory": the second of two identical lookups is served from the
+/// answer the first one was given, and a daemon that never asks has no
+/// `resolve.*` row at all — the cache and its counters are made by the
+/// first lookup, not at spawn.
+#[test]
+fn ace_stats_counts_lookups_answered_from_the_held_answer() {
+    let net = SimNet::new();
+    net.add_host("core");
+    let fw = ace_directory::bootstrap(&net, "core", Duration::from_secs(60)).unwrap();
+    let me = keypair();
+    let spawn = |name: &str, port: u16| {
+        let config = fw.service_config(name, "Service.Asker", "machine", "core", port);
+        let daemon = Daemon::spawn(&net, config, Box::new(Asker)).unwrap();
+        let client = ServiceClient::connect(&net, &"core".into(), daemon.addr().clone(), &me);
+        (daemon, client.unwrap())
+    };
+    let (asker, mut to_asker) = spawn("asker", 4500);
+    let (silent, mut to_silent) = spawn("silent", 4501);
+
+    to_asker
+        .call_ok(&CmdLine::new("ask").arg("times", 2))
+        .unwrap();
+    to_silent
+        .call_ok(&CmdLine::new("ask").arg("times", 0))
+        .unwrap();
+
+    let asked = ace_stats(&mut to_asker, Some("resolve.")).counters;
+    assert_eq!(asked.get("resolve.cache_misses"), Some(&1), "{asked:?}");
+    assert_eq!(asked.get("resolve.cache_hits"), Some(&1), "{asked:?}");
+    let never = ace_stats(&mut to_silent, Some("resolve."));
+    assert!(never.counters.is_empty(), "{:?}", never.counters);
+
+    asker.shutdown();
+    silent.shutdown();
+    fw.shutdown();
+}
