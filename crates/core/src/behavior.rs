@@ -373,10 +373,7 @@ impl ServiceCtx {
                 .arg("service", self.name.as_str())
                 .arg("kind", "stats")
                 .arg("host", self.host().as_str())
-                .arg(
-                    "data",
-                    ace_lang::Value::Word(protocol::hex_encode(payload.to_wire().as_bytes())),
-                );
+                .arg("data", payload.to_wire().into_bytes());
             self.notifier.send(logger.clone(), cmd);
         }
     }

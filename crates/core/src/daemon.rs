@@ -79,8 +79,9 @@ pub struct DaemonConfig {
     pub identity: Option<KeyPair>,
     /// Cadence of `on_tick`.
     pub tick: Duration,
-    /// Lease renewal interval (must be below the ASD's lease duration).
-    pub lease_renew: Duration,
+    /// Lease renewal interval, when something other than a third of the
+    /// lease the ASD granted at registration (must be below that lease).
+    pub lease_renew: Option<Duration>,
     /// Cadence of periodic `stats` events pushed to the Net Logger.
     /// Zero disables them; `aceStats` still answers on demand.
     pub stats_interval: Duration,
@@ -128,7 +129,7 @@ impl DaemonConfig {
             auth: AuthMode::Open,
             identity: None,
             tick: Duration::from_millis(50),
-            lease_renew: Duration::from_millis(200),
+            lease_renew: None,
             stats_interval: Duration::from_secs(1),
             incarnation: 0,
             ticket_vault: None,
@@ -174,9 +175,10 @@ impl DaemonConfig {
         self
     }
 
-    /// Override the lease renewal interval.
+    /// Renew the lease every `interval` instead of at a third of the lease
+    /// the ASD granted.
     pub fn with_lease_renew(mut self, interval: Duration) -> Self {
-        self.lease_renew = interval;
+        self.lease_renew = Some(interval);
         self
     }
 
@@ -333,9 +335,9 @@ impl Daemon {
                 .with_retry_budget(Arc::clone(&retry_budget))
                 .start();
             loop {
-                let result = pool.checkout(addr).and_then(|mut link| link.call_ok(cmd));
+                let result = pool.checkout(addr).and_then(|mut link| link.call(cmd));
                 match result {
-                    Ok(()) => return Ok(()),
+                    Ok(reply) => return Ok(reply),
                     Err(error) if !retry.backoff() => {
                         return Err(SpawnError::Register { step, error })
                     }
@@ -344,9 +346,14 @@ impl Daemon {
             }
         };
 
-        // Step 3: register with the ASD.
+        // Step 3: register with the ASD.  The reply names the lease it
+        // granted; renewals run at a third of it unless the configuration
+        // says otherwise (a directory that grants none has none to renew).
+        let mut renew_every = config.lease_renew;
         if let Some(asd) = &config.asd {
-            register("asd", asd, &register_cmd(&config))?;
+            let granted = register("asd", asd, &register_cmd(&config))?.get_int("lease");
+            let third = |ms: i64| Duration::from_millis(ms.max(0) as u64) / 3;
+            renew_every = renew_every.or(granted.map(third));
         }
 
         // Step 5: record the start with the Network Logger.  (Step 4 —
@@ -429,7 +436,7 @@ impl Daemon {
             errors: metrics.counter("cmd.errors"),
             verb_hists: HashMap::new(),
         };
-        let lease = LeaseState::new(pool, config.clone(), &metrics, retry_budget);
+        let lease = LeaseState::new(pool, config.clone(), renew_every, &metrics, retry_budget);
         let now = Instant::now();
         let task = DaemonTask {
             listener,
@@ -1535,6 +1542,9 @@ struct LeaseState {
     /// services doesn't reconnect to the ASD in lockstep.
     reconnect: RetryPolicy,
     link_failures: u32,
+    /// The renewal period: [`DaemonConfig::lease_renew`], or a third of the
+    /// lease the ASD granted at registration.  `None`: no lease is held.
+    renew_every: Option<Duration>,
     next_renew: Instant,
 }
 
@@ -1542,19 +1552,22 @@ impl LeaseState {
     fn new(
         pool: Arc<LinkPool>,
         config: DaemonConfig,
+        renew_every: Option<Duration>,
         metrics: &MetricsRegistry,
         retry_budget: Arc<RetryBudget>,
     ) -> LeaseState {
         let seed = fnv64(config.name.as_bytes());
-        let reconnect = RetryPolicy::new(config.lease_renew / 4)
-            .with_cap(config.lease_renew)
+        let period = renew_every.unwrap_or_default();
+        let reconnect = RetryPolicy::new(period / 4)
+            .with_cap(period)
             .with_seed(seed);
         LeaseState {
             renewals: metrics.counter("lease.renewals"),
             failures: metrics.counter("lease.failures"),
             reregisters: metrics.counter("lease.reregisters"),
             budget_denied: metrics.counter("retry.budgetDenied"),
-            next_renew: Instant::now() + first_renewal_delay(seed, config.lease_renew),
+            next_renew: Instant::now() + first_renewal_delay(seed, period),
+            renew_every,
             reconnect,
             link_failures: 0,
             pool,
@@ -1565,26 +1578,27 @@ impl LeaseState {
 
     /// When `tick` next has renewal work, if this daemon holds a lease.
     fn next_deadline(&self) -> Option<Instant> {
-        self.config.asd.as_ref().map(|_| self.next_renew)
+        let held = self.config.asd.as_ref().and(self.renew_every);
+        held.map(|_| self.next_renew)
     }
 
     /// Renew the lease if due.  Bounded work: at most one dial and one
     /// call per invocation (two when a lapsed lease is re-registered).
     fn tick(&mut self) {
-        let Some(asd) = &self.config.asd else {
+        let (Some(asd), Some(period)) = (&self.config.asd, self.renew_every) else {
             return;
         };
         if Instant::now() < self.next_renew {
             return;
         }
-        self.next_renew = Instant::now() + self.config.lease_renew;
+        self.next_renew = Instant::now() + period;
         // Each renewal period is fresh (non-retry) work: it earns back a
         // slice of the shared retry budget.
         self.retry_budget.note_call();
         let Ok(mut link) = self.pool.checkout(asd) else {
             // The dial itself failed (ASD down or unreachable).
             self.failures.incr();
-            self.schedule_retry();
+            self.schedule_retry(period);
             return;
         };
         let renew = CmdLine::new("renewLease")
@@ -1605,7 +1619,7 @@ impl LeaseState {
             }
             Err(_) => {
                 self.failures.incr();
-                self.schedule_retry();
+                self.schedule_retry(period);
             }
         }
     }
@@ -1614,12 +1628,12 @@ impl LeaseState {
     /// of the shared budget — when the bucket is dry we fall back to the
     /// regular renewal cadence instead of adding retry pressure to an ASD
     /// that is already struggling.
-    fn schedule_retry(&mut self) {
+    fn schedule_retry(&mut self, period: Duration) {
         self.next_renew = if self.retry_budget.try_withdraw() {
             Instant::now() + self.reconnect.delay_for(self.link_failures)
         } else {
             self.budget_denied.incr();
-            Instant::now() + self.config.lease_renew
+            Instant::now() + period
         };
         self.link_failures = self.link_failures.saturating_add(1);
     }

@@ -210,8 +210,8 @@ pub fn logger_semantics() -> Semantics {
                 .required("kind", ArgType::Word, "event kind, e.g. stats")
                 .required(
                     "data",
-                    ArgType::Word,
-                    "hex-encoded wire-form command carrying the event fields",
+                    ArgType::Blob,
+                    "wire-form command carrying the event fields",
                 )
                 .optional("host", ArgType::Word, "originating host"),
         )

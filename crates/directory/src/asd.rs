@@ -65,6 +65,10 @@ pub struct Asd {
     /// When this ASD is one shard of a partitioned directory plane, the
     /// full shard map it serves to clients via the `shardMap` verb.
     shard_map: Option<crate::shardmap::ShardMap>,
+    /// A replica respawned empty beside live peers refuses listings (class,
+    /// room and unfiltered `lookup`, `listServices`) until this instant, one
+    /// lease after it came up: see [`Asd::rejoining`].
+    listing_from: Option<Instant>,
 }
 
 impl Asd {
@@ -79,7 +83,34 @@ impl Asd {
             total_registrations: 0,
             heap_compactions: 0,
             shard_map: None,
+            listing_from: None,
         }
+    }
+
+    /// This ASD takes the place of a crashed shard replica: it starts empty
+    /// while its peers hold the shard's registrations, and renewals repair
+    /// it one name at a time.  A name it lacks is safe to ask it for — an
+    /// empty answer falls through to a peer — but a *listing* cut from what
+    /// has been repaired so far looks like a whole answer and is not.  So
+    /// for one lease it refuses listings with `E_UNAVAILABLE`, which sends
+    /// the asker on to a peer like any other error.  After one lease every
+    /// live registration has renewed through it (and been repaired) or has
+    /// expired everywhere: it then knows what its peers know.
+    pub(crate) fn rejoining(mut self) -> Asd {
+        self.listing_from = Some(Instant::now() + self.lease_duration);
+        self
+    }
+
+    /// The refusal a rejoining replica gives a listing, if it still is one.
+    fn not_listing_yet(&self) -> Option<Reply> {
+        let left = self.listing_from?.checked_duration_since(Instant::now())?;
+        Some(Reply::err(
+            ErrorCode::Unavailable,
+            format!(
+                "rejoined empty; listings resume in {} ms, ask a peer replica",
+                left.as_millis()
+            ),
+        ))
     }
 
     /// Serve `map` from the `shardMap` verb: every replica of every shard
@@ -337,6 +368,9 @@ impl ServiceBehavior for Asd {
                 let name = cmd.get_text("name");
                 let class = cmd.get_text("class");
                 let room = cmd.get_text("room");
+                if let (None, Some(refusal)) = (name, self.not_listing_yet()) {
+                    return refusal;
+                }
                 let mut matches: Vec<ServiceEntry> = match self.candidate_names(name, class, room) {
                     Some(candidates) => candidates
                         .iter()
@@ -370,6 +404,9 @@ impl ServiceBehavior for Asd {
                 }
             },
             "listServices" => {
+                if let Some(refusal) = self.not_listing_yet() {
+                    return refusal;
+                }
                 let mut names: Vec<Scalar> =
                     self.leases.keys().map(|n| Scalar::Str(n.clone())).collect();
                 names.sort_by(|a, b| match (a, b) {

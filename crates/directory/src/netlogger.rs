@@ -231,14 +231,13 @@ impl ServiceBehavior for NetLogger {
             "event" => {
                 let service = req_text!(cmd, "service").to_string();
                 let kind = req_text!(cmd, "kind").to_string();
-                let data = req_text!(cmd, "data");
-                let Some(bytes) = protocol::hex_decode(data) else {
-                    return Reply::err(ErrorCode::Semantics, "data is not valid hex");
+                let Some(bytes) = cmd.get_blob("data") else {
+                    return Reply::err(ErrorCode::Semantics, "data is not a blob");
                 };
-                let Ok(wire) = String::from_utf8(bytes) else {
+                let Ok(wire) = std::str::from_utf8(&bytes) else {
                     return Reply::err(ErrorCode::Semantics, "data is not valid UTF-8");
                 };
-                let fields = match CmdLine::parse(&wire) {
+                let fields = match CmdLine::parse(wire) {
                     Ok(fields) => fields,
                     Err(e) => {
                         return Reply::err(
@@ -363,7 +362,7 @@ impl LoggerClient {
             })
     }
 
-    /// Push one typed event; `fields` is carried hex-encoded on the wire.
+    /// Push one typed event; `fields` travels in wire form, as a blob.
     pub fn event(
         &mut self,
         service: &str,
@@ -374,10 +373,7 @@ impl LoggerClient {
             &CmdLine::new("event")
                 .arg("service", service)
                 .arg("kind", kind)
-                .arg(
-                    "data",
-                    Value::Word(protocol::hex_encode(fields.to_wire().as_bytes())),
-                ),
+                .arg("data", fields.to_wire().into_bytes()),
         )
     }
 

@@ -413,14 +413,19 @@ impl ShardedDirectory {
     }
 
     /// Spawn one replica: an empty ASD at its map address, carrying the
-    /// full shard map.
+    /// full shard map — `rejoining` a shard whose other replicas are live.
     fn spawn_replica(
         &self,
         net: &SimNet,
         shard: usize,
         replica: usize,
+        rejoining: bool,
     ) -> Result<DaemonHandle, SpawnError> {
         let addr = &self.map.replicas(shard)[replica];
+        let mut asd = Asd::new(self.lease).with_shard_map(self.map.clone());
+        if rejoining {
+            asd = asd.rejoining();
+        }
         Daemon::spawn(
             net,
             DaemonConfig::new(
@@ -430,20 +435,21 @@ impl ShardedDirectory {
                 addr.host.clone(),
                 addr.port,
             ),
-            Box::new(Asd::new(self.lease).with_shard_map(self.map.clone())),
+            Box::new(asd),
         )
     }
 
     /// Re-spawn one replica in place (post-crash recovery): a fresh empty
     /// ASD at the same address, carrying the same shard map.  Its leases
-    /// repopulate through renewal-driven repair.
+    /// repopulate through renewal-driven repair; for the one lease that
+    /// takes it answers name lookups only (`Asd::rejoining`).
     pub fn respawn_replica(
         &mut self,
         net: &SimNet,
         shard: usize,
         replica: usize,
     ) -> Result<(), SpawnError> {
-        self.handles[shard][replica] = self.spawn_replica(net, shard, replica)?;
+        self.handles[shard][replica] = self.spawn_replica(net, shard, replica, true)?;
         Ok(())
     }
 
@@ -508,7 +514,7 @@ pub fn spawn_sharded_asd(
     };
     for s in 0..shards {
         let shard: Result<_, _> = (0..replication)
-            .map(|r| dir.spawn_replica(net, s, r))
+            .map(|r| dir.spawn_replica(net, s, r, false))
             .collect();
         dir.handles.push(shard?);
     }

@@ -469,3 +469,82 @@ fn an_unrepaired_replica_does_not_unregister_a_name() {
     echo.shutdown();
     dir.shutdown();
 }
+
+/// Invariant: a listing (class / room / unfiltered `lookup`, `listServices`)
+/// is whole or it is an error.  A replica respawned empty is repaired one
+/// renewal at a time; until one lease has passed since it came up a listing
+/// cut from what it holds would look whole and list fewer, so it refuses
+/// listings and the asker's rotation moves on to a peer.  Name lookups are
+/// untouched: an empty answer to those already falls through.  (Before the
+/// rule, every lookup of the thirty that started at the respawned replica
+/// listed the three repaired devices of six.)
+#[test]
+fn a_respawned_replica_lists_nothing_until_it_can_list_everything() {
+    const SHORT_LEASE: Duration = Duration::from_millis(1200);
+    let net = SimNet::new();
+    net.add_host("client");
+    let hosts: Vec<HostId> = (0..3)
+        .map(|i| {
+            let h = format!("d{i}");
+            net.add_host(h.as_str());
+            HostId::from(h.as_str())
+        })
+        .collect();
+    let mut dir = spawn_sharded_asd(&net, &hosts, 1, 3, SHORT_LEASE, 5900).unwrap();
+    let me = KeyPair::generate(&mut rand::thread_rng());
+    let pool = Arc::new(LinkPool::new(&net, "client", me));
+    let mut client = dir.client(Arc::clone(&pool));
+    let device = |i: usize| ServiceEntry {
+        name: format!("device{i}"),
+        addr: Addr::new("client", 4200 + i as u16),
+        class: "Service.Device.Lamp".into(),
+        room: "hawk".into(),
+    };
+    for i in 0..6 {
+        client.register(&device(i), 1).unwrap();
+    }
+
+    dir.handles[0][0].crash();
+    dir.respawn_replica(&net, 0, 0).unwrap();
+    let respawned = Instant::now();
+    // Half the room renews — and so repairs the respawned replica — before
+    // anybody asks: what it holds now is a plausible, wrong, listing.
+    for i in 0..3 {
+        client.renew(&device(i).name).unwrap();
+    }
+    assert_eq!(client.repairs(), 3);
+
+    for ask in 0..30 {
+        let listed = client.lookup(None, Some("Device"), Some("hawk")).unwrap();
+        assert_eq!(listed.len(), 6, "lookup {ask} listed {listed:?}");
+    }
+    assert_eq!(client.list().unwrap().len(), 6);
+    let mut direct =
+        ServiceClient::connect(&net, &"client".into(), dir.map.replicas(0)[0].clone(), &me)
+            .unwrap();
+    let room = CmdLine::new("lookup")
+        .arg("class", "Device")
+        .arg("room", "hawk");
+    let refused = direct.call(&room).unwrap_err();
+    assert_eq!(refused.code(), Some(ErrorCode::Unavailable), "{refused:?}");
+    let named = direct
+        .call(&CmdLine::new("lookup").arg("name", "device0"))
+        .unwrap();
+    assert_eq!(
+        named.get_int("count"),
+        Some(1),
+        "name lookups are untouched"
+    );
+
+    // One lease on, everything alive has renewed through the respawned
+    // replica: it answers for itself, and in full.
+    while respawned.elapsed() < SHORT_LEASE {
+        for i in 0..6 {
+            client.renew(&device(i).name).unwrap();
+        }
+        std::thread::sleep(SHORT_LEASE / 4);
+    }
+    let listed = direct.call(&room).unwrap();
+    assert_eq!(listed.get_int("count"), Some(6), "{}", listed.to_wire());
+    dir.shutdown();
+}

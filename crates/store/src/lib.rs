@@ -8,9 +8,10 @@
 //! * [`StoreReplica`] — one replica daemon over a [`DiskImage`] (the
 //!   simulated disk that survives crash/restart), running pull-based
 //!   anti-entropy against its peers;
-//! * [`StoreClient`] — quorum writes (majority), newest-wins reads with
-//!   read repair; reads keep working while *any* replica is up, writes
-//!   while a majority is;
+//! * [`StoreClient`] — quorum writes (majority; one round when the client
+//!   remembers the key's version), newest-wins reads with read repair;
+//!   reads keep working while *any* replica is up, writes while a majority
+//!   is;
 //! * versioning — client-assigned `(version, writer)` pairs with a total
 //!   order, so concurrent writers converge deterministically;
 //! * the "straightforward object-oriented namespace approach": keys live
@@ -26,7 +27,7 @@ pub mod wal;
 
 pub use client::{ClientStats, StoreClient, StoreError};
 pub use placement::{ShardedStats, ShardedStoreClient, StorePlacement};
-pub use replica::{sync_tree, DiskImage, StoreReplica, SyncTree, SYNC_BUCKETS};
+pub use replica::{sync_tree, DigestRow, DiskImage, StoreReplica, SyncTree, SYNC_BUCKETS};
 pub use version::{StoreKey, Versioned};
 pub use wal::{MemStorage, RecoveryReport, StorageHandle, Wal, WalConfig, WalStats};
 

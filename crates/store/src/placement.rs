@@ -24,11 +24,15 @@
 //! ack required).  While the lease is fresh, `get` asks only the holder
 //! (`psGetLeased`); the holder refuses with `E_BADSTATE` unless it is the
 //! live leaseholder, and the client then falls back to the quorum scan.
-//! Writes stay quorum-committed; a write the holder did **not** ack
+//! Writes stay quorum-committed; a write the holder did **not** ack —
+//! unreachable, or it refused the proposal for something newer it holds —
 //! revokes the lease (best-effort at the holder, unconditionally at the
 //! client), so leased reads can trail a committed write by at most one
 //! lease TTL, and only while the holder is alive yet unreachable from the
-//! writer.  See DESIGN.md "Store scale-out" for the full safety argument.
+//! writer.  Every leased reply also tells the group client the key's
+//! version, so the next write of that key proposes above it without asking
+//! (see [`crate::client`]).  See DESIGN.md "Store scale-out" for the full
+//! safety argument.
 
 use crate::client::{StoreClient, StoreError};
 use ace_core::prelude::*;
@@ -439,8 +443,15 @@ impl ShardedStoreClient {
             .and_then(|mut link| link.call(&cmd))
         {
             Ok(reply) => match crate::replica::versioned_from_reply(&reply) {
-                Some(v) if v.deleted => LeasedOutcome::NotFound,
-                Some(v) => LeasedOutcome::Value(v.data),
+                Some(v) => {
+                    // What the next write of this key proposes above.
+                    self.groups[g].note_version(ns, key, v.version);
+                    if v.deleted {
+                        LeasedOutcome::NotFound
+                    } else {
+                        LeasedOutcome::Value(v.data)
+                    }
+                }
                 None => LeasedOutcome::Fallback,
             },
             Err(err) if err.code() == Some(ErrorCode::NotFound) => LeasedOutcome::NotFound,

@@ -74,9 +74,14 @@ pub const SYNC_BUCKETS: usize = 64;
 /// operation, in any order).
 pub type SyncTree = [u64; SYNC_BUCKETS];
 
+/// One row of a digest: `(ns, key, version, writer)` — everything about an
+/// entry but its bytes.
+pub type DigestRow = (String, String, u64, String);
+
 /// Hash state after absorbing `ns\0key`: finished, it picks the key's
-/// bucket; continued over version and writer, it is the row's hash.
-fn key_hash(ns: &str, key: &str) -> Fnv64Stream {
+/// bucket (and names the key in the client's version memory); continued
+/// over version and writer, it is the row's hash.
+pub(crate) fn key_hash(ns: &str, key: &str) -> Fnv64Stream {
     let mut h = Fnv64Stream::keyed(0);
     h.update(ns.as_bytes());
     h.update(&[0]);
@@ -319,6 +324,52 @@ impl DiskImage {
         Ok(applied)
     }
 
+    /// [`DiskImage::apply`] as a client's proposal sees it: `None` if the
+    /// write applied, otherwise the `(version, writer)` held instead.  A
+    /// refusal means the proposal did not beat that pair, so it is what the
+    /// client's read round would have fetched — the refusal *is* the read.
+    pub fn propose(
+        &self,
+        key: StoreKey,
+        value: Versioned,
+    ) -> Result<Option<(u64, String)>, StoreError> {
+        if self.apply(key.clone(), value)? {
+            return Ok(None);
+        }
+        // Refused by an entry, and entries are never removed: it is still
+        // there, the same or newer.
+        let held = self.get(&key).map(|held| (held.version, held.writer));
+        Ok(Some(held.unwrap_or_default()))
+    }
+
+    /// [`DiskImage::apply_batch`] as a client's proposal sees it: how many
+    /// entries applied, and the [`DiskImage::digest`] rows held *instead of*
+    /// the others — empty when every entry applied or is held exactly as
+    /// proposed (a re-send).
+    pub fn propose_batch(
+        &self,
+        entries: Vec<(StoreKey, Versioned)>,
+    ) -> Result<(usize, Vec<DigestRow>), StoreError> {
+        let proposed: Vec<(StoreKey, u64, String)> = entries
+            .iter()
+            .map(|(key, value)| (key.clone(), value.version, value.writer.clone()))
+            .collect();
+        let applied = self.apply_batch(entries)?;
+        if applied == proposed.len() {
+            return Ok((applied, Vec::new()));
+        }
+        let held = self.held.lock();
+        let lost = proposed
+            .into_iter()
+            .filter_map(|(key, version, writer)| {
+                let v = held.map.get(&key)?;
+                ((v.version, &v.writer) != (version, &writer))
+                    .then(|| (key.0, key.1, v.version, v.writer.clone()))
+            })
+            .collect();
+        Ok((applied, lost))
+    }
+
     /// Read a key (tombstones included).
     pub fn get(&self, key: &StoreKey) -> Option<Versioned> {
         self.held.lock().map.get(key).cloned()
@@ -339,21 +390,18 @@ impl DiskImage {
     }
 
     /// Digest of everything held: `(ns, key, version, writer)`.
-    pub fn digest(&self) -> Vec<(String, String, u64, String)> {
+    pub fn digest(&self) -> Vec<DigestRow> {
         self.digest_where(|_, _| true)
     }
 
     /// The [`DiskImage::digest`] rows of the keys in the given hash-tree
     /// buckets.  A filtered scan: it runs only when a peer's tree differs,
     /// so it needs no per-bucket index.
-    pub fn digest_buckets(&self, buckets: &[usize]) -> Vec<(String, String, u64, String)> {
+    pub fn digest_buckets(&self, buckets: &[usize]) -> Vec<DigestRow> {
         self.digest_where(|ns, key| buckets.contains(&bucket_of(key_hash(ns, key))))
     }
 
-    fn digest_where(
-        &self,
-        keep: impl Fn(&str, &str) -> bool,
-    ) -> Vec<(String, String, u64, String)> {
+    fn digest_where(&self, keep: impl Fn(&str, &str) -> bool) -> Vec<DigestRow> {
         let mut out: Vec<_> = self
             .held
             .lock()
@@ -389,7 +437,7 @@ impl DiskImage {
         &self,
         ns: &str,
         keys: impl IntoIterator<Item = &'k str>,
-    ) -> Vec<(String, String, u64, String)> {
+    ) -> Vec<DigestRow> {
         let held = self.held.lock();
         keys.into_iter()
             .filter_map(|key| {
@@ -737,7 +785,21 @@ pub(crate) fn unpack_values<'a>(
     blob.is_empty().then_some(out)
 }
 
-pub(crate) fn digest_from_reply(reply: &CmdLine) -> Option<Vec<(String, String, u64, String)>> {
+/// Digest rows as they travel (`psDigest` entries, the rows a `psPutBatch`
+/// refused): all-`Str` cells, the version as its decimal rendering.
+fn digest_to_value(rows: Vec<DigestRow>) -> Value {
+    let row = |(ns, key, version, writer): DigestRow| {
+        vec![
+            Scalar::Str(ns),
+            Scalar::Str(key),
+            Scalar::Str(version.to_string()),
+            Scalar::Str(writer),
+        ]
+    };
+    Value::Array(rows.into_iter().map(row).collect())
+}
+
+pub(crate) fn digest_from_reply(reply: &CmdLine) -> Option<Vec<DigestRow>> {
     let rows = match reply.get("entries")? {
         v if v.as_vector().is_some_and(|s| s.is_empty()) => return Some(Vec::new()),
         v => v.as_array()?,
@@ -929,8 +991,15 @@ impl ServiceBehavior for StoreReplica {
                     writer: writer.to_string(),
                     deleted: cmd.name() == "psDelete",
                 };
-                match self.disk.apply((ns.to_string(), key.to_string()), value) {
-                    Ok(applied) => Reply::ok_with(|c| c.arg("applied", applied)),
+                match self.disk.propose((ns.to_string(), key.to_string()), value) {
+                    Ok(None) => Reply::ok_with(|c| c.arg("applied", true)),
+                    // The refusal carries what the writer's read round would
+                    // have fetched, so a stale proposal costs it one round.
+                    Ok(Some((version, writer))) => Reply::ok_with(|c| {
+                        c.arg("applied", false)
+                            .arg("version", version as i64)
+                            .arg("writer", Value::Str(writer))
+                    }),
                     // Log-before-ack: a write the WAL refused is not
                     // durable, so the client must not count this ack.
                     Err(e) => Reply::err(ErrorCode::Internal, format!("write not durable: {e}")),
@@ -969,8 +1038,15 @@ impl ServiceBehavior for StoreReplica {
                         "batch rows must be {key, version, writer, length}, lengths adding up to data",
                     );
                 };
-                match self.disk.apply_batch(entries) {
-                    Ok(applied) => Reply::ok_with(|c| c.arg("applied", applied as i64)),
+                match self.disk.propose_batch(entries) {
+                    Ok((applied, lost)) => Reply::ok_with(|c| {
+                        let c = c.arg("applied", applied as i64);
+                        if lost.is_empty() {
+                            return c;
+                        }
+                        // The rows that lost, as `psDigest` would report them.
+                        c.arg("entries", digest_to_value(lost))
+                    }),
                     Err(e) => Reply::err(ErrorCode::Internal, format!("batch not durable: {e}")),
                 }
             }
@@ -1199,20 +1275,9 @@ impl ServiceBehavior for StoreReplica {
                         )
                     }
                 };
-                let rows: Vec<Vec<Scalar>> = digest
-                    .into_iter()
-                    .map(|(ns, k, version, writer)| {
-                        vec![
-                            Scalar::Str(ns),
-                            Scalar::Str(k),
-                            Scalar::Str(version.to_string()),
-                            Scalar::Str(writer),
-                        ]
-                    })
-                    .collect();
                 Reply::ok_with(|c| {
-                    c.arg("count", rows.len() as i64)
-                        .arg("entries", Value::Array(rows))
+                    c.arg("count", digest.len() as i64)
+                        .arg("entries", digest_to_value(digest))
                 })
             }
             "psSync" => {

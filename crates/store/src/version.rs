@@ -1,9 +1,9 @@
 //! Versioned values and their ordering.
 //!
 //! Every stored value carries a `(version, writer)` pair.  Versions are
-//! client-assigned (read-max-plus-one); the writer id breaks ties so two
-//! concurrent writers converge to one deterministic winner on every
-//! replica.  Deletes are tombstones, so they propagate through
+//! client-assigned (one above the newest the client has seen or proposed,
+//! see [`crate::client`]); the writer id breaks ties so two concurrent
+//! writers converge to one deterministic winner on every replica.  Deletes are tombstones, so they propagate through
 //! synchronization like any other write.
 
 /// A versioned value as held by a replica.

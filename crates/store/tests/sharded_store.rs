@@ -407,6 +407,203 @@ fn a_batch_write_costs_its_keys_not_the_keyspace() {
     w.cluster.shutdown();
 }
 
+// -- the write path -----------------------------------------------------------
+
+/// How many `verb` commands the replicas behind `links` have served, summed.
+fn served(links: &mut [ServiceClient], verb: &str) -> u64 {
+    let name = format!("cmd.{verb}");
+    links
+        .iter_mut()
+        .map(|link| {
+            let stats = link.call(&CmdLine::new("aceStats").arg("prefix", name.as_str()));
+            StatsReport::from_cmdline(&stats.unwrap())
+                .histograms
+                .get(&name)
+                .map_or(0, |row| row.count)
+        })
+        .sum()
+}
+
+/// A client that wrote a key last, or was just told its version by a leased
+/// read, proposes the next version without asking: the put is its three
+/// `psPut`s and nothing else.  (Before the client had a memory every put
+/// asked all three replicas `psGet digest=true` first.)
+#[test]
+fn a_put_of_a_key_just_read_or_written_is_one_round() {
+    let w = world_syncing(1, 3, QUIET);
+    let mut links = group0_links(&w);
+    let mut writer = client(&w);
+    writer.put("app", "k", b"v1").unwrap();
+    let (gets, puts) = (served(&mut links, "psGet"), served(&mut links, "psPut"));
+    assert_eq!(writer.put("app", "k", b"v2").unwrap(), 2);
+    assert_eq!(
+        served(&mut links, "psGet"),
+        gets,
+        "a put of a key just written asked"
+    );
+    assert_eq!(served(&mut links, "psPut"), puts + 3);
+
+    let mut reader = client(&w);
+    assert_eq!(reader.get("app", "k").unwrap(), b"v2");
+    assert_eq!(reader.stats().leased_reads, 1, "the read was leased");
+    let (gets, puts) = (served(&mut links, "psGet"), served(&mut links, "psPut"));
+    assert_eq!(reader.put("app", "k", b"v3").unwrap(), 3);
+    assert_eq!(
+        served(&mut links, "psGet"),
+        gets,
+        "a put of a key just read asked"
+    );
+    assert_eq!(served(&mut links, "psPut"), puts + 3);
+    assert_eq!(writer.group_client(0).get("app", "k").unwrap(), b"v3");
+    w.cluster.shutdown();
+}
+
+/// A proposal made from a memory another writer has overtaken is refused,
+/// the refusal names what is held, and the second round lands above it: two
+/// rounds of `psPut`, no `psGet`, nothing lost.
+#[test]
+fn a_stale_memory_costs_one_refused_round_and_loses_nothing() {
+    let w = world_syncing(1, 3, QUIET);
+    let mut links = group0_links(&w);
+    let (mut a, mut b) = (client(&w), client(&w));
+    assert_eq!(a.put("app", "k", b"a1").unwrap(), 1);
+    let mut theirs = 0;
+    for value in [b"b1", b"b2", b"b3"] {
+        theirs = b.put("app", "k", value).unwrap();
+    }
+    assert_eq!(theirs, 4);
+    let (gets, puts) = (served(&mut links, "psGet"), served(&mut links, "psPut"));
+    let ours = a.put("app", "k", b"a2").unwrap();
+    assert!(ours > theirs, "{ours} does not beat {theirs}");
+    assert_eq!(
+        served(&mut links, "psGet"),
+        gets,
+        "the refusal was the read"
+    );
+    assert_eq!(
+        served(&mut links, "psPut"),
+        puts + 6,
+        "one refused round, one applied"
+    );
+    assert_eq!(a.group_client(0).stats().refused_rounds, 1);
+    assert_eq!(b.group_client(0).get("app", "k").unwrap(), b"a2");
+    for (_, disk) in &w.cluster.groups[0] {
+        let held = disk.get(&("app".into(), "k".into())).unwrap();
+        assert_eq!((held.version, held.data.as_slice()), (ours, &b"a2"[..]));
+    }
+    w.cluster.shutdown();
+}
+
+/// A version that went out in a round that missed quorum is never proposed
+/// again: the one replica that took it would count the re-proposal as a
+/// re-send of what it holds and keep the old bytes under the new write's
+/// `(version, writer)`.
+#[test]
+fn a_failed_round_burns_its_version() {
+    let w = world_syncing(1, 3, QUIET);
+    let mut c = client(&w);
+    assert_eq!(c.put("app", "k", b"v1").unwrap(), 1);
+    let away: Vec<HostId> = w.cluster.placement.replicas(0)[1..]
+        .iter()
+        .map(|addr| addr.host.clone())
+        .collect();
+    for host in &away {
+        w.net.partition(&"core".into(), host);
+    }
+    let failed = c.put("app", "k", b"lost");
+    assert!(
+        matches!(
+            failed,
+            Err(ace_store::StoreError::QuorumFailed { acked: 1, .. })
+        ),
+        "{failed:?}"
+    );
+    w.net.heal_all();
+    let version = c.put("app", "k", b"v3").unwrap();
+    assert!(version > 2, "version {version} was proposed before");
+    for (_, disk) in &w.cluster.groups[0] {
+        let held = disk.get(&("app".into(), "k".into())).unwrap();
+        assert_eq!((held.version, held.data.as_slice()), (version, &b"v3"[..]));
+    }
+    w.cluster.shutdown();
+}
+
+/// `put_many` skips its key-scoped digest exactly when every key of the
+/// batch is remembered.
+#[test]
+fn a_batch_of_remembered_keys_sends_no_digest() {
+    let w = world_syncing(1, 3, QUIET);
+    let mut links = group0_links(&w);
+    let mut c = client(&w);
+    let batch = |keys: &[&str], value: &[u8]| -> Vec<(String, Vec<u8>)> {
+        keys.iter()
+            .map(|k| (k.to_string(), value.to_vec()))
+            .collect()
+    };
+    assert_eq!(
+        c.put_many("app", &batch(&["a", "b", "c"], b"1")).unwrap(),
+        [1, 1, 1]
+    );
+    assert_eq!(
+        served(&mut links, "psDigest"),
+        3,
+        "keys never seen are asked about"
+    );
+    assert_eq!(
+        c.put_many("app", &batch(&["a", "b", "c"], b"2")).unwrap(),
+        [2, 2, 2]
+    );
+    assert_eq!(
+        served(&mut links, "psDigest"),
+        3,
+        "remembered keys were asked about"
+    );
+    assert_eq!(
+        c.put_many("app", &batch(&["a", "new", "c"], b"3")).unwrap(),
+        [3, 1, 3]
+    );
+    assert_eq!(
+        served(&mut links, "psDigest"),
+        6,
+        "one unseen key is today's digest"
+    );
+    assert_eq!(served(&mut links, "psPutBatch"), 9);
+    for (key, value) in [("a", b"3"), ("b", b"2"), ("c", b"3"), ("new", b"3")] {
+        assert_eq!(c.group_client(0).get("app", key).unwrap(), value);
+    }
+    w.cluster.shutdown();
+}
+
+/// The memory is bounded, and what falls out of it is written as a key
+/// never seen is: through the read round, above what is held.
+#[test]
+fn the_version_memory_is_bounded_and_forgetting_is_safe() {
+    let bound = ace_store::StoreClient::REMEMBERED_KEYS;
+    let w = world_syncing(1, 3, QUIET);
+    let mut links = group0_links(&w);
+    let mut c = client(&w);
+    assert_eq!(c.put("app", "first", b"v1").unwrap(), 1);
+    assert_eq!(c.put("app", "first", b"v2").unwrap(), 2);
+    let filler: Vec<(String, Vec<u8>)> = (0..3 * bound)
+        .map(|i| (format!("filler{i:05}"), vec![0u8; 8]))
+        .collect();
+    for chunk in filler.chunks(512) {
+        c.put_many("app", chunk).unwrap();
+        let held = c.group_client(0).remembered_keys();
+        assert!(held <= bound, "{held} keys remembered, bound {bound}");
+    }
+    let gets = served(&mut links, "psGet");
+    let version = c.put("app", "first", b"v3").unwrap();
+    assert!(version > 2, "a forgotten key was proposed at {version}");
+    assert_eq!(
+        served(&mut links, "psGet"),
+        gets + 3,
+        "a forgotten key asks first"
+    );
+    assert_eq!(c.group_client(0).get("app", "first").unwrap(), b"v3");
+    w.cluster.shutdown();
+}
+
 // -- anti-entropy on the wire -------------------------------------------------
 
 /// One link from `core` to each replica of group 0.
