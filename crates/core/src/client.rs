@@ -132,26 +132,48 @@ impl ServiceClient {
     ///
     /// `Ok(reply)` is the service's `ok …;` result; service-level failures
     /// (`error code=… msg=…;`) surface as [`ClientError::Service`].
-    ///
-    /// Commands without an explicit `deadline=` are stamped with this
-    /// client's call timeout, so the server can shed the request once we
-    /// have given up waiting for its reply.
     pub fn call(&mut self, cmd: &CmdLine) -> Result<CmdLine, ClientError> {
-        let stamped;
-        let cmd = if cmd.deadline_ms().is_none() {
-            let mut c = cmd.clone();
-            c.set_deadline_ms(self.timeout.as_millis() as i64);
-            stamped = c;
-            &stamped
-        } else {
-            cmd
-        };
-        self.link.send_cmd(cmd)?;
+        self.send(cmd)?;
         let reply_cmd = self.link.recv_cmd(self.timeout)?;
         match Reply::from_cmdline(&reply_cmd) {
             Reply::Ok(result) => Ok(result),
             Reply::Err { code, msg } => Err(ClientError::Service { code, msg }),
         }
+    }
+
+    /// The sending half of [`Self::call`]: write the call frame and return;
+    /// its reply is the next frame without a `cast=` ([`Self::try_recv`]).
+    ///
+    /// Commands without an explicit `deadline=` are stamped with this
+    /// client's call timeout, so the server can shed the request once we
+    /// have given up waiting for its reply.  The stamp is rendered into the
+    /// frame; the command is not cloned to carry it.
+    pub fn send(&mut self, cmd: &CmdLine) -> Result<(), ClientError> {
+        let frame = match cmd.deadline_ms() {
+            None => cmd.to_frame_with_deadline(self.timeout.as_millis() as i64),
+            Some(_) => cmd.to_frame(),
+        };
+        Ok(self.link.send_frame(frame)?)
+    }
+
+    /// Send one command as a cast ([`SecureLink::send_cast`]): no reply is
+    /// waited for, so no `deadline=` is stamped.  The service answers only
+    /// a cast it did not run, with `error … cast=<n>;` — `n` counting the
+    /// casts sent on this link — read with [`Self::try_recv`].
+    pub fn cast(&mut self, cmd: &CmdLine) -> Result<(), ClientError> {
+        Ok(self.link.send_cast(cmd)?)
+    }
+
+    /// The next frame the service has sent, if one is queued: the reply to
+    /// a [`Self::send`], or the refusal of a [`Self::cast`].
+    pub fn try_recv(&mut self) -> Result<Option<CmdLine>, ClientError> {
+        Ok(self.link.try_recv_cmd()?)
+    }
+
+    /// Register the waker notified when the service queues a frame or
+    /// closes (see [`SecureLink::register_waker`]).
+    pub fn register_waker(&self, waker: &std::task::Waker) {
+        self.link.register_waker(waker);
     }
 
     /// Issue a command, discarding a successful result (convenience for

@@ -26,6 +26,20 @@
 //!   commands (after the KeyNote check), fires notifications, and drives
 //!   `on_tick`/`on_data`.  Each reply goes straight back onto the session
 //!   that sent the command.
+//!
+//! # Calls and casts
+//!
+//! A session's frame is a call or a cast ([`crate::link`]), and both take
+//! the one path above: parsed, validated, gated, admitted — one in flight
+//! per session — authorized, dispatched.  They differ only in
+//! [`send_reply`]: a call is owed exactly one reply; **a cast is answered
+//! if and only if it did not run**.  Every refusal the shell makes (parse,
+//! semantics, the quiesce gate, a spent deadline, a full lane, a shed at
+//! dequeue) and a handler's own retryable error — by
+//! [`ErrorCode::is_retryable`]'s contract a verb that did not run — goes
+//! back as the usual `error …;` plus `cast=<n>`, `n` counting the casts
+//! read on that session, so the sender knows which one to send again.  A
+//! cast that ran is never answered, `ok` or not.
 
 use crate::admission::{
     admission_queue, AdmissionConfig, AdmissionQueue, AdmissionReceiver, AdmitError, Lane,
@@ -397,7 +411,8 @@ impl Daemon {
             .runtime_pool
             .clone()
             .unwrap_or_else(|| Runtime::global().clone());
-        let (notifier, notifier_task) = Notifier::new(Arc::clone(&pool), &metrics);
+        let (notifier, notifier_task) =
+            Notifier::new(Arc::clone(&pool), &metrics, Arc::clone(&retry_budget));
         let ctx = ServiceCtx::new(
             Arc::clone(&pool),
             config.name.clone(),
@@ -571,10 +586,7 @@ impl DaemonHandle {
     /// Graceful shutdown: deregisters from the ASD/Room DB, logs the stop,
     /// then waits for the daemon task to finish.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Shutdown bypasses admission: it must land even when both lanes
-        // are saturated.
-        self.control_tx.force_priority(ControlMsg::Stop);
+        self.stop(false);
         self.join();
     }
 
@@ -584,30 +596,46 @@ impl DaemonHandle {
     /// to) register under the same name.  Used by live upgrades, where a
     /// late `removeService` from the old instance would clobber the new
     /// instance's registration — the lease cleans up if no replacement
-    /// ever arrives.
+    /// ever arrives.  Returns once the address is free: what the notifier
+    /// still has to deliver (the `stopped` record) it delivers outside the
+    /// upgrade's pause, and dropping the handle waits for it.
     pub fn retire(&self) {
         self.deregister.store(false, Ordering::SeqCst);
-        self.shutdown();
+        self.stop(false);
+        self.join_main();
     }
 
     /// Abrupt crash: the task stops immediately and *no* deregistration
     /// happens — exactly the failure the ASD's lease mechanism exists to
     /// clean up (§2.4).
     pub fn crash(&self) {
-        self.crashed.store(true, Ordering::SeqCst);
-        self.stop.store(true, Ordering::SeqCst);
-        self.control_tx.force_priority(ControlMsg::Stop);
+        self.stop(true);
         self.join();
     }
 
-    fn join(&self) {
-        // The task observes the stop flag on its next poll; waiting on the
-        // handle guarantees the task object (listener bind, datagram
-        // socket) is dropped before we return — the live-upgrade respawn
-        // path rebinds the same address.  Dropping it also drops the last
-        // `Notifier`, which lets the delivery task drain and complete.
+    fn stop(&self, crashed: bool) {
+        if crashed {
+            self.crashed.store(true, Ordering::SeqCst);
+        }
+        self.stop.store(true, Ordering::SeqCst);
+        // The stop bypasses admission: it must land even when both lanes
+        // are saturated.
+        self.control_tx.force_priority(ControlMsg::Stop);
+    }
+
+    /// The task observes the stop flag on its next poll; waiting on the
+    /// handle guarantees the task object (listener bind, datagram socket)
+    /// is dropped before we return — the live-upgrade respawn path rebinds
+    /// the same address.
+    fn join_main(&self) {
         self.main.wake();
         self.main.wait(Duration::from_secs(60));
+    }
+
+    fn join(&self) {
+        self.join_main();
+        // Dropping the daemon task dropped the last `Notifier`, which lets
+        // the delivery task drain and complete.
         self.notifier.wake();
         self.notifier.wait(Duration::from_secs(60));
     }
@@ -688,11 +716,13 @@ enum Session {
     Established {
         link: SecureLink,
         from: ClientInfo,
-        /// A command of this session is admitted and not yet answered.
-        /// At most one is in flight per session — the ordering the
-        /// paper's per-connection command thread enforced — so the
-        /// session is not read again until [`send_reply`] clears this.
-        busy: bool,
+        /// Casts read on this session so far: the `n` of `cast=<n>`.
+        casts: u64,
+        /// How the command this session has admitted and not yet settled
+        /// was sent.  At most one is in flight per session — the ordering
+        /// the paper's per-connection command thread enforced — so the
+        /// session is not read again until [`conclude`] clears this.
+        in_flight: Option<Sent>,
     },
 }
 
@@ -708,19 +738,51 @@ fn upgrading_refusal() -> Reply {
     Reply::err(ErrorCode::Upgrading, "service is upgrading; retry")
 }
 
-/// Answer the command `id` has in flight, then mark the session ready:
-/// more frames may be buffered behind the one just answered.  A session
-/// that died while its command was queued has its reply discarded (the
-/// command was admitted, so it still ran).
-fn send_reply(sessions: &mut Sessions, id: u64, reply: &Reply) {
+/// How a frame was sent: as a call, or as the session's n-th cast.
+#[derive(Clone, Copy)]
+enum Sent {
+    Call,
+    Cast(u64),
+}
+
+/// Did the command behind `reply` run?  A retryable error is, by
+/// [`ErrorCode::is_retryable`]'s contract, a verb that did not.
+fn ran(reply: &Reply) -> bool {
+    !matches!(reply, Reply::Err { code, .. } if code.is_retryable())
+}
+
+/// The one place the shell answers a frame: a call always, a cast if and
+/// only if it did not run — then with the ordinal that tells its sender
+/// which one.
+fn send_reply(
+    link: &mut SecureLink,
+    reply: &Reply,
+    sent: Sent,
+    ran: bool,
+) -> Result<(), LinkError> {
+    match sent {
+        Sent::Call => link.send_cmd(&reply.to_cmdline()),
+        Sent::Cast(_) if ran => Ok(()),
+        Sent::Cast(n) => link.send_cmd(&reply.to_cmdline().arg(protocol::CAST_ARG, n)),
+    }
+}
+
+/// Conclude the command `id` has in flight — answer it, unless it was a cast
+/// that ran — then mark the session ready: more frames may be buffered
+/// behind it.  A session that died while its command was queued has its
+/// reply discarded (the command was admitted, so it still ran).
+fn conclude(sessions: &mut Sessions, id: u64, reply: &Reply, ran: bool) {
     let Some(slot) = sessions.get_mut(&id) else {
         return;
     };
-    let Session::Established { link, busy, .. } = &mut slot.session else {
+    let Session::Established {
+        link, in_flight, ..
+    } = &mut slot.session
+    else {
         return;
     };
-    *busy = false;
-    if link.send_cmd(&reply.to_cmdline()).is_ok() {
+    let sent = in_flight.take().unwrap_or(Sent::Call);
+    if send_reply(link, reply, sent, ran).is_ok() {
         slot.signal.mark();
     } else {
         sessions.remove(&id);
@@ -852,7 +914,7 @@ impl DaemonTask {
         let abandoned = Reply::err(ErrorCode::Internal, "control plane did not reply");
         while let Some(msg) = self.control.rx.try_recv() {
             if let ControlMsg::Execute { session, .. } = msg {
-                send_reply(&mut self.sessions, session, &abandoned);
+                conclude(&mut self.sessions, session, &abandoned, false);
             }
         }
         if self.upgrading.load(Ordering::SeqCst) && !self.crashed.load(Ordering::SeqCst) {
@@ -870,10 +932,10 @@ impl DaemonTask {
     /// peer that sends nothing finds the frame queued at its next health
     /// check and discards the link.
     fn answer_in_advance(&mut self) {
-        let moved = upgrading_refusal().to_cmdline();
+        let moved = upgrading_refusal();
         for slot in self.sessions.values_mut() {
             if let Session::Established { link, .. } = &mut slot.session {
-                let _ = link.send_cmd(&moved);
+                let _ = send_reply(link, &moved, Sent::Call, false);
             }
         }
     }
@@ -1016,7 +1078,8 @@ impl DaemonTask {
                 slot.session = Session::Established {
                     link,
                     from,
-                    busy: false,
+                    casts: 0,
+                    in_flight: None,
                 };
                 true
             }
@@ -1029,18 +1092,25 @@ impl DaemonTask {
     }
 
     /// Parse, validate, gate, and admit frames from one established
-    /// session — the command role's per-message pipeline.  Every refusal
-    /// is answered inline and never enters the queue; the first admitted
-    /// command ends the read until [`send_reply`] has answered it.
+    /// session — the command role's per-message pipeline, for calls and
+    /// casts alike.  Every refusal is answered inline and never enters the
+    /// queue; the first admitted command ends the read until [`conclude`]
+    /// has settled it.
     fn read_session_frames(&mut self, id: u64) {
         let Some(slot) = self.sessions.get_mut(&id) else {
             return;
         };
-        let Session::Established { link, from, busy } = &mut slot.session else {
+        let Session::Established {
+            link,
+            from,
+            casts,
+            in_flight,
+        } = &mut slot.session
+        else {
             return;
         };
-        if *busy {
-            return; // one in flight; `send_reply` re-marks the session
+        if in_flight.is_some() {
+            return; // one in flight; `conclude` re-marks the session
         }
         let mut dead = false;
         let mut frames = 0;
@@ -1057,6 +1127,12 @@ impl DaemonTask {
                 }
             };
             frames += 1;
+            let sent = if link.last_frame_was_cast() {
+                *casts += 1;
+                Sent::Cast(*casts)
+            } else {
+                Sent::Call
+            };
             let refusal = match received {
                 Err(unparsed) => unparsed,
                 Ok(cmd) => {
@@ -1102,7 +1178,7 @@ impl DaemonTask {
                         };
                         match self.control_tx.offer(lane, msg) {
                             Ok(()) => {
-                                *busy = true;
+                                *in_flight = Some(sent);
                                 break;
                             }
                             Err(AdmitError::Busy) => Reply::err(
@@ -1117,7 +1193,7 @@ impl DaemonTask {
                     }
                 }
             };
-            if link.send_cmd(&refusal.to_cmdline()).is_err() {
+            if send_reply(link, &refusal, sent, false).is_err() {
                 dead = true;
                 break;
             }
@@ -1147,8 +1223,8 @@ impl DaemonTask {
         if !crashed {
             self.control.behavior.on_stop(&mut self.control.ctx);
         }
-        self.lease
-            .goodbye(crashed, self.deregister.load(Ordering::SeqCst));
+        let deregister = self.deregister.load(Ordering::SeqCst);
+        self.lease.goodbye(&self.control.ctx, crashed, deregister);
     }
 }
 
@@ -1182,8 +1258,8 @@ struct Control {
 
 impl Control {
     /// The dequeue half: CoDel accounting, queue-lapsed deadline shedding,
-    /// upgrade plane, dispatch — and the reply, sent on the session that
-    /// asked as soon as dispatch returns.
+    /// upgrade plane, dispatch — and the reply, concluded on the session
+    /// that asked as soon as dispatch returns.
     fn drain(&mut self, sessions: &mut Sessions, more: &mut bool) {
         let mut n = 0;
         while n < CONTROL_PER_POLL {
@@ -1218,7 +1294,7 @@ impl Control {
                     } else {
                         self.dispatch(&cmd, &from, deadline)
                     };
-                    send_reply(sessions, session, &reply);
+                    conclude(sessions, session, &reply, ran(&reply));
                 }
                 Some(ControlMsg::Data(datagram)) => {
                     n += 1;
@@ -1364,7 +1440,7 @@ impl Control {
                                 drained += 1;
                                 self.dispatch(&cmd, &from, deadline)
                             };
-                            send_reply(sessions, session, &reply);
+                            conclude(sessions, session, &reply, ran(&reply));
                         }
                         ControlMsg::Data(datagram) => {
                             self.with_behavior(|b, ctx| b.on_data(ctx, datagram));
@@ -1642,7 +1718,7 @@ impl LeaseState {
     /// that's what leases are for).  A retiring daemon skips
     /// deregistration: its live-upgrade replacement owns the registrations
     /// now, and a late `removeService` here would clobber them.
-    fn goodbye(&mut self, crashed: bool, deregister: bool) {
+    fn goodbye(&mut self, ctx: &ServiceCtx, crashed: bool, deregister: bool) {
         let Some(asd) = &self.config.asd else {
             return;
         };
@@ -1661,12 +1737,10 @@ impl LeaseState {
                 }
             }
         }
-        if let Some(logger) = &self.config.logger {
-            if let Ok(mut logger) = self.pool.checkout(logger) {
-                let stopped = format!("service {name} stopped");
-                let _ = logger.call_ok(&log_cmd(&self.config, stopped));
-            }
-        }
+        // Nobody reads the Net Logger's answer to this: a cast, delivered by
+        // the notifier after the daemon task is gone, not a call waited for
+        // inside an upgrade's pause.
+        ctx.log("info", format!("service {name} stopped"));
     }
 }
 

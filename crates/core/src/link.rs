@@ -11,6 +11,15 @@
 //!    knows *which principal* is issuing commands (the input to KeyNote),
 //! 3. sealed frames for every subsequent command/reply.
 //!
+//! # Casts
+//!
+//! A frame is a *call* — its sender waits for the one reply it is owed — or
+//! a *cast*: [`SecureLink::send_cast`] seals the same frame behind one
+//! marker byte, the sender does not wait, and the receiver answers only if
+//! it did not run the command (the rule is the daemon shell's; see
+//! [`crate::daemon`]).  A frame without the marker is byte for byte what it
+//! was before casts existed.
+//!
 //! # Session resumption (the connection fast path)
 //!
 //! A full handshake costs a DH exchange plus an RSA transcript signature.
@@ -83,6 +92,11 @@ const DIR_SERVER_TO_CLIENT: u64 = 0x5C1;
 /// session key (mixed with the ticket id, so every ticket has its own
 /// master).
 const RESUME_MASTER_LABEL: u64 = 0x7e5a_11e7;
+
+/// First plaintext byte of a cast's frame.  A command's text starts with
+/// its name, a `<WORD>`, which no control byte can begin — so the marker
+/// cannot be mistaken for the start of a call.
+const CAST_MARKER: u8 = 0x01;
 
 fn resume_master(handshake_key: &SessionKey, ticket_id: u64) -> SessionKey {
     handshake_key.derive(RESUME_MASTER_LABEL ^ ticket_id)
@@ -326,6 +340,8 @@ pub struct SecureLink {
     peer_principal: String,
     /// Did this link skip the full handshake via a resumption ticket?
     resumed: bool,
+    /// Was the frame last opened a cast?
+    last_was_cast: bool,
     /// Optional byte counters (sealed-out / opened-in), fed per frame.
     sealed_bytes: Option<Arc<Counter>>,
     opened_bytes: Option<Arc<Counter>>,
@@ -384,6 +400,7 @@ impl SecureLink {
                         .unwrap_or(&ticket.server_principal)
                         .to_string(),
                     resumed: true,
+                    last_was_cast: false,
                     sealed_bytes: None,
                     opened_bytes: None,
                 })
@@ -429,6 +446,7 @@ impl SecureLink {
             rx: SecureChannel::new(key.derive(DIR_SERVER_TO_CLIENT)),
             peer_principal: String::new(),
             resumed: false,
+            last_was_cast: false,
             sealed_bytes: None,
             opened_bytes: None,
         };
@@ -512,6 +530,7 @@ impl SecureLink {
                         rx: SecureChannel::new(session.derive(DIR_CLIENT_TO_SERVER)),
                         peer_principal: client_principal,
                         resumed: true,
+                        last_was_cast: false,
                         sealed_bytes: None,
                         opened_bytes: None,
                     };
@@ -548,6 +567,7 @@ impl SecureLink {
             rx: SecureChannel::new(key.derive(DIR_CLIENT_TO_SERVER)),
             peer_principal: String::new(),
             resumed: false,
+            last_was_cast: false,
             sealed_bytes: None,
             opened_bytes: None,
         };
@@ -628,7 +648,20 @@ impl SecureLink {
     /// encrypted in place and handed to the connection by ownership (frames
     /// move through channels, they are never re-copied).
     pub fn send_cmd(&mut self, cmd: &CmdLine) -> Result<(), LinkError> {
+        self.send_frame(cmd.to_frame())
+    }
+
+    /// Seal and send one command as a cast: the frame [`Self::send_cmd`]
+    /// would send, behind the marker.  Nothing comes back unless the
+    /// receiver refuses it.
+    pub fn send_cast(&mut self, cmd: &CmdLine) -> Result<(), LinkError> {
         let mut frame = cmd.to_frame();
+        frame.insert(0, CAST_MARKER);
+        self.send_frame(frame)
+    }
+
+    /// Seal and send a frame rendered by the caller.
+    pub(crate) fn send_frame(&mut self, mut frame: Vec<u8>) -> Result<(), LinkError> {
         self.tx.seal_in_place(&mut frame);
         if let Some(c) = &self.sealed_bytes {
             c.add(frame.len() as u64);
@@ -658,7 +691,15 @@ impl SecureLink {
             c.add(frame.len() as u64);
         }
         self.rx.open_in_place(&mut frame).map_err(LinkError::Seal)?;
-        CmdLine::parse_frame(&frame).map_err(|e| LinkError::Malformed(e.to_string()))
+        self.last_was_cast = frame.first() == Some(&CAST_MARKER);
+        let command = &frame[usize::from(self.last_was_cast)..];
+        CmdLine::parse_frame(command).map_err(|e| LinkError::Malformed(e.to_string()))
+    }
+
+    /// Was the frame the last receive opened — parsed or
+    /// [`LinkError::Malformed`] — a cast?
+    pub fn last_frame_was_cast(&self) -> bool {
+        self.last_was_cast
     }
 
     /// Register the waker notified when the peer queues a frame or closes

@@ -21,6 +21,11 @@
 //! [`LinkPool::call`] is checkout + send, plus one fresh dial and one
 //! re-send if the link fails under the command.
 //!
+//! A caller that does not wait — the notifier — keeps its checkout and
+//! drives it itself: [`PooledLink::cast`] / [`PooledLink::send`] write a
+//! frame and return, [`PooledLink::try_recv`] reads what has come back,
+//! [`PooledLink::register_waker`] says when to look.
+//!
 //! Counters (bindable to a registry with [`LinkPool::with_metrics`]):
 //! `pool.checkouts`, `pool.reused`, `pool.stale`, `pool.dials`,
 //! `link.resume_hits`, `link.full_handshakes`.  A daemon's own pool keeps
@@ -230,15 +235,44 @@ impl PooledLink {
     /// leave the link healthy; link-level failures mark it broken so it is
     /// never returned to the pool.
     pub fn call(&mut self, cmd: &CmdLine) -> Result<CmdLine, ClientError> {
-        let client = self.client.as_mut().expect("pooled link already consumed");
-        match client.call(cmd) {
-            Ok(reply) => Ok(reply),
-            Err(e @ ClientError::Service { .. }) => Err(e),
-            Err(e) => {
-                self.broken = true;
-                Err(e)
-            }
+        self.on_client(|client| client.call(cmd))
+    }
+
+    /// [`ServiceClient::send`] on the pooled link: a call frame whose reply
+    /// the holder reads later, with [`PooledLink::try_recv`].
+    pub fn send(&mut self, cmd: &CmdLine) -> Result<(), ClientError> {
+        self.on_client(|client| client.send(cmd))
+    }
+
+    /// [`ServiceClient::cast`] on the pooled link.  Hold the checkout while
+    /// a cast on it may still be refused: a parked link with a refusal
+    /// queued fails the next checkout's probe and is discarded unread.
+    pub fn cast(&mut self, cmd: &CmdLine) -> Result<(), ClientError> {
+        self.on_client(|client| client.cast(cmd))
+    }
+
+    /// [`ServiceClient::try_recv`] on the pooled link.
+    pub fn try_recv(&mut self) -> Result<Option<CmdLine>, ClientError> {
+        self.on_client(ServiceClient::try_recv)
+    }
+
+    /// Register the waker notified when the peer queues a frame or closes.
+    pub fn register_waker(&self, waker: &std::task::Waker) {
+        if let Some(client) = &self.client {
+            client.register_waker(waker);
         }
+    }
+
+    fn on_client<T>(
+        &mut self,
+        op: impl FnOnce(&mut ServiceClient) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
+        let client = self.client.as_mut().expect("pooled link already consumed");
+        let outcome = op(client);
+        if let Err(ClientError::Link(_)) = &outcome {
+            self.broken = true;
+        }
+        outcome
     }
 
     /// As [`PooledLink::call`], discarding a successful result.

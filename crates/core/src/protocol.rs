@@ -25,6 +25,11 @@ pub const ROOMDB_PORT: u16 = 5001;
 /// Well-known port of the Network Logger.
 pub const LOGGER_PORT: u16 = 5002;
 
+/// The argument an error reply to a *cast* carries: `cast=<n>` names the
+/// n-th cast read on that session as the one that did not run.  A reply
+/// without it answers a call.
+pub const CAST_ARG: &str = "cast";
+
 /// Verbs admitted on the daemon's **priority lane**: the control, health,
 /// lease, and upgrade plane that must keep answering while bulk traffic is
 /// being shed.  Everything else rides the bounded bulk lane and may be

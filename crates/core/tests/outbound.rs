@@ -8,6 +8,11 @@
 //! renewal, the fourth log record — never for time to pass.  What is
 //! asserted is read from the peers' own registries (`link.accepted`,
 //! `link.resume_hits`) and execution counters.
+//!
+//! Notifications leave as casts: nothing comes back for one that ran, so
+//! the tests below read what the listener did (its `served` channel, its
+//! counters) and what the sender counted (`notify.*`), and hold a listener
+//! still with a latch (`park`), never a sleep.
 
 use ace_core::prelude::*;
 use ace_core::protocol;
@@ -15,19 +20,23 @@ use ace_security::keys::KeyPair;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(10);
 
 /// A stand-in peer.  Reports the name of every verb it serves on `served`;
-/// `work` first answers with the error codes left in `script`, one per call
-/// and without counting an execution, then executes.
+/// `work` and `onTouch` first answer with the error codes left in `script`,
+/// one per call and without counting an execution, then execute — leaving
+/// the `seq` they carried, if any, in `order`.  `park` holds the handler
+/// (and with it the whole daemon) until the test lets go of `release`.
 struct Peer {
     semantics: Semantics,
     served: Sender<String>,
     script: VecDeque<ErrorCode>,
     executions: Arc<AtomicU64>,
+    order: Arc<Mutex<Vec<i64>>>,
+    release: Option<Receiver<()>>,
 }
 
 impl ServiceBehavior for Peer {
@@ -35,23 +44,38 @@ impl ServiceBehavior for Peer {
         self.semantics
             .clone()
             .with(CmdSpec::new("work", "count one execution"))
+            .with(CmdSpec::new("park", "hold the handler until released"))
             .with(notification("onTouch"))
             .with(notification("onFlush"))
     }
 
     fn handle(&mut self, _ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
-        let _ = self.served.send(cmd.name().to_string());
-        match cmd.name() {
-            "work" => match self.script.pop_front() {
+        let served = |peer: &Peer| {
+            let _ = peer.served.send(cmd.name().to_string());
+        };
+        let reply = match cmd.name() {
+            "work" | "onTouch" => match self.script.pop_front() {
                 Some(code) => Reply::err(code, "scripted"),
                 None => {
                     self.executions.fetch_add(1, Ordering::SeqCst);
+                    self.order.lock().unwrap().extend(cmd.get_int("seq"));
                     Reply::ok()
                 }
             },
+            "park" => {
+                served(self); // parked is what the test waits to hear
+                if let Some(release) = &self.release {
+                    let _ = release.recv_timeout(WAIT);
+                }
+                return Reply::ok();
+            }
             "lookup" => Reply::ok_with(|c| c.arg("services", protocol::entries_to_value(&[]))),
             _ => Reply::ok(),
-        }
+        };
+        // Reported once its effects are in place: whoever hears of the
+        // verb may read them.
+        served(self);
+        reply
     }
 }
 
@@ -59,12 +83,14 @@ fn notification(name: &str) -> CmdSpec {
     CmdSpec::new(name, "a notification")
         .optional("service", ArgType::Str, "origin service")
         .optional("cmd", ArgType::Str, "origin command")
+        .optional("seq", ArgType::Int, "which one")
 }
 
 struct PeerHandle {
     daemon: DaemonHandle,
     served: Receiver<String>,
     executions: Arc<AtomicU64>,
+    order: Arc<Mutex<Vec<i64>>>,
 }
 
 impl PeerHandle {
@@ -102,6 +128,8 @@ fn peer_behavior(
         served: served_tx,
         script: script.iter().copied().collect(),
         executions: Arc::clone(&executions),
+        order: Arc::default(),
+        release: None,
     });
     (behavior, served, executions)
 }
@@ -113,7 +141,20 @@ fn spawn_peer(
     semantics: Semantics,
     script: &[ErrorCode],
 ) -> PeerHandle {
-    let (behavior, served, executions) = peer_behavior(semantics, script);
+    spawn_peer_released_by(net, name, port, semantics, script, None)
+}
+
+fn spawn_peer_released_by(
+    net: &SimNet,
+    name: &str,
+    port: u16,
+    semantics: Semantics,
+    script: &[ErrorCode],
+    release: Option<Receiver<()>>,
+) -> PeerHandle {
+    let (mut behavior, served, executions) = peer_behavior(semantics, script);
+    behavior.release = release;
+    let order = Arc::clone(&behavior.order);
     let daemon = Daemon::spawn(
         net,
         DaemonConfig::new(name, "Service.Peer", "lab", "srv", port),
@@ -124,6 +165,21 @@ fn spawn_peer(
         daemon,
         served,
         executions,
+        order,
+    }
+}
+
+/// Block until `daemon`'s counter `name` has reached `at_least`.
+fn await_counter(daemon: &DaemonHandle, name: &str, at_least: u64) {
+    let counter = daemon.metrics().counter(name);
+    let give_up = Instant::now() + WAIT;
+    while counter.get() < at_least {
+        assert!(
+            Instant::now() < give_up,
+            "`{name}` stayed at {} of {at_least}",
+            counter.get()
+        );
+        std::thread::yield_now();
     }
 }
 
@@ -142,7 +198,13 @@ impl ServiceBehavior for Relay {
             ))
             .with(CmdSpec::new("find", "ctx.lookup"))
             .with(CmdSpec::new("say", "ctx.log"))
-            .with(CmdSpec::new("touch", "an event others subscribe to"))
+            .with(
+                CmdSpec::new("touch", "an event others subscribe to").optional(
+                    "seq",
+                    ArgType::Int,
+                    "which one",
+                ),
+            )
             .with(CmdSpec::new("flush", "another, sent last"))
     }
 
@@ -244,6 +306,8 @@ fn a_peer_swapped_between_two_calls_is_found_before_the_send_and_resumed() {
         served: channel().0,
         script: VecDeque::new(),
         executions: Arc::clone(&executions),
+        order: Arc::default(),
+        release: None,
     });
     let (new, _stats) = ace_core::live_upgrade(
         &net,
@@ -348,5 +412,162 @@ fn ctx_call_retries_a_shed_command_and_nothing_else() {
     assert!(
         peer.served.try_recv().is_err(),
         "nothing reached the handler"
+    );
+}
+
+// -- notifications are casts ---------------------------------------------------
+
+/// A relay with `listener` subscribed to its `touch` (→ `onTouch`) and
+/// `flush` (→ `onFlush`), and a client of the relay.
+fn relay_notifying(net: &SimNet, listener: &PeerHandle) -> (DaemonHandle, ServiceClient) {
+    let relay = spawn_relay(net, relay_config(), &Addr::new("srv", 1));
+    let mut to_relay = client(net, &relay);
+    for (event, notify_cmd) in [("touch", "onTouch"), ("flush", "onFlush")] {
+        let to = listener.daemon.addr();
+        to_relay
+            .call_ok(&protocol::subscribe_cmd(event, "listener", to, notify_cmd))
+            .unwrap();
+    }
+    (relay, to_relay)
+}
+
+fn upgrade_phase(phase: &str) -> CmdLine {
+    CmdLine::new("aceUpgrade").arg("phase", Value::Word(phase.into()))
+}
+
+/// Invariant: a notification refused because its listener is quiescing is
+/// not lost — the refusal names it, and it is sent again once the gate is
+/// open.  Fails at the parent: there `E_UPGRADING` came back as the reply
+/// to a call, was filed under "delivered", and the listener served 0 of 1.
+#[test]
+fn a_notification_refused_by_a_quiescing_listener_is_sent_again() {
+    let net = net();
+    let listener = spawn_peer(&net, "listener", 7201, Semantics::new(), &[]);
+    let (relay, mut to_relay) = relay_notifying(&net, &listener);
+    let mut driver = client(&net, &listener.daemon);
+
+    driver.call(&upgrade_phase("quiesce")).expect("quiesce");
+    to_relay.call_ok(&CmdLine::new("touch")).unwrap();
+    await_counter(&listener.daemon, "upgrade.rejected", 1);
+    driver.call(&upgrade_phase("abort")).expect("abort");
+
+    listener.await_served("onTouch", 1);
+    // The notifier delivers in order: once `onFlush` has arrived, every
+    // copy of the `onTouch` before it has.
+    to_relay.call_ok(&CmdLine::new("flush")).unwrap();
+    listener.await_served("onFlush", 1);
+    assert_eq!(listener.executions(), 1, "refused, sent again, ran once");
+    assert!(relay.metrics().counter("notify.resent").get() >= 1);
+    assert_eq!(relay.metrics().counter("notify.drops").get(), 0);
+}
+
+/// Invariant: what decides a re-send is whether the verb ran.  A listener
+/// that sheds the first copy (`E_BUSY`: it did not) runs the notification
+/// exactly once and nothing is dropped; a refusal that no second copy
+/// could survive (the listener has no such verb) is one drop, sent once.
+#[test]
+fn a_shed_notification_runs_once_and_an_unknown_one_is_one_drop() {
+    let net = net();
+    let listener = spawn_peer(&net, "listener", 7201, Semantics::new(), &[ErrorCode::Busy]);
+    let (relay, mut to_relay) = relay_notifying(&net, &listener);
+
+    to_relay.call_ok(&CmdLine::new("touch")).unwrap();
+    listener.await_served("onTouch", 2); // shed, then run
+    to_relay.call_ok(&CmdLine::new("flush")).unwrap();
+    listener.await_served("onFlush", 1);
+    assert_eq!(listener.executions(), 1);
+    assert_eq!(relay.metrics().counter("notify.resent").get(), 1);
+    assert_eq!(relay.metrics().counter("notify.drops").get(), 0);
+
+    let to = listener.daemon.addr();
+    to_relay
+        .call_ok(&protocol::subscribe_cmd("say", "listener", to, "onNothing"))
+        .unwrap();
+    to_relay.call_ok(&CmdLine::new("say")).unwrap();
+    await_counter(&relay, "notify.drops", 1);
+    to_relay.call_ok(&CmdLine::new("flush")).unwrap();
+    listener.await_served("onFlush", 1);
+    assert_eq!(listener.counter("cmd.rejected"), 1, "one copy was sent");
+    assert_eq!(relay.metrics().counter("notify.resent").get(), 1);
+    assert_eq!(relay.metrics().counter("notify.drops").get(), 1);
+}
+
+/// Invariant: the notifier is bounded by waiting, not by shedding.  A
+/// listener that reads nothing is written one window (64) of messages and
+/// no more; the rest wait in the queue, whose depth is the one place that
+/// sheds; released, the listener runs all 300 in the order fired.  Fails
+/// under "a full window sheds" (`deliver` counting a drop where it hands
+/// the message back): `notify.drops` reads 236.
+#[test]
+fn a_listener_a_window_behind_makes_the_queue_wait_and_nothing_is_shed() {
+    const FIRED: i64 = 300;
+    let net = net();
+    let (release, released) = channel();
+    let listener = spawn_peer_released_by(
+        &net,
+        "listener",
+        7201,
+        Semantics::new(),
+        &[],
+        Some(released),
+    );
+    let (relay, mut to_relay) = relay_notifying(&net, &listener);
+    // One notification first, so the link it rides is up before the park.
+    to_relay.call_ok(&CmdLine::new("flush")).unwrap();
+    listener.await_served("onFlush", 1);
+    let written_before = relay.metrics().counter("notify.delivered").get();
+
+    let mut to_listener = client(&net, &listener.daemon);
+    to_listener.send(&CmdLine::new("park")).unwrap();
+    listener.await_served("park", 1);
+    for seq in 0..FIRED {
+        to_relay
+            .call_ok(&CmdLine::new("touch").arg("seq", seq))
+            .unwrap();
+    }
+    await_counter(&relay, "notify.delivered", written_before + 63);
+    let written = relay.metrics().counter("notify.delivered").get() - written_before;
+    assert!(
+        written <= 64,
+        "{written} written to a listener that has read nothing"
+    );
+    assert_eq!(relay.metrics().counter("notify.shed").get(), 0);
+    assert_eq!(relay.metrics().counter("notify.drops").get(), 0);
+
+    release.send(()).unwrap();
+    listener.await_served("onTouch", FIRED as usize);
+    assert_eq!(
+        *listener.order.lock().unwrap(),
+        (0..FIRED).collect::<Vec<_>>(),
+        "every notification ran once, in the order fired"
+    );
+    assert_eq!(relay.metrics().counter("notify.shed").get(), 0);
+    assert_eq!(relay.metrics().counter("notify.drops").get(), 0);
+}
+
+/// Invariant: a notification is one frame.  Fails at the parent, where it
+/// is two: the listener's `ok`, which nobody reads.
+#[test]
+fn a_notification_costs_one_frame() {
+    let net = net();
+    let listener = spawn_peer(&net, "listener", 7201, Semantics::new(), &[]);
+    let (_relay, mut to_relay) = relay_notifying(&net, &listener);
+    let mut to_listener = client(&net, &listener.daemon);
+    // Both links are up and have carried a frame before the count starts.
+    to_relay.call_ok(&CmdLine::new("touch")).unwrap();
+    listener.await_served("onTouch", 1);
+    to_listener.call_ok(&CmdLine::new("ping")).unwrap();
+
+    let before = net.metrics().snapshot();
+    to_relay.call_ok(&CmdLine::new("touch")).unwrap();
+    listener.await_served("onTouch", 1);
+    // Whatever the listener sent about the notification it sent before it
+    // read this ping; once the ping is answered it is all on the wire.
+    to_listener.call_ok(&CmdLine::new("ping")).unwrap();
+    let frames = net.metrics().snapshot().since(&before).frames;
+    assert_eq!(
+        frames - 4, // `touch`, `ping`, and their replies
+        1,
+        "frames one notification put on the wire"
     );
 }

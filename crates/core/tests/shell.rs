@@ -12,15 +12,18 @@ use ace_core::prelude::*;
 use ace_core::SecureLink;
 use ace_security::keys::KeyPair;
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const REPLY: Duration = Duration::from_secs(5);
 
 /// `echo text=…` answers with its text; `block` holds the handler until the
-/// test releases the latch (bounded, so a failing test cannot wedge).
+/// test releases the latch (bounded, so a failing test cannot wedge).  Every
+/// `echo` that runs leaves its text in `ran` — a cast's only trace.
 struct Probe {
     entered: Sender<()>,
     release: Receiver<()>,
+    ran: Arc<Mutex<Vec<String>>>,
 }
 
 impl ServiceBehavior for Probe {
@@ -34,6 +37,7 @@ impl ServiceBehavior for Probe {
         match cmd.name() {
             "echo" => {
                 let text = cmd.get_text("text").unwrap_or("").to_string();
+                self.ran.lock().unwrap().push(text.clone());
                 Reply::ok_with(|c| c.arg("text", text))
             }
             _ => {
@@ -52,23 +56,31 @@ struct Rig {
     daemon: DaemonHandle,
     entered: Receiver<()>,
     release: Sender<()>,
+    ran: Arc<Mutex<Vec<String>>>,
     me: KeyPair,
 }
 
 fn rig() -> Rig {
+    rig_admitting(AdmissionConfig::default())
+}
+
+fn rig_admitting(admission: AdmissionConfig) -> Rig {
     let net = SimNet::new();
     net.add_host("srv");
     net.add_host("cli");
     let pool = Runtime::new(2);
     let (entered_tx, entered) = channel();
     let (release, release_rx) = channel();
+    let ran = Arc::new(Mutex::new(Vec::new()));
     let daemon = Daemon::spawn(
         &net,
         DaemonConfig::new("probe", "Service.Probe", "lab", "srv", 7100)
+            .with_admission(admission)
             .with_runtime_pool(pool.clone()),
         Box::new(Probe {
             entered: entered_tx,
             release: release_rx,
+            ran: Arc::clone(&ran),
         }),
     )
     .unwrap();
@@ -78,6 +90,7 @@ fn rig() -> Rig {
         daemon,
         entered,
         release,
+        ran,
         me: KeyPair::generate(&mut rand::thread_rng()),
     }
 }
@@ -306,5 +319,175 @@ fn crash_answers_or_closes_but_never_hangs_a_client() {
     assert!(q.recv_cmd(REPLY).is_err());
     assert!(waited.elapsed() < Duration::from_secs(2));
     assert!(!rig.daemon.is_running());
+    rig.finish();
+}
+
+// -- casts -------------------------------------------------------------------
+
+/// A test-side server: accepts one link and hands it over.
+fn accept_one(net: &SimNet, port: u16) -> std::thread::JoinHandle<SecureLink> {
+    let listener = net.listen(Addr::new("srv", port)).unwrap();
+    std::thread::spawn(move || {
+        let id = KeyPair::generate(&mut rand::thread_rng());
+        SecureLink::accept(listener.accept().unwrap(), &id).unwrap()
+    })
+}
+
+/// Invariant: casts cost calls nothing.  What a client's call puts on the
+/// wire, and what the shell answers it, are byte for byte what they were
+/// before casts existed (the three strings below were taken at the parent
+/// commit); a cast is the command's own frame behind one marker byte, with
+/// no `deadline=` — nobody waits.
+#[test]
+fn a_call_and_its_reply_are_the_parents_bytes_and_a_cast_is_one_byte_more() {
+    let rig = rig();
+    let me = KeyPair::generate(&mut rand::thread_rng());
+
+    // What a client sends, read by a server the test owns.
+    let server = accept_one(&rig.net, 7300);
+    let mut client =
+        ServiceClient::connect(&rig.net, &"cli".into(), Addr::new("srv", 7300), &me).unwrap();
+    let mut server = server.join().unwrap();
+    let opened = Arc::new(ace_core::Counter::default());
+    server.attach_metrics(Arc::default(), Arc::clone(&opened));
+
+    let blob: Vec<u8> = (0u8..16).collect();
+    let put = CmdLine::new("psPut")
+        .arg("key", "k")
+        .arg("data", blob.clone());
+    for (cmd, golden) in [
+        (echo("hi"), &b"echo text=\"hi\" deadline=5000;"[..]),
+        (
+            put.clone(),
+            &[&b"psPut key=k data=@16 deadline=5000;\0"[..], &blob[..]].concat()[..],
+        ),
+    ] {
+        client.send(&cmd).unwrap();
+        let got = server.recv_cmd(REPLY).unwrap();
+        assert!(!server.last_frame_was_cast());
+        assert_eq!(got.to_frame(), golden, "a call frame is the parent's");
+    }
+    let mut hurried = echo("hi");
+    hurried.set_deadline_ms(250);
+    client.send(&hurried).unwrap();
+    assert_eq!(
+        server.recv_cmd(REPLY).unwrap().to_frame(),
+        b"echo text=\"hi\" deadline=250;",
+        "a deadline already there is left alone"
+    );
+
+    let before = opened.get();
+    client.send(&put).unwrap();
+    server.recv_cmd(REPLY).unwrap();
+    let call_bytes = opened.get() - before;
+    let before = opened.get();
+    client.cast(&put).unwrap();
+    let got = server.recv_cmd(REPLY).unwrap();
+    assert!(server.last_frame_was_cast());
+    assert_eq!(got, put, "the same command, nothing stamped on it");
+    assert_eq!(
+        opened.get() - before,
+        call_bytes - " deadline=5000".len() as u64 + 1,
+        "a cast is the command's own frame plus the marker"
+    );
+
+    // What the shell answers a call.
+    let mut link = rig.session();
+    link.send_cmd(&echo("hi there")).unwrap();
+    assert_eq!(
+        link.recv_cmd(REPLY).unwrap().to_wire(),
+        "ok text=\"hi there\";"
+    );
+    link.send_cmd(&CmdLine::new("echo")).unwrap();
+    assert_eq!(
+        link.recv_cmd(REPLY).unwrap().to_wire(),
+        "error code=E_SEMANTICS msg=\"command `echo` requires argument `text`\";"
+    );
+    rig.finish();
+}
+
+/// Invariant: a cast that ran is never answered, and casts take the same
+/// one-in-flight path as calls — so ten casts and a call on one session
+/// run in the order sent and exactly one frame comes back.
+#[test]
+fn casts_that_run_are_not_answered_and_run_in_order_before_the_call_behind_them() {
+    let rig = rig();
+    let mut link = rig.session();
+    for i in 0..10 {
+        link.send_cast(&echo(&format!("m{i}"))).unwrap();
+    }
+    link.send_cmd(&echo("last")).unwrap();
+    assert_eq!(text_of(answer(&mut link)), "last");
+    assert!(
+        link.recv_cmd(Duration::from_millis(100)).is_err(),
+        "a cast that ran was answered"
+    );
+    let mut expected: Vec<String> = (0..10).map(|i| format!("m{i}")).collect();
+    expected.push("last".into());
+    assert_eq!(*rig.ran.lock().unwrap(), expected);
+    rig.finish();
+}
+
+/// The refusal of a cast: its code and which cast of the session it names.
+fn refusal(link: &mut SecureLink) -> (ErrorCode, Option<i64>) {
+    let frame = link.recv_cmd(REPLY).expect("a refusal");
+    match Reply::from_cmdline(&frame) {
+        Reply::Err { code, .. } => (code, frame.get_int("cast")),
+        Reply::Ok(_) => panic!("a cast was answered `{frame}`"),
+    }
+}
+
+/// Invariant: a cast is answered if and only if it did not run.  Every
+/// refusal the shell makes of a call it makes of a cast — the same error,
+/// plus `cast=<n>` counting the casts read on that session, ran or not —
+/// and the session lives on.
+#[test]
+fn a_cast_that_did_not_run_is_refused_by_ordinal_and_the_session_lives_on() {
+    let rig = rig_admitting(AdmissionConfig {
+        bulk_capacity: 1,
+        ..AdmissionConfig::default()
+    });
+    let (mut casts, mut holder, mut filler, mut driver) =
+        (rig.session(), rig.session(), rig.session(), rig.session());
+
+    // Semantics, then a deadline already spent.
+    casts.send_cast(&CmdLine::new("echo")).unwrap();
+    assert_eq!(refusal(&mut casts), (ErrorCode::Semantics, Some(1)));
+    let mut expired = echo("late");
+    expired.set_deadline_ms(0);
+    casts.send_cast(&expired).unwrap();
+    assert_eq!(refusal(&mut casts), (ErrorCode::Deadline, Some(2)));
+
+    // One that runs is counted though never answered.
+    casts.send_cast(&echo("third")).unwrap();
+
+    // The quiesce gate: today's refusal, word for word, plus the ordinal.
+    driver.send_cmd(&ace_upgrade("quiesce")).unwrap();
+    answer(&mut driver).expect("quiesce");
+    casts.send_cast(&echo("gated")).unwrap();
+    assert_eq!(
+        casts.recv_cmd(REPLY).unwrap().to_wire(),
+        "error code=E_UPGRADING msg=\"service is upgrading; retry\" cast=4;"
+    );
+    driver.send_cmd(&ace_upgrade("abort")).unwrap();
+    answer(&mut driver).expect("abort");
+
+    // A full bulk lane: the holder's verb is running, the filler's call
+    // takes the lane's one slot, the cast behind it finds none.
+    rig.hold(&mut holder);
+    filler.send_cmd(&echo("fills the lane")).unwrap();
+    casts.send_cast(&echo("shed")).unwrap();
+    rig.release();
+    answer(&mut holder).expect("the held verb completes");
+    assert_eq!(text_of(answer(&mut filler)), "fills the lane");
+    assert_eq!(refusal(&mut casts), (ErrorCode::Busy, Some(5)));
+
+    casts.send_cmd(&echo("still here")).unwrap();
+    assert_eq!(text_of(answer(&mut casts)), "still here");
+    assert_eq!(
+        *rig.ran.lock().unwrap(),
+        ["third", "fills the lane", "still here"],
+        "nothing refused ran"
+    );
     rig.finish();
 }

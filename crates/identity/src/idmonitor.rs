@@ -95,10 +95,12 @@ impl ServiceBehavior for IdMonitor {
                 let host = cmd.get_text("accessHost").unwrap_or("unknown").to_string();
                 // Scenario 2: "the ID Monitor service then updates John's
                 // current location with the AUD."
+                // Nothing here reads the AUD's answer: a cast, queued ahead
+                // of the `userAt` fired below.
                 if let Some(aud) = aud_addr(ctx) {
-                    let _ = ctx.call(
-                        &aud,
-                        &CmdLine::new("setLocation")
+                    ctx.send_async(
+                        aud,
+                        CmdLine::new("setLocation")
                             .arg("username", username.as_str())
                             .arg("room", room.as_str())
                             .arg("host", host.as_str()),

@@ -154,15 +154,32 @@ impl CmdLine {
     /// back to a `<WORD>` that [`CmdLine::get_blob`] reads as the same
     /// bytes.
     pub fn to_wire(&self) -> String {
-        self.render(crate::hex::write_hex)
+        self.render(None, None, crate::hex::write_hex)
     }
 
     /// Convert to a link frame (see the module docs): the text with every
     /// blob as `@<len>`, then `0x00` and the blobs' bytes if there are any.
     pub fn to_frame(&self) -> Vec<u8> {
+        self.frame(None)
+    }
+
+    /// The frame of this command stamped with [`CmdLine::set_deadline_ms`]`(ms)`
+    /// — byte for byte — without building the stamped command: a caller
+    /// holding `&CmdLine` stamps its budget while rendering instead of
+    /// cloning every argument (a `psPut`'s whole blob) to append one integer.
+    pub fn to_frame_with_deadline(&self, ms: i64) -> Vec<u8> {
+        self.frame(Some(ms.max(0)))
+    }
+
+    fn frame(&self, deadline: Option<i64>) -> Vec<u8> {
+        // Where `set_arg` would overwrite: the stamp goes there, else last.
+        let replaced = deadline.and_then(|_| {
+            let header = crate::semantics::DEADLINE_ARG;
+            self.args.iter().position(|(name, _)| name == header)
+        });
         // `Some` once any blob is seen: even an empty blob opens the section.
         let mut attached: Option<usize> = None;
-        let text = self.render(|blob, out| {
+        let text = self.render(deadline, replaced, |blob, out| {
             *attached.get_or_insert(0) += blob.len();
             let _ = write!(out, "@{}", blob.len());
         });
@@ -170,28 +187,39 @@ impl CmdLine {
         if let Some(total) = attached {
             frame.reserve_exact(1 + total);
             frame.push(0);
-            for (_, value) in &self.args {
-                if let Value::Blob(b) = value {
-                    frame.extend_from_slice(b);
+            for (i, (_, value)) in self.args.iter().enumerate() {
+                match value {
+                    Value::Blob(b) if replaced != Some(i) => frame.extend_from_slice(b),
+                    _ => {}
                 }
             }
         }
         frame
     }
 
-    /// The text of the command, blobs written by `write_blob`.
-    fn render(&self, mut write_blob: impl FnMut(&[u8], &mut String)) -> String {
+    /// The text of the command, blobs written by `write_blob`; with a
+    /// `deadline`, that header's value stands at `replaced`, or is appended.
+    fn render(
+        &self,
+        deadline: Option<i64>,
+        replaced: Option<usize>,
+        mut write_blob: impl FnMut(&[u8], &mut String),
+    ) -> String {
         // Preallocate roughly: name + per-arg "name=value " with small values.
-        let mut out = String::with_capacity(self.name.len() + 16 * self.args.len() + 2);
+        let mut out = String::with_capacity(self.name.len() + 16 * (self.args.len() + 1) + 2);
         out.push_str(&self.name);
-        for (name, value) in &self.args {
+        for (i, (name, value)) in self.args.iter().enumerate() {
             out.push(' ');
             out.push_str(name);
             out.push('=');
-            match value {
-                Value::Blob(b) => write_blob(b, &mut out),
-                other => other.write_wire(&mut out),
+            match (value, deadline) {
+                (_, Some(ms)) if replaced == Some(i) => Value::Int(ms).write_wire(&mut out),
+                (Value::Blob(b), _) => write_blob(b, &mut out),
+                (other, _) => other.write_wire(&mut out),
             }
+        }
+        if let (Some(ms), None) = (deadline, replaced) {
+            let _ = write!(out, " {}={ms}", crate::semantics::DEADLINE_ARG);
         }
         out.push(';');
         out
@@ -285,6 +313,48 @@ mod tests {
             assert_eq!(text.get_blob(name), cmd.get_blob(name), "{name}");
         }
         assert_eq!(text.get_blob("n"), None);
+    }
+
+    /// Invariant: stamping while rendering is `set_deadline_ms` + `to_frame`,
+    /// byte for byte — appended when absent, overwritten in place when
+    /// present (whatever stood there), clamped at zero.
+    #[test]
+    fn frame_with_deadline_is_the_stamped_commands_frame() {
+        let blob: Vec<u8> = (0..=255).collect();
+        let cases = [
+            CmdLine::new("ping"),
+            CmdLine::new("say").arg("text", "a; b").arg("n", 3),
+            CmdLine::new("psPut")
+                .arg("key", "k")
+                .arg("data", blob.clone()),
+            CmdLine::new("echo")
+                .arg("deadline", 250)
+                .arg("text", "late"),
+            CmdLine::new("echo").arg("deadline", "soon").arg("n", 1),
+            CmdLine::new("psPut")
+                .arg("a", &b"\0;"[..])
+                .arg("deadline", blob)
+                .arg("b", Vec::new()),
+        ];
+        for cmd in cases {
+            for ms in [1000, 0, -5] {
+                let mut stamped = cmd.clone();
+                stamped.set_deadline_ms(ms);
+                assert_eq!(cmd.to_frame_with_deadline(ms), stamped.to_frame(), "{cmd}");
+            }
+        }
+        assert_eq!(
+            CmdLine::new("log")
+                .arg("msg", "hi")
+                .to_frame_with_deadline(1000),
+            b"log msg=hi deadline=1000;"
+        );
+        assert_eq!(
+            CmdLine::new("psPut")
+                .arg("data", &b"abc"[..])
+                .to_frame_with_deadline(5000),
+            b"psPut data=@3 deadline=5000;\0abc"
+        );
     }
 
     #[test]

@@ -132,22 +132,34 @@ impl ServiceBehavior for Sal {
                 if let Some(d) = cmd.get_int("durationMs") {
                     launch.push_arg("durationMs", d);
                 }
-                match ctx.call(&target.addr, &launch) {
-                    Ok(reply) => {
-                        self.launches += 1;
-                        let app_id = reply.get_int("appId").unwrap_or(-1);
-                        let host = target.addr.host.to_string();
-                        Reply::ok_with(|c| {
-                            c.arg("appId", app_id)
-                                .arg("host", host)
-                                .arg("hal", target.name.as_str())
-                        })
+                // A HAL that fails at the link — its host died, and the ASD
+                // lists it for up to one more lease — is passed over for the
+                // other listed HALs, once each.  A caller that pinned the
+                // host asked for that HAL and no other.
+                let pinned = cmd.get_text("host").is_some();
+                let others = hals.iter().filter(|h| !pinned && h.name != target.name);
+                let mut failure = String::new();
+                for target in std::iter::once(&target).chain(others) {
+                    match ctx.call(&target.addr, &launch) {
+                        Ok(reply) => {
+                            self.launches += 1;
+                            let app_id = reply.get_int("appId").unwrap_or(-1);
+                            let host = target.addr.host.to_string();
+                            return Reply::ok_with(|c| {
+                                c.arg("appId", app_id)
+                                    .arg("host", host)
+                                    .arg("hal", target.name.as_str())
+                            });
+                        }
+                        Err(e) => {
+                            failure = format!("HAL {} failed: {e}", target.name);
+                            if !matches!(e, ClientError::Link(_)) {
+                                break;
+                            }
+                        }
                     }
-                    Err(e) => Reply::err(
-                        ErrorCode::Unavailable,
-                        format!("HAL {} failed: {e}", target.name),
-                    ),
                 }
+                Reply::err(ErrorCode::Unavailable, failure)
             }
             other => Reply::err(ErrorCode::Internal, format!("unrouted command `{other}`")),
         }

@@ -249,26 +249,30 @@ fn sal_survives_dead_hal_host() {
     let me = keypair();
 
     // Kill one host abruptly; its HAL/HRM leases will lapse, but right now
-    // the ASD may still list them — the SAL must still be able to place on
-    // the survivor (random policy may need a retry against the dead host).
+    // the ASD may still list them.  Each random pick lands on the dead HAL
+    // half the time: the SAL passes it over for the survivor, so every
+    // launch is placed (not "at least one of six", which failed whenever
+    // all six picks came up dead — 1 run in 64).
     w.net.kill_host(&"tube".into());
     let mut sal =
         ServiceClient::connect(&w.net, &"core".into(), w.sal.addr().clone(), &me).unwrap();
-    let mut placed = 0;
     for _ in 0..6 {
-        if let Ok(r) = sal.call(
-            &CmdLine::new("launch")
-                .arg("app", Value::Str("survivor".into()))
-                .arg("policy", "random"),
-        ) {
-            assert_eq!(r.get_text("host"), Some("bar"));
-            placed += 1;
-        }
+        let placed = sal
+            .call(
+                &CmdLine::new("launch")
+                    .arg("app", Value::Str("survivor".into()))
+                    .arg("policy", "random"),
+            )
+            .expect("the survivor is tried when the dead HAL is picked");
+        assert_eq!(placed.get_text("host"), Some("bar"));
     }
-    assert!(
-        placed >= 1,
-        "at least one placement must land on the survivor"
+    // A caller that pinned the dead host is told so, not moved elsewhere.
+    let pinned = sal.call(
+        &CmdLine::new("launch")
+            .arg("app", Value::Str("survivor".into()))
+            .arg("host", "tube"),
     );
+    assert!(pinned.is_err(), "a pinned launch stays pinned: {pinned:?}");
 
     // Teardown: the tube daemons are dead; shut down the rest.
     w.sal.shutdown();

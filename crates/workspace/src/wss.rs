@@ -137,10 +137,12 @@ impl Wss {
         record: &WorkspaceRecord,
         access_host: &str,
     ) -> Reply {
+        // The viewer's placement is the SAL's business, not this reply's: a
+        // cast, queued ahead of the `workspaceReady` fired below.
         if let Some(sal) = Self::sal_addr(ctx) {
-            let _ = ctx.call(
-                &sal,
-                &CmdLine::new("launch")
+            ctx.send_async(
+                sal,
+                CmdLine::new("launch")
                     .arg("app", Value::Str("vncviewer".into()))
                     .arg("user", record.user.as_str())
                     .arg("load", 0.2)
