@@ -21,8 +21,7 @@
 
 use crate::metrics::{Counter, Gauge, MetricsRegistry};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Default priority-lane capacity: control traffic is small and cheap, so
@@ -83,34 +82,18 @@ pub enum Lane {
     Bulk,
 }
 
-/// Why an offer was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmitError {
-    /// Lane full or queue wait over target: shed newest-first, retryable.
-    Busy,
-    /// The receiver is gone (daemon stopping).
-    Closed,
-}
-
-struct LaneState<T> {
-    queue: VecDeque<T>,
-    capacity: usize,
-}
-
-struct QueueState<T> {
-    priority: LaneState<T>,
-    bulk: LaneState<T>,
-    closed: bool,
-}
-
-struct Shared<T> {
-    state: Mutex<QueueState<T>>,
-    /// The consumer's waker: the daemon task polls `try_recv` and parks
-    /// between admissions.
-    wake: ace_net::WakeCell,
-    /// EWMA of recent bulk queue waits, µs.  Written by the consumer,
-    /// read at admission for the CoDel-style test.
-    wait_ewma_us: AtomicU64,
+/// One daemon's admission queue: two bounded lanes, owned by the daemon
+/// task.  Intake offers and dispatch pops on the same task, so nothing here
+/// is shared or synchronised — the counters and the depth gauge, atomics in
+/// the daemon's registry, are the only part another thread ever sees.
+pub struct AdmissionQueue<T> {
+    priority: VecDeque<T>,
+    bulk: VecDeque<T>,
+    priority_capacity: usize,
+    bulk_capacity: usize,
+    /// EWMA of recent bulk queue waits, µs: written at dequeue, read at
+    /// admission for the CoDel-style test.
+    wait_ewma_us: u64,
     target_us: Option<u64>,
     enforce_deadlines: bool,
     admit_priority: Arc<Counter>,
@@ -121,197 +104,86 @@ struct Shared<T> {
     depth: Arc<Gauge>,
 }
 
-impl<T> Shared<T> {
-    fn set_depth(&self, state: &QueueState<T>) {
-        self.depth
-            .set((state.priority.queue.len() + state.bulk.queue.len()) as i64);
-    }
-}
-
-/// Create one daemon's admission queue: a cloneable producer handle for
-/// the intake stages (and the handle's `Stop`) and the single consumer for
-/// the control role.
-pub fn admission_queue<T>(
-    config: &AdmissionConfig,
-    metrics: &MetricsRegistry,
-) -> (AdmissionQueue<T>, AdmissionReceiver<T>) {
-    let shared = Arc::new(Shared {
-        state: Mutex::new(QueueState {
-            priority: LaneState {
-                queue: VecDeque::new(),
-                capacity: config.priority_capacity.max(1),
-            },
-            bulk: LaneState {
-                queue: VecDeque::new(),
-                capacity: config.bulk_capacity.max(1),
-            },
-            closed: false,
-        }),
-        wake: ace_net::WakeCell::new(),
-        wait_ewma_us: AtomicU64::new(0),
-        target_us: config.queue_target.map(|t| t.as_micros() as u64),
-        enforce_deadlines: config.enforce_deadlines,
-        admit_priority: metrics.counter("admit.priority"),
-        admit_bulk: metrics.counter("admit.bulk"),
-        shed_priority_full: metrics.counter("shed.priorityFull"),
-        shed_bulk_full: metrics.counter("shed.bulkFull"),
-        shed_queue_wait: metrics.counter("shed.queueWait"),
-        depth: metrics.gauge("control.queueDepth"),
-    });
-    (
-        AdmissionQueue {
-            shared: Arc::clone(&shared),
-        },
-        AdmissionReceiver { shared },
-    )
-}
-
-/// Producer handle: bounded, shedding offers into either lane.
-pub struct AdmissionQueue<T> {
-    shared: Arc<Shared<T>>,
-}
-
 impl<T> AdmissionQueue<T> {
-    /// Offer a message to `lane`.  Never blocks: a full lane (or a bulk
-    /// queue whose recent wait exceeds the target) refuses newest-first.
-    pub fn offer(&self, lane: Lane, msg: T) -> Result<(), AdmitError> {
-        let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        if state.closed {
-            return Err(AdmitError::Closed);
+    /// An empty queue sized by `config`, counting into `metrics`.
+    pub fn new(config: &AdmissionConfig, metrics: &MetricsRegistry) -> AdmissionQueue<T> {
+        AdmissionQueue {
+            priority: VecDeque::new(),
+            bulk: VecDeque::new(),
+            priority_capacity: config.priority_capacity.max(1),
+            bulk_capacity: config.bulk_capacity.max(1),
+            wait_ewma_us: 0,
+            target_us: config.queue_target.map(|t| t.as_micros() as u64),
+            enforce_deadlines: config.enforce_deadlines,
+            admit_priority: metrics.counter("admit.priority"),
+            admit_bulk: metrics.counter("admit.bulk"),
+            shed_priority_full: metrics.counter("shed.priorityFull"),
+            shed_bulk_full: metrics.counter("shed.bulkFull"),
+            shed_queue_wait: metrics.counter("shed.queueWait"),
+            depth: metrics.gauge("control.queueDepth"),
         }
+    }
+
+    /// Offer a message to `lane`.  A full lane (or a bulk queue whose recent
+    /// wait exceeds the target) refuses newest-first and hands the message
+    /// back: shed, retryable.
+    pub fn offer(&mut self, lane: Lane, msg: T) -> Result<(), T> {
         match lane {
             Lane::Priority => {
-                if state.priority.queue.len() >= state.priority.capacity {
-                    self.shared.shed_priority_full.incr();
-                    return Err(AdmitError::Busy);
+                if self.priority.len() >= self.priority_capacity {
+                    self.shed_priority_full.incr();
+                    return Err(msg);
                 }
-                state.priority.queue.push_back(msg);
-                self.shared.admit_priority.incr();
+                self.priority.push_back(msg);
+                self.admit_priority.incr();
             }
             Lane::Bulk => {
-                if state.bulk.queue.len() >= state.bulk.capacity {
-                    self.shared.shed_bulk_full.incr();
-                    return Err(AdmitError::Busy);
+                if self.bulk.len() >= self.bulk_capacity {
+                    self.shed_bulk_full.incr();
+                    return Err(msg);
                 }
                 // CoDel-style: only shed on wait when a standing queue
                 // exists — an idle daemon with a stale EWMA admits freely.
-                if let Some(target) = self.shared.target_us {
-                    if !state.bulk.queue.is_empty()
-                        && self.shared.wait_ewma_us.load(Ordering::Relaxed) > target
-                    {
-                        self.shared.shed_queue_wait.incr();
-                        return Err(AdmitError::Busy);
-                    }
+                if !self.bulk.is_empty() && self.target_us.is_some_and(|t| self.wait_ewma_us > t) {
+                    self.shed_queue_wait.incr();
+                    return Err(msg);
                 }
-                state.bulk.queue.push_back(msg);
-                self.shared.admit_bulk.incr();
+                self.bulk.push_back(msg);
+                self.admit_bulk.incr();
             }
         }
-        self.shared.set_depth(&state);
-        drop(state);
-        self.shared.wake.wake();
+        self.depth.set(self.len() as i64);
         Ok(())
     }
 
-    /// Enqueue unconditionally on the priority lane, ignoring capacity.
-    /// Reserved for the daemon's own `Stop` message — shutdown must never
-    /// be shed.
-    pub fn force_priority(&self, msg: T) {
-        let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        if state.closed {
-            return;
-        }
-        state.priority.queue.push_front(msg);
-        self.shared.set_depth(&state);
-        drop(state);
-        self.shared.wake.wake();
-    }
-
-    /// Is server-side deadline shedding enabled for this daemon?
-    pub fn enforce_deadlines(&self) -> bool {
-        self.shared.enforce_deadlines
-    }
-
-    /// Messages currently queued across both lanes.
-    pub fn depth(&self) -> usize {
-        let state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.priority.queue.len() + state.bulk.queue.len()
-    }
-}
-
-impl<T> Clone for AdmissionQueue<T> {
-    fn clone(&self) -> AdmissionQueue<T> {
-        AdmissionQueue {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-/// Consumer handle, owned by the control role.  Dropping it closes the
-/// queue: subsequent offers fail with [`AdmitError::Closed`].
-pub struct AdmissionReceiver<T> {
-    shared: Arc<Shared<T>>,
-}
-
-impl<T> AdmissionReceiver<T> {
-    fn pop(state: &mut QueueState<T>) -> Option<T> {
-        state
-            .priority
-            .queue
-            .pop_front()
-            .or_else(|| state.bulk.queue.pop_front())
-    }
-
-    /// Register the waker notified on every admission.  Register before
-    /// polling [`Self::try_recv`].
-    pub fn register_waker(&self, waker: &std::task::Waker) {
-        self.shared.wake.register(waker);
-    }
-
-    /// Non-blocking dequeue, priority lane first.
-    pub fn try_recv(&self) -> Option<T> {
-        let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        let msg = Self::pop(&mut state);
+    /// Dequeue, priority lane first.
+    pub fn pop(&mut self) -> Option<T> {
+        let msg = self.priority.pop_front().or_else(|| self.bulk.pop_front());
         if msg.is_some() {
-            self.shared.set_depth(&state);
+            self.depth.set(self.len() as i64);
         }
         msg
     }
 
     /// Record one dequeued message's queue wait, feeding the CoDel EWMA.
-    pub fn note_wait(&self, wait: Duration) {
+    pub fn note_wait(&mut self, wait: Duration) {
         let sample = wait.as_micros() as u64;
-        let old = self.shared.wait_ewma_us.load(Ordering::Relaxed);
         // Asymmetric: a wait above the estimate raises it *immediately* —
         // the admission gate must slam shut as soon as one message reports
         // a standing queue, or a burst admitted during the EWMA's ramp-up
         // grows the queue far past the target.  Decay (3/4 history) stays
         // smooth so the gate does not flap open on one fast verb.
-        let next = sample.max((old * 3 + sample) / 4);
-        self.shared.wait_ewma_us.store(next, Ordering::Relaxed);
+        self.wait_ewma_us = sample.max((self.wait_ewma_us * 3 + sample) / 4);
     }
 
     /// Messages currently queued across both lanes.
-    pub fn depth(&self) -> usize {
-        let state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.priority.queue.len() + state.bulk.queue.len()
+    pub(crate) fn len(&self) -> usize {
+        self.priority.len() + self.bulk.len()
     }
 
     /// Is server-side deadline shedding enabled for this daemon?
     pub fn enforce_deadlines(&self) -> bool {
-        self.shared.enforce_deadlines
-    }
-}
-
-impl<T> Drop for AdmissionReceiver<T> {
-    fn drop(&mut self) {
-        let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.closed = true;
-        // Nobody will dequeue again: release what is still queued now
-        // rather than when the last producer handle goes.
-        state.priority.queue.clear();
-        state.bulk.queue.clear();
-        self.shared.set_depth(&state);
+        self.enforce_deadlines
     }
 }
 
@@ -319,121 +191,109 @@ impl<T> Drop for AdmissionReceiver<T> {
 mod tests {
     use super::*;
 
-    fn queue(config: AdmissionConfig) -> (AdmissionQueue<u32>, AdmissionReceiver<u32>) {
+    fn queue(config: AdmissionConfig) -> (AdmissionQueue<u32>, MetricsRegistry) {
         let metrics = MetricsRegistry::new();
-        admission_queue(&config, &metrics)
+        (AdmissionQueue::new(&config, &metrics), metrics)
     }
 
     #[test]
     fn priority_dequeues_before_bulk() {
-        let (tx, rx) = queue(AdmissionConfig::default());
-        tx.offer(Lane::Bulk, 1).unwrap();
-        tx.offer(Lane::Bulk, 2).unwrap();
-        tx.offer(Lane::Priority, 3).unwrap();
-        assert_eq!(rx.try_recv(), Some(3));
-        assert_eq!(rx.try_recv(), Some(1));
-        assert_eq!(rx.try_recv(), Some(2));
+        let (mut q, _) = queue(AdmissionConfig::default());
+        q.offer(Lane::Bulk, 1).unwrap();
+        q.offer(Lane::Bulk, 2).unwrap();
+        q.offer(Lane::Priority, 3).unwrap();
+        assert_eq!(q.pop(), Some(3));
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn full_bulk_lane_sheds_newest_first() {
-        let (tx, rx) = queue(AdmissionConfig {
+        let (mut q, metrics) = queue(AdmissionConfig {
             bulk_capacity: 2,
             ..AdmissionConfig::default()
         });
-        tx.offer(Lane::Bulk, 1).unwrap();
-        tx.offer(Lane::Bulk, 2).unwrap();
-        assert_eq!(tx.offer(Lane::Bulk, 3), Err(AdmitError::Busy));
+        q.offer(Lane::Bulk, 1).unwrap();
+        q.offer(Lane::Bulk, 2).unwrap();
+        assert_eq!(
+            q.offer(Lane::Bulk, 3),
+            Err(3),
+            "the refused message comes back"
+        );
+        assert_eq!(metrics.counter("shed.bulkFull").get(), 1);
+        assert_eq!(metrics.counter("admit.bulk").get(), 2);
         // The earlier arrivals are still served in order.
-        assert_eq!(rx.try_recv(), Some(1));
-        assert_eq!(rx.try_recv(), Some(2));
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
     }
 
     #[test]
     fn full_bulk_lane_never_blocks_priority() {
-        let (tx, rx) = queue(AdmissionConfig {
+        let (mut q, metrics) = queue(AdmissionConfig {
             bulk_capacity: 1,
+            priority_capacity: 1,
             ..AdmissionConfig::default()
         });
-        tx.offer(Lane::Bulk, 1).unwrap();
-        assert_eq!(tx.offer(Lane::Bulk, 2), Err(AdmitError::Busy));
-        tx.offer(Lane::Priority, 9).unwrap();
-        assert_eq!(rx.try_recv(), Some(9));
+        q.offer(Lane::Bulk, 1).unwrap();
+        assert_eq!(q.offer(Lane::Bulk, 2), Err(2));
+        q.offer(Lane::Priority, 9).unwrap();
+        assert_eq!(q.offer(Lane::Priority, 10), Err(10));
+        assert_eq!(metrics.counter("shed.priorityFull").get(), 1);
+        assert_eq!(q.pop(), Some(9));
     }
 
     #[test]
     fn wait_over_target_sheds_standing_queue_only() {
-        let (tx, rx) = queue(AdmissionConfig {
+        let (mut q, metrics) = queue(AdmissionConfig {
             queue_target: Some(Duration::from_millis(5)),
             ..AdmissionConfig::default()
         });
-        // Simulate the control role observing long waits.
+        // Simulate dispatch observing long waits.
         for _ in 0..8 {
-            rx.note_wait(Duration::from_millis(100));
+            q.note_wait(Duration::from_millis(100));
         }
         // With a standing queue, new bulk arrivals shed...
-        tx.offer(Lane::Bulk, 1).unwrap();
-        assert_eq!(tx.offer(Lane::Bulk, 2), Err(AdmitError::Busy));
+        q.offer(Lane::Bulk, 1).unwrap();
+        assert_eq!(q.offer(Lane::Bulk, 2), Err(2));
+        assert_eq!(metrics.counter("shed.queueWait").get(), 1);
         // ...but priority still flows.
-        tx.offer(Lane::Priority, 3).unwrap();
+        q.offer(Lane::Priority, 3).unwrap();
         // Draining the queue exits the shed state.
-        assert_eq!(rx.try_recv(), Some(3));
-        assert_eq!(rx.try_recv(), Some(1));
-        tx.offer(Lane::Bulk, 4).unwrap();
-        assert_eq!(rx.try_recv(), Some(4));
+        assert_eq!(q.pop(), Some(3));
+        assert_eq!(q.pop(), Some(1));
+        q.offer(Lane::Bulk, 4).unwrap();
+        assert_eq!(q.pop(), Some(4));
+        // One wait above the estimate raises it at once; it decays by a
+        // quarter of the difference per sample.
+        q.note_wait(Duration::ZERO);
+        q.offer(Lane::Bulk, 5).unwrap();
+        assert_eq!(q.offer(Lane::Bulk, 6), Err(6), "75 ms is still over 5 ms");
     }
 
     #[test]
     fn uncontrolled_config_never_sheds() {
-        let (tx, rx) = queue(AdmissionConfig::uncontrolled());
+        let (mut q, _) = queue(AdmissionConfig::uncontrolled());
         for _ in 0..8 {
-            rx.note_wait(Duration::from_secs(1));
+            q.note_wait(Duration::from_secs(1));
         }
         for i in 0..10_000 {
-            tx.offer(Lane::Bulk, i).unwrap();
+            q.offer(Lane::Bulk, i).unwrap();
         }
-        assert_eq!(rx.depth(), 10_000);
-        assert!(!tx.enforce_deadlines());
-    }
-
-    #[test]
-    fn closed_receiver_refuses_offers() {
-        let (tx, rx) = queue(AdmissionConfig::default());
-        drop(rx);
-        assert_eq!(tx.offer(Lane::Bulk, 1), Err(AdmitError::Closed));
-        assert_eq!(tx.offer(Lane::Priority, 1), Err(AdmitError::Closed));
-    }
-
-    #[test]
-    fn messages_outlive_their_senders() {
-        let (tx, rx) = queue(AdmissionConfig::default());
-        let tx2 = tx.clone();
-        drop(tx);
-        tx2.offer(Lane::Bulk, 7).unwrap();
-        drop(tx2);
-        assert_eq!(rx.try_recv(), Some(7));
-        assert_eq!(rx.try_recv(), None);
-    }
-
-    #[test]
-    fn force_priority_ignores_capacity() {
-        let (tx, rx) = queue(AdmissionConfig {
-            priority_capacity: 1,
-            ..AdmissionConfig::default()
-        });
-        tx.offer(Lane::Priority, 1).unwrap();
-        assert_eq!(tx.offer(Lane::Priority, 2), Err(AdmitError::Busy));
-        tx.force_priority(99);
-        assert_eq!(rx.try_recv(), Some(99));
+        assert_eq!(q.len(), 10_000);
+        assert!(!q.enforce_deadlines());
     }
 
     #[test]
     fn depth_tracks_both_lanes() {
-        let (tx, rx) = queue(AdmissionConfig::default());
-        tx.offer(Lane::Bulk, 1).unwrap();
-        tx.offer(Lane::Priority, 2).unwrap();
-        assert_eq!(tx.depth(), 2);
-        let _ = rx.try_recv();
-        assert_eq!(rx.depth(), 1);
+        let (mut q, metrics) = queue(AdmissionConfig::default());
+        let gauge = metrics.gauge("control.queueDepth");
+        q.offer(Lane::Bulk, 1).unwrap();
+        q.offer(Lane::Priority, 2).unwrap();
+        assert_eq!((q.len(), gauge.get()), (2, 2));
+        let _ = q.pop();
+        assert_eq!((q.len(), gauge.get()), (1, 1));
+        let _ = q.pop();
+        assert_eq!((q.len(), gauge.get()), (0, 0));
     }
 }

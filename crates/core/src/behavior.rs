@@ -22,6 +22,7 @@
 //! is found again by the next question.
 
 use crate::client::{ClientError, DEFAULT_CALL_TIMEOUT};
+use crate::daemon::DaemonConfig;
 use crate::failover::{resolution_ttl, ResolutionCache};
 use crate::metrics::MetricsRegistry;
 use crate::notify::Notifier;
@@ -101,17 +102,14 @@ pub struct ServiceCtx {
     /// The daemon's one outbound path; also where its host, identity and
     /// network handle live.
     pool: Arc<LinkPool>,
-    name: String,
-    class: String,
-    room: String,
-    port: u16,
-    asd: Option<Addr>,
+    /// The daemon's configuration — the copy its handle and its lease
+    /// client read too: name, class, room, port, ASD and logger.
+    pub(crate) config: Arc<DaemonConfig>,
     /// What the ASD told this daemon, each answer held for at most one
     /// lease.  Made by the first [`ServiceCtx::lookup`], counters and all:
     /// a daemon that never asks pays one pointer (E22 packs 10,000 of
     /// those into a process) and reports no `resolve.*` row.
     resolutions: Option<Box<ResolutionCache>>,
-    logger: Option<Addr>,
     notifier: Notifier,
     metrics: Arc<MetricsRegistry>,
     /// The daemon's storm-prevention budget, shared with its lease client:
@@ -132,15 +130,9 @@ pub struct ServiceCtx {
 }
 
 impl ServiceCtx {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         pool: Arc<LinkPool>,
-        name: String,
-        class: String,
-        room: String,
-        port: u16,
-        asd: Option<Addr>,
-        logger: Option<Addr>,
+        config: Arc<DaemonConfig>,
         notifier: Notifier,
         metrics: Arc<MetricsRegistry>,
         retry_budget: Arc<RetryBudget>,
@@ -148,13 +140,8 @@ impl ServiceCtx {
     ) -> ServiceCtx {
         ServiceCtx {
             pool,
-            name,
-            class,
-            room,
-            port,
-            asd,
+            config,
             resolutions: None,
-            logger,
             notifier,
             metrics,
             retry_budget,
@@ -186,17 +173,17 @@ impl ServiceCtx {
 
     /// This service's name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.config.name
     }
 
     /// This service's class (hierarchy path).
     pub fn class(&self) -> &str {
-        &self.class
+        &self.config.class
     }
 
     /// The room this service lives in.
     pub fn room(&self) -> &str {
-        &self.room
+        &self.config.room
     }
 
     /// The host this daemon runs on.
@@ -206,7 +193,7 @@ impl ServiceCtx {
 
     /// This daemon's service address.
     pub fn addr(&self) -> Addr {
-        Addr::new(self.host().clone(), self.port)
+        Addr::new(self.host().clone(), self.config.port)
     }
 
     /// This daemon's principal.
@@ -226,7 +213,7 @@ impl ServiceCtx {
 
     /// The ASD address, if this daemon was configured with one.
     pub fn asd_addr(&self) -> Option<&Addr> {
-        self.asd.as_ref()
+        self.config.asd.as_ref()
     }
 
     /// This daemon's link pool — the one path everything it sends takes.
@@ -308,7 +295,7 @@ impl ServiceCtx {
         class: Option<&str>,
         room: Option<&str>,
     ) -> Result<Vec<ServiceEntry>, ClientError> {
-        let asd = self.asd.clone().ok_or(ClientError::Service {
+        let asd = self.config.asd.clone().ok_or(ClientError::Service {
             code: ErrorCode::Unavailable,
             msg: "daemon configured without an ASD".into(),
         })?;
@@ -350,8 +337,8 @@ impl ServiceCtx {
     /// Append a record to the Network Logger, if configured.  Asynchronous
     /// and best-effort.
     pub fn log(&self, level: &str, msg: impl Into<String>) {
-        if let Some(logger) = &self.logger {
-            let origin = Some((self.name.as_str(), self.host().as_str()));
+        if let Some(logger) = &self.config.logger {
+            let origin = Some((self.name(), self.host().as_str()));
             self.notifier
                 .send(logger.clone(), protocol::log_cmd(level, msg, origin));
         }
@@ -367,10 +354,10 @@ impl ServiceCtx {
     /// `stats` event (asynchronous, best-effort).  Called periodically by
     /// the control role; `on_stats` has already run.
     pub(crate) fn push_stats_event(&self) {
-        if let Some(logger) = &self.logger {
+        if let Some(logger) = &self.config.logger {
             let payload = self.metrics.snapshot().to_event_payload();
             let cmd = CmdLine::new("event")
-                .arg("service", self.name.as_str())
+                .arg("service", self.name())
                 .arg("kind", "stats")
                 .arg("host", self.host().as_str())
                 .arg("data", payload.to_wire().into_bytes());
@@ -382,11 +369,6 @@ impl ServiceCtx {
     pub fn request_stop(&mut self) {
         self.stop_requested = true;
     }
-
-    /// Sleep helper for behaviors simulating device movement etc.
-    pub fn sleep(&self, d: Duration) {
-        std::thread::sleep(d);
-    }
 }
 
 impl std::fmt::Debug for ServiceCtx {
@@ -394,9 +376,9 @@ impl std::fmt::Debug for ServiceCtx {
         write!(
             f,
             "ServiceCtx({} @ {}:{})",
-            self.name,
+            self.name(),
             self.host(),
-            self.port
+            self.config.port
         )
     }
 }

@@ -8,8 +8,9 @@
 //! Here a daemon is **one cooperative task** ([`DaemonTask`]) on the shared
 //! [`Runtime`] — a deliberate deviation from the paper's threads (four OS
 //! threads per service cap a process at a few hundred daemons; see
-//! EXPERIMENTS.md § "Daemon runtime (PR 8)").  The four *roles* and the
-//! message queue between them survive as the stages of one poll:
+//! EXPERIMENTS.md § "Daemon runtime (PR 8)").  The four *roles* survive as
+//! the stages of one poll, and the message queue between them as a field of
+//! the task — nothing but this task ever touches it:
 //!
 //! * **main** — the Fig. 9 startup sequence (Room DB → ASD → Net Logger)
 //!   runs synchronously in [`Daemon::spawn`]; lease renewal and the
@@ -22,7 +23,7 @@
 //!   bounded admission queue (refusals are answered inline);
 //! * **data** — datagrams on the daemon's UDP channel enter the same queue;
 //! * **control** — [`Control`] owns the [`ServiceBehavior`], the
-//!   notification registry and the queue's consumer end: it executes
+//!   notification registry and the queue: it executes
 //!   commands (after the KeyNote check), fires notifications, and drives
 //!   `on_tick`/`on_data`.  Each reply goes straight back onto the session
 //!   that sent the command.
@@ -41,9 +42,7 @@
 //! read on that session, so the sender knows which one to send again.  A
 //! cast that ran is never answered, `ok` or not.
 
-use crate::admission::{
-    admission_queue, AdmissionConfig, AdmissionQueue, AdmissionReceiver, AdmitError, Lane,
-};
+use crate::admission::{AdmissionConfig, AdmissionQueue, Lane};
 use crate::auth::{action_env_for, AuthMode};
 use crate::behavior::{ClientInfo, ServiceBehavior, ServiceCtx};
 use crate::client::ClientError;
@@ -277,7 +276,6 @@ enum ControlMsg {
         deadline: Option<Instant>,
     },
     Data(Datagram),
-    Stop,
 }
 
 /// A running daemon.
@@ -295,6 +293,9 @@ impl Daemon {
                 .identity
                 .unwrap_or_else(|| KeyPair::generate(&mut rand::thread_rng())),
         );
+        // The daemon's one copy of its configuration: the handle, the lease
+        // client and the behavior's context all read this.
+        let config = Arc::new(config);
         let addr = Addr::new(config.host.clone(), config.port);
         let metrics = Arc::new(MetricsRegistry::new());
         // Surface the authorizer's cache counters through this daemon's
@@ -378,7 +379,7 @@ impl Daemon {
         }
 
         // Full vocabulary: service commands inheriting the built-ins.
-        let semantics = Arc::new(behavior.semantics().inheriting(&protocol::base_semantics()));
+        let semantics = behavior.semantics().inheriting(&protocol::base_semantics());
 
         let stop = Arc::new(AtomicBool::new(false));
         let crashed = Arc::new(AtomicBool::new(false));
@@ -392,9 +393,6 @@ impl Daemon {
         metrics
             .gauge("daemon.incarnation")
             .set(config.incarnation as i64);
-        // Bounded two-lane admission queue: the command plane sheds instead
-        // of buffering without limit (see `crate::admission`).
-        let (control_tx, control_rx) = admission_queue::<ControlMsg>(&config.admission, &metrics);
         // The shared ticket vault lets returning clients skip the full
         // handshake; by default it dies with the daemon, which is what
         // forces clients back onto the full handshake after a crash — a
@@ -415,12 +413,7 @@ impl Daemon {
             Notifier::new(Arc::clone(&pool), &metrics, Arc::clone(&retry_budget));
         let ctx = ServiceCtx::new(
             Arc::clone(&pool),
-            config.name.clone(),
-            config.class.clone(),
-            config.room.clone(),
-            config.port,
-            config.asd.clone(),
-            config.logger.clone(),
+            Arc::clone(&config),
             notifier,
             Arc::clone(&metrics),
             Arc::clone(&retry_budget),
@@ -429,29 +422,34 @@ impl Daemon {
         // Listeners carried over from the previous incarnation (live
         // upgrade) are live before the first command executes.
         let mut registry = NotificationRegistry::new();
-        for (watched, registration) in config.notifications.clone() {
-            registry.add(&watched, registration);
+        for (watched, registration) in &config.notifications {
+            registry.add(watched, registration.clone());
         }
-        let shed_deadline = metrics.counter("shed.deadline");
         let control = Control {
-            rx: control_rx,
+            // Bounded two-lane admission queue: the command plane sheds
+            // instead of buffering without limit (see `crate::admission`).
+            queue: AdmissionQueue::new(&config.admission, &metrics),
             behavior,
             ctx,
             registry,
-            auth: config.auth.clone(),
-            semantics: Arc::clone(&semantics),
-            incarnation: config.incarnation,
+            semantics,
             stop: Arc::clone(&stop),
             upgrading: Arc::clone(&upgrading),
             queue_wait: metrics.histogram("control.queueWait"),
-            shed_deadline: Arc::clone(&shed_deadline),
+            shed_deadline: metrics.counter("shed.deadline"),
             // Eagerly created so `aceStats` always reports them, even at
             // zero.
             panics: metrics.counter("control.panics"),
             errors: metrics.counter("cmd.errors"),
             verb_hists: HashMap::new(),
         };
-        let lease = LeaseState::new(pool, config.clone(), renew_every, &metrics, retry_budget);
+        let lease = LeaseState::new(
+            pool,
+            Arc::clone(&config),
+            renew_every,
+            &metrics,
+            retry_budget,
+        );
         let now = Instant::now();
         let task = DaemonTask {
             listener,
@@ -460,16 +458,11 @@ impl Daemon {
             dsocket_dead: false,
             identity: Arc::clone(&identity),
             vault: Arc::clone(&vault),
-            semantics,
             tick: config.tick,
             stats_interval: config.stats_interval,
-            stop: Arc::clone(&stop),
             crashed: Arc::clone(&crashed),
-            upgrading: Arc::clone(&upgrading),
             deregister: Arc::clone(&deregister),
-            control_tx: control_tx.clone(),
             control,
-            shed_deadline,
             accepted: metrics.counter("link.accepted"),
             resume_hits: metrics.counter("link.resume_hits"),
             full_handshakes: metrics.counter("link.full_handshakes"),
@@ -490,11 +483,9 @@ impl Daemon {
         let notifier = runtime.spawn(Box::new(notifier_task));
 
         Ok(DaemonHandle {
-            name: config.name.clone(),
             addr,
             principal: identity.principal(),
             identity,
-            incarnation: config.incarnation,
             config,
             stop,
             crashed,
@@ -502,7 +493,6 @@ impl Daemon {
             deregister,
             ticket_vault: vault,
             metrics,
-            control_tx,
             main,
             notifier,
         })
@@ -511,19 +501,16 @@ impl Daemon {
 
 /// Handle to a running daemon.
 pub struct DaemonHandle {
-    name: String,
     addr: Addr,
     principal: String,
     identity: Arc<KeyPair>,
-    incarnation: u64,
-    config: DaemonConfig,
+    config: Arc<DaemonConfig>,
     stop: Arc<AtomicBool>,
     crashed: Arc<AtomicBool>,
     upgrading: Arc<AtomicBool>,
     deregister: Arc<AtomicBool>,
     ticket_vault: Arc<TicketVault>,
     metrics: Arc<MetricsRegistry>,
-    control_tx: AdmissionQueue<ControlMsg>,
     main: TaskHandle,
     notifier: TaskHandle,
 }
@@ -531,7 +518,7 @@ pub struct DaemonHandle {
 impl DaemonHandle {
     /// The daemon's service name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.config.name
     }
 
     /// The daemon's service address.
@@ -552,7 +539,7 @@ impl DaemonHandle {
 
     /// The spawn generation this daemon was started under.
     pub fn incarnation(&self) -> u64 {
-        self.incarnation
+        self.config.incarnation
     }
 
     /// The configuration this daemon was spawned with.  A live upgrade
@@ -613,14 +600,14 @@ impl DaemonHandle {
         self.join();
     }
 
+    /// A stop is this flag and nothing else: the task reads it before every
+    /// message it dequeues, so it lands however full the lanes are, and
+    /// `join_main` wakes a task that is parked.
     fn stop(&self, crashed: bool) {
         if crashed {
             self.crashed.store(true, Ordering::SeqCst);
         }
         self.stop.store(true, Ordering::SeqCst);
-        // The stop bypasses admission: it must land even when both lanes
-        // are saturated.
-        self.control_tx.force_priority(ControlMsg::Stop);
     }
 
     /// The task observes the stop flag on its next poll; waiting on the
@@ -653,7 +640,7 @@ impl Drop for DaemonHandle {
 
 impl std::fmt::Debug for DaemonHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DaemonHandle({} @ {})", self.name, self.addr)
+        write!(f, "DaemonHandle({} @ {})", self.name(), self.addr)
     }
 }
 
@@ -667,6 +654,11 @@ const ACCEPTS_PER_POLL: usize = 64;
 const FRAMES_PER_SESSION: usize = 32;
 const DGRAMS_PER_POLL: usize = 256;
 const CONTROL_PER_POLL: usize = 256;
+/// Rounds of the final sweep: a stopping daemon answers up to this many ×
+/// [`FRAMES_PER_SESSION`] buffered frames a session — twice the notifier's
+/// 64-cast window — and a peer that never stops writing cannot hold the
+/// teardown.
+const SWEEP_PASSES: usize = 4;
 /// A connection whose client never starts the handshake is dropped after
 /// this (swept on the tick cadence).
 const PRE_HANDSHAKE_TTL: Duration = Duration::from_secs(5);
@@ -738,6 +730,11 @@ fn upgrading_refusal() -> Reply {
     Reply::err(ErrorCode::Upgrading, "service is upgrading; retry")
 }
 
+/// What a stopping daemon answers a frame it will never run.
+fn abandoned() -> Reply {
+    Reply::err(ErrorCode::Internal, "control plane did not reply")
+}
+
 /// How a frame was sent: as a call, or as the session's n-th cast.
 #[derive(Clone, Copy)]
 enum Sent {
@@ -799,16 +796,11 @@ struct DaemonTask {
     dsocket_dead: bool,
     identity: Arc<KeyPair>,
     vault: Arc<TicketVault>,
-    semantics: Arc<Semantics>,
     tick: Duration,
     stats_interval: Duration,
-    stop: Arc<AtomicBool>,
     crashed: Arc<AtomicBool>,
-    upgrading: Arc<AtomicBool>,
     deregister: Arc<AtomicBool>,
-    control_tx: AdmissionQueue<ControlMsg>,
     control: Control,
-    shed_deadline: Arc<Counter>,
     accepted: Arc<Counter>,
     resume_hits: Arc<Counter>,
     full_handshakes: Arc<Counter>,
@@ -838,7 +830,6 @@ impl RuntimeTask for DaemonTask {
         if !self.dsocket_dead {
             self.dsocket.register_waker(cx.waker());
         }
-        self.control.rx.register_waker(cx.waker());
 
         if !self.started {
             self.started = true;
@@ -847,7 +838,7 @@ impl RuntimeTask for DaemonTask {
 
         // An external stop (shutdown/crash/retire) skips new intake
         // entirely; frames already buffered are still answered first.
-        if self.stop.load(Ordering::SeqCst) {
+        if self.control.stopping() {
             return self.stop_poll();
         }
 
@@ -860,7 +851,7 @@ impl RuntimeTask for DaemonTask {
         // the stop check below tears the daemon down.
         self.control.drain(&mut self.sessions, &mut more);
 
-        if self.stop.load(Ordering::SeqCst) {
+        if self.control.stopping() {
             return self.stop_poll();
         }
 
@@ -870,7 +861,7 @@ impl RuntimeTask for DaemonTask {
             self.control.with_behavior(|b, ctx| b.on_tick(ctx));
             self.sweep_stale_handshakes(now);
         }
-        if self.stop.load(Ordering::SeqCst) {
+        if self.control.stopping() {
             return self.stop_poll();
         }
         if !self.stats_interval.is_zero() && self.last_stats.elapsed() >= self.stats_interval {
@@ -904,20 +895,21 @@ impl RuntimeTask for DaemonTask {
 impl DaemonTask {
     /// The task's last act.  A client whose frame raced the teardown still
     /// gets an answer (E_UPGRADING during a quiesce, E_INTERNAL for work
-    /// the dying queue abandons) before its link closes.  `finish`
-    /// (on_stop + the goodbye sequence — slow, networked) runs *before*
-    /// the sweep so the unread-frame window between the sweep and the link
-    /// drop is microseconds, not the whole teardown.
+    /// the dying daemon abandons) before its link closes: what was admitted
+    /// is settled as abandoned, then every session is read until it has no
+    /// input left — with the stop up intake admits nothing, it refuses each
+    /// frame in line, so one round answers [`FRAMES_PER_SESSION`] of them.
+    /// `finish` (on_stop + the goodbye sequence — slow, networked) runs
+    /// *before* the sweep so the unread-frame window between the sweep and
+    /// the link drop is microseconds, not the whole teardown.
     fn stop_poll(&mut self) -> TaskPoll {
         self.finish();
-        self.poll_sessions();
-        let abandoned = Reply::err(ErrorCode::Internal, "control plane did not reply");
-        while let Some(msg) = self.control.rx.try_recv() {
-            if let ControlMsg::Execute { session, .. } = msg {
-                conclude(&mut self.sessions, session, &abandoned, false);
-            }
+        let (control, sessions) = (&mut self.control, &mut self.sessions);
+        while control.settle_next(sessions, false).is_some() {}
+        for _ in 0..SWEEP_PASSES {
+            self.poll_sessions();
         }
-        if self.upgrading.load(Ordering::SeqCst) && !self.crashed.load(Ordering::SeqCst) {
+        if self.control.upgrading.load(Ordering::SeqCst) && !self.crashed.load(Ordering::SeqCst) {
             self.answer_in_advance();
         }
         TaskPoll::Complete
@@ -988,7 +980,7 @@ impl DaemonTask {
                     // so the lease lapses and recovery proceeds.
                     self.listener_dead = true;
                     self.crashed.store(true, Ordering::SeqCst);
-                    self.stop.store(true, Ordering::SeqCst);
+                    self.control.stop.store(true, Ordering::SeqCst);
                     return;
                 }
             }
@@ -1008,13 +1000,10 @@ impl DaemonTask {
                     // Datagrams are lossy by contract: a saturated bulk
                     // lane drops them (counted by the admission shed
                     // counters) rather than buffering without bound.
-                    match self
-                        .control_tx
-                        .offer(Lane::Bulk, ControlMsg::Data(datagram))
-                    {
-                        Ok(()) | Err(AdmitError::Busy) => {}
-                        Err(AdmitError::Closed) => return,
-                    }
+                    let _ = self
+                        .control
+                        .queue
+                        .offer(Lane::Bulk, ControlMsg::Data(datagram));
                 }
                 Ok(None) => return,
                 Err(_) => {
@@ -1023,7 +1012,7 @@ impl DaemonTask {
                     // than linger half-reachable.
                     self.dsocket_dead = true;
                     self.crashed.store(true, Ordering::SeqCst);
-                    self.stop.store(true, Ordering::SeqCst);
+                    self.control.stop.store(true, Ordering::SeqCst);
                     return;
                 }
             }
@@ -1136,13 +1125,13 @@ impl DaemonTask {
             let refusal = match received {
                 Err(unparsed) => unparsed,
                 Ok(cmd) => {
-                    if let Err(e) = self.semantics.validate(&cmd) {
+                    if let Err(e) = self.control.semantics.validate(&cmd) {
                         // Semantic validation happens before admission,
                         // exactly as §2.2 describes the receiving side's
                         // parser doing.
                         self.rejected.incr();
                         Reply::err(ErrorCode::Semantics, e.to_string())
-                    } else if self.upgrading.load(Ordering::SeqCst)
+                    } else if self.control.upgrading.load(Ordering::SeqCst)
                         && !matches!(cmd.name(), "ping" | "describe" | "aceUpgrade")
                     {
                         // Quiesce gate: once an upgrade begins, refuse new
@@ -1151,14 +1140,18 @@ impl DaemonTask {
                         // open.
                         self.upgrade_rejected.incr();
                         upgrading_refusal()
-                    } else if self.control_tx.enforce_deadlines()
+                    } else if self.control.queue.enforce_deadlines()
                         && matches!(cmd.deadline_ms(), Some(ms) if ms <= 0)
                     {
                         // Overload control before the control queue:
                         // expired deadlines and saturated lanes are refused
                         // with retryable errors instead of buffered.
-                        self.shed_deadline.incr();
+                        self.control.shed_deadline.incr();
                         Reply::err(ErrorCode::Deadline, "deadline already expired")
+                    } else if self.control.stopping() {
+                        // The final sweep: nothing is admitted any more, so
+                        // the read goes on to the frame behind this one.
+                        abandoned()
                     } else {
                         let now = Instant::now();
                         let deadline = cmd
@@ -1176,20 +1169,11 @@ impl DaemonTask {
                             enqueued: now,
                             deadline,
                         };
-                        match self.control_tx.offer(lane, msg) {
-                            Ok(()) => {
-                                *in_flight = Some(sent);
-                                break;
-                            }
-                            Err(AdmitError::Busy) => Reply::err(
-                                ErrorCode::Busy,
-                                "admission queue saturated; retry later",
-                            ),
-                            Err(AdmitError::Closed) => {
-                                dead = true;
-                                break;
-                            }
+                        if self.control.queue.offer(lane, msg).is_ok() {
+                            *in_flight = Some(sent);
+                            break;
                         }
+                        Reply::err(ErrorCode::Busy, "admission queue saturated; retry later")
                     }
                 }
             };
@@ -1233,18 +1217,18 @@ impl DaemonTask {
 // ---------------------------------------------------------------------------
 
 /// Everything the control role owns: the behavior with its context and
-/// notification registry, what the KeyNote check needs, and the consumer
-/// end of the admission queue.  One owner, so dispatch, the upgrade plane
-/// and the built-in verbs are methods instead of functions threading a
-/// dozen borrowed fields.
+/// notification registry, and the admission queue — intake offers into it,
+/// [`Control::settle_next`] is the one place it is dequeued.  One owner, so
+/// dispatch, the upgrade plane and the built-in verbs are methods instead
+/// of functions threading a dozen borrowed fields.
 struct Control {
-    rx: AdmissionReceiver<ControlMsg>,
+    queue: AdmissionQueue<ControlMsg>,
     behavior: Box<dyn ServiceBehavior>,
     ctx: ServiceCtx,
     registry: NotificationRegistry,
-    auth: AuthMode,
-    semantics: Arc<Semantics>,
-    incarnation: u64,
+    semantics: Semantics,
+    /// Set by the handle (`shutdown`/`retire`/`crash`), by a behavior's
+    /// `request_stop`, or by a dead listener: the whole stop signal.
     stop: Arc<AtomicBool>,
     upgrading: Arc<AtomicBool>,
     queue_wait: Arc<Histogram>,
@@ -1257,57 +1241,78 @@ struct Control {
 }
 
 impl Control {
-    /// The dequeue half: CoDel accounting, queue-lapsed deadline shedding,
-    /// upgrade plane, dispatch — and the reply, concluded on the session
-    /// that asked as soon as dispatch returns.
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// The dequeue half of a poll.
     fn drain(&mut self, sessions: &mut Sessions, more: &mut bool) {
-        let mut n = 0;
-        while n < CONTROL_PER_POLL {
-            match self.rx.try_recv() {
-                Some(ControlMsg::Execute {
-                    cmd,
-                    from,
-                    session,
-                    enqueued,
-                    deadline,
-                }) => {
-                    n += 1;
-                    // Feed the CoDel estimator (the queue-depth gauge is
-                    // kept current by the admission queue itself, on
-                    // enqueue *and* dequeue).
-                    let waited = enqueued.elapsed();
-                    self.rx.note_wait(waited);
-                    self.queue_wait.record(waited);
-                    let lapsed = self.rx.enforce_deadlines()
-                        && matches!(deadline, Some(d) if Instant::now() >= d);
-                    let reply = if lapsed {
-                        // Shed work whose client-side budget lapsed in
-                        // queue: the caller is gone, executing would burn
-                        // capacity for nobody.
-                        self.shed_deadline.incr();
-                        Reply::err(
-                            ErrorCode::Deadline,
-                            "deadline expired in queue; shed before execution",
-                        )
-                    } else if cmd.name() == "aceUpgrade" {
-                        self.upgrade(sessions, &cmd, &from)
-                    } else {
-                        self.dispatch(&cmd, &from, deadline)
-                    };
-                    conclude(sessions, session, &reply, ran(&reply));
-                }
-                Some(ControlMsg::Data(datagram)) => {
-                    n += 1;
-                    self.with_behavior(|b, ctx| b.on_data(ctx, datagram));
-                }
-                Some(ControlMsg::Stop) => {
-                    self.stop.store(true, Ordering::SeqCst);
-                    return;
-                }
-                None => return,
+        for _ in 0..CONTROL_PER_POLL {
+            if self.settle_next(sessions, false).is_none() {
+                return;
             }
         }
         *more = true;
+    }
+
+    /// Pop the next admitted message and settle it — the one place the queue
+    /// is dequeued: CoDel accounting, queue-lapsed deadline shedding, the
+    /// upgrade plane, dispatch, and the reply, concluded on the session
+    /// that asked as soon as dispatch returns.  The stop is read here, before
+    /// every message and not only when the queue runs dry: however full the
+    /// lanes, a stopping daemon runs nothing more and answers what it has
+    /// queued as abandoned.  `quiescing` says the caller is the quiesce
+    /// drain.  `None`: the queue is empty; `Some(true)`: a verb was
+    /// dispatched.
+    fn settle_next(&mut self, sessions: &mut Sessions, quiescing: bool) -> Option<bool> {
+        let (cmd, from, session, enqueued, deadline) = match self.queue.pop()? {
+            ControlMsg::Execute {
+                cmd,
+                from,
+                session,
+                enqueued,
+                deadline,
+            } => (cmd, from, session, enqueued, deadline),
+            ControlMsg::Data(datagram) => {
+                if !self.stopping() {
+                    self.with_behavior(|b, ctx| b.on_data(ctx, datagram));
+                }
+                return Some(false);
+            }
+        };
+        if self.stopping() {
+            conclude(sessions, session, &abandoned(), false);
+            return Some(false);
+        }
+        // Feed the CoDel estimator (the queue-depth gauge is kept current
+        // by the admission queue itself, on enqueue *and* dequeue).
+        let waited = enqueued.elapsed();
+        self.queue.note_wait(waited);
+        self.queue_wait.record(waited);
+        let lapsed =
+            self.queue.enforce_deadlines() && matches!(deadline, Some(d) if Instant::now() >= d);
+        let mut dispatched = false;
+        let reply = if lapsed {
+            // Shed work whose client-side budget lapsed in queue: the
+            // caller is gone, executing would burn capacity for nobody.
+            self.shed_deadline.incr();
+            Reply::err(
+                ErrorCode::Deadline,
+                "deadline expired in queue; shed before execution",
+            )
+        } else if cmd.name() != "aceUpgrade" {
+            dispatched = true;
+            self.dispatch(&cmd, &from, deadline)
+        } else if quiescing {
+            // A second driver racing the first observes the quiesce already
+            // in progress instead of recursing.
+            let incarnation = self.ctx.config.incarnation;
+            Reply::ok_with(|c| c.arg("upgrading", true).arg("incarnation", incarnation))
+        } else {
+            self.upgrade(sessions, &cmd, &from)
+        };
+        conclude(sessions, session, &reply, ran(&reply));
+        Some(dispatched)
     }
 
     /// Run one behavior callback, then [`Self::settle`].
@@ -1375,7 +1380,7 @@ impl Control {
     /// Does `from` hold credentials for `cmd`?  A refusal is logged.
     fn authorized(&self, cmd: &CmdLine, from: &ClientInfo) -> bool {
         let env = action_env_for(self.ctx.name(), self.ctx.class(), self.ctx.room(), cmd);
-        let permitted = self.auth.check(&from.principal, &env);
+        let permitted = self.ctx.config.auth.check(&from.principal, &env);
         if !permitted {
             self.ctx.log(
                 "security",
@@ -1398,7 +1403,7 @@ impl Control {
         if !self.authorized(cmd, from) {
             return Reply::err(ErrorCode::Denied, "no credentials permit `aceUpgrade`");
         }
-        let incarnation = self.incarnation;
+        let incarnation = self.ctx.config.incarnation;
         match cmd.get_text("phase") {
             Some("status") => Reply::ok_with(|c| {
                 c.arg("upgrading", self.upgrading.load(Ordering::SeqCst))
@@ -1416,40 +1421,11 @@ impl Control {
                 // Drain in-flight verbs: everything already admitted
                 // executes and replies normally before the state is frozen.
                 // Intake and this drain are stages of the same poll, so
-                // nothing but `Stop` can be enqueued while it runs; a frame
-                // still unread in a link buffer meets the closed gate on
-                // the next poll.
+                // nothing is enqueued while it runs; a frame still unread
+                // in a link buffer meets the closed gate on the next poll.
                 let mut drained: u64 = 0;
-                while let Some(msg) = self.rx.try_recv() {
-                    match msg {
-                        ControlMsg::Execute {
-                            cmd,
-                            from,
-                            session,
-                            deadline,
-                            ..
-                        } => {
-                            let reply = if cmd.name() == "aceUpgrade" {
-                                // A second driver racing us observes the
-                                // quiesce already in progress instead of
-                                // recursing.
-                                Reply::ok_with(|c| {
-                                    c.arg("upgrading", true).arg("incarnation", incarnation)
-                                })
-                            } else {
-                                drained += 1;
-                                self.dispatch(&cmd, &from, deadline)
-                            };
-                            conclude(sessions, session, &reply, ran(&reply));
-                        }
-                        ControlMsg::Data(datagram) => {
-                            self.with_behavior(|b, ctx| b.on_data(ctx, datagram));
-                        }
-                        ControlMsg::Stop => {
-                            self.stop.store(true, Ordering::SeqCst);
-                            break;
-                        }
-                    }
+                while let Some(dispatched) = self.settle_next(sessions, true) {
+                    drained += u64::from(dispatched);
                 }
                 let metrics = Arc::clone(self.ctx.metrics());
                 metrics.counter("upgrade.drainedVerbs").add(drained);
@@ -1464,8 +1440,8 @@ impl Control {
                 );
                 Reply::ok_with(|c| {
                     let mut c = c.arg("incarnation", incarnation).arg("drained", drained);
-                    if let Some(bytes) = &snapshot {
-                        c = c.arg("snapshot", Value::Word(protocol::hex_encode(bytes)));
+                    if let Some(bytes) = snapshot {
+                        c = c.arg("snapshot", bytes);
                     }
                     if !notifications.is_empty() {
                         c = c.arg(
@@ -1498,7 +1474,7 @@ impl Control {
         match cmd.name() {
             "ping" => Reply::ok_with(|c| {
                 c.arg("service", self.ctx.name())
-                    .arg("incarnation", self.incarnation)
+                    .arg("incarnation", self.ctx.config.incarnation)
             }),
             "describe" => {
                 let mut names: Vec<Scalar> = self
@@ -1607,7 +1583,7 @@ fn first_renewal_delay(seed: u64, period: Duration) -> Duration {
 /// main role's afterlife, ticked by [`DaemonTask::poll`].
 struct LeaseState {
     pool: Arc<LinkPool>,
-    config: DaemonConfig,
+    config: Arc<DaemonConfig>,
     renewals: Arc<Counter>,
     failures: Arc<Counter>,
     reregisters: Arc<Counter>,
@@ -1627,7 +1603,7 @@ struct LeaseState {
 impl LeaseState {
     fn new(
         pool: Arc<LinkPool>,
-        config: DaemonConfig,
+        config: Arc<DaemonConfig>,
         renew_every: Option<Duration>,
         metrics: &MetricsRegistry,
         retry_budget: Arc<RetryBudget>,

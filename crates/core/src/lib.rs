@@ -75,7 +75,7 @@ pub mod retry;
 pub mod runtime;
 pub mod supervise;
 
-pub use admission::{AdmissionConfig, AdmitError, Lane};
+pub use admission::{AdmissionConfig, Lane};
 pub use auth::{action_env_for, AuthMode, Authorizer, CredentialSource};
 pub use behavior::{ClientInfo, ServiceBehavior, ServiceCtx};
 pub use breaker::{BreakerConfig, BreakerRegistry, BreakerVerdict};

@@ -287,23 +287,23 @@ pub use ace_lang::{hex_decode, hex_encode};
 /// the wire), framed with its kind and an FNV-1a checksum so that a torn
 /// or bit-flipped blob is *refused* at restore time rather than half
 /// applied — a live upgrade must never seed the replacement incarnation
-/// with corrupt state.
+/// with corrupt state.  The result is a link frame: the state rides in it
+/// as a blob, byte for byte, not as a hex word twice its size.
 pub fn seal_snapshot(kind: &str, state: CmdLine) -> Vec<u8> {
     let inner = state.to_wire().into_bytes();
     let crc = fnv64(&inner);
     CmdLine::new("snapshot")
         .arg("kind", ace_lang::Value::Word(kind.to_string()))
         .arg("crc", ace_lang::Value::Word(format!("x{crc:016x}")))
-        .arg("data", ace_lang::Value::Word(hex_encode(&inner)))
-        .to_wire()
-        .into_bytes()
+        .arg("data", inner)
+        .to_frame()
 }
 
 /// Open a sealed snapshot, verifying kind and checksum.  Any framing,
 /// kind, or integrity mismatch refuses the whole snapshot.
 pub fn open_snapshot(kind: &str, bytes: &[u8]) -> Result<CmdLine, String> {
-    let text = std::str::from_utf8(bytes).map_err(|_| "snapshot is not text".to_string())?;
-    let outer = CmdLine::parse(text).map_err(|e| format!("snapshot frame does not parse: {e}"))?;
+    let outer =
+        CmdLine::parse_frame(bytes).map_err(|e| format!("snapshot frame does not parse: {e}"))?;
     if outer.name() != "snapshot" {
         return Err(format!("not a snapshot frame: `{}`", outer.name()));
     }
@@ -317,9 +317,8 @@ pub fn open_snapshot(kind: &str, bytes: &[u8]) -> Result<CmdLine, String> {
         .and_then(|w| u64::from_str_radix(w.strip_prefix('x').unwrap_or(w), 16).ok())
         .ok_or_else(|| "snapshot frame missing checksum".to_string())?;
     let inner = outer
-        .get_text("data")
-        .and_then(hex_decode)
-        .ok_or_else(|| "snapshot payload is not valid hex".to_string())?;
+        .get_blob("data")
+        .ok_or_else(|| "snapshot frame missing payload".to_string())?;
     if fnv64(&inner) != crc {
         return Err("snapshot checksum mismatch (torn or corrupted)".to_string());
     }

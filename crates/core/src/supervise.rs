@@ -703,12 +703,12 @@ pub fn live_upgrade(
     };
 
     let drained = reply.get_int("drained").unwrap_or(0).max(0) as u64;
-    let snapshot = match reply.get_text("snapshot") {
-        Some(hex) => match protocol::hex_decode(hex) {
-            Some(bytes) => Some(bytes),
+    let snapshot = match reply.get("snapshot") {
+        Some(value) => match value.as_blob() {
+            Some(bytes) => Some(bytes.into_owned()),
             None => {
                 abort(&mut client);
-                return Err(UpgradeError::Protocol("snapshot is not valid hex".into()));
+                return Err(UpgradeError::Protocol("snapshot is not a blob".into()));
             }
         },
         None => None,

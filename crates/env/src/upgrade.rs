@@ -29,6 +29,24 @@ pub struct RollingEntry {
 }
 
 impl AceEnvironment {
+    /// The one place a daemon's handle is found by name: the service
+    /// daemons, the store replicas (`store_1`…), the framework tier.
+    fn handle(&self, name: &str) -> Option<&DaemonHandle> {
+        let replicas = self.store.iter().flat_map(|c| &c.replicas);
+        (self.daemons.values())
+            .chain(replicas.map(|(handle, _)| handle))
+            .chain([&self.fw.logger, &self.fw.roomdb, &self.fw.asd])
+            .find(|handle| handle.name() == name)
+    }
+
+    fn handle_mut(&mut self, name: &str) -> Option<&mut DaemonHandle> {
+        let replicas = self.store.iter_mut().flat_map(|c| &mut c.replicas);
+        (self.daemons.values_mut())
+            .chain(replicas.map(|(handle, _)| handle))
+            .chain([&mut self.fw.logger, &mut self.fw.roomdb, &mut self.fw.asd])
+            .find(|handle| handle.name() == name)
+    }
+
     /// Hot-swap one named daemon (including store replicas addressed as
     /// `store_1`…) with `replacement`, persisting its sealed snapshot to
     /// the store cluster when one exists.  On success the environment's
@@ -52,65 +70,20 @@ impl AceEnvironment {
                 None => Ok(()),
             }
         };
-        let from: HostId = "core".into();
-
-        if self.daemons.contains_key(name) {
-            let old = &self.daemons[name];
-            let (fresh, stats) = ace_core::live_upgrade(
-                &self.net,
-                &from,
-                &self.admin,
-                old,
-                old.config().clone(),
-                replacement,
-                Some(&mut persist),
-            )?;
-            self.daemons.insert(name.to_string(), fresh);
-            return Ok(stats);
-        }
-        if let Some(cluster) = &mut self.store {
-            if let Some(idx) = cluster
-                .replicas
-                .iter()
-                .position(|(handle, _)| handle.name() == name)
-            {
-                let old = &cluster.replicas[idx].0;
-                let (fresh, stats) = ace_core::live_upgrade(
-                    &self.net,
-                    &from,
-                    &self.admin,
-                    old,
-                    old.config().clone(),
-                    replacement,
-                    Some(&mut persist),
-                )?;
-                cluster.replicas[idx].0 = fresh;
-                return Ok(stats);
-            }
-        }
-        if let Some(old) = match name {
-            "asd" => Some(&self.fw.asd),
-            "roomdb" => Some(&self.fw.roomdb),
-            "netlogger" => Some(&self.fw.logger),
-            _ => None,
-        } {
-            let (fresh, stats) = ace_core::live_upgrade(
-                &self.net,
-                &from,
-                &self.admin,
-                old,
-                old.config().clone(),
-                replacement,
-                Some(&mut persist),
-            )?;
-            match name {
-                "asd" => self.fw.asd = fresh,
-                "roomdb" => self.fw.roomdb = fresh,
-                _ => self.fw.logger = fresh,
-            }
-            return Ok(stats);
-        }
-        Err(UpgradeError::Protocol(format!("no daemon named {name}")))
+        let Some(old) = self.handle(name) else {
+            return Err(UpgradeError::Protocol(format!("no daemon named {name}")));
+        };
+        let (fresh, stats) = ace_core::live_upgrade(
+            &self.net,
+            &"core".into(),
+            &self.admin,
+            old,
+            old.config().clone(),
+            replacement,
+            Some(&mut persist),
+        )?;
+        *self.handle_mut(name).expect("found above") = fresh;
+        Ok(stats)
     }
 
     /// The stock replacement behavior for a daemon, by service class.
@@ -149,74 +122,24 @@ impl AceEnvironment {
         &mut self,
         factory: ReplacementFactory<'_>,
     ) -> Result<Vec<RollingEntry>, UpgradeError> {
-        let mut rolled = Vec::new();
-        let names: Vec<String> = self.teardown_order.clone();
-        for name in names {
-            let Some(old) = self.daemons.get(&name) else {
-                continue;
-            };
-            let Some(replacement) = factory(self, old) else {
-                continue;
-            };
-            let stats = self.upgrade_daemon(&name, replacement)?;
-            rolled.push(RollingEntry {
-                incarnation: self.daemons[&name].incarnation(),
-                name,
-                stats,
-            });
-        }
-        let replica_names: Vec<String> = self
-            .store
-            .iter()
-            .flat_map(|c| c.replicas.iter().map(|(h, _)| h.name().to_string()))
-            .collect();
-        for name in replica_names {
-            let handle = &self
-                .store
-                .as_ref()
-                .expect("store exists: names came from it")
-                .replicas
-                .iter()
-                .find(|(h, _)| h.name() == name)
-                .expect("replica exists")
-                .0;
-            let Some(replacement) = factory(self, handle) else {
-                continue;
-            };
-            let stats = self.upgrade_daemon(&name, replacement)?;
-            let incarnation = self
-                .store
-                .as_ref()
-                .and_then(|c| c.replicas.iter().find(|(h, _)| h.name() == name))
-                .map(|(h, _)| h.incarnation())
-                .unwrap_or(0);
-            rolled.push(RollingEntry {
-                name,
-                stats,
-                incarnation,
-            });
-        }
         // Framework tier last — Net Logger, Room DB, then the ASD itself:
         // during the ASD's quiesce window every other daemon's lease
         // renewal bounces with retryable E_UPGRADING, and the restored
         // leases come back with fresh deadlines.
-        for name in ["netlogger", "roomdb", "asd"] {
-            let handle = match name {
-                "asd" => &self.fw.asd,
-                "roomdb" => &self.fw.roomdb,
-                _ => &self.fw.logger,
-            };
-            let Some(replacement) = factory(self, handle) else {
+        let replicas = self.store.iter().flat_map(|c| c.replicas.iter());
+        let names: Vec<String> = (self.teardown_order.iter().cloned())
+            .chain(replicas.map(|(handle, _)| handle.name().to_string()))
+            .chain(["netlogger", "roomdb", "asd"].map(String::from))
+            .collect();
+        let mut rolled = Vec::new();
+        for name in names {
+            let Some(replacement) = self.handle(&name).and_then(|old| factory(self, old)) else {
                 continue;
             };
-            let stats = self.upgrade_daemon(name, replacement)?;
-            let incarnation = match name {
-                "asd" => self.fw.asd.incarnation(),
-                "roomdb" => self.fw.roomdb.incarnation(),
-                _ => self.fw.logger.incarnation(),
-            };
+            let stats = self.upgrade_daemon(&name, replacement)?;
+            let incarnation = self.handle(&name).map_or(0, DaemonHandle::incarnation);
             rolled.push(RollingEntry {
-                name: name.to_string(),
+                name,
                 stats,
                 incarnation,
             });

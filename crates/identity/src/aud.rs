@@ -35,6 +35,25 @@ pub(crate) fn aud_addr(ctx: &mut ServiceCtx) -> Option<Addr> {
     ctx.lookup_one("aud").ok().flatten().map(|entry| entry.addr)
 }
 
+/// Ask the AUD whose identifier this is (`findByFingerprint`,
+/// `findByIButton`).  `Ok(None)` is the AUD's own `E_NOTFOUND` and nothing
+/// else: an AUD that cannot be found, reached or made to answer is not a
+/// stranger at the door.  The identification did not happen, and `Err` is
+/// the `E_UNAVAILABLE` the device answers with — no failure event, no
+/// security record.
+pub(crate) fn find_user(ctx: &mut ServiceCtx, query: &CmdLine) -> Result<Option<String>, Reply> {
+    let unavailable = |why: String| Reply::err(ErrorCode::Unavailable, why);
+    let aud = aud_addr(ctx).ok_or_else(|| unavailable("no AUD to ask".into()))?;
+    match ctx.call(&aud, query) {
+        Ok(reply) => Ok(reply.get_text("username").map(str::to_string)),
+        Err(ClientError::Service {
+            code: ErrorCode::NotFound,
+            ..
+        }) => Ok(None),
+        Err(e) => Err(unavailable(format!("cannot ask the AUD: {e}"))),
+    }
+}
+
 /// Hash a password with the username as salt.
 pub fn password_hash(username: &str, password: &str) -> u64 {
     fnv64(format!("aud:{username}:{password}").as_bytes())

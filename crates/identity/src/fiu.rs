@@ -13,7 +13,7 @@
 //! successful identification fires the `userIdentified` event that the ID
 //! Monitor listens for (Scenario 2).
 
-use crate::aud::aud_addr;
+use crate::aud::find_user;
 use ace_core::prelude::*;
 use std::collections::HashMap;
 
@@ -173,17 +173,11 @@ impl ServiceBehavior for Fiu {
                 match self.device.scan(&template, quality) {
                     ScanOutcome::Match { template, score } => {
                         // Resolve the template to a user via the AUD.
-                        let user = aud_addr(ctx).and_then(|aud| {
-                            ctx.call(
-                                &aud,
-                                &CmdLine::new("findByFingerprint")
-                                    .arg("template", Value::Str(template.clone())),
-                            )
-                            .ok()
-                            .and_then(|r| r.get_text("username").map(str::to_string))
-                        });
-                        match user {
-                            Some(username) => {
+                        let query = CmdLine::new("findByFingerprint")
+                            .arg("template", Value::Str(template.clone()));
+                        match find_user(ctx, &query) {
+                            Err(unavailable) => unavailable,
+                            Ok(Some(username)) => {
                                 ctx.log(
                                     "info",
                                     format!("identified {username} (score {score:.2})"),
@@ -204,7 +198,7 @@ impl ServiceBehavior for Fiu {
                                     c.arg("identified", true).arg("username", username)
                                 })
                             }
-                            None => {
+                            Ok(None) => {
                                 ctx.log(
                                     "security",
                                     format!("matched template {template} has no ACE user"),

@@ -10,7 +10,7 @@
 //! registered user or it does not.  A physical touch arrives as the `touch`
 //! command.
 
-use crate::aud::aud_addr;
+use crate::aud::find_user;
 use ace_core::prelude::*;
 
 /// The iButton reader service behavior.
@@ -43,16 +43,10 @@ impl ServiceBehavior for IButtonReader {
             "touch" => {
                 self.touches += 1;
                 let serial = req_text!(cmd, "serial").to_string();
-                let user = aud_addr(ctx).and_then(|aud| {
-                    ctx.call(
-                        &aud,
-                        &CmdLine::new("findByIButton").arg("serial", Value::Str(serial.clone())),
-                    )
-                    .ok()
-                    .and_then(|r| r.get_text("username").map(str::to_string))
-                });
-                match user {
-                    Some(username) => {
+                let query = CmdLine::new("findByIButton").arg("serial", Value::Str(serial.clone()));
+                match find_user(ctx, &query) {
+                    Err(unavailable) => unavailable,
+                    Ok(Some(username)) => {
                         ctx.log("info", format!("iButton identified {username}"));
                         let room = ctx.room().to_string();
                         let host = ctx.host().to_string();
@@ -66,7 +60,7 @@ impl ServiceBehavior for IButtonReader {
                         );
                         Reply::ok_with(|c| c.arg("identified", true).arg("username", username))
                     }
-                    None => {
+                    Ok(None) => {
                         ctx.log("security", format!("unknown iButton serial {serial}"));
                         ctx.fire_event(
                             CmdLine::new("identificationFailed")

@@ -202,11 +202,11 @@ fn a_moved_aud_is_found_again() {
 
     let mut scanner =
         ServiceClient::connect(&w.net, &"bar".into(), fiu.addr().clone(), &me).unwrap();
+    // An `E_UNAVAILABLE` press (the AUD could not be asked) reads as a miss.
     let mut press = || {
         scanner
             .call(&CmdLine::new("press").arg("template", Value::Str("fp_jdoe".into())))
-            .unwrap()
-            .get_bool("identified")
+            .map_or(Some(false), |reply| reply.get_bool("identified"))
     };
     assert_eq!(press(), Some(true), "the FIU now holds the AUD's address");
 
@@ -230,6 +230,71 @@ fn a_moved_aud_is_found_again() {
 
     fiu.shutdown();
     moved.shutdown();
+    w.fw.shutdown();
+}
+
+/// Invariant: "no such user" is the AUD's answer and nobody else's.  With the
+/// AUD down, the press of an enrolled finger is `E_UNAVAILABLE` — not
+/// `identified=false`, which would send a legitimate user away as a stranger
+/// — and it leaves no `security` record and fires no `identificationFailed`.
+#[test]
+fn a_dead_aud_is_unavailable_not_an_unknown_user() {
+    let w = world();
+    let me = keypair();
+    let mut device = ScannerDevice::default();
+    device.enroll("fp_jdoe", 0.95);
+    let fiu = Daemon::spawn(
+        &w.net,
+        w.fw.service_config("fiu_hawk", "Service.Device.FIU", "hawk", "bar", 5300),
+        Box::new(Fiu::new(device)),
+    )
+    .unwrap();
+    let reader = Daemon::spawn(
+        &w.net,
+        w.fw.service_config(
+            "ibutton_hawk",
+            "Service.Device.IButton",
+            "hawk",
+            "bar",
+            5310,
+        ),
+        Box::new(IButtonReader::new()),
+    )
+    .unwrap();
+    UserDbClient::connect(&w.net, &"bar".into(), w.aud.addr().clone(), &me)
+        .unwrap()
+        .add_user(
+            "jdoe",
+            "John Doe",
+            "pw",
+            "key",
+            Some("fp_jdoe"),
+            Some("ib_1"),
+        )
+        .unwrap();
+    w.aud.crash();
+
+    let failed = |daemon: &DaemonHandle, cmd: CmdLine| {
+        let mut client =
+            ServiceClient::connect(&w.net, &"bar".into(), daemon.addr().clone(), &me).unwrap();
+        match client.call(&cmd) {
+            Err(ClientError::Service { code, .. }) => code,
+            other => panic!("`{cmd}` with the AUD down answered {other:?}"),
+        }
+    };
+    let press = CmdLine::new("press").arg("template", Value::Str("fp_jdoe".into()));
+    let touch = CmdLine::new("touch").arg("serial", Value::Str("ib_1".into()));
+    assert_eq!(failed(&fiu, press), ErrorCode::Unavailable);
+    assert_eq!(failed(&reader, touch), ErrorCode::Unavailable);
+
+    // Both daemons' log casts are in the logger once a later record of each
+    // is: nothing of the two attempts reads as an intrusion.
+    fiu.shutdown();
+    reader.shutdown();
+    let mut logger =
+        LoggerClient::connect(&w.net, &"core".into(), w.fw.logger_addr.clone(), &me).unwrap();
+    let security = logger.tail(20, Some("security")).unwrap();
+    assert!(security.is_empty(), "logged as an intrusion: {security:?}");
     w.fw.shutdown();
 }
 
