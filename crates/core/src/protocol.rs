@@ -12,7 +12,7 @@
 
 use crate::client::ClientError;
 use crate::pool::LinkPool;
-use ace_lang::{ArgType, CmdLine, CmdSpec, ErrorCode, Semantics};
+use ace_lang::{ArgType, CmdLine, CmdSpec, ErrorCode, Scalar, Semantics};
 use ace_net::Addr;
 use ace_security::hash::fnv64;
 use std::sync::Arc;
@@ -267,7 +267,17 @@ pub fn store_scaleout_semantics() -> Semantics {
                 "read a key served only by the live leaseholder",
             )
             .required("ns", ArgType::Word, "namespace")
-            .required("key", ArgType::Str, "key"),
+            .required("key", ArgType::Str, "key")
+            .optional(
+                "version",
+                ArgType::Int,
+                "version of the value the asker holds",
+            )
+            .optional(
+                "writer",
+                ArgType::Str,
+                "its writer: if that exact value is held, the answer is `same=true`",
+            ),
         )
         .with(CmdSpec::new(
             "psPlacement",
@@ -325,6 +335,47 @@ pub fn open_snapshot(kind: &str, bytes: &[u8]) -> Result<CmdLine, String> {
     let inner_text =
         std::str::from_utf8(&inner).map_err(|_| "snapshot payload is not text".to_string())?;
     CmdLine::parse(inner_text).map_err(|e| format!("snapshot payload does not parse: {e}"))
+}
+
+/// The one representation of values in batch rows, on both planes (the
+/// store's `psPutBatch` items and `psWalTail` entries, the Net Logger's
+/// `queryEvents` rows): every row ends in a cell holding its value's length,
+/// and the values travel concatenated, in row order, as a single blob
+/// argument beside the array.  Returns `(rows, blob)`.
+pub fn pack_values<'a>(
+    rows: impl Iterator<Item = (Vec<Scalar>, &'a [u8])>,
+) -> (Vec<Vec<Scalar>>, Vec<u8>) {
+    let mut blob = Vec::new();
+    let rows = rows
+        .map(|(mut row, value)| {
+            row.push(Scalar::Str(value.len().to_string()));
+            blob.extend_from_slice(value);
+            row
+        })
+        .collect();
+    (rows, blob)
+}
+
+/// Undo [`pack_values`]: each row (its length cell still last) with its
+/// value.  `None` unless every row has `cells` cells plus a length and the
+/// lengths use up the blob exactly.
+pub fn unpack_values<'a>(
+    rows: &'a [Vec<Scalar>],
+    mut blob: &'a [u8],
+    cells: usize,
+) -> Option<Vec<(&'a [Scalar], &'a [u8])>> {
+    let mut out = Vec::with_capacity(rows.len());
+    for row in rows {
+        let (len, row) = row.split_last()?;
+        let len: usize = len.as_text()?.parse().ok()?;
+        if row.len() != cells || len > blob.len() {
+            return None;
+        }
+        let (value, rest) = blob.split_at(len);
+        blob = rest;
+        out.push((row, value));
+    }
+    blob.is_empty().then_some(out)
 }
 
 /// A directory entry as returned by ASD `lookup` replies.

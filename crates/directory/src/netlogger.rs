@@ -108,49 +108,53 @@ fn records_to_value(records: &[&LogRecord]) -> Value {
     )
 }
 
-fn events_to_value(events: &[&EventRecord]) -> Value {
-    Value::Array(
-        events
-            .iter()
-            .map(|e| {
-                vec![
-                    Scalar::Str(e.seq.to_string()),
-                    Scalar::Str(e.service.clone()),
-                    Scalar::Str(e.kind.clone()),
-                    Scalar::Str(e.host.clone()),
-                    Scalar::Str(protocol::hex_encode(e.fields.to_wire().as_bytes())),
-                ]
-            })
-            .collect(),
-    )
+/// The `queryEvents` reply: rows `{seq, service, kind, host, length}` and,
+/// beside them as one `data=` blob, each event's fields in wire form, end to
+/// end — the batch row form both planes use ([`protocol::pack_values`]).
+fn events_reply(events: &[&EventRecord]) -> Reply {
+    let wires: Vec<String> = events.iter().map(|e| e.fields.to_wire()).collect();
+    let (rows, data) = protocol::pack_values(events.iter().zip(&wires).map(|(e, wire)| {
+        let row = vec![
+            Scalar::Str(e.seq.to_string()),
+            Scalar::Str(e.service.clone()),
+            Scalar::Str(e.kind.clone()),
+            Scalar::Str(e.host.clone()),
+        ];
+        (row, wire.as_bytes())
+    }));
+    Reply::ok_with(|c| {
+        c.arg("count", rows.len() as i64)
+            .arg("events", Value::Array(rows))
+            .arg("data", data)
+    })
 }
 
 /// One decoded `queryEvents` row: `(seq, service, kind, host, fields)`.
 pub type EventRow = (u64, String, String, String, CmdLine);
 
-/// Decode an `events=` array of a `queryEvents` reply into [`EventRow`]s.
-pub fn events_from_value(value: &Value) -> Option<Vec<EventRow>> {
-    let rows = match value {
+/// Decode a `queryEvents` reply into [`EventRow`]s.  `None` unless every row
+/// and every event's fields take apart exactly.
+pub fn events_from_reply(reply: &CmdLine) -> Option<Vec<EventRow>> {
+    let rows = match reply.get("events")? {
+        // An empty array encodes as `{}`, which re-parses as an empty
+        // vector — treat it as zero rows.
         v if v.as_vector().is_some_and(|s| s.is_empty()) => return Some(Vec::new()),
         v => v.as_array()?,
     };
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        if row.len() != 5 {
-            return None;
-        }
-        let cell = |i: usize| row[i].as_text();
-        let bytes = protocol::hex_decode(cell(4)?)?;
-        let wire = String::from_utf8(bytes).ok()?;
-        out.push((
-            cell(0)?.parse().ok()?,
-            cell(1)?.to_string(),
-            cell(2)?.to_string(),
-            cell(3)?.to_string(),
-            CmdLine::parse(&wire).ok()?,
-        ));
-    }
-    Some(out)
+    let data = reply.get_blob("data")?;
+    protocol::unpack_values(rows, &data, 4)?
+        .into_iter()
+        .map(|(row, fields)| {
+            let cell = |i: usize| row[i].as_text();
+            Some((
+                cell(0)?.parse().ok()?,
+                cell(1)?.to_string(),
+                cell(2)?.to_string(),
+                cell(3)?.to_string(),
+                CmdLine::parse(std::str::from_utf8(fields).ok()?).ok()?,
+            ))
+        })
+        .collect()
 }
 
 /// One decoded `tail` row: `(seq, level, service, host, msg)`.
@@ -286,10 +290,7 @@ impl ServiceBehavior for NetLogger {
                     .unwrap_or_default();
                 // Oldest-first in the reply.
                 let ordered: Vec<&EventRecord> = matches.into_iter().rev().collect();
-                Reply::ok_with(|c| {
-                    c.arg("count", ordered.len() as i64)
-                        .arg("events", events_to_value(&ordered))
-                })
+                events_reply(&ordered)
             }
             "logStats" => {
                 let mut info = 0i64;
@@ -391,13 +392,10 @@ impl LoggerClient {
             cmd.push_arg("kind", k);
         }
         let reply = self.client.call(&cmd)?;
-        reply
-            .get("events")
-            .and_then(events_from_value)
-            .ok_or(ClientError::Service {
-                code: ErrorCode::Internal,
-                msg: "malformed queryEvents reply".into(),
-            })
+        events_from_reply(&reply).ok_or(ClientError::Service {
+            code: ErrorCode::Internal,
+            msg: "malformed queryEvents reply".into(),
+        })
     }
 
     /// `(total ever, retained, info, warn, error, security)` counts.
@@ -412,5 +410,71 @@ impl LoggerClient {
             g("error"),
             g("security"),
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record(seq: u64, service: &str, fields: CmdLine) -> EventRecord {
+        EventRecord {
+            seq,
+            service: service.into(),
+            kind: "stats".into(),
+            host: "core".into(),
+            fields,
+            at: Instant::now(),
+        }
+    }
+
+    /// Rows and fields travel in the one batch row form and come back as
+    /// they went — through the frame, through the text form (where the blob
+    /// is a hex word), and with no rows at all.
+    #[test]
+    fn query_events_rows_round_trip_in_the_batch_row_form() {
+        let events = [
+            record(
+                3,
+                "aud",
+                CmdLine::new("stats").arg("msg", Value::Str("a line; with a semicolon".into())),
+            ),
+            record(
+                4,
+                "wss",
+                CmdLine::new("stats")
+                    .arg("n", 7)
+                    .arg("raw", vec![0u8, b';', 0xff]),
+            ),
+            record(9, "aud", CmdLine::new("stats")),
+        ];
+        let refs: Vec<&EventRecord> = events.iter().collect();
+        let reply = events_reply(&refs).into_result().unwrap();
+        let expected: Vec<EventRow> = events
+            .iter()
+            .map(|e| {
+                let fields = CmdLine::parse(&e.fields.to_wire()).unwrap();
+                (
+                    e.seq,
+                    e.service.clone(),
+                    e.kind.clone(),
+                    e.host.clone(),
+                    fields,
+                )
+            })
+            .collect();
+        let framed = CmdLine::parse_frame(&reply.to_frame()).unwrap();
+        assert_eq!(events_from_reply(&framed), Some(expected.clone()));
+        let text = CmdLine::parse(&reply.to_wire()).unwrap();
+        assert_eq!(events_from_reply(&text), Some(expected));
+
+        let none = events_reply(&[]).into_result().unwrap();
+        let none = CmdLine::parse_frame(&none.to_frame()).unwrap();
+        assert_eq!(events_from_reply(&none), Some(Vec::new()));
+
+        // Lengths that do not use up the blob exactly: no rows.
+        let mut short = reply.clone();
+        short.set_arg("data", vec![b'x']);
+        assert_eq!(events_from_reply(&short), None);
     }
 }

@@ -9,7 +9,8 @@
 //! mention) as their canonical text, and cross the wire as blobs: one
 //! `text=` per `storeCredential`, and per `fetchCredentials` reply one
 //! `credentials=` holding the texts end to end beside `sizes={…}`, their
-//! lengths in order.  (A text client writes the blob as its hex word.)
+//! lengths in order — or, when nothing names the licensee, `count=0` alone.
+//! (A text client writes the blob as its hex word.)
 
 use ace_core::prelude::*;
 use ace_core::CredentialSource;
@@ -42,12 +43,12 @@ impl AuthDb {
         self.credentials.insert(id, text);
     }
 
-    /// The `fetchCredentials` reply for `licensee`.
+    /// The `fetchCredentials` reply for `licensee`: `count=0` alone when
+    /// nothing names it (most principals, most of the time).
     fn fetch(&self, licensee: &str) -> Reply {
-        let ids = self
-            .by_licensee
-            .get(licensee)
-            .map_or(&[][..], Vec::as_slice);
+        let Some(ids) = self.by_licensee.get(licensee) else {
+            return Reply::ok_with(|c| c.arg("count", 0));
+        };
         let mut sizes = Vec::with_capacity(ids.len());
         let mut texts = Vec::new();
         for text in ids.iter().filter_map(|id| self.credentials.get(id)) {
@@ -206,10 +207,14 @@ impl AuthDbClient {
     }
 }
 
-/// Take a `fetchCredentials` reply apart: `credentials` cut at `sizes`.
-/// `None` unless the sizes use up the blob exactly; a text that does not
-/// parse as an assertion is skipped.
+/// Take a `fetchCredentials` reply apart: `count=0` is no credentials,
+/// anything else is `credentials` cut at `sizes`.  `None` unless the sizes
+/// use up the blob exactly; a text that does not parse as an assertion is
+/// skipped.
 fn credentials_from_reply(reply: &CmdLine) -> Option<Vec<Assertion>> {
+    if reply.get_int("count") == Some(0) {
+        return Some(Vec::new());
+    }
     let texts = reply.get_blob("credentials")?;
     let mut rest: &[u8] = &texts;
     let mut out = Vec::new();

@@ -707,6 +707,26 @@ fn argument_tuples_share_one_credential_fetch() {
     g.shutdown();
 }
 
+/// Nobody named: the reply is `ok count=0;` alone — no empty `sizes={}`, no
+/// empty attachment — and it reads as no credentials.  The exchange moves
+/// 112 B (137 B from PR 15 to PR 24, the reply carrying both).
+#[test]
+fn an_empty_fetch_is_count_zero_alone() {
+    let mut g = Guarded::new();
+    let nobody = keypair();
+    let mut raw =
+        ServiceClient::connect(&g.net, &"core".into(), g.authdb.addr().clone(), &g.admin).unwrap();
+    let ask = CmdLine::new("fetchCredentials").arg("licensee", Value::Str(nobody.principal()));
+    raw.call(&ask).unwrap();
+    let before = g.net.metrics().snapshot();
+    let reply = raw.call(&ask).unwrap();
+    let moved = g.net.metrics().snapshot().since(&before);
+    assert_eq!(reply.to_wire(), "ok count=0;");
+    assert!(moved.frame_bytes <= 112, "{} B", moved.frame_bytes);
+    assert!(g.db.fetch_for(&nobody.principal()).unwrap().is_empty());
+    g.shutdown();
+}
+
 /// Credentials cross the wire once, as blobs: six 164-byte credentials are
 /// fetched in under 1,250 bytes of frames (2,106 when they travelled as hex
 /// words), and a text client's hex word is still a `storeCredential text=`.

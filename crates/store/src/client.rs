@@ -27,8 +27,22 @@
 //! on `(version, writer)`, exactly as before.  DESIGN.md § "Store
 //! scale-out", "The write path", has the argument; `race_model` below
 //! checks it.
+//!
+//! # Held values
+//!
+//! The same memory keeps, beside a key's newest version, the *bytes* of that
+//! version when this client has them — its own write that reached quorum,
+//! or a read.  A leased read offers their name, `(version, writer)`, and a
+//! holder that holds exactly that answers `same=true` instead of sending
+//! the bytes again; a quorum read whose winning digest is that name skips
+//! its value fetch.  A held value is always the value of the newest version
+//! the memory knows: whatever raises the version — a proposal, a refusal, a
+//! digest, a reply — lets the bytes go, so the name offered is never a name
+//! for other bytes.  Keyed by the exact `ns/key`; bounded by
+//! [`StoreClient::HELD_BYTES`].  DESIGN.md § "Store scale-out",
+//! "Conditional leased reads", has the argument; `race_model` checks it too.
 
-use crate::version::Versioned;
+use crate::version::{StoreKey, Versioned};
 use ace_core::prelude::*;
 use ace_security::keys::KeyPair;
 use std::collections::HashMap;
@@ -106,8 +120,9 @@ pub struct StoreClient {
     /// with `replicas`).  The sharded client reads this to tell whether
     /// the leaseholder saw the write it will serve reads over.
     last_acks: Vec<bool>,
-    /// The newest version seen or proposed per key: what lets a write skip
-    /// its read round.
+    /// The newest version seen or proposed per key — what lets a write skip
+    /// its read round — and the bytes of that version when this client has
+    /// them, which lets a read skip the value.
     memory: VersionMemory,
     stats: ClientStats,
     /// Network Logger address for degraded-write warnings.
@@ -119,6 +134,11 @@ impl StoreClient {
     /// forgets them all: a forgotten key costs its next write the read
     /// round back and nothing else.
     pub const REMEMBERED_KEYS: usize = 4096;
+
+    /// How many value bytes a client holds.  Full, it lets every value go
+    /// and keeps the versions: a value no longer held costs its next read
+    /// the bytes and nothing else.
+    pub const HELD_BYTES: usize = 1 << 20;
 
     /// Client over a fixed replica set with majority quorum.
     pub fn new(
@@ -215,7 +235,8 @@ impl StoreClient {
     /// The scan fans out a **version-only digest** — replicas answer
     /// `(version, writer, deleted)` without the value bytes — and the
     /// full value then travels once, from a replica holding the newest
-    /// version.  Before, every replica shipped its full copy on every
+    /// version — or not at all, when the winning digest names the value this
+    /// client holds.  Before, every replica shipped its full copy on every
     /// read, so an n-replica group paid n value transfers per `get`.
     pub fn get(&mut self, ns: &str, key: &str) -> Result<Vec<u8>, StoreError> {
         let digest = CmdLine::new("psGet")
@@ -242,7 +263,7 @@ impl StoreClient {
                 }
             }
         }
-        let Some((_, best_version, best_writer, _)) = answers
+        let Some((_, best_version, best_writer, best_deleted)) = answers
             .iter()
             .max_by(|(_, av, aw, _), (_, bv, bw, _)| (av, aw.as_str()).cmp(&(bv, bw.as_str())))
             .cloned()
@@ -256,23 +277,35 @@ impl StoreClient {
                 StoreError::AllReplicasDown
             });
         };
-        self.memory.note(slot_of(ns, key), best_version);
-        // Fetch the value once, from any replica whose digest matched the
-        // winner (it may crash between rounds — try each in turn).
+        self.memory.note(ns, key, best_version);
+        // The winner is the value this client holds: nothing to fetch.
+        let held = self
+            .memory
+            .held(ns, key)
+            .filter(|&(v, w, _)| !best_deleted && (v, w) == (best_version, best_writer.as_str()))
+            .map(|(_, _, data)| Versioned {
+                data: data.to_vec(),
+                version: best_version,
+                writer: best_writer.clone(),
+                deleted: false,
+            });
+        // Otherwise fetch the value once, from any replica whose digest
+        // matched the winner (it may crash between rounds — try each in
+        // turn).
         let full = CmdLine::new("psGet")
             .arg("ns", ns)
             .arg("key", Value::Str(key.into()));
-        let mut best: Option<Versioned> = None;
+        let mut best = held;
         for (idx, version, writer, _) in &answers {
+            if best.is_some() {
+                break;
+            }
             if (*version, writer.as_str()) != (best_version, best_writer.as_str()) {
                 continue;
             }
             if let Some(reply) = self.call_replica(*idx, &full) {
                 match crate::replica::versioned_from_reply(&reply) {
-                    Some(value) => {
-                        best = Some(value);
-                        break;
-                    }
+                    Some(value) => best = Some(value),
                     None => self.stats.corrupt_replies += 1,
                 }
             }
@@ -283,6 +316,7 @@ impl StoreClient {
             // newest-wins must not serve as current.
             return Err(StoreError::AllReplicasDown);
         };
+        self.saw(ns, key, &best);
         // Stale answers plus replicas that missed the key entirely.
         let mut stale = missing;
         for (idx, version, writer, _) in &answers {
@@ -361,15 +395,29 @@ impl StoreClient {
         keys.iter().map(|k| newest[k]).collect()
     }
 
-    /// Raise what this client remembers of `ns/key` to at least `version`
-    /// (the sharded client reports what its leased reads saw).
-    pub(crate) fn note_version(&mut self, ns: &str, key: &str, version: u64) {
-        self.memory.note(slot_of(ns, key), version);
+    /// A read returned `value` for `ns/key` (the sharded client reports
+    /// what its leased reads saw): remember its version, and hold its bytes
+    /// if it is the newest version known.
+    pub(crate) fn saw(&mut self, ns: &str, key: &str, value: &Versioned) {
+        let bytes = (!value.deleted).then_some(value.data.as_slice());
+        self.memory
+            .saw(ns, key, value.version, &value.writer, bytes);
+    }
+
+    /// The value this client holds of `ns/key`, under its name: `(version,
+    /// writer, bytes)`.
+    pub(crate) fn held(&self, ns: &str, key: &str) -> Option<(u64, &str, &[u8])> {
+        self.memory.held(ns, key)
     }
 
     /// Keys whose newest version this client remembers.
     pub fn remembered_keys(&self) -> usize {
-        self.memory.newest.len()
+        self.memory.keys.len()
+    }
+
+    /// Value bytes this client holds (at most [`StoreClient::HELD_BYTES`]).
+    pub fn held_bytes(&self) -> usize {
+        self.memory.held_bytes
     }
 
     /// The one write path: `put`, `delete` and `put_many` all end here.
@@ -379,18 +427,19 @@ impl StoreClient {
     /// a key never seen asks first — the miss arm, every write's first half
     /// before this client had a memory.  A replica that knows better says
     /// what it holds in its refusal; that is the read round's answer, so
-    /// the next round proposes above it.  Returns the versions that reached
-    /// quorum, index-aligned with the write's keys.
+    /// the next round proposes above it.  A round that reaches quorum leaves
+    /// its own bytes held (a delete, nothing); proposing let go of what was
+    /// held before.  Returns the versions that reached quorum, index-aligned
+    /// with the write's keys.
     fn write(&mut self, ns: &str, what: Write<'_>) -> Result<Vec<u64>, StoreError> {
         let keys = what.keys();
-        let slots: Vec<u64> = keys.iter().map(|key| slot_of(ns, key)).collect();
-        if slots.iter().any(|&slot| !self.memory.knows(slot)) {
+        if keys.iter().any(|key| !self.memory.knows(ns, key)) {
             let newest = match what {
                 Write::Batch(_) => self.newest_versions(ns, &keys),
                 Write::Put(key, _) | Write::Delete(key) => vec![self.newest_version(ns, key)],
             };
-            for (&slot, version) in slots.iter().zip(newest) {
-                self.memory.note(slot, version);
+            for (key, version) in keys.iter().zip(newest) {
+                self.memory.note(ns, key, version);
             }
         }
         let writer = self.writer_id.clone();
@@ -398,11 +447,11 @@ impl StoreClient {
         for _ in 0..WRITE_ROUNDS {
             // Burnt before it is sent: whatever becomes of this round, these
             // numbers are never proposed again.
-            let versions: Vec<u64> = slots.iter().map(|&s| self.memory.propose(s)).collect();
+            let versions: Vec<u64> = keys.iter().map(|k| self.memory.propose(ns, k)).collect();
             let proposal = Proposal {
+                ns,
                 writer: &writer,
                 keys: &keys,
-                slots: &slots,
                 versions: &versions,
             };
             let cmd = what.cmd(ns, &proposal);
@@ -421,6 +470,9 @@ impl StoreClient {
             self.last_acks = round.acks;
             match outcome {
                 Outcome::Reached => {
+                    for (at, (key, &version)) in keys.iter().zip(&versions).enumerate() {
+                        self.memory.saw(ns, key, version, &writer, what.value(at));
+                    }
                     self.committed(&cmd, ns, &what, round.count);
                     return Ok(versions);
                 }
@@ -518,56 +570,117 @@ impl StoreClient {
 /// How many versions one write proposes before it surfaces `QuorumFailed`.
 const WRITE_ROUNDS: usize = 3;
 
-/// A key's name in the version memory: the hash of `ns\0key`.  Two keys that
-/// collide share a number that only ever rises — indistinguishable from a
-/// stale memory of either, and as safe.
-fn slot_of(ns: &str, key: &str) -> u64 {
-    crate::replica::key_hash(ns, key).finish()
-}
-
-/// The newest version this client has *seen or proposed* of each key.
+/// What this client knows of each key it has met, by the exact `(ns, key)`:
+/// the newest version it has *seen or proposed*, and the value of that
+/// version when it has seen it.
 ///
-/// Proposing from it is safe whatever it holds: too low costs one refused
-/// round (the refusal names the real number), too high leaves a gap in a
-/// sequence nobody reads as dense.  The one thing it must never do is hand
-/// out the same number twice — `(version, writer)` names one value — so a
-/// proposal is remembered before it is sent, and forgetting raises `floor`.
+/// *Versions.*  Proposing from the memory is safe whatever it holds: too
+/// low costs one refused round (the refusal names the real number), too high
+/// leaves a gap in a sequence nobody reads as dense.  The one thing it must
+/// never do is hand out the same number twice — `(version, writer)` names one
+/// value — so a proposal is remembered before it is sent, and forgetting
+/// raises `floor`.
+///
+/// *Values.*  A held value is the value of the key's newest version, so
+/// `(newest, writer)` is its name — which is only true if the bytes go the
+/// moment the version rises: [`VersionMemory::note`] lets them go, and
+/// every way the version rises (a proposal, a refusal, a digest, a read)
+/// goes through it.  Only [`VersionMemory::saw`] puts bytes back, and only
+/// under the newest version.  The key is exact: two keys sharing a hash
+/// would otherwise share a name, and serve each other's bytes.
 #[derive(Debug, Default)]
 struct VersionMemory {
-    newest: HashMap<u64, u64>,
+    keys: HashMap<StoreKey, Known>,
     /// Above every version ever forgotten; proposals start above it.
     floor: u64,
+    /// Bytes of the values held, at most [`StoreClient::HELD_BYTES`].
+    held_bytes: usize,
+}
+
+/// One key in the [`VersionMemory`].
+#[derive(Debug, Default)]
+struct Known {
+    newest: u64,
+    /// `(writer, bytes)` of version `newest`, when this client has them.
+    value: Option<(String, Vec<u8>)>,
+}
+
+fn id(ns: &str, key: &str) -> StoreKey {
+    (ns.to_string(), key.to_string())
 }
 
 impl VersionMemory {
-    fn knows(&self, slot: u64) -> bool {
-        self.newest.contains_key(&slot)
+    fn knows(&self, ns: &str, key: &str) -> bool {
+        self.keys.contains_key(&id(ns, key))
     }
 
     /// Forget every key.  Safe at any moment: the floor keeps what was
     /// proposed from being proposed again, and a forgotten key's next write
     /// asks the replicas first.
     fn forget(&mut self) {
-        self.floor = self.newest.values().copied().fold(self.floor, u64::max);
-        self.newest.clear();
+        self.floor = self
+            .keys
+            .values()
+            .map(|k| k.newest)
+            .fold(self.floor, u64::max);
+        self.keys.clear();
+        self.held_bytes = 0;
     }
 
-    /// Raise what is remembered of `slot` to at least `version`.
-    fn note(&mut self, slot: u64, version: u64) {
-        if self.newest.len() >= StoreClient::REMEMBERED_KEYS && !self.knows(slot) {
+    /// Raise what is remembered of `ns/key` to at least `version`; if that
+    /// raises it, the value held of the old version goes.
+    fn note(&mut self, ns: &str, key: &str, version: u64) {
+        let id = id(ns, key);
+        if self.keys.len() >= StoreClient::REMEMBERED_KEYS && !self.keys.contains_key(&id) {
             self.forget();
         }
-        let newest = self.newest.entry(slot).or_insert(0);
-        *newest = (*newest).max(version);
+        let known = self.keys.entry(id).or_default();
+        if version > known.newest {
+            known.newest = version;
+            if let Some((_, bytes)) = known.value.take() {
+                self.held_bytes -= bytes.len();
+            }
+        }
     }
 
-    /// The next version to propose for `slot` — remembered at once, so it
+    /// The next version to propose for `ns/key` — remembered at once, so it
     /// is never proposed again whether or not its round reaches quorum.
-    fn propose(&mut self, slot: u64) -> u64 {
-        let seen = self.newest.get(&slot).copied().unwrap_or(0);
+    fn propose(&mut self, ns: &str, key: &str) -> u64 {
+        let seen = self.keys.get(&id(ns, key)).map_or(0, |k| k.newest);
         let version = seen.max(self.floor) + 1;
-        self.note(slot, version);
+        self.note(ns, key, version);
         version
+    }
+
+    /// Version `version` of `ns/key` is `bytes` by `writer` (`None`: a
+    /// tombstone) — a round that reached quorum wrote it, or a read returned
+    /// it.  Held if it is the newest version known and fits; a full memory
+    /// lets every value go first and keeps the versions.
+    fn saw(&mut self, ns: &str, key: &str, version: u64, writer: &str, bytes: Option<&[u8]>) {
+        self.note(ns, key, version);
+        let bytes = bytes.filter(|b| b.len() <= StoreClient::HELD_BYTES);
+        if self.held_bytes + bytes.map_or(0, <[u8]>::len) > StoreClient::HELD_BYTES {
+            self.keys.values_mut().for_each(|k| k.value = None);
+            self.held_bytes = 0;
+        }
+        let known = self.keys.get_mut(&id(ns, key)).expect("noted above");
+        if known.newest != version {
+            return;
+        }
+        if let Some((_, old)) = known.value.take() {
+            self.held_bytes -= old.len();
+        }
+        if let Some(bytes) = bytes {
+            self.held_bytes += bytes.len();
+            known.value = Some((writer.to_string(), bytes.to_vec()));
+        }
+    }
+
+    /// The held value of `ns/key` under its name: `(version, writer, bytes)`.
+    fn held(&self, ns: &str, key: &str) -> Option<(u64, &str, &[u8])> {
+        let known = self.keys.get(&id(ns, key))?;
+        let (writer, bytes) = known.value.as_ref()?;
+        Some((known.newest, writer, bytes))
     }
 }
 
@@ -583,6 +696,15 @@ impl<'a> Write<'a> {
         match self {
             Write::Put(key, _) | Write::Delete(key) => vec![key],
             Write::Batch(items) => items.iter().map(|(key, _)| key.as_str()).collect(),
+        }
+    }
+
+    /// The bytes written under the `at`-th key; `None` for a tombstone.
+    fn value(&self, at: usize) -> Option<&'a [u8]> {
+        match self {
+            Write::Put(_, data) => Some(data),
+            Write::Delete(_) => None,
+            Write::Batch(items) => Some(&items[at].1),
         }
     }
 
@@ -608,7 +730,7 @@ impl<'a> Write<'a> {
             Write::Put(key, data) => single("psPut", key).arg("data", *data),
             Write::Delete(key) => single("psDelete", key),
             Write::Batch(items) => {
-                let (rows, data) = crate::replica::pack_values(items.iter().zip(versions).map(
+                let (rows, data) = ace_core::protocol::pack_values(items.iter().zip(versions).map(
                     |((key, data), version)| {
                         let row = vec![
                             Scalar::Str(key.clone()),
@@ -654,12 +776,12 @@ impl<'a> Write<'a> {
     }
 }
 
-/// One round's proposal: `versions` of `keys` (and their memory `slots`),
-/// index-aligned, under `writer`.
+/// One round's proposal: `versions` of `keys` in `ns`, index-aligned, under
+/// `writer`.
 struct Proposal<'a> {
+    ns: &'a str,
     writer: &'a str,
     keys: &'a [&'a str],
-    slots: &'a [u64],
     versions: &'a [u64],
 }
 
@@ -717,8 +839,8 @@ impl WriteRound {
         let mut exact = true;
         for (key, version, writer) in held {
             let at = proposal.keys.iter().position(|k| k == key);
-            if let Some(at) = at {
-                memory.note(proposal.slots[at], *version);
+            if at.is_some() {
+                memory.note(proposal.ns, key, *version);
             }
             let proposed = at.map(|at| (proposal.versions[at], proposal.writer));
             if proposed != Some((*version, writer.as_str())) {
@@ -753,13 +875,17 @@ impl fmt::Debug for StoreClient {
     }
 }
 
-/// A model check of the write path: three bare [`DiskImage`]s, two writers,
-/// one key, and a seeded interleaving of the steps `StoreClient::write`
-/// takes — each replica of the read round, each replica of each proposal
-/// round — driven through the client's own pieces ([`VersionMemory`],
-/// [`WriteRound::hear`], [`WriteRound::outcome`], [`WRITE_ROUNDS`]) and the
-/// replica's ([`DiskImage::propose`]).  The schedule also forgets a
-/// writer's memory at any moment, skips a replica (unreachable), delivers a
+/// A model check of the write path and of held values: three bare
+/// [`DiskImage`]s, two clients, two keys, and a seeded interleaving of the
+/// steps `StoreClient::write` takes — each replica of the read round, each
+/// replica of each proposal round, puts and deletes — and of reads, each one
+/// step: a leased read that offers the client's held value to one holder
+/// ([`already_held`] decides, as the replica does), or a quorum read that
+/// skips its fetch when the winner is the held value.  Driven through the
+/// client's own pieces ([`VersionMemory`], [`WriteRound::hear`],
+/// [`WriteRound::outcome`], [`WRITE_ROUNDS`]) and the replica's
+/// ([`DiskImage::propose`], [`already_held`]).  The schedule also forgets a
+/// client's memory at any moment, skips a replica (unreachable), delivers a
 /// proposal twice (the reply to the first was lost) and loses a reply
 /// outright.
 ///
@@ -769,51 +895,70 @@ impl fmt::Debug for StoreClient {
 ///   writer, data)`, by a quorum of replicas;
 /// * **an ack is readable** — the quorum read straight after `Ok(v)` returns
 ///   `(v, writer, data)` or something that beats it;
-/// * **an ack respects the acks before it** — it beats every write that had
-///   returned `Ok` before it began;
+/// * **an ack respects the acks before it** — it beats every write of its
+///   key that had returned `Ok` before it began;
 /// * **a name names one value** — two different values are never sent under
-///   one `(version, writer)`;
+///   one `(key, version, writer)`;
 /// * **a stale memory is one round, not a failure** — a put nobody disturbs
-///   returns `Ok`, however far behind its writer's memory is.
+///   returns `Ok`, however far behind its writer's memory is;
+/// * **a held value is named right** — whatever a memory holds of a key
+///   under `(version, writer)` is exactly what was sent under that name, and
+///   that name is a value, not a tombstone;
+/// * **a read returns what is held** — every `Ok(bytes)` is exactly the
+///   bytes the answering replica holds (a quorum read: some replica held)
+///   under the answered `(version, writer)`, and no read is older than a
+///   write of its key acked before it began.  A leased read is made only
+///   from a holder the lease rule would let stand — one holding everything
+///   acked so far — and otherwise falls back to the quorum read, as the
+///   sharded client does.
 ///
 /// Fails under "count `applied=false` as an ack" (`hear`: `exact` always
 /// true), "reuse a version whose round failed" (`propose` without its
 /// `note`), "a refusal does not say what is held" (`DiskImage::propose`
-/// answering version 0), and with the rules the client had before it had a
-/// memory (every write asks first, every reply is an ack).
+/// answering version 0), with the rules the client had before it had a
+/// memory (every write asks first, every reply is an ack) — and, for held
+/// values, under "held values keyed by a hash that collides" (`id` drops the
+/// key), "the holder compares the version only" ([`already_held`]), "a value
+/// is kept across a refused or missed round" (`propose` raises the version
+/// and keeps the bytes) and "a held value survives a delete" (a tombstone
+/// leaves the bytes in place).
 #[cfg(test)]
 mod race_model {
     use super::*;
-    use crate::replica::DiskImage;
-    use crate::version::Versioned;
+    use crate::replica::{already_held, DiskImage};
     use rand::rngs::SmallRng;
     use rand::Rng;
     use std::collections::HashSet;
 
     const NS: &str = "app";
-    const KEY: &str = "k";
+    /// Two keys, so that a memory that confuses them is caught.
+    const KEYS: [&str; 2] = ["k", "j"];
     const REPLICAS: usize = 3;
     const QUORUM: usize = 2;
 
-    /// `(version, writer, value)` — the model's values are text.
-    type Triple = (u64, String, String);
+    /// A value of the model: its text, or `None` for a tombstone.
+    type Data = Option<String>;
+    /// `(version, writer, value)` as a replica holds it.
+    type Triple = (u64, String, Data);
 
     fn triple(v: Versioned) -> Triple {
-        (v.version, v.writer, String::from_utf8(v.data).unwrap())
+        let data = (!v.deleted).then(|| String::from_utf8(v.data).unwrap());
+        (v.version, v.writer, data)
     }
 
-    fn key() -> (String, String) {
-        (NS.to_string(), KEY.to_string())
+    fn bytes(data: &Data) -> Option<&[u8]> {
+        data.as_deref().map(str::as_bytes)
     }
 
     struct World {
         disks: Vec<DiskImage>,
-        /// Everything each replica has ever held.
-        held: Vec<HashSet<Triple>>,
-        /// The value sent under each `(version, writer)`.
-        sent: HashMap<(u64, String), String>,
-        /// `(version, writer)` of every put that returned `Ok`, in order.
-        acked: Vec<(u64, String)>,
+        /// Everything each replica has ever held, with its key.
+        held: Vec<HashSet<(String, Triple)>>,
+        /// The value sent under each `(key, version, writer)`.
+        sent: HashMap<(String, u64, String), Data>,
+        /// `(key, version, writer)` of every write that returned `Ok`, in
+        /// order.
+        acked: Vec<(String, u64, String)>,
         /// What happened, for the failure message.
         story: Vec<String>,
     }
@@ -834,23 +979,31 @@ mod race_model {
         }
 
         /// Replica `idx` receives a proposal; what it holds instead.
-        fn deliver(&mut self, idx: usize, writer: &str, version: u64, data: &str) -> Held {
-            let name = (version, writer.to_string());
-            let first = self.sent.entry(name).or_insert_with(|| data.to_string());
+        fn deliver(
+            &mut self,
+            idx: usize,
+            key: &str,
+            writer: &str,
+            version: u64,
+            data: &Data,
+        ) -> Held {
+            let name = (key.to_string(), version, writer.to_string());
+            let first = self.sent.entry(name).or_insert_with(|| data.clone());
             let first = first.clone();
-            self.require(first == data, || {
-                format!("`{first}` and `{data}` both went out as ({version}, {writer})")
+            self.require(first == *data, || {
+                format!("{first:?} and {data:?} both went out as {key} ({version}, {writer})")
             });
             let value = Versioned {
-                data: data.as_bytes().to_vec(),
+                data: bytes(data).unwrap_or_default().to_vec(),
                 version,
                 writer: writer.to_string(),
-                deleted: false,
+                deleted: data.is_none(),
             };
-            let refusal = self.disks[idx].propose(key(), value).unwrap();
-            let now = self.disks[idx].get(&key()).unwrap();
+            let id = (NS.to_string(), key.to_string());
+            let refusal = self.disks[idx].propose(id.clone(), value).unwrap();
+            let now = self.disks[idx].get(&id).unwrap();
             self.story.push(format!(
-                "r{idx} <- ({version}, {writer}, {data}): {}; holds ({}, {})",
+                "r{idx} <- {key} ({version}, {writer}, {data:?}): {}; holds ({}, {})",
                 if refusal.is_none() {
                     "applied"
                 } else {
@@ -859,51 +1012,158 @@ mod race_model {
                 now.version,
                 now.writer
             ));
-            self.held[idx].insert(triple(now));
+            self.held[idx].insert((key.to_string(), triple(now)));
             refusal
                 .into_iter()
-                .map(|(version, writer)| (KEY.to_string(), version, writer))
+                .map(|(version, writer)| (key.to_string(), version, writer))
                 .collect()
         }
 
+        fn now(&self, idx: usize, key: &str) -> Option<Versioned> {
+            self.disks[idx].get(&(NS.to_string(), key.to_string()))
+        }
+
         /// Newest-wins over all three replicas, as `StoreClient::get` reads.
-        fn quorum_read(&self) -> Option<Triple> {
-            self.disks
+        fn newest(&self, key: &str) -> Option<Versioned> {
+            (0..REPLICAS)
+                .filter_map(|idx| self.now(idx, key))
+                .max_by(|a, b| (a.version, &a.writer).cmp(&(b.version, &b.writer)))
+        }
+
+        /// The newest of the first `before` acks of `key`.
+        fn newest_acked(&self, key: &str, before: usize) -> Option<(u64, &str)> {
+            self.acked[..before]
                 .iter()
-                .filter_map(|disk| disk.get(&key()))
-                .map(triple)
+                .filter(|(k, _, _)| k == key)
+                .map(|(_, v, w)| (*v, w.as_str()))
                 .max()
         }
 
-        /// Writer `id`'s put of `data`, begun when `before` puts had
-        /// returned, came back `Ok(version)`.
-        fn returned_ok(&mut self, id: &str, version: u64, data: &str, before: usize) {
-            let this = (version, id.to_string(), data.to_string());
+        /// Writer `id`'s write of `data` to `key`, begun when `before` writes
+        /// had returned, came back `Ok(version)`.
+        fn returned_ok(&mut self, key: &str, id: &str, version: u64, data: &Data, before: usize) {
+            let this = (key.to_string(), (version, id.to_string(), data.clone()));
             let holders = self.held.iter().filter(|h| h.contains(&this)).count();
             self.require(holders >= QUORUM, || {
                 format!("Ok({version}) by {id} was held by {holders} replicas: a lost write acked")
             });
-            let read = self.quorum_read().expect("something is held");
+            let read = triple(self.newest(key).expect("something is held"));
             self.require(
-                read == this || (read.0, read.1.as_str()) > (version, id),
+                read == this.1 || (read.0, read.1.as_str()) > (version, id),
                 || format!("Ok({version}) by {id} then reads {read:?}"),
             );
-            for (v, w) in &self.acked[..before] {
-                self.require((version, id) > (*v, w.as_str()), || {
+            if let Some((v, w)) = self.newest_acked(key, before) {
+                self.require((version, id) > (v, w), || {
                     format!("Ok({version}) by {id} began after Ok({v}) by {w} had returned")
                 });
             }
-            self.story.push(format!("{id}: Ok({version})"));
-            self.acked.push((version, id.to_string()));
+            self.story.push(format!("{id}: {key} Ok({version})"));
+            self.acked.push((key.to_string(), version, id.to_string()));
+        }
+
+        /// Whatever `memory` holds is exactly what was sent under its name,
+        /// and that name is a value.
+        fn check_held(&self, who: &str, memory: &VersionMemory) {
+            for key in KEYS {
+                let Some((version, writer, held)) = memory.held(NS, key) else {
+                    continue;
+                };
+                let held = String::from_utf8(held.to_vec()).unwrap();
+                let named = self
+                    .sent
+                    .get(&(key.to_string(), version, writer.to_string()));
+                self.require(named == Some(&Some(held.clone())), || {
+                    format!("{who} holds `{held}` as {key} ({version}, {writer}), which named {named:?}")
+                });
+            }
+        }
+
+        /// Client `who` reads `key` with `memory`: leased from `holder` if
+        /// the lease would stand there, the quorum read otherwise.
+        fn read(
+            &mut self,
+            who: &str,
+            memory: &mut VersionMemory,
+            key: &str,
+            holder: Option<usize>,
+        ) {
+            let floor = self
+                .newest_acked(key, self.acked.len())
+                .map(|(v, w)| (v, w.to_string()));
+            let stands = |v: &Option<Versioned>| match (&floor, v) {
+                (None, _) => true,
+                (Some(_), None) => false,
+                (Some((fv, fw)), Some(v)) => (v.version, &v.writer) >= (*fv, fw),
+            };
+            let holder = holder.filter(|&h| stands(&self.now(h, key)));
+            let answer: Option<Triple> = match holder {
+                Some(h) => match self.now(h, key) {
+                    None => None,
+                    Some(v) => {
+                        let offered = memory.held(NS, key);
+                        if already_held(&v, offered.map(|(ver, w, _)| (ver, w))) {
+                            // `same=true`: the bytes are the held ones, under
+                            // the name offered.
+                            let (ver, w, b) = offered.unwrap();
+                            let held = String::from_utf8(b.to_vec()).unwrap();
+                            self.require((v.version, v.writer.as_str()) == (ver, w), || {
+                                format!(
+                                    "{who}: r{h} said `same` to {key} ({ver}, {w}) holding ({}, {})",
+                                    v.version, v.writer
+                                )
+                            });
+                            Some((ver, w.to_string(), Some(held)))
+                        } else {
+                            let v = triple(v);
+                            memory.saw(NS, key, v.0, &v.1, bytes(&v.2));
+                            Some(v)
+                        }
+                    }
+                },
+                None => self.newest(key).map(|best| {
+                    memory.note(NS, key, best.version);
+                    let held = memory
+                        .held(NS, key)
+                        .filter(|&(v, w, _)| {
+                            !best.deleted && (v, w) == (best.version, &best.writer)
+                        })
+                        .map(|(_, _, b)| String::from_utf8(b.to_vec()).unwrap());
+                    let best = match held {
+                        Some(held) => (best.version, best.writer, Some(held)),
+                        None => triple(best),
+                    };
+                    memory.saw(NS, key, best.0, &best.1, bytes(&best.2));
+                    best
+                }),
+            };
+            let how = holder.map_or("quorum".to_string(), |h| format!("leased r{h}"));
+            self.story
+                .push(format!("{who}: {how} read of {key}: {answer:?}"));
+            if let Some((version, writer, Some(data))) = &answer {
+                let named = self.sent.get(&(key.to_string(), *version, writer.clone()));
+                self.require(named == Some(&Some(data.clone())), || {
+                    format!(
+                        "{who} read `{data}` as {key} ({version}, {writer}), which named {named:?}"
+                    )
+                });
+            }
+            let answered = answer.as_ref().map(|(v, w, _)| (*v, w.as_str()));
+            if let Some((v, w)) = &floor {
+                self.require(answered >= Some((*v, w.as_str())), || {
+                    format!("{who} read {key} as {answered:?} after Ok({v}) by {w} had returned")
+                });
+            }
         }
     }
 
     type Held = Vec<(String, u64, String)>;
 
-    /// One `put` in flight: where `StoreClient::write` is in its loop.
-    struct Put {
-        data: String,
-        /// How many puts had returned `Ok` when this one began.
+    /// One write in flight: where `StoreClient::write` is in its loop.
+    struct Write {
+        key: &'static str,
+        /// The value, or `None` for a delete.
+        data: Data,
+        /// How many writes had returned `Ok` when this one began.
         before: usize,
         /// The miss arm: next replica to ask, newest version heard so far.
         asking: Option<(usize, u64)>,
@@ -912,68 +1172,71 @@ mod race_model {
         rounds: usize,
     }
 
-    struct Writer {
+    struct Client {
         id: String,
         memory: VersionMemory,
-        put: Option<Put>,
-        puts: usize,
+        write: Option<Write>,
+        ops: usize,
     }
 
-    impl Writer {
-        fn new(id: &str) -> Writer {
-            Writer {
+    impl Client {
+        fn new(id: &str) -> Client {
+            Client {
                 id: id.to_string(),
                 memory: VersionMemory::default(),
-                put: None,
-                puts: 0,
+                write: None,
+                ops: 0,
             }
         }
 
-        /// Take the next step of the current put (beginning one if none is
-        /// in flight).  `faults` rolls the dice on a skipped replica, a
-        /// twice-delivered proposal and a reply that never arrives.
-        /// `Some(ok)` when the put returned.
+        /// Begin a put of a fresh value to `key`, or a delete of it.
+        fn begin(&mut self, world: &World, key: &'static str, delete: bool) {
+            self.ops += 1;
+            self.write = Some(Write {
+                key,
+                data: (!delete).then(|| format!("{}#{}", self.id, self.ops)),
+                before: world.acked.len(),
+                asking: (!self.memory.knows(NS, key)).then_some((0, 0)),
+                round: None,
+                rounds: 0,
+            });
+        }
+
+        /// Take the next step of the write in flight.  `faults` rolls the
+        /// dice on a skipped replica, a twice-delivered proposal and a reply
+        /// that never arrives.  `Some(ok)` when the write returned.
         fn step(&mut self, world: &mut World, faults: Option<&mut SmallRng>) -> Option<bool> {
-            let slot = slot_of(NS, KEY);
             let (skip, twice, unheard) = match faults {
                 Some(rng) => (rng.gen_bool(0.15), rng.gen_bool(0.15), rng.gen_bool(0.1)),
                 None => (false, false, false),
             };
-            let put = self.put.get_or_insert_with(|| {
-                self.puts += 1;
-                Put {
-                    data: format!("{}#{}", self.id, self.puts),
-                    before: world.acked.len(),
-                    asking: (!self.memory.knows(slot)).then_some((0, 0)),
-                    round: None,
-                    rounds: 0,
-                }
-            });
-            if let Some((idx, newest)) = &mut put.asking {
+            let write = self.write.as_mut().expect("a write in flight");
+            let key = write.key;
+            if let Some((idx, newest)) = &mut write.asking {
                 if !skip {
-                    let held = world.disks[*idx].get(&key()).map_or(0, |v| v.version);
+                    let held = world.now(*idx, key).map_or(0, |v| v.version);
                     *newest = (*newest).max(held);
                 }
                 *idx += 1;
                 if *idx == REPLICAS {
-                    self.memory.note(slot, *newest);
-                    put.asking = None;
+                    self.memory.note(NS, key, *newest);
+                    write.asking = None;
                 }
                 return None;
             }
-            let (version, round, idx) = put.round.get_or_insert_with(|| {
-                let version = self.memory.propose(slot);
+            let (version, round, idx) = write.round.get_or_insert_with(|| {
+                let version = self.memory.propose(NS, key);
                 (version, WriteRound::new(REPLICAS, QUORUM), 0)
             });
             if !skip {
                 if twice {
-                    world.deliver(*idx, &self.id, *version, &put.data);
+                    world.deliver(*idx, key, &self.id, *version, &write.data);
                 }
-                let held = world.deliver(*idx, &self.id, *version, &put.data);
+                let held = world.deliver(*idx, key, &self.id, *version, &write.data);
                 let proposal = Proposal {
+                    ns: NS,
                     writer: &self.id,
-                    keys: &[KEY],
-                    slots: &[slot],
+                    keys: &[key],
                     versions: &[*version],
                 };
                 if !unheard {
@@ -984,22 +1247,24 @@ mod race_model {
             if *idx < REPLICAS {
                 return None;
             }
-            put.rounds += 1;
+            write.rounds += 1;
             let ok = match round.outcome() {
                 Outcome::Reached => {
-                    world.returned_ok(&self.id, *version, &put.data, put.before);
+                    self.memory
+                        .saw(NS, key, *version, &self.id, bytes(&write.data));
+                    world.returned_ok(key, &self.id, *version, &write.data, write.before);
                     true
                 }
-                Outcome::Refused if put.rounds < WRITE_ROUNDS => {
-                    put.round = None;
+                Outcome::Refused if write.rounds < WRITE_ROUNDS => {
+                    write.round = None;
                     return None;
                 }
                 Outcome::Refused | Outcome::Missed => {
-                    world.story.push(format!("{}: QuorumFailed", self.id));
+                    world.story.push(format!("{}: {key} QuorumFailed", self.id));
                     false
                 }
             };
-            self.put = None;
+            self.write = None;
             Some(ok)
         }
     }
@@ -1008,29 +1273,43 @@ mod race_model {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut world = World::new();
         world.story.push(format!("seed {seed}"));
-        let mut writers = [Writer::new("wa"), Writer::new("wb")];
-        // Some schedules take turns, some let one writer run far ahead.
+        let mut clients = [Client::new("wa"), Client::new("wb")];
+        // Some schedules take turns, some let one client run far ahead.
         let lean = [0.5, 0.85, 0.15][(seed % 3) as usize];
-        let busy = |w: &Writer| w.puts < 6 || w.put.is_some();
-        while writers.iter().any(busy) {
-            let w = &mut writers[usize::from(rng.gen_bool(lean))];
-            if !busy(w) {
+        let busy = |c: &Client| c.ops < 10 || c.write.is_some();
+        while clients.iter().any(busy) {
+            let c = &mut clients[usize::from(rng.gen_bool(lean))];
+            if !busy(c) {
                 continue;
             }
             if rng.gen_bool(0.03) {
-                world.story.push(format!("{}: forgets", w.id));
-                w.memory.forget();
+                world.story.push(format!("{}: forgets", c.id));
+                c.memory.forget();
             }
-            w.step(&mut world, Some(&mut rng));
+            if c.write.is_some() {
+                c.step(&mut world, Some(&mut rng));
+            } else {
+                let key = KEYS[usize::from(rng.gen_bool(0.3))];
+                if rng.gen_bool(0.4) {
+                    c.ops += 1;
+                    let holder = rng.gen_bool(0.8).then(|| rng.gen_range(0..REPLICAS));
+                    world.read(&c.id, &mut c.memory, key, holder);
+                } else {
+                    c.begin(&world, key, rng.gen_bool(0.2));
+                }
+            }
+            world.check_held(&c.id, &c.memory);
         }
         // Whatever each remembers by now, an undisturbed put lands.
-        for w in &mut writers {
+        for c in &mut clients {
+            c.begin(&world, KEYS[0], false);
             let ok = loop {
-                if let Some(ok) = w.step(&mut world, None) {
+                if let Some(ok) = c.step(&mut world, None) {
                     break ok;
                 }
             };
-            world.require(ok, || format!("{}'s undisturbed put failed", w.id));
+            world.require(ok, || format!("{}'s undisturbed put failed", c.id));
+            world.check_held(&c.id, &c.memory);
         }
     }
 

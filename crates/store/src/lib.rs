@@ -427,7 +427,7 @@ fn tail_rows(reply: &CmdLine) -> Option<Vec<(u64, StoreKey, Versioned)>> {
         Some(v) => v.as_array()?,
     };
     let data = reply.get_blob("data")?;
-    crate::replica::unpack_values(rows, &data, 6)?
+    ace_core::protocol::unpack_values(rows, &data, 6)?
         .into_iter()
         .map(|(row, value)| {
             let cell = |i: usize| row[i].as_text();

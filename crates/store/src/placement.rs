@@ -30,9 +30,11 @@
 //! client), so leased reads can trail a committed write by at most one
 //! lease TTL, and only while the holder is alive yet unreachable from the
 //! writer.  Every leased reply also tells the group client the key's
-//! version, so the next write of that key proposes above it without asking
-//! (see [`crate::client`]).  See DESIGN.md "Store scale-out" for the full
-//! safety argument.
+//! version and bytes, so the next write of that key proposes above it
+//! without asking, and the next read offers the name of the value it holds
+//! — answered `same=true`, without the bytes, when the holder holds exactly
+//! that (see [`crate::client`]).  See DESIGN.md "Store scale-out" for the
+//! full safety argument.
 
 use crate::client::{StoreClient, StoreError};
 use ace_core::prelude::*;
@@ -108,6 +110,9 @@ pub struct ShardedStats {
     pub lease_grants: u64,
     /// Leases dropped because the holder missed a quorum write.
     pub lease_losses: u64,
+    /// Leased reads the holder answered `same=true`: the bytes were the
+    /// value the group client held, and did not cross the wire.
+    pub held_reads: u64,
     /// `put_many` calls that spanned more than one shard group.
     pub split_batches: u64,
 }
@@ -432,20 +437,42 @@ impl ShardedStoreClient {
     /// One leaseholder read.  `E_NOTFOUND` from the live holder is
     /// authoritative (within the documented ≤TTL staleness bound);
     /// `E_BADSTATE` or an unreachable holder falls back to the quorum.
+    /// When the group client holds a value of the key it offers its name,
+    /// and a holder holding exactly that answers `same=true`: the bytes are
+    /// the held ones.
     fn leased_get(&mut self, g: usize, holder: usize, ns: &str, key: &str) -> LeasedOutcome {
         let addr = self.placement.replicas(g)[holder].clone();
-        let cmd = CmdLine::new("psGetLeased")
+        let mut cmd = CmdLine::new("psGetLeased")
             .arg("ns", ns)
             .arg("key", Value::Str(key.into()));
+        let offered = match self.groups[g].held(ns, key) {
+            Some((version, writer, _)) => {
+                cmd.push_arg("version", version as i64);
+                cmd.push_arg("writer", Value::Str(writer.into()));
+                true
+            }
+            None => false,
+        };
         match self
             .pool
             .checkout(&addr)
             .and_then(|mut link| link.call(&cmd))
         {
+            Ok(reply) if reply.get_bool("same") == Some(true) => {
+                match self.groups[g].held(ns, key).filter(|_| offered) {
+                    Some((_, _, bytes)) => {
+                        self.stats.held_reads += 1;
+                        LeasedOutcome::Value(bytes.to_vec())
+                    }
+                    // `same` as what?  Not an answer.
+                    None => LeasedOutcome::Fallback,
+                }
+            }
             Ok(reply) => match crate::replica::versioned_from_reply(&reply) {
                 Some(v) => {
-                    // What the next write of this key proposes above.
-                    self.groups[g].note_version(ns, key, v.version);
+                    // What the next write of this key proposes above, and
+                    // what the next read of it offers.
+                    self.groups[g].saw(ns, key, &v);
                     if v.deleted {
                         LeasedOutcome::NotFound
                     } else {

@@ -30,6 +30,7 @@ use crate::placement::StorePlacement;
 use crate::version::{StoreKey, Versioned};
 use crate::wal::{RecoveryReport, StorageHandle, Wal, WalConfig, WalStats};
 use ace_core::prelude::*;
+use ace_core::protocol::{pack_values, unpack_values};
 use ace_lang::ScalarType;
 use ace_security::hash::Fnv64Stream;
 use parking_lot::Mutex;
@@ -79,9 +80,8 @@ pub type SyncTree = [u64; SYNC_BUCKETS];
 pub type DigestRow = (String, String, u64, String);
 
 /// Hash state after absorbing `ns\0key`: finished, it picks the key's
-/// bucket (and names the key in the client's version memory); continued
-/// over version and writer, it is the row's hash.
-pub(crate) fn key_hash(ns: &str, key: &str) -> Fnv64Stream {
+/// bucket; continued over version and writer, it is the row's hash.
+fn key_hash(ns: &str, key: &str) -> Fnv64Stream {
     let mut h = Fnv64Stream::keyed(0);
     h.update(ns.as_bytes());
     h.update(&[0]);
@@ -745,44 +745,12 @@ pub(crate) fn versioned_from_reply(reply: &CmdLine) -> Option<Versioned> {
     })
 }
 
-/// The one representation of values in batch rows (`psPutBatch` items,
-/// `psWalTail` entries): every row ends in a cell holding its value's
-/// length, and the values travel concatenated, in row order, as a single
-/// blob argument beside the array.  Returns `(rows, blob)`.
-pub(crate) fn pack_values<'a>(
-    rows: impl Iterator<Item = (Vec<Scalar>, &'a [u8])>,
-) -> (Vec<Vec<Scalar>>, Vec<u8>) {
-    let mut blob = Vec::new();
-    let rows = rows
-        .map(|(mut row, value)| {
-            row.push(Scalar::Str(value.len().to_string()));
-            blob.extend_from_slice(value);
-            row
-        })
-        .collect();
-    (rows, blob)
-}
-
-/// Undo [`pack_values`]: each row (its length cell still last) with its
-/// value.  `None` unless every row has `cells` cells plus a length and the
-/// lengths use up the blob exactly.
-pub(crate) fn unpack_values<'a>(
-    rows: &'a [Vec<Scalar>],
-    mut blob: &'a [u8],
-    cells: usize,
-) -> Option<Vec<(&'a [Scalar], &'a [u8])>> {
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        let (len, row) = row.split_last()?;
-        let len: usize = len.as_text()?.parse().ok()?;
-        if row.len() != cells || len > blob.len() {
-            return None;
-        }
-        let (value, rest) = blob.split_at(len);
-        blob = rest;
-        out.push((row, value));
-    }
-    blob.is_empty().then_some(out)
+/// Whether a leased read's asker already holds `held`: it offered exactly
+/// its `(version, writer)` — the whole name, not a hash of it, and not the
+/// version alone, which two writers can share — and `held` is a value, not
+/// a tombstone.
+pub(crate) fn already_held(held: &Versioned, offered: Option<(u64, &str)>) -> bool {
+    !held.deleted && offered == Some((held.version, held.writer.as_str()))
 }
 
 /// Digest rows as they travel (`psDigest` entries, the rows a `psPutBatch`
@@ -1078,6 +1046,16 @@ impl ServiceBehavior for StoreReplica {
                 let (Some(ns), Some(k)) = (cmd.get_text("ns"), cmd.get_text("key")) else {
                     return Reply::err(ErrorCode::Semantics, "malformed get arguments");
                 };
+                let offered = match (cmd.get_int("version"), cmd.get_text("writer")) {
+                    (None, None) => None,
+                    (Some(version), Some(writer)) => Some((version.max(0) as u64, writer)),
+                    _ => {
+                        return Reply::err(
+                            ErrorCode::Semantics,
+                            "`version` and `writer` go together",
+                        )
+                    }
+                };
                 let own = format!("{}:{}", ctx.addr().host, ctx.addr().port);
                 let holds = self
                     .lease
@@ -1093,6 +1071,9 @@ impl ServiceBehavior for StoreReplica {
                 self.leased_gets += 1;
                 let key = (ns.to_string(), k.to_string());
                 match self.disk.get(&key) {
+                    // The same decision as below; only the payload is left
+                    // out, because the asker holds it.
+                    Some(v) if already_held(&v, offered) => Reply::ok_with(|c| c.arg("same", true)),
                     Some(v) => Reply::ok_with(|c| {
                         c.arg("data", v.data)
                             .arg("version", v.version as i64)

@@ -407,6 +407,106 @@ fn a_batch_write_costs_its_keys_not_the_keyspace() {
     w.cluster.shutdown();
 }
 
+/// A client that holds a 1 KiB value offers its name, and an unchanged key
+/// costs its ten reads the value's name and `same=true`, not ten copies of
+/// it (at the parent: 10 × 1 KiB of replies and more).
+#[test]
+fn a_held_value_crosses_the_wire_once() {
+    let w = world_syncing(1, 3, QUIET);
+    let mut c = client(&w);
+    let value: Vec<u8> = (0..1024).map(|i| (i * 7 % 256) as u8).collect();
+    c.put("app", "k", &value).unwrap();
+    // Warm the pooled link and the read lease.
+    assert_eq!(c.get("app", "k").unwrap(), value);
+    let before = c.stats();
+    let moved = wire_bytes(&w, || {
+        for _ in 0..10 {
+            assert_eq!(c.get("app", "k").unwrap(), value);
+        }
+    });
+    let after = c.stats();
+    assert_eq!(after.leased_reads, before.leased_reads + 10, "{after:?}");
+    assert_eq!(after.held_reads, before.held_reads + 10, "{after:?}");
+    assert!(
+        moved < 2 * 1024,
+        "ten reads of a held 1 KiB value moved {moved} B"
+    );
+    w.cluster.shutdown();
+}
+
+/// What another client wrote between two reads is what the second read
+/// returns: the holder holds a different name than the one offered, so it
+/// sends the bytes — and the read after that is answered from them.
+#[test]
+fn a_second_clients_write_between_two_gets_returns_the_new_bytes() {
+    let w = world_syncing(1, 3, QUIET);
+    let (mut a, mut b) = (client(&w), client(&w));
+    a.put("app", "k", &[1u8; 1024]).unwrap();
+    assert_eq!(a.get("app", "k").unwrap(), [1u8; 1024]);
+    assert_eq!(a.stats().held_reads, 1);
+    b.put("app", "k", &[2u8; 1024]).unwrap();
+    assert_eq!(a.get("app", "k").unwrap(), [2u8; 1024]);
+    assert_eq!(
+        a.stats().held_reads,
+        1,
+        "the new bytes came from the holder"
+    );
+    assert_eq!(a.get("app", "k").unwrap(), [2u8; 1024]);
+    assert_eq!(a.stats().held_reads, 2, "and are held from then on");
+    b.delete("app", "k").unwrap();
+    assert_eq!(a.get("app", "k"), Err(ace_store::StoreError::NotFound));
+    // The quorum read skips its fetch for a held winner, and never serves a
+    // held value over a tombstone.
+    b.put("app", "j", &[3u8; 1024]).unwrap();
+    assert_eq!(a.group_client(0).get("app", "j").unwrap(), [3u8; 1024]);
+    let fetches = |links: &mut [ServiceClient]| served(links, "psGet");
+    let mut links = group0_links(&w);
+    let (gets, moved) = (
+        fetches(&mut links),
+        wire_bytes(&w, || {
+            assert_eq!(a.group_client(0).get("app", "j").unwrap(), [3u8; 1024]);
+        }),
+    );
+    assert_eq!(
+        fetches(&mut links),
+        gets + 3,
+        "three digests, no value fetch"
+    );
+    assert!(
+        moved < 1024,
+        "a quorum read of a held value moved {moved} B"
+    );
+    b.delete("app", "j").unwrap();
+    assert_eq!(
+        a.group_client(0).get("app", "j"),
+        Err(ace_store::StoreError::NotFound)
+    );
+    w.cluster.shutdown();
+}
+
+/// Held bytes stay under [`StoreClient::HELD_BYTES`]: past it, every value
+/// goes and the versions stay, and what is read after is still right.
+#[test]
+fn held_values_are_bounded_and_letting_go_is_safe() {
+    let bound = ace_store::StoreClient::HELD_BYTES;
+    let w = world_syncing(1, 3, QUIET);
+    let mut c = client(&w);
+    let items: Vec<(String, Vec<u8>)> = (0..bound / 1024 + 256)
+        .map(|i| (format!("big{i:05}"), vec![i as u8; 1024]))
+        .collect();
+    for chunk in items.chunks(128) {
+        c.put_many("app", chunk).unwrap();
+        let held = c.group_client(0).held_bytes();
+        assert!(held <= bound, "{held} B held, bound {bound}");
+    }
+    let remembered = c.group_client(0).remembered_keys();
+    assert_eq!(remembered, items.len(), "the versions stayed");
+    for (key, data) in items.iter().step_by(97) {
+        assert_eq!(&c.get("app", key).unwrap(), data);
+    }
+    w.cluster.shutdown();
+}
+
 // -- the write path -----------------------------------------------------------
 
 /// How many `verb` commands the replicas behind `links` have served, summed.
@@ -820,3 +920,123 @@ fn the_tree_forms_name_exactly_the_rows_that_differ() {
     }
     replica.shutdown();
 }
+
+// -- conditional leased reads ---------------------------------------------------
+
+/// A one-replica "group" that grants every lease and records each
+/// `psGetLeased` it is sent, as the holder receives it.
+struct Spy {
+    seen: Arc<std::sync::Mutex<Vec<String>>>,
+}
+
+impl ServiceBehavior for Spy {
+    fn semantics(&self) -> Semantics {
+        Semantics::new().inheriting(&ace_core::protocol::store_scaleout_semantics())
+    }
+
+    fn handle(&mut self, _ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
+        match cmd.name() {
+            "psLeaseGrant" => {
+                let epoch = cmd.get_int("epoch").unwrap();
+                Reply::ok_with(|c| c.arg("epoch", epoch))
+            }
+            "psGetLeased" => {
+                self.seen.lock().unwrap().push(cmd.to_wire());
+                Reply::ok_with(|c| {
+                    c.arg("data", b"v".to_vec())
+                        .arg("version", 1)
+                        .arg("writer", Value::Str("w".into()))
+                        .arg("deleted", false)
+                })
+            }
+            other => Reply::err(ErrorCode::Internal, format!("spy: {other}")),
+        }
+    }
+}
+
+/// A client holding nothing sends the leased read it always sent, and the
+/// holder's answer to it is the one it always gave; both strings were
+/// produced by the commit before conditional reads.  A client holding a
+/// value adds its name, and the holder answers `same=true` only to that
+/// exact name, of a value that is not a tombstone.
+#[test]
+fn a_leased_read_holding_nothing_is_byte_for_byte_as_before() {
+    let net = SimNet::new();
+    net.add_host("core");
+    net.add_host("spy");
+    let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let spy = Daemon::spawn(
+        &net,
+        DaemonConfig::new("spy", "Service.Test", "machineroom", "spy", 6100),
+        Box::new(Spy {
+            seen: Arc::clone(&seen),
+        }),
+    )
+    .unwrap();
+    let identity = keypair();
+    let pool = Arc::new(LinkPool::new(&net, "core", identity));
+    let placement = StorePlacement::new(1, vec![vec![spy.addr().clone()]]);
+    let mut c = ShardedStoreClient::new(net.clone(), "core", identity, pool, placement);
+    assert_eq!(c.get("app", "beta key").unwrap(), b"v");
+    assert_eq!(c.get("app", "beta key").unwrap(), b"v");
+    let seen = seen.lock().unwrap().clone();
+    assert_eq!(seen[0], GOLDEN_LEASED_REQUEST);
+    assert_eq!(
+        seen[1],
+        r#"psGetLeased ns=app key="beta key" version=1 writer="w" deadline=5000;"#
+    );
+    spy.shutdown();
+
+    let (replica, _, mut link) = fixed_replica();
+    let grant = CmdLine::new("psLeaseGrant")
+        .arg("holder", Value::Str("core:6100".into()))
+        .arg("epoch", 1)
+        .arg("ttlMs", 600_000);
+    link.call(&grant).unwrap();
+    let ask = |key: &str, name: Option<(i64, &str)>| {
+        let mut cmd = CmdLine::new("psGetLeased")
+            .arg("ns", "app")
+            .arg("key", Value::Str(key.into()));
+        if let Some((version, writer)) = name {
+            cmd.push_arg("version", version);
+            cmd.push_arg("writer", Value::Str(writer.into()));
+        }
+        cmd
+    };
+    for (key, golden, frame) in [
+        ("alpha", GOLDEN_LEASED_ALPHA, 61),
+        ("gone", GOLDEN_LEASED_GONE, 47),
+    ] {
+        let reply = link.call(&ask(key, None)).unwrap();
+        assert_eq!(
+            (reply.to_wire().as_str(), reply.to_frame().len()),
+            (golden, frame)
+        );
+    }
+    let same = link
+        .call(&ask("alpha", Some((3, "rsa:00ff:10001"))))
+        .unwrap();
+    assert_eq!(same.to_wire(), "ok same=true;");
+    // Not exactly what is held — another writer, another version, a
+    // tombstone's own name — is today's full reply.
+    for (key, name, golden) in [
+        ("alpha", (3, "rsa:00ff:10002"), GOLDEN_LEASED_ALPHA),
+        ("alpha", (2, "rsa:00ff:10001"), GOLDEN_LEASED_ALPHA),
+        ("gone", (7, "w2"), GOLDEN_LEASED_GONE),
+    ] {
+        let reply = link.call(&ask(key, Some(name))).unwrap();
+        assert_eq!(reply.to_wire(), golden, "{key} offered as {name:?}");
+    }
+    let absent = link.call(&ask("absent", Some((1, "w1")))).unwrap_err();
+    assert_eq!(absent.code(), Some(ErrorCode::NotFound));
+    let half = ask("alpha", None).arg("version", 3);
+    assert_eq!(
+        link.call(&half).unwrap_err().code(),
+        Some(ErrorCode::Semantics)
+    );
+    replica.shutdown();
+}
+
+const GOLDEN_LEASED_REQUEST: &str = r#"psGetLeased ns=app key="beta key" deadline=5000;"#;
+const GOLDEN_LEASED_ALPHA: &str = r#"ok data=x76 version=3 writer="rsa:00ff:10001" deleted=false;"#;
+const GOLDEN_LEASED_GONE: &str = r#"ok data=x version=7 writer="w2" deleted=true;"#;
