@@ -92,7 +92,6 @@ fn fleet(dedicated: bool, daemons: usize) -> Fleet {
                 // a renewal storm.
                 .with_lease_renew(Duration::from_secs(60))
                 .with_tick(Duration::from_secs(5))
-                .with_stats_interval(Duration::ZERO)
                 .with_runtime_pool(pools.last().expect("a pool").clone());
             let t = Instant::now();
             let handle = Daemon::spawn(&net, config, Box::new(Echo)).expect("spawn");

@@ -70,9 +70,9 @@ pub trait ServiceBehavior: Send + 'static {
     fn on_stop(&mut self, _ctx: &mut ServiceCtx) {}
 
     /// Called just before a metrics snapshot is taken — on every `aceStats`
-    /// command and before each periodic stats event.  Behaviors export
-    /// service-internal state here (e.g. the store replica publishes WAL
-    /// batch counters as gauges) via `ctx.metrics()`.
+    /// command.  Behaviors export service-internal state here (e.g. the
+    /// store replica publishes WAL batch counters as gauges) via
+    /// `ctx.metrics()`.
     fn on_stats(&mut self, _ctx: &mut ServiceCtx) {}
 
     /// Serialize this behavior's state for a live upgrade.  Called on the
@@ -348,21 +348,6 @@ impl ServiceCtx {
     /// atomics — grab one once and keep it if the call site is hot.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
-    }
-
-    /// Push the current metrics snapshot to the Net Logger as a structured
-    /// `stats` event (asynchronous, best-effort).  Called periodically by
-    /// the control role; `on_stats` has already run.
-    pub(crate) fn push_stats_event(&self) {
-        if let Some(logger) = &self.config.logger {
-            let payload = self.metrics.snapshot().to_event_payload();
-            let cmd = CmdLine::new("event")
-                .arg("service", self.name())
-                .arg("kind", "stats")
-                .arg("host", self.host().as_str())
-                .arg("data", payload.to_wire().into_bytes());
-            self.notifier.send(logger.clone(), cmd);
-        }
     }
 
     /// Request a graceful daemon shutdown once this dispatch completes.

@@ -8,10 +8,12 @@
 //! a [`crate::pool::LinkPool`].
 
 use crate::link::{LinkError, SecureLink, TicketCache};
+use crate::metrics::WireCounts;
 use ace_lang::{CmdLine, ErrorCode, Reply};
 use ace_net::{Addr, HostId, NetError, SimNet};
 use ace_security::keys::KeyPair;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Default per-call deadline.
@@ -113,6 +115,11 @@ impl ServiceClient {
         self.link.is_healthy_idle()
     }
 
+    /// Count what this client sends by verb ([`SecureLink::meter_wire`]).
+    pub(crate) fn meter_wire(&mut self, counts: Arc<WireCounts>) {
+        self.link.meter_wire(counts);
+    }
+
     /// Adjust the per-call deadline.
     pub fn set_timeout(&mut self, timeout: Duration) {
         self.timeout = timeout;
@@ -153,7 +160,7 @@ impl ServiceClient {
             None => cmd.to_frame_with_deadline(self.timeout.as_millis() as i64),
             Some(_) => cmd.to_frame(),
         };
-        Ok(self.link.send_frame(frame)?)
+        Ok(self.link.send_frame(cmd.name(), frame)?)
     }
 
     /// Send one command as a cast ([`SecureLink::send_cast`]): no reply is

@@ -95,9 +95,6 @@ pub struct DaemonConfig {
     /// Lease renewal interval, when something other than a third of the
     /// lease the ASD granted at registration (must be below that lease).
     pub lease_renew: Option<Duration>,
-    /// Cadence of periodic `stats` events pushed to the Net Logger.
-    /// Zero disables them; `aceStats` still answers on demand.
-    pub stats_interval: Duration,
     /// Monotone spawn generation of this service name.  Every live
     /// upgrade (and supervised restart that opts in) increments it; the
     /// daemon stamps it into `ping` replies so clients and chaos tests
@@ -143,7 +140,6 @@ impl DaemonConfig {
             identity: None,
             tick: Duration::from_millis(50),
             lease_renew: None,
-            stats_interval: Duration::from_secs(1),
             incarnation: 0,
             ticket_vault: None,
             notifications: Vec::new(),
@@ -195,9 +191,9 @@ impl DaemonConfig {
         self
     }
 
-    /// Override the periodic stats-event cadence (zero disables).
-    pub fn with_stats_interval(mut self, interval: Duration) -> Self {
-        self.stats_interval = interval;
+    // Kept only for its one caller, `benchmark/src/building.rs:650`; stats are pulled.
+    #[doc(hidden)]
+    pub fn with_stats_interval(self, _interval: Duration) -> Self {
         self
     }
 
@@ -311,7 +307,9 @@ impl Daemon {
         // Everything this daemon ever sends — the three registrations below,
         // lease renewals, the behavior's calls, notifications — leaves
         // through this one pool.
-        let pool = Arc::new(LinkPool::new(net, config.host.clone(), *identity));
+        let pool = Arc::new(
+            LinkPool::new(net, config.host.clone(), *identity).with_wire_metrics(&metrics),
+        );
 
         // Step 2: establish location with the Room Database.
         if let Some(roomdb) = &config.roomdb {
@@ -450,7 +448,6 @@ impl Daemon {
             &metrics,
             retry_budget,
         );
-        let now = Instant::now();
         let task = DaemonTask {
             listener,
             listener_dead: false,
@@ -459,7 +456,6 @@ impl Daemon {
             identity: Arc::clone(&identity),
             vault: Arc::clone(&vault),
             tick: config.tick,
-            stats_interval: config.stats_interval,
             crashed: Arc::clone(&crashed),
             deregister: Arc::clone(&deregister),
             control,
@@ -476,8 +472,7 @@ impl Daemon {
             wake_cell: Arc::new(WakeCell::new()),
             lease,
             started: false,
-            last_tick: now,
-            last_stats: now,
+            last_tick: Instant::now(),
         };
         let main = runtime.spawn(Box::new(task));
         let notifier = runtime.spawn(Box::new(notifier_task));
@@ -730,6 +725,12 @@ fn upgrading_refusal() -> Reply {
     Reply::err(ErrorCode::Upgrading, "service is upgrading; retry")
 }
 
+/// The verb a reply is counted under (`wire.reply.-.*`) when it answers no
+/// verb of this daemon's: a frame that did not parse, a name the daemon does
+/// not know — a peer's made-up names must not grow the registry — or the
+/// retiring daemon's answer in advance.
+const UNNAMED: &str = "-";
+
 /// What a stopping daemon answers a frame it will never run.
 fn abandoned() -> Reply {
     Reply::err(ErrorCode::Internal, "control plane did not reply")
@@ -750,25 +751,27 @@ fn ran(reply: &Reply) -> bool {
 
 /// The one place the shell answers a frame: a call always, a cast if and
 /// only if it did not run — then with the ordinal that tells its sender
-/// which one.
+/// which one.  The link meters the answer as `wire.reply.<verb>`.
 fn send_reply(
     link: &mut SecureLink,
+    verb: &str,
     reply: &Reply,
     sent: Sent,
     ran: bool,
 ) -> Result<(), LinkError> {
-    match sent {
-        Sent::Call => link.send_cmd(&reply.to_cmdline()),
-        Sent::Cast(_) if ran => Ok(()),
-        Sent::Cast(n) => link.send_cmd(&reply.to_cmdline().arg(protocol::CAST_ARG, n)),
-    }
+    let frame = match sent {
+        Sent::Call => reply.to_cmdline(),
+        Sent::Cast(_) if ran => return Ok(()),
+        Sent::Cast(n) => reply.to_cmdline().arg(protocol::CAST_ARG, n),
+    };
+    link.send_frame(verb, frame.to_frame())
 }
 
-/// Conclude the command `id` has in flight — answer it, unless it was a cast
-/// that ran — then mark the session ready: more frames may be buffered
-/// behind it.  A session that died while its command was queued has its
-/// reply discarded (the command was admitted, so it still ran).
-fn conclude(sessions: &mut Sessions, id: u64, reply: &Reply, ran: bool) {
+/// Conclude the `verb` session `id` has in flight — answer it, unless it was
+/// a cast that ran — then mark the session ready: more frames may be
+/// buffered behind it.  A session that died while its command was queued
+/// has its reply discarded (the command was admitted, so it still ran).
+fn conclude(sessions: &mut Sessions, id: u64, verb: &str, reply: &Reply, ran: bool) {
     let Some(slot) = sessions.get_mut(&id) else {
         return;
     };
@@ -779,7 +782,7 @@ fn conclude(sessions: &mut Sessions, id: u64, reply: &Reply, ran: bool) {
         return;
     };
     let sent = in_flight.take().unwrap_or(Sent::Call);
-    if send_reply(link, reply, sent, ran).is_ok() {
+    if send_reply(link, verb, reply, sent, ran).is_ok() {
         slot.signal.mark();
     } else {
         sessions.remove(&id);
@@ -787,8 +790,8 @@ fn conclude(sessions: &mut Sessions, id: u64, reply: &Reply, ran: bool) {
 }
 
 /// A whole daemon as one cooperative task: accept, handshake, command
-/// parsing/gating, admission, dispatch, replies, datagrams, ticks, stats,
-/// and lease renewal, multiplexed onto the runtime's worker pool.
+/// parsing/gating, admission, dispatch, replies, datagrams, ticks and lease
+/// renewal, multiplexed onto the runtime's worker pool.
 struct DaemonTask {
     listener: ace_net::Listener,
     listener_dead: bool,
@@ -797,7 +800,6 @@ struct DaemonTask {
     identity: Arc<KeyPair>,
     vault: Arc<TicketVault>,
     tick: Duration,
-    stats_interval: Duration,
     crashed: Arc<AtomicBool>,
     deregister: Arc<AtomicBool>,
     control: Control,
@@ -815,7 +817,6 @@ struct DaemonTask {
     lease: LeaseState,
     started: bool,
     last_tick: Instant,
-    last_stats: Instant,
 }
 
 impl RuntimeTask for DaemonTask {
@@ -864,13 +865,6 @@ impl RuntimeTask for DaemonTask {
         if self.control.stopping() {
             return self.stop_poll();
         }
-        if !self.stats_interval.is_zero() && self.last_stats.elapsed() >= self.stats_interval {
-            self.last_stats = Instant::now();
-            // Runtime gauges ride the same periodic stats event as the
-            // daemon's own counters.
-            self.control.refresh_stats();
-            self.control.ctx.push_stats_event();
-        }
         self.lease.tick();
 
         // A session still marked ready (just answered, or cut off at the
@@ -879,11 +873,8 @@ impl RuntimeTask for DaemonTask {
             return TaskPoll::Again;
         }
         // Park until an endpoint wakes us or the earliest periodic
-        // deadline (tick, stats, lease renewal) arrives.
+        // deadline (tick, lease renewal) arrives.
         let mut at = self.last_tick + self.tick;
-        if !self.stats_interval.is_zero() {
-            at = at.min(self.last_stats + self.stats_interval);
-        }
         if let Some(renew) = self.lease.next_deadline() {
             at = at.min(renew);
         }
@@ -927,7 +918,7 @@ impl DaemonTask {
         let moved = upgrading_refusal();
         for slot in self.sessions.values_mut() {
             if let Session::Established { link, .. } = &mut slot.session {
-                let _ = send_reply(link, &moved, Sent::Call, false);
+                let _ = send_reply(link, UNNAMED, &moved, Sent::Call, false);
             }
         }
     }
@@ -1058,6 +1049,7 @@ impl DaemonTask {
                     Arc::clone(&self.sealed_bytes),
                     Arc::clone(&self.opened_bytes),
                 );
+                link.meter_wire(self.control.ctx.metrics().wire_replies());
                 let waker = Waker::from(Arc::clone(&slot.signal));
                 link.register_waker(&waker);
                 let from = ClientInfo {
@@ -1122,10 +1114,15 @@ impl DaemonTask {
             } else {
                 Sent::Call
             };
-            let refusal = match received {
-                Err(unparsed) => unparsed,
+            let (verb, refusal) = match received {
+                Err(unparsed) => (UNNAMED, unparsed),
                 Ok(cmd) => {
-                    if let Err(e) = self.control.semantics.validate(&cmd) {
+                    let verb = self
+                        .control
+                        .semantics
+                        .spec(cmd.name())
+                        .map_or(UNNAMED, |spec| spec.name.as_str());
+                    let refusal = if let Err(e) = self.control.semantics.validate(&cmd) {
                         // Semantic validation happens before admission,
                         // exactly as §2.2 describes the receiving side's
                         // parser doing.
@@ -1174,10 +1171,11 @@ impl DaemonTask {
                             break;
                         }
                         Reply::err(ErrorCode::Busy, "admission queue saturated; retry later")
-                    }
+                    };
+                    (verb, refusal)
                 }
             };
-            if send_reply(link, &refusal, sent, false).is_err() {
+            if send_reply(link, verb, &refusal, sent, false).is_err() {
                 dead = true;
                 break;
             }
@@ -1281,7 +1279,7 @@ impl Control {
             }
         };
         if self.stopping() {
-            conclude(sessions, session, &abandoned(), false);
+            conclude(sessions, session, cmd.name(), &abandoned(), false);
             return Some(false);
         }
         // Feed the CoDel estimator (the queue-depth gauge is kept current
@@ -1311,7 +1309,7 @@ impl Control {
         } else {
             self.upgrade(sessions, &cmd, &from)
         };
-        conclude(sessions, session, &reply, ran(&reply));
+        conclude(sessions, session, cmd.name(), &reply, ran(&reply));
         Some(dispatched)
     }
 
@@ -1496,8 +1494,7 @@ impl Control {
                 Reply::ok()
             }
             "aceStats" => {
-                // Refreshed on demand, so `aceStats` sees current values
-                // even between periodic stats events; then freeze the
+                // Refresh what is exported on demand, then freeze the
                 // registry.
                 self.refresh_stats();
                 let mut snap = self.ctx.metrics().snapshot();

@@ -37,7 +37,7 @@
 //! the client transparently falls back to the full handshake on the same
 //! connection.
 
-use crate::metrics::Counter;
+use crate::metrics::{Counter, WireCounts};
 use ace_lang::{CmdLine, Value};
 use ace_net::{Addr, Connection, NetError};
 use ace_security::cipher::{DhLocal, SecureChannel, SessionKey};
@@ -345,6 +345,8 @@ pub struct SecureLink {
     /// Optional byte counters (sealed-out / opened-in), fed per frame.
     sealed_bytes: Option<Arc<Counter>>,
     opened_bytes: Option<Arc<Counter>>,
+    /// Where what this link sends is counted by verb, if anywhere.
+    wire: Option<Arc<WireCounts>>,
 }
 
 impl SecureLink {
@@ -403,6 +405,7 @@ impl SecureLink {
                     last_was_cast: false,
                     sealed_bytes: None,
                     opened_bytes: None,
+                    wire: None,
                 })
             }
             Err(_) => {
@@ -449,6 +452,7 @@ impl SecureLink {
             last_was_cast: false,
             sealed_bytes: None,
             opened_bytes: None,
+            wire: None,
         };
 
         // Prove identity: sign the DH transcript.
@@ -533,6 +537,7 @@ impl SecureLink {
                         last_was_cast: false,
                         sealed_bytes: None,
                         opened_bytes: None,
+                        wire: None,
                     };
                     // Sealed under the nonce-derived key: proves *we* hold
                     // the master too.
@@ -570,6 +575,7 @@ impl SecureLink {
             last_was_cast: false,
             sealed_bytes: None,
             opened_bytes: None,
+            wire: None,
         };
 
         let auth = link.recv_cmd(HANDSHAKE_TIMEOUT)?;
@@ -643,12 +649,19 @@ impl SecureLink {
         self.opened_bytes = Some(opened);
     }
 
+    /// Count every frame sent from now on under its verb in `counts`.
+    /// Frames of the handshake are sent before this can be called, so they
+    /// are never counted.
+    pub(crate) fn meter_wire(&mut self, counts: Arc<WireCounts>) {
+        self.wire = Some(counts);
+    }
+
     /// Seal and send one command.  One allocation end-to-end: the frame
     /// (the command's text, then its blobs raw — [`CmdLine::to_frame`]) is
     /// encrypted in place and handed to the connection by ownership (frames
     /// move through channels, they are never re-copied).
     pub fn send_cmd(&mut self, cmd: &CmdLine) -> Result<(), LinkError> {
-        self.send_frame(cmd.to_frame())
+        self.send_frame(cmd.name(), cmd.to_frame())
     }
 
     /// Seal and send one command as a cast: the frame [`Self::send_cmd`]
@@ -657,14 +670,19 @@ impl SecureLink {
     pub fn send_cast(&mut self, cmd: &CmdLine) -> Result<(), LinkError> {
         let mut frame = cmd.to_frame();
         frame.insert(0, CAST_MARKER);
-        self.send_frame(frame)
+        self.send_frame(cmd.name(), frame)
     }
 
-    /// Seal and send a frame rendered by the caller.
-    pub(crate) fn send_frame(&mut self, mut frame: Vec<u8>) -> Result<(), LinkError> {
+    /// Seal and send a frame rendered by the caller, metered under `verb`.
+    pub(crate) fn send_frame(&mut self, verb: &str, mut frame: Vec<u8>) -> Result<(), LinkError> {
         self.tx.seal_in_place(&mut frame);
         if let Some(c) = &self.sealed_bytes {
             c.add(frame.len() as u64);
+        }
+        // Counted before it leaves: whoever reads the answer to this frame
+        // finds it counted.
+        if let Some(wire) = &self.wire {
+            wire.count(verb, frame.len());
         }
         self.conn.send(frame)?;
         Ok(())

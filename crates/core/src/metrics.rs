@@ -7,13 +7,15 @@
 //! backoffs, and (via [`ServiceBehavior::on_stats`]) whatever the service
 //! itself wants to export, e.g. WAL batch stats from the store.
 //!
-//! The registry is surfaced two ways with no per-service code:
-//!
-//! * the standard `aceStats` verb answers with a [`RegistrySnapshot`]
-//!   rendered as homogeneous string arrays (`counters`, `gauges`,
-//!   `histograms`), parseable back via [`StatsReport::from_cmdline`];
-//! * the control role periodically pushes the same snapshot to the Net
-//!   Logger as a structured `event` record (kind `stats`).
+//! The registry is pulled, never pushed: the standard `aceStats` verb
+//! answers with a [`RegistrySnapshot`] rendered as homogeneous string arrays
+//! (`counters`, `gauges`, `histograms`), optionally narrowed by `prefix=`
+//! and parseable back via [`StatsReport::from_cmdline`].  Nothing leaves a
+//! daemon unasked, so a series costs no wire bytes until someone reads it —
+//! which is what lets every daemon keep what it sends by verb:
+//! `wire.<verb>.frames|bytes` for frames out through its `LinkPool`,
+//! `wire.reply.<verb>.frames|bytes` for its answers to `<verb>`
+//! (`aceStats prefix=wire.`).
 //!
 //! Handles are `Arc`s over atomics: the registry lock is touched only on
 //! first use of a name, never on the hot path.
@@ -38,7 +40,7 @@ use ace_lang::{CmdLine, Reply, Scalar, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Duration;
 
 /// A monotonically increasing event count.
@@ -245,6 +247,10 @@ pub struct MetricsRegistry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
+    /// `wire.*`: what this registry's pools send, made by the first pool.
+    wire_out: OnceLock<Arc<WireCounts>>,
+    /// `wire.reply.*`: what the daemon answers, made by its first session.
+    wire_replies: OnceLock<Arc<WireCounts>>,
 }
 
 fn get_or_create<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
@@ -280,16 +286,36 @@ impl MetricsRegistry {
         get_or_create(&self.histograms, name)
     }
 
+    /// Where the links of a pool count what they send: `wire.<verb>.*`.
+    pub(crate) fn wire_out(&self) -> Arc<WireCounts> {
+        let counts = self.wire_out.get_or_init(|| WireCounts::new("wire."));
+        Arc::clone(counts)
+    }
+
+    /// Where a daemon's sessions count its answers: `wire.reply.<verb>.*`.
+    pub(crate) fn wire_replies(&self) -> Arc<WireCounts> {
+        let counts = self
+            .wire_replies
+            .get_or_init(|| WireCounts::new("wire.reply."));
+        Arc::clone(counts)
+    }
+
     /// Freeze every metric into a point-in-time snapshot.
     pub fn snapshot(&self) -> RegistrySnapshot {
+        let mut counters: BTreeMap<String, u64> = self
+            .counters
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+            .map(|(k, v)| (k.clone(), v.get()))
+            .collect();
+        for wire in [&self.wire_out, &self.wire_replies] {
+            if let Some(wire) = wire.get() {
+                wire.render_into(&mut counters);
+            }
+        }
         RegistrySnapshot {
-            counters: self
-                .counters
-                .read()
-                .unwrap_or_else(|e| e.into_inner())
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
+            counters,
             gauges: self
                 .gauges
                 .read()
@@ -314,7 +340,76 @@ impl fmt::Debug for MetricsRegistry {
     }
 }
 
-/// A frozen registry, ready to encode as a reply, event payload, or JSON.
+/// Frames sent and their sealed bytes (the unit of `SimNet::metrics()`), by
+/// verb, for every link that counts here.  A snapshot reads them as the
+/// counters `<prefix><verb>.frames` and `<prefix><verb>.bytes`; they are not
+/// counters of the registry's own map, because a daemon pays for each of
+/// those a name, a handle and a map slot, and E22 packs 10,000 daemons into
+/// one process.  A frame takes this table's read lock, never the registry's
+/// lock; a verb's first frame takes its write lock once.
+pub(crate) struct WireCounts {
+    prefix: &'static str,
+    verbs: RwLock<Vec<WireLine>>,
+}
+
+struct WireLine {
+    verb: Box<str>,
+    frames: AtomicU64,
+    bytes: AtomicU64,
+}
+
+impl WireLine {
+    fn add(&self, bytes: usize) {
+        self.frames.fetch_add(1, Ordering::Relaxed);
+        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+}
+
+impl WireCounts {
+    fn new(prefix: &'static str) -> Arc<WireCounts> {
+        Arc::new(WireCounts {
+            prefix,
+            verbs: RwLock::new(Vec::new()),
+        })
+    }
+
+    /// One frame of `verb`, `bytes` long as sealed.
+    pub(crate) fn count(&self, verb: &str, bytes: usize) {
+        let find = |lines: &[WireLine]| lines.iter().position(|line| *line.verb == *verb);
+        {
+            let lines = self.verbs.read().unwrap_or_else(|e| e.into_inner());
+            if let Some(at) = find(&lines) {
+                return lines[at].add(bytes);
+            }
+        }
+        let mut lines = self.verbs.write().unwrap_or_else(|e| e.into_inner());
+        // Another link may have added the verb between the two locks.
+        let at = find(&lines).unwrap_or_else(|| {
+            // A table holds a handful of verbs: grow by one, not four.
+            lines.reserve_exact(1);
+            lines.push(WireLine {
+                verb: verb.into(),
+                frames: AtomicU64::new(0),
+                bytes: AtomicU64::new(0),
+            });
+            lines.len() - 1
+        });
+        lines[at].add(bytes);
+    }
+
+    fn render_into(&self, counters: &mut BTreeMap<String, u64>) {
+        let lines = self.verbs.read().unwrap_or_else(|e| e.into_inner());
+        for line in lines.iter() {
+            let (verb, prefix) = (&line.verb, self.prefix);
+            let frames = line.frames.load(Ordering::Relaxed);
+            counters.insert(format!("{prefix}{verb}.frames"), frames);
+            let bytes = line.bytes.load(Ordering::Relaxed);
+            counters.insert(format!("{prefix}{verb}.bytes"), bytes);
+        }
+    }
+}
+
+/// A frozen registry, ready to encode as an `aceStats` reply.
 #[derive(Debug, Clone, Default)]
 pub struct RegistrySnapshot {
     pub counters: BTreeMap<String, u64>,
@@ -334,11 +429,11 @@ impl RegistrySnapshot {
         self.histograms.retain(|k, _| k.starts_with(prefix));
     }
 
-    /// Render as the three wire arrays shared by `aceStats` replies and
-    /// `stats` event payloads.  Rows are homogeneous all-string cells (the
-    /// array grammar requires one scalar type across the whole array, and
-    /// metric names are dotted, so nothing fits a bare word).
-    fn encode_into(&self, mut cmd: CmdLine) -> CmdLine {
+    /// The `aceStats` reply for this snapshot: three wire arrays whose rows
+    /// are homogeneous all-string cells (the array grammar requires one
+    /// scalar type across the whole array, and metric names are dotted, so
+    /// nothing fits a bare word).
+    pub fn to_reply(&self) -> Reply {
         let counters: Vec<Vec<Scalar>> = self
             .counters
             .iter()
@@ -364,27 +459,18 @@ impl RegistrySnapshot {
                 ])
             })
             .collect();
-        if !counters.is_empty() {
-            cmd.push_arg("counters", Value::Array(counters));
-        }
-        if !gauges.is_empty() {
-            cmd.push_arg("gauges", Value::Array(gauges));
-        }
-        if !histograms.is_empty() {
-            cmd.push_arg("histograms", Value::Array(histograms));
-        }
-        cmd
-    }
-
-    /// The `aceStats` reply for this snapshot.
-    pub fn to_reply(&self) -> Reply {
-        Reply::ok_with(|c| self.encode_into(c))
-    }
-
-    /// The inner payload command carried (hex-encoded) by a `stats` event
-    /// record pushed to the Net Logger.
-    pub fn to_event_payload(&self) -> CmdLine {
-        self.encode_into(CmdLine::new("stats"))
+        Reply::ok_with(|mut cmd| {
+            if !counters.is_empty() {
+                cmd.push_arg("counters", Value::Array(counters));
+            }
+            if !gauges.is_empty() {
+                cmd.push_arg("gauges", Value::Array(gauges));
+            }
+            if !histograms.is_empty() {
+                cmd.push_arg("histograms", Value::Array(histograms));
+            }
+            cmd
+        })
     }
 }
 
@@ -399,7 +485,8 @@ pub struct QuantileRow {
     pub mean_us: f64,
 }
 
-/// Client-side decoded view of an `aceStats` reply or `stats` event payload.
+/// Client-side decoded view of an `aceStats` reply (or of any command
+/// carrying its three arrays).
 #[derive(Debug, Clone, Default)]
 pub struct StatsReport {
     pub counters: BTreeMap<String, u64>,
@@ -408,7 +495,7 @@ pub struct StatsReport {
 }
 
 impl StatsReport {
-    /// Decode the three stats arrays out of a reply result or event payload.
+    /// Decode the three stats arrays out of a reply result.
     /// Rows that do not parse are skipped (forward compatibility beats
     /// strictness on the read side).
     pub fn from_cmdline(cmd: &CmdLine) -> StatsReport {

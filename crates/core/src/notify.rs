@@ -12,12 +12,12 @@
 //! # Delivery: casts, never calls
 //!
 //! Everything a daemon sends without wanting an answer — fired
-//! notifications, `ctx.log`, the stats `event`, `ctx.send_async` — is an
-//! event, and goes out as a *cast* ([`crate::link`]): one frame, no
-//! `deadline=`, nothing waited for.  A listener answers a cast only when it
-//! did not run it (`error … cast=<n>;`, the daemon shell's rule), and the
-//! [`NotifierTask`] reads that whenever it arrives — its waker sits on
-//! every link it holds, so no runtime worker ever waits on a listener.
+//! notifications, `ctx.log`, `ctx.send_async` — is an event, and goes out
+//! as a *cast* ([`crate::link`]): one frame, no `deadline=`, nothing waited
+//! for.  A listener answers a cast only when it did not run it (`error …
+//! cast=<n>;`, the daemon shell's rule), and the [`NotifierTask`] reads
+//! that whenever it arrives — its waker sits on every link it holds, so no
+//! runtime worker ever waits on a listener.
 //!
 //! * **One held link per listener.**  The link comes from the daemon's
 //!   [`LinkPool`] and stays checked out while casts on it may still be
@@ -558,9 +558,8 @@ impl DeliveryState {
                     },
                     moved_from: (code == ErrorCode::Upgrading).then_some(link),
                 }),
-                // The drop is counted, never silent: `aceStats` and the
-                // periodic stats events expose `notify.drops` on the
-                // originating daemon.
+                // The drop is counted, never silent: `aceStats` on the
+                // originating daemon exposes `notify.drops`.
                 None => drops.incr(),
             }
         }

@@ -28,13 +28,16 @@
 //!
 //! Counters (bindable to a registry with [`LinkPool::with_metrics`]):
 //! `pool.checkouts`, `pool.reused`, `pool.stale`, `pool.dials`,
-//! `link.resume_hits`, `link.full_handshakes`.  A daemon's own pool keeps
-//! them private: in a daemon's registry `link.resume_hits` and
-//! `link.full_handshakes` count *accepted* links.
+//! `link.resume_hits`, `link.full_handshakes`, and per verb
+//! `wire.<verb>.frames|bytes` — every frame a link of the pool sends after
+//! its handshake, sealed bytes.  A daemon's own pool keeps the first six
+//! private — in a daemon's registry `link.resume_hits` and
+//! `link.full_handshakes` count *accepted* links — and counts `wire.*` into
+//! the daemon's registry.
 
 use crate::client::{ClientError, ServiceClient, DEFAULT_CALL_TIMEOUT};
 use crate::link::TicketCache;
-use crate::metrics::{Counter, MetricsRegistry};
+use crate::metrics::{Counter, MetricsRegistry, WireCounts};
 use ace_lang::CmdLine;
 use ace_net::{Addr, HostId, SimNet};
 use ace_security::keys::KeyPair;
@@ -61,6 +64,8 @@ pub struct LinkPool {
     dials: Arc<Counter>,
     resume_hits: Arc<Counter>,
     full_handshakes: Arc<Counter>,
+    /// Where every link this pool dials counts what it sends.
+    wire: Arc<WireCounts>,
 }
 
 impl LinkPool {
@@ -91,7 +96,15 @@ impl LinkPool {
             dials: metrics.counter("pool.dials"),
             resume_hits: metrics.counter("link.resume_hits"),
             full_handshakes: metrics.counter("link.full_handshakes"),
+            wire: metrics.wire_out(),
         }
+    }
+
+    /// Count `wire.*` into `metrics`, whatever registry the other counters
+    /// live in (builder style).
+    pub(crate) fn with_wire_metrics(mut self, metrics: &MetricsRegistry) -> LinkPool {
+        self.wire = metrics.wire_out();
+        self
     }
 
     /// Adjust the per-target idle cap (builder style).
@@ -145,13 +158,14 @@ impl LinkPool {
         }
 
         self.dials.incr();
-        let client = ServiceClient::connect_resumable(
+        let mut client = ServiceClient::connect_resumable(
             &self.net,
             &self.from_host,
             target.clone(),
             &self.identity,
             &self.tickets,
         )?;
+        client.meter_wire(Arc::clone(&self.wire));
         if client.resumed() {
             self.resume_hits.incr();
         } else {

@@ -16,6 +16,7 @@
 
 use ace_core::prelude::*;
 use ace_core::protocol;
+use ace_core::{Counter, SecureLink};
 use ace_security::keys::KeyPair;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -570,4 +571,105 @@ fn a_notification_costs_one_frame() {
         1,
         "frames one notification put on the wire"
     );
+}
+
+/// Sum a daemon's `wire.*` counters ending in `.<what>` (`frames`/`bytes`).
+fn wire_total(daemon: &DaemonHandle, what: &str) -> u64 {
+    let counters = daemon.metrics().snapshot().counters;
+    let suffix = format!(".{what}");
+    counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("wire.") && name.ends_with(&suffix))
+        .map(|(_, n)| n)
+        .sum()
+}
+
+/// Invariant: the per-verb counters add up.  Every frame two daemons put on
+/// warm links — a call and its reply (`wire.work`, `wire.reply.work`), a
+/// notification cast and a log cast from the notifier (`wire.onTouch`,
+/// `wire.log`), the answers to the driving client (`wire.reply.<verb>`) — is
+/// counted once, in sealed bytes, the unit of `SimNet::metrics()`: the two
+/// registries plus what the client sealed are exactly the net's delta.
+#[test]
+fn wire_counters_add_up_to_the_frames_on_the_net() {
+    let net = net();
+    let peer = spawn_peer(&net, "peer", 7201, protocol::logger_semantics(), &[]);
+    let relay = spawn_relay(
+        &net,
+        relay_config().with_logger(peer.daemon.addr().clone()),
+        peer.daemon.addr(),
+    );
+    let subscribe = protocol::subscribe_cmd("touch", "peer", peer.daemon.addr(), "onTouch");
+    client(&net, &relay).call_ok(&subscribe).unwrap();
+
+    // The driving client's own frames are sealed onto one counter.
+    let me = KeyPair::generate(&mut rand::thread_rng());
+    let sealed = Arc::new(Counter::new());
+    let link_to = |daemon: &DaemonHandle| {
+        let conn = net.connect(&"cli".into(), daemon.addr().clone()).unwrap();
+        let mut link = SecureLink::connect(conn, &me).unwrap();
+        link.attach_metrics(Arc::clone(&sealed), Arc::default());
+        link
+    };
+    let (mut to_relay, mut to_peer) = (link_to(&relay), link_to(&peer.daemon));
+    let mut exchange = |verbs: &[&str]| {
+        for verb in verbs {
+            to_relay.send_cmd(&CmdLine::new(*verb)).unwrap();
+            let reply = to_relay.recv_cmd(WAIT).unwrap();
+            assert_eq!(reply.name(), "ok", "{verb}: {reply}");
+        }
+        peer.await_served("onTouch", 1);
+        peer.await_served("log", 1);
+        // Whatever the peer sent about the casts it sent before it read
+        // this ping; once the ping is answered it is all on the wire.
+        to_peer.send_cmd(&CmdLine::new("ping")).unwrap();
+        assert_eq!(to_peer.recv_cmd(WAIT).unwrap().name(), "ok");
+    };
+    // Every link is up and has carried a frame before the count starts: the
+    // notifier's, held while a cast is kept, and beside it the one
+    // `ctx.call` checks out, so nothing in the window dials.
+    peer.await_served("log", 1); // "started"
+    exchange(&["touch", "say", "relay"]);
+
+    let daemons = [&relay, &peer.daemon];
+    let total = |what| daemons.iter().map(|d| wire_total(d, what)).sum::<u64>();
+    let (bytes_before, frames_before, sealed_before) =
+        (total("bytes"), total("frames"), sealed.get());
+    let before = net.metrics().snapshot();
+    exchange(&["relay", "touch", "say", "relay"]);
+    let on_net = net.metrics().snapshot().since(&before);
+
+    assert_eq!(
+        total("bytes") - bytes_before + sealed.get() - sealed_before,
+        on_net.frame_bytes,
+        "sealed bytes on the net"
+    );
+    assert_eq!(
+        total("frames") - frames_before + 5, // the client's four calls and a ping
+        on_net.frames,
+        "frames on the net"
+    );
+    // Read back as every operator reads them: `aceStats prefix=wire.`.
+    let mut asked = client(&net, &relay);
+    let report = StatsReport::from_cmdline(
+        &asked
+            .call(&CmdLine::new("aceStats").arg("prefix", "wire."))
+            .unwrap(),
+    );
+    for (name, at_least) in [
+        ("wire.work.frames", 3),
+        ("wire.onTouch.frames", 2),
+        ("wire.log.frames", 3),
+        ("wire.reply.relay.frames", 3),
+        ("wire.reply.touch.frames", 2),
+    ] {
+        assert!(
+            report.counters.get(name).copied().unwrap_or(0) >= at_least,
+            "{name} below {at_least}: {:?}",
+            report.counters
+        );
+    }
+    let peer_sent = peer.daemon.metrics().snapshot().counters;
+    assert_eq!(peer_sent.get("wire.reply.work.frames"), Some(&3));
+    assert!(report.counters.keys().all(|k| k.starts_with("wire.")));
 }

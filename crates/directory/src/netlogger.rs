@@ -25,8 +25,9 @@ pub struct LogRecord {
 }
 
 /// One typed event record: a parsed command line of fields, not free text.
-/// Daemons push these automatically (kind `stats` carries each daemon's
-/// metrics snapshot); `queryEvents` retrieves them per service.
+/// Services send these when they have something to record (the logger
+/// keeps what it is told; a daemon's metrics are pulled with `aceStats`,
+/// never pushed here); `queryEvents` retrieves them per service.
 #[derive(Debug, Clone)]
 pub struct EventRecord {
     pub seq: u64,

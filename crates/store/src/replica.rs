@@ -1306,8 +1306,8 @@ impl ServiceBehavior for StoreReplica {
     }
 
     /// Re-export WAL batch and sync state into the daemon's unified metrics
-    /// registry, so `aceStats` and the periodic stats events carry them
-    /// alongside the framework's own counters.  Series are keyed by the
+    /// registry, so `aceStats` carries them alongside the framework's own
+    /// counters.  Series are keyed by the
     /// daemon name (`store.<name>.entries`): co-located replicas whose
     /// stats land in one registry (or one downstream aggregation) must
     /// stay distinct series, not overwrite each other.

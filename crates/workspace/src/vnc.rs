@@ -14,7 +14,6 @@
 
 use crate::framebuffer::{Framebuffer, TileUpdate};
 use ace_core::prelude::*;
-use ace_core::protocol::hex_decode;
 use ace_net::DatagramSocket;
 use std::collections::HashMap;
 use std::time::Duration;
@@ -80,7 +79,7 @@ impl ServiceBehavior for VncHost {
                     .required("y", ArgType::Int, "rect y")
                     .required("w", ArgType::Int, "rect width")
                     .required("h", ArgType::Int, "rect height")
-                    .required("data", ArgType::Word, "hex content payload"),
+                    .required("data", ArgType::Blob, "content payload"),
             )
             .with(
                 CmdSpec::new("vncAttach", "attach a viewer (password-gated)")
@@ -145,9 +144,7 @@ impl ServiceBehavior for VncHost {
                 let Some(session) = self.sessions.get_mut(id) else {
                     return Reply::err(ErrorCode::NotFound, format!("no session {id}"));
                 };
-                let Some(data) = hex_decode(cmd.get_text("data").expect("validated")) else {
-                    return Reply::err(ErrorCode::Semantics, "data is not valid hex");
-                };
+                let data = cmd.get_blob("data").expect("validated");
                 let updates = session.fb.draw_rect(
                     cmd.get_int("x").expect("validated").max(0) as u32,
                     cmd.get_int("y").expect("validated").max(0) as u32,

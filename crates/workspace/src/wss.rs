@@ -271,9 +271,10 @@ impl ServiceBehavior for Wss {
                     return Reply::err(ErrorCode::NotFound, format!("no workspace {name}"));
                 };
                 let record = list.remove(pos);
-                let _ = ctx.call(
-                    &record.vnc_addr,
-                    &CmdLine::new("vncClose").arg("session", record.session.as_str()),
+                // Nobody reads the VNC host's answer: a cast.
+                ctx.send_async(
+                    record.vnc_addr,
+                    CmdLine::new("vncClose").arg("session", record.session.as_str()),
                 );
                 Reply::ok()
             }

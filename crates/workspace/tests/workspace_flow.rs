@@ -127,6 +127,70 @@ fn viewer_replicates_session_framebuffer() {
     w.teardown();
 }
 
+/// `vncDraw`'s `data` is a blob: drawn as raw bytes or as their hex word —
+/// what every sender wrote before, byte for byte — the same rectangle paints
+/// the same tiles, and a word that is not hex is refused before it runs.
+#[test]
+fn vnc_draw_takes_hex_or_blob_data_alike() {
+    let mut w = world(&["vhost"]);
+    let me = keypair();
+    let vnc = Daemon::spawn(
+        &w.net,
+        w.fw.service_config("vnc_vhost", "Service.VNCHost", "machineroom", "vhost", 5500),
+        Box::new(VncHost::new()),
+    )
+    .unwrap();
+    let mut client =
+        ServiceClient::connect(&w.net, &"core".into(), vnc.addr().clone(), &me).unwrap();
+    let draw = |session: &str, data: Value| {
+        CmdLine::new("vncDraw")
+            .arg("session", session)
+            .arg("x", 10)
+            .arg("y", 20)
+            .arg("w", 100)
+            .arg("h", 50)
+            .arg("data", data)
+    };
+    let content = b"presentation.ppt";
+    let hex = Value::from(hex_encode(content));
+    assert!(matches!(hex, Value::Word(_)), "{hex:?}");
+    assert_eq!(
+        draw("ws_1", hex.clone()).to_wire(),
+        "vncDraw session=ws_1 x=10 y=20 w=100 h=50 data=x70726573656e746174696f6e2e707074;"
+    );
+
+    let mut painted = Vec::new();
+    for data in [hex, Value::from(&content[..])] {
+        let created = client
+            .call(
+                &CmdLine::new("vncCreate")
+                    .arg("user", "jdoe")
+                    .arg("password", Value::Str("pw".into())),
+            )
+            .unwrap();
+        let session = created.get_text("session").unwrap().to_string();
+        let drawn = client.call(&draw(&session, data)).unwrap();
+        let state = client
+            .call(&CmdLine::new("vncState").arg("session", session.as_str()))
+            .unwrap();
+        painted.push((
+            drawn.get_int("tiles"),
+            drawn.get_int("seq"),
+            state.get_text("checksum").unwrap().to_string(),
+        ));
+    }
+    assert!(painted[0].0 > Some(0), "{painted:?}");
+    assert_eq!(painted[0], painted[1]);
+
+    let err = client
+        .call(&draw("ws_1", Value::Word("xnothex".into())))
+        .unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::Semantics));
+
+    w.extra.push(vnc);
+    w.teardown();
+}
+
 #[test]
 fn attach_requires_password() {
     let mut w = world(&["vhost", "podium"]);
@@ -533,9 +597,22 @@ fn wss_remove_closes_session() {
         )
         .unwrap();
 
-    // The session is gone on the VNC host.
+    // The session is gone from the VNC host's list soon after: the close is
+    // a cast the WSS does not wait for.
     let mut vnc_client =
         ServiceClient::connect(&w.net, &"core".into(), vnc.addr().clone(), &me).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let listed = vnc_client.call(&CmdLine::new("vncList")).unwrap();
+        if listed.get_int("count") == Some(0) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "`vncList` still holds the removed session: {listed}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
     let err = vnc_client
         .call(&CmdLine::new("vncState").arg("session", session.as_str()))
         .unwrap_err();

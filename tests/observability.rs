@@ -1,7 +1,7 @@
 //! The unified observability layer, end to end: `aceStats` round-trips on
 //! directory, store, and media daemons; notify fan-out survives a dead
-//! subscriber with counted (never silent) drops; and periodic `stats`
-//! events land in the Net Logger as typed, queryable records.
+//! subscriber with counted (never silent) drops; stats are pulled, never
+//! pushed; and typed events land in the Net Logger as queryable records.
 
 use ace_core::prelude::*;
 use ace_core::protocol::LOGGER_PORT;
@@ -417,11 +417,11 @@ fn notify_fanout_survives_dead_subscriber() {
     alive.shutdown();
 }
 
-/// Daemons push periodic `stats` events to the Net Logger; the logger keeps
-/// them as typed records answering `queryEvents`, and the payload decodes
-/// back into a [`StatsReport`].
+/// Stats are pulled: after traffic, `aceStats` on the daemon itself carries
+/// its per-verb latency and the runtime gauges.  The Net Logger keeps what
+/// services send it as typed records answering `queryEvents`.
 #[test]
-fn stats_events_flow_to_logger() {
+fn stats_are_pulled_and_typed_events_flow_to_logger() {
     let net = SimNet::new();
     net.add_host("core");
     net.add_host("podium");
@@ -441,8 +441,7 @@ fn stats_events_flow_to_logger() {
     let cam = Daemon::spawn(
         &net,
         DaemonConfig::new("cam1", "Service.Device.PTZCamera", "hawk", "podium", 4410)
-            .with_logger(logger.addr().clone())
-            .with_stats_interval(Duration::from_millis(40)),
+            .with_logger(logger.addr().clone()),
         Box::new(ace_env::PtzCamera::new(ace_env::CameraModel::Vcc4)),
     )
     .unwrap();
@@ -453,29 +452,18 @@ fn stats_events_flow_to_logger() {
     let mut log_client =
         LoggerClient::connect(&net, &"core".into(), logger.addr().clone(), &me).unwrap();
 
-    // Stats pushes ride the control loop, so keep it busy past the interval.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let rows = loop {
+    for _ in 0..4 {
         cam_client.call(&CmdLine::new("ping")).unwrap();
-        let rows = log_client.query_events("cam1", Some("stats"), 5).unwrap();
-        if !rows.is_empty() {
-            break rows;
-        }
-        assert!(Instant::now() < deadline, "no stats event arrived");
-        std::thread::sleep(Duration::from_millis(25));
-    };
-
-    let (_seq, service, kind, host, fields) = rows.last().unwrap();
-    assert_eq!(service, "cam1");
-    assert_eq!(kind, "stats");
-    assert_eq!(host, "podium");
-    assert_eq!(fields.name(), "stats");
-    let report = StatsReport::from_cmdline(fields);
-    assert!(
-        report.histograms.contains_key("cmd.ping"),
-        "event payload lacks ping latency: {:?}",
-        report.histograms.keys()
-    );
+    }
+    let report = ace_stats(&mut cam_client, None);
+    assert_sane_quantiles(&report, "cmd.ping", 4);
+    for key in ["runtime.tasksLive", "runtime.workers", "runtime.polls"] {
+        assert!(
+            report.gauges.contains_key(key),
+            "{key} missing from aceStats: {:?}",
+            report.gauges
+        );
+    }
 
     // Typed events also flow through the client API directly, and malformed
     // payloads are rejected instead of stored.
@@ -495,6 +483,56 @@ fn stats_events_flow_to_logger() {
         )
         .unwrap_err();
     assert_eq!(err.code(), Some(ErrorCode::Semantics));
+
+    cam.shutdown();
+    logger.shutdown();
+}
+
+/// Nothing leaves a daemon unasked: configured with a Net Logger and left
+/// idle past two of what was the push interval (1 s), a daemon has sent the
+/// logger no `event` at all — no `stats` record to query, no `cmd.event`
+/// served.
+#[test]
+fn an_idle_daemon_with_a_logger_sends_it_nothing() {
+    let net = SimNet::new();
+    net.add_host("core");
+    net.add_host("podium");
+    let logger = Daemon::spawn(
+        &net,
+        DaemonConfig::new(
+            "netlogger",
+            "Service.Logger",
+            "machine",
+            "core",
+            LOGGER_PORT,
+        ),
+        Box::new(ace_directory::NetLogger::new(1000)),
+    )
+    .unwrap();
+    let cam = Daemon::spawn(
+        &net,
+        DaemonConfig::new("cam1", "Service.Device.PTZCamera", "hawk", "podium", 4410)
+            .with_logger(logger.addr().clone()),
+        Box::new(ace_env::PtzCamera::new(ace_env::CameraModel::Vcc4)),
+    )
+    .unwrap();
+
+    std::thread::sleep(Duration::from_millis(2500));
+
+    let me = keypair();
+    let mut log_client =
+        LoggerClient::connect(&net, &"core".into(), logger.addr().clone(), &me).unwrap();
+    let rows = log_client.query_events("cam1", Some("stats"), 5).unwrap();
+    assert!(
+        rows.is_empty(),
+        "an idle daemon pushed {} stats events",
+        rows.len()
+    );
+    let mut to_logger =
+        ServiceClient::connect(&net, &"core".into(), logger.addr().clone(), &me).unwrap();
+    let served = ace_stats(&mut to_logger, Some("cmd.event"));
+    let events = served.histograms.get("cmd.event").map_or(0, |h| h.count);
+    assert_eq!(events, 0, "the logger served `event` {events} times");
 
     cam.shutdown();
     logger.shutdown();

@@ -181,7 +181,6 @@ fn runtime_scale() {
                 // renewal storm benchmark, not a multiplexing test.
                 .with_lease_renew(Duration::from_secs(10))
                 .with_tick(Duration::from_secs(1))
-                .with_stats_interval(Duration::ZERO)
                 .with_runtime_pool(pool.clone()),
                 Box::new(Echo),
             )
