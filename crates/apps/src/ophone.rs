@@ -5,13 +5,13 @@
 //!
 //! Each phone is a daemon.  Dialing resolves the callee through the ASD and
 //! performs a command-plane call setup; voice then flows as datagrams
-//! (`oph <session> <seq> <hex-samples>`) directly between the phones'
-//! data threads — the UDP path of §2.1.1 — through a reordering jitter
+//! (`oph <session> <seq> ` and then the samples, raw little-endian PCM)
+//! directly between the phones' data threads — the UDP path of §2.1.1 — through a reordering jitter
 //! buffer on the receiving side.  Datagram loss is tolerated: playback
 //! skips gaps.
 
 use ace_core::prelude::*;
-use ace_core::protocol::{hex_decode, hex_encode, open_snapshot, seal_snapshot};
+use ace_core::protocol::{open_snapshot, seal_snapshot};
 use ace_media::dsp::{bytes_to_samples, samples_to_bytes, sine};
 use ace_net::Datagram;
 use std::collections::BTreeMap;
@@ -54,6 +54,46 @@ impl OPhone {
             received_frames: 0,
             next_play_seq: 0,
         }
+    }
+
+    /// One voice datagram: the `oph <session> <seq> ` header, then the
+    /// samples as they are, two bytes each.
+    fn voice_frame(session: &str, seq: u64, samples: &[i16]) -> Vec<u8> {
+        let mut frame = format!("oph {session} {seq} ").into_bytes();
+        frame.extend_from_slice(&samples_to_bytes(samples));
+        frame
+    }
+
+    /// The session, sequence number and samples of a voice datagram; `None`
+    /// for anything else.
+    fn parse_voice_frame(payload: &[u8]) -> Option<(&str, u64, Vec<i16>)> {
+        let mut parts = payload.splitn(4, |&b| b == b' ');
+        if parts.next()? != b"oph" {
+            return None;
+        }
+        let session = std::str::from_utf8(parts.next()?).ok()?;
+        let seq = std::str::from_utf8(parts.next()?).ok()?.parse().ok()?;
+        Some((session, seq, bytes_to_samples(parts.next()?)?))
+    }
+
+    /// A voice datagram arrives: a frame of this call goes through the
+    /// jitter buffer, anything else is dropped.
+    fn receive(&mut self, payload: &[u8]) {
+        let Some((session, seq, samples)) = Self::parse_voice_frame(payload) else {
+            return;
+        };
+        let CallState::Connected {
+            session: ref ours, ..
+        } = self.state
+        else {
+            return;
+        };
+        if session != ours {
+            return;
+        }
+        self.received_frames += 1;
+        self.jitter.insert(seq, samples);
+        self.drain_jitter();
     }
 
     fn session_id(a: &str, b: &str) -> String {
@@ -172,17 +212,11 @@ impl ServiceBehavior for OPhone {
                     / ace_media::dsp::SAMPLE_RATE as f64;
                 let samples = sine(self.voice_freq, 0.4, len, w * self.phase_samples as f64);
                 self.phase_samples += len as u64;
-                let payload = format!(
-                    "oph {session} {} {}",
-                    self.tx_seq,
-                    hex_encode(&samples_to_bytes(&samples))
-                );
+                let payload = Self::voice_frame(&session, self.tx_seq, &samples);
                 let seq = self.tx_seq;
                 self.tx_seq += 1;
                 // Voice rides the unreliable datagram plane.
-                let _ = ctx
-                    .net()
-                    .send_datagram(&ctx.addr(), &peer, payload.into_bytes());
+                let _ = ctx.net().send_datagram(&ctx.addr(), &peer, payload);
                 Reply::ok_with(|c| c.arg("seq", seq as i64))
             }
             "hangup" => {
@@ -216,38 +250,7 @@ impl ServiceBehavior for OPhone {
     }
 
     fn on_data(&mut self, _ctx: &mut ServiceCtx, datagram: Datagram) {
-        // Parse `oph <session> <seq> <hex>`.
-        let Ok(text) = std::str::from_utf8(&datagram.payload) else {
-            return;
-        };
-        let mut parts = text.split(' ');
-        if parts.next() != Some("oph") {
-            return;
-        }
-        let Some(session) = parts.next() else { return };
-        let CallState::Connected {
-            session: ref ours, ..
-        } = self.state
-        else {
-            return;
-        };
-        if session != ours {
-            return;
-        }
-        let Some(seq) = parts.next().and_then(|s| s.parse::<u64>().ok()) else {
-            return;
-        };
-        let Some(samples) = parts
-            .next()
-            .and_then(hex_decode)
-            .as_deref()
-            .and_then(bytes_to_samples)
-        else {
-            return;
-        };
-        self.received_frames += 1;
-        self.jitter.insert(seq, samples);
-        self.drain_jitter();
+        self.receive(&datagram.payload);
     }
 
     // Live upgrade: the call itself (peer, session) and the transmit/play
@@ -309,5 +312,37 @@ impl ServiceBehavior for OPhone {
         self.received_frames = received_frames;
         self.jitter.clear();
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Voice frames round-trip through the jitter buffer as raw samples:
+    /// sent out of order, with one lost and one from another call, what
+    /// plays is every frame of this call in sequence, and a frame of 160
+    /// samples is its header plus 320 bytes, half its hex form.
+    #[test]
+    fn raw_voice_frames_play_back_in_order_through_the_jitter_buffer() {
+        let session = "call_a_b";
+        let mut phone = OPhone::new(700.0);
+        phone.state = CallState::Connected {
+            peer: Addr::new("h", 1),
+            session: session.into(),
+        };
+        let frames: Vec<Vec<i16>> = (0..4)
+            .map(|f| (0..160).map(|i| (f * 1000 + i * 7 - 800) as i16).collect())
+            .collect();
+        let header = format!("oph {session} 0 ").len();
+        let first = OPhone::voice_frame(session, 0, &frames[0]);
+        assert_eq!(first.len(), header + 2 * 160);
+        for seq in [1, 0, 3, 2] {
+            phone.receive(&OPhone::voice_frame(session, seq, &frames[seq as usize]));
+        }
+        phone.receive(&OPhone::voice_frame("call_x_y", 4, &frames[0]));
+        phone.receive(b"oph call_a_b 5 \x01"); // an odd byte is no sample
+        assert_eq!(phone.received_frames, 4);
+        assert_eq!(phone.played, frames.concat());
     }
 }

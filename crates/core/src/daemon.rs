@@ -464,7 +464,6 @@ impl Daemon {
             full_handshakes: metrics.counter("link.full_handshakes"),
             rejected: metrics.counter("cmd.rejected"),
             upgrade_rejected: metrics.counter("upgrade.rejected"),
-            sealed_bytes: metrics.counter("link.sealedBytes"),
             opened_bytes: metrics.counter("link.openedBytes"),
             sessions: HashMap::new(),
             next_session: 0,
@@ -808,7 +807,6 @@ struct DaemonTask {
     full_handshakes: Arc<Counter>,
     rejected: Arc<Counter>,
     upgrade_rejected: Arc<Counter>,
-    sealed_bytes: Arc<Counter>,
     opened_bytes: Arc<Counter>,
     sessions: Sessions,
     next_session: u64,
@@ -1045,10 +1043,7 @@ impl DaemonTask {
                 } else {
                     self.full_handshakes.incr();
                 }
-                link.attach_metrics(
-                    Arc::clone(&self.sealed_bytes),
-                    Arc::clone(&self.opened_bytes),
-                );
+                link.attach_metrics(Arc::clone(&self.opened_bytes));
                 link.meter_wire(self.control.ctx.metrics().wire_replies());
                 let waker = Waker::from(Arc::clone(&slot.signal));
                 link.register_waker(&waker);

@@ -342,8 +342,8 @@ pub struct SecureLink {
     resumed: bool,
     /// Was the frame last opened a cast?
     last_was_cast: bool,
-    /// Optional byte counters (sealed-out / opened-in), fed per frame.
-    sealed_bytes: Option<Arc<Counter>>,
+    /// Optional counter of the bytes of every frame opened, fed per frame.
+    /// What a link sends is counted by verb, in `wire`.
     opened_bytes: Option<Arc<Counter>>,
     /// Where what this link sends is counted by verb, if anywhere.
     wire: Option<Arc<WireCounts>>,
@@ -403,7 +403,6 @@ impl SecureLink {
                         .to_string(),
                     resumed: true,
                     last_was_cast: false,
-                    sealed_bytes: None,
                     opened_bytes: None,
                     wire: None,
                 })
@@ -450,7 +449,6 @@ impl SecureLink {
             peer_principal: String::new(),
             resumed: false,
             last_was_cast: false,
-            sealed_bytes: None,
             opened_bytes: None,
             wire: None,
         };
@@ -535,7 +533,6 @@ impl SecureLink {
                         peer_principal: client_principal,
                         resumed: true,
                         last_was_cast: false,
-                        sealed_bytes: None,
                         opened_bytes: None,
                         wire: None,
                     };
@@ -573,7 +570,6 @@ impl SecureLink {
             peer_principal: String::new(),
             resumed: false,
             last_was_cast: false,
-            sealed_bytes: None,
             opened_bytes: None,
             wire: None,
         };
@@ -641,11 +637,9 @@ impl SecureLink {
         self.conn.is_healthy_idle()
     }
 
-    /// Count every sealed (outbound) and opened (inbound) frame's bytes on
-    /// the given counters — typically a daemon's `link.sealedBytes` /
-    /// `link.openedBytes` metrics.
-    pub fn attach_metrics(&mut self, sealed: Arc<Counter>, opened: Arc<Counter>) {
-        self.sealed_bytes = Some(sealed);
+    /// Count every opened (inbound) frame's bytes on `opened` — typically a
+    /// daemon's `link.openedBytes`.
+    pub fn attach_metrics(&mut self, opened: Arc<Counter>) {
         self.opened_bytes = Some(opened);
     }
 
@@ -676,9 +670,6 @@ impl SecureLink {
     /// Seal and send a frame rendered by the caller, metered under `verb`.
     pub(crate) fn send_frame(&mut self, verb: &str, mut frame: Vec<u8>) -> Result<(), LinkError> {
         self.tx.seal_in_place(&mut frame);
-        if let Some(c) = &self.sealed_bytes {
-            c.add(frame.len() as u64);
-        }
         // Counted before it leaves: whoever reads the answer to this frame
         // finds it counted.
         if let Some(wire) = &self.wire {
@@ -1135,31 +1126,25 @@ mod tests {
     #[test]
     fn blobs_cost_their_length_and_blobless_frames_are_unchanged() {
         let (mut client, mut server) = link_pair();
-        let (sealed, opened) = (Arc::new(Counter::default()), Arc::new(Counter::default()));
-        client.attach_metrics(Arc::clone(&sealed), opened);
-        let seal_overhead = {
-            let plain = CmdLine::new("ping");
-            client.send_cmd(&plain).unwrap();
-            assert_eq!(server.recv_cmd(Duration::from_secs(5)).unwrap(), plain);
-            sealed.get() as usize - plain.to_wire().len()
+        // What the client sealed, counted as the server opens it.
+        let sealed = Arc::new(Counter::default());
+        server.attach_metrics(Arc::clone(&sealed));
+        let mut cost_of = |cmd: &CmdLine| {
+            let before = sealed.get() as usize;
+            client.send_cmd(cmd).unwrap();
+            assert_eq!(&server.recv_cmd(Duration::from_secs(5)).unwrap(), cmd);
+            sealed.get() as usize - before
         };
+        let plain = CmdLine::new("ping");
+        let seal_overhead = cost_of(&plain) - plain.to_wire().len();
         // No blob: the frame is the wire string, as before blobs existed.
         let text = CmdLine::new("psGet").arg("ns", "app").arg("digest", true);
-        let before = sealed.get() as usize;
-        client.send_cmd(&text).unwrap();
-        assert_eq!(
-            sealed.get() as usize - before,
-            text.to_wire().len() + seal_overhead
-        );
-        assert_eq!(server.recv_cmd(Duration::from_secs(5)).unwrap(), text);
+        assert_eq!(cost_of(&text), text.to_wire().len() + seal_overhead);
         // A 1 KiB blob costs 1 KiB plus a few bytes of text, not 2 KiB.
         let value: Vec<u8> = (0..1024).map(|i| (i % 251) as u8).collect();
         let put = CmdLine::new("psPut").arg("key", "k").arg("data", value);
-        let before = sealed.get() as usize;
-        client.send_cmd(&put).unwrap();
-        let cost = sealed.get() as usize - before - seal_overhead;
+        let cost = cost_of(&put) - seal_overhead;
         assert!(cost <= 1024 + 32, "1 KiB blob cost {cost} B on the wire");
-        assert_eq!(server.recv_cmd(Duration::from_secs(5)).unwrap(), put);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 use ace_core::prelude::*;
 use ace_core::protocol;
-use ace_core::{Counter, SecureLink};
 use ace_security::keys::KeyPair;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -573,9 +572,9 @@ fn a_notification_costs_one_frame() {
     );
 }
 
-/// Sum a daemon's `wire.*` counters ending in `.<what>` (`frames`/`bytes`).
-fn wire_total(daemon: &DaemonHandle, what: &str) -> u64 {
-    let counters = daemon.metrics().snapshot().counters;
+/// Sum a registry's `wire.*` counters ending in `.<what>` (`frames`/`bytes`).
+fn wire_total(registry: &MetricsRegistry, what: &str) -> u64 {
+    let counters = registry.snapshot().counters;
     let suffix = format!(".{what}");
     counters
         .iter()
@@ -587,9 +586,10 @@ fn wire_total(daemon: &DaemonHandle, what: &str) -> u64 {
 /// Invariant: the per-verb counters add up.  Every frame two daemons put on
 /// warm links — a call and its reply (`wire.work`, `wire.reply.work`), a
 /// notification cast and a log cast from the notifier (`wire.onTouch`,
-/// `wire.log`), the answers to the driving client (`wire.reply.<verb>`) — is
-/// counted once, in sealed bytes, the unit of `SimNet::metrics()`: the two
-/// registries plus what the client sealed are exactly the net's delta.
+/// `wire.log`), the answers to the driving client (`wire.reply.<verb>`) and
+/// the client's own calls, through a pool of its own — is counted once, in
+/// sealed bytes, the unit of `SimNet::metrics()`: the three registries are
+/// exactly the net's delta.
 #[test]
 fn wire_counters_add_up_to_the_frames_on_the_net() {
     let net = net();
@@ -602,28 +602,22 @@ fn wire_counters_add_up_to_the_frames_on_the_net() {
     let subscribe = protocol::subscribe_cmd("touch", "peer", peer.daemon.addr(), "onTouch");
     client(&net, &relay).call_ok(&subscribe).unwrap();
 
-    // The driving client's own frames are sealed onto one counter.
+    // The driving client counts what it sends as a daemon does.
+    let sent = MetricsRegistry::new();
     let me = KeyPair::generate(&mut rand::thread_rng());
-    let sealed = Arc::new(Counter::new());
-    let link_to = |daemon: &DaemonHandle| {
-        let conn = net.connect(&"cli".into(), daemon.addr().clone()).unwrap();
-        let mut link = SecureLink::connect(conn, &me).unwrap();
-        link.attach_metrics(Arc::clone(&sealed), Arc::default());
-        link
-    };
-    let (mut to_relay, mut to_peer) = (link_to(&relay), link_to(&peer.daemon));
+    let pool = Arc::new(LinkPool::with_metrics(&net, "cli", me, &sent));
+    let mut to_relay = pool.checkout(relay.addr()).unwrap();
+    let mut to_peer = pool.checkout(peer.daemon.addr()).unwrap();
     let mut exchange = |verbs: &[&str]| {
         for verb in verbs {
-            to_relay.send_cmd(&CmdLine::new(*verb)).unwrap();
-            let reply = to_relay.recv_cmd(WAIT).unwrap();
+            let reply = to_relay.call(&CmdLine::new(*verb)).unwrap();
             assert_eq!(reply.name(), "ok", "{verb}: {reply}");
         }
         peer.await_served("onTouch", 1);
         peer.await_served("log", 1);
         // Whatever the peer sent about the casts it sent before it read
         // this ping; once the ping is answered it is all on the wire.
-        to_peer.send_cmd(&CmdLine::new("ping")).unwrap();
-        assert_eq!(to_peer.recv_cmd(WAIT).unwrap().name(), "ok");
+        assert_eq!(to_peer.call(&CmdLine::new("ping")).unwrap().name(), "ok");
     };
     // Every link is up and has carried a frame before the count starts: the
     // notifier's, held while a cast is kept, and beside it the one
@@ -631,23 +625,28 @@ fn wire_counters_add_up_to_the_frames_on_the_net() {
     peer.await_served("log", 1); // "started"
     exchange(&["touch", "say", "relay"]);
 
-    let daemons = [&relay, &peer.daemon];
-    let total = |what| daemons.iter().map(|d| wire_total(d, what)).sum::<u64>();
-    let (bytes_before, frames_before, sealed_before) =
-        (total("bytes"), total("frames"), sealed.get());
+    let registries = [relay.metrics(), peer.daemon.metrics(), &sent];
+    let total = |what| registries.iter().map(|r| wire_total(r, what)).sum::<u64>();
+    let (bytes_before, frames_before) = (total("bytes"), total("frames"));
+    let client_frames = wire_total(&sent, "frames");
     let before = net.metrics().snapshot();
     exchange(&["relay", "touch", "say", "relay"]);
     let on_net = net.metrics().snapshot().since(&before);
 
     assert_eq!(
-        total("bytes") - bytes_before + sealed.get() - sealed_before,
+        total("bytes") - bytes_before,
         on_net.frame_bytes,
         "sealed bytes on the net"
     );
     assert_eq!(
-        total("frames") - frames_before + 5, // the client's four calls and a ping
+        total("frames") - frames_before,
         on_net.frames,
         "frames on the net"
+    );
+    assert_eq!(
+        wire_total(&sent, "frames") - client_frames,
+        5,
+        "the client's four calls and a ping"
     );
     // Read back as every operator reads them: `aceStats prefix=wire.`.
     let mut asked = client(&net, &relay);

@@ -349,7 +349,7 @@ fn a_call_and_its_reply_are_the_parents_bytes_and_a_cast_is_one_byte_more() {
         ServiceClient::connect(&rig.net, &"cli".into(), Addr::new("srv", 7300), &me).unwrap();
     let mut server = server.join().unwrap();
     let opened = Arc::new(ace_core::Counter::default());
-    server.attach_metrics(Arc::default(), Arc::clone(&opened));
+    server.attach_metrics(Arc::clone(&opened));
 
     let blob: Vec<u8> = (0u8..16).collect();
     let put = CmdLine::new("psPut")

@@ -505,12 +505,14 @@ impl StoreClient {
         }
     }
 
-    /// Ship one line to the Network Logger; dropped silently if the logger
-    /// is down.
+    /// Ship one line to the Network Logger as a cast: one frame, answered
+    /// only if the logger refuses it, and dropped silently if the logger is
+    /// down.  Nobody waits for the line, so a refusal is left for the next
+    /// checkout's probe to find and discard with the link.
     fn log_best_effort(&mut self, level: &str, msg: String) {
         if let Some(logger) = &self.logger {
             if let Ok(mut link) = self.pool.checkout(logger) {
-                let _ = link.call(&ace_core::protocol::log_cmd(level, msg, None));
+                let _ = link.cast(&ace_core::protocol::log_cmd(level, msg, None));
             }
         }
     }

@@ -45,16 +45,19 @@ use std::time::{Duration, Instant};
 const TAIL_CAP: usize = 4096;
 
 /// Sequence-numbered ring of recently applied writes, feeding `psWalTail`.
+/// It holds the map's own `Arc` of each value, not a copy: a value the map
+/// still holds costs the ring a pointer, and one the map has since replaced
+/// lives on only until the ring lets it go.
 #[derive(Debug, Default)]
 struct TailRing {
     /// Sequence number the next applied write will get.
     next_seq: u64,
     /// `(seq, key, value)` for the last [`TAIL_CAP`] applied writes.
-    ring: VecDeque<(u64, StoreKey, Versioned)>,
+    ring: VecDeque<(u64, StoreKey, Arc<Versioned>)>,
 }
 
 impl TailRing {
-    fn push(&mut self, key: StoreKey, value: Versioned) {
+    fn push(&mut self, key: StoreKey, value: Arc<Versioned>) {
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.ring.len() == TAIL_CAP {
@@ -134,10 +137,11 @@ fn parse_hash_word(word: &str) -> Option<u64> {
 }
 
 /// What an image holds and the hash tree summarising it, behind one lock so
-/// nobody reads one without the other.
+/// nobody reads one without the other.  Each value is held once, behind an
+/// `Arc` the tail ring shares.
 #[derive(Debug)]
 struct Held {
-    map: HashMap<StoreKey, Versioned>,
+    map: HashMap<StoreKey, Arc<Versioned>>,
     tree: SyncTree,
 }
 
@@ -148,22 +152,24 @@ impl Held {
             map.iter()
                 .map(|((ns, key), v)| (ns.as_str(), key.as_str(), v.version, v.writer.as_str())),
         );
+        let map = map.into_iter().map(|(k, v)| (k, Arc::new(v))).collect();
         Held { map, tree }
     }
 
     /// The one place a key's content changes: store `value` if it beats
     /// what is held, XORing the old digest row out of the tree and the new
-    /// one in.  `true` if it won.
-    fn publish(&mut self, key: StoreKey, value: Versioned) -> bool {
+    /// one in.  The value held, if it won — the one `Arc` anyone else keeps.
+    fn publish(&mut self, key: StoreKey, value: Versioned) -> Option<Arc<Versioned>> {
         let hashed = key_hash(&key.0, &key.1);
         let old = match self.map.get(&key) {
-            Some(existing) if !value.beats(existing) => return false,
+            Some(existing) if !value.beats(existing) => return None,
             Some(existing) => row_hash(hashed, existing.version, &existing.writer),
             None => 0,
         };
         self.tree[bucket_of(hashed)] ^= old ^ row_hash(hashed, value.version, &value.writer);
-        self.map.insert(key, value);
-        true
+        let value = Arc::new(value);
+        self.map.insert(key, Arc::clone(&value));
+        Some(value)
     }
 }
 
@@ -272,10 +278,13 @@ impl DiskImage {
             }
         }
         let mut held = self.held.lock();
-        let applied = held.publish(key.clone(), value.clone());
-        if applied {
-            self.tail.lock().push(key, value);
-        }
+        let applied = match held.publish(key.clone(), value) {
+            Some(value) => {
+                self.tail.lock().push(key, value);
+                true
+            }
+            None => false,
+        };
         if let Some(wal) = &self.wal {
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
             wal.maybe_compact_when(&held.map, || self.in_flight.load(Ordering::SeqCst) == 0);
@@ -312,7 +321,7 @@ impl DiskImage {
         let mut held = self.held.lock();
         let mut applied = 0;
         for (key, value) in fresh {
-            if held.publish(key.clone(), value.clone()) {
+            if let Some(value) = held.publish(key.clone(), value) {
                 self.tail.lock().push(key, value);
                 applied += 1;
             }
@@ -372,7 +381,7 @@ impl DiskImage {
 
     /// Read a key (tombstones included).
     pub fn get(&self, key: &StoreKey) -> Option<Versioned> {
-        self.held.lock().map.get(key).cloned()
+        self.held.lock().map.get(key).map(|v| Versioned::clone(v))
     }
 
     /// Live (non-tombstone) keys in a namespace, sorted.
@@ -493,7 +502,7 @@ impl DiskImage {
             .iter()
             .filter(|(seq, _, _)| *seq >= since)
             .take(max)
-            .cloned()
+            .map(|(seq, key, value)| (*seq, key.clone(), Versioned::clone(value)))
             .collect();
         Some((entries, tail.next_seq))
     }
@@ -510,7 +519,7 @@ impl DiskImage {
         let mut held = self.held.lock();
         let mut applied = 0;
         for (key, value) in entries {
-            if held.publish(key, value) {
+            if held.publish(key, value).is_some() {
                 applied += 1;
             }
         }
@@ -1372,6 +1381,43 @@ mod tests {
             "stale write rejected"
         );
         assert_eq!(disk.get(&key).unwrap().data, b"two");
+    }
+
+    /// Invariant: a replica holds each applied value once.  After `apply`
+    /// and `apply_batch` the map's entry and the tail ring's entry are the
+    /// same allocation, and a read or a tail fetch still hands out an owned
+    /// copy equal to what was written.
+    #[test]
+    fn the_map_and_the_tail_ring_share_one_value() {
+        let disk = DiskImage::new();
+        let value = |version: u64, data: &[u8]| Versioned {
+            data: data.to_vec(),
+            version,
+            writer: "w".into(),
+            deleted: false,
+        };
+        let key = |k: &str| ("ns".to_string(), k.to_string());
+        assert!(disk.apply(key("one"), value(1, &[1; 1024])).unwrap());
+        let batch = vec![
+            (key("two"), value(1, &[2; 512])),
+            (key("three"), value(1, b"3")),
+        ];
+        assert_eq!(disk.apply_batch(batch.clone()).unwrap(), 2);
+
+        let held = disk.held.lock();
+        let tail = disk.tail.lock();
+        assert_eq!(tail.ring.len(), 3);
+        for (_, key, in_ring) in &tail.ring {
+            assert!(
+                Arc::ptr_eq(&held.map[key], in_ring),
+                "{key:?}: the ring holds a copy of the map's value"
+            );
+        }
+        drop((held, tail));
+        assert_eq!(disk.get(&key("one")), Some(value(1, &[1; 1024])));
+        let (entries, next) = disk.tail_since(0, 10).unwrap();
+        assert_eq!(next, 3);
+        assert_eq!(entries[1], (1, batch[0].0.clone(), batch[0].1.clone()));
     }
 
     #[test]

@@ -12,10 +12,13 @@
 //! * **log** — length-prefixed, CRC-32-framed records, one per applied
 //!   write, appended (and optionally fsynced) *before* the write is
 //!   acknowledged;
-//! * **snapshot slots A/B** — dual-slot full-state snapshots written by
-//!   compaction once the log exceeds a threshold.  The new snapshot is
-//!   committed into the inactive slot and synced before the log is
-//!   truncated, so a crash at any point leaves a valid (slot, log) pair.
+//! * **snapshot slots A/B** — a full-state snapshot written by compaction
+//!   once the log exceeds a threshold (and by a shipped-snapshot install).
+//!   One slot is live; the other is empty between commits.  A commit moves
+//!   the new snapshot into the empty slot and syncs it, truncates the log —
+//!   the commit point — and only then empties the superseded slot, so a
+//!   crash between any two steps leaves a valid (slot, log) pair and a
+//!   replica keeps one snapshot, not two.
 //!
 //! Recovery invariants (asserted by `tests/wal_recovery.rs` and the chaos
 //! soak):
@@ -36,6 +39,7 @@ use ace_net::fault::{StorageFault, StorageFaultHub};
 use ace_net::HostId;
 use ace_security::hash::crc32;
 use parking_lot::{Mutex, MutexGuard};
+use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::path::PathBuf;
@@ -67,8 +71,10 @@ pub trait StorageBackend: Send {
     fn append(&mut self, bytes: &[u8]) -> Result<(), StoreError>;
     /// Flush appended bytes to stable storage.
     fn sync(&mut self) -> Result<(), StoreError>;
-    /// Atomically replace the full contents (snapshot commit, log reset).
-    fn replace(&mut self, bytes: &[u8]) -> Result<(), StoreError>;
+    /// Atomically replace the full contents (snapshot commit, log reset,
+    /// slot clear).  Takes the bytes by value, so a backend that keeps them
+    /// in memory keeps them without a copy.
+    fn replace(&mut self, bytes: Vec<u8>) -> Result<(), StoreError>;
     /// Cut the contents down to `len` bytes (torn-tail repair).
     fn truncate(&mut self, len: u64) -> Result<(), StoreError>;
     /// Current size in bytes.
@@ -88,6 +94,9 @@ struct MemInner {
     /// in real shared-storage systems.
     epoch: AtomicU64,
     faults: Mutex<Option<(StorageFaultHub, HostId)>>,
+    /// Segment writes left before an armed crash; `Some(0)` is a host that
+    /// is down until the next open.
+    crash_after: Mutex<Option<u64>>,
 }
 
 /// Cloneable in-memory replica storage: the simulated disk.  Contents
@@ -113,7 +122,29 @@ impl MemStorage {
     /// Bump the fencing epoch, invalidating every backend handed out
     /// before.  Returns the new epoch.
     fn fence(&self) -> u64 {
+        *self.inner.crash_after.lock() = None; // an open is the restart
         self.inner.epoch.fetch_add(1, Ordering::SeqCst) + 1
+    }
+
+    /// Arm a crash of the simulated host: `writes` more segment writes
+    /// (appends, replaces and truncates, on any segment) land, then the
+    /// host is down — the next write and every one after it fail without
+    /// landing, until the storage is opened again.  How a test stops a
+    /// multi-step commit between any two of its steps.
+    pub fn crash_after_writes(&self, writes: u64) {
+        *self.inner.crash_after.lock() = Some(writes);
+    }
+
+    /// Count one segment write against an armed crash.
+    fn write_lands(&self) -> Result<(), StoreError> {
+        match &mut *self.inner.crash_after.lock() {
+            Some(0) => Err(StoreError::Io("simulated crash: host is down".into())),
+            Some(left) => {
+                *left -= 1;
+                Ok(())
+            }
+            None => Ok(()),
+        }
     }
 
     fn backend(&self, seg: usize, epoch: u64) -> MemBackend {
@@ -128,6 +159,12 @@ impl MemStorage {
     /// Raw bytes of the log segment (tests and diagnostics).
     pub fn log_bytes(&self) -> Vec<u8> {
         self.inner.segments.lock()[SEG_LOG].clone()
+    }
+
+    /// Byte length of each snapshot slot (tests and diagnostics).
+    pub fn slot_lens(&self) -> [usize; 2] {
+        let segments = self.inner.segments.lock();
+        [segments[SEG_SNAP_A].len(), segments[SEG_SNAP_B].len()]
     }
 
     /// Overwrite the log segment wholesale — how tests model latent media
@@ -164,6 +201,7 @@ impl StorageBackend for MemBackend {
 
     fn append(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
         self.check()?;
+        self.storage.write_lands()?;
         // Only the log segment is fault-injectable: snapshots commit via
         // the atomic `replace`.
         let fault = if self.seg == SEG_LOG {
@@ -213,14 +251,16 @@ impl StorageBackend for MemBackend {
         self.check()
     }
 
-    fn replace(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+    fn replace(&mut self, bytes: Vec<u8>) -> Result<(), StoreError> {
         self.check()?;
-        self.storage.inner.segments.lock()[self.seg] = bytes.to_vec();
+        self.storage.write_lands()?;
+        self.storage.inner.segments.lock()[self.seg] = bytes;
         Ok(())
     }
 
     fn truncate(&mut self, len: u64) -> Result<(), StoreError> {
         self.check()?;
+        self.storage.write_lands()?;
         let mut segments = self.storage.inner.segments.lock();
         let seg = &mut segments[self.seg];
         if (len as usize) < seg.len() {
@@ -284,7 +324,7 @@ impl StorageBackend for FileBackend {
         Ok(())
     }
 
-    fn replace(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+    fn replace(&mut self, bytes: Vec<u8>) -> Result<(), StoreError> {
         self.file = None; // reopen after the rename
         let tmp = self.path.with_extension("tmp");
         std::fs::write(&tmp, bytes).map_err(Self::io)?;
@@ -518,7 +558,10 @@ const SNAP_MAGIC: &[u8; 8] = b"ACSNAP01";
 /// `generation` is the slot generation) and snapshot shipping (where the
 /// same field carries the shipper's WAL-tail sequence cut, so the fetcher
 /// knows exactly where tail catch-up must start).
-pub(crate) fn encode_snapshot(generation: u64, map: &HashMap<StoreKey, Versioned>) -> Vec<u8> {
+pub(crate) fn encode_snapshot(
+    generation: u64,
+    map: &HashMap<StoreKey, impl Borrow<Versioned>>,
+) -> Vec<u8> {
     let mut body = Vec::new();
     body.extend_from_slice(SNAP_MAGIC);
     body.extend_from_slice(&generation.to_le_bytes());
@@ -527,7 +570,7 @@ pub(crate) fn encode_snapshot(generation: u64, map: &HashMap<StoreKey, Versioned
     let mut keys: Vec<&StoreKey> = map.keys().collect();
     keys.sort();
     for key in keys {
-        let payload = encode_payload(key, &map[key]);
+        let payload = encode_payload(key, map[key].borrow());
         body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         body.extend_from_slice(&crc32(&payload).to_le_bytes());
         body.extend_from_slice(&payload);
@@ -667,7 +710,8 @@ struct WalDisk {
     /// Committed log length; appends past it that fail are truncated away.
     end: u64,
     generation: u64,
-    /// Slot holding the current snapshot (the other is overwritten next).
+    /// Slot holding the current snapshot; the other is empty between
+    /// commits and receives the next one.
     active_slot: usize,
     /// Set when even torn-tail repair failed; all further appends refuse.
     broken: bool,
@@ -676,6 +720,38 @@ struct WalDisk {
     /// is exactly one backend `append` (and one tear point under fault
     /// injection), with no per-batch allocation after warm-up.
     scratch: Vec<u8>,
+}
+
+impl WalDisk {
+    /// The one snapshot commit, in this order: the new snapshot is moved
+    /// into the inactive slot and synced; the log is truncated and synced —
+    /// the commit point, after which recovery reads the new slot alone; the
+    /// superseded slot is emptied.  Recovery ignores an empty slot and never
+    /// falls back to an older one, so between compactions exactly one slot
+    /// holds bytes, and a crash between any two steps leaves a (slot, log)
+    /// pair that recovers every acknowledged write.
+    fn commit_snapshot(
+        &mut self,
+        map: &HashMap<StoreKey, impl Borrow<Versioned>>,
+    ) -> Result<(), StoreError> {
+        let (old, target) = (self.active_slot, 1 - self.active_slot);
+        let snapshot = encode_snapshot(self.generation + 1, map);
+        self.snaps[target].replace(snapshot)?;
+        self.snaps[target].sync()?;
+        self.log.replace(Vec::new())?;
+        self.log.sync()?;
+        self.generation += 1;
+        self.active_slot = target;
+        self.end = 0;
+        self.stats.compactions += 1;
+        // Committed.  A slot left full by a failed clear costs memory only:
+        // recovery prefers the newer generation, and the next commit
+        // overwrites it.
+        let _ = self.snaps[old]
+            .replace(Vec::new())
+            .and_then(|()| self.snaps[old].sync());
+        Ok(())
+    }
 }
 
 /// The group-commit queue: framed records waiting for a committer, plus
@@ -809,7 +885,7 @@ impl Wal {
     pub fn reset(handle: &StorageHandle) -> Result<(), StoreError> {
         let backends = handle.open_backends()?;
         for mut backend in backends {
-            backend.replace(&[])?;
+            backend.replace(Vec::new())?;
         }
         Ok(())
     }
@@ -1001,15 +1077,13 @@ impl Wal {
 
     /// Snapshot + truncate when the log has outgrown the threshold; see
     /// [`Wal::maybe_compact_when`].
-    pub fn maybe_compact(&self, map: &HashMap<StoreKey, Versioned>) -> bool {
+    pub fn maybe_compact(&self, map: &HashMap<StoreKey, impl Borrow<Versioned>>) -> bool {
         self.maybe_compact_when(map, || true)
     }
 
-    /// Snapshot + truncate when the log has outgrown the threshold.  The
-    /// snapshot commits into the inactive slot and syncs *before* the log
-    /// is truncated, so a crash at any point of compaction leaves a
-    /// recoverable (slot, log) pair.  Failures are counted, not fatal: the
-    /// data is still in the log.
+    /// Snapshot + truncate when the log has outgrown the threshold, by the
+    /// one snapshot commit (`WalDisk::commit_snapshot`).  Failures are
+    /// counted, not fatal: the data is still in the log.
     ///
     /// `quiesced` is evaluated **under the disk lock**, after the
     /// threshold check: a record can be durably in the log yet not in the
@@ -1020,32 +1094,18 @@ impl Wal {
     /// certificate is checked or the snapshot commits.
     pub fn maybe_compact_when(
         &self,
-        map: &HashMap<StoreKey, Versioned>,
+        map: &HashMap<StoreKey, impl Borrow<Versioned>>,
         quiesced: impl FnOnce() -> bool,
     ) -> bool {
-        let mut guard = self.disk.lock();
-        let d = &mut *guard;
+        let mut d = self.disk.lock();
         if d.broken || d.end <= self.config.compact_threshold {
             return false;
         }
         if !quiesced() {
             return false;
         }
-        let target = 1 - d.active_slot;
-        let snapshot = encode_snapshot(d.generation + 1, map);
-        let committed = d.snaps[target]
-            .replace(&snapshot)
-            .and_then(|()| d.snaps[target].sync())
-            .and_then(|()| d.log.replace(&[]))
-            .and_then(|()| d.log.sync());
-        match committed {
-            Ok(()) => {
-                d.generation += 1;
-                d.active_slot = target;
-                d.end = 0;
-                d.stats.compactions += 1;
-                true
-            }
+        match d.commit_snapshot(map) {
+            Ok(()) => true,
             Err(_) => {
                 d.stats.compaction_failures += 1;
                 false
@@ -1053,31 +1113,21 @@ impl Wal {
         }
     }
 
-    /// Commit `map` as a full snapshot unconditionally: the inactive slot
-    /// gets the new snapshot (synced) and the log is truncated, exactly
-    /// like a compaction but without the threshold gate.  Used when a
-    /// rebuilding replica installs a shipped snapshot: one slot write
-    /// instead of re-appending the whole keyspace record by record.
-    pub fn install_snapshot(&self, map: &HashMap<StoreKey, Versioned>) -> Result<(), StoreError> {
-        let mut guard = self.disk.lock();
-        let d = &mut *guard;
+    /// Commit `map` as a full snapshot unconditionally, exactly like a
+    /// compaction but without the threshold gate.  Used when a rebuilding
+    /// replica installs a shipped snapshot: one slot write instead of
+    /// re-appending the whole keyspace record by record.
+    pub fn install_snapshot(
+        &self,
+        map: &HashMap<StoreKey, impl Borrow<Versioned>>,
+    ) -> Result<(), StoreError> {
+        let mut d = self.disk.lock();
         if d.broken {
             return Err(StoreError::Io(
                 "wal is broken; replica needs respawn".into(),
             ));
         }
-        let target = 1 - d.active_slot;
-        let snapshot = encode_snapshot(d.generation + 1, map);
-        d.snaps[target]
-            .replace(&snapshot)
-            .and_then(|()| d.snaps[target].sync())
-            .and_then(|()| d.log.replace(&[]))
-            .and_then(|()| d.log.sync())?;
-        d.generation += 1;
-        d.active_slot = target;
-        d.end = 0;
-        d.stats.compactions += 1;
-        Ok(())
+        d.commit_snapshot(map)
     }
 
     /// Current committed log length in bytes.

@@ -365,6 +365,56 @@ fn degraded_writes_are_counted_and_logged() {
     w.fw.shutdown();
 }
 
+/// A degraded write's warning is a cast: the client's pool sends the
+/// logger one `log` frame, the line lands, and the logger sends nothing
+/// back — nobody reads an answer to it.
+#[test]
+fn a_degraded_write_casts_one_frame_to_the_logger() {
+    let w = world();
+    let sent = MetricsRegistry::new();
+    let pool = LinkPool::with_metrics(&w.net, "core", keypair(), &sent);
+    let mut c = client(&w)
+        .with_pool(std::sync::Arc::new(pool))
+        .with_logger(w.fw.logger_addr.clone());
+    let wire = |registry: &MetricsRegistry, name: &str| {
+        registry.snapshot().counters.get(name).copied().unwrap_or(0)
+    };
+    let answered = || wire(w.fw.logger.metrics(), "wire.reply.log.frames");
+    let casts = || wire(&sent, "wire.log.frames");
+    c.put("ns", "warm", b"all-up").unwrap();
+    let answered_before = answered();
+
+    w.cluster.replicas[2].0.crash();
+    c.put("ns", "k1", b"degraded").unwrap();
+    assert_eq!(c.stats().degraded_writes, 1);
+    assert_eq!(casts(), 1, "frames the client sent the logger");
+
+    // The line is in the logger's tail only once the logger has run it, and
+    // a reply to it would have left in the same dispatch.
+    let me = keypair();
+    let mut logger =
+        ace_directory::LoggerClient::connect(&w.net, &"core".into(), w.fw.logger_addr.clone(), &me)
+            .unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while !logger
+        .tail(50, Some("warn"))
+        .unwrap()
+        .iter()
+        .any(|(_, _, _, _, msg)| msg.contains("degraded psPut ns/k1"))
+    {
+        assert!(std::time::Instant::now() < deadline, "warning never landed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(
+        answered() - answered_before,
+        0,
+        "the logger answered the line"
+    );
+
+    w.cluster.shutdown();
+    w.fw.shutdown();
+}
+
 #[test]
 fn replica_durability_is_on_by_default() {
     let w = world();

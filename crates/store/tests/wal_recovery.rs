@@ -285,6 +285,75 @@ fn recovery_after_compaction_sees_snapshot_plus_tail() {
     }
 }
 
+/// One compaction stopped between any two of its writes.  A compaction is
+/// four writes: the log append whose record pushes the log over the
+/// threshold, the new snapshot slot, the log truncate (the commit point),
+/// and the clear of the superseded slot.  Invariants: after a compaction
+/// exactly one slot holds bytes; a crash armed at any step reopens with
+/// every acked write; and a crash at the clear finds the compaction already
+/// committed — the new slot live and nothing in the log left to replay.
+#[test]
+fn a_compaction_keeps_one_slot_and_a_crash_at_any_step_loses_no_acked_write() {
+    const THRESHOLD: u64 = 512;
+    let config = WalConfig {
+        compact_threshold: THRESHOLD,
+        ..WalConfig::default()
+    };
+    let one_slot = |storage: &MemStorage| storage.slot_lens().iter().filter(|&&n| n > 0).count();
+    for crash_after in 0..=4u64 {
+        let storage = MemStorage::new();
+        let handle = StorageHandle::Memory(storage.clone());
+        let (disk, _) = DiskImage::open(&handle, config.clone()).unwrap();
+        let mut acked = std::collections::HashMap::new();
+        // Write through one compaction, up to the record that starts the
+        // second: that write is the one the crash is armed under.
+        let mut i = 0u64;
+        let (trigger_key, trigger) = loop {
+            let (k, v) = (key(&format!("k{}", i % 13)), value(i + 1, &[i as u8; 40]));
+            i += 1;
+            let log = storage.log_bytes().len() + frame_record(&k, &v).len();
+            if disk.wal_stats().unwrap().compactions == 1 && log as u64 > THRESHOLD {
+                break (k, v);
+            }
+            assert!(disk.apply(k.clone(), v.clone()).unwrap());
+            acked.insert(k, v);
+        };
+        assert_eq!(one_slot(&storage), 1, "a compaction left both slots full");
+
+        storage.crash_after_writes(crash_after);
+        let attempt = disk.apply(trigger_key.clone(), trigger.clone());
+        if crash_after == 4 {
+            assert_eq!(disk.wal_stats().unwrap().compactions, 2);
+            assert_eq!(one_slot(&storage), 1, "the superseded slot kept its bytes");
+        }
+
+        let (recovered, report) = DiskImage::open_or_reset(&handle, config.clone())
+            .unwrap_or_else(|e| panic!("crash after {crash_after} writes: recovery failed: {e}"));
+        assert!(
+            !report.reset,
+            "crash after {crash_after} writes: read as corruption"
+        );
+        for (k, v) in &acked {
+            assert_eq!(
+                recovered.get(k).as_ref(),
+                Some(v),
+                "crash after {crash_after} writes: acked write {k:?} lost"
+            );
+        }
+        assert!(report.snapshot_records > 0);
+        match attempt {
+            Ok(_) => assert_eq!(recovered.get(&trigger_key), Some(trigger)),
+            Err(_) => assert!(crash_after == 0, "only the append can refuse the write"),
+        }
+        if crash_after >= 3 {
+            assert_eq!(
+                report.replayed_records, 0,
+                "crash after {crash_after} writes: the slot clear ran before the commit"
+            );
+        }
+    }
+}
+
 /// The same recovery contract holds on real files (temp dir kept inside
 /// the workspace `target/` tree).
 #[test]
@@ -346,6 +415,15 @@ fn file_backend_compaction_survives_reopen() {
     }
     assert!(disk.wal_stats().unwrap().compactions >= 1);
     drop(disk);
+    let slot_len = |name| std::fs::metadata(dir.join(name)).map_or(0, |m| m.len());
+    assert_eq!(
+        [slot_len("snap_a.bin"), slot_len("snap_b.bin")]
+            .iter()
+            .filter(|&&n| n > 0)
+            .count(),
+        1,
+        "one snapshot file holds bytes between compactions"
+    );
 
     let (recovered, report) = DiskImage::open_or_reset(&handle, config).unwrap();
     assert!(report.snapshot_records > 0);

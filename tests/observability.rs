@@ -56,8 +56,9 @@ fn assert_sane_quantiles(report: &StatsReport, name: &str, min_count: u64) {
     assert!(h.p99_us <= h.max_us as f64, "{name}: p99 above max: {h:?}");
 }
 
-/// ASD: per-verb latency histograms, queue gauges, and link byte counters
-/// all move after traffic, and the prefix filter narrows the reply.
+/// ASD: per-verb latency histograms, queue gauges, and the per-verb reply
+/// byte counters all move after traffic, and the prefix filter narrows the
+/// reply.
 #[test]
 fn ace_stats_roundtrip_asd() {
     let net = SimNet::new();
@@ -81,11 +82,11 @@ fn ace_stats_roundtrip_asd() {
     assert!(
         report
             .counters
-            .get("link.sealedBytes")
+            .get("wire.reply.ping.bytes")
             .copied()
             .unwrap_or(0)
             > 0,
-        "sealed byte counter never moved: {:?}",
+        "reply byte counter never moved: {:?}",
         report.counters
     );
     assert!(
