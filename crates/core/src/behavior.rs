@@ -10,8 +10,11 @@
 //! What a behavior *sends* goes through its [`ServiceCtx`]: `call`,
 //! `lookup`, `log`, `send_async` and fired events all leave through the
 //! daemon's one [`LinkPool`] — probed before the send, resumed on redial.
-//! [`ServiceCtx::call`] states the retry contract; [`ServiceCtx::pool`]
-//! lends the pool to clients and workers the behavior owns.
+//! [`ServiceCtx::call`] is the pool's one call loop, the loop
+//! [`crate::FailoverClient`] rides too, given the daemon's policy as data:
+//! two short retries inside the caller's deadline, at least once, paid from
+//! the daemon's retry budget, no breaker.  [`ServiceCtx::pool`] lends the
+//! pool to clients and workers the behavior owns.
 //!
 //! What a behavior *asks the directory* is remembered: [`ServiceCtx::lookup`]
 //! answers from the daemon's lease-bounded [`ResolutionCache`], so a held
@@ -26,7 +29,7 @@ use crate::daemon::DaemonConfig;
 use crate::failover::{resolution_ttl, ResolutionCache};
 use crate::metrics::MetricsRegistry;
 use crate::notify::Notifier;
-use crate::pool::LinkPool;
+use crate::pool::{LinkPool, Retrying};
 use crate::protocol::{self, ServiceEntry};
 use crate::retry::{RetryBudget, RetryPolicy};
 use ace_lang::{CmdLine, ErrorCode, Reply, Semantics};
@@ -224,27 +227,25 @@ impl ServiceCtx {
         Arc::clone(&self.pool)
     }
 
-    /// Call another ACE service over this daemon's [`LinkPool`].
+    /// Call another ACE service over this daemon's [`LinkPool`], through
+    /// the pool's one call loop (see [`crate::pool`]) with this policy:
     ///
-    /// * The link passed the pool's health probe before the command left;
-    ///   a link failure *under* the command is answered with one fresh
-    ///   dial and one re-send ([`LinkPool::call`]), then surfaces.
-    /// * A retryable service error (`E_BUSY`, `E_DEADLINE`, `E_UPGRADING` —
-    ///   by contract the verb did not run) is retried at most twice, after
-    ///   5 ms and then 10 ms, never past [`ServiceCtx::time_remaining`],
-    ///   each retry paid for out of the daemon's retry budget.  On
-    ///   `E_UPGRADING` the pool's links to `addr` are evicted first, so
-    ///   the retry dials the replacement.
-    /// * Every other service error returns at once.
-    /// * A link failure that surfaces forgets every directory answer held
-    ///   for [`ServiceCtx::lookup`] that names `addr`: whatever lived there
-    ///   may have moved, and the next lookup asks the ASD where to.
+    /// * a command that did not run — a refused dial, `E_BUSY`,
+    ///   `E_DEADLINE`, `E_UPGRADING` — and, at least once, one whose link
+    ///   failed under it are tried again at most twice, after 5 ms and then
+    ///   10 ms, never past [`ServiceCtx::time_remaining`], each retry paid
+    ///   for out of the daemon's retry budget.  On `E_UPGRADING` the pool's
+    ///   links to `addr` are evicted first, so the retry dials the
+    ///   replacement;
+    /// * every other service error is an answer and returns at once;
+    /// * a link failure or `E_UPGRADING` forgets every directory answer
+    ///   held for [`ServiceCtx::lookup`] that names `addr`: whatever lived
+    ///   there may have moved, and the next lookup asks the ASD where to.
     ///
     /// When the command being dispatched carried a `deadline=`, the
     /// remaining budget is stamped onto each outbound attempt so downstream
     /// hops inherit (and decrement) the caller's deadline.
     pub fn call(&mut self, addr: &Addr, cmd: &CmdLine) -> Result<CmdLine, ClientError> {
-        self.retry_budget.note_call();
         let mut policy = RetryPolicy::new(Duration::from_millis(5))
             .with_jitter(0.0)
             .with_max_attempts(2)
@@ -252,33 +253,15 @@ impl ServiceCtx {
         if let Some(remaining) = self.time_remaining() {
             policy = policy.with_budget(remaining);
         }
-        let mut retry = policy.start();
-        loop {
-            let outcome = match self.time_remaining() {
-                Some(remaining) if cmd.deadline_ms().is_none() => {
-                    let mut stamped = cmd.clone();
-                    stamped.set_deadline_ms(remaining.as_millis() as i64);
-                    self.pool.call(addr, &stamped, DEFAULT_CALL_TIMEOUT)
-                }
-                _ => self.pool.call(addr, cmd, DEFAULT_CALL_TIMEOUT),
-            };
-            match outcome {
-                Err(ClientError::Service { code, msg }) if code.is_retryable() => {
-                    if code == ErrorCode::Upgrading {
-                        self.pool.evict(addr);
-                    }
-                    if !retry.backoff() {
-                        return Err(ClientError::Service { code, msg });
-                    }
-                }
-                outcome => {
-                    if let (Err(ClientError::Link(_)), Some(held)) = (&outcome, &self.resolutions) {
-                        held.forget_addr(addr);
-                    }
-                    return outcome;
-                }
-            }
-        }
+        let how = Retrying {
+            policy,
+            at_least_once: true,
+            answers: self.resolutions.as_deref(),
+            breaker: None,
+        };
+        let route = || Ok(addr.clone());
+        self.pool
+            .call_with(&mut None, route, cmd, DEFAULT_CALL_TIMEOUT, &how)
     }
 
     /// Look up services in the ASD (Fig. 7).  Any combination of filters.

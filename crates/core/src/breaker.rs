@@ -150,8 +150,8 @@ impl BreakerRegistry {
 
     /// Report a failed call (link error or `E_BUSY` shed).  Returns `true`
     /// when this failure *opened* the breaker — the caller should then
-    /// evict pooled links and cached resolutions for the target, exactly
-    /// as `note_upgrading` does.
+    /// let go of the target's links and cached resolutions, exactly as on
+    /// `E_UPGRADING` (the call loop in [`crate::pool`] does).
     pub fn record_failure(&self, target: &Addr) -> bool {
         let now = Instant::now();
         let mut targets = self.targets.lock();

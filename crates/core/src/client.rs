@@ -140,7 +140,17 @@ impl ServiceClient {
     /// `Ok(reply)` is the service's `ok …;` result; service-level failures
     /// (`error code=… msg=…;`) surface as [`ClientError::Service`].
     pub fn call(&mut self, cmd: &CmdLine) -> Result<CmdLine, ClientError> {
-        self.send(cmd)?;
+        self.call_within(cmd, self.timeout)
+    }
+
+    /// [`Self::call`], stamping a command without a `deadline=` with
+    /// `budget` instead of the call timeout.
+    pub(crate) fn call_within(
+        &mut self,
+        cmd: &CmdLine,
+        budget: Duration,
+    ) -> Result<CmdLine, ClientError> {
+        self.send_within(cmd, budget)?;
         let reply_cmd = self.link.recv_cmd(self.timeout)?;
         match Reply::from_cmdline(&reply_cmd) {
             Reply::Ok(result) => Ok(result),
@@ -156,8 +166,12 @@ impl ServiceClient {
     /// have given up waiting for its reply.  The stamp is rendered into the
     /// frame; the command is not cloned to carry it.
     pub fn send(&mut self, cmd: &CmdLine) -> Result<(), ClientError> {
+        self.send_within(cmd, self.timeout)
+    }
+
+    fn send_within(&mut self, cmd: &CmdLine, budget: Duration) -> Result<(), ClientError> {
         let frame = match cmd.deadline_ms() {
-            None => cmd.to_frame_with_deadline(self.timeout.as_millis() as i64),
+            None => cmd.to_frame_with_deadline(budget.as_millis() as i64),
             Some(_) => cmd.to_frame(),
         };
         Ok(self.link.send_frame(cmd.name(), frame)?)

@@ -45,11 +45,11 @@
 use crate::admission::{AdmissionConfig, AdmissionQueue, Lane};
 use crate::auth::{action_env_for, AuthMode};
 use crate::behavior::{ClientInfo, ServiceBehavior, ServiceCtx};
-use crate::client::ClientError;
+use crate::client::{ClientError, DEFAULT_CALL_TIMEOUT};
 use crate::link::{LinkError, SecureLink, TicketVault};
 use crate::metrics::{Counter, Histogram, MetricsRegistry};
 use crate::notify::{NotificationRegistry, Notifier, Registration};
-use crate::pool::LinkPool;
+use crate::pool::{LinkPool, Retrying};
 use crate::protocol::{self, ServiceEntry};
 use crate::retry::{RetryBudget, RetryPolicy};
 use crate::runtime::{Runtime, RuntimeTask, TaskContext, TaskHandle, TaskPoll};
@@ -339,24 +339,26 @@ impl Daemon {
         // Steps 3 and 5 ride out brief unavailability of the plane they talk
         // to (an ASD restart mid-recovery, a Network Logger shedding under
         // load) with a short bounded backoff before the spawn is declared
-        // failed.
+        // failed; an answer — a fenced incarnation's `E_BADSTATE` — fails
+        // it at once.
         let register = |step: &'static str, addr: &Addr, cmd: &CmdLine| {
-            retry_budget.note_call();
-            let mut retry = RetryPolicy::new(Duration::from_millis(20))
-                .with_max_attempts(3)
-                .with_counter(metrics.counter("retry.backoffs"))
-                .with_retry_budget(Arc::clone(&retry_budget))
-                .start();
-            loop {
-                let result = pool.checkout(addr).and_then(|mut link| link.call(cmd));
-                match result {
-                    Ok(reply) => return Ok(reply),
-                    Err(error) if !retry.backoff() => {
-                        return Err(SpawnError::Register { step, error })
-                    }
-                    Err(_) => {}
-                }
-            }
+            let how = Retrying {
+                policy: RetryPolicy::new(Duration::from_millis(20))
+                    .with_max_attempts(3)
+                    .with_counter(metrics.counter("retry.backoffs"))
+                    .with_retry_budget(Arc::clone(&retry_budget)),
+                at_least_once: true,
+                answers: None,
+                breaker: None,
+            };
+            pool.call_with(
+                &mut None,
+                || Ok(addr.clone()),
+                cmd,
+                DEFAULT_CALL_TIMEOUT,
+                &how,
+            )
+            .map_err(|error| SpawnError::Register { step, error })
         };
 
         // Step 3: register with the ASD.  The reply names the lease it

@@ -9,9 +9,14 @@
 //! service now lives — a restarted instance, or a replacement on a
 //! different host.
 //!
-//! Commands are retried at most once per resolution, so a command that
-//! *executed* but whose reply was lost is not silently executed twice
-//! unless the caller opts in with [`FailoverClient::call_idempotent`].
+//! It has no retry loop of its own: a call is the pool's one call loop
+//! (`LinkPool::call_with`, the loop [`ServiceCtx::call`] rides too) given
+//! this client's policy as data — its backoff inside the retry window, its
+//! optional retry budget and circuit breaker, its resolution cache.  The
+//! link it holds between calls is the loop's held link; a resolution the
+//! breaker admits is the loop's route.  A command that *executed* but
+//! whose reply was lost is not silently executed twice unless the caller
+//! opts in with [`FailoverClient::call_idempotent`].
 //!
 //! # Links and resolutions
 //!
@@ -29,17 +34,17 @@
 //! by the whole `lookup` query, sits under every daemon's
 //! [`ServiceCtx::lookup`]; this client's resolution is its `name=` case.
 //!
-//! Both layers invalidate eagerly: *any* link failure drops the cached
-//! resolution for the service (the address may be stale) and discards the
-//! link (it may have a reply in flight).  A cache can additionally be wired
+//! Both layers invalidate eagerly: *any* link failure — and `E_UPGRADING` —
+//! drops every cached answer naming the address (it may be stale) and
+//! discards the link (it may have a reply in flight).  A cache can additionally be wired
 //! to the ASD's `serviceExpired` event via [`ResolutionInvalidator`], so
 //! lease expiry invalidates even idle clients.
 
 use crate::behavior::{ClientInfo, ServiceBehavior, ServiceCtx};
 use crate::breaker::{BreakerRegistry, BreakerVerdict};
-use crate::client::{ClientError, ServiceClient};
+use crate::client::{ClientError, ServiceClient, DEFAULT_CALL_TIMEOUT};
 use crate::metrics::{Counter, MetricsRegistry};
-use crate::pool::{LinkPool, PooledLink};
+use crate::pool::{LinkPool, PooledLink, Retrying};
 use crate::protocol::{self, ServiceEntry};
 use crate::retry::{RetryBudget, RetryPolicy};
 use ace_lang::{ArgType, CmdLine, CmdSpec, ErrorCode, Reply, Semantics};
@@ -90,9 +95,9 @@ pub(crate) fn resolution_ttl(lease_ms: Option<i64>) -> Duration {
 /// * **an empty answer is never held** — a name that is not registered
 ///   yet is asked for again;
 /// * [`ResolutionCache::forget_addr`] — a link-level failure towards an
-///   address drops every answer naming it;
-/// * [`ResolutionCache::invalidate`] — `serviceExpired`, a link failure
-///   or `E_UPGRADING` for a name drops every answer listing it.
+///   address, or its `E_UPGRADING`, drops every answer naming it;
+/// * [`ResolutionCache::invalidate`] — `serviceExpired` for a name drops
+///   every answer listing it.
 pub struct ResolutionCache {
     inner: Mutex<HashMap<Query, Held>>,
     hits: Arc<Counter>,
@@ -191,14 +196,15 @@ impl ResolutionCache {
         }
     }
 
-    /// Drop every held answer that lists the service `name` (link failure,
-    /// `E_UPGRADING`, `serviceExpired`).
+    /// Drop every held answer that lists the service `name`
+    /// (`serviceExpired`).
     pub fn invalidate(&self, name: &str) {
         self.drop_listing(|entry| entry.name == name);
     }
 
     /// Drop every held answer that names `addr`: a call to it failed at
-    /// the link, so whatever lived there may have moved or died.
+    /// the link or met `E_UPGRADING`, so whatever lived there may have
+    /// moved, died or been replaced.
     pub fn forget_addr(&self, addr: &Addr) {
         self.drop_listing(|entry| entry.addr == *addr);
     }
@@ -427,6 +433,21 @@ impl FailoverClient {
         self.breaker_fast_fails
     }
 
+    /// Where the next attempt goes: the held resolution or a fresh one,
+    /// unless the target's breaker is open — no route, then.
+    fn route(&mut self) -> Result<Addr, ClientError> {
+        let addr = self.resolve()?;
+        let breaker = self.breaker.as_ref();
+        if breaker.is_some_and(|b| b.check(&addr) == BreakerVerdict::Rejected) {
+            self.breaker_fast_fails += 1;
+            return Err(ClientError::Service {
+                code: ErrorCode::Busy,
+                msg: format!("circuit breaker open for {addr}"),
+            });
+        }
+        Ok(addr)
+    }
+
     fn resolve(&mut self) -> Result<Addr, ClientError> {
         let name = Some(self.service_name.as_str());
         let held = self.cache.as_ref().and_then(|c| c.get(name, None, None));
@@ -449,31 +470,6 @@ impl FailoverClient {
         })
     }
 
-    fn connect_current(&mut self) -> Result<&mut PooledLink, ClientError> {
-        if self.current.is_none() {
-            let addr = self.resolve()?;
-            if let Some(breaker) = &self.breaker {
-                if breaker.check(&addr) == BreakerVerdict::Rejected {
-                    self.breaker_fast_fails += 1;
-                    return Err(ClientError::Service {
-                        code: ErrorCode::Busy,
-                        msg: format!("circuit breaker open for {addr}"),
-                    });
-                }
-            }
-            match self.pool.checkout(&addr) {
-                Ok(link) => self.current = Some(link),
-                Err(err) => {
-                    // A breaker `Admit` (possibly a half-open probe slot)
-                    // must see exactly one outcome report.
-                    self.note_target_failure(&addr);
-                    return Err(err);
-                }
-            }
-        }
-        Ok(self.current.as_mut().expect("just connected"))
-    }
-
     /// Issue a command with at-most-once execution: on a *connection* or
     /// *resolution* failure the call hunts for a live instance within the
     /// retry window, but once a command has been sent on an established
@@ -488,162 +484,28 @@ impl FailoverClient {
         self.call_inner(cmd, true)
     }
 
-    /// A link-level failure makes the cached resolution suspect: the
-    /// service may have moved.  Drop both the link and the cache entry so
-    /// the next attempt resolves fresh.
-    fn note_link_failure(&mut self) {
-        self.current = None;
-        if let Some(cache) = &self.cache {
-            cache.invalidate(&self.service_name);
-        }
-    }
-
-    /// Report a failed call to the breaker.  When this failure *opens* the
-    /// target's breaker, evict its pooled links and the cached resolution —
-    /// the same cleanup `note_upgrading` performs — so no client keeps
-    /// dialing a melting instance from warm state.
-    fn note_target_failure(&mut self, target: &Addr) {
-        if let Some(breaker) = &self.breaker {
-            if breaker.record_failure(target) {
-                self.pool.evict(target);
-                if let Some(cache) = &self.cache {
-                    cache.invalidate(&self.service_name);
-                }
-            }
-        }
-    }
-
-    fn note_target_success(&mut self, target: &Addr) {
-        if let Some(breaker) = &self.breaker {
-            breaker.record_success(target);
-        }
-    }
-
-    /// An `E_UPGRADING` rejection is *not* a link failure — the link is
-    /// healthy and a plain drop would park it back into the pool, handing
-    /// the next checkout a connection to the quiescing instance.  Discard
-    /// the held link explicitly, evict any idle links parked for the same
-    /// address, and drop the cached resolution so the retry resolves the
-    /// replacement.
-    fn note_upgrading(&mut self) {
-        if let Some(link) = self.current.take() {
-            let target = link.target().clone();
-            link.discard();
-            self.pool.evict(&target);
-        }
-        if let Some(cache) = &self.cache {
-            cache.invalidate(&self.service_name);
-        }
-    }
-
-    fn call_inner(
-        &mut self,
-        cmd: &CmdLine,
-        retry_after_send: bool,
-    ) -> Result<CmdLine, ClientError> {
-        if let Some(budget) = &self.retry_budget {
-            budget.note_call();
-        }
+    /// The pool's one call loop with this client's policy (see the module
+    /// docs).
+    fn call_inner(&mut self, cmd: &CmdLine, at_least_once: bool) -> Result<CmdLine, ClientError> {
         let mut policy = self.policy.clone().with_budget(self.retry_window);
         if let Some(budget) = &self.retry_budget {
             policy = policy.with_retry_budget(Arc::clone(budget));
         }
-        let mut retry = policy.start();
-        // Commands without an explicit deadline get stamped with what is
-        // left of the hunt window on each attempt, so servers can shed
-        // work we will have given up on.
-        let hunt_deadline = Instant::now() + self.retry_window;
-        let stamp = cmd.deadline_ms().is_none();
-        let mut last_err: Option<ClientError>;
-        loop {
-            let attempt_cmd;
-            let cmd = if stamp {
-                let remaining = hunt_deadline.saturating_duration_since(Instant::now());
-                let mut c = cmd.clone();
-                c.set_deadline_ms(remaining.as_millis() as i64);
-                attempt_cmd = c;
-                &attempt_cmd
-            } else {
-                cmd
-            };
-            // The peer may have closed a held-over link since the last
-            // call (its daemon retired for a replacement, or died).  Find
-            // out before sending: nothing of this call has left yet, so
-            // letting go of the link — and of everything cached about that
-            // instance — is unambiguous, where a failure after the send
-            // would not be.  A link that fails the probe only because the
-            // route is down is kept: that call fails fast, as it always has.
-            if self.current.as_ref().is_some_and(|c| {
-                !c.is_healthy_idle()
-                    && self
-                        .pool
-                        .net()
-                        .reachable(self.pool.host(), &c.target().host)
-            }) {
-                self.note_upgrading();
-            }
-            let held_over = self.current.is_some();
-            match self.connect_current() {
-                Ok(link) => {
-                    // Could a command already have executed on this link?
-                    // True for one held over from a previous call and for a
-                    // checkout that reused an idle link.
-                    let established = held_over || link.was_reused();
-                    let target = link.target().clone();
-                    match link.call(cmd) {
-                        Ok(reply) => {
-                            self.note_target_success(&target);
-                            return Ok(reply);
-                        }
-                        Err(err @ ClientError::Service { .. }) => match err.code() {
-                            // E_UPGRADING means the verb was not executed
-                            // and the replacement is moments away: evict
-                            // the link + resolution and keep hunting.
-                            Some(ErrorCode::Upgrading) => {
-                                self.note_upgrading();
-                                last_err = Some(err);
-                            }
-                            // E_BUSY / E_DEADLINE: the daemon shed the
-                            // command before executing it.  The link is
-                            // healthy — keep it — but an overloaded target
-                            // counts toward opening its breaker.
-                            Some(code) if code.is_retryable() => {
-                                self.note_target_failure(&target);
-                                last_err = Some(err);
-                            }
-                            _ => return Err(err),
-                        },
-                        Err(link_err) => {
-                            self.note_target_failure(&target);
-                            self.note_link_failure();
-                            // A send on an established link may have
-                            // executed; only retry when the caller allows it
-                            // or the link was fresh enough that nothing can
-                            // have run.
-                            if !retry_after_send && established {
-                                return Err(link_err);
-                            }
-                            last_err = Some(link_err);
-                        }
-                    }
-                }
-                Err(err) => {
-                    // Resolution failures, dial failures, and breaker
-                    // fast-fails.  Only link-level errors implicate the
-                    // cached resolution.
-                    if matches!(err, ClientError::Link(_)) {
-                        self.note_link_failure();
-                    }
-                    last_err = Some(err);
-                }
-            }
-            if !retry.backoff() {
-                return Err(last_err.unwrap_or(ClientError::Service {
-                    code: ErrorCode::Unavailable,
-                    msg: "retry window exhausted".into(),
-                }));
-            }
-        }
+        let (pool, cache, breaker) = (
+            Arc::clone(&self.pool),
+            self.cache.clone(),
+            self.breaker.clone(),
+        );
+        let how = Retrying {
+            policy,
+            at_least_once,
+            answers: cache.as_deref(),
+            breaker: breaker.as_deref(),
+        };
+        let mut held = self.current.take();
+        let outcome = pool.call_with(&mut held, || self.route(), cmd, DEFAULT_CALL_TIMEOUT, &how);
+        self.current = held;
+        outcome
     }
 }
 

@@ -18,8 +18,12 @@
 //! target granted a ticket.  A link returns to the pool when its checkout
 //! drops, with the default call timeout restored.
 //!
-//! [`LinkPool::call`] is checkout + send, plus one fresh dial and one
-//! re-send if the link fails under the command.
+//! **The one call loop.**  Every outbound call that waits for its reply —
+//! [`crate::ServiceCtx::call`], [`crate::FailoverClient`], the Fig. 9
+//! start-up registrations, [`LinkPool::call`] and through it the store
+//! client — is `LinkPool::call_with`, which says once what each outcome
+//! means.  The callers differ only in the policy they hand it as data, a
+//! `Retrying`; [`LinkPool::call`] is the loop with one immediate retry.
 //!
 //! A caller that does not wait — the notifier — keeps its checkout and
 //! drives it itself: [`PooledLink::cast`] / [`PooledLink::send`] write a
@@ -35,10 +39,13 @@
 //! `link.full_handshakes` count *accepted* links — and counts `wire.*` into
 //! the daemon's registry.
 
+use crate::breaker::BreakerRegistry;
 use crate::client::{ClientError, ServiceClient, DEFAULT_CALL_TIMEOUT};
+use crate::failover::ResolutionCache;
 use crate::link::TicketCache;
 use crate::metrics::{Counter, MetricsRegistry, WireCounts};
-use ace_lang::CmdLine;
+use crate::retry::RetryPolicy;
+use ace_lang::{CmdLine, ErrorCode};
 use ace_net::{Addr, HostId, SimNet};
 use ace_security::keys::KeyPair;
 use parking_lot::Mutex;
@@ -49,6 +56,23 @@ use std::time::Duration;
 
 /// Default cap on idle links retained per target address.
 const DEFAULT_MAX_IDLE_PER_TARGET: usize = 8;
+
+/// One caller's policy for [`LinkPool::call_with`]: all that tells its
+/// callers apart.
+pub(crate) struct Retrying<'a> {
+    /// When to try again: delays, attempts, the retry budget, and — as its
+    /// wall-clock budget — the window the whole call may take, which every
+    /// attempt also carries as its `deadline=`.
+    pub(crate) policy: RetryPolicy,
+    /// Send again a command that may have run?
+    pub(crate) at_least_once: bool,
+    /// Directory answers to forget when a target fails at the link or is
+    /// upgrading.
+    pub(crate) answers: Option<&'a ResolutionCache>,
+    /// Per-target breakers, told every outcome; one that opens lets go of
+    /// its target as `E_UPGRADING` does.
+    pub(crate) breaker: Option<&'a BreakerRegistry>,
+}
 
 /// A shared pool of authenticated secure links, keyed by target address.
 pub struct LinkPool {
@@ -179,27 +203,148 @@ impl LinkPool {
         })
     }
 
-    /// One command to `target` with a per-call `timeout`.  A link that
-    /// passed checkout's probe and still fails under the command (the peer
-    /// went away mid-call) is discarded and the command sent once more on
-    /// a fresh dial; a failed dial and a service-level error return at
-    /// once.  The re-send makes this at-least-once: a peer whose reply was
-    /// lost sees the command twice.
+    /// One command to `target` with a per-call `timeout`: the call loop
+    /// with one immediate second attempt.  A refused dial, a shed command
+    /// (`E_BUSY`, `E_DEADLINE`, `E_UPGRADING`, the last after evicting the
+    /// links parked for `target`) and a link that fails under the command
+    /// are each tried once more; anything else returns at once.  The
+    /// re-send makes this at-least-once: a peer whose reply was lost sees
+    /// the command twice.
     pub fn call(
         self: &Arc<Self>,
         target: &Addr,
         cmd: &CmdLine,
         timeout: Duration,
     ) -> Result<CmdLine, ClientError> {
-        for attempt in 0..2 {
-            let mut link = self.checkout(target)?;
-            link.set_timeout(timeout);
-            match link.call(cmd) {
-                Err(ClientError::Link(_)) if attempt == 0 => {}
-                outcome => return outcome,
+        let how = Retrying {
+            policy: RetryPolicy::fixed(Duration::ZERO).with_max_attempts(1),
+            at_least_once: true,
+            answers: None,
+            breaker: None,
+        };
+        self.call_with(&mut None, || Ok(target.clone()), cmd, timeout, &how)
+    }
+
+    /// The one outbound call loop: send `cmd`, on the link in `held` or on
+    /// a checkout to where `route` says, until the verb has run or `how`'s
+    /// schedule is spent.  Each outcome means one thing:
+    ///
+    /// * a reply, or an error that is not retryable: the verb ran, and the
+    ///   loop returns it;
+    /// * no route (an open breaker is none), a refused dial, `E_BUSY`,
+    ///   `E_DEADLINE` or `E_UPGRADING`: the verb did not run, and the loop
+    ///   tries again — on `E_UPGRADING` after letting go of the target's
+    ///   links, held and parked, so the retry dials the replacement;
+    /// * a link failure under the command: the verb may have run, and the
+    ///   loop tries again only if `how` is at-least-once or the link was
+    ///   dialed for this attempt.
+    ///
+    /// A link failure or `E_UPGRADING` also forgets every directory answer
+    /// in `how` that names the target.  Each attempt waits `timeout` for
+    /// its reply, and a command without a `deadline=` carries what is left
+    /// of `how`'s window, or `timeout` when it has none.  `held` keeps the
+    /// link a reply came on.
+    pub(crate) fn call_with(
+        self: &Arc<Self>,
+        held: &mut Option<PooledLink>,
+        mut route: impl FnMut() -> Result<Addr, ClientError>,
+        cmd: &CmdLine,
+        timeout: Duration,
+        how: &Retrying,
+    ) -> Result<CmdLine, ClientError> {
+        let mut retry = how.policy.start();
+        loop {
+            // A held-over link whose peer closed it since the last call (it
+            // retired for a replacement, or died) is let go before the send:
+            // nothing of this call has left yet, where a failure after the
+            // send would be ambiguous.  A link that fails the probe only
+            // because the route is down is kept: that call fails fast.
+            if let Some(link) = held.as_ref() {
+                if !link.is_healthy_idle()
+                    && self.net.reachable(&self.from_host, &link.target().host)
+                {
+                    let target = link.target().clone();
+                    self.let_go(held, &target, how);
+                }
+            }
+            let held_over = held.is_some();
+            let failed = 'attempt: {
+                if held.is_none() {
+                    let target = match route() {
+                        Ok(target) => target,
+                        Err(err) => break 'attempt err,
+                    };
+                    match self.checkout(&target) {
+                        Ok(link) => *held = Some(link),
+                        Err(err) => {
+                            self.failed_at_link(held, &target, how);
+                            break 'attempt err;
+                        }
+                    }
+                }
+                let link = held.as_mut().expect("held over or just checked out");
+                // Could a command already have run on this link?
+                let established = held_over || link.was_reused();
+                let target = link.target().clone();
+                link.set_timeout(timeout);
+                let stamp = retry.remaining().unwrap_or(timeout);
+                let err = match link.on_client(|client| client.call_within(cmd, stamp)) {
+                    Ok(reply) => {
+                        if let Some(breaker) = how.breaker {
+                            breaker.record_success(&target);
+                        }
+                        return Ok(reply);
+                    }
+                    Err(err) => err,
+                };
+                match err.code() {
+                    Some(ErrorCode::Upgrading) => self.let_go(held, &target, how),
+                    Some(code) if code.is_retryable() => self.trip(held, &target, how),
+                    Some(_) => return Err(err),
+                    None => {
+                        self.failed_at_link(held, &target, how);
+                        if established && !how.at_least_once {
+                            return Err(err);
+                        }
+                    }
+                }
+                err
+            };
+            if !retry.backoff() {
+                return Err(failed);
             }
         }
-        unreachable!("the second attempt returns its outcome")
+    }
+
+    /// Let go of `target`: the link held to it, the links parked for it,
+    /// and the directory answers naming it.
+    fn let_go(&self, held: &mut Option<PooledLink>, target: &Addr, how: &Retrying) {
+        if let Some(link) = held.take() {
+            link.discard();
+        }
+        self.evict(target);
+        if let Some(answers) = how.answers {
+            answers.forget_addr(target);
+        }
+    }
+
+    /// `target` failed at the link — a refused dial, or under the command:
+    /// drop the (broken) held link and the answers naming `target`.
+    fn failed_at_link(&self, held: &mut Option<PooledLink>, target: &Addr, how: &Retrying) {
+        *held = None;
+        if let Some(answers) = how.answers {
+            answers.forget_addr(target);
+        }
+        self.trip(held, target, how);
+    }
+
+    /// Count a failure towards `target`'s breaker; one that opens lets go
+    /// of the target.
+    fn trip(&self, held: &mut Option<PooledLink>, target: &Addr, how: &Retrying) {
+        let opened = how.breaker.is_some_and(|b| b.record_failure(target));
+        if opened {
+            self.let_go(held, target, how);
+        }
     }
 
     /// Close and forget every idle link parked for `target`.  Used when a

@@ -7,7 +7,8 @@
 //! shared vocabulary: exponential backoff with a cap, *deterministic*
 //! jitter (a pure function of the policy seed and the attempt number, so
 //! simulation runs replay identically), an optional attempt limit, and an
-//! optional wall-clock budget.
+//! optional wall-clock budget.  Every outbound call that waits for a reply
+//! rides one loop over it, `LinkPool::call_with` ([`crate::pool`]).
 //!
 //! A policy is an immutable recipe; [`RetryPolicy::start`] stamps it with
 //! the current instant to produce a [`Retry`] schedule whose
@@ -197,9 +198,9 @@ impl RetryPolicy {
 
     /// Charge every backoff against a shared storm-prevention
     /// [`RetryBudget`]: when the bucket is empty, [`Retry::backoff`] gives
-    /// up immediately instead of amplifying an overload.  The caller is
-    /// responsible for depositing via [`RetryBudget::note_call`] once per
-    /// logical request.
+    /// up immediately instead of amplifying an overload.  Each
+    /// [`RetryPolicy::start`] is one logical request and deposits its share
+    /// ([`RetryBudget::note_call`]).
     pub fn with_retry_budget(mut self, budget: Arc<RetryBudget>) -> RetryPolicy {
         self.retry_budget = Some(budget);
         self
@@ -242,8 +243,11 @@ impl RetryPolicy {
     }
 
     /// Stamp the policy with the current instant, producing a live
-    /// schedule.
+    /// schedule, and deposit one request's share in the retry budget.
     pub fn start(&self) -> Retry {
+        if let Some(budget) = &self.retry_budget {
+            budget.note_call();
+        }
         Retry {
             policy: self.clone(),
             attempt: 0,
@@ -261,11 +265,6 @@ pub struct Retry {
 }
 
 impl Retry {
-    /// How many backoffs have been taken so far.
-    pub fn attempt(&self) -> u32 {
-        self.attempt
-    }
-
     /// Time left in the wall-clock budget, if one was set.
     pub fn remaining(&self) -> Option<Duration> {
         self.deadline
@@ -418,6 +417,19 @@ mod tests {
         }
         assert_eq!(taken, 3, "only the budgeted retries run");
         assert_eq!(budget.denied(), 1);
+    }
+
+    /// Invariant: a schedule is one logical request, so starting it pays in
+    /// one call's share — the deposit no caller has to remember.
+    #[test]
+    fn starting_a_schedule_deposits_one_calls_share() {
+        let budget = Arc::new(RetryBudget::new(1, 0.5));
+        assert!(budget.try_withdraw());
+        let policy = RetryPolicy::fixed(Duration::ZERO).with_retry_budget(Arc::clone(&budget));
+        policy.start();
+        assert!(!budget.try_withdraw(), "half a token is not a retry");
+        policy.start();
+        assert!(budget.try_withdraw(), "two starts bought one retry");
     }
 
     #[test]

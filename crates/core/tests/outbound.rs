@@ -14,6 +14,7 @@
 //! counters) and what the sender counted (`notify.*`), and hold a listener
 //! still with a latch (`park`), never a sleep.
 
+use ace_core::client::DEFAULT_CALL_TIMEOUT;
 use ace_core::prelude::*;
 use ace_core::protocol;
 use ace_security::keys::KeyPair;
@@ -29,7 +30,8 @@ const WAIT: Duration = Duration::from_secs(10);
 /// `work` and `onTouch` first answer with the error codes left in `script`,
 /// one per call and without counting an execution, then execute — leaving
 /// the `seq` they carried, if any, in `order`.  `park` holds the handler
-/// (and with it the whole daemon) until the test lets go of `release`.
+/// (and with it the whole daemon) until the test lets go of `release`;
+/// `heal` heals every partition of the net.
 struct Peer {
     semantics: Semantics,
     served: Sender<String>,
@@ -45,11 +47,12 @@ impl ServiceBehavior for Peer {
             .clone()
             .with(CmdSpec::new("work", "count one execution"))
             .with(CmdSpec::new("park", "hold the handler until released"))
+            .with(CmdSpec::new("heal", "heal every partition"))
             .with(notification("onTouch"))
             .with(notification("onFlush"))
     }
 
-    fn handle(&mut self, _ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
+    fn handle(&mut self, ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
         let served = |peer: &Peer| {
             let _ = peer.served.send(cmd.name().to_string());
         };
@@ -68,6 +71,10 @@ impl ServiceBehavior for Peer {
                     let _ = release.recv_timeout(WAIT);
                 }
                 return Reply::ok();
+            }
+            "heal" => {
+                ctx.net().heal_all();
+                Reply::ok()
             }
             "lookup" => Reply::ok_with(|c| c.arg("services", protocol::entries_to_value(&[]))),
             _ => Reply::ok(),
@@ -191,7 +198,13 @@ struct Relay {
 impl ServiceBehavior for Relay {
     fn semantics(&self) -> Semantics {
         Semantics::new()
-            .with(CmdSpec::new("relay", "ctx.call `work` on the peer"))
+            .with(
+                CmdSpec::new("relay", "ctx.call `work` on the peer").optional(
+                    "verb",
+                    ArgType::Word,
+                    "call this verb instead",
+                ),
+            )
             .with(CmdSpec::new(
                 "relayLate",
                 "the same, once this command's deadline has lapsed",
@@ -214,7 +227,8 @@ impl ServiceBehavior for Relay {
                 while cmd.name() == "relayLate" && !ctx.deadline_expired() {
                     std::thread::sleep(Duration::from_millis(1));
                 }
-                match ctx.call(&self.peer.clone(), &CmdLine::new("work")) {
+                let verb = cmd.get_text("verb").unwrap_or("work");
+                match ctx.call(&self.peer.clone(), &CmdLine::new(verb)) {
                     Ok(_) => Reply::ok(),
                     Err(ClientError::Service { code, msg }) => Reply::err(code, msg),
                     Err(e) => Reply::err(ErrorCode::Unavailable, e.to_string()),
@@ -365,54 +379,277 @@ fn a_restarted_listener_receives_the_next_notification_once() {
     assert_eq!(relay.metrics().counter("notify.drops").get(), 0);
 }
 
-#[test]
-fn ctx_call_retries_a_shed_command_and_nothing_else() {
+// -- one call loop: one table, four callers ------------------------------------
+
+/// The callers that send through the pool's one call loop, each with its
+/// own policy (DESIGN.md § "Retry policy").
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Caller {
+    /// A daemon's `ctx.call` — the relay's `relay`: 5 ms × 2, at least once.
+    Ctx,
+    /// `FailoverClient::call`: inside its window, at most once.
+    Call,
+    /// `FailoverClient::call_idempotent`: inside its window, at least once.
+    Idempotent,
+    /// `LinkPool::call`: one immediate second attempt, at least once.
+    Pool,
+}
+
+impl Caller {
+    /// The host the caller sends from.
+    fn host(self) -> HostId {
+        match self {
+            Caller::Ctx => "srv".into(),
+            _ => "cli".into(),
+        }
+    }
+}
+
+/// One row's world: the scripted peer alone on host `peer`, on a runtime of
+/// its own; on `srv` the relay calling it and a directory listing it; on
+/// `cli` a pool and a failover client bound to the peer's name through that
+/// directory.
+struct Callers {
+    net: SimNet,
+    runtime: Runtime,
+    peer: Addr,
+    relay: DaemonHandle,
+    to_relay: ServiceClient,
+    pool: Arc<LinkPool>,
+    failover: FailoverClient,
+    directory: DaemonHandle,
+}
+
+/// A directory stand-in: answers every `lookup` with the one entry it holds.
+struct Listing(ServiceEntry);
+
+impl ServiceBehavior for Listing {
+    fn semantics(&self) -> Semantics {
+        protocol::asd_semantics()
+    }
+
+    fn handle(&mut self, _ctx: &mut ServiceCtx, _cmd: &CmdLine, _from: &ClientInfo) -> Reply {
+        let listing = protocol::entries_to_value(std::slice::from_ref(&self.0));
+        Reply::ok_with(|c| c.arg("services", listing))
+    }
+}
+
+/// The world of one row: a peer answering `script` first, whose `park` the
+/// returned sender releases, and a failover client whose window is `window`.
+fn callers(script: &[ErrorCode], window: Duration) -> (Callers, PeerHandle, Sender<()>) {
     let net = net();
-
-    // Shed twice (the second time because it is being replaced), then run.
-    let peer = spawn_peer(
+    for host in ["peer", "ops"] {
+        net.add_host(host);
+    }
+    let (release, released) = channel();
+    let (mut behavior, served, executions) = peer_behavior(Semantics::new(), script);
+    behavior.release = Some(released);
+    let order = Arc::clone(&behavior.order);
+    let runtime = Runtime::new(1);
+    let config = DaemonConfig::new("peer", "Service.Peer", "lab", "peer", 7300)
+        .with_runtime_pool(runtime.clone());
+    let daemon = Daemon::spawn(&net, config, behavior).unwrap();
+    let peer = daemon.addr().clone();
+    let entry = ServiceEntry {
+        name: "peer".into(),
+        addr: peer.clone(),
+        class: "Service.Peer".into(),
+        room: "lab".into(),
+    };
+    let directory = Daemon::spawn(
         &net,
-        "peer",
-        7201,
-        Semantics::new(),
-        &[ErrorCode::Busy, ErrorCode::Upgrading],
-    );
-    let relay = spawn_relay(&net, relay_config(), peer.daemon.addr());
-    let mut to_relay = client(&net, &relay);
-    to_relay
-        .call_ok(&CmdLine::new("relay"))
-        .expect("two sheds are ridden out");
-    peer.await_served("work", 3);
-    assert_eq!(peer.executions(), 1, "executed once");
-    assert_eq!(
-        peer.counter("link.accepted"),
-        2,
-        "E_UPGRADING evicted the link before the retry"
-    );
-    drop(relay);
-    drop(peer);
+        DaemonConfig::new("asd", "Service.ASD", "lab", "srv", 7201),
+        Box::new(Listing(entry)),
+    )
+    .unwrap();
+    let relay = spawn_relay(&net, relay_config(), &peer);
+    let to_relay = client(&net, &relay);
+    let me = KeyPair::generate(&mut rand::thread_rng());
+    let pool = Arc::new(LinkPool::new(&net, "cli", me));
+    let failover = FailoverClient::bind(net.clone(), "cli", me, directory.addr().clone(), "peer")
+        .with_retry_window(window)
+        .with_pool(Arc::clone(&pool))
+        .with_resolution_cache(Arc::new(ResolutionCache::new()));
+    let world = Callers {
+        net,
+        runtime,
+        peer,
+        relay,
+        to_relay,
+        pool,
+        failover,
+        directory,
+    };
+    let peer = PeerHandle {
+        daemon,
+        served,
+        executions,
+        order,
+    };
+    (world, peer, release)
+}
 
-    // A real answer — even an error — is returned at once.
-    let peer = spawn_peer(&net, "peer", 7201, Semantics::new(), &[ErrorCode::NotFound]);
-    let relay = spawn_relay(&net, relay_config(), peer.daemon.addr());
-    let mut to_relay = client(&net, &relay);
-    let err = to_relay.call(&CmdLine::new("relay")).unwrap_err();
-    assert_eq!(err.code(), Some(ErrorCode::NotFound));
-    peer.await_served("work", 1);
-    assert_eq!(peer.executions(), 0);
+impl Callers {
+    /// Send the peer a `work` as `caller` does.
+    fn work(&mut self, caller: Caller) -> Result<CmdLine, ClientError> {
+        self.send(caller, "work")
+    }
 
-    // A deadline already spent buys no retry: the peer refuses the one
-    // attempt at its door and never hears of the command again.
-    let mut late = CmdLine::new("relayLate");
-    late.set_deadline_ms(100);
-    let err = to_relay.call(&late).unwrap_err();
-    assert_eq!(err.code(), Some(ErrorCode::Deadline));
-    assert_eq!(peer.counter("shed.deadline"), 1);
-    assert_eq!(peer.executions(), 0);
-    assert!(
-        peer.served.try_recv().is_err(),
-        "nothing reached the handler"
-    );
+    /// Send the peer `verb` as `caller` does.
+    fn send(&mut self, caller: Caller, verb: &str) -> Result<CmdLine, ClientError> {
+        let cmd = CmdLine::new(verb);
+        match caller {
+            Caller::Ctx => self
+                .to_relay
+                .call(&CmdLine::new("relay").arg("verb", Value::Word(verb.into()))),
+            Caller::Call => self.failover.call(&cmd),
+            Caller::Idempotent => self.failover.call_idempotent(&cmd),
+            Caller::Pool => self.pool.call(&self.peer, &cmd, DEFAULT_CALL_TIMEOUT),
+        }
+    }
+
+    fn shutdown(self, peer: PeerHandle) {
+        peer.daemon.shutdown();
+        self.relay.shutdown();
+        self.directory.shutdown();
+        self.runtime.shutdown();
+    }
+}
+
+const EVERY_CALLER: [Caller; 4] = [Caller::Ctx, Caller::Call, Caller::Idempotent, Caller::Pool];
+
+/// Invariant: `E_BUSY` and `E_UPGRADING` are verbs that did not run — each
+/// caller sends again on its schedule, and after `E_UPGRADING` on a session
+/// it did not hold before: the held link and every link parked for the
+/// peer are let go.  The pool's second attempt is its only retry, so it
+/// rides out one shed, the others two.  Fails with the eviction skipped on
+/// `E_UPGRADING` (one session for `ctx.call`, the second parked link reused
+/// by the others).
+#[test]
+fn a_shed_command_runs_once_on_a_fresh_session() {
+    for caller in EVERY_CALLER {
+        let sheds: &[ErrorCode] = match caller {
+            Caller::Pool => &[ErrorCode::Upgrading],
+            _ => &[ErrorCode::Busy, ErrorCode::Upgrading],
+        };
+        let (mut world, peer, _release) = callers(sheds, WAIT);
+        if caller != Caller::Ctx {
+            // Two links parked, so a retry that is not evicted finds one.
+            let (a, b) = (
+                world.pool.checkout(&world.peer),
+                world.pool.checkout(&world.peer),
+            );
+            drop((a.unwrap(), b.unwrap()));
+        }
+        let accepted = peer.counter("link.accepted");
+        world
+            .work(caller)
+            .unwrap_or_else(|e| panic!("{caller:?}: the sheds are ridden out: {e}"));
+        peer.await_served("work", sheds.len() + 1);
+        assert_eq!(peer.executions(), 1, "{caller:?}: ran once");
+        assert_eq!(
+            peer.counter("link.accepted") - accepted,
+            if caller == Caller::Ctx { 2 } else { 1 },
+            "{caller:?}: ran on a session dialed after E_UPGRADING"
+        );
+        if matches!(caller, Caller::Call | Caller::Idempotent) {
+            assert_eq!(
+                world.failover.resolutions(),
+                2,
+                "E_UPGRADING forgot the answer naming the peer"
+            );
+        }
+        world.shutdown(peer);
+    }
+}
+
+/// Invariant: an error that is not retryable is an answer — one send, no
+/// retry, the verb not run.  Fails with `E_NOTFOUND` retried.
+#[test]
+fn an_answer_is_one_send() {
+    for caller in EVERY_CALLER {
+        let (mut world, peer, _release) = callers(&[ErrorCode::NotFound], WAIT);
+        let err = world.work(caller).unwrap_err();
+        assert_eq!(err.code(), Some(ErrorCode::NotFound), "{caller:?}");
+        peer.await_served("work", 1);
+        let sends = peer.daemon.metrics().histogram("cmd.work").count();
+        assert_eq!(sends, 1, "{caller:?}");
+        assert_eq!(peer.executions(), 0, "{caller:?}");
+        world.shutdown(peer);
+    }
+}
+
+/// Invariant: a spent window buys no retry.  The attempt carries what is
+/// left of it, `deadline=0`, the peer refuses it at its door and never
+/// hears of the command again.  `ctx.call`'s window is the deadline of the
+/// command it serves (`relayLate` waits it out); a failover client's is its
+/// retry window, here none.  `LinkPool::call` has no window: its one
+/// re-send is its whole schedule.
+#[test]
+fn a_spent_deadline_is_refused_at_the_door_once() {
+    for caller in [Caller::Ctx, Caller::Call, Caller::Idempotent] {
+        let (mut world, peer, _release) = callers(&[], Duration::ZERO);
+        let err = match caller {
+            Caller::Ctx => {
+                let mut late = CmdLine::new("relayLate");
+                late.set_deadline_ms(100);
+                world.to_relay.call(&late)
+            }
+            _ => world.work(caller),
+        }
+        .unwrap_err();
+        assert_eq!(err.code(), Some(ErrorCode::Deadline), "{caller:?}");
+        assert_eq!(peer.counter("shed.deadline"), 1, "{caller:?}");
+        assert_eq!(peer.executions(), 0, "{caller:?}");
+        assert!(
+            peer.served.try_recv().is_err(),
+            "{caller:?}: nothing reached the handler"
+        );
+        world.shutdown(peer);
+    }
+}
+
+/// Invariant: a link that fails after the send on an established session
+/// leaves a verb that may have run, and only an at-least-once caller sends
+/// it again.  Staged without a clock: the second call is a `park`, and
+/// while the peer holds it the caller's host is cut off from the peer's and
+/// a `heal` is queued on another session.  Released, the peer runs the
+/// `park`, its reply is lost and the session closed, and the `heal` runs on
+/// the peer's next turn — on a runtime of its own, so at once, well inside
+/// the 5 ms before `ctx.call`'s first retry.  `call` surfaces the failure,
+/// the verb run once; `call_idempotent` and `ctx.call` send it again, the
+/// verb run twice.  (`LinkPool::call` re-sends at once, before the heal.)
+/// Fails with the at-most-once re-send allowed on a reused link.
+#[test]
+fn a_lost_reply_on_a_reused_link_is_sent_again_only_at_least_once() {
+    for caller in [Caller::Ctx, Caller::Call, Caller::Idempotent] {
+        let (mut world, peer, release) = callers(&[], WAIT);
+        world.work(caller).expect("the first call runs");
+        let me = KeyPair::generate(&mut rand::thread_rng());
+        let mut ops =
+            ServiceClient::connect(&world.net, &"ops".into(), world.peer.clone(), &me).unwrap();
+        let net = world.net.clone();
+        let outcome = std::thread::scope(|scope| {
+            let call = scope.spawn(|| world.send(caller, "park"));
+            peer.await_served("park", 1);
+            net.partition(&caller.host(), &"peer".into());
+            ops.send(&CmdLine::new("heal")).unwrap();
+            // One release for the park whose reply is lost, one for a re-send.
+            release.send(()).unwrap();
+            release.send(()).unwrap();
+            call.join().unwrap()
+        });
+        let runs = peer.daemon.metrics().histogram("cmd.park").count();
+        if caller == Caller::Call {
+            let err = outcome.unwrap_err();
+            assert!(matches!(err, ClientError::Link(_)), "surfaced: {err}");
+            assert_eq!(runs, 1, "the lost call ran once and was not sent again");
+        } else {
+            outcome.unwrap_or_else(|e| panic!("{caller:?}: sent again: {e}"));
+            assert_eq!(runs, 2, "{caller:?}: the lost call ran, then its re-send");
+        }
+        world.shutdown(peer);
+    }
 }
 
 // -- notifications are casts ---------------------------------------------------

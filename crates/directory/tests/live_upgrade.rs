@@ -436,6 +436,37 @@ fn stale_incarnation_stragglers_are_fenced_out() {
     r.fw.shutdown();
 }
 
+/// A fenced registration is an answer, not a shed: the spawn of a stale
+/// incarnation fails on the directory's first `E_BADSTATE`, having sent one
+/// `register`.  Fails if the start-up loop retries every error (four
+/// `register`s, ~140 ms of backoff).
+#[test]
+fn a_fenced_registration_fails_the_spawn_on_its_first_answer() {
+    let r = rig(Duration::from_secs(5));
+    let spawn = |port, incarnation| {
+        Daemon::spawn(
+            &r.net,
+            r.fw.service_config("x", "Service.App.Counter", "office", "app", port)
+                .with_incarnation(incarnation),
+            Counter::fresh(&r.exec),
+        )
+    };
+    let live = spawn(4700, 2).unwrap();
+    let registers = r.fw.asd.metrics().histogram("cmd.register");
+    let before = registers.count();
+
+    match spawn(4701, 1) {
+        Err(ace_core::SpawnError::Register { step: "asd", error }) => {
+            assert_eq!(error.code(), Some(ErrorCode::BadState), "{error}")
+        }
+        other => panic!("expected a fenced registration, got {other:?}"),
+    }
+    assert_eq!(registers.count() - before, 1, "one `register` sent");
+
+    live.shutdown();
+    r.fw.shutdown();
+}
+
 /// A refused restore aborts the swap before anything is torn down: the old
 /// incarnation keeps serving with its quiesce gate re-opened.
 #[test]

@@ -43,12 +43,12 @@
 //! "Conditional leased reads", has the argument; `race_model` checks it too.
 
 use crate::version::{StoreKey, Versioned};
+use ace_core::client::DEFAULT_CALL_TIMEOUT;
 use ace_core::prelude::*;
 use ace_security::keys::KeyPair;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Store-level failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -198,35 +198,17 @@ impl StoreClient {
         self
     }
 
+    /// One command to replica `idx` through [`LinkPool::call`]: one
+    /// immediate second attempt after a dropped connection or a shed —
+    /// enough to ride either out without stalling a quorum scan on a
+    /// genuinely dead replica.  `None` for no reply or an error reply.
     fn call_replica(&mut self, idx: usize, cmd: &CmdLine) -> Option<CmdLine> {
-        // One immediate reconnect per replica per command — enough to
-        // ride out a dropped connection without stalling a quorum scan
-        // on a genuinely dead replica.
-        let mut retry = RetryPolicy::fixed(Duration::ZERO)
-            .with_max_attempts(1)
-            .start();
-        loop {
-            let outcome = self
-                .pool
-                .checkout(&self.replicas[idx])
-                .and_then(|mut link| link.call(cmd));
-            // Any answer, even an error, came from a live replica.  After a
-            // link failure the broken link is already discarded; the retry
-            // checks out a fresh one.
-            self.reachable[idx] = !matches!(outcome, Err(ClientError::Link(_)));
-            match outcome {
-                Ok(reply) => return Some(reply),
-                // A real answer, e.g. NotFound.
-                Err(ClientError::Service { code, .. }) if !code.is_retryable() => return None,
-                // A link failure, or the replica shed the command before
-                // executing it (E_BUSY / E_DEADLINE / E_UPGRADING): back
-                // off and retry within the schedule.
-                Err(_) => {}
-            }
-            if !retry.backoff() {
-                return None;
-            }
-        }
+        let outcome = self
+            .pool
+            .call(&self.replicas[idx], cmd, DEFAULT_CALL_TIMEOUT);
+        // Any answer, even an error, came from a live replica.
+        self.reachable[idx] = !matches!(outcome, Err(ClientError::Link(_)));
+        outcome.ok()
     }
 
     /// Read the newest version of a key across all reachable replicas, with

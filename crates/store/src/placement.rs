@@ -488,8 +488,9 @@ impl ShardedStoreClient {
 
     /// Lease safety after a write: if the holder was **not** among the
     /// ackers of the quorum write just performed on group `g`, its copy
-    /// may be stale — revoke at the holder (best-effort) and drop the
-    /// lease locally so leased reads stop until a fresh grant.
+    /// may be stale — revoke at the holder (best-effort: a cast, since no
+    /// answer would change what happens here) and drop the lease locally
+    /// so leased reads stop until a fresh grant.
     fn enforce_holder_ack(&mut self, g: usize) {
         let Some(lease) = self.leases[g].clone() else {
             return;
@@ -509,7 +510,7 @@ impl ShardedStoreClient {
             .arg("holder", Value::Str(format!("{}:{}", addr.host, addr.port)))
             .arg("epoch", lease.epoch as i64);
         if let Ok(mut link) = self.pool.checkout(&addr) {
-            let _ = link.call(&cmd);
+            let _ = link.cast(&cmd);
         }
     }
 }

@@ -235,6 +235,43 @@ fn write_missed_by_holder_drops_the_lease() {
     // Reads stay correct (quorum scan or a re-granted reachable holder).
     assert_eq!(c.get("app", "k").unwrap(), b"v2");
     w.net.heal_all();
+
+    // A holder that misses a write while reachable — it holds a newer
+    // version and refuses it — is told: the revoke is a cast, so it runs
+    // once and nothing comes back.  Fails with the revoke sent as a call.
+    assert_eq!(c.get("app", "k").unwrap(), b"v2");
+    let holder = c.lease_holder(0).expect("lease granted again");
+    let holder_addr = &w.cluster.placement.replicas(0)[holder];
+    let (daemon, disk) = w.cluster.groups[0]
+        .iter()
+        .find(|(handle, _)| handle.addr() == holder_addr)
+        .expect("the holder is a replica of group 0");
+    let newer = Versioned {
+        data: b"newer".to_vec(),
+        version: 99,
+        writer: "someone".into(),
+        deleted: false,
+    };
+    assert!(disk.apply(("app".into(), "k".into()), newer).unwrap());
+    c.put("app", "k", b"v3").unwrap();
+    assert_eq!(c.stats().lease_losses, 2, "{:?}", c.stats());
+    let served = daemon.metrics().histogram("cmd.psLeaseRevoke");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while served.count() == 0 {
+        assert!(std::time::Instant::now() < deadline, "revoke never served");
+        std::thread::yield_now();
+    }
+    // Asked after the revoke ran, so an answer to it would be counted by now.
+    let mut to_holder =
+        ServiceClient::connect(&w.net, &"core".into(), holder_addr.clone(), &keypair()).unwrap();
+    let asked = CmdLine::new("aceStats").arg("prefix", "wire.reply.psLeaseRevoke");
+    let report = StatsReport::from_cmdline(&to_holder.call(&asked).unwrap());
+    assert_eq!(served.count(), 1);
+    assert_eq!(
+        report.counters.get("wire.reply.psLeaseRevoke.frames"),
+        None,
+        "a revoke that ran is not answered"
+    );
     w.cluster.shutdown();
 }
 
