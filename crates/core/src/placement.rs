@@ -32,7 +32,7 @@ use crate::client::ClientError;
 use crate::pool::LinkPool;
 use ace_lang::{CmdLine, ErrorCode, Reply, Scalar, Value};
 use ace_net::{Addr, HostId};
-use ace_security::hash::fnv64;
+use ace_security::hash::Fnv64Stream;
 use std::sync::Arc;
 
 /// A plane's layout: replica addresses per group, plus an epoch so clients
@@ -42,17 +42,6 @@ pub struct GroupMap {
     epoch: u64,
     /// `groups[g]` is the replica set of group `g`, in spawn order.
     groups: Vec<Vec<Addr>>,
-}
-
-/// Continue an FNV-1a hash from state `h`.  FNV-1a has no finalizer, so
-/// `fnv64(a ++ b) == fnv_continue(fnv64(a), b)`: [`GroupMap::owner`]
-/// hashes the key once and finishes per group.
-fn fnv_continue(mut h: u64, data: &[u8]) -> u64 {
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 impl GroupMap {
@@ -118,11 +107,16 @@ impl GroupMap {
     /// The group owning `key` (see the module docs for the score).  Zero
     /// for a map of zero groups; callers check [`GroupMap::count`] first.
     pub fn owner(&self, key: &[u8]) -> usize {
-        let keyed = fnv_continue(fnv64(key), &[0]);
+        // The key is hashed once; each group continues a copy of the stream.
+        let mut keyed = Fnv64Stream::unkeyed();
+        keyed.update(key);
+        keyed.update(&[0]);
         let mut best = 0usize;
         let mut best_score = 0u64;
         for g in 0..self.groups.len() {
-            let score = fnv_continue(keyed, &(g as u64).to_le_bytes());
+            let mut score = keyed;
+            score.update(&(g as u64).to_le_bytes());
+            let score = score.raw();
             if g == 0 || score > best_score {
                 best = g;
                 best_score = score;
@@ -209,6 +203,7 @@ impl GroupMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ace_security::hash::fnv64;
 
     fn map(groups: usize, replication: usize) -> GroupMap {
         let hosts: Vec<HostId> = (0..groups * replication)

@@ -230,7 +230,7 @@ pub fn logger_semantics() -> Semantics {
 
 /// Commands a scale-out persistent-store replica understands on top of
 /// its basic `psPut`/`psGet` plane: snapshot shipping for rebuilds
-/// (`psSnapFetch` + `psWalTail`), per-shard read leases, and the shard
+/// (`psSnapFetch`), per-shard read leases, and the shard
 /// placement map (the store analog of the directory's `shardMap`).
 pub fn store_scaleout_semantics() -> Semantics {
     Semantics::new()
@@ -241,14 +241,6 @@ pub fn store_scaleout_semantics() -> Semantics {
             )
             .required("offset", ArgType::Int, "byte offset into the snapshot")
             .optional("chunk", ArgType::Int, "max chunk bytes (default 32768)"),
-        )
-        .with(
-            CmdSpec::new(
-                "psWalTail",
-                "applied writes at or after a sequence number (snapshot catch-up)",
-            )
-            .required("since", ArgType::Int, "first sequence number wanted")
-            .optional("max", ArgType::Int, "max entries per reply (default 512)"),
         )
         .with(
             CmdSpec::new("psLeaseGrant", "grant/renew the shard read lease")
@@ -338,7 +330,7 @@ pub fn open_snapshot(kind: &str, bytes: &[u8]) -> Result<CmdLine, String> {
 }
 
 /// The one representation of values in batch rows, on both planes (the
-/// store's `psPutBatch` items and `psWalTail` entries, the Net Logger's
+/// store's `psPutBatch` items, the Net Logger's
 /// `queryEvents` rows): every row ends in a cell holding its value's length,
 /// and the values travel concatenated, in row order, as a single blob
 /// argument beside the array.  Returns `(rows, blob)`.

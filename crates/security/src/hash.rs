@@ -6,14 +6,16 @@
 //! cipher, MAC, and signature layers build on, so tampering and key
 //! mismatches are actually detected in tests and experiments.
 
+/// One FNV-1a step: mix `word` into state `h`.
+fn fnv_step(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(0x100000001b3)
+}
+
 /// FNV-1a, 64-bit.
 pub fn fnv64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    let mut h = Fnv64Stream::unkeyed();
+    h.update(data);
+    h.raw()
 }
 
 /// FNV-1a with a seed mixed in first (keyed hash for MACs).
@@ -33,20 +35,31 @@ pub struct Fnv64Stream {
 }
 
 impl Fnv64Stream {
+    /// Start a plain FNV-1a stream: its [`Fnv64Stream::raw`] is [`fnv64`]
+    /// of what it absorbed.
+    pub fn unkeyed() -> Fnv64Stream {
+        Fnv64Stream {
+            h: 0xcbf29ce484222325,
+        }
+    }
+
     /// Start a keyed stream (same seed-mixing as [`fnv64_keyed`]).
     pub fn keyed(key: u64) -> Fnv64Stream {
-        let h = (0xcbf29ce484222325u64 ^ key).wrapping_mul(0x100000001b3);
-        Fnv64Stream { h }
+        Fnv64Stream {
+            h: fnv_step(Fnv64Stream::unkeyed().h, key),
+        }
     }
 
     /// Absorb more input.
     pub fn update(&mut self, data: &[u8]) {
-        let mut h = self.h;
-        for &b in data {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        self.h = h;
+        self.h = data.iter().fold(self.h, |h, &b| fnv_step(h, b as u64));
+    }
+
+    /// The FNV-1a state as it stands, without [`Fnv64Stream::finish`]'s
+    /// avalanche.  FNV-1a has no finalizer, so a stream can be copied and
+    /// continued: `fnv64(a ++ b)` is `a`'s stream updated with `b`.
+    pub fn raw(self) -> u64 {
+        self.h
     }
 
     /// Final avalanche (xorshift-multiply) so near-equal inputs diverge.
@@ -130,6 +143,13 @@ mod tests {
             }
             assert_eq!(s.finish(), fnv64_keyed(key, &concat));
         }
+        let mut s = Fnv64Stream::unkeyed();
+        for part in parts {
+            s.update(part);
+        }
+        assert_eq!(s.raw(), fnv64(&concat));
+        // The FNV-1a reference value of "a".
+        assert_eq!(fnv64(b"a"), 0xaf63dc4c8601ec8c);
     }
 
     #[test]

@@ -148,7 +148,7 @@ pub struct ShardedStoreCluster {
 /// What a snapshot-ship rebuild moved.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RebuildReport {
-    /// The peer that served the snapshot and WAL tail.
+    /// The peer that served the snapshot and the top-up.
     pub peer: Addr,
     /// Validated snapshot size on the wire.
     pub snapshot_bytes: usize,
@@ -156,8 +156,8 @@ pub struct RebuildReport {
     pub snapshot_chunks: usize,
     /// Entries the snapshot carried.
     pub snapshot_records: usize,
-    /// Entries replayed from the peer's WAL tail after the cut.
-    pub tail_records: usize,
+    /// Values the top-up pulled: written on the peer after the cut.
+    pub pulled: usize,
 }
 
 /// Bring up a sharded store plane: `groups × replication` durable
@@ -267,9 +267,11 @@ impl ShardedStoreCluster {
     /// shipping**: start from an empty disk (the dead one may be torn
     /// mid-record), stream a consistent snapshot cut from a live group
     /// peer in chunked frames, install it through the corrupt-refusing
-    /// decode path, catch up record-by-record from the peer's WAL tail,
-    /// then respawn the daemon.  Cost is proportional to the *keyspace*,
-    /// not the write history the old anti-entropy replay paid.
+    /// decode path, top up with one hash-tree round against that peer (what
+    /// it applied after the cut), then respawn the daemon.  Cost is
+    /// proportional to the *keyspace*, not the write history the old
+    /// anti-entropy replay paid.  Writes that land after the top-up are
+    /// anti-entropy's, as they are for every replica.
     pub fn rebuild_replica(
         &mut self,
         net: &SimNet,
@@ -318,9 +320,9 @@ impl ShardedStoreCluster {
 
 /// Stream `peer`'s state into `disk`: chunked snapshot fetch, validated
 /// decode (corrupt bytes refuse the whole ship — the caller tries the
-/// next peer), one-slot install, then WAL-tail catch-up by sequence
-/// number.  A tail **gap** (the cut fell off the peer's ring) restarts
-/// the ship once from a fresh cut before giving up on this peer.
+/// next peer), one-slot install, then the [`replica::top_up`] against the
+/// same peer over the same link for what it applied after the cut — a
+/// top-up that fails or leaves a newer key behind refuses the ship too.
 fn ship_snapshot(
     net: &SimNet,
     from_host: &HostId,
@@ -328,121 +330,46 @@ fn ship_snapshot(
     peer: &Addr,
     disk: &DiskImage,
 ) -> Result<RebuildReport, ClientError> {
-    let malformed = |what: &str| ClientError::Service {
+    let failed = |msg: &str| ClientError::Service {
         code: ErrorCode::Internal,
-        msg: format!("malformed {what} reply from snapshot peer"),
+        msg: msg.to_string(),
     };
     let mut client = ServiceClient::connect(net, from_host, peer.clone(), identity)?;
-    for _attempt in 0..2 {
-        // Snapshot phase: offset 0 cuts (and caches) a consistent image on
-        // the peer; further offsets stream the immutable bytes.
-        let mut bytes: Vec<u8> = Vec::new();
-        let mut chunks = 0usize;
-        let mut cut_seq;
-        loop {
-            let fetch = CmdLine::new("psSnapFetch").arg("offset", bytes.len() as i64);
-            let reply = client.call(&fetch)?;
-            let total = reply.get_int("total").unwrap_or(0).max(0) as usize;
-            cut_seq = reply.get_int("seq").unwrap_or(0).max(0) as u64;
-            let chunk = reply
-                .get_blob("data")
-                .ok_or_else(|| malformed("psSnapFetch"))?;
-            chunks += 1;
-            bytes.extend_from_slice(&chunk);
-            if bytes.len() >= total {
-                break;
-            }
-            if chunk.is_empty() {
-                return Err(malformed("psSnapFetch (stalled stream)"));
-            }
+    // Offset 0 cuts (and caches) a consistent image on the peer; further
+    // offsets stream the immutable bytes.
+    let mut bytes: Vec<u8> = Vec::new();
+    let mut chunks = 0usize;
+    loop {
+        let fetch = CmdLine::new("psSnapFetch").arg("offset", bytes.len() as i64);
+        let reply = client.call(&fetch)?;
+        let total = reply.get_int("total").unwrap_or(0).max(0) as usize;
+        let chunk = reply
+            .get_blob("data")
+            .ok_or_else(|| failed("malformed psSnapFetch reply from snapshot peer"))?;
+        chunks += 1;
+        bytes.extend_from_slice(&chunk);
+        if bytes.len() >= total {
+            break;
         }
-        let decoded =
-            crate::wal::decode_snapshot(&bytes).map_err(|detail| ClientError::Service {
-                code: ErrorCode::Internal,
-                msg: format!("shipped snapshot failed validation: {detail}"),
-            })?;
-        let entries = match decoded {
-            Some((seq, entries)) => {
-                cut_seq = seq;
-                entries
-            }
-            None => Vec::new(),
-        };
-        let snapshot_records = entries.len();
-        let snapshot_bytes = bytes.len();
-        disk.install_snapshot(entries)
-            .map_err(|e| ClientError::Service {
-                code: ErrorCode::Internal,
-                msg: format!("snapshot install failed locally: {e}"),
-            })?;
-        // Tail phase: replay everything the peer applied after the cut.
-        let mut since = cut_seq;
-        let mut tail_records = 0usize;
-        let caught_up = loop {
-            let tail = CmdLine::new("psWalTail")
-                .arg("since", since as i64)
-                .arg("max", 1024i64);
-            let reply = client.call(&tail)?;
-            if reply.get_bool("gap").unwrap_or(false) {
-                // The cut aged off the peer's ring mid-ship: re-cut once.
-                break false;
-            }
-            let rows = tail_rows(&reply).ok_or_else(|| malformed("psWalTail"))?;
-            if rows.is_empty() {
-                break true;
-            }
-            since = rows.iter().map(|(seq, _, _)| *seq).max().unwrap_or(since) + 1;
-            let batch: Vec<(StoreKey, Versioned)> = rows
-                .into_iter()
-                .map(|(_, key, value)| (key, value))
-                .collect();
-            tail_records += batch.len();
-            disk.apply_batch(batch).map_err(|e| ClientError::Service {
-                code: ErrorCode::Internal,
-                msg: format!("tail replay failed locally: {e}"),
-            })?;
-        };
-        if caught_up {
-            return Ok(RebuildReport {
-                peer: peer.clone(),
-                snapshot_bytes,
-                snapshot_chunks: chunks,
-                snapshot_records,
-                tail_records,
-            });
+        if chunk.is_empty() {
+            return Err(failed("stalled psSnapFetch stream from snapshot peer"));
         }
     }
-    Err(ClientError::Service {
-        code: ErrorCode::Internal,
-        msg: "snapshot cut kept falling off the peer's WAL tail".into(),
+    let entries = crate::wal::decode_snapshot(&bytes)
+        .map_err(|detail| failed(&format!("shipped snapshot failed validation: {detail}")))?
+        .map(|(_, entries)| entries)
+        .unwrap_or_default();
+    let snapshot_records = entries.len();
+    disk.install_snapshot(entries)
+        .map_err(|e| failed(&format!("snapshot install failed locally: {e}")))?;
+    let pulled = replica::top_up(|cmd| client.call(cmd), disk)?;
+    Ok(RebuildReport {
+        peer: peer.clone(),
+        snapshot_bytes: bytes.len(),
+        snapshot_chunks: chunks,
+        snapshot_records,
+        pulled,
     })
-}
-
-/// Decode `psWalTail` rows: `(seq, key, value)`.
-#[allow(clippy::type_complexity)]
-fn tail_rows(reply: &CmdLine) -> Option<Vec<(u64, StoreKey, Versioned)>> {
-    let rows = match reply.get("entries") {
-        None => return Some(Vec::new()),
-        Some(v) if v.as_vector().is_some_and(|s| s.is_empty()) => return Some(Vec::new()),
-        Some(v) => v.as_array()?,
-    };
-    let data = reply.get_blob("data")?;
-    ace_core::protocol::unpack_values(rows, &data, 6)?
-        .into_iter()
-        .map(|(row, value)| {
-            let cell = |i: usize| row[i].as_text();
-            Some((
-                cell(0)?.parse().ok()?,
-                (cell(1)?.to_string(), cell(2)?.to_string()),
-                Versioned {
-                    data: value.to_vec(),
-                    version: cell(3)?.parse().ok()?,
-                    writer: cell(4)?.to_string(),
-                    deleted: cell(5)? == "1",
-                },
-            ))
-        })
-        .collect()
 }
 
 /// Spawn replica `index` of the unsharded cluster on `host` over `disk`:

@@ -22,50 +22,23 @@
 //! of the differing buckets only (`psDigest buckets={…}`) and pulls what is
 //! newer, key by key, as it always did.  Nothing survives a round: no
 //! per-peer cursor to invalidate when a replica is rebuilt, reopened or has
-//! a snapshot installed under it.  DESIGN.md § "Anti-entropy by hash tree"
-//! has the argument.
+//! a snapshot installed under it — and a rebuild tops up its shipped
+//! snapshot with this same round, once, against the shipper.  DESIGN.md
+//! § "Anti-entropy by hash tree" has the argument.
 
 use crate::client::StoreError;
 use crate::placement::StorePlacement;
 use crate::version::{StoreKey, Versioned};
 use crate::wal::{RecoveryReport, StorageHandle, Wal, WalConfig, WalStats};
 use ace_core::prelude::*;
-use ace_core::protocol::{pack_values, unpack_values};
+use ace_core::protocol::unpack_values;
 use ace_lang::ScalarType;
 use ace_security::hash::Fnv64Stream;
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How many recently applied writes a replica remembers for WAL-tail
-/// catch-up.  A rebuilding peer whose snapshot cut falls off this window
-/// re-fetches the snapshot instead (the shipper reports a gap).
-const TAIL_CAP: usize = 4096;
-
-/// Sequence-numbered ring of recently applied writes, feeding `psWalTail`.
-/// It holds the map's own `Arc` of each value, not a copy: a value the map
-/// still holds costs the ring a pointer, and one the map has since replaced
-/// lives on only until the ring lets it go.
-#[derive(Debug, Default)]
-struct TailRing {
-    /// Sequence number the next applied write will get.
-    next_seq: u64,
-    /// `(seq, key, value)` for the last [`TAIL_CAP`] applied writes.
-    ring: VecDeque<(u64, StoreKey, Arc<Versioned>)>,
-}
-
-impl TailRing {
-    fn push(&mut self, key: StoreKey, value: Arc<Versioned>) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if self.ring.len() == TAIL_CAP {
-            self.ring.pop_front();
-        }
-        self.ring.push_back((seq, key, value));
-    }
-}
 
 /// Buckets in the anti-entropy hash tree.  A constant, not an option: every
 /// replica of a group must cut the keyspace the same way, and 64 keeps the
@@ -137,11 +110,10 @@ fn parse_hash_word(word: &str) -> Option<u64> {
 }
 
 /// What an image holds and the hash tree summarising it, behind one lock so
-/// nobody reads one without the other.  Each value is held once, behind an
-/// `Arc` the tail ring shares.
+/// nobody reads one without the other.  Each value is held once, here.
 #[derive(Debug)]
 struct Held {
-    map: HashMap<StoreKey, Arc<Versioned>>,
+    map: HashMap<StoreKey, Versioned>,
     tree: SyncTree,
 }
 
@@ -152,24 +124,31 @@ impl Held {
             map.iter()
                 .map(|((ns, key), v)| (ns.as_str(), key.as_str(), v.version, v.writer.as_str())),
         );
-        let map = map.into_iter().map(|(k, v)| (k, Arc::new(v))).collect();
         Held { map, tree }
     }
 
     /// The one place a key's content changes: store `value` if it beats
     /// what is held, XORing the old digest row out of the tree and the new
-    /// one in.  The value held, if it won — the one `Arc` anyone else keeps.
-    fn publish(&mut self, key: StoreKey, value: Versioned) -> Option<Arc<Versioned>> {
+    /// one in.  Whether it won.
+    fn publish(&mut self, key: StoreKey, value: Versioned) -> bool {
         let hashed = key_hash(&key.0, &key.1);
         let old = match self.map.get(&key) {
-            Some(existing) if !value.beats(existing) => return None,
+            Some(existing) if !value.beats(existing) => return false,
             Some(existing) => row_hash(hashed, existing.version, &existing.writer),
             None => 0,
         };
         self.tree[bucket_of(hashed)] ^= old ^ row_hash(hashed, value.version, &value.writer);
-        let value = Arc::new(value);
-        self.map.insert(key, Arc::clone(&value));
-        Some(value)
+        self.map.insert(key, value);
+        true
+    }
+
+    /// [`Held::publish`] each entry; how many won.
+    fn publish_all(&mut self, entries: Vec<(StoreKey, Versioned)>) -> usize {
+        entries
+            .into_iter()
+            .map(|(key, value)| self.publish(key, value))
+            .filter(|&won| won)
+            .count()
     }
 }
 
@@ -199,11 +178,6 @@ pub struct DiskImage {
     /// Compaction snapshots the map and truncates the log, so it must
     /// not run while this is non-zero (see [`Wal::maybe_compact_when`]).
     in_flight: Arc<AtomicU64>,
-    /// Recently applied writes by sequence number (snapshot shipping's
-    /// catch-up source).  Lock order: `held` before `tail` — never the
-    /// reverse — so snapshot cuts see a (state, seq) pair no applied
-    /// write can slip between.
-    tail: Arc<Mutex<TailRing>>,
 }
 
 impl DiskImage {
@@ -226,7 +200,6 @@ impl DiskImage {
                 held: Arc::new(Mutex::new(Held::recovered(map))),
                 wal: Some(Arc::new(wal)),
                 in_flight: Arc::new(AtomicU64::new(0)),
-                tail: Arc::new(Mutex::new(TailRing::default())),
             },
             report,
         ))
@@ -278,13 +251,7 @@ impl DiskImage {
             }
         }
         let mut held = self.held.lock();
-        let applied = match held.publish(key.clone(), value) {
-            Some(value) => {
-                self.tail.lock().push(key, value);
-                true
-            }
-            None => false,
-        };
+        let applied = held.publish(key, value);
         if let Some(wal) = &self.wal {
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
             wal.maybe_compact_when(&held.map, || self.in_flight.load(Ordering::SeqCst) == 0);
@@ -319,13 +286,7 @@ impl DiskImage {
             }
         }
         let mut held = self.held.lock();
-        let mut applied = 0;
-        for (key, value) in fresh {
-            if let Some(value) = held.publish(key.clone(), value) {
-                self.tail.lock().push(key, value);
-                applied += 1;
-            }
-        }
+        let applied = held.publish_all(fresh);
         if let Some(wal) = &self.wal {
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
             wal.maybe_compact_when(&held.map, || self.in_flight.load(Ordering::SeqCst) == 0);
@@ -381,7 +342,7 @@ impl DiskImage {
 
     /// Read a key (tombstones included).
     pub fn get(&self, key: &StoreKey) -> Option<Versioned> {
-        self.held.lock().map.get(key).map(|v| Versioned::clone(v))
+        self.held.lock().map.get(key).cloned()
     }
 
     /// Live (non-tombstone) keys in a namespace, sorted.
@@ -472,39 +433,10 @@ impl DiskImage {
         self.wal.as_ref().map(|w| w.stats())
     }
 
-    /// Cut a consistent shippable snapshot: the encoded full state plus
-    /// the tail sequence number the fetcher must catch up from.  The
-    /// snapshot's generation field carries that sequence cut, so the
-    /// fetcher reads it straight out of the validated bytes.
-    pub fn snapshot_cut(&self) -> (u64, Vec<u8>) {
-        let held = self.held.lock();
-        let seq = self.tail.lock().next_seq;
-        (seq, crate::wal::encode_snapshot(seq, &held.map))
-    }
-
-    /// Applied writes with sequence number `>= since`, capped at `max`,
-    /// plus the next sequence number this replica will assign.  `None`
-    /// means `since` has fallen off the tail ring — a **gap**: the fetcher
-    /// must re-ship a snapshot instead of catching up record by record.
-    #[allow(clippy::type_complexity)]
-    pub fn tail_since(
-        &self,
-        since: u64,
-        max: usize,
-    ) -> Option<(Vec<(u64, StoreKey, Versioned)>, u64)> {
-        let tail = self.tail.lock();
-        let oldest = tail.next_seq - tail.ring.len() as u64;
-        if since < oldest {
-            return None;
-        }
-        let entries = tail
-            .ring
-            .iter()
-            .filter(|(seq, _, _)| *seq >= since)
-            .take(max)
-            .map(|(seq, key, value)| (*seq, key.clone(), Versioned::clone(value)))
-            .collect();
-        Some((entries, tail.next_seq))
+    /// Cut a consistent shippable snapshot: the encoded full state, under
+    /// one hold of the map lock.
+    pub fn snapshot_cut(&self) -> Vec<u8> {
+        crate::wal::encode_snapshot(0, &self.held.lock().map)
     }
 
     /// Install a shipped snapshot: merge `entries` newest-wins, then (for
@@ -517,12 +449,7 @@ impl DiskImage {
         entries: Vec<(StoreKey, Versioned)>,
     ) -> Result<usize, StoreError> {
         let mut held = self.held.lock();
-        let mut applied = 0;
-        for (key, value) in entries {
-            if held.publish(key, value).is_some() {
-                applied += 1;
-            }
-        }
+        let applied = held.publish_all(entries);
         if let Some(wal) = &self.wal {
             wal.install_snapshot(&held.map)?;
         }
@@ -537,7 +464,8 @@ impl DiskImage {
     }
 }
 
-/// Counters shared between the daemon and its sync worker.
+/// Counters shared between the daemon and its sync worker (a rebuild's
+/// top-up keeps its own).
 #[derive(Debug, Default)]
 struct SyncStats {
     syncs: AtomicU64,
@@ -579,10 +507,11 @@ pub struct StoreReplica {
     peers: Option<Vec<Addr>>,
     /// Shard placement map served via `psPlacement` (sharded deployments).
     placement: Option<StorePlacement>,
-    /// Cached encoded snapshot for chunked `psSnapFetch`: `(seq, bytes)`.
-    /// Cut fresh on every offset-0 fetch; later offsets read the cache so
-    /// one rebuild streams one consistent snapshot.
-    snap_cache: Option<(u64, Arc<Vec<u8>>)>,
+    /// Cached encoded snapshot for chunked `psSnapFetch`.  Cut fresh on
+    /// every offset-0 fetch; later offsets read the cache so one rebuild
+    /// streams one consistent snapshot, and serving the final chunk lets it
+    /// go.
+    snap_cache: Option<Vec<u8>>,
     /// The shard read lease, if any client granted one.
     lease: Option<ReadLease>,
     /// `psGetLeased` requests served as the holder.
@@ -625,16 +554,9 @@ impl StoreReplica {
     }
 }
 
-/// One anti-entropy round from the worker thread: pull newer versions
-/// from every peer replica — either the fixed shard-group list, or every
+/// One anti-entropy round from the worker thread: a [`tree_round`] against
+/// every peer replica — either the fixed shard-group list, or every
 /// `PersistentStore` found in the ASD.  Sends over the daemon's pool.
-///
-/// Per peer the round costs what has diverged, not what is stored: it
-/// sends the root of its own hash tree, and a peer holding the same rows
-/// answers `same=true` and is done.  Otherwise the peer's 64 bucket hashes
-/// come back, and only the rows of the buckets that differ from the local
-/// tree — read afresh, nothing is kept between rounds — are fetched and
-/// run through the newer-wins pull.
 fn sync_round(
     pool: &Arc<LinkPool>,
     asd: Option<&Addr>,
@@ -670,63 +592,107 @@ fn sync_round(
         }
     };
     for peer_addr in peer_addrs {
-        let ask = CmdLine::new("psDigest").arg("root", hash_word(disk.checksum()));
-        let Some(reply) = call(&peer_addr, &ask) else {
-            continue; // peer down: catch up later
-        };
-        if reply.get_bool("same") == Some(true) {
-            stats.sync_equal.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        let Some(remote) = tree_from_reply(&reply) else {
-            continue;
-        };
-        let differing = disk.differing_buckets(&remote);
-        if differing.is_empty() {
-            continue; // caught up between the two reads
-        }
-        stats
-            .sync_buckets
-            .fetch_add(differing.len() as u64, Ordering::Relaxed);
-        let buckets = differing.iter().map(|&b| Scalar::Int(b as i64)).collect();
-        let ask = CmdLine::new("psDigest").arg("buckets", Value::Vector(buckets));
-        let Some(rows) = call(&peer_addr, &ask).and_then(|r| digest_from_reply(&r)) else {
-            continue;
-        };
-        stats
-            .sync_rows
-            .fetch_add(rows.len() as u64, Ordering::Relaxed);
-        for (ns, key, version, writer) in rows {
-            let key_pair = (ns.clone(), key.clone());
-            let newer_remote = match disk.get(&key_pair) {
-                None => true,
-                Some(local) => (version, writer.as_str()) > (local.version, local.writer.as_str()),
-            };
-            if !newer_remote {
-                continue;
-            }
-            let Some(got) = call(
-                &peer_addr,
-                &CmdLine::new("psGet")
-                    .arg("ns", ns.as_str())
-                    .arg("key", Value::Str(key.clone())),
-            ) else {
-                continue;
-            };
-            if let Some(value) = versioned_from_reply(&got) {
-                match disk.apply(key_pair, value) {
-                    Ok(true) => {
-                        stats.pulled.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(false) => {}
-                    Err(_) => {
-                        stats.pull_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
+        // A peer that is down or answers nonsense is caught up with later.
+        let _ = tree_round(|cmd| call(&peer_addr, cmd), disk, stats);
     }
     stats.syncs.fetch_add(1, Ordering::Relaxed);
+}
+
+/// One hash-tree round against one peer, sending over `call`.  It costs
+/// what has diverged, not what is stored: it sends the root of its own
+/// tree, and a peer holding the same rows answers `same=true` and is done.
+/// Otherwise the peer's 64 bucket hashes come back, and only the rows of
+/// the buckets that differ from the local tree — read afresh, nothing is
+/// kept between rounds — are fetched and run through the newer-wins pull.
+///
+/// `None` if the peer could not be asked, or answered what is not a tree or
+/// a digest.  Otherwise the number of newer keys it left behind: the peer
+/// failed to serve them or the local disk refused them, and a later round
+/// retries them.  The sync worker runs this against each peer, a rebuild
+/// once against the peer that shipped its snapshot ([`top_up`]).
+fn tree_round(
+    mut call: impl FnMut(&CmdLine) -> Option<CmdLine>,
+    disk: &DiskImage,
+    stats: &SyncStats,
+) -> Option<usize> {
+    let reply = call(&CmdLine::new("psDigest").arg("root", hash_word(disk.checksum())))?;
+    if reply.get_bool("same") == Some(true) {
+        stats.sync_equal.fetch_add(1, Ordering::Relaxed);
+        return Some(0);
+    }
+    let differing = disk.differing_buckets(&tree_from_reply(&reply)?);
+    if differing.is_empty() {
+        return Some(0); // caught up between the two reads
+    }
+    stats
+        .sync_buckets
+        .fetch_add(differing.len() as u64, Ordering::Relaxed);
+    let buckets = differing.iter().map(|&b| Scalar::Int(b as i64)).collect();
+    let ask = CmdLine::new("psDigest").arg("buckets", Value::Vector(buckets));
+    let rows = digest_from_reply(&call(&ask)?)?;
+    stats
+        .sync_rows
+        .fetch_add(rows.len() as u64, Ordering::Relaxed);
+    let mut missed = 0;
+    for (ns, key, version, writer) in rows {
+        let key_pair = (ns.clone(), key.clone());
+        let newer_remote = match disk.get(&key_pair) {
+            None => true,
+            Some(local) => (version, writer.as_str()) > (local.version, local.writer.as_str()),
+        };
+        if !newer_remote {
+            continue;
+        }
+        let get = CmdLine::new("psGet")
+            .arg("ns", ns.as_str())
+            .arg("key", Value::Str(key));
+        match call(&get)
+            .and_then(|got| versioned_from_reply(&got))
+            .map(|value| disk.apply(key_pair, value))
+        {
+            Some(Ok(true)) => {
+                stats.pulled.fetch_add(1, Ordering::Relaxed);
+            }
+            Some(Ok(false)) => {}
+            Some(Err(_)) => {
+                stats.pull_errors.fetch_add(1, Ordering::Relaxed);
+                missed += 1;
+            }
+            None => missed += 1,
+        }
+    }
+    Some(missed)
+}
+
+/// A rebuild's top-up: one [`tree_round`] against the peer that shipped the
+/// snapshot, over a client that pairs a reply with its call by order alone.
+/// So the first failed call ends the round — after a timeout, the late
+/// reply would be read as the answer to the next key's `psGet` and stored
+/// under that key.  `Ok` with the values pulled only when every key the
+/// peer held newer at its root is now on `disk`; otherwise the caller
+/// tries another peer.
+pub(crate) fn top_up(
+    mut call: impl FnMut(&CmdLine) -> Result<CmdLine, ClientError>,
+    disk: &DiskImage,
+) -> Result<usize, ClientError> {
+    let mut failed = None;
+    let stats = SyncStats::default();
+    let round = tree_round(
+        |cmd| match failed {
+            Some(_) => None,
+            None => call(cmd).map_err(|err| failed = Some(err)).ok(),
+        },
+        disk,
+        &stats,
+    );
+    match (failed, round) {
+        (Some(err), _) => Err(err),
+        (None, Some(0)) => Ok(stats.pulled.into_inner() as usize),
+        (None, _) => Err(ClientError::Service {
+            code: ErrorCode::Internal,
+            msg: "snapshot peer's top-up left newer keys behind".into(),
+        }),
+    }
 }
 
 /// The 64 bucket hashes of a `psDigest root=…` reply that said
@@ -1151,10 +1117,9 @@ impl ServiceBehavior for StoreReplica {
                     // Offset 0 cuts a fresh consistent snapshot and caches
                     // it, so one rebuild streams one immutable byte image
                     // while writes keep landing.
-                    let (seq, bytes) = self.disk.snapshot_cut();
-                    self.snap_cache = Some((seq, Arc::new(bytes)));
+                    self.snap_cache = Some(self.disk.snapshot_cut());
                 }
-                let Some((seq, bytes)) = self.snap_cache.clone() else {
+                let Some(bytes) = &self.snap_cache else {
                     return Reply::err(
                         ErrorCode::BadState,
                         "no snapshot cut; fetch offset 0 first",
@@ -1165,48 +1130,17 @@ impl ServiceBehavior for StoreReplica {
                     return Reply::err(ErrorCode::Semantics, "offset past end of snapshot");
                 }
                 let end = (offset + chunk).min(bytes.len());
-                let total = bytes.len() as i64;
-                Reply::ok_with(|c| {
-                    c.arg("total", total)
-                        .arg("seq", seq as i64)
+                let last = end == bytes.len();
+                let reply = Reply::ok_with(|c| {
+                    c.arg("total", bytes.len() as i64)
                         .arg("offset", offset as i64)
                         .arg("data", &bytes[offset..end])
-                })
-            }
-            "psWalTail" => {
-                let Some(since) = cmd.get_int("since").filter(|&s| s >= 0) else {
-                    return Reply::err(ErrorCode::Semantics, "malformed tail sequence");
-                };
-                let max = cmd.get_int("max").filter(|&m| m > 0).unwrap_or(512) as usize;
-                match self.disk.tail_since(since as u64, max.min(4096)) {
-                    None => Reply::ok_with(|c| {
-                        // The cut fell off the tail ring: report the gap so
-                        // the fetcher re-ships a snapshot instead of
-                        // silently missing writes.
-                        c.arg("gap", true).arg("latest", 0i64).arg("count", 0i64)
-                    }),
-                    Some((entries, latest)) => {
-                        let (rows, data) =
-                            pack_values(entries.iter().map(|(seq, (ns, key), v)| {
-                                let row = vec![
-                                    Scalar::Str(seq.to_string()),
-                                    Scalar::Str(ns.clone()),
-                                    Scalar::Str(key.clone()),
-                                    Scalar::Str(v.version.to_string()),
-                                    Scalar::Str(v.writer.clone()),
-                                    Scalar::Str(if v.deleted { "1" } else { "0" }.into()),
-                                ];
-                                (row, v.data.as_slice())
-                            }));
-                        Reply::ok_with(|c| {
-                            c.arg("gap", false)
-                                .arg("latest", latest as i64)
-                                .arg("count", rows.len() as i64)
-                                .arg("entries", Value::Array(rows))
-                                .arg("data", data)
-                        })
-                    }
+                });
+                if last {
+                    // The final chunk is served: the cut has no reader left.
+                    self.snap_cache = None;
                 }
+                reply
             }
             "psPlacement" => match &self.placement {
                 Some(placement) => placement.to_reply(),
@@ -1383,43 +1317,6 @@ mod tests {
         assert_eq!(disk.get(&key).unwrap().data, b"two");
     }
 
-    /// Invariant: a replica holds each applied value once.  After `apply`
-    /// and `apply_batch` the map's entry and the tail ring's entry are the
-    /// same allocation, and a read or a tail fetch still hands out an owned
-    /// copy equal to what was written.
-    #[test]
-    fn the_map_and_the_tail_ring_share_one_value() {
-        let disk = DiskImage::new();
-        let value = |version: u64, data: &[u8]| Versioned {
-            data: data.to_vec(),
-            version,
-            writer: "w".into(),
-            deleted: false,
-        };
-        let key = |k: &str| ("ns".to_string(), k.to_string());
-        assert!(disk.apply(key("one"), value(1, &[1; 1024])).unwrap());
-        let batch = vec![
-            (key("two"), value(1, &[2; 512])),
-            (key("three"), value(1, b"3")),
-        ];
-        assert_eq!(disk.apply_batch(batch.clone()).unwrap(), 2);
-
-        let held = disk.held.lock();
-        let tail = disk.tail.lock();
-        assert_eq!(tail.ring.len(), 3);
-        for (_, key, in_ring) in &tail.ring {
-            assert!(
-                Arc::ptr_eq(&held.map[key], in_ring),
-                "{key:?}: the ring holds a copy of the map's value"
-            );
-        }
-        drop((held, tail));
-        assert_eq!(disk.get(&key("one")), Some(value(1, &[1; 1024])));
-        let (entries, next) = disk.tail_since(0, 10).unwrap();
-        assert_eq!(next, 3);
-        assert_eq!(entries[1], (1, batch[0].0.clone(), batch[0].1.clone()));
-    }
-
     #[test]
     fn tombstones_hide_from_list_but_stay_in_digest() {
         let disk = DiskImage::new();
@@ -1482,6 +1379,84 @@ mod tests {
             None
         );
         assert_eq!(parse_hash_word(&hash_word(u64::MAX)), Some(u64::MAX));
+    }
+
+    /// A snapshot peer as a rebuild's `ServiceClient` sees it: replies come
+    /// back in the order the calls went out.  With `stall_first_get`, the
+    /// first `psGet` times out and its reply arrives late, as the next
+    /// frame the client reads.
+    struct OrderedPeer {
+        disk: DiskImage,
+        stall_first_get: bool,
+        in_flight: std::collections::VecDeque<CmdLine>,
+    }
+
+    impl OrderedPeer {
+        fn call(&mut self, cmd: &CmdLine) -> Result<CmdLine, ClientError> {
+            let reply = CmdLine::new("ok");
+            let reply = if cmd.get_text("root").is_some() {
+                let hashes = self.disk.tree().map(|h| Scalar::Word(hash_word(h)));
+                reply
+                    .arg("same", false)
+                    .arg("hashes", Value::Vector(hashes.to_vec()))
+            } else if cmd.get_vector("buckets").is_some() {
+                let rows = self
+                    .disk
+                    .digest_buckets(&(0..SYNC_BUCKETS).collect::<Vec<_>>());
+                reply.arg("entries", digest_to_value(rows))
+            } else {
+                let key = (cmd.get_text("ns").unwrap(), cmd.get_text("key").unwrap());
+                let v = self.disk.get(&(key.0.into(), key.1.into())).unwrap();
+                reply
+                    .arg("data", v.data)
+                    .arg("version", v.version as i64)
+                    .arg("writer", Value::Str(v.writer))
+                    .arg("deleted", v.deleted)
+            };
+            self.in_flight.push_back(reply);
+            if cmd.name() == "psGet" && std::mem::take(&mut self.stall_first_get) {
+                return Err(ace_net::NetError::Timeout.into());
+            }
+            Ok(self.in_flight.pop_front().unwrap())
+        }
+    }
+
+    #[test]
+    fn a_top_up_ends_at_its_first_failed_call() {
+        let peer = DiskImage::new();
+        for (key, version) in [("a", 1), ("b", 2), ("c", 3)] {
+            let value = Versioned {
+                data: format!("value of {key}").into_bytes(),
+                version,
+                writer: "w".into(),
+                deleted: false,
+            };
+            peer.apply(("ns".into(), key.into()), value).unwrap();
+        }
+        let mut link = OrderedPeer {
+            disk: peer.clone(),
+            stall_first_get: true,
+            in_flight: Default::default(),
+        };
+        let rebuilt = DiskImage::new();
+        assert!(top_up(|cmd| link.call(cmd), &rebuilt).is_err());
+        for (ns, key, _, _) in rebuilt.digest() {
+            let key = (ns, key);
+            assert_eq!(
+                rebuilt.get(&key),
+                peer.get(&key),
+                "{key:?} holds another key's value"
+            );
+        }
+
+        let mut link = OrderedPeer {
+            disk: peer.clone(),
+            stall_first_get: false,
+            in_flight: Default::default(),
+        };
+        let rebuilt = DiskImage::new();
+        assert_eq!(top_up(|cmd| link.call(cmd), &rebuilt).unwrap(), 3);
+        assert_eq!(rebuilt.checksum(), peer.checksum());
     }
 
     #[test]

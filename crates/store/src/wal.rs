@@ -39,7 +39,6 @@ use ace_net::fault::{StorageFault, StorageFaultHub};
 use ace_net::HostId;
 use ace_security::hash::crc32;
 use parking_lot::{Mutex, MutexGuard};
-use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::path::PathBuf;
@@ -554,14 +553,10 @@ pub fn replay_bytes(bytes: &[u8]) -> Result<Replay, StoreError> {
 
 const SNAP_MAGIC: &[u8; 8] = b"ACSNAP01";
 
-/// Encode a full-state snapshot body.  Shared by compaction (where
-/// `generation` is the slot generation) and snapshot shipping (where the
-/// same field carries the shipper's WAL-tail sequence cut, so the fetcher
-/// knows exactly where tail catch-up must start).
-pub(crate) fn encode_snapshot(
-    generation: u64,
-    map: &HashMap<StoreKey, impl Borrow<Versioned>>,
-) -> Vec<u8> {
+/// Encode a full-state snapshot body.  Shared by compaction, where
+/// `generation` is the slot generation, and snapshot shipping, where it
+/// means nothing: the shipper writes 0 and the fetcher ignores it.
+pub(crate) fn encode_snapshot(generation: u64, map: &HashMap<StoreKey, Versioned>) -> Vec<u8> {
     let mut body = Vec::new();
     body.extend_from_slice(SNAP_MAGIC);
     body.extend_from_slice(&generation.to_le_bytes());
@@ -570,7 +565,7 @@ pub(crate) fn encode_snapshot(
     let mut keys: Vec<&StoreKey> = map.keys().collect();
     keys.sort();
     for key in keys {
-        let payload = encode_payload(key, map[key].borrow());
+        let payload = encode_payload(key, &map[key]);
         body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         body.extend_from_slice(&crc32(&payload).to_le_bytes());
         body.extend_from_slice(&payload);
@@ -730,10 +725,7 @@ impl WalDisk {
     /// falls back to an older one, so between compactions exactly one slot
     /// holds bytes, and a crash between any two steps leaves a (slot, log)
     /// pair that recovers every acknowledged write.
-    fn commit_snapshot(
-        &mut self,
-        map: &HashMap<StoreKey, impl Borrow<Versioned>>,
-    ) -> Result<(), StoreError> {
+    fn commit_snapshot(&mut self, map: &HashMap<StoreKey, Versioned>) -> Result<(), StoreError> {
         let (old, target) = (self.active_slot, 1 - self.active_slot);
         let snapshot = encode_snapshot(self.generation + 1, map);
         self.snaps[target].replace(snapshot)?;
@@ -1077,7 +1069,7 @@ impl Wal {
 
     /// Snapshot + truncate when the log has outgrown the threshold; see
     /// [`Wal::maybe_compact_when`].
-    pub fn maybe_compact(&self, map: &HashMap<StoreKey, impl Borrow<Versioned>>) -> bool {
+    pub fn maybe_compact(&self, map: &HashMap<StoreKey, Versioned>) -> bool {
         self.maybe_compact_when(map, || true)
     }
 
@@ -1094,7 +1086,7 @@ impl Wal {
     /// certificate is checked or the snapshot commits.
     pub fn maybe_compact_when(
         &self,
-        map: &HashMap<StoreKey, impl Borrow<Versioned>>,
+        map: &HashMap<StoreKey, Versioned>,
         quiesced: impl FnOnce() -> bool,
     ) -> bool {
         let mut d = self.disk.lock();
@@ -1117,10 +1109,7 @@ impl Wal {
     /// compaction but without the threshold gate.  Used when a rebuilding
     /// replica installs a shipped snapshot: one slot write instead of
     /// re-appending the whole keyspace record by record.
-    pub fn install_snapshot(
-        &self,
-        map: &HashMap<StoreKey, impl Borrow<Versioned>>,
-    ) -> Result<(), StoreError> {
+    pub fn install_snapshot(&self, map: &HashMap<StoreKey, Versioned>) -> Result<(), StoreError> {
         let mut d = self.disk.lock();
         if d.broken {
             return Err(StoreError::Io(

@@ -3,7 +3,7 @@
 //!
 //! 1. **Zero lost acked writes** — every `put` that returned `Ok` is
 //!    readable after the fault plan resolves, including through the
-//!    snapshot-ship + WAL-tail rebuild of the victim replica.
+//!    snapshot-ship + tree top-up rebuild of the victim replica.
 //! 2. **Monotone incarnations** — the rebuilt replica comes back with a
 //!    strictly higher incarnation than the one that died.
 //! 3. **Shard-local blast radius** — groups that do not contain the
@@ -180,7 +180,7 @@ fn run_shard_chaos(seed: u64) {
     );
     assert!(reads_ok.load(Ordering::Relaxed) > 0, "read storm never ran");
 
-    // Rebuild the victim via snapshot shipping + WAL tail.
+    // Rebuild the victim via snapshot shipping + one tree round.
     let report = cluster
         .rebuild_replica(&net, victim_group, victim_replica)
         .unwrap();
@@ -208,7 +208,7 @@ fn run_shard_chaos(seed: u64) {
             "seed {seed}: acked write {key} lost after the fault plan"
         );
     }
-    // ...and on the rebuilt disk itself, once tail + anti-entropy settle:
+    // ...and on the rebuilt disk itself, once top-up + anti-entropy settle:
     // every acked key the victim's group owns must land there.
     let rebuilt = cluster.groups[victim_group][victim_replica].1.clone();
     let victim_keys: Vec<&String> = acked
@@ -232,11 +232,11 @@ fn run_shard_chaos(seed: u64) {
     eprintln!(
         "shard_chaos seed {seed:#x}: victim s{victim_group}r{victim_replica} ({victim_host}), \
          {total_acked} acked writes ({} on victim group), {} clean refusals, \
-         snapshot {} records + tail {} via {}",
+         snapshot {} records + {} pulled via {}",
         victim_keys.len(),
         victim_group_failures.load(Ordering::Relaxed),
         report.snapshot_records,
-        report.tail_records,
+        report.pulled,
         report.peer,
     );
 

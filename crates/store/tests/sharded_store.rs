@@ -8,6 +8,7 @@ use ace_store::{
     spawn_sharded_store, DiskImage, ShardedStoreClient, ShardedStoreCluster, StorePlacement,
     StoreReplica, Versioned, WalConfig, SYNC_BUCKETS,
 };
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -304,7 +305,7 @@ fn snapshot_ship_rebuild_restores_a_dead_replica() {
     );
 
     // The rebuilt disk holds every group-0 key, including writes it
-    // missed (snapshot + WAL tail + anti-entropy top-up).
+    // missed (snapshot + the top-up's tree round + anti-entropy).
     let rebuilt = w.cluster.groups[0][0].1.clone();
     let owned: Vec<String> = (0..50)
         .map(|i| format!("pre{i}"))
@@ -336,15 +337,15 @@ fn snapshot_ship_rebuild_restores_a_dead_replica() {
 }
 
 #[test]
-fn rebuild_catches_up_from_wal_tail_under_load() {
+fn rebuild_catches_up_under_load() {
     let mut w = world(1, 3);
     let mut c = client(&w);
     for i in 0..20 {
         c.put("app", &format!("seed{i}"), b"s").unwrap();
     }
     w.cluster.groups[0][2].0.crash();
-    // Writes that land *after* the rebuild's snapshot cut arrive via the
-    // WAL tail: race a writer thread against the rebuild.
+    // Writes that land *after* the rebuild's snapshot cut arrive through
+    // the top-up or anti-entropy: race a writer thread against the rebuild.
     let report = std::thread::scope(|scope| {
         let net = w.net.clone();
         let placement = w.cluster.placement.clone();
@@ -374,6 +375,116 @@ fn rebuild_catches_up_from_wal_tail_under_load() {
             rebuilt.len()
         );
         std::thread::sleep(Duration::from_millis(50));
+    }
+    w.cluster.shutdown();
+}
+
+/// With anti-entropy parked, the only `psDigest` a live replica serves is a
+/// rebuild's top-up round.  Every write acked while the replica that
+/// shipped the snapshot had served none is on the rebuilt disk when
+/// `rebuild_replica` returns: the top-up pulled what landed after the cut.
+/// Fails if the rebuild installs the snapshot alone.
+#[test]
+fn a_rebuild_holds_every_write_its_shipper_acked_before_the_top_up() {
+    let mut w = world_syncing(1, 3, QUIET);
+    // A keyspace big enough that the snapshot streams in several chunks,
+    // written straight to the disks so no replica serves a command.
+    let preload: Vec<_> = (0..2000)
+        .map(|i| {
+            let value = Versioned {
+                data: vec![i as u8; 64],
+                version: 1,
+                writer: "preload".into(),
+                deleted: false,
+            };
+            (("app".to_string(), format!("held{i:04}")), value)
+        })
+        .collect();
+    for (_, disk) in &w.cluster.groups[0] {
+        disk.apply_batch(preload.clone()).unwrap();
+    }
+    w.cluster.groups[0][2].0.crash();
+    let digests: Vec<_> = w.cluster.groups[0][..2]
+        .iter()
+        .map(|(handle, _)| handle.metrics().histogram("cmd.psDigest"))
+        .collect();
+    let (done, progress) = (AtomicBool::new(false), AtomicUsize::new(0));
+    let (report, acked) = std::thread::scope(|scope| {
+        let (net, placement) = (w.net.clone(), w.cluster.placement.clone());
+        let (digests, done, progress) = (&digests, &done, &progress);
+        let writer = scope.spawn(move || {
+            let identity = keypair();
+            let pool = Arc::new(LinkPool::new(&net, "core", identity));
+            let mut wc = ShardedStoreClient::new(net.clone(), "core", identity, pool, placement);
+            let mut acked = Vec::new();
+            while !done.load(Ordering::SeqCst) {
+                let key = format!("live{}", acked.len());
+                wc.put("app", &key, b"l").unwrap();
+                // Read after the ack: what the live replicas had served then.
+                let served: Vec<u64> = digests.iter().map(|h| h.count()).collect();
+                acked.push((key, served));
+                progress.fetch_add(1, Ordering::SeqCst);
+            }
+            acked
+        });
+        // Writes are flowing when the snapshot is cut.
+        while progress.load(Ordering::SeqCst) < 5 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let report = w.cluster.rebuild_replica(&w.net, 0, 2).unwrap();
+        done.store(true, Ordering::SeqCst);
+        (report, writer.join().unwrap())
+    });
+    let shipper = w.cluster.placement.replicas(0)[..2]
+        .iter()
+        .position(|addr| *addr == report.peer)
+        .expect("a live peer shipped");
+    let rebuilt = w.cluster.groups[0][2].1.clone();
+    let before_top_up: Vec<&String> = acked
+        .iter()
+        .filter(|(_, served)| served[shipper] == 0)
+        .map(|(key, _)| key)
+        .collect();
+    assert!(!before_top_up.is_empty(), "{report:?}");
+    let missing: Vec<&&String> = before_top_up
+        .iter()
+        .filter(|key| rebuilt.get(&("app".to_string(), (**key).clone())).is_none())
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "rebuilt disk lacks {} of {} writes acked before the top-up, first {:?} ({report:?})",
+        missing.len(),
+        before_top_up.len(),
+        missing.first()
+    );
+    w.cluster.shutdown();
+}
+
+/// The shipper lets its snapshot cut go once the last chunk is served: a
+/// fetch past offset 0 after the rebuild finds nothing to read.
+#[test]
+fn a_shipper_keeps_no_snapshot_after_the_last_chunk() {
+    let mut w = world_syncing(1, 3, QUIET);
+    let mut c = client(&w);
+    for i in 0..20 {
+        c.put("app", &format!("k{i}"), &[i as u8; 512]).unwrap();
+    }
+    w.cluster.groups[0][1].0.crash();
+    let report = w.cluster.rebuild_replica(&w.net, 0, 1).unwrap();
+    assert!(report.snapshot_bytes > 1, "{report:?}");
+    let mut to_shipper =
+        ServiceClient::connect(&w.net, &"core".into(), report.peer.clone(), &keypair()).unwrap();
+    for offset in [
+        1,
+        report.snapshot_bytes as i64 / 2,
+        report.snapshot_bytes as i64,
+    ] {
+        let fetch = CmdLine::new("psSnapFetch").arg("offset", offset);
+        assert_eq!(
+            to_shipper.call(&fetch).unwrap_err().code(),
+            Some(ErrorCode::BadState),
+            "offset {offset}"
+        );
     }
     w.cluster.shutdown();
 }

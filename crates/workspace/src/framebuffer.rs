@@ -8,7 +8,7 @@
 //! experiments need from VNC — dirty-region tracking, incremental updates,
 //! attach-time full transfers, and update throughput — without pixel data.
 
-use ace_security::hash::fnv64;
+use ace_security::hash::{fnv64, Fnv64Stream};
 
 /// Tile side in abstract pixels (VNC implementations commonly use 16×16).
 pub const TILE_PIXELS: u32 = 16;
@@ -23,15 +23,26 @@ pub struct Tile {
 }
 
 /// A tiled virtual framebuffer.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Framebuffer {
     width_px: u32,
     height_px: u32,
     cols: u32,
     rows: u32,
+    /// Row-major, `cols × rows` once anything is written; empty while the
+    /// framebuffer is blank (most workspaces are never drawn into), and a
+    /// missing tile reads as `Tile::default()`.
     tiles: Vec<Tile>,
     /// Global update counter.
     seq: u64,
+}
+
+/// Equal content, whether or not either side has allocated its grid.
+impl PartialEq for Framebuffer {
+    fn eq(&self, other: &Framebuffer) -> bool {
+        (self.width_px, self.height_px, self.seq) == (other.width_px, other.height_px, other.seq)
+            && (0..self.len()).all(|idx| self.tile(idx) == other.tile(idx))
+    }
 }
 
 /// One tile update, as shipped to viewers.
@@ -44,16 +55,15 @@ pub struct TileUpdate {
 }
 
 impl Framebuffer {
-    /// A blank framebuffer of the given pixel dimensions.
+    /// A blank framebuffer of the given pixel dimensions.  It holds no
+    /// tiles until the first write that changes one.
     pub fn new(width_px: u32, height_px: u32) -> Framebuffer {
-        let cols = width_px.div_ceil(TILE_PIXELS).max(1);
-        let rows = height_px.div_ceil(TILE_PIXELS).max(1);
         Framebuffer {
             width_px,
             height_px,
-            cols,
-            rows,
-            tiles: vec![Tile::default(); (cols * rows) as usize],
+            cols: width_px.div_ceil(TILE_PIXELS).max(1),
+            rows: height_px.div_ceil(TILE_PIXELS).max(1),
+            tiles: Vec::new(),
             seq: 0,
         }
     }
@@ -77,19 +87,38 @@ impl Framebuffer {
         (col < self.cols && row < self.rows).then(|| (row * self.cols + col) as usize)
     }
 
+    /// Tiles in the grid, allocated or not.
+    fn len(&self) -> usize {
+        (self.cols * self.rows) as usize
+    }
+
+    /// What the tile at `idx` reads: blank until written.
+    fn tile(&self, idx: usize) -> Tile {
+        self.tiles.get(idx).copied().unwrap_or_default()
+    }
+
+    /// Write the tile at `idx`, allocating the grid on the first write.
+    fn set(&mut self, idx: usize, tile: Tile) {
+        if self.tiles.is_empty() {
+            self.tiles = vec![Tile::default(); self.len()];
+        }
+        self.tiles[idx] = tile;
+    }
+
     /// Draw `data` into the tile at `(col, row)`.  Returns the update to
     /// broadcast, or `None` if out of bounds or a no-op (same content).
     pub fn draw(&mut self, col: u32, row: u32, data: &[u8]) -> Option<TileUpdate> {
         let idx = self.index(col, row)?;
         let hash = fnv64(data);
-        if self.tiles[idx].hash == hash {
+        if self.tile(idx).hash == hash {
             return None; // identical content: VNC sends nothing
         }
         self.seq += 1;
-        self.tiles[idx] = Tile {
+        let tile = Tile {
             hash,
             seq: self.seq,
         };
+        self.set(idx, tile);
         Some(TileUpdate {
             col,
             row,
@@ -128,50 +157,53 @@ impl Framebuffer {
     /// Apply an update received from the server side (viewer path).
     pub fn apply(&mut self, update: TileUpdate) {
         if let Some(idx) = self.index(update.col, update.row) {
-            // Out-of-order datagrams: keep the newest.
-            if update.seq >= self.tiles[idx].seq {
-                self.tiles[idx] = Tile {
-                    hash: update.hash,
-                    seq: update.seq,
-                };
+            let tile = Tile {
+                hash: update.hash,
+                seq: update.seq,
+            };
+            // Out-of-order datagrams: keep the newest.  An update equal to
+            // what the tile reads (a blank server's full frame) writes
+            // nothing.
+            let held = self.tile(idx);
+            if update.seq >= held.seq && tile != held {
+                self.set(idx, tile);
                 self.seq = self.seq.max(update.seq);
             }
         }
     }
 
+    /// Every tile as an update, row-major.
+    fn updates(&self) -> impl Iterator<Item = TileUpdate> + '_ {
+        (0..self.len()).map(|idx| {
+            let t = self.tile(idx);
+            TileUpdate {
+                col: idx as u32 % self.cols,
+                row: idx as u32 / self.cols,
+                hash: t.hash,
+                seq: t.seq,
+            }
+        })
+    }
+
     /// Every tile as an update (attach-time full transfer).
     pub fn full_frame(&self) -> Vec<TileUpdate> {
-        let mut out = Vec::with_capacity(self.tiles.len());
-        for row in 0..self.rows {
-            for col in 0..self.cols {
-                let t = self.tiles[(row * self.cols + col) as usize];
-                out.push(TileUpdate {
-                    col,
-                    row,
-                    hash: t.hash,
-                    seq: t.seq,
-                });
-            }
-        }
-        out
+        self.updates().collect()
     }
 
     /// Content checksum over all tile hashes — two framebuffers with equal
-    /// checksums show the same picture.
+    /// checksums show the same picture.  FNV-1a of the hashes' little-endian
+    /// bytes, streamed.
     pub fn checksum(&self) -> u64 {
-        let mut material = Vec::with_capacity(self.tiles.len() * 8);
-        for t in &self.tiles {
-            material.extend_from_slice(&t.hash.to_le_bytes());
+        let mut h = Fnv64Stream::unkeyed();
+        for idx in 0..self.len() {
+            h.update(&self.tile(idx).hash.to_le_bytes());
         }
-        fnv64(&material)
+        h.raw()
     }
 
     /// Tiles whose seq exceeds `after` (incremental update query).
     pub fn updates_since(&self, after: u64) -> Vec<TileUpdate> {
-        self.full_frame()
-            .into_iter()
-            .filter(|u| u.seq > after)
-            .collect()
+        self.updates().filter(|u| u.seq > after).collect()
     }
 }
 
@@ -222,6 +254,40 @@ mod tests {
         let b = Framebuffer::new(1024, 768);
         assert_eq!(a.checksum(), b.checksum());
         assert_eq!(a.grid(), (64, 48));
+    }
+
+    /// A blank workspace holds no grid however it is read, and the first
+    /// draw allocates all of it.
+    #[test]
+    fn a_blank_framebuffer_holds_no_tiles_until_drawn() {
+        let mut fb = Framebuffer::new(1024, 768);
+        assert_eq!(fb.full_frame().len(), 64 * 48);
+        fb.checksum();
+        assert!(fb.updates_since(0).is_empty());
+        assert_eq!(fb.tiles.len(), 0);
+        fb.draw(3, 2, b"window");
+        assert_eq!(fb.tiles.len(), 64 * 48);
+        assert_eq!(fb.updates_since(0).len(), 1);
+    }
+
+    /// A viewer that took a blank server's attach-time full frame holds no
+    /// grid either, and the two are equal.
+    #[test]
+    fn a_viewer_of_a_blank_server_holds_no_tiles() {
+        let server = Framebuffer::new(1024, 768);
+        let mut viewer = Framebuffer::new(1024, 768);
+        for u in server.full_frame() {
+            viewer.apply(u);
+        }
+        assert_eq!(viewer.tiles.len(), 0);
+        assert_eq!(viewer, server);
+        let mut drawn = server.clone();
+        drawn.draw(0, 0, b"x");
+        assert_ne!(viewer, drawn);
+        for u in drawn.full_frame() {
+            viewer.apply(u);
+        }
+        assert_eq!(viewer, drawn);
     }
 
     #[test]

@@ -191,6 +191,62 @@ fn vnc_draw_takes_hex_or_blob_data_alike() {
     w.teardown();
 }
 
+/// A blank session holds no tile grid, and `vncAttach` and `vncState` still
+/// answer it — and a drawn one — byte for byte as when every session
+/// allocated its grid at creation.  The strings were produced by that commit.
+#[test]
+fn attach_and_state_answer_blank_and_drawn_sessions_as_before() {
+    let mut w = world(&["vhost", "podium"]);
+    let me = keypair();
+    let vnc = Daemon::spawn(
+        &w.net,
+        w.fw.service_config("vnc_vhost", "Service.VNCHost", "machineroom", "vhost", 5500),
+        Box::new(VncHost::new()),
+    )
+    .unwrap();
+    let mut client =
+        ServiceClient::connect(&w.net, &"podium".into(), vnc.addr().clone(), &me).unwrap();
+    let mut replies = Vec::new();
+    for drawn in [false, true] {
+        let created = client
+            .call(
+                &CmdLine::new("vncCreate")
+                    .arg("user", "jdoe")
+                    .arg("password", Value::Str("pw".into())),
+            )
+            .unwrap();
+        let session = created.get_text("session").unwrap().to_string();
+        if drawn {
+            let draw = CmdLine::new("vncDraw")
+                .arg("session", session.as_str())
+                .arg("x", 10)
+                .arg("y", 20)
+                .arg("w", 100)
+                .arg("h", 50)
+                .arg("data", &b"presentation.ppt"[..]);
+            client.call(&draw).unwrap();
+        }
+        let attach = CmdLine::new("vncAttach")
+            .arg("session", session.as_str())
+            .arg("password", Value::Str("pw".into()))
+            .arg("host", "podium")
+            .arg("port", 6000);
+        replies.push(client.call(&attach).unwrap().to_wire());
+        let state = CmdLine::new("vncState").arg("session", session.as_str());
+        replies.push(client.call(&state).unwrap().to_wire());
+    }
+    assert_eq!(replies, GOLDEN_ATTACH_AND_STATE);
+    w.extra.push(vnc);
+    w.teardown();
+}
+
+const GOLDEN_ATTACH_AND_STATE: [&str; 4] = [
+    "ok width=1024 height=768 checksum=x332fc06af0b9a325;",
+    "ok user=jdoe viewers=1 inputs=0 seq=0 checksum=x332fc06af0b9a325;",
+    "ok width=1024 height=768 checksum=xed14df16052dc2e0;",
+    "ok user=jdoe viewers=1 inputs=0 seq=28 checksum=xed14df16052dc2e0;",
+];
+
 #[test]
 fn attach_requires_password() {
     let mut w = world(&["vhost", "podium"]);
