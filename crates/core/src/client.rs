@@ -6,15 +6,21 @@
 //! on the status of the attempted command", §2.2).  Daemons and the
 //! composite clients do not hold these themselves: they check them out of
 //! a [`crate::pool::LinkPool`].
+//!
+//! A reply answers the call it was sent for.  The client pairs the two by
+//! order, so a link failure closes it for good (a reply still in flight
+//! would answer the next call), and a call skips a cast's refusal (an
+//! `error` carrying `cast=`), which answers an earlier cast.
 
 use crate::link::{LinkError, SecureLink, TicketCache};
 use crate::metrics::WireCounts;
+use crate::protocol::CAST_ARG;
 use ace_lang::{CmdLine, ErrorCode, Reply};
 use ace_net::{Addr, HostId, NetError, SimNet};
 use ace_security::keys::KeyPair;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Default per-call deadline.
 pub const DEFAULT_CALL_TIMEOUT: Duration = Duration::from_secs(5);
@@ -64,6 +70,8 @@ pub struct ServiceClient {
     link: SecureLink,
     timeout: Duration,
     target: Addr,
+    /// An operation failed at the link: nothing more is sent or read.
+    closed: bool,
 }
 
 impl ServiceClient {
@@ -81,6 +89,7 @@ impl ServiceClient {
             link,
             timeout: DEFAULT_CALL_TIMEOUT,
             target,
+            closed: false,
         })
     }
 
@@ -100,6 +109,7 @@ impl ServiceClient {
             link,
             timeout: DEFAULT_CALL_TIMEOUT,
             target,
+            closed: false,
         })
     }
 
@@ -109,10 +119,15 @@ impl ServiceClient {
         self.link.resumed()
     }
 
-    /// Is the underlying idle link still worth reusing?  (Pool checkout
-    /// health probe — see [`SecureLink::is_healthy_idle`].)
+    /// Is this client open, and its idle link still worth reusing?  (Pool
+    /// checkout health probe — see [`SecureLink::is_healthy_idle`].)
     pub fn is_healthy_idle(&self) -> bool {
-        self.link.is_healthy_idle()
+        !self.closed && self.link.is_healthy_idle()
+    }
+
+    /// Did an operation fail at the link, closing this client?
+    pub(crate) fn is_closed(&self) -> bool {
+        self.closed
     }
 
     /// Count what this client sends by verb ([`SecureLink::meter_wire`]).
@@ -144,22 +159,28 @@ impl ServiceClient {
     }
 
     /// [`Self::call`], stamping a command without a `deadline=` with
-    /// `budget` instead of the call timeout.
+    /// `budget`; the call timeout bounds the whole wait for the reply.
     pub(crate) fn call_within(
         &mut self,
         cmd: &CmdLine,
         budget: Duration,
     ) -> Result<CmdLine, ClientError> {
         self.send_within(cmd, budget)?;
-        let reply_cmd = self.link.recv_cmd(self.timeout)?;
-        match Reply::from_cmdline(&reply_cmd) {
-            Reply::Ok(result) => Ok(result),
-            Reply::Err { code, msg } => Err(ClientError::Service { code, msg }),
+        let deadline = Instant::now() + self.timeout;
+        loop {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            let frame = self.on_link(|link| link.recv_cmd(wait))?;
+            match Reply::from_cmdline(&frame) {
+                Reply::Ok(result) => return Ok(result),
+                // A cast's refusal: it answers an earlier cast, not this call.
+                Reply::Err { .. } if frame.get_int(CAST_ARG).is_some() => continue,
+                Reply::Err { code, msg } => return Err(ClientError::Service { code, msg }),
+            }
         }
     }
 
     /// The sending half of [`Self::call`]: write the call frame and return;
-    /// its reply is the next frame without a `cast=` ([`Self::try_recv`]).
+    /// its reply is the first frame [`Self::try_recv`] reads without `cast=`.
     ///
     /// Commands without an explicit `deadline=` are stamped with this
     /// client's call timeout, so the server can shed the request once we
@@ -174,21 +195,37 @@ impl ServiceClient {
             None => cmd.to_frame_with_deadline(budget.as_millis() as i64),
             Some(_) => cmd.to_frame(),
         };
-        Ok(self.link.send_frame(cmd.name(), frame)?)
+        self.on_link(|link| link.send_frame(cmd.name(), frame))
     }
 
     /// Send one command as a cast ([`SecureLink::send_cast`]): no reply is
     /// waited for, so no `deadline=` is stamped.  The service answers only
     /// a cast it did not run, with `error … cast=<n>;` — `n` counting the
-    /// casts sent on this link — read with [`Self::try_recv`].
+    /// casts sent on this link — which [`Self::try_recv`] reads and a call skips.
     pub fn cast(&mut self, cmd: &CmdLine) -> Result<(), ClientError> {
-        Ok(self.link.send_cast(cmd)?)
+        self.on_link(|link| link.send_cast(cmd))
     }
 
     /// The next frame the service has sent, if one is queued: the reply to
     /// a [`Self::send`], or the refusal of a [`Self::cast`].
     pub fn try_recv(&mut self) -> Result<Option<CmdLine>, ClientError> {
-        Ok(self.link.try_recv_cmd()?)
+        self.on_link(SecureLink::try_recv_cmd)
+    }
+
+    /// Run `op` on the link of an open client; a failure closes the client
+    /// for good, since a reply still in flight would answer the next call.
+    fn on_link<T>(
+        &mut self,
+        op: impl FnOnce(&mut SecureLink) -> Result<T, LinkError>,
+    ) -> Result<T, ClientError> {
+        if self.closed {
+            return Err(NetError::Closed.into());
+        }
+        op(&mut self.link).map_err(|err| {
+            self.closed = true;
+            self.link.close();
+            err.into()
+        })
     }
 
     /// Register the waker notified when the service queues a frame or

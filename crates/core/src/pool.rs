@@ -16,7 +16,8 @@
 //! goes through the pool's [`TicketCache`], so every redial resumes the
 //! session instead of paying the DH + signature handshake whenever the
 //! target granted a ticket.  A link returns to the pool when its checkout
-//! drops, with the default call timeout restored.
+//! drops, with the default call timeout restored, if its [`ServiceClient`]
+//! is still open: a link failure closes the client, never to be parked.
 //!
 //! **The one call loop.**  Every outbound call that waits for its reply —
 //! [`crate::ServiceCtx::call`], [`crate::FailoverClient`], the Fig. 9
@@ -173,7 +174,6 @@ impl LinkPool {
                 return Ok(PooledLink {
                     client: Some(client),
                     pool: Arc::clone(self),
-                    broken: false,
                     reused: true,
                 });
             }
@@ -198,7 +198,6 @@ impl LinkPool {
         Ok(PooledLink {
             client: Some(client),
             pool: Arc::clone(self),
-            broken: false,
             reused: false,
         })
     }
@@ -288,7 +287,7 @@ impl LinkPool {
                 let target = link.target().clone();
                 link.set_timeout(timeout);
                 let stamp = retry.remaining().unwrap_or(timeout);
-                let err = match link.on_client(|client| client.call_within(cmd, stamp)) {
+                let err = match link.client().call_within(cmd, stamp) {
                     Ok(reply) => {
                         if let Some(breaker) = how.breaker {
                             breaker.record_success(&target);
@@ -329,7 +328,7 @@ impl LinkPool {
     }
 
     /// `target` failed at the link — a refused dial, or under the command:
-    /// drop the (broken) held link and the answers naming `target`.
+    /// drop the (closed) held link and the answers naming `target`.
     fn failed_at_link(&self, held: &mut Option<PooledLink>, target: &Addr, how: &Retrying) {
         *held = None;
         if let Some(answers) = how.answers {
@@ -379,40 +378,35 @@ impl fmt::Debug for LinkPool {
 }
 
 /// A checked-out pool link.  Dropping it returns the link to the pool
-/// unless a call failed at the link layer (in which case it is discarded —
-/// a link that has timed out mid-conversation may have a reply in flight,
-/// and parking it would hand that stale reply to the next caller).
+/// unless its client closed itself on a link failure.
 pub struct PooledLink {
     client: Option<ServiceClient>,
     pool: Arc<LinkPool>,
-    broken: bool,
     reused: bool,
 }
 
 impl PooledLink {
-    /// Issue one command on the pooled link.  Service-level error replies
-    /// leave the link healthy; link-level failures mark it broken so it is
-    /// never returned to the pool.
+    /// Issue one command on the pooled link ([`ServiceClient::call`]).
     pub fn call(&mut self, cmd: &CmdLine) -> Result<CmdLine, ClientError> {
-        self.on_client(|client| client.call(cmd))
+        self.client().call(cmd)
     }
 
     /// [`ServiceClient::send`] on the pooled link: a call frame whose reply
     /// the holder reads later, with [`PooledLink::try_recv`].
     pub fn send(&mut self, cmd: &CmdLine) -> Result<(), ClientError> {
-        self.on_client(|client| client.send(cmd))
+        self.client().send(cmd)
     }
 
-    /// [`ServiceClient::cast`] on the pooled link.  Hold the checkout while
-    /// a cast on it may still be refused: a parked link with a refusal
-    /// queued fails the next checkout's probe and is discarded unread.
+    /// [`ServiceClient::cast`] on the pooled link.  A refusal that lands
+    /// after the link is parked is skipped by the next checkout's call, or
+    /// fails its probe and the link is discarded unread.
     pub fn cast(&mut self, cmd: &CmdLine) -> Result<(), ClientError> {
-        self.on_client(|client| client.cast(cmd))
+        self.client().cast(cmd)
     }
 
     /// [`ServiceClient::try_recv`] on the pooled link.
     pub fn try_recv(&mut self) -> Result<Option<CmdLine>, ClientError> {
-        self.on_client(ServiceClient::try_recv)
+        self.client().try_recv()
     }
 
     /// Register the waker notified when the peer queues a frame or closes.
@@ -422,16 +416,8 @@ impl PooledLink {
         }
     }
 
-    fn on_client<T>(
-        &mut self,
-        op: impl FnOnce(&mut ServiceClient) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let client = self.client.as_mut().expect("pooled link already consumed");
-        let outcome = op(client);
-        if let Err(ClientError::Link(_)) = &outcome {
-            self.broken = true;
-        }
-        outcome
+    fn client(&mut self) -> &mut ServiceClient {
+        self.client.as_mut().expect("pooled link already consumed")
     }
 
     /// As [`PooledLink::call`], discarding a successful result.
@@ -492,12 +478,8 @@ impl PooledLink {
 
 impl Drop for PooledLink {
     fn drop(&mut self) {
-        if let Some(client) = self.client.take() {
-            if !self.broken {
-                self.pool.park(client);
-            } else {
-                client.close();
-            }
+        if let Some(client) = self.client.take().filter(|c| !c.is_closed()) {
+            self.pool.park(client);
         }
     }
 }
@@ -505,7 +487,7 @@ impl Drop for PooledLink {
 impl fmt::Debug for PooledLink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.client {
-            Some(c) => write!(f, "PooledLink({}, broken: {})", c.target(), self.broken),
+            Some(c) => write!(f, "PooledLink({}, closed: {})", c.target(), c.is_closed()),
             None => write!(f, "PooledLink(consumed)"),
         }
     }
@@ -608,7 +590,7 @@ mod tests {
     }
 
     #[test]
-    fn broken_links_are_not_returned_to_the_pool() {
+    fn a_link_that_failed_is_not_returned_to_the_pool() {
         let net = SimNet::new();
         let _daemon = spawn_echo(&net, "svc", 700);
         let pool = pool_on(&net, "cli");

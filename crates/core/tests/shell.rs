@@ -492,6 +492,64 @@ fn a_cast_that_did_not_run_is_refused_by_ordinal_and_the_session_lives_on() {
     rig.finish();
 }
 
+/// A client connected to a peer the test answers by hand.
+fn client_and_peer(port: u16) -> (ServiceClient, SecureLink) {
+    let net = SimNet::new();
+    net.add_host("srv");
+    net.add_host("cli");
+    let peer = accept_one(&net, port);
+    let me = KeyPair::generate(&mut rand::thread_rng());
+    let client = ServiceClient::connect(&net, &"cli".into(), Addr::new("srv", port), &me).unwrap();
+    (client, peer.join().unwrap())
+}
+
+/// Invariant: a reply answers the call it was sent for.  A call that timed
+/// out closes its client, so the reply that lands late is never read as the
+/// next call's: that call fails at the link at once and never leaves.
+#[test]
+fn a_late_reply_answers_no_later_call() {
+    let (mut client, mut peer) = client_and_peer(7301);
+    client.set_timeout(Duration::from_millis(50));
+    let a = client.call(&echo("a"));
+    assert!(matches!(a, Err(ClientError::Link(_))), "call A got {a:?}");
+    // The peer answers A only now, after the client gave up on it.
+    assert_eq!(peer.recv_cmd(REPLY).unwrap().get_text("text"), Some("a"));
+    peer.send_cmd(&CmdLine::new("ok").arg("text", Value::Str("a".into())))
+        .unwrap();
+
+    let asked = Instant::now();
+    let b = client.call(&echo("b"));
+    assert!(matches!(b, Err(ClientError::Link(_))), "call B got {b:?}");
+    assert!(asked.elapsed() < Duration::from_millis(10), "{asked:?}");
+    assert!(!client.is_healthy_idle());
+    assert!(peer.recv_cmd(REPLY).is_err(), "the peer read call B");
+}
+
+/// Invariant: a cast's refusal is never a call's reply.  The peer refuses
+/// a cast and then answers the call sent behind it; the call returns its
+/// own answer, not the refusal.
+#[test]
+fn a_call_skips_the_refusal_of_a_cast_before_it() {
+    let (mut client, mut peer) = client_and_peer(7302);
+    client.cast(&echo("log")).unwrap();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            peer.recv_cmd(REPLY).unwrap();
+            assert!(peer.last_frame_was_cast());
+            let call = peer.recv_cmd(REPLY).unwrap();
+            assert!(!peer.last_frame_was_cast());
+            let refusal = "error code=E_BUSY msg=\"shed\" cast=1;";
+            peer.send_cmd(&CmdLine::parse(refusal).unwrap()).unwrap();
+            let text = Value::Str(call.get_text("text").unwrap().into());
+            peer.send_cmd(&CmdLine::new("ok").arg("text", text))
+                .unwrap();
+        });
+        let reply = client.call(&echo("get")).expect("the call's own answer");
+        assert_eq!(reply.get_text("text"), Some("get"));
+    });
+    assert!(client.is_healthy_idle(), "the refusal was read, not left");
+}
+
 // -- the stop -----------------------------------------------------------------
 
 /// Run `stop` on its own thread and, once the stop is up, release the held

@@ -555,11 +555,6 @@ impl AsdClient {
         self.client
             .call_ok(&CmdLine::new("removeService").arg("name", name))
     }
-
-    /// Access the raw client (for `addNotification` etc.).
-    pub fn raw(&mut self) -> &mut ServiceClient {
-        &mut self.client
-    }
 }
 
 #[cfg(test)]

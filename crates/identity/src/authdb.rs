@@ -12,11 +12,12 @@
 //! lengths in order — or, when nothing names the licensee, `count=0` alone.
 //! (A text client writes the blob as its hex word.)
 
+use ace_core::client::DEFAULT_CALL_TIMEOUT;
 use ace_core::prelude::*;
 use ace_core::CredentialSource;
 use ace_security::keynote::{ActionEnv, Assertion};
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The Authorization Database behavior.
 #[derive(Default)]
@@ -179,9 +180,7 @@ impl AuthDbClient {
 
     /// Fetch all credentials naming `licensee`.
     pub fn fetch_for(&mut self, licensee: &str) -> Result<Vec<Assertion>, ClientError> {
-        let reply = self
-            .client
-            .call(&CmdLine::new("fetchCredentials").arg("licensee", Value::Str(licensee.into())))?;
+        let reply = self.client.call(&fetch_cmd(licensee))?;
         // A reply that does not add up carries no credentials: no authority
         // is ever read out of a frame that cannot be taken apart exactly.
         Ok(credentials_from_reply(&reply).unwrap_or_default())
@@ -205,6 +204,11 @@ impl AuthDbClient {
             })
             .unwrap_or_default())
     }
+}
+
+/// The `fetchCredentials` command for `licensee`.
+fn fetch_cmd(licensee: &str) -> CmdLine {
+    CmdLine::new("fetchCredentials").arg("licensee", Value::Str(licensee.into()))
 }
 
 /// Take a `fetchCredentials` reply apart: `count=0` is no credentials,
@@ -234,13 +238,11 @@ fn credentials_from_reply(reply: &CmdLine) -> Option<Vec<Assertion>> {
 
 /// A [`CredentialSource`] backed by a remote Authorization Database — the
 /// exact Fig. 10 flow: for each command, the guarded service fetches the
-/// requester's credentials from the AuthDB and hands them to KeyNote.
+/// requester's credentials from the AuthDB and hands them to KeyNote, each
+/// fetch one [`LinkPool::call`] (which redials an AuthDB that restarted).
 pub struct RemoteCredentials {
-    net: SimNet,
-    from_host: HostId,
+    pool: Arc<LinkPool>,
     authdb: Addr,
-    identity: ace_security::keys::KeyPair,
-    client: Mutex<Option<AuthDbClient>>,
 }
 
 impl RemoteCredentials {
@@ -251,37 +253,21 @@ impl RemoteCredentials {
         identity: ace_security::keys::KeyPair,
     ) -> RemoteCredentials {
         RemoteCredentials {
-            net,
-            from_host,
+            pool: Arc::new(LinkPool::new(&net, from_host, identity)),
             authdb,
-            identity,
-            client: Mutex::new(None),
         }
     }
 }
 
 impl CredentialSource for RemoteCredentials {
     fn credentials_for(&self, principal: &str, _env: &ActionEnv) -> Vec<Assertion> {
-        let mut guard = self.client.lock();
-        for _attempt in 0..2 {
-            if guard.is_none() {
-                *guard = AuthDbClient::connect(
-                    &self.net,
-                    &self.from_host,
-                    self.authdb.clone(),
-                    &self.identity,
-                )
-                .ok();
-            }
-            let Some(client) = guard.as_mut() else {
-                return Vec::new(); // AuthDB unreachable → no extra authority
-            };
-            match client.fetch_for(principal) {
-                Ok(creds) => return creds,
-                Err(_) => *guard = None, // reconnect once
-            }
-        }
-        Vec::new()
+        // AuthDB unreachable, or an answer that does not add up: no extra
+        // authority.
+        self.pool
+            .call(&self.authdb, &fetch_cmd(principal), DEFAULT_CALL_TIMEOUT)
+            .ok()
+            .and_then(|reply| credentials_from_reply(&reply))
+            .unwrap_or_default()
     }
 }
 

@@ -546,6 +546,22 @@ fn authdb_rejects_forged_credentials() {
     w.fw.shutdown();
 }
 
+/// An empty Authorization Database at `core:5400`.
+fn spawn_authdb(net: &SimNet) -> DaemonHandle {
+    Daemon::spawn(
+        net,
+        DaemonConfig::new(
+            "authdb",
+            "Service.Database.Authorization",
+            "machineroom",
+            "core",
+            5400,
+        ),
+        Box::new(AuthDb::new()),
+    )
+    .unwrap()
+}
+
 /// A stand-alone Authorization Database and, on another host, a camera-like
 /// daemon guarded by it (policy root: `admin`).  No framework beside them,
 /// so every frame on the net belongs to the test.
@@ -578,18 +594,7 @@ impl Guarded {
         net.add_host("core");
         net.add_host("bar");
         let admin = keypair();
-        let authdb = Daemon::spawn(
-            &net,
-            DaemonConfig::new(
-                "authdb",
-                "Service.Database.Authorization",
-                "machineroom",
-                "core",
-                5400,
-            ),
-            Box::new(AuthDb::new()),
-        )
-        .unwrap();
+        let authdb = spawn_authdb(&net);
         let mut engine = KeyNoteEngine::new();
         engine
             .add_policy(
@@ -633,6 +638,20 @@ impl Guarded {
 
     fn client(&self, user: &KeyPair) -> ServiceClient {
         ServiceClient::connect(&self.net, &"bar".into(), self.camera.addr().clone(), user).unwrap()
+    }
+
+    /// Shut the AuthDB down and spawn an empty one at the same address; the
+    /// admin's client dials the new one.
+    fn restart_authdb(&mut self) {
+        self.authdb.shutdown();
+        self.authdb = spawn_authdb(&self.net);
+        self.db = AuthDbClient::connect(
+            &self.net,
+            &"core".into(),
+            self.authdb.addr().clone(),
+            &self.admin,
+        )
+        .unwrap();
     }
 
     /// `fetchCredentials` commands the AuthDB has served so far.
@@ -769,4 +788,55 @@ fn credentials_travel_as_blobs() {
     );
 
     g.shutdown();
+}
+
+/// A guarded daemon's fetches ride a pooled link to the AuthDB: after the
+/// AuthDB restarts at the same address, the next guarded command is still
+/// authorized, over one redial.
+#[test]
+fn a_restarted_authdb_is_redialed_once() {
+    let mut g = Guarded::new();
+    let (early, late) = (keypair(), keypair());
+    g.grant("early_hawk", &early, "room == \"hawk\"");
+    g.client(&early).call_ok(&ptz_move(0, 0, 1)).unwrap();
+
+    g.restart_authdb();
+    g.grant("late_hawk", &late, "room == \"hawk\"");
+    let mut as_late = g.client(&late);
+    let before = g.net.metrics().snapshot();
+    as_late.call_ok(&ptz_move(0, 0, 1)).unwrap();
+    let dialed = g.net.metrics().snapshot().since(&before).connections;
+    assert_eq!(dialed, 1, "one redial to the new AuthDB");
+    assert_eq!(g.fetches(), 1, "asked the new AuthDB once");
+    g.shutdown();
+}
+
+/// What a guarded daemon asks the AuthDB is the parent's frame, byte for
+/// byte (taken before fetches rode the pool): the licensee, and the default
+/// call timeout as its `deadline=`.
+#[test]
+fn a_credential_fetch_is_the_parents_frame() {
+    use ace_core::{CredentialSource, SecureLink};
+    let net = SimNet::new();
+    net.add_host("core");
+    net.add_host("bar");
+    let at = Addr::new("core", 5400);
+    let listener = net.listen(at.clone()).unwrap();
+    let source = RemoteCredentials::new(net.clone(), "bar".into(), at, keypair());
+    std::thread::scope(|scope| {
+        let fetched = scope.spawn(|| source.credentials_for("rsa:golden:7", &Default::default()));
+        let mut authdb = SecureLink::accept(listener.accept().unwrap(), &keypair()).unwrap();
+        let opened = Arc::new(ace_core::Counter::default());
+        authdb.attach_metrics(Arc::clone(&opened));
+        let ask = authdb.recv_cmd(Duration::from_secs(5)).unwrap();
+        assert_eq!(
+            ask.to_frame(),
+            b"fetchCredentials licensee=\"rsa:golden:7\" deadline=5000;"
+        );
+        assert_eq!(opened.get(), 71, "sealed bytes");
+        authdb
+            .send_cmd(&CmdLine::parse("ok count=0;").unwrap())
+            .unwrap();
+        assert!(fetched.join().unwrap().is_empty());
+    });
 }

@@ -665,32 +665,21 @@ fn tree_round(
 }
 
 /// A rebuild's top-up: one [`tree_round`] against the peer that shipped the
-/// snapshot, over a client that pairs a reply with its call by order alone.
-/// So the first failed call ends the round — after a timeout, the late
-/// reply would be read as the answer to the next key's `psGet` and stored
-/// under that key.  `Ok` with the values pulled only when every key the
-/// peer held newer at its root is now on `disk`; otherwise the caller
-/// tries another peer.
+/// snapshot.  `Ok` with the values pulled only when every key the peer held
+/// newer at its root is now on `disk`; a failed call leaves the round
+/// unanswered or a key behind, and the caller tries another peer.  (A late
+/// reply cannot be stored under the next key: the client a call fails on
+/// closes itself.)
 pub(crate) fn top_up(
     mut call: impl FnMut(&CmdLine) -> Result<CmdLine, ClientError>,
     disk: &DiskImage,
 ) -> Result<usize, ClientError> {
-    let mut failed = None;
     let stats = SyncStats::default();
-    let round = tree_round(
-        |cmd| match failed {
-            Some(_) => None,
-            None => call(cmd).map_err(|err| failed = Some(err)).ok(),
-        },
-        disk,
-        &stats,
-    );
-    match (failed, round) {
-        (Some(err), _) => Err(err),
-        (None, Some(0)) => Ok(stats.pulled.into_inner() as usize),
-        (None, _) => Err(ClientError::Service {
+    match tree_round(|cmd| call(cmd).ok(), disk, &stats) {
+        Some(0) => Ok(stats.pulled.into_inner() as usize),
+        _ => Err(ClientError::Service {
             code: ErrorCode::Internal,
-            msg: "snapshot peer's top-up left newer keys behind".into(),
+            msg: "snapshot peer's top-up failed or left newer keys behind".into(),
         }),
     }
 }
@@ -1381,48 +1370,33 @@ mod tests {
         assert_eq!(parse_hash_word(&hash_word(u64::MAX)), Some(u64::MAX));
     }
 
-    /// A snapshot peer as a rebuild's `ServiceClient` sees it: replies come
-    /// back in the order the calls went out.  With `stall_first_get`, the
-    /// first `psGet` times out and its reply arrives late, as the next
-    /// frame the client reads.
-    struct OrderedPeer {
-        disk: DiskImage,
-        stall_first_get: bool,
-        in_flight: std::collections::VecDeque<CmdLine>,
-    }
-
-    impl OrderedPeer {
-        fn call(&mut self, cmd: &CmdLine) -> Result<CmdLine, ClientError> {
-            let reply = CmdLine::new("ok");
-            let reply = if cmd.get_text("root").is_some() {
-                let hashes = self.disk.tree().map(|h| Scalar::Word(hash_word(h)));
-                reply
-                    .arg("same", false)
-                    .arg("hashes", Value::Vector(hashes.to_vec()))
-            } else if cmd.get_vector("buckets").is_some() {
-                let rows = self
-                    .disk
-                    .digest_buckets(&(0..SYNC_BUCKETS).collect::<Vec<_>>());
-                reply.arg("entries", digest_to_value(rows))
-            } else {
-                let key = (cmd.get_text("ns").unwrap(), cmd.get_text("key").unwrap());
-                let v = self.disk.get(&(key.0.into(), key.1.into())).unwrap();
-                reply
-                    .arg("data", v.data)
-                    .arg("version", v.version as i64)
-                    .arg("writer", Value::Str(v.writer))
-                    .arg("deleted", v.deleted)
-            };
-            self.in_flight.push_back(reply);
-            if cmd.name() == "psGet" && std::mem::take(&mut self.stall_first_get) {
-                return Err(ace_net::NetError::Timeout.into());
-            }
-            Ok(self.in_flight.pop_front().unwrap())
+    /// What a snapshot peer holding `disk` answers a rebuild's `cmd`.
+    fn snapshot_peer(disk: &DiskImage, cmd: &CmdLine) -> CmdLine {
+        let reply = CmdLine::new("ok");
+        if cmd.get_text("root").is_some() {
+            let hashes = disk.tree().map(|h| Scalar::Word(hash_word(h)));
+            reply
+                .arg("same", false)
+                .arg("hashes", Value::Vector(hashes.to_vec()))
+        } else if cmd.get_vector("buckets").is_some() {
+            let rows = disk.digest_buckets(&(0..SYNC_BUCKETS).collect::<Vec<_>>());
+            reply.arg("entries", digest_to_value(rows))
+        } else {
+            let key = (cmd.get_text("ns").unwrap(), cmd.get_text("key").unwrap());
+            let v = disk.get(&(key.0.into(), key.1.into())).unwrap();
+            reply
+                .arg("data", v.data)
+                .arg("version", v.version as i64)
+                .arg("writer", Value::Str(v.writer))
+                .arg("deleted", v.deleted)
         }
     }
 
+    /// A top-up whose one `psGet` fails leaves that key behind and fails
+    /// the ship; with every call answered it pulls all three keys.  (That a
+    /// late reply answers no later call is the client's: `shell.rs`.)
     #[test]
-    fn a_top_up_ends_at_its_first_failed_call() {
+    fn a_top_up_fails_unless_it_pulls_every_newer_key() {
         let peer = DiskImage::new();
         for (key, version) in [("a", 1), ("b", 2), ("c", 3)] {
             let value = Versioned {
@@ -1433,29 +1407,22 @@ mod tests {
             };
             peer.apply(("ns".into(), key.into()), value).unwrap();
         }
-        let mut link = OrderedPeer {
-            disk: peer.clone(),
-            stall_first_get: true,
-            in_flight: Default::default(),
-        };
+        let mut fail_first_get = true;
         let rebuilt = DiskImage::new();
-        assert!(top_up(|cmd| link.call(cmd), &rebuilt).is_err());
-        for (ns, key, _, _) in rebuilt.digest() {
-            let key = (ns, key);
-            assert_eq!(
-                rebuilt.get(&key),
-                peer.get(&key),
-                "{key:?} holds another key's value"
-            );
-        }
+        let outcome = top_up(
+            |cmd| {
+                if cmd.name() == "psGet" && std::mem::take(&mut fail_first_get) {
+                    return Err(ace_net::NetError::Timeout.into());
+                }
+                Ok(snapshot_peer(&peer, cmd))
+            },
+            &rebuilt,
+        );
+        assert!(outcome.is_err(), "a key was left behind: {outcome:?}");
 
-        let mut link = OrderedPeer {
-            disk: peer.clone(),
-            stall_first_get: false,
-            in_flight: Default::default(),
-        };
         let rebuilt = DiskImage::new();
-        assert_eq!(top_up(|cmd| link.call(cmd), &rebuilt).unwrap(), 3);
+        let pulled = top_up(|cmd| Ok(snapshot_peer(&peer, cmd)), &rebuilt);
+        assert_eq!(pulled.unwrap(), 3);
         assert_eq!(rebuilt.checksum(), peer.checksum());
     }
 
