@@ -166,7 +166,7 @@ impl ServiceCtx {
     /// will read.
     pub fn time_remaining(&self) -> Option<Duration> {
         self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
+            .map(|d| d.saturating_duration_since(self.pool.clock().now()))
     }
 
     /// Has the current command's deadline already lapsed?
@@ -286,14 +286,15 @@ impl ServiceCtx {
         let held = self
             .resolutions
             .get_or_insert_with(|| Box::new(ResolutionCache::with_metrics(metrics)));
-        if let Some(entries) = held.get(name, class, room) {
+        if let Some(entries) = held.get(name, class, room, self.pool.clock().now()) {
             return Ok(entries);
         }
         let reply = self.call(&asd, &protocol::lookup_cmd(name, class, room))?;
         let entries = protocol::entries_from_reply(&reply)?;
         if let Some(held) = &self.resolutions {
             let ttl = resolution_ttl(reply.get_int("lease"));
-            held.store(name, class, room, entries.clone(), ttl);
+            let now = self.pool.clock().now();
+            held.store(name, class, room, entries.clone(), ttl, now);
         }
         Ok(entries)
     }

@@ -100,10 +100,10 @@ impl BreakerRegistry {
         self
     }
 
-    /// Should a call to `target` proceed?  Half-open probe slots are
-    /// claimed here and released by `record_success`/`record_failure`, so
-    /// every `Admit` must be followed by exactly one outcome report.
-    pub fn check(&self, target: &Addr) -> BreakerVerdict {
+    /// Should a call to `target` proceed at `now`?  Half-open probe slots
+    /// are claimed here and released by `record_success`/`record_failure`,
+    /// so every `Admit` must be followed by exactly one outcome report.
+    pub fn check(&self, target: &Addr, now: Instant) -> BreakerVerdict {
         let mut targets = self.targets.lock();
         let Some(state) = targets.get_mut(target) else {
             return BreakerVerdict::Admit; // no history: closed
@@ -111,7 +111,7 @@ impl BreakerRegistry {
         match state {
             State::Closed { .. } => BreakerVerdict::Admit,
             State::Open { until } => {
-                if Instant::now() >= *until {
+                if now >= *until {
                     *state = State::HalfOpen {
                         probes_in_flight: 1,
                     };
@@ -148,12 +148,11 @@ impl BreakerRegistry {
         }
     }
 
-    /// Report a failed call (link error or `E_BUSY` shed).  Returns `true`
-    /// when this failure *opened* the breaker — the caller should then
-    /// let go of the target's links and cached resolutions, exactly as on
-    /// `E_UPGRADING` (the call loop in [`crate::pool`] does).
-    pub fn record_failure(&self, target: &Addr) -> bool {
-        let now = Instant::now();
+    /// Report a call that failed at `now` (link error or `E_BUSY` shed).
+    /// Returns `true` when this failure *opened* the breaker — the caller
+    /// should then let go of the target's links and cached resolutions,
+    /// exactly as on `E_UPGRADING` (the call loop in [`crate::pool`] does).
+    pub fn record_failure(&self, target: &Addr, now: Instant) -> bool {
         let mut targets = self.targets.lock();
         let state = targets.entry(target.clone()).or_insert(State::Closed {
             failures: Vec::new(),
@@ -187,12 +186,12 @@ impl BreakerRegistry {
         }
     }
 
-    /// Is the breaker for `target` currently open (rejecting)?
-    pub fn is_open(&self, target: &Addr) -> bool {
+    /// Is the breaker for `target` open (rejecting) at `now`?
+    pub fn is_open(&self, target: &Addr, now: Instant) -> bool {
         let targets = self.targets.lock();
         matches!(
             targets.get(target),
-            Some(State::Open { until }) if Instant::now() < *until
+            Some(State::Open { until }) if now < *until
         )
     }
 }
@@ -200,6 +199,7 @@ impl BreakerRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ace_net::Clock;
 
     fn addr() -> Addr {
         Addr::new("host-a", 1234)
@@ -214,80 +214,131 @@ mod tests {
         })
     }
 
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
     #[test]
     fn opens_after_threshold_failures() {
         let b = registry(Duration::from_secs(60));
-        assert_eq!(b.check(&addr()), BreakerVerdict::Admit);
-        assert!(!b.record_failure(&addr()));
-        assert!(!b.record_failure(&addr()));
-        assert!(b.record_failure(&addr()), "third failure opens");
-        assert_eq!(b.check(&addr()), BreakerVerdict::Rejected);
-        assert!(b.is_open(&addr()));
+        let t = Clock::real().now();
+        assert_eq!(b.check(&addr(), t), BreakerVerdict::Admit);
+        assert!(!b.record_failure(&addr(), t));
+        assert!(!b.record_failure(&addr(), t));
+        assert!(b.record_failure(&addr(), t), "third failure opens");
+        assert_eq!(b.check(&addr(), t), BreakerVerdict::Rejected);
+        assert!(b.is_open(&addr(), t));
     }
 
     #[test]
     fn success_resets_failure_history() {
         let b = registry(Duration::from_secs(60));
-        b.record_failure(&addr());
-        b.record_failure(&addr());
+        let t = Clock::real().now();
+        b.record_failure(&addr(), t);
+        b.record_failure(&addr(), t);
         b.record_success(&addr());
-        assert!(!b.record_failure(&addr()));
-        assert!(!b.record_failure(&addr()));
-        assert_eq!(b.check(&addr()), BreakerVerdict::Admit);
+        assert!(!b.record_failure(&addr(), t));
+        assert!(!b.record_failure(&addr(), t));
+        assert_eq!(b.check(&addr(), t), BreakerVerdict::Admit);
     }
 
     #[test]
     fn half_open_admits_one_probe_then_closes_on_success() {
-        let b = registry(Duration::from_millis(10));
+        let b = registry(ms(10));
+        let t = Clock::real().now();
         for _ in 0..3 {
-            b.record_failure(&addr());
+            b.record_failure(&addr(), t);
         }
-        assert_eq!(b.check(&addr()), BreakerVerdict::Rejected);
-        std::thread::sleep(Duration::from_millis(15));
+        assert_eq!(b.check(&addr(), t), BreakerVerdict::Rejected);
         // Cool-down over: one probe is admitted, a second is rejected.
-        assert_eq!(b.check(&addr()), BreakerVerdict::Admit);
-        assert_eq!(b.check(&addr()), BreakerVerdict::Rejected);
+        let later = t + ms(15);
+        assert_eq!(b.check(&addr(), later), BreakerVerdict::Admit);
+        assert_eq!(b.check(&addr(), later), BreakerVerdict::Rejected);
         b.record_success(&addr());
-        assert_eq!(b.check(&addr()), BreakerVerdict::Admit);
-        assert!(!b.is_open(&addr()));
+        assert_eq!(b.check(&addr(), later), BreakerVerdict::Admit);
+        assert!(!b.is_open(&addr(), later));
     }
 
     #[test]
     fn failed_probe_reopens() {
-        let b = registry(Duration::from_millis(10));
+        let b = registry(ms(10));
+        let t = Clock::real().now();
         for _ in 0..3 {
-            b.record_failure(&addr());
+            b.record_failure(&addr(), t);
         }
-        std::thread::sleep(Duration::from_millis(15));
-        assert_eq!(b.check(&addr()), BreakerVerdict::Admit);
-        assert!(b.record_failure(&addr()), "failed probe re-opens");
-        assert_eq!(b.check(&addr()), BreakerVerdict::Rejected);
+        let later = t + ms(15);
+        assert_eq!(b.check(&addr(), later), BreakerVerdict::Admit);
+        assert!(b.record_failure(&addr(), later), "failed probe re-opens");
+        assert_eq!(b.check(&addr(), later), BreakerVerdict::Rejected);
+    }
+
+    /// The cool-down ends at exactly `until`: one instant before it the
+    /// breaker rejects, at it the probe goes.  (Fails if `check` compares
+    /// `now > until`.)
+    #[test]
+    fn the_cool_down_ends_at_exactly_until() {
+        let b = registry(ms(10));
+        let t = Clock::real().now();
+        for _ in 0..3 {
+            b.record_failure(&addr(), t);
+        }
+        let until = t + ms(10);
+        assert_eq!(
+            b.check(&addr(), until - Duration::from_nanos(1)),
+            BreakerVerdict::Rejected
+        );
+        assert!(b.is_open(&addr(), until - Duration::from_nanos(1)));
+        assert!(!b.is_open(&addr(), until));
+        assert_eq!(b.check(&addr(), until), BreakerVerdict::Admit);
     }
 
     #[test]
     fn targets_are_independent() {
         let b = registry(Duration::from_secs(60));
         let other = Addr::new("host-b", 99);
+        let t = Clock::real().now();
         for _ in 0..3 {
-            b.record_failure(&addr());
+            b.record_failure(&addr(), t);
         }
-        assert_eq!(b.check(&addr()), BreakerVerdict::Rejected);
-        assert_eq!(b.check(&other), BreakerVerdict::Admit);
+        assert_eq!(b.check(&addr(), t), BreakerVerdict::Rejected);
+        assert_eq!(b.check(&other, t), BreakerVerdict::Admit);
+    }
+
+    fn windowed() -> BreakerRegistry {
+        BreakerRegistry::new(BreakerConfig {
+            window: ms(20),
+            failure_threshold: 3,
+            open_for: Duration::from_secs(60),
+            half_open_probes: 1,
+        })
     }
 
     #[test]
     fn old_failures_age_out_of_window() {
-        let b = BreakerRegistry::new(BreakerConfig {
-            window: Duration::from_millis(20),
-            failure_threshold: 3,
-            open_for: Duration::from_secs(60),
-            half_open_probes: 1,
-        });
-        b.record_failure(&addr());
-        b.record_failure(&addr());
-        std::thread::sleep(Duration::from_millis(25));
+        let b = windowed();
+        let t = Clock::real().now();
+        b.record_failure(&addr(), t);
+        b.record_failure(&addr(), t);
         // The first two fell out of the window: not enough to open.
-        assert!(!b.record_failure(&addr()));
-        assert_eq!(b.check(&addr()), BreakerVerdict::Admit);
+        assert!(!b.record_failure(&addr(), t + ms(25)));
+        assert_eq!(b.check(&addr(), t + ms(25)), BreakerVerdict::Admit);
+    }
+
+    /// A failure exactly `window` old has left the window; one a
+    /// nanosecond younger still counts.  (Fails if the window's `retain`
+    /// keeps `age <= window`.)
+    #[test]
+    fn a_failure_exactly_window_old_no_longer_counts() {
+        let b = windowed();
+        let t = Clock::real().now();
+        b.record_failure(&addr(), t);
+        b.record_failure(&addr(), t);
+        assert!(!b.record_failure(&addr(), t + ms(20)), "two aged out");
+
+        let b = windowed();
+        b.record_failure(&addr(), t);
+        b.record_failure(&addr(), t);
+        let inside = t + ms(20) - Duration::from_nanos(1);
+        assert!(b.record_failure(&addr(), inside), "three inside opens");
     }
 }

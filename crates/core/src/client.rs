@@ -20,7 +20,7 @@ use ace_net::{Addr, HostId, NetError, SimNet};
 use ace_security::keys::KeyPair;
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Default per-call deadline.
 pub const DEFAULT_CALL_TIMEOUT: Duration = Duration::from_secs(5);
@@ -166,9 +166,10 @@ impl ServiceClient {
         budget: Duration,
     ) -> Result<CmdLine, ClientError> {
         self.send_within(cmd, budget)?;
-        let deadline = Instant::now() + self.timeout;
+        let clock = self.link.clock().clone();
+        let deadline = clock.now() + self.timeout;
         loop {
-            let wait = deadline.saturating_duration_since(Instant::now());
+            let wait = deadline.saturating_duration_since(clock.now());
             let frame = self.on_link(|link| link.recv_cmd(wait))?;
             match Reply::from_cmdline(&frame) {
                 Reply::Ok(result) => return Ok(result),

@@ -54,7 +54,7 @@ use crate::protocol::{self, ServiceEntry};
 use crate::retry::{RetryBudget, RetryPolicy};
 use crate::runtime::{Runtime, RuntimeTask, TaskContext, TaskHandle, TaskPoll};
 use ace_lang::{CmdLine, ErrorCode, Reply, Scalar, Semantics, Value};
-use ace_net::{Addr, Datagram, HostId, NetError, SimNet, WakeCell};
+use ace_net::{Addr, Clock, Datagram, HostId, NetError, SimNet, WakeCell};
 use ace_security::hash::fnv64;
 use ace_security::keys::KeyPair;
 use parking_lot::Mutex;
@@ -473,7 +473,7 @@ impl Daemon {
             wake_cell: Arc::new(WakeCell::new()),
             lease,
             started: false,
-            last_tick: Instant::now(),
+            last_tick: net.clock().now(),
         };
         let main = runtime.spawn(Box::new(task));
         let notifier = runtime.spawn(Box::new(notifier_task));
@@ -856,7 +856,7 @@ impl RuntimeTask for DaemonTask {
             return self.stop_poll();
         }
 
-        let now = Instant::now();
+        let now = self.control.clock().now();
         if now.duration_since(self.last_tick) >= self.tick {
             self.last_tick = now;
             self.control.with_behavior(|b, ctx| b.on_tick(ctx));
@@ -865,7 +865,7 @@ impl RuntimeTask for DaemonTask {
         if self.control.stopping() {
             return self.stop_poll();
         }
-        self.lease.tick();
+        self.lease.tick(self.control.clock().now());
 
         // A session still marked ready (just answered, or cut off at the
         // frame cap) may have input buffered: go round again.
@@ -952,7 +952,7 @@ impl DaemonTask {
                         SessionSlot {
                             session: Session::Handshaking {
                                 conn: Some(conn),
-                                since: Instant::now(),
+                                since: self.control.clock().now(),
                             },
                             signal,
                         },
@@ -1147,7 +1147,7 @@ impl DaemonTask {
                         // the read goes on to the frame behind this one.
                         abandoned()
                     } else {
-                        let now = Instant::now();
+                        let now = self.control.clock().now();
                         let deadline = cmd
                             .deadline_ms()
                             .map(|ms| now + Duration::from_millis(ms.max(0) as u64));
@@ -1236,6 +1236,11 @@ struct Control {
 }
 
 impl Control {
+    /// The daemon's clock: its net's.
+    fn clock(&self) -> &Clock {
+        self.ctx.net().clock()
+    }
+
     fn stopping(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
     }
@@ -1281,11 +1286,11 @@ impl Control {
         }
         // Feed the CoDel estimator (the queue-depth gauge is kept current
         // by the admission queue itself, on enqueue *and* dequeue).
-        let waited = enqueued.elapsed();
+        let waited = self.clock().now().saturating_duration_since(enqueued);
         self.queue.note_wait(waited);
         self.queue_wait.record(waited);
-        let lapsed =
-            self.queue.enforce_deadlines() && matches!(deadline, Some(d) if Instant::now() >= d);
+        let lapsed = self.queue.enforce_deadlines()
+            && matches!(deadline, Some(d) if self.clock().now() >= d);
         let mut dispatched = false;
         let reply = if lapsed {
             // Shed work whose client-side budget lapsed in queue: the
@@ -1340,7 +1345,7 @@ impl Control {
     /// (panic-proofed), record service time, fire notifications, drain
     /// events.  The caller sends the returned reply.
     fn dispatch(&mut self, cmd: &CmdLine, from: &ClientInfo, deadline: Option<Instant>) -> Reply {
-        let started = Instant::now();
+        let started = self.clock().now();
         // Handlers (and any downstream call they make) see the remaining
         // client budget through `ctx.time_remaining()`.
         self.ctx.set_deadline(deadline);
@@ -1358,10 +1363,12 @@ impl Control {
                 )
             });
         self.ctx.set_deadline(None);
-        self.verb_hists
+        let hist = self
+            .verb_hists
             .entry(cmd.name().to_string())
-            .or_insert_with(|| self.ctx.metrics().histogram(&format!("cmd.{}", cmd.name())))
-            .record(started.elapsed());
+            .or_insert_with(|| self.ctx.metrics().histogram(&format!("cmd.{}", cmd.name())));
+        let now = self.ctx.net().clock().now();
+        hist.record(now.saturating_duration_since(started));
         // §2.5: notifications fire after the command has executed.
         if response.is_ok() {
             self.fire_notifications(cmd);
@@ -1411,7 +1418,7 @@ impl Control {
                 Reply::ok_with(|c| c.arg("incarnation", incarnation))
             }
             Some("quiesce") => {
-                let started = Instant::now();
+                let started = self.clock().now();
                 self.upgrading.store(true, Ordering::SeqCst);
                 // Drain in-flight verbs: everything already admitted
                 // executes and replies normally before the state is frozen.
@@ -1424,9 +1431,8 @@ impl Control {
                 }
                 let metrics = Arc::clone(self.ctx.metrics());
                 metrics.counter("upgrade.drainedVerbs").add(drained);
-                metrics
-                    .histogram("upgrade.quiesceTime")
-                    .record(started.elapsed());
+                let quiesce = self.clock().now().saturating_duration_since(started);
+                metrics.histogram("upgrade.quiesceTime").record(quiesce);
                 let snapshot = self.behavior.snapshot_state();
                 let notifications = self.registry.export();
                 self.ctx.log(
@@ -1612,7 +1618,7 @@ impl LeaseState {
             failures: metrics.counter("lease.failures"),
             reregisters: metrics.counter("lease.reregisters"),
             budget_denied: metrics.counter("retry.budgetDenied"),
-            next_renew: Instant::now() + first_renewal_delay(seed, period),
+            next_renew: pool.clock().now() + first_renewal_delay(seed, period),
             renew_every,
             reconnect,
             link_failures: 0,
@@ -1628,16 +1634,17 @@ impl LeaseState {
         held.map(|_| self.next_renew)
     }
 
-    /// Renew the lease if due.  Bounded work: at most one dial and one
-    /// call per invocation (two when a lapsed lease is re-registered).
-    fn tick(&mut self) {
+    /// Renew the lease if due at `now`.  Bounded work: at most one dial
+    /// and one call per invocation (two when a lapsed lease is
+    /// re-registered).
+    fn tick(&mut self, now: Instant) {
         let (Some(asd), Some(period)) = (&self.config.asd, self.renew_every) else {
             return;
         };
-        if Instant::now() < self.next_renew {
+        if now < self.next_renew {
             return;
         }
-        self.next_renew = Instant::now() + period;
+        self.next_renew = now + period;
         // Each renewal period is fresh (non-retry) work: it earns back a
         // slice of the shared retry budget.
         self.retry_budget.note_call();
@@ -1675,11 +1682,12 @@ impl LeaseState {
     /// regular renewal cadence instead of adding retry pressure to an ASD
     /// that is already struggling.
     fn schedule_retry(&mut self, period: Duration) {
+        let now = self.pool.clock().now();
         self.next_renew = if self.retry_budget.try_withdraw() {
-            Instant::now() + self.reconnect.delay_for(self.link_failures)
+            now + self.reconnect.delay_for(self.link_failures)
         } else {
             self.budget_denied.incr();
-            Instant::now() + period
+            now + period
         };
         self.link_failures = self.link_failures.saturating_add(1);
     }

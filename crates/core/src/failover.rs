@@ -145,17 +145,15 @@ impl ResolutionCache {
         }
     }
 
-    /// The unexpired answer to this query, if one is held.
+    /// The answer to this query held and unexpired at `now`, if any.
     pub fn get(
         &self,
         name: Option<&str>,
         class: Option<&str>,
         room: Option<&str>,
+        now: Instant,
     ) -> Option<Vec<ServiceEntry>> {
-        self.get_at(Query::new(name, class, room), Instant::now())
-    }
-
-    fn get_at(&self, query: Query, now: Instant) -> Option<Vec<ServiceEntry>> {
+        let query = Query::new(name, class, room);
         let mut inner = self.inner.lock();
         match inner.get(&query) {
             Some(held) if held.expires > now => {
@@ -174,8 +172,9 @@ impl ResolutionCache {
         }
     }
 
-    /// Hold the directory's answer to this query for `ttl`.  An empty
-    /// answer is not held, and takes the place of one that was.
+    /// Hold the directory's answer to this query, given at `now`, for
+    /// `ttl`.  An empty answer is not held, and takes the place of one
+    /// that was.
     pub fn store(
         &self,
         name: Option<&str>,
@@ -183,15 +182,14 @@ impl ResolutionCache {
         room: Option<&str>,
         entries: Vec<ServiceEntry>,
         ttl: Duration,
+        now: Instant,
     ) {
-        self.store_at(Query::new(name, class, room), entries, Instant::now() + ttl);
-    }
-
-    fn store_at(&self, query: Query, entries: Vec<ServiceEntry>, expires: Instant) {
+        let query = Query::new(name, class, room);
         let mut inner = self.inner.lock();
         if entries.is_empty() {
             inner.remove(&query);
         } else {
+            let expires = now + ttl;
             inner.insert(query, Held { entries, expires });
         }
     }
@@ -438,7 +436,8 @@ impl FailoverClient {
     fn route(&mut self) -> Result<Addr, ClientError> {
         let addr = self.resolve()?;
         let breaker = self.breaker.as_ref();
-        if breaker.is_some_and(|b| b.check(&addr) == BreakerVerdict::Rejected) {
+        let now = self.pool.clock().now();
+        if breaker.is_some_and(|b| b.check(&addr, now) == BreakerVerdict::Rejected) {
             self.breaker_fast_fails += 1;
             return Err(ClientError::Service {
                 code: ErrorCode::Busy,
@@ -450,7 +449,11 @@ impl FailoverClient {
 
     fn resolve(&mut self) -> Result<Addr, ClientError> {
         let name = Some(self.service_name.as_str());
-        let held = self.cache.as_ref().and_then(|c| c.get(name, None, None));
+        let now = self.pool.clock().now();
+        let held = self
+            .cache
+            .as_ref()
+            .and_then(|c| c.get(name, None, None, now));
         if let Some(entry) = held.and_then(|entries| entries.into_iter().next()) {
             return Ok(entry.addr);
         }
@@ -462,7 +465,8 @@ impl FailoverClient {
         self.resolutions += 1;
         let addr = entries.first().map(|entry| entry.addr.clone());
         if let Some(cache) = &self.cache {
-            cache.store(name, None, None, entries, resolution_ttl(lease_ms));
+            let now = self.pool.clock().now();
+            cache.store(name, None, None, entries, resolution_ttl(lease_ms), now);
         }
         addr.ok_or_else(|| ClientError::Service {
             code: ErrorCode::NotFound,
@@ -524,6 +528,7 @@ impl std::fmt::Debug for FailoverClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ace_net::Clock;
 
     fn entry(name: &str, host: &str, port: u16) -> ServiceEntry {
         ServiceEntry {
@@ -538,21 +543,17 @@ mod tests {
     fn cache_respects_ttl_and_invalidation() {
         let cache = ResolutionCache::new();
         let echo = vec![entry("echo", "svc", 700)];
-        cache.store(
-            Some("echo"),
-            None,
-            None,
-            echo.clone(),
-            Duration::from_secs(5),
-        );
-        assert_eq!(cache.get(Some("echo"), None, None), Some(echo.clone()));
+        let t = Clock::real().now();
+        let ttl = Duration::from_secs(5);
+        cache.store(Some("echo"), None, None, echo.clone(), ttl, t);
+        assert_eq!(cache.get(Some("echo"), None, None, t), Some(echo.clone()));
         cache.invalidate("echo");
-        assert_eq!(cache.get(Some("echo"), None, None), None);
+        assert_eq!(cache.get(Some("echo"), None, None, t), None);
 
-        cache.store(Some("echo"), None, None, echo, Duration::from_millis(10));
-        std::thread::sleep(Duration::from_millis(25));
+        let ttl = Duration::from_millis(10);
+        cache.store(Some("echo"), None, None, echo, ttl, t);
         assert_eq!(
-            cache.get(Some("echo"), None, None),
+            cache.get(Some("echo"), None, None, t + ttl),
             None,
             "expired entry must not serve"
         );
@@ -576,18 +577,19 @@ mod tests {
 
     #[test]
     fn overflowing_lease_does_not_panic_the_cache() {
-        // Before the clamp, Instant::now() + Duration::from_millis(i64::MAX
-        // as u64) panicked inside ResolutionCache::store.
+        // Before the clamp, now + Duration::from_millis(i64::MAX as u64)
+        // panicked inside ResolutionCache::store.
         let cache = ResolutionCache::new();
         let echo = vec![entry("echo", "svc", 700)];
         let ttl = resolution_ttl(Some(i64::MAX));
-        cache.store(Some("echo"), None, None, echo.clone(), ttl);
-        assert_eq!(cache.get(Some("echo"), None, None), Some(echo));
+        let t = Clock::real().now();
+        cache.store(Some("echo"), None, None, echo.clone(), ttl, t);
+        assert_eq!(cache.get(Some("echo"), None, None, t), Some(echo));
     }
 
     /// The cache against a reference model that holds the rules and
     /// nothing else.  Mutation-checked: with `forget_addr` dropping only
-    /// `name=` answers, and with `store_at` inserting empty answers, the
+    /// `name=` answers, and with `store` inserting empty answers, the
     /// property fails on its first cases.
     mod against_model {
         use super::*;
@@ -680,13 +682,9 @@ mod tests {
                 steps in prop::collection::vec(step(), 1..80),
             ) {
                 let fleet = fleet();
-                let query = |q: usize| {
-                    let (name, class, room) = QUERIES[q];
-                    Query::new(name, class, room)
-                };
                 let cache = ResolutionCache::new();
                 let mut model = Model::default();
-                let mut now = Instant::now();
+                let mut now = Clock::real().now();
                 for step in &steps {
                     match *step {
                         Step::Fill(q, subset, ttl_ms) => {
@@ -694,12 +692,14 @@ mod tests {
                                 .filter(|i| subset & (1 << i) != 0)
                                 .map(|i| fleet[i].clone())
                                 .collect();
-                            let expires = now + Duration::from_millis(ttl_ms);
-                            cache.store_at(query(q), answer.clone(), expires);
-                            model.store(QUERIES[q], answer, expires);
+                            let (name, class, room) = QUERIES[q];
+                            let ttl = Duration::from_millis(ttl_ms);
+                            cache.store(name, class, room, answer.clone(), ttl, now);
+                            model.store(QUERIES[q], answer, now + ttl);
                         }
                         Step::Lookup(q) => {
-                            let served = cache.get_at(query(q), now);
+                            let (name, class, room) = QUERIES[q];
+                            let served = cache.get(name, class, room, now);
                             prop_assert!(served.as_ref().is_none_or(|held| !held.is_empty()));
                             prop_assert_eq!(served, model.get(QUERIES[q], now), "{:?}", QUERIES[q]);
                         }

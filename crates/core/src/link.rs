@@ -156,36 +156,30 @@ impl TicketVault {
         self.ttl
     }
 
-    /// Live (unexpired) tickets.
+    /// Held (possibly expired) tickets.
     pub fn len(&self) -> usize {
-        let now = Instant::now();
-        self.inner
-            .lock()
-            .entries
-            .values()
-            .filter(|e| e.expires > now)
-            .count()
+        self.inner.lock().entries.len()
     }
 
-    /// Is the vault empty of live tickets?
+    /// Does the vault hold no ticket?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Mint a ticket id and remember its master key (computed by
+    /// Mint a ticket id at `now` and remember its master key (computed by
     /// `make_master` from the chosen id, since the key derivation mixes the
-    /// id in).  Called at the end of a full handshake; expired and over-cap
-    /// entries are purged here so the vault stays bounded without a sweeper
-    /// thread.
+    /// id in).  Called at the end of a full handshake; entries expired by
+    /// `now` and over-cap entries are purged here so the vault stays
+    /// bounded without a sweeper thread.
     fn issue(
         &self,
         client_principal: String,
         rng: &mut impl Rng,
         make_master: impl FnOnce(u64) -> SessionKey,
+        now: Instant,
     ) -> u64 {
         let mut guard = self.inner.lock();
         let VaultInner { entries, order } = &mut *guard;
-        let now = Instant::now();
         order.retain(|id| {
             let keep = entries.get(id).is_some_and(|entry| entry.expires > now);
             if !keep {
@@ -218,12 +212,18 @@ impl TicketVault {
         id
     }
 
-    /// Validate one resume attempt.  Success consumes the nonce (single
-    /// use); the ticket itself stays valid until its TTL.
-    fn redeem(&self, id: u64, nonce: u64, mac: u64) -> Result<(SessionKey, String), &'static str> {
+    /// Validate one resume attempt made at `now`.  Success consumes the
+    /// nonce (single use); the ticket itself stays valid until its TTL.
+    fn redeem(
+        &self,
+        id: u64,
+        nonce: u64,
+        mac: u64,
+        now: Instant,
+    ) -> Result<(SessionKey, String), &'static str> {
         let mut inner = self.inner.lock();
         let entry = inner.entries.get_mut(&id).ok_or("unknown ticket")?;
-        if entry.expires <= Instant::now() {
+        if entry.expires <= now {
             return Err("ticket expired");
         }
         if resume_proof(&entry.master, id, nonce) != mac {
@@ -249,7 +249,7 @@ impl TicketVault {
 
 impl fmt::Debug for TicketVault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "TicketVault(ttl: {:?}, live: {})", self.ttl, self.len())
+        write!(f, "TicketVault(ttl: {:?}, held: {})", self.ttl, self.len())
     }
 }
 
@@ -277,11 +277,11 @@ impl TicketCache {
         TicketCache::default()
     }
 
-    /// Cache a ticket for `target`.  The client-side expiry honours the
-    /// server-granted TTL; a slightly stale cache is harmless because the
-    /// server re-checks and the client falls back.
-    pub fn store(&self, target: &Addr, ticket: ResumptionTicket, master: SessionKey) {
-        let expires = Instant::now() + Duration::from_millis(ticket.ttl_ms);
+    /// Cache a ticket for `target`, granted at `now`.  The client-side
+    /// expiry honours the server-granted TTL; a slightly stale cache is
+    /// harmless because the server re-checks and the client falls back.
+    pub fn store(&self, target: &Addr, ticket: ResumptionTicket, master: SessionKey, now: Instant) {
+        let expires = now + Duration::from_millis(ticket.ttl_ms);
         self.inner.lock().insert(
             target.clone(),
             CachedTicket {
@@ -292,11 +292,11 @@ impl TicketCache {
         );
     }
 
-    /// The unexpired ticket for `target`, if any.
-    pub fn get(&self, target: &Addr) -> Option<(ResumptionTicket, SessionKey)> {
+    /// The ticket for `target` unexpired at `now`, if any.
+    pub fn get(&self, target: &Addr, now: Instant) -> Option<(ResumptionTicket, SessionKey)> {
         let mut inner = self.inner.lock();
         match inner.get(target) {
-            Some(c) if c.expires > Instant::now() => Some((c.ticket.clone(), c.master)),
+            Some(c) if c.expires > now => Some((c.ticket.clone(), c.master)),
             Some(_) => {
                 inner.remove(target);
                 None
@@ -364,7 +364,7 @@ impl SecureLink {
         tickets: &TicketCache,
     ) -> Result<SecureLink, LinkError> {
         let target = conn.peer_addr().clone();
-        let Some((ticket, master)) = tickets.get(&target) else {
+        let Some((ticket, master)) = tickets.get(&target, conn.clock().now()) else {
             return Self::full_connect(conn, identity, Some(tickets));
         };
 
@@ -471,7 +471,8 @@ impl SecureLink {
                         .and_then(ResumptionTicket::from_wire)
                     {
                         let master = resume_master(&key, ticket.id);
-                        tickets.store(link.conn.peer_addr(), ticket, master);
+                        let now = link.conn.clock().now();
+                        tickets.store(link.conn.peer_addr(), ticket, master, now);
                     }
                 }
                 Ok(link)
@@ -520,7 +521,7 @@ impl SecureLink {
             );
             let verdict = match parsed {
                 (Some(id), Some(nonce), Some(mac)) => vault
-                    .redeem(id, nonce, mac)
+                    .redeem(id, nonce, mac, conn.clock().now())
                     .map(|(master, principal)| (master.derive(nonce), principal)),
                 _ => Err("malformed resume frame"),
             };
@@ -603,7 +604,13 @@ impl SecureLink {
 
         let mut ok = CmdLine::new("ok").arg("principal", Value::Str(identity.principal()));
         if let Some(vault) = vault {
-            let id = vault.issue(principal.clone(), &mut rng, |id| resume_master(&key, id));
+            let now = link.conn.clock().now();
+            let id = vault.issue(
+                principal.clone(),
+                &mut rng,
+                |id| resume_master(&key, id),
+                now,
+            );
             let ticket = ResumptionTicket {
                 id,
                 ttl_ms: vault.ttl().as_millis() as u64,
@@ -629,6 +636,11 @@ impl SecureLink {
     /// The far side's network address.
     pub fn peer_addr(&self) -> &ace_net::Addr {
         self.conn.peer_addr()
+    }
+
+    /// The clock of the net this link rides.
+    pub(crate) fn clock(&self) -> &ace_net::Clock {
+        self.conn.clock()
     }
 
     /// Is this (idle) link still worth reusing?  See
@@ -950,7 +962,7 @@ mod tests {
         server.join().unwrap();
 
         // The vault still knows the client's principal for the ticket.
-        let (ticket, _) = tickets.get(first.peer_addr()).unwrap();
+        let (ticket, _) = tickets.get(first.peer_addr(), net.clock().now()).unwrap();
         assert_eq!(ticket.client_principal, client_principal);
     }
 
@@ -965,7 +977,7 @@ mod tests {
         let tickets = TicketCache::new();
         let first = connect_and_ping(&net, &client_id, &tickets);
         let addr = first.peer_addr().clone();
-        std::thread::sleep(Duration::from_millis(60));
+        net.clock().sleep(Duration::from_millis(60));
         // Re-arm the client cache with a long client-side TTL so the client
         // still *attempts* the resume — the server's expiry must reject it.
         let (mut ticket, master) = {
@@ -974,7 +986,7 @@ mod tests {
             (c.ticket, c.master)
         };
         ticket.ttl_ms = 60_000;
-        tickets.store(&addr, ticket, master);
+        tickets.store(&addr, ticket, master, net.clock().now());
 
         let second = connect_and_ping(&net, &client_id, &tickets);
         assert!(!second.resumed(), "expired ticket must not resume");
@@ -1004,7 +1016,7 @@ mod tests {
         let tickets = TicketCache::new();
         let first = connect_and_ping(&net, &client_id, &tickets);
         let addr = first.peer_addr().clone();
-        let (ticket, master) = tickets.get(&addr).unwrap();
+        let (ticket, master) = tickets.get(&addr, net.clock().now()).unwrap();
 
         // Resume once by hand with a chosen nonce.
         let nonce = 0x1234u64;
@@ -1066,16 +1078,17 @@ mod tests {
 
         // The thief learns the ticket id (say, from the plaintext resume
         // frame of a sniffed session) but not the master key.
-        let (ticket, _) = honest_cache.get(&addr).unwrap();
+        let now = net.clock().now();
+        let (ticket, _) = honest_cache.get(&addr, now).unwrap();
         let thief_cache = TicketCache::new();
-        thief_cache.store(&addr, ticket.clone(), SessionKey::from_seed(0xbad));
+        thief_cache.store(&addr, ticket.clone(), SessionKey::from_seed(0xbad), now);
 
         let link = connect_and_ping(&net, &thief, &thief_cache);
         assert!(!link.resumed(), "forged proof must not resume");
         // The forged ticket was invalidated; what the cache now holds is
         // the fresh ticket issued by the fallback full handshake, bound to
         // the thief's *own* (authenticated) principal.
-        let (fresh, _) = thief_cache.get(&addr).unwrap();
+        let (fresh, _) = thief_cache.get(&addr, net.clock().now()).unwrap();
         assert_ne!(fresh.id, ticket.id);
         assert_eq!(fresh.client_principal, thief.principal());
         server.join().unwrap();

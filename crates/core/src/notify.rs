@@ -614,14 +614,15 @@ impl DeliveryState {
     /// it back unwritten: the listener is a whole window behind.
     fn deliver(&mut self, message: Message, waker: &Waker) -> Result<(), Message> {
         let Message { addr, cmd, resends } = message;
+        let clock = self.pool.clock();
         if let Some(since) = self.dead.get(&addr) {
-            if since.elapsed() < DEAD_BACKOFF {
+            if clock.now().saturating_duration_since(*since) < DEAD_BACKOFF {
                 self.drops.incr();
                 return Ok(());
             }
             self.dead.remove(&addr);
         }
-        let started = Instant::now();
+        let started = clock.now();
         let held = self.held.get_or_insert_with(Box::default);
         // Delivery is best-effort: a dead listener loses its notification
         // (the paper's registry similarly cannot promise delivery to
@@ -657,7 +658,8 @@ impl DeliveryState {
                 Ok(()) => {
                     to.window.wrote(cmd, resends, sync, started);
                     self.delivered.incr();
-                    self.latency.record(started.elapsed());
+                    self.latency
+                        .record(clock.now().saturating_duration_since(started));
                     return Ok(());
                 }
                 Err(_) => {
@@ -666,7 +668,7 @@ impl DeliveryState {
             }
         }
         self.drops.incr();
-        self.dead.insert(addr, Instant::now());
+        self.dead.insert(addr, clock.now());
         Ok(())
     }
 
@@ -698,7 +700,7 @@ impl RuntimeTask for NotifierTask {
         // `try_recv` and the return would otherwise be a lost wakeup.
         self.wake.register(cx.waker());
         let state = &mut self.state;
-        let now = Instant::now();
+        let now = state.pool.clock().now();
         state.hear(now);
         state.resend_due(now, cx.waker());
         let mut handled = 0usize;
@@ -878,7 +880,7 @@ mod cast_model {
         fn new(seed: u64) -> World {
             World {
                 rng: SmallRng::seed_from_u64(seed),
-                now: Instant::now(),
+                now: ace_net::Clock::real().now(),
                 links: Vec::new(),
                 budget: RetryBudget::new(5, 0.1),
                 fired: 0,

@@ -47,7 +47,7 @@ use crate::link::TicketCache;
 use crate::metrics::{Counter, MetricsRegistry, WireCounts};
 use crate::retry::RetryPolicy;
 use ace_lang::{CmdLine, ErrorCode};
-use ace_net::{Addr, HostId, SimNet};
+use ace_net::{Addr, Clock, HostId, SimNet};
 use ace_security::keys::KeyPair;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -152,6 +152,11 @@ impl LinkPool {
         &self.net
     }
 
+    /// The clock of the net this pool dials through.
+    pub fn clock(&self) -> &Clock {
+        self.net.clock()
+    }
+
     pub(crate) fn host(&self) -> &HostId {
         &self.from_host
     }
@@ -251,7 +256,7 @@ impl LinkPool {
         timeout: Duration,
         how: &Retrying,
     ) -> Result<CmdLine, ClientError> {
-        let mut retry = how.policy.start();
+        let mut retry = how.policy.start(self.clock());
         loop {
             // A held-over link whose peer closed it since the last call (it
             // retired for a replacement, or died) is let go before the send:
@@ -340,7 +345,8 @@ impl LinkPool {
     /// Count a failure towards `target`'s breaker; one that opens lets go
     /// of the target.
     fn trip(&self, held: &mut Option<PooledLink>, target: &Addr, how: &Retrying) {
-        let opened = how.breaker.is_some_and(|b| b.record_failure(target));
+        let now = self.clock().now();
+        let opened = how.breaker.is_some_and(|b| b.record_failure(target, now));
         if opened {
             self.let_go(held, target, how);
         }
@@ -507,9 +513,9 @@ mod tests {
                 .with(CmdSpec::new("echo", "echo back"))
                 .with(CmdSpec::new("nap", "answer after 200 ms"))
         }
-        fn handle(&mut self, _ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
+        fn handle(&mut self, ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
             if cmd.name() == "nap" {
-                std::thread::sleep(Duration::from_millis(200));
+                ctx.net().clock().sleep(Duration::from_millis(200));
             }
             Reply::ok()
         }

@@ -11,16 +11,19 @@
 //! rides one loop over it, `LinkPool::call_with` ([`crate::pool`]).
 //!
 //! A policy is an immutable recipe; [`RetryPolicy::start`] stamps it with
-//! the current instant to produce a [`Retry`] schedule whose
-//! [`Retry::backoff`] is called between attempts:
+//! a clock's current instant to produce a [`Retry`] schedule whose
+//! [`Retry::backoff`] is called between attempts, and sleeps on that
+//! clock:
 //!
 //! ```
 //! use ace_core::retry::RetryPolicy;
+//! use ace_net::SimNet;
 //! use std::time::Duration;
 //!
+//! let net = SimNet::new();
 //! let policy = RetryPolicy::new(Duration::from_millis(1))
 //!     .with_budget(Duration::from_millis(20));
-//! let mut retry = policy.start();
+//! let mut retry = policy.start(net.clock());
 //! let mut attempts = 1;
 //! loop {
 //!     // ... try the operation ...
@@ -33,6 +36,7 @@
 //! ```
 
 use crate::metrics::Counter;
+use ace_net::Clock;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -242,16 +246,18 @@ impl RetryPolicy {
         Duration::from_secs_f64(scaled.max(0.0))
     }
 
-    /// Stamp the policy with the current instant, producing a live
-    /// schedule, and deposit one request's share in the retry budget.
-    pub fn start(&self) -> Retry {
+    /// Stamp the policy with `clock`'s current instant, producing a live
+    /// schedule that waits on `clock`, and deposit one request's share in
+    /// the retry budget.
+    pub fn start(&self, clock: &Clock) -> Retry {
         if let Some(budget) = &self.retry_budget {
             budget.note_call();
         }
         Retry {
             policy: self.clone(),
             attempt: 0,
-            deadline: self.budget.map(|b| Instant::now() + b),
+            deadline: self.budget.map(|b| clock.now() + b),
+            clock: clock.clone(),
         }
     }
 }
@@ -262,13 +268,14 @@ pub struct Retry {
     policy: RetryPolicy,
     attempt: u32,
     deadline: Option<Instant>,
+    clock: Clock,
 }
 
 impl Retry {
     /// Time left in the wall-clock budget, if one was set.
     pub fn remaining(&self) -> Option<Duration> {
         self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
+            .map(|d| d.saturating_duration_since(self.clock.now()))
     }
 
     /// Whether the schedule still permits another attempt *right now*.
@@ -279,7 +286,7 @@ impl Retry {
             }
         }
         if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
+            if self.clock.now() >= deadline {
                 return true;
             }
         }
@@ -300,14 +307,14 @@ impl Retry {
         }
         let mut delay = self.policy.delay_for(self.attempt);
         if let Some(deadline) = self.deadline {
-            delay = delay.min(deadline.saturating_duration_since(Instant::now()));
+            delay = delay.min(deadline.saturating_duration_since(self.clock.now()));
         }
         self.attempt += 1;
         if let Some(counter) = &self.policy.counter {
             counter.incr();
         }
         if !delay.is_zero() {
-            std::thread::sleep(delay);
+            self.clock.sleep(delay);
         }
         true
     }
@@ -359,7 +366,7 @@ mod tests {
     fn max_attempts_limits_backoffs() {
         let mut retry = RetryPolicy::fixed(Duration::from_millis(1))
             .with_max_attempts(3)
-            .start();
+            .start(&Clock::real());
         let mut taken = 0;
         while retry.backoff() {
             taken += 1;
@@ -374,7 +381,7 @@ mod tests {
         let mut retry = RetryPolicy::fixed(Duration::from_millis(1))
             .with_max_attempts(2)
             .with_counter(Arc::clone(&c))
-            .start();
+            .start(&Clock::real());
         while retry.backoff() {}
         assert_eq!(c.get(), 2);
     }
@@ -410,7 +417,7 @@ mod tests {
         let budget = Arc::new(RetryBudget::new(3, 0.0));
         let mut retry = RetryPolicy::fixed(Duration::from_millis(1))
             .with_retry_budget(Arc::clone(&budget))
-            .start();
+            .start(&Clock::real());
         let mut taken = 0;
         while retry.backoff() {
             taken += 1;
@@ -426,9 +433,9 @@ mod tests {
         let budget = Arc::new(RetryBudget::new(1, 0.5));
         assert!(budget.try_withdraw());
         let policy = RetryPolicy::fixed(Duration::ZERO).with_retry_budget(Arc::clone(&budget));
-        policy.start();
+        policy.start(&Clock::real());
         assert!(!budget.try_withdraw(), "half a token is not a retry");
-        policy.start();
+        policy.start(&Clock::real());
         assert!(budget.try_withdraw(), "two starts bought one retry");
     }
 
@@ -436,10 +443,11 @@ mod tests {
     fn budget_bounds_total_sleep() {
         let mut retry = RetryPolicy::fixed(Duration::from_millis(5))
             .with_budget(Duration::from_millis(40))
-            .start();
-        let start = Instant::now();
+            .start(&Clock::real());
+        let clock = Clock::real();
+        let start = clock.now();
         while retry.backoff() {}
-        let elapsed = start.elapsed();
+        let elapsed = clock.now() - start;
         assert!(elapsed >= Duration::from_millis(40), "{elapsed:?}");
         assert!(elapsed < Duration::from_millis(400), "{elapsed:?}");
     }

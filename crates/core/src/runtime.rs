@@ -54,6 +54,7 @@
 //! § "Daemon runtime (PR 8)", re-run against a pool per daemon as E22.
 
 use crate::metrics::MetricsRegistry;
+use ace_net::Clock;
 use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -139,20 +140,12 @@ impl DoneFlag {
     }
 
     fn wait_timeout(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut g = self.done.lock().unwrap_or_else(|e| e.into_inner());
-        while !*g {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (ng, _) = self
-                .cv
-                .wait_timeout(g, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            g = ng;
-        }
-        true
+        let g = self.done.lock().unwrap_or_else(|e| e.into_inner());
+        let (g, _) = self
+            .cv
+            .wait_timeout_while(g, timeout, |done| !*done)
+            .unwrap_or_else(|e| e.into_inner());
+        *g
     }
 }
 
@@ -286,6 +279,7 @@ struct RtStats {
 struct RuntimeInner {
     ready_tx: Sender<Arc<TaskCore>>,
     ready_rx: Receiver<Arc<TaskCore>>,
+    clock: Clock,
     epoch: Instant,
     base_workers: usize,
     workers_live: AtomicUsize,
@@ -300,7 +294,8 @@ struct RuntimeInner {
 
 impl RuntimeInner {
     fn elapsed_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
+        let elapsed = self.clock.now().saturating_duration_since(self.epoch);
+        elapsed.as_nanos().min(u128::from(u64::MAX)) as u64
     }
 
     fn enqueue(&self, core: Arc<TaskCore>) {
@@ -437,7 +432,7 @@ impl RuntimeInner {
             if self.shutdown.load(Ordering::Relaxed) {
                 return;
             }
-            let now = Instant::now();
+            let now = self.clock.now();
             let mut due = Vec::new();
             while matches!(heap.peek(), Some(top) if top.at <= now) {
                 due.push(heap.pop().expect("peeked entry"));
@@ -478,7 +473,7 @@ impl RuntimeInner {
     fn watchdog_loop(self: Arc<Self>) {
         let long_poll_ns = LONG_POLL.as_nanos() as u64;
         loop {
-            std::thread::sleep(WATCHDOG_TICK);
+            self.clock.sleep(WATCHDOG_TICK);
             if self.shutdown.load(Ordering::Relaxed) {
                 return;
             }
@@ -528,10 +523,12 @@ impl Runtime {
     pub fn new(workers: usize) -> Runtime {
         let workers = workers.clamp(1, MAX_WORKERS);
         let (ready_tx, ready_rx) = crossbeam_channel::unbounded();
+        let clock = Clock::real();
         let inner = Arc::new(RuntimeInner {
             ready_tx,
             ready_rx,
-            epoch: Instant::now(),
+            epoch: clock.now(),
+            clock,
             base_workers: workers,
             workers_live: AtomicUsize::new(0),
             slots: Mutex::new(Vec::new()),
@@ -710,6 +707,7 @@ mod tests {
 
     struct TimerTask {
         fired: Arc<AtomicBool>,
+        clock: Clock,
         at: Instant,
         armed: bool,
     }
@@ -721,7 +719,7 @@ mod tests {
                 cx.set_timer(self.at);
                 return TaskPoll::Pending;
             }
-            if Instant::now() >= self.at {
+            if self.clock.now() >= self.at {
                 self.fired.store(true, Ordering::SeqCst);
                 TaskPoll::Complete
             } else {
@@ -735,9 +733,11 @@ mod tests {
     fn timer_wakes_parked_task() {
         let rt = Runtime::new(1);
         let fired = Arc::new(AtomicBool::new(false));
+        let clock = Clock::real();
         let h = rt.spawn(Box::new(TimerTask {
             fired: Arc::clone(&fired),
-            at: Instant::now() + Duration::from_millis(30),
+            at: clock.now() + Duration::from_millis(30),
+            clock,
             armed: false,
         }));
         assert!(h.wait(Duration::from_secs(5)));
@@ -767,9 +767,10 @@ mod tests {
             polls: Arc::clone(&polls),
         }));
         // Let the first poll park it, then kick it.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while polls.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
+        let clock = Clock::real();
+        let deadline = clock.now() + Duration::from_secs(5);
+        while polls.load(Ordering::SeqCst) == 0 && clock.now() < deadline {
+            clock.sleep(Duration::from_millis(1));
         }
         h.wake();
         assert!(h.wait(Duration::from_secs(5)));
@@ -781,7 +782,7 @@ mod tests {
 
     impl RuntimeTask for Staller {
         fn poll(&mut self, _cx: &mut TaskContext<'_>) -> TaskPoll {
-            std::thread::sleep(LONG_POLL * 4);
+            Clock::real().sleep(LONG_POLL * 4);
             TaskPoll::Complete
         }
     }

@@ -265,13 +265,14 @@ impl Supervisor {
         }
     }
 
-    /// Mark a service down and schedule its first respawn attempt now.
-    fn mark_down(&mut self, name: &str) {
+    /// Mark a service down and schedule its first respawn attempt at
+    /// `now`.
+    fn mark_down(&mut self, name: &str, now: Instant) {
         if let Some(s) = self.services.get_mut(name) {
             if matches!(s.state, ServiceState::Watching { .. }) {
                 s.state = ServiceState::Pending {
                     attempt: 0,
-                    next_try: Instant::now(),
+                    next_try: now,
                 };
             }
         }
@@ -279,7 +280,7 @@ impl Supervisor {
 
     /// Drive every due respawn attempt.
     fn run_pending(&mut self, ctx: &mut ServiceCtx) {
-        let now = Instant::now();
+        let now = ctx.net().clock().now();
         let due: Vec<String> = self
             .services
             .iter()
@@ -301,7 +302,7 @@ impl Supervisor {
         };
 
         // Budget check: prune restarts that have aged out of the window.
-        let now = Instant::now();
+        let now = ctx.net().clock().now();
         while let Some(&oldest) = s.restarts.front() {
             if now.duration_since(oldest) > policy.window {
                 s.restarts.pop_front();
@@ -391,7 +392,7 @@ impl Supervisor {
                 ctx.log("warn", format!("{name} failed {failures} health probes"));
                 s.state = ServiceState::Pending {
                     attempt: 0,
-                    next_try: Instant::now(),
+                    next_try: ctx.net().clock().now(),
                 };
             } else {
                 s.state = ServiceState::Watching { failures };
@@ -443,7 +444,7 @@ impl Supervisor {
                 // bring the service back.
                 s.state = ServiceState::Pending {
                     attempt: 0,
-                    next_try: Instant::now(),
+                    next_try: net.clock().now(),
                 };
                 ctx.log("error", format!("upgrade of {name} failed mid-swap: {e}"));
                 Err(e)
@@ -458,7 +459,7 @@ impl Supervisor {
     }
 
     fn run_probes(&mut self, ctx: &mut ServiceCtx) {
-        let now = Instant::now();
+        let now = ctx.net().clock().now();
         if self
             .last_probe
             .is_some_and(|last| now.duration_since(last) < self.probe_interval)
@@ -525,7 +526,7 @@ impl ServiceBehavior for Supervisor {
                     return Reply::ok_with(|c| c.arg("restarted", false));
                 }
                 ctx.log("warn", format!("{name} lease expired; restarting"));
-                self.mark_down(&name);
+                self.mark_down(&name, ctx.net().clock().now());
                 self.run_pending(ctx);
                 let restarted = matches!(
                     self.services.get(&name).map(|s| &s.state),
@@ -691,13 +692,14 @@ pub fn live_upgrade(
     mut replacement: Box<dyn ServiceBehavior>,
     persist: Option<PersistFn<'_>>,
 ) -> Result<(DaemonHandle, UpgradeStats), UpgradeError> {
-    let swap_started = Instant::now();
+    let clock = net.clock();
+    let swap_started = clock.now();
     let mut client = ServiceClient::connect(net, from_host, old.addr().clone(), driver)
         .map_err(UpgradeError::Quiesce)?;
     let reply = client
         .call(&CmdLine::new("aceUpgrade").arg("phase", "quiesce"))
         .map_err(UpgradeError::Quiesce)?;
-    let quiesce = swap_started.elapsed();
+    let quiesce = clock.now().saturating_duration_since(swap_started);
     let abort = |client: &mut ServiceClient| {
         let _ = client.call(&CmdLine::new("aceUpgrade").arg("phase", "abort"));
     };
@@ -727,14 +729,14 @@ pub fn live_upgrade(
     // Validate the snapshot against the replacement *before* tearing
     // anything down — a refused restore must leave the old incarnation
     // serving untouched.
-    let restore_started = Instant::now();
+    let restore_started = clock.now();
     if let Some(bytes) = &snapshot {
         if let Err(msg) = replacement.restore_state(bytes) {
             abort(&mut client);
             return Err(UpgradeError::Restore(msg));
         }
     }
-    let restore = restore_started.elapsed();
+    let restore = clock.now().saturating_duration_since(restore_started);
 
     if let (Some(bytes), Some(persist)) = (&snapshot, persist) {
         if let Err(msg) = persist(old.name(), bytes) {
@@ -753,7 +755,7 @@ pub fn live_upgrade(
         .with_notifications(notifications);
     old.retire();
     let handle = Daemon::spawn(net, config, replacement).map_err(UpgradeError::Spawn)?;
-    let pause = swap_started.elapsed();
+    let pause = clock.now().saturating_duration_since(swap_started);
     handle
         .metrics()
         .histogram("upgrade.restoreTime")

@@ -34,7 +34,9 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 struct Lease {
     entry: ServiceEntry,
-    expires: Instant,
+    /// `None` only between a restore and the daemon's start, which gives
+    /// every restored lease its deadline (see `restore_state`).
+    expires: Option<Instant>,
     /// Spawn generation of the registrant.  Monotone per name: a lower
     /// incarnation is a stale instance (pre-restart or pre-upgrade) whose
     /// late register/renew must not clobber its replacement.
@@ -95,15 +97,17 @@ impl Asd {
     /// for one lease it refuses listings with `E_UNAVAILABLE`, which sends
     /// the asker on to a peer like any other error.  After one lease every
     /// live registration has renewed through it (and been repaired) or has
-    /// expired everywhere: it then knows what its peers know.
-    pub(crate) fn rejoining(mut self) -> Asd {
-        self.listing_from = Some(Instant::now() + self.lease_duration);
+    /// expired everywhere: it then knows what its peers know.  `now` is
+    /// when it comes up.
+    pub(crate) fn rejoining(mut self, now: Instant) -> Asd {
+        self.listing_from = Some(now + self.lease_duration);
         self
     }
 
-    /// The refusal a rejoining replica gives a listing, if it still is one.
-    fn not_listing_yet(&self) -> Option<Reply> {
-        let left = self.listing_from?.checked_duration_since(Instant::now())?;
+    /// The refusal a rejoining replica gives a listing at `now`, if it
+    /// still is one.
+    fn not_listing_yet(&self, now: Instant) -> Option<Reply> {
+        let left = self.listing_from?.checked_duration_since(now)?;
         Some(Reply::err(
             ErrorCode::Unavailable,
             format!(
@@ -183,14 +187,14 @@ impl Asd {
         self.expiry = self
             .leases
             .iter()
-            .map(|(name, lease)| Reverse((lease.expires, name.clone())))
+            .filter_map(|(name, lease)| Some(Reverse((lease.expires?, name.clone()))))
             .collect();
         self.heap_compactions += 1;
     }
 
-    /// Renew the lease for `name` (the `renewLease` verb body; free of
-    /// `ServiceCtx` so tests can drive renewal storms directly).
-    fn apply_renewal(&mut self, name: &str, incarnation: u64) -> Reply {
+    /// Renew the lease for `name` at `now` (the `renewLease` verb body;
+    /// free of `ServiceCtx` so tests can drive renewal storms directly).
+    fn apply_renewal(&mut self, name: &str, incarnation: u64, now: Instant) -> Reply {
         match self.leases.get_mut(name) {
             Some(lease) if incarnation < lease.incarnation => Reply::err(
                 ErrorCode::BadState,
@@ -200,8 +204,8 @@ impl Asd {
                 ),
             ),
             Some(lease) => {
-                let expires = Instant::now() + self.lease_duration;
-                lease.expires = expires;
+                let expires = now + self.lease_duration;
+                lease.expires = Some(expires);
                 // The old heap entry goes stale and is skipped by the
                 // lazy-deletion check on pop.
                 self.expiry.push(Reverse((expires, name.to_string())));
@@ -212,10 +216,11 @@ impl Asd {
         }
     }
 
-    /// Pop genuinely expired leases off the heap.  Cost is O(expired ·
-    /// log n) rather than a scan of every lease per command.
-    fn purge_expired(&mut self, ctx: &mut ServiceCtx) {
-        let now = Instant::now();
+    /// Drop the leases expired at `now`, returning their names in
+    /// deadline order.  Pops genuinely expired leases off the heap: cost is
+    /// O(expired · log n) rather than a scan of every lease per command.
+    fn expire(&mut self, now: Instant) -> Vec<String> {
+        let mut expired = Vec::new();
         while let Some(Reverse((deadline, _))) = self.expiry.peek() {
             if *deadline > now {
                 break;
@@ -227,11 +232,19 @@ impl Asd {
             let live = self
                 .leases
                 .get(&name)
-                .is_some_and(|l| l.expires == deadline);
-            if !live {
-                continue;
+                .is_some_and(|l| l.expires == Some(deadline));
+            if live {
+                self.remove_lease(&name);
+                expired.push(name);
             }
-            self.remove_lease(&name);
+        }
+        expired
+    }
+
+    /// [`Asd::expire`] at the clock's now, logging each lapse and firing
+    /// `serviceExpired` for it.
+    fn purge_expired(&mut self, ctx: &mut ServiceCtx) {
+        for name in self.expire(ctx.net().clock().now()) {
             ctx.log("warn", format!("lease expired for service {name}"));
             // Listeners can watch `serviceExpired` to react to failures
             // (the restart-watcher service does exactly this).
@@ -292,6 +305,17 @@ impl ServiceBehavior for Asd {
         protocol::asd_semantics()
     }
 
+    /// Restored leases get their deadline: one lease from now.
+    fn on_start(&mut self, ctx: &mut ServiceCtx) {
+        let expires = ctx.net().clock().now() + self.lease_duration;
+        for (name, lease) in &mut self.leases {
+            if lease.expires.is_none() {
+                lease.expires = Some(expires);
+                self.expiry.push(Reverse((expires, name.clone())));
+            }
+        }
+    }
+
     fn on_tick(&mut self, ctx: &mut ServiceCtx) {
         self.purge_expired(ctx);
     }
@@ -336,13 +360,13 @@ impl ServiceBehavior for Asd {
                 // Re-registration may change room or class: drop the old
                 // index entries before inserting the new ones.
                 self.remove_lease(&name);
-                let expires = Instant::now() + self.lease_duration;
+                let expires = ctx.net().clock().now() + self.lease_duration;
                 self.index_insert(&entry);
                 self.leases.insert(
                     name.clone(),
                     Lease {
                         entry,
-                        expires,
+                        expires: Some(expires),
                         incarnation,
                     },
                 );
@@ -354,7 +378,7 @@ impl ServiceBehavior for Asd {
             "renewLease" => {
                 let name = req_text!(cmd, "name").to_string();
                 let incarnation = cmd.get_int("incarnation").unwrap_or(0).max(0) as u64;
-                self.apply_renewal(&name, incarnation)
+                self.apply_renewal(&name, incarnation, ctx.net().clock().now())
             }
             "removeService" => {
                 let name = req_text!(cmd, "name");
@@ -368,7 +392,8 @@ impl ServiceBehavior for Asd {
                 let name = cmd.get_text("name");
                 let class = cmd.get_text("class");
                 let room = cmd.get_text("room");
-                if let (None, Some(refusal)) = (name, self.not_listing_yet()) {
+                let now = ctx.net().clock().now();
+                if let (None, Some(refusal)) = (name, self.not_listing_yet(now)) {
                     return refusal;
                 }
                 let mut matches: Vec<ServiceEntry> = match self.candidate_names(name, class, room) {
@@ -404,7 +429,7 @@ impl ServiceBehavior for Asd {
                 }
             },
             "listServices" => {
-                if let Some(refusal) = self.not_listing_yet() {
+                if let Some(refusal) = self.not_listing_yet(ctx.net().clock().now()) {
                     return refusal;
                 }
                 let mut names: Vec<Scalar> =
@@ -465,22 +490,20 @@ impl ServiceBehavior for Asd {
         self.expiry.clear();
         self.by_room.clear();
         self.by_class_segment.clear();
-        // Every restored lease gets a fresh full deadline: registrants keep
-        // renewing against the replacement, and anything truly dead still
-        // expires one lease after the swap.
-        let expires = Instant::now() + self.lease_duration;
+        // Every restored lease gets a fresh full deadline when the daemon
+        // starts (`on_start`): registrants keep renewing against the
+        // replacement, and anything truly dead still expires one lease
+        // after the swap.
         for (entry, incarnation) in entries.into_iter().zip(incarnations) {
-            let name = entry.name.clone();
             self.index_insert(&entry);
             self.leases.insert(
-                name.clone(),
+                entry.name.clone(),
                 Lease {
                     entry,
-                    expires,
+                    expires: None,
                     incarnation,
                 },
             );
-            self.expiry.push(Reverse((expires, name)));
         }
         self.total_registrations = total.max(0) as u64;
         Ok(())
@@ -560,6 +583,7 @@ impl AsdClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ace_net::Clock;
 
     #[test]
     fn class_matching_follows_hierarchy() {
@@ -600,13 +624,13 @@ mod tests {
             entry("proj1", "Service.Device.Projector", "hawk"),
         ] {
             asd.index_insert(&e);
-            let expires = Instant::now() + asd.lease_duration;
+            let expires = Clock::real().now() + asd.lease_duration;
             asd.expiry.push(Reverse((expires, e.name.clone())));
             asd.leases.insert(
                 e.name.clone(),
                 Lease {
                     entry: e,
-                    expires,
+                    expires: Some(expires),
                     incarnation: 0,
                 },
             );
@@ -652,13 +676,13 @@ mod tests {
         let moved = entry("cam1", "Service.Device.PTZCamera.VCC3", "dove");
         asd.remove_lease("cam1");
         asd.index_insert(&moved);
-        let expires = Instant::now() + asd.lease_duration;
+        let expires = Clock::real().now() + asd.lease_duration;
         asd.expiry.push(Reverse((expires, moved.name.clone())));
         asd.leases.insert(
             moved.name.clone(),
             Lease {
                 entry: moved,
-                expires,
+                expires: Some(expires),
                 incarnation: 0,
             },
         );
@@ -677,45 +701,38 @@ mod tests {
         assert_eq!(asd.candidate_names(None, Some("EVI30"), None), Some(vec![]));
     }
 
+    /// A renewal strands its old deadline in the heap; expiring at that
+    /// deadline must skip it, because the lease's current deadline is
+    /// later.  (Fails if `expire` drops the lazy-deletion check
+    /// `l.expires == Some(deadline)`.)
     #[test]
     fn expiry_heap_skips_stale_renewal_entries() {
         let mut asd = Asd::new(Duration::from_millis(40));
         let e = entry("svc", "Service.Test", "lab");
-        let first = Instant::now() + asd.lease_duration;
+        let first = Clock::real().now() + asd.lease_duration;
         asd.index_insert(&e);
         asd.leases.insert(
             "svc".to_string(),
             Lease {
                 entry: e,
-                expires: first,
+                expires: Some(first),
                 incarnation: 0,
             },
         );
         asd.expiry.push(Reverse((first, "svc".to_string())));
         // Renew: fresh deadline, stale heap entry left behind.
         let renewed = first + Duration::from_millis(200);
-        asd.leases.get_mut("svc").unwrap().expires = renewed;
+        asd.leases.get_mut("svc").unwrap().expires = Some(renewed);
         asd.expiry.push(Reverse((renewed, "svc".to_string())));
 
-        std::thread::sleep(Duration::from_millis(60));
-        // Simulate the purge loop's heap discipline without a ServiceCtx.
-        let now = Instant::now();
-        let mut purged = Vec::new();
-        while let Some(Reverse((deadline, _))) = asd.expiry.peek() {
-            if *deadline > now {
-                break;
-            }
-            let Reverse((deadline, name)) = asd.expiry.pop().unwrap();
-            if asd.leases.get(&name).is_some_and(|l| l.expires == deadline) {
-                asd.remove_lease(&name);
-                purged.push(name);
-            }
-        }
+        let purged = asd.expire(first + Duration::from_millis(1));
         assert!(
             purged.is_empty(),
             "renewed lease must survive its stale heap entry"
         );
         assert!(asd.leases.contains_key("svc"));
+        assert_eq!(asd.expire(renewed), vec!["svc".to_string()]);
+        assert!(asd.leases.is_empty());
     }
 
     /// Full index-consistency check: every indexed name is a live lease
@@ -764,12 +781,12 @@ mod tests {
                 &format!("room{}", i % 5),
             );
             asd.index_insert(&e);
-            let expires = Instant::now() + asd.lease_duration;
+            let expires = Clock::real().now() + asd.lease_duration;
             asd.leases.insert(
                 e.name.clone(),
                 Lease {
                     entry: e,
-                    expires,
+                    expires: Some(expires),
                     incarnation: 0,
                 },
             );
@@ -798,21 +815,22 @@ mod tests {
         for i in 0..10 {
             let e = entry(&format!("svc{i}"), "Service.Test", "lab");
             asd.index_insert(&e);
-            let expires = Instant::now() + asd.lease_duration;
+            let expires = Clock::real().now() + asd.lease_duration;
             asd.expiry.push(Reverse((expires, e.name.clone())));
             asd.leases.insert(
                 e.name.clone(),
                 Lease {
                     entry: e,
-                    expires,
+                    expires: Some(expires),
                     incarnation: 0,
                 },
             );
         }
         // 5,000 renewals used to strand 5,000 stale heap entries.
+        let clock = Clock::real();
         for round in 0..500 {
             for i in 0..10 {
-                let reply = asd.apply_renewal(&format!("svc{i}"), 0);
+                let reply = asd.apply_renewal(&format!("svc{i}"), 0, clock.now());
                 assert!(reply.is_ok(), "renewal failed on round {round}");
             }
         }
@@ -831,7 +849,7 @@ mod tests {
             assert!(
                 asd.expiry
                     .iter()
-                    .any(|Reverse((at, n))| n == name && *at == lease.expires),
+                    .any(|Reverse((at, n))| n == name && Some(*at) == lease.expires),
                 "live deadline for {name} lost by compaction"
             );
         }

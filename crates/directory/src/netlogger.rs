@@ -203,7 +203,7 @@ impl ServiceBehavior for NetLogger {
                         .unwrap_or(from.addr.host.as_str())
                         .to_string(),
                     msg: req_text!(cmd, "msg").to_string(),
-                    at: Instant::now(),
+                    at: ctx.net().clock().now(),
                 };
                 self.next_seq += 1;
                 if self.records.len() == self.capacity {
@@ -260,7 +260,7 @@ impl ServiceBehavior for NetLogger {
                         .unwrap_or(from.addr.host.as_str())
                         .to_string(),
                     fields,
-                    at: Instant::now(),
+                    at: ctx.net().clock().now(),
                 };
                 self.next_event_seq += 1;
                 let ring = self.events.entry(service).or_default();
@@ -425,7 +425,7 @@ mod tests {
             kind: "stats".into(),
             host: "core".into(),
             fields,
-            at: Instant::now(),
+            at: ace_net::Clock::real().now(),
         }
     }
 

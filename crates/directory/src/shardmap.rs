@@ -51,7 +51,7 @@ use ace_core::SpawnError;
 use ace_security::keys::KeyPair;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // The shard map
@@ -304,7 +304,7 @@ impl ShardedAsdClient {
         if self.map.shard_count() == 0 {
             return Err(Self::no_shards());
         }
-        let started = Instant::now();
+        let started = self.pool.clock().now();
         let cmd = protocol::lookup_cmd(name, class, room);
         let result = match name {
             Some(n) => {
@@ -335,7 +335,7 @@ impl ShardedAsdClient {
             }
         };
         if let Some(hist) = &self.lookup_hist {
-            hist.record(started.elapsed());
+            hist.record(self.pool.clock().now().saturating_duration_since(started));
         }
         result
     }
@@ -424,7 +424,7 @@ impl ShardedDirectory {
         let addr = &self.map.replicas(shard)[replica];
         let mut asd = Asd::new(self.lease).with_shard_map(self.map.clone());
         if rejoining {
-            asd = asd.rejoining();
+            asd = asd.rejoining(net.clock().now());
         }
         Daemon::spawn(
             net,

@@ -137,7 +137,7 @@ fn circuit_breaker_fast_fails_and_recovers() {
         assert!(client.call_idempotent(&CmdLine::new("read")).is_err());
     }
     assert!(
-        breaker.is_open(&service.addr().clone()),
+        breaker.is_open(&service.addr().clone(), net.clock().now()),
         "repeated dial failures never opened the breaker"
     );
 
@@ -162,7 +162,7 @@ fn circuit_breaker_fast_fails_and_recovers() {
     std::thread::sleep(Duration::from_millis(1600));
     let r = client.call_idempotent(&CmdLine::new("read")).unwrap();
     assert_eq!(r.get_int("value"), Some(1));
-    assert!(!breaker.is_open(&service.addr().clone()));
+    assert!(!breaker.is_open(&service.addr().clone(), net.clock().now()));
     client.call(&CmdLine::new("increment")).unwrap();
 
     service.shutdown();

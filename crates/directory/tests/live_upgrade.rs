@@ -436,6 +436,51 @@ fn stale_incarnation_stragglers_are_fenced_out() {
     r.fw.shutdown();
 }
 
+/// A lease the ASD restored from its snapshot lapses like any other once
+/// nothing renews it: the replacement gives every restored lease its
+/// deadline when it starts.  (Fails if the restored leases get none.)
+#[test]
+fn a_restored_lease_still_lapses() {
+    let lease = Duration::from_millis(300);
+    let r = rig(lease);
+    let connect = || {
+        ace_directory::AsdClient::connect(&r.net, &"ctrl".into(), r.fw.asd_addr.clone(), &r.me)
+            .unwrap()
+    };
+    let ghost = ace_core::protocol::ServiceEntry {
+        name: "ghost".into(),
+        addr: Addr::new("app", 4799),
+        class: "Service.Test".into(),
+        room: "office".into(),
+    };
+    connect().register(&ghost).unwrap();
+
+    let (asd, _) = live_upgrade(
+        &r.net,
+        &"ctrl".into(),
+        &r.me,
+        &r.fw.asd,
+        r.fw.asd.config().clone(),
+        Box::new(ace_directory::Asd::new(lease)),
+        None,
+    )
+    .unwrap();
+    let mut finder = connect();
+    assert!(
+        finder.find("ghost").unwrap().is_some(),
+        "the registration rides the snapshot"
+    );
+    let clock = r.net.clock();
+    let give_up = clock.now() + Duration::from_secs(5);
+    while finder.find("ghost").unwrap().is_some() {
+        assert!(clock.now() < give_up, "a restored lease never lapsed");
+        clock.sleep(Duration::from_millis(20));
+    }
+
+    asd.shutdown();
+    r.fw.shutdown();
+}
+
 /// A fenced registration is an answer, not a shed: the spawn of a stale
 /// incarnation fails on the directory's first `E_BADSTATE`, having sent one
 /// `register`.  Fails if the start-up loop retries every error (four

@@ -106,7 +106,8 @@ fn run_shard_failover(seed: u64) {
         let lease = client.register(&entry(i), 1).unwrap();
         assert!(lease > Duration::ZERO, "svc{i}: lease must be granted");
         let ttl = Duration::from_secs(3600);
-        cache.store(Some(&entry(i).name), None, None, vec![entry(i)], ttl);
+        let now = net.clock().now();
+        cache.store(Some(&entry(i).name), None, None, vec![entry(i)], ttl, now);
     }
     assert_eq!(cache.len(), SERVICES);
 
@@ -259,13 +260,15 @@ fn run_shard_failover(seed: u64) {
         await_true("victim shard's cache entries to be evicted", || {
             victim_names
                 .iter()
-                .all(|n| cache.get(Some(n), None, None).is_none())
+                .all(|n| cache.get(Some(n), None, None, net.clock().now()).is_none())
         });
         for i in 0..SERVICES {
             let name = entry(i).name;
             if !victim_names.contains(&name) {
                 assert!(
-                    cache.get(Some(&name), None, None).is_some(),
+                    cache
+                        .get(Some(&name), None, None, net.clock().now())
+                        .is_some(),
                     "seed {seed}: {name} evicted but its shard never expired anything"
                 );
             }

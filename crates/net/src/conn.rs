@@ -73,6 +73,11 @@ impl Connection {
         (client_side, server_side)
     }
 
+    /// The clock of the net this connection rides.
+    pub fn clock(&self) -> &crate::Clock {
+        &self.net.clock
+    }
+
     /// Local endpoint of this side.
     pub fn local_addr(&self) -> &Addr {
         &self.local

@@ -20,7 +20,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One thing a fault plan does to a host's simulated disk.  Storage faults
 /// are *armed* on a per-host hub ([`StorageFaultHub`]) and consumed by the
@@ -379,18 +379,13 @@ impl FaultPlan {
     /// Run the plan on the calling thread: sleep to each event's offset,
     /// apply it, and return once the full duration has elapsed.
     pub fn run_blocking(&self, net: &SimNet) {
-        let start = Instant::now();
+        let clock = net.clock();
+        let start = clock.now();
         for event in &self.events {
-            let now = start.elapsed();
-            if event.at > now {
-                std::thread::sleep(event.at - now);
-            }
+            clock.sleep_until(start + event.at);
             Self::apply(net, &event.kind);
         }
-        let now = start.elapsed();
-        if self.duration > now {
-            std::thread::sleep(self.duration - now);
-        }
+        clock.sleep_until(start + self.duration);
     }
 
     /// Run the plan on a background thread; join through the returned
@@ -561,7 +556,7 @@ mod tests {
             .at(Duration::from_millis(20), FaultKind::HealAll)
             .at(Duration::from_millis(20), FaultKind::DatagramLoss(0.5));
         let runner = plan.spawn(&net);
-        std::thread::sleep(Duration::from_millis(5));
+        net.clock().sleep(Duration::from_millis(5));
         assert!(!net.is_up(&a), "crash not applied");
         runner.join();
         assert!(net.is_up(&a));

@@ -13,7 +13,9 @@
 //! * **fault injection** — host crashes, revivals, and link partitions, used
 //!   by the robustness experiments (E15, E19),
 //! * **traffic metrics** ([`NetMetrics`]) — frame/byte accounting for the
-//!   lightweight-vs-RMI comparison (E3).
+//!   lightweight-vs-RMI comparison (E3),
+//! * **the clock** ([`Clock`]) — the one time source everything that
+//!   dials through the net reads ([`SimNet::clock`]).
 //!
 //! ```
 //! use ace_net::{SimNet, Addr};
@@ -32,6 +34,7 @@
 //! ```
 
 pub mod addr;
+pub mod clock;
 pub mod conn;
 pub mod datagram;
 pub mod error;
@@ -41,6 +44,7 @@ pub mod net;
 pub mod wake;
 
 pub use addr::{Addr, HostId};
+pub use clock::Clock;
 pub use conn::{Connection, Listener};
 pub use datagram::{Datagram, DatagramSocket};
 pub use error::NetError;

@@ -10,6 +10,7 @@
 //! every ACE daemon thread holds a handle.
 
 use crate::addr::{Addr, HostId};
+use crate::clock::Clock;
 use crate::conn::{Connection, Listener};
 use crate::datagram::{Datagram, DatagramSocket};
 use crate::error::NetError;
@@ -71,6 +72,7 @@ pub(crate) struct NetInner {
     bind_ids: AtomicU64,
     /// Armed per-host storage faults (see `fault::StorageFaultHub`).
     storage_faults: crate::fault::StorageFaultHub,
+    pub(crate) clock: Clock,
 }
 
 impl NetInner {
@@ -113,7 +115,7 @@ impl NetInner {
     pub(crate) fn apply_latency(&self) {
         let latency = self.config.read().latency;
         if !latency.is_zero() {
-            std::thread::sleep(latency);
+            self.clock.sleep(latency);
         }
     }
 
@@ -174,6 +176,7 @@ impl SimNet {
                 ephemeral: AtomicU16::new(49152),
                 bind_ids: AtomicU64::new(0),
                 storage_faults: crate::fault::StorageFaultHub::new(),
+                clock: Clock::real(),
             }),
         }
     }
@@ -182,6 +185,12 @@ impl SimNet {
     /// faults here and the persistent store's backends consume them.
     pub fn storage_faults(&self) -> crate::fault::StorageFaultHub {
         self.inner.storage_faults.clone()
+    }
+
+    /// The clock of this net: every time read and timed wait of whoever
+    /// dials through it.
+    pub fn clock(&self) -> &Clock {
+        &self.inner.clock
     }
 
     /// Replace the network configuration.

@@ -94,7 +94,7 @@ impl ServiceBehavior for Hal {
 
     fn on_tick(&mut self, ctx: &mut ServiceCtx) {
         // Expire finished applications.
-        let now = Instant::now();
+        let now = ctx.net().clock().now();
         let finished: Vec<i64> = self
             .apps
             .values()
@@ -126,7 +126,7 @@ impl ServiceBehavior for Hal {
                     user: cmd.get_text("user").unwrap_or("system").to_string(),
                     load: cmd.get_f64("load").unwrap_or(1.0),
                     mem_mb: cmd.get_int("mem").unwrap_or(32),
-                    started: Instant::now(),
+                    started: ctx.net().clock().now(),
                     duration: cmd
                         .get_int("durationMs")
                         .map(|ms| Duration::from_millis(ms.max(0) as u64)),
@@ -178,6 +178,7 @@ impl ServiceBehavior for Hal {
             }
             "appInfo" => {
                 let id = cmd.get_int("appId").expect("validated");
+                let now = ctx.net().clock().now();
                 match self.apps.get(&id) {
                     Some(a) => Reply::ok_with(|c| {
                         c.arg("appId", a.id)
@@ -185,7 +186,10 @@ impl ServiceBehavior for Hal {
                             .arg("user", a.user.as_str())
                             .arg("load", a.load)
                             .arg("mem", a.mem_mb)
-                            .arg("uptimeMs", a.started.elapsed().as_millis() as i64)
+                            .arg(
+                                "uptimeMs",
+                                now.saturating_duration_since(a.started).as_millis() as i64,
+                            )
                     }),
                     None => Reply::err(ErrorCode::NotFound, format!("no app {id}")),
                 }

@@ -46,13 +46,14 @@ impl Srm {
         }
         self.cache = fresh;
         self.polls += 1;
-        self.last_poll = Some(Instant::now());
+        self.last_poll = Some(ctx.net().clock().now());
     }
 
     fn poll_if_due(&mut self, ctx: &mut ServiceCtx) {
+        let now = ctx.net().clock().now();
         let due = self
             .last_poll
-            .is_none_or(|t| t.elapsed() >= self.poll_interval);
+            .is_none_or(|t| now.saturating_duration_since(t) >= self.poll_interval);
         if due {
             self.poll(ctx);
         }

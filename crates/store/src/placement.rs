@@ -130,11 +130,11 @@ struct GroupLease {
 }
 
 impl GroupLease {
-    /// Conservatively fresh: the client started its clock before the
-    /// holder did, so it stops using the lease at 3/4 of the TTL while
-    /// the holder keeps honouring it until the full TTL.
-    fn fresh(&self) -> bool {
-        self.granted_at.elapsed() < LEASE_TTL * 3 / 4
+    /// Conservatively fresh at `now`: the client started its clock
+    /// before the holder did, so it stops using the lease at 3/4 of the
+    /// TTL while the holder keeps honouring it until the full TTL.
+    fn fresh(&self, now: Instant) -> bool {
+        now.saturating_duration_since(self.granted_at) < LEASE_TTL * 3 / 4
     }
 }
 
@@ -368,7 +368,7 @@ impl ShardedStoreClient {
     /// no lease could be granted right now (reads fall back to quorum).
     fn ensure_lease(&mut self, g: usize) -> Option<usize> {
         if let Some(lease) = &self.leases[g] {
-            if lease.fresh() {
+            if lease.fresh(self.pool.clock().now()) {
                 return Some(lease.holder);
             }
         }
@@ -388,7 +388,7 @@ impl ShardedStoreClient {
         self.holder_rr = self.holder_rr.wrapping_add(1);
         let holder = self.holder_rr % replicas.len();
         let holder_addr = &replicas[holder];
-        let granted_at = Instant::now();
+        let granted_at = self.pool.clock().now();
         let cmd = CmdLine::new("psLeaseGrant")
             .arg(
                 "holder",

@@ -1021,10 +1021,11 @@ impl ServiceBehavior for StoreReplica {
                     }
                 };
                 let own = format!("{}:{}", ctx.addr().host, ctx.addr().port);
+                let now = ctx.net().clock().now();
                 let holds = self
                     .lease
                     .as_ref()
-                    .is_some_and(|l| l.holder == own && Instant::now() < l.until);
+                    .is_some_and(|l| l.holder == own && now < l.until);
                 if !holds {
                     self.leased_refusals += 1;
                     return Reply::err(
@@ -1057,7 +1058,7 @@ impl ServiceBehavior for StoreReplica {
                     return Reply::err(ErrorCode::Semantics, "malformed lease grant");
                 };
                 let epoch = epoch.max(0) as u64;
-                let now = Instant::now();
+                let now = ctx.net().clock().now();
                 // A live lease held by someone else at an equal-or-newer
                 // epoch fences this grant: the granter must adopt or
                 // outbid, never split the shard between two holders.

@@ -44,7 +44,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Hard upper bound on one record's payload; a length prefix beyond this is
 /// corruption, not a large record.
@@ -971,21 +971,12 @@ impl Wal {
         // Linger: give concurrent appenders a bounded window to join the
         // batch.  Zero (the default) commits whatever is already queued.
         if !self.config.max_batch_delay.is_zero() {
-            let deadline = Instant::now() + self.config.max_batch_delay;
-            while q.pending_bytes < self.config.max_batch_bytes {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    break;
-                }
-                let (guard, timeout) = self
-                    .batch_ready
-                    .wait_timeout(q, remaining)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                q = guard;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
+            let full = self.config.max_batch_bytes;
+            q = self
+                .batch_ready
+                .wait_timeout_while(q, self.config.max_batch_delay, |q| q.pending_bytes < full)
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .0;
         }
 
         // Drain up to `max_batch_bytes` in ticket order.  A single record
