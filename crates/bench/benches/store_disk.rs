@@ -1,10 +1,7 @@
-//! Criterion benches for E15's storage kernel: disk-image apply/get/digest,
-//! plus the PR3 headline — group commit under 16 concurrent durable writers
-//! on a real file backend (`durable_16w_*`), grouped vs per-record fsync.
+//! Criterion benches for E15's storage kernel: disk-image apply/get/digest.
 
-use ace_store::{DiskImage, StorageHandle, Versioned, WalConfig};
+use ace_store::{DiskImage, Versioned};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::time::Duration;
 
 fn value(version: u64) -> Versioned {
     Versioned {
@@ -62,63 +59,9 @@ fn bench_disk(c: &mut Criterion) {
     group.finish();
 }
 
-/// The write-path step function: 16 writers hammering one durable replica
-/// backed by real files.  `grouped` is the shipping configuration (the
-/// committer drains the queue into one append + one fsync); `per_record`
-/// caps batches at 1 byte, degenerating to the pre-group-commit
-/// fsync-per-record path inside the *same* binary, so the ratio isolates
-/// batching itself.  One iteration = one round of 16 threads × 8 appends.
-fn bench_durable_group_commit(c: &mut Criterion) {
-    let mut group = c.benchmark_group("store_disk");
-    const WRITERS: u64 = 16;
-    const PER_WRITER: u64 = 8;
-    for (label, max_batch_bytes) in [
-        ("durable_16w_grouped", 1usize << 20),
-        ("durable_16w_per_record_fsync", 1),
-    ] {
-        group.bench_function(label, |b| {
-            let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
-                .join(format!("bench-{label}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            let config = WalConfig {
-                fsync_on_commit: true,
-                compact_threshold: u64::MAX,
-                max_batch_bytes,
-                max_batch_delay: Duration::ZERO,
-            };
-            let (disk, _) = DiskImage::open(&StorageHandle::Dir(dir.clone()), config).unwrap();
-            let mut round = 0u64;
-            b.iter(|| {
-                round += 1;
-                let version = round;
-                std::thread::scope(|s| {
-                    for w in 0..WRITERS {
-                        let disk = disk.clone();
-                        s.spawn(move || {
-                            for i in 0..PER_WRITER {
-                                disk.apply(("bench".into(), format!("w{w}-k{i}")), value(version))
-                                    .unwrap();
-                            }
-                        });
-                    }
-                });
-            });
-            if let Some(stats) = disk.wal_stats() {
-                println!(
-                    "  note {label}: {} appends in {} batches, {} fsyncs ({} saved)",
-                    stats.appends, stats.batches, stats.fsyncs, stats.fsyncs_saved
-                );
-            }
-            drop(disk);
-            let _ = std::fs::remove_dir_all(&dir);
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_disk, bench_durable_group_commit
+    targets = bench_disk
 }
 criterion_main!(benches);

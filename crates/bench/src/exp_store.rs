@@ -169,7 +169,6 @@ pub fn e15() {
             let config = WalConfig {
                 fsync_on_commit: false,
                 compact_threshold: threshold,
-                ..WalConfig::default()
             };
             let (disk, _) = DiskImage::open(&handle, config.clone()).unwrap();
             for i in 0..n {
@@ -197,8 +196,8 @@ pub fn e15() {
     }
 
     // Durability policy: the per-write cost of fsync-on-commit against
-    // group-commit-style lazy sync (MemStorage, so this isolates the WAL
-    // bookkeeping itself; real disks widen the gap).
+    // lazy sync (MemStorage, so this isolates the WAL bookkeeping itself;
+    // real disks widen the gap).
     row(
         "WAL append policy",
         &["fsync on".into(), "fsync off".into(), String::new()],
@@ -209,7 +208,6 @@ pub fn e15() {
         let config = WalConfig {
             fsync_on_commit: fsync,
             compact_threshold: u64::MAX,
-            ..WalConfig::default()
         };
         let (disk, _) = DiskImage::open(&handle, config).unwrap();
         let mut i = 0u64;

@@ -38,8 +38,8 @@
 //! ## Blocking tolerance (the starvation watchdog)
 //!
 //! Daemon code still contains *bounded* blocking sections —
-//! `ServiceCtx::call` to a peer daemon, handshake receives, WAL
-//! group-commit waits.  Rather than rewrite every client call site in
+//! `ServiceCtx::call` to a peer daemon, handshake receives, a store
+//! replica's WAL fsync.  Rather than rewrite every client call site in
 //! continuation style, the runtime tolerates them: a watchdog thread
 //! samples worker state every few milliseconds; any poll exceeding
 //! [`LONG_POLL`] increments `runtime.longPolls` (how misbehaving tasks are

@@ -21,25 +21,12 @@ use ace_core::{FailoverClient, RetryPolicy, ServiceClient};
 use ace_directory::{bootstrap, AsdClient};
 use ace_net::fault::{FaultPlan, FaultPlanConfig};
 use ace_security::keys::KeyPair;
-use ace_store::{
-    spawn_store_cluster_with, DiskImage, StoreClient, StoreReplica, WalConfig, STORE_PORT,
-};
+use ace_store::{spawn_store_cluster, DiskImage, StoreClient, StoreReplica, WalConfig, STORE_PORT};
 use std::time::{Duration, Instant};
 
 const STORE_SYNC: Duration = Duration::from_millis(50);
 const PLAN_LEN: Duration = Duration::from_millis(2500);
 const RECOVERY_DEADLINE: Duration = Duration::from_secs(15);
-
-/// Replica durability policy for the soak: group commit with a short
-/// linger, so concurrent quorum writes genuinely share fsyncs and the
-/// storage faults tear *batched* appends — the recovery invariants below
-/// must hold regardless of how records were grouped.
-fn chaos_wal_config() -> WalConfig {
-    WalConfig {
-        max_batch_delay: Duration::from_millis(1),
-        ..WalConfig::default()
-    }
-}
 
 /// Minimal app service for the failover client to chase.
 struct Echo(u64);
@@ -68,8 +55,7 @@ fn run_chaos(seed: u64) {
     // Framework tier on the protected host; 500ms leases so a crashed
     // service expires (and notifies the supervisor) well within the plan.
     let fw = bootstrap(&net, "ctrl", Duration::from_millis(500)).unwrap();
-    let cluster =
-        spawn_store_cluster_with(&net, &fw, &store_hosts, STORE_SYNC, chaos_wal_config()).unwrap();
+    let cluster = spawn_store_cluster(&net, &fw, &store_hosts, STORE_SYNC).unwrap();
     let app = Daemon::spawn(
         &net,
         fw.service_config("echo1", "Service.App.Echo", "office", "app1", 4700),
@@ -93,7 +79,7 @@ fn run_chaos(seed: u64) {
         specs.push(SupervisedSpec::new(
             format!("store_{}", i + 1),
             Box::new(move |net: &SimNet| {
-                let (disk, report) = DiskImage::open_or_reset(&storage, chaos_wal_config())
+                let (disk, report) = DiskImage::open_or_reset(&storage, WalConfig::default())
                     .map_err(ace_store::storage_spawn_err)?;
                 let handle = Daemon::spawn(
                     net,

@@ -77,19 +77,6 @@ pub fn spawn_store_cluster(
     hosts: &[&str],
     sync_interval: Duration,
 ) -> Result<StoreCluster, SpawnError> {
-    spawn_store_cluster_with(net, fw, hosts, sync_interval, WalConfig::default())
-}
-
-/// [`spawn_store_cluster`] with an explicit [`WalConfig`] — chaos runs and
-/// benchmarks tune the group-commit knobs (`max_batch_bytes`,
-/// `max_batch_delay`) and compaction threshold per scenario.
-pub fn spawn_store_cluster_with(
-    net: &SimNet,
-    fw: &Framework,
-    hosts: &[&str],
-    sync_interval: Duration,
-    config: WalConfig,
-) -> Result<StoreCluster, SpawnError> {
     let mut replicas = Vec::with_capacity(hosts.len());
     let mut addrs = Vec::with_capacity(hosts.len());
     let mut storages = Vec::with_capacity(hosts.len());
@@ -100,7 +87,8 @@ pub fn spawn_store_cluster_with(
         let storage = StorageHandle::Memory(
             MemStorage::new().with_faults(net.storage_faults(), (*host).into()),
         );
-        let (disk, _) = DiskImage::open(&storage, config.clone()).map_err(storage_spawn_err)?;
+        let (disk, _) =
+            DiskImage::open(&storage, WalConfig::default()).map_err(storage_spawn_err)?;
         let handle = respawn_replica(net, fw, i, host, disk.clone(), sync_interval)?;
         addrs.push(handle.addr().clone());
         replicas.push((handle, disk));

@@ -109,22 +109,27 @@ fn parse_hash_word(word: &str) -> Option<u64> {
     u64::from_str_radix(word.strip_prefix('x')?, 16).ok()
 }
 
-/// What an image holds and the hash tree summarising it, behind one lock so
-/// nobody reads one without the other.  Each value is held once, here.
+/// What an image holds, the hash tree summarising it and the log it is
+/// recovered from, behind one lock so nobody reads one without the others
+/// and a write is checked, logged, published and compacted in one hold.
+/// Each value is held once, here.
 #[derive(Debug)]
 struct Held {
     map: HashMap<StoreKey, Versioned>,
     tree: SyncTree,
+    /// `None` for a volatile image (unit tests, benchmarks); durable
+    /// images log every applied write here *before* it becomes visible.
+    wal: Option<Wal>,
 }
 
 impl Held {
     /// Recovery: the tree is not persisted, it is rebuilt once from the map.
-    fn recovered(map: HashMap<StoreKey, Versioned>) -> Held {
+    fn recovered(map: HashMap<StoreKey, Versioned>, wal: Option<Wal>) -> Held {
         let tree = sync_tree(
             map.iter()
                 .map(|((ns, key), v)| (ns.as_str(), key.as_str(), v.version, v.writer.as_str())),
         );
-        Held { map, tree }
+        Held { map, tree, wal }
     }
 
     /// The one place a key's content changes: store `value` if it beats
@@ -150,11 +155,30 @@ impl Held {
             .filter(|&won| won)
             .count()
     }
+
+    /// The one write, in this order: keep the entries that beat what is
+    /// held; log them, as one append and one fsync; publish them; compact
+    /// the log if it outgrew its threshold.  How many applied.  An `Err`
+    /// means none did and none may be acknowledged.
+    fn apply(&mut self, entries: Vec<(StoreKey, Versioned)>) -> Result<usize, StoreError> {
+        let fresh: Vec<(StoreKey, Versioned)> = entries
+            .into_iter()
+            .filter(|(key, value)| self.map.get(key).is_none_or(|held| value.beats(held)))
+            .collect();
+        if let Some(wal) = &mut self.wal {
+            wal.append_batch(&fresh)?;
+        }
+        let applied = self.publish_all(fresh);
+        if let Some(wal) = &mut self.wal {
+            wal.maybe_compact(&self.map);
+        }
+        Ok(applied)
+    }
 }
 
 impl Default for Held {
     fn default() -> Held {
-        Held::recovered(HashMap::new())
+        Held::recovered(HashMap::new(), None)
     }
 }
 
@@ -164,20 +188,13 @@ impl Default for Held {
 /// its write-ahead log + snapshot, so it survives the *process* dying with
 /// the image unreferenced.
 ///
-/// The map and the WAL are deliberately *not* behind one lock: appenders
-/// log first (where the WAL's group-commit engine batches them across
-/// threads) and only then take the map lock to publish, so concurrent
-/// writers share fsyncs instead of serialising on the image.
+/// One lock guards the map, its hash tree and the log.  A replica's writers
+/// are its daemon task and its sync worker, so nothing is gained by logging
+/// outside it, and a write holds it from its staleness check to its
+/// compaction: no record is ever in the log but not yet in the map.
 #[derive(Debug, Clone, Default)]
 pub struct DiskImage {
     held: Arc<Mutex<Held>>,
-    /// `None` for a volatile image (unit tests, benchmarks); durable
-    /// images log every applied write here *before* it becomes visible.
-    wal: Option<Arc<Wal>>,
-    /// Writes durably in the log but not yet published to `held`.
-    /// Compaction snapshots the map and truncates the log, so it must
-    /// not run while this is non-zero (see [`Wal::maybe_compact_when`]).
-    in_flight: Arc<AtomicU64>,
 }
 
 impl DiskImage {
@@ -195,14 +212,8 @@ impl DiskImage {
         config: WalConfig,
     ) -> Result<(DiskImage, RecoveryReport), StoreError> {
         let (wal, map, report) = Wal::open(handle, config)?;
-        Ok((
-            DiskImage {
-                held: Arc::new(Mutex::new(Held::recovered(map))),
-                wal: Some(Arc::new(wal)),
-                in_flight: Arc::new(AtomicU64::new(0)),
-            },
-            report,
-        ))
+        let held = Arc::new(Mutex::new(Held::recovered(map, Some(wal))));
+        Ok((DiskImage { held }, report))
     }
 
     /// [`DiskImage::open`], but detected corruption resets the storage to
@@ -229,87 +240,33 @@ impl DiskImage {
     /// is in the log (and synced, per [`WalConfig`]).  An `Err` means the
     /// write is *not* durable and must not be acknowledged.
     pub fn apply(&self, key: StoreKey, value: Versioned) -> Result<bool, StoreError> {
-        // Cheap staleness pre-check: losing the race to a concurrent
-        // newer write is fine — the authoritative check repeats under
-        // the map lock after logging.
-        {
-            let held = self.held.lock();
-            if let Some(existing) = held.map.get(&key) {
-                if !value.beats(existing) {
-                    return Ok(false);
-                }
-            }
-        }
-        if let Some(wal) = &self.wal {
-            // Log before visibility.  `in_flight` brackets the window in
-            // which the record is durable but not yet published, keeping
-            // compaction from truncating it out from under us.
-            self.in_flight.fetch_add(1, Ordering::SeqCst);
-            if let Err(e) = wal.append(&key, &value) {
-                self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                return Err(e);
-            }
-        }
-        let mut held = self.held.lock();
-        let applied = held.publish(key, value);
-        if let Some(wal) = &self.wal {
-            self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            wal.maybe_compact_when(&held.map, || self.in_flight.load(Ordering::SeqCst) == 0);
-        }
-        Ok(applied)
+        Ok(self.held.lock().apply(vec![(key, value)])? == 1)
     }
 
-    /// Apply a run of versioned writes, sharing one WAL batch (one fsync,
-    /// batch size permitting) across all of them.  Stale entries are
-    /// filtered; the survivors are logged contiguously and then published
-    /// together.  Returns how many entries were applied.  An `Err` means
-    /// *none* of the writes may be acknowledged.
+    /// Apply a run of versioned writes as one WAL append (one fsync).
+    /// Stale entries are filtered; the survivors are logged together and
+    /// then published.  Returns how many entries were applied.  An `Err`
+    /// means *none* of the writes may be acknowledged.
     pub fn apply_batch(&self, entries: Vec<(StoreKey, Versioned)>) -> Result<usize, StoreError> {
-        let fresh: Vec<(StoreKey, Versioned)> = {
-            let held = self.held.lock();
-            entries
-                .into_iter()
-                .filter(|(key, value)| match held.map.get(key) {
-                    Some(existing) => value.beats(existing),
-                    None => true,
-                })
-                .collect()
-        };
-        if fresh.is_empty() {
-            return Ok(0);
-        }
-        if let Some(wal) = &self.wal {
-            self.in_flight.fetch_add(1, Ordering::SeqCst);
-            if let Err(e) = wal.append_batch(&fresh) {
-                self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                return Err(e);
-            }
-        }
-        let mut held = self.held.lock();
-        let applied = held.publish_all(fresh);
-        if let Some(wal) = &self.wal {
-            self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            wal.maybe_compact_when(&held.map, || self.in_flight.load(Ordering::SeqCst) == 0);
-        }
-        Ok(applied)
+        self.held.lock().apply(entries)
     }
 
     /// [`DiskImage::apply`] as a client's proposal sees it: `None` if the
-    /// write applied, otherwise the `(version, writer)` held instead.  A
-    /// refusal means the proposal did not beat that pair, so it is what the
-    /// client's read round would have fetched — the refusal *is* the read.
+    /// write applied, otherwise the `(version, writer)` held instead, read
+    /// in the same hold.  A refusal means the proposal did not beat that
+    /// pair, so it is what the client's read round would have fetched — the
+    /// refusal *is* the read.
     pub fn propose(
         &self,
         key: StoreKey,
         value: Versioned,
     ) -> Result<Option<(u64, String)>, StoreError> {
-        if self.apply(key.clone(), value)? {
+        let mut held = self.held.lock();
+        if held.apply(vec![(key.clone(), value)])? == 1 {
             return Ok(None);
         }
-        // Refused by an entry, and entries are never removed: it is still
-        // there, the same or newer.
-        let held = self.get(&key).map(|held| (held.version, held.writer));
-        Ok(Some(held.unwrap_or_default()))
+        let refused_by = held.map.get(&key).map(|v| (v.version, v.writer.clone()));
+        Ok(Some(refused_by.unwrap_or_default()))
     }
 
     /// [`DiskImage::apply_batch`] as a client's proposal sees it: how many
@@ -324,11 +281,11 @@ impl DiskImage {
             .iter()
             .map(|(key, value)| (key.clone(), value.version, value.writer.clone()))
             .collect();
-        let applied = self.apply_batch(entries)?;
+        let mut held = self.held.lock();
+        let applied = held.apply(entries)?;
         if applied == proposed.len() {
             return Ok((applied, Vec::new()));
         }
-        let held = self.held.lock();
         let lost = proposed
             .into_iter()
             .filter_map(|(key, version, writer)| {
@@ -430,7 +387,7 @@ impl DiskImage {
 
     /// WAL counters (`None` for a volatile image).
     pub fn wal_stats(&self) -> Option<WalStats> {
-        self.wal.as_ref().map(|w| w.stats())
+        self.held.lock().wal.as_ref().map(|w| w.stats().clone())
     }
 
     /// Cut a consistent shippable snapshot: the encoded full state, under
@@ -448,9 +405,10 @@ impl DiskImage {
         &self,
         entries: Vec<(StoreKey, Versioned)>,
     ) -> Result<usize, StoreError> {
-        let mut held = self.held.lock();
+        let mut guard = self.held.lock();
+        let held = &mut *guard;
         let applied = held.publish_all(entries);
-        if let Some(wal) = &self.wal {
+        if let Some(wal) = &mut held.wal {
             wal.install_snapshot(&held.map)?;
         }
         Ok(applied)
@@ -1227,8 +1185,6 @@ impl ServiceBehavior for StoreReplica {
                         .arg("walAppendFailures", wal.append_failures as i64)
                         .arg("walBatches", wal.batches as i64)
                         .arg("walFsyncs", wal.fsyncs as i64)
-                        .arg("walFsyncsSaved", wal.fsyncs_saved as i64)
-                        .arg("walMaxBatch", wal.max_batch_records as i64)
                         .arg("leasedGets", self.leased_gets as i64)
                         .arg("leasedRefusals", self.leased_refusals as i64)
                         .arg("checksum", Value::Word(hash_word(self.disk.checksum())))
@@ -1238,7 +1194,7 @@ impl ServiceBehavior for StoreReplica {
         }
     }
 
-    /// Re-export WAL batch and sync state into the daemon's unified metrics
+    /// Re-export WAL and sync state into the daemon's unified metrics
     /// registry, so `aceStats` carries them alongside the framework's own
     /// counters.  Series are keyed by the
     /// daemon name (`store.<name>.entries`): co-located replicas whose
@@ -1260,8 +1216,6 @@ impl ServiceBehavior for StoreReplica {
             gauge("appendFailures").set(wal.append_failures as i64);
             gauge("batches").set(wal.batches as i64);
             gauge("fsyncs").set(wal.fsyncs as i64);
-            gauge("fsyncsSaved").set(wal.fsyncs_saved as i64);
-            gauge("maxBatchRecords").set(wal.max_batch_records as i64);
         }
     }
 }

@@ -32,19 +32,23 @@
 //!    anti-entropy).
 //! 3. Replay is idempotent: records re-apply through the same
 //!    `(version, writer)` ordering as live writes.
+//!
+//! A [`Wal`] has one owner and one writer at a time: the replica's
+//! `DiskImage` holds it under the lock it publishes under, and a replica's
+//! only writers are its daemon task and its sync worker.  So an append is a
+//! plain call: frame the caller's records, one backend append, one fsync.
 
 use crate::client::StoreError;
 use crate::version::{StoreKey, Versioned};
 use ace_net::fault::{StorageFault, StorageFaultHub};
 use ace_net::HostId;
 use ace_security::hash::crc32;
-use parking_lot::{Mutex, MutexGuard};
-use std::collections::{HashMap, VecDeque};
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar};
-use std::time::Duration;
+use std::sync::Arc;
 
 /// Hard upper bound on one record's payload; a length prefix beyond this is
 /// corruption, not a large record.
@@ -275,7 +279,8 @@ impl StorageBackend for MemBackend {
 }
 
 /// Real-file backend: one file per segment.  Snapshot commits go through
-/// write-to-temp + rename so `replace` is atomic on a crash.
+/// write-to-temp + rename + directory sync, so `replace` is atomic and
+/// durable on a crash.
 struct FileBackend {
     path: PathBuf,
     file: Option<std::fs::File>,
@@ -292,14 +297,31 @@ impl FileBackend {
 
     fn open_append(&mut self) -> Result<&mut std::fs::File, StoreError> {
         if self.file.is_none() {
+            // Sync the directory on every open, not only on a create that
+            // this call saw: a create whose sync failed is made durable by
+            // the retry.  Reopens follow only a replace or a truncate.
             let f = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
                 .open(&self.path)
                 .map_err(Self::io)?;
+            Self::sync_dir(&self.path)?;
             self.file = Some(f);
         }
         Ok(self.file.as_mut().expect("just opened"))
+    }
+
+    /// Sync the directory holding `path`.  A file's name lives in its
+    /// directory, which the file's own fsync does not cover: until the
+    /// directory is synced, a crash may lose a create or a rename.
+    fn sync_dir(path: &Path) -> Result<(), StoreError> {
+        let dir = path
+            .parent()
+            .filter(|dir| !dir.as_os_str().is_empty())
+            .unwrap_or(Path::new("."));
+        std::fs::File::open(dir)
+            .and_then(|dir| dir.sync_all())
+            .map_err(Self::io)
     }
 }
 
@@ -329,7 +351,9 @@ impl StorageBackend for FileBackend {
         std::fs::write(&tmp, bytes).map_err(Self::io)?;
         let f = std::fs::File::open(&tmp).map_err(Self::io)?;
         f.sync_data().map_err(Self::io)?;
-        std::fs::rename(&tmp, &self.path).map_err(Self::io)
+        std::fs::rename(&tmp, &self.path).map_err(Self::io)?;
+        // The rename is a snapshot's commit point: make it durable.
+        Self::sync_dir(&self.path)
     }
 
     fn truncate(&mut self, len: u64) -> Result<(), StoreError> {
@@ -627,17 +651,6 @@ pub struct WalConfig {
     /// Snapshot + truncate once the log exceeds this many bytes.
     /// `u64::MAX` disables compaction.
     pub compact_threshold: u64,
-    /// Group-commit batch cap: the committer drains queued records into
-    /// one backend append + one fsync until the batch reaches this many
-    /// bytes.  `1` degenerates to one fsync per record (the pre-batching
-    /// behaviour, kept reachable for benchmarks and ablations).
-    pub max_batch_bytes: usize,
-    /// How long the committer lingers for more records to join a batch
-    /// before syncing what it has.  `Duration::ZERO` (the default) means
-    /// "commit whatever is queued right now": a solo appender pays no
-    /// added latency, while concurrent appenders still group naturally
-    /// because they queue up behind the in-progress fsync.
-    pub max_batch_delay: Duration,
 }
 
 impl Default for WalConfig {
@@ -645,8 +658,6 @@ impl Default for WalConfig {
         WalConfig {
             fsync_on_commit: true,
             compact_threshold: 256 << 10,
-            max_batch_bytes: 1 << 20,
-            max_batch_delay: Duration::ZERO,
         }
     }
 }
@@ -659,14 +670,10 @@ pub struct WalStats {
     pub compactions: u64,
     pub compaction_failures: u64,
     pub append_failures: u64,
-    /// Group-commit batches flushed (each is one backend append).
+    /// Backend appends: one per [`Wal::append_batch`] call that logged.
     pub batches: u64,
-    /// Fsyncs actually issued (one per batch under `fsync_on_commit`).
+    /// Fsyncs issued (one per batch under `fsync_on_commit`).
     pub fsyncs: u64,
-    /// Fsyncs avoided by grouping: sum over batches of `records - 1`.
-    pub fsyncs_saved: u64,
-    /// Largest number of records committed by a single fsync.
-    pub max_batch_records: u64,
 }
 
 /// What recovery found, surfaced in supervisor restart notes.
@@ -696,10 +703,15 @@ impl std::fmt::Display for RecoveryReport {
     }
 }
 
-/// The on-storage half of the WAL, guarded by one lock: the committer
-/// holds it across a whole batch flush; compaction holds it across the
-/// snapshot-and-truncate commit.
-struct WalDisk {
+/// An open write-ahead log plus its snapshot slots: a plain struct with one
+/// owner.  A replica's [`DiskImage`](crate::DiskImage) keeps it under the
+/// image's one lock, so a write is checked, logged, published and compacted
+/// in one hold, and nothing here locks or waits.  Each
+/// [`Wal::append_batch`] is one backend append plus, under
+/// `fsync_on_commit`, one fsync, and returns only after both: no write is
+/// acknowledged before its bytes are synced.
+pub struct Wal {
+    config: WalConfig,
     log: Box<dyn StorageBackend>,
     snaps: [Box<dyn StorageBackend>; 2],
     /// Committed log length; appends past it that fail are truncated away.
@@ -711,82 +723,10 @@ struct WalDisk {
     /// Set when even torn-tail repair failed; all further appends refuse.
     broken: bool,
     stats: WalStats,
-    /// Reusable batch buffer: records are concatenated here so each batch
-    /// is exactly one backend `append` (and one tear point under fault
-    /// injection), with no per-batch allocation after warm-up.
+    /// Reusable append buffer: a call's records are concatenated here so
+    /// each call is exactly one backend `append` (and one tear point under
+    /// fault injection), with no allocation after warm-up.
     scratch: Vec<u8>,
-}
-
-impl WalDisk {
-    /// The one snapshot commit, in this order: the new snapshot is moved
-    /// into the inactive slot and synced; the log is truncated and synced —
-    /// the commit point, after which recovery reads the new slot alone; the
-    /// superseded slot is emptied.  Recovery ignores an empty slot and never
-    /// falls back to an older one, so between compactions exactly one slot
-    /// holds bytes, and a crash between any two steps leaves a (slot, log)
-    /// pair that recovers every acknowledged write.
-    fn commit_snapshot(&mut self, map: &HashMap<StoreKey, Versioned>) -> Result<(), StoreError> {
-        let (old, target) = (self.active_slot, 1 - self.active_slot);
-        let snapshot = encode_snapshot(self.generation + 1, map);
-        self.snaps[target].replace(snapshot)?;
-        self.snaps[target].sync()?;
-        self.log.replace(Vec::new())?;
-        self.log.sync()?;
-        self.generation += 1;
-        self.active_slot = target;
-        self.end = 0;
-        self.stats.compactions += 1;
-        // Committed.  A slot left full by a failed clear costs memory only:
-        // recovery prefers the newer generation, and the next commit
-        // overwrites it.
-        let _ = self.snaps[old]
-            .replace(Vec::new())
-            .and_then(|()| self.snaps[old].sync());
-        Ok(())
-    }
-}
-
-/// The group-commit queue: framed records waiting for a committer, plus
-/// the completion bookkeeping appenders block on.
-#[derive(Default)]
-struct CommitQueue {
-    /// `(ticket, framed record)` in ticket order.
-    pending: VecDeque<(u64, Vec<u8>)>,
-    /// Total bytes queued in `pending`.
-    pending_bytes: usize,
-    next_ticket: u64,
-    /// Tickets strictly below this have been committed (or failed).
-    completed: u64,
-    /// Per-ticket failures for completed-but-failed records.
-    failures: HashMap<u64, StoreError>,
-    /// True while some appender is acting as the committer.
-    committing: bool,
-}
-
-/// An open write-ahead log plus its snapshot slots.
-///
-/// Appends go through a **group commit** engine: concurrent appenders
-/// frame their records and enqueue them, then the first one in becomes
-/// the *committer* — it drains the queue (bounded by
-/// [`WalConfig::max_batch_bytes`] / [`WalConfig::max_batch_delay`]),
-/// writes the whole batch as a single backend append, issues a single
-/// fsync, and only then wakes every waiter in the batch.  Records that
-/// arrive while a flush is in progress queue up and are committed by the
-/// next batch, so under concurrency the fsync cost is amortised across
-/// all writers while the kill-at-any-byte guarantee is untouched: no
-/// append is acknowledged before its bytes are synced.
-pub struct Wal {
-    config: WalConfig,
-    queue: Mutex<CommitQueue>,
-    // The parking_lot shim hands out genuine `std::sync` guards, so the
-    // std condvars compose with `queue` directly.
-    /// Signalled when new records join `pending` (wakes a lingering
-    /// committer).
-    batch_ready: Condvar,
-    /// Signalled after each batch completes (wakes batch members and the
-    /// next committer).
-    commit_done: Condvar,
-    disk: Mutex<WalDisk>,
 }
 
 impl Wal {
@@ -853,19 +793,14 @@ impl Wal {
         Ok((
             Wal {
                 config,
-                queue: Mutex::new(CommitQueue::default()),
-                batch_ready: Condvar::new(),
-                commit_done: Condvar::new(),
-                disk: Mutex::new(WalDisk {
-                    log,
-                    snaps: [snap_a, snap_b],
-                    end: replay.good_len,
-                    generation,
-                    active_slot,
-                    broken: false,
-                    stats: WalStats::default(),
-                    scratch: Vec::new(),
-                }),
+                log,
+                snaps: [snap_a, snap_b],
+                end: replay.good_len,
+                generation,
+                active_slot,
+                broken: false,
+                stats: WalStats::default(),
+                scratch: Vec::new(),
             },
             map,
             report,
@@ -882,259 +817,132 @@ impl Wal {
         Ok(())
     }
 
-    /// Log one write durably.  Returns only after the record is appended
-    /// (and synced, under `fsync_on_commit`) — the caller must not
-    /// acknowledge the write before this returns `Ok`.  Concurrent
-    /// callers share batches: the record may be committed by another
-    /// appender's fsync.
-    pub fn append(&self, key: &StoreKey, value: &Versioned) -> Result<(), StoreError> {
-        let record = frame_record(key, value);
-        let mut q = self.queue.lock();
-        let ticket = q.next_ticket;
-        q.next_ticket += 1;
-        q.pending_bytes += record.len();
-        q.pending.push_back((ticket, record));
-        if q.committing {
-            self.batch_ready.notify_all();
+    fn usable(&self) -> Result<(), StoreError> {
+        if self.broken {
+            return Err(StoreError::Io(
+                "wal is broken; replica needs respawn".into(),
+            ));
         }
-        self.wait_completed(q, ticket, ticket)
+        Ok(())
     }
 
-    /// Log a run of writes durably, sharing fsyncs like [`Wal::append`]
-    /// but guaranteed to enqueue contiguously.  All-or-nothing at the
-    /// storage level: the records travel in one backend append (batches
-    /// permitting), and the first failure in the run is returned.
-    pub fn append_batch(&self, entries: &[(StoreKey, Versioned)]) -> Result<(), StoreError> {
+    /// Log a run of writes durably.  Returns only after the records are
+    /// appended (and synced, under `fsync_on_commit`) — the caller must not
+    /// acknowledge any of them before this returns `Ok`, and an `Err`
+    /// acknowledges none: the run is one backend append, and a tear leaves
+    /// at most a clean record-aligned prefix of it for replay.
+    pub fn append_batch(&mut self, entries: &[(StoreKey, Versioned)]) -> Result<(), StoreError> {
         if entries.is_empty() {
             return Ok(());
         }
-        let mut q = self.queue.lock();
-        let first = q.next_ticket;
+        self.usable()?;
+        self.scratch.clear();
         for (key, value) in entries {
-            let record = frame_record(key, value);
-            let ticket = q.next_ticket;
-            q.next_ticket += 1;
-            q.pending_bytes += record.len();
-            q.pending.push_back((ticket, record));
+            self.scratch.extend_from_slice(&frame_record(key, value));
         }
-        let last = q.next_ticket - 1;
-        if q.committing {
-            self.batch_ready.notify_all();
-        }
-        self.wait_completed(q, first, last)
+        self.commit(entries.len() as u64)
     }
 
-    /// Block until tickets `first..=last` have been committed or failed.
-    /// Whoever finds no committer active becomes the committer and
-    /// flushes batches until its own tickets are done.
-    fn wait_completed<'a>(
-        &'a self,
-        mut q: MutexGuard<'a, CommitQueue>,
-        first: u64,
-        last: u64,
-    ) -> Result<(), StoreError> {
-        loop {
-            if q.completed > last {
-                let mut result = Ok(());
-                for ticket in first..=last {
-                    if let Some(e) = q.failures.remove(&ticket) {
-                        if result.is_ok() {
-                            result = Err(e);
-                        }
-                    }
-                }
-                return result;
+    /// Write the `records` framed in `scratch` as one append plus one sync,
+    /// and count them.  A failure cuts the log back to the last committed
+    /// byte, so later appends cannot interleave with torn bytes.
+    fn commit(&mut self, records: u64) -> Result<(), StoreError> {
+        let fsync = self.config.fsync_on_commit;
+        let written =
+            self.log
+                .append(&self.scratch)
+                .and_then(|()| if fsync { self.log.sync() } else { Ok(()) });
+        if let Err(e) = written {
+            self.stats.append_failures += records;
+            if self.log.truncate(self.end).is_err() {
+                self.broken = true;
             }
-            if q.committing {
-                q = self
-                    .commit_done
-                    .wait(q)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            } else {
-                q.committing = true;
-                while q.completed <= last {
-                    q = self.flush_one_batch(q);
-                }
-                q.committing = false;
-                self.commit_done.notify_all();
-            }
+            return Err(e);
         }
+        let bytes = self.scratch.len() as u64;
+        self.end += bytes;
+        self.stats.appends += records;
+        self.stats.append_bytes += bytes;
+        self.stats.batches += 1;
+        self.stats.fsyncs += fsync as u64;
+        Ok(())
     }
 
-    /// Drain one batch off the queue, commit it with a single backend
-    /// append + fsync, and mark its tickets completed.  Called only by
-    /// the current committer (`q.committing` is set).
-    fn flush_one_batch<'a>(
-        &'a self,
-        mut q: MutexGuard<'a, CommitQueue>,
-    ) -> MutexGuard<'a, CommitQueue> {
-        // Linger: give concurrent appenders a bounded window to join the
-        // batch.  Zero (the default) commits whatever is already queued.
-        if !self.config.max_batch_delay.is_zero() {
-            let full = self.config.max_batch_bytes;
-            q = self
-                .batch_ready
-                .wait_timeout_while(q, self.config.max_batch_delay, |q| q.pending_bytes < full)
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .0;
-        }
-
-        // Drain up to `max_batch_bytes` in ticket order.  A single record
-        // larger than the cap still ships (alone).
-        let mut batch: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut batch_bytes = 0usize;
-        while let Some(front_len) = q.pending.front().map(|(_, r)| r.len()) {
-            if !batch.is_empty() && batch_bytes + front_len > self.config.max_batch_bytes {
-                break;
-            }
-            let (ticket, record) = q.pending.pop_front().expect("front checked above");
-            q.pending_bytes -= record.len();
-            batch_bytes += record.len();
-            batch.push((ticket, record));
-        }
-        let Some(&(last, _)) = batch.last() else {
-            return q;
-        };
-        drop(q);
-
-        // Commit the batch outside the queue lock so new appenders can
-        // keep enqueueing while storage syncs.
-        let result = {
-            let mut guard = self.disk.lock();
-            let d = &mut *guard;
-            if d.broken {
-                Err(StoreError::Io(
-                    "wal is broken; replica needs respawn".into(),
-                ))
-            } else {
-                d.scratch.clear();
-                for (_, record) in &batch {
-                    d.scratch.extend_from_slice(record);
-                }
-                let written = d.log.append(&d.scratch).and_then(|()| {
-                    if self.config.fsync_on_commit {
-                        d.log.sync()
-                    } else {
-                        Ok(())
-                    }
-                });
-                match written {
-                    Ok(()) => {
-                        d.end += d.scratch.len() as u64;
-                        d.stats.appends += batch.len() as u64;
-                        d.stats.append_bytes += d.scratch.len() as u64;
-                        d.stats.batches += 1;
-                        if self.config.fsync_on_commit {
-                            d.stats.fsyncs += 1;
-                            d.stats.fsyncs_saved += batch.len() as u64 - 1;
-                        }
-                        d.stats.max_batch_records =
-                            d.stats.max_batch_records.max(batch.len() as u64);
-                        Ok(())
-                    }
-                    Err(e) => {
-                        d.stats.append_failures += batch.len() as u64;
-                        // Torn-tail repair: cut the log back to the last
-                        // committed batch so later appends cannot
-                        // interleave with torn bytes.
-                        if d.log.truncate(d.end).is_err() {
-                            d.broken = true;
-                        }
-                        Err(e)
-                    }
-                }
-            }
-        };
-
-        let mut q = self.queue.lock();
-        if let Err(e) = result {
-            for (ticket, _) in &batch {
-                q.failures.insert(*ticket, e.clone());
-            }
-        }
-        // Tickets drain in order, so everything up to `last` is done.
-        q.completed = last + 1;
-        self.commit_done.notify_all();
-        q
-    }
-
-    /// Snapshot + truncate when the log has outgrown the threshold; see
-    /// [`Wal::maybe_compact_when`].
-    pub fn maybe_compact(&self, map: &HashMap<StoreKey, Versioned>) -> bool {
-        self.maybe_compact_when(map, || true)
+    /// The one snapshot commit, in this order: the new snapshot is moved
+    /// into the inactive slot and synced; the log is truncated and synced —
+    /// the commit point, after which recovery reads the new slot alone; the
+    /// superseded slot is emptied.  Recovery ignores an empty slot and never
+    /// falls back to an older one, so between compactions exactly one slot
+    /// holds bytes, and a crash between any two steps leaves a (slot, log)
+    /// pair that recovers every acknowledged write.
+    fn commit_snapshot(&mut self, map: &HashMap<StoreKey, Versioned>) -> Result<(), StoreError> {
+        let (old, target) = (self.active_slot, 1 - self.active_slot);
+        let snapshot = encode_snapshot(self.generation + 1, map);
+        self.snaps[target].replace(snapshot)?;
+        self.snaps[target].sync()?;
+        self.log.replace(Vec::new())?;
+        self.log.sync()?;
+        self.generation += 1;
+        self.active_slot = target;
+        self.end = 0;
+        self.stats.compactions += 1;
+        // Committed.  A slot left full by a failed clear costs memory only:
+        // recovery prefers the newer generation, and the next commit
+        // overwrites it.
+        let _ = self.snaps[old]
+            .replace(Vec::new())
+            .and_then(|()| self.snaps[old].sync());
+        Ok(())
     }
 
     /// Snapshot + truncate when the log has outgrown the threshold, by the
-    /// one snapshot commit (`WalDisk::commit_snapshot`).  Failures are
-    /// counted, not fatal: the data is still in the log.
-    ///
-    /// `quiesced` is evaluated **under the disk lock**, after the
-    /// threshold check: a record can be durably in the log yet not in the
-    /// caller's `map` (its appender is between WAL ack and map insert), and
-    /// snapshotting the map while truncating the log would lose it.  The
-    /// caller certifies via `quiesced` that no such write is in flight;
-    /// because the disk lock is held, no new batch can land while the
-    /// certificate is checked or the snapshot commits.
-    pub fn maybe_compact_when(
-        &self,
-        map: &HashMap<StoreKey, Versioned>,
-        quiesced: impl FnOnce() -> bool,
-    ) -> bool {
-        let mut d = self.disk.lock();
-        if d.broken || d.end <= self.config.compact_threshold {
+    /// one snapshot commit.  `map` must hold every record the log does: the
+    /// image publishes a write before it compacts, in the same hold of its
+    /// lock.  Failures are counted, not fatal: the data is still in the log.
+    pub fn maybe_compact(&mut self, map: &HashMap<StoreKey, Versioned>) -> bool {
+        if self.broken || self.end <= self.config.compact_threshold {
             return false;
         }
-        if !quiesced() {
-            return false;
-        }
-        match d.commit_snapshot(map) {
-            Ok(()) => true,
-            Err(_) => {
-                d.stats.compaction_failures += 1;
-                false
-            }
-        }
+        let committed = self.commit_snapshot(map).is_ok();
+        self.stats.compaction_failures += !committed as u64;
+        committed
     }
 
     /// Commit `map` as a full snapshot unconditionally, exactly like a
     /// compaction but without the threshold gate.  Used when a rebuilding
     /// replica installs a shipped snapshot: one slot write instead of
     /// re-appending the whole keyspace record by record.
-    pub fn install_snapshot(&self, map: &HashMap<StoreKey, Versioned>) -> Result<(), StoreError> {
-        let mut d = self.disk.lock();
-        if d.broken {
-            return Err(StoreError::Io(
-                "wal is broken; replica needs respawn".into(),
-            ));
-        }
-        d.commit_snapshot(map)
+    pub fn install_snapshot(
+        &mut self,
+        map: &HashMap<StoreKey, Versioned>,
+    ) -> Result<(), StoreError> {
+        self.usable()?;
+        self.commit_snapshot(map)
     }
 
     /// Current committed log length in bytes.
     pub fn log_len(&self) -> u64 {
-        self.disk.lock().end
+        self.end
     }
 
     /// Snapshot generation currently active.
     pub fn generation(&self) -> u64 {
-        self.disk.lock().generation
+        self.generation
     }
 
-    /// A snapshot of the counters (owned: the stats live behind the disk
-    /// lock the committer holds during flushes).
-    pub fn stats(&self) -> WalStats {
-        self.disk.lock().stats.clone()
+    /// Counters since this open.
+    pub fn stats(&self) -> &WalStats {
+        &self.stats
     }
 }
 
 impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let d = self.disk.lock();
         f.debug_struct("Wal")
-            .field("end", &d.end)
-            .field("generation", &d.generation)
-            .field("broken", &d.broken)
-            .field("stats", &d.stats)
+            .field("end", &self.end)
+            .field("generation", &self.generation)
+            .field("broken", &self.broken)
+            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -1154,6 +962,10 @@ mod tests {
 
     fn key(k: &str) -> StoreKey {
         ("ns".to_string(), k.to_string())
+    }
+
+    fn append(wal: &mut Wal, key: &StoreKey, value: &Versioned) -> Result<(), StoreError> {
+        wal.append_batch(&[(key.clone(), value.clone())])
     }
 
     #[test]
@@ -1219,12 +1031,11 @@ mod tests {
     fn open_append_reopen_recovers_everything() {
         let storage = MemStorage::new();
         let handle = StorageHandle::Memory(storage);
-        let (wal, map, report) = Wal::open(&handle, WalConfig::default()).unwrap();
+        let (mut wal, map, report) = Wal::open(&handle, WalConfig::default()).unwrap();
         assert!(map.is_empty());
         assert_eq!(report, RecoveryReport::default());
         for i in 0..10u64 {
-            wal.append(&key(&format!("k{i}")), &v(i + 1, b"val"))
-                .unwrap();
+            append(&mut wal, &key(&format!("k{i}")), &v(i + 1, b"val")).unwrap();
         }
         let (_, map, report) = Wal::open(&handle, WalConfig::default()).unwrap();
         assert_eq!(map.len(), 10);
@@ -1240,12 +1051,12 @@ mod tests {
             compact_threshold: 256,
             ..WalConfig::default()
         };
-        let (wal, _, _) = Wal::open(&handle, config.clone()).unwrap();
+        let (mut wal, _, _) = Wal::open(&handle, config.clone()).unwrap();
         let mut map = HashMap::new();
         let mut compactions = 0;
         for i in 0..100u64 {
             let (k, value) = (key(&format!("k{}", i % 7)), v(i + 1, b"payload-bytes"));
-            wal.append(&k, &value).unwrap();
+            append(&mut wal, &k, &value).unwrap();
             map.insert(k, value);
             if wal.maybe_compact(&map) {
                 compactions += 1;
@@ -1264,15 +1075,15 @@ mod tests {
     fn fencing_cuts_off_superseded_instances() {
         let storage = MemStorage::new();
         let handle = StorageHandle::Memory(storage);
-        let (old, _, _) = Wal::open(&handle, WalConfig::default()).unwrap();
-        old.append(&key("a"), &v(1, b"x")).unwrap();
-        let (new, map, _) = Wal::open(&handle, WalConfig::default()).unwrap();
+        let (mut old, _, _) = Wal::open(&handle, WalConfig::default()).unwrap();
+        append(&mut old, &key("a"), &v(1, b"x")).unwrap();
+        let (mut new, map, _) = Wal::open(&handle, WalConfig::default()).unwrap();
         assert_eq!(map.len(), 1);
         assert!(matches!(
-            old.append(&key("b"), &v(2, b"y")),
+            append(&mut old, &key("b"), &v(2, b"y")),
             Err(StoreError::Io(_))
         ));
-        new.append(&key("c"), &v(3, b"z")).unwrap();
+        append(&mut new, &key("c"), &v(3, b"z")).unwrap();
         let (_, map, _) = Wal::open(&handle, WalConfig::default()).unwrap();
         assert_eq!(map.len(), 2, "fenced append must not land");
     }
@@ -1284,13 +1095,13 @@ mod tests {
         let host = HostId::from("s1");
         let storage = MemStorage::new().with_faults(hub.clone(), host.clone());
         let handle = StorageHandle::Memory(storage.clone());
-        let (wal, _, _) = Wal::open(&handle, WalConfig::default()).unwrap();
-        wal.append(&key("a"), &v(1, b"first")).unwrap();
+        let (mut wal, _, _) = Wal::open(&handle, WalConfig::default()).unwrap();
+        append(&mut wal, &key("a"), &v(1, b"first")).unwrap();
         hub.arm(&host, StorageFault::TornWrite(5));
-        assert!(wal.append(&key("b"), &v(2, b"torn")).is_err());
+        assert!(append(&mut wal, &key("b"), &v(2, b"torn")).is_err());
         // The torn bytes were cut; the next append starts on a record
         // boundary and the log replays cleanly.
-        wal.append(&key("c"), &v(3, b"after")).unwrap();
+        append(&mut wal, &key("c"), &v(3, b"after")).unwrap();
         let (_, map, report) = Wal::open(&handle, WalConfig::default()).unwrap();
         assert_eq!(map.len(), 2);
         assert!(map.contains_key(&key("a")) && map.contains_key(&key("c")));
@@ -1301,7 +1112,7 @@ mod tests {
     fn append_batch_commits_with_one_fsync() {
         let storage = MemStorage::new();
         let handle = StorageHandle::Memory(storage);
-        let (wal, _, _) = Wal::open(&handle, WalConfig::default()).unwrap();
+        let (mut wal, _, _) = Wal::open(&handle, WalConfig::default()).unwrap();
         let entries: Vec<(StoreKey, Versioned)> = (0..8u64)
             .map(|i| (key(&format!("k{i}")), v(i + 1, b"batched")))
             .collect();
@@ -1310,90 +1121,30 @@ mod tests {
         assert_eq!(stats.appends, 8);
         assert_eq!(stats.batches, 1, "one backend append for the run");
         assert_eq!(stats.fsyncs, 1, "one fsync for the run");
-        assert_eq!(stats.fsyncs_saved, 7);
-        assert_eq!(stats.max_batch_records, 8);
         let (_, map, report) = Wal::open(&handle, WalConfig::default()).unwrap();
         assert_eq!(map.len(), 8);
         assert_eq!(report.replayed_records, 8);
     }
 
     #[test]
-    fn concurrent_appends_share_fsyncs() {
-        use std::sync::Barrier;
-        let storage = MemStorage::new();
-        let handle = StorageHandle::Memory(storage);
-        let config = WalConfig {
-            // Generous linger so the first committer collects the whole
-            // barrier cohort into few batches.
-            max_batch_delay: Duration::from_millis(100),
-            ..WalConfig::default()
-        };
-        let (wal, _, _) = Wal::open(&handle, config).unwrap();
-        let wal = Arc::new(wal);
-        let writers = 16;
-        let barrier = Arc::new(Barrier::new(writers));
-        let handles: Vec<_> = (0..writers)
-            .map(|w| {
-                let wal = Arc::clone(&wal);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    wal.append(&key(&format!("w{w}")), &v(w as u64 + 1, b"concurrent"))
-                        .unwrap();
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let stats = wal.stats();
-        assert_eq!(stats.appends, writers as u64);
-        assert!(
-            stats.batches < writers as u64,
-            "16 simultaneous appenders never shared a batch: {stats:?}"
-        );
-        assert_eq!(stats.fsyncs, stats.batches);
-        assert_eq!(stats.fsyncs + stats.fsyncs_saved, stats.appends);
-        let (_, map, _) = Wal::open(&handle, WalConfig::default()).unwrap();
-        assert_eq!(map.len(), writers);
-    }
-
-    #[test]
-    fn batch_cap_of_one_byte_degenerates_to_per_record_fsync() {
-        let storage = MemStorage::new();
-        let handle = StorageHandle::Memory(storage);
-        let config = WalConfig {
-            max_batch_bytes: 1,
-            ..WalConfig::default()
-        };
-        let (wal, _, _) = Wal::open(&handle, config).unwrap();
-        let entries: Vec<(StoreKey, Versioned)> = (0..5u64)
-            .map(|i| (key(&format!("k{i}")), v(i + 1, b"solo")))
-            .collect();
-        wal.append_batch(&entries).unwrap();
-        let stats = wal.stats();
-        assert_eq!(stats.appends, 5);
-        assert_eq!(stats.batches, 5, "1-byte cap must ship records alone");
-        assert_eq!(stats.fsyncs, 5);
-        assert_eq!(stats.fsyncs_saved, 0);
-    }
-
-    #[test]
-    fn crash_mid_batch_fails_every_ticket_and_loses_nothing_acked() {
+    fn crash_mid_batch_fails_the_whole_batch_and_loses_nothing_acked() {
         use ace_net::fault::{StorageFault, StorageFaultHub};
         let hub = StorageFaultHub::new();
         let host = HostId::from("s1");
         let storage = MemStorage::new().with_faults(hub.clone(), host.clone());
         let handle = StorageHandle::Memory(storage.clone());
-        let (wal, _, _) = Wal::open(&handle, WalConfig::default()).unwrap();
-        wal.append(&key("acked"), &v(1, b"before")).unwrap();
+        let (mut wal, _, _) = Wal::open(&handle, WalConfig::default()).unwrap();
+        append(&mut wal, &key("acked"), &v(1, b"before")).unwrap();
         // Tear the batch stream partway through the second record.
         let one = frame_record(&key("b0"), &v(2, b"batch")).len() as u64;
         hub.arm(&host, StorageFault::CrashAtByte(one + 3));
         let entries: Vec<(StoreKey, Versioned)> = (0..4u64)
             .map(|i| (key(&format!("b{i}")), v(i + 2, b"batch")))
             .collect();
-        assert!(wal.append_batch(&entries).is_err(), "no ticket may ack");
+        assert!(
+            wal.append_batch(&entries).is_err(),
+            "no record of a torn batch may ack"
+        );
         // Recovery keeps the acked record plus at most a clean prefix of
         // the unacked batch — never a torn or corrupt record.
         let (_, map, report) = Wal::open(&handle, WalConfig::default()).unwrap();

@@ -133,22 +133,17 @@ fn crash_at_any_byte_of_a_batch_commit_is_prefix_atomic() {
     }
 }
 
-/// Concurrent writers sharing group-commit batches, killed mid-batch: no
-/// writer that saw `Ok` may lose its record, however the committer grouped
-/// the in-flight appends when the disk died.
+/// Concurrent writers on one image, the disk killed under them: no writer
+/// that saw `Ok` may lose its record, whichever append the crash tore.
 #[test]
-fn concurrent_writers_crash_mid_batch_lose_nothing_acked() {
+fn concurrent_writers_crash_mid_append_lose_nothing_acked() {
     const WRITERS: u64 = 8;
     for crash_at in [0u64, 1, 9, 25, 47, 80, 133, 190] {
         let hub = StorageFaultHub::new();
         let host = HostId::from("s1");
         let storage = MemStorage::new().with_faults(hub.clone(), host.clone());
         let handle = StorageHandle::Memory(storage);
-        // A short linger encourages the committer to group the writers.
-        let config = WalConfig {
-            max_batch_delay: std::time::Duration::from_millis(2),
-            ..WalConfig::default()
-        };
+        let config = WalConfig::default();
         let (disk, _) = DiskImage::open(&handle, config.clone()).unwrap();
         let mut acked = Vec::new();
         for i in 0..3u64 {
@@ -200,6 +195,101 @@ fn concurrent_writers_crash_mid_batch_lose_nothing_acked() {
             }
         }
     }
+}
+
+/// A replica's two writers — its daemon task applying client writes, its
+/// sync worker applying pulled newer versions of half of those keys — race
+/// on one durable image that compacts every few writes, and the host dies
+/// partway through each round.  After every reopen, each key is at the
+/// newest version either writer saw acknowledged.  It fails if a write is
+/// logged outside the lock it is published under: a compaction in between
+/// snapshots a map without the record and truncates the log that held it,
+/// and only the next compaction would put it back.
+#[test]
+fn writes_racing_pulls_through_compactions_lose_no_acked_write() {
+    const ROUNDS: u64 = 40;
+    const WRITES: u64 = 100;
+    let storage = MemStorage::new();
+    let handle = StorageHandle::Memory(storage.clone());
+    let config = WalConfig {
+        compact_threshold: 256,
+        ..WalConfig::default()
+    };
+    let write = |round: u64, i: u64, version: u64, writer: &str| {
+        let v = Versioned {
+            writer: writer.into(),
+            ..value(version, &i.to_le_bytes())
+        };
+        (key(&format!("race{round}-{i}")), v)
+    };
+    let mut newest = std::collections::HashMap::new();
+    let mut compactions = 0;
+    for round in 0..=ROUNDS {
+        let (disk, report) = DiskImage::open(&handle, config.clone()).unwrap();
+        assert!(!report.reset);
+        for (k, v) in &newest {
+            assert_eq!(
+                disk.get(k).as_ref(),
+                Some(v),
+                "before round {round}: the newest acked version of {k:?} is lost"
+            );
+        }
+        if round == ROUNDS {
+            break;
+        }
+        // Crash the host after this many more segment writes (appends and
+        // the three writes of each compaction).
+        storage.crash_after_writes(40 + round * 7 % 60);
+        let barrier = std::sync::Barrier::new(2);
+        let (client_acks, pulled_acks) = std::thread::scope(|s| {
+            let client = s.spawn(|| {
+                barrier.wait();
+                let mut acked = Vec::new();
+                for i in 0..WRITES {
+                    let (k, v) = write(round, i, 1, "client");
+                    match disk.propose(k, v) {
+                        Ok(None) => acked.push(i),
+                        Ok(Some(_)) => {}
+                        Err(_) => break,
+                    }
+                }
+                acked
+            });
+            let puller = s.spawn(|| {
+                barrier.wait();
+                let mut acked = Vec::new();
+                for i in (0..WRITES).step_by(2) {
+                    let (k, v) = write(round, i, 2, "peer");
+                    match disk.apply(k, v) {
+                        Ok(true) => acked.push(i),
+                        Ok(false) => {}
+                        Err(_) => break,
+                    }
+                }
+                acked
+            });
+            (client.join().unwrap(), puller.join().unwrap())
+        });
+        compactions += disk.wal_stats().unwrap().compactions;
+        // A pull is newer than the client's write of its key, so it wins.
+        for i in client_acks {
+            let (k, v) = write(round, i, 1, "client");
+            newest.insert(k, v);
+        }
+        for i in pulled_acks {
+            let (k, v) = write(round, i, 2, "peer");
+            newest.insert(k, v);
+        }
+    }
+    assert!(
+        newest.len() > 1000,
+        "rounds crashed too early: {}",
+        newest.len()
+    );
+    assert!(
+        compactions > 4 * ROUNDS,
+        "too few compactions: {compactions}"
+    );
 }
 
 /// A torn write (transient media failure, replica survives) repairs the
@@ -261,7 +351,6 @@ fn recovery_after_compaction_sees_snapshot_plus_tail() {
     let config = WalConfig {
         fsync_on_commit: true,
         compact_threshold: 512,
-        ..WalConfig::default()
     };
     let (disk, _) = DiskImage::open(&handle, config.clone()).unwrap();
     for i in 0..200u64 {
@@ -405,7 +494,6 @@ fn file_backend_compaction_survives_reopen() {
     let config = WalConfig {
         fsync_on_commit: false,
         compact_threshold: 1024,
-        ..WalConfig::default()
     };
 
     let (disk, _) = DiskImage::open(&handle, config.clone()).unwrap();
