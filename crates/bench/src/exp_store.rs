@@ -125,6 +125,7 @@ pub fn e15() {
         0,
         "s1",
         s1_disk.clone(),
+        cluster.addrs[1..].to_vec(),
         Duration::from_millis(100),
     )
     .unwrap();
@@ -167,7 +168,6 @@ pub fn e15() {
         for threshold in [u64::MAX, 64 << 10] {
             let handle = StorageHandle::Memory(MemStorage::new());
             let config = WalConfig {
-                fsync_on_commit: false,
                 compact_threshold: threshold,
             };
             let (disk, _) = DiskImage::open(&handle, config.clone()).unwrap();
@@ -194,41 +194,6 @@ pub fn e15() {
             &[fmt_dur(timings[0]), fmt_dur(timings[1]), String::new()],
         );
     }
-
-    // Durability policy: the per-write cost of fsync-on-commit against
-    // lazy sync (MemStorage, so this isolates the WAL bookkeeping itself;
-    // real disks widen the gap).
-    row(
-        "WAL append policy",
-        &["fsync on".into(), "fsync off".into(), String::new()],
-    );
-    let mut costs = Vec::new();
-    for fsync in [true, false] {
-        let handle = StorageHandle::Memory(MemStorage::new());
-        let config = WalConfig {
-            fsync_on_commit: fsync,
-            compact_threshold: u64::MAX,
-        };
-        let (disk, _) = DiskImage::open(&handle, config).unwrap();
-        let mut i = 0u64;
-        costs.push(time_median(200, || {
-            disk.apply(
-                ("bench".into(), format!("k{i}")),
-                ace_store::Versioned {
-                    data: vec![0xcd; 64],
-                    version: 1,
-                    writer: "w".into(),
-                    deleted: false,
-                },
-            )
-            .unwrap();
-            i += 1;
-        }));
-    }
-    row(
-        "logged put (local apply)",
-        &[fmt_dur(costs[0]), fmt_dur(costs[1]), String::new()],
-    );
 }
 
 /// E19 (§9): robust-service mean time to recovery across lease durations —

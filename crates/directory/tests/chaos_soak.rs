@@ -75,6 +75,10 @@ fn run_chaos(seed: u64) {
             fw.logger_addr.clone(),
         );
         let storage = cluster.storages[i].clone();
+        let peers: Vec<Addr> = (cluster.addrs.iter())
+            .filter(|a| **a != cluster.addrs[i])
+            .cloned()
+            .collect();
         let host = host.to_string();
         specs.push(SupervisedSpec::new(
             format!("store_{}", i + 1),
@@ -93,7 +97,7 @@ fn run_chaos(seed: u64) {
                     .with_asd(fw_ref.0.clone())
                     .with_roomdb(fw_ref.1.clone())
                     .with_logger(fw_ref.2.clone()),
-                    Box::new(StoreReplica::new(disk, STORE_SYNC)),
+                    Box::new(StoreReplica::new(disk, STORE_SYNC).with_peers(peers.clone())),
                 )?;
                 Ok(Respawn::with_note(handle, report.to_string()))
             }),

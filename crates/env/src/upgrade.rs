@@ -102,12 +102,14 @@ impl AceEnvironment {
             "Service.Logger" => Some(Box::new(NetLogger::default())),
             "Service.Database.PersistentStore" => {
                 let cluster = self.store.as_ref()?;
-                let disk = cluster
+                let i = cluster
                     .replicas
                     .iter()
-                    .find(|(h, _)| h.name() == handle.name())
-                    .map(|(_, disk)| disk.clone())?;
-                Some(Box::new(StoreReplica::new(disk, self.config.store_sync)))
+                    .position(|(h, _)| h.name() == handle.name())?;
+                let peers = cluster.addrs.iter().filter(|a| **a != cluster.addrs[i]);
+                let replica =
+                    StoreReplica::new(cluster.replicas[i].1.clone(), self.config.store_sync);
+                Some(Box::new(replica.with_peers(peers.cloned().collect())))
             }
             _ => None,
         }

@@ -44,9 +44,10 @@ pub const STORE_PORT: u16 = 5800;
 /// on `SHARDED_STORE_PORT + g * replication + r`).
 pub const SHARDED_STORE_PORT: u16 = 6100;
 
-/// Service class of sharded-plane replicas.  Distinct from the unsharded
-/// class on purpose: directory-driven anti-entropy matches on class, and a
-/// shard replica must never pull keys from another shard's group.
+/// Service class of sharded-plane replicas, as `describe` replies and
+/// KeyNote's action environment name it.  Shard replicas are not
+/// registered, and no replica finds its peers by class: each syncs with
+/// the rest of its group, fixed at spawn.
 pub const SHARD_CLASS: &str = "Service.Database.PersistentStoreShard";
 
 /// A running store cluster: daemon handles plus each replica's disk image
@@ -70,15 +71,16 @@ impl StoreCluster {
 }
 
 /// Spawn one replica per host (the paper's cluster is three) with the
-/// default durability policy.
+/// default durability policy.  The replicas are one group: each syncs with
+/// the others, at [`STORE_PORT`] on their hosts.
 pub fn spawn_store_cluster(
     net: &SimNet,
     fw: &Framework,
     hosts: &[&str],
     sync_interval: Duration,
 ) -> Result<StoreCluster, SpawnError> {
+    let addrs: Vec<Addr> = hosts.iter().map(|h| Addr::new(*h, STORE_PORT)).collect();
     let mut replicas = Vec::with_capacity(hosts.len());
-    let mut addrs = Vec::with_capacity(hosts.len());
     let mut storages = Vec::with_capacity(hosts.len());
     for (i, host) in hosts.iter().enumerate() {
         // Durable by default: every replica writes ahead to a simulated
@@ -89,8 +91,8 @@ pub fn spawn_store_cluster(
         );
         let (disk, _) =
             DiskImage::open(&storage, WalConfig::default()).map_err(storage_spawn_err)?;
-        let handle = respawn_replica(net, fw, i, host, disk.clone(), sync_interval)?;
-        addrs.push(handle.addr().clone());
+        let peers = addrs.iter().filter(|a| **a != addrs[i]).cloned().collect();
+        let handle = respawn_replica(net, fw, i, host, disk.clone(), peers, sync_interval)?;
         replicas.push((handle, disk));
         storages.push(storage);
     }
@@ -120,8 +122,7 @@ pub fn storage_spawn_err(e: StoreError) -> SpawnError {
 
 /// A running sharded store: `groups × replication` durable replicas, each
 /// carrying the full [`StorePlacement`] and syncing only with its own
-/// group (fixed peer lists — a shard replica must never pull another
-/// shard's keys).
+/// group (a shard replica must never pull another shard's keys).
 pub struct ShardedStoreCluster {
     pub placement: StorePlacement,
     /// `groups[g][r]` — daemon handle + disk image of replica `r` of
@@ -308,7 +309,7 @@ impl ShardedStoreCluster {
 
 /// Stream `peer`'s state into `disk`: chunked snapshot fetch, validated
 /// decode (corrupt bytes refuse the whole ship — the caller tries the
-/// next peer), one-slot install, then the [`replica::top_up`] against the
+/// next peer), one snapshot install, then the [`replica::top_up`] against the
 /// same peer over the same link for what it applied after the cut — a
 /// top-up that fails or leaves a newer key behind refuses the ship too.
 fn ship_snapshot(
@@ -345,7 +346,6 @@ fn ship_snapshot(
     }
     let entries = crate::wal::decode_snapshot(&bytes)
         .map_err(|detail| failed(&format!("shipped snapshot failed validation: {detail}")))?
-        .map(|(_, entries)| entries)
         .unwrap_or_default();
     let snapshot_records = entries.len();
     disk.install_snapshot(entries)
@@ -360,15 +360,17 @@ fn ship_snapshot(
     })
 }
 
-/// Spawn replica `index` of the unsharded cluster on `host` over `disk`:
-/// the first spawn, and the respawn of a crashed replica with the disk
-/// image it left behind (the recovery path of experiment E15).
+/// Spawn replica `index` of the unsharded cluster on `host` over `disk`,
+/// syncing with `peers` (the rest of the cluster): the first spawn, and
+/// the respawn of a crashed replica with the disk image it left behind
+/// (the recovery path of experiment E15).
 pub fn respawn_replica(
     net: &SimNet,
     fw: &Framework,
     index: usize,
     host: &str,
     disk: DiskImage,
+    peers: Vec<Addr>,
     sync_interval: Duration,
 ) -> Result<DaemonHandle, SpawnError> {
     Daemon::spawn(
@@ -380,6 +382,6 @@ pub fn respawn_replica(
             host,
             STORE_PORT,
         ),
-        Box::new(StoreReplica::new(disk, sync_interval)),
+        Box::new(StoreReplica::new(disk, sync_interval).with_peers(peers)),
     )
 }

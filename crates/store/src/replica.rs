@@ -205,8 +205,8 @@ impl DiskImage {
 
     /// Open a durable image: recover state from the snapshot + log behind
     /// `handle`, then log every further applied write.  Refuses with
-    /// [`StoreError::Corrupt`] when validation fails mid-log or in a
-    /// snapshot slot.
+    /// [`StoreError::Corrupt`] when validation fails mid-log or in the
+    /// snapshot.
     pub fn open(
         handle: &StorageHandle,
         config: WalConfig,
@@ -237,8 +237,8 @@ impl DiskImage {
 
     /// Apply a versioned write if it beats the current entry.  Returns
     /// `Ok(true)` if applied — for a durable image, only after the write
-    /// is in the log (and synced, per [`WalConfig`]).  An `Err` means the
-    /// write is *not* durable and must not be acknowledged.
+    /// is in the log and synced.  An `Err` means the write is *not* durable
+    /// and must not be acknowledged.
     pub fn apply(&self, key: StoreKey, value: Versioned) -> Result<bool, StoreError> {
         Ok(self.held.lock().apply(vec![(key, value)])? == 1)
     }
@@ -393,14 +393,13 @@ impl DiskImage {
     /// Cut a consistent shippable snapshot: the encoded full state, under
     /// one hold of the map lock.
     pub fn snapshot_cut(&self) -> Vec<u8> {
-        crate::wal::encode_snapshot(0, &self.held.lock().map)
+        crate::wal::encode_snapshot(&self.held.lock().map)
     }
 
     /// Install a shipped snapshot: merge `entries` newest-wins, then (for
-    /// a durable image) commit the merged state as one snapshot-slot write
-    /// — the whole keyspace costs one slot replace + sync instead of
-    /// re-appending every record through the log.  Returns how many
-    /// entries won.
+    /// a durable image) commit the merged state as one snapshot write — the
+    /// whole keyspace costs one snapshot replace instead of re-appending
+    /// every record through the log.  Returns how many entries won.
     pub fn install_snapshot(
         &self,
         entries: Vec<(StoreKey, Versioned)>,
@@ -460,9 +459,9 @@ pub struct StoreReplica {
     worker: Option<std::thread::JoinHandle<()>>,
     /// Nudges the worker to sync immediately (`psSync`).
     nudge: Option<crossbeam_channel::Sender<()>>,
-    /// Fixed anti-entropy peer list (sharded deployments).  `None` keeps
-    /// the classic behaviour: discover peers via the ASD class lookup.
-    peers: Option<Vec<Addr>>,
+    /// The rest of this replica's group, fixed at spawn: whom anti-entropy
+    /// syncs with.  Empty is a standalone replica with no sync worker.
+    peers: Vec<Addr>,
     /// Shard placement map served via `psPlacement` (sharded deployments).
     placement: Option<StorePlacement>,
     /// Cached encoded snapshot for chunked `psSnapFetch`.  Cut fresh on
@@ -487,7 +486,7 @@ impl StoreReplica {
             stop: Arc::new(AtomicBool::new(false)),
             worker: None,
             nudge: None,
-            peers: None,
+            peers: Vec::new(),
             placement: None,
             snap_cache: None,
             lease: None,
@@ -496,11 +495,12 @@ impl StoreReplica {
         }
     }
 
-    /// Anti-entropy against a fixed peer list (this replica's shard group)
-    /// instead of an ASD class lookup — a sharded replica must never pull
-    /// keys that belong to another shard's group.
+    /// Sync with `peers`, the rest of this replica's group.  A replica
+    /// pulls from nobody else: a shard replica must never pull another
+    /// shard's keys, and no replica waits on the directory to find its
+    /// group.
     pub fn with_peers(mut self, peers: Vec<Addr>) -> StoreReplica {
-        self.peers = Some(peers);
+        self.peers = peers;
         self
     }
 
@@ -513,45 +513,15 @@ impl StoreReplica {
 }
 
 /// One anti-entropy round from the worker thread: a [`tree_round`] against
-/// every peer replica — either the fixed shard-group list, or every
-/// `PersistentStore` found in the ASD.  Sends over the daemon's pool.
-fn sync_round(
-    pool: &Arc<LinkPool>,
-    asd: Option<&Addr>,
-    fixed_peers: Option<&[Addr]>,
-    own_name: &str,
-    disk: &DiskImage,
-    stats: &SyncStats,
-) {
-    let call = |addr: &Addr, cmd: &CmdLine| {
-        pool.call(addr, cmd, ace_core::client::DEFAULT_CALL_TIMEOUT)
-            .ok()
-    };
-
-    let peer_addrs: Vec<Addr> = match fixed_peers {
-        // Sharded deployment: the group membership is fixed at spawn, and
-        // pulling from the ASD class instead would drag other shards'
-        // keys into this group.
-        Some(list) => list.to_vec(),
-        None => {
-            let Some(asd) = asd else { return };
-            let lookup = ace_core::protocol::lookup_cmd(None, Some("PersistentStore"), None);
-            let Some(reply) = call(asd, &lookup) else {
-                return;
-            };
-            let Ok(peers) = ace_core::protocol::entries_from_reply(&reply) else {
-                return;
-            };
-            peers
-                .into_iter()
-                .filter(|p| p.name != own_name)
-                .map(|p| p.addr)
-                .collect()
-        }
-    };
-    for peer_addr in peer_addrs {
+/// every peer of the replica's group.  Sends over the daemon's pool.
+fn sync_round(pool: &Arc<LinkPool>, peers: &[Addr], disk: &DiskImage, stats: &SyncStats) {
+    for peer in peers {
         // A peer that is down or answers nonsense is caught up with later.
-        let _ = tree_round(|cmd| call(&peer_addr, cmd), disk, stats);
+        let call = |cmd: &CmdLine| {
+            pool.call(peer, cmd, ace_core::client::DEFAULT_CALL_TIMEOUT)
+                .ok()
+        };
+        let _ = tree_round(call, disk, stats);
     }
     stats.syncs.fetch_add(1, Ordering::Relaxed);
 }
@@ -779,23 +749,20 @@ impl ServiceBehavior for StoreReplica {
     }
 
     fn on_start(&mut self, ctx: &mut ServiceCtx) {
-        let asd = ctx.asd_addr().cloned();
-        let fixed_peers = self.peers.clone();
-        if asd.is_none() && fixed_peers.is_none() {
-            // Standalone replica (unit tests): no peers to sync with.
-            return;
+        if self.peers.is_empty() {
+            return; // standalone: nobody to sync with
         }
+        let peers = self.peers.clone();
         let (nudge_tx, nudge_rx) = crossbeam_channel::unbounded::<()>();
         self.nudge = Some(nudge_tx);
         let pool = ctx.pool();
-        let own_name = ctx.name().to_string();
         let disk = self.disk.clone();
         let stats = Arc::clone(&self.stats);
         let stop = Arc::clone(&self.stop);
         let interval = self.sync_interval;
         self.worker = Some(
             std::thread::Builder::new()
-                .name(format!("{own_name}-sync"))
+                .name(format!("{}-sync", ctx.name()))
                 .spawn(move || {
                     while !stop.load(Ordering::SeqCst) {
                         // Wait one interval or until nudged.
@@ -803,14 +770,7 @@ impl ServiceBehavior for StoreReplica {
                         if stop.load(Ordering::SeqCst) {
                             break;
                         }
-                        sync_round(
-                            &pool,
-                            asd.as_ref(),
-                            fixed_peers.as_deref(),
-                            &own_name,
-                            &disk,
-                            &stats,
-                        );
+                        sync_round(&pool, &peers, &disk, &stats);
                     }
                 })
                 .expect("spawn sync worker"),
@@ -1379,6 +1339,41 @@ mod tests {
         let pulled = top_up(|cmd| Ok(snapshot_peer(&peer, cmd)), &rebuilt);
         assert_eq!(pulled.unwrap(), 3);
         assert_eq!(rebuilt.checksum(), peer.checksum());
+    }
+
+    /// The offset-0 `psSnapFetch` cut of a fixed three-key map (a tombstone
+    /// included), byte for byte: magic, a zero header word, the count, then
+    /// each CRC-framed record in key order and the body's CRC.  Compaction
+    /// and shipping share this encoder, so what a replica keeps on disk can
+    /// change only together with what it ships.
+    #[test]
+    fn a_shipped_snapshot_keeps_its_bytes() {
+        let disk = DiskImage::new();
+        for (key, version, writer, data) in [
+            ("a", 1, "w1", "one"),
+            ("b", 7, "w2", "seven"),
+            ("c", 3, "w1", ""),
+        ] {
+            let value = Versioned {
+                data: data.as_bytes().to_vec(),
+                version,
+                writer: writer.into(),
+                deleted: key == "c",
+            };
+            disk.apply(("ns".into(), key.into()), value).unwrap();
+        }
+        let hex: String = disk
+            .snapshot_cut()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "4143534e415030310000000000000000030000001b0000006b37080302006e73\
+             01006101000000000000000200773100030000006f6e651d000000b449704f02\
+             006e730100620700000000000000020077320005000000736576656e18000000\
+             e67d856e02006e7301006303000000000000000200773101000000001cbae2d1"
+        );
     }
 
     #[test]

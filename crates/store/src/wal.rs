@@ -6,19 +6,19 @@
 //! restarted on the same host recovers every write it acknowledged instead
 //! of depending entirely on its peers.
 //!
-//! Layout per replica (three logical "files" behind a pluggable
+//! Layout per replica (two logical "files" behind a pluggable
 //! [`StorageBackend`]):
 //!
 //! * **log** — length-prefixed, CRC-32-framed records, one per applied
-//!   write, appended (and optionally fsynced) *before* the write is
-//!   acknowledged;
-//! * **snapshot slots A/B** — a full-state snapshot written by compaction
-//!   once the log exceeds a threshold (and by a shipped-snapshot install).
-//!   One slot is live; the other is empty between commits.  A commit moves
-//!   the new snapshot into the empty slot and syncs it, truncates the log —
-//!   the commit point — and only then empties the superseded slot, so a
-//!   crash between any two steps leaves a valid (slot, log) pair and a
-//!   replica keeps one snapshot, not two.
+//!   write, appended and fsynced *before* the write is acknowledged;
+//! * **snapshot** — the full state, written by compaction once the log
+//!   exceeds a threshold (and by a shipped-snapshot install).  A commit
+//!   atomically replaces the snapshot, then empties the log.  A crash
+//!   before the replace leaves the old snapshot and the whole log; a crash
+//!   after it leaves the new snapshot and the whole log, whose replay over
+//!   it changes nothing (invariant 3); a crash after the log reset leaves
+//!   the new snapshot alone.  So one snapshot is enough: recovery never
+//!   needs an older one.
 //!
 //! Recovery invariants (asserted by `tests/wal_recovery.rs` and the chaos
 //! soak):
@@ -74,23 +74,20 @@ pub trait StorageBackend: Send {
     fn append(&mut self, bytes: &[u8]) -> Result<(), StoreError>;
     /// Flush appended bytes to stable storage.
     fn sync(&mut self) -> Result<(), StoreError>;
-    /// Atomically replace the full contents (snapshot commit, log reset,
-    /// slot clear).  Takes the bytes by value, so a backend that keeps them
+    /// Atomically and durably replace the full contents (snapshot commit,
+    /// log reset).  Takes the bytes by value, so a backend that keeps them
     /// in memory keeps them without a copy.
     fn replace(&mut self, bytes: Vec<u8>) -> Result<(), StoreError>;
     /// Cut the contents down to `len` bytes (torn-tail repair).
     fn truncate(&mut self, len: u64) -> Result<(), StoreError>;
-    /// Current size in bytes.
-    fn size(&mut self) -> Result<u64, StoreError>;
 }
 
 const SEG_LOG: usize = 0;
-const SEG_SNAP_A: usize = 1;
-const SEG_SNAP_B: usize = 2;
+const SEG_SNAP: usize = 1;
 
 #[derive(Debug, Default)]
 struct MemInner {
-    segments: Mutex<[Vec<u8>; 3]>,
+    segments: Mutex<[Vec<u8>; 2]>,
     /// Fencing token: bumped by every [`StorageHandle`] open, so backends
     /// from a superseded instance (a daemon the supervisor already
     /// replaced) can no longer write — the same role a fencing epoch plays
@@ -98,7 +95,7 @@ struct MemInner {
     epoch: AtomicU64,
     faults: Mutex<Option<(StorageFaultHub, HostId)>>,
     /// Segment writes left before an armed crash; `Some(0)` is a host that
-    /// is down until the next open.
+    /// is down until the next open (also where a `CrashAtByte` leaves it).
     crash_after: Mutex<Option<u64>>,
 }
 
@@ -155,7 +152,6 @@ impl MemStorage {
             storage: self.clone(),
             seg,
             epoch,
-            dead: false,
         }
     }
 
@@ -164,10 +160,9 @@ impl MemStorage {
         self.inner.segments.lock()[SEG_LOG].clone()
     }
 
-    /// Byte length of each snapshot slot (tests and diagnostics).
-    pub fn slot_lens(&self) -> [usize; 2] {
-        let segments = self.inner.segments.lock();
-        [segments[SEG_SNAP_A].len(), segments[SEG_SNAP_B].len()]
+    /// Byte length of the snapshot (tests and diagnostics).
+    pub fn snapshot_len(&self) -> usize {
+        self.inner.segments.lock()[SEG_SNAP].len()
     }
 
     /// Overwrite the log segment wholesale — how tests model latent media
@@ -181,14 +176,10 @@ struct MemBackend {
     storage: MemStorage,
     seg: usize,
     epoch: u64,
-    dead: bool,
 }
 
 impl MemBackend {
     fn check(&self) -> Result<(), StoreError> {
-        if self.dead {
-            return Err(StoreError::Io("backend dead after storage crash".into()));
-        }
         if self.storage.inner.epoch.load(Ordering::SeqCst) != self.epoch {
             return Err(StoreError::Io("backend fenced by a newer open".into()));
         }
@@ -218,7 +209,7 @@ impl StorageBackend for MemBackend {
             Some(StorageFault::CrashAtByte(n)) => {
                 let keep = (n as usize).min(bytes.len());
                 segments[self.seg].extend_from_slice(&bytes[..keep]);
-                self.dead = true;
+                self.storage.crash_after_writes(0);
                 Err(StoreError::Io(format!(
                     "simulated crash after {keep} of {} append bytes",
                     bytes.len()
@@ -270,11 +261,6 @@ impl StorageBackend for MemBackend {
             seg.truncate(len as usize);
         }
         Ok(())
-    }
-
-    fn size(&mut self) -> Result<u64, StoreError> {
-        self.check()?;
-        Ok(self.storage.inner.segments.lock()[self.seg].len() as u64)
     }
 }
 
@@ -365,14 +351,6 @@ impl StorageBackend for FileBackend {
         f.set_len(len).map_err(Self::io)?;
         f.sync_data().map_err(Self::io)
     }
-
-    fn size(&mut self) -> Result<u64, StoreError> {
-        match std::fs::metadata(&self.path) {
-            Ok(m) => Ok(m.len()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
-            Err(e) => Err(Self::io(e)),
-        }
-    }
 }
 
 /// Reopenable description of a replica's storage — what a respawn factory
@@ -381,27 +359,25 @@ impl StorageBackend for FileBackend {
 pub enum StorageHandle {
     /// Simulated disk (chaos and unit tests).
     Memory(MemStorage),
-    /// A directory of real files: `wal.log`, `snap_a.bin`, `snap_b.bin`.
+    /// A directory of real files: `wal.log` and `snap.bin`.
     Dir(PathBuf),
 }
 
 impl StorageHandle {
-    fn open_backends(&self) -> Result<[Box<dyn StorageBackend>; 3], StoreError> {
+    fn open_backends(&self) -> Result<[Box<dyn StorageBackend>; 2], StoreError> {
         match self {
             StorageHandle::Memory(mem) => {
                 let epoch = mem.fence();
                 Ok([
                     Box::new(mem.backend(SEG_LOG, epoch)),
-                    Box::new(mem.backend(SEG_SNAP_A, epoch)),
-                    Box::new(mem.backend(SEG_SNAP_B, epoch)),
+                    Box::new(mem.backend(SEG_SNAP, epoch)),
                 ])
             }
             StorageHandle::Dir(dir) => {
                 std::fs::create_dir_all(dir).map_err(FileBackend::io)?;
                 Ok([
                     Box::new(FileBackend::new(dir.join("wal.log"))),
-                    Box::new(FileBackend::new(dir.join("snap_a.bin"))),
-                    Box::new(FileBackend::new(dir.join("snap_b.bin"))),
+                    Box::new(FileBackend::new(dir.join("snap.bin"))),
                 ])
             }
         }
@@ -577,13 +553,14 @@ pub fn replay_bytes(bytes: &[u8]) -> Result<Replay, StoreError> {
 
 const SNAP_MAGIC: &[u8; 8] = b"ACSNAP01";
 
-/// Encode a full-state snapshot body.  Shared by compaction, where
-/// `generation` is the slot generation, and snapshot shipping, where it
-/// means nothing: the shipper writes 0 and the fetcher ignores it.
-pub(crate) fn encode_snapshot(generation: u64, map: &HashMap<StoreKey, Versioned>) -> Vec<u8> {
+/// Encode a full-state snapshot body, for compaction and for snapshot
+/// shipping alike.  The 8 header bytes after the magic are a reserved
+/// word, always 0, that the decoder skips: shipped snapshots keep their
+/// layout.
+pub(crate) fn encode_snapshot(map: &HashMap<StoreKey, Versioned>) -> Vec<u8> {
     let mut body = Vec::new();
     body.extend_from_slice(SNAP_MAGIC);
-    body.extend_from_slice(&generation.to_le_bytes());
+    body.extend_from_slice(&0u64.to_le_bytes());
     body.extend_from_slice(&(map.len() as u32).to_le_bytes());
     // Deterministic order so identical states produce identical snapshots.
     let mut keys: Vec<&StoreKey> = map.keys().collect();
@@ -599,12 +576,10 @@ pub(crate) fn encode_snapshot(generation: u64, map: &HashMap<StoreKey, Versioned
     body
 }
 
-/// A decoded snapshot body: its generation and the records it carries.
-pub(crate) type SnapshotBody = (u64, Vec<(StoreKey, Versioned)>);
-
-/// `Ok(Some(..))` for a valid snapshot, `Ok(None)` for an empty slot, and
-/// `Err(detail)` for a slot that holds bytes which do not validate.
-pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<Option<SnapshotBody>, String> {
+/// The records of a snapshot body: `Ok(Some(..))` for a valid snapshot,
+/// `Ok(None)` for an empty one, and `Err(detail)` for bytes which do not
+/// validate.
+pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<Option<Vec<(StoreKey, Versioned)>>, String> {
     if bytes.is_empty() {
         return Ok(None);
     }
@@ -620,7 +595,7 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<Option<SnapshotBody>, Stri
     if c.take(8).map_err(|e| e.to_string())? != SNAP_MAGIC {
         return Err("bad snapshot magic".into());
     }
-    let generation = c.u64()?;
+    c.u64()?; // the reserved header word
     let count = c.u32()? as usize;
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
@@ -635,19 +610,16 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<Option<SnapshotBody>, Stri
     if c.at != body.len() {
         return Err("trailing snapshot bytes".into());
     }
-    Ok(Some((generation, entries)))
+    Ok(Some(entries))
 }
 
 // ---------------------------------------------------------------------------
 // The WAL proper
 // ---------------------------------------------------------------------------
 
-/// Durability policy.
+/// Compaction policy.  Every append is synced before it is acknowledged.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
-    /// Sync the log before acknowledging each write.  Off trades the tail
-    /// of un-synced writes for append throughput.
-    pub fsync_on_commit: bool,
     /// Snapshot + truncate once the log exceeds this many bytes.
     /// `u64::MAX` disables compaction.
     pub compact_threshold: u64,
@@ -656,7 +628,6 @@ pub struct WalConfig {
 impl Default for WalConfig {
     fn default() -> WalConfig {
         WalConfig {
-            fsync_on_commit: true,
             compact_threshold: 256 << 10,
         }
     }
@@ -672,14 +643,14 @@ pub struct WalStats {
     pub append_failures: u64,
     /// Backend appends: one per [`Wal::append_batch`] call that logged.
     pub batches: u64,
-    /// Fsyncs issued (one per batch under `fsync_on_commit`).
+    /// Fsyncs issued (one per batch).
     pub fsyncs: u64,
 }
 
 /// What recovery found, surfaced in supervisor restart notes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Records loaded from the winning snapshot slot.
+    /// Records loaded from the snapshot.
     pub snapshot_records: u64,
     /// Records replayed from the log.
     pub replayed_records: u64,
@@ -703,23 +674,18 @@ impl std::fmt::Display for RecoveryReport {
     }
 }
 
-/// An open write-ahead log plus its snapshot slots: a plain struct with one
+/// An open write-ahead log plus its snapshot: a plain struct with one
 /// owner.  A replica's [`DiskImage`](crate::DiskImage) keeps it under the
 /// image's one lock, so a write is checked, logged, published and compacted
 /// in one hold, and nothing here locks or waits.  Each
-/// [`Wal::append_batch`] is one backend append plus, under
-/// `fsync_on_commit`, one fsync, and returns only after both: no write is
-/// acknowledged before its bytes are synced.
+/// [`Wal::append_batch`] is one backend append plus one fsync, and returns
+/// only after both: no write is acknowledged before its bytes are synced.
 pub struct Wal {
     config: WalConfig,
     log: Box<dyn StorageBackend>,
-    snaps: [Box<dyn StorageBackend>; 2],
+    snapshot: Box<dyn StorageBackend>,
     /// Committed log length; appends past it that fail are truncated away.
     end: u64,
-    generation: u64,
-    /// Slot holding the current snapshot; the other is empty between
-    /// commits and receives the next one.
-    active_slot: usize,
     /// Set when even torn-tail repair failed; all further appends refuse.
     broken: bool,
     stats: WalStats,
@@ -732,41 +698,22 @@ pub struct Wal {
 impl Wal {
     /// Open (or create) the WAL behind `handle`, replaying snapshot + log
     /// into a state map.  Refuses with [`StoreError::Corrupt`] when a
-    /// non-empty snapshot slot or a mid-log record fails validation.
+    /// non-empty snapshot or a mid-log record fails validation.
     pub fn open(
         handle: &StorageHandle,
         config: WalConfig,
     ) -> Result<(Wal, HashMap<StoreKey, Versioned>, RecoveryReport), StoreError> {
-        let [mut log, mut snap_a, mut snap_b] = handle.open_backends()?;
+        let [mut log, mut snapshot] = handle.open_backends()?;
         let mut report = RecoveryReport::default();
 
-        // Pick the newest valid snapshot.  A non-empty slot that fails
-        // validation is corruption: with atomic slot commits there is no
-        // benign way to observe a half-written snapshot, and silently
-        // falling back to the older slot could resurrect pre-compaction
-        // state with the covering log already truncated.
-        let mut best: Option<(SnapshotBody, usize)> = None;
-        for (slot, backend) in [&mut snap_a, &mut snap_b].into_iter().enumerate() {
-            let bytes = backend.read_all()?;
-            match decode_snapshot(&bytes) {
-                Ok(None) => {}
-                Ok(Some((generation, entries))) => {
-                    if best.as_ref().is_none_or(|((g, _), _)| generation > *g) {
-                        best = Some(((generation, entries), slot));
-                    }
-                }
-                Err(detail) => {
-                    return Err(StoreError::Corrupt {
-                        offset: 0,
-                        detail: format!("snapshot slot {slot}: {detail}"),
-                    })
-                }
-            }
-        }
-        let (generation, snap_entries, active_slot) = match best {
-            Some(((g, entries), slot)) => (g, entries, slot),
-            None => (0, Vec::new(), 1), // next compaction writes slot 0
-        };
+        // A snapshot that fails validation is corruption: `replace` is
+        // atomic, so there is no benign way to observe a half-written one.
+        let snap_entries = decode_snapshot(&snapshot.read_all()?)
+            .map_err(|detail| StoreError::Corrupt {
+                offset: 0,
+                detail: format!("snapshot: {detail}"),
+            })?
+            .unwrap_or_default();
         report.snapshot_records = snap_entries.len() as u64;
         let mut map: HashMap<StoreKey, Versioned> = HashMap::with_capacity(snap_entries.len());
         for (key, value) in snap_entries {
@@ -794,10 +741,8 @@ impl Wal {
             Wal {
                 config,
                 log,
-                snaps: [snap_a, snap_b],
+                snapshot,
                 end: replay.good_len,
-                generation,
-                active_slot,
                 broken: false,
                 stats: WalStats::default(),
                 scratch: Vec::new(),
@@ -827,10 +772,10 @@ impl Wal {
     }
 
     /// Log a run of writes durably.  Returns only after the records are
-    /// appended (and synced, under `fsync_on_commit`) — the caller must not
-    /// acknowledge any of them before this returns `Ok`, and an `Err`
-    /// acknowledges none: the run is one backend append, and a tear leaves
-    /// at most a clean record-aligned prefix of it for replay.
+    /// appended and synced — the caller must not acknowledge any of them
+    /// before this returns `Ok`, and an `Err` acknowledges none: the run is
+    /// one backend append, and a tear leaves at most a clean record-aligned
+    /// prefix of it for replay.
     pub fn append_batch(&mut self, entries: &[(StoreKey, Versioned)]) -> Result<(), StoreError> {
         if entries.is_empty() {
             return Ok(());
@@ -847,11 +792,10 @@ impl Wal {
     /// and count them.  A failure cuts the log back to the last committed
     /// byte, so later appends cannot interleave with torn bytes.
     fn commit(&mut self, records: u64) -> Result<(), StoreError> {
-        let fsync = self.config.fsync_on_commit;
-        let written =
-            self.log
-                .append(&self.scratch)
-                .and_then(|()| if fsync { self.log.sync() } else { Ok(()) });
+        let written = self
+            .log
+            .append(&self.scratch)
+            .and_then(|()| self.log.sync());
         if let Err(e) = written {
             self.stats.append_failures += records;
             if self.log.truncate(self.end).is_err() {
@@ -864,34 +808,20 @@ impl Wal {
         self.stats.appends += records;
         self.stats.append_bytes += bytes;
         self.stats.batches += 1;
-        self.stats.fsyncs += fsync as u64;
+        self.stats.fsyncs += 1;
         Ok(())
     }
 
-    /// The one snapshot commit, in this order: the new snapshot is moved
-    /// into the inactive slot and synced; the log is truncated and synced —
-    /// the commit point, after which recovery reads the new slot alone; the
-    /// superseded slot is emptied.  Recovery ignores an empty slot and never
-    /// falls back to an older one, so between compactions exactly one slot
-    /// holds bytes, and a crash between any two steps leaves a (slot, log)
-    /// pair that recovers every acknowledged write.
+    /// The one snapshot commit, in this order: `map` atomically replaces
+    /// the snapshot, then the log is emptied.  Both replaces are durable
+    /// when they return.  A crash between them leaves the new snapshot and
+    /// the whole log, and replaying a log over a snapshot that already
+    /// holds its records changes nothing.
     fn commit_snapshot(&mut self, map: &HashMap<StoreKey, Versioned>) -> Result<(), StoreError> {
-        let (old, target) = (self.active_slot, 1 - self.active_slot);
-        let snapshot = encode_snapshot(self.generation + 1, map);
-        self.snaps[target].replace(snapshot)?;
-        self.snaps[target].sync()?;
+        self.snapshot.replace(encode_snapshot(map))?;
         self.log.replace(Vec::new())?;
-        self.log.sync()?;
-        self.generation += 1;
-        self.active_slot = target;
         self.end = 0;
         self.stats.compactions += 1;
-        // Committed.  A slot left full by a failed clear costs memory only:
-        // recovery prefers the newer generation, and the next commit
-        // overwrites it.
-        let _ = self.snaps[old]
-            .replace(Vec::new())
-            .and_then(|()| self.snaps[old].sync());
         Ok(())
     }
 
@@ -910,7 +840,7 @@ impl Wal {
 
     /// Commit `map` as a full snapshot unconditionally, exactly like a
     /// compaction but without the threshold gate.  Used when a rebuilding
-    /// replica installs a shipped snapshot: one slot write instead of
+    /// replica installs a shipped snapshot: one snapshot write instead of
     /// re-appending the whole keyspace record by record.
     pub fn install_snapshot(
         &mut self,
@@ -925,11 +855,6 @@ impl Wal {
         self.end
     }
 
-    /// Snapshot generation currently active.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Counters since this open.
     pub fn stats(&self) -> &WalStats {
         &self.stats
@@ -940,7 +865,6 @@ impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Wal")
             .field("end", &self.end)
-            .field("generation", &self.generation)
             .field("broken", &self.broken)
             .field("stats", &self.stats)
             .finish()
@@ -1049,7 +973,6 @@ mod tests {
         let handle = StorageHandle::Memory(storage.clone());
         let config = WalConfig {
             compact_threshold: 256,
-            ..WalConfig::default()
         };
         let (mut wal, _, _) = Wal::open(&handle, config.clone()).unwrap();
         let mut map = HashMap::new();
@@ -1065,10 +988,9 @@ mod tests {
         assert!(compactions >= 2, "threshold never hit: {compactions}");
         assert!(wal.log_len() < 256 + 64);
         // Recovery sees snapshot + small tail, with full state intact.
-        let (wal2, recovered, report) = Wal::open(&handle, config).unwrap();
+        let (_, recovered, report) = Wal::open(&handle, config).unwrap();
         assert_eq!(recovered, map);
         assert!(report.snapshot_records > 0);
-        assert_eq!(wal2.generation(), compactions);
     }
 
     #[test]

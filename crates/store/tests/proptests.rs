@@ -181,7 +181,7 @@ proptest! {
         let handle = StorageHandle::Memory(MemStorage::new());
         // A threshold small enough that some runs compact, so reopening
         // recovers from a snapshot plus a log tail, not the log alone.
-        let config = WalConfig { compact_threshold: 512, ..WalConfig::default() };
+        let config = WalConfig { compact_threshold: 512 };
         let (mut disk, _) = DiskImage::open(&handle, config.clone()).unwrap();
         for (kind, ops) in &steps {
             let entries: Vec<(StoreKey, Versioned)> = ops.iter().map(Op::entry).collect();

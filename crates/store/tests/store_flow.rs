@@ -214,7 +214,9 @@ fn crashed_replica_recovers_via_anti_entropy() {
 
     // Revive the host and respawn the replica on its old disk.
     w.net.revive_host(&"s1".into());
-    let revived = respawn_replica(&w.net, &w.fw, 0, "s1", crashed_disk.clone(), SYNC).unwrap();
+    let peers = w.cluster.addrs[1..].to_vec();
+    let revived =
+        respawn_replica(&w.net, &w.fw, 0, "s1", crashed_disk.clone(), peers, SYNC).unwrap();
 
     // Anti-entropy catches it up.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -238,6 +240,36 @@ fn crashed_replica_recovers_via_anti_entropy() {
     for (handle, _) in survivors {
         handle.shutdown();
     }
+    w.fw.shutdown();
+}
+
+/// Anti-entropy needs no directory: a replica syncs with the rest of its
+/// group, named at spawn, so with the ASD down a write that reached one
+/// replica still reaches all three.
+#[test]
+fn anti_entropy_runs_with_the_directory_down() {
+    let w = world();
+    w.fw.asd.crash();
+    let only_first = vec![w.cluster.addrs[0].clone()];
+    let mut c = StoreClient::new(w.net.clone(), "core", keypair(), only_first).with_quorum(1);
+    c.put("ns", "lonely", b"written to one replica").unwrap();
+
+    let key = ("ns".to_string(), "lonely".to_string());
+    let deadline = std::time::Instant::now() + Duration::from_secs(3);
+    while !w
+        .cluster
+        .replicas
+        .iter()
+        .all(|(_, disk)| disk.get(&key).is_some())
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a replica never pulled the key with the directory down"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    w.cluster.shutdown();
     w.fw.shutdown();
 }
 

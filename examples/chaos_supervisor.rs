@@ -44,6 +44,10 @@ fn main() {
             fw.logger_addr.clone(),
         );
         let storage = cluster.storages[i].clone();
+        let peers: Vec<Addr> = (cluster.addrs.iter())
+            .filter(|a| **a != cluster.addrs[i])
+            .cloned()
+            .collect();
         let host = host.to_string();
         specs.push(SupervisedSpec::new(
             format!("store_{}", i + 1),
@@ -62,7 +66,10 @@ fn main() {
                     .with_asd(addrs.0.clone())
                     .with_roomdb(addrs.1.clone())
                     .with_logger(addrs.2.clone()),
-                    Box::new(StoreReplica::new(disk, Duration::from_millis(50))),
+                    Box::new(
+                        StoreReplica::new(disk, Duration::from_millis(50))
+                            .with_peers(peers.clone()),
+                    ),
                 )?;
                 Ok(Respawn::with_note(handle, report.to_string()))
             }),

@@ -217,10 +217,12 @@ fn full_cluster_restart_preserves_data() {
     for (i, disk) in disks.into_iter().enumerate() {
         let host = format!("s{}", i + 1);
         net.revive_host(&host.as_str().into());
-        revived.push(
-            ace_store::respawn_replica(&net, &fw, i, &host, disk, Duration::from_millis(100))
-                .unwrap(),
-        );
+        let peers = (cluster.addrs.iter())
+            .filter(|a| **a != cluster.addrs[i])
+            .cloned()
+            .collect();
+        let sync = Duration::from_millis(100);
+        revived.push(ace_store::respawn_replica(&net, &fw, i, &host, disk, peers, sync).unwrap());
     }
     let mut client2 = StoreClient::new(
         net.clone(),

@@ -7,6 +7,7 @@
 use ace_core::prelude::*;
 use ace_env::{AceEnvironment, EnvConfig};
 use ace_security::keys::KeyPair;
+use ace_store::StoreClient;
 use ace_workspace::VncViewer;
 use std::time::Duration;
 
@@ -314,6 +315,30 @@ fn environment_store_roundtrip() {
     assert_eq!(
         store.get("workspace", "jdoe_default").unwrap(),
         b"state blob"
+    );
+    ace.shutdown();
+}
+
+/// A store replica upgraded in place keeps syncing with its group: a write
+/// that reached `store_2` alone lands on `store_1`'s disk.
+#[test]
+fn an_upgraded_store_replica_keeps_syncing() {
+    let mut ace = env();
+    let cluster = ace.store.as_ref().expect("cluster present");
+    let (old, disk) = &cluster.replicas[0];
+    let (disk, store_2) = (disk.clone(), cluster.addrs[1].clone());
+    let replacement = ace
+        .default_replacement(old)
+        .expect("stock store replacement");
+    ace.upgrade_daemon("store_1", replacement).unwrap();
+
+    let mut store =
+        StoreClient::new(ace.net.clone(), "core", keypair(), vec![store_2]).with_quorum(1);
+    store.put("upgraded", "k", b"after the swap").unwrap();
+    let key = ("upgraded".to_string(), "k".to_string());
+    assert!(
+        wait_until(Duration::from_secs(5), || disk.get(&key).is_some()),
+        "the upgraded replica stopped pulling from its group"
     );
     ace.shutdown();
 }
