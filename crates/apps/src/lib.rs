@@ -16,7 +16,7 @@ pub mod mediastore;
 pub mod ophone;
 pub mod robust;
 
-pub use lifecycle::{wire_watcher, AppClass, SpawnFn, WatchSpec, Watcher};
+pub use lifecycle::{AppClass, SpawnFn, WatchSpec, Watcher};
 pub use mediastore::FileStorage;
 pub use ophone::OPhone;
 pub use robust::{Checkpoint, RobustCounter, APPSTATE_NS};

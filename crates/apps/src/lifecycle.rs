@@ -139,22 +139,6 @@ impl ServiceBehavior for Watcher {
     }
 }
 
-/// Subscribe a watcher to the ASD's `serviceExpired` event.
-pub fn wire_watcher(
-    net: &SimNet,
-    watcher: &DaemonHandle,
-    asd: &Addr,
-    identity: &ace_security::keys::KeyPair,
-) -> Result<(), ClientError> {
-    let mut client = ServiceClient::connect(net, &watcher.addr().host, asd.clone(), identity)?;
-    client.call_ok(&ace_core::protocol::subscribe_cmd(
-        "serviceExpired",
-        watcher.name(),
-        watcher.addr(),
-        "onServiceExpired",
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

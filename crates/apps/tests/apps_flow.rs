@@ -2,7 +2,8 @@
 //! (crash → lease expiry → relaunch), robust state recovery through the
 //! persistent store (E19), and the O-Phone call path over lossy datagrams.
 
-use ace_apps::{wire_watcher, AppClass, OPhone, RobustCounter, WatchSpec, Watcher};
+use ace_apps::{AppClass, OPhone, RobustCounter, WatchSpec, Watcher};
+use ace_core::directory::subscribe_expiry;
 use ace_core::prelude::*;
 use ace_directory::bootstrap;
 use ace_security::keys::KeyPair;
@@ -56,7 +57,8 @@ fn watcher_restarts_robust_service_with_state() {
         )])),
     )
     .unwrap();
-    wire_watcher(&net, &watcher, &fw.asd_addr, &me).unwrap();
+    let (host, directory) = (&watcher.addr().host, fw.directory());
+    subscribe_expiry(&net, host, &me, &directory, "watcher", watcher.addr()).unwrap();
 
     // Drive some state into the counter.
     let addr = first.addr().clone();
@@ -133,7 +135,8 @@ fn temporary_apps_are_not_relaunched() {
         )])),
     )
     .unwrap();
-    wire_watcher(&net, &watcher, &fw.asd_addr, &me).unwrap();
+    let (host, directory) = (&watcher.addr().host, fw.directory());
+    subscribe_expiry(&net, host, &me, &directory, "watcher", watcher.addr()).unwrap();
 
     temp.crash();
     // Give expiry + notification time to happen.

@@ -29,8 +29,11 @@ pub fn e05() {
         net.add_host("core");
         let fw = bootstrap(&net, "core", Duration::from_secs(600)).unwrap();
         let mut asd = AsdClient::connect(&net, &"core".into(), fw.asd_addr.clone(), &me).unwrap();
+        let mut registrar =
+            ServiceClient::connect(&net, &"core".into(), fw.asd_addr.clone(), &me).unwrap();
+        let directory = fw.directory();
         for i in 0..size {
-            asd.register(&ServiceEntry {
+            let filler = ServiceEntry {
                 name: format!("svc{i}"),
                 addr: Addr::new("core", 30000 + (i % 30000) as u16),
                 class: if i == size / 2 {
@@ -39,8 +42,9 @@ pub fn e05() {
                     "Service.Filler".into()
                 },
                 room: "warehouse".into(),
-            })
-            .unwrap();
+            };
+            let mut ask = |_: &Addr, cmd: &CmdLine| registrar.call(cmd);
+            ace_core::directory::register(&mut ask, &directory, &filler, 0).unwrap();
         }
         let before = net.metrics().snapshot();
         let latency = time_median(50, || {

@@ -277,17 +277,18 @@ pub fn e07() {
         net.add_host("core");
         let fw = bootstrap(&net, "core", Duration::from_secs(120)).unwrap();
         let me = keypair();
-        let mut asd =
-            ace_directory::AsdClient::connect(&net, &"core".into(), fw.asd_addr.clone(), &me)
-                .unwrap();
+        let mut registrar =
+            ServiceClient::connect(&net, &"core".into(), fw.asd_addr.clone(), &me).unwrap();
+        let directory = fw.directory();
         for i in 0..preregistered {
-            asd.register(&ace_core::protocol::ServiceEntry {
+            let filler = ace_core::protocol::ServiceEntry {
                 name: format!("filler{i}"),
                 addr: Addr::new("core", 40000 + (i % 10000) as u16),
                 class: "Service.Filler".into(),
                 room: "warehouse".into(),
-            })
-            .unwrap();
+            };
+            let mut ask = |_: &Addr, cmd: &CmdLine| registrar.call(cmd);
+            ace_core::directory::register(&mut ask, &directory, &filler, 0).unwrap();
         }
         let mut port = 7000u16;
         let spawn = time_median(20, || {

@@ -4,7 +4,8 @@
 //! interval `acebench` is steered away from.
 
 use crate::util::*;
-use ace_apps::{wire_watcher, AppClass, RobustCounter, WatchSpec, Watcher};
+use ace_apps::{AppClass, RobustCounter, WatchSpec, Watcher};
+use ace_core::directory::subscribe_expiry;
 use ace_core::prelude::*;
 use ace_directory::bootstrap;
 use ace_security::keys::KeyPair;
@@ -239,7 +240,8 @@ pub fn e19() {
             )])),
         )
         .unwrap();
-        wire_watcher(&net, &watcher, &fw.asd_addr, &me).unwrap();
+        let (host, directory) = (&watcher.addr().host, fw.directory());
+        subscribe_expiry(&net, host, &me, &directory, "watcher", watcher.addr()).unwrap();
 
         let mut client = ServiceClient::connect(&net, &"core".into(), addr.clone(), &me).unwrap();
         for _ in 0..10 {

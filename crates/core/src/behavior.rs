@@ -26,6 +26,7 @@
 
 use crate::client::{ClientError, DEFAULT_CALL_TIMEOUT};
 use crate::daemon::DaemonConfig;
+use crate::directory;
 use crate::failover::{resolution_ttl, ResolutionCache};
 use crate::metrics::MetricsRegistry;
 use crate::notify::Notifier;
@@ -34,6 +35,7 @@ use crate::protocol::{self, ServiceEntry};
 use crate::retry::{RetryBudget, RetryPolicy};
 use ace_lang::{CmdLine, ErrorCode, Reply, Semantics};
 use ace_net::{Addr, Datagram, HostId, SimNet};
+use ace_security::hash::fnv64;
 use ace_security::keys::KeyPair;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -106,7 +108,7 @@ pub struct ServiceCtx {
     /// network handle live.
     pool: Arc<LinkPool>,
     /// The daemon's configuration — the copy its handle and its lease
-    /// client read too: name, class, room, port, ASD and logger.
+    /// client read too: name, class, room, port, directory and logger.
     pub(crate) config: Arc<DaemonConfig>,
     /// What the ASD told this daemon, each answer held for at most one
     /// lease.  Made by the first [`ServiceCtx::lookup`], counters and all:
@@ -214,11 +216,6 @@ impl ServiceCtx {
         self.pool.net()
     }
 
-    /// The ASD address, if this daemon was configured with one.
-    pub fn asd_addr(&self) -> Option<&Addr> {
-        self.config.asd.as_ref()
-    }
-
     /// This daemon's link pool — the one path everything it sends takes.
     /// Behaviors hand it to the composite clients and workers they own
     /// (a store client, an anti-entropy thread) so those share the
@@ -264,7 +261,8 @@ impl ServiceCtx {
             .call_with(&mut None, route, cmd, DEFAULT_CALL_TIMEOUT, &how)
     }
 
-    /// Look up services in the ASD (Fig. 7).  Any combination of filters.
+    /// Look up services in the directory (Fig. 7).  Any combination of
+    /// filters.
     ///
     /// A non-empty answer is held for the `lease=` its reply carried and
     /// served from this daemon's [`ResolutionCache`] until then, so it can
@@ -278,10 +276,6 @@ impl ServiceCtx {
         class: Option<&str>,
         room: Option<&str>,
     ) -> Result<Vec<ServiceEntry>, ClientError> {
-        let asd = self.config.asd.clone().ok_or(ClientError::Service {
-            code: ErrorCode::Unavailable,
-            msg: "daemon configured without an ASD".into(),
-        })?;
         let metrics = &self.metrics;
         let held = self
             .resolutions
@@ -289,14 +283,33 @@ impl ServiceCtx {
         if let Some(entries) = held.get(name, class, room, self.pool.clock().now()) {
             return Ok(entries);
         }
-        let reply = self.call(&asd, &protocol::lookup_cmd(name, class, room))?;
-        let entries = protocol::entries_from_reply(&reply)?;
+        let (entries, lease) = self.lookup_now(name, class, room)?;
         if let Some(held) = &self.resolutions {
-            let ttl = resolution_ttl(reply.get_int("lease"));
-            let now = self.pool.clock().now();
+            let (ttl, now) = (resolution_ttl(lease), self.pool.clock().now());
             held.store(name, class, room, entries.clone(), ttl, now);
         }
         Ok(entries)
+    }
+
+    /// What the directory answers now, past the held answers (the
+    /// Supervisor asks "is it still registered", not "where do I send
+    /// this"), and the lease it stamped: [`directory::lookup`], each replica
+    /// asked with [`ServiceCtx::call`].  Reads start at a replica fixed by
+    /// this daemon's name, so a plane's daemons spread over each group.
+    pub(crate) fn lookup_now(
+        &mut self,
+        name: Option<&str>,
+        class: Option<&str>,
+        room: Option<&str>,
+    ) -> Result<(Vec<ServiceEntry>, Option<i64>), ClientError> {
+        let config = Arc::clone(&self.config);
+        let map = config.directory.as_ref().ok_or(ClientError::Service {
+            code: ErrorCode::Unavailable,
+            msg: "daemon configured without a directory".into(),
+        })?;
+        let start = fnv64(config.name.as_bytes()) as usize;
+        let mut ask = |addr: &Addr, cmd: &CmdLine| self.call(addr, cmd);
+        directory::lookup(&mut ask, map, start, name, class, room)
     }
 
     /// Find exactly one service by name; `None` if absent.

@@ -46,9 +46,11 @@ use crate::admission::{AdmissionConfig, AdmissionQueue, Lane};
 use crate::auth::{action_env_for, AuthMode};
 use crate::behavior::{ClientInfo, ServiceBehavior, ServiceCtx};
 use crate::client::{ClientError, DEFAULT_CALL_TIMEOUT};
+use crate::directory;
 use crate::link::{LinkError, SecureLink, TicketVault};
 use crate::metrics::{Counter, Histogram, MetricsRegistry};
 use crate::notify::{NotificationRegistry, Notifier, Registration};
+use crate::placement::GroupMap;
 use crate::pool::{LinkPool, Retrying};
 use crate::protocol::{self, ServiceEntry};
 use crate::retry::{RetryBudget, RetryPolicy};
@@ -79,8 +81,10 @@ pub struct DaemonConfig {
     pub host: HostId,
     /// Port to listen on (stream and datagram).
     pub port: u16,
-    /// ACE Service Directory to register with (Fig. 9 step 3).
-    pub asd: Option<Addr>,
+    /// The directory to register with (Fig. 9 step 3), keep a lease on and
+    /// look services up in: the bootstrap ASD as a 1×1 map, or a sharded
+    /// plane's map.
+    pub directory: Option<GroupMap>,
     /// Room Database to register with (step 2).
     pub roomdb: Option<Addr>,
     /// Network Logger to report to (step 5).
@@ -133,7 +137,7 @@ impl DaemonConfig {
             room: room.into(),
             host: host.into(),
             port,
-            asd: None,
+            directory: None,
             roomdb: None,
             logger: None,
             auth: AuthMode::Open,
@@ -148,9 +152,9 @@ impl DaemonConfig {
         }
     }
 
-    /// Register with this ASD at startup.
-    pub fn with_asd(mut self, asd: Addr) -> Self {
-        self.asd = Some(asd);
+    /// Register with this directory at startup and keep a lease on it.
+    pub fn with_directory(mut self, directory: GroupMap) -> Self {
+        self.directory = Some(directory);
         self
     }
 
@@ -341,7 +345,7 @@ impl Daemon {
         // load) with a short bounded backoff before the spawn is declared
         // failed; an answer — a fenced incarnation's `E_BADSTATE` — fails
         // it at once.
-        let register = |step: &'static str, addr: &Addr, cmd: &CmdLine| {
+        let mut call = |addr: &Addr, cmd: &CmdLine| {
             let how = Retrying {
                 policy: RetryPolicy::new(Duration::from_millis(20))
                     .with_max_attempts(3)
@@ -358,24 +362,25 @@ impl Daemon {
                 DEFAULT_CALL_TIMEOUT,
                 &how,
             )
-            .map_err(|error| SpawnError::Register { step, error })
         };
+        let failed = |step| move |error| SpawnError::Register { step, error };
 
-        // Step 3: register with the ASD.  The reply names the lease it
+        // Step 3: register with the directory.  The reply names the lease it
         // granted; renewals run at a third of it unless the configuration
         // says otherwise (a directory that grants none has none to renew).
         let mut renew_every = config.lease_renew;
-        if let Some(asd) = &config.asd {
-            let granted = register("asd", asd, &register_cmd(&config))?.get_int("lease");
-            let third = |ms: i64| Duration::from_millis(ms.max(0) as u64) / 3;
-            renew_every = renew_every.or(granted.map(third));
+        if let Some(map) = &config.directory {
+            let entry = service_entry(&config);
+            let granted = directory::register(&mut call, map, &entry, config.incarnation)
+                .map_err(failed("asd"))?;
+            renew_every = renew_every.or(granted.map(|lease| lease / 3));
         }
 
         // Step 5: record the start with the Network Logger.  (Step 4 —
         // notifications on the registration — happens inside the ASD.)
         if let Some(logger) = &config.logger {
             let started = format!("service {} started on host {}", config.name, config.host);
-            register("logger", logger, &log_cmd(&config, started))?;
+            call(logger, &log_cmd(&config, started)).map_err(failed("logger"))?;
         }
 
         // Full vocabulary: service commands inheriting the built-ins.
@@ -1549,15 +1554,14 @@ impl Control {
     }
 }
 
-/// The Fig. 9 step-3 registration command for `config`.
-fn register_cmd(config: &DaemonConfig) -> CmdLine {
-    let entry = ServiceEntry {
+/// What `config` registers in the directory (Fig. 9 step 3).
+fn service_entry(config: &DaemonConfig) -> ServiceEntry {
+    ServiceEntry {
         name: config.name.clone(),
         addr: Addr::new(config.host.clone(), config.port),
         class: config.class.clone(),
         room: config.room.clone(),
-    };
-    protocol::register_cmd(&entry, Some(config.incarnation))
+    }
 }
 
 /// A lifecycle record ("started", "stopped") signed with `config`'s origin.
@@ -1578,9 +1582,11 @@ fn first_renewal_delay(seed: u64, period: Duration) -> Duration {
     half + Duration::from_nanos(seed % window)
 }
 
-/// The ASD lease client (§2.4): periodic renewal, lapsed-lease
-/// re-registration, and the graceful-stop deregistration sequence — the
-/// main role's afterlife, ticked by [`DaemonTask::poll`].
+/// The directory lease client (§2.4): when to renew, how to back off, and
+/// the graceful-stop deregistration sequence — the main role's afterlife,
+/// ticked by [`DaemonTask::poll`].  The renewal, its repair of a replica
+/// that lost the lease and the goodbye are [`directory`]'s, each replica
+/// asked over a checkout from the daemon's pool.
 struct LeaseState {
     pool: Arc<LinkPool>,
     config: Arc<DaemonConfig>,
@@ -1630,15 +1636,18 @@ impl LeaseState {
 
     /// When `tick` next has renewal work, if this daemon holds a lease.
     fn next_deadline(&self) -> Option<Instant> {
-        let held = self.config.asd.as_ref().and(self.renew_every);
+        let held = self.config.directory.as_ref().and(self.renew_every);
         held.map(|_| self.next_renew)
     }
 
-    /// Renew the lease if due at `now`.  Bounded work: at most one dial
-    /// and one call per invocation (two when a lapsed lease is
-    /// re-registered).
+    /// Renew the lease if due at `now`.  Bounded work: one round over the
+    /// owning group, plus one re-register per replica that lost the lease
+    /// (`lease.reregisters`; `lease.renewals` counts the rounds that needed
+    /// none).  A round that fails — a dial, a renewal or a repair — counts
+    /// `lease.failures` and takes the budgeted early retry.
     fn tick(&mut self, now: Instant) {
-        let (Some(asd), Some(period)) = (&self.config.asd, self.renew_every) else {
+        let config = Arc::clone(&self.config);
+        let (Some(map), Some(period)) = (&config.directory, self.renew_every) else {
             return;
         };
         if now < self.next_renew {
@@ -1648,27 +1657,21 @@ impl LeaseState {
         // Each renewal period is fresh (non-retry) work: it earns back a
         // slice of the shared retry budget.
         self.retry_budget.note_call();
-        let Ok(mut link) = self.pool.checkout(asd) else {
-            // The dial itself failed (ASD down or unreachable).
-            self.failures.incr();
-            self.schedule_retry(period);
-            return;
-        };
-        let renew = CmdLine::new("renewLease")
-            .arg("name", self.config.name.as_str())
-            .arg("incarnation", self.config.incarnation);
-        match link.call_ok(&renew) {
-            Ok(()) => {
-                self.renewals.incr();
+        let pool = &self.pool;
+        let renewed = directory::renew(
+            &mut |addr, cmd| pool.checkout(addr)?.call(cmd),
+            map,
+            &service_entry(&config),
+            config.incarnation,
+        );
+        match renewed {
+            Ok(repaired) => {
+                if repaired == 0 {
+                    self.renewals.incr();
+                } else {
+                    self.reregisters.add(repaired as u64);
+                }
                 self.link_failures = 0;
-            }
-            Err(ClientError::Service {
-                code: ErrorCode::NotFound,
-                ..
-            }) => {
-                // Lease lapsed (e.g. an ASD restart): re-register.
-                self.reregisters.incr();
-                let _ = link.call_ok(&register_cmd(&self.config));
             }
             Err(_) => {
                 self.failures.incr();
@@ -1697,7 +1700,7 @@ impl LeaseState {
     /// deregistration: its live-upgrade replacement owns the registrations
     /// now, and a late `removeService` here would clobber them.
     fn goodbye(&mut self, ctx: &ServiceCtx, crashed: bool, deregister: bool) {
-        let Some(asd) = &self.config.asd else {
+        let Some(map) = &self.config.directory else {
             return;
         };
         if crashed {
@@ -1706,9 +1709,9 @@ impl LeaseState {
         // Best effort, one attempt each: the lease cleans up what is missed.
         let name = self.config.name.as_str();
         if deregister {
-            if let Ok(mut asd) = self.pool.checkout(asd) {
-                let _ = asd.call_ok(&CmdLine::new("removeService").arg("name", name));
-            }
+            let pool = &self.pool;
+            let _ =
+                directory::deregister(&mut |addr, cmd| pool.checkout(addr)?.call(cmd), map, name);
             if let Some(roomdb) = &self.config.roomdb {
                 if let Ok(mut roomdb) = self.pool.checkout(roomdb) {
                     let _ = roomdb.call_ok(&CmdLine::new("roomRemove").arg("service", name));

@@ -42,7 +42,8 @@
 
 use crate::behavior::{ClientInfo, ServiceBehavior, ServiceCtx};
 use crate::breaker::{BreakerRegistry, BreakerVerdict};
-use crate::client::{ClientError, ServiceClient, DEFAULT_CALL_TIMEOUT};
+use crate::client::{ClientError, DEFAULT_CALL_TIMEOUT};
+use crate::directory;
 use crate::metrics::{Counter, MetricsRegistry};
 use crate::pool::{LinkPool, PooledLink, Retrying};
 use crate::protocol::{self, ServiceEntry};
@@ -248,7 +249,7 @@ impl std::fmt::Debug for ResolutionCache {
 
 /// A tiny service behavior that turns ASD `serviceExpired` notifications
 /// into [`ResolutionCache::invalidate`] calls.  Spawn it as a daemon and
-/// subscribe it with [`subscribe_expiry_invalidation`]; every client
+/// subscribe it with [`crate::directory::subscribe_expiry`]; every client
 /// sharing the cache then drops dead addresses as soon as the ASD reaps
 /// them, not just when their own calls fail.
 pub struct ResolutionInvalidator {
@@ -279,21 +280,6 @@ impl ServiceBehavior for ResolutionInvalidator {
         }
         Reply::ok()
     }
-}
-
-/// Subscribe a spawned [`ResolutionInvalidator`] daemon (registered as
-/// `listener_name` at `listener_addr`) to the ASD's `serviceExpired` event.
-pub fn subscribe_expiry_invalidation(
-    asd_client: &mut ServiceClient,
-    listener_name: &str,
-    listener_addr: &Addr,
-) -> Result<(), ClientError> {
-    asd_client.call_ok(&protocol::subscribe_cmd(
-        "serviceExpired",
-        listener_name,
-        listener_addr,
-        "onServiceExpired",
-    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -458,10 +444,15 @@ impl FailoverClient {
             return Ok(entry.addr);
         }
         // Hunt across the directory replica set in map order, under the
-        // any-replica read rule `protocol::lookup_any_replica` states.
+        // any-replica read rule `directory::lookup_any_replica` states.
         let lookup = protocol::lookup_cmd(name, None, None);
-        let (entries, lease_ms) =
-            protocol::lookup_any_replica(&self.pool, &self.directory, 0, &lookup)?;
+        let pool = &self.pool;
+        let (entries, lease_ms) = directory::lookup_any_replica(
+            &mut |addr, cmd| pool.checkout(addr)?.call(cmd),
+            &self.directory,
+            0,
+            &lookup,
+        )?;
         self.resolutions += 1;
         let addr = entries.first().map(|entry| entry.addr.clone());
         if let Some(cache) = &self.cache {

@@ -18,7 +18,7 @@
 //!   (§2.5);
 //! * **startup sequence** — the Fig. 9 Room DB → ASD → Net Logger
 //!   registration, plus lease renewal and graceful deregistration (§2.4,
-//!   §2.6);
+//!   §2.6), under the directory's rules ([`directory`]);
 //! * **client API** ([`client`]) — the call/return-command discipline;
 //! * **outbound path** ([`pool`]) — the one way a daemon or a composite
 //!   client reaches a peer: probed, pooled, resumable links.
@@ -63,6 +63,7 @@ pub mod behavior;
 pub mod breaker;
 pub mod client;
 pub mod daemon;
+pub mod directory;
 pub mod failover;
 pub mod link;
 pub mod metrics;
@@ -81,9 +82,7 @@ pub use behavior::{ClientInfo, ServiceBehavior, ServiceCtx};
 pub use breaker::{BreakerConfig, BreakerRegistry, BreakerVerdict};
 pub use client::{ClientError, ServiceClient};
 pub use daemon::{Daemon, DaemonConfig, DaemonHandle, SpawnError};
-pub use failover::{
-    subscribe_expiry_invalidation, FailoverClient, ResolutionCache, ResolutionInvalidator,
-};
+pub use failover::{FailoverClient, ResolutionCache, ResolutionInvalidator};
 pub use link::{LinkError, SecureLink, TicketCache, TicketVault};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, RegistrySnapshot, StatsReport};
 pub use notify::{NotificationRegistry, Notifier, NotifierTask, Registration};
@@ -94,8 +93,8 @@ pub use quorum::{majority, QuorumRound};
 pub use retry::{Retry, RetryBudget, RetryPolicy};
 pub use runtime::{Runtime, RuntimeTask, TaskContext, TaskHandle, TaskPoll};
 pub use supervise::{
-    live_upgrade, Respawn, RespawnFn, RestartPolicy, SuperviseError, SupervisedSpec, Supervisor,
-    SupervisorReport, UpgradeError, UpgradeFn, UpgradeStats,
+    live_upgrade, Respawn, RespawnFn, RestartPolicy, SupervisedSpec, Supervisor, SupervisorReport,
+    UpgradeError, UpgradeFn, UpgradeStats,
 };
 
 /// Everything needed to implement and run a service.
@@ -106,9 +105,7 @@ pub mod prelude {
     pub use crate::breaker::{BreakerConfig, BreakerRegistry};
     pub use crate::client::{ClientError, ServiceClient};
     pub use crate::daemon::{Daemon, DaemonConfig, DaemonHandle};
-    pub use crate::failover::{
-        subscribe_expiry_invalidation, FailoverClient, ResolutionCache, ResolutionInvalidator,
-    };
+    pub use crate::failover::{FailoverClient, ResolutionCache, ResolutionInvalidator};
     pub use crate::link::{TicketCache, TicketVault};
     pub use crate::metrics::{MetricsRegistry, StatsReport};
     pub use crate::placement::GroupMap;

@@ -11,11 +11,8 @@
 //! §2.5).
 
 use crate::client::ClientError;
-use crate::pool::LinkPool;
 use ace_lang::{ArgType, CmdLine, CmdSpec, ErrorCode, Scalar, Semantics};
-use ace_net::Addr;
 use ace_security::hash::fnv64;
-use std::sync::Arc;
 
 /// Well-known port of the ACE Service Directory ("the location of which is
 /// known to all ACE daemons", §2.4).
@@ -450,61 +447,16 @@ pub fn entries_from_reply(reply: &CmdLine) -> Result<Vec<ServiceEntry>, ClientEr
         })
 }
 
-/// One `lookup` against a directory replica set — the any-replica read
-/// rule, stated once.  Replicas are asked in order from `start` (wrapping)
-/// and the first well-formed answer wins, with one exception: a lookup by
-/// **name** that comes back empty falls through to the remaining replicas,
-/// and is empty only when every reachable replica agrees.  A replica that
-/// restarted without its leases is repaired by the next renewal, not
-/// before; until then its empty answer must not unregister a name the
-/// rest of its group still holds.  Class and room queries take the first
-/// answer as it is: empty is their common case.
-///
-/// Returns the entries and the `lease` (ms) the answering replica stamped.
-pub fn lookup_any_replica(
-    pool: &Arc<LinkPool>,
-    replicas: &[Addr],
-    start: usize,
-    cmd: &CmdLine,
-) -> Result<(Vec<ServiceEntry>, Option<i64>), ClientError> {
-    let by_name = cmd.get("name").is_some();
-    let n = replicas.len();
-    let mut empty = None;
-    let mut last_err = None;
-    for addr in replicas.iter().cycle().skip(start % n.max(1)).take(n) {
-        let answer = pool
-            .checkout(addr)
-            .and_then(|mut link| link.call(cmd))
-            .and_then(|reply| Ok((entries_from_reply(&reply)?, reply.get_int("lease"))));
-        match answer {
-            Ok(answer) if by_name && answer.0.is_empty() => empty = Some(answer),
-            Ok(answer) => return Ok(answer),
-            Err(err) => last_err = Some(err),
-        }
-    }
-    match (empty, last_err) {
-        (Some(answer), _) => Ok(answer),
-        (None, Some(err)) => Err(err),
-        (None, None) => Err(ClientError::Service {
-            code: ErrorCode::Unavailable,
-            msg: "no directory replica configured".into(),
-        }),
-    }
-}
-
-/// The ASD `register` command (Fig. 9 step 3).  Daemons and the sharded
-/// directory client stamp their spawn generation; plain actors have none.
-pub fn register_cmd(entry: &ServiceEntry, incarnation: Option<u64>) -> CmdLine {
-    let mut cmd = CmdLine::new("register")
+/// The ASD `register` command (Fig. 9 step 3), stamped with the
+/// registrant's spawn generation.
+pub fn register_cmd(entry: &ServiceEntry, incarnation: u64) -> CmdLine {
+    CmdLine::new("register")
         .arg("name", entry.name.as_str())
         .arg("host", entry.addr.host.as_str())
         .arg("port", entry.addr.port)
         .arg("room", entry.room.as_str())
-        .arg("class", entry.class.as_str());
-    if let Some(incarnation) = incarnation {
-        cmd.push_arg("incarnation", incarnation);
-    }
-    cmd
+        .arg("class", entry.class.as_str())
+        .arg("incarnation", incarnation)
 }
 
 /// One Network Logger `log` record; `origin` is the `(service, host)` a

@@ -147,22 +147,6 @@ impl RestartPolicy {
     }
 }
 
-/// Supervision failures surfaced to callers of [`Supervisor`] helpers.
-#[derive(Debug)]
-pub enum SuperviseError {
-    /// Subscribing to the ASD's `serviceExpired` event failed.
-    Subscribe(crate::client::ClientError),
-}
-
-impl std::fmt::Display for SuperviseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SuperviseError::Subscribe(e) => write!(f, "subscribe to serviceExpired: {e}"),
-        }
-    }
-}
-impl std::error::Error for SuperviseError {}
-
 /// Where one supervised service currently stands.
 enum ServiceState {
     /// Believed alive; `failures` consecutive probes have gone unanswered.
@@ -195,7 +179,8 @@ pub struct SupervisorReport {
 }
 
 /// The watchdog behavior.  Run it under a [`crate::Daemon`] configured with
-/// the ASD and Net Logger, then subscribe it with [`wire_supervisor`].
+/// the directory and Net Logger, then subscribe it to every replica's
+/// `serviceExpired` with [`crate::directory::subscribe_expiry`].
 pub struct Supervisor {
     services: BTreeMap<String, Supervised>,
     policy: RestartPolicy,
@@ -480,12 +465,7 @@ impl Supervisor {
 /// lapsed daemon down until `probe_failures` pings had failed, when the
 /// ASD had already said so.
 fn registered_now(ctx: &mut ServiceCtx, name: &str) -> Result<Option<ServiceEntry>, ClientError> {
-    let asd = ctx.asd_addr().cloned().ok_or(ClientError::Service {
-        code: ErrorCode::Unavailable,
-        msg: "daemon configured without an ASD".into(),
-    })?;
-    let reply = ctx.call(&asd, &protocol::lookup_cmd(Some(name), None, None))?;
-    Ok(protocol::entries_from_reply(&reply)?.into_iter().next())
+    Ok(ctx.lookup_now(Some(name), None, None)?.0.into_iter().next())
 }
 
 impl ServiceBehavior for Supervisor {
@@ -770,27 +750,6 @@ pub fn live_upgrade(
             pause,
         },
     ))
-}
-
-/// Subscribe a running supervisor daemon to the ASD's `serviceExpired`
-/// event, so lease lapses reach it as `onServiceExpired` notifications.
-pub fn wire_supervisor(
-    net: &SimNet,
-    supervisor: &DaemonHandle,
-    asd: &ace_net::Addr,
-    identity: &ace_security::keys::KeyPair,
-) -> Result<(), SuperviseError> {
-    let mut client =
-        crate::client::ServiceClient::connect(net, &supervisor.addr().host, asd.clone(), identity)
-            .map_err(SuperviseError::Subscribe)?;
-    client
-        .call_ok(&crate::protocol::subscribe_cmd(
-            "serviceExpired",
-            supervisor.name(),
-            supervisor.addr(),
-            "onServiceExpired",
-        ))
-        .map_err(SuperviseError::Subscribe)
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@
 use ace_core::client::DEFAULT_CALL_TIMEOUT;
 use ace_core::prelude::*;
 use ace_core::protocol;
+use ace_core::{RespawnFn, SpawnError};
 use ace_security::keys::KeyPair;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,8 +27,10 @@ use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(10);
 
-/// A stand-in peer.  Reports the name of every verb it serves on `served`;
-/// `work` and `onTouch` first answer with the error codes left in `script`,
+/// A stand-in peer.  Reports every command it serves on `served`, as its
+/// wire text without the `deadline=` the sender stamped (see [`bare`]);
+/// `work`, `onTouch` and `renewLease` first answer with the error codes left
+/// in `script`,
 /// one per call and without counting an execution, then execute — leaving
 /// the `seq` they carried, if any, in `order`.  `park` holds the handler
 /// (and with it the whole daemon) until the test lets go of `release`;
@@ -54,10 +57,10 @@ impl ServiceBehavior for Peer {
 
     fn handle(&mut self, ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
         let served = |peer: &Peer| {
-            let _ = peer.served.send(cmd.name().to_string());
+            let _ = peer.served.send(bare(cmd));
         };
         let reply = match cmd.name() {
-            "work" | "onTouch" => match self.script.pop_front() {
+            "work" | "onTouch" | "renewLease" => match self.script.pop_front() {
                 Some(code) => Reply::err(code, "scripted"),
                 None => {
                     self.executions.fetch_add(1, Ordering::SeqCst);
@@ -86,6 +89,16 @@ impl ServiceBehavior for Peer {
     }
 }
 
+/// `cmd`'s wire text without its `deadline=`, which counts down with the
+/// time the sender has left.
+fn bare(cmd: &CmdLine) -> String {
+    let mut text = CmdLine::new(cmd.name());
+    for (name, value) in cmd.args().iter().filter(|(name, _)| name != "deadline") {
+        text.push_arg(name.as_str(), value.clone());
+    }
+    text.to_wire()
+}
+
 fn notification(name: &str) -> CmdSpec {
     CmdSpec::new(name, "a notification")
         .optional("service", ArgType::Str, "origin service")
@@ -105,11 +118,11 @@ impl PeerHandle {
     fn await_served(&self, verb: &str, n: usize) {
         let mut seen = 0;
         while seen < n {
-            let name = self
+            let text = self
                 .served
                 .recv_timeout(WAIT)
                 .unwrap_or_else(|_| panic!("peer served {seen} of {n} `{verb}`"));
-            if name == verb {
+            if text.split([' ', ';']).next() == Some(verb) {
                 seen += 1;
             }
         }
@@ -210,6 +223,7 @@ impl ServiceBehavior for Relay {
                 "the same, once this command's deadline has lapsed",
             ))
             .with(CmdSpec::new("find", "ctx.lookup"))
+            .with(CmdSpec::new("findClass", "ctx.lookup by class"))
             .with(CmdSpec::new("say", "ctx.log"))
             .with(
                 CmdSpec::new("touch", "an event others subscribe to").optional(
@@ -234,10 +248,16 @@ impl ServiceBehavior for Relay {
                     Err(e) => Reply::err(ErrorCode::Unavailable, e.to_string()),
                 }
             }
-            "find" => match ctx.lookup(Some("nobody"), None, None) {
-                Ok(found) => Reply::ok_with(|c| c.arg("found", found.len() as i64)),
-                Err(e) => Reply::err(ErrorCode::Unavailable, e.to_string()),
-            },
+            "find" | "findClass" => {
+                let found = match cmd.name() {
+                    "find" => ctx.lookup(Some("nobody"), None, None),
+                    _ => ctx.lookup(None, Some("Service.Peer"), None),
+                };
+                match found {
+                    Ok(found) => Reply::ok_with(|c| c.arg("found", found.len() as i64)),
+                    Err(e) => Reply::err(ErrorCode::Unavailable, e.to_string()),
+                }
+            }
             "say" => {
                 ctx.log("info", "said");
                 Reply::ok()
@@ -275,7 +295,7 @@ fn renewals_lookups_and_logs_share_one_link_per_framework_service() {
     let relay = spawn_relay(
         &net,
         relay_config()
-            .with_asd(asd.daemon.addr().clone())
+            .with_directory(one_by_one(&asd))
             .with_logger(logger.daemon.addr().clone())
             .with_lease_renew(Duration::from_millis(20)),
         asd.daemon.addr(),
@@ -302,6 +322,89 @@ fn renewals_lookups_and_logs_share_one_link_per_framework_service() {
         "the start-up record and the notifier ride one session"
     );
 }
+
+/// The stand-in ASD as a directory: one group of one replica.
+fn one_by_one(asd: &PeerHandle) -> GroupMap {
+    GroupMap::new(0, vec![vec![asd.daemon.addr().clone()]])
+}
+
+/// Invariant: a daemon on a 1×1 map sends its directory the frames it sent
+/// when it was configured with the ASD's address — the start-up `register`;
+/// a `renewLease`; the `register` that repairs a lease the ASD lost; a
+/// `ctx.lookup` by name and by class; a Supervisor's probe (after that
+/// daemon's own `register`); each one's goodbye `removeService` — byte for
+/// byte but for `deadline=`.  The goldens were taken on the commit before
+/// the directory's rules moved into `ace_core::directory`.
+#[test]
+fn a_daemon_on_a_one_by_one_map_sends_its_directory_the_parents_frames() {
+    let net = net();
+    let asd = spawn_peer(
+        &net,
+        "asd",
+        7201,
+        protocol::asd_semantics(),
+        &[ErrorCode::NotFound],
+    );
+    let relay = spawn_relay(
+        &net,
+        relay_config()
+            .with_directory(one_by_one(&asd))
+            .with_lease_renew(Duration::from_millis(20)),
+        asd.daemon.addr(),
+    );
+    let mut to_relay = client(&net, &relay);
+    // The relay renews every 20 ms throughout: each renewal is heard once.
+    let mut frames: Vec<String> = Vec::new();
+    let mut hear = |n: usize| {
+        let mut heard = 0;
+        while heard < n {
+            let frame = asd
+                .served
+                .recv_timeout(WAIT)
+                .expect("the ASD heard nothing");
+            if !(frame.starts_with("renewLease") && frames.contains(&frame)) {
+                frames.push(frame);
+                heard += 1;
+            }
+        }
+    };
+    hear(3);
+    for verb in ["find", "findClass"] {
+        to_relay.call(&CmdLine::new(verb)).unwrap();
+    }
+    hear(2);
+    let respawn: RespawnFn = Box::new(|_| Err(SpawnError::Restore("not in this test".into())));
+    let supervisor = Daemon::spawn(
+        &net,
+        DaemonConfig::new("supervisor", "Service.Supervisor", "lab", "srv", 7203)
+            .with_directory(one_by_one(&asd)),
+        Box::new(
+            Supervisor::new(
+                vec![SupervisedSpec::new("relay", respawn)],
+                RestartPolicy::default(),
+            )
+            .with_probe_interval(Duration::from_secs(3600)),
+        ),
+    )
+    .unwrap();
+    hear(2);
+    supervisor.shutdown();
+    relay.shutdown();
+    hear(2);
+    assert_eq!(frames, GOLDEN_ONE_BY_ONE);
+}
+
+const GOLDEN_ONE_BY_ONE: [&str; 9] = [
+    r#"register name=relay host=srv port=7200 room=lab class="Service.Relay" incarnation=0;"#,
+    "renewLease name=relay incarnation=0;",
+    r#"register name=relay host=srv port=7200 room=lab class="Service.Relay" incarnation=0;"#,
+    "lookup name=nobody;",
+    r#"lookup class="Service.Peer";"#,
+    r#"register name=supervisor host=srv port=7203 room=lab class="Service.Supervisor" incarnation=0;"#,
+    "lookup name=relay;",
+    "removeService name=supervisor;",
+    "removeService name=relay;",
+];
 
 #[test]
 fn a_peer_swapped_between_two_calls_is_found_before_the_send_and_resumed() {

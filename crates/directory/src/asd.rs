@@ -422,8 +422,8 @@ impl ServiceBehavior for Asd {
             }
             "shardMap" => match &self.shard_map {
                 Some(map) => map.to_reply(),
-                // An unsharded ASD answers with an empty map: the client
-                // treats it as "this one daemon owns everything".
+                // An unsharded ASD answers with an empty map, which decodes
+                // as no shards.
                 None => {
                     Reply::ok_with(|c| c.arg("epoch", 0).arg("shards", Value::Array(Vec::new())))
                 }
@@ -510,7 +510,9 @@ impl ServiceBehavior for Asd {
     }
 }
 
-/// Typed client for the ASD: one session its actor holds.
+/// Typed read-only client for the ASD: one session its actor holds.  It
+/// writes nothing — registrations, renewals and removals follow the
+/// directory's rules in [`ace_core::directory`].
 pub struct AsdClient {
     client: ServiceClient,
 }
@@ -556,27 +558,6 @@ impl AsdClient {
             })
             .unwrap_or_default();
         Ok(names)
-    }
-
-    /// Register a service (used by tests and non-daemon actors; daemons
-    /// register automatically at spawn).
-    pub fn register(&mut self, entry: &ServiceEntry) -> Result<Duration, ClientError> {
-        let reply = self.client.call(&protocol::register_cmd(entry, None))?;
-        Ok(Duration::from_millis(
-            reply.get_int("lease").unwrap_or(0) as u64
-        ))
-    }
-
-    /// Renew a lease.
-    pub fn renew(&mut self, name: &str) -> Result<(), ClientError> {
-        self.client
-            .call_ok(&CmdLine::new("renewLease").arg("name", name))
-    }
-
-    /// Deregister a service.
-    pub fn remove(&mut self, name: &str) -> Result<(), ClientError> {
-        self.client
-            .call_ok(&CmdLine::new("removeService").arg("name", name))
     }
 }
 

@@ -21,12 +21,11 @@ pub mod netlogger;
 pub mod roomdb;
 pub mod shardmap;
 
+pub use ace_core::directory::subscribe_expiry as subscribe_invalidation_all;
 pub use asd::{Asd, AsdClient};
 pub use netlogger::{EventRecord, EventRow, LogRow, LoggerClient, NetLogger};
 pub use roomdb::{Placement, RoomDb, RoomDbClient, RoomInfo};
-pub use shardmap::{
-    spawn_sharded_asd, subscribe_invalidation_all, ShardMap, ShardedAsdClient, ShardedDirectory,
-};
+pub use shardmap::{spawn_sharded_asd, ShardMap, ShardedAsdClient, ShardedDirectory};
 
 use ace_core::prelude::*;
 use ace_core::protocol::{ASD_PORT, LOGGER_PORT, ROOMDB_PORT};
@@ -44,6 +43,11 @@ pub struct Framework {
 }
 
 impl Framework {
+    /// The bootstrap ASD as a directory: one group of one replica.
+    pub fn directory(&self) -> GroupMap {
+        GroupMap::new(0, vec![vec![self.asd_addr.clone()]])
+    }
+
     /// Configure a service daemon with all three framework registrations.
     pub fn service_config(
         &self,
@@ -54,7 +58,7 @@ impl Framework {
         port: u16,
     ) -> DaemonConfig {
         DaemonConfig::new(name, class, room, host, port)
-            .with_asd(self.asd_addr.clone())
+            .with_directory(self.directory())
             .with_roomdb(self.roomdb_addr.clone())
             .with_logger(self.logger_addr.clone())
     }
@@ -81,6 +85,7 @@ pub fn bootstrap(
     let roomdb_addr = Addr::new(host.clone(), ROOMDB_PORT);
     let logger_addr = Addr::new(host.clone(), LOGGER_PORT);
 
+    let directory = GroupMap::new(0, vec![vec![asd_addr.clone()]]);
     let asd = Daemon::spawn(
         net,
         DaemonConfig::new(
@@ -101,7 +106,7 @@ pub fn bootstrap(
             host.clone(),
             ROOMDB_PORT,
         )
-        .with_asd(asd_addr.clone()),
+        .with_directory(directory.clone()),
         Box::new(RoomDb::new()),
     )?;
     let logger = Daemon::spawn(
@@ -113,7 +118,7 @@ pub fn bootstrap(
             host.clone(),
             LOGGER_PORT,
         )
-        .with_asd(asd_addr.clone())
+        .with_directory(directory)
         .with_roomdb(roomdb_addr.clone()),
         Box::new(NetLogger::default()),
     )?;

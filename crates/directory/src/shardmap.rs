@@ -9,11 +9,10 @@
 //! * [`ShardMap`] — the plane's [`GroupMap`] (layout, rendezvous hash, row
 //!   codec and fetch all live in [`ace_core::placement`]), keyed by service
 //!   name and served by every replica under the `shardMap` verb.
-//! * [`ShardedAsdClient`] — routes registrations and name lookups to the
-//!   owning shard through the shared [`LinkPool`] fast path, writes with a
-//!   majority quorum ([`ace_core::quorum`] — the same discipline as the
-//!   persistent store's replica client), and fans cross-shard queries out
-//!   to every shard with smallest-set-first merging.
+//! * [`ShardedAsdClient`] — the directory's rules
+//!   ([`ace_core::directory`], the ones every daemon follows) over the
+//!   shared [`LinkPool`], plus what a client remembers: the names it
+//!   registered, a rotating read start and its counters.
 //! * [`spawn_sharded_asd`] — brings the plane up: `shards × replication`
 //!   ASD daemons spread across hosts.
 //!
@@ -33,22 +32,23 @@
 //! # Replication and repair
 //!
 //! Each shard is a replica group with majority-quorum writes and
-//! per-name incarnation fencing (PR 6): a register/renew carrying a
-//! stale incarnation is rejected with `E_BADSTATE` by any replica that
-//! knows better.  A replica that restarts empty is repaired by the
-//! renewal traffic itself: a renew answered with `E_NOTFOUND` triggers
-//! an immediate re-register on that replica — the directory analog of
-//! the store's anti-entropy pull, driven by the writers that own the
-//! data.  Reads are served by any replica (rotating round-robin) under the
-//! rule [`protocol::lookup_any_replica`] states, so a repairing replica
-//! never manufactures a false `NotFound`.
+//! per-name incarnation fencing: a register/renew carrying a stale
+//! incarnation is rejected with `E_BADSTATE` by any replica that knows
+//! better.  A replica that restarts empty is repaired by the renewal
+//! traffic itself: a renew answered with `E_NOTFOUND` triggers an
+//! immediate re-register on that replica — the directory analog of the
+//! store's anti-entropy pull, driven by the writers that own the data.
+//! Reads are served by any replica under the rule
+//! [`directory::lookup_any_replica`] states, so a repairing replica never
+//! manufactures a false `NotFound`.  All of it is [`ace_core::directory`]'s:
+//! a daemon configured with this plane's map follows the same rules.
 
 use crate::asd::Asd;
+use ace_core::directory;
 use ace_core::metrics::Histogram;
 use ace_core::prelude::*;
-use ace_core::protocol::{self, ServiceEntry};
+use ace_core::protocol::ServiceEntry;
 use ace_core::SpawnError;
-use ace_security::keys::KeyPair;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -169,175 +169,61 @@ impl ShardedAsdClient {
         }
     }
 
-    /// One quorum write: `cmd` goes to every replica of the shard owning
-    /// `name`, and `acked` says whether a replica's reply counts as an ack.
-    /// `E_BADSTATE` (a newer incarnation is registered) never reaches it and
-    /// outranks the count: a fenced writer must stop, not win by outvoting
-    /// the replica that knows better.
-    fn quorum_write(
-        &mut self,
-        verb: &str,
-        name: &str,
-        cmd: &CmdLine,
-        mut acked: impl FnMut(&mut Self, &Addr, Result<CmdLine, ClientError>) -> bool,
-    ) -> Result<(), ClientError> {
-        if self.map.shard_count() == 0 {
-            return Err(Self::no_shards());
-        }
-        let shard = self.map.shard_for(name);
-        let replicas = self.map.replicas(shard).to_vec();
-        let mut round = QuorumRound::new(replicas.len(), self.map.quorum(shard));
-        let mut fenced: Option<ClientError> = None;
-        for addr in &replicas {
-            match self.call_replica(addr, cmd) {
-                Err(err) if err.code() == Some(ErrorCode::BadState) => fenced = Some(err),
-                reply => {
-                    if acked(self, addr, reply) {
-                        round.ack();
-                    }
-                }
-            }
-        }
-        if let Some(err) = fenced {
-            return Err(err);
-        }
-        if round.reached() {
-            return Ok(());
-        }
-        Err(ClientError::Service {
-            code: ErrorCode::Unavailable,
-            msg: format!(
-                "{verb} {name}: {}/{} replicas acked, quorum {}",
-                round.acked(),
-                replicas.len(),
-                round.quorum()
-            ),
-        })
-    }
-
-    /// Register `entry` on its owning shard with a majority quorum.
+    /// Register `entry` on its owning shard ([`directory::register`]).
     pub fn register(
         &mut self,
         entry: &ServiceEntry,
         incarnation: u64,
     ) -> Result<Duration, ClientError> {
-        let cmd = protocol::register_cmd(entry, Some(incarnation));
-        let mut lease_ms = 0i64;
-        self.quorum_write("register", &entry.name, &cmd, |_, _, reply| {
-            if let Ok(reply) = &reply {
-                lease_ms = reply.get_int("lease").unwrap_or(lease_ms);
-            }
-            reply.is_ok()
-        })?;
+        let mut ask = |addr: &Addr, cmd: &CmdLine| self.call_replica(addr, cmd);
+        let lease = directory::register(&mut ask, &self.map, entry, incarnation)?;
         self.registered
             .insert(entry.name.clone(), (entry.clone(), incarnation));
-        Ok(Duration::from_millis(lease_ms.max(0) as u64))
+        Ok(lease.unwrap_or_default())
     }
 
-    /// Renew `name` on its owning shard with a majority quorum, repairing
-    /// any replica that lost the registration (restart) by re-registering
-    /// it on the spot.
+    /// Renew `name` on its owning shard, repairing any replica that lost
+    /// the registration ([`directory::renew`]).
     pub fn renew(&mut self, name: &str) -> Result<(), ClientError> {
-        let Some((entry, incarnation)) = self.registered.get(name).cloned() else {
+        let Some((entry, incarnation)) = self.registered.get(name) else {
             return Err(ClientError::Service {
                 code: ErrorCode::NotFound,
                 msg: format!("{name} was not registered through this client"),
             });
         };
-        let cmd = CmdLine::new("renewLease")
-            .arg("name", name)
-            .arg("incarnation", incarnation as i64);
-        self.quorum_write("renew", name, &cmd, |client, addr, reply| match reply {
-            Ok(_) => true,
-            Err(err) if err.code() == Some(ErrorCode::NotFound) => {
-                // The replica restarted without this lease: repair it
-                // with a full re-register (renewal-driven anti-entropy).
-                let reg = protocol::register_cmd(&entry, Some(incarnation));
-                let repaired = client.call_replica(addr, &reg).is_ok();
-                if repaired {
-                    client.repairs += 1;
-                }
-                repaired
-            }
-            Err(_) => false,
-        })
+        let mut ask = |addr: &Addr, cmd: &CmdLine| self.call_replica(addr, cmd);
+        self.repairs += directory::renew(&mut ask, &self.map, entry, *incarnation)? as u64;
+        Ok(())
     }
 
-    /// Deregister `name`.  A replica answering `E_NOTFOUND` already lacks
-    /// the lease, which is the desired end state — it counts as an ack.
+    /// Deregister `name` ([`directory::deregister`]).
     pub fn remove(&mut self, name: &str) -> Result<(), ClientError> {
-        let cmd = CmdLine::new("removeService").arg("name", name);
-        let result = self.quorum_write("remove", name, &cmd, |_, _, reply| match reply {
-            Ok(_) => true,
-            Err(err) => err.code() == Some(ErrorCode::NotFound),
-        });
         self.registered.remove(name);
-        result
+        let mut ask = |addr: &Addr, cmd: &CmdLine| self.call_replica(addr, cmd);
+        directory::deregister(&mut ask, &self.map, name)
     }
 
-    /// One shard's answer under the any-replica read rule
-    /// ([`protocol::lookup_any_replica`]), from a rotating start so read
-    /// load spreads over the whole replica set.
-    fn lookup_shard(
-        &mut self,
-        shard: usize,
-        cmd: &CmdLine,
-    ) -> Result<Vec<ServiceEntry>, ClientError> {
-        self.read_rr = self.read_rr.wrapping_add(1);
-        let replicas = self.map.replicas(shard);
-        protocol::lookup_any_replica(&self.pool, replicas, self.read_rr, cmd)
-            .map(|(entries, _lease)| entries)
-    }
-
-    /// Look up services by any combination of name/class/room.
-    ///
-    /// A name lookup touches exactly the owning shard; class/room/
-    /// unfiltered queries fan out to every shard and merge.  A fan-out
-    /// fails if any shard has no reachable replica — a silently partial
-    /// directory answer is worse than an error.
+    /// Look up services by any combination of name/class/room
+    /// ([`directory::lookup`]): a name touches exactly the owning shard,
+    /// anything else fans out to every shard and merges.  Reads start at a
+    /// rotating replica, so lookup load spreads over each replica set.
     pub fn lookup(
         &mut self,
         name: Option<&str>,
         class: Option<&str>,
         room: Option<&str>,
     ) -> Result<Vec<ServiceEntry>, ClientError> {
-        if self.map.shard_count() == 0 {
-            return Err(Self::no_shards());
-        }
         let started = self.pool.clock().now();
-        let cmd = protocol::lookup_cmd(name, class, room);
-        let result = match name {
-            Some(n) => {
-                let shard = self.map.shard_for(n);
-                self.lookup_shard(shard, &cmd)
-            }
-            None => {
-                self.fanouts += 1;
-                let mut partials: Vec<Vec<ServiceEntry>> = Vec::new();
-                for shard in 0..self.map.shard_count() {
-                    partials.push(self.lookup_shard(shard, &cmd)?);
-                }
-                // Smallest-set-first merge: start from the smallest
-                // partial so the dedup set stays minimal for as long as
-                // possible, then present one sorted directory answer.
-                partials.sort_by_key(Vec::len);
-                let mut seen: HashSet<String> = HashSet::new();
-                let mut merged: Vec<ServiceEntry> = Vec::new();
-                for partial in partials {
-                    for entry in partial {
-                        if seen.insert(entry.name.clone()) {
-                            merged.push(entry);
-                        }
-                    }
-                }
-                merged.sort_by(|a, b| a.name.cmp(&b.name));
-                Ok(merged)
-            }
-        };
+        self.read_rr = self.read_rr.wrapping_add(1);
+        if name.is_none() {
+            self.fanouts += 1;
+        }
+        let mut ask = |addr: &Addr, cmd: &CmdLine| self.call_replica(addr, cmd);
+        let result = directory::lookup(&mut ask, &self.map, self.read_rr, name, class, room);
         if let Some(hist) = &self.lookup_hist {
             hist.record(self.pool.clock().now().saturating_duration_since(started));
         }
-        result
+        Ok(result?.0)
     }
 
     /// Find one service by exact name.
@@ -461,39 +347,6 @@ impl ShardedDirectory {
             }
         }
     }
-}
-
-/// Subscribe a [`ResolutionInvalidator`] listener to the `serviceExpired`
-/// event of **every** replica of every shard, so lease expiry anywhere in
-/// the plane evicts the matching cache entry.  Returns how many replicas
-/// accepted the subscription.
-pub fn subscribe_invalidation_all(
-    net: &SimNet,
-    from_host: &HostId,
-    identity: &KeyPair,
-    map: &ShardMap,
-    listener_name: &str,
-    listener_addr: &Addr,
-) -> Result<usize, ClientError> {
-    let mut subscribed = 0;
-    let mut last_err: Option<ClientError> = None;
-    for replica in map.all_replicas() {
-        let attempt = ServiceClient::connect(net, from_host, replica.clone(), identity).and_then(
-            |mut client| {
-                ace_core::subscribe_expiry_invalidation(&mut client, listener_name, listener_addr)
-            },
-        );
-        match attempt {
-            Ok(()) => subscribed += 1,
-            Err(err) => last_err = Some(err),
-        }
-    }
-    if subscribed == 0 {
-        if let Some(err) = last_err {
-            return Err(err);
-        }
-    }
-    Ok(subscribed)
 }
 
 /// Bring up `shards × replication` ASD daemons spread round-robin across

@@ -16,8 +16,9 @@
 //!    answers a full handshake again, subsequent pool misses ride the
 //!    freshly harvested resumption ticket.
 
+use ace_core::directory::subscribe_expiry;
 use ace_core::prelude::*;
-use ace_core::supervise::{wire_supervisor, Respawn, RestartPolicy, SupervisedSpec, Supervisor};
+use ace_core::supervise::{Respawn, RestartPolicy, SupervisedSpec, Supervisor};
 use ace_core::RetryPolicy;
 use ace_net::fault::{FaultPlan, FaultPlanConfig};
 use ace_security::keys::KeyPair;
@@ -105,7 +106,7 @@ fn scenario(lease: Duration) -> Scenario {
 
     // Supervisor: every respawn gets the next incarnation number.
     let fw_ref = (
-        fw.asd_addr.clone(),
+        fw.directory(),
         fw.roomdb_addr.clone(),
         fw.logger_addr.clone(),
     );
@@ -118,7 +119,7 @@ fn scenario(lease: Duration) -> Scenario {
             Daemon::spawn(
                 net,
                 DaemonConfig::new("token1", "Service.App.Token", "office", "app1", 4800)
-                    .with_asd(fw_ref.0.clone())
+                    .with_directory(fw_ref.0.clone())
                     .with_roomdb(fw_ref.1.clone())
                     .with_logger(fw_ref.2.clone()),
                 Box::new(TokenEcho {
@@ -150,7 +151,8 @@ fn scenario(lease: Duration) -> Scenario {
     )
     .unwrap();
     let me = KeyPair::generate(&mut rand::thread_rng());
-    wire_supervisor(&net, &supervisor, &fw.asd_addr, &me).unwrap();
+    let (host, directory) = (&supervisor.addr().host, fw.directory());
+    subscribe_expiry(&net, host, &me, &directory, "supervisor", supervisor.addr()).unwrap();
 
     // Shared fast-path state: one pool, one resolution cache, one metrics
     // registry observing both, and an invalidator daemon fed by the ASD's
@@ -170,9 +172,15 @@ fn scenario(lease: Duration) -> Scenario {
         Box::new(ResolutionInvalidator::new(Arc::clone(&cache))),
     )
     .unwrap();
-    let mut asd_link = ServiceClient::connect(&net, &"ctrl".into(), fw.asd_addr.clone(), &me)
-        .expect("asd reachable");
-    subscribe_expiry_invalidation(&mut asd_link, "invalidator", invalidator.addr()).unwrap();
+    subscribe_expiry(
+        &net,
+        host,
+        &me,
+        &directory,
+        "invalidator",
+        invalidator.addr(),
+    )
+    .unwrap();
 
     Scenario {
         net,

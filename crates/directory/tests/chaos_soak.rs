@@ -15,8 +15,9 @@
 //!    escalations);
 //! 4. a name-bound failover client converges once the plan ends.
 
+use ace_core::directory::subscribe_expiry;
 use ace_core::prelude::*;
-use ace_core::supervise::{wire_supervisor, Respawn, RestartPolicy, SupervisedSpec, Supervisor};
+use ace_core::supervise::{Respawn, RestartPolicy, SupervisedSpec, Supervisor};
 use ace_core::{FailoverClient, RetryPolicy, ServiceClient};
 use ace_directory::{bootstrap, AsdClient};
 use ace_net::fault::{FaultPlan, FaultPlanConfig};
@@ -70,7 +71,7 @@ fn run_chaos(seed: u64) {
     let mut specs = Vec::new();
     for (i, host) in store_hosts.iter().enumerate() {
         let fw_ref = (
-            fw.asd_addr.clone(),
+            fw.directory(),
             fw.roomdb_addr.clone(),
             fw.logger_addr.clone(),
         );
@@ -94,7 +95,7 @@ fn run_chaos(seed: u64) {
                         host.as_str(),
                         STORE_PORT,
                     )
-                    .with_asd(fw_ref.0.clone())
+                    .with_directory(fw_ref.0.clone())
                     .with_roomdb(fw_ref.1.clone())
                     .with_logger(fw_ref.2.clone()),
                     Box::new(StoreReplica::new(disk, STORE_SYNC).with_peers(peers.clone())),
@@ -105,7 +106,7 @@ fn run_chaos(seed: u64) {
     }
     {
         let fw_ref = (
-            fw.asd_addr.clone(),
+            fw.directory(),
             fw.roomdb_addr.clone(),
             fw.logger_addr.clone(),
         );
@@ -115,7 +116,7 @@ fn run_chaos(seed: u64) {
                 Daemon::spawn(
                     net,
                     DaemonConfig::new("echo1", "Service.App.Echo", "office", "app1", 4700)
-                        .with_asd(fw_ref.0.clone())
+                        .with_directory(fw_ref.0.clone())
                         .with_roomdb(fw_ref.1.clone())
                         .with_logger(fw_ref.2.clone()),
                     Box::new(Echo(0)),
@@ -145,7 +146,8 @@ fn run_chaos(seed: u64) {
     )
     .unwrap();
     let me = KeyPair::generate(&mut rand::thread_rng());
-    wire_supervisor(&net, &supervisor, &fw.asd_addr, &me).unwrap();
+    let (host, directory) = (&supervisor.addr().host, fw.directory());
+    subscribe_expiry(&net, host, &me, &directory, "supervisor", supervisor.addr()).unwrap();
 
     // Deterministic fault schedule (replayable from the seed alone).
     let chaos_hosts: Vec<HostId> = ["s1", "s2", "s3", "app1"].map(HostId::from).to_vec();

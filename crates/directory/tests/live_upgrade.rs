@@ -453,7 +453,10 @@ fn a_restored_lease_still_lapses() {
         class: "Service.Test".into(),
         room: "office".into(),
     };
-    connect().register(&ghost).unwrap();
+    let mut registrar =
+        ServiceClient::connect(&r.net, &"ctrl".into(), r.fw.asd_addr.clone(), &r.me).unwrap();
+    let mut ask = |_: &Addr, cmd: &CmdLine| registrar.call(cmd);
+    ace_core::directory::register(&mut ask, &r.fw.directory(), &ghost, 0).unwrap();
 
     let (asd, _) = live_upgrade(
         &r.net,
@@ -558,7 +561,7 @@ fn supervisor_upgrades_over_the_wire() {
     let mut client = r.client_to(&target);
     client.call_ok(&CmdLine::new("bump")).unwrap();
 
-    let fw_asd = r.fw.asd_addr.clone();
+    let fw_directory = r.fw.directory();
     let fw_roomdb = r.fw.roomdb_addr.clone();
     let respawn_exec = Arc::clone(&r.exec);
     let upgrade_exec = Arc::clone(&r.exec);
@@ -568,7 +571,7 @@ fn supervisor_upgrades_over_the_wire() {
             Daemon::spawn(
                 net,
                 DaemonConfig::new("counter1", "Service.App.Counter", "office", "app", 4700)
-                    .with_asd(fw_asd.clone())
+                    .with_directory(fw_directory.clone())
                     .with_roomdb(fw_roomdb.clone()),
                 Counter::fresh(&respawn_exec),
             )

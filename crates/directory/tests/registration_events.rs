@@ -7,8 +7,9 @@
 //! every arrival, and listeners on `serviceExpired` (an ASD event) hear
 //! about every lease death.
 
+use ace_core::directory::subscribe_expiry;
 use ace_core::prelude::*;
-use ace_core::supervise::{wire_supervisor, Respawn, RestartPolicy, SupervisedSpec, Supervisor};
+use ace_core::supervise::{Respawn, RestartPolicy, SupervisedSpec, Supervisor};
 use ace_directory::{bootstrap, AsdClient};
 use ace_security::keys::KeyPair;
 use std::sync::{Arc, Mutex};
@@ -281,7 +282,8 @@ fn a_lapsed_lease_restarts_a_daemon_the_supervisor_last_saw_healthy() {
         Box::new(watchdog),
     )
     .unwrap();
-    wire_supervisor(&net, &supervisor, &fw.asd_addr, &me).unwrap();
+    let (host, directory) = (&supervisor.addr().host, fw.directory());
+    subscribe_expiry(&net, host, &me, &directory, "supervisor", supervisor.addr()).unwrap();
 
     let mut to_victim = connect(victim.addr()).unwrap();
     await_true("the start-up probe to ping the victim", || {

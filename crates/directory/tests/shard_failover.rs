@@ -393,7 +393,7 @@ fn fanout_queries_survive_a_dead_replica() {
 /// repaired until the next renewal; until then its empty answer must fall
 /// through to the rest of the group — for a [`FailoverClient`] hunting the
 /// replica set in map order exactly as for the sharded client's own
-/// lookups (both go through `protocol::lookup_any_replica`).  Before the
+/// lookups (both go through `directory::lookup_any_replica`).  Before the
 /// rule was shared, the failover client took the first replica that
 /// *answered* and spent its whole retry window on `NotFound: echo not
 /// registered` while two of three replicas held the lease.
@@ -549,5 +549,99 @@ fn a_respawned_replica_lists_nothing_until_it_can_list_everything() {
     }
     let listed = direct.call(&room).unwrap();
     assert_eq!(listed.get_int("count"), Some(6), "{}", listed.to_wire());
+    dir.shutdown();
+}
+
+/// Invariant: a daemon configured with a sharded plane's map lives on that
+/// plane by itself, under the same rules as the sharded client — no
+/// registrar acts for it.  Six daemons on a 2×3 plane register with their
+/// shards at spawn, so a class fan-out lists all six; when one replica of
+/// `lamp0`'s shard is crashed and respawned empty, the daemons' own
+/// renewals repair it — it holds every name of its shard again, one
+/// `lease.reregisters` per name — and `lamp0`'s graceful stop removes it
+/// from every replica of its shard.  Fails if a renewal answered
+/// `E_NOTFOUND` does not re-register (step 2 times out), or if the goodbye
+/// reaches one replica only (step 3).
+#[test]
+fn a_daemon_lives_on_the_sharded_plane_by_itself() {
+    struct Lamp;
+    impl ServiceBehavior for Lamp {
+        fn semantics(&self) -> Semantics {
+            Semantics::new()
+        }
+        fn handle(&mut self, _ctx: &mut ServiceCtx, _cmd: &CmdLine, _from: &ClientInfo) -> Reply {
+            Reply::ok()
+        }
+    }
+
+    let net = SimNet::new();
+    net.add_host("client");
+    let hosts: Vec<HostId> = (0..6)
+        .map(|i| {
+            let h = format!("d{i}");
+            net.add_host(h.as_str());
+            HostId::from(h.as_str())
+        })
+        .collect();
+    let lease = Duration::from_millis(900);
+    let mut dir = spawn_sharded_asd(&net, &hosts, 2, 3, lease, 5900).unwrap();
+    let lamps: Vec<DaemonHandle> = (0..6)
+        .map(|i| {
+            let config = DaemonConfig::new(
+                format!("lamp{i}"),
+                "Service.Device.Lamp",
+                "hawk",
+                "client",
+                4300 + i,
+            )
+            .with_directory(GroupMap::clone(&dir.map));
+            Daemon::spawn(&net, config, Box::new(Lamp)).unwrap()
+        })
+        .collect();
+    let me = KeyPair::generate(&mut rand::thread_rng());
+    let mut client = dir.client(Arc::new(LinkPool::new(&net, "client", me)));
+    let listed = client.lookup(None, Some("Lamp"), None).unwrap();
+    assert_eq!(listed.len(), 6, "{listed:?}");
+
+    // Step 2: one replica of lamp0's shard comes back empty.
+    let shard = dir.map.shard_for("lamp0");
+    let shard_names: Vec<&str> = lamps
+        .iter()
+        .map(DaemonHandle::name)
+        .filter(|name| dir.map.shard_for(name) == shard)
+        .collect();
+    dir.handles[shard][0].crash();
+    dir.respawn_replica(&net, shard, 0).unwrap();
+    let holds = |replica: &Addr, name: &str| {
+        let mut direct = ServiceClient::connect(&net, &"client".into(), replica.clone(), &me)
+            .expect("replica reachable");
+        let reply = direct
+            .call(&CmdLine::new("lookup").arg("name", name))
+            .unwrap();
+        reply.get_int("count") == Some(1)
+    };
+    let respawned = dir.map.replicas(shard)[0].clone();
+    await_true("the respawned replica to be repaired", || {
+        shard_names.iter().all(|name| holds(&respawned, name))
+    });
+    let reregisters = || -> u64 {
+        let counter = |lamp: &DaemonHandle| lamp.metrics().counter("lease.reregisters").get();
+        lamps.iter().map(counter).sum()
+    };
+    await_true("every repair to be counted", || {
+        reregisters() >= shard_names.len() as u64
+    });
+    assert_eq!(
+        reregisters(),
+        shard_names.len() as u64,
+        "one repair per name"
+    );
+
+    // Step 3: a graceful stop leaves no replica listing the name.
+    lamps[0].shutdown();
+    for replica in dir.map.replicas(shard) {
+        assert!(!holds(replica, "lamp0"), "{replica} still lists lamp0");
+    }
+    drop(lamps);
     dir.shutdown();
 }

@@ -10,8 +10,8 @@
 //! Same seed, same fault schedule — rerun with the printed seed to replay
 //! the exact run.
 
+use ace_core::directory::subscribe_expiry;
 use ace_core::prelude::*;
-use ace_core::supervise::wire_supervisor;
 use ace_directory::{bootstrap, AsdClient};
 use ace_net::fault::{FaultPlan, FaultPlanConfig};
 use ace_security::keys::KeyPair;
@@ -39,7 +39,7 @@ fn main() {
     let mut specs = Vec::new();
     for (i, host) in store_hosts.iter().enumerate() {
         let addrs = (
-            fw.asd_addr.clone(),
+            fw.directory(),
             fw.roomdb_addr.clone(),
             fw.logger_addr.clone(),
         );
@@ -63,7 +63,7 @@ fn main() {
                         host.as_str(),
                         STORE_PORT,
                     )
-                    .with_asd(addrs.0.clone())
+                    .with_directory(addrs.0.clone())
                     .with_roomdb(addrs.1.clone())
                     .with_logger(addrs.2.clone()),
                     Box::new(
@@ -91,7 +91,9 @@ fn main() {
     )
     .expect("supervisor");
     let me = KeyPair::generate(&mut rand::thread_rng());
-    wire_supervisor(&net, &supervisor, &fw.asd_addr, &me).expect("wire supervisor");
+    let (host, directory) = (&supervisor.addr().host, fw.directory());
+    subscribe_expiry(&net, host, &me, &directory, "supervisor", supervisor.addr())
+        .expect("wire supervisor");
     println!("supervisor armed on `serviceExpired` + 150ms health probes");
 
     // A seeded, self-healing fault plan over the store hosts.

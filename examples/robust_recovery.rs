@@ -7,7 +7,8 @@
 //! cargo run --example robust_recovery
 //! ```
 
-use ace_apps::{wire_watcher, AppClass, RobustCounter, WatchSpec, Watcher};
+use ace_apps::{AppClass, RobustCounter, WatchSpec, Watcher};
+use ace_core::directory::subscribe_expiry;
 use ace_core::prelude::*;
 use ace_directory::bootstrap;
 use ace_security::keys::KeyPair;
@@ -57,7 +58,9 @@ fn main() {
         )])),
     )
     .expect("watcher");
-    wire_watcher(&net, &watcher, &fw.asd_addr, &me).expect("watcher wiring");
+    let (host, directory) = (&watcher.addr().host, fw.directory());
+    subscribe_expiry(&net, host, &me, &directory, "watcher", watcher.addr())
+        .expect("watcher wiring");
     println!("watcher armed on ASD `serviceExpired` events");
 
     // Accumulate state (each increment checkpoints to the store).
