@@ -1,22 +1,18 @@
-//! # ace-apps — ACE user applications and lifecycle
+//! # ace-apps — ACE user applications
 //!
-//! Implements §5 and the §9 robustness machinery:
+//! Implements the §5 applications a Supervisor keeps alive (§9):
 //!
-//! * [`AppClass`] — the temporary / restart / robust taxonomy (§5.1–5.3);
-//! * [`Watcher`] — the restart service the paper calls "the next step in
-//!   our current development": listens for the ASD's `serviceExpired`
-//!   events and relaunches watched services;
-//! * [`Checkpoint`] / [`RobustCounter`] — robust-application state
-//!   recovery over the persistent store (§6 → E19);
+//! * [`RobustCounter`] — a robust application (§5.3): it checkpoints its
+//!   state into the persistent store and recovers it on relaunch (§6 →
+//!   E19);
+//! * [`FileStorage`] — media recordings in the redundant store (Fig. 13);
 //! * [`OPhone`] — full-duplex audio over IP, voice on the datagram plane
 //!   with a jitter buffer (§5.5).
 
-pub mod lifecycle;
 pub mod mediastore;
 pub mod ophone;
 pub mod robust;
 
-pub use lifecycle::{AppClass, SpawnFn, WatchSpec, Watcher};
 pub use mediastore::FileStorage;
 pub use ophone::OPhone;
-pub use robust::{Checkpoint, RobustCounter, APPSTATE_NS};
+pub use robust::{RobustCounter, APPSTATE_NS};

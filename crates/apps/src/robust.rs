@@ -3,9 +3,10 @@
 //! "This type of service utilizes a straightforward object-oriented
 //! namespace approach to storing application and program state information
 //! and forms the basis for supporting restart and robust applications"
-//! (§6).  [`Checkpoint`] is that approach: a service's state serializes
-//! into the `appstate` namespace under its own name; on (re)start the
-//! service loads its last checkpoint and resumes — the E19 recovery path.
+//! (§6).  [`RobustCounter`] is that approach: its state serializes into the
+//! `appstate` namespace under its own name, through its daemon's own
+//! [`LinkPool`](ace_core::LinkPool); on (re)start it loads its last
+//! checkpoint and resumes — the E19 recovery path.
 
 use ace_core::prelude::*;
 use ace_store::{StoreClient, StoreError};
@@ -13,52 +14,20 @@ use ace_store::{StoreClient, StoreError};
 /// Namespace used for application state.
 pub const APPSTATE_NS: &str = "appstate";
 
-/// State checkpointing for one service.
-pub struct Checkpoint {
-    store: StoreClient,
-    key: String,
-}
-
-impl Checkpoint {
-    /// Checkpointing for the service named `service` over the given store
-    /// replicas.
-    pub fn new(
-        net: SimNet,
-        from_host: impl Into<HostId>,
-        identity: ace_security::keys::KeyPair,
-        replicas: Vec<Addr>,
-        service: &str,
-    ) -> Checkpoint {
-        Checkpoint {
-            store: StoreClient::new(net, from_host, identity, replicas),
-            key: service.to_string(),
-        }
-    }
-
-    /// Persist the current state.
-    pub fn save(&mut self, state: &[u8]) -> Result<u64, StoreError> {
-        self.store.put(APPSTATE_NS, &self.key, state)
-    }
-
-    /// Load the last checkpoint, if any.
-    pub fn load(&mut self) -> Result<Option<Vec<u8>>, StoreError> {
-        match self.store.get(APPSTATE_NS, &self.key) {
-            Ok(data) => Ok(Some(data)),
-            Err(StoreError::NotFound) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-}
-
 /// A demonstration robust service: a counter whose value survives crashes.
 ///
-/// Every mutation checkpoints; `on_start` restores.  Combined with the
-/// [`crate::lifecycle::Watcher`], a crash→expiry→relaunch cycle comes back
-/// with the exact pre-crash count (E19).
+/// Every mutation checkpoints; `on_start` restores.  Run under an
+/// [`ace_core::Supervisor`] whose respawn factory spawns a fresh
+/// `RobustCounter`, a crash→expiry→relaunch cycle comes back with the exact
+/// pre-crash count (E19).
 pub struct RobustCounter {
     count: i64,
     replicas: Vec<Addr>,
-    checkpoint: Option<Checkpoint>,
+    store: Option<StoreClient>,
+    /// The last checkpoint has been read, or the store said there is none.
+    /// Until then every verb loads it first, so a count served from a
+    /// store that could not be read never overwrites the saved one.
+    loaded: bool,
     recovered: bool,
 }
 
@@ -67,16 +36,53 @@ impl RobustCounter {
         RobustCounter {
             count: 0,
             replicas,
-            checkpoint: None,
+            store: None,
+            loaded: false,
             recovered: false,
         }
     }
 
-    fn save(&mut self, ctx: &mut ServiceCtx) {
-        if let Some(cp) = self.checkpoint.as_mut() {
-            if let Err(e) = cp.save(self.count.to_string().as_bytes()) {
-                ctx.log("error", format!("checkpoint failed: {e}"));
+    fn store(&mut self, ctx: &ServiceCtx) -> &mut StoreClient {
+        self.store.get_or_insert_with(|| {
+            StoreClient::new(
+                ctx.net().clone(),
+                ctx.host().clone(),
+                *ctx.identity(),
+                self.replicas.clone(),
+            )
+            .with_pool(ctx.pool())
+        })
+    }
+
+    /// Read the last checkpoint unless it is loaded already.  Only
+    /// `NotFound` means "no checkpoint"; any other error leaves the count
+    /// unloaded.
+    fn load(&mut self, ctx: &ServiceCtx) -> Result<(), StoreError> {
+        if self.loaded {
+            return Ok(());
+        }
+        match self.store(ctx).get(APPSTATE_NS, ctx.name()) {
+            Ok(state) => {
+                if let Ok(count) = std::str::from_utf8(&state).unwrap_or("").parse() {
+                    self.count = count;
+                    self.recovered = true;
+                    ctx.log("info", format!("recovered state: count={count}"));
+                }
             }
+            Err(StoreError::NotFound) => {}
+            Err(e) => return Err(e),
+        }
+        self.loaded = true;
+        Ok(())
+    }
+
+    fn save(&mut self, ctx: &ServiceCtx) {
+        let state = self.count.to_string();
+        if let Err(e) = self
+            .store(ctx)
+            .put(APPSTATE_NS, ctx.name(), state.as_bytes())
+        {
+            ctx.log("error", format!("checkpoint failed: {e}"));
         }
     }
 }
@@ -93,28 +99,15 @@ impl ServiceBehavior for RobustCounter {
     }
 
     fn on_start(&mut self, ctx: &mut ServiceCtx) {
-        let mut cp = Checkpoint::new(
-            ctx.net().clone(),
-            ctx.host().clone(),
-            *ctx.identity(),
-            self.replicas.clone(),
-            ctx.name(),
-        );
-        match cp.load() {
-            Ok(Some(state)) => {
-                if let Ok(count) = std::str::from_utf8(&state).unwrap_or("").parse() {
-                    self.count = count;
-                    self.recovered = true;
-                    ctx.log("info", format!("recovered state: count={count}"));
-                }
-            }
-            Ok(None) => {}
-            Err(e) => ctx.log("warn", format!("state load failed: {e}")),
+        if let Err(e) = self.load(ctx) {
+            ctx.log("warn", format!("state load failed: {e}"));
         }
-        self.checkpoint = Some(cp);
     }
 
     fn handle(&mut self, ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
+        if let Err(e) = self.load(ctx) {
+            return Reply::err(ErrorCode::Unavailable, format!("state not loaded: {e}"));
+        }
         match cmd.name() {
             "increment" => {
                 self.count += cmd.get_int("by").unwrap_or(1);

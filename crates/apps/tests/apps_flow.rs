@@ -1,23 +1,51 @@
-//! Integration tests of the application layer: the restart watcher
-//! (crash → lease expiry → relaunch), robust state recovery through the
-//! persistent store (E19), and the O-Phone call path over lossy datagrams.
+//! Integration tests of the application layer: the Supervisor as the §9
+//! watcher (crash → lease expiry → relaunch), robust state recovery through
+//! the persistent store (E19), and the O-Phone call path over lossy
+//! datagrams.
 
-use ace_apps::{AppClass, OPhone, RobustCounter, WatchSpec, Watcher};
+use ace_apps::{OPhone, RobustCounter, APPSTATE_NS};
 use ace_core::directory::subscribe_expiry;
 use ace_core::prelude::*;
-use ace_directory::bootstrap;
+use ace_directory::{bootstrap, AsdClient, Framework};
 use ace_security::keys::KeyPair;
-use ace_store::spawn_store_cluster;
+use ace_store::{spawn_store_cluster, StoreClient};
 use std::time::Duration;
 
 fn keypair() -> KeyPair {
     KeyPair::generate(&mut rand::thread_rng())
 }
 
-/// Crash → lease expiry → `serviceExpired` → watcher relaunch, with the
+/// A Supervisor watching `specs` with probes off, so a lease lapse is the
+/// only thing that relaunches, subscribed to the ASD's `serviceExpired`.
+fn spawn_supervisor(
+    net: &SimNet,
+    fw: &Framework,
+    me: &KeyPair,
+    specs: Vec<SupervisedSpec>,
+) -> DaemonHandle {
+    let watchdog = Supervisor::new(specs, RestartPolicy::default())
+        .with_probe_interval(Duration::from_secs(3600));
+    let supervisor = Daemon::spawn(
+        net,
+        fw.service_config(
+            "supervisor",
+            "Service.Supervisor",
+            "machineroom",
+            "core",
+            5901,
+        ),
+        Box::new(watchdog),
+    )
+    .unwrap();
+    let (host, directory) = (&supervisor.addr().host, fw.directory());
+    subscribe_expiry(net, host, me, &directory, "supervisor", supervisor.addr()).unwrap();
+    supervisor
+}
+
+/// Crash → lease expiry → `serviceExpired` → Supervisor relaunch, with the
 /// robust service recovering its state from the store.
 #[test]
-fn watcher_restarts_robust_service_with_state() {
+fn supervisor_restarts_robust_service_with_state() {
     let net = SimNet::new();
     for h in ["core", "app", "s1", "s2", "s3"] {
         net.add_host(h);
@@ -46,19 +74,11 @@ fn watcher_restarts_robust_service_with_state() {
     // First incarnation.
     let first = spawn_counter(&net).unwrap();
 
-    // The watcher.
-    let watcher = Daemon::spawn(
-        &net,
-        fw.service_config("watcher", "Service.Watcher", "machineroom", "core", 5901),
-        Box::new(Watcher::new(vec![WatchSpec::new(
-            "robustcounter",
-            AppClass::Robust,
-            Box::new(spawn_counter),
-        )])),
-    )
-    .unwrap();
-    let (host, directory) = (&watcher.addr().host, fw.directory());
-    subscribe_expiry(&net, host, &me, &directory, "watcher", watcher.addr()).unwrap();
+    let spec = SupervisedSpec::new(
+        "robustcounter",
+        Box::new(move |net: &SimNet| spawn_counter(net).map(Respawn::from)),
+    );
+    let supervisor = spawn_supervisor(&net, &fw, &me, vec![spec]);
 
     // Drive some state into the counter.
     let addr = first.addr().clone();
@@ -71,7 +91,7 @@ fn watcher_restarts_robust_service_with_state() {
     assert_eq!(r.get_bool("recovered"), Some(false));
     drop(client);
 
-    // Crash it (no deregistration) and wait for the watcher to bring it
+    // Crash it (no deregistration) and wait for the Supervisor to bring it
     // back — lease expiry fires `serviceExpired` at the ASD.
     first.crash();
     let deadline = std::time::Instant::now() + Duration::from_secs(15);
@@ -93,15 +113,18 @@ fn watcher_restarts_robust_service_with_state() {
     );
     assert_eq!(reply.get_bool("recovered"), Some(true));
 
-    let mut w = ServiceClient::connect(&net, &"core".into(), watcher.addr().clone(), &me).unwrap();
-    let stats = w.call(&CmdLine::new("watcherStats")).unwrap();
+    let mut s =
+        ServiceClient::connect(&net, &"core".into(), supervisor.addr().clone(), &me).unwrap();
+    let stats = s.call(&CmdLine::new("superviseStats")).unwrap();
     assert_eq!(stats.get_int("restarts"), Some(1));
 
-    watcher.shutdown();
+    supervisor.shutdown();
     cluster.shutdown();
     fw.shutdown();
 }
 
+/// A temporary application is one the Supervisor has no spec for: after
+/// a crash its lease lapses and it stays down.
 #[test]
 fn temporary_apps_are_not_relaunched() {
     let net = SimNet::new();
@@ -123,30 +146,131 @@ fn temporary_apps_are_not_relaunched() {
     let cfg = fw
         .service_config("scratchpad", "Service.Temporary", "hawk", "app", 5910)
         .with_lease_renew(Duration::from_millis(100));
-    let temp = Daemon::spawn(&net, cfg.clone(), Box::new(Noop)).unwrap();
+    let temp = Daemon::spawn(&net, cfg, Box::new(Noop)).unwrap();
+    let addr = temp.addr().clone();
 
-    let watcher = Daemon::spawn(
-        &net,
-        fw.service_config("watcher", "Service.Watcher", "machineroom", "core", 5901),
-        Box::new(Watcher::new(vec![WatchSpec::new(
-            "scratchpad",
-            AppClass::Temporary,
-            Box::new(move |net: &SimNet| Daemon::spawn(net, cfg.clone(), Box::new(Noop))),
-        )])),
-    )
-    .unwrap();
-    let (host, directory) = (&watcher.addr().host, fw.directory());
-    subscribe_expiry(&net, host, &me, &directory, "watcher", watcher.addr()).unwrap();
+    let supervisor = spawn_supervisor(&net, &fw, &me, Vec::new());
 
     temp.crash();
     // Give expiry + notification time to happen.
     std::thread::sleep(Duration::from_millis(900));
-    let mut w = ServiceClient::connect(&net, &"core".into(), watcher.addr().clone(), &me).unwrap();
-    let stats = w.call(&CmdLine::new("watcherStats")).unwrap();
+    let mut s =
+        ServiceClient::connect(&net, &"core".into(), supervisor.addr().clone(), &me).unwrap();
+    let stats = s.call(&CmdLine::new("superviseStats")).unwrap();
     assert_eq!(stats.get_int("restarts"), Some(0));
-    assert!(stats.get_int("ignored").unwrap() >= 1);
+    let mut asd = AsdClient::connect(&net, &"core".into(), fw.asd_addr.clone(), &me).unwrap();
+    assert_eq!(
+        asd.find("scratchpad").unwrap(),
+        None,
+        "the lease lapsed from the ASD"
+    );
+    let answered = ServiceClient::connect(&net, &"core".into(), addr, &me)
+        .and_then(|mut c| c.call(&CmdLine::new("ping")));
+    assert!(answered.is_err(), "nothing answers at its address");
 
-    watcher.shutdown();
+    supervisor.shutdown();
+    fw.shutdown();
+}
+
+/// A robust app's checkpoints leave through its daemon's own pool, so its
+/// `aceStats` counts them: every increment is a quorum write to the three
+/// replicas.
+#[test]
+fn a_robust_apps_checkpoints_leave_through_its_daemons_pool() {
+    let net = SimNet::new();
+    for h in ["core", "app", "s1", "s2", "s3"] {
+        net.add_host(h);
+    }
+    let fw = bootstrap(&net, "core", Duration::from_secs(10)).unwrap();
+    let cluster =
+        spawn_store_cluster(&net, &fw, &["s1", "s2", "s3"], Duration::from_millis(100)).unwrap();
+    let me = keypair();
+    let counter = Daemon::spawn(
+        &net,
+        fw.service_config("robustcounter", "Service.Counter", "hawk", "app", 5900),
+        Box::new(RobustCounter::new(cluster.addrs.clone())),
+    )
+    .unwrap();
+
+    let mut client =
+        ServiceClient::connect(&net, &"core".into(), counter.addr().clone(), &me).unwrap();
+    const INCREMENTS: u64 = 4;
+    for _ in 0..INCREMENTS {
+        client.call_ok(&CmdLine::new("increment")).unwrap();
+    }
+    let stats = client
+        .call(&CmdLine::new("aceStats").arg("prefix", "wire."))
+        .unwrap();
+    let puts = StatsReport::from_cmdline(&stats)
+        .counters
+        .get("wire.psPut.frames")
+        .copied()
+        .unwrap_or(0);
+    assert!(
+        puts >= 2 * INCREMENTS,
+        "{puts} psPut frames for {INCREMENTS} increments"
+    );
+
+    counter.shutdown();
+    cluster.shutdown();
+    fw.shutdown();
+}
+
+/// A robust app that could not read its checkpoint at start refuses its
+/// verbs until it can, rather than serving from 0 and then writing its
+/// fresh count over the saved state.
+#[test]
+fn a_robust_app_that_cannot_load_its_checkpoint_never_overwrites_it() {
+    let net = SimNet::new();
+    for h in ["core", "app", "s1", "s2", "s3"] {
+        net.add_host(h);
+    }
+    let fw = bootstrap(&net, "core", Duration::from_secs(10)).unwrap();
+    let cluster =
+        spawn_store_cluster(&net, &fw, &["s1", "s2", "s3"], Duration::from_millis(100)).unwrap();
+    let me = keypair();
+    let cfg = fw.service_config("robustcounter", "Service.Counter", "hawk", "app", 5900);
+    let spawn = || {
+        Daemon::spawn(
+            &net,
+            cfg.clone(),
+            Box::new(RobustCounter::new(cluster.addrs.clone())),
+        )
+        .unwrap()
+    };
+    let connect = |addr: &Addr| ServiceClient::connect(&net, &"core".into(), addr.clone(), &me);
+
+    // Save 7, then crash.
+    let first = spawn();
+    let addr = first.addr().clone();
+    let mut client = connect(&addr).unwrap();
+    for _ in 0..7 {
+        client.call_ok(&CmdLine::new("increment")).unwrap();
+    }
+    drop(client);
+    first.crash();
+
+    // Respawn it cut off from every replica: its start-up load fails.
+    let app: HostId = "app".into();
+    for s in ["s1", "s2", "s3"] {
+        net.partition(&app, &s.into());
+    }
+    let second = spawn();
+    let mut client = connect(&addr).unwrap();
+    let refused = client.call(&CmdLine::new("read")).unwrap_err();
+    assert_eq!(refused.code(), Some(ErrorCode::Unavailable));
+    client.call_ok(&CmdLine::new("ping")).unwrap();
+
+    // Healed, the next verb loads the checkpoint before it counts.
+    net.heal_all();
+    let r = client.call(&CmdLine::new("increment")).unwrap();
+    assert_eq!(r.get_int("value"), Some(8));
+    let mut store = StoreClient::new(net.clone(), "core", me, cluster.addrs.clone());
+    assert_eq!(store.get(APPSTATE_NS, "robustcounter").unwrap(), b"8");
+
+    drop(client);
+    second.shutdown();
+    cluster.shutdown();
     fw.shutdown();
 }
 

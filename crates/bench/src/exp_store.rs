@@ -4,7 +4,7 @@
 //! interval `acebench` is steered away from.
 
 use crate::util::*;
-use ace_apps::{AppClass, RobustCounter, WatchSpec, Watcher};
+use ace_apps::RobustCounter;
 use ace_core::directory::subscribe_expiry;
 use ace_core::prelude::*;
 use ace_directory::bootstrap;
@@ -198,7 +198,7 @@ pub fn e15() {
 }
 
 /// E19 (§9): robust-service mean time to recovery across lease durations —
-/// crash → lease expiry → `serviceExpired` → watcher relaunch → state
+/// crash → lease expiry → `serviceExpired` → Supervisor relaunch → state
 /// restore from the store.
 pub fn e19() {
     header("E19", "§9", "robust application recovery (MTTR vs lease)");
@@ -230,18 +230,28 @@ pub fn e19() {
         };
         let first = spawner(&net).unwrap();
         let addr = first.addr().clone();
-        let watcher = Daemon::spawn(
+        // Probes off: the lease lapse is the only detector, so MTTR tracks
+        // the lease.
+        let spec = SupervisedSpec::new(
+            "robust",
+            Box::new(move |net: &SimNet| spawner(net).map(Respawn::from)),
+        );
+        let watchdog = Supervisor::new(vec![spec], RestartPolicy::default())
+            .with_probe_interval(Duration::from_secs(3600));
+        let supervisor = Daemon::spawn(
             &net,
-            fw.service_config("watcher", "Service.Watcher", "machineroom", "core", 5901),
-            Box::new(Watcher::new(vec![WatchSpec::new(
-                "robust",
-                AppClass::Robust,
-                Box::new(spawner),
-            )])),
+            fw.service_config(
+                "supervisor",
+                "Service.Supervisor",
+                "machineroom",
+                "core",
+                5901,
+            ),
+            Box::new(watchdog),
         )
         .unwrap();
-        let (host, directory) = (&watcher.addr().host, fw.directory());
-        subscribe_expiry(&net, host, &me, &directory, "watcher", watcher.addr()).unwrap();
+        let (host, directory) = (&supervisor.addr().host, fw.directory());
+        subscribe_expiry(&net, host, &me, &directory, "supervisor", supervisor.addr()).unwrap();
 
         let mut client = ServiceClient::connect(&net, &"core".into(), addr.clone(), &me).unwrap();
         for _ in 0..10 {
@@ -274,7 +284,7 @@ pub fn e19() {
             ],
         );
 
-        watcher.shutdown();
+        supervisor.shutdown();
         cluster.shutdown();
         fw.shutdown();
     }

@@ -219,7 +219,7 @@ pub fn lookup_any_replica(
 
 /// Subscribe the daemon `listener_name` at `listener_addr` to the
 /// `serviceExpired` event of **every** replica of `map`, as
-/// `onServiceExpired` notifications — how a Supervisor, a watcher or a
+/// `onServiceExpired` notifications — how a Supervisor or a
 /// [`crate::ResolutionInvalidator`] hears of a lease lapse anywhere in the
 /// directory.  Each replica is dialed from `from_host` as `identity`.
 /// Returns how many replicas accepted; an error only when none did.

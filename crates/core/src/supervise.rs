@@ -2,7 +2,7 @@
 //!
 //! §9 calls for watcher services that "can be utilized to alert … of closed
 //! applications and can also work in conjunction with the ASD".  The
-//! [`Supervisor`] is that watchdog grown into a full recovery subsystem.
+//! [`Supervisor`] is that watcher, grown into a full recovery subsystem.
 //! It is itself an ordinary ACE service daemon that:
 //!
 //! * subscribes to the ASD's `serviceExpired` event (lease lapses reach it
@@ -17,9 +17,11 @@
 //!
 //! Respawn factories decide what state a restarted instance recovers —
 //! a store replica's factory re-attaches the surviving `DiskImage`, so
-//! anti-entropy pulls the replica back to convergence (§5.3 "robust"
-//! class); a stateless service's factory just rebuilds it (§5.2 "restart"
-//! class).
+//! anti-entropy pulls the replica back to convergence, and a robust
+//! application's spawns a behaviour that loads its checkpoint from the store
+//! (`ace_apps::RobustCounter`) (§5.3 "robust" class); a stateless service's
+//! factory just rebuilds it (§5.2 "restart" class).  A §5.1 "temporary"
+//! application is one with no spec: its lapse is heard and nothing follows.
 
 use crate::behavior::{ClientInfo, ServiceBehavior, ServiceCtx};
 use crate::client::{ClientError, ServiceClient};

@@ -1,13 +1,13 @@
 //! Robust applications end-to-end: a stateful service checkpoints into the
 //! three-replica persistent store, crashes, is detected via ASD lease
-//! expiry, relaunched by the watcher, and resumes with its exact pre-crash
-//! state — the §5.3/§6/§9 story (experiment E19's subject).
+//! expiry, relaunched by the Supervisor, and resumes with its exact
+//! pre-crash state — the §5.3/§6/§9 story (experiment E19's subject).
 //!
 //! ```sh
 //! cargo run --example robust_recovery
 //! ```
 
-use ace_apps::{AppClass, RobustCounter, WatchSpec, Watcher};
+use ace_apps::RobustCounter;
 use ace_core::directory::subscribe_expiry;
 use ace_core::prelude::*;
 use ace_directory::bootstrap;
@@ -48,20 +48,29 @@ fn main() {
     let first = spawn_notes(&net).expect("robust service");
     let addr = first.addr().clone();
 
-    let watcher = Daemon::spawn(
+    // Probes off: the lease lapse is the only detector.
+    let spec = SupervisedSpec::new(
+        "meeting_notes",
+        Box::new(move |net: &SimNet| spawn_notes(net).map(Respawn::from)),
+    );
+    let watchdog = Supervisor::new(vec![spec], RestartPolicy::default())
+        .with_probe_interval(Duration::from_secs(3600));
+    let supervisor = Daemon::spawn(
         &net,
-        fw.service_config("watcher", "Service.Watcher", "machineroom", "core", 5901),
-        Box::new(Watcher::new(vec![WatchSpec::new(
-            "meeting_notes",
-            AppClass::Robust,
-            Box::new(spawn_notes),
-        )])),
+        fw.service_config(
+            "supervisor",
+            "Service.Supervisor",
+            "machineroom",
+            "core",
+            5901,
+        ),
+        Box::new(watchdog),
     )
-    .expect("watcher");
-    let (host, directory) = (&watcher.addr().host, fw.directory());
-    subscribe_expiry(&net, host, &me, &directory, "watcher", watcher.addr())
-        .expect("watcher wiring");
-    println!("watcher armed on ASD `serviceExpired` events");
+    .expect("supervisor");
+    let (host, directory) = (&supervisor.addr().host, fw.directory());
+    subscribe_expiry(&net, host, &me, &directory, "supervisor", supervisor.addr())
+        .expect("supervisor wiring");
+    println!("supervisor armed on ASD `serviceExpired` events");
 
     // Accumulate state (each increment checkpoints to the store).
     let mut client = ServiceClient::connect(&net, &"core".into(), addr.clone(), &me).unwrap();
@@ -103,15 +112,16 @@ fn main() {
     );
     assert_eq!(recovered.get_int("value"), Some(42));
 
-    let mut w = ServiceClient::connect(&net, &"core".into(), watcher.addr().clone(), &me).unwrap();
-    let stats = w.call(&CmdLine::new("watcherStats")).unwrap();
+    let mut s =
+        ServiceClient::connect(&net, &"core".into(), supervisor.addr().clone(), &me).unwrap();
+    let stats = s.call(&CmdLine::new("superviseStats")).unwrap();
     println!(
-        "watcher: {} restart(s), {} ignored expiries",
+        "supervisor: {} restart(s), {} escalation(s)",
         stats.get_int("restarts").unwrap(),
-        stats.get_int("ignored").unwrap()
+        stats.get_int("escalations").unwrap()
     );
 
-    watcher.shutdown();
+    supervisor.shutdown();
     cluster.shutdown();
     fw.shutdown();
 }
