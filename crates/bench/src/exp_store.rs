@@ -10,8 +10,8 @@ use ace_core::prelude::*;
 use ace_directory::bootstrap;
 use ace_security::keys::KeyPair;
 use ace_store::{
-    respawn_replica, spawn_sharded_store, spawn_store_cluster, DiskImage, MemStorage,
-    StorageHandle, StoreClient, StoreKey, Versioned, WalConfig,
+    spawn_sharded_store, spawn_store_cluster, DiskImage, MemStorage, StorageHandle, StoreClient,
+    StoreKey, Versioned, WalConfig,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -69,7 +69,7 @@ pub fn e15() {
         net.add_host(h);
     }
     let fw = bootstrap(&net, "core", Duration::from_secs(120)).unwrap();
-    let cluster =
+    let mut cluster =
         spawn_store_cluster(&net, &fw, &["s1", "s2", "s3"], Duration::from_millis(100)).unwrap();
     let mut client = StoreClient::new(net.clone(), "core", keypair(), cluster.addrs.clone());
     client.put("bench", "fixed", b"v").unwrap();
@@ -118,18 +118,9 @@ pub fn e15() {
             .put("recovery", &format!("m{i}"), b"written while down")
             .unwrap();
     }
-    let s1_disk = cluster.replicas[0].1.clone();
     net.revive_host(&"s1".into());
-    let revived = respawn_replica(
-        &net,
-        &fw,
-        0,
-        "s1",
-        s1_disk.clone(),
-        cluster.addrs[1..].to_vec(),
-        Duration::from_millis(100),
-    )
-    .unwrap();
+    cluster.respawn(&net, 0).unwrap();
+    let s1_disk = cluster[0].1.clone();
     let resync = time_once(|| {
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
@@ -147,7 +138,6 @@ pub fn e15() {
         &[fmt_dur(resync), String::new(), String::new()],
     );
 
-    revived.shutdown();
     for (handle, _) in cluster.replicas {
         if handle.addr().host.as_str() == "s3" {
             handle.shutdown();

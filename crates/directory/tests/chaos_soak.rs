@@ -22,7 +22,7 @@ use ace_core::{FailoverClient, RetryPolicy, ServiceClient};
 use ace_directory::{bootstrap, AsdClient};
 use ace_net::fault::{FaultPlan, FaultPlanConfig};
 use ace_security::keys::KeyPair;
-use ace_store::{spawn_store_cluster, DiskImage, StoreClient, StoreReplica, WalConfig, STORE_PORT};
+use ace_store::{spawn_store_cluster, StoreClient};
 use std::time::{Duration, Instant};
 
 const STORE_SYNC: Duration = Duration::from_millis(50);
@@ -68,42 +68,9 @@ fn run_chaos(seed: u64) {
     // from the write-ahead log + snapshot (reopening also fences any
     // zombie instance's storage handles); anti-entropy then converges
     // them.  The app respawns fresh.
-    let mut specs = Vec::new();
-    for (i, host) in store_hosts.iter().enumerate() {
-        let fw_ref = (
-            fw.directory(),
-            fw.roomdb_addr.clone(),
-            fw.logger_addr.clone(),
-        );
-        let storage = cluster.storages[i].clone();
-        let peers: Vec<Addr> = (cluster.addrs.iter())
-            .filter(|a| **a != cluster.addrs[i])
-            .cloned()
-            .collect();
-        let host = host.to_string();
-        specs.push(SupervisedSpec::new(
-            format!("store_{}", i + 1),
-            Box::new(move |net: &SimNet| {
-                let (disk, report) = DiskImage::open_or_reset(&storage, WalConfig::default())
-                    .map_err(ace_store::storage_spawn_err)?;
-                let handle = Daemon::spawn(
-                    net,
-                    DaemonConfig::new(
-                        format!("store_{}", i + 1),
-                        "Service.Database.PersistentStore",
-                        "machineroom",
-                        host.as_str(),
-                        STORE_PORT,
-                    )
-                    .with_directory(fw_ref.0.clone())
-                    .with_roomdb(fw_ref.1.clone())
-                    .with_logger(fw_ref.2.clone()),
-                    Box::new(StoreReplica::new(disk, STORE_SYNC).with_peers(peers.clone())),
-                )?;
-                Ok(Respawn::with_note(handle, report.to_string()))
-            }),
-        ));
-    }
+    let mut specs: Vec<SupervisedSpec> = (cluster.iter().enumerate())
+        .map(|(i, (handle, _))| SupervisedSpec::new(handle.name(), cluster.respawn_fn(i)))
+        .collect();
     {
         let fw_ref = (
             fw.directory(),

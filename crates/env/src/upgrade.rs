@@ -12,7 +12,6 @@ use crate::environment::AceEnvironment;
 use ace_core::prelude::*;
 use ace_directory::{Asd, NetLogger, RoomDb};
 use ace_resources::{Hal, HostProfile, Hrm, Sal, Srm};
-use ace_store::StoreReplica;
 
 /// Builds the replacement behavior for one daemon in a rolling sweep;
 /// `None` skips that daemon.
@@ -32,9 +31,8 @@ impl AceEnvironment {
     /// The one place a daemon's handle is found by name: the service
     /// daemons, the store replicas (`store_1`…), the framework tier.
     fn handle(&self, name: &str) -> Option<&DaemonHandle> {
-        let replicas = self.store.iter().flat_map(|c| &c.replicas);
         (self.daemons.values())
-            .chain(replicas.map(|(handle, _)| handle))
+            .chain(self.store.iter().flatten().map(|(handle, _)| handle))
             .chain([&self.fw.logger, &self.fw.roomdb, &self.fw.asd])
             .find(|handle| handle.name() == name)
     }
@@ -102,14 +100,8 @@ impl AceEnvironment {
             "Service.Logger" => Some(Box::new(NetLogger::default())),
             "Service.Database.PersistentStore" => {
                 let cluster = self.store.as_ref()?;
-                let i = cluster
-                    .replicas
-                    .iter()
-                    .position(|(h, _)| h.name() == handle.name())?;
-                let peers = cluster.addrs.iter().filter(|a| **a != cluster.addrs[i]);
-                let replica =
-                    StoreReplica::new(cluster.replicas[i].1.clone(), self.config.store_sync);
-                Some(Box::new(replica.with_peers(peers.cloned().collect())))
+                let i = (cluster.iter()).position(|(h, _)| h.name() == handle.name())?;
+                Some(Box::new(cluster.replica(i)))
             }
             _ => None,
         }
@@ -128,7 +120,7 @@ impl AceEnvironment {
         // during the ASD's quiesce window every other daemon's lease
         // renewal bounces with retryable E_UPGRADING, and the restored
         // leases come back with fresh deadlines.
-        let replicas = self.store.iter().flat_map(|c| c.replicas.iter());
+        let replicas = self.store.iter().flatten();
         let names: Vec<String> = (self.teardown_order.iter().cloned())
             .chain(replicas.map(|(handle, _)| handle.name().to_string()))
             .chain(["netlogger", "roomdb", "asd"].map(String::from))

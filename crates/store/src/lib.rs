@@ -15,9 +15,10 @@
 //! * versioning — client-assigned `(version, writer)` pairs with a total
 //!   order, so concurrent writers converge deterministically;
 //! * the "straightforward object-oriented namespace approach": keys live
-//!   under namespaces (`appstate`, `workspace`, …).
-//!
-//! [`spawn_store_cluster`] brings up the canonical three-replica cluster.
+//!   under namespaces (`appstate`, `workspace`, …);
+//! * [`StoreCluster`] — one replica group, the one place a replica is
+//!   spawned, respawned, replaced or rebuilt: the canonical three-replica
+//!   cluster ([`spawn_store_cluster`]) or one shard ([`spawn_sharded_store`]).
 
 pub mod client;
 pub mod placement;
@@ -32,6 +33,7 @@ pub use version::{StoreKey, Versioned};
 pub use wal::{MemStorage, RecoveryReport, StorageHandle, Wal, WalConfig, WalStats};
 
 use ace_core::prelude::*;
+use ace_core::supervise::{Respawn, RespawnFn};
 use ace_core::SpawnError;
 use ace_directory::Framework;
 use ace_security::keys::KeyPair;
@@ -50,18 +52,162 @@ pub const SHARDED_STORE_PORT: u16 = 6100;
 /// the rest of its group, fixed at spawn.
 pub const SHARD_CLASS: &str = "Service.Database.PersistentStoreShard";
 
-/// A running store cluster: daemon handles plus each replica's disk image
-/// and the storage handle behind it (needed to restart a crashed replica
-/// with its data recovered from the write-ahead log).
+/// One replica group (the framework cluster, or one shard), the one place
+/// its replicas are spawned, respawned, replaced and rebuilt.  Replica `i`
+/// listens at `addrs[i]` over a durable disk of its own, syncs with the
+/// rest of the group and serves the placement.  It derefs to `replicas`.
 pub struct StoreCluster {
+    /// Daemon handle and disk image of each replica.
     pub replicas: Vec<(DaemonHandle, DiskImage)>,
+    /// Where each replica listens, index-aligned with `replicas`.
     pub addrs: Vec<Addr>,
-    /// One reopenable storage handle per replica, index-aligned with
-    /// `replicas`.
-    pub storages: Vec<StorageHandle>,
+    members: Vec<Member>,
+}
+
+/// What one replica is built from but its disk, owned so a respawn factory
+/// can outlive the group's borrow.
+#[derive(Clone)]
+struct Member {
+    /// Spawn-time: a respawn changes only the incarnation, so a restarted
+    /// replica gets a fresh identity and ticket vault.
+    config: DaemonConfig,
+    /// Under its disk; a respawn reopens it.
+    storage: StorageHandle,
+    peers: Vec<Addr>,
+    placement: StorePlacement,
+    sync_interval: Duration,
+    wal: WalConfig,
+}
+
+impl Member {
+    fn behavior(&self, disk: DiskImage) -> StoreReplica {
+        StoreReplica::new(disk, self.sync_interval)
+            .with_group(self.peers.clone(), self.placement.clone())
+    }
+
+    fn spawn(&self, net: &SimNet, disk: DiskImage, at: u64) -> Result<DaemonHandle, SpawnError> {
+        let config = self.config.clone().with_incarnation(at);
+        Daemon::spawn(net, config, Box::new(self.behavior(disk)))
+    }
+
+    /// Reopen the storage (WAL recovery; a corrupt log resets for
+    /// anti-entropy), which fences every image opened over it before, and
+    /// spawn over what it recovered; the recovery report is the note.
+    fn reopen(&self, net: &SimNet, at: u64) -> Result<(Respawn, DiskImage), SpawnError> {
+        let (disk, report) =
+            DiskImage::open_or_reset(&self.storage, self.wal.clone()).map_err(storage_spawn_err)?;
+        let handle = self.spawn(net, disk.clone(), at)?;
+        Ok((Respawn::with_note(handle, report.to_string()), disk))
+    }
+}
+
+/// A fresh, empty disk on `host`, wired into the network's storage-fault
+/// hub so chaos plans can tear its appends.
+fn fresh_disk(
+    net: &SimNet,
+    host: &HostId,
+    wal: &WalConfig,
+) -> Result<(StorageHandle, DiskImage), SpawnError> {
+    let faulty = MemStorage::new().with_faults(net.storage_faults(), host.clone());
+    let storage = StorageHandle::Memory(faulty);
+    let (disk, _) = DiskImage::open(&storage, wal.clone()).map_err(storage_spawn_err)?;
+    Ok((storage, disk))
 }
 
 impl StoreCluster {
+    /// Spawn group `group` of `placement` over fresh disks, replica `i` at
+    /// `addr` from `config(i, addr)`.
+    fn spawn(
+        net: &SimNet,
+        placement: &StorePlacement,
+        group: usize,
+        sync_interval: Duration,
+        wal: &WalConfig,
+        config: impl Fn(usize, &Addr) -> DaemonConfig,
+    ) -> Result<StoreCluster, SpawnError> {
+        let addrs = placement.replicas(group).to_vec();
+        let (mut replicas, mut members) = (Vec::new(), Vec::new());
+        for (i, addr) in addrs.iter().enumerate() {
+            let (storage, disk) = fresh_disk(net, &addr.host, wal)?;
+            let member = Member {
+                config: config(i, addr),
+                storage,
+                peers: placement.peers_of(group, addr),
+                placement: placement.clone(),
+                sync_interval,
+                wal: wal.clone(),
+            };
+            replicas.push((member.spawn(net, disk.clone(), 0)?, disk));
+            members.push(member);
+        }
+        Ok(StoreCluster {
+            replicas,
+            addrs,
+            members,
+        })
+    }
+
+    /// Replica `i`'s behaviour over its live disk: what a live upgrade
+    /// swaps in.
+    pub fn replica(&self, i: usize) -> StoreReplica {
+        self.members[i].behavior(self.replicas[i].1.clone())
+    }
+
+    /// The Supervisor's factory for replica `i`: each call respawns it as
+    /// [`StoreCluster::respawn`] does, one incarnation above the last.
+    pub fn respawn_fn(&self, i: usize) -> RespawnFn {
+        let member = self.members[i].clone();
+        let mut incarnation = self.replicas[i].0.incarnation();
+        Box::new(move |net: &SimNet| {
+            let (respawn, _) = member.reopen(net, incarnation + 1)?;
+            incarnation = respawn.handle.incarnation();
+            Ok(respawn)
+        })
+    }
+
+    /// Restart replica `i` over the storage it left behind, at the next
+    /// incarnation.  What still runs of it is crashed first: its goodbye
+    /// would remove its successor's registration.
+    pub fn respawn(&mut self, net: &SimNet, i: usize) -> Result<(), SpawnError> {
+        let replaced = &self.replicas[i].0;
+        replaced.crash();
+        let (respawn, disk) = self.members[i].reopen(net, replaced.incarnation() + 1)?;
+        self.replicas[i] = (respawn.handle, disk);
+        Ok(())
+    }
+
+    /// Gracefully stop replica `i` (a rebuild drill's first step).
+    pub fn stop_replica(&self, i: usize) {
+        self.replicas[i].0.shutdown();
+    }
+
+    /// Rebuild replica `i` in place via **snapshot shipping**: on an empty
+    /// disk (the dead one may be torn mid-record), install a consistent
+    /// snapshot cut a live group peer streams in chunks, top up with one
+    /// hash-tree round against that peer, then respawn at the next
+    /// incarnation.  It costs the *keyspace*, not the write history; writes
+    /// after the top-up are anti-entropy's, as for every replica.
+    pub fn rebuild_replica(&mut self, net: &SimNet, i: usize) -> Result<RebuildReport, SpawnError> {
+        let member = &self.members[i];
+        let host = &member.config.host;
+        let (storage, disk) = fresh_disk(net, host, &member.wal)?;
+        let identity = KeyPair::generate(&mut rand::thread_rng());
+        let mut error = internal("no live group peer to ship a snapshot from");
+        let report = (member.peers.iter())
+            .find_map(|peer| {
+                let shipped = ship_snapshot(net, host, &identity, peer, &disk);
+                shipped.map_err(|err| error = err).ok()
+            })
+            .ok_or(SpawnError::Register {
+                step: "rebuild",
+                error,
+            })?;
+        let handle = member.spawn(net, disk.clone(), self.replicas[i].0.incarnation() + 1)?;
+        self.replicas[i] = (handle, disk);
+        self.members[i].storage = storage;
+        Ok(report)
+    }
+
     /// Gracefully stop every replica.
     pub fn shutdown(self) {
         for (handle, _) in self.replicas {
@@ -70,49 +216,54 @@ impl StoreCluster {
     }
 }
 
+impl std::ops::Deref for StoreCluster {
+    type Target = [(DaemonHandle, DiskImage)];
+    fn deref(&self) -> &Self::Target {
+        &self.replicas
+    }
+}
+
+impl<'a> IntoIterator for &'a StoreCluster {
+    type Item = &'a (DaemonHandle, DiskImage);
+    type IntoIter = std::slice::Iter<'a, (DaemonHandle, DiskImage)>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.replicas.iter()
+    }
+}
+
 /// Spawn one replica per host (the paper's cluster is three) with the
-/// default durability policy.  The replicas are one group: each syncs with
-/// the others, at [`STORE_PORT`] on their hosts.
+/// default durability policy: one group, registered as `store_1`,
+/// `store_2`, … at [`STORE_PORT`], serving a one-group placement.
 pub fn spawn_store_cluster(
     net: &SimNet,
     fw: &Framework,
     hosts: &[&str],
     sync_interval: Duration,
 ) -> Result<StoreCluster, SpawnError> {
-    let addrs: Vec<Addr> = hosts.iter().map(|h| Addr::new(*h, STORE_PORT)).collect();
-    let mut replicas = Vec::with_capacity(hosts.len());
-    let mut storages = Vec::with_capacity(hosts.len());
-    for (i, host) in hosts.iter().enumerate() {
-        // Durable by default: every replica writes ahead to a simulated
-        // disk wired into the network's storage-fault hub, so chaos plans
-        // can tear its appends and respawns can recover from the log.
-        let storage = StorageHandle::Memory(
-            MemStorage::new().with_faults(net.storage_faults(), (*host).into()),
-        );
-        let (disk, _) =
-            DiskImage::open(&storage, WalConfig::default()).map_err(storage_spawn_err)?;
-        let peers = addrs.iter().filter(|a| **a != addrs[i]).cloned().collect();
-        let handle = respawn_replica(net, fw, i, host, disk.clone(), peers, sync_interval)?;
-        replicas.push((handle, disk));
-        storages.push(storage);
-    }
-    Ok(StoreCluster {
-        replicas,
-        addrs,
-        storages,
+    let addrs = hosts.iter().map(|h| Addr::new(*h, STORE_PORT)).collect();
+    let placement = StorePlacement::new(0, vec![addrs]);
+    let wal = WalConfig::default();
+    StoreCluster::spawn(net, &placement, 0, sync_interval, &wal, |i, addr| {
+        let name = format!("store_{}", i + 1);
+        let class = "Service.Database.PersistentStore";
+        fw.service_config(&name, class, "machineroom", addr.host.clone(), addr.port)
     })
 }
 
 /// Adapt a storage failure into the daemon-spawn error space (spawning a
-/// replica *is* what failed, just below the network layer).  Public so
-/// custom respawn factories can use the same mapping.
-pub fn storage_spawn_err(e: StoreError) -> SpawnError {
+/// replica *is* what failed, just below the network layer).
+fn storage_spawn_err(e: StoreError) -> SpawnError {
     SpawnError::Register {
         step: "storage",
-        error: ClientError::Service {
-            code: ErrorCode::Internal,
-            msg: e.to_string(),
-        },
+        error: internal(e.to_string()),
+    }
+}
+
+/// A failure below the wire: storage, or a rebuild with nothing shipped.
+fn internal(msg: impl Into<String>) -> ClientError {
+    ClientError::Service {
+        code: ErrorCode::Internal,
+        msg: msg.into(),
     }
 }
 
@@ -125,13 +276,9 @@ pub fn storage_spawn_err(e: StoreError) -> SpawnError {
 /// group (a shard replica must never pull another shard's keys).
 pub struct ShardedStoreCluster {
     pub placement: StorePlacement,
-    /// `groups[g][r]` — daemon handle + disk image of replica `r` of
-    /// group `g`.
-    pub groups: Vec<Vec<(DaemonHandle, DiskImage)>>,
-    /// Reopenable storage handles, shape-aligned with `groups`.
-    pub storages: Vec<Vec<StorageHandle>>,
-    sync_interval: Duration,
-    config: WalConfig,
+    /// One [`StoreCluster`] per group: `groups[g][r]` is the daemon handle
+    /// and disk image of replica `r` of group `g`.
+    pub groups: Vec<StoreCluster>,
 }
 
 /// What a snapshot-ship rebuild moved.
@@ -161,25 +308,16 @@ pub fn spawn_sharded_store(
     config: WalConfig,
 ) -> Result<ShardedStoreCluster, SpawnError> {
     let map = GroupMap::spread(hosts, groups, replication, SHARDED_STORE_PORT);
-    let mut cluster = ShardedStoreCluster {
-        placement: StorePlacement(map),
-        groups: Vec::with_capacity(groups),
-        storages: Vec::with_capacity(groups),
-        sync_interval,
-        config,
-    };
-    for g in 0..groups {
-        let mut handles = Vec::with_capacity(replication);
-        let mut storages = Vec::with_capacity(replication);
-        for r in 0..replication {
-            let (storage, disk) = cluster.fresh_disk(net, g, r)?;
-            handles.push((cluster.spawn_replica(net, g, r, disk.clone(), 0)?, disk));
-            storages.push(storage);
-        }
-        cluster.groups.push(handles);
-        cluster.storages.push(storages);
-    }
-    Ok(cluster)
+    let placement = StorePlacement(map);
+    let groups = (0..groups)
+        .map(|g| {
+            StoreCluster::spawn(net, &placement, g, sync_interval, &config, |r, addr| {
+                let (name, host) = (format!("store-s{g}r{r}"), addr.host.clone());
+                DaemonConfig::new(name, SHARD_CLASS, "machineroom", host, addr.port)
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(ShardedStoreCluster { placement, groups })
 }
 
 impl ShardedStoreCluster {
@@ -200,110 +338,24 @@ impl ShardedStoreCluster {
         )
     }
 
-    /// A fresh, empty disk for replica `r` of group `g`, wired into the
-    /// network's storage-fault hub under the replica's host.
-    fn fresh_disk(
-        &self,
-        net: &SimNet,
-        g: usize,
-        r: usize,
-    ) -> Result<(StorageHandle, DiskImage), SpawnError> {
-        let host = self.placement.replicas(g)[r].host.clone();
-        let storage =
-            StorageHandle::Memory(MemStorage::new().with_faults(net.storage_faults(), host));
-        let (disk, _) =
-            DiskImage::open(&storage, self.config.clone()).map_err(storage_spawn_err)?;
-        Ok((storage, disk))
-    }
-
-    /// Spawn replica `r` of group `g` over `disk` as generation
-    /// `incarnation`: fixed peers (its own group minus itself) and the
-    /// full placement map.
-    fn spawn_replica(
-        &self,
-        net: &SimNet,
-        g: usize,
-        r: usize,
-        disk: DiskImage,
-        incarnation: u64,
-    ) -> Result<DaemonHandle, SpawnError> {
-        let addr = &self.placement.replicas(g)[r];
-        Daemon::spawn(
-            net,
-            DaemonConfig::new(
-                format!("store-s{g}r{r}"),
-                SHARD_CLASS,
-                "machineroom",
-                addr.host.clone(),
-                addr.port,
-            )
-            .with_incarnation(incarnation),
-            Box::new(
-                StoreReplica::new(disk, self.sync_interval)
-                    .with_peers(self.placement.peers_of(g, addr))
-                    .with_placement(self.placement.clone()),
-            ),
-        )
-    }
-
-    /// Gracefully stop one replica (rebuild drills take it down on
-    /// purpose; chaos plans kill it for real).
+    /// Gracefully stop replica `r` of group `g`.
     pub fn stop_replica(&self, g: usize, r: usize) {
-        self.groups[g][r].0.shutdown();
+        self.groups[g].stop_replica(r);
     }
 
-    /// Rebuild replica `r` of group `g` in place via **snapshot
-    /// shipping**: start from an empty disk (the dead one may be torn
-    /// mid-record), stream a consistent snapshot cut from a live group
-    /// peer in chunked frames, install it through the corrupt-refusing
-    /// decode path, top up with one hash-tree round against that peer (what
-    /// it applied after the cut), then respawn the daemon.  Cost is
-    /// proportional to the *keyspace*, not the write history the old
-    /// anti-entropy replay paid.  Writes that land after the top-up are
-    /// anti-entropy's, as they are for every replica.
+    /// Rebuild replica `r` of group `g` ([`StoreCluster::rebuild_replica`]).
     pub fn rebuild_replica(
         &mut self,
         net: &SimNet,
         g: usize,
         r: usize,
     ) -> Result<RebuildReport, SpawnError> {
-        let addr = self.placement.replicas(g)[r].clone();
-        let (storage, disk) = self.fresh_disk(net, g, r)?;
-        let identity = KeyPair::generate(&mut rand::thread_rng());
-        let mut report = None;
-        let mut last_err = ClientError::Service {
-            code: ErrorCode::Internal,
-            msg: "no live group peer to ship a snapshot from".into(),
-        };
-        for peer in &self.placement.peers_of(g, &addr) {
-            match ship_snapshot(net, &addr.host, &identity, peer, &disk) {
-                Ok(shipped) => {
-                    report = Some(shipped);
-                    break;
-                }
-                Err(err) => last_err = err,
-            }
-        }
-        let Some(report) = report else {
-            return Err(SpawnError::Register {
-                step: "rebuild",
-                error: last_err,
-            });
-        };
-        let incarnation = self.groups[g][r].0.incarnation() + 1;
-        let handle = self.spawn_replica(net, g, r, disk.clone(), incarnation)?;
-        self.groups[g][r] = (handle, disk);
-        self.storages[g][r] = storage;
-        Ok(report)
+        self.groups[g].rebuild_replica(net, r)
     }
 
     /// Stop every replica.
     pub fn shutdown(self) {
-        for group in self.groups {
-            for (handle, _) in group {
-                handle.shutdown();
-            }
-        }
+        self.groups.into_iter().for_each(StoreCluster::shutdown);
     }
 }
 
@@ -319,10 +371,6 @@ fn ship_snapshot(
     peer: &Addr,
     disk: &DiskImage,
 ) -> Result<RebuildReport, ClientError> {
-    let failed = |msg: &str| ClientError::Service {
-        code: ErrorCode::Internal,
-        msg: msg.to_string(),
-    };
     let mut client = ServiceClient::connect(net, from_host, peer.clone(), identity)?;
     // Offset 0 cuts (and caches) a consistent image on the peer; further
     // offsets stream the immutable bytes.
@@ -334,22 +382,22 @@ fn ship_snapshot(
         let total = reply.get_int("total").unwrap_or(0).max(0) as usize;
         let chunk = reply
             .get_blob("data")
-            .ok_or_else(|| failed("malformed psSnapFetch reply from snapshot peer"))?;
+            .ok_or_else(|| internal("malformed psSnapFetch reply from snapshot peer"))?;
         chunks += 1;
         bytes.extend_from_slice(&chunk);
         if bytes.len() >= total {
             break;
         }
         if chunk.is_empty() {
-            return Err(failed("stalled psSnapFetch stream from snapshot peer"));
+            return Err(internal("stalled psSnapFetch stream from snapshot peer"));
         }
     }
     let entries = crate::wal::decode_snapshot(&bytes)
-        .map_err(|detail| failed(&format!("shipped snapshot failed validation: {detail}")))?
+        .map_err(|detail| internal(format!("shipped snapshot failed validation: {detail}")))?
         .unwrap_or_default();
     let snapshot_records = entries.len();
     disk.install_snapshot(entries)
-        .map_err(|e| failed(&format!("snapshot install failed locally: {e}")))?;
+        .map_err(|e| internal(format!("snapshot install failed locally: {e}")))?;
     let pulled = replica::top_up(|cmd| client.call(cmd), disk)?;
     Ok(RebuildReport {
         peer: peer.clone(),
@@ -360,28 +408,56 @@ fn ship_snapshot(
     })
 }
 
-/// Spawn replica `index` of the unsharded cluster on `host` over `disk`,
-/// syncing with `peers` (the rest of the cluster): the first spawn, and
-/// the respawn of a crashed replica with the disk image it left behind
-/// (the recovery path of experiment E15).
-pub fn respawn_replica(
-    net: &SimNet,
-    fw: &Framework,
-    index: usize,
-    host: &str,
-    disk: DiskImage,
-    peers: Vec<Addr>,
-    sync_interval: Duration,
-) -> Result<DaemonHandle, SpawnError> {
-    Daemon::spawn(
-        net,
-        fw.service_config(
-            &format!("store_{}", index + 1),
-            "Service.Database.PersistentStore",
-            "machineroom",
-            host,
-            STORE_PORT,
-        ),
-        Box::new(StoreReplica::new(disk, sync_interval).with_peers(peers)),
-    )
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ace_directory::bootstrap;
+
+    /// What a replica is spawned as: the literals each plane's spawn helper
+    /// produced before the two planes shared one group type.
+    #[test]
+    fn every_replica_spawns_as_it_always_did() {
+        let net = SimNet::new();
+        for h in ["core", "s1", "s2", "s3", "h0", "h1", "h2", "h3"] {
+            net.add_host(h);
+        }
+        let fw = bootstrap(&net, "core", Duration::from_secs(10)).unwrap();
+        let sync = Duration::from_secs(3600);
+        let cluster = spawn_store_cluster(&net, &fw, &["s1", "s2", "s3"], sync).unwrap();
+        let hosts: Vec<HostId> = ["h0", "h1", "h2", "h3"].map(HostId::from).to_vec();
+        let plane = spawn_sharded_store(&net, &hosts, 2, 3, sync, WalConfig::default()).unwrap();
+
+        let pinned = |c: &DaemonConfig| {
+            format!(
+                "{} {} {} {}:{} {:?} {:?} {:?} {} {} {}",
+                c.name,
+                c.class,
+                c.room,
+                c.host.as_str(),
+                c.port,
+                c.directory,
+                c.roomdb,
+                c.logger,
+                c.incarnation,
+                c.identity.is_some(),
+                c.ticket_vault.is_some()
+            )
+        };
+        assert_eq!(
+            pinned(cluster[1].0.config()),
+            "store_2 Service.Database.PersistentStore machineroom s2:5800 \
+             Some(GroupMap { epoch: 0, groups: [[Addr { host: HostId(\"core\"), port: 5000 }]] }) \
+             Some(Addr { host: HostId(\"core\"), port: 5001 }) \
+             Some(Addr { host: HostId(\"core\"), port: 5002 }) 0 false false"
+        );
+        assert_eq!(
+            pinned(plane.groups[1][1].0.config()),
+            "store-s1r1 Service.Database.PersistentStoreShard machineroom h0:6104 \
+             None None None 0 false false"
+        );
+
+        plane.shutdown();
+        cluster.shutdown();
+        fw.shutdown();
+    }
 }

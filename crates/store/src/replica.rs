@@ -462,7 +462,7 @@ pub struct StoreReplica {
     /// The rest of this replica's group, fixed at spawn: whom anti-entropy
     /// syncs with.  Empty is a standalone replica with no sync worker.
     peers: Vec<Addr>,
-    /// Shard placement map served via `psPlacement` (sharded deployments).
+    /// The group's placement map, served via `psPlacement`.
     placement: Option<StorePlacement>,
     /// Cached encoded snapshot for chunked `psSnapFetch`.  Cut fresh on
     /// every offset-0 fetch; later offsets read the cache so one rebuild
@@ -495,18 +495,12 @@ impl StoreReplica {
         }
     }
 
-    /// Sync with `peers`, the rest of this replica's group.  A replica
-    /// pulls from nobody else: a shard replica must never pull another
-    /// shard's keys, and no replica waits on the directory to find its
-    /// group.
-    pub fn with_peers(mut self, peers: Vec<Addr>) -> StoreReplica {
+    /// Sync with `peers`, the rest of this replica's group, and serve the
+    /// group's `placement` under `psPlacement`.  A replica pulls from nobody
+    /// else: a shard replica must never pull another shard's keys, and no
+    /// replica waits on the directory to find its group.
+    pub fn with_group(mut self, peers: Vec<Addr>, placement: StorePlacement) -> StoreReplica {
         self.peers = peers;
-        self
-    }
-
-    /// Serve the shard placement map via `psPlacement`, so clients can
-    /// bootstrap routing from any replica.
-    pub fn with_placement(mut self, placement: StorePlacement) -> StoreReplica {
         self.placement = Some(placement);
         self
     }

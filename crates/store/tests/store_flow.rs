@@ -5,7 +5,7 @@
 use ace_core::prelude::*;
 use ace_directory::{bootstrap, Framework};
 use ace_security::keys::KeyPair;
-use ace_store::{respawn_replica, spawn_store_cluster, StoreClient, StoreCluster, StoreError};
+use ace_store::{spawn_store_cluster, StoreClient, StoreCluster, StoreError};
 use std::time::Duration;
 
 fn keypair() -> KeyPair {
@@ -186,23 +186,14 @@ fn all_replicas_down_is_distinguished() {
 /// its surviving disk, and anti-entropy brings it back up to date.
 #[test]
 fn crashed_replica_recovers_via_anti_entropy() {
-    let w = world();
+    let mut w = world();
     let mut c = client(&w);
     c.put("ns", "old", b"before crash").unwrap();
     assert!(wait_converged(&w, Duration::from_secs(5)));
 
     // Crash s1, write while it is down.
-    let mut survivors = Vec::new();
-    let mut crashed_disk = None;
-    for (handle, disk) in w.cluster.replicas {
-        if handle.addr().host.as_str() == "s1" {
-            handle.crash();
-            crashed_disk = Some(disk);
-        } else {
-            survivors.push((handle, disk));
-        }
-    }
-    let crashed_disk = crashed_disk.unwrap();
+    w.cluster[0].0.crash();
+    let crashed_disk = w.cluster[0].1.clone();
     for i in 0..10 {
         c.put("ns", &format!("missed_{i}"), b"written while down")
             .unwrap();
@@ -212,11 +203,10 @@ fn crashed_replica_recovers_via_anti_entropy() {
         .get(&("ns".into(), "missed_0".into()))
         .is_none());
 
-    // Revive the host and respawn the replica on its old disk.
+    // Revive the host and respawn the replica over its old storage.
     w.net.revive_host(&"s1".into());
-    let peers = w.cluster.addrs[1..].to_vec();
-    let revived =
-        respawn_replica(&w.net, &w.fw, 0, "s1", crashed_disk.clone(), peers, SYNC).unwrap();
+    w.cluster.respawn(&w.net, 0).unwrap();
+    let crashed_disk = w.cluster[0].1.clone();
 
     // Anti-entropy catches it up.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -236,10 +226,66 @@ fn crashed_replica_recovers_via_anti_entropy() {
         std::thread::sleep(Duration::from_millis(50));
     }
 
-    revived.shutdown();
-    for (handle, _) in survivors {
-        handle.shutdown();
+    w.cluster.shutdown();
+    w.fw.shutdown();
+}
+
+/// A respawn reopens the replica's storage instead of reusing the image in
+/// memory: the image it replaces is fenced, the successor recovers the
+/// acknowledged writes from the log, and it registers one incarnation up.
+#[test]
+fn a_respawned_replica_fences_the_instance_it_replaces() {
+    let mut w = world();
+    let mut c = client(&w);
+    c.put("ns", "acked", b"before respawn").unwrap();
+    assert!(wait_converged(&w, Duration::from_secs(5)));
+    let replaced = w.cluster[0].1.clone();
+    let incarnation = w.cluster[0].0.incarnation();
+
+    w.cluster.respawn(&w.net, 0).unwrap();
+
+    let late = ace_store::Versioned {
+        data: b"from the replaced instance".to_vec(),
+        version: 99,
+        writer: "zombie".into(),
+        deleted: false,
+    };
+    let refused = replaced.apply(("ns".into(), "late".into()), late);
+    assert!(
+        matches!(&refused, Err(StoreError::Io(msg)) if msg.contains("fenced by a newer open")),
+        "the replaced image still writes: {refused:?}"
+    );
+    let successor = &w.cluster[0];
+    assert_eq!(
+        successor
+            .1
+            .get(&("ns".into(), "acked".into()))
+            .unwrap()
+            .data,
+        b"before respawn"
+    );
+    assert_eq!(successor.0.incarnation(), incarnation + 1);
+
+    // The directory holds `store_1` at the new incarnation: a renewal at
+    // the old one is fenced, one at the new one is granted.
+    let asd = w.fw.directory().replicas(0)[0].clone();
+    let mut link = ServiceClient::connect(&w.net, &"core".into(), asd, &keypair()).unwrap();
+    let renew = |at: u64| {
+        CmdLine::new("renewLease")
+            .arg("name", "store_1")
+            .arg("incarnation", at as i64)
+    };
+    match link.call(&renew(incarnation)) {
+        Err(ClientError::Service { code, msg }) => {
+            assert_eq!(code, ErrorCode::BadState);
+            let registered = format!("(registered: {})", incarnation + 1);
+            assert!(msg.contains(&registered), "{msg}");
+        }
+        other => panic!("a renewal at the replaced incarnation was not fenced: {other:?}"),
     }
+    link.call(&renew(incarnation + 1)).unwrap();
+
+    w.cluster.shutdown();
     w.fw.shutdown();
 }
 

@@ -15,7 +15,7 @@ use ace_core::prelude::*;
 use ace_directory::{bootstrap, AsdClient};
 use ace_net::fault::{FaultPlan, FaultPlanConfig};
 use ace_security::keys::KeyPair;
-use ace_store::{spawn_store_cluster, DiskImage, StoreClient, StoreReplica, WalConfig, STORE_PORT};
+use ace_store::{spawn_store_cluster, StoreClient};
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -36,45 +36,9 @@ fn main() {
     // One supervised spec per replica: respawn on the same host after
     // recovering the disk image from its write-ahead log + snapshot; the
     // recovery report rides into the supervisor's restart log line.
-    let mut specs = Vec::new();
-    for (i, host) in store_hosts.iter().enumerate() {
-        let addrs = (
-            fw.directory(),
-            fw.roomdb_addr.clone(),
-            fw.logger_addr.clone(),
-        );
-        let storage = cluster.storages[i].clone();
-        let peers: Vec<Addr> = (cluster.addrs.iter())
-            .filter(|a| **a != cluster.addrs[i])
-            .cloned()
-            .collect();
-        let host = host.to_string();
-        specs.push(SupervisedSpec::new(
-            format!("store_{}", i + 1),
-            Box::new(move |net: &SimNet| {
-                let (disk, report) = DiskImage::open_or_reset(&storage, WalConfig::default())
-                    .map_err(ace_store::storage_spawn_err)?;
-                let handle = Daemon::spawn(
-                    net,
-                    DaemonConfig::new(
-                        format!("store_{}", i + 1),
-                        "Service.Database.PersistentStore",
-                        "machineroom",
-                        host.as_str(),
-                        STORE_PORT,
-                    )
-                    .with_directory(addrs.0.clone())
-                    .with_roomdb(addrs.1.clone())
-                    .with_logger(addrs.2.clone()),
-                    Box::new(
-                        StoreReplica::new(disk, Duration::from_millis(50))
-                            .with_peers(peers.clone()),
-                    ),
-                )?;
-                Ok(Respawn::with_note(handle, report.to_string()))
-            }),
-        ));
-    }
+    let specs: Vec<SupervisedSpec> = (cluster.iter().enumerate())
+        .map(|(i, (handle, _))| SupervisedSpec::new(handle.name(), cluster.respawn_fn(i)))
+        .collect();
     let supervisor = Daemon::spawn(
         &net,
         fw.service_config(

@@ -181,8 +181,8 @@ fn links_recover_after_flapping_partitions() {
     fw.shutdown();
 }
 
-/// Killing every store replica and reviving them all on their old disks
-/// restores the full dataset.
+/// Killing every store replica and reviving them all over their old
+/// storage restores the full dataset.
 #[test]
 fn full_cluster_restart_preserves_data() {
     let net = SimNet::new();
@@ -190,7 +190,7 @@ fn full_cluster_restart_preserves_data() {
         net.add_host(h);
     }
     let fw = bootstrap(&net, "core", Duration::from_secs(10)).unwrap();
-    let cluster =
+    let mut cluster =
         spawn_store_cluster(&net, &fw, &["s1", "s2", "s3"], Duration::from_millis(100)).unwrap();
     let identity = KeyPair::generate(&mut rand::thread_rng());
     let mut client = StoreClient::new(net.clone(), "core", identity, cluster.addrs.clone());
@@ -201,28 +201,19 @@ fn full_cluster_restart_preserves_data() {
     }
 
     // Total blackout.
-    let mut disks = Vec::new();
-    for (i, (handle, disk)) in cluster.replicas.into_iter().enumerate() {
+    for (i, (handle, _)) in cluster.iter().enumerate() {
         net.kill_host(&format!("s{}", i + 1).as_str().into());
         handle.crash();
-        disks.push(disk);
     }
     assert!(matches!(
         client.get("blackout", "k0"),
         Err(StoreError::AllReplicasDown)
     ));
 
-    // Power back on: every replica restarts on its surviving disk.
-    let mut revived = Vec::new();
-    for (i, disk) in disks.into_iter().enumerate() {
-        let host = format!("s{}", i + 1);
-        net.revive_host(&host.as_str().into());
-        let peers = (cluster.addrs.iter())
-            .filter(|a| **a != cluster.addrs[i])
-            .cloned()
-            .collect();
-        let sync = Duration::from_millis(100);
-        revived.push(ace_store::respawn_replica(&net, &fw, i, &host, disk, peers, sync).unwrap());
+    // Power back on: every replica restarts over its surviving storage.
+    for i in 0..cluster.len() {
+        net.revive_host(&format!("s{}", i + 1).as_str().into());
+        cluster.respawn(&net, i).unwrap();
     }
     let mut client2 = StoreClient::new(
         net.clone(),
@@ -237,9 +228,7 @@ fn full_cluster_restart_preserves_data() {
         );
     }
 
-    for r in revived {
-        r.shutdown();
-    }
+    cluster.shutdown();
     fw.shutdown();
 }
 
