@@ -11,7 +11,7 @@ use ace_directory::bootstrap;
 use ace_security::keys::KeyPair;
 use ace_store::{
     spawn_sharded_store, spawn_store_cluster, DiskImage, MemStorage, StorageHandle, StoreClient,
-    StoreKey, Versioned, WalConfig,
+    StoreKey, Versioned, Wal, WalConfig,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -148,43 +148,83 @@ pub fn e15() {
     fw.shutdown();
 
     // WAL recovery time: what a respawned replica pays before serving,
-    // replaying an N-update history over 64 keys from (a) the raw log and
-    // (b) a compacted snapshot + log tail.
+    // replaying an N-update history over 64 keys from (a) the raw log,
+    // appended through the `Wal` alone so nothing compacts it, and (b) a
+    // compacted snapshot + log tail.
     row(
         "WAL recovery (N updates / 64 keys)",
         &["log only".into(), "snapshot+tail".into(), String::new()],
     );
+    let config = WalConfig {
+        compact_threshold: 64 << 10,
+    };
+    let update = |i: u64| {
+        let value = Versioned {
+            data: vec![0xab; 64],
+            version: i + 1,
+            writer: "w".into(),
+            deleted: false,
+        };
+        (("bench".to_string(), format!("k{}", i % 64)), value)
+    };
     for n in [1_000u64, 10_000] {
-        let mut timings = Vec::new();
-        for threshold in [u64::MAX, 64 << 10] {
-            let handle = StorageHandle::Memory(MemStorage::new());
-            let config = WalConfig {
-                compact_threshold: threshold,
-            };
-            let (disk, _) = DiskImage::open(&handle, config.clone()).unwrap();
-            for i in 0..n {
-                disk.apply(
-                    ("bench".into(), format!("k{}", i % 64)),
-                    ace_store::Versioned {
-                        data: vec![0xab; 64],
-                        version: i + 1,
-                        writer: "w".into(),
-                        deleted: false,
-                    },
-                )
-                .unwrap();
-            }
-            let replay = time_median(10, || {
-                let (recovered, _) = DiskImage::open(&handle, config.clone()).unwrap();
-                assert_eq!(recovered.len(), 64);
-            });
-            timings.push(replay);
+        let log_only = StorageHandle::Memory(MemStorage::new());
+        let (mut wal, _, _) = Wal::open(&log_only, config.clone()).unwrap();
+        for i in 0..n {
+            wal.append_batch(&[update(i)]).unwrap();
         }
+        let compacted = StorageHandle::Memory(MemStorage::new());
+        let (disk, _) = DiskImage::open(&compacted, config.clone()).unwrap();
+        for i in 0..n {
+            let (key, value) = update(i);
+            disk.apply(key, value).unwrap();
+        }
+        let timings: Vec<Duration> = [log_only, compacted]
+            .iter()
+            .map(|handle| {
+                time_median(10, || {
+                    let (recovered, _) = DiskImage::open(handle, config.clone()).unwrap();
+                    assert_eq!(recovered.len(), 64);
+                })
+            })
+            .collect();
         row(
             &format!("recover from {n} updates"),
             &[fmt_dur(timings[0]), fmt_dur(timings[1]), String::new()],
         );
     }
+
+    // What a disk holds against the state it logs, at acebench's 4 MiB
+    // cap: 1,000 fresh 1 KiB keys, then 5,000 overwrites.
+    let (disk, _) = DiskImage::open(
+        &StorageHandle::Memory(MemStorage::new()),
+        WalConfig {
+            compact_threshold: 4 << 20,
+        },
+    )
+    .unwrap();
+    for i in 0..6_000u64 {
+        let value = Versioned {
+            data: vec![0xab; 1024],
+            version: i + 1,
+            writer: "w".into(),
+            deleted: false,
+        };
+        disk.apply(("bench".into(), format!("k{}", i % 1_000)), value)
+            .unwrap();
+    }
+    let bytes = disk.bytes();
+    row(
+        "disk / live, 1k keys + 5k overwrites",
+        &[
+            format!(
+                "{:.2}",
+                (bytes.snapshot + bytes.log) as f64 / bytes.live as f64
+            ),
+            String::new(),
+            String::new(),
+        ],
+    );
 }
 
 /// E19 (§9): robust-service mean time to recovery across lease durations —

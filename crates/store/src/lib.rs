@@ -28,7 +28,9 @@ pub mod wal;
 
 pub use client::{ClientStats, StoreClient, StoreError};
 pub use placement::{ShardedStats, ShardedStoreClient, StorePlacement};
-pub use replica::{sync_tree, DigestRow, DiskImage, StoreReplica, SyncTree, SYNC_BUCKETS};
+pub use replica::{
+    sync_tree, DigestRow, DiskBytes, DiskImage, StoreReplica, SyncTree, SYNC_BUCKETS,
+};
 pub use version::{StoreKey, Versioned};
 pub use wal::{MemStorage, RecoveryReport, StorageHandle, Wal, WalConfig, WalStats};
 

@@ -29,7 +29,7 @@
 use crate::client::StoreError;
 use crate::placement::StorePlacement;
 use crate::version::{StoreKey, Versioned};
-use crate::wal::{RecoveryReport, StorageHandle, Wal, WalConfig, WalStats};
+use crate::wal::{record_len, RecoveryReport, StorageHandle, Wal, WalConfig, WalStats};
 use ace_core::prelude::*;
 use ace_core::protocol::unpack_values;
 use ace_lang::ScalarType;
@@ -117,32 +117,47 @@ fn parse_hash_word(word: &str) -> Option<u64> {
 struct Held {
     map: HashMap<StoreKey, Versioned>,
     tree: SyncTree,
+    /// What `map`'s records take in a snapshot: the [`record_len`] sum,
+    /// kept exact by every publish.  The log's compaction rule weighs it.
+    live: u64,
     /// `None` for a volatile image (unit tests, benchmarks); durable
     /// images log every applied write here *before* it becomes visible.
     wal: Option<Wal>,
 }
 
 impl Held {
-    /// Recovery: the tree is not persisted, it is rebuilt once from the map.
+    /// Recovery: neither the tree nor the live size is persisted; both
+    /// are computed once from the map.
     fn recovered(map: HashMap<StoreKey, Versioned>, wal: Option<Wal>) -> Held {
         let tree = sync_tree(
             map.iter()
                 .map(|((ns, key), v)| (ns.as_str(), key.as_str(), v.version, v.writer.as_str())),
         );
-        Held { map, tree, wal }
+        let live = map.iter().map(|(key, v)| record_len(key, v)).sum();
+        Held {
+            map,
+            tree,
+            live,
+            wal,
+        }
     }
 
     /// The one place a key's content changes: store `value` if it beats
     /// what is held, XORing the old digest row out of the tree and the new
-    /// one in.  Whether it won.
+    /// one in, and the old record's length out of `live` and the new one's
+    /// in.  Whether it won.
     fn publish(&mut self, key: StoreKey, value: Versioned) -> bool {
         let hashed = key_hash(&key.0, &key.1);
-        let old = match self.map.get(&key) {
+        let (old, old_len) = match self.map.get(&key) {
             Some(existing) if !value.beats(existing) => return false,
-            Some(existing) => row_hash(hashed, existing.version, &existing.writer),
-            None => 0,
+            Some(existing) => (
+                row_hash(hashed, existing.version, &existing.writer),
+                record_len(&key, existing),
+            ),
+            None => (0, 0),
         };
         self.tree[bucket_of(hashed)] ^= old ^ row_hash(hashed, value.version, &value.writer);
+        self.live = self.live + record_len(&key, &value) - old_len;
         self.map.insert(key, value);
         true
     }
@@ -158,7 +173,7 @@ impl Held {
 
     /// The one write, in this order: keep the entries that beat what is
     /// held; log them, as one append and one fsync; publish them; compact
-    /// the log if it outgrew its threshold.  How many applied.  An `Err`
+    /// the log if compacting would halve the disk.  How many applied.  An `Err`
     /// means none did and none may be acknowledged.
     fn apply(&mut self, entries: Vec<(StoreKey, Versioned)>) -> Result<usize, StoreError> {
         let fresh: Vec<(StoreKey, Versioned)> = entries
@@ -170,7 +185,7 @@ impl Held {
         }
         let applied = self.publish_all(fresh);
         if let Some(wal) = &mut self.wal {
-            wal.maybe_compact(&self.map);
+            wal.maybe_compact(&self.map, self.live);
         }
         Ok(applied)
     }
@@ -180,6 +195,18 @@ impl Default for Held {
     fn default() -> Held {
         Held::recovered(HashMap::new(), None)
     }
+}
+
+/// What a [`DiskImage`] holds, in bytes.  The log's compaction rule keeps
+/// `snapshot + log` within about twice `live`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DiskBytes {
+    /// What the held records would take in a snapshot written now.
+    pub live: u64,
+    /// The snapshot on disk (0 for a volatile image).
+    pub snapshot: u64,
+    /// The log past the snapshot (0 for a volatile image).
+    pub log: u64,
 }
 
 /// The disk of one replica: survives daemon crash/restart.  A volatile
@@ -390,10 +417,25 @@ impl DiskImage {
         self.held.lock().wal.as_ref().map(|w| w.stats().clone())
     }
 
+    /// The held state's size against the snapshot and log it is kept in.
+    pub fn bytes(&self) -> DiskBytes {
+        let held = self.held.lock();
+        let (snapshot, log) = held
+            .wal
+            .as_ref()
+            .map_or((0, 0), |w| (w.snapshot_len(), w.log_len()));
+        DiskBytes {
+            live: held.live,
+            snapshot,
+            log,
+        }
+    }
+
     /// Cut a consistent shippable snapshot: the encoded full state, under
     /// one hold of the map lock.
     pub fn snapshot_cut(&self) -> Vec<u8> {
-        crate::wal::encode_snapshot(&self.held.lock().map)
+        let held = self.held.lock();
+        crate::wal::encode_snapshot(&held.map, held.live)
     }
 
     /// Install a shipped snapshot: merge `entries` newest-wins, then (for
@@ -408,7 +450,7 @@ impl DiskImage {
         let held = &mut *guard;
         let applied = held.publish_all(entries);
         if let Some(wal) = &mut held.wal {
-            wal.install_snapshot(&held.map)?;
+            wal.install_snapshot(&held.map, held.live)?;
         }
         Ok(applied)
     }
@@ -1150,7 +1192,8 @@ impl ServiceBehavior for StoreReplica {
 
     /// Re-export WAL and sync state into the daemon's unified metrics
     /// registry, so `aceStats` carries them alongside the framework's own
-    /// counters.  Series are keyed by the
+    /// counters — among them the disk's footprint (`liveBytes`,
+    /// `snapshotBytes`, `logBytes`), read only here.  Series are keyed by the
     /// daemon name (`store.<name>.entries`): co-located replicas whose
     /// stats land in one registry (or one downstream aggregation) must
     /// stay distinct series, not overwrite each other.
@@ -1163,6 +1206,8 @@ impl ServiceBehavior for StoreReplica {
         gauge("pulled").set(self.stats.pulled.load(Ordering::Relaxed) as i64);
         gauge("pullErrors").set(self.stats.pull_errors.load(Ordering::Relaxed) as i64);
         gauge("leasedGets").set(self.leased_gets as i64);
+        let bytes = self.disk.bytes();
+        gauge("liveBytes").set(bytes.live as i64);
         if let Some(wal) = self.disk.wal_stats() {
             let gauge = |suffix: &str| m.gauge(&format!("wal.{name}.{suffix}"));
             gauge("appends").set(wal.appends as i64);
@@ -1170,6 +1215,8 @@ impl ServiceBehavior for StoreReplica {
             gauge("appendFailures").set(wal.append_failures as i64);
             gauge("batches").set(wal.batches as i64);
             gauge("fsyncs").set(wal.fsyncs as i64);
+            gauge("snapshotBytes").set(bytes.snapshot as i64);
+            gauge("logBytes").set(bytes.log as i64);
         }
     }
 }

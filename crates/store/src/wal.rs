@@ -11,8 +11,11 @@
 //!
 //! * **log** — length-prefixed, CRC-32-framed records, one per applied
 //!   write, appended and fsynced *before* the write is acknowledged;
-//! * **snapshot** — the full state, written by compaction once the log
-//!   exceeds a threshold (and by a shipped-snapshot install).  A commit
+//! * **snapshot** — the full state, written by compaction (and by a
+//!   shipped-snapshot install).  A log is compacted once compacting would
+//!   at least halve the disk, never below [`COMPACT_FLOOR`] and always at
+//!   the configured cap ([`WalConfig::compact_threshold`]), so a disk holds
+//!   at most about twice the state it logs.  A commit
 //!   atomically replaces the snapshot, then empties the log.  A crash
 //!   before the replace leaves the old snapshot and the whole log; a crash
 //!   after it leaves the new snapshot and the whole log, whose replay over
@@ -426,18 +429,38 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Encode one write as a record payload (no framing).
-fn encode_payload(key: &StoreKey, value: &Versioned) -> Vec<u8> {
-    let mut out =
-        Vec::with_capacity(key.0.len() + key.1.len() + value.writer.len() + value.data.len() + 24);
-    put_str(&mut out, &key.0);
-    put_str(&mut out, &key.1);
+/// Bytes one write takes framed, header included: its share of a log
+/// append and of a snapshot body.  [`encode_payload`] writes the payload
+/// this counts.
+pub(crate) fn record_len(key: &StoreKey, value: &Versioned) -> u64 {
+    let strs = key.0.len() + key.1.len() + value.writer.len();
+    // Three u16 string lengths, the u64 version, the tombstone flag and
+    // the u32 data length.
+    (RECORD_HEADER + strs + 3 * 2 + 8 + 1 + 4 + value.data.len()) as u64
+}
+
+/// Encode one write's record payload (no framing) onto `out`.
+fn encode_payload(out: &mut Vec<u8>, key: &StoreKey, value: &Versioned) {
+    put_str(out, &key.0);
+    put_str(out, &key.1);
     out.extend_from_slice(&value.version.to_le_bytes());
-    put_str(&mut out, &value.writer);
+    put_str(out, &value.writer);
     out.push(value.deleted as u8);
     out.extend_from_slice(&(value.data.len() as u32).to_le_bytes());
     out.extend_from_slice(&value.data);
-    out
+}
+
+/// Frame one write onto `out` in place — `len | crc32(payload) | payload`
+/// — with no buffer of its own: the header is patched in once the payload
+/// is written behind it.
+fn put_record(out: &mut Vec<u8>, key: &StoreKey, value: &Versioned) {
+    let start = out.len();
+    out.extend_from_slice(&[0; RECORD_HEADER]);
+    encode_payload(out, key, value);
+    let payload = &out[start + RECORD_HEADER..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + RECORD_HEADER].copy_from_slice(&crc.to_le_bytes());
 }
 
 fn decode_payload(payload: &[u8]) -> Result<(StoreKey, Versioned), String> {
@@ -472,11 +495,8 @@ fn decode_payload(payload: &[u8]) -> Result<(StoreKey, Versioned), String> {
 
 /// Frame one write as a full log record: `len | crc32(payload) | payload`.
 pub fn frame_record(key: &StoreKey, value: &Versioned) -> Vec<u8> {
-    let payload = encode_payload(key, value);
-    let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut out = Vec::with_capacity(record_len(key, value) as usize);
+    put_record(&mut out, key, value);
     out
 }
 
@@ -553,12 +573,17 @@ pub fn replay_bytes(bytes: &[u8]) -> Result<Replay, StoreError> {
 
 const SNAP_MAGIC: &[u8; 8] = b"ACSNAP01";
 
+/// Snapshot bytes besides its records: magic, reserved word and count in
+/// front, the body's CRC behind.
+const SNAP_FRAME: usize = SNAP_MAGIC.len() + 8 + 4 + 4;
+
 /// Encode a full-state snapshot body, for compaction and for snapshot
-/// shipping alike.  The 8 header bytes after the magic are a reserved
-/// word, always 0, that the decoder skips: shipped snapshots keep their
-/// layout.
-pub(crate) fn encode_snapshot(map: &HashMap<StoreKey, Versioned>) -> Vec<u8> {
-    let mut body = Vec::new();
+/// shipping alike.  `live` is the [`record_len`] sum of `map`, so the body
+/// is one allocation of its final size and every record is framed in
+/// place.  The 8 header bytes after the magic are a reserved word, always
+/// 0, that the decoder skips: shipped snapshots keep their layout.
+pub(crate) fn encode_snapshot(map: &HashMap<StoreKey, Versioned>, live: u64) -> Vec<u8> {
+    let mut body = Vec::with_capacity(SNAP_FRAME + live as usize);
     body.extend_from_slice(SNAP_MAGIC);
     body.extend_from_slice(&0u64.to_le_bytes());
     body.extend_from_slice(&(map.len() as u32).to_le_bytes());
@@ -566,11 +591,9 @@ pub(crate) fn encode_snapshot(map: &HashMap<StoreKey, Versioned>) -> Vec<u8> {
     let mut keys: Vec<&StoreKey> = map.keys().collect();
     keys.sort();
     for key in keys {
-        let payload = encode_payload(key, &map[key]);
-        body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        body.extend_from_slice(&crc32(&payload).to_le_bytes());
-        body.extend_from_slice(&payload);
+        put_record(&mut body, key, &map[key]);
     }
+    debug_assert_eq!(body.len() + 4, SNAP_FRAME + live as usize, "live drifted");
     let total_crc = crc32(&body);
     body.extend_from_slice(&total_crc.to_le_bytes());
     body
@@ -617,18 +640,29 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<Option<Vec<(StoreKey, Vers
 // The WAL proper
 // ---------------------------------------------------------------------------
 
+/// No log shorter than this is compacted, however little the state it
+/// logs: a snapshot of a small state is not worth its rewrite.
+pub const COMPACT_FLOOR: u64 = 256 << 10;
+
 /// Compaction policy.  Every append is synced before it is acknowledged.
+///
+/// The one rule ([`Wal::maybe_compact`]): snapshot + truncate once the log
+/// exceeds `min(cap, max(COMPACT_FLOOR, 2·live − snapshot))`, where `live`
+/// is what the state's records take in a snapshot.  That is as soon as
+/// compacting would at least halve the disk (snapshot + log), so the disk
+/// stays within about twice the state.  During a load of fresh keys the log
+/// *is* the state and never reaches twice it, so a load does not compact.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
-    /// Snapshot + truncate once the log exceeds this many bytes.
-    /// `u64::MAX` disables compaction.
+    /// The cap: a log longer than this many bytes is always compacted.
+    /// The default is [`COMPACT_FLOOR`], where the rule is this cap alone.
     pub compact_threshold: u64,
 }
 
 impl Default for WalConfig {
     fn default() -> WalConfig {
         WalConfig {
-            compact_threshold: 256 << 10,
+            compact_threshold: COMPACT_FLOOR,
         }
     }
 }
@@ -686,6 +720,8 @@ pub struct Wal {
     snapshot: Box<dyn StorageBackend>,
     /// Committed log length; appends past it that fail are truncated away.
     end: u64,
+    /// Length of the snapshot on disk, read at open and set by each commit.
+    snapshot_len: u64,
     /// Set when even torn-tail repair failed; all further appends refuse.
     broken: bool,
     stats: WalStats,
@@ -708,12 +744,15 @@ impl Wal {
 
         // A snapshot that fails validation is corruption: `replace` is
         // atomic, so there is no benign way to observe a half-written one.
-        let snap_entries = decode_snapshot(&snapshot.read_all()?)
+        let snapshot_body = snapshot.read_all()?;
+        let snapshot_len = snapshot_body.len() as u64;
+        let snap_entries = decode_snapshot(&snapshot_body)
             .map_err(|detail| StoreError::Corrupt {
                 offset: 0,
                 detail: format!("snapshot: {detail}"),
             })?
             .unwrap_or_default();
+        drop(snapshot_body); // before the map is built: one copy of the state at a time
         report.snapshot_records = snap_entries.len() as u64;
         let mut map: HashMap<StoreKey, Versioned> = HashMap::with_capacity(snap_entries.len());
         for (key, value) in snap_entries {
@@ -743,6 +782,7 @@ impl Wal {
                 log,
                 snapshot,
                 end: replay.good_len,
+                snapshot_len,
                 broken: false,
                 stats: WalStats::default(),
                 scratch: Vec::new(),
@@ -782,8 +822,13 @@ impl Wal {
         }
         self.usable()?;
         self.scratch.clear();
+        let len: u64 = entries
+            .iter()
+            .map(|(key, value)| record_len(key, value))
+            .sum();
+        self.scratch.reserve(len as usize);
         for (key, value) in entries {
-            self.scratch.extend_from_slice(&frame_record(key, value));
+            put_record(&mut self.scratch, key, value);
         }
         self.commit(entries.len() as u64)
     }
@@ -816,43 +861,64 @@ impl Wal {
     /// the snapshot, then the log is emptied.  Both replaces are durable
     /// when they return.  A crash between them leaves the new snapshot and
     /// the whole log, and replaying a log over a snapshot that already
-    /// holds its records changes nothing.
-    fn commit_snapshot(&mut self, map: &HashMap<StoreKey, Versioned>) -> Result<(), StoreError> {
-        self.snapshot.replace(encode_snapshot(map))?;
+    /// holds its records changes nothing.  `live` is `map`'s
+    /// [`record_len`] sum.
+    fn commit_snapshot(
+        &mut self,
+        map: &HashMap<StoreKey, Versioned>,
+        live: u64,
+    ) -> Result<(), StoreError> {
+        let body = encode_snapshot(map, live);
+        let len = body.len() as u64;
+        self.snapshot.replace(body)?;
+        self.snapshot_len = len;
         self.log.replace(Vec::new())?;
         self.end = 0;
         self.stats.compactions += 1;
         Ok(())
     }
 
-    /// Snapshot + truncate when the log has outgrown the threshold, by the
-    /// one snapshot commit.  `map` must hold every record the log does: the
-    /// image publishes a write before it compacts, in the same hold of its
-    /// lock.  Failures are counted, not fatal: the data is still in the log.
-    pub fn maybe_compact(&mut self, map: &HashMap<StoreKey, Versioned>) -> bool {
-        if self.broken || self.end <= self.config.compact_threshold {
+    /// Snapshot + truncate by the one snapshot commit once the log exceeds
+    /// `min(cap, max(COMPACT_FLOOR, 2·live − snapshot))` (see
+    /// [`WalConfig`]): once compacting would at least halve the disk.
+    /// `map` must hold every record the log does, and `live` is the sum of
+    /// its records' framed lengths: the image publishes a write before it
+    /// compacts, in the same hold of its lock.  Failures are counted, not
+    /// fatal: the data is still in the log.
+    pub fn maybe_compact(&mut self, map: &HashMap<StoreKey, Versioned>, live: u64) -> bool {
+        let halving = (2 * live).saturating_sub(self.snapshot_len);
+        let limit = halving
+            .max(COMPACT_FLOOR)
+            .min(self.config.compact_threshold);
+        if self.broken || self.end <= limit {
             return false;
         }
-        let committed = self.commit_snapshot(map).is_ok();
+        let committed = self.commit_snapshot(map, live).is_ok();
         self.stats.compaction_failures += !committed as u64;
         committed
     }
 
     /// Commit `map` as a full snapshot unconditionally, exactly like a
-    /// compaction but without the threshold gate.  Used when a rebuilding
-    /// replica installs a shipped snapshot: one snapshot write instead of
+    /// compaction but without its gate.  Used when a rebuilding replica
+    /// installs a shipped snapshot: one snapshot write instead of
     /// re-appending the whole keyspace record by record.
     pub fn install_snapshot(
         &mut self,
         map: &HashMap<StoreKey, Versioned>,
+        live: u64,
     ) -> Result<(), StoreError> {
         self.usable()?;
-        self.commit_snapshot(map)
+        self.commit_snapshot(map, live)
     }
 
     /// Current committed log length in bytes.
     pub fn log_len(&self) -> u64 {
         self.end
+    }
+
+    /// Length of the snapshot on disk in bytes.
+    pub fn snapshot_len(&self) -> u64 {
+        self.snapshot_len
     }
 
     /// Counters since this open.
@@ -865,6 +931,7 @@ impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Wal")
             .field("end", &self.end)
+            .field("snapshot_len", &self.snapshot_len)
             .field("broken", &self.broken)
             .field("stats", &self.stats)
             .finish()
@@ -981,7 +1048,8 @@ mod tests {
             let (k, value) = (key(&format!("k{}", i % 7)), v(i + 1, b"payload-bytes"));
             append(&mut wal, &k, &value).unwrap();
             map.insert(k, value);
-            if wal.maybe_compact(&map) {
+            let live = map.iter().map(|(k, v)| record_len(k, v)).sum();
+            if wal.maybe_compact(&map, live) {
                 compactions += 1;
             }
         }

@@ -5,7 +5,11 @@
 use ace_core::prelude::*;
 use ace_directory::{bootstrap, Framework};
 use ace_security::keys::KeyPair;
-use ace_store::{spawn_store_cluster, StoreClient, StoreCluster, StoreError};
+use ace_store::wal::COMPACT_FLOOR;
+use ace_store::{
+    spawn_sharded_store, spawn_store_cluster, StoreClient, StoreCluster, StoreError, WalConfig,
+};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn keypair() -> KeyPair {
@@ -509,4 +513,61 @@ fn replica_durability_is_on_by_default() {
 
     w.cluster.shutdown();
     w.fw.shutdown();
+}
+
+/// A replica's disk footprint is pulled over the wire: `aceStats` carries
+/// `store.<name>.liveBytes`, `wal.<name>.snapshotBytes` and
+/// `wal.<name>.logBytes`.  After an overwrite storm at acebench's 4 MiB cap
+/// every replica of the group holds the compaction rule's bound: snapshot
+/// plus log within `max(2·live, floor)`, where under the cap alone the log
+/// would still hold all six rounds.
+#[test]
+fn a_replicas_disk_footprint_is_read_over_the_wire() {
+    const KEYS: usize = 300;
+    let net = SimNet::new();
+    net.add_host("core");
+    let hosts: Vec<HostId> = ["s1", "s2", "s3"]
+        .into_iter()
+        .map(|h| {
+            net.add_host(h);
+            HostId::from(h)
+        })
+        .collect();
+    let config = WalConfig {
+        compact_threshold: 4 << 20,
+    };
+    let plane = spawn_sharded_store(&net, &hosts, 1, 3, SYNC, config).unwrap();
+    let identity = keypair();
+    let pool = Arc::new(LinkPool::new(&net, "core", identity));
+    let mut c = plane.client(&net, "core", identity, pool);
+    // 300 fresh 1 KiB keys, then five overwrites of each, 60 to a batch.
+    for round in 0..6u8 {
+        for start in (0..KEYS).step_by(60) {
+            let items: Vec<(String, Vec<u8>)> = (start..start + 60)
+                .map(|i| (format!("k{i:03}"), vec![round; 1024]))
+                .collect();
+            c.put_many("storm", &items).unwrap();
+        }
+    }
+
+    for (r, addr) in plane.placement.replicas(0).iter().enumerate() {
+        let mut link =
+            ServiceClient::connect(&net, &"core".into(), addr.clone(), &identity).unwrap();
+        let reply = link.call(&CmdLine::new("aceStats")).unwrap();
+        let gauges = StatsReport::from_cmdline(&reply).gauges;
+        let gauge =
+            |plane: &str, suffix: &str| gauges[&format!("{plane}.store-s0r{r}.{suffix}")] as u64;
+        let live = gauge("store", "liveBytes");
+        let (snapshot, log) = (gauge("wal", "snapshotBytes"), gauge("wal", "logBytes"));
+        assert!(live >= KEYS as u64 * 1024, "replica {r}: {live} B live");
+        assert!(
+            gauge("wal", "compactions") >= 1,
+            "replica {r} never compacted"
+        );
+        assert!(
+            snapshot + log <= (2 * live).max(COMPACT_FLOOR),
+            "replica {r}: {snapshot} B snapshot + {log} B log for {live} B live"
+        );
+    }
+    plane.shutdown();
 }

@@ -7,8 +7,11 @@
 
 use ace_net::fault::{StorageFault, StorageFaultHub};
 use ace_net::HostId;
-use ace_store::wal::frame_record;
-use ace_store::{DiskImage, MemStorage, StorageHandle, StoreError, Versioned, WalConfig};
+use ace_store::wal::{frame_record, COMPACT_FLOOR};
+use ace_store::{
+    DiskBytes, DiskImage, MemStorage, StorageHandle, StoreError, Versioned, WalConfig,
+};
+use std::collections::HashMap;
 
 fn value(version: u64, data: &[u8]) -> Versioned {
     Versioned {
@@ -526,4 +529,106 @@ fn reopen_fences_zombie_replica() {
     assert!(final_state.get(&key("a")).is_some());
     assert!(final_state.get(&key("b")).is_none(), "zombie write landed");
     assert!(final_state.get(&key("c")).is_some());
+}
+
+/// acebench's cap: far above the state its shard replicas hold, so the
+/// cap alone never compacts them.
+const BENCH_CAP: u64 = 4 << 20;
+
+/// The compaction rule's bound.  At a 4 MiB cap, 1,000 fresh 1 KiB keys and
+/// then 5,000 overwrites never leave more than `max(2·live, floor)` plus
+/// one record on disk (snapshot + log), where the cap alone would let the
+/// log grow to 4 MiB over a ~1 MiB state.  The image's own account of its
+/// bytes is exact after every write.  Each compaction is followed by a
+/// reopen, which must equal the map; the reopened image, whose live size
+/// recovery computed, carries on.
+#[test]
+fn a_disk_never_holds_more_than_twice_its_live_state() {
+    let storage = MemStorage::new();
+    let handle = StorageHandle::Memory(storage.clone());
+    let config = WalConfig {
+        compact_threshold: BENCH_CAP,
+    };
+    let (mut disk, _) = DiskImage::open(&handle, config.clone()).unwrap();
+    let reopen_equals = |map: &HashMap<(String, String), Versioned>| {
+        let (reopened, _) = DiskImage::open(&handle, config.clone()).unwrap();
+        assert_eq!(reopened.len(), map.len());
+        for (k, v) in map {
+            assert_eq!(reopened.get(k).as_ref(), Some(v), "{k:?} after a reopen");
+        }
+        reopened
+    };
+    let mut map = HashMap::new();
+    let (mut live, mut compactions) = (0u64, 0);
+    for i in 0..6_000u64 {
+        let (k, v) = (
+            key(&format!("k{:04}", i % 1_000)),
+            value(i + 1, &[(i % 251) as u8; 1024]),
+        );
+        let record = frame_record(&k, &v).len() as u64;
+        assert!(disk.apply(k.clone(), v.clone()).unwrap());
+        live += record;
+        if let Some(old) = map.insert(k.clone(), v) {
+            live -= frame_record(&k, &old).len() as u64;
+        }
+        let (snapshot, log) = (
+            storage.snapshot_len() as u64,
+            storage.log_bytes().len() as u64,
+        );
+        assert_eq!(
+            disk.bytes(),
+            DiskBytes {
+                live,
+                snapshot,
+                log
+            },
+            "write {i}"
+        );
+        assert!(
+            snapshot + log <= (2 * live).max(COMPACT_FLOOR) + record,
+            "write {i}: {snapshot} B snapshot + {log} B log for {live} B live"
+        );
+        if log == 0 {
+            compactions += 1;
+            disk = reopen_equals(&map);
+        }
+    }
+    assert!(compactions >= 3, "only {compactions} compactions");
+    reopen_equals(&map);
+}
+
+/// A load of fresh keys never compacts: its log *is* the state it logs,
+/// so compacting would reclaim nothing.  This is acebench's `store
+/// preload` stage, which `setup_s` times: 1,000 fresh 1 KiB keys in
+/// batches of 256 at a 4 MiB cap.  The first batch of overwrites after it
+/// does not compact either: the log is then not yet twice the state.
+#[test]
+fn fresh_keys_never_compact() {
+    let (disk, _) = DiskImage::open(
+        &StorageHandle::Memory(MemStorage::new()),
+        WalConfig {
+            compact_threshold: BENCH_CAP,
+        },
+    )
+    .unwrap();
+    let batch = |keys: std::ops::Range<u64>, version: u64| -> Vec<_> {
+        keys.map(|i| (key(&format!("k{i:04}")), value(version, &[i as u8; 1024])))
+            .collect()
+    };
+    for start in (0..1_000).step_by(256) {
+        let fresh = batch(start..(start + 256).min(1_000), 1);
+        let len = fresh.len();
+        assert_eq!(disk.apply_batch(fresh).unwrap(), len);
+    }
+    assert_eq!(
+        disk.wal_stats().unwrap().compactions,
+        0,
+        "the load compacted"
+    );
+    assert_eq!(disk.apply_batch(batch(0..256, 2)).unwrap(), 256);
+    assert_eq!(
+        disk.wal_stats().unwrap().compactions,
+        0,
+        "the first overwrites compacted"
+    );
 }
