@@ -224,6 +224,7 @@ impl ServiceBehavior for OPhone {
                     return Reply::err(ErrorCode::BadState, "not in a call");
                 };
                 self.state = CallState::Idle;
+                // The peer counts a failure: `cmd.errors.onHangup.<code>`.
                 ctx.send_async(
                     peer,
                     CmdLine::new("onHangup").arg("session", session.as_str()),

@@ -174,7 +174,7 @@ fn temporary_apps_are_not_relaunched() {
 
 /// A robust app's checkpoints leave through its daemon's own pool, so its
 /// `aceStats` counts them: every increment is a quorum write to the three
-/// replicas.
+/// replicas.  (None are counted if the store client leaves the pool.)
 #[test]
 fn a_robust_apps_checkpoints_leave_through_its_daemons_pool() {
     let net = SimNet::new();
@@ -218,7 +218,8 @@ fn a_robust_apps_checkpoints_leave_through_its_daemons_pool() {
 
 /// A robust app that could not read its checkpoint at start refuses its
 /// verbs until it can, rather than serving from 0 and then writing its
-/// fresh count over the saved state.
+/// fresh count over the saved state.  Fails if a load error other than
+/// `NotFound` counts as "no checkpoint".
 #[test]
 fn a_robust_app_that_cannot_load_its_checkpoint_never_overwrites_it() {
     let net = SimNet::new();

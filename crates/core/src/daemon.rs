@@ -447,6 +447,7 @@ impl Daemon {
             panics: metrics.counter("control.panics"),
             errors: metrics.counter("cmd.errors"),
             verb_hists: HashMap::new(),
+            verb_errors: HashMap::new(),
         };
         let lease = LeaseState::new(
             pool,
@@ -1238,6 +1239,9 @@ struct Control {
     /// Per-verb service-time histograms, cached so the hot path never takes
     /// the registry lock after a verb's first execution.
     verb_hists: HashMap<String, Arc<Histogram>>,
+    /// `cmd.errors` by verb and code (`cmd.errors.<verb>.<code>`), cached
+    /// like `verb_hists`: what a cast's sender never hears is read here.
+    verb_errors: HashMap<(String, ErrorCode), Arc<Counter>>,
 }
 
 impl Control {
@@ -1375,10 +1379,18 @@ impl Control {
         let now = self.ctx.net().clock().now();
         hist.record(now.saturating_duration_since(started));
         // §2.5: notifications fire after the command has executed.
-        if response.is_ok() {
-            self.fire_notifications(cmd);
-        } else {
-            self.errors.incr();
+        match &response {
+            Reply::Ok(_) => self.fire_notifications(cmd),
+            Reply::Err { code, .. } => {
+                self.errors.incr();
+                self.verb_errors
+                    .entry((cmd.name().to_string(), *code))
+                    .or_insert_with(|| {
+                        let name = format!("cmd.errors.{}.{}", cmd.name(), code.as_word());
+                        self.ctx.metrics().counter(&name)
+                    })
+                    .incr();
+            }
         }
         self.settle();
         response
@@ -1549,6 +1561,7 @@ impl Control {
     fn fire_notifications(&self, executed: &CmdLine) {
         for registration in self.registry.listeners(executed.name()) {
             let n = NotificationRegistry::notification_cmd(registration, self.ctx.name(), executed);
+            // The listener counts a failure: `cmd.errors.<notifyCmd>.<code>`.
             self.ctx.send_async(registration.addr.clone(), n);
         }
     }

@@ -427,7 +427,8 @@ mod tests {
     }
 
     /// Invariant: a schedule is one logical request, so starting it pays in
-    /// one call's share — the deposit no caller has to remember.
+    /// one call's share — the deposit no caller has to remember.  (Fails if
+    /// `start` makes no deposit.)
     #[test]
     fn starting_a_schedule_deposits_one_calls_share() {
         let budget = Arc::new(RetryBudget::new(1, 0.5));

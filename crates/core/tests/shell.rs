@@ -583,7 +583,8 @@ fn answers_until_closed(link: &mut SecureLink) -> Vec<(ErrorCode, Option<i64>)> 
 /// Invariant: a stopping daemon answers every frame it has buffered, not one
 /// per session — a call and five casts behind a held handler get six
 /// refusals, the casts by ordinal, so each unread cast is a counted drop (or
-/// a re-send) at its sender instead of a silent loss.
+/// a re-send) at its sender instead of a silent loss.  Fails if the final
+/// sweep stops at a session's first frame.
 #[test]
 fn a_stopping_daemon_answers_every_buffered_frame_not_one_per_session() {
     let rig = rig();
@@ -611,7 +612,8 @@ fn a_stopping_daemon_answers_every_buffered_frame_not_one_per_session() {
 /// lane drains first by design, and the stop goes up while a handler holds
 /// the task with the bulk lane's rest queued behind it: the stop returns
 /// within the handler's time, and every queued command gets exactly one
-/// `E_INTERNAL` and does not run.
+/// `E_INTERNAL` and does not run.  Fails if the `stop` flag is read only
+/// when the queue is empty.
 fn a_stop_lands_behind_full_lanes(stop: fn(&DaemonHandle)) {
     let rig = rig_admitting(AdmissionConfig {
         priority_capacity: 2,
@@ -721,6 +723,74 @@ fn a_snapshot_is_carried_as_bytes_not_as_hex_of_hex() {
     assert_eq!(opened, Stateful::state());
     let frame = reply.to_frame().len();
     assert!(frame < 1200, "the quiesce reply is {frame} bytes");
+    drop(daemon);
+    pool.shutdown();
+}
+
+// -- failures by verb and code ------------------------------------------------
+
+/// Refuses `stale` with `E_BADSTATE` and `missing` with `E_NOTFOUND`.
+struct Refuser;
+
+impl ServiceBehavior for Refuser {
+    fn semantics(&self) -> Semantics {
+        Semantics::new()
+            .with(CmdSpec::new("stale", "always refused: out of date"))
+            .with(CmdSpec::new("missing", "always refused: not found"))
+    }
+    fn handle(&mut self, _ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
+        match cmd.name() {
+            "stale" => Reply::err(ErrorCode::BadState, "out of date"),
+            _ => Reply::err(ErrorCode::NotFound, "not found"),
+        }
+    }
+}
+
+/// A failure its sender never hears — a cast that ran and failed — is read
+/// at the receiver: `aceStats` answers one `cmd.errors.<verb>.<code>` line
+/// per verb and code, and those lines sum to `cmd.errors`.
+#[test]
+fn errors_are_counted_by_verb_and_code() {
+    let net = SimNet::new();
+    net.add_host("srv");
+    net.add_host("cli");
+    let pool = Runtime::new(2);
+    let config = DaemonConfig::new("refuser", "Service.Probe", "lab", "srv", 7100)
+        .with_runtime_pool(pool.clone());
+    let daemon = Daemon::spawn(&net, config, Box::new(Refuser)).unwrap();
+    let me = KeyPair::generate(&mut rand::thread_rng());
+    let conn = net.connect(&"cli".into(), daemon.addr().clone()).unwrap();
+    let mut link = SecureLink::connect(conn, &me).unwrap();
+
+    // Two casts that run and fail are answered to no one; the calls behind
+    // them are answered with their refusals.
+    link.send_cast(&CmdLine::new("missing")).unwrap();
+    link.send_cast(&CmdLine::new("missing")).unwrap();
+    link.send_cmd(&CmdLine::new("missing")).unwrap();
+    link.send_cmd(&CmdLine::new("stale")).unwrap();
+    assert_eq!(answer(&mut link).unwrap_err(), ErrorCode::NotFound);
+    assert_eq!(answer(&mut link).unwrap_err(), ErrorCode::BadState);
+
+    link.send_cmd(&CmdLine::new("aceStats").arg("prefix", "cmd.errors"))
+        .unwrap();
+    let stats = StatsReport::from_cmdline(&answer(&mut link).expect("aceStats"));
+    let by_verb: Vec<(&str, u64)> = stats
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("cmd.errors."))
+        .map(|(name, &n)| (name.as_str(), n))
+        .collect();
+    assert_eq!(
+        by_verb,
+        [
+            ("cmd.errors.missing.E_NOTFOUND", 3),
+            ("cmd.errors.stale.E_BADSTATE", 1)
+        ]
+    );
+    assert_eq!(
+        stats.counters["cmd.errors"],
+        by_verb.iter().map(|&(_, n)| n).sum::<u64>()
+    );
     drop(daemon);
     pool.shutdown();
 }

@@ -96,7 +96,8 @@ impl ServiceBehavior for IdMonitor {
                 // Scenario 2: "the ID Monitor service then updates John's
                 // current location with the AUD."
                 // Nothing here reads the AUD's answer: a cast, queued ahead
-                // of the `userAt` fired below.
+                // of the `userAt` fired below.  The AUD counts a failure:
+                // `cmd.errors.setLocation.<code>`.
                 if let Some(aud) = aud_addr(ctx) {
                     ctx.send_async(
                         aud,

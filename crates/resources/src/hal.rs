@@ -47,13 +47,16 @@ impl Hal {
         format!("hrm_{host}")
     }
 
+    /// Tell the local HRM about a load change.  A report that fails is
+    /// counted (`load.reportFailures`) and logged, never dropped unseen.
     fn report_load(&mut self, ctx: &mut ServiceCtx, cmd_name: &str, load: f64, mem: i64) {
         let name = Self::hrm_name(ctx.host().as_str());
         if let Ok(Some(hrm)) = ctx.lookup_one(&name) {
-            let _ = ctx.call(
-                &hrm.addr,
-                &CmdLine::new(cmd_name).arg("load", load).arg("mem", mem),
-            );
+            let report = CmdLine::new(cmd_name).arg("load", load).arg("mem", mem);
+            if let Err(e) = ctx.call(&hrm.addr, &report) {
+                ctx.metrics().counter("load.reportFailures").incr();
+                ctx.log("warn", format!("`{cmd_name}` to {name} failed: {e}"));
+            }
         }
     }
 }

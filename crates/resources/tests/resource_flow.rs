@@ -288,3 +288,34 @@ fn sal_survives_dead_hal_host() {
     }
     w.fw.shutdown();
 }
+
+/// The HAL's count of load reports that failed, if it has counted any.
+fn report_failures(hal: &mut ServiceClient) -> Option<u64> {
+    let stats = hal
+        .call(&CmdLine::new("aceStats").arg("prefix", "load."))
+        .unwrap();
+    StatsReport::from_cmdline(&stats)
+        .counters
+        .get("load.reportFailures")
+        .copied()
+}
+
+/// A load report that fails is counted in the HAL's registry and logged,
+/// not dropped: with its HRM crashed (still listed until its lease lapses)
+/// a launch still answers, and the HAL's `aceStats` reads one
+/// `load.reportFailures`.
+#[test]
+fn a_failed_load_report_is_counted() {
+    let w = world(&["bar"]);
+    let me = keypair();
+    let hal_addr = Addr::new("bar", ace_resources::HAL_PORT);
+    let mut hal = ServiceClient::connect(&w.net, &"core".into(), hal_addr, &me).unwrap();
+    let launch = CmdLine::new("launchApp").arg("app", Value::Str("netscape".into()));
+
+    hal.call(&launch).unwrap();
+    assert_eq!(report_failures(&mut hal), None);
+    w.host_daemons[0].0.crash();
+    hal.call(&launch).unwrap();
+    assert_eq!(report_failures(&mut hal), Some(1));
+    w.teardown();
+}

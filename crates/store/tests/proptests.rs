@@ -170,7 +170,8 @@ proptest! {
 
     /// Invariant: the tree an image maintains incrementally is the tree of
     /// its digest, whatever mix of single writes, batches, snapshot
-    /// installs, compactions and crash-reopens produced it.
+    /// installs, compactions and crash-reopens produced it.  (Fails if a
+    /// write compacts before it is published.)
     #[test]
     fn tree_tracks_the_digest_through_every_mutation(
         steps in prop::collection::vec(

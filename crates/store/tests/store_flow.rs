@@ -237,6 +237,7 @@ fn crashed_replica_recovers_via_anti_entropy() {
 /// A respawn reopens the replica's storage instead of reusing the image in
 /// memory: the image it replaces is fenced, the successor recovers the
 /// acknowledged writes from the log, and it registers one incarnation up.
+/// Fails if a respawn reuses the live image.
 #[test]
 fn a_respawned_replica_fences_the_instance_it_replaces() {
     let mut w = world();
@@ -295,7 +296,8 @@ fn a_respawned_replica_fences_the_instance_it_replaces() {
 
 /// Anti-entropy needs no directory: a replica syncs with the rest of its
 /// group, named at spawn, so with the ASD down a write that reached one
-/// replica still reaches all three.
+/// replica still reaches all three.  Fails if a replica asks the directory
+/// for its peers.
 #[test]
 fn anti_entropy_runs_with_the_directory_down() {
     let w = world();

@@ -346,7 +346,8 @@ fn bit_flip_is_detected_and_leads_to_controlled_reset() {
 }
 
 /// Compaction under a crash: killing the replica right after the log has
-/// been compacted into a snapshot still recovers the full state.
+/// been compacted into a snapshot still recovers the full state.  (Fails if
+/// a write compacts before it is published.)
 #[test]
 fn recovery_after_compaction_sees_snapshot_plus_tail() {
     let handle = StorageHandle::Memory(MemStorage::new());
@@ -379,7 +380,9 @@ fn recovery_after_compaction_sees_snapshot_plus_tail() {
 /// three writes: the log append whose record pushes the log over the
 /// threshold, the snapshot replace, and the log reset.  Invariants: a crash
 /// armed at any step reopens with every acked write; and a compaction that
-/// ran to the end leaves nothing in the log to replay.
+/// ran to the end leaves nothing in the log to replay.  Fails if the log is
+/// emptied before the snapshot lands, or if a write compacts before it is
+/// published.
 #[test]
 fn a_compaction_keeps_one_slot_and_a_crash_at_any_step_loses_no_acked_write() {
     const THRESHOLD: u64 = 512;
@@ -541,7 +544,8 @@ const BENCH_CAP: u64 = 4 << 20;
 /// log grow to 4 MiB over a ~1 MiB state.  The image's own account of its
 /// bytes is exact after every write.  Each compaction is followed by a
 /// reopen, which must equal the map; the reopened image, whose live size
-/// recovery computed, carries on.
+/// recovery computed, carries on.  Fails under the cap-only gate, and with
+/// `live` not decremented on an overwrite.
 #[test]
 fn a_disk_never_holds_more_than_twice_its_live_state() {
     let storage = MemStorage::new();
@@ -602,6 +606,8 @@ fn a_disk_never_holds_more_than_twice_its_live_state() {
 /// preload` stage, which `setup_s` times: 1,000 fresh 1 KiB keys in
 /// batches of 256 at a 4 MiB cap.  The first batch of overwrites after it
 /// does not compact either: the log is then not yet twice the state.
+/// Fails under "compact once the log exceeds the snapshot" and under
+/// "compact once the log exceeds the live state".
 #[test]
 fn fresh_keys_never_compact() {
     let (disk, _) = DiskImage::open(

@@ -257,7 +257,7 @@ mod tests {
     }
 
     /// A blank workspace holds no grid however it is read, and the first
-    /// draw allocates all of it.
+    /// draw allocates all of it.  (Fails if `new` allocates.)
     #[test]
     fn a_blank_framebuffer_holds_no_tiles_until_drawn() {
         let mut fb = Framebuffer::new(1024, 768);
@@ -271,7 +271,8 @@ mod tests {
     }
 
     /// A viewer that took a blank server's attach-time full frame holds no
-    /// grid either, and the two are equal.
+    /// grid either, and the two are equal.  (Fails if `apply` writes a tile
+    /// it already reads.)
     #[test]
     fn a_viewer_of_a_blank_server_holds_no_tiles() {
         let server = Framebuffer::new(1024, 768);

@@ -138,7 +138,8 @@ impl Wss {
         access_host: &str,
     ) -> Reply {
         // The viewer's placement is the SAL's business, not this reply's: a
-        // cast, queued ahead of the `workspaceReady` fired below.
+        // cast, queued ahead of the `workspaceReady` fired below.  The SAL
+        // counts a failure: `cmd.errors.launch.<code>`.
         if let Some(sal) = Self::sal_addr(ctx) {
             ctx.send_async(
                 sal,
@@ -271,7 +272,8 @@ impl ServiceBehavior for Wss {
                     return Reply::err(ErrorCode::NotFound, format!("no workspace {name}"));
                 };
                 let record = list.remove(pos);
-                // Nobody reads the VNC host's answer: a cast.
+                // Nobody reads the VNC host's answer: a cast.  The VNC host
+                // counts a failure: `cmd.errors.vncClose.<code>`.
                 ctx.send_async(
                     record.vnc_addr,
                     CmdLine::new("vncClose").arg("session", record.session.as_str()),

@@ -70,7 +70,8 @@ fn scenario1_new_user_and_workspace() {
 
 /// Scenarios 2 + 3: identification at the podium updates the user's
 /// location and brings the workspace to the access point (the Fig. 19
-/// step sequence).
+/// step sequence); every command refused along the way is read by verb and
+/// code.
 #[test]
 fn scenario2_and_3_identify_and_show_workspace() {
     let ace = env();
@@ -115,7 +116,56 @@ fn scenario2_and_3_identify_and_show_workspace() {
     let reply = ace.press_finger("fp_mallory").unwrap();
     assert_eq!(reply.get_bool("identified"), Some(false));
 
+    assert_every_refusal_is_read_by_verb_and_code(&ace);
     ace.shutdown();
+}
+
+/// Every command a daemon refused is accounted by verb and code: each
+/// daemon's `aceStats` reads a `cmd.errors` equal to the sum of its
+/// `cmd.errors.<verb>.<code>` lines, so a cast that failed where its sender
+/// cannot hear it is still read, and by what.
+fn assert_every_refusal_is_read_by_verb_and_code(ace: &AceEnvironment) {
+    // The viewer's launch is a cast: wait until the SAL has served both
+    // launches (the default workspace's server and the viewer).
+    let mut sal = ace.client("sal").unwrap();
+    assert!(wait_until(Duration::from_secs(10), || {
+        sal.call(&CmdLine::new("aceStats").arg("prefix", "cmd.launch"))
+            .map(|r| {
+                StatsReport::from_cmdline(&r)
+                    .histograms
+                    .get("cmd.launch")
+                    .is_some_and(|h| h.count >= 2)
+            })
+            .unwrap_or(false)
+    }));
+
+    let framework = [&ace.fw.asd, &ace.fw.roomdb, &ace.fw.logger];
+    let store = ace.store.iter().flatten().map(|(handle, _)| handle);
+    let daemons: Vec<&DaemonHandle> = ace.daemons.values().chain(framework).chain(store).collect();
+    assert!(daemons.len() > 10, "{} daemons", daemons.len());
+    for daemon in daemons {
+        let mut client =
+            ServiceClient::connect(&ace.net, &"core".into(), daemon.addr().clone(), &ace.admin)
+                .unwrap();
+        let stats = StatsReport::from_cmdline(
+            &client
+                .call(&CmdLine::new("aceStats").arg("prefix", "cmd.errors"))
+                .unwrap(),
+        );
+        let by_verb: u64 = stats
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("cmd.errors."))
+            .map(|(_, n)| n)
+            .sum();
+        assert_eq!(
+            stats.counters["cmd.errors"],
+            by_verb,
+            "{}: {:?}",
+            daemon.name(),
+            stats.counters
+        );
+    }
 }
 
 /// Scenario 4: with two workspaces the selector is raised instead of an
@@ -320,7 +370,8 @@ fn environment_store_roundtrip() {
 }
 
 /// A store replica upgraded in place keeps syncing with its group: a write
-/// that reached `store_2` alone lands on `store_1`'s disk.
+/// that reached `store_2` alone lands on `store_1`'s disk.  Fails if
+/// `default_replacement` drops the replica's peers.
 #[test]
 fn an_upgraded_store_replica_keeps_syncing() {
     let mut ace = env();
