@@ -1424,10 +1424,6 @@ impl Control {
         }
         let incarnation = self.ctx.config.incarnation;
         match cmd.get_text("phase") {
-            Some("status") => Reply::ok_with(|c| {
-                c.arg("upgrading", self.upgrading.load(Ordering::SeqCst))
-                    .arg("incarnation", incarnation)
-            }),
             Some("abort") => {
                 self.upgrading.store(false, Ordering::SeqCst);
                 self.ctx
@@ -1470,10 +1466,7 @@ impl Control {
                     c
                 })
             }
-            _ => Reply::err(
-                ErrorCode::Semantics,
-                "phase must be quiesce | abort | status",
-            ),
+            _ => Reply::err(ErrorCode::Semantics, "phase must be quiesce | abort"),
         }
     }
 

@@ -85,7 +85,7 @@ pub use daemon::{Daemon, DaemonConfig, DaemonHandle, SpawnError};
 pub use failover::{FailoverClient, ResolutionCache, ResolutionInvalidator};
 pub use link::{LinkError, SecureLink, TicketCache, TicketVault};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, RegistrySnapshot, StatsReport};
-pub use notify::{NotificationRegistry, Notifier, NotifierTask, Registration};
+pub use notify::{NotificationRegistry, Registration};
 pub use placement::GroupMap;
 pub use pool::{LinkPool, PooledLink};
 pub use protocol::{ServiceEntry, ASD_PORT, LOGGER_PORT, ROOMDB_PORT};
@@ -94,7 +94,7 @@ pub use retry::{Retry, RetryBudget, RetryPolicy};
 pub use runtime::{Runtime, RuntimeTask, TaskContext, TaskHandle, TaskPoll};
 pub use supervise::{
     live_upgrade, Respawn, RespawnFn, RestartPolicy, SupervisedSpec, Supervisor, SupervisorReport,
-    UpgradeError, UpgradeFn, UpgradeStats,
+    UpgradeError, UpgradeStats,
 };
 
 /// Everything needed to implement and run a service.

@@ -198,9 +198,9 @@ impl NotificationRegistry {
 
 /// One queued outbound message.
 #[derive(Debug)]
-pub struct Outbound {
-    pub addr: Addr,
-    pub cmd: CmdLine,
+struct Outbound {
+    addr: Addr,
+    cmd: CmdLine,
 }
 
 /// Asynchronous outbound delivery: a worker (a cooperative task on the
@@ -208,7 +208,7 @@ pub struct Outbound {
 ///
 /// Used for notifications and fire-and-forget logging so the control plane
 /// never blocks on a slow or dead listener.
-pub struct Notifier {
+pub(crate) struct Notifier {
     /// `Option` so `Drop` can release the sender *before* waking the
     /// delivery task — otherwise the task would observe a still-connected
     /// channel and miss the disconnect.
@@ -222,7 +222,7 @@ impl Notifier {
     /// spawned on a [`crate::runtime::Runtime`] and sends over `pool`,
     /// paying for re-sends out of `retry_budget`.  Delivery outcomes are
     /// recorded in `metrics` (see the module docs).
-    pub fn new(
+    pub(crate) fn new(
         pool: Arc<LinkPool>,
         metrics: &Arc<MetricsRegistry>,
         retry_budget: Arc<RetryBudget>,
@@ -249,7 +249,7 @@ impl Notifier {
     /// Queue one message for delivery.  Returns `false` if the worker has
     /// stopped or the queue is full (the message is shed, never blocking
     /// the caller — typically the daemon's control role).
-    pub fn send(&self, addr: Addr, cmd: CmdLine) -> bool {
+    pub(crate) fn send(&self, addr: Addr, cmd: CmdLine) -> bool {
         let Some(tx) = &self.tx else { return false };
         match tx.try_send(Outbound { addr, cmd }) {
             Ok(()) => {
@@ -685,7 +685,7 @@ impl DeliveryState {
 }
 
 /// The delivery worker; see [`Notifier::new`].
-pub struct NotifierTask {
+pub(crate) struct NotifierTask {
     rx: Receiver<Outbound>,
     /// The head of the queue, taken off it and waiting: its listener is a
     /// whole window behind.

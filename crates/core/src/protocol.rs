@@ -11,7 +11,7 @@
 //! §2.5).
 
 use crate::client::ClientError;
-use ace_lang::{ArgType, CmdLine, CmdSpec, ErrorCode, Scalar, Semantics};
+use ace_lang::{ArgType, CmdLine, CmdSpec, ErrorCode, Semantics};
 use ace_security::hash::fnv64;
 
 /// Well-known port of the ACE Service Directory ("the location of which is
@@ -88,9 +88,9 @@ pub fn base_semantics() -> Semantics {
         .with(
             CmdSpec::new(
                 "aceUpgrade",
-                "live-upgrade control: quiesce (drain + snapshot), abort, status",
+                "live-upgrade control: quiesce (drain + snapshot), abort",
             )
-            .required("phase", ArgType::Word, "quiesce | abort | status"),
+            .required("phase", ArgType::Word, "quiesce | abort"),
         )
 }
 
@@ -206,23 +206,6 @@ pub fn logger_semantics() -> Semantics {
                 .optional("level", ArgType::Word, "filter by level"),
         )
         .with(CmdSpec::new("logStats", "record counts by level"))
-        .with(
-            CmdSpec::new("event", "append one typed event record")
-                .required("service", ArgType::Word, "originating service")
-                .required("kind", ArgType::Word, "event kind, e.g. stats")
-                .required(
-                    "data",
-                    ArgType::Blob,
-                    "wire-form command carrying the event fields",
-                )
-                .optional("host", ArgType::Word, "originating host"),
-        )
-        .with(
-            CmdSpec::new("queryEvents", "typed event records for one service")
-                .required("service", ArgType::Word, "originating service")
-                .optional("kind", ArgType::Word, "filter by event kind")
-                .optional("count", ArgType::Int, "how many records (default 10)"),
-        )
 }
 
 /// Commands a scale-out persistent-store replica understands on top of
@@ -280,7 +263,8 @@ pub fn store_scaleout_semantics() -> Semantics {
 /// text form of.
 pub use ace_lang::{hex_decode, hex_encode};
 
-/// Seal a behavior state snapshot for transport and storage.
+/// Seal a behavior state snapshot for its trip from the quiesce reply to
+/// the replacement.
 ///
 /// The payload is a command line (the same vocabulary state travels in on
 /// the wire), framed with its kind and an FNV-1a checksum so that a torn
@@ -324,47 +308,6 @@ pub fn open_snapshot(kind: &str, bytes: &[u8]) -> Result<CmdLine, String> {
     let inner_text =
         std::str::from_utf8(&inner).map_err(|_| "snapshot payload is not text".to_string())?;
     CmdLine::parse(inner_text).map_err(|e| format!("snapshot payload does not parse: {e}"))
-}
-
-/// The one representation of values in batch rows, on both planes (the
-/// store's `psPutBatch` items, the Net Logger's
-/// `queryEvents` rows): every row ends in a cell holding its value's length,
-/// and the values travel concatenated, in row order, as a single blob
-/// argument beside the array.  Returns `(rows, blob)`.
-pub fn pack_values<'a>(
-    rows: impl Iterator<Item = (Vec<Scalar>, &'a [u8])>,
-) -> (Vec<Vec<Scalar>>, Vec<u8>) {
-    let mut blob = Vec::new();
-    let rows = rows
-        .map(|(mut row, value)| {
-            row.push(Scalar::Str(value.len().to_string()));
-            blob.extend_from_slice(value);
-            row
-        })
-        .collect();
-    (rows, blob)
-}
-
-/// Undo [`pack_values`]: each row (its length cell still last) with its
-/// value.  `None` unless every row has `cells` cells plus a length and the
-/// lengths use up the blob exactly.
-pub fn unpack_values<'a>(
-    rows: &'a [Vec<Scalar>],
-    mut blob: &'a [u8],
-    cells: usize,
-) -> Option<Vec<(&'a [Scalar], &'a [u8])>> {
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        let (len, row) = row.split_last()?;
-        let len: usize = len.as_text()?.parse().ok()?;
-        if row.len() != cells || len > blob.len() {
-            return None;
-        }
-        let (value, rest) = blob.split_at(len);
-        blob = rest;
-        out.push((row, value));
-    }
-    blob.is_empty().then_some(out)
 }
 
 /// A directory entry as returned by ASD `lookup` replies.

@@ -61,20 +61,12 @@ impl From<DaemonHandle> for Respawn {
 /// the new instance must recover (disk images, checkpoints, ports).
 pub type RespawnFn = Box<dyn FnMut(&SimNet) -> Result<Respawn, SpawnError> + Send>;
 
-/// How a *replacement behavior* for a live upgrade is created.  Unlike
-/// [`RespawnFn`] it builds an unspawned behavior: the upgrade protocol
-/// itself decides when the old instance retires and the new one starts.
-pub type UpgradeFn = Box<dyn FnMut() -> Box<dyn ServiceBehavior> + Send>;
-
 /// One service under supervision.
 pub struct SupervisedSpec {
     /// The ASD registration name to watch.
     pub name: String,
     /// Factory invoked to bring a failed instance back.
     pub respawn: RespawnFn,
-    /// Factory for a live-upgrade replacement behavior; enables the
-    /// `upgradeService` verb for this service.
-    pub upgrade: Option<UpgradeFn>,
 }
 
 impl SupervisedSpec {
@@ -82,15 +74,7 @@ impl SupervisedSpec {
         SupervisedSpec {
             name: name.into(),
             respawn,
-            upgrade: None,
         }
-    }
-
-    /// Enable wire-driven live upgrades (`upgradeService name=<w>`) with
-    /// `factory` building each replacement behavior.
-    pub fn with_upgrade(mut self, factory: UpgradeFn) -> SupervisedSpec {
-        self.upgrade = Some(factory);
-        self
     }
 }
 
@@ -220,16 +204,6 @@ impl Supervisor {
     /// cadence is also bounded below by `DaemonConfig::tick`).
     pub fn with_probe_interval(mut self, interval: Duration) -> Supervisor {
         self.probe_interval = interval;
-        self
-    }
-
-    /// Hand the supervisor an already-running instance of a supervised
-    /// service, making it eligible for `upgradeService` before its first
-    /// respawn.  Handles for unknown names are dropped (shut down).
-    pub fn adopt(mut self, handle: DaemonHandle) -> Supervisor {
-        if let Some(s) = self.services.get_mut(handle.name()) {
-            s.handle = Some(handle);
-        }
         self
     }
 
@@ -387,64 +361,6 @@ impl Supervisor {
         }
     }
 
-    /// Live-upgrade a supervised service whose handle this supervisor owns:
-    /// quiesce → snapshot → swap to `replacement` under the next
-    /// incarnation (see [`live_upgrade`]).  On an abort-class failure the
-    /// old instance keeps serving and stays supervised; if the replacement
-    /// fails to spawn after the old one retired, the service is marked down
-    /// so the normal respawn factory brings it back.
-    pub fn upgrade(
-        &mut self,
-        ctx: &mut ServiceCtx,
-        name: &str,
-        config: DaemonConfig,
-        replacement: Box<dyn ServiceBehavior>,
-    ) -> Result<UpgradeStats, UpgradeError> {
-        let net = ctx.net().clone();
-        let host = ctx.host().clone();
-        let driver = *ctx.identity();
-        let Some(s) = self.services.get_mut(name) else {
-            return Err(UpgradeError::Protocol(format!("{name} is not supervised")));
-        };
-        let Some(old) = s.handle.take() else {
-            return Err(UpgradeError::Protocol(format!(
-                "{name} has no supervised instance to upgrade"
-            )));
-        };
-        match live_upgrade(&net, &host, &driver, &old, config, replacement, None) {
-            Ok((handle, stats)) => {
-                s.handle = Some(handle);
-                s.state = ServiceState::Watching { failures: 0 };
-                ctx.log(
-                    "info",
-                    format!(
-                        "upgraded {name} to incarnation {} (pause {:?}, {} verbs drained)",
-                        old.incarnation() + 1,
-                        stats.pause,
-                        stats.drained
-                    ),
-                );
-                Ok(stats)
-            }
-            Err(e @ UpgradeError::Spawn(_)) => {
-                // The old instance already retired; let the respawn factory
-                // bring the service back.
-                s.state = ServiceState::Pending {
-                    attempt: 0,
-                    next_try: net.clock().now(),
-                };
-                ctx.log("error", format!("upgrade of {name} failed mid-swap: {e}"));
-                Err(e)
-            }
-            Err(e) => {
-                // Aborted before the swap: the old instance keeps serving.
-                s.handle = Some(old);
-                ctx.log("warn", format!("upgrade of {name} aborted: {e}"));
-                Err(e)
-            }
-        }
-    }
-
     fn run_probes(&mut self, ctx: &mut ServiceCtx) {
         let now = ctx.net().clock().now();
         if self
@@ -483,13 +399,6 @@ impl ServiceBehavior for Supervisor {
                 "superviseStats",
                 "supervision counters and state",
             ))
-            .with(
-                CmdSpec::new("upgradeService", "live-upgrade a supervised service").required(
-                    "name",
-                    ArgType::Word,
-                    "the supervised service to hot-swap",
-                ),
-            )
     }
 
     fn handle(&mut self, ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
@@ -515,34 +424,6 @@ impl ServiceBehavior for Supervisor {
                     Some(ServiceState::Watching { .. })
                 );
                 Reply::ok_with(|c| c.arg("restarted", restarted))
-            }
-            "upgradeService" => {
-                let Some(name) = cmd.get_text("name").map(str::to_string) else {
-                    return Reply::err(ErrorCode::Semantics, "upgradeService needs name");
-                };
-                let Some(s) = self.services.get_mut(&name) else {
-                    return Reply::err(ErrorCode::NotFound, format!("{name} is not supervised"));
-                };
-                let Some(make) = s.spec.upgrade.as_mut() else {
-                    return Reply::err(
-                        ErrorCode::BadState,
-                        format!("{name} has no upgrade factory"),
-                    );
-                };
-                let replacement = make();
-                let Some(config) = s.handle.as_ref().map(|h| h.config().clone()) else {
-                    return Reply::err(
-                        ErrorCode::BadState,
-                        format!("{name} has no supervised instance to upgrade"),
-                    );
-                };
-                match self.upgrade(ctx, &name, config, replacement) {
-                    Ok(stats) => Reply::ok_with(|c| {
-                        c.arg("drained", stats.drained as i64)
-                            .arg("pauseMs", stats.pause.as_millis() as i64)
-                    }),
-                    Err(e) => Reply::err(ErrorCode::Internal, format!("upgrade failed: {e}")),
-                }
             }
             "superviseStats" => {
                 let report = self.report();
@@ -608,8 +489,9 @@ pub struct UpgradeStats {
 
 /// Why a live upgrade did not complete.  Every variant except [`Spawn`]
 /// leaves the old incarnation serving (the swap is aborted before it
-/// retires); `Spawn` means the old instance already retired and the
-/// supervisor must bring the service back through its respawn factory.
+/// retires); `Spawn` means the old instance already retired, and a
+/// supervised service is then found down by its probe and its lease lapse
+/// like any dead instance.
 ///
 /// [`Spawn`]: UpgradeError::Spawn
 #[derive(Debug)]
@@ -621,9 +503,6 @@ pub enum UpgradeError {
     /// The replacement behavior refused the snapshot (torn, corrupted, or
     /// of the wrong kind); aborted, old incarnation keeps serving.
     Restore(String),
-    /// Persisting the snapshot failed; aborted, old incarnation keeps
-    /// serving.
-    Persist(String),
     /// The replacement failed to spawn *after* the old instance retired.
     Spawn(SpawnError),
 }
@@ -634,16 +513,11 @@ impl std::fmt::Display for UpgradeError {
             UpgradeError::Quiesce(e) => write!(f, "quiesce: {e}"),
             UpgradeError::Protocol(msg) => write!(f, "protocol: {msg}"),
             UpgradeError::Restore(msg) => write!(f, "restore refused: {msg}"),
-            UpgradeError::Persist(msg) => write!(f, "snapshot persist failed: {msg}"),
             UpgradeError::Spawn(e) => write!(f, "replacement spawn failed: {e}"),
         }
     }
 }
 impl std::error::Error for UpgradeError {}
-
-/// Hook invoked with the sealed snapshot before the swap commits — the env
-/// layer persists it through the store client for durability/forensics.
-pub type PersistFn<'a> = &'a mut dyn FnMut(&str, &[u8]) -> Result<(), String>;
 
 /// Hot-swap a running daemon with zero dropped sessions (ROADMAP item 3).
 ///
@@ -652,13 +526,13 @@ pub type PersistFn<'a> = &'a mut dyn FnMut(&str, &[u8]) -> Result<(), String>;
 /// 1. **Quiesce** — `aceUpgrade phase=quiesce` closes the daemon's command
 ///    gate (new verbs bounce with retryable `E_UPGRADING`), drains every
 ///    in-flight verb to completion, snapshots behavior state, and exports
-///    the notification registry.
+///    the notification registry.  A quiesce that fails is followed by an
+///    `aceUpgrade phase=abort`, best effort: its reply may be what was lost
+///    while the gate did shut.
 /// 2. **Restore** — the replacement behavior rebuilds from the snapshot
 ///    *before* anything is torn down; a refusal (checksum mismatch, wrong
 ///    kind) aborts the swap and re-opens the old daemon's gate.
-/// 3. **Persist** — the sealed snapshot is handed to `persist` (store
-///    write) so the state survives even a botched swap.
-/// 4. **Swap** — the old instance retires (graceful stop, *no*
+/// 3. **Swap** — the old instance retires (graceful stop, *no*
 ///    deregistration: its ASD/RoomDB entries now belong to the
 ///    replacement), then the replacement spawns on the same address under
 ///    `incarnation + 1`, with the old identity and ticket vault so pooled
@@ -672,19 +546,31 @@ pub fn live_upgrade(
     old: &DaemonHandle,
     config: DaemonConfig,
     mut replacement: Box<dyn ServiceBehavior>,
-    persist: Option<PersistFn<'_>>,
 ) -> Result<(DaemonHandle, UpgradeStats), UpgradeError> {
     let clock = net.clock();
     let swap_started = clock.now();
-    let mut client = ServiceClient::connect(net, from_host, old.addr().clone(), driver)
-        .map_err(UpgradeError::Quiesce)?;
-    let reply = client
-        .call(&CmdLine::new("aceUpgrade").arg("phase", "quiesce"))
-        .map_err(UpgradeError::Quiesce)?;
-    let quiesce = clock.now().saturating_duration_since(swap_started);
+    let connect = || ServiceClient::connect(net, from_host, old.addr().clone(), driver);
     let abort = |client: &mut ServiceClient| {
         let _ = client.call(&CmdLine::new("aceUpgrade").arg("phase", "abort"));
     };
+    let quiesced = connect().and_then(|mut client| {
+        let reply = client.call(&CmdLine::new("aceUpgrade").arg("phase", "quiesce"))?;
+        Ok((client, reply))
+    });
+    let (mut client, reply) = match quiesced {
+        Ok(quiesced) => quiesced,
+        Err(e) => {
+            // The quiesce may have shut the gate and lost only its reply (a
+            // time-out during a long drain or snapshot, a dropped link):
+            // re-open it over a link of its own, which the first one's
+            // failure has closed.
+            if let Ok(mut fresh) = connect() {
+                abort(&mut fresh);
+            }
+            return Err(UpgradeError::Quiesce(e));
+        }
+    };
+    let quiesce = clock.now().saturating_duration_since(swap_started);
 
     let drained = reply.get_int("drained").unwrap_or(0).max(0) as u64;
     let snapshot = match reply.get("snapshot") {
@@ -719,13 +605,6 @@ pub fn live_upgrade(
         }
     }
     let restore = clock.now().saturating_duration_since(restore_started);
-
-    if let (Some(bytes), Some(persist)) = (&snapshot, persist) {
-        if let Err(msg) = persist(old.name(), bytes) {
-            abort(&mut client);
-            return Err(UpgradeError::Persist(msg));
-        }
-    }
 
     // Point of no return: the old instance retires (releasing its address,
     // keeping its registrations) and the replacement takes over its

@@ -426,16 +426,8 @@ fn a_peer_swapped_between_two_calls_is_found_before_the_send_and_resumed() {
         order: Arc::default(),
         release: None,
     });
-    let (new, _stats) = ace_core::live_upgrade(
-        &net,
-        &"cli".into(),
-        &driver,
-        &old,
-        config,
-        replacement,
-        None,
-    )
-    .unwrap();
+    let (new, _stats) =
+        ace_core::live_upgrade(&net, &"cli".into(), &driver, &old, config, replacement).unwrap();
 
     to_relay
         .call_ok(&CmdLine::new("relay"))

@@ -23,7 +23,7 @@ pub mod shardmap;
 
 pub use ace_core::directory::subscribe_expiry as subscribe_invalidation_all;
 pub use asd::{Asd, AsdClient};
-pub use netlogger::{EventRecord, EventRow, LogRow, LoggerClient, NetLogger};
+pub use netlogger::{LogRow, LoggerClient, NetLogger};
 pub use roomdb::{Placement, RoomDb, RoomDbClient, RoomInfo};
 pub use shardmap::{spawn_sharded_asd, ShardMap, ShardedAsdClient, ShardedDirectory};
 

@@ -472,44 +472,6 @@ fn logger_stats_and_filtering() {
     fw.shutdown();
 }
 
-/// An event's fields cross the wire once, as a blob — not twice, as the hex
-/// of their text — and a text client's hex word still says the same thing.
-#[test]
-fn an_event_travels_as_a_blob_and_a_hex_word_still_reads() {
-    let net = net_with(&["core"]);
-    let fw = bootstrap(&net, "core", Duration::from_secs(5)).unwrap();
-    let me = keypair();
-    let mut logger =
-        LoggerClient::connect(&net, &"core".into(), fw.logger_addr.clone(), &me).unwrap();
-    let fields = CmdLine::new("stats").arg("note", Value::Str("x".repeat(1000)));
-    logger.log("info", "warm the link").unwrap();
-    let before = net.metrics().snapshot();
-    logger.event("tester", "stats", &fields).unwrap();
-    let moved = net.metrics().snapshot().since(&before).frame_bytes;
-    assert!(
-        moved < 1200,
-        "a 1,000-byte event and its reply moved {moved} B (hex-doubled: over 2,000)"
-    );
-
-    let hex = ace_core::protocol::hex_encode(fields.to_wire().as_bytes());
-    let mut text_client =
-        ServiceClient::connect(&net, &"core".into(), fw.logger_addr.clone(), &me).unwrap();
-    text_client
-        .call(
-            &CmdLine::new("event")
-                .arg("service", "tester")
-                .arg("kind", "stats")
-                .arg("data", Value::Word(hex)),
-        )
-        .unwrap();
-    let rows = logger.query_events("tester", Some("stats"), 5).unwrap();
-    assert_eq!(rows.len(), 2);
-    for row in rows {
-        assert_eq!(row.4, fields);
-    }
-    fw.shutdown();
-}
-
 #[test]
 fn room_database_info_and_dimensions() {
     let net = net_with(&["core"]);

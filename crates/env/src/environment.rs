@@ -386,27 +386,6 @@ impl AceEnvironment {
         )
     }
 
-    /// Bring up a sharded store plane on the environment's compute hosts
-    /// (ports 6100+), for workloads whose write volume outgrows a single
-    /// quorum group.  Keys place by rendezvous hash of `namespace/key`;
-    /// callers route through [`ace_store::ShardedStoreClient`] (see
-    /// [`ace_store::ShardedStoreCluster::client`]).  The unsharded cluster
-    /// keeps serving framework state.
-    pub fn spawn_sharded_store(
-        &self,
-        shards: usize,
-        replication: usize,
-    ) -> Result<ace_store::ShardedStoreCluster, SpawnError> {
-        ace_store::spawn_sharded_store(
-            &self.net,
-            &self.compute_hosts(),
-            shards,
-            replication,
-            self.config.store_sync,
-            ace_store::WalConfig::default(),
-        )
-    }
-
     /// A store client over the environment's replica cluster.
     pub fn store_client(&self, identity: KeyPair) -> Option<StoreClient> {
         self.store.as_ref().map(|cluster| {

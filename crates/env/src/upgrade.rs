@@ -4,9 +4,7 @@
 //! (`ace_core::supervise::live_upgrade`): every daemon is hot-swapped
 //! one at a time — quiesce, snapshot, restore-validate, retire, respawn
 //! under the next incarnation — while the rest of the building keeps
-//! serving.  Sealed snapshots are persisted through the store cluster
-//! (namespace `upgrade`, key = service name) before each swap commits,
-//! so state survives even a botched replacement.
+//! serving.
 
 use crate::environment::AceEnvironment;
 use ace_core::prelude::*;
@@ -46,28 +44,14 @@ impl AceEnvironment {
     }
 
     /// Hot-swap one named daemon (including store replicas addressed as
-    /// `store_1`…) with `replacement`, persisting its sealed snapshot to
-    /// the store cluster when one exists.  On success the environment's
-    /// handle is replaced; every error except a replacement-spawn failure
-    /// leaves the old incarnation serving.
+    /// `store_1`…) with `replacement`.  On success the environment's handle
+    /// is replaced; every error except a replacement-spawn failure leaves
+    /// the old incarnation serving.
     pub fn upgrade_daemon(
         &mut self,
         name: &str,
         replacement: Box<dyn ServiceBehavior>,
     ) -> Result<UpgradeStats, UpgradeError> {
-        // The persist hook writes through the replica quorum; a quiesced
-        // replica bounces its own copy with E_UPGRADING, and the other
-        // two still make the majority.
-        let mut store = self.store_client(self.admin);
-        let mut persist = |svc: &str, bytes: &[u8]| -> Result<(), String> {
-            match &mut store {
-                Some(client) => client
-                    .put("upgrade", svc, bytes)
-                    .map(|_| ())
-                    .map_err(|e| e.to_string()),
-                None => Ok(()),
-            }
-        };
         let Some(old) = self.handle(name) else {
             return Err(UpgradeError::Protocol(format!("no daemon named {name}")));
         };
@@ -78,7 +62,6 @@ impl AceEnvironment {
             old,
             old.config().clone(),
             replacement,
-            Some(&mut persist),
         )?;
         *self.handle_mut(name).expect("found above") = fresh;
         Ok(stats)

@@ -52,14 +52,6 @@ pub use reply::{ErrorCode, Reply};
 pub use semantics::{ArgSpec, ArgType, CmdSpec, Semantics, DEADLINE_ARG};
 pub use value::{Scalar, ScalarType, Value, ValueType};
 
-/// Parse and validate in one step — the exact path an ACE daemon's command
-/// thread runs for every incoming string.
-pub fn parse_checked(src: &str, semantics: &Semantics) -> Result<CmdLine, LangError> {
-    let cmd = parser::parse(src)?;
-    semantics.validate(&cmd)?;
-    Ok(cmd)
-}
-
 /// Fetch a required text argument (word or string) from a [`CmdLine`], or
 /// return an [`ErrorCode::Semantics`] error [`Reply`] from the enclosing
 /// handler.  Semantic validation normally guarantees presence and type, but

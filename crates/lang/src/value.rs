@@ -296,13 +296,6 @@ pub fn is_word(s: &str) -> bool {
     !s.is_empty() && s.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_')
 }
 
-/// `true` if `s` may appear inside a quoted `<STRING>`: printable characters
-/// only, and no `"` (the grammar defines no escape sequences).
-pub fn is_quotable(s: &str) -> bool {
-    s.chars()
-        .all(|c| c != '"' && c != '\n' && c != '\r' && !c.is_control())
-}
-
 impl From<i64> for Value {
     fn from(v: i64) -> Self {
         Value::Int(v)

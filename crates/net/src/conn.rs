@@ -78,11 +78,6 @@ impl Connection {
         &self.net.clock
     }
 
-    /// Local endpoint of this side.
-    pub fn local_addr(&self) -> &Addr {
-        &self.local
-    }
-
     /// Remote endpoint.
     pub fn peer_addr(&self) -> &Addr {
         &self.peer

@@ -714,16 +714,15 @@ impl<'a> Write<'a> {
             Write::Put(key, data) => single("psPut", key).arg("data", *data),
             Write::Delete(key) => single("psDelete", key),
             Write::Batch(items) => {
-                let (rows, data) = ace_core::protocol::pack_values(items.iter().zip(versions).map(
-                    |((key, data), version)| {
+                let (rows, data) =
+                    pack_values(items.iter().zip(versions).map(|((key, data), version)| {
                         let row = vec![
                             Scalar::Str(key.clone()),
                             Scalar::Str(version.to_string()),
                             Scalar::Str(writer.into()),
                         ];
                         (row, data.as_slice())
-                    },
-                ));
+                    }));
                 CmdLine::new("psPutBatch")
                     .arg("ns", ns)
                     .arg("items", Value::Array(rows))
@@ -758,6 +757,45 @@ impl<'a> Write<'a> {
             }
         }
     }
+}
+
+/// The batch row form of `psPutBatch`: every row ends in a cell holding its
+/// value's length, and the values travel concatenated, in row order, as a
+/// single blob argument beside the array.  Returns `(rows, blob)`.
+pub(crate) fn pack_values<'a>(
+    rows: impl Iterator<Item = (Vec<Scalar>, &'a [u8])>,
+) -> (Vec<Vec<Scalar>>, Vec<u8>) {
+    let mut blob = Vec::new();
+    let rows = rows
+        .map(|(mut row, value)| {
+            row.push(Scalar::Str(value.len().to_string()));
+            blob.extend_from_slice(value);
+            row
+        })
+        .collect();
+    (rows, blob)
+}
+
+/// Undo [`pack_values`]: each row (its length cell still last) with its
+/// value.  `None` unless every row has `cells` cells plus a length and the
+/// lengths use up the blob exactly.
+pub(crate) fn unpack_values<'a>(
+    rows: &'a [Vec<Scalar>],
+    mut blob: &'a [u8],
+    cells: usize,
+) -> Option<Vec<(&'a [Scalar], &'a [u8])>> {
+    let mut out = Vec::with_capacity(rows.len());
+    for row in rows {
+        let (len, row) = row.split_last()?;
+        let len: usize = len.as_text()?.parse().ok()?;
+        if row.len() != cells || len > blob.len() {
+            return None;
+        }
+        let (value, rest) = blob.split_at(len);
+        blob = rest;
+        out.push((row, value));
+    }
+    blob.is_empty().then_some(out)
 }
 
 /// One round's proposal: `versions` of `keys` in `ns`, index-aligned, under
@@ -1302,5 +1340,52 @@ mod race_model {
         for seed in 0..3000 {
             run(seed);
         }
+    }
+}
+
+#[cfg(test)]
+mod batch_rows {
+    use super::*;
+
+    fn row(key: &str, version: u64) -> Vec<Scalar> {
+        vec![Scalar::Str(key.into()), Scalar::Str(version.to_string())]
+    }
+
+    /// Rows and values come back as they went — through the frame, through
+    /// the text form (where the blob is a hex word), and with no rows at all
+    /// — and a blob or a row that does not fit gives no rows.
+    #[test]
+    fn rows_round_trip_and_a_misfit_gives_none() {
+        let items: [(Vec<Scalar>, &[u8]); 3] = [
+            (row("a", 3), b"a line; with a semicolon"),
+            (row("b", 4), &[0u8, b';', 0xff]),
+            (row("c", 9), b""),
+        ];
+        let (rows, data) = pack_values(items.iter().map(|(r, v)| (r.clone(), *v)));
+        let batch = CmdLine::new("psPutBatch")
+            .arg("items", Value::Array(rows))
+            .arg("data", data);
+        for sent in [
+            CmdLine::parse_frame(&batch.to_frame()).unwrap(),
+            CmdLine::parse(&batch.to_wire()).unwrap(),
+        ] {
+            let rows = sent.get("items").and_then(Value::as_array).unwrap();
+            let blob = sent.get_blob("data").unwrap();
+            let back = unpack_values(rows, &blob, 2).unwrap();
+            let expected: Vec<(&[Scalar], &[u8])> =
+                items.iter().map(|(r, v)| (r.as_slice(), *v)).collect();
+            assert_eq!(back, expected);
+        }
+        assert_eq!(unpack_values(&[], &[], 2), Some(Vec::new()));
+
+        let (rows, data) = pack_values(items.iter().map(|(r, v)| (r.clone(), *v)));
+        // Lengths that do not use up the blob exactly: no rows.
+        assert_eq!(unpack_values(&rows, &data[..data.len() - 1], 2), None);
+        assert_eq!(unpack_values(&rows, &[&data[..], b"x"].concat(), 2), None);
+        assert_eq!(unpack_values(&rows, b"x", 2), None);
+        // The wrong cell count, or no length cell at all: no rows.
+        assert_eq!(unpack_values(&rows, &data, 1), None);
+        assert_eq!(unpack_values(&rows, &data, 3), None);
+        assert_eq!(unpack_values(&[Vec::new()], &[], 0), None);
     }
 }

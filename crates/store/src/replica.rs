@@ -26,12 +26,11 @@
 //! snapshot with this same round, once, against the shipper.  DESIGN.md
 //! § "Anti-entropy by hash tree" has the argument.
 
-use crate::client::StoreError;
+use crate::client::{unpack_values, StoreError};
 use crate::placement::StorePlacement;
 use crate::version::{StoreKey, Versioned};
 use crate::wal::{record_len, RecoveryReport, StorageHandle, Wal, WalConfig, WalStats};
 use ace_core::prelude::*;
-use ace_core::protocol::unpack_values;
 use ace_lang::ScalarType;
 use ace_security::hash::Fnv64Stream;
 use parking_lot::Mutex;

@@ -463,7 +463,6 @@ fn run_rolling_upgrade_chaos(seed: u64) {
         &oph_a,
         oph_a.config().clone(),
         Box::new(OPhone::new(440.0)),
-        None,
     )
     .unwrap();
     let (oph_b, _) = ace_core::live_upgrade(
@@ -473,7 +472,6 @@ fn run_rolling_upgrade_chaos(seed: u64) {
         &oph_b,
         oph_b.config().clone(),
         Box::new(OPhone::new(880.0)),
-        None,
     )
     .unwrap();
     assert_eq!(oph_a.incarnation(), 1);

@@ -564,8 +564,8 @@ fn no_value_map_in_placement() {
     );
 }
 
-/// The Net Logger's `queryEvents` rows carry their fields in the batch row
-/// form: `hex_` in `netlogger.rs` is the doubled payload growing back.
+/// The Net Logger answers in rows of plain strings: `hex_` in
+/// `netlogger.rs` is a hex-doubled payload growing back.
 #[test]
 fn the_logger_rows_are_not_hex() {
     none(
@@ -1116,6 +1116,49 @@ fn a_snapshot_frames_its_records_in_place() {
             .into_iter()
             .filter(|hit| hit.text.contains("encode_payload("))
             .collect(),
+    );
+}
+
+// ── Nothing kept that nothing uses ───────────────────────────────────────
+
+/// `AceEnvironment::upgrade_daemon` is the one driver of a live upgrade: a
+/// `live_upgrade(` call anywhere else under `crates/*/src` is a second
+/// driver, like the Supervisor's `upgradeService`, growing back.
+#[test]
+fn one_upgrade_driver() {
+    let hits = grep(&files(&["crates/*/src"]), fixed("live_upgrade("));
+    in_files(
+        &["crates/env/src/upgrade.rs"],
+        "a second live-upgrade driver (`live_upgrade(` outside the environment)",
+        except(hits, fixed("pub fn live_upgrade(")),
+    );
+}
+
+/// The Net Logger keeps records only (§4.14): an `"event"` or
+/// `"queryEvents"` arm, or an `EventRecord`, is the typed-event store that
+/// no daemon sent anything to growing back.
+#[test]
+fn the_logger_keeps_records_only() {
+    none(
+        "the Net Logger's typed-event store",
+        grep(
+            &files(&["crates/directory/src/netlogger.rs"]),
+            re("\"event\"|\"queryEvents\"|EventRecord"),
+        ),
+    );
+}
+
+/// A swap writes nothing that nothing reads: a `PersistFn` or an
+/// `UpgradeError::Persist` is the sealed snapshot written to the store
+/// inside the swap's pause growing back.
+#[test]
+fn no_upgrade_snapshot_persist() {
+    none(
+        "the write-only upgrade snapshot",
+        grep(
+            &files(&["crates", "tests", "examples", "src", "benchmark/src"]),
+            re("PersistFn|UpgradeError::Persist"),
+        ),
     );
 }
 

@@ -419,10 +419,9 @@ fn notify_fanout_survives_dead_subscriber() {
 }
 
 /// Stats are pulled: after traffic, `aceStats` on the daemon itself carries
-/// its per-verb latency and the runtime gauges.  The Net Logger keeps what
-/// services send it as typed records answering `queryEvents`.
+/// its per-verb latency and the runtime gauges.
 #[test]
-fn stats_are_pulled_and_typed_events_flow_to_logger() {
+fn stats_are_pulled_from_the_daemon() {
     let net = SimNet::new();
     net.add_host("core");
     net.add_host("podium");
@@ -450,8 +449,6 @@ fn stats_are_pulled_and_typed_events_flow_to_logger() {
     let me = keypair();
     let mut cam_client =
         ServiceClient::connect(&net, &"podium".into(), cam.addr().clone(), &me).unwrap();
-    let mut log_client =
-        LoggerClient::connect(&net, &"core".into(), logger.addr().clone(), &me).unwrap();
 
     for _ in 0..4 {
         cam_client.call(&CmdLine::new("ping")).unwrap();
@@ -466,33 +463,16 @@ fn stats_are_pulled_and_typed_events_flow_to_logger() {
         );
     }
 
-    // Typed events also flow through the client API directly, and malformed
-    // payloads are rejected instead of stored.
-    log_client
-        .event("tester", "custom", &CmdLine::new("note").arg("x", 1))
-        .unwrap();
-    let rows = log_client.query_events("tester", None, 5).unwrap();
-    assert_eq!(rows.len(), 1);
-    assert_eq!(rows[0].4.get_int("x"), Some(1));
-    let err = ServiceClient::connect(&net, &"core".into(), logger.addr().clone(), &me)
-        .unwrap()
-        .call(
-            &CmdLine::new("event")
-                .arg("service", "tester")
-                .arg("kind", "bad")
-                .arg("data", Value::Word("xzz".into())),
-        )
-        .unwrap_err();
-    assert_eq!(err.code(), Some(ErrorCode::Semantics));
-
     cam.shutdown();
     logger.shutdown();
 }
 
 /// Nothing leaves a daemon unasked: configured with a Net Logger and left
 /// idle past two of what was the push interval (1 s), a daemon has sent the
-/// logger no `event` at all — no `stats` record to query, no `cmd.event`
-/// served.
+/// logger nothing after its start record — the logger has served one
+/// `log`, no other verb and no refused command, and its one record is
+/// `cam1`'s start.  (Fails if a daemon casts the logger a `log` or an
+/// `event` on every tick.)
 #[test]
 fn an_idle_daemon_with_a_logger_sends_it_nothing() {
     let net = SimNet::new();
@@ -521,19 +501,28 @@ fn an_idle_daemon_with_a_logger_sends_it_nothing() {
     std::thread::sleep(Duration::from_millis(2500));
 
     let me = keypair();
-    let mut log_client =
-        LoggerClient::connect(&net, &"core".into(), logger.addr().clone(), &me).unwrap();
-    let rows = log_client.query_events("cam1", Some("stats"), 5).unwrap();
-    assert!(
-        rows.is_empty(),
-        "an idle daemon pushed {} stats events",
-        rows.len()
-    );
     let mut to_logger =
         ServiceClient::connect(&net, &"core".into(), logger.addr().clone(), &me).unwrap();
-    let served = ace_stats(&mut to_logger, Some("cmd.event"));
-    let events = served.histograms.get("cmd.event").map_or(0, |h| h.count);
-    assert_eq!(events, 0, "the logger served `event` {events} times");
+    let served = ace_stats(&mut to_logger, Some("cmd."));
+    let verbs: Vec<(&str, u64)> = (served.histograms.iter())
+        .filter(|(verb, _)| verb.as_str() != "cmd.aceStats")
+        .map(|(verb, h)| (verb.as_str(), h.count))
+        .collect();
+    assert_eq!(
+        verbs,
+        [("cmd.log", 1)],
+        "the logger served more than the start record"
+    );
+    let refused: Vec<_> = (served.counters.iter()).filter(|(_, n)| **n > 0).collect();
+    assert!(
+        refused.is_empty(),
+        "the logger refused commands: {refused:?}"
+    );
+    let mut log_client =
+        LoggerClient::connect(&net, &"core".into(), logger.addr().clone(), &me).unwrap();
+    let rows = log_client.tail(10, None).unwrap();
+    assert_eq!(rows.len(), 1, "records: {rows:?}");
+    assert_eq!(rows[0].2, "cam1");
 
     cam.shutdown();
     logger.shutdown();
