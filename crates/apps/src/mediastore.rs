@@ -16,7 +16,6 @@ pub struct FileStorage {
     replicas: Vec<Addr>,
     store: Option<StoreClient>,
     stored: u64,
-    errors: u64,
 }
 
 impl FileStorage {
@@ -25,7 +24,6 @@ impl FileStorage {
             replicas,
             store: None,
             stored: 0,
-            errors: 0,
         }
     }
 
@@ -65,7 +63,6 @@ impl ServiceBehavior for FileStorage {
                     .required("stream", ArgType::Word, "stream name")
                     .required("seq", ArgType::Int, "frame sequence number"),
             )
-            .with(CmdSpec::new("storageStats", "storage counters"))
     }
 
     fn handle(&mut self, ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
@@ -82,8 +79,9 @@ impl ServiceBehavior for FileStorage {
                         self.stored += 1;
                         Reply::ok_with(|c| c.arg("stored", true))
                     }
+                    // A refused frame is counted by the shell:
+                    // `cmd.errors.push.E_UNAVAILABLE`.
                     Err(e) => {
-                        self.errors += 1;
                         ctx.log("error", format!("media store failed for {key}: {e}"));
                         Reply::err(ErrorCode::Unavailable, e.to_string())
                     }
@@ -119,11 +117,13 @@ impl ServiceBehavior for FileStorage {
                     Err(e) => Reply::err(ErrorCode::Unavailable, e.to_string()),
                 }
             }
-            "storageStats" => Reply::ok_with(|c| {
-                c.arg("stored", self.stored as i64)
-                    .arg("errors", self.errors as i64)
-            }),
             other => Reply::err(ErrorCode::Internal, format!("unrouted command `{other}`")),
         }
+    }
+
+    fn on_stats(&mut self, ctx: &mut ServiceCtx) {
+        ctx.metrics()
+            .gauge("storage.stored")
+            .set(self.stored as i64);
     }
 }

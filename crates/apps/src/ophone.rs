@@ -155,7 +155,6 @@ impl ServiceBehavior for OPhone {
                 ArgType::Word,
                 "session id",
             ))
-            .with(CmdSpec::new("phoneStats", "call and audio counters"))
     }
 
     fn handle(&mut self, ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
@@ -235,23 +234,24 @@ impl ServiceBehavior for OPhone {
                 self.state = CallState::Idle;
                 Reply::ok()
             }
-            "phoneStats" => {
-                self.drain_jitter();
-                let in_call = matches!(self.state, CallState::Connected { .. });
-                Reply::ok_with(|c| {
-                    c.arg("inCall", in_call)
-                        .arg("sent", self.tx_seq as i64)
-                        .arg("received", self.received_frames as i64)
-                        .arg("playedSamples", self.played.len() as i64)
-                        .arg("rms", ace_media::dsp::rms(&self.played))
-                })
-            }
             other => Reply::err(ErrorCode::Internal, format!("unrouted command `{other}`")),
         }
     }
 
     fn on_data(&mut self, _ctx: &mut ServiceCtx, datagram: Datagram) {
         self.receive(&datagram.payload);
+    }
+
+    /// The call and its audio as `phone.*` gauges; the played level is the
+    /// RMS in thousandths of full scale.
+    fn on_stats(&mut self, ctx: &mut ServiceCtx) {
+        let m = ctx.metrics();
+        let in_call = matches!(self.state, CallState::Connected { .. });
+        m.gauge("phone.inCall").set(in_call as i64);
+        m.gauge("phone.received").set(self.received_frames as i64);
+        m.gauge("phone.playedSamples").set(self.played.len() as i64);
+        let rms = ace_media::dsp::rms(&self.played);
+        m.gauge("phone.playedRmsMilli").set((rms * 1000.0) as i64);
     }
 
     // Live upgrade: the call itself (peer, session) and the transmit/play

@@ -9,10 +9,17 @@ use ace_core::prelude::*;
 use ace_directory::{bootstrap, AsdClient, Framework};
 use ace_security::keys::KeyPair;
 use ace_store::{spawn_store_cluster, StoreClient};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 fn keypair() -> KeyPair {
     KeyPair::generate(&mut rand::thread_rng())
+}
+
+/// A phone's `phone.*` gauges, as `aceStats` answers them.
+fn phone(client: &mut ServiceClient) -> BTreeMap<String, i64> {
+    let stats = CmdLine::new("aceStats").arg("prefix", "phone.");
+    StatsReport::from_cmdline(&client.call(&stats).unwrap()).gauges
 }
 
 /// A Supervisor watching `specs` with probes off, so a lease lapse is the
@@ -327,12 +334,11 @@ fn ophone_full_duplex_call() {
     // Voice arrived both ways (datagrams are async; poll).
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
-        let sa = a.call(&CmdLine::new("phoneStats")).unwrap();
-        let sb = b.call(&CmdLine::new("phoneStats")).unwrap();
-        if sa.get_int("received") == Some(20) && sb.get_int("received") == Some(20) {
-            assert!(sa.get_f64("rms").unwrap() > 0.2, "audible audio at A");
-            assert!(sb.get_f64("rms").unwrap() > 0.2, "audible audio at B");
-            assert_eq!(sa.get_int("playedSamples"), Some(20 * 160));
+        let (sa, sb) = (phone(&mut a), phone(&mut b));
+        if sa["phone.received"] == 20 && sb["phone.received"] == 20 {
+            assert!(sa["phone.playedRmsMilli"] > 200, "audible audio at A");
+            assert!(sb["phone.playedRmsMilli"] > 200, "audible audio at B");
+            assert_eq!(sa["phone.playedSamples"], 20 * 160);
             break;
         }
         assert!(std::time::Instant::now() < deadline, "voice never arrived");
@@ -356,8 +362,7 @@ fn ophone_full_duplex_call() {
     a.call_ok(&CmdLine::new("hangup")).unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
-        let sb = b.call(&CmdLine::new("phoneStats")).unwrap();
-        if sb.get_bool("inCall") == Some(false) {
+        if phone(&mut b)["phone.inCall"] == 0 {
             break;
         }
         assert!(
@@ -413,8 +418,8 @@ fn ophone_tolerates_datagram_loss() {
     std::thread::sleep(Duration::from_millis(300));
 
     let mut b = ServiceClient::connect(&net, &"core".into(), phone_b.addr().clone(), &me).unwrap();
-    let sb = b.call(&CmdLine::new("phoneStats")).unwrap();
-    let received = sb.get_int("received").unwrap();
+    let sb = phone(&mut b);
+    let received = sb["phone.received"];
     // With 30% loss, some frames disappear (overwhelmingly likely for 100)
     // yet most arrive, and playback continued past the gaps.
     assert!(received < SENT, "some loss expected, got {received}/{SENT}");
@@ -422,7 +427,7 @@ fn ophone_tolerates_datagram_loss() {
         received > SENT / 3,
         "most frames arrive, got {received}/{SENT}"
     );
-    assert!(sb.get_int("playedSamples").unwrap() > 0);
+    assert!(sb["phone.playedSamples"] > 0);
 
     phone_b.shutdown();
     phone_a.shutdown();

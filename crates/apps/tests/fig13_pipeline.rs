@@ -76,8 +76,13 @@ fn capture_convert_store_retrieve() {
         .call(&CmdLine::new("mediaList").arg("stream", "video"))
         .unwrap();
     assert_eq!(listed.get_int("count"), Some(10));
-    let stats = st.call(&CmdLine::new("storageStats")).unwrap();
-    assert_eq!(stats.get_int("stored"), Some(10));
+    let stats = st
+        .call(&CmdLine::new("aceStats").arg("prefix", "storage."))
+        .unwrap();
+    assert_eq!(
+        StatsReport::from_cmdline(&stats).gauges["storage.stored"],
+        10
+    );
 
     // Fetch frame 3 and decompress: exactly the camera's rendering size.
     let frame = st
@@ -168,7 +173,7 @@ fn media_verbs_take_and_return_hex_words() {
         let err = st.call(&CmdLine::parse(bad).unwrap()).unwrap_err();
         assert_eq!(err.code(), Some(ErrorCode::Semantics), "{bad}");
     }
-    assert!(st.call(&CmdLine::new("storageStats")).is_ok());
+    assert!(st.call(&CmdLine::new("aceStats")).is_ok());
 
     storage.shutdown();
     cluster.shutdown();

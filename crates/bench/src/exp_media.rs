@@ -125,9 +125,12 @@ pub fn e11() {
                 c.call(&push).unwrap();
             }
         });
-        let stats = c.call(&CmdLine::new("convertStats")).unwrap();
-        let bytes_in = stats.get_int("bytesIn").unwrap() as f64;
-        let bytes_out = stats.get_int("bytesOut").unwrap() as f64;
+        let stats = c
+            .call(&CmdLine::new("aceStats").arg("prefix", "convert."))
+            .unwrap();
+        let gauges = StatsReport::from_cmdline(&stats).gauges;
+        let bytes_in = gauges["convert.bytesIn"] as f64;
+        let bytes_out = gauges["convert.bytesOut"] as f64;
         row(
             label,
             &[

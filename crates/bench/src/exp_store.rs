@@ -345,17 +345,25 @@ struct SyncPhase {
     tree: [i64; 3],
 }
 
-/// `syncs`, `syncEqual`, `syncBuckets`, `syncRows` of `psStats`, summed
-/// over every replica (a counter a replica does not report counts as 0).
+/// The `syncs`, `syncEqual`, `syncBuckets` and `syncRows` gauges of
+/// `aceStats prefix=store.`, summed over every replica (a gauge a replica
+/// does not report counts as 0).
 fn sync_counters(links: &mut [ServiceClient]) -> [i64; 4] {
     let mut sums = [0; 4];
     for link in links {
-        let stats = link.call(&CmdLine::new("psStats")).unwrap();
-        for (sum, field) in sums
-            .iter_mut()
-            .zip(["syncs", "syncEqual", "syncBuckets", "syncRows"])
+        let stats = link
+            .call(&CmdLine::new("aceStats").arg("prefix", "store."))
+            .unwrap();
+        let gauges = StatsReport::from_cmdline(&stats).gauges;
+        for (sum, field) in
+            sums.iter_mut()
+                .zip([".syncs", ".syncEqual", ".syncBuckets", ".syncRows"])
         {
-            *sum += stats.get_int(field).unwrap_or(0);
+            *sum += gauges
+                .iter()
+                .filter(|(name, _)| name.ends_with(field))
+                .map(|(_, v)| v)
+                .sum::<i64>();
         }
     }
     sums

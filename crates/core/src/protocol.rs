@@ -205,7 +205,6 @@ pub fn logger_semantics() -> Semantics {
                 .optional("count", ArgType::Int, "how many records (default 10)")
                 .optional("level", ArgType::Word, "filter by level"),
         )
-        .with(CmdSpec::new("logStats", "record counts by level"))
 }
 
 /// Commands a scale-out persistent-store replica understands on top of

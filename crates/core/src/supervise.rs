@@ -463,6 +463,21 @@ impl ServiceBehavior for Supervisor {
         self.run_pending(ctx);
     }
 
+    /// `superviseStats`'s numbers as `supervise.*` gauges, the two name
+    /// lists as their lengths.
+    fn on_stats(&mut self, ctx: &mut ServiceCtx) {
+        let report = self.report();
+        let m = ctx.metrics();
+        m.gauge("supervise.supervised")
+            .set(report.supervised as i64);
+        m.gauge("supervise.restarts").set(report.restarts as i64);
+        m.gauge("supervise.escalations")
+            .set(report.escalations as i64);
+        m.gauge("supervise.pending")
+            .set(report.pending.len() as i64);
+        m.gauge("supervise.failed").set(report.failed.len() as i64);
+    }
+
     fn on_stop(&mut self, _ctx: &mut ServiceCtx) {
         for s in self.services.values_mut() {
             if let Some(handle) = s.handle.take() {

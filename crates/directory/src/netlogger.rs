@@ -3,8 +3,8 @@
 //! "This service simply stores service activity information within a set of
 //! logging files … to record what kinds of activities are present within an
 //! ACE system and to serve as a history" for security auditing and
-//! debugging.  Records live in a bounded ring; `tail` and `logStats` expose
-//! them to administrators.
+//! debugging.  Records live in a bounded ring; `tail` exposes them to
+//! administrators, and `aceStats` counts them by level (`log.<level>`).
 
 use ace_core::prelude::*;
 use ace_core::protocol;
@@ -29,10 +29,9 @@ pub struct NetLogger {
     records: VecDeque<LogRecord>,
     capacity: usize,
     next_seq: u64,
-    /// Ring evictions, i.e. history lost to bounded retention.  Mirrored
-    /// into the daemon's metrics as `shed.records` so a flood that outruns
-    /// the ring is visible, never silent.
-    records_shed: u64,
+    /// Ring evictions, i.e. history lost to bounded retention, counted as
+    /// `shed.records` so a flood that outruns the ring is visible, never
+    /// silent.
     shed_records_counter: Option<Arc<Counter>>,
 }
 
@@ -43,7 +42,6 @@ impl NetLogger {
             records: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
             next_seq: 0,
-            records_shed: 0,
             shed_records_counter: None,
         }
     }
@@ -122,7 +120,6 @@ impl ServiceBehavior for NetLogger {
                 self.next_seq += 1;
                 if self.records.len() == self.capacity {
                     self.records.pop_front();
-                    self.records_shed += 1;
                     self.shed_records_counter
                         .get_or_insert_with(|| ctx.metrics().counter("shed.records"))
                         .incr();
@@ -147,31 +144,17 @@ impl ServiceBehavior for NetLogger {
                         .arg("records", records_to_value(&ordered))
                 })
             }
-            "logStats" => {
-                let mut info = 0i64;
-                let mut warn = 0i64;
-                let mut error = 0i64;
-                let mut security = 0i64;
-                for r in &self.records {
-                    match r.level.as_str() {
-                        "info" => info += 1,
-                        "warn" => warn += 1,
-                        "error" => error += 1,
-                        "security" => security += 1,
-                        _ => {}
-                    }
-                }
-                Reply::ok_with(|c| {
-                    c.arg("total", self.next_seq as i64)
-                        .arg("retained", self.records.len() as i64)
-                        .arg("info", info)
-                        .arg("warn", warn)
-                        .arg("error", error)
-                        .arg("security", security)
-                        .arg("recordsShed", self.records_shed as i64)
-                })
-            }
             other => Reply::err(ErrorCode::Internal, format!("unrouted command `{other}`")),
+        }
+    }
+
+    /// The retained records by level, as `log.<level>` gauges.
+    fn on_stats(&mut self, ctx: &mut ServiceCtx) {
+        for level in ["info", "warn", "error", "security"] {
+            let retained = self.records.iter().filter(|r| r.level == level).count();
+            ctx.metrics()
+                .gauge(&format!("log.{level}"))
+                .set(retained as i64);
         }
     }
 }
@@ -212,19 +195,5 @@ impl LoggerClient {
                 code: ErrorCode::Internal,
                 msg: "malformed tail reply".into(),
             })
-    }
-
-    /// `(total ever, retained, info, warn, error, security)` counts.
-    pub fn stats(&mut self) -> Result<(u64, u64, u64, u64, u64, u64), ClientError> {
-        let reply = self.client.call(&CmdLine::new("logStats"))?;
-        let g = |k: &str| reply.get_int(k).unwrap_or(0) as u64;
-        Ok((
-            g("total"),
-            g("retained"),
-            g("info"),
-            g("warn"),
-            g("error"),
-            g("security"),
-        ))
     }
 }

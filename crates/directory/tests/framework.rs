@@ -465,9 +465,14 @@ fn logger_stats_and_filtering() {
     assert_eq!(security.len(), 2);
     assert!(security[0].4.contains("mallory"));
 
-    let (_total, _retained, _info, warn, _error, sec) = logger.stats().unwrap();
-    assert_eq!(warn, 1);
-    assert_eq!(sec, 2);
+    let mut raw =
+        ServiceClient::connect(&net, &"core".into(), fw.logger_addr.clone(), &me).unwrap();
+    let stats = raw
+        .call(&CmdLine::new("aceStats").arg("prefix", "log."))
+        .unwrap();
+    let gauges = StatsReport::from_cmdline(&stats).gauges;
+    assert_eq!(gauges["log.warn"], 1);
+    assert_eq!(gauges["log.security"], 2);
 
     fw.shutdown();
 }

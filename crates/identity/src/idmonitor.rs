@@ -20,7 +20,6 @@ use std::collections::HashMap;
 pub struct IdMonitor {
     /// username → (room, host) as last seen by this monitor.
     last_seen: HashMap<String, (String, String)>,
-    failures: u64,
 }
 
 impl IdMonitor {
@@ -82,7 +81,6 @@ impl ServiceBehavior for IdMonitor {
                     "user to query",
                 ),
             )
-            .with(CmdSpec::new("monitorStats", "identification counters"))
     }
 
     fn handle(&mut self, ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
@@ -120,7 +118,6 @@ impl ServiceBehavior for IdMonitor {
                 Reply::ok()
             }
             "onIdentFailed" => {
-                self.failures += 1;
                 let device = cmd.get_text("device").unwrap_or("?");
                 let reason = cmd.get_text("reason").unwrap_or("?");
                 ctx.log(
@@ -138,10 +135,6 @@ impl ServiceBehavior for IdMonitor {
                     None => Reply::err(ErrorCode::NotFound, "user not seen"),
                 }
             }
-            "monitorStats" => Reply::ok_with(|c| {
-                c.arg("identified", self.last_seen.len() as i64)
-                    .arg("failures", self.failures as i64)
-            }),
             other => Reply::err(ErrorCode::Internal, format!("unrouted command `{other}`")),
         }
     }

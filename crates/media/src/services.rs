@@ -3,7 +3,7 @@
 
 use crate::codec::{convert, Format};
 use crate::dsp::{
-    bytes_to_samples, decode_tones, encode_tones, mix, rms, samples_to_bytes, sine, EchoCanceller,
+    bytes_to_samples, decode_tones, encode_tones, mix, samples_to_bytes, sine, EchoCanceller,
 };
 use crate::stream::{push_spec, sink_specs, Downstream, Frame};
 use ace_core::prelude::*;
@@ -45,14 +45,11 @@ impl Converter {
 impl ServiceBehavior for Converter {
     fn semantics(&self) -> Semantics {
         with_sink_specs(
-            Semantics::new()
-                .with(push_spec())
-                .with(
-                    CmdSpec::new("convertConfig", "set the conversion direction")
-                        .required("from", ArgType::Word, "source format")
-                        .required("to", ArgType::Word, "target format"),
-                )
-                .with(CmdSpec::new("convertStats", "bytes in/out so far")),
+            Semantics::new().with(push_spec()).with(
+                CmdSpec::new("convertConfig", "set the conversion direction")
+                    .required("from", ArgType::Word, "source format")
+                    .required("to", ArgType::Word, "target format"),
+            ),
         )
     }
 
@@ -94,14 +91,14 @@ impl ServiceBehavior for Converter {
                         .arg("delivered", delivered as i64)
                 })
             }
-            "convertStats" => Reply::ok_with(|c| {
-                c.arg("bytesIn", self.bytes_in as i64)
-                    .arg("bytesOut", self.bytes_out as i64)
-                    .arg("from", self.from.as_word())
-                    .arg("to", self.to.as_word())
-            }),
             other => Reply::err(ErrorCode::Internal, format!("unrouted command `{other}`")),
         }
+    }
+
+    fn on_stats(&mut self, ctx: &mut ServiceCtx) {
+        let m = ctx.metrics();
+        m.gauge("convert.bytesIn").set(self.bytes_in as i64);
+        m.gauge("convert.bytesOut").set(self.bytes_out as i64);
     }
 }
 
@@ -126,11 +123,7 @@ impl Distribution {
 
 impl ServiceBehavior for Distribution {
     fn semantics(&self) -> Semantics {
-        with_sink_specs(
-            Semantics::new()
-                .with(push_spec())
-                .with(CmdSpec::new("distStats", "frames and deliveries so far")),
-        )
+        with_sink_specs(Semantics::new().with(push_spec()))
     }
 
     fn handle(&mut self, ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
@@ -148,13 +141,14 @@ impl ServiceBehavior for Distribution {
                 self.deliveries += delivered as u64;
                 Reply::ok_with(|c| c.arg("delivered", delivered as i64))
             }
-            "distStats" => Reply::ok_with(|c| {
-                c.arg("frames", self.frames as i64)
-                    .arg("deliveries", self.deliveries as i64)
-                    .arg("sinks", self.downstream.sinks().len() as i64)
-            }),
             other => Reply::err(ErrorCode::Internal, format!("unrouted command `{other}`")),
         }
+    }
+
+    fn on_stats(&mut self, ctx: &mut ServiceCtx) {
+        let m = ctx.metrics();
+        m.gauge("dist.frames").set(self.frames as i64);
+        m.gauge("dist.deliveries").set(self.deliveries as i64);
     }
 }
 
@@ -332,8 +326,7 @@ impl ServiceBehavior for AudioMixer {
                         ArgType::Word,
                         "input stream name",
                     ),
-                )
-                .with(CmdSpec::new("mixerStats", "mixer counters")),
+                ),
         )
     }
 
@@ -405,12 +398,6 @@ impl ServiceBehavior for AudioMixer {
                 }
                 Reply::ok_with(|c| c.arg("delivered", forwarded as i64))
             }
-            "mixerStats" => Reply::ok_with(|c| {
-                c.arg("inputs", self.inputs.len() as i64)
-                    .arg("mixed", self.mixed as i64)
-                    .arg("pending", self.pending.len() as i64)
-                    .arg("dropped", self.dropped_slots as i64)
-            }),
             other => Reply::err(ErrorCode::Internal, format!("unrouted command `{other}`")),
         }
     }
@@ -569,7 +556,7 @@ impl ServiceBehavior for EchoCancel {
 
 /// Audio sink shared by Audio Play (speaker) and Audio Recorder ("records
 /// on hard media a given input audio stream"): accumulates received frames
-/// and reports level/length/decodes.
+/// and reports length, tone power and decodes.
 #[derive(Default)]
 pub struct AudioSink {
     samples: Vec<i16>,
@@ -586,7 +573,6 @@ impl ServiceBehavior for AudioSink {
     fn semantics(&self) -> Semantics {
         Semantics::new()
             .with(push_spec())
-            .with(CmdSpec::new("sinkStats", "received length and RMS level"))
             .with(
                 CmdSpec::new("sinkPower", "Goertzel power of a frequency in the sink").required(
                     "freq",
@@ -614,11 +600,6 @@ impl ServiceBehavior for AudioSink {
                 self.frames += 1;
                 Reply::ok()
             }
-            "sinkStats" => Reply::ok_with(|c| {
-                c.arg("samples", self.samples.len() as i64)
-                    .arg("frames", self.frames as i64)
-                    .arg("rms", rms(&self.samples))
-            }),
             "sinkPower" => {
                 let freq = req_f64!(cmd, "freq");
                 Reply::ok_with(|c| c.arg("power", crate::dsp::goertzel(&self.samples, freq)))
@@ -634,6 +615,12 @@ impl ServiceBehavior for AudioSink {
             },
             other => Reply::err(ErrorCode::Internal, format!("unrouted command `{other}`")),
         }
+    }
+
+    fn on_stats(&mut self, ctx: &mut ServiceCtx) {
+        let m = ctx.metrics();
+        m.gauge("sink.samples").set(self.samples.len() as i64);
+        m.gauge("sink.frames").set(self.frames as i64);
     }
 }
 
@@ -705,9 +692,7 @@ impl SpeechToCommand {
 
 impl ServiceBehavior for SpeechToCommand {
     fn semantics(&self) -> Semantics {
-        Semantics::new()
-            .with(push_spec())
-            .with(CmdSpec::new("stcStats", "recognition counters"))
+        Semantics::new().with(push_spec())
     }
 
     fn handle(&mut self, ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
@@ -735,11 +720,13 @@ impl ServiceBehavior for SpeechToCommand {
                     }
                 }
             }
-            "stcStats" => Reply::ok_with(|c| {
-                c.arg("recognized", self.recognized as i64)
-                    .arg("rejected", self.rejected as i64)
-            }),
             other => Reply::err(ErrorCode::Internal, format!("unrouted command `{other}`")),
         }
+    }
+
+    fn on_stats(&mut self, ctx: &mut ServiceCtx) {
+        let m = ctx.metrics();
+        m.gauge("stc.recognized").set(self.recognized as i64);
+        m.gauge("stc.rejected").set(self.rejected as i64);
     }
 }

@@ -21,7 +21,6 @@ use ace_core::prelude::*;
 pub struct VoiceControl {
     executed: u64,
     failed: u64,
-    last_result: Option<String>,
 }
 
 impl VoiceControl {
@@ -50,14 +49,12 @@ impl VoiceControl {
 
 impl ServiceBehavior for VoiceControl {
     fn semantics(&self) -> Semantics {
-        Semantics::new()
-            .with(
-                CmdSpec::new("onVoiceCommand", "notification from speech-to-command")
-                    .optional("service", ArgType::Str, "origin")
-                    .optional("cmd", ArgType::Str, "origin event")
-                    .optional("text", ArgType::Str, "the decoded utterance"),
-            )
-            .with(CmdSpec::new("voiceStats", "execution counters"))
+        Semantics::new().with(
+            CmdSpec::new("onVoiceCommand", "notification from speech-to-command")
+                .optional("service", ArgType::Str, "origin")
+                .optional("cmd", ArgType::Str, "origin event")
+                .optional("text", ArgType::Str, "the decoded utterance"),
+        )
     }
 
     fn handle(&mut self, ctx: &mut ServiceCtx, cmd: &CmdLine, _from: &ClientInfo) -> Reply {
@@ -79,9 +76,8 @@ impl ServiceBehavior for VoiceControl {
                     return Reply::ok_with(|c| c.arg("executed", false));
                 };
                 match ctx.call(&entry.addr, &spoken) {
-                    Ok(result) => {
+                    Ok(_) => {
                         self.executed += 1;
-                        self.last_result = Some(result.to_wire());
                         ctx.log(
                             "info",
                             format!("voice: executed `{}` on {target}", spoken.name()),
@@ -95,16 +91,14 @@ impl ServiceBehavior for VoiceControl {
                     }
                 }
             }
-            "voiceStats" => {
-                let last = self.last_result.clone().unwrap_or_default();
-                Reply::ok_with(|c| {
-                    c.arg("executed", self.executed as i64)
-                        .arg("failed", self.failed as i64)
-                        .arg("lastResult", Value::Str(last))
-                })
-            }
             other => Reply::err(ErrorCode::Internal, format!("unrouted command `{other}`")),
         }
+    }
+
+    fn on_stats(&mut self, ctx: &mut ServiceCtx) {
+        let m = ctx.metrics();
+        m.gauge("voice.executed").set(self.executed as i64);
+        m.gauge("voice.failed").set(self.failed as i64);
     }
 }
 

@@ -11,10 +11,17 @@ use ace_media::{
     TextToSpeech,
 };
 use ace_security::keys::KeyPair;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 fn keypair() -> KeyPair {
     KeyPair::generate(&mut rand::thread_rng())
+}
+
+/// The daemon's gauges under `prefix`, as `aceStats` answers them.
+fn gauges(client: &mut ServiceClient, prefix: &str) -> BTreeMap<String, i64> {
+    let stats = CmdLine::new("aceStats").arg("prefix", prefix);
+    StatsReport::from_cmdline(&client.call(&stats).unwrap()).gauges
 }
 
 struct World {
@@ -120,9 +127,9 @@ fn converter_pipeline_compresses_video() {
         "compressed to {out_bytes}"
     );
 
-    let stats = conv.call(&CmdLine::new("convertStats")).unwrap();
-    assert_eq!(stats.get_int("bytesIn"), Some(frame.len() as i64));
-    assert_eq!(stats.get_int("bytesOut"), Some(out_bytes));
+    let stats = gauges(&mut conv, "convert.");
+    assert_eq!(stats["convert.bytesIn"], frame.len() as i64);
+    assert_eq!(stats["convert.bytesOut"], out_bytes);
 
     w.teardown();
 }
@@ -173,15 +180,15 @@ fn distribution_fans_out() {
         push(&mut d, "video", seq, &signal);
     }
 
-    let stats = d.call(&CmdLine::new("distStats")).unwrap();
-    assert_eq!(stats.get_int("frames"), Some(5));
-    assert_eq!(stats.get_int("deliveries"), Some(15));
+    let stats = gauges(&mut d, "dist.");
+    assert_eq!(stats["dist.frames"], 5);
+    assert_eq!(stats["dist.deliveries"], 15);
 
     for s in &sinks {
         let mut c = w.client(s, &me);
-        let st = c.call(&CmdLine::new("sinkStats")).unwrap();
-        assert_eq!(st.get_int("frames"), Some(5));
-        assert_eq!(st.get_int("samples"), Some(800));
+        let st = gauges(&mut c, "sink.");
+        assert_eq!(st["sink.frames"], 5);
+        assert_eq!(st["sink.samples"], 800);
     }
     w.teardown();
 }
@@ -284,8 +291,8 @@ fn fig15_conference_echo_cancellation() {
 
     // The recorder must hear the voice loudly and the far-end barely.
     let mut rec = w.client(&recorder, &me);
-    let stats = rec.call(&CmdLine::new("sinkStats")).unwrap();
-    assert_eq!(stats.get_int("samples"), Some((FRAME * FRAMES) as i64));
+    let stats = gauges(&mut rec, "sink.");
+    assert_eq!(stats["sink.samples"], (FRAME * FRAMES) as i64);
     let p_voice = rec
         .call(&CmdLine::new("sinkPower").arg("freq", 700.0))
         .unwrap()
@@ -334,16 +341,16 @@ fn tts_to_speech_command_roundtrip() {
     assert_eq!(reply.get_int("delivered"), Some(1));
 
     let mut stc_client = w.client(&stc, &me);
-    let stats = stc_client.call(&CmdLine::new("stcStats")).unwrap();
-    assert_eq!(stats.get_int("recognized"), Some(1));
-    assert_eq!(stats.get_int("rejected"), Some(0));
+    let stats = gauges(&mut stc_client, "stc.");
+    assert_eq!(stats["stc.recognized"], 1);
+    assert_eq!(stats["stc.rejected"], 0);
 
     // Non-command speech is rejected, not crashed on.
     tts_client
         .call(&CmdLine::new("say").arg("text", Value::Str("just chatting".into())))
         .unwrap();
-    let stats = stc_client.call(&CmdLine::new("stcStats")).unwrap();
-    assert_eq!(stats.get_int("rejected"), Some(1));
+    let stats = gauges(&mut stc_client, "stc.");
+    assert_eq!(stats["stc.rejected"], 1);
 
     w.teardown();
 }
@@ -378,18 +385,12 @@ fn mixer_requires_registered_inputs_and_aligns_seqs() {
     // One input alone does not emit.
     push(&mut mixer, "a", 0, &[100i16; 4]);
     let mut sink_client = w.client(&sink, &me);
-    assert_eq!(
-        sink_client
-            .call(&CmdLine::new("sinkStats"))
-            .unwrap()
-            .get_int("frames"),
-        Some(0)
-    );
+    assert_eq!(gauges(&mut sink_client, "sink.")["sink.frames"], 0);
     // The matching frame completes the set.
     push(&mut mixer, "b", 0, &[23i16; 4]);
-    let stats = sink_client.call(&CmdLine::new("sinkStats")).unwrap();
-    assert_eq!(stats.get_int("frames"), Some(1));
-    assert_eq!(stats.get_int("samples"), Some(4));
+    let stats = gauges(&mut sink_client, "sink.");
+    assert_eq!(stats["sink.frames"], 1);
+    assert_eq!(stats["sink.samples"], 4);
 
     w.teardown();
 }

@@ -33,11 +33,12 @@ fn push(client: &mut ServiceClient, stream: &str, seq: i64) -> CmdLine {
 }
 
 fn pending(client: &mut ServiceClient) -> (i64, i64, i64) {
-    let reply = client.call(&CmdLine::new("mixerStats")).unwrap();
+    let stats = CmdLine::new("aceStats").arg("prefix", "mixer.");
+    let gauges = StatsReport::from_cmdline(&client.call(&stats).unwrap()).gauges;
     (
-        reply.get_int("pending").unwrap(),
-        reply.get_int("mixed").unwrap(),
-        reply.get_int("dropped").unwrap(),
+        gauges["mixer.pending"],
+        gauges["mixer.mixed"],
+        gauges["mixer.droppedSlots"],
     )
 }
 

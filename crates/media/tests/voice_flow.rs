@@ -112,9 +112,10 @@ fn spoken_command_moves_the_camera() {
     let mut v = ServiceClient::connect(&net, &"core".into(), voice.addr().clone(), &me).unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
-        let stats = v.call(&CmdLine::new("voiceStats")).unwrap();
-        if stats.get_int("failed") == Some(1) {
-            assert_eq!(stats.get_int("executed"), Some(1));
+        let stats = CmdLine::new("aceStats").arg("prefix", "voice.");
+        let gauges = StatsReport::from_cmdline(&v.call(&stats).unwrap()).gauges;
+        if gauges["voice.failed"] == 1 {
+            assert_eq!(gauges["voice.executed"], 1);
             break;
         }
         assert!(

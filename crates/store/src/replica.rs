@@ -780,7 +780,6 @@ impl ServiceBehavior for StoreReplica {
                 ),
             )
             .with(CmdSpec::new("psSync", "nudge the sync worker to run now"))
-            .with(CmdSpec::new("psStats", "replica counters"))
     }
 
     fn on_start(&mut self, ctx: &mut ServiceCtx) {
@@ -1153,38 +1152,6 @@ impl ServiceBehavior for StoreReplica {
                 }
                 Reply::ok()
             }
-            "psStats" => {
-                let wal = self.disk.wal_stats().unwrap_or_default();
-                Reply::ok_with(|c| {
-                    c.arg("entries", self.disk.len() as i64)
-                        .arg("syncs", self.stats.syncs.load(Ordering::Relaxed) as i64)
-                        .arg(
-                            "syncEqual",
-                            self.stats.sync_equal.load(Ordering::Relaxed) as i64,
-                        )
-                        .arg(
-                            "syncBuckets",
-                            self.stats.sync_buckets.load(Ordering::Relaxed) as i64,
-                        )
-                        .arg(
-                            "syncRows",
-                            self.stats.sync_rows.load(Ordering::Relaxed) as i64,
-                        )
-                        .arg("pulled", self.stats.pulled.load(Ordering::Relaxed) as i64)
-                        .arg(
-                            "pullErrors",
-                            self.stats.pull_errors.load(Ordering::Relaxed) as i64,
-                        )
-                        .arg("walAppends", wal.appends as i64)
-                        .arg("walCompactions", wal.compactions as i64)
-                        .arg("walAppendFailures", wal.append_failures as i64)
-                        .arg("walBatches", wal.batches as i64)
-                        .arg("walFsyncs", wal.fsyncs as i64)
-                        .arg("leasedGets", self.leased_gets as i64)
-                        .arg("leasedRefusals", self.leased_refusals as i64)
-                        .arg("checksum", Value::Word(hash_word(self.disk.checksum())))
-                })
-            }
             other => Reply::err(ErrorCode::Internal, format!("unrouted command `{other}`")),
         }
     }
@@ -1201,10 +1168,19 @@ impl ServiceBehavior for StoreReplica {
         let m = ctx.metrics();
         let gauge = |suffix: &str| m.gauge(&format!("store.{name}.{suffix}"));
         gauge("entries").set(self.disk.len() as i64);
-        gauge("syncs").set(self.stats.syncs.load(Ordering::Relaxed) as i64);
-        gauge("pulled").set(self.stats.pulled.load(Ordering::Relaxed) as i64);
-        gauge("pullErrors").set(self.stats.pull_errors.load(Ordering::Relaxed) as i64);
+        let sync = [
+            ("syncs", &self.stats.syncs),
+            ("syncEqual", &self.stats.sync_equal),
+            ("syncBuckets", &self.stats.sync_buckets),
+            ("syncRows", &self.stats.sync_rows),
+            ("pulled", &self.stats.pulled),
+            ("pullErrors", &self.stats.pull_errors),
+        ];
+        for (suffix, count) in sync {
+            gauge(suffix).set(count.load(Ordering::Relaxed) as i64);
+        }
         gauge("leasedGets").set(self.leased_gets as i64);
+        gauge("leasedRefusals").set(self.leased_refusals as i64);
         let bytes = self.disk.bytes();
         gauge("liveBytes").set(bytes.live as i64);
         if let Some(wal) = self.disk.wal_stats() {

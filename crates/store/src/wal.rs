@@ -667,7 +667,8 @@ impl Default for WalConfig {
     }
 }
 
-/// Counters exposed through `psStats` and the recovery experiments.
+/// Counters exposed through `aceStats` (`wal.<name>.*`) and the recovery
+/// experiments.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WalStats {
     pub appends: u64,

@@ -866,9 +866,17 @@ fn group0_links(w: &World) -> Vec<ServiceClient> {
         .unwrap()
 }
 
+/// The replica's `store.<name>.<field>` gauge, as `aceStats` answers it.
 fn stat(link: &mut ServiceClient, field: &str) -> i64 {
-    let stats = link.call(&CmdLine::new("psStats")).unwrap();
-    stats.get_int(field).unwrap()
+    let stats = link
+        .call(&CmdLine::new("aceStats").arg("prefix", "store."))
+        .unwrap();
+    let suffix = format!(".{field}");
+    let gauges = StatsReport::from_cmdline(&stats).gauges;
+    let mut rows = gauges.iter().filter(|(name, _)| name.ends_with(&suffix));
+    let (_, &value) = rows.next().unwrap();
+    assert!(rows.next().is_none(), "one replica behind one link");
+    value
 }
 
 /// Nudge the replicas behind `links` (members of a group of three) with

@@ -43,6 +43,12 @@ impl Wss {
         Wss::default()
     }
 
+    /// Users with a workspace, and workspaces in all.
+    fn counts(&self) -> (i64, i64) {
+        let total = self.workspaces.values().map(|l| l.len() as i64).sum();
+        (self.workspaces.len() as i64, total)
+    }
+
     fn sal_addr(ctx: &mut ServiceCtx) -> Option<Addr> {
         ctx.lookup_one("sal").ok().flatten().map(|e| e.addr)
     }
@@ -325,8 +331,7 @@ impl ServiceBehavior for Wss {
                 }
             }
             "wssStats" => {
-                let users = self.workspaces.len() as i64;
-                let total: i64 = self.workspaces.values().map(|l| l.len() as i64).sum();
+                let (users, total) = self.counts();
                 Reply::ok_with(|c| {
                     c.arg("users", users)
                         .arg("workspaces", total)
@@ -335,6 +340,15 @@ impl ServiceBehavior for Wss {
             }
             other => Reply::err(ErrorCode::Internal, format!("unrouted command `{other}`")),
         }
+    }
+
+    /// `wssStats`'s three numbers as `wss.*` gauges.
+    fn on_stats(&mut self, ctx: &mut ServiceCtx) {
+        let (users, total) = self.counts();
+        let m = ctx.metrics();
+        m.gauge("wss.users").set(users);
+        m.gauge("wss.workspaces").set(total);
+        m.gauge("wss.shows").set(self.shows as i64);
     }
 }
 

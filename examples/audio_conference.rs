@@ -141,11 +141,11 @@ fn main() {
         tts_c
             .call(&CmdLine::new("say").arg("text", Value::Str(text.into())))
             .unwrap();
-        let stats = client(&stc).call(&CmdLine::new("stcStats")).unwrap();
+        let stats = CmdLine::new("aceStats").arg("prefix", "stc.");
+        let gauges = StatsReport::from_cmdline(&client(&stc).call(&stats).unwrap()).gauges;
         println!(
             "  said {text:?} → recognized={} rejected={}",
-            stats.get_int("recognized").unwrap(),
-            stats.get_int("rejected").unwrap()
+            gauges["stc.recognized"], gauges["stc.rejected"]
         );
     }
 

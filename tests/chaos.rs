@@ -14,6 +14,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+/// A phone's `phone.*` gauges, as `aceStats` answers them.
+fn phone_gauges(client: &mut ServiceClient) -> std::collections::BTreeMap<String, i64> {
+    let stats = CmdLine::new("aceStats").arg("prefix", "phone.");
+    StatsReport::from_cmdline(&client.call(&stats).unwrap()).gauges
+}
+
 struct Echo;
 impl ServiceBehavior for Echo {
     fn semantics(&self) -> Semantics {
@@ -452,9 +458,9 @@ fn run_rolling_upgrade_chaos(seed: u64) {
     let received_before = {
         let mut b =
             ServiceClient::connect(&env.net, &"core".into(), oph_b.addr().clone(), &admin).unwrap();
-        let stats = b.call(&CmdLine::new("phoneStats")).unwrap();
-        assert_eq!(stats.get_bool("inCall"), Some(true));
-        stats.get_int("received").unwrap()
+        let stats = phone_gauges(&mut b);
+        assert_eq!(stats["phone.inCall"], 1);
+        stats["phone.received"]
     };
     let (oph_a, a_stats) = ace_core::live_upgrade(
         &env.net,
@@ -483,10 +489,8 @@ fn run_rolling_upgrade_chaos(seed: u64) {
     loop {
         let mut b =
             ServiceClient::connect(&env.net, &"core".into(), oph_b.addr().clone(), &admin).unwrap();
-        let stats = b.call(&CmdLine::new("phoneStats")).unwrap();
-        if stats.get_bool("inCall") == Some(true)
-            && stats.get_int("received").unwrap() > received_before
-        {
+        let stats = phone_gauges(&mut b);
+        if stats["phone.inCall"] == 1 && stats["phone.received"] > received_before {
             break;
         }
         assert!(

@@ -408,3 +408,196 @@ fn every_daemon_sheds_cleanly_when_saturated() {
         daemon.shutdown();
     }
 }
+
+// ── One stats surface ───────────────────────────────────────────────────
+
+/// A daemon's counters leave it one way, `aceStats`: each service `*Stats`
+/// verb that became `aceStats` rows is listed by no `describe` and refused
+/// as an unknown command.
+#[test]
+fn the_retired_stats_verbs_are_unknown() {
+    let retired = [
+        ("store", "psStats"),
+        ("filestorage", "storageStats"),
+        ("ophone", "phoneStats"),
+        ("netlogger", "logStats"),
+        ("idmonitor", "monitorStats"),
+        ("converter", "convertStats"),
+        ("distribution", "distStats"),
+        ("audiomixer", "mixerStats"),
+        ("audiosink", "sinkStats"),
+        ("stc", "stcStats"),
+        ("voice", "voiceStats"),
+    ];
+    let factories = factories();
+    let net = SimNet::new();
+    net.add_host("h");
+    let me = KeyPair::generate(&mut rand::thread_rng());
+    for (i, (name, verb)) in retired.into_iter().enumerate() {
+        let (_, factory) = factories.iter().find(|(n, _)| *n == name).unwrap();
+        let config = DaemonConfig::new(name, "Service.Conformance", "room", "h", 4600 + i as u16);
+        let daemon = Daemon::spawn(&net, config, factory()).unwrap();
+        let mut client =
+            ServiceClient::connect(&net, &"h".into(), daemon.addr().clone(), &me).unwrap();
+        let described = client.call(&CmdLine::new("describe")).unwrap();
+        let cmds = described.get("cmds").and_then(Value::as_vector).unwrap();
+        assert!(
+            cmds.iter().all(|c| c.as_text() != Some(verb)),
+            "{name}: `describe` lists `{verb}`"
+        );
+        match client.call(&CmdLine::new(verb)) {
+            Err(ClientError::Service { code, msg }) => {
+                assert_eq!(code, ErrorCode::Semantics, "{name}: `{verb}`");
+                assert_eq!(msg, format!("unknown command `{verb}`"));
+            }
+            other => panic!("{name}: `{verb}` answered {other:?}"),
+        }
+        daemon.shutdown();
+    }
+}
+
+// ── The two `*Stats` verbs `acebench` reads ─────────────────────────────
+
+/// A behaviour with no verbs of its own: what a supervised service is here.
+struct Idle;
+
+impl ServiceBehavior for Idle {
+    fn semantics(&self) -> Semantics {
+        Semantics::new()
+    }
+    fn handle(&mut self, _ctx: &mut ServiceCtx, _cmd: &CmdLine, _from: &ClientInfo) -> Reply {
+        Reply::ok()
+    }
+}
+
+/// The gauges under `prefix`, as `aceStats` answers them, in name order.
+fn gauges(client: &mut ServiceClient, prefix: &str) -> Vec<(String, i64)> {
+    let stats = client
+        .call(&CmdLine::new("aceStats").arg("prefix", prefix))
+        .unwrap();
+    StatsReport::from_cmdline(&stats)
+        .gauges
+        .into_iter()
+        .collect()
+}
+
+fn rows(expected: &[(&str, i64)]) -> Vec<(String, i64)> {
+    expected.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+}
+
+/// `wssStats` is read by `acebench` during set-up and after a run, so its
+/// reply is pinned byte for byte, as it answered before the `wss.*` rows
+/// came: two users, three workspaces, one show.  The `wss.*` rows read the
+/// same numbers.
+#[test]
+fn wss_stats_reply_is_pinned() {
+    let net = SimNet::new();
+    for h in ["core", "bar"] {
+        net.add_host(h);
+    }
+    let fw = ace_directory::bootstrap(&net, "core", Duration::from_secs(10)).unwrap();
+    let vnc = Daemon::spawn(
+        &net,
+        fw.service_config("vnc_bar", "Service.VNCHost", "machineroom", "bar", 5500),
+        Box::new(ace_workspace::VncHost::new()),
+    )
+    .unwrap();
+    let wss = Daemon::spawn(
+        &net,
+        fw.service_config(
+            "wss",
+            "Service.WorkspaceServer",
+            "machineroom",
+            "core",
+            5600,
+        ),
+        Box::new(ace_workspace::Wss::new()),
+    )
+    .unwrap();
+    let me = KeyPair::generate(&mut rand::thread_rng());
+    let mut client = ServiceClient::connect(&net, &"core".into(), wss.addr().clone(), &me).unwrap();
+    for create in [
+        CmdLine::new("wssCreate").arg("user", "jdoe"),
+        CmdLine::new("wssCreate")
+            .arg("user", "jdoe")
+            .arg("name", "lab"),
+        CmdLine::new("wssCreate").arg("user", "ann"),
+    ] {
+        client.call(&create).unwrap();
+    }
+    client
+        .call(
+            &CmdLine::new("wssShow")
+                .arg("user", "jdoe")
+                .arg("accessHost", "podium"),
+        )
+        .unwrap();
+    let reply = client.call(&CmdLine::new("wssStats")).unwrap();
+    assert_eq!(reply.to_wire(), "ok users=2 workspaces=3 shows=1;");
+    assert_eq!(
+        gauges(&mut client, "wss."),
+        rows(&[("wss.shows", 1), ("wss.users", 2), ("wss.workspaces", 3)])
+    );
+    wss.shutdown();
+    vnc.shutdown();
+    fw.shutdown();
+}
+
+/// `superviseStats` is read by `acebench` after its supervised crash, so
+/// its reply is pinned byte for byte, as it answered before the
+/// `supervise.*` rows came, with one service in each state: `a` pending
+/// (its respawn failed and the next try is an hour off), `b` restarted
+/// once, `c` failed (its second lapse exceeded the one-restart budget).  Lapses are told by `onServiceExpired`; the supervisor has no
+/// directory, so no probe gives a verdict of its own.  The `supervise.*`
+/// rows read the same numbers, the two lists as their lengths.
+#[test]
+fn supervise_stats_reply_is_pinned() {
+    let net = SimNet::new();
+    net.add_host("h");
+    let spawn_idle = |name: &'static str, port: u16| -> ace_core::RespawnFn {
+        Box::new(move |net: &SimNet| {
+            let config = DaemonConfig::new(name, "Service.Idle", "room", "h", port);
+            Daemon::spawn(net, config, Box::new(Idle)).map(Respawn::from)
+        })
+    };
+    // `a`'s port is the supervisor's own: every respawn fails to bind.
+    let specs = vec![
+        SupervisedSpec::new("a", spawn_idle("a", 4900)),
+        SupervisedSpec::new("b", spawn_idle("b", 4901)),
+        SupervisedSpec::new("c", spawn_idle("c", 4902)),
+    ];
+    let policy = RestartPolicy::default()
+        .with_max_restarts(1)
+        .with_max_spawn_attempts(2)
+        .with_backoff(RetryPolicy::fixed(Duration::from_secs(3600)));
+    let supervisor = Daemon::spawn(
+        &net,
+        DaemonConfig::new("supervisor", "Service.Supervisor", "room", "h", 4900),
+        Box::new(Supervisor::new(specs, policy)),
+    )
+    .unwrap();
+    let me = KeyPair::generate(&mut rand::thread_rng());
+    let mut client =
+        ServiceClient::connect(&net, &"h".into(), supervisor.addr().clone(), &me).unwrap();
+    for name in ["a", "b", "c", "c"] {
+        client
+            .call(&CmdLine::new("onServiceExpired").arg("name", name))
+            .unwrap();
+    }
+    let reply = client.call(&CmdLine::new("superviseStats")).unwrap();
+    assert_eq!(
+        reply.to_wire(),
+        "ok supervised=3 restarts=2 escalations=1 pending={a} failed={c};"
+    );
+    assert_eq!(
+        gauges(&mut client, "supervise."),
+        rows(&[
+            ("supervise.escalations", 1),
+            ("supervise.failed", 1),
+            ("supervise.pending", 1),
+            ("supervise.restarts", 2),
+            ("supervise.supervised", 3),
+        ])
+    );
+    supervisor.shutdown();
+}

@@ -408,12 +408,14 @@ fn no_constant_renewal_cadence() {
     );
 }
 
-/// The stats `event` carries its fields as a blob: `hex_encode` in
-/// `behavior.rs` is the doubled payload growing back.
+/// What a service's context sends (its events, casts and log records)
+/// carries its bytes as they are: `hex_encode` in `behavior.rs` is a
+/// hex-doubled payload, like the one the retired stats push built,
+/// growing back.
 #[test]
-fn the_stats_event_is_a_blob() {
+fn the_service_ctx_sends_no_hex() {
     none(
-        "PR 22: the hex-doubled event payload",
+        "a hex-doubled payload built by the service context",
         grep(&files(&["crates/core/src/behavior.rs"]), re("hex_encode")),
     );
 }
@@ -592,6 +594,25 @@ fn stats_are_pulled() {
             hits,
             re("^crates/core/src/daemon.rs:[0-9]*:    pub fn with_stats_interval(self, _interval: Duration) -> Self {$"),
         ),
+    );
+}
+
+/// `aceStats` is also the one way a *service's* counters leave it: they
+/// are gauges set in its `on_stats`.  A `CmdSpec` for a `…Stats` verb under
+/// `crates/*/src` other than `aceStats` is a private stats verb, with its
+/// own reply dialect, growing back.  `wssStats` and `superviseStats` stay
+/// until `acebench` reads their `wss.*`/`supervise.*` rows (ROADMAP item
+/// 1(a)); the change after it deletes them (ROADMAP small leftovers).  A
+/// spec split over two lines is caught by its name's line.
+#[test]
+fn one_stats_verb() {
+    let hits = grep(
+        &files(&["crates/*/src"]),
+        re("CmdSpec::new(\"[A-Za-z]*Stats\"|^ *\"[A-Za-z]*Stats\",$"),
+    );
+    none(
+        "a service's own `…Stats` verb beside `aceStats`",
+        except(hits, re("\"aceStats\"|\"wssStats\"|\"superviseStats\"")),
     );
 }
 
