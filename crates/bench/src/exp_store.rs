@@ -9,6 +9,7 @@ use ace_core::directory::subscribe_expiry;
 use ace_core::prelude::*;
 use ace_directory::bootstrap;
 use ace_security::keys::KeyPair;
+use ace_store::wal::COMPACT_FLOOR;
 use ace_store::{
     spawn_sharded_store, spawn_store_cluster, DiskImage, MemStorage, StorageHandle, StoreClient,
     StoreKey, Versioned, Wal, WalConfig,
@@ -224,6 +225,44 @@ pub fn e15() {
             String::new(),
             String::new(),
         ],
+    );
+
+    // Bytes rewritten by compaction per byte appended, for a load of fresh
+    // 8 KiB keys (a camera's frames, as the file manager stores them): under
+    // a cap at the 256 KiB floor, the default before the halving rule was
+    // the framework store's, and under the default, which has no cap.
+    row(
+        "compaction, 2k fresh 8 KiB keys",
+        &["cap = floor".into(), "default".into(), String::new()],
+    );
+    let capped = WalConfig {
+        compact_threshold: COMPACT_FLOOR,
+    };
+    let ratios: Vec<String> = [capped, WalConfig::default()]
+        .into_iter()
+        .map(|config| {
+            let (disk, _) =
+                DiskImage::open(&StorageHandle::Memory(MemStorage::new()), config).unwrap();
+            for i in 0..2_000u64 {
+                let frame = Versioned {
+                    data: vec![i as u8; 8 << 10],
+                    version: 1,
+                    writer: "w".into(),
+                    deleted: false,
+                };
+                disk.apply(("media".into(), format!("cam/{i:08}")), frame)
+                    .unwrap();
+            }
+            let wal = disk.wal_stats().unwrap();
+            format!(
+                "{:.2}",
+                wal.compacted_bytes as f64 / wal.append_bytes as f64
+            )
+        })
+        .collect();
+    row(
+        "bytes rewritten / appended",
+        &[ratios[0].clone(), ratios[1].clone(), String::new()],
     );
 }
 

@@ -411,10 +411,19 @@ impl ServiceBehavior for Supervisor {
                     return Reply::ok_with(|c| c.arg("restarted", false));
                 }
                 // A lapse notification can trail our own probe-triggered
-                // restart; only act if the service is genuinely absent.
-                let still_registered = matches!(registered_now(ctx, &name), Ok(Some(_)));
-                if still_registered {
-                    return Reply::ok_with(|c| c.arg("restarted", false));
+                // restart; only act if the service is genuinely absent.  A
+                // directory that cannot be asked gives no verdict, as in
+                // the probe: keep watching.
+                match registered_now(ctx, &name) {
+                    Ok(None) => {}
+                    Ok(Some(_)) => return Reply::ok_with(|c| c.arg("restarted", false)),
+                    Err(e) => {
+                        ctx.log(
+                            "warn",
+                            format!("{name} lease expired, directory unreachable ({e}); watching"),
+                        );
+                        return Reply::ok_with(|c| c.arg("restarted", false));
+                    }
                 }
                 ctx.log("warn", format!("{name} lease expired; restarting"));
                 self.mark_down(&name, ctx.net().clock().now());

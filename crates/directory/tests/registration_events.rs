@@ -306,3 +306,66 @@ fn a_lapsed_lease_restarts_a_daemon_the_supervisor_last_saw_healthy() {
     supervisor.shutdown();
     fw.shutdown();
 }
+
+/// A lapse the directory cannot confirm restarts nothing.  The Supervisor's
+/// probe reads an unreachable directory as no verdict, and so does its
+/// `onServiceExpired` arm: with the directory's host down, a bare lapse
+/// notification for a service it watches answers `restarted=false`, calls
+/// no respawn and leaves nothing pending.  Before, the failed lookup read as
+/// "not registered", and the healthy service was respawned.
+#[test]
+fn a_lapse_the_directory_cannot_confirm_restarts_nothing() {
+    const LEASE: Duration = Duration::from_secs(10);
+    let net = SimNet::new();
+    for h in ["core", "bar", "sup", "ops"] {
+        net.add_host(h);
+    }
+    let fw = bootstrap(&net, "core", LEASE).unwrap();
+    let me = KeyPair::generate(&mut rand::thread_rng());
+    let victim = Daemon::spawn(
+        &net,
+        fw.service_config("victim", "Service.Echo", "hawk", "bar", 6000),
+        Box::new(Echo),
+    )
+    .unwrap();
+    let respawns = Arc::new(Mutex::new(0));
+    let counted = Arc::clone(&respawns);
+    let spec = SupervisedSpec::new(
+        "victim",
+        Box::new(move |_: &SimNet| {
+            *counted.lock().unwrap() += 1;
+            Err(ace_core::daemon::SpawnError::Restore("only counted".into()))
+        }),
+    );
+    let watchdog =
+        Supervisor::new(vec![spec], RestartPolicy::default()).with_probe_interval(LEASE * 60);
+    let supervisor = Daemon::spawn(
+        &net,
+        fw.service_config(
+            "supervisor",
+            "Service.Supervisor",
+            "machineroom",
+            "sup",
+            6100,
+        ),
+        Box::new(watchdog),
+    )
+    .unwrap();
+
+    net.kill_host(&"core".into());
+    let mut to_supervisor =
+        ServiceClient::connect(&net, &"ops".into(), supervisor.addr().clone(), &me).unwrap();
+    let lapse = CmdLine::new("onServiceExpired").arg("name", "victim");
+    let reply = to_supervisor.call(&lapse).unwrap();
+    assert_eq!(reply.get_bool("restarted"), Some(false));
+    assert_eq!(
+        *respawns.lock().unwrap(),
+        0,
+        "a lapse nobody confirmed respawned"
+    );
+    let stats = to_supervisor.call(&CmdLine::new("superviseStats")).unwrap();
+    assert_eq!(stats.get_vector("pending").map(<[_]>::len), Some(0));
+
+    supervisor.crash();
+    victim.shutdown();
+}

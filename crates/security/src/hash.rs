@@ -119,8 +119,16 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 /// is why the persistent store's write-ahead log frames records with it: a
 /// torn or flipped log byte must never replay as valid data.
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_update(0, data)
+}
+
+/// Continue a [`crc32`] over more bytes: `crc32_update(crc32(a), b)` is
+/// `crc32` of `a` followed by `b`, and `crc32_update(0, b)` is `crc32(b)`.
+/// How a checksum is taken over bytes that are not in one buffer: a record
+/// encoded field by field, a snapshot held in pages.
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc: u32 = !0;
+    let mut crc = !crc;
     let mut words = data.chunks_exact(8);
     for w in &mut words {
         let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -233,6 +241,26 @@ mod tests {
         }
         let mib = &bytes[3..3 + (1 << 20)];
         assert_eq!(crc32(mib), crc32_bytewise(mib), "1 MiB of seeded bytes");
+    }
+
+    /// A CRC continued piece by piece equals the one-shot CRC of the
+    /// concatenation, wherever the pieces are cut, empty pieces included.
+    #[test]
+    fn crc32_update_continues_across_any_cut() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 37 + 11) as u8).collect();
+        let whole = crc32(&data);
+        for a in 0..data.len() {
+            for b in [
+                a,
+                (a + 1).min(data.len()),
+                (a + 9).min(data.len()),
+                data.len(),
+            ] {
+                let crc = crc32_update(crc32_update(crc32(&data[..a]), &data[a..b]), &data[b..]);
+                assert_eq!(crc, whole, "cut at {a} and {b}");
+            }
+        }
+        assert_eq!(crc32_update(0, b"123456789"), 0xCBF43926);
     }
 
     #[test]

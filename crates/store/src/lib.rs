@@ -32,7 +32,7 @@ pub use replica::{
     sync_tree, DigestRow, DiskBytes, DiskImage, StoreReplica, SyncTree, SYNC_BUCKETS,
 };
 pub use version::{StoreKey, Versioned};
-pub use wal::{MemStorage, RecoveryReport, StorageHandle, Wal, WalConfig, WalStats};
+pub use wal::{MemStorage, Pages, RecoveryReport, StorageHandle, Wal, WalConfig, WalStats, PAGE};
 
 use ace_core::prelude::*;
 use ace_core::supervise::{Respawn, RespawnFn};

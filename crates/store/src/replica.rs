@@ -29,7 +29,7 @@
 use crate::client::{unpack_values, StoreError};
 use crate::placement::StorePlacement;
 use crate::version::{StoreKey, Versioned};
-use crate::wal::{record_len, RecoveryReport, StorageHandle, Wal, WalConfig, WalStats};
+use crate::wal::{record_len, Pages, RecoveryReport, StorageHandle, Wal, WalConfig, WalStats};
 use ace_core::prelude::*;
 use ace_lang::ScalarType;
 use ace_security::hash::Fnv64Stream;
@@ -430,9 +430,9 @@ impl DiskImage {
         }
     }
 
-    /// Cut a consistent shippable snapshot: the encoded full state, under
-    /// one hold of the map lock.
-    pub fn snapshot_cut(&self) -> Vec<u8> {
+    /// Cut a consistent shippable snapshot: the encoded full state, in
+    /// pages, under one hold of the map lock.
+    pub fn snapshot_cut(&self) -> Pages {
         let held = self.held.lock();
         crate::wal::encode_snapshot(&held.map, held.live)
     }
@@ -508,8 +508,8 @@ pub struct StoreReplica {
     /// Cached encoded snapshot for chunked `psSnapFetch`.  Cut fresh on
     /// every offset-0 fetch; later offsets read the cache so one rebuild
     /// streams one consistent snapshot, and serving the final chunk lets it
-    /// go.
-    snap_cache: Option<Vec<u8>>,
+    /// go.  Each chunk is copied out of the pages it spans.
+    snap_cache: Option<Pages>,
     /// The shard read lease, if any client granted one.
     lease: Option<ReadLease>,
     /// `psGetLeased` requests served as the holder.
@@ -1076,7 +1076,7 @@ impl ServiceBehavior for StoreReplica {
                 let reply = Reply::ok_with(|c| {
                     c.arg("total", bytes.len() as i64)
                         .arg("offset", offset as i64)
-                        .arg("data", &bytes[offset..end])
+                        .arg("data", bytes.read(offset, end))
                 });
                 if last {
                     // The final chunk is served: the cut has no reader left.
@@ -1159,7 +1159,8 @@ impl ServiceBehavior for StoreReplica {
     /// Re-export WAL and sync state into the daemon's unified metrics
     /// registry, so `aceStats` carries them alongside the framework's own
     /// counters — among them the disk's footprint (`liveBytes`,
-    /// `snapshotBytes`, `logBytes`), read only here.  Series are keyed by the
+    /// `snapshotBytes`, `logBytes`) and its rewrite volume
+    /// (`compactedBytes`), read only here.  Series are keyed by the
     /// daemon name (`store.<name>.entries`): co-located replicas whose
     /// stats land in one registry (or one downstream aggregation) must
     /// stay distinct series, not overwrite each other.
@@ -1192,6 +1193,7 @@ impl ServiceBehavior for StoreReplica {
             gauge("fsyncs").set(wal.fsyncs as i64);
             gauge("snapshotBytes").set(bytes.snapshot as i64);
             gauge("logBytes").set(bytes.log as i64);
+            gauge("compactedBytes").set(wal.compacted_bytes as i64);
         }
     }
 }
@@ -1380,6 +1382,7 @@ mod tests {
         }
         let hex: String = disk
             .snapshot_cut()
+            .to_vec()
             .iter()
             .map(|b| format!("{b:02x}"))
             .collect();

@@ -14,14 +14,21 @@
 //! * **snapshot** — the full state, written by compaction (and by a
 //!   shipped-snapshot install).  A log is compacted once compacting would
 //!   at least halve the disk, never below [`COMPACT_FLOOR`] and always at
-//!   the configured cap ([`WalConfig::compact_threshold`]), so a disk holds
-//!   at most about twice the state it logs.  A commit
+//!   a configured cap ([`WalConfig::compact_threshold`]; the default has
+//!   none), so a disk holds at most about twice the state it logs, and a
+//!   load of fresh keys is never rewritten.  A commit
 //!   atomically replaces the snapshot, then empties the log.  A crash
 //!   before the replace leaves the old snapshot and the whole log; a crash
 //!   after it leaves the new snapshot and the whole log, whose replay over
 //!   it changes nothing (invariant 3); a crash after the log reset leaves
 //!   the new snapshot alone.  So one snapshot is enough: recovery never
 //!   needs an older one.
+//!
+//! Both segments, every append and every snapshot are held in [`Pages`] of
+//! [`PAGE`] bytes: no write allocates, grows or frees a buffer larger than
+//! a page, so a compaction's multi-megabyte snapshot never becomes a freed
+//! buffer the allocator keeps for the next one.  Only recovery reads a
+//! segment into one buffer, once per open.
 //!
 //! Recovery invariants (asserted by `tests/wal_recovery.rs` and the chaos
 //! soak):
@@ -45,7 +52,7 @@ use crate::client::StoreError;
 use crate::version::{StoreKey, Versioned};
 use ace_net::fault::{StorageFault, StorageFaultHub};
 use ace_net::HostId;
-use ace_security::hash::crc32;
+use ace_security::hash::{crc32, crc32_update};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::Write;
@@ -61,26 +68,153 @@ pub const MAX_RECORD: u32 = 16 << 20;
 pub const RECORD_HEADER: usize = 8;
 
 // ---------------------------------------------------------------------------
+// Pages
+// ---------------------------------------------------------------------------
+
+/// The size of one page of [`Pages`].  A constant, not an option: it is
+/// the largest buffer a store write allocates, grows or frees.
+pub const PAGE: usize = 64 << 10;
+
+/// Bytes held in fixed pages of [`PAGE`] bytes: a disk segment, a log
+/// append, a snapshot and the cut a rebuild streams.  Every page but the
+/// last is full, and no page is ever larger than [`PAGE`]: a byte string
+/// of any length grows and shrinks a page at a time, so the allocator
+/// never holds a freed multi-megabyte buffer for the next one.
+#[derive(Debug, Default)]
+pub struct Pages {
+    pages: Vec<Vec<u8>>,
+    len: usize,
+}
+
+impl Pages {
+    pub fn new() -> Pages {
+        Pages::default()
+    }
+
+    /// Bytes held.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Append `bytes`, filling the last page before starting the next.
+    pub fn extend(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let page = match self.pages.last_mut() {
+                Some(page) if page.len() < PAGE => page,
+                _ => {
+                    self.pages.push(Vec::with_capacity(PAGE));
+                    self.pages.last_mut().expect("just pushed")
+                }
+            };
+            let n = (PAGE - page.len()).min(bytes.len());
+            page.extend_from_slice(&bytes[..n]);
+            self.len += n;
+            bytes = &bytes[n..];
+        }
+    }
+
+    /// Append the first `limit` bytes of `other`.
+    pub fn extend_from(&mut self, other: &Pages, limit: usize) {
+        let mut left = limit;
+        for page in other.pages() {
+            let n = left.min(page.len());
+            self.extend(&page[..n]);
+            left -= n;
+        }
+    }
+
+    /// Cut down to `len` bytes; pages past it are freed.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.len {
+            return;
+        }
+        let kept = len.div_ceil(PAGE);
+        self.pages.truncate(kept);
+        if let Some(last) = self.pages.last_mut() {
+            last.truncate(len - (kept - 1) * PAGE);
+        }
+        self.len = len;
+    }
+
+    /// Empty, keeping the first page for the next fill: a buffer reused
+    /// for small writes allocates nothing after warm-up.
+    pub fn clear(&mut self) {
+        self.pages.truncate(1);
+        if let Some(first) = self.pages.first_mut() {
+            first.clear();
+        }
+        self.len = 0;
+    }
+
+    /// The pages in order, as byte slices.
+    pub fn pages(&self) -> impl Iterator<Item = &[u8]> {
+        self.pages.iter().map(Vec::as_slice)
+    }
+
+    /// A copy of `start..end` in one buffer.
+    pub fn read(&self, start: usize, end: usize) -> Vec<u8> {
+        assert!(start <= end && end <= self.len, "read past the pages");
+        let mut out = Vec::with_capacity(end - start);
+        let mut at = start;
+        while at < end {
+            let page = &self.pages[at / PAGE];
+            let from = at % PAGE;
+            let n = (page.len() - from).min(end - at);
+            out.extend_from_slice(&page[from..from + n]);
+            at += n;
+        }
+        out
+    }
+
+    /// Every byte in one buffer: what recovery reads at open.
+    pub fn to_vec(&self) -> Vec<u8> {
+        self.read(0, self.len)
+    }
+
+    /// Flip bit `bit` (mod the bits held) — latent media damage.
+    fn flip_bit(&mut self, bit: u64) {
+        if self.len > 0 {
+            let bit = (bit as usize) % (self.len * 8);
+            self.pages[bit / 8 / PAGE][(bit / 8) % PAGE] ^= 1 << (bit % 8);
+        }
+    }
+}
+
+impl From<&[u8]> for Pages {
+    fn from(bytes: &[u8]) -> Pages {
+        let mut pages = Pages::new();
+        pages.extend(bytes);
+        pages
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Storage backends
 // ---------------------------------------------------------------------------
 
 /// One logical file of replica storage.  `append` is the only operation a
 /// fault may tear: everything else either fully happens or fully errors,
 /// matching the single-sector atomicity real filesystems give renames and
-/// truncates.
+/// truncates.  Writes take [`Pages`], so no write needs its bytes in one
+/// buffer; only recovery's `read_all` reads a segment whole, once per open.
 pub trait StorageBackend: Send {
     /// Full current contents.
     fn read_all(&mut self) -> Result<Vec<u8>, StoreError>;
     /// Append bytes at the end.  Under an armed fault this may persist only
     /// a prefix and return `Err` — the caller must treat `Err` as
     /// "not durable".
-    fn append(&mut self, bytes: &[u8]) -> Result<(), StoreError>;
+    fn append(&mut self, pages: &Pages) -> Result<(), StoreError>;
     /// Flush appended bytes to stable storage.
     fn sync(&mut self) -> Result<(), StoreError>;
     /// Atomically and durably replace the full contents (snapshot commit,
-    /// log reset).  Takes the bytes by value, so a backend that keeps them
-    /// in memory keeps them without a copy.
-    fn replace(&mut self, bytes: Vec<u8>) -> Result<(), StoreError>;
+    /// log reset).  Takes the pages by value, so a backend that keeps them
+    /// in memory keeps them without a copy, and one that writes them to a
+    /// file writes them page by page.
+    fn replace(&mut self, pages: Pages) -> Result<(), StoreError>;
     /// Cut the contents down to `len` bytes (torn-tail repair).
     fn truncate(&mut self, len: u64) -> Result<(), StoreError>;
 }
@@ -90,7 +224,7 @@ const SEG_SNAP: usize = 1;
 
 #[derive(Debug, Default)]
 struct MemInner {
-    segments: Mutex<[Vec<u8>; 2]>,
+    segments: Mutex<[Pages; 2]>,
     /// Fencing token: bumped by every [`StorageHandle`] open, so backends
     /// from a superseded instance (a daemon the supervisor already
     /// replaced) can no longer write — the same role a fencing epoch plays
@@ -160,7 +294,7 @@ impl MemStorage {
 
     /// Raw bytes of the log segment (tests and diagnostics).
     pub fn log_bytes(&self) -> Vec<u8> {
-        self.inner.segments.lock()[SEG_LOG].clone()
+        self.inner.segments.lock()[SEG_LOG].to_vec()
     }
 
     /// Byte length of the snapshot (tests and diagnostics).
@@ -171,7 +305,7 @@ impl MemStorage {
     /// Overwrite the log segment wholesale — how tests model latent media
     /// damage that happened while the replica was down.
     pub fn set_log_bytes(&self, bytes: Vec<u8>) {
-        self.inner.segments.lock()[SEG_LOG] = bytes;
+        self.inner.segments.lock()[SEG_LOG] = Pages::from(&bytes[..]);
     }
 }
 
@@ -193,10 +327,10 @@ impl MemBackend {
 impl StorageBackend for MemBackend {
     fn read_all(&mut self) -> Result<Vec<u8>, StoreError> {
         self.check()?;
-        Ok(self.storage.inner.segments.lock()[self.seg].clone())
+        Ok(self.storage.inner.segments.lock()[self.seg].to_vec())
     }
 
-    fn append(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+    fn append(&mut self, pages: &Pages) -> Result<(), StoreError> {
         self.check()?;
         self.storage.write_lands()?;
         // Only the log segment is fault-injectable: snapshots commit via
@@ -208,37 +342,34 @@ impl StorageBackend for MemBackend {
             None
         };
         let mut segments = self.storage.inner.segments.lock();
+        let seg = &mut segments[self.seg];
         match fault {
             Some(StorageFault::CrashAtByte(n)) => {
-                let keep = (n as usize).min(bytes.len());
-                segments[self.seg].extend_from_slice(&bytes[..keep]);
+                let keep = (n as usize).min(pages.len());
+                seg.extend_from(pages, keep);
                 self.storage.crash_after_writes(0);
                 Err(StoreError::Io(format!(
                     "simulated crash after {keep} of {} append bytes",
-                    bytes.len()
+                    pages.len()
                 )))
             }
             Some(StorageFault::TornWrite(n)) => {
-                let keep = (n as usize).min(bytes.len().saturating_sub(1));
-                segments[self.seg].extend_from_slice(&bytes[..keep]);
+                let keep = (n as usize).min(pages.len().saturating_sub(1));
+                seg.extend_from(pages, keep);
                 Err(StoreError::Io(format!(
                     "simulated torn write: {keep} of {} append bytes",
-                    bytes.len()
+                    pages.len()
                 )))
             }
             Some(StorageFault::BitFlip(bit)) => {
                 // Latent damage to what is already on disk; the append
                 // itself succeeds.
-                let seg = &mut segments[self.seg];
-                if !seg.is_empty() {
-                    let bit = (bit as usize) % (seg.len() * 8);
-                    seg[bit / 8] ^= 1 << (bit % 8);
-                }
-                seg.extend_from_slice(bytes);
+                seg.flip_bit(bit);
+                seg.extend_from(pages, pages.len());
                 Ok(())
             }
             None => {
-                segments[self.seg].extend_from_slice(bytes);
+                seg.extend_from(pages, pages.len());
                 Ok(())
             }
         }
@@ -248,21 +379,17 @@ impl StorageBackend for MemBackend {
         self.check()
     }
 
-    fn replace(&mut self, bytes: Vec<u8>) -> Result<(), StoreError> {
+    fn replace(&mut self, pages: Pages) -> Result<(), StoreError> {
         self.check()?;
         self.storage.write_lands()?;
-        self.storage.inner.segments.lock()[self.seg] = bytes;
+        self.storage.inner.segments.lock()[self.seg] = pages;
         Ok(())
     }
 
     fn truncate(&mut self, len: u64) -> Result<(), StoreError> {
         self.check()?;
         self.storage.write_lands()?;
-        let mut segments = self.storage.inner.segments.lock();
-        let seg = &mut segments[self.seg];
-        if (len as usize) < seg.len() {
-            seg.truncate(len as usize);
-        }
+        self.storage.inner.segments.lock()[self.seg].truncate(len as usize);
         Ok(())
     }
 }
@@ -323,8 +450,12 @@ impl StorageBackend for FileBackend {
         }
     }
 
-    fn append(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
-        self.open_append()?.write_all(bytes).map_err(Self::io)
+    fn append(&mut self, pages: &Pages) -> Result<(), StoreError> {
+        let file = self.open_append()?;
+        for page in pages.pages() {
+            file.write_all(page).map_err(Self::io)?;
+        }
+        Ok(())
     }
 
     fn sync(&mut self) -> Result<(), StoreError> {
@@ -334,11 +465,13 @@ impl StorageBackend for FileBackend {
         Ok(())
     }
 
-    fn replace(&mut self, bytes: Vec<u8>) -> Result<(), StoreError> {
+    fn replace(&mut self, pages: Pages) -> Result<(), StoreError> {
         self.file = None; // reopen after the rename
         let tmp = self.path.with_extension("tmp");
-        std::fs::write(&tmp, bytes).map_err(Self::io)?;
-        let f = std::fs::File::open(&tmp).map_err(Self::io)?;
+        let mut f = std::fs::File::create(&tmp).map_err(Self::io)?;
+        for page in pages.pages() {
+            f.write_all(page).map_err(Self::io)?;
+        }
         f.sync_data().map_err(Self::io)?;
         std::fs::rename(&tmp, &self.path).map_err(Self::io)?;
         // The rename is a snapshot's commit point: make it durable.
@@ -391,9 +524,9 @@ impl StorageHandle {
 // Record codec
 // ---------------------------------------------------------------------------
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+fn put_str(put: &mut impl FnMut(&[u8]), s: &str) {
+    put(&(s.len() as u16).to_le_bytes());
+    put(s.as_bytes());
 }
 
 struct Cursor<'a> {
@@ -439,28 +572,28 @@ pub(crate) fn record_len(key: &StoreKey, value: &Versioned) -> u64 {
     (RECORD_HEADER + strs + 3 * 2 + 8 + 1 + 4 + value.data.len()) as u64
 }
 
-/// Encode one write's record payload (no framing) onto `out`.
-fn encode_payload(out: &mut Vec<u8>, key: &StoreKey, value: &Versioned) {
-    put_str(out, &key.0);
-    put_str(out, &key.1);
-    out.extend_from_slice(&value.version.to_le_bytes());
-    put_str(out, &value.writer);
-    out.push(value.deleted as u8);
-    out.extend_from_slice(&(value.data.len() as u32).to_le_bytes());
-    out.extend_from_slice(&value.data);
+/// Encode one write's record payload (no framing), piece by piece, into
+/// `put`.
+fn encode_payload(key: &StoreKey, value: &Versioned, put: &mut impl FnMut(&[u8])) {
+    put_str(put, &key.0);
+    put_str(put, &key.1);
+    put(&value.version.to_le_bytes());
+    put_str(put, &value.writer);
+    put(&[value.deleted as u8]);
+    put(&(value.data.len() as u32).to_le_bytes());
+    put(&value.data);
 }
 
-/// Frame one write onto `out` in place — `len | crc32(payload) | payload`
-/// — with no buffer of its own: the header is patched in once the payload
-/// is written behind it.
-fn put_record(out: &mut Vec<u8>, key: &StoreKey, value: &Versioned) {
-    let start = out.len();
-    out.extend_from_slice(&[0; RECORD_HEADER]);
-    encode_payload(out, key, value);
-    let payload = &out[start + RECORD_HEADER..];
-    let (len, crc) = (payload.len() as u32, crc32(payload));
-    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-    out[start + 4..start + RECORD_HEADER].copy_from_slice(&crc.to_le_bytes());
+/// Frame one write into `put` — `len | crc32(payload) | payload` — with
+/// no buffer of its own: the length is [`record_len`]'s, and the CRC is
+/// taken over the payload's pieces before they are written.
+fn put_record(key: &StoreKey, value: &Versioned, put: &mut impl FnMut(&[u8])) {
+    let len = record_len(key, value) as usize - RECORD_HEADER;
+    let mut crc = 0;
+    encode_payload(key, value, &mut |piece| crc = crc32_update(crc, piece));
+    put(&(len as u32).to_le_bytes());
+    put(&crc.to_le_bytes());
+    encode_payload(key, value, put);
 }
 
 fn decode_payload(payload: &[u8]) -> Result<(StoreKey, Versioned), String> {
@@ -496,7 +629,7 @@ fn decode_payload(payload: &[u8]) -> Result<(StoreKey, Versioned), String> {
 /// Frame one write as a full log record: `len | crc32(payload) | payload`.
 pub fn frame_record(key: &StoreKey, value: &Versioned) -> Vec<u8> {
     let mut out = Vec::with_capacity(record_len(key, value) as usize);
-    put_record(&mut out, key, value);
+    put_record(key, value, &mut |piece| out.extend_from_slice(piece));
     out
 }
 
@@ -578,24 +711,27 @@ const SNAP_MAGIC: &[u8; 8] = b"ACSNAP01";
 const SNAP_FRAME: usize = SNAP_MAGIC.len() + 8 + 4 + 4;
 
 /// Encode a full-state snapshot body, for compaction and for snapshot
-/// shipping alike.  `live` is the [`record_len`] sum of `map`, so the body
-/// is one allocation of its final size and every record is framed in
-/// place.  The 8 header bytes after the magic are a reserved word, always
-/// 0, that the decoder skips: shipped snapshots keep their layout.
-pub(crate) fn encode_snapshot(map: &HashMap<StoreKey, Versioned>, live: u64) -> Vec<u8> {
-    let mut body = Vec::with_capacity(SNAP_FRAME + live as usize);
-    body.extend_from_slice(SNAP_MAGIC);
-    body.extend_from_slice(&0u64.to_le_bytes());
-    body.extend_from_slice(&(map.len() as u32).to_le_bytes());
+/// shipping alike, into [`Pages`]: every record is framed in place, and the
+/// body's CRC is taken as it is written.  `live` is the [`record_len`] sum
+/// of `map`.  The 8 header bytes after the magic are a reserved word,
+/// always 0, that the decoder skips: shipped snapshots keep their layout.
+pub(crate) fn encode_snapshot(map: &HashMap<StoreKey, Versioned>, live: u64) -> Pages {
+    let (mut body, mut crc) = (Pages::new(), 0);
+    let mut put = |bytes: &[u8]| {
+        crc = crc32_update(crc, bytes);
+        body.extend(bytes);
+    };
+    put(SNAP_MAGIC);
+    put(&0u64.to_le_bytes());
+    put(&(map.len() as u32).to_le_bytes());
     // Deterministic order so identical states produce identical snapshots.
     let mut keys: Vec<&StoreKey> = map.keys().collect();
     keys.sort();
     for key in keys {
-        put_record(&mut body, key, &map[key]);
+        put_record(key, &map[key], &mut put);
     }
     debug_assert_eq!(body.len() + 4, SNAP_FRAME + live as usize, "live drifted");
-    let total_crc = crc32(&body);
-    body.extend_from_slice(&total_crc.to_le_bytes());
+    body.extend(&crc.to_le_bytes());
     body
 }
 
@@ -655,14 +791,16 @@ pub const COMPACT_FLOOR: u64 = 256 << 10;
 #[derive(Debug, Clone)]
 pub struct WalConfig {
     /// The cap: a log longer than this many bytes is always compacted.
-    /// The default is [`COMPACT_FLOOR`], where the rule is this cap alone.
+    /// The default is no cap (`u64::MAX`), so a default store compacts by
+    /// the halving rule alone; a cap bounds the log of a store whose state
+    /// it would otherwise let grow (acebench's shards use 4 MiB).
     pub compact_threshold: u64,
 }
 
 impl Default for WalConfig {
     fn default() -> WalConfig {
         WalConfig {
-            compact_threshold: COMPACT_FLOOR,
+            compact_threshold: u64::MAX,
         }
     }
 }
@@ -680,6 +818,9 @@ pub struct WalStats {
     pub batches: u64,
     /// Fsyncs issued (one per batch).
     pub fsyncs: u64,
+    /// Snapshot bytes written by compactions and installs: the rewrite
+    /// volume, against `append_bytes`.
+    pub compacted_bytes: u64,
 }
 
 /// What recovery found, surfaced in supervisor restart notes.
@@ -728,8 +869,9 @@ pub struct Wal {
     stats: WalStats,
     /// Reusable append buffer: a call's records are concatenated here so
     /// each call is exactly one backend `append` (and one tear point under
-    /// fault injection), with no allocation after warm-up.
-    scratch: Vec<u8>,
+    /// fault injection).  In pages, so a large batch allocates pages, and
+    /// a small write nothing after warm-up.
+    scratch: Pages,
 }
 
 impl Wal {
@@ -786,7 +928,7 @@ impl Wal {
                 snapshot_len,
                 broken: false,
                 stats: WalStats::default(),
-                scratch: Vec::new(),
+                scratch: Pages::new(),
             },
             map,
             report,
@@ -798,7 +940,7 @@ impl Wal {
     pub fn reset(handle: &StorageHandle) -> Result<(), StoreError> {
         let backends = handle.open_backends()?;
         for mut backend in backends {
-            backend.replace(Vec::new())?;
+            backend.replace(Pages::new())?;
         }
         Ok(())
     }
@@ -823,13 +965,9 @@ impl Wal {
         }
         self.usable()?;
         self.scratch.clear();
-        let len: u64 = entries
-            .iter()
-            .map(|(key, value)| record_len(key, value))
-            .sum();
-        self.scratch.reserve(len as usize);
+        let scratch = &mut self.scratch;
         for (key, value) in entries {
-            put_record(&mut self.scratch, key, value);
+            put_record(key, value, &mut |piece| scratch.extend(piece));
         }
         self.commit(entries.len() as u64)
     }
@@ -873,9 +1011,10 @@ impl Wal {
         let len = body.len() as u64;
         self.snapshot.replace(body)?;
         self.snapshot_len = len;
-        self.log.replace(Vec::new())?;
+        self.log.replace(Pages::new())?;
         self.end = 0;
         self.stats.compactions += 1;
+        self.stats.compacted_bytes += len;
         Ok(())
     }
 

@@ -518,11 +518,13 @@ fn replica_durability_is_on_by_default() {
 }
 
 /// A replica's disk footprint is pulled over the wire: `aceStats` carries
-/// `store.<name>.liveBytes`, `wal.<name>.snapshotBytes` and
-/// `wal.<name>.logBytes`.  After an overwrite storm at acebench's 4 MiB cap
-/// every replica of the group holds the compaction rule's bound: snapshot
-/// plus log within `max(2·live, floor)`, where under the cap alone the log
-/// would still hold all six rounds.
+/// `store.<name>.liveBytes`, `wal.<name>.snapshotBytes`,
+/// `wal.<name>.logBytes` and the rewrite volume `wal.<name>.compactedBytes`.
+/// After an overwrite storm at acebench's 4 MiB cap every replica of the
+/// group holds the compaction rule's bound: snapshot plus log within
+/// `max(2·live, floor)`, where under the cap alone the log would still hold
+/// all six rounds.  Every compaction rewrote at least the state it held
+/// then, which is never less than the first round's keys.
 #[test]
 fn a_replicas_disk_footprint_is_read_over_the_wire() {
     const KEYS: usize = 300;
@@ -562,9 +564,12 @@ fn a_replicas_disk_footprint_is_read_over_the_wire() {
         let live = gauge("store", "liveBytes");
         let (snapshot, log) = (gauge("wal", "snapshotBytes"), gauge("wal", "logBytes"));
         assert!(live >= KEYS as u64 * 1024, "replica {r}: {live} B live");
+        let compactions = gauge("wal", "compactions");
+        assert!(compactions >= 1, "replica {r} never compacted");
         assert!(
-            gauge("wal", "compactions") >= 1,
-            "replica {r} never compacted"
+            gauge("wal", "compactedBytes") >= compactions * KEYS as u64 * 1024,
+            "replica {r}: {} B rewritten by {compactions} compactions",
+            gauge("wal", "compactedBytes")
         );
         assert!(
             snapshot + log <= (2 * live).max(COMPACT_FLOOR),

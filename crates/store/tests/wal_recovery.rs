@@ -638,3 +638,43 @@ fn fresh_keys_never_compact() {
         "the first overwrites compacted"
     );
 }
+
+/// The default configuration compacts by the halving rule alone: it has no
+/// cap.  2,000 fresh 8 KiB keys (a camera's frames, as the file manager
+/// stores them) never compact, and three rounds of overwrites compact only
+/// once compacting would halve the disk, twice in all.  After every write
+/// `snapshot + log ≤ max(2·live, 256 KiB) + one record`.  Fails under the
+/// old default (cap = the 256 KiB floor), whose load compacts every
+/// 256 KiB.
+#[test]
+fn the_default_config_compacts_by_the_halving_rule() {
+    let (disk, _) = DiskImage::open(
+        &StorageHandle::Memory(MemStorage::new()),
+        WalConfig::default(),
+    )
+    .unwrap();
+    let compactions = || disk.wal_stats().unwrap().compactions;
+    for round in 0..4u64 {
+        for i in 0..2_000u64 {
+            let (k, v) = (
+                key(&format!("media/cam/{i:08}")),
+                value(round + 1, &[(i % 251) as u8; 8 << 10]),
+            );
+            let record = frame_record(&k, &v).len() as u64;
+            assert!(disk.apply(k, v).unwrap());
+            let DiskBytes {
+                live,
+                snapshot,
+                log,
+            } = disk.bytes();
+            assert!(
+                snapshot + log <= (2 * live).max(COMPACT_FLOOR) + record,
+                "round {round} write {i}: {snapshot} B snapshot + {log} B log for {live} B live"
+            );
+        }
+        if round == 0 {
+            assert_eq!(compactions(), 0, "the load of fresh keys compacted");
+        }
+    }
+    assert_eq!(compactions(), 2);
+}

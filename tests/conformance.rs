@@ -547,13 +547,17 @@ fn wss_stats_reply_is_pinned() {
 /// its reply is pinned byte for byte, as it answered before the
 /// `supervise.*` rows came, with one service in each state: `a` pending
 /// (its respawn failed and the next try is an hour off), `b` restarted
-/// once, `c` failed (its second lapse exceeded the one-restart budget).  Lapses are told by `onServiceExpired`; the supervisor has no
-/// directory, so no probe gives a verdict of its own.  The `supervise.*`
-/// rows read the same numbers, the two lists as their lengths.
+/// once, `c` failed (its second lapse exceeded the one-restart budget).  Lapses are told by `onServiceExpired`, which the
+/// supervisor's directory confirms: it lists none of the three.  Its probe
+/// interval outlasts the test, so its start-up probe is the only one and
+/// counts one failure each, short of a verdict.  The `supervise.*` rows
+/// read the same numbers, the two lists as their lengths.
 #[test]
 fn supervise_stats_reply_is_pinned() {
     let net = SimNet::new();
     net.add_host("h");
+    net.add_host("core");
+    let fw = ace_directory::bootstrap(&net, "core", Duration::from_secs(10)).unwrap();
     let spawn_idle = |name: &'static str, port: u16| -> ace_core::RespawnFn {
         Box::new(move |net: &SimNet| {
             let config = DaemonConfig::new(name, "Service.Idle", "room", "h", port);
@@ -572,8 +576,9 @@ fn supervise_stats_reply_is_pinned() {
         .with_backoff(RetryPolicy::fixed(Duration::from_secs(3600)));
     let supervisor = Daemon::spawn(
         &net,
-        DaemonConfig::new("supervisor", "Service.Supervisor", "room", "h", 4900),
-        Box::new(Supervisor::new(specs, policy)),
+        DaemonConfig::new("supervisor", "Service.Supervisor", "room", "h", 4900)
+            .with_directory(fw.directory()),
+        Box::new(Supervisor::new(specs, policy).with_probe_interval(Duration::from_secs(3600))),
     )
     .unwrap();
     let me = KeyPair::generate(&mut rand::thread_rng());
@@ -600,4 +605,5 @@ fn supervise_stats_reply_is_pinned() {
         ])
     );
     supervisor.shutdown();
+    fw.shutdown();
 }

@@ -697,7 +697,9 @@ fn one_fnv_step() {
 // ── PR 28: one copy per replica, one count per byte ──────────────────────
 
 /// The in-memory disk keeps the snapshot it is handed: its three
-/// `fn replace` bodies are the ones the next guard reads.
+/// `fn replace` bodies, which take their [`Pages`] by value, are the ones
+/// the next guard reads.  A `replace` that borrows its pages must copy
+/// them.
 #[test]
 fn three_snapshot_replaces() {
     exactly(
@@ -705,25 +707,25 @@ fn three_snapshot_replaces() {
         "PR 28: a `fn replace` the snapshot-copy guard does not read",
         grep(
             &files(&["crates/store/src/wal.rs"]),
-            re("fn replace(&mut self, bytes: Vec<u8>)"),
+            re("fn replace(&mut self, pages: Pages)"),
         ),
     );
 }
 
-/// The in-memory disk keeps the snapshot it is handed, not a `to_vec` of
-/// it.
+/// The in-memory disk keeps the pages it is handed, not a copy of them.
+/// The ranges are the two bodies, not the trait's declaration.
 #[test]
 fn a_replaced_snapshot_is_not_copied() {
     let inside = ranges(
         "crates/store/src/wal.rs",
-        re("fn replace\\(&mut self, bytes: Vec<u8>\\)"),
+        re("fn replace\\(&mut self, pages: Pages\\).*\\{$"),
         re("^    }$"),
     );
     none(
-        "PR 28: a second copy of a replaced snapshot (`to_vec`)",
+        "PR 28: a second copy of a replaced snapshot",
         inside
             .into_iter()
-            .filter(|hit| hit.text.contains("to_vec"))
+            .filter(|hit| re("to_vec|clone\\(|extend|Pages::from")(&hit.text))
             .collect(),
     );
 }
@@ -1136,6 +1138,29 @@ fn a_snapshot_frames_its_records_in_place() {
         inside
             .into_iter()
             .filter(|hit| hit.text.contains("encode_payload("))
+            .collect(),
+    );
+}
+
+/// The disk is paged: a `MemStorage` segment is `Pages`, not one `Vec<u8>`,
+/// and a snapshot is encoded into pages, not one buffer.  Either buffer
+/// grows to megabytes and, once freed, is kept by the allocator.
+#[test]
+fn the_disk_is_paged() {
+    let segments = ranges(
+        "crates/store/src/wal.rs",
+        re("^struct MemInner \\{"),
+        re("^}$"),
+    );
+    let snapshot = ranges(
+        "crates/store/src/wal.rs",
+        re("fn encode_snapshot\\("),
+        re("^}$"),
+    );
+    none(
+        "a one-buffer disk segment or snapshot",
+        (segments.into_iter().chain(snapshot))
+            .filter(|hit| re("Vec<u8>|Vec::with_capacity|Vec::new|vec!")(&hit.text))
             .collect(),
     );
 }
