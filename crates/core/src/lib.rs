@@ -65,6 +65,7 @@ pub mod client;
 pub mod daemon;
 pub mod directory;
 pub mod failover;
+pub mod group;
 pub mod link;
 pub mod metrics;
 pub mod notify;
@@ -83,6 +84,7 @@ pub use breaker::{BreakerConfig, BreakerRegistry, BreakerVerdict};
 pub use client::{ClientError, ServiceClient};
 pub use daemon::{Daemon, DaemonConfig, DaemonHandle, SpawnError};
 pub use failover::{FailoverClient, ResolutionCache, ResolutionInvalidator};
+pub use group::{Recipe, Replica, ReplicaGroup};
 pub use link::{LinkError, SecureLink, TicketCache, TicketVault};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, RegistrySnapshot, StatsReport};
 pub use notify::{NotificationRegistry, Registration};

@@ -543,7 +543,7 @@ impl std::fmt::Display for UpgradeError {
 }
 impl std::error::Error for UpgradeError {}
 
-/// Hot-swap a running daemon with zero dropped sessions (ROADMAP item 3).
+/// Hot-swap a running daemon with zero dropped sessions.
 ///
 /// The protocol, in order:
 ///

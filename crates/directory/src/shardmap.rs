@@ -14,7 +14,10 @@
 //!   shared [`LinkPool`], plus what a client remembers: the names it
 //!   registered, a rotating read start and its counters.
 //! * [`spawn_sharded_asd`] — brings the plane up: `shards × replication`
-//!   ASD daemons spread across hosts.
+//!   ASD daemons spread across hosts, one [`ReplicaGroup`] of
+//!   [`AsdMember`]s per shard — the group type the store's replicas are
+//!   started, respawned and supervised through, so a directory replica
+//!   restarts fenced, at the next incarnation, as a store replica does.
 //!
 //! # Why the name is the key
 //!
@@ -48,7 +51,7 @@ use ace_core::directory;
 use ace_core::metrics::Histogram;
 use ace_core::prelude::*;
 use ace_core::protocol::ServiceEntry;
-use ace_core::SpawnError;
+use ace_core::{Recipe, ReplicaGroup, SpawnError};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -279,12 +282,37 @@ impl std::fmt::Debug for ShardedAsdClient {
 // Spawning the plane
 // ---------------------------------------------------------------------------
 
-/// A running sharded directory plane: the map plus daemon handles,
-/// `handles[shard][replica]` in spawn order.
+/// A running sharded directory plane: the map plus one replica group per
+/// shard, `handles[shard][replica]` in spawn order.
 pub struct ShardedDirectory {
     pub map: ShardMap,
-    pub handles: Vec<Vec<DaemonHandle>>,
+    pub handles: Vec<ReplicaGroup<AsdMember>>,
+}
+
+/// What one directory replica is built from: an ASD at its map address,
+/// granting `lease` and carrying the full shard map.
+#[derive(Clone)]
+pub struct AsdMember {
+    config: DaemonConfig,
     lease: Duration,
+    map: ShardMap,
+}
+
+impl Recipe for AsdMember {
+    type Replica = DaemonHandle;
+
+    /// A first start is an empty ASD; a restart is an empty ASD `rejoining`
+    /// a shard whose other replicas are live: its leases repopulate through
+    /// renewal-driven repair, and for the one lease that takes it answers
+    /// name lookups only (`Asd::rejoining`).
+    fn start(&self, net: &SimNet, at: u64) -> Result<(DaemonHandle, Option<String>), SpawnError> {
+        let mut asd = Asd::new(self.lease).with_shard_map(self.map.clone());
+        if at > 0 {
+            asd = asd.rejoining(net.clock().now());
+        }
+        let config = self.config.clone().with_incarnation(at);
+        Ok((Daemon::spawn(net, config, Box::new(asd))?, None))
+    }
 }
 
 impl ShardedDirectory {
@@ -298,54 +326,14 @@ impl ShardedDirectory {
         self.map.replicas(shard)[replica].host.clone()
     }
 
-    /// Spawn one replica: an empty ASD at its map address, carrying the
-    /// full shard map — `rejoining` a shard whose other replicas are live.
-    fn spawn_replica(
-        &self,
-        net: &SimNet,
-        shard: usize,
-        replica: usize,
-        rejoining: bool,
-    ) -> Result<DaemonHandle, SpawnError> {
-        let addr = &self.map.replicas(shard)[replica];
-        let mut asd = Asd::new(self.lease).with_shard_map(self.map.clone());
-        if rejoining {
-            asd = asd.rejoining(net.clock().now());
-        }
-        Daemon::spawn(
-            net,
-            DaemonConfig::new(
-                format!("asd-s{shard}r{replica}"),
-                "Service.ServiceDirectory.Shard",
-                "machineroom",
-                addr.host.clone(),
-                addr.port,
-            ),
-            Box::new(asd),
-        )
-    }
-
-    /// Re-spawn one replica in place (post-crash recovery): a fresh empty
-    /// ASD at the same address, carrying the same shard map.  Its leases
-    /// repopulate through renewal-driven repair; for the one lease that
-    /// takes it answers name lookups only (`Asd::rejoining`).
-    pub fn respawn_replica(
-        &mut self,
-        net: &SimNet,
-        shard: usize,
-        replica: usize,
-    ) -> Result<(), SpawnError> {
-        self.handles[shard][replica] = self.spawn_replica(net, shard, replica, true)?;
-        Ok(())
+    /// Restart replica `r` of shard `s` in place ([`ReplicaGroup::respawn`]).
+    pub fn respawn_replica(&mut self, net: &SimNet, s: usize, r: usize) -> Result<(), SpawnError> {
+        self.handles[s].respawn(net, r)
     }
 
     /// Stop every replica.
     pub fn shutdown(self) {
-        for shard in self.handles {
-            for handle in shard {
-                handle.shutdown();
-            }
-        }
+        self.handles.into_iter().for_each(ReplicaGroup::shutdown);
     }
 }
 
@@ -360,18 +348,23 @@ pub fn spawn_sharded_asd(
     lease: Duration,
     base_port: u16,
 ) -> Result<ShardedDirectory, SpawnError> {
-    let mut dir = ShardedDirectory {
-        map: ShardMap(GroupMap::spread(hosts, shards, replication, base_port)),
-        handles: Vec::with_capacity(shards),
-        lease,
-    };
-    for s in 0..shards {
-        let shard: Result<_, _> = (0..replication)
-            .map(|r| dir.spawn_replica(net, s, r, false))
-            .collect();
-        dir.handles.push(shard?);
-    }
-    Ok(dir)
+    let map = ShardMap(GroupMap::spread(hosts, shards, replication, base_port));
+    let handles = (0..shards)
+        .map(|s| {
+            ReplicaGroup::spawn(net, map.replicas(s), |r, addr| AsdMember {
+                config: DaemonConfig::new(
+                    format!("asd-s{s}r{r}"),
+                    "Service.ServiceDirectory.Shard",
+                    "machineroom",
+                    addr.host.clone(),
+                    addr.port,
+                ),
+                lease,
+                map: map.clone(),
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(ShardedDirectory { map, handles })
 }
 
 #[cfg(test)]
@@ -400,5 +393,37 @@ mod tests {
             "ok epoch=7 count=2 shards={{\"0\",\"h0\",\"5900\"},{\"0\",\"h1\",\"5901\"},\
              {\"1\",\"h2\",\"5902\"},{\"1\",\"h3\",\"5903\"}};"
         );
+    }
+
+    /// What a directory replica is spawned as: the literal the plane's
+    /// spawn produced before its shards became replica groups.
+    #[test]
+    fn every_directory_replica_spawns_as_it_always_did() {
+        let net = SimNet::new();
+        let hosts: Vec<HostId> = ["h0", "h1", "h2", "h3"].map(HostId::from).to_vec();
+        for h in &hosts {
+            net.add_host(h.as_str());
+        }
+        let dir = spawn_sharded_asd(&net, &hosts, 2, 3, Duration::from_secs(10), 5900).unwrap();
+        let c = dir.handles[1][1].config();
+        let pinned = format!(
+            "{} {} {} {}:{} {:?} {:?} {:?} {} {} {}",
+            c.name,
+            c.class,
+            c.room,
+            c.host.as_str(),
+            c.port,
+            c.directory,
+            c.roomdb,
+            c.logger,
+            c.incarnation,
+            c.identity.is_some(),
+            c.ticket_vault.is_some()
+        );
+        assert_eq!(
+            pinned,
+            "asd-s1r1 Service.ServiceDirectory.Shard machineroom h0:5904 None None None 0 false false"
+        );
+        dir.shutdown();
     }
 }

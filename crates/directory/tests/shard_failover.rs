@@ -645,3 +645,74 @@ fn a_daemon_lives_on_the_sharded_plane_by_itself() {
     drop(lamps);
     dir.shutdown();
 }
+
+/// Invariant: a directory replica restarts by the one discipline a store
+/// replica does (`ace_core::ReplicaGroup`): what still runs of it is crashed
+/// first, and it comes back at the next incarnation, rejoining its shard.
+/// The Supervisor's factory for it does the same, one incarnation above the
+/// last on each call, and what it starts is repaired by one renewal and
+/// refuses listings for its first lease (`Asd::rejoining`).  Before the
+/// group, a respawn spawned at incarnation 0 beside a live predecessor
+/// (`bind: address d0:5900 already in use`), a crashed replica came back at
+/// incarnation 0 every time, and no directory replica had a factory.
+#[test]
+fn a_directory_replica_restarts_fenced_as_a_store_replica_does() {
+    const LONG_LEASE: Duration = Duration::from_secs(30);
+    let net = SimNet::new();
+    net.add_host("client");
+    let hosts: Vec<HostId> = (0..3)
+        .map(|i| {
+            let h = format!("d{i}");
+            net.add_host(h.as_str());
+            HostId::from(h.as_str())
+        })
+        .collect();
+    let mut dir = spawn_sharded_asd(&net, &hosts, 1, 3, LONG_LEASE, 5900).unwrap();
+    let me = KeyPair::generate(&mut rand::thread_rng());
+    let mut client = dir.client(Arc::new(LinkPool::new(&net, "client", me)));
+    let device = ServiceEntry {
+        name: "lamp".into(),
+        addr: Addr::new("client", 4400),
+        class: "Service.Device.Lamp".into(),
+        room: "hawk".into(),
+    };
+    client.register(&device, 1).unwrap();
+
+    // A live replica is crashed, then started one above.
+    assert_eq!(dir.handles[0][0].incarnation(), 0);
+    dir.respawn_replica(&net, 0, 0)
+        .expect("a respawn crashes its live predecessor first");
+    assert_eq!(dir.handles[0][0].incarnation(), 1);
+    // A crashed one comes back one above, too.
+    dir.handles[0][0].crash();
+    dir.respawn_replica(&net, 0, 0).unwrap();
+    assert_eq!(dir.handles[0][0].incarnation(), 2);
+
+    // The Supervisor's factory counts on from the group's replica.
+    let mut factory = dir.handles[0].respawn_fn(0);
+    dir.handles[0][0].crash();
+    let first = factory(&net).unwrap().handle;
+    assert_eq!(first.incarnation(), 3);
+    first.crash();
+    let second = factory(&net).unwrap().handle;
+    assert_eq!(second.incarnation(), 4);
+
+    // What it started rejoins: one renewal repairs it, it serves the name,
+    // and it refuses a listing within its first lease.
+    client.renew(&device.name).unwrap();
+    assert_eq!(client.repairs(), 1);
+    let mut direct =
+        ServiceClient::connect(&net, &"client".into(), dir.map.replicas(0)[0].clone(), &me)
+            .unwrap();
+    let named = direct
+        .call(&CmdLine::new("lookup").arg("name", "lamp"))
+        .unwrap();
+    assert_eq!(named.get_int("count"), Some(1), "{}", named.to_wire());
+    let listing = direct
+        .call(&CmdLine::new("lookup").arg("class", "Lamp"))
+        .unwrap_err();
+    assert_eq!(listing.code(), Some(ErrorCode::Unavailable), "{listing:?}");
+
+    second.shutdown();
+    dir.shutdown();
+}

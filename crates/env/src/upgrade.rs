@@ -84,7 +84,7 @@ impl AceEnvironment {
             "Service.Database.PersistentStore" => {
                 let cluster = self.store.as_ref()?;
                 let i = (cluster.iter()).position(|(h, _)| h.name() == handle.name())?;
-                Some(Box::new(cluster.replica(i)))
+                Some(Box::new(cluster.member(i).behavior(cluster[i].1.clone())))
             }
             _ => None,
         }

@@ -16,9 +16,12 @@
 //!   order, so concurrent writers converge deterministically;
 //! * the "straightforward object-oriented namespace approach": keys live
 //!   under namespaces (`appstate`, `workspace`, …);
-//! * [`StoreCluster`] — one replica group, the one place a replica is
-//!   spawned, respawned, replaced or rebuilt: the canonical three-replica
-//!   cluster ([`spawn_store_cluster`]) or one shard ([`spawn_sharded_store`]).
+//! * [`StoreCluster`] — one [`ReplicaGroup`] of [`StoreMember`]s, the one
+//!   place a replica is spawned, respawned or replaced (the directory's
+//!   shards restart through the same group type): the canonical
+//!   three-replica cluster ([`spawn_store_cluster`]) or one shard
+//!   ([`spawn_sharded_store`]), which a rebuild restarts over a shipped
+//!   snapshot ([`ShardedStoreCluster::rebuild_replica`]).
 
 pub mod client;
 pub mod placement;
@@ -35,8 +38,7 @@ pub use version::{StoreKey, Versioned};
 pub use wal::{MemStorage, Pages, RecoveryReport, StorageHandle, Wal, WalConfig, WalStats, PAGE};
 
 use ace_core::prelude::*;
-use ace_core::supervise::{Respawn, RespawnFn};
-use ace_core::SpawnError;
+use ace_core::{Recipe, ReplicaGroup, SpawnError};
 use ace_directory::Framework;
 use ace_security::keys::KeyPair;
 use std::time::Duration;
@@ -54,26 +56,19 @@ pub const SHARDED_STORE_PORT: u16 = 6100;
 /// the rest of its group, fixed at spawn.
 pub const SHARD_CLASS: &str = "Service.Database.PersistentStoreShard";
 
-/// One replica group (the framework cluster, or one shard), the one place
-/// its replicas are spawned, respawned, replaced and rebuilt.  Replica `i`
+/// One replica group (the framework cluster, or one shard).  Replica `i`
 /// listens at `addrs[i]` over a durable disk of its own, syncs with the
-/// rest of the group and serves the placement.  It derefs to `replicas`.
-pub struct StoreCluster {
-    /// Daemon handle and disk image of each replica.
-    pub replicas: Vec<(DaemonHandle, DiskImage)>,
-    /// Where each replica listens, index-aligned with `replicas`.
-    pub addrs: Vec<Addr>,
-    members: Vec<Member>,
-}
+/// rest of the group and serves the placement; `replicas[i]` is its daemon
+/// handle and disk image.
+pub type StoreCluster = ReplicaGroup<StoreMember>;
 
-/// What one replica is built from but its disk, owned so a respawn factory
-/// can outlive the group's borrow.
+/// What one store replica is built from but its disk image.
 #[derive(Clone)]
-struct Member {
+pub struct StoreMember {
     /// Spawn-time: a respawn changes only the incarnation, so a restarted
     /// replica gets a fresh identity and ticket vault.
     config: DaemonConfig,
-    /// Under its disk; a respawn reopens it.
+    /// Under its disk; a start opens it.
     storage: StorageHandle,
     peers: Vec<Addr>,
     placement: StorePlacement,
@@ -81,8 +76,10 @@ struct Member {
     wal: WalConfig,
 }
 
-impl Member {
-    fn behavior(&self, disk: DiskImage) -> StoreReplica {
+impl StoreMember {
+    /// The replica's behaviour over `disk`: what a start spawns, and what a
+    /// live upgrade swaps in over the live disk.
+    pub fn behavior(&self, disk: DiskImage) -> StoreReplica {
         StoreReplica::new(disk, self.sync_interval)
             .with_group(self.peers.clone(), self.placement.clone())
     }
@@ -91,146 +88,47 @@ impl Member {
         let config = self.config.clone().with_incarnation(at);
         Daemon::spawn(net, config, Box::new(self.behavior(disk)))
     }
+}
 
-    /// Reopen the storage (WAL recovery; a corrupt log resets for
+impl Recipe for StoreMember {
+    type Replica = (DaemonHandle, DiskImage);
+
+    /// Open the storage (WAL recovery; a corrupt log resets for
     /// anti-entropy), which fences every image opened over it before, and
-    /// spawn over what it recovered; the recovery report is the note.
-    fn reopen(&self, net: &SimNet, at: u64) -> Result<(Respawn, DiskImage), SpawnError> {
+    /// spawn over what it recovered; the recovery report is the note.  A
+    /// first start opens fresh, empty storage.
+    fn start(&self, net: &SimNet, at: u64) -> Result<(Self::Replica, Option<String>), SpawnError> {
         let (disk, report) =
             DiskImage::open_or_reset(&self.storage, self.wal.clone()).map_err(storage_spawn_err)?;
         let handle = self.spawn(net, disk.clone(), at)?;
-        Ok((Respawn::with_note(handle, report.to_string()), disk))
+        Ok(((handle, disk), Some(report.to_string())))
     }
 }
 
 /// A fresh, empty disk on `host`, wired into the network's storage-fault
 /// hub so chaos plans can tear its appends.
-fn fresh_disk(
+fn fresh_disk(net: &SimNet, host: &HostId) -> StorageHandle {
+    StorageHandle::Memory(MemStorage::new().with_faults(net.storage_faults(), host.clone()))
+}
+
+/// Spawn group `group` of `placement` over fresh disks, replica `i` at
+/// `addr` from `config(i, addr)`.
+fn spawn_group(
     net: &SimNet,
-    host: &HostId,
+    placement: &StorePlacement,
+    group: usize,
+    sync_interval: Duration,
     wal: &WalConfig,
-) -> Result<(StorageHandle, DiskImage), SpawnError> {
-    let faulty = MemStorage::new().with_faults(net.storage_faults(), host.clone());
-    let storage = StorageHandle::Memory(faulty);
-    let (disk, _) = DiskImage::open(&storage, wal.clone()).map_err(storage_spawn_err)?;
-    Ok((storage, disk))
-}
-
-impl StoreCluster {
-    /// Spawn group `group` of `placement` over fresh disks, replica `i` at
-    /// `addr` from `config(i, addr)`.
-    fn spawn(
-        net: &SimNet,
-        placement: &StorePlacement,
-        group: usize,
-        sync_interval: Duration,
-        wal: &WalConfig,
-        config: impl Fn(usize, &Addr) -> DaemonConfig,
-    ) -> Result<StoreCluster, SpawnError> {
-        let addrs = placement.replicas(group).to_vec();
-        let (mut replicas, mut members) = (Vec::new(), Vec::new());
-        for (i, addr) in addrs.iter().enumerate() {
-            let (storage, disk) = fresh_disk(net, &addr.host, wal)?;
-            let member = Member {
-                config: config(i, addr),
-                storage,
-                peers: placement.peers_of(group, addr),
-                placement: placement.clone(),
-                sync_interval,
-                wal: wal.clone(),
-            };
-            replicas.push((member.spawn(net, disk.clone(), 0)?, disk));
-            members.push(member);
-        }
-        Ok(StoreCluster {
-            replicas,
-            addrs,
-            members,
-        })
-    }
-
-    /// Replica `i`'s behaviour over its live disk: what a live upgrade
-    /// swaps in.
-    pub fn replica(&self, i: usize) -> StoreReplica {
-        self.members[i].behavior(self.replicas[i].1.clone())
-    }
-
-    /// The Supervisor's factory for replica `i`: each call respawns it as
-    /// [`StoreCluster::respawn`] does, one incarnation above the last.
-    pub fn respawn_fn(&self, i: usize) -> RespawnFn {
-        let member = self.members[i].clone();
-        let mut incarnation = self.replicas[i].0.incarnation();
-        Box::new(move |net: &SimNet| {
-            let (respawn, _) = member.reopen(net, incarnation + 1)?;
-            incarnation = respawn.handle.incarnation();
-            Ok(respawn)
-        })
-    }
-
-    /// Restart replica `i` over the storage it left behind, at the next
-    /// incarnation.  What still runs of it is crashed first: its goodbye
-    /// would remove its successor's registration.
-    pub fn respawn(&mut self, net: &SimNet, i: usize) -> Result<(), SpawnError> {
-        let replaced = &self.replicas[i].0;
-        replaced.crash();
-        let (respawn, disk) = self.members[i].reopen(net, replaced.incarnation() + 1)?;
-        self.replicas[i] = (respawn.handle, disk);
-        Ok(())
-    }
-
-    /// Gracefully stop replica `i` (a rebuild drill's first step).
-    pub fn stop_replica(&self, i: usize) {
-        self.replicas[i].0.shutdown();
-    }
-
-    /// Rebuild replica `i` in place via **snapshot shipping**: on an empty
-    /// disk (the dead one may be torn mid-record), install a consistent
-    /// snapshot cut a live group peer streams in chunks, top up with one
-    /// hash-tree round against that peer, then respawn at the next
-    /// incarnation.  It costs the *keyspace*, not the write history; writes
-    /// after the top-up are anti-entropy's, as for every replica.
-    pub fn rebuild_replica(&mut self, net: &SimNet, i: usize) -> Result<RebuildReport, SpawnError> {
-        let member = &self.members[i];
-        let host = &member.config.host;
-        let (storage, disk) = fresh_disk(net, host, &member.wal)?;
-        let identity = KeyPair::generate(&mut rand::thread_rng());
-        let mut error = internal("no live group peer to ship a snapshot from");
-        let report = (member.peers.iter())
-            .find_map(|peer| {
-                let shipped = ship_snapshot(net, host, &identity, peer, &disk);
-                shipped.map_err(|err| error = err).ok()
-            })
-            .ok_or(SpawnError::Register {
-                step: "rebuild",
-                error,
-            })?;
-        let handle = member.spawn(net, disk.clone(), self.replicas[i].0.incarnation() + 1)?;
-        self.replicas[i] = (handle, disk);
-        self.members[i].storage = storage;
-        Ok(report)
-    }
-
-    /// Gracefully stop every replica.
-    pub fn shutdown(self) {
-        for (handle, _) in self.replicas {
-            handle.shutdown();
-        }
-    }
-}
-
-impl std::ops::Deref for StoreCluster {
-    type Target = [(DaemonHandle, DiskImage)];
-    fn deref(&self) -> &Self::Target {
-        &self.replicas
-    }
-}
-
-impl<'a> IntoIterator for &'a StoreCluster {
-    type Item = &'a (DaemonHandle, DiskImage);
-    type IntoIter = std::slice::Iter<'a, (DaemonHandle, DiskImage)>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.replicas.iter()
-    }
+    config: impl Fn(usize, &Addr) -> DaemonConfig,
+) -> Result<StoreCluster, SpawnError> {
+    ReplicaGroup::spawn(net, placement.replicas(group), |i, addr| StoreMember {
+        config: config(i, addr),
+        storage: fresh_disk(net, &addr.host),
+        peers: placement.peers_of(group, addr),
+        placement: placement.clone(),
+        sync_interval,
+        wal: wal.clone(),
+    })
 }
 
 /// Spawn one replica per host (the paper's cluster is three) with the
@@ -245,7 +143,7 @@ pub fn spawn_store_cluster(
     let addrs = hosts.iter().map(|h| Addr::new(*h, STORE_PORT)).collect();
     let placement = StorePlacement::new(0, vec![addrs]);
     let wal = WalConfig::default();
-    StoreCluster::spawn(net, &placement, 0, sync_interval, &wal, |i, addr| {
+    spawn_group(net, &placement, 0, sync_interval, &wal, |i, addr| {
         let name = format!("store_{}", i + 1);
         let class = "Service.Database.PersistentStore";
         fw.service_config(&name, class, "machineroom", addr.host.clone(), addr.port)
@@ -313,7 +211,7 @@ pub fn spawn_sharded_store(
     let placement = StorePlacement(map);
     let groups = (0..groups)
         .map(|g| {
-            StoreCluster::spawn(net, &placement, g, sync_interval, &config, |r, addr| {
+            spawn_group(net, &placement, g, sync_interval, &config, |r, addr| {
                 let (name, host) = (format!("store-s{g}r{r}"), addr.host.clone());
                 DaemonConfig::new(name, SHARD_CLASS, "machineroom", host, addr.port)
             })
@@ -340,19 +238,46 @@ impl ShardedStoreCluster {
         )
     }
 
-    /// Gracefully stop replica `r` of group `g`.
+    /// Gracefully stop replica `r` of group `g` (a rebuild drill's first
+    /// step).
     pub fn stop_replica(&self, g: usize, r: usize) {
-        self.groups[g].stop_replica(r);
+        self.groups[g][r].0.shutdown();
     }
 
-    /// Rebuild replica `r` of group `g` ([`StoreCluster::rebuild_replica`]).
+    /// Rebuild replica `r` of group `g` in place via **snapshot shipping**:
+    /// on an empty disk (the dead one may be torn mid-record), install a
+    /// consistent snapshot cut a live group peer streams in chunks, top up
+    /// with one hash-tree round against that peer, then respawn over that
+    /// disk at the next incarnation.  It costs the *keyspace*, not the
+    /// write history; writes after the top-up are anti-entropy's, as for
+    /// every replica.
     pub fn rebuild_replica(
         &mut self,
         net: &SimNet,
         g: usize,
         r: usize,
     ) -> Result<RebuildReport, SpawnError> {
-        self.groups[g].rebuild_replica(net, r)
+        let group = &mut self.groups[g];
+        let member = group.member(r);
+        let host = &member.config.host;
+        let storage = fresh_disk(net, host);
+        let (disk, _) = DiskImage::open(&storage, member.wal.clone()).map_err(storage_spawn_err)?;
+        let identity = KeyPair::generate(&mut rand::thread_rng());
+        let mut error = internal("no live group peer to ship a snapshot from");
+        let report = (member.peers.iter())
+            .find_map(|peer| {
+                let shipped = ship_snapshot(net, host, &identity, peer, &disk);
+                shipped.map_err(|err| error = err).ok()
+            })
+            .ok_or(SpawnError::Register {
+                step: "rebuild",
+                error,
+            })?;
+        group.respawn_with(net, r, |member, net, at| {
+            Ok(((member.spawn(net, disk.clone(), at)?, disk), None))
+        })?;
+        group.member_mut(r).storage = storage;
+        Ok(report)
     }
 
     /// Stop every replica.

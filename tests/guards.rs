@@ -1051,8 +1051,9 @@ fn one_behaviour_relaunches_on_a_lapse() {
 
 // ── One store group (PR 39) ──────────────────────────────────────────────
 //
-// The framework cluster and every shard group are a `StoreCluster`, the one
-// place a replica is spawned, respawned, replaced and rebuilt.
+// The framework cluster and every shard group are a `StoreCluster`, a
+// `ReplicaGroup` (`crates/core/src/group.rs`), the one place a
+// replica is spawned, respawned, replaced and rebuilt.
 
 /// A `StoreReplica::new(` or `DiskImage::open_or_reset(` under
 /// `crates/*/src` or `examples` outside `crates/store/src` is a hand-built
@@ -1076,6 +1077,29 @@ fn no_unfenced_respawn() {
     none(
         "PR 39: the respawn that reused the live image",
         grep(&files(&["crates/store"]), re("fn respawn_replica")),
+    );
+}
+
+/// An incarnation bumped (`incarnation() + 1`, `incarnation + 1`) in code
+/// under `crates/*/src` outside `crates/core/src/group.rs` and
+/// `live_upgrade` is a second respawn discipline: a plane that picks its
+/// own incarnation, as the store's respawn, rebuild and factory and the
+/// directory's incarnation-0 respawn each did.
+#[test]
+fn one_respawn_discipline() {
+    let upgrade = ranges(
+        "crates/core/src/supervise.rs",
+        re("^pub fn live_upgrade\\("),
+        re("^}$"),
+    );
+    let bumps = grep(&files(&["crates/*/src"]), re("incarnation\\(?\\)? \\+ 1"));
+    none(
+        "a second respawn discipline",
+        (bumps.into_iter())
+            .filter(|hit| !hit.text.trim_start().starts_with("//"))
+            .filter(|hit| hit.file != "crates/core/src/group.rs")
+            .filter(|hit| !upgrade.iter().any(|u| u.to_string() == hit.to_string()))
+            .collect(),
     );
 }
 
