@@ -170,7 +170,7 @@ pub fn e15() {
     };
     for n in [1_000u64, 10_000] {
         let log_only = StorageHandle::Memory(MemStorage::new());
-        let (mut wal, _, _) = Wal::open(&log_only, config.clone()).unwrap();
+        let (mut wal, _) = Wal::open(&log_only, config.clone(), |_, _| {}).unwrap();
         for i in 0..n {
             wal.append_batch(&[update(i)]).unwrap();
         }

@@ -484,7 +484,7 @@ impl Daemon {
         let main = runtime.spawn(Box::new(task));
         let notifier = runtime.spawn(Box::new(notifier_task));
 
-        Ok(DaemonHandle {
+        Ok(DaemonHandle(Arc::new(Running {
             addr,
             principal: identity.principal(),
             identity,
@@ -497,12 +497,18 @@ impl Daemon {
             metrics,
             main,
             notifier,
-        })
+        })))
     }
 }
 
-/// Handle to a running daemon.
-pub struct DaemonHandle {
+/// Handle to a running daemon.  Clones share the daemon — a replica group
+/// holds the replica its Supervisor's factory restarted — and dropping the
+/// last clone stops it.
+#[derive(Clone)]
+pub struct DaemonHandle(Arc<Running>);
+
+/// What a [`DaemonHandle`] holds of its daemon.
+struct Running {
     addr: Addr,
     principal: String,
     identity: Arc<KeyPair>,
@@ -520,63 +526,63 @@ pub struct DaemonHandle {
 impl DaemonHandle {
     /// The daemon's service name.
     pub fn name(&self) -> &str {
-        &self.config.name
+        &self.0.config.name
     }
 
     /// The daemon's service address.
     pub fn addr(&self) -> &Addr {
-        &self.addr
+        &self.0.addr
     }
 
     /// The daemon's authenticated principal.
     pub fn principal(&self) -> &str {
-        &self.principal
+        &self.0.principal
     }
 
     /// The daemon's key pair — a live upgrade reuses it so resumption
     /// tickets minted by the old incarnation stay valid for the new one.
     pub fn identity(&self) -> &KeyPair {
-        &self.identity
+        &self.0.identity
     }
 
     /// The spawn generation this daemon was started under.
     pub fn incarnation(&self) -> u64 {
-        self.config.incarnation
+        self.0.config.incarnation
     }
 
     /// The configuration this daemon was spawned with.  A live upgrade
     /// clones it as the replacement's base config, so drivers don't have
     /// to reconstruct name/class/room/port wiring by hand.
     pub fn config(&self) -> &DaemonConfig {
-        &self.config
+        &self.0.config
     }
 
     /// The resumption-ticket vault this daemon serves from — handed to
     /// the replacement incarnation across a live upgrade.
     pub fn ticket_vault(&self) -> Arc<TicketVault> {
-        Arc::clone(&self.ticket_vault)
+        Arc::clone(&self.0.ticket_vault)
     }
 
     /// Is the daemon currently quiesced for an upgrade?
     pub fn is_upgrading(&self) -> bool {
-        self.upgrading.load(Ordering::SeqCst)
+        self.0.upgrading.load(Ordering::SeqCst)
     }
 
     /// This daemon's metrics registry (`link.resume_hits`, `upgrade.*`, …).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
+        &self.0.metrics
     }
 
     /// Is the daemon still running (not stopped or crashed)?
     pub fn is_running(&self) -> bool {
-        !self.stop.load(Ordering::SeqCst)
+        !self.0.stop.load(Ordering::SeqCst)
     }
 
     /// Graceful shutdown: deregisters from the ASD/Room DB, logs the stop,
     /// then waits for the daemon task to finish.
     pub fn shutdown(&self) {
-        self.stop(false);
-        self.join();
+        self.0.stop(false);
+        self.0.join();
     }
 
     /// Graceful stop *without* deregistration: `on_stop` runs (workers
@@ -589,19 +595,21 @@ impl DaemonHandle {
     /// still has to deliver (the `stopped` record) it delivers outside the
     /// upgrade's pause, and dropping the handle waits for it.
     pub fn retire(&self) {
-        self.deregister.store(false, Ordering::SeqCst);
-        self.stop(false);
-        self.join_main();
+        self.0.deregister.store(false, Ordering::SeqCst);
+        self.0.stop(false);
+        self.0.join_main();
     }
 
     /// Abrupt crash: the task stops immediately and *no* deregistration
     /// happens — exactly the failure the ASD's lease mechanism exists to
     /// clean up (§2.4).
     pub fn crash(&self) {
-        self.stop(true);
-        self.join();
+        self.0.stop(true);
+        self.0.join();
     }
+}
 
+impl Running {
     /// A stop is this flag and nothing else: the task reads it before every
     /// message it dequeues, so it lands however full the lanes are, and
     /// `join_main` wakes a task that is parked.
@@ -630,19 +638,20 @@ impl DaemonHandle {
     }
 }
 
-impl Drop for DaemonHandle {
+impl Drop for Running {
+    /// The last handle is gone: a daemon still running shuts down (with
+    /// its goodbye), and one already stopped is waited for.
     fn drop(&mut self) {
         if !self.stop.load(Ordering::SeqCst) {
-            self.shutdown();
-        } else {
-            self.join();
+            self.stop(false);
         }
+        self.join();
     }
 }
 
 impl std::fmt::Debug for DaemonHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DaemonHandle({} @ {})", self.name(), self.addr)
+        write!(f, "DaemonHandle({} @ {})", self.name(), self.0.addr)
     }
 }
 

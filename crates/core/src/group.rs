@@ -8,10 +8,19 @@
 //! remove its successor's registration), and the successor starts at the
 //! next incarnation over what its predecessor left behind.  A plane says
 //! only what a start is: which behaviour, over which state.
+//!
+//! Every start writes the replica it started back into the group, whoever
+//! made it: the group's own respawn, or a Supervisor's factory
+//! ([`ReplicaGroup::respawn_fn`]) on the Supervisor's thread.  The factory
+//! writes to a record the group shares with it, and the group reads it at
+//! its next `&mut` use ([`ReplicaGroup::sync`]), so a later respawn crashes
+//! the replica that actually runs and starts above it.
 
 use crate::daemon::{DaemonHandle, SpawnError};
 use crate::supervise::{Respawn, RespawnFn};
 use ace_net::{Addr, SimNet};
+use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// How one replica is built, owned so a respawn factory can outlive the
 /// group's borrow.
@@ -27,7 +36,8 @@ pub trait Recipe: Clone + Send + 'static {
 }
 
 /// A running replica: its daemon, and whatever else a plane keeps beside it.
-pub trait Replica {
+/// A clone is the same replica (the daemon handle is shared).
+pub trait Replica: Clone + Send + 'static {
     /// The replica's daemon.
     fn handle(&self) -> &DaemonHandle;
     /// The daemon alone, as a Supervisor's factory hands it over.
@@ -43,7 +53,7 @@ impl Replica for DaemonHandle {
     }
 }
 
-impl<T> Replica for (DaemonHandle, T) {
+impl<T: Clone + Send + 'static> Replica for (DaemonHandle, T) {
     fn handle(&self) -> &DaemonHandle {
         &self.0
     }
@@ -54,11 +64,16 @@ impl<T> Replica for (DaemonHandle, T) {
 
 /// One replica group.  It derefs to `replicas`.
 pub struct ReplicaGroup<R: Recipe> {
-    /// Each replica as it runs, index-aligned with `addrs`.
+    /// Each replica as it runs, index-aligned with `addrs`: as of the
+    /// group's last `&mut` use, which reads what a Supervisor's factory
+    /// started since ([`ReplicaGroup::sync`]).
     pub replicas: Vec<R::Replica>,
     /// Where each replica listens.
     pub addrs: Vec<Addr>,
     members: Vec<R>,
+    /// Each member's replica at the highest incarnation started, shared
+    /// with the factories [`ReplicaGroup::respawn_fn`] hands out.
+    latest: Arc<Mutex<Vec<R::Replica>>>,
 }
 
 impl<R: Recipe> ReplicaGroup<R> {
@@ -71,11 +86,35 @@ impl<R: Recipe> ReplicaGroup<R> {
     ) -> Result<ReplicaGroup<R>, SpawnError> {
         let members: Vec<R> = (0..addrs.len()).map(|i| recipe(i, &addrs[i])).collect();
         let start = |member: &R| member.start(net, 0).map(|(replica, _)| replica);
+        let replicas: Vec<R::Replica> = members.iter().map(start).collect::<Result<_, _>>()?;
         Ok(ReplicaGroup {
-            replicas: members.iter().map(start).collect::<Result<_, _>>()?,
+            latest: Arc::new(Mutex::new(replicas.clone())),
+            replicas,
             addrs: addrs.to_vec(),
             members,
         })
+    }
+
+    /// Bring `replicas` and the record the factories share to the same
+    /// replica per member: the one started at the higher incarnation.  A
+    /// factory writes what it starts to the record; a live upgrade writes
+    /// its fresh handle into `replicas` and syncs after.
+    pub fn sync(&mut self) {
+        let mut latest = self.latest.lock();
+        for (mine, shared) in self.replicas.iter_mut().zip(latest.iter_mut()) {
+            if shared.handle().incarnation() > mine.handle().incarnation() {
+                *mine = shared.clone();
+            } else {
+                *shared = mine.clone();
+            }
+        }
+    }
+
+    /// Replica `i` as it was last started, by the group or by a
+    /// Supervisor's factory: what `replicas[i]` is after the next
+    /// [`ReplicaGroup::sync`].
+    pub fn current(&self, i: usize) -> R::Replica {
+        self.latest.lock()[i].clone()
     }
 
     /// What replica `i` is built from.
@@ -105,28 +144,37 @@ impl<R: Recipe> ReplicaGroup<R> {
         i: usize,
         start: impl FnOnce(&R, &SimNet, u64) -> Result<(R::Replica, Option<String>), SpawnError>,
     ) -> Result<(), SpawnError> {
-        let replaced = self.replicas[i].handle();
+        self.sync();
+        let mut latest = self.latest.lock();
+        let replaced = latest[i].handle();
         replaced.crash();
         let (replica, _) = start(&self.members[i], net, replaced.incarnation() + 1)?;
-        self.replicas[i] = replica;
+        latest[i] = replica;
+        drop(latest);
+        self.sync();
         Ok(())
     }
 
     /// The Supervisor's factory for replica `i`: each call starts it as
-    /// [`ReplicaGroup::respawn`] does, one incarnation above the last.
+    /// [`ReplicaGroup::respawn`] does, one incarnation above the replica
+    /// the group last started, and writes what it started back into the
+    /// group.
     pub fn respawn_fn(&self, i: usize) -> RespawnFn {
         let member = self.members[i].clone();
-        let mut incarnation = self.replicas[i].handle().incarnation();
+        let latest = Arc::clone(&self.latest);
         Box::new(move |net: &SimNet| {
-            let (replica, note) = member.start(net, incarnation + 1)?;
-            incarnation += 1;
+            let mut latest = latest.lock();
+            let at = latest[i].handle().incarnation() + 1;
+            let (replica, note) = member.start(net, at)?;
+            latest[i] = replica.clone();
             let handle = replica.into_handle();
             Ok(Respawn { handle, note })
         })
     }
 
     /// Gracefully stop every replica.
-    pub fn shutdown(self) {
+    pub fn shutdown(mut self) {
+        self.sync();
         for replica in self.replicas {
             replica.handle().shutdown();
         }

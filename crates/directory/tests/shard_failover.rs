@@ -716,3 +716,48 @@ fn a_directory_replica_restarts_fenced_as_a_store_replica_does() {
     second.shutdown();
     dir.shutdown();
 }
+
+/// A replica a Supervisor's factory restarted is the group's replica: a
+/// later `respawn_replica` crashes it and starts one incarnation above it,
+/// and that one answers.  Fails at the parent commit, whose factory kept
+/// what it started to itself: the respawn crashed the dead predecessor,
+/// started at the factory's incarnation beside the factory's live replica,
+/// and failed with `Bind(AddrInUse)`.
+#[test]
+fn a_factory_restart_is_written_back_into_the_group() {
+    let net = SimNet::new();
+    net.add_host("client");
+    let hosts: Vec<HostId> = (0..3)
+        .map(|i| {
+            let h = format!("f{i}");
+            net.add_host(h.as_str());
+            HostId::from(h.as_str())
+        })
+        .collect();
+    let mut dir = spawn_sharded_asd(&net, &hosts, 1, 3, Duration::from_secs(30), 5900).unwrap();
+    let me = KeyPair::generate(&mut rand::thread_rng());
+    let mut client = dir.client(Arc::new(LinkPool::new(&net, "client", me)));
+    let device = entry(0);
+    client.register(&device, 1).unwrap();
+
+    let mut factory = dir.handles[0].respawn_fn(0);
+    dir.handles[0][0].crash();
+    let restarted = factory(&net).unwrap().handle;
+    assert_eq!(restarted.incarnation(), 1);
+
+    dir.respawn_replica(&net, 0, 0)
+        .expect("the respawn crashes the factory's replica, then starts above it");
+    assert!(!restarted.is_running(), "the factory's replica was crashed");
+    assert_eq!(dir.handles[0][0].incarnation(), 2);
+
+    // What the respawn started rejoins and serves the name.
+    client.renew(&device.name).unwrap();
+    let mut direct =
+        ServiceClient::connect(&net, &"client".into(), dir.map.replicas(0)[0].clone(), &me)
+            .unwrap();
+    let named = direct
+        .call(&CmdLine::new("lookup").arg("name", device.name.as_str()))
+        .unwrap();
+    assert_eq!(named.get_int("count"), Some(1), "{}", named.to_wire());
+    dir.shutdown();
+}

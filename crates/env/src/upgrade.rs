@@ -10,6 +10,7 @@ use crate::environment::AceEnvironment;
 use ace_core::prelude::*;
 use ace_directory::{Asd, NetLogger, RoomDb};
 use ace_resources::{Hal, HostProfile, Hrm, Sal, Srm};
+use ace_store::StoreCluster;
 
 /// Builds the replacement behavior for one daemon in a rolling sweep;
 /// `None` skips that daemon.
@@ -27,12 +28,19 @@ pub struct RollingEntry {
 
 impl AceEnvironment {
     /// The one place a daemon's handle is found by name: the service
-    /// daemons, the store replicas (`store_1`…), the framework tier.
+    /// daemons, the store replicas (`store_1`…), the framework tier.  A
+    /// store replica is as of the group's last sync ([`Self::sync_store`]).
     fn handle(&self, name: &str) -> Option<&DaemonHandle> {
         (self.daemons.values())
             .chain(self.store.iter().flatten().map(|(handle, _)| handle))
             .chain([&self.fw.logger, &self.fw.roomdb, &self.fw.asd])
             .find(|handle| handle.name() == name)
+    }
+
+    /// Take in the store replicas a Supervisor's factory restarted, and
+    /// hand the group's factories what an upgrade swapped in.
+    fn sync_store(&mut self) {
+        self.store.iter_mut().for_each(StoreCluster::sync);
     }
 
     fn handle_mut(&mut self, name: &str) -> Option<&mut DaemonHandle> {
@@ -52,6 +60,7 @@ impl AceEnvironment {
         name: &str,
         replacement: Box<dyn ServiceBehavior>,
     ) -> Result<UpgradeStats, UpgradeError> {
+        self.sync_store();
         let Some(old) = self.handle(name) else {
             return Err(UpgradeError::Protocol(format!("no daemon named {name}")));
         };
@@ -64,6 +73,7 @@ impl AceEnvironment {
             replacement,
         )?;
         *self.handle_mut(name).expect("found above") = fresh;
+        self.sync_store();
         Ok(stats)
     }
 
@@ -84,7 +94,8 @@ impl AceEnvironment {
             "Service.Database.PersistentStore" => {
                 let cluster = self.store.as_ref()?;
                 let i = (cluster.iter()).position(|(h, _)| h.name() == handle.name())?;
-                Some(Box::new(cluster.member(i).behavior(cluster[i].1.clone())))
+                let (_, disk) = cluster.current(i);
+                Some(Box::new(cluster.member(i).behavior(disk)))
             }
             _ => None,
         }
@@ -103,6 +114,7 @@ impl AceEnvironment {
         // during the ASD's quiesce window every other daemon's lease
         // renewal bounces with retryable E_UPGRADING, and the restored
         // leases come back with fresh deadlines.
+        self.sync_store();
         let replicas = self.store.iter().flatten();
         let names: Vec<String> = (self.teardown_order.iter().cloned())
             .chain(replicas.map(|(handle, _)| handle.name().to_string()))

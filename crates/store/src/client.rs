@@ -1123,7 +1123,10 @@ mod race_model {
                     None => None,
                     Some(v) => {
                         let offered = memory.held(NS, key);
-                        if already_held(&v, offered.map(|(ver, w, _)| (ver, w))) {
+                        if already_held(
+                            (v.version, &v.writer, v.deleted),
+                            offered.map(|(ver, w, _)| (ver, w)),
+                        ) {
                             // `same=true`: the bytes are the held ones, under
                             // the name offered.
                             let (ver, w, b) = offered.unwrap();

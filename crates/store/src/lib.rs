@@ -286,11 +286,12 @@ impl ShardedStoreCluster {
     }
 }
 
-/// Stream `peer`'s state into `disk`: chunked snapshot fetch, validated
-/// decode (corrupt bytes refuse the whole ship — the caller tries the
-/// next peer), one snapshot install, then the [`replica::top_up`] against the
-/// same peer over the same link for what it applied after the cut — a
-/// top-up that fails or leaves a newer key behind refuses the ship too.
+/// Stream `peer`'s state into `disk`: chunked snapshot fetch gathered in
+/// [`Pages`], one checked install (bytes that do not validate refuse the
+/// whole ship — the caller tries the next peer), then the
+/// [`replica::top_up`] against the same peer over the same link for what
+/// it applied after the cut — a top-up that fails or leaves a newer key
+/// behind refuses the ship too.
 fn ship_snapshot(
     net: &SimNet,
     from_host: &HostId,
@@ -301,34 +302,35 @@ fn ship_snapshot(
     let mut client = ServiceClient::connect(net, from_host, peer.clone(), identity)?;
     // Offset 0 cuts (and caches) a consistent image on the peer; further
     // offsets stream the immutable bytes.
-    let mut bytes: Vec<u8> = Vec::new();
+    let mut shipped = Pages::new();
     let mut chunks = 0usize;
     loop {
-        let fetch = CmdLine::new("psSnapFetch").arg("offset", bytes.len() as i64);
+        let fetch = CmdLine::new("psSnapFetch").arg("offset", shipped.len() as i64);
         let reply = client.call(&fetch)?;
         let total = reply.get_int("total").unwrap_or(0).max(0) as usize;
         let chunk = reply
             .get_blob("data")
             .ok_or_else(|| internal("malformed psSnapFetch reply from snapshot peer"))?;
         chunks += 1;
-        bytes.extend_from_slice(&chunk);
-        if bytes.len() >= total {
+        shipped.extend(&chunk);
+        if shipped.len() >= total {
             break;
         }
         if chunk.is_empty() {
             return Err(internal("stalled psSnapFetch stream from snapshot peer"));
         }
     }
-    let entries = crate::wal::decode_snapshot(&bytes)
-        .map_err(|detail| internal(format!("shipped snapshot failed validation: {detail}")))?
-        .unwrap_or_default();
-    let snapshot_records = entries.len();
-    disk.install_snapshot(entries)
-        .map_err(|e| internal(format!("snapshot install failed locally: {e}")))?;
+    // The disk is fresh, so every shipped record wins.
+    let snapshot_records = disk.install_snapshot(&shipped).map_err(|e| match e {
+        StoreError::Corrupt { detail, .. } => {
+            internal(format!("shipped snapshot failed validation: {detail}"))
+        }
+        e => internal(format!("snapshot install failed locally: {e}")),
+    })?;
     let pulled = replica::top_up(|cmd| client.call(cmd), disk)?;
     Ok(RebuildReport {
         peer: peer.clone(),
-        snapshot_bytes: bytes.len(),
+        snapshot_bytes: shipped.len(),
         snapshot_chunks: chunks,
         snapshot_records,
         pulled,

@@ -29,7 +29,10 @@
 use crate::client::{unpack_values, StoreError};
 use crate::placement::StorePlacement;
 use crate::version::{StoreKey, Versioned};
-use crate::wal::{record_len, Pages, RecoveryReport, StorageHandle, Wal, WalConfig, WalStats};
+use crate::wal::{
+    encode_snapshot, Loc, MemStorage, Pages, RecoveryReport, Segment, Slot, StorageHandle, Wal,
+    WalConfig, WalStats, SNAP_HEAD,
+};
 use ace_core::prelude::*;
 use ace_lang::ScalarType;
 use ace_security::hash::Fnv64Stream;
@@ -78,9 +81,9 @@ fn row_hash(key: Fnv64Stream, version: u64, writer: &str) -> u64 {
     h.finish()
 }
 
-/// The tree of a set of digest rows, from scratch: what recovery builds
-/// once from the recovered map, and what the incremental tree of a
-/// [`DiskImage`] must always equal for its [`DiskImage::digest`].
+/// The tree of a set of digest rows, from scratch: the reference the
+/// incremental tree of a [`DiskImage`] must always equal for its
+/// [`DiskImage::digest`].
 pub fn sync_tree<'r>(rows: impl IntoIterator<Item = (&'r str, &'r str, u64, &'r str)>) -> SyncTree {
     let mut tree = [0; SYNC_BUCKETS];
     for (ns, key, version, writer) in rows {
@@ -108,91 +111,279 @@ fn parse_hash_word(word: &str) -> Option<u64> {
     u64::from_str_radix(word.strip_prefix('x')?, 16).ok()
 }
 
-/// What an image holds, the hash tree summarising it and the log it is
-/// recovered from, behind one lock so nobody reads one without the others
-/// and a write is checked, logged, published and compacted in one hold.
-/// Each value is held once, here.
+/// The key directory: per namespace, per key, the key's [`Slot`] — its
+/// record's `(version, writer, deleted)` and where the record lies on the
+/// disk — with the hash tree over its digest rows and the live size.  No
+/// value is held here: a value is read from its record.  Keyed by
+/// namespace, then key, so a key costs one boxed string and a lookup by
+/// `&str` allocates nothing.
 #[derive(Debug)]
-struct Held {
-    map: HashMap<StoreKey, Versioned>,
+struct KeyDir {
+    map: HashMap<Box<str>, HashMap<Box<str>, Slot>>,
     tree: SyncTree,
-    /// What `map`'s records take in a snapshot: the [`record_len`] sum,
-    /// kept exact by every publish.  The log's compaction rule weighs it.
+    /// What the live records take on the disk: the sum of their slots'
+    /// framed lengths, kept exact by every [`KeyDir::put`].  The log's
+    /// compaction rule weighs it.
     live: u64,
-    /// `None` for a volatile image (unit tests, benchmarks); durable
-    /// images log every applied write here *before* it becomes visible.
-    wal: Option<Wal>,
 }
 
-impl Held {
-    /// Recovery: neither the tree nor the live size is persisted; both
-    /// are computed once from the map.
-    fn recovered(map: HashMap<StoreKey, Versioned>, wal: Option<Wal>) -> Held {
-        let tree = sync_tree(
-            map.iter()
-                .map(|((ns, key), v)| (ns.as_str(), key.as_str(), v.version, v.writer.as_str())),
-        );
-        let live = map.iter().map(|(key, v)| record_len(key, v)).sum();
-        Held {
-            map,
-            tree,
-            live,
-            wal,
+impl Default for KeyDir {
+    fn default() -> KeyDir {
+        KeyDir {
+            map: HashMap::new(),
+            tree: [0; SYNC_BUCKETS],
+            live: 0,
         }
     }
+}
 
-    /// The one place a key's content changes: store `value` if it beats
-    /// what is held, XORing the old digest row out of the tree and the new
-    /// one in, and the old record's length out of `live` and the new one's
-    /// in.  Whether it won.
-    fn publish(&mut self, key: StoreKey, value: Versioned) -> bool {
-        let hashed = key_hash(&key.0, &key.1);
-        let (old, old_len) = match self.map.get(&key) {
-            Some(existing) if !value.beats(existing) => return false,
-            Some(existing) => (
-                row_hash(hashed, existing.version, &existing.writer),
-                record_len(&key, existing),
-            ),
-            None => (0, 0),
+impl KeyDir {
+    fn get(&self, ns: &str, key: &str) -> Option<&Slot> {
+        self.map.get(ns)?.get(key)
+    }
+
+    /// The one place a key's slot is set: XOR the old digest row out of
+    /// the tree and the new one in, and the old record's length out of
+    /// `live` and the new one's in.
+    fn put(&mut self, ns: &str, key: &str, slot: Slot) {
+        let hashed = key_hash(ns, key);
+        let (row, len) = (row_hash(hashed, slot.version, &slot.writer), slot.at.len);
+        if !self.map.contains_key(ns) {
+            self.map.insert(ns.into(), HashMap::new());
+        }
+        let keys = self.map.get_mut(ns).expect("inserted above");
+        let old = match keys.get_mut(key) {
+            Some(held) => Some(std::mem::replace(held, slot)),
+            None => keys.insert(key.into(), slot),
         };
-        self.tree[bucket_of(hashed)] ^= old ^ row_hash(hashed, value.version, &value.writer);
-        self.live = self.live + record_len(&key, &value) - old_len;
-        self.map.insert(key, value);
+        let (old_row, old_len) = old.map_or((0, 0), |old| {
+            (row_hash(hashed, old.version, &old.writer), old.at.len)
+        });
+        self.tree[bucket_of(hashed)] ^= old_row ^ row;
+        self.live = self.live + len as u64 - old_len as u64;
+    }
+
+    /// [`KeyDir::put`] `slot` if it beats what is held.  Whether it won.
+    fn publish(&mut self, ns: &str, key: &str, slot: Slot) -> bool {
+        let held = self.get(ns, key);
+        if held.is_some_and(|held| !held.beaten_by(slot.version, &slot.writer)) {
+            return false;
+        }
+        self.put(ns, key, slot);
         true
     }
 
-    /// [`Held::publish`] each entry; how many won.
-    fn publish_all(&mut self, entries: Vec<(StoreKey, Versioned)>) -> usize {
-        entries
-            .into_iter()
-            .map(|(key, value)| self.publish(key, value))
-            .filter(|&won| won)
-            .count()
+    /// Forget a key whose record failed its check: out of the map, its row
+    /// out of the tree and its length out of `live`.  The tree now differs
+    /// from the peers' in its bucket, so the next anti-entropy round pulls
+    /// the key back.
+    fn drop_damaged(&mut self, ns: &str, key: &str) {
+        let Some(keys) = self.map.get_mut(ns) else {
+            return;
+        };
+        if let Some(old) = keys.remove(key) {
+            let hashed = key_hash(ns, key);
+            self.tree[bucket_of(hashed)] ^= row_hash(hashed, old.version, &old.writer);
+            self.live -= old.at.len as u64;
+        }
+        if keys.is_empty() {
+            self.map.remove(ns);
+        }
     }
 
-    /// The one write, in this order: keep the entries that beat what is
-    /// held; log them, as one append and one fsync; publish them; compact
-    /// the log if compacting would halve the disk.  How many applied.  An `Err`
-    /// means none did and none may be acknowledged.
-    fn apply(&mut self, entries: Vec<(StoreKey, Versioned)>) -> Result<usize, StoreError> {
-        let fresh: Vec<(StoreKey, Versioned)> = entries
-            .into_iter()
-            .filter(|(key, value)| self.map.get(key).is_none_or(|held| value.beats(held)))
-            .collect();
-        if let Some(wal) = &mut self.wal {
-            wal.append_batch(&fresh)?;
+    /// Every `(ns, key, slot)`, in no order.
+    fn iter(&self) -> impl Iterator<Item = (&str, &str, &Slot)> {
+        (self.map.iter())
+            .flat_map(|(ns, keys)| keys.iter().map(move |(key, slot)| (&**ns, &**key, slot)))
+    }
+
+    fn len(&self) -> usize {
+        self.map.values().map(HashMap::len).sum()
+    }
+
+    /// What the directory holds in memory: each table's buckets (its
+    /// capacity at the 7/8 load factor, each an entry and a control byte)
+    /// and the bytes of each boxed string.
+    fn bytes(&self) -> u64 {
+        fn table<K, V>(map: &HashMap<K, V>) -> usize {
+            map.capacity() * 8 / 7 * (std::mem::size_of::<(K, V)>() + 1)
         }
-        let applied = self.publish_all(fresh);
-        if let Some(wal) = &mut self.wal {
-            wal.maybe_compact(&self.map, self.live);
-        }
-        Ok(applied)
+        let keys = (self.map.iter()).map(|(ns, keys)| {
+            let strings: usize = keys.iter().map(|(k, s)| k.len() + s.writer.len()).sum();
+            ns.len() + table(keys) + strings
+        });
+        (table(&self.map) + keys.sum::<usize>()) as u64
     }
 }
 
-impl Default for Held {
-    fn default() -> Held {
-        Held::recovered(HashMap::new(), None)
+/// What an image holds — the key directory and the log its values live
+/// in — behind one lock, so nobody reads one without the other and a write
+/// is checked, logged, published and compacted in one hold.  Each value is
+/// held once, on the disk.
+#[derive(Debug)]
+struct Held {
+    keys: KeyDir,
+    /// Every applied write is logged here *before* it becomes visible, and
+    /// every value is read back from here.
+    wal: Wal,
+}
+
+/// A cut of an image: the snapshot body, each key's slot in it, and how
+/// many of those came from a shipped snapshot.
+type Cut = (Pages, Vec<(StoreKey, Slot)>, usize);
+
+impl Held {
+    /// Recovery: the directory, its tree and the live size are not
+    /// persisted; each record the log's scan finds is published in turn.
+    fn open(
+        handle: &StorageHandle,
+        config: WalConfig,
+    ) -> Result<(Held, RecoveryReport), StoreError> {
+        let mut keys = KeyDir::default();
+        let (wal, report) = Wal::open(handle, config, |(ns, key), slot| {
+            keys.publish(&ns, &key, slot);
+        })?;
+        Ok((Held { keys, wal }, report))
+    }
+
+    /// The one write, in this order: keep the entries that beat what is
+    /// held; log them, as one append and one fsync; publish where each
+    /// landed; compact the log if compacting would halve the disk.  How
+    /// many applied.  An `Err` means none did and none may be acknowledged.
+    fn apply(&mut self, entries: Vec<(StoreKey, Versioned)>) -> Result<usize, StoreError> {
+        let fresh: Vec<(StoreKey, Versioned)> = entries
+            .into_iter()
+            .filter(|((ns, key), value)| {
+                let held = self.keys.get(ns, key);
+                held.is_none_or(|held| held.beaten_by(value.version, &value.writer))
+            })
+            .collect();
+        let locs = self.wal.append_batch(&fresh)?;
+        let mut applied = 0;
+        for (((ns, key), value), at) in fresh.into_iter().zip(locs) {
+            let slot = Slot {
+                version: value.version,
+                writer: value.writer.into_boxed_str(),
+                deleted: value.deleted,
+                at,
+            };
+            applied += self.keys.publish(&ns, &key, slot) as usize;
+        }
+        self.maybe_compact();
+        Ok(applied)
+    }
+
+    /// Read a key's value from its record.  A record that fails its check
+    /// is refused and its key dropped ([`KeyDir::drop_damaged`]).
+    fn get(&mut self, ns: &str, key: &str) -> Option<Versioned> {
+        let slot = self.keys.get(ns, key)?;
+        match self.wal.read(ns, key, slot) {
+            Ok(value) => Some(value),
+            Err(StoreError::Corrupt { .. }) => {
+                self.keys.drop_damaged(ns, key);
+                None
+            }
+            Err(_) => None,
+        }
+    }
+
+    /// The snapshot of what is held — merged, if `shipped` is given, with
+    /// the records of a shipped snapshot and their rows: per key the newest
+    /// of the held slot and the shipped row (the held one on a tie), its
+    /// framed record copied from this disk or from `shipped`, in key order.
+    /// A held record that fails its check is dropped and the cut taken
+    /// again, so no damaged record is ever copied.
+    fn cut(&mut self, shipped: Option<(&Pages, &[(StoreKey, Slot)])>) -> Result<Cut, StoreError> {
+        let empty = Pages::new();
+        let (pages, rows) = shipped.unwrap_or((&empty, &[]));
+        loop {
+            let held = self
+                .keys
+                .iter()
+                .map(|(ns, key, slot)| (ns, key, slot, false));
+            let rows = rows
+                .iter()
+                .map(|((ns, key), slot)| (&**ns, &**key, slot, true));
+            let mut candidates: Vec<_> = held.chain(rows).collect();
+            // Newest first within a key, a held slot before a shipped row.
+            candidates.sort_by(|a, b| {
+                let newest = (b.2.version, &b.2.writer).cmp(&(a.2.version, &a.2.writer));
+                (a.0, a.1).cmp(&(b.0, b.1)).then(newest).then(a.3.cmp(&b.3))
+            });
+            candidates.dedup_by(|later, first| (later.0, later.1) == (first.0, first.1));
+
+            let (mut failed, mut damaged) = (None, Vec::new());
+            let mut placed = Vec::with_capacity(candidates.len());
+            let mut offset = SNAP_HEAD as u64;
+            let wal = &mut self.wal;
+            let records = candidates
+                .iter()
+                .filter_map(|&(ns, key, slot, from_shipped)| {
+                    let framed = if from_shipped {
+                        let start = slot.at.offset as usize;
+                        Ok(pages.read(start, start + slot.at.len as usize))
+                    } else {
+                        wal.framed(ns, key, slot)
+                    };
+                    match framed {
+                        Ok(framed) => {
+                            let at = Loc {
+                                segment: Segment::Snapshot,
+                                offset,
+                                len: slot.at.len,
+                            };
+                            offset += at.len as u64;
+                            placed.push((
+                                (ns.to_string(), key.to_string()),
+                                Slot { at, ..slot.clone() },
+                            ));
+                            Some(framed)
+                        }
+                        Err(StoreError::Corrupt { .. }) => {
+                            damaged.push((ns.to_string(), key.to_string()));
+                            None
+                        }
+                        Err(e) => {
+                            failed.get_or_insert(e);
+                            None
+                        }
+                    }
+                });
+            let body = encode_snapshot(candidates.len(), records);
+            let won = candidates.iter().filter(|c| c.3).count();
+            if let Some(e) = failed {
+                return Err(e);
+            }
+            if damaged.is_empty() {
+                return Ok((body, placed, won));
+            }
+            for (ns, key) in damaged {
+                self.keys.drop_damaged(&ns, &key);
+            }
+        }
+    }
+
+    /// Move each key to its record in a snapshot just committed.
+    fn adopt(&mut self, placed: Vec<(StoreKey, Slot)>) {
+        for ((ns, key), slot) in placed {
+            self.keys.put(&ns, &key, slot);
+        }
+    }
+
+    /// Compact once the log's rule says compacting would halve the disk:
+    /// cut the live records into a new snapshot, commit it, and move every
+    /// key there.  A failure is counted, not fatal: the data is still in
+    /// the log.
+    fn maybe_compact(&mut self) {
+        if !self.wal.needs_compaction(self.keys.live) {
+            return;
+        }
+        let Ok((body, placed, _)) = self.cut(None) else {
+            return;
+        };
+        if self.wal.commit_snapshot(body).is_ok() {
+            self.adopt(placed);
+        }
     }
 }
 
@@ -202,43 +393,54 @@ impl Default for Held {
 pub struct DiskBytes {
     /// What the held records would take in a snapshot written now.
     pub live: u64,
-    /// The snapshot on disk (0 for a volatile image).
+    /// The snapshot on disk.
     pub snapshot: u64,
-    /// The log past the snapshot (0 for a volatile image).
+    /// The log past the snapshot.
     pub log: u64,
 }
 
-/// The disk of one replica: survives daemon crash/restart.  A volatile
-/// image ([`DiskImage::new`]) survives by being handed to the respawned
-/// daemon; a durable one ([`DiskImage::open`]) additionally recovers from
-/// its write-ahead log + snapshot, so it survives the *process* dying with
-/// the image unreferenced.
+/// The disk of one replica: survives daemon crash/restart.  It recovers
+/// from its write-ahead log + snapshot ([`DiskImage::open`]), so it
+/// survives the *process* dying with the image unreferenced.  In memory it
+/// keeps a key directory and the hash tree over it; every value stays on
+/// the disk and is read from its record.
 ///
-/// One lock guards the map, its hash tree and the log.  A replica's writers
-/// are its daemon task and its sync worker, so nothing is gained by logging
-/// outside it, and a write holds it from its staleness check to its
-/// compaction: no record is ever in the log but not yet in the map.
-#[derive(Debug, Clone, Default)]
+/// One lock guards the directory, its hash tree and the log.  A replica's
+/// writers are its daemon task and its sync worker, so nothing is gained
+/// by logging outside it, and a write holds it from its staleness check to
+/// its compaction: no record is ever in the log but not yet in the
+/// directory.
+#[derive(Debug, Clone)]
 pub struct DiskImage {
     held: Arc<Mutex<Held>>,
 }
 
+impl Default for DiskImage {
+    fn default() -> DiskImage {
+        DiskImage::new()
+    }
+}
+
 impl DiskImage {
-    /// A volatile, empty image (no WAL).
+    /// An empty image over a simulated disk of its own, which nothing else
+    /// can reopen (unit tests, probes).
     pub fn new() -> DiskImage {
-        DiskImage::default()
+        let private = StorageHandle::Memory(MemStorage::new());
+        let (disk, _) =
+            DiskImage::open(&private, WalConfig::default()).expect("an empty disk opens");
+        disk
     }
 
-    /// Open a durable image: recover state from the snapshot + log behind
-    /// `handle`, then log every further applied write.  Refuses with
-    /// [`StoreError::Corrupt`] when validation fails mid-log or in the
+    /// Open a durable image: rebuild the key directory from the snapshot +
+    /// log behind `handle`, then log every further applied write.  Refuses
+    /// with [`StoreError::Corrupt`] when validation fails mid-log or in the
     /// snapshot.
     pub fn open(
         handle: &StorageHandle,
         config: WalConfig,
     ) -> Result<(DiskImage, RecoveryReport), StoreError> {
-        let (wal, map, report) = Wal::open(handle, config)?;
-        let held = Arc::new(Mutex::new(Held::recovered(map, Some(wal))));
+        let (held, report) = Held::open(handle, config)?;
+        let held = Arc::new(Mutex::new(held));
         Ok((DiskImage { held }, report))
     }
 
@@ -262,9 +464,9 @@ impl DiskImage {
     }
 
     /// Apply a versioned write if it beats the current entry.  Returns
-    /// `Ok(true)` if applied — for a durable image, only after the write
-    /// is in the log and synced.  An `Err` means the write is *not* durable
-    /// and must not be acknowledged.
+    /// `Ok(true)` if applied — only after the write is in the log and
+    /// synced.  An `Err` means the write is *not* durable and must not be
+    /// acknowledged.
     pub fn apply(&self, key: StoreKey, value: Versioned) -> Result<bool, StoreError> {
         Ok(self.held.lock().apply(vec![(key, value)])? == 1)
     }
@@ -291,8 +493,12 @@ impl DiskImage {
         if held.apply(vec![(key.clone(), value)])? == 1 {
             return Ok(None);
         }
-        let refused_by = held.map.get(&key).map(|v| (v.version, v.writer.clone()));
-        Ok(Some(refused_by.unwrap_or_default()))
+        let refused_by = held.keys.get(&key.0, &key.1);
+        Ok(Some(
+            refused_by
+                .map(|s| (s.version, s.writer.to_string()))
+                .unwrap_or_default(),
+        ))
     }
 
     /// [`DiskImage::apply_batch`] as a client's proposal sees it: how many
@@ -314,29 +520,37 @@ impl DiskImage {
         }
         let lost = proposed
             .into_iter()
-            .filter_map(|(key, version, writer)| {
-                let v = held.map.get(&key)?;
-                ((v.version, &v.writer) != (version, &writer))
-                    .then(|| (key.0, key.1, v.version, v.writer.clone()))
+            .filter_map(|((ns, key), version, writer)| {
+                let s = held.keys.get(&ns, &key)?;
+                ((s.version, &*s.writer) != (version, writer.as_str()))
+                    .then(|| (ns, key, s.version, s.writer.to_string()))
             })
             .collect();
         Ok((applied, lost))
     }
 
-    /// Read a key (tombstones included).
+    /// Read a key (tombstones included), its value from its record on the
+    /// disk.  A record that fails its check is refused — `None`, never its
+    /// bytes — and its key dropped, so anti-entropy pulls it back.
     pub fn get(&self, key: &StoreKey) -> Option<Versioned> {
-        self.held.lock().map.get(key).cloned()
+        self.held.lock().get(&key.0, &key.1)
+    }
+
+    /// What is held of a key but its value — `(version, writer, deleted)`
+    /// from the key directory, without reading the disk.
+    pub fn head(&self, key: &StoreKey) -> Option<(u64, String, bool)> {
+        let held = self.held.lock();
+        let slot = held.keys.get(&key.0, &key.1)?;
+        Some((slot.version, slot.writer.to_string(), slot.deleted))
     }
 
     /// Live (non-tombstone) keys in a namespace, sorted.
     pub fn list(&self, ns: &str) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .held
-            .lock()
-            .map
-            .iter()
-            .filter(|((n, _), v)| n == ns && !v.deleted)
-            .map(|((_, k), _)| k.clone())
+        let held = self.held.lock();
+        let mut keys: Vec<String> = (held.keys.map.get(ns).into_iter())
+            .flatten()
+            .filter(|(_, slot)| !slot.deleted)
+            .map(|(key, _)| key.to_string())
             .collect();
         keys.sort();
         keys
@@ -355,13 +569,17 @@ impl DiskImage {
     }
 
     fn digest_where(&self, keep: impl Fn(&str, &str) -> bool) -> Vec<DigestRow> {
-        let mut out: Vec<_> = self
-            .held
-            .lock()
-            .map
-            .iter()
-            .filter(|((ns, k), _)| keep(ns, k))
-            .map(|((ns, k), v)| (ns.clone(), k.clone(), v.version, v.writer.clone()))
+        let held = self.held.lock();
+        let mut out: Vec<_> = (held.keys.iter())
+            .filter(|(ns, key, _)| keep(ns, key))
+            .map(|(ns, key, s)| {
+                (
+                    ns.to_string(),
+                    key.to_string(),
+                    s.version,
+                    s.writer.to_string(),
+                )
+            })
             .collect();
         out.sort();
         out
@@ -371,7 +589,7 @@ impl DiskImage {
     /// write: two images hold the same rows exactly when their trees are
     /// equal.
     pub fn tree(&self) -> SyncTree {
-        self.held.lock().tree
+        self.held.lock().keys.tree
     }
 
     /// The buckets in which this image's tree — read now — differs from a
@@ -394,71 +612,76 @@ impl DiskImage {
         let held = self.held.lock();
         keys.into_iter()
             .filter_map(|key| {
-                let id = (ns.to_string(), key.to_string());
-                let v = held.map.get(&id)?;
-                Some((id.0, id.1, v.version, v.writer.clone()))
+                let s = held.keys.get(ns, key)?;
+                Some((
+                    ns.to_string(),
+                    key.to_string(),
+                    s.version,
+                    s.writer.to_string(),
+                ))
             })
             .collect()
     }
 
     /// Number of entries (including tombstones).
     pub fn len(&self) -> usize {
-        self.held.lock().map.len()
+        self.held.lock().keys.len()
     }
 
     /// `true` when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.held.lock().map.is_empty()
+        self.held.lock().keys.map.is_empty()
     }
 
-    /// WAL counters (`None` for a volatile image).
+    /// WAL counters.  Always `Some`: every image logs.
     pub fn wal_stats(&self) -> Option<WalStats> {
-        self.held.lock().wal.as_ref().map(|w| w.stats().clone())
+        Some(self.held.lock().wal.stats().clone())
     }
 
     /// The held state's size against the snapshot and log it is kept in.
     pub fn bytes(&self) -> DiskBytes {
         let held = self.held.lock();
-        let (snapshot, log) = held
-            .wal
-            .as_ref()
-            .map_or((0, 0), |w| (w.snapshot_len(), w.log_len()));
         DiskBytes {
-            live: held.live,
-            snapshot,
-            log,
+            live: held.keys.live,
+            snapshot: held.wal.snapshot_len(),
+            log: held.wal.log_len(),
         }
     }
 
-    /// Cut a consistent shippable snapshot: the encoded full state, in
-    /// pages, under one hold of the map lock.
-    pub fn snapshot_cut(&self) -> Pages {
-        let held = self.held.lock();
-        crate::wal::encode_snapshot(&held.map, held.live)
+    /// What the key directory holds in memory, in bytes: all the image
+    /// keeps of its state besides the 64-bucket tree, since the values are
+    /// on the disk.
+    pub fn directory_bytes(&self) -> u64 {
+        self.held.lock().keys.bytes()
     }
 
-    /// Install a shipped snapshot: merge `entries` newest-wins, then (for
-    /// a durable image) commit the merged state as one snapshot write — the
-    /// whole keyspace costs one snapshot replace instead of re-appending
-    /// every record through the log.  Returns how many entries won.
-    pub fn install_snapshot(
-        &self,
-        entries: Vec<(StoreKey, Versioned)>,
-    ) -> Result<usize, StoreError> {
-        let mut guard = self.held.lock();
-        let held = &mut *guard;
-        let applied = held.publish_all(entries);
-        if let Some(wal) = &mut held.wal {
-            wal.install_snapshot(&held.map, held.live)?;
-        }
-        Ok(applied)
+    /// Cut a consistent shippable snapshot under one hold of the image's
+    /// lock: the live records, copied framed from the disk in key order,
+    /// in pages.
+    pub fn snapshot_cut(&self) -> Result<Pages, StoreError> {
+        Ok(self.held.lock().cut(None)?.0)
+    }
+
+    /// Install a shipped snapshot: check it a record at a time, merge its
+    /// records newest-wins with what is held, and commit the merged state as
+    /// one snapshot write — the whole keyspace costs one snapshot replace
+    /// instead of re-appending every record through the log.  Returns how
+    /// many of the shipped records won.  Bytes that do not validate are
+    /// refused with [`StoreError::Corrupt`], and nothing is installed.
+    pub fn install_snapshot(&self, shipped: &Pages) -> Result<usize, StoreError> {
+        let rows = crate::wal::shipped_rows(shipped)?;
+        let mut held = self.held.lock();
+        let (body, placed, won) = held.cut(Some((shipped, &rows)))?;
+        held.wal.commit_snapshot(body)?;
+        held.adopt(placed);
+        Ok(won)
     }
 
     /// The hash tree's root — equal checksums mean the replicas hold the
     /// same digest rows, i.e. have converged.  O([`SYNC_BUCKETS`]), not
     /// O(keyspace).
     pub fn checksum(&self) -> u64 {
-        tree_root(&self.held.lock().tree)
+        tree_root(&self.held.lock().keys.tree)
     }
 }
 
@@ -599,9 +822,9 @@ fn tree_round(
     let mut missed = 0;
     for (ns, key, version, writer) in rows {
         let key_pair = (ns.clone(), key.clone());
-        let newer_remote = match disk.get(&key_pair) {
+        let newer_remote = match disk.head(&key_pair) {
             None => true,
-            Some(local) => (version, writer.as_str()) > (local.version, local.writer.as_str()),
+            Some((local, local_writer, _)) => (version, writer.as_str()) > (local, &*local_writer),
         };
         if !newer_remote {
             continue;
@@ -672,12 +895,13 @@ pub(crate) fn versioned_from_reply(reply: &CmdLine) -> Option<Versioned> {
     })
 }
 
-/// Whether a leased read's asker already holds `held`: it offered exactly
-/// its `(version, writer)` — the whole name, not a hash of it, and not the
-/// version alone, which two writers can share — and `held` is a value, not
-/// a tombstone.
-pub(crate) fn already_held(held: &Versioned, offered: Option<(u64, &str)>) -> bool {
-    !held.deleted && offered == Some((held.version, held.writer.as_str()))
+/// Whether a leased read's asker already holds the held `(version, writer,
+/// deleted)`: it offered exactly its `(version, writer)` — the whole name,
+/// not a hash of it, and not the version alone, which two writers can
+/// share — and what is held is a value, not a tombstone.
+pub(crate) fn already_held(held: (u64, &str, bool), offered: Option<(u64, &str)>) -> bool {
+    let (version, writer, deleted) = held;
+    !deleted && offered == Some((version, writer))
 }
 
 /// Digest rows as they travel (`psDigest` entries, the rows a `psPutBatch`
@@ -939,16 +1163,21 @@ impl ServiceBehavior for StoreReplica {
                     return Reply::err(ErrorCode::Semantics, "malformed get arguments");
                 };
                 let key = (ns.to_string(), k.to_string());
-                let digest_only = cmd.get_bool("digest").unwrap_or(false);
+                // Digest mode answers the version question from the key
+                // directory, without reading or shipping the value: the
+                // read fan-out pays full-value transfer at exactly one
+                // replica.
+                if cmd.get_bool("digest").unwrap_or(false) {
+                    return match self.disk.head(&key) {
+                        Some((version, writer, deleted)) => Reply::ok_with(|c| {
+                            c.arg("version", version as i64)
+                                .arg("writer", Value::Str(writer))
+                                .arg("deleted", deleted)
+                        }),
+                        None => Reply::err(ErrorCode::NotFound, "no such key"),
+                    };
+                }
                 match self.disk.get(&key) {
-                    // Digest mode answers the version question without
-                    // shipping the value: the read fan-out pays full-value
-                    // transfer at exactly one replica.
-                    Some(v) if digest_only => Reply::ok_with(|c| {
-                        c.arg("version", v.version as i64)
-                            .arg("writer", Value::Str(v.writer.clone()))
-                            .arg("deleted", v.deleted)
-                    }),
                     Some(v) => Reply::ok_with(|c| {
                         c.arg("data", v.data)
                             .arg("version", v.version as i64)
@@ -987,10 +1216,13 @@ impl ServiceBehavior for StoreReplica {
                 }
                 self.leased_gets += 1;
                 let key = (ns.to_string(), k.to_string());
+                // The same decision as below, from the key directory; only
+                // the payload is left out, because the asker holds it.
+                let held = self.disk.head(&key);
+                if held.is_some_and(|(v, w, d)| already_held((v, &w, d), offered)) {
+                    return Reply::ok_with(|c| c.arg("same", true));
+                }
                 match self.disk.get(&key) {
-                    // The same decision as below; only the payload is left
-                    // out, because the asker holds it.
-                    Some(v) if already_held(&v, offered) => Reply::ok_with(|c| c.arg("same", true)),
                     Some(v) => Reply::ok_with(|c| {
                         c.arg("data", v.data)
                             .arg("version", v.version as i64)
@@ -1059,7 +1291,10 @@ impl ServiceBehavior for StoreReplica {
                     // Offset 0 cuts a fresh consistent snapshot and caches
                     // it, so one rebuild streams one immutable byte image
                     // while writes keep landing.
-                    self.snap_cache = Some(self.disk.snapshot_cut());
+                    match self.disk.snapshot_cut() {
+                        Ok(cut) => self.snap_cache = Some(cut),
+                        Err(e) => return Reply::err(ErrorCode::Internal, format!("no cut: {e}")),
+                    }
                 }
                 let Some(bytes) = &self.snap_cache else {
                     return Reply::err(
@@ -1159,11 +1394,13 @@ impl ServiceBehavior for StoreReplica {
     /// Re-export WAL and sync state into the daemon's unified metrics
     /// registry, so `aceStats` carries them alongside the framework's own
     /// counters — among them the disk's footprint (`liveBytes`,
-    /// `snapshotBytes`, `logBytes`) and its rewrite volume
-    /// (`compactedBytes`), read only here.  Series are keyed by the
-    /// daemon name (`store.<name>.entries`): co-located replicas whose
-    /// stats land in one registry (or one downstream aggregation) must
-    /// stay distinct series, not overwrite each other.
+    /// `snapshotBytes`, `logBytes`), its rewrite volume (`compactedBytes`),
+    /// the damaged records it refused (`damaged`) and what the key
+    /// directory holds in memory (`mem.store.<name>.bytes`), read only
+    /// here, when pulled.  Series are keyed by the daemon name
+    /// (`store.<name>.entries`): co-located replicas whose stats land in
+    /// one registry (or one downstream aggregation) must stay distinct
+    /// series, not overwrite each other.
     fn on_stats(&mut self, ctx: &mut ServiceCtx) {
         let name = ctx.name().to_string();
         let m = ctx.metrics();
@@ -1184,17 +1421,19 @@ impl ServiceBehavior for StoreReplica {
         gauge("leasedRefusals").set(self.leased_refusals as i64);
         let bytes = self.disk.bytes();
         gauge("liveBytes").set(bytes.live as i64);
-        if let Some(wal) = self.disk.wal_stats() {
-            let gauge = |suffix: &str| m.gauge(&format!("wal.{name}.{suffix}"));
-            gauge("appends").set(wal.appends as i64);
-            gauge("compactions").set(wal.compactions as i64);
-            gauge("appendFailures").set(wal.append_failures as i64);
-            gauge("batches").set(wal.batches as i64);
-            gauge("fsyncs").set(wal.fsyncs as i64);
-            gauge("snapshotBytes").set(bytes.snapshot as i64);
-            gauge("logBytes").set(bytes.log as i64);
-            gauge("compactedBytes").set(wal.compacted_bytes as i64);
-        }
+        m.gauge(&format!("mem.store.{name}.bytes"))
+            .set(self.disk.directory_bytes() as i64);
+        let wal = self.disk.wal_stats().unwrap_or_default();
+        let gauge = |suffix: &str| m.gauge(&format!("wal.{name}.{suffix}"));
+        gauge("appends").set(wal.appends as i64);
+        gauge("compactions").set(wal.compactions as i64);
+        gauge("appendFailures").set(wal.append_failures as i64);
+        gauge("batches").set(wal.batches as i64);
+        gauge("fsyncs").set(wal.fsyncs as i64);
+        gauge("snapshotBytes").set(bytes.snapshot as i64);
+        gauge("logBytes").set(bytes.log as i64);
+        gauge("compactedBytes").set(wal.compacted_bytes as i64);
+        gauge("damaged").set(wal.damaged as i64);
     }
 }
 
@@ -1382,6 +1621,7 @@ mod tests {
         }
         let hex: String = disk
             .snapshot_cut()
+            .unwrap()
             .to_vec()
             .iter()
             .map(|b| format!("{b:02x}"))

@@ -24,11 +24,21 @@
 //!   the new snapshot alone.  So one snapshot is enough: recovery never
 //!   needs an older one.
 //!
+//! The disk is where a value lives.  Its replica keeps in memory only a
+//! key directory: per key, a [`Slot`] with the record's `(version, writer,
+//! deleted)` and its [`Loc`] — which segment, at which offset, how long.
+//! [`Wal::open`] rebuilds the directory by scanning both segments a record
+//! at a time, keeping no value; [`Wal::append_batch`] says where each
+//! record landed; [`Wal::read`] reads one back and checks it.  A snapshot
+//! is written from records already framed on a disk ([`encode_snapshot`]):
+//! compaction copies the live records, in key order, and no record is
+//! encoded twice.
+//!
 //! Both segments, every append and every snapshot are held in [`Pages`] of
 //! [`PAGE`] bytes: no write allocates, grows or frees a buffer larger than
 //! a page, so a compaction's multi-megabyte snapshot never becomes a freed
-//! buffer the allocator keeps for the next one.  Only recovery reads a
-//! segment into one buffer, once per open.
+//! buffer the allocator keeps for the next one.  No read does either: a
+//! read is one record, and a scan reads a record at a time.
 //!
 //! Recovery invariants (asserted by `tests/wal_recovery.rs` and the chaos
 //! soak):
@@ -39,7 +49,8 @@
 //! 2. **No silent corruption**: a record whose CRC does not match is never
 //!    replayed; recovery refuses with [`StoreError::Corrupt`] rather than
 //!    reading past it (callers may then deliberately reset and rebuild via
-//!    anti-entropy).
+//!    anti-entropy).  A live record damaged after it was written is found
+//!    when it is read, and is refused, never served.
 //! 3. Replay is idempotent: records re-apply through the same
 //!    `(version, writer)` ordering as live writes.
 //!
@@ -54,7 +65,6 @@ use ace_net::fault::{StorageFault, StorageFaultHub};
 use ace_net::HostId;
 use ace_security::hash::{crc32, crc32_update};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -155,9 +165,11 @@ impl Pages {
         self.pages.iter().map(Vec::as_slice)
     }
 
-    /// A copy of `start..end` in one buffer.
+    /// A copy of `start..end` in one buffer, cut short where the pages
+    /// end.
     pub fn read(&self, start: usize, end: usize) -> Vec<u8> {
-        assert!(start <= end && end <= self.len, "read past the pages");
+        let end = end.min(self.len);
+        let start = start.min(end);
         let mut out = Vec::with_capacity(end - start);
         let mut at = start;
         while at < end {
@@ -170,7 +182,7 @@ impl Pages {
         out
     }
 
-    /// Every byte in one buffer: what recovery reads at open.
+    /// Every byte in one buffer (tests and diagnostics).
     pub fn to_vec(&self) -> Vec<u8> {
         self.read(0, self.len)
     }
@@ -200,10 +212,12 @@ impl From<&[u8]> for Pages {
 /// fault may tear: everything else either fully happens or fully errors,
 /// matching the single-sector atomicity real filesystems give renames and
 /// truncates.  Writes take [`Pages`], so no write needs its bytes in one
-/// buffer; only recovery's `read_all` reads a segment whole, once per open.
+/// buffer, and a read is of one record, so no read does either.
 pub trait StorageBackend: Send {
-    /// Full current contents.
-    fn read_all(&mut self) -> Result<Vec<u8>, StoreError>;
+    /// Up to `len` bytes from `offset`: fewer only where the contents end.
+    /// How a value is read, and how recovery scans a segment, a record at
+    /// a time.  A read is not fenced: only writes are.
+    fn read_at(&mut self, offset: u64, len: usize) -> Result<Vec<u8>, StoreError>;
     /// Append bytes at the end.  Under an armed fault this may persist only
     /// a prefix and return `Err` — the caller must treat `Err` as
     /// "not durable".
@@ -297,6 +311,11 @@ impl MemStorage {
         self.inner.segments.lock()[SEG_LOG].to_vec()
     }
 
+    /// Raw bytes of the snapshot segment (tests and diagnostics).
+    pub fn snapshot_bytes(&self) -> Vec<u8> {
+        self.inner.segments.lock()[SEG_SNAP].to_vec()
+    }
+
     /// Byte length of the snapshot (tests and diagnostics).
     pub fn snapshot_len(&self) -> usize {
         self.inner.segments.lock()[SEG_SNAP].len()
@@ -325,9 +344,10 @@ impl MemBackend {
 }
 
 impl StorageBackend for MemBackend {
-    fn read_all(&mut self) -> Result<Vec<u8>, StoreError> {
-        self.check()?;
-        Ok(self.storage.inner.segments.lock()[self.seg].to_vec())
+    fn read_at(&mut self, offset: u64, len: usize) -> Result<Vec<u8>, StoreError> {
+        let start = usize::try_from(offset).unwrap_or(usize::MAX);
+        let segment = &self.storage.inner.segments.lock()[self.seg];
+        Ok(segment.read(start, start.saturating_add(len)))
     }
 
     fn append(&mut self, pages: &Pages) -> Result<(), StoreError> {
@@ -411,6 +431,7 @@ impl FileBackend {
         StoreError::Io(e.to_string())
     }
 
+    /// The file, opened to append and to read at a position.
     fn open_append(&mut self) -> Result<&mut std::fs::File, StoreError> {
         if self.file.is_none() {
             // Sync the directory on every open, not only on a create that
@@ -418,6 +439,7 @@ impl FileBackend {
             // the retry.  Reopens follow only a replace or a truncate.
             let f = std::fs::OpenOptions::new()
                 .create(true)
+                .read(true)
                 .append(true)
                 .open(&self.path)
                 .map_err(Self::io)?;
@@ -442,12 +464,24 @@ impl FileBackend {
 }
 
 impl StorageBackend for FileBackend {
-    fn read_all(&mut self) -> Result<Vec<u8>, StoreError> {
-        match std::fs::read(&self.path) {
-            Ok(bytes) => Ok(bytes),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-            Err(e) => Err(Self::io(e)),
+    fn read_at(&mut self, offset: u64, len: usize) -> Result<Vec<u8>, StoreError> {
+        use std::os::unix::fs::FileExt;
+        let file = self.open_append()?;
+        // A length read from a damaged header is bounded by the file.
+        let size = file.metadata().map_err(Self::io)?.len();
+        let len = len.min(usize::try_from(size.saturating_sub(offset)).unwrap_or(usize::MAX));
+        let mut out = vec![0; len];
+        let mut filled = 0;
+        while filled < len {
+            match file.read_at(&mut out[filled..], offset + filled as u64) {
+                Ok(0) => break,
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(Self::io(e)),
+            }
         }
+        out.truncate(filled);
+        Ok(out)
     }
 
     fn append(&mut self, pages: &Pages) -> Result<(), StoreError> {
@@ -596,7 +630,12 @@ fn put_record(key: &StoreKey, value: &Versioned, put: &mut impl FnMut(&[u8])) {
     encode_payload(key, value, put);
 }
 
-fn decode_payload(payload: &[u8]) -> Result<(StoreKey, Versioned), String> {
+/// What a payload says: its key, version, writer and tombstone flag, and
+/// its value as a slice of the payload.
+type Parts<'p> = (StoreKey, u64, String, bool, &'p [u8]);
+
+/// The one payload decoder: strict, with no trailing byte allowed.
+fn decode_parts(payload: &[u8]) -> Result<Parts<'_>, String> {
     let mut c = Cursor {
         bytes: payload,
         at: 0,
@@ -611,19 +650,41 @@ fn decode_payload(payload: &[u8]) -> Result<(StoreKey, Versioned), String> {
         other => return Err(format!("bad tombstone flag {other}")),
     };
     let data_len = c.u32()? as usize;
-    let data = c.take(data_len)?.to_vec();
+    let data = c.take(data_len)?;
     if c.at != payload.len() {
         return Err(format!("{} trailing payload bytes", payload.len() - c.at));
     }
-    Ok((
-        (ns, key),
-        Versioned {
-            data,
-            version,
-            writer,
-            deleted,
-        },
-    ))
+    Ok(((ns, key), version, writer, deleted, data))
+}
+
+fn decode_payload(payload: &[u8]) -> Result<(StoreKey, Versioned), String> {
+    let (key, version, writer, deleted, data) = decode_parts(payload)?;
+    let value = Versioned {
+        data: data.to_vec(),
+        version,
+        writer,
+        deleted,
+    };
+    Ok((key, value))
+}
+
+/// The payload of a framed record, once its length and CRC check out.
+fn check_framed(framed: &[u8]) -> Result<&[u8], String> {
+    let Some((header, payload)) = framed.split_at_checked(RECORD_HEADER) else {
+        return Err("record shorter than its header".into());
+    };
+    let len = u32::from_le_bytes(header[..4].try_into().expect("four bytes"));
+    let crc = u32::from_le_bytes(header[4..].try_into().expect("four bytes"));
+    if len as usize != payload.len() {
+        return Err(format!(
+            "record length {len}, {} bytes there",
+            payload.len()
+        ));
+    }
+    if crc32(payload) != crc {
+        return Err("record CRC mismatch".into());
+    }
+    Ok(payload)
 }
 
 /// Frame one write as a full log record: `len | crc32(payload) | payload`.
@@ -631,6 +692,134 @@ pub fn frame_record(key: &StoreKey, value: &Versioned) -> Vec<u8> {
     let mut out = Vec::with_capacity(record_len(key, value) as usize);
     put_record(key, value, &mut |piece| out.extend_from_slice(piece));
     out
+}
+
+// ---------------------------------------------------------------------------
+// Where a record lies
+// ---------------------------------------------------------------------------
+
+/// Which of a disk's two segments a record lies in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Segment {
+    Log,
+    Snapshot,
+}
+
+/// Where one framed record lies: its segment, the offset of its header
+/// there and its framed length, header included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Loc {
+    pub segment: Segment,
+    pub offset: u64,
+    pub len: u32,
+}
+
+/// What a replica's key directory keeps of one key: its record's
+/// `(version, writer, deleted)` and where the record lies — everything but
+/// the value, which stays on the disk.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Slot {
+    pub version: u64,
+    pub writer: Box<str>,
+    pub deleted: bool,
+    pub at: Loc,
+}
+
+impl Slot {
+    /// Whether a write named `(version, writer)` beats this one: the
+    /// order of [`Versioned::beats`].
+    pub fn beaten_by(&self, version: u64, writer: &str) -> bool {
+        (version, writer) > (self.version, &*self.writer)
+    }
+}
+
+/// The directory row of the record framed at `offset` of `segment`.
+fn row(segment: Segment, offset: u64, payload: &[u8]) -> Result<(StoreKey, Slot), String> {
+    let (key, version, writer, deleted, _) = decode_parts(payload)?;
+    let len = (RECORD_HEADER + payload.len()) as u32;
+    let at = Loc {
+        segment,
+        offset,
+        len,
+    };
+    let slot = Slot {
+        version,
+        writer: writer.into_boxed_str(),
+        deleted,
+        at,
+    };
+    Ok((key, slot))
+}
+
+// ---------------------------------------------------------------------------
+// Scans
+// ---------------------------------------------------------------------------
+
+/// How a scan reads its bytes: up to `len` at `offset`, fewer only where
+/// the bytes end — a segment through [`StorageBackend::read_at`], or
+/// [`Pages`] a rebuild gathered.
+type ReadAt<'r> = dyn FnMut(u64, usize) -> Result<Vec<u8>, StoreError> + 'r;
+
+/// What a scan found at its position.
+enum Next {
+    /// A whole record whose CRC checks out.
+    Record { header: Vec<u8>, payload: Vec<u8> },
+    /// The bytes end here, `torn` of them into a record.
+    End { torn: u64 },
+}
+
+fn corrupt(offset: u64, detail: impl Into<String>) -> StoreError {
+    StoreError::Corrupt {
+        offset,
+        detail: detail.into(),
+    }
+}
+
+/// Read the record framed at `at`: its header, then its payload, each one
+/// read.  A record cut short by the end of the bytes is a torn tail; a
+/// length over [`MAX_RECORD`] or a CRC mismatch is corruption.
+fn next_record(read: &mut ReadAt, at: u64) -> Result<Next, StoreError> {
+    let header = read(at, RECORD_HEADER)?;
+    if header.len() < RECORD_HEADER {
+        let torn = header.len() as u64;
+        return Ok(Next::End { torn });
+    }
+    let len = u32::from_le_bytes(header[..4].try_into().expect("four bytes"));
+    if len > MAX_RECORD {
+        return Err(corrupt(
+            at,
+            format!("record length {len} exceeds {MAX_RECORD}"),
+        ));
+    }
+    let payload = read(at + RECORD_HEADER as u64, len as usize)?;
+    if payload.len() < len as usize {
+        let torn = (RECORD_HEADER + payload.len()) as u64;
+        return Ok(Next::End { torn });
+    }
+    let crc = u32::from_le_bytes(header[4..].try_into().expect("four bytes"));
+    if crc32(&payload) != crc {
+        return Err(corrupt(at, "record CRC mismatch"));
+    }
+    Ok(Next::Record { header, payload })
+}
+
+/// Scan a log: hand each whole record's offset and payload to `visit`, in
+/// order, up to a torn tail.  Returns the length of the whole records and
+/// the torn bytes past them.
+fn scan_log(
+    read: &mut ReadAt,
+    mut visit: impl FnMut(u64, &[u8]) -> Result<(), String>,
+) -> Result<(u64, u64), StoreError> {
+    let mut at = 0;
+    loop {
+        match next_record(read, at)? {
+            Next::End { torn } => return Ok((at, torn)),
+            Next::Record { payload, .. } => {
+                visit(at, &payload).map_err(|detail| corrupt(at, detail))?;
+                at += (RECORD_HEADER + payload.len()) as u64;
+            }
+        }
+    }
 }
 
 /// What replaying a log byte stream yielded.
@@ -644,7 +833,8 @@ pub struct Replay {
     pub torn_bytes: u64,
 }
 
-/// Replay a log byte stream.
+/// Replay a log byte stream: the scan recovery makes, with each record's
+/// value decoded.
 ///
 /// * An incomplete record at the end of the stream is a **torn tail** —
 ///   the crash model's signature — and is discarded; everything before it
@@ -654,49 +844,18 @@ pub struct Replay {
 ///   replay refuses with [`StoreError::Corrupt`] rather than guessing.
 pub fn replay_bytes(bytes: &[u8]) -> Result<Replay, StoreError> {
     let mut entries = Vec::new();
-    let mut at = 0usize;
-    loop {
-        let rem = bytes.len() - at;
-        if rem == 0 {
-            break;
-        }
-        if rem < RECORD_HEADER {
-            break; // torn inside the header
-        }
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap());
-        if len > MAX_RECORD {
-            return Err(StoreError::Corrupt {
-                offset: at as u64,
-                detail: format!("record length {len} exceeds {MAX_RECORD}"),
-            });
-        }
-        let len = len as usize;
-        if rem - RECORD_HEADER < len {
-            break; // torn inside the payload
-        }
-        let payload = &bytes[at + RECORD_HEADER..at + RECORD_HEADER + len];
-        if crc32(payload) != crc {
-            return Err(StoreError::Corrupt {
-                offset: at as u64,
-                detail: "record CRC mismatch".into(),
-            });
-        }
-        match decode_payload(payload) {
-            Ok(entry) => entries.push(entry),
-            Err(detail) => {
-                return Err(StoreError::Corrupt {
-                    offset: at as u64,
-                    detail,
-                })
-            }
-        }
-        at += RECORD_HEADER + len;
-    }
+    let mut read = |at: u64, len: usize| {
+        let start = (at as usize).min(bytes.len());
+        Ok(bytes[start..start.saturating_add(len).min(bytes.len())].to_vec())
+    };
+    let (good_len, torn_bytes) = scan_log(&mut read, |_, payload| {
+        entries.push(decode_payload(payload)?);
+        Ok(())
+    })?;
     Ok(Replay {
         entries,
-        good_len: at as u64,
-        torn_bytes: (bytes.len() - at) as u64,
+        good_len,
+        torn_bytes,
     })
 }
 
@@ -706,16 +865,20 @@ pub fn replay_bytes(bytes: &[u8]) -> Result<Replay, StoreError> {
 
 const SNAP_MAGIC: &[u8; 8] = b"ACSNAP01";
 
-/// Snapshot bytes besides its records: magic, reserved word and count in
-/// front, the body's CRC behind.
-const SNAP_FRAME: usize = SNAP_MAGIC.len() + 8 + 4 + 4;
+/// A snapshot's header: magic, a reserved word and the record count.
+pub(crate) const SNAP_HEAD: usize = SNAP_MAGIC.len() + 8 + 4;
 
-/// Encode a full-state snapshot body, for compaction and for snapshot
-/// shipping alike, into [`Pages`]: every record is framed in place, and the
-/// body's CRC is taken as it is written.  `live` is the [`record_len`] sum
-/// of `map`.  The 8 header bytes after the magic are a reserved word,
-/// always 0, that the decoder skips: shipped snapshots keep their layout.
-pub(crate) fn encode_snapshot(map: &HashMap<StoreKey, Versioned>, live: u64) -> Pages {
+/// A snapshot body into [`Pages`]: the header for `count` records, each
+/// framed record `records` yields, copied in order, and the body's CRC,
+/// taken as the pages fill.  Compaction, a shipped-snapshot install and a
+/// rebuild's cut all write one from records already framed on a disk, in
+/// key order, so identical states give identical snapshots.  The 8 header
+/// bytes after the magic are a reserved word, always 0, that the scan
+/// skips: shipped snapshots keep their layout.
+pub(crate) fn encode_snapshot(
+    count: usize,
+    records: impl Iterator<Item = impl AsRef<[u8]>>,
+) -> Pages {
     let (mut body, mut crc) = (Pages::new(), 0);
     let mut put = |bytes: &[u8]| {
         crc = crc32_update(crc, bytes);
@@ -723,53 +886,69 @@ pub(crate) fn encode_snapshot(map: &HashMap<StoreKey, Versioned>, live: u64) -> 
     };
     put(SNAP_MAGIC);
     put(&0u64.to_le_bytes());
-    put(&(map.len() as u32).to_le_bytes());
-    // Deterministic order so identical states produce identical snapshots.
-    let mut keys: Vec<&StoreKey> = map.keys().collect();
-    keys.sort();
-    for key in keys {
-        put_record(key, &map[key], &mut put);
+    put(&(count as u32).to_le_bytes());
+    for record in records {
+        put(record.as_ref());
     }
-    debug_assert_eq!(body.len() + 4, SNAP_FRAME + live as usize, "live drifted");
     body.extend(&crc.to_le_bytes());
     body
 }
 
-/// The records of a snapshot body: `Ok(Some(..))` for a valid snapshot,
-/// `Ok(None)` for an empty one, and `Err(detail)` for bytes which do not
-/// validate.
-pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<Option<Vec<(StoreKey, Versioned)>>, String> {
-    if bytes.is_empty() {
+/// Scan a snapshot body a record at a time: hand each record's offset and
+/// payload to `visit`, and check the body's CRC as the records go by.
+/// `None` for an empty snapshot, else the body's length; `Corrupt` for
+/// bytes that do not validate.
+pub(crate) fn scan_snapshot(
+    read: &mut ReadAt,
+    mut visit: impl FnMut(u64, &[u8]) -> Result<(), String>,
+) -> Result<Option<u64>, StoreError> {
+    let bad = |at: u64, detail: &str| corrupt(at, format!("snapshot: {detail}"));
+    let head = read(0, SNAP_HEAD)?;
+    if head.is_empty() {
         return Ok(None);
     }
-    if bytes.len() < SNAP_MAGIC.len() + 12 + 4 {
-        return Err("snapshot shorter than its header".into());
+    if head.len() < SNAP_HEAD {
+        return Err(bad(0, "shorter than its header"));
     }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(body) != stored {
-        return Err("snapshot CRC mismatch".into());
+    if head[..SNAP_MAGIC.len()] != SNAP_MAGIC[..] {
+        return Err(bad(0, "bad magic"));
     }
-    let mut c = Cursor { bytes: body, at: 0 };
-    if c.take(8).map_err(|e| e.to_string())? != SNAP_MAGIC {
-        return Err("bad snapshot magic".into());
-    }
-    c.u64()?; // the reserved header word
-    let count = c.u32()? as usize;
-    let mut entries = Vec::with_capacity(count);
+    let count = u32::from_le_bytes(head[SNAP_HEAD - 4..].try_into().expect("four bytes"));
+    let mut crc = crc32_update(0, &head);
+    let mut at = SNAP_HEAD as u64;
     for _ in 0..count {
-        let len = c.u32()? as usize;
-        let rec_crc = c.u32()?;
-        let payload = c.take(len)?;
-        if crc32(payload) != rec_crc {
-            return Err("snapshot record CRC mismatch".into());
+        let Next::Record { header, payload } = next_record(read, at)? else {
+            return Err(bad(at, "truncated"));
+        };
+        crc = crc32_update(crc32_update(crc, &header), &payload);
+        visit(at, &payload).map_err(|detail| bad(at, &detail))?;
+        at += (RECORD_HEADER + payload.len()) as u64;
+    }
+    // The body's CRC, and nothing after it.
+    let tail = read(at, 5)?;
+    match tail.len() {
+        4 if u32::from_le_bytes(tail[..].try_into().expect("four bytes")) == crc => {
+            Ok(Some(at + 4))
         }
-        entries.push(decode_payload(payload)?);
+        4 => Err(bad(at, "CRC mismatch")),
+        0..4 => Err(bad(at, "truncated")),
+        _ => Err(bad(at, "trailing bytes")),
     }
-    if c.at != body.len() {
-        return Err("trailing snapshot bytes".into());
-    }
-    Ok(Some(entries))
+}
+
+/// Scan a shipped snapshot: each record's directory row, its [`Loc`] an
+/// offset into `shipped`.  Nothing is decoded but the rows.
+pub(crate) fn shipped_rows(shipped: &Pages) -> Result<Vec<(StoreKey, Slot)>, StoreError> {
+    let mut rows = Vec::new();
+    let mut read = |at: u64, len: usize| {
+        let start = at as usize;
+        Ok(shipped.read(start, start.saturating_add(len)))
+    };
+    scan_snapshot(&mut read, |at, payload| {
+        rows.push(row(Segment::Snapshot, at, payload)?);
+        Ok(())
+    })?;
+    Ok(rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -782,12 +961,13 @@ pub const COMPACT_FLOOR: u64 = 256 << 10;
 
 /// Compaction policy.  Every append is synced before it is acknowledged.
 ///
-/// The one rule ([`Wal::maybe_compact`]): snapshot + truncate once the log
-/// exceeds `min(cap, max(COMPACT_FLOOR, 2·live − snapshot))`, where `live`
-/// is what the state's records take in a snapshot.  That is as soon as
-/// compacting would at least halve the disk (snapshot + log), so the disk
-/// stays within about twice the state.  During a load of fresh keys the log
-/// *is* the state and never reaches twice it, so a load does not compact.
+/// The one rule ([`Wal::needs_compaction`]): snapshot + truncate once the
+/// log exceeds `min(cap, max(COMPACT_FLOOR, 2·live − snapshot))`, where
+/// `live` is what the state's records take in a snapshot.  That is as soon
+/// as compacting would at least halve the disk (snapshot + log), so the
+/// disk stays within about twice the state.  During a load of fresh keys
+/// the log *is* the state and never reaches twice it, so a load does not
+/// compact.
 #[derive(Debug, Clone)]
 pub struct WalConfig {
     /// The cap: a log longer than this many bytes is always compacted.
@@ -821,6 +1001,9 @@ pub struct WalStats {
     /// Snapshot bytes written by compactions and installs: the rewrite
     /// volume, against `append_bytes`.
     pub compacted_bytes: u64,
+    /// Live records that failed their check when read: refused, never
+    /// served, and dropped from the key directory.
+    pub damaged: u64,
 }
 
 /// What recovery found, surfaced in supervisor restart notes.
@@ -852,10 +1035,11 @@ impl std::fmt::Display for RecoveryReport {
 
 /// An open write-ahead log plus its snapshot: a plain struct with one
 /// owner.  A replica's [`DiskImage`](crate::DiskImage) keeps it under the
-/// image's one lock, so a write is checked, logged, published and compacted
-/// in one hold, and nothing here locks or waits.  Each
-/// [`Wal::append_batch`] is one backend append plus one fsync, and returns
-/// only after both: no write is acknowledged before its bytes are synced.
+/// image's one lock, beside the key directory that says where each live
+/// record lies, so a write is checked, logged, published and compacted in
+/// one hold, and nothing here locks or waits.  Each [`Wal::append_batch`]
+/// is one backend append plus one fsync, and returns only after both: no
+/// write is acknowledged before its bytes are synced.
 pub struct Wal {
     config: WalConfig,
     log: Box<dyn StorageBackend>,
@@ -875,48 +1059,43 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Open (or create) the WAL behind `handle`, replaying snapshot + log
-    /// into a state map.  Refuses with [`StoreError::Corrupt`] when a
-    /// non-empty snapshot or a mid-log record fails validation.
+    /// Open (or create) the WAL behind `handle`: scan the snapshot, then
+    /// the log, a record at a time, handing every record's directory row to
+    /// `visit` in that order — what the key directory is rebuilt from,
+    /// newest-wins — with no value kept.  Refuses with
+    /// [`StoreError::Corrupt`] when a non-empty snapshot or a mid-log
+    /// record fails validation; rows already visited are then void.
     pub fn open(
         handle: &StorageHandle,
         config: WalConfig,
-    ) -> Result<(Wal, HashMap<StoreKey, Versioned>, RecoveryReport), StoreError> {
+        mut visit: impl FnMut(StoreKey, Slot),
+    ) -> Result<(Wal, RecoveryReport), StoreError> {
         let [mut log, mut snapshot] = handle.open_backends()?;
         let mut report = RecoveryReport::default();
+        let mut visit = |segment, at, payload: &[u8]| {
+            let (key, slot) = row(segment, at, payload)?;
+            visit(key, slot);
+            Ok(())
+        };
 
         // A snapshot that fails validation is corruption: `replace` is
         // atomic, so there is no benign way to observe a half-written one.
-        let snapshot_body = snapshot.read_all()?;
-        let snapshot_len = snapshot_body.len() as u64;
-        let snap_entries = decode_snapshot(&snapshot_body)
-            .map_err(|detail| StoreError::Corrupt {
-                offset: 0,
-                detail: format!("snapshot: {detail}"),
-            })?
-            .unwrap_or_default();
-        drop(snapshot_body); // before the map is built: one copy of the state at a time
-        report.snapshot_records = snap_entries.len() as u64;
-        let mut map: HashMap<StoreKey, Versioned> = HashMap::with_capacity(snap_entries.len());
-        for (key, value) in snap_entries {
-            map.insert(key, value);
-        }
+        let mut read = |at, len| snapshot.read_at(at, len);
+        let snapshot_len = scan_snapshot(&mut read, |at, payload| {
+            report.snapshot_records += 1;
+            visit(Segment::Snapshot, at, payload)
+        })?
+        .unwrap_or(0);
 
-        // Replay the log over the snapshot, truncating a torn tail.
-        let bytes = log.read_all()?;
-        let replay = replay_bytes(&bytes)?;
-        report.replayed_records = replay.entries.len() as u64;
-        report.torn_bytes = replay.torn_bytes;
-        if replay.torn_bytes > 0 {
-            log.truncate(replay.good_len)?;
-        }
-        for (key, value) in replay.entries {
-            match map.get(&key) {
-                Some(existing) if !value.beats(existing) => {}
-                _ => {
-                    map.insert(key, value);
-                }
-            }
+        // The log after it, truncating a torn tail.
+        let mut read = |at, len| log.read_at(at, len);
+        let (good_len, torn_bytes) = scan_log(&mut read, |at, payload| {
+            report.replayed_records += 1;
+            visit(Segment::Log, at, payload)
+        })?;
+        report.torn_bytes = torn_bytes;
+        if torn_bytes > 0 {
+            log.truncate(good_len)?;
         }
 
         Ok((
@@ -924,13 +1103,12 @@ impl Wal {
                 config,
                 log,
                 snapshot,
-                end: replay.good_len,
+                end: good_len,
                 snapshot_len,
                 broken: false,
                 stats: WalStats::default(),
                 scratch: Pages::new(),
             },
-            map,
             report,
         ))
     }
@@ -954,22 +1132,46 @@ impl Wal {
         Ok(())
     }
 
-    /// Log a run of writes durably.  Returns only after the records are
-    /// appended and synced — the caller must not acknowledge any of them
-    /// before this returns `Ok`, and an `Err` acknowledges none: the run is
-    /// one backend append, and a tear leaves at most a clean record-aligned
-    /// prefix of it for replay.
-    pub fn append_batch(&mut self, entries: &[(StoreKey, Versioned)]) -> Result<(), StoreError> {
+    /// Log a run of writes durably, and say where each record landed.
+    /// Returns only after the records are appended and synced — the caller
+    /// must not acknowledge any of them before this returns `Ok`, and an
+    /// `Err` acknowledges none: the run is one backend append, and a tear
+    /// leaves at most a clean record-aligned prefix of it for replay.  A
+    /// record over [`MAX_RECORD`], which recovery would refuse, is refused
+    /// here.
+    pub fn append_batch(
+        &mut self,
+        entries: &[(StoreKey, Versioned)],
+    ) -> Result<Vec<Loc>, StoreError> {
         if entries.is_empty() {
-            return Ok(());
+            return Ok(Vec::new());
         }
         self.usable()?;
+        let mut locs = Vec::with_capacity(entries.len());
+        let mut offset = self.end;
+        for (key, value) in entries {
+            let len = record_len(key, value);
+            if len - RECORD_HEADER as u64 > MAX_RECORD as u64 {
+                return Err(StoreError::Io(format!(
+                    "a {len} B record exceeds {MAX_RECORD} B"
+                )));
+            }
+            let len = len as u32;
+            let segment = Segment::Log;
+            locs.push(Loc {
+                segment,
+                offset,
+                len,
+            });
+            offset += len as u64;
+        }
         self.scratch.clear();
         let scratch = &mut self.scratch;
         for (key, value) in entries {
             put_record(key, value, &mut |piece| scratch.extend(piece));
         }
-        self.commit(entries.len() as u64)
+        self.commit(entries.len() as u64)?;
+        Ok(locs)
     }
 
     /// Write the `records` framed in `scratch` as one append plus one sync,
@@ -996,59 +1198,82 @@ impl Wal {
         Ok(())
     }
 
-    /// The one snapshot commit, in this order: `map` atomically replaces
-    /// the snapshot, then the log is emptied.  Both replaces are durable
-    /// when they return.  A crash between them leaves the new snapshot and
-    /// the whole log, and replaying a log over a snapshot that already
-    /// holds its records changes nothing.  `live` is `map`'s
-    /// [`record_len`] sum.
-    fn commit_snapshot(
+    /// The framed record `slot` locates for `(ns, key)`, checked: its
+    /// length and CRC, and that it is that key's record at the slot's
+    /// `(version, writer, deleted)`.  A record that fails is damage — the
+    /// bytes changed after they were written, or the slot is stale — and
+    /// is counted and refused with `Corrupt`, never handed out.
+    pub(crate) fn framed(
         &mut self,
-        map: &HashMap<StoreKey, Versioned>,
-        live: u64,
-    ) -> Result<(), StoreError> {
-        let body = encode_snapshot(map, live);
-        let len = body.len() as u64;
-        self.snapshot.replace(body)?;
-        self.snapshot_len = len;
-        self.log.replace(Pages::new())?;
-        self.end = 0;
-        self.stats.compactions += 1;
-        self.stats.compacted_bytes += len;
-        Ok(())
+        ns: &str,
+        key: &str,
+        slot: &Slot,
+    ) -> Result<Vec<u8>, StoreError> {
+        let backend = match slot.at.segment {
+            Segment::Log => &mut self.log,
+            Segment::Snapshot => &mut self.snapshot,
+        };
+        let framed = backend.read_at(slot.at.offset, slot.at.len as usize)?;
+        let checked = check_framed(&framed).and_then(|payload| {
+            let ((n, k), version, writer, deleted, _) = decode_parts(payload)?;
+            let same = (n.as_str(), k.as_str(), version, writer.as_str(), deleted)
+                == (ns, key, slot.version, &*slot.writer, slot.deleted);
+            same.then_some(())
+                .ok_or_else(|| "not the record its slot names".to_string())
+        });
+        if let Err(detail) = checked {
+            self.stats.damaged += 1;
+            return Err(corrupt(slot.at.offset, detail));
+        }
+        Ok(framed)
     }
 
-    /// Snapshot + truncate by the one snapshot commit once the log exceeds
-    /// `min(cap, max(COMPACT_FLOOR, 2·live − snapshot))` (see
-    /// [`WalConfig`]): once compacting would at least halve the disk.
-    /// `map` must hold every record the log does, and `live` is the sum of
-    /// its records' framed lengths: the image publishes a write before it
-    /// compacts, in the same hold of its lock.  Failures are counted, not
-    /// fatal: the data is still in the log.
-    pub fn maybe_compact(&mut self, map: &HashMap<StoreKey, Versioned>, live: u64) -> bool {
+    /// The value `slot` locates for `(ns, key)`: [`Wal::framed`], decoded.
+    pub(crate) fn read(
+        &mut self,
+        ns: &str,
+        key: &str,
+        slot: &Slot,
+    ) -> Result<Versioned, StoreError> {
+        let framed = self.framed(ns, key, slot)?;
+        decode_payload(&framed[RECORD_HEADER..])
+            .map(|(_, value)| value)
+            .map_err(|detail| corrupt(slot.at.offset, detail))
+    }
+
+    /// Whether the log is past `min(cap, max(COMPACT_FLOOR, 2·live −
+    /// snapshot))` (see [`WalConfig`]): whether compacting would at least
+    /// halve the disk.  `live` is the framed length of every live record.
+    pub(crate) fn needs_compaction(&self, live: u64) -> bool {
         let halving = (2 * live).saturating_sub(self.snapshot_len);
         let limit = halving
             .max(COMPACT_FLOOR)
             .min(self.config.compact_threshold);
-        if self.broken || self.end <= limit {
-            return false;
-        }
-        let committed = self.commit_snapshot(map, live).is_ok();
-        self.stats.compaction_failures += !committed as u64;
-        committed
+        !self.broken && self.end > limit
     }
 
-    /// Commit `map` as a full snapshot unconditionally, exactly like a
-    /// compaction but without its gate.  Used when a rebuilding replica
-    /// installs a shipped snapshot: one snapshot write instead of
-    /// re-appending the whole keyspace record by record.
-    pub fn install_snapshot(
-        &mut self,
-        map: &HashMap<StoreKey, Versioned>,
-        live: u64,
-    ) -> Result<(), StoreError> {
-        self.usable()?;
-        self.commit_snapshot(map, live)
+    /// The one snapshot commit, in this order: `body` atomically replaces
+    /// the snapshot, then the log is emptied.  Both replaces are durable
+    /// when they return.  `Ok` once the first has landed: the snapshot then
+    /// holds every live record, and the caller moves its key directory
+    /// there.  A log that could not be emptied stays as it was — replaying
+    /// it over a snapshot that already holds its records changes nothing —
+    /// and the next compaction empties it.  A failed first replace changes
+    /// nothing and is counted.
+    pub(crate) fn commit_snapshot(&mut self, body: Pages) -> Result<(), StoreError> {
+        let committed = self.usable().and_then(|()| {
+            let len = body.len() as u64;
+            self.snapshot.replace(body)?;
+            Ok(len)
+        });
+        let len = committed.inspect_err(|_| self.stats.compaction_failures += 1)?;
+        self.snapshot_len = len;
+        self.stats.compactions += 1;
+        self.stats.compacted_bytes += len;
+        if self.log.replace(Pages::new()).is_ok() {
+            self.end = 0;
+        }
+        Ok(())
     }
 
     /// Current committed log length in bytes.
@@ -1096,7 +1321,23 @@ mod tests {
     }
 
     fn append(wal: &mut Wal, key: &StoreKey, value: &Versioned) -> Result<(), StoreError> {
-        wal.append_batch(&[(key.clone(), value.clone())])
+        wal.append_batch(&[(key.clone(), value.clone())]).map(drop)
+    }
+
+    fn open(handle: &StorageHandle) -> Wal {
+        Wal::open(handle, WalConfig::default(), |_, _| {})
+            .unwrap()
+            .0
+    }
+
+    /// The keys a reopen of `handle` recovers, sorted.
+    fn recovered_keys(handle: &StorageHandle) -> (Vec<String>, RecoveryReport) {
+        let mut keys = Vec::new();
+        let (_, report) =
+            Wal::open(handle, WalConfig::default(), |(_, k), _| keys.push(k)).unwrap();
+        keys.sort();
+        keys.dedup();
+        (keys, report)
     }
 
     #[test]
@@ -1162,14 +1403,16 @@ mod tests {
     fn open_append_reopen_recovers_everything() {
         let storage = MemStorage::new();
         let handle = StorageHandle::Memory(storage);
-        let (mut wal, map, report) = Wal::open(&handle, WalConfig::default()).unwrap();
-        assert!(map.is_empty());
+        let (mut wal, report) = Wal::open(&handle, WalConfig::default(), |_, _| {
+            panic!("a fresh disk holds no record")
+        })
+        .unwrap();
         assert_eq!(report, RecoveryReport::default());
         for i in 0..10u64 {
             append(&mut wal, &key(&format!("k{i}")), &v(i + 1, b"val")).unwrap();
         }
-        let (_, map, report) = Wal::open(&handle, WalConfig::default()).unwrap();
-        assert_eq!(map.len(), 10);
+        let (keys, report) = recovered_keys(&handle);
+        assert_eq!(keys.len(), 10);
         assert_eq!(report.replayed_records, 10);
         assert!(!report.reset);
     }
@@ -1181,23 +1424,22 @@ mod tests {
         let config = WalConfig {
             compact_threshold: 256,
         };
-        let (mut wal, _, _) = Wal::open(&handle, config.clone()).unwrap();
-        let mut map = HashMap::new();
-        let mut compactions = 0;
+        let (disk, _) = crate::DiskImage::open(&handle, config.clone()).unwrap();
+        let mut map = std::collections::HashMap::new();
         for i in 0..100u64 {
             let (k, value) = (key(&format!("k{}", i % 7)), v(i + 1, b"payload-bytes"));
-            append(&mut wal, &k, &value).unwrap();
+            disk.apply(k.clone(), value.clone()).unwrap();
             map.insert(k, value);
-            let live = map.iter().map(|(k, v)| record_len(k, v)).sum();
-            if wal.maybe_compact(&map, live) {
-                compactions += 1;
-            }
         }
+        let compactions = disk.wal_stats().unwrap().compactions;
         assert!(compactions >= 2, "threshold never hit: {compactions}");
-        assert!(wal.log_len() < 256 + 64);
+        assert!(disk.bytes().log < 256 + 64);
         // Recovery sees snapshot + small tail, with full state intact.
-        let (_, recovered, report) = Wal::open(&handle, config).unwrap();
-        assert_eq!(recovered, map);
+        let (recovered, report) = crate::DiskImage::open(&handle, config).unwrap();
+        assert_eq!(recovered.len(), map.len());
+        for (k, value) in &map {
+            assert_eq!(recovered.get(k).as_ref(), Some(value));
+        }
         assert!(report.snapshot_records > 0);
     }
 
@@ -1205,17 +1447,17 @@ mod tests {
     fn fencing_cuts_off_superseded_instances() {
         let storage = MemStorage::new();
         let handle = StorageHandle::Memory(storage);
-        let (mut old, _, _) = Wal::open(&handle, WalConfig::default()).unwrap();
+        let mut old = open(&handle);
         append(&mut old, &key("a"), &v(1, b"x")).unwrap();
-        let (mut new, map, _) = Wal::open(&handle, WalConfig::default()).unwrap();
-        assert_eq!(map.len(), 1);
+        assert_eq!(recovered_keys(&handle).0, ["a"]);
+        let mut new = open(&handle);
         assert!(matches!(
             append(&mut old, &key("b"), &v(2, b"y")),
             Err(StoreError::Io(_))
         ));
         append(&mut new, &key("c"), &v(3, b"z")).unwrap();
-        let (_, map, _) = Wal::open(&handle, WalConfig::default()).unwrap();
-        assert_eq!(map.len(), 2, "fenced append must not land");
+        let (keys, _) = recovered_keys(&handle);
+        assert_eq!(keys, ["a", "c"], "fenced append must not land");
     }
 
     #[test]
@@ -1225,16 +1467,15 @@ mod tests {
         let host = HostId::from("s1");
         let storage = MemStorage::new().with_faults(hub.clone(), host.clone());
         let handle = StorageHandle::Memory(storage.clone());
-        let (mut wal, _, _) = Wal::open(&handle, WalConfig::default()).unwrap();
+        let mut wal = open(&handle);
         append(&mut wal, &key("a"), &v(1, b"first")).unwrap();
         hub.arm(&host, StorageFault::TornWrite(5));
         assert!(append(&mut wal, &key("b"), &v(2, b"torn")).is_err());
         // The torn bytes were cut; the next append starts on a record
         // boundary and the log replays cleanly.
         append(&mut wal, &key("c"), &v(3, b"after")).unwrap();
-        let (_, map, report) = Wal::open(&handle, WalConfig::default()).unwrap();
-        assert_eq!(map.len(), 2);
-        assert!(map.contains_key(&key("a")) && map.contains_key(&key("c")));
+        let (keys, report) = recovered_keys(&handle);
+        assert_eq!(keys, ["a", "c"]);
         assert_eq!(report.torn_bytes, 0, "repair already removed the tear");
     }
 
@@ -1242,7 +1483,7 @@ mod tests {
     fn append_batch_commits_with_one_fsync() {
         let storage = MemStorage::new();
         let handle = StorageHandle::Memory(storage);
-        let (mut wal, _, _) = Wal::open(&handle, WalConfig::default()).unwrap();
+        let mut wal = open(&handle);
         let entries: Vec<(StoreKey, Versioned)> = (0..8u64)
             .map(|i| (key(&format!("k{i}")), v(i + 1, b"batched")))
             .collect();
@@ -1251,8 +1492,8 @@ mod tests {
         assert_eq!(stats.appends, 8);
         assert_eq!(stats.batches, 1, "one backend append for the run");
         assert_eq!(stats.fsyncs, 1, "one fsync for the run");
-        let (_, map, report) = Wal::open(&handle, WalConfig::default()).unwrap();
-        assert_eq!(map.len(), 8);
+        let (keys, report) = recovered_keys(&handle);
+        assert_eq!(keys.len(), 8);
         assert_eq!(report.replayed_records, 8);
     }
 
@@ -1263,7 +1504,7 @@ mod tests {
         let host = HostId::from("s1");
         let storage = MemStorage::new().with_faults(hub.clone(), host.clone());
         let handle = StorageHandle::Memory(storage.clone());
-        let (mut wal, _, _) = Wal::open(&handle, WalConfig::default()).unwrap();
+        let mut wal = open(&handle);
         append(&mut wal, &key("acked"), &v(1, b"before")).unwrap();
         // Tear the batch stream partway through the second record.
         let one = frame_record(&key("b0"), &v(2, b"batch")).len() as u64;
@@ -1277,10 +1518,10 @@ mod tests {
         );
         // Recovery keeps the acked record plus at most a clean prefix of
         // the unacked batch — never a torn or corrupt record.
-        let (_, map, report) = Wal::open(&handle, WalConfig::default()).unwrap();
-        assert!(map.contains_key(&key("acked")));
-        assert!(map.len() <= 2, "at most the first unacked record replays");
-        assert!(!map.contains_key(&key("b1")));
+        let (keys, report) = recovered_keys(&handle);
+        assert!(keys.contains(&"acked".to_string()));
+        assert!(keys.len() <= 2, "at most the first unacked record replays");
+        assert!(!keys.contains(&"b1".to_string()));
         assert!(!report.reset);
     }
 }

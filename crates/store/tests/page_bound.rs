@@ -9,7 +9,7 @@
 //! count.  It is a test instrument: it checks the bound, and measures
 //! nothing else.
 
-use ace_store::{DiskImage, MemStorage, StorageHandle, Versioned, WalConfig, PAGE};
+use ace_store::{DiskImage, MemStorage, Pages, StorageHandle, Versioned, WalConfig, PAGE};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -63,8 +63,10 @@ fn largest_during(f: impl FnOnce()) -> usize {
     LARGEST.with(Cell::get)
 }
 
-/// 256 keys of 16 KiB: a 4 MiB state whose map table (512 buckets) stays
-/// under a page itself, so what the probe sees is the disk's.
+/// 256 keys of 16 KiB: a 4 MiB state whose key directory (512 buckets)
+/// stays under a page itself, so what the probe sees is the disk's.  (The
+/// directory and the lists a cut sorts grow with the key count, about 100
+/// bytes a key, not with the values.)
 const KEYS: u64 = 256;
 const VALUE: usize = 16 << 10;
 
@@ -105,7 +107,60 @@ fn no_store_write_allocates_more_than_a_page() {
     assert_eq!(compactions, PAGE, "overwrites through compactions");
 
     let mut cut = None;
-    let largest = largest_during(|| cut = Some(disk.snapshot_cut()));
-    assert!(cut.unwrap().len() > 4 << 20);
+    let largest = largest_during(|| cut = Some(disk.snapshot_cut().unwrap()));
+    let cut = cut.unwrap();
+    assert!(cut.len() > 4 << 20);
     assert_eq!(largest, PAGE, "a snapshot cut");
+
+    assert_eq!(open_and_rebuild(&handle, &cut), PAGE);
+}
+
+/// The 32 KiB chunks `psSnapFetch` ships `cut` in, as they arrive.
+fn chunks(cut: &Pages) -> Vec<Vec<u8>> {
+    cut.to_vec().chunks(32 << 10).map(<[u8]>::to_vec).collect()
+}
+
+/// The largest buffer of one open of `handle` (recovery scans the snapshot
+/// and the log a record at a time) and of one rebuild from `cut` (the
+/// chunks gathered in pages, checked, merged and installed on a fresh
+/// disk).
+fn open_and_rebuild(handle: &StorageHandle, cut: &Pages) -> usize {
+    let shipped = chunks(cut);
+    let open = largest_during(|| {
+        let (disk, report) = DiskImage::open(handle, WalConfig::default()).unwrap();
+        assert_eq!(disk.len(), KEYS as usize, "{report}");
+    });
+    let rebuild = largest_during(|| {
+        let mut pages = Pages::new();
+        shipped.iter().for_each(|chunk| pages.extend(chunk));
+        let fresh = StorageHandle::Memory(MemStorage::new());
+        let (disk, _) = DiskImage::open(&fresh, WalConfig::default()).unwrap();
+        assert_eq!(disk.install_snapshot(&pages).unwrap(), KEYS as usize);
+    });
+    open.max(rebuild)
+}
+
+/// A record larger than a page is the one buffer that may be: a value is
+/// read whole.  With one 96 KiB value among the 16 KiB ones, an open and a
+/// rebuild allocate nothing larger than that record.
+#[test]
+fn only_a_record_larger_than_a_page_is_read_whole() {
+    let handle = StorageHandle::Memory(MemStorage::new());
+    let (disk, _) = DiskImage::open(&handle, WalConfig::default()).unwrap();
+    (0..KEYS).for_each(|i| write(&disk, i, 1));
+    let big = Versioned {
+        data: vec![7; 96 << 10],
+        version: 2,
+        writer: "w".into(),
+        deleted: false,
+    };
+    let record = ace_store::wal::frame_record(&("ns".into(), "k000".into()), &big).len();
+    assert!(disk.apply(("ns".into(), "k000".into()), big).unwrap());
+    let cut = disk.snapshot_cut().unwrap();
+
+    let largest = open_and_rebuild(&handle, &cut);
+    assert!(
+        largest > PAGE && largest <= record,
+        "{largest} B for a {record} B record"
+    );
 }

@@ -196,7 +196,10 @@ proptest! {
                     disk.apply_batch(entries).unwrap();
                 }
                 2 => {
-                    disk.install_snapshot(entries).unwrap();
+                    // A peer's cut of the entries, as a rebuild ships it.
+                    let peer = DiskImage::new();
+                    peer.apply_batch(entries).unwrap();
+                    disk.install_snapshot(&peer.snapshot_cut().unwrap()).unwrap();
                 }
                 _ => {
                     let before = disk.tree();

@@ -519,7 +519,10 @@ fn replica_durability_is_on_by_default() {
 
 /// A replica's disk footprint is pulled over the wire: `aceStats` carries
 /// `store.<name>.liveBytes`, `wal.<name>.snapshotBytes`,
-/// `wal.<name>.logBytes` and the rewrite volume `wal.<name>.compactedBytes`.
+/// `wal.<name>.logBytes` and the rewrite volume `wal.<name>.compactedBytes`,
+/// and beside them what the replica holds in memory of that state, its key
+/// directory, `mem.store.<name>.bytes`: under a sixth of the live bytes for
+/// 1 KiB values, since no value is held in memory.
 /// After an overwrite storm at acebench's 4 MiB cap every replica of the
 /// group holds the compaction rule's bound: snapshot plus log within
 /// `max(2·live, floor)`, where under the cap alone the log would still hold
@@ -564,6 +567,11 @@ fn a_replicas_disk_footprint_is_read_over_the_wire() {
         let live = gauge("store", "liveBytes");
         let (snapshot, log) = (gauge("wal", "snapshotBytes"), gauge("wal", "logBytes"));
         assert!(live >= KEYS as u64 * 1024, "replica {r}: {live} B live");
+        let held = gauges[&format!("mem.store.store-s0r{r}.bytes")] as u64;
+        assert!(
+            held > 0 && held * 100 <= live * 15,
+            "replica {r}: {held} B in memory for {live} B live"
+        );
         let compactions = gauge("wal", "compactions");
         assert!(compactions >= 1, "replica {r} never compacted");
         assert!(
@@ -577,4 +585,77 @@ fn a_replicas_disk_footprint_is_read_over_the_wire() {
         );
     }
     plane.shutdown();
+}
+
+/// A bit flipped in a live record's value, after the record was written,
+/// is found when the record is read.  The read is refused: the damaged
+/// bytes are never served.  The drop is counted (`damaged`), and the key
+/// leaves the replica's directory and hash tree.  A quorum read whose
+/// value fetch asks the damaged replica first returns the peers' value.
+/// One anti-entropy round then pulls the key back, and the replica's
+/// checksum equals its peers'.  Fails under "skip the CRC check in `get`":
+/// the damaged replica serves the flipped bytes and the quorum read returns
+/// them.
+#[test]
+fn a_damaged_record_is_refused_and_pulled_back() {
+    let net = SimNet::new();
+    for h in ["core", "s1", "s2", "s3"] {
+        net.add_host(h);
+    }
+    let fw = bootstrap(&net, "core", Duration::from_secs(10)).unwrap();
+    // No round runs but the one this test asks for.
+    let idle = Duration::from_secs(3600);
+    let cluster = spawn_store_cluster(&net, &fw, &["s1", "s2", "s3"], idle).unwrap();
+    let addrs = &cluster.addrs;
+    let value: Vec<u8> = (0..4096u32).map(|i| (i * 7) as u8).collect();
+    let s3 = &cluster.replicas[2].1;
+    let before = s3.bytes().log;
+    StoreClient::new(net.clone(), "core", keypair(), addrs.clone())
+        .put("app", "k", &value)
+        .unwrap();
+    let end = s3.bytes().log;
+    assert!(end > before + 4096, "the put's record is on s3's log");
+
+    // Latent damage 100 bytes before the record's end, inside its value:
+    // the next append on s3 flips the bit, then lands.
+    let bit = (end - 100) * 8;
+    net.storage_faults()
+        .arm(&"s3".into(), ace_net::fault::StorageFault::BitFlip(bit));
+    let other = ace_store::Versioned {
+        data: b"trigger".to_vec(),
+        version: 1,
+        writer: "w".into(),
+        deleted: false,
+    };
+    s3.apply(("app".into(), "other".into()), other.clone())
+        .unwrap();
+    for (_, disk) in &cluster.replicas[..2] {
+        disk.apply(("app".into(), "other".into()), other.clone())
+            .unwrap();
+    }
+
+    // A reader that does not hold the value, asking s3 first: the quorum
+    // read fetches the value from the damaged replica.
+    let order = vec![addrs[2].clone(), addrs[0].clone(), addrs[1].clone()];
+    let mut reader = StoreClient::new(net.clone(), "core", keypair(), order);
+    assert_eq!(reader.get("app", "k").unwrap(), value, "the peers' value");
+    assert_eq!(s3.wal_stats().unwrap().damaged, 1, "the refusal is counted");
+    assert!(s3.get(&("app".into(), "k".into())).is_none(), "dropped");
+    assert_ne!(s3.checksum(), cluster.replicas[0].1.checksum());
+
+    let mut link =
+        ServiceClient::connect(&net, &"core".into(), addrs[2].clone(), &keypair()).unwrap();
+    link.call(&CmdLine::new("psSync")).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while s3.checksum() != cluster.replicas[0].1.checksum() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "s3 never pulled k back"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let pulled = s3.get(&("app".into(), "k".into())).unwrap();
+    assert_eq!(pulled.data, value);
+    cluster.shutdown();
+    fw.shutdown();
 }

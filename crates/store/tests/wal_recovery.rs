@@ -678,3 +678,64 @@ fn the_default_config_compacts_by_the_halving_rule() {
     }
     assert_eq!(compactions(), 2);
 }
+
+/// The fixed 1,000-key state the snapshot goldens are taken of: every key
+/// written at version 1, then every third overwritten by a second writer
+/// and every tenth tombstoned, in two batches.
+fn golden_batches() -> [Vec<((String, String), Versioned)>; 2] {
+    let row = |i: u64, version: u64, deleted: bool| {
+        let data = match deleted {
+            true => Vec::new(),
+            false => format!("value {i} at {version}").into_bytes(),
+        };
+        let writer = format!("w{version}");
+        let value = Versioned {
+            data,
+            version,
+            writer,
+            deleted,
+        };
+        (("golden".to_string(), format!("k{i:04}")), value)
+    };
+    let first = (0..1_000).map(|i| row(i, 1, false)).collect();
+    let second = (0..1_000)
+        .filter(|i| i % 3 == 0 || i % 10 == 0)
+        .map(|i| row(i, 2, i % 10 == 0))
+        .collect();
+    [first, second]
+}
+
+/// The golden state's snapshot, byte for byte — its length and FNV-1a
+/// hash — as a compaction commits it and as a rebuild's cut ships it.
+/// Taken on the commit before snapshots were copied from the disk, when
+/// they were encoded from a map of values.
+const GOLDEN_SNAPSHOT: (usize, u64) = (52_525, 0x4041_dd87_742a_f77e);
+
+/// One compaction of the golden state, and a cut of it, write the golden
+/// bytes: a snapshot copied record by record from the log says exactly
+/// what one encoded from the values did.
+#[test]
+fn a_compaction_and_a_cut_keep_their_bytes() {
+    let [first, second] = golden_batches();
+    let cap = first
+        .iter()
+        .map(|(k, v)| frame_record(k, v).len() as u64)
+        .sum();
+    let storage = MemStorage::new();
+    let config = WalConfig {
+        compact_threshold: cap,
+    };
+    let (disk, _) = DiskImage::open(&StorageHandle::Memory(storage.clone()), config).unwrap();
+    disk.apply_batch(first).unwrap();
+    assert_eq!(disk.wal_stats().unwrap().compactions, 0);
+    disk.apply_batch(second).unwrap();
+    assert_eq!(disk.wal_stats().unwrap().compactions, 1);
+    let golden = |bytes: &[u8]| (bytes.len(), ace_security::hash::fnv64(bytes));
+    assert_eq!(
+        golden(&storage.snapshot_bytes()),
+        GOLDEN_SNAPSHOT,
+        "the compaction"
+    );
+    let cut = disk.snapshot_cut().unwrap().to_vec();
+    assert_eq!(golden(&cut), GOLDEN_SNAPSHOT, "the cut");
+}

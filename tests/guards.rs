@@ -642,8 +642,8 @@ fn vnc_draw_is_a_blob() {
 
 // ── PR 30: one copy per replica, no idle grid, one FNV step ──────────────
 
-/// A store replica holds each value once, in its map: the WAL-tail ring and
-/// `psWalTail` are gone.
+/// A store replica holds each value once, on its disk: the WAL-tail ring
+/// and `psWalTail` are gone.
 #[test]
 fn no_wal_tail_ring() {
     none(
@@ -1133,7 +1133,7 @@ fn one_disk_wired_to_the_fault_hub() {
 
 /// A replica compacts its log once compacting would at least halve its
 /// disk, between a 256 KiB floor and the cap `compact_threshold` names, in
-/// `Wal::maybe_compact` alone: a second read of `config.compact_threshold`
+/// `Wal::needs_compaction` alone: a second read of `config.compact_threshold`
 /// in `wal.rs` is a second gate growing back.
 #[test]
 fn one_compaction_gate() {
@@ -1245,6 +1245,32 @@ fn no_discarded_reply() {
         "a discarded call reply (`let _ = ctx.call`, the HAL's load report)",
         grep(&files(&["crates/*/src"]), fixed("let _ = ctx.call")),
     );
+}
+
+// ── A value is held once, on its disk (PR 47) ────────────────────────────
+
+/// A store replica keeps its keys in memory and reads each value from its
+/// record on the disk.  A `Versioned` or a `Vec<u8>` in `struct Held`, in
+/// the key directory or in its `Slot` or `Loc` is a second copy of the
+/// values growing back; an `Option<Wal>` in the store crate is the
+/// volatile image, a second path beside the log.
+#[test]
+fn a_value_lives_on_its_disk() {
+    let values = re("Versioned|Vec<u8>");
+    let structs = [
+        ("crates/store/src/replica.rs", "^struct Held \\{"),
+        ("crates/store/src/replica.rs", "^struct KeyDir \\{"),
+        ("crates/store/src/wal.rs", "^pub struct Slot \\{"),
+        ("crates/store/src/wal.rs", "^pub struct Loc \\{"),
+    ];
+    let mut hits = Vec::new();
+    for (file, start) in structs {
+        let inside = ranges(file, re(start), re("^}$"));
+        assert!(!inside.is_empty(), "`{start}` is gone from {file}");
+        hits.extend(inside.into_iter().filter(|hit| values(&hit.text)));
+    }
+    hits.extend(grep(&files(&["crates/store/src"]), fixed("Option<Wal>")));
+    none("PR 47: a value held in memory beside its disk", hits);
 }
 
 // ── The matcher itself ───────────────────────────────────────────────────

@@ -372,6 +372,36 @@ fn environment_store_roundtrip() {
 /// A store replica upgraded in place keeps syncing with its group: a write
 /// that reached `store_2` alone lands on `store_1`'s disk.  Fails if
 /// `default_replacement` drops the replica's peers.
+/// A store replica a Supervisor's factory restarted is the one the
+/// environment finds by name and upgrades, over the disk it reopened: the
+/// upgrade swaps the factory's live replica for one an incarnation above
+/// it, which then serves.  Fails at the parent commit, whose group kept the
+/// dead predecessor: the upgrade went to the crashed daemon and failed.
+#[test]
+fn a_supervised_store_replica_is_the_one_upgraded() {
+    let mut ace = env();
+    let cluster = ace.store.as_ref().expect("cluster present");
+    let mut factory = cluster.respawn_fn(0);
+    cluster.replicas[0].0.crash();
+    let restarted = factory(&ace.net).unwrap().handle;
+    assert_eq!(restarted.incarnation(), 1);
+    let replacement = ace
+        .default_replacement(&restarted)
+        .expect("stock store replacement");
+    ace.upgrade_daemon("store_1", replacement)
+        .expect("the live replica is upgraded");
+    assert!(!restarted.is_running(), "the factory's replica was swapped");
+    let cluster = ace.store.as_ref().expect("cluster present");
+    assert_eq!(cluster.replicas[0].0.incarnation(), 2);
+
+    let only_store_1 = vec![cluster.addrs[0].clone()];
+    let mut store =
+        StoreClient::new(ace.net.clone(), "core", keypair(), only_store_1).with_quorum(1);
+    store.put("upgraded", "k", b"after the restart").unwrap();
+    assert_eq!(store.get("upgraded", "k").unwrap(), b"after the restart");
+    ace.shutdown();
+}
+
 #[test]
 fn an_upgraded_store_replica_keeps_syncing() {
     let mut ace = env();
