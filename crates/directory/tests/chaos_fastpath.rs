@@ -21,6 +21,8 @@ use ace_core::prelude::*;
 use ace_core::supervise::{Respawn, RestartPolicy, SupervisedSpec, Supervisor};
 use ace_core::RetryPolicy;
 use ace_net::fault::{FaultPlan, FaultPlanConfig};
+use ace_net::history::{await_true, env_seeds, Act, History, Outcome};
+use ace_net::Clock;
 use ace_security::keys::KeyPair;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -225,15 +227,16 @@ impl Scenario {
 
 /// Wait until the supervised app answers `token` again, returning the
 /// incarnation that answered.
-fn await_recovery(client: &mut FailoverClient) -> u64 {
-    let deadline = Instant::now() + RECOVERY_DEADLINE;
-    loop {
-        match client.call_idempotent(&CmdLine::new("token")) {
-            Ok(reply) => return reply.get_int("incarnation").unwrap_or(0) as u64,
-            Err(e) => assert!(Instant::now() < deadline, "token1 never recovered: {e}"),
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    }
+fn await_recovery(clock: &Clock, client: &mut FailoverClient) -> u64 {
+    let mut answered = None;
+    await_true(clock, "token1 to recover", RECOVERY_DEADLINE, || {
+        let token = client.call_idempotent(&CmdLine::new("token"));
+        answered = token
+            .ok()
+            .map(|r| r.get_int("incarnation").unwrap_or(0) as u64);
+        answered.is_some()
+    });
+    answered.expect("the wait returns once token1 answered")
 }
 
 /// Deterministic restart: the parked pool link is found stale, the cache
@@ -275,7 +278,7 @@ fn restart_discards_stale_links_and_reprimes_resumption() {
     // Revive and let the supervisor bring a new incarnation up.
     s.net.revive_host(&"app1".into());
     let mut client = s.bound_client();
-    let incarnation = await_recovery(&mut client);
+    let incarnation = await_recovery(s.net.clock(), &mut client);
     assert!(incarnation >= 2, "expected a respawned incarnation");
 
     // Re-priming: the recovery dial fell back to a full handshake against
@@ -321,7 +324,7 @@ fn at_most_once_is_preserved_on_pooled_links() {
     // command again on the respawned incarnation.
     s.net.revive_host(&"app1".into());
     let mut client = s.bound_client();
-    await_recovery(&mut client);
+    await_recovery(s.net.clock(), &mut client);
     let before = s.exec.load(Ordering::SeqCst);
     let net = s.net.clone();
     let killer = std::thread::spawn(move || {
@@ -359,34 +362,34 @@ fn run_chaos_fastpath(seed: u64) {
         "fault schedule must be a pure function of the seed"
     );
 
+    let history = History::new(s.net.clock().clone());
     let runner = plan.spawn(&s.net);
     let mut client = s
         .bound_client()
         .with_retry_window(Duration::from_millis(300));
-    let mut max_incarnation = 0u64;
     let mut ok_calls = 0u32;
     let start = Instant::now();
     while start.elapsed() < PLAN_LEN {
+        let t = history.invoke();
         if let Ok(reply) = client.call_idempotent(&CmdLine::new("token")) {
             let inc = reply.get_int("incarnation").unwrap_or(0) as u64;
-            assert!(
-                inc >= max_incarnation,
-                "seed {seed}: stale reply — incarnation {inc} after {max_incarnation}"
-            );
-            max_incarnation = inc;
+            history.record(t, 0, "token1", Act::Incarnation(inc), Outcome::Ok);
             ok_calls += 1;
         }
         std::thread::sleep(Duration::from_millis(10));
     }
     runner.join(); // network fully healed
 
-    // Convergence: the supervised app answers again within the deadline.
+    // Convergence: the supervised app answers again within the deadline,
+    // and no reply, before or after the heal, came from an older
+    // incarnation than one already seen.
     let mut converged = s.bound_client();
-    let final_inc = await_recovery(&mut converged);
-    assert!(
-        final_inc >= max_incarnation,
-        "seed {seed}: post-heal incarnation went backwards"
-    );
+    let t = history.invoke();
+    let final_inc = await_recovery(s.net.clock(), &mut converged);
+    history.record(t, 1, "token1", Act::Incarnation(final_inc), Outcome::Ok);
+    history
+        .check_incarnations()
+        .unwrap_or_else(|v| panic!("seed {seed}: stale reply: {v}"));
     assert!(
         ok_calls > 0,
         "seed {seed}: no call ever succeeded mid-chaos — harness misconfigured"
@@ -433,20 +436,8 @@ fn chaos_fastpath_seed_b() {
     run_chaos_fastpath(11);
 }
 
-/// Seed expansion hook for the CI soak job, mirroring `chaos_soak`:
-/// `CHAOS_SEEDS="0xACE3,42,7"` runs each listed seed.
+/// Every seed `CHAOS_SEEDS` lists.
 #[test]
 fn chaos_fastpath_env_seeds() {
-    let Ok(spec) = std::env::var("CHAOS_SEEDS") else {
-        return;
-    };
-    for token in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-        let seed = match token.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => token.parse(),
-        }
-        .unwrap_or_else(|_| panic!("CHAOS_SEEDS: unparsable seed `{token}`"));
-        eprintln!("chaos_fastpath: running env seed {seed:#x}");
-        run_chaos_fastpath(seed);
-    }
+    env_seeds("chaos_fastpath", run_chaos_fastpath);
 }

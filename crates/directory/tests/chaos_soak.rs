@@ -8,8 +8,10 @@
 //! Invariants asserted per seed:
 //!
 //! 1. the fault schedule is a pure function of the seed (replayable);
-//! 2. no acknowledged write is lost — every `put` that reported quorum is
-//!    readable with the same bytes after the network heals;
+//! 2. no acknowledged write is lost — every `put` and every read-back after
+//!    the network heals is recorded in a [`History`], and `check_registers`
+//!    holds each key a linearizable register (a `put` that reported quorum
+//!    must read back with its bytes);
 //! 3. every supervised service is re-registered and answering `ping` by
 //!    the end of the run, within the supervisor's restart budget (no
 //!    escalations);
@@ -21,8 +23,9 @@ use ace_core::supervise::{Respawn, RestartPolicy, SupervisedSpec, Supervisor};
 use ace_core::{FailoverClient, RetryPolicy, ServiceClient};
 use ace_directory::{bootstrap, AsdClient};
 use ace_net::fault::{FaultPlan, FaultPlanConfig};
+use ace_net::history::{await_true, env_seeds, Act, History, Outcome};
 use ace_security::keys::KeyPair;
-use ace_store::{spawn_store_cluster, StoreClient};
+use ace_store::{spawn_store_cluster, StoreClient, StoreError};
 use std::time::{Duration, Instant};
 
 const STORE_SYNC: Duration = Duration::from_millis(50);
@@ -134,23 +137,22 @@ fn run_chaos(seed: u64) {
         "fault schedule must be a pure function of the seed"
     );
 
-    // Workload: quorum writes of unique keys; remember only acknowledged
-    // ones.  Echo calls ride along with a short window — failures during
-    // chaos are expected and tolerated.
+    // Workload: quorum writes of unique keys, each recorded (a failed one
+    // as ambiguous).  Echo calls ride along with a short window — failures
+    // during chaos are expected and tolerated.
+    let history = History::new(net.clock().clone());
     let runner = plan.spawn(&net);
     let mut store = StoreClient::new(net.clone(), "ctrl", me, cluster.addrs.clone());
     let mut echo = FailoverClient::bind(net.clone(), "ctrl", me, fw.asd_addr.clone(), "echo1")
         .with_retry_window(Duration::from_millis(200));
-    let mut acked: Vec<(String, Vec<u8>)> = Vec::new();
     let mut echo_ok = 0u32;
     let start = Instant::now();
     let mut n = 0u32;
     while start.elapsed() < PLAN_LEN {
         let key = format!("k{n}");
-        let data = format!("v{n}-seed{seed}").into_bytes();
-        if store.put("chaos", &key, &data).is_ok() {
-            acked.push((key, data));
-        }
+        let name = format!("v{n}-seed{seed}");
+        let put = || store.put("chaos", &key, name.as_bytes()).is_ok();
+        history.write(0, &key, Act::Put(name.clone()), put);
         if n.is_multiple_of(4) && echo.call_idempotent(&CmdLine::new("bump")).is_ok() {
             echo_ok += 1;
         }
@@ -159,50 +161,65 @@ fn run_chaos(seed: u64) {
     }
     runner.join(); // network fully healed from here on
 
+    let acked: Vec<String> = (history.ops().into_iter())
+        .filter(|op| op.outcome == Outcome::Ok)
+        .map(|op| op.key)
+        .collect();
     assert!(
         !acked.is_empty(),
         "seed {seed}: no write was ever acknowledged — harness misconfigured"
     );
 
-    // Recovery: every supervised service re-registered and answering, and
-    // every acknowledged write readable with the exact bytes written.
+    // Recovery: every supervised service re-registered and answering...
     let supervised = ["store_1", "store_2", "store_3", "echo1"];
-    let deadline = Instant::now() + RECOVERY_DEADLINE;
+    let clock = net.clock();
+    let recovered_by = clock.now() + RECOVERY_DEADLINE;
+    let alive = |name: &str| {
+        let Ok(mut asd) = AsdClient::connect(&net, &"ctrl".into(), fw.asd_addr.clone(), &me) else {
+            return false;
+        };
+        let entry = asd.find(name).ok().flatten();
+        entry.is_some_and(|e| {
+            ServiceClient::connect(&net, &"ctrl".into(), e.addr, &me)
+                .and_then(|mut c| c.call(&CmdLine::new("ping")))
+                .is_ok()
+        })
+    };
+    let waiting = format!(
+        "seed {seed}: every supervised service to answer ({echo_ok} echo calls succeeded mid-chaos)"
+    );
+    await_true(clock, &waiting, RECOVERY_DEADLINE, || {
+        supervised.iter().all(|name| alive(name))
+    });
+    // ...and every acknowledged write read back, each read recorded: a
+    // read that gets no answer is asked again, any answer is checked.
     let mut verifier = StoreClient::new(net.clone(), "ctrl", me, cluster.addrs.clone());
-    loop {
-        let mut missing: Vec<String> = Vec::new();
-        match AsdClient::connect(&net, &"ctrl".into(), fw.asd_addr.clone(), &me) {
-            Ok(mut asd) => {
-                for name in supervised {
-                    let entry = asd.find(name).ok().flatten();
-                    let alive = entry.is_some_and(|e| {
-                        ServiceClient::connect(&net, &"ctrl".into(), e.addr, &me)
-                            .and_then(|mut c| c.call(&CmdLine::new("ping")))
-                            .is_ok()
-                    });
-                    if !alive {
-                        missing.push(format!("service {name}"));
-                    }
-                }
-            }
-            Err(e) => missing.push(format!("asd unreachable: {e}")),
-        }
-        for (key, data) in &acked {
-            if verifier.get("chaos", key).as_deref().ok() != Some(data.as_slice()) {
-                missing.push(format!("write {key}"));
-            }
-        }
-        if missing.is_empty() {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "seed {seed}: not recovered after {RECOVERY_DEADLINE:?}: {missing:?} \
-             ({} acked writes, {echo_ok} echo calls succeeded mid-chaos)",
-            acked.len()
-        );
-        std::thread::sleep(Duration::from_millis(100));
-    }
+    let mut unread = acked.clone();
+    let waiting = format!(
+        "seed {seed}: a read of each of {} acked writes",
+        acked.len()
+    );
+    let left = recovered_by.saturating_duration_since(clock.now());
+    await_true(clock, &waiting, left, || {
+        unread.retain(|key| {
+            let t = history.invoke();
+            let (read, outcome) = match verifier.get("chaos", key) {
+                Ok(bytes) => (
+                    Some(String::from_utf8_lossy(&bytes).into_owned()),
+                    Outcome::Ok,
+                ),
+                Err(StoreError::NotFound) => (None, Outcome::Ok),
+                Err(_) => (None, Outcome::Failed),
+            };
+            let leased = false;
+            history.record(t, 0, key, Act::Get { read, leased }, outcome);
+            outcome == Outcome::Failed
+        });
+        unread.is_empty()
+    });
+    history
+        .check_registers(Duration::ZERO)
+        .unwrap_or_else(|v| panic!("seed {seed}: {v}"));
 
     // The failover client converges after the plan ends.
     let mut converged = FailoverClient::bind(net.clone(), "ctrl", me, fw.asd_addr.clone(), "echo1")
@@ -247,21 +264,9 @@ fn chaos_soak_seed_c() {
     run_chaos(7);
 }
 
-/// Seed expansion hook for the CI soak job: `CHAOS_SEEDS="0xACE3,42,7"`
-/// runs each listed seed (decimal or 0x-hex).  Without the variable this
-/// test is a no-op, so ordinary `cargo test` stays fast.
+/// Every seed `CHAOS_SEEDS` lists (decimal or 0x-hex).  Without the
+/// variable this test is a no-op, so ordinary `cargo test` stays fast.
 #[test]
 fn chaos_soak_env_seeds() {
-    let Ok(spec) = std::env::var("CHAOS_SEEDS") else {
-        return;
-    };
-    for token in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-        let seed = match token.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => token.parse(),
-        }
-        .unwrap_or_else(|_| panic!("CHAOS_SEEDS: unparsable seed `{token}`"));
-        eprintln!("chaos_soak: running env seed {seed:#x}");
-        run_chaos(seed);
-    }
+    env_seeds("chaos_soak", run_chaos);
 }

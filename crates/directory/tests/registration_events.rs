@@ -11,9 +11,13 @@ use ace_core::directory::subscribe_expiry;
 use ace_core::prelude::*;
 use ace_core::supervise::{Respawn, RestartPolicy, SupervisedSpec, Supervisor};
 use ace_directory::{bootstrap, AsdClient};
+use ace_net::history::await_true;
 use ace_security::keys::KeyPair;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// How long a wait below may take.
+const WAIT: Duration = Duration::from_secs(10);
 
 #[derive(Default)]
 struct Recorder {
@@ -221,15 +225,6 @@ fn lease_expiry_fires_once_per_service_and_purges_entry() {
     fw.shutdown();
 }
 
-/// Poll `probe` every 10 ms until it holds.
-fn await_true(what: &str, mut probe: impl FnMut() -> bool) {
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while !probe() {
-        assert!(std::time::Instant::now() < deadline, "timed out: {what}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
 /// The Supervisor acts on what the directory says *now*, not on what it
 /// was told a moment ago: a daemon it has just probed healthy crashes, the
 /// lease lapses, and the ASD's `serviceExpired` alone — the next probe is
@@ -286,19 +281,29 @@ fn a_lapsed_lease_restarts_a_daemon_the_supervisor_last_saw_healthy() {
     subscribe_expiry(&net, host, &me, &directory, "supervisor", supervisor.addr()).unwrap();
 
     let mut to_victim = connect(victim.addr()).unwrap();
-    await_true("the start-up probe to ping the victim", || {
-        let stats = to_victim.call(&CmdLine::new("aceStats").arg("prefix", "cmd.ping"));
-        StatsReport::from_cmdline(&stats.unwrap())
-            .histograms
-            .contains_key("cmd.ping")
-    });
+    await_true(
+        net.clock(),
+        "the start-up probe to ping the victim",
+        WAIT,
+        || {
+            let stats = to_victim.call(&CmdLine::new("aceStats").arg("prefix", "cmd.ping"));
+            StatsReport::from_cmdline(&stats.unwrap())
+                .histograms
+                .contains_key("cmd.ping")
+        },
+    );
     victim.crash();
 
     let mut to_supervisor = connect(supervisor.addr()).unwrap();
-    await_true("serviceExpired to restart the victim", || {
-        let stats = to_supervisor.call(&CmdLine::new("superviseStats")).unwrap();
-        stats.get_int("restarts") == Some(1)
-    });
+    await_true(
+        net.clock(),
+        "serviceExpired to restart the victim",
+        WAIT,
+        || {
+            let stats = to_supervisor.call(&CmdLine::new("superviseStats")).unwrap();
+            stats.get_int("restarts") == Some(1)
+        },
+    );
     let mut replacement = connect(victim.addr()).unwrap();
     let pong = replacement.call(&CmdLine::new("ping")).unwrap();
     assert_eq!(pong.get_int("incarnation"), Some(1));

@@ -3,12 +3,14 @@
 //!
 //! 1. **Zero lost registrations** — with majority-quorum writes and
 //!    renewal-driven repair, every name registered before the fault plan
-//!    resolves after it, and a full `list()` still returns the complete
-//!    directory.
-//! 2. **Monotone incarnations** — the per-name incarnation fence (PR 6)
-//!    survives the crash: a register carrying a stale incarnation is
-//!    rejected with `E_BADSTATE` by the replicas that outlived the fault,
-//!    and a newer incarnation is accepted.
+//!    resolves after it to its registered address (each registration and
+//!    each find recorded in a `History`, judged by `check_registers`), and
+//!    a full `list()` still returns the complete directory.
+//! 2. **Monotone incarnations** — the per-name incarnation fence survives
+//!    the crash: a register carrying a stale incarnation is rejected with
+//!    `E_BADSTATE` by the replicas that outlived the fault (were it
+//!    accepted, `check_incarnations` would see the name go down), and a
+//!    newer incarnation is accepted.
 //! 3. **Selective invalidation** — when one shard's leases expire, the
 //!    `ResolutionInvalidator` evicts exactly that shard's names from the
 //!    shared [`ResolutionCache`]; every other shard's cached resolutions
@@ -18,6 +20,7 @@ use ace_core::prelude::*;
 use ace_core::protocol::ServiceEntry;
 use ace_directory::{spawn_sharded_asd, subscribe_invalidation_all, ShardedAsdClient};
 use ace_net::fault::{FaultPlan, FaultPlanConfig};
+use ace_net::history::{await_true, env_seeds, Act, History, Outcome};
 use ace_security::keys::KeyPair;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -42,14 +45,6 @@ fn entry(i: usize) -> ServiceEntry {
         addr: Addr::new("client", 4000 + i as u16),
         class: format!("Service.App.Chaos.Kind{}", i % 4),
         room: format!("room{}", i % 5),
-    }
-}
-
-fn await_true(what: &str, mut cond: impl FnMut() -> bool) {
-    let deadline = Instant::now() + RECOVERY_DEADLINE;
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(50));
     }
 }
 
@@ -101,9 +96,14 @@ fn run_shard_failover(seed: u64) {
     // Register the fleet (incarnation 1) and prime the shared resolution
     // cache with a long TTL, so the *only* thing that may evict an entry
     // during the run is the invalidator reacting to a lease expiry.
+    let history = History::new(net.clock().clone());
     let mut client = dir.client(Arc::clone(&pool));
     for i in 0..SERVICES {
+        let t = history.invoke();
         let lease = client.register(&entry(i), 1).unwrap();
+        let (name, addr) = (entry(i).name, entry(i).addr.to_string());
+        history.record(t, 0, &name, Act::Incarnation(1), Outcome::Ok);
+        history.record(t, 0, &name, Act::Put(addr), Outcome::Ok);
         assert!(lease > Duration::ZERO, "svc{i}: lease must be granted");
         let ttl = Duration::from_secs(3600);
         let now = net.clock().now();
@@ -206,18 +206,25 @@ fn run_shard_failover(seed: u64) {
         // victim's address and is repaired purely by renewal traffic.
         dir.respawn_replica(&net, victim_shard, victim_replica)
             .unwrap();
-        await_true("renewal repair of the respawned replica", || {
-            pool.checkout(&victim_addr)
-                .and_then(|mut link| link.call(&CmdLine::new("listServices")))
-                .ok()
-                .and_then(|reply| {
-                    reply.get_vector("names").map(|names| {
-                        let have: Vec<&str> = names.iter().filter_map(|s| s.as_text()).collect();
-                        victim_names.iter().all(|n| have.contains(&n.as_str()))
+        let clock = net.clock();
+        await_true(
+            clock,
+            "renewal repair of the respawned replica",
+            RECOVERY_DEADLINE,
+            || {
+                pool.checkout(&victim_addr)
+                    .and_then(|mut link| link.call(&CmdLine::new("listServices")))
+                    .ok()
+                    .and_then(|reply| {
+                        reply.get_vector("names").map(|names| {
+                            let have: Vec<&str> =
+                                names.iter().filter_map(|s| s.as_text()).collect();
+                            victim_names.iter().all(|n| have.contains(&n.as_str()))
+                        })
                     })
-                })
-                .unwrap_or(false)
-        });
+                    .unwrap_or(false)
+            },
+        );
 
         // Property 1: zero lost registrations.
         let mut auditor = dir.client(Arc::clone(&pool));
@@ -231,14 +238,21 @@ fn run_shard_failover(seed: u64) {
             listed, expected,
             "seed {seed}: directory lost registrations across the fault plan"
         );
+        // Each name resolves to its registered address: the register
+        // checker reads every find against the registration.
         for i in 0..SERVICES {
+            let t = history.invoke();
             let found = auditor.find(&entry(i).name).unwrap();
-            assert_eq!(
-                found.map(|e| e.addr),
-                Some(entry(i).addr),
-                "seed {seed}: svc{i} must resolve to its registered address"
-            );
+            let read = found.map(|e| e.addr.to_string());
+            let act = Act::Get {
+                read,
+                leased: false,
+            };
+            history.record(t, 1, &entry(i).name, act, Outcome::Ok);
         }
+        history
+            .check_registers(Duration::ZERO)
+            .unwrap_or_else(|v| panic!("seed {seed}: a registration was lost: {v}"));
         assert_eq!(
             storm_errors.load(Ordering::Relaxed),
             0,
@@ -257,7 +271,8 @@ fn run_shard_failover(seed: u64) {
 
         // Let the victim shard's leases lapse.
         phase.store(PHASE_DROP_VICTIM_SHARD, Ordering::SeqCst);
-        await_true("victim shard's cache entries to be evicted", || {
+        let waiting = "victim shard's cache entries to be evicted";
+        await_true(clock, waiting, RECOVERY_DEADLINE, || {
             victim_names
                 .iter()
                 .all(|n| cache.get(Some(n), None, None, net.clock().now()).is_none())
@@ -295,15 +310,23 @@ fn run_shard_failover(seed: u64) {
         .map(entry)
         .find(|e| shard_of(&e.name) != victim_shard)
         .expect("some shard other than the victim owns a name");
-    let stale = client.register(&live, 0);
-    assert_eq!(
-        stale.as_ref().err().and_then(|e| e.code()),
-        Some(ErrorCode::BadState),
-        "seed {seed}: a stale incarnation must be fenced, got {stale:?}"
-    );
+    let t = history.invoke();
+    match client.register(&live, 0) {
+        Ok(_) => history.record(t, 0, &live.name, Act::Incarnation(0), Outcome::Ok),
+        Err(e) => assert_eq!(
+            e.code(),
+            Some(ErrorCode::BadState),
+            "seed {seed}: a stale incarnation must be fenced with E_BADSTATE, got {e:?}"
+        ),
+    }
+    let t = history.invoke();
     client
         .register(&live, 2)
         .expect("a newer incarnation must be accepted");
+    history.record(t, 0, &live.name, Act::Incarnation(2), Outcome::Ok);
+    history
+        .check_incarnations()
+        .unwrap_or_else(|v| panic!("seed {seed}: a stale incarnation was not fenced: {v}"));
 
     eprintln!(
         "shard_failover seed {seed:#x}: victim s{victim_shard}r{victim_replica} ({}), \
@@ -328,22 +351,10 @@ fn shard_failover_seed_b() {
     run_shard_failover(13);
 }
 
-/// Seed expansion hook for the CI soak job, mirroring `chaos_fastpath`:
-/// `CHAOS_SEEDS="0xACE3,42,7"` runs each listed seed.
+/// Every seed `CHAOS_SEEDS` lists.
 #[test]
 fn shard_failover_env_seeds() {
-    let Ok(spec) = std::env::var("CHAOS_SEEDS") else {
-        return;
-    };
-    for token in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-        let seed = match token.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => token.parse(),
-        }
-        .unwrap_or_else(|_| panic!("CHAOS_SEEDS: unparsable seed `{token}`"));
-        eprintln!("shard_failover: running env seed {seed:#x}");
-        run_shard_failover(seed);
-    }
+    env_seeds("shard_failover", run_shard_failover);
 }
 
 /// Cross-shard queries keep working while a replica is down: class and
@@ -621,16 +632,23 @@ fn a_daemon_lives_on_the_sharded_plane_by_itself() {
         reply.get_int("count") == Some(1)
     };
     let respawned = dir.map.replicas(shard)[0].clone();
-    await_true("the respawned replica to be repaired", || {
-        shard_names.iter().all(|name| holds(&respawned, name))
-    });
+    let clock = net.clock();
+    await_true(
+        clock,
+        "the respawned replica to be repaired",
+        RECOVERY_DEADLINE,
+        || shard_names.iter().all(|name| holds(&respawned, name)),
+    );
     let reregisters = || -> u64 {
         let counter = |lamp: &DaemonHandle| lamp.metrics().counter("lease.reregisters").get();
         lamps.iter().map(counter).sum()
     };
-    await_true("every repair to be counted", || {
-        reregisters() >= shard_names.len() as u64
-    });
+    await_true(
+        clock,
+        "every repair to be counted",
+        RECOVERY_DEADLINE,
+        || reregisters() >= shard_names.len() as u64,
+    );
     assert_eq!(
         reregisters(),
         shard_names.len() as u64,

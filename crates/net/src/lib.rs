@@ -39,6 +39,7 @@ pub mod conn;
 pub mod datagram;
 pub mod error;
 pub mod fault;
+pub mod history;
 pub mod metrics;
 pub mod net;
 pub mod wake;

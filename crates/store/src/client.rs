@@ -24,7 +24,11 @@
 //! once proposed is never proposed again*, quorum or no quorum, memory
 //! forgotten or not: `(version, writer)` names one value.  What is not
 //! promised: two client processes sharing one principal can still collide
-//! on `(version, writer)`, exactly as before.  DESIGN.md § "Store
+//! on `(version, writer)`, exactly as before.  And only a round no replica
+//! took is proposed again — none took it, and none it went out to failed to
+//! answer: a value one replica took, a reader may have seen, and proposed
+//! again above the write that beat it, it would come back after that write
+//! — such a write fails, as one that missed its quorum does.  DESIGN.md § "Store
 //! scale-out", "The write path", has the argument; `race_model` below
 //! checks it.
 //!
@@ -392,6 +396,18 @@ impl StoreClient {
         self.memory.held(ns, key)
     }
 
+    /// Whether this client knows `ns/key` above `(version, writer)`: above
+    /// the name of the value it holds, or else above the newest version it
+    /// has seen or proposed.  A leased answer below it missed a write this
+    /// client knows of.
+    pub(crate) fn knows_above(&self, ns: &str, key: &str, version: u64, writer: &str) -> bool {
+        let Some(known) = self.memory.keys.get(&id(ns, key)) else {
+            return false;
+        };
+        let held = known.value.as_ref().map_or("", |(w, _)| w.as_str());
+        (version, writer) < (known.newest, held)
+    }
+
     /// Keys whose newest version this client remembers.
     pub fn remembered_keys(&self) -> usize {
         self.memory.keys.len()
@@ -439,12 +455,22 @@ impl StoreClient {
             let cmd = what.cmd(ns, &proposal);
             let mut round = WriteRound::new(self.replicas.len(), self.quorum);
             for idx in 0..self.replicas.len() {
+                // A replica the last call did not reach is dialled first: if
+                // that fails, the proposal never goes out to it, and a round
+                // it took no part in may be proposed again.
+                if !self.reachable[idx] && self.pool.checkout(&self.replicas[idx]).is_err() {
+                    continue;
+                }
                 let Some(reply) = self.call_replica(idx, &cmd) else {
+                    round.lost();
                     continue;
                 };
                 match what.held_instead(&reply) {
                     Some(held) => round.hear(idx, &proposal, &held, &mut self.memory),
-                    None => self.stats.corrupt_replies += 1,
+                    None => {
+                        self.stats.corrupt_replies += 1;
+                        round.lost();
+                    }
                 }
             }
             acked = round.count.acked();
@@ -815,15 +841,24 @@ struct WriteRound {
     /// Some replica held something the proposal did not beat — and said
     /// what, so a further round can propose above it.
     refused: bool,
+    /// Some replica took some key of the proposal, or may have: the
+    /// proposal went out to it and no answer came back.
+    took: bool,
 }
 
 /// How a round ended.
 enum Outcome {
     /// A quorum acked: the write is committed.
     Reached,
-    /// No quorum, but a refusal said what to beat: propose again.
+    /// No quorum, a refusal said what to beat, and no replica took the
+    /// proposal or may have: propose again.
     Refused,
-    /// No quorum and nothing learned (replicas down): the write failed.
+    /// No quorum, and nothing that may be proposed again: the write failed.
+    /// Either nothing was learned (replicas down), or a replica took the
+    /// proposal — or may have, its answer lost — while a newer write beat it
+    /// at the others.  What a replica took, a reader may have seen; proposed
+    /// again above the newer write, it would come back after it.  A replica
+    /// the proposal never went out to took nothing.
     Missed,
 }
 
@@ -833,11 +868,12 @@ impl WriteRound {
             count: QuorumRound::new(replicas, quorum),
             acks: vec![false; replicas],
             refused: false,
+            took: false,
         }
     }
 
     fn outcome(&self) -> Outcome {
-        match (self.count.reached(), self.refused) {
+        match (self.count.reached(), self.refused && !self.took) {
             (true, _) => Outcome::Reached,
             (false, true) => Outcome::Refused,
             (false, false) => Outcome::Missed,
@@ -859,6 +895,7 @@ impl WriteRound {
         memory: &mut VersionMemory,
     ) {
         let mut exact = true;
+        let mut beaten = 0;
         for (key, version, writer) in held {
             let at = proposal.keys.iter().position(|k| k == key);
             if at.is_some() {
@@ -868,12 +905,20 @@ impl WriteRound {
             if proposed != Some((*version, writer.as_str())) {
                 exact = false;
                 self.refused = true;
+                beaten += usize::from(at.is_some());
             }
         }
+        self.took |= beaten < proposal.keys.len();
         if exact {
             self.count.ack();
             self.acks[idx] = true;
         }
+    }
+
+    /// The proposal went out to a replica and no answer that says what it
+    /// holds came back: it may have taken the proposal.
+    fn lost(&mut self) {
+        self.took = true;
     }
 }
 
@@ -907,7 +952,8 @@ impl fmt::Debug for StoreClient {
 /// client's own pieces ([`VersionMemory`], [`WriteRound::hear`],
 /// [`WriteRound::outcome`], [`WRITE_ROUNDS`]) and the replica's
 /// ([`DiskImage::propose`], [`already_held`]).  The schedule also forgets a
-/// client's memory at any moment, skips a replica (unreachable), delivers a
+/// client's memory at any moment, skips a replica (unreachable: the proposal
+/// never goes out to it), delivers a
 /// proposal twice (the reply to the first was lost) and loses a reply
 /// outright.
 ///
@@ -922,7 +968,11 @@ impl fmt::Debug for StoreClient {
 /// * **a name names one value** — two different values are never sent under
 ///   one `(key, version, writer)`;
 /// * **a stale memory is one round, not a failure** — a put nobody disturbs
-///   returns `Ok`, however far behind its writer's memory is;
+///   returns `Ok`, however far behind its writer's memory is, unless a
+///   replica the newest write had not reached took its proposal;
+/// * **a value taken is never proposed again** — once a replica took a
+///   value under `(version, writer)`, no round sends it under another
+///   version;
 /// * **a held value is named right** — whatever a memory holds of a key
 ///   under `(version, writer)` is exactly what was sent under that name, and
 ///   that name is a value, not a tombstone;
@@ -943,7 +993,10 @@ impl fmt::Debug for StoreClient {
 /// key), "the holder compares the version only" ([`already_held`]), "a value
 /// is kept across a refused or missed round" (`propose` raises the version
 /// and keeps the bytes) and "a held value survives a delete" (a tombstone
-/// leaves the bytes in place).
+/// leaves the bytes in place) — and, for values taken, under "propose again
+/// after any refused round" (`WriteRound::outcome` as it was), "… after a
+/// round whose answer was lost" (`lost` a no-op) and "… after a round a
+/// replica took" (`hear` leaves `took` alone).
 #[cfg(test)]
 mod race_model {
     use super::*;
@@ -983,6 +1036,8 @@ mod race_model {
         acked: Vec<(String, u64, String)>,
         /// What happened, for the failure message.
         story: Vec<String>,
+        /// The `(key, version)` under which a replica first took each value.
+        taken: HashMap<String, (String, u64)>,
     }
 
     impl World {
@@ -993,6 +1048,7 @@ mod race_model {
                 sent: HashMap::new(),
                 acked: Vec::new(),
                 story: Vec::new(),
+                taken: HashMap::new(),
             }
         }
 
@@ -1022,7 +1078,17 @@ mod race_model {
                 deleted: data.is_none(),
             };
             let id = (NS.to_string(), key.to_string());
+            if let Some((at_key, at)) = data.as_ref().and_then(|d| self.taken.get(d)) {
+                let (at_key, at) = (at_key.clone(), *at);
+                self.require((at_key.as_str(), at) == (key, version), || {
+                    format!("{data:?}, taken as {at_key} ({at}), proposed again as ({version})")
+                });
+            }
             let refusal = self.disks[idx].propose(id.clone(), value).unwrap();
+            if let (None, Some(data)) = (&refusal, data) {
+                let first = (key.to_string(), version);
+                self.taken.entry(data.clone()).or_insert(first);
+            }
             let now = self.disks[idx].get(&id).unwrap();
             self.story.push(format!(
                 "r{idx} <- {key} ({version}, {writer}, {data:?}): {}; holds ({}, {})",
@@ -1202,6 +1268,8 @@ mod race_model {
         memory: VersionMemory,
         write: Option<Write>,
         ops: usize,
+        /// A replica took the last round of the last write.
+        took: bool,
     }
 
     impl Client {
@@ -1211,6 +1279,7 @@ mod race_model {
                 memory: VersionMemory::default(),
                 write: None,
                 ops: 0,
+                took: false,
             }
         }
 
@@ -1264,8 +1333,9 @@ mod race_model {
                     keys: &[key],
                     versions: &[*version],
                 };
-                if !unheard {
-                    round.hear(*idx, &proposal, &held, &mut self.memory);
+                match unheard {
+                    true => round.lost(),
+                    false => round.hear(*idx, &proposal, &held, &mut self.memory),
                 }
             }
             *idx += 1;
@@ -1273,6 +1343,7 @@ mod race_model {
                 return None;
             }
             write.rounds += 1;
+            self.took = round.took;
             let ok = match round.outcome() {
                 Outcome::Reached => {
                     self.memory
@@ -1333,7 +1404,11 @@ mod race_model {
                     break ok;
                 }
             };
-            world.require(ok, || format!("{}'s undisturbed put failed", c.id));
+            // Unless a replica the newest write had not reached took the
+            // proposal: then the put is ambiguous, not proposed again.
+            world.require(ok || c.took, || {
+                format!("{}'s undisturbed put failed", c.id)
+            });
             world.check_held(&c.id, &c.memory);
         }
     }

@@ -118,7 +118,7 @@ pub struct ShardedStats {
 }
 
 /// How long a granted read lease lasts at its holder.
-const LEASE_TTL: Duration = Duration::from_secs(2);
+pub const LEASE_TTL: Duration = Duration::from_secs(2);
 
 /// The read lease a client holds over one group.
 #[derive(Debug, Clone)]
@@ -144,6 +144,10 @@ enum LeasedOutcome {
     NotFound,
     /// Holder refused or was unreachable: drop the lease, scan the quorum.
     Fallback,
+    /// Holder answered below what this client knows of the key: scan the
+    /// quorum, keep the lease (the holder catches up by anti-entropy, and a
+    /// version this client burnt in a failed write is above every holder).
+    Behind,
 }
 
 /// A store client that routes per shard group and reads through leases.
@@ -269,6 +273,7 @@ impl ShardedStoreClient {
                     return Err(StoreError::NotFound);
                 }
                 LeasedOutcome::Fallback => self.leases[g] = None,
+                LeasedOutcome::Behind => {}
             }
         }
         self.stats.quorum_fallbacks += 1;
@@ -439,7 +444,10 @@ impl ShardedStoreClient {
     /// `E_BADSTATE` or an unreachable holder falls back to the quorum.
     /// When the group client holds a value of the key it offers its name,
     /// and a holder holding exactly that answers `same=true`: the bytes are
-    /// the held ones.
+    /// the held ones.  A holder answering below what this client knows of
+    /// the key — the held value's name, or else the newest version seen or
+    /// proposed — missed a write the client knows of, its own among them:
+    /// the quorum answers instead.
     fn leased_get(&mut self, g: usize, holder: usize, ns: &str, key: &str) -> LeasedOutcome {
         let addr = self.placement.replicas(g)[holder].clone();
         let mut cmd = CmdLine::new("psGetLeased")
@@ -469,6 +477,9 @@ impl ShardedStoreClient {
                 }
             }
             Ok(reply) => match crate::replica::versioned_from_reply(&reply) {
+                Some(v) if self.groups[g].knows_above(ns, key, v.version, &v.writer) => {
+                    LeasedOutcome::Behind
+                }
                 Some(v) => {
                     // What the next write of this key proposes above, and
                     // what the next read of it offers.
@@ -481,7 +492,12 @@ impl ShardedStoreClient {
                 }
                 None => LeasedOutcome::Fallback,
             },
-            Err(err) if err.code() == Some(ErrorCode::NotFound) => LeasedOutcome::NotFound,
+            Err(err) if err.code() == Some(ErrorCode::NotFound) => {
+                match self.groups[g].knows_above(ns, key, 0, "") {
+                    true => LeasedOutcome::Behind,
+                    false => LeasedOutcome::NotFound,
+                }
+            }
             Err(_) => LeasedOutcome::Fallback,
         }
     }

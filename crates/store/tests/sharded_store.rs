@@ -3,7 +3,9 @@
 //! leases with quorum fallback, and snapshot-ship rebuild.
 
 use ace_core::prelude::*;
+use ace_net::history::{Act, History, Outcome};
 use ace_security::keys::KeyPair;
+use ace_store::placement::LEASE_TTL;
 use ace_store::{
     spawn_sharded_store, DiskImage, ShardedStoreClient, ShardedStoreCluster, StorePlacement,
     StoreReplica, Versioned, WalConfig, SYNC_BUCKETS,
@@ -1074,6 +1076,82 @@ fn the_tree_forms_name_exactly_the_rows_that_differ() {
             "{refused}"
         );
     }
+    replica.shutdown();
+}
+
+/// Invariant: a leased read never misses its own client's earlier write —
+/// also when the lease lands on a replica that missed that write while it
+/// was partitioned from the client, before anti-entropy (here an hour
+/// apart) brings it there.  Such a holder answers below what the client
+/// knows of the key, so the client reads through the quorum instead.
+/// Every operation goes into a `History`, and the
+/// register checker judges it.  Fails at the parent commit, where the
+/// grant rotated onto the lagging replica and the lease served `v1` after
+/// the client's own acked `v2`: "no order places client 1 leased get -> v1".
+#[test]
+fn a_lease_on_a_lagging_replica_never_serves_below_the_clients_own_write() {
+    let w = world_syncing(1, 3, Duration::from_secs(3600));
+    let history = History::new(w.net.clock().clone());
+    let mut c = client(&w);
+    let put = |c: &mut ShardedStoreClient, value: &str| {
+        let t = history.invoke();
+        c.put("app", "k", value.as_bytes()).unwrap();
+        history.record(t, 1, "k", Act::Put(value.into()), Outcome::Ok);
+    };
+    let get = |c: &mut ShardedStoreClient| {
+        let leased = c.stats().leased_reads;
+        let t = history.invoke();
+        let read = String::from_utf8(c.get("app", "k").unwrap()).unwrap();
+        let leased = c.stats().leased_reads > leased;
+        let act = Act::Get {
+            read: Some(read),
+            leased,
+        };
+        history.record(t, 1, "k", act, Outcome::Ok);
+    };
+    put(&mut c, "v1");
+    get(&mut c);
+    let holder = c.lease_holder(0).expect("lease granted");
+    let lagging = w.cluster.placement.replicas(0)[(holder + 1) % 3]
+        .host
+        .clone();
+    w.net.partition(&"core".into(), &lagging);
+    put(&mut c, "v2");
+    assert_eq!(c.lease_holder(0), Some(holder), "the holder acked v2");
+    w.net.heal_all();
+    // Each read after the lease goes stale grants the next replica in turn:
+    // the lagging one among the three.
+    let grants = c.stats().lease_grants;
+    for _ in 0..3 {
+        std::thread::sleep(LEASE_TTL * 3 / 4 + Duration::from_millis(50));
+        get(&mut c);
+    }
+    assert!(c.stats().lease_grants >= grants + 3, "{:?}", c.stats());
+    history
+        .check_registers(LEASE_TTL)
+        .unwrap_or_else(|v| panic!("{v}"));
+}
+
+/// Invariant: a live lease fences a grant that names another holder at an
+/// equal epoch — the replica answers `E_BADSTATE` with the epoch to outbid
+/// — and the next epoch wins.  Two granters whose counters meet leave each
+/// replica one holder, and the loser outbids instead of overwriting.  Fails
+/// with the fence's `>=` read as `>`, which no chaos run can tell: a
+/// replica serves only its own lease, whichever granter wrote it.
+#[test]
+fn a_live_lease_fences_an_equal_epoch_grant_to_another_holder() {
+    let (replica, _, mut link) = fixed_replica();
+    let grant = |holder: &str, epoch: i64| {
+        CmdLine::new("psLeaseGrant")
+            .arg("holder", Value::Str(holder.into()))
+            .arg("epoch", epoch)
+            .arg("ttlMs", 600_000)
+    };
+    link.call(&grant("core:6100", 5)).unwrap();
+    let fenced = link.call(&grant("other:6101", 5)).unwrap_err();
+    assert_eq!(fenced.code(), Some(ErrorCode::BadState), "{fenced:?}");
+    assert!(fenced.to_string().ends_with("at epoch 5"), "{fenced}");
+    link.call(&grant("other:6101", 6)).unwrap();
     replica.shutdown();
 }
 

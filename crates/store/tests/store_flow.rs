@@ -139,6 +139,47 @@ fn one_replica_down_reads_and_writes_continue() {
     w.fw.shutdown();
 }
 
+/// Invariant: with one replica down, a write whose memory is stale is one
+/// refused round, not a failure.  Once a call has found the replica gone,
+/// the next proposal is not sent to it, so it cannot have taken one, and a
+/// round the two live replicas refused is proposed again above what they
+/// hold.  Two writers share one key, `b` writing twice for each of `a`'s
+/// puts, so every put of `a`'s starts below the newest version.  Fails with
+/// an unsent replica counted as one that may have taken the proposal
+/// (`WriteRound::lost` where the write path skips it): `a`'s puts end
+/// `QuorumFailed`.
+#[test]
+fn a_stale_write_with_one_replica_down_is_proposed_again() {
+    let w = world();
+    let (mut a, mut b) = (client(&w), client(&w));
+    a.put("ns", "k", b"a0").unwrap();
+    w.net.kill_host(&"s1".into());
+    // A read finds s1 gone for each client: the call that does so cannot
+    // tell whether a command left, so a proposal is not what finds it.
+    for c in [&mut a, &mut b] {
+        assert_eq!(c.get("ns", "k").unwrap(), b"a0");
+    }
+    for i in 1..=5 {
+        for j in 0..2 {
+            b.put("ns", "k", format!("b{i}.{j}").as_bytes()).unwrap();
+        }
+        let value = format!("a{i}");
+        a.put("ns", "k", value.as_bytes())
+            .unwrap_or_else(|e| panic!("a's put {i} failed: {e}"));
+        assert_eq!(b.get("ns", "k").unwrap(), value.as_bytes());
+    }
+    assert!(a.stats().refused_rounds >= 5, "{:?}", a.stats());
+
+    for (handle, _) in w.cluster.replicas {
+        if handle.addr().host.as_str() == "s1" {
+            handle.crash();
+        } else {
+            handle.shutdown();
+        }
+    }
+    w.fw.shutdown();
+}
+
 #[test]
 fn two_replicas_down_reads_work_writes_fail() {
     let w = world();

@@ -7,12 +7,16 @@ use ace_core::prelude::*;
 use ace_directory::{bootstrap, AsdClient};
 use ace_env::{AceEnvironment, CameraModel, EnvConfig, Projector, PtzCamera};
 use ace_identity::{AuthDb, Fiu, IButtonReader, IdMonitor, ScannerDevice, UserDb};
+use ace_net::history::{env_seeds, poll_until, Act, History, Outcome};
 use ace_security::keys::KeyPair;
 use ace_store::{spawn_store_cluster, StoreClient, StoreError};
 use ace_workspace::{VncHost, Wss};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// How often a wait below asks again.
+const POLL: Duration = Duration::from_millis(25);
 
 /// A phone's `phone.*` gauges, as `aceStats` answers them.
 fn phone_gauges(client: &mut ServiceClient) -> std::collections::BTreeMap<String, i64> {
@@ -72,14 +76,10 @@ fn directory_tracks_crash_loops() {
         flaky.crash();
 
         // The lease purges it.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while asd.find("flaky").unwrap().is_some() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "round {round}: never purged"
-            );
-            std::thread::sleep(Duration::from_millis(25));
-        }
+        let purged = poll_until(net.clock(), Duration::from_secs(10), POLL, || {
+            asd.find("flaky").unwrap().is_none()
+        });
+        assert!(purged, "round {round}: never purged");
 
         // The unaffected service answered the whole time.
         stable_client.call_ok(&CmdLine::new("touch")).unwrap();
@@ -132,15 +132,10 @@ fn store_survives_partition_and_heals() {
 
     // Heal: anti-entropy converges s3.
     net.heal_all();
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let caught_up = (0..20).all(|i| s3_disk.get(&("chaos".into(), format!("k{i}"))).is_some());
-        if caught_up {
-            break;
-        }
-        assert!(std::time::Instant::now() < deadline, "s3 never converged");
-        std::thread::sleep(Duration::from_millis(25));
-    }
+    let caught_up = poll_until(net.clock(), Duration::from_secs(10), POLL, || {
+        (0..20).all(|i| s3_disk.get(&("chaos".into(), format!("k{i}"))).is_some())
+    });
+    assert!(caught_up, "s3 never converged");
 
     cluster.shutdown();
     fw.shutdown();
@@ -262,10 +257,12 @@ impl Jitter {
 ///   succeeds (quiesce bounces are retryable, never failures);
 /// * **monotone incarnations** — no service is ever observed answering
 ///   under a lower incarnation than previously seen (no stale replies
-///   from a superseded instance);
-/// * **no stale data** — every store read returns the value written;
+///   from a superseded instance): `check_incarnations` over every `ping`;
+/// * **no stale data** — every store write and read is recorded, and
+///   `check_registers` holds each key a linearizable register;
 /// * the call survives the phones' own swap: sequence numbers stay
-///   monotone and frames keep arriving.
+///   monotone (`check_incarnations` again, over `speak`'s `seq`) and
+///   frames keep arriving.
 fn run_rolling_upgrade_chaos(seed: u64) {
     let mut env = AceEnvironment::build(EnvConfig::default()).unwrap();
     let admin = env.admin;
@@ -296,7 +293,7 @@ fn run_rolling_upgrade_chaos(seed: u64) {
     let stop = Arc::new(AtomicBool::new(false));
     let dropped: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let speak_ok = Arc::new(AtomicU64::new(0));
-    let last_seq = Arc::new(AtomicU64::new(0));
+    let history = Arc::new(History::new(env.net.clock().clone()));
 
     // Stream 1: sustained O-Phone traffic. The failover client retries
     // through quiesce bounces (E_UPGRADING evicts its pooled link and
@@ -307,7 +304,7 @@ fn run_rolling_upgrade_chaos(seed: u64) {
         let stop = Arc::clone(&stop);
         let dropped = Arc::clone(&dropped);
         let speak_ok = Arc::clone(&speak_ok);
-        let last_seq = Arc::clone(&last_seq);
+        let history = Arc::clone(&history);
         let metrics = MetricsRegistry::new();
         let pool = Arc::new(LinkPool::with_metrics(&net, "core", admin, &metrics));
         let cache = Arc::new(ResolutionCache::with_metrics(&metrics));
@@ -319,17 +316,19 @@ fn run_rolling_upgrade_chaos(seed: u64) {
                 .with_resolution_cache(cache);
             while !stop.load(Ordering::SeqCst) {
                 let len = 40 + (rng.next() % 4) * 40;
+                let t = history.invoke();
                 match phone.call(&CmdLine::new("speak").arg("len", len as i64)) {
                     Ok(reply) => {
                         speak_ok.fetch_add(1, Ordering::SeqCst);
-                        let seq = reply.get_int("seq").unwrap_or(-1);
-                        let prev = last_seq.load(Ordering::SeqCst);
-                        if seq < 0 || (seq as u64) < prev {
-                            dropped.lock().unwrap().push(format!(
-                                "speak seq went backwards: {seq} after {prev} (stale phone?)"
-                            ));
-                        } else {
-                            last_seq.store(seq as u64, Ordering::SeqCst);
+                        match reply.get_int("seq") {
+                            Some(seq) if seq >= 0 => {
+                                let at = Act::Incarnation(seq as u64);
+                                history.record(t, 0, "oph_a.seq", at, Outcome::Ok);
+                            }
+                            _ => dropped
+                                .lock()
+                                .unwrap()
+                                .push(format!("speak without a seq: {reply:?}")),
                         }
                     }
                     Err(e) => dropped.lock().unwrap().push(format!("speak dropped: {e}")),
@@ -340,34 +339,42 @@ fn run_rolling_upgrade_chaos(seed: u64) {
     };
 
     // Stream 2: store writes and read-back (quorum rides out each
-    // replica's quiesce window and retire/respawn gap).
+    // replica's quiesce window and retire/respawn gap), every put and get
+    // recorded for the register check.
     let store_thread = {
         let mut store = env.store_client(admin).expect("store cluster exists");
         let stop = Arc::clone(&stop);
         let dropped = Arc::clone(&dropped);
+        let history = Arc::clone(&history);
         let mut rng = Jitter(seed | 2);
         std::thread::spawn(move || {
             let mut i: u64 = 0;
             while !stop.load(Ordering::SeqCst) {
                 let key = format!("k{}", i % 32);
                 let val = format!("v{i}");
-                let outcome = store
-                    .put("rolling", &key, val.as_bytes())
+                let mut put = Ok(0);
+                history.write(0, &key, Act::Put(val.clone()), || {
+                    put = store.put("rolling", &key, val.as_bytes());
+                    put.is_ok()
+                });
+                let t = history.invoke();
+                let got = put
                     .map_err(|e| format!("put {key} dropped: {e}"))
                     .and_then(|_| {
                         store
                             .get("rolling", &key)
                             .map_err(|e| format!("get {key} dropped: {e}"))
-                    })
-                    .and_then(|read| {
-                        if read == val.as_bytes() {
-                            Ok(())
-                        } else {
-                            Err(format!("stale read on {key}: wanted {val}"))
-                        }
                     });
-                if let Err(msg) = outcome {
-                    dropped.lock().unwrap().push(msg);
+                match got {
+                    Ok(read) => {
+                        let read = Some(String::from_utf8_lossy(&read).into_owned());
+                        let act = Act::Get {
+                            read,
+                            leased: false,
+                        };
+                        history.record(t, 0, &key, act, Outcome::Ok);
+                    }
+                    Err(msg) => dropped.lock().unwrap().push(msg),
                 }
                 i += 1;
                 std::thread::sleep(Duration::from_millis(1 + rng.next() % 4));
@@ -392,13 +399,13 @@ fn run_rolling_upgrade_chaos(seed: u64) {
         .map(|(n, a)| (n.to_string(), a))
         .collect();
         let stop = Arc::clone(&stop);
-        let dropped = Arc::clone(&dropped);
+        let history = Arc::clone(&history);
         std::thread::spawn(move || {
-            let mut floor: Vec<u64> = vec![0; targets.len()];
             while !stop.load(Ordering::SeqCst) {
-                for (i, (name, addr)) in targets.iter().enumerate() {
+                for (name, addr) in &targets {
                     // A connect failure is just the retire/respawn gap;
                     // only a *successful* ping can violate monotonicity.
+                    let t = history.invoke();
                     let Ok(mut c) =
                         ServiceClient::connect(&net, &"core".into(), addr.clone(), &admin)
                     else {
@@ -406,18 +413,11 @@ fn run_rolling_upgrade_chaos(seed: u64) {
                     };
                     if let Ok(reply) = c.call(&CmdLine::new("ping")) {
                         let inc = reply.get_int("incarnation").unwrap_or(0).max(0) as u64;
-                        if inc < floor[i] {
-                            dropped.lock().unwrap().push(format!(
-                                "{name}: stale reply from incarnation {inc} after {}",
-                                floor[i]
-                            ));
-                        }
-                        floor[i] = floor[i].max(inc);
+                        history.record(t, 1, name, Act::Incarnation(inc), Outcome::Ok);
                     }
                 }
                 std::thread::sleep(Duration::from_millis(5));
             }
-            floor
         })
     };
 
@@ -485,33 +485,39 @@ fn run_rolling_upgrade_chaos(seed: u64) {
 
     // The restored call keeps flowing: frames arrive at the upgraded
     // callee beyond its pre-swap count.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
+    let mut stats = Default::default();
+    let survived = poll_until(env.net.clock(), Duration::from_secs(10), POLL, || {
         let mut b =
             ServiceClient::connect(&env.net, &"core".into(), oph_b.addr().clone(), &admin).unwrap();
-        let stats = phone_gauges(&mut b);
-        if stats["phone.inCall"] == 1 && stats["phone.received"] > received_before {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "call did not survive the phones' hot swap: {stats:?}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+        stats = phone_gauges(&mut b);
+        stats["phone.inCall"] == 1 && stats["phone.received"] > received_before
+    });
+    assert!(
+        survived,
+        "call did not survive the phones' hot swap: {stats:?}"
+    );
 
     stop.store(true, Ordering::SeqCst);
     speak_thread.join().unwrap();
     let store_rounds = store_thread.join().unwrap();
-    let floors = monitor_thread.join().unwrap();
+    monitor_thread.join().unwrap();
 
     let drops = dropped.lock().unwrap().clone();
     assert!(drops.is_empty(), "seed {seed:#x}: dropped calls: {drops:?}");
     let speaks = speak_ok.load(Ordering::SeqCst);
     assert!(speaks > 0, "no speak traffic flowed");
     assert!(store_rounds > 0, "no store traffic flowed");
+    history
+        .check_registers(Duration::ZERO)
+        .unwrap_or_else(|v| panic!("seed {seed:#x}: stale store data: {v}"));
+    history
+        .check_incarnations()
+        .unwrap_or_else(|v| panic!("seed {seed:#x}: stale reply: {v}"));
+    let upgraded = |op: &ace_net::history::Op| {
+        op.client == 1 && matches!(op.act, Act::Incarnation(at) if at >= 1)
+    };
     assert!(
-        floors.iter().any(|&f| f >= 1),
+        history.ops().iter().any(upgraded),
         "monitor never observed an upgraded incarnation"
     );
     eprintln!(
@@ -811,38 +817,14 @@ fn overload_storm_sheds_but_never_collapses() {
     run_overload_storm_chaos(0xACE7);
 }
 
-/// Seed expansion hook for the CI soak job, mirroring
-/// `rolling_upgrade_env_seeds`.
+/// Every seed `CHAOS_SEEDS` lists.
 #[test]
 fn overload_storm_env_seeds() {
-    let Ok(spec) = std::env::var("CHAOS_SEEDS") else {
-        return;
-    };
-    for token in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-        let seed = match token.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => token.parse(),
-        }
-        .unwrap_or_else(|_| panic!("CHAOS_SEEDS: unparsable seed `{token}`"));
-        eprintln!("overload_storm: running env seed {seed:#x}");
-        run_overload_storm_chaos(seed);
-    }
+    env_seeds("overload_storm", run_overload_storm_chaos);
 }
 
-/// Seed expansion hook for the CI soak job: `CHAOS_SEEDS="0xACE3,42,7"`
-/// sweeps each listed seed.
+/// Every seed `CHAOS_SEEDS` lists.
 #[test]
 fn rolling_upgrade_env_seeds() {
-    let Ok(spec) = std::env::var("CHAOS_SEEDS") else {
-        return;
-    };
-    for token in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-        let seed = match token.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => token.parse(),
-        }
-        .unwrap_or_else(|_| panic!("CHAOS_SEEDS: unparsable seed `{token}`"));
-        eprintln!("rolling_upgrade: running env seed {seed:#x}");
-        run_rolling_upgrade_chaos(seed);
-    }
+    env_seeds("rolling_upgrade", run_rolling_upgrade_chaos);
 }

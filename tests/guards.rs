@@ -1273,6 +1273,39 @@ fn a_value_lives_on_its_disk() {
     none("PR 47: a value held in memory beside its disk", hits);
 }
 
+// ── One chaos harness ───────────────────────────────────────────────────
+
+/// Every chaos suite runs its `CHAOS_SEEDS` through
+/// `ace_net::history::env_seeds`.  A read of the variable anywhere else in
+/// the Rust sources is a suite's own seed expansion growing back: there
+/// were six copies of the same fourteen lines.
+#[test]
+fn one_seed_expansion() {
+    let sources: Vec<String> = files(&["."])
+        .into_iter()
+        .filter(|f| f.ends_with(".rs"))
+        .collect();
+    in_files(
+        &["crates/net/src/history.rs"],
+        "the chaos harness: a second seed expansion (`std::env::var(\"CHAOS_SEEDS\")`)",
+        grep(&sources, fixed("std::env::var(\"CHAOS_SEEDS\")")),
+    );
+}
+
+/// A test waits through `ace_net::history::poll_until` or `await_true`.
+/// A `fn await_true` or `fn wait_until` of a test's own is a poll loop
+/// growing back beside the harness's.
+#[test]
+fn one_poll_loop() {
+    none(
+        "the chaos harness: a test's own poll loop (`fn await_true`, `fn wait_until`)",
+        grep(
+            &files(&["tests", "crates/*/tests"]),
+            re("fn await_true|fn wait_until"),
+        ),
+    );
+}
+
 // ── The matcher itself ───────────────────────────────────────────────────
 
 #[test]

@@ -7,27 +7,20 @@ use ace_core::prelude::*;
 use ace_core::protocol::LOGGER_PORT;
 use ace_directory::LoggerClient;
 use ace_media::Frame;
+use ace_net::history::poll_until;
 use ace_net::{FaultKind, FaultPlan};
 use ace_security::keys::KeyPair;
 use ace_store::{DiskImage, MemStorage, StorageHandle, StoreClient, StoreReplica, WalConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn keypair() -> KeyPair {
     KeyPair::generate(&mut rand::thread_rng())
 }
 
-fn wait_until(deadline: Duration, mut probe: impl FnMut() -> bool) -> bool {
-    let end = Instant::now() + deadline;
-    while Instant::now() < end {
-        if probe() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    false
-}
+/// How often a wait below asks again.
+const POLL: Duration = Duration::from_millis(20);
 
 /// Fetch and decode one daemon's `aceStats`.
 fn ace_stats(client: &mut ServiceClient, prefix: Option<&str>) -> StatsReport {
@@ -387,7 +380,7 @@ fn notify_fanout_survives_dead_subscriber() {
     // Delivery is asynchronous: the healthy subscriber must receive every
     // single notification despite the dead peer ahead of it in the queue.
     assert!(
-        wait_until(Duration::from_secs(10), || {
+        poll_until(net.clock(), Duration::from_secs(10), POLL, || {
             seen.load(Ordering::SeqCst) >= POKES
         }),
         "healthy subscriber starved: got {} of {POKES}",
@@ -396,7 +389,7 @@ fn notify_fanout_survives_dead_subscriber() {
 
     // The origin's registry owns the evidence: deliveries and drops both
     // counted.
-    let accounted = wait_until(Duration::from_secs(5), || {
+    let accounted = poll_until(net.clock(), Duration::from_secs(5), POLL, || {
         let report = ace_stats(&mut client, Some("notify."));
         report
             .counters

@@ -6,6 +6,7 @@
 
 use ace_core::prelude::*;
 use ace_env::{AceEnvironment, EnvConfig};
+use ace_net::history::poll_until;
 use ace_security::keys::KeyPair;
 use ace_store::StoreClient;
 use ace_workspace::VncViewer;
@@ -19,16 +20,8 @@ fn env() -> AceEnvironment {
     AceEnvironment::build(EnvConfig::default()).expect("environment builds")
 }
 
-fn wait_until(deadline: Duration, mut probe: impl FnMut() -> bool) -> bool {
-    let end = std::time::Instant::now() + deadline;
-    while std::time::Instant::now() < end {
-        if probe() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    false
-}
+/// How often a wait below asks again.
+const POLL: Duration = Duration::from_millis(25);
 
 /// Scenario 1: a new employee gets an ACE account and a default workspace
 /// appears, placed through SAL → SRM → HAL.
@@ -42,7 +35,7 @@ fn scenario1_new_user_and_workspace() {
 
     let mut wss = ace.client("wss").unwrap();
     assert!(
-        wait_until(Duration::from_secs(10), || {
+        poll_until(ace.net.clock(), Duration::from_secs(10), POLL, || {
             wss.call(&CmdLine::new("wssList").arg("user", "jdoe"))
                 .map(|r| r.get_int("count") == Some(1))
                 .unwrap_or(false)
@@ -57,7 +50,7 @@ fn scenario1_new_user_and_workspace() {
     let mut srm = ace.client("srm").unwrap();
     let mut rows = Vec::new();
     assert!(
-        wait_until(Duration::from_secs(2), || {
+        poll_until(ace.net.clock(), Duration::from_secs(2), POLL, || {
             let reply = srm.call(&CmdLine::new("systemResources")).unwrap();
             rows = ace_resources::system_rows_from_value(reply.get("hosts").unwrap()).unwrap();
             rows.iter().map(|r| r.5).sum::<i64>() >= 1
@@ -81,11 +74,16 @@ fn scenario2_and_3_identify_and_show_workspace() {
 
     // Wait for the default workspace first.
     let mut wss = ace.client("wss").unwrap();
-    assert!(wait_until(Duration::from_secs(10), || {
-        wss.call(&CmdLine::new("wssList").arg("user", "jdoe"))
-            .map(|r| r.get_int("count") == Some(1))
-            .unwrap_or(false)
-    }));
+    assert!(poll_until(
+        ace.net.clock(),
+        Duration::from_secs(10),
+        POLL,
+        || {
+            wss.call(&CmdLine::new("wssList").arg("user", "jdoe"))
+                .map(|r| r.get_int("count") == Some(1))
+                .unwrap_or(false)
+        }
+    ));
 
     // John presses his thumb to the podium scanner.
     let reply = ace.press_finger("fp_jdoe").unwrap();
@@ -94,7 +92,7 @@ fn scenario2_and_3_identify_and_show_workspace() {
     // Step 3 of Fig. 19: the AUD knows where John is.
     let mut aud = ace.client("aud").unwrap();
     assert!(
-        wait_until(Duration::from_secs(10), || {
+        poll_until(ace.net.clock(), Duration::from_secs(10), POLL, || {
             aud.call(&CmdLine::new("getLocation").arg("username", "jdoe"))
                 .map(|r| r.get_text("room") == Some("hawk") && r.get_text("host") == Some("podium"))
                 .unwrap_or(false)
@@ -104,7 +102,7 @@ fn scenario2_and_3_identify_and_show_workspace() {
 
     // Steps 4-7: the workspace was shown at the podium.
     assert!(
-        wait_until(Duration::from_secs(10), || {
+        poll_until(ace.net.clock(), Duration::from_secs(10), POLL, || {
             wss.call(&CmdLine::new("wssStats"))
                 .map(|r| r.get_int("shows").unwrap_or(0) >= 1)
                 .unwrap_or(false)
@@ -128,16 +126,21 @@ fn assert_every_refusal_is_read_by_verb_and_code(ace: &AceEnvironment) {
     // The viewer's launch is a cast: wait until the SAL has served both
     // launches (the default workspace's server and the viewer).
     let mut sal = ace.client("sal").unwrap();
-    assert!(wait_until(Duration::from_secs(10), || {
-        sal.call(&CmdLine::new("aceStats").arg("prefix", "cmd.launch"))
-            .map(|r| {
-                StatsReport::from_cmdline(&r)
-                    .histograms
-                    .get("cmd.launch")
-                    .is_some_and(|h| h.count >= 2)
-            })
-            .unwrap_or(false)
-    }));
+    assert!(poll_until(
+        ace.net.clock(),
+        Duration::from_secs(10),
+        POLL,
+        || {
+            sal.call(&CmdLine::new("aceStats").arg("prefix", "cmd.launch"))
+                .map(|r| {
+                    StatsReport::from_cmdline(&r)
+                        .histograms
+                        .get("cmd.launch")
+                        .is_some_and(|h| h.count >= 2)
+                })
+                .unwrap_or(false)
+        }
+    ));
 
     let framework = [&ace.fw.asd, &ace.fw.roomdb, &ace.fw.logger];
     let store = ace.store.iter().flatten().map(|(handle, _)| handle);
@@ -179,11 +182,16 @@ fn scenario4_multiple_workspaces() {
         .unwrap();
 
     let mut wss = ace.client("wss").unwrap();
-    assert!(wait_until(Duration::from_secs(10), || {
-        wss.call(&CmdLine::new("wssList").arg("user", "jdoe"))
-            .map(|r| r.get_int("count") == Some(1))
-            .unwrap_or(false)
-    }));
+    assert!(poll_until(
+        ace.net.clock(),
+        Duration::from_secs(10),
+        POLL,
+        || {
+            wss.call(&CmdLine::new("wssList").arg("user", "jdoe"))
+                .map(|r| r.get_int("count") == Some(1))
+                .unwrap_or(false)
+        }
+    ));
     // A second workspace for the presentation.
     wss.call(
         &CmdLine::new("wssCreate")
@@ -418,7 +426,9 @@ fn an_upgraded_store_replica_keeps_syncing() {
     store.put("upgraded", "k", b"after the swap").unwrap();
     let key = ("upgraded".to_string(), "k".to_string());
     assert!(
-        wait_until(Duration::from_secs(5), || disk.get(&key).is_some()),
+        poll_until(ace.net.clock(), Duration::from_secs(5), POLL, || disk
+            .get(&key)
+            .is_some()),
         "the upgraded replica stopped pulling from its group"
     );
     ace.shutdown();
