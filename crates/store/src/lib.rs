@@ -35,7 +35,10 @@ pub use replica::{
     sync_tree, DigestRow, DiskBytes, DiskImage, StoreReplica, SyncTree, SYNC_BUCKETS,
 };
 pub use version::{StoreKey, Versioned};
-pub use wal::{MemStorage, Pages, RecoveryReport, StorageHandle, Wal, WalConfig, WalStats, PAGE};
+pub use wal::{
+    page_bytes, MemStorage, PageBytes, Pages, RecoveryReport, StorageHandle, Wal, WalConfig,
+    WalStats, PAGE,
+};
 
 use ace_core::prelude::*;
 use ace_core::{Recipe, ReplicaGroup, SpawnError};

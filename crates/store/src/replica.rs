@@ -30,8 +30,8 @@ use crate::client::{unpack_values, StoreError};
 use crate::placement::StorePlacement;
 use crate::version::{StoreKey, Versioned};
 use crate::wal::{
-    encode_snapshot, Loc, MemStorage, Pages, RecoveryReport, Segment, Slot, StorageHandle, Wal,
-    WalConfig, WalStats, SNAP_HEAD,
+    encode_snapshot, page_bytes, Loc, MemStorage, Pages, RecoveryReport, Segment, Slot,
+    StorageHandle, Wal, WalConfig, WalStats, SNAP_HEAD,
 };
 use ace_core::prelude::*;
 use ace_lang::ScalarType;
@@ -1396,8 +1396,11 @@ impl ServiceBehavior for StoreReplica {
     /// counters — among them the disk's footprint (`liveBytes`,
     /// `snapshotBytes`, `logBytes`), its rewrite volume (`compactedBytes`),
     /// the damaged records it refused (`damaged`) and what the key
-    /// directory holds in memory (`mem.store.<name>.bytes`), read only
-    /// here, when pulled.  Series are keyed by the daemon name
+    /// directory holds in memory (`mem.store.<name>.bytes`), the cut a
+    /// rebuild is streaming (`mem.store.<name>.cutBytes`) and the
+    /// process's pages in use and free (`mem.pages.held`,
+    /// `mem.pages.free`), read only here, when pulled.  Series are keyed by
+    /// the daemon name
     /// (`store.<name>.entries`): co-located replicas whose stats land in
     /// one registry (or one downstream aggregation) must stay distinct
     /// series, not overwrite each other.
@@ -1423,6 +1426,12 @@ impl ServiceBehavior for StoreReplica {
         gauge("liveBytes").set(bytes.live as i64);
         m.gauge(&format!("mem.store.{name}.bytes"))
             .set(self.disk.directory_bytes() as i64);
+        let cut = self.snap_cache.as_ref().map_or(0, Pages::len);
+        m.gauge(&format!("mem.store.{name}.cutBytes"))
+            .set(cut as i64);
+        let pages = page_bytes();
+        m.gauge("mem.pages.held").set(pages.held as i64);
+        m.gauge("mem.pages.free").set(pages.free as i64);
         let wal = self.disk.wal_stats().unwrap_or_default();
         let gauge = |suffix: &str| m.gauge(&format!("wal.{name}.{suffix}"));
         gauge("appends").set(wal.appends as i64);

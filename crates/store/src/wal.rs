@@ -37,8 +37,11 @@
 //! Both segments, every append and every snapshot are held in [`Pages`] of
 //! [`PAGE`] bytes: no write allocates, grows or frees a buffer larger than
 //! a page, so a compaction's multi-megabyte snapshot never becomes a freed
-//! buffer the allocator keeps for the next one.  No read does either: a
-//! read is one record, and a scan reads a record at a time.
+//! buffer the allocator keeps for the next one.  Every page is taken from,
+//! and given back to, one free list for the whole process, so a page freed
+//! on any thread is the next page filled on any other.  No read allocates
+//! more than a page either: a read is one record, and a scan reads a page
+//! at a time and parses the records inside it.
 //!
 //! Recovery invariants (asserted by `tests/wal_recovery.rs` and the chaos
 //! soak):
@@ -85,11 +88,66 @@ pub const RECORD_HEADER: usize = 8;
 /// the largest buffer a store write allocates, grows or frees.
 pub const PAGE: usize = 64 << 10;
 
+/// The process's free pages, and how many pages [`Pages`] hold.  A page
+/// is taken from here and given back here, whichever thread fills or
+/// frees it.  The allocator would keep a freed page in the arena of the
+/// thread that freed it, out of reach of an allocation made on another
+/// thread, so each arena would hold its own peak of pages; the list holds
+/// at most the process's peak of pages in use.
+static PAGE_LIST: Mutex<PageList> = Mutex::new(PageList {
+    free: Vec::new(),
+    held: 0,
+});
+
+struct PageList {
+    free: Vec<Vec<u8>>,
+    held: usize,
+}
+
+/// An empty page: the one last given back, or a new one when none is.
+fn take_page() -> Vec<u8> {
+    let page = {
+        let mut list = PAGE_LIST.lock();
+        list.held += 1;
+        list.free.pop()
+    };
+    page.unwrap_or_else(|| Vec::with_capacity(PAGE))
+}
+
+/// Give `pages` back to the list, emptied.
+fn give_pages(pages: impl Iterator<Item = Vec<u8>>) {
+    let mut list = PAGE_LIST.lock();
+    for mut page in pages {
+        page.clear();
+        list.held -= 1;
+        list.free.push(page);
+    }
+}
+
+/// The process's page bytes: `held` in [`Pages`], `free` on the list for
+/// the next fill.  Pulled into every store replica's `aceStats` as
+/// `mem.pages.held` and `mem.pages.free`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PageBytes {
+    pub held: u64,
+    pub free: u64,
+}
+
+/// The process's page bytes now.
+pub fn page_bytes() -> PageBytes {
+    let list = PAGE_LIST.lock();
+    PageBytes {
+        held: (list.held * PAGE) as u64,
+        free: (list.free.len() * PAGE) as u64,
+    }
+}
+
 /// Bytes held in fixed pages of [`PAGE`] bytes: a disk segment, a log
 /// append, a snapshot and the cut a rebuild streams.  Every page but the
 /// last is full, and no page is ever larger than [`PAGE`]: a byte string
 /// of any length grows and shrinks a page at a time, so the allocator
-/// never holds a freed multi-megabyte buffer for the next one.
+/// never holds a freed multi-megabyte buffer for the next one.  Pages come
+/// from the process's free list and go back to it.
 #[derive(Debug, Default)]
 pub struct Pages {
     pages: Vec<Vec<u8>>,
@@ -116,7 +174,7 @@ impl Pages {
             let page = match self.pages.last_mut() {
                 Some(page) if page.len() < PAGE => page,
                 _ => {
-                    self.pages.push(Vec::with_capacity(PAGE));
+                    self.pages.push(take_page());
                     self.pages.last_mut().expect("just pushed")
                 }
             };
@@ -137,26 +195,24 @@ impl Pages {
         }
     }
 
-    /// Cut down to `len` bytes; pages past it are freed.
+    /// Cut down to `len` bytes; pages past it go back to the list.
     pub fn truncate(&mut self, len: usize) {
         if len >= self.len {
             return;
         }
         let kept = len.div_ceil(PAGE);
-        self.pages.truncate(kept);
+        give_pages(self.pages.drain(kept..));
         if let Some(last) = self.pages.last_mut() {
             last.truncate(len - (kept - 1) * PAGE);
         }
         self.len = len;
     }
 
-    /// Empty, keeping the first page for the next fill: a buffer reused
-    /// for small writes allocates nothing after warm-up.
+    /// Empty: every page goes back to the list, whose next fill takes one
+    /// back, so a buffer reused for small writes allocates nothing after
+    /// warm-up.
     pub fn clear(&mut self) {
-        self.pages.truncate(1);
-        if let Some(first) = self.pages.first_mut() {
-            first.clear();
-        }
+        give_pages(self.pages.drain(..));
         self.len = 0;
     }
 
@@ -196,6 +252,12 @@ impl Pages {
     }
 }
 
+impl Drop for Pages {
+    fn drop(&mut self) {
+        give_pages(self.pages.drain(..));
+    }
+}
+
 impl From<&[u8]> for Pages {
     fn from(bytes: &[u8]) -> Pages {
         let mut pages = Pages::new();
@@ -212,11 +274,12 @@ impl From<&[u8]> for Pages {
 /// fault may tear: everything else either fully happens or fully errors,
 /// matching the single-sector atomicity real filesystems give renames and
 /// truncates.  Writes take [`Pages`], so no write needs its bytes in one
-/// buffer, and a read is of one record, so no read does either.
+/// buffer, and a read is of one record or one page, so no read does
+/// either.
 pub trait StorageBackend: Send {
     /// Up to `len` bytes from `offset`: fewer only where the contents end.
-    /// How a value is read, and how recovery scans a segment, a record at
-    /// a time.  A read is not fenced: only writes are.
+    /// How a value is read, and how recovery scans a segment, a page at a
+    /// time.  A read is not fenced: only writes are.
     fn read_at(&mut self, offset: u64, len: usize) -> Result<Vec<u8>, StoreError>;
     /// Append bytes at the end.  Under an armed fault this may persist only
     /// a prefix and return `Err` — the caller must treat `Err` as
@@ -760,10 +823,46 @@ fn row(segment: Segment, offset: u64, payload: &[u8]) -> Result<(StoreKey, Slot)
 /// [`Pages`] a rebuild gathered.
 type ReadAt<'r> = dyn FnMut(u64, usize) -> Result<Vec<u8>, StoreError> + 'r;
 
+/// What a scan holds of its bytes: one window of a page, or of a record
+/// larger than a page, read at a time.  The records inside a window are
+/// parsed where they lie; only a record that crosses the window's end is
+/// read again, from its own start.
+struct Window<'a, 'r> {
+    read: &'a mut ReadAt<'r>,
+    start: u64,
+    bytes: Vec<u8>,
+}
+
+impl<'a, 'r> Window<'a, 'r> {
+    fn new(read: &'a mut ReadAt<'r>) -> Self {
+        Window {
+            read,
+            start: 0,
+            bytes: Vec::new(),
+        }
+    }
+
+    /// Up to `len` bytes at `at`, fewer only where the bytes end: from the
+    /// window when they lie inside it, else from a window read at `at`.
+    fn get(&mut self, at: u64, len: usize) -> Result<&[u8], StoreError> {
+        let inside = at >= self.start
+            && at.saturating_add(len as u64) <= self.start + self.bytes.len() as u64;
+        if !inside {
+            self.bytes = (self.read)(at, len.max(PAGE))?;
+            self.start = at;
+        }
+        let from = (at - self.start) as usize;
+        Ok(&self.bytes[from..(from + len).min(self.bytes.len())])
+    }
+}
+
 /// What a scan found at its position.
-enum Next {
+enum Next<'w> {
     /// A whole record whose CRC checks out.
-    Record { header: Vec<u8>, payload: Vec<u8> },
+    Record {
+        header: [u8; RECORD_HEADER],
+        payload: &'w [u8],
+    },
     /// The bytes end here, `torn` of them into a record.
     End { torn: u64 },
 }
@@ -775,15 +874,15 @@ fn corrupt(offset: u64, detail: impl Into<String>) -> StoreError {
     }
 }
 
-/// Read the record framed at `at`: its header, then its payload, each one
-/// read.  A record cut short by the end of the bytes is a torn tail; a
+/// The record framed at `at`: its header, then its payload, each from the
+/// window.  A record cut short by the end of the bytes is a torn tail; a
 /// length over [`MAX_RECORD`] or a CRC mismatch is corruption.
-fn next_record(read: &mut ReadAt, at: u64) -> Result<Next, StoreError> {
-    let header = read(at, RECORD_HEADER)?;
-    if header.len() < RECORD_HEADER {
-        let torn = header.len() as u64;
+fn next_record<'w>(window: &'w mut Window, at: u64) -> Result<Next<'w>, StoreError> {
+    let head = window.get(at, RECORD_HEADER)?;
+    let Ok(header) = <[u8; RECORD_HEADER]>::try_from(head) else {
+        let torn = head.len() as u64;
         return Ok(Next::End { torn });
-    }
+    };
     let len = u32::from_le_bytes(header[..4].try_into().expect("four bytes"));
     if len > MAX_RECORD {
         return Err(corrupt(
@@ -791,13 +890,13 @@ fn next_record(read: &mut ReadAt, at: u64) -> Result<Next, StoreError> {
             format!("record length {len} exceeds {MAX_RECORD}"),
         ));
     }
-    let payload = read(at + RECORD_HEADER as u64, len as usize)?;
+    let payload = window.get(at + RECORD_HEADER as u64, len as usize)?;
     if payload.len() < len as usize {
         let torn = (RECORD_HEADER + payload.len()) as u64;
         return Ok(Next::End { torn });
     }
     let crc = u32::from_le_bytes(header[4..].try_into().expect("four bytes"));
-    if crc32(&payload) != crc {
+    if crc32(payload) != crc {
         return Err(corrupt(at, "record CRC mismatch"));
     }
     Ok(Next::Record { header, payload })
@@ -810,12 +909,13 @@ fn scan_log(
     read: &mut ReadAt,
     mut visit: impl FnMut(u64, &[u8]) -> Result<(), String>,
 ) -> Result<(u64, u64), StoreError> {
+    let mut window = Window::new(read);
     let mut at = 0;
     loop {
-        match next_record(read, at)? {
+        match next_record(&mut window, at)? {
             Next::End { torn } => return Ok((at, torn)),
             Next::Record { payload, .. } => {
-                visit(at, &payload).map_err(|detail| corrupt(at, detail))?;
+                visit(at, payload).map_err(|detail| corrupt(at, detail))?;
                 at += (RECORD_HEADER + payload.len()) as u64;
             }
         }
@@ -894,7 +994,7 @@ pub(crate) fn encode_snapshot(
     body
 }
 
-/// Scan a snapshot body a record at a time: hand each record's offset and
+/// Scan a snapshot body a page at a time: hand each record's offset and
 /// payload to `visit`, and check the body's CRC as the records go by.
 /// `None` for an empty snapshot, else the body's length; `Corrupt` for
 /// bytes that do not validate.
@@ -903,7 +1003,8 @@ pub(crate) fn scan_snapshot(
     mut visit: impl FnMut(u64, &[u8]) -> Result<(), String>,
 ) -> Result<Option<u64>, StoreError> {
     let bad = |at: u64, detail: &str| corrupt(at, format!("snapshot: {detail}"));
-    let head = read(0, SNAP_HEAD)?;
+    let mut window = Window::new(read);
+    let head = window.get(0, SNAP_HEAD)?;
     if head.is_empty() {
         return Ok(None);
     }
@@ -914,22 +1015,20 @@ pub(crate) fn scan_snapshot(
         return Err(bad(0, "bad magic"));
     }
     let count = u32::from_le_bytes(head[SNAP_HEAD - 4..].try_into().expect("four bytes"));
-    let mut crc = crc32_update(0, &head);
+    let mut crc = crc32_update(0, head);
     let mut at = SNAP_HEAD as u64;
     for _ in 0..count {
-        let Next::Record { header, payload } = next_record(read, at)? else {
+        let Next::Record { header, payload } = next_record(&mut window, at)? else {
             return Err(bad(at, "truncated"));
         };
-        crc = crc32_update(crc32_update(crc, &header), &payload);
-        visit(at, &payload).map_err(|detail| bad(at, &detail))?;
+        crc = crc32_update(crc32_update(crc, &header), payload);
+        visit(at, payload).map_err(|detail| bad(at, &detail))?;
         at += (RECORD_HEADER + payload.len()) as u64;
     }
     // The body's CRC, and nothing after it.
-    let tail = read(at, 5)?;
+    let tail = window.get(at, 5)?;
     match tail.len() {
-        4 if u32::from_le_bytes(tail[..].try_into().expect("four bytes")) == crc => {
-            Ok(Some(at + 4))
-        }
+        4 if u32::from_le_bytes(tail.try_into().expect("four bytes")) == crc => Ok(Some(at + 4)),
         4 => Err(bad(at, "CRC mismatch")),
         0..4 => Err(bad(at, "truncated")),
         _ => Err(bad(at, "trailing bytes")),
@@ -1053,14 +1152,14 @@ pub struct Wal {
     stats: WalStats,
     /// Reusable append buffer: a call's records are concatenated here so
     /// each call is exactly one backend `append` (and one tear point under
-    /// fault injection).  In pages, so a large batch allocates pages, and
-    /// a small write nothing after warm-up.
+    /// fault injection).  In pages, so a large batch takes pages, and each
+    /// call gives them back to the list for the next.
     scratch: Pages,
 }
 
 impl Wal {
     /// Open (or create) the WAL behind `handle`: scan the snapshot, then
-    /// the log, a record at a time, handing every record's directory row to
+    /// the log, a page at a time, handing every record's directory row to
     /// `visit` in that order — what the key directory is rebuilt from,
     /// newest-wins — with no value kept.  Refuses with
     /// [`StoreError::Corrupt`] when a non-empty snapshot or a mid-log
@@ -1371,6 +1470,38 @@ mod tests {
                 &full.entries[..replay.entries.len()],
                 "cut at {cut} replayed a non-prefix"
             );
+        }
+    }
+
+    /// A scan reads a page at a time: records that cross a page's end,
+    /// and one larger than a page, replay whole and in order, and a cut
+    /// on either side of a page's end replays a strict prefix.
+    #[test]
+    fn records_across_pages_replay_whole() {
+        let mut bytes = Vec::new();
+        for i in 0..40u64 {
+            let data = vec![i as u8; if i == 20 { PAGE + 5000 } else { 5000 }];
+            bytes.extend_from_slice(&frame_record(&key(&format!("k{i}")), &v(i + 1, &data)));
+        }
+        let full = replay_bytes(&bytes).unwrap();
+        assert_eq!(full.entries.len(), 40);
+        assert_eq!(full.good_len, bytes.len() as u64);
+        for (i, (k, value)) in full.entries.iter().enumerate() {
+            assert_eq!(
+                (k.1.as_str(), value.version),
+                (&*format!("k{i}"), i as u64 + 1)
+            );
+        }
+        for end in [PAGE, 2 * PAGE, 3 * PAGE] {
+            for cut in end - 9..end + 9 {
+                let replay = replay_bytes(&bytes[..cut]).unwrap();
+                assert_eq!(
+                    replay.entries.as_slice(),
+                    &full.entries[..replay.entries.len()],
+                    "cut at {cut}"
+                );
+                assert_eq!(replay.good_len + replay.torn_bytes, cut as u64);
+            }
         }
     }
 

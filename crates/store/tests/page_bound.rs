@@ -8,10 +8,21 @@
 //! Only the test's own thread is armed, so the harness's threads do not
 //! count.  It is a test instrument: it checks the bound, and measures
 //! nothing else.
+//!
+//! Pages come from the process's free list, and a page taken from the
+//! list is not an allocation.  So a window that must show its pages to the
+//! probe first takes every free page off the list and holds it, and checks
+//! by the list's counts that it made at least one page.  The tests hold
+//! one lock each, so neither fills or empties the list under the other.
 
-use ace_store::{DiskImage, MemStorage, Pages, StorageHandle, Versioned, WalConfig, PAGE};
+use ace_store::{
+    page_bytes, DiskImage, MemStorage, Pages, StorageHandle, Versioned, WalConfig, PAGE,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Mutex;
+
+static SERIAL: Mutex<()> = Mutex::new(());
 
 struct Probe;
 
@@ -63,6 +74,23 @@ fn largest_during(f: impl FnOnce()) -> usize {
     LARGEST.with(Cell::get)
 }
 
+/// [`largest_during`] a window that fills pages: the list is emptied
+/// first, so every page `f` fills is one the list makes, which the probe
+/// sees, and `f` must make one.
+fn largest_filling(f: impl FnOnce()) -> usize {
+    let hold = Pages::from(&vec![0; page_bytes().free as usize][..]);
+    let before = page_bytes();
+    assert_eq!(before.free, 0, "the list is empty");
+    let largest = largest_during(f);
+    let after = page_bytes();
+    assert!(
+        after.held + after.free > before.held,
+        "the window made no page: {before:?} then {after:?}"
+    );
+    drop(hold);
+    largest
+}
+
 /// 256 keys of 16 KiB: a 4 MiB state whose key directory (512 buckets)
 /// stays under a page itself, so what the probe sees is the disk's.  (The
 /// directory and the lists a cut sorts grow with the key count, about 100
@@ -85,20 +113,22 @@ fn write(disk: &DiskImage, i: u64, version: u64) {
 /// A default-configured durable image: a 4 MiB log of fresh keys, then
 /// overwrites through several compactions, then a rebuild's cut.  Nothing
 /// allocates, grows or frees more than a page, and the log's and the
-/// snapshot's pages are seen (the largest buffer is exactly one page).
-/// Fails under "encode the snapshot into one `Vec`" and under "a
-/// `MemStorage` segment as one `Vec`".
+/// snapshot's pages are seen (the largest buffer is exactly one page: each
+/// window starts with an empty free list and makes pages).  Fails under
+/// "encode the snapshot into one `Vec`" and under "a `MemStorage` segment
+/// as one `Vec`".
 #[test]
 fn no_store_write_allocates_more_than_a_page() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let handle = StorageHandle::Memory(MemStorage::new());
     let (disk, _) = DiskImage::open(&handle, WalConfig::default()).unwrap();
 
-    let log = largest_during(|| (0..KEYS).for_each(|i| write(&disk, i, 1)));
+    let log = largest_filling(|| (0..KEYS).for_each(|i| write(&disk, i, 1)));
     assert!(disk.bytes().log > 4 << 20, "{:?}", disk.bytes());
     assert_eq!(disk.wal_stats().unwrap().compactions, 0);
     assert_eq!(log, PAGE, "a 4 MiB log of fresh keys");
 
-    let compactions = largest_during(|| {
+    let compactions = largest_filling(|| {
         for version in 2..6 {
             (0..KEYS).for_each(|i| write(&disk, i, version));
         }
@@ -107,7 +137,7 @@ fn no_store_write_allocates_more_than_a_page() {
     assert_eq!(compactions, PAGE, "overwrites through compactions");
 
     let mut cut = None;
-    let largest = largest_during(|| cut = Some(disk.snapshot_cut().unwrap()));
+    let largest = largest_filling(|| cut = Some(disk.snapshot_cut().unwrap()));
     let cut = cut.unwrap();
     assert!(cut.len() > 4 << 20);
     assert_eq!(largest, PAGE, "a snapshot cut");
@@ -121,7 +151,7 @@ fn chunks(cut: &Pages) -> Vec<Vec<u8>> {
 }
 
 /// The largest buffer of one open of `handle` (recovery scans the snapshot
-/// and the log a record at a time) and of one rebuild from `cut` (the
+/// and the log a page at a time) and of one rebuild from `cut` (the
 /// chunks gathered in pages, checked, merged and installed on a fresh
 /// disk).
 fn open_and_rebuild(handle: &StorageHandle, cut: &Pages) -> usize {
@@ -130,7 +160,7 @@ fn open_and_rebuild(handle: &StorageHandle, cut: &Pages) -> usize {
         let (disk, report) = DiskImage::open(handle, WalConfig::default()).unwrap();
         assert_eq!(disk.len(), KEYS as usize, "{report}");
     });
-    let rebuild = largest_during(|| {
+    let rebuild = largest_filling(|| {
         let mut pages = Pages::new();
         shipped.iter().for_each(|chunk| pages.extend(chunk));
         let fresh = StorageHandle::Memory(MemStorage::new());
@@ -145,6 +175,7 @@ fn open_and_rebuild(handle: &StorageHandle, cut: &Pages) -> usize {
 /// rebuild allocate nothing larger than that record.
 #[test]
 fn only_a_record_larger_than_a_page_is_read_whole() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let handle = StorageHandle::Memory(MemStorage::new());
     let (disk, _) = DiskImage::open(&handle, WalConfig::default()).unwrap();
     (0..KEYS).for_each(|i| write(&disk, i, 1));

@@ -491,6 +491,49 @@ fn a_shipper_keeps_no_snapshot_after_the_last_chunk() {
     w.cluster.shutdown();
 }
 
+/// A replica's cut is a holder it reports while a rebuild streams it:
+/// `mem.store.<name>.cutBytes` is the cut's length from the offset-0
+/// `psSnapFetch` to the last chunk, and 0 before and after.  Beside it,
+/// `mem.pages.held` covers the cut and the replica's disk, whose pages it
+/// counts among the process's.
+#[test]
+fn a_cut_is_reported_until_its_last_chunk() {
+    let w = world_syncing(1, 3, QUIET);
+    let mut c = client(&w);
+    for i in 0..20 {
+        c.put("app", &format!("k{i}"), &[i as u8; 512]).unwrap();
+    }
+    let addr = w.cluster.placement.replicas(0)[0].clone();
+    let mut link = ServiceClient::connect(&w.net, &"core".into(), addr, &keypair()).unwrap();
+    // The cut, the process's pages held and the replica's log, in bytes.
+    let gauges = |link: &mut ServiceClient| {
+        let reply = link.call(&CmdLine::new("aceStats")).unwrap();
+        let gauges = StatsReport::from_cmdline(&reply).gauges;
+        let row = |name: &str| gauges[name];
+        let cut = row("mem.store.store-s0r0.cutBytes");
+        (cut, row("mem.pages.held"), row("wal.store-s0r0.logBytes"))
+    };
+    assert_eq!(gauges(&mut link).0, 0, "no cut before a fetch");
+    let first = CmdLine::new("psSnapFetch")
+        .arg("offset", 0)
+        .arg("chunk", 1024);
+    let total = link.call(&first).unwrap().get_int("total").unwrap();
+    assert!(total > 20 * 512, "{total} B cut");
+    let (cut, held, log) = gauges(&mut link);
+    assert_eq!(
+        cut, total,
+        "the cut is held between its first and last chunk"
+    );
+    assert!(
+        held >= cut + log,
+        "{held} B of pages for a {cut} B cut and a {log} B log"
+    );
+    let last = CmdLine::new("psSnapFetch").arg("offset", total - 1);
+    link.call(&last).unwrap();
+    assert_eq!(gauges(&mut link).0, 0, "the last chunk lets the cut go");
+    w.cluster.shutdown();
+}
+
 // -- bytes on the wire --------------------------------------------------------
 
 /// Frame bytes the whole network moved while `op` ran.  Anti-entropy is

@@ -14,7 +14,7 @@ pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
 
 impl<T> Mutex<T> {
-    pub fn new(value: T) -> Mutex<T> {
+    pub const fn new(value: T) -> Mutex<T> {
         Mutex(std::sync::Mutex::new(value))
     }
 

@@ -1189,6 +1189,20 @@ fn the_disk_is_paged() {
     );
 }
 
+/// A page comes from the process's one free list: `Vec::with_capacity(PAGE)`
+/// appears once under `crates/*/src`, where the list makes a page because
+/// it has none free.  A second one is a page made beside the list, which
+/// the allocator keeps, once freed, in the arena of the thread that freed
+/// it.
+#[test]
+fn one_page_source() {
+    exactly(
+        1,
+        "a page made beside the free list",
+        grep(&files(&["crates/*/src"]), fixed("Vec::with_capacity(PAGE)")),
+    );
+}
+
 // ── Nothing kept that nothing uses ───────────────────────────────────────
 
 /// `AceEnvironment::upgrade_daemon` is the one driver of a live upgrade: a
